@@ -1,8 +1,8 @@
 //! Long-horizon campaign harness.
 //!
 //! ```text
-//! campaign [--spec FILE] [--seed N] [--jobs N] [--engine dense|incremental]
-//!          [--out FILE] [--quick] [--dump-spec]
+//! campaign [--spec FILE] [--seed N] [--jobs N] [--out FILE] [--quick]
+//!          [--dump-spec]
 //! ```
 //!
 //! Runs a full scenario campaign (see `docs/SCENARIOS.md`) and writes
@@ -18,7 +18,6 @@
 //! prints the built-in spec as JSON (how `examples/campaign_city.json`
 //! was produced) and exits.
 
-use bass_mesh::AllocEngine;
 use bass_scenario::{run_campaign, ScenarioSpec, TopologySpec};
 use std::process::ExitCode;
 
@@ -48,7 +47,6 @@ fn main() -> ExitCode {
     let mut spec_path: Option<String> = None;
     let mut seed = 42u64;
     let mut jobs = 1usize;
-    let mut engine = AllocEngine::default();
     let mut out = std::path::PathBuf::from("BENCH_campaign.json");
     let mut quick = false;
     let mut dump_spec = false;
@@ -80,14 +78,6 @@ fn main() -> ExitCode {
                 Ok(v) => jobs = v,
                 Err(e) => return fail(e),
             },
-            "--engine" => match value("--engine") {
-                Ok(v) => match v.as_str() {
-                    "dense" => engine = AllocEngine::Dense,
-                    "incremental" => engine = AllocEngine::Incremental,
-                    other => return fail(format!("unknown engine '{other}'")),
-                },
-                Err(e) => return fail(e),
-            },
             "--out" => match value("--out") {
                 Ok(v) => out = std::path::PathBuf::from(v),
                 Err(e) => return fail(e),
@@ -96,8 +86,8 @@ fn main() -> ExitCode {
             "--dump-spec" => dump_spec = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: campaign [--spec FILE] [--seed N] [--jobs N] \
-                     [--engine dense|incremental] [--out FILE] [--quick] [--dump-spec]"
+                    "usage: campaign [--spec FILE] [--seed N] [--jobs N] [--out FILE] \
+                     [--quick] [--dump-spec]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -130,7 +120,7 @@ fn main() -> ExitCode {
     }
 
     let started = std::time::Instant::now();
-    let summary = match run_campaign(&spec, seed, jobs, engine) {
+    let summary = match run_campaign(&spec, seed, jobs) {
         Ok(s) => s,
         Err(e) => return fail(e.to_string()),
     };

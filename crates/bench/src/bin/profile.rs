@@ -1,7 +1,7 @@
 //! Per-phase tick profiling harness.
 //!
 //! ```text
-//! profile [--seed N] [--engine dense|incremental] [--out FILE] [--quick]
+//! profile [--seed N] [--out FILE] [--quick]
 //! ```
 //!
 //! Runs single-replica campaigns at 100 and 500 nodes with span
@@ -14,7 +14,6 @@
 //! are byte-identical to unprofiled runs of the same spec and seed.
 //! `--quick` shrinks the horizons to a CI-sized smoke run.
 
-use bass_mesh::AllocEngine;
 use bass_obs::ProfileSummary;
 use bass_scenario::{CampaignOptions, run_campaign_opts, ScenarioSpec, TopologySpec};
 use serde::Serialize;
@@ -52,13 +51,11 @@ struct ConfigReport {
 struct ProfileBench {
     bench: String,
     seed: u64,
-    engine: String,
     configs: Vec<ConfigReport>,
 }
 
 fn main() -> ExitCode {
     let mut seed = 42u64;
-    let mut engine = AllocEngine::default();
     let mut out = std::path::PathBuf::from("PROFILE_mesh.json");
     let mut quick = false;
     let mut args = std::env::args().skip(1);
@@ -78,24 +75,13 @@ fn main() -> ExitCode {
                 Ok(v) => seed = v,
                 Err(e) => return fail(e),
             },
-            "--engine" => match value("--engine") {
-                Ok(v) => match v.as_str() {
-                    "dense" => engine = AllocEngine::Dense,
-                    "incremental" => engine = AllocEngine::Incremental,
-                    other => return fail(format!("unknown engine '{other}'")),
-                },
-                Err(e) => return fail(e),
-            },
             "--out" => match value("--out") {
                 Ok(v) => out = std::path::PathBuf::from(v),
                 Err(e) => return fail(e),
             },
             "--quick" => quick = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: profile [--seed N] [--engine dense|incremental] \
-                     [--out FILE] [--quick]"
-                );
+                println!("usage: profile [--seed N] [--out FILE] [--quick]");
                 return ExitCode::SUCCESS;
             }
             other => return fail(format!("unknown flag '{other}'")),
@@ -110,12 +96,7 @@ fn main() -> ExitCode {
         &[(100, 0.2, 5_000), (500, 0.1, 1_000)]
     };
 
-    let opts = CampaignOptions {
-        jobs: 1,
-        engine,
-        profile: true,
-        ..CampaignOptions::default()
-    };
+    let opts = CampaignOptions { profile: true, ..CampaignOptions::default() };
     let mut reports = Vec::new();
     for &(nodes, radius, horizon_ticks) in configs {
         let spec = profile_spec(nodes, radius, horizon_ticks);
@@ -158,7 +139,6 @@ fn main() -> ExitCode {
     let bench = ProfileBench {
         bench: "mesh_profile".to_string(),
         seed,
-        engine: format!("{engine:?}").to_lowercase(),
         configs: reports,
     };
     let json = serde_json::to_string_pretty(&bench).expect("report serializes");

@@ -5,19 +5,16 @@
 //! bassctl place    --manifest app.json --testbed mesh.json [--policy …] [--seed N] [--json]
 //! bassctl simulate --manifest app.json --testbed mesh.json [--policy …] [--duration SECS]
 //!                  [--no-migrations] [--seed N] [--json] [--journal events.jsonl]
-//!                  [--faults plan.json] [--engine dense|incremental|delta]
-//!                  [--alloc-jobs N] [--step-mode ticked|event-driven]
+//!                  [--faults plan.json] [--step-mode ticked|event-driven]
 //!                  [--metrics-out metrics.prom] [--verify-score-cache]
 //! bassctl recommend --manifest app.json --testbed mesh.json [--json]
 //! bassctl traces   --testbed mesh.json [--duration SECS] [--seed N]
 //! bassctl campaign --spec scenario.json [--seed N] [--jobs N] [--out summary.json]
-//!                  [--engine dense|incremental|delta] [--alloc-jobs N]
 //!                  [--step-mode ticked|event-driven] [--journal events.jsonl]
 //!                  [--metrics-out metrics.prom] [--profile]
 //!                  [--progress[=off|info|debug]]
 //! bassctl arena    --spec scenario.json [--spec more.json …] [--policy bass,random,…]
-//!                  [--seed N] [--jobs N] [--engine …] [--alloc-jobs N]
-//!                  [--step-mode …] [--out table.json] [--json]
+//!                  [--seed N] [--jobs N] [--step-mode …] [--out table.json] [--json]
 //!                  [--metrics-out metrics.prom] [--progress[=off|info|debug]]
 //! bassctl metrics  --in metrics.prom [--diff other.prom | --lint]
 //! bassctl schema                       # print example input files
@@ -57,8 +54,6 @@ struct Args {
     json: bool,
     journal: Option<String>,
     faults: Option<String>,
-    engine: bass_mesh::AllocEngine,
-    alloc_jobs: usize,
     step_mode: bass_core::StepMode,
     metrics_out: Option<String>,
     verify_score_cache: bool,
@@ -81,17 +76,6 @@ fn parse_policy(name: &str) -> Result<PlacementPolicy, String> {
     }
 }
 
-fn parse_engine(name: &str) -> Result<bass_mesh::AllocEngine, String> {
-    match name {
-        "dense" => Ok(bass_mesh::AllocEngine::Dense),
-        "incremental" => Ok(bass_mesh::AllocEngine::Incremental),
-        "delta" => Ok(bass_mesh::AllocEngine::Delta),
-        other => Err(format!(
-            "unknown engine '{other}' (expected dense, incremental, or delta)"
-        )),
-    }
-}
-
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), String> {
     let command = argv.next().ok_or("missing command (order|place|simulate|schema)")?;
     let mut args = Args {
@@ -108,8 +92,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         json: false,
         journal: None,
         faults: None,
-        engine: bass_mesh::AllocEngine::default(),
-        alloc_jobs: 1,
         step_mode: bass_core::StepMode::Ticked,
         metrics_out: None,
         verify_score_cache: false,
@@ -161,15 +143,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             "--json" => args.json = true,
             "--journal" => args.journal = Some(value("--journal")?),
             "--faults" => args.faults = Some(value("--faults")?),
-            "--engine" => args.engine = parse_engine(&value("--engine")?)?,
-            "--alloc-jobs" => {
-                args.alloc_jobs = value("--alloc-jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad --alloc-jobs: {e}"))?;
-                if args.alloc_jobs == 0 {
-                    return Err("--alloc-jobs must be at least 1".to_string());
-                }
-            }
             "--step-mode" => {
                 args.step_mode = bass_core::StepMode::parse(&value("--step-mode")?)?
             }
@@ -297,8 +270,6 @@ fn run() -> Result<(), String> {
                     seed: args.seed,
                     journal: args.journal.clone().map(std::path::PathBuf::from),
                     faults: args.faults.clone().map(std::path::PathBuf::from),
-                    engine: args.engine,
-                    alloc_jobs: args.alloc_jobs,
                     step_mode: args.step_mode,
                     metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
                     verify_score_cache: args.verify_score_cache,
@@ -338,8 +309,6 @@ fn run() -> Result<(), String> {
                 .map_err(|e| format!("cannot parse {path}: {e}"))?;
             let opts = bass_cli::CampaignCommandOptions {
                 jobs: args.jobs,
-                engine: args.engine,
-                alloc_jobs: args.alloc_jobs,
                 step_mode: args.step_mode,
                 journal: args.journal.clone().map(std::path::PathBuf::from),
                 metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
@@ -401,8 +370,6 @@ fn run() -> Result<(), String> {
             let opts = bass_cli::ArenaCommandOptions {
                 policies: args.arena_policies.clone(),
                 jobs: args.jobs,
-                engine: args.engine,
-                alloc_jobs: args.alloc_jobs,
                 step_mode: args.step_mode,
                 metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
                 progress: args.progress,

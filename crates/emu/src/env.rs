@@ -11,7 +11,7 @@ use bass_core::{
     SimEvent, StepMode,
 };
 use bass_faults::{Fault, FaultPlan};
-use bass_mesh::{AllocEngine, FlowId, Mesh, MeshError, NodeId};
+use bass_mesh::{FlowId, Mesh, MeshError, NodeId};
 use bass_netmon::{GoodputMonitor, NetMonitor, NetMonitorConfig, OnlineProfiler};
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
@@ -61,18 +61,6 @@ pub struct SimEnvConfig {
     /// nothing and leaves runs byte-identical to fault-free behaviour.
     /// See the `bass-faults` crate and `docs/FAULTS.md`.
     pub faults: FaultPlan,
-    /// Which max-min allocation engine the mesh runs each tick. The
-    /// default [`AllocEngine::Incremental`] is the fast path;
-    /// [`AllocEngine::Delta`] additionally refills only the constraint
-    /// components a tick actually perturbed; [`AllocEngine::Dense`]
-    /// replays the pre-incremental reference implementation. All three
-    /// produce bit-identical results (see `docs/ARCHITECTURE.md` and
-    /// `docs/PERFORMANCE.md`).
-    pub alloc_engine: AllocEngine,
-    /// Worker threads for the delta engine's sharded component fill
-    /// (≥1; other engines ignore it). Allocations are byte-identical at
-    /// any job count, so this only changes wall-clock.
-    pub alloc_jobs: usize,
     /// How [`SimEnv::run_for`] advances time. The default
     /// [`StepMode::Ticked`] executes every step;
     /// [`StepMode::EventDriven`] skips provably quiescent tick windows
@@ -95,8 +83,6 @@ impl Default for SimEnvConfig {
             stateful_state: None,
             adaptive_routing: None,
             faults: FaultPlan::new(),
-            alloc_engine: AllocEngine::default(),
-            alloc_jobs: 1,
             step_mode: StepMode::default(),
         }
     }
@@ -217,11 +203,9 @@ pub struct SimEnv {
 
 impl SimEnv {
     /// Creates an environment over a mesh, a cluster, and an application.
-    pub fn new(mut mesh: Mesh, cluster: Cluster, dag: AppDag, cfg: SimEnvConfig) -> Self {
+    pub fn new(mesh: Mesh, cluster: Cluster, dag: AppDag, cfg: SimEnvConfig) -> Self {
         let controller = BassController::with_policy(cfg.controller, cfg.migration_policy);
         let netmon = NetMonitor::new(cfg.netmon);
-        mesh.set_alloc_engine(cfg.alloc_engine);
-        mesh.set_alloc_jobs(cfg.alloc_jobs);
         SimEnv {
             cfg,
             mesh,
@@ -1417,6 +1401,8 @@ mod tests {
             "tick.finalize",
             "mesh.queues",
             "mesh.trace_refresh",
+            "mesh.cap_diff",
+            "mesh.component_scan",
             "mesh.water_fill",
             "mesh.usage_views",
             "env.deploy",
@@ -1428,6 +1414,14 @@ mod tests {
             assert!(stats.count > 0, "span {span} never completed");
         }
         assert_eq!(profiler.stats("env.deploy").unwrap().count, 1);
+        // The fill is one span whether it refilled every component (an
+        // index-rebuild allocation, after the full capacity re-read) or
+        // only the dirty ones (after the component scan).
+        let count = |span| profiler.stats(span).unwrap().count;
+        assert_eq!(
+            count("mesh.water_fill"),
+            count("mesh.trace_refresh") + count("mesh.component_scan")
+        );
         // 5 s at the default step → one instance of each tick phase per tick.
         let ticks = profiler.stats("tick.finalize").unwrap().count;
         assert!(ticks >= 5, "expected at least 5 ticks, saw {ticks}");

@@ -69,7 +69,7 @@ impl FlowAllocation {
 
     /// Overwrites the rates of the listed slots only. Every `ids[s]`
     /// must already be a key — i.e. the allocation was last assigned
-    /// from the same `ids` — which the delta engine guarantees on its
+    /// from the same `ids` — which [`crate::Mesh`] guarantees on its
     /// steady-state tick, making the map write O(dirty · log F)
     /// instead of the O(F) full [`assign`](Self::assign).
     pub(crate) fn write_slots(&mut self, ids: &[FlowId], rates_bps: &[f64], slots: &[u32]) {
@@ -122,12 +122,12 @@ pub const NO_COMPONENT: u32 = u32::MAX;
 /// Two constraints are in the same component when some flow crosses
 /// both; a flow belongs to the component of its constraints. Max-min
 /// fairness decomposes exactly over these components — no flow in one
-/// component can affect any rate in another — so every allocator in
-/// this crate fills components independently, one at a time, in the
+/// component can affect any rate in another — so both allocators in
+/// this crate fill components independently, one at a time, in the
 /// *canonical component order* (ascending order of each component's
 /// smallest constraint index). That shared order is what makes the
-/// three [`crate::AllocEngine`]s bit-identical, and it is what the
-/// `Delta` engine exploits: when a perturbation touches only one
+/// production fill and the dense reference bit-identical, and it is
+/// what [`crate::Mesh`] exploits: when a perturbation touches only one
 /// component, every other component's rates are provably unchanged and
 /// are kept verbatim.
 ///
@@ -282,22 +282,20 @@ impl ComponentIndex {
     }
 }
 
-/// Reusable scratch state for [`max_min_allocate_into`] and the
-/// per-component refill entry points.
+/// Reusable scratch state for [`max_min_allocate_components`] and
+/// [`refill_component_into`].
 ///
-/// The incremental allocator's working vectors (per-flow frozen flags,
-/// per-constraint remaining capacity and active-member counts, the
-/// compact active-flow list, and a cached [`ComponentIndex`]) are kept
-/// here so a caller that allocates every simulation tick —
-/// [`crate::Mesh`] — performs zero heap allocations on the steady-state
-/// path. Sharded fills give every worker thread its own scratch.
+/// The component fill's working vectors (per-flow frozen flags,
+/// per-constraint remaining capacity and active-member counts, and the
+/// compact active-flow list) are kept here so a caller that allocates
+/// every simulation tick — [`crate::Mesh`] — performs zero heap
+/// allocations on the steady-state path.
 #[derive(Debug, Clone, Default)]
 pub struct AllocScratch {
     frozen: Vec<bool>,
     remaining: Vec<f64>,
     active_count: Vec<usize>,
     active: Vec<usize>,
-    comps: ComponentIndex,
 }
 
 /// Progressive-filling water-fill of one constraint component, in place.
@@ -305,12 +303,12 @@ pub struct AllocScratch {
 /// Resets the component's slice of the working state (`rates`, `frozen`,
 /// `remaining`, `active_count`), then runs the incremental water-filling
 /// rounds restricted to the component's flows and constraints. This is
-/// *the* canonical fill every allocation engine reduces to: the dense
-/// oracle performs the same floating-point operations by re-scanning
-/// membership lists, and the delta engine calls this directly for each
-/// dirty component. State arrays are global-sized; only the component's
-/// entries are read or written, so disjoint components can be filled in
-/// any order — or concurrently — with bit-identical results.
+/// *the* canonical fill: the dense reference performs the same
+/// floating-point operations by re-scanning membership lists, and
+/// [`crate::Mesh`] calls this directly for each dirty component. State
+/// arrays are global-sized; only the component's entries are read or
+/// written, so disjoint components can be filled in any order with
+/// bit-identical results.
 #[allow(clippy::too_many_arguments)]
 fn fill_component(
     demands: &[Bandwidth],
@@ -423,7 +421,8 @@ fn reserve_scratch(scratch: &mut AllocScratch, n: usize, m: usize) {
     }
 }
 
-/// Incremental progressive-filling max-min allocator.
+/// Incremental progressive-filling max-min allocator over a
+/// caller-maintained [`ComponentIndex`].
 ///
 /// Semantically identical to [`max_min_allocate_dense`] (bit-for-bit:
 /// both perform the same floating-point operations in the same order),
@@ -435,51 +434,23 @@ fn reserve_scratch(scratch: &mut AllocScratch, n: usize, m: usize) {
 /// only walked once in total when flows freeze (amortized
 /// O(Σ memberships) across the whole run).
 ///
-/// Both allocators fill the connected components of the flow ↔
-/// constraint graph independently, in canonical component order (see
-/// [`ComponentIndex`]); this call derives the partition from the CSR map
-/// on the fly (the [`crate::AllocEngine::Delta`] path caches it
-/// instead and refills only dirty components via
-/// [`refill_component_into`]).
+/// Fills every connected component of the flow ↔ constraint graph in
+/// canonical component order, plus the unconstrained flows, writing one
+/// rate (in bps) per flow into `out`, reusing its storage. The partition
+/// must have been rebuilt for exactly this CSR map.
 ///
 /// `flow_cons_off`/`flow_cons` are a CSR-style reverse map from flow
 /// index to the constraint indices it belongs to (one entry per
 /// membership instance): flow `i`'s constraints are
 /// `flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]]`. [`crate::Mesh`]
-/// maintains this map persistently and only rebuilds it when the flow
-/// set or routing changes; [`max_min_allocate`] derives it on the fly.
-///
-/// Rates (in bps) are written into `out`, one per flow, reusing its
-/// storage.
+/// maintains this map and the partition persistently and only rebuilds
+/// them when the flow set or routing changes; [`max_min_allocate`]
+/// derives both on the fly.
 ///
 /// # Panics
 ///
 /// Panics if a constraint references a flow index `>= demands.len()` or
 /// the CSR map is inconsistent with `demands.len()`.
-pub fn max_min_allocate_into(
-    demands: &[Bandwidth],
-    constraints: &[Constraint],
-    flow_cons_off: &[usize],
-    flow_cons: &[usize],
-    scratch: &mut AllocScratch,
-    out: &mut Vec<f64>,
-) {
-    let n = demands.len();
-    assert_eq!(flow_cons_off.len(), n + 1, "CSR offsets must have len n + 1");
-    let mut comps = std::mem::take(&mut scratch.comps);
-    comps.rebuild(n, constraints, flow_cons_off, flow_cons);
-    max_min_allocate_components(demands, constraints, flow_cons_off, flow_cons, &comps, scratch, out);
-    scratch.comps = comps;
-}
-
-/// [`max_min_allocate_into`] with a caller-maintained
-/// [`ComponentIndex`]: fills every component in canonical order plus the
-/// unconstrained flows, writing one rate per flow into `out`. The
-/// partition must have been rebuilt for exactly this CSR map.
-///
-/// # Panics
-///
-/// Panics on the same inconsistencies as [`max_min_allocate_into`].
 pub fn max_min_allocate_components(
     demands: &[Bandwidth],
     constraints: &[Constraint],
@@ -501,7 +472,7 @@ pub fn max_min_allocate_components(
             out[i] = unconstrained_rate(demands[i]);
         }
     }
-    let AllocScratch { frozen, remaining, active_count, active, .. } = scratch;
+    let AllocScratch { frozen, remaining, active_count, active } = scratch;
     for comp in 0..comps.component_count() as u32 {
         fill_component(
             demands,
@@ -521,8 +492,8 @@ pub fn max_min_allocate_components(
 
 /// Refills a single component in place: resets and water-fills only
 /// `comp`'s flows and constraints, leaving every other entry of `rates`
-/// untouched. This is the [`crate::AllocEngine::Delta`] hot path — when
-/// a tick changes one link's capacity, only that link's component is
+/// untouched. This is [`crate::Mesh`]'s hot path — when a tick changes
+/// one link's capacity, only that link's component is
 /// refilled and the rest of the mesh keeps its previous allocation
 /// verbatim (bit-for-bit what a full refill would have produced).
 ///
@@ -548,7 +519,7 @@ pub fn refill_component_into(
     assert_eq!(flow_cons_off.len(), n + 1, "CSR offsets must have len n + 1");
     assert_eq!(rates.len(), n, "rates must hold one slot per flow");
     reserve_scratch(scratch, n, constraints.len());
-    let AllocScratch { frozen, remaining, active_count, active, .. } = scratch;
+    let AllocScratch { frozen, remaining, active_count, active } = scratch;
     fill_component(
         demands,
         constraints,
@@ -566,7 +537,7 @@ pub fn refill_component_into(
 
 /// The rate the canonical fill grants a flow that crosses no constraint
 /// (an empty CSR row — loopback traffic): its full demand in bps, or
-/// zero for (near-)zero demands. The `Delta` engine applies this rule
+/// zero for (near-)zero demands. [`crate::Mesh`] applies this rule
 /// directly when an unconstrained flow's demand moves, without touching
 /// any component.
 pub fn unconstrained_rate(demand: Bandwidth) -> f64 {
@@ -579,7 +550,8 @@ pub fn unconstrained_rate(demand: Bandwidth) -> f64 {
 }
 
 /// Builds the CSR-style flow → constraints reverse map consumed by
-/// [`max_min_allocate_into`], with one entry per membership instance.
+/// [`max_min_allocate_components`], with one entry per membership
+/// instance.
 /// `off` receives `n + 1` offsets and `cons` the flattened constraint
 /// indices; both are reused without reallocating when possible.
 pub fn build_flow_constraint_map(
@@ -625,31 +597,41 @@ pub fn build_flow_constraint_map(
 ///   crosses a saturated constraint on which no other member has a
 ///   larger rate that could be reduced in its favor.
 ///
-/// This is a convenience wrapper over the incremental engine
-/// ([`max_min_allocate_into`]) for one-shot callers; per-tick callers
-/// should hold an [`AllocScratch`] and a persistent CSR map instead.
+/// This is a convenience wrapper over
+/// [`max_min_allocate_components`] for one-shot callers; per-tick
+/// callers should hold an [`AllocScratch`], a persistent CSR map and a
+/// [`ComponentIndex`] instead.
 pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
+    let n = demands.len();
     let mut off = Vec::new();
     let mut cons = Vec::new();
-    build_flow_constraint_map(demands.len(), constraints, &mut off, &mut cons);
-    let mut scratch = AllocScratch::default();
+    build_flow_constraint_map(n, constraints, &mut off, &mut cons);
+    let mut comps = ComponentIndex::default();
+    comps.rebuild(n, constraints, &off, &cons);
     let mut out = Vec::new();
-    max_min_allocate_into(demands, constraints, &off, &cons, &mut scratch, &mut out);
+    max_min_allocate_components(
+        demands,
+        constraints,
+        &off,
+        &cons,
+        &comps,
+        &mut AllocScratch::default(),
+        &mut out,
+    );
     out.into_iter().map(Bandwidth::from_bps).collect()
 }
 
 /// The dense progressive-filling allocator, kept as the correctness
-/// *oracle* for the incremental and delta engines (property tests
-/// assert bit-identical outputs) and as the baseline the `scale` bench
-/// measures speedups against. Every water-filling round re-scans the
+/// *reference* for the incremental fill (property tests assert
+/// bit-identical outputs). Every water-filling round re-scans the
 /// component's full membership lists, so each round costs
 /// O(constraints × members); prefer [`max_min_allocate`] everywhere
 /// else.
 ///
-/// Like every engine, it fills the connected components of the flow ↔
+/// Like the production fill, it fills the connected components of the flow ↔
 /// constraint graph one at a time in canonical order (ascending
 /// smallest-constraint-index); the partition is re-derived here with an
-/// independent union-find so the oracle shares no code with the
+/// independent union-find so the reference shares no code with the
 /// incremental path beyond this module's constants.
 pub fn max_min_allocate_dense(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
     let n = demands.len();
@@ -887,10 +869,10 @@ mod tests {
         }
     }
 
-    /// The incremental engine must reproduce the dense oracle exactly —
+    /// The incremental fill must reproduce the dense reference exactly —
     /// same floating-point operations in the same order, so the rates
     /// are bit-identical, not merely close.
-    fn assert_engines_bit_identical(demands: &[Bandwidth], constraints: &[Constraint]) {
+    fn assert_fills_bit_identical(demands: &[Bandwidth], constraints: &[Constraint]) {
         let dense = max_min_allocate_dense(demands, constraints);
         let inc = max_min_allocate(demands, constraints);
         assert_eq!(dense.len(), inc.len());
@@ -911,16 +893,16 @@ mod tests {
             Constraint { capacity: mbps(10.0), members: vec![0, 1] },
             Constraint { capacity: mbps(4.0), members: vec![1, 2] },
         ];
-        assert_engines_bit_identical(&demands, &constraints);
+        assert_fills_bit_identical(&demands, &constraints);
         // Zero capacity, zero demand, unconstrained flows.
         let demands = vec![Bandwidth::ZERO, mbps(5.0), mbps(42.0)];
         let constraints = vec![
             Constraint { capacity: Bandwidth::ZERO, members: vec![0, 1] },
             Constraint { capacity: mbps(10.0), members: vec![1] },
         ];
-        assert_engines_bit_identical(&demands, &constraints);
+        assert_fills_bit_identical(&demands, &constraints);
         // No constraints at all.
-        assert_engines_bit_identical(&[mbps(7.0)], &[]);
+        assert_fills_bit_identical(&[mbps(7.0)], &[]);
     }
 
     #[test]
@@ -946,6 +928,7 @@ mod tests {
     #[test]
     fn scratch_reuse_across_differently_sized_problems() {
         let mut scratch = AllocScratch::default();
+        let mut comps = ComponentIndex::default();
         let mut off = Vec::new();
         let mut cons = Vec::new();
         let mut out = Vec::new();
@@ -953,7 +936,16 @@ mod tests {
             let demands: Vec<Bandwidth> = (0..n).map(|i| mbps(1.0 + i as f64)).collect();
             let constraints = vec![Constraint { capacity: mbps(6.0), members: (0..n).collect() }];
             build_flow_constraint_map(n, &constraints, &mut off, &mut cons);
-            max_min_allocate_into(&demands, &constraints, &off, &cons, &mut scratch, &mut out);
+            comps.rebuild(n, &constraints, &off, &cons);
+            max_min_allocate_components(
+                &demands,
+                &constraints,
+                &off,
+                &cons,
+                &comps,
+                &mut scratch,
+                &mut out,
+            );
             let expected = max_min_allocate_dense(&demands, &constraints);
             assert_eq!(out.len(), n);
             for (got, want) in out.iter().zip(&expected) {

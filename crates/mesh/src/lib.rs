@@ -26,6 +26,7 @@
 //! scheduler studies and reproduces every observable the paper measures
 //! (throughput shares, transfer latency, loss under overload).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capacity;
@@ -37,6 +38,6 @@ pub mod topology;
 
 pub use capacity::CapacitySource;
 pub use flow::{FlowAllocation, FlowId, FlowSpec};
-pub use mesh::{AllocEngine, Mesh, MeshError};
+pub use mesh::{Mesh, MeshError};
 pub use routing::RoutingTable;
 pub use topology::{LinkId, NodeId, Topology, TopologyError};

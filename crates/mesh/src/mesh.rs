@@ -4,33 +4,35 @@
 //! `docs/ARCHITECTURE.md`: refresh per-link capacities from traces and
 //! overrides, rebuild the flow↔constraint `AllocIndex` if topology or
 //! membership changed, water-fill per-flow rates, then drain per-flow
-//! queues against the granted rates. Three [`AllocEngine`]s implement
-//! the water-fill step with bit-identical results:
+//! queues against the granted rates.
 //!
-//! - **Dense** — the reference path: rebuilds all state from scratch
-//!   every tick. Slow, trivially correct; the oracle the other two are
-//!   tested against.
-//! - **Incremental** — keeps the `AllocIndex` (a CSR flow↔constraint
-//!   map) across ticks and refills everything through preallocated
-//!   scratch. No per-tick allocation, but still a full refill.
-//! - **Delta** — additionally tracks connected components of the
-//!   flow↔constraint graph ([`crate::flow::ComponentIndex`]) and
-//!   bit-compares capacity/demand snapshots each tick, refilling only
-//!   the *dirty* components. With `alloc_jobs > 1` dirty components are
-//!   sharded across scoped worker threads; per-worker rate buffers are
-//!   scattered back in canonical component order, so results stay
-//!   byte-identical at any job count.
+//! There is one allocator. It keeps the `AllocIndex` (a CSR
+//! flow↔constraint map plus the connected components of that graph,
+//! [`crate::flow::ComponentIndex`]) across ticks, bit-compares capacity
+//! and demand snapshots each tick, and refills only the *dirty*
+//! components; every other component keeps its previous rates verbatim.
+//! A tick that rebuilt the index refills everything. The usage views and
+//! the queue pass follow the same dirty sets while the refilled slice is
+//! a minority of the mesh, and fall back to their full passes otherwise
+//! — a cost dispatch the code takes from the dirty share it observes,
+//! never a setting.
+//!
+//! The pre-index implementation (`reallocate_dense`: fresh buffers,
+//! per-tick membership scans, [`crate::flow::max_min_allocate_dense`])
+//! is kept verbatim as the *test reference*. Tests reach it through the
+//! hidden one-way `Mesh::use_reference_allocator` and require the
+//! production path to match it bit for bit.
 //!
 //! Determinism rules: component order is canonical (ascending smallest
-//! constraint index), all engine state is rebuilt from the same inputs,
-//! and nothing samples wall-clock time — the same seed and mutation
-//! sequence replays bit-for-bit on any machine and any `alloc_jobs`.
+//! constraint index), all allocator state is rebuilt from the same
+//! inputs, and nothing samples wall-clock time — the same seed and
+//! mutation sequence replays bit-for-bit on any machine.
 
 use crate::capacity::{CapacitySource, LinkCapacity};
 use crate::flow::{
     build_flow_constraint_map, max_min_allocate_components, max_min_allocate_dense,
-    max_min_allocate_into, refill_component_into, unconstrained_rate, AllocScratch,
-    ComponentIndex, Constraint, FlowAllocation, FlowId, FlowSpec, NO_COMPONENT,
+    refill_component_into, unconstrained_rate, AllocScratch, ComponentIndex, Constraint,
+    FlowAllocation, FlowId, FlowSpec, NO_COMPONENT,
 };
 use crate::queueing::{FlowQueue, HopLatency};
 use crate::routing::RoutingTable;
@@ -74,40 +76,8 @@ impl fmt::Display for MeshError {
 
 impl Error for MeshError {}
 
-/// Selects the algorithm behind [`Mesh::reallocate`].
-///
-/// All three engines compute the identical allocation — bit-for-bit,
-/// not merely numerically close — so switching engines never changes
-/// simulation behaviour, only its cost (the equivalence contract is
-/// spelled out in `docs/ARCHITECTURE.md`). `Dense` is retained as the
-/// regression oracle and as the baseline the `scale` bench measures the
-/// other engines against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocEngine {
-    /// The pre-incremental reference path: rebuilds every link's member
-    /// list by scanning all flows on every tick
-    /// (O(links × flows × path-len)) and runs the dense water-filling
-    /// oracle, allocating fresh buffers throughout.
-    Dense,
-    /// The default: a persistent link → members inverted index (rebuilt
-    /// only when flows or routes change) feeding the in-place
-    /// incremental allocator, with all scratch buffers reused across
-    /// ticks. Every constraint component is still refilled every tick.
-    #[default]
-    Incremental,
-    /// Delta recomputation: everything `Incremental` does, plus a cached
-    /// [`crate::flow::ComponentIndex`] over the
-    /// flow ↔ constraint graph and bit-compare snapshots of constraint
-    /// capacities and per-flow transmit demands. A tick refills only the
-    /// components an observed change touches; untouched components keep
-    /// their previous rates verbatim. Dirty components are fanned out
-    /// across worker threads when [`Mesh::set_alloc_jobs`] raises the
-    /// job count — outputs stay byte-identical at any job count.
-    Delta,
-}
-
-/// Persistent inverted index backing [`AllocEngine::Incremental`]:
-/// the dense flow ordering, one constraint per link (and per
+/// Persistent inverted index backing the allocator: the dense flow
+/// ordering, one constraint per link (and per
 /// egress-capped node) with its member list, and a CSR flow →
 /// constraints reverse map. Rebuilt only when the flow set, the routing,
 /// or the egress-cap set changes — never on the steady-state tick path.
@@ -117,7 +87,7 @@ struct AllocIndex {
     ids: Vec<FlowId>,
     /// Link constraints first (one per link, in `LinkId` order), then one
     /// per egress-capped node (in `NodeId` order) — the same layout the
-    /// dense path rebuilds per tick. Capacities are refreshed in place
+    /// reference path rebuilds per tick. Capacities are refreshed in place
     /// each [`Mesh::reallocate`]; member lists persist.
     constraints: Vec<Constraint>,
     /// Nodes of the egress constraints, aligned with
@@ -127,9 +97,9 @@ struct AllocIndex {
     flow_cons_off: Vec<usize>,
     /// CSR payload of the flow → constraints reverse map.
     flow_cons: Vec<usize>,
-    /// Connected components of the flow ↔ constraint graph, cached for
-    /// the delta engine (the district map of a gateway-partitioned city
-    /// mesh). Rebuilt together with the membership lists.
+    /// Connected components of the flow ↔ constraint graph (the district
+    /// map of a gateway-partitioned city mesh). Rebuilt together with
+    /// the membership lists.
     comps: ComponentIndex,
     /// CSR offsets of the flow-slot → egress-nodes map (every path node
     /// except the destination, whether egress-capped or not) backing the
@@ -144,14 +114,18 @@ struct AllocIndex {
     /// a partial egress re-sum accumulates in the same order as the
     /// full flow-major pass.
     egr_members: Vec<usize>,
-    /// Set whenever membership may have changed; cleared by `rebuild`.
+    /// Set whenever membership, routing or up/down state may have
+    /// changed; cleared by `rebuild`. While set, every per-slot dirty
+    /// set and snapshot is stale and the next allocation rebuilds the
+    /// index, re-reads every capacity and demand, and refills every
+    /// component.
     dirty: bool,
 }
 
 impl AllocIndex {
     /// One pass over every flow's path (O(Σ path lengths)) rebuilding the
     /// member lists and the CSR reverse map — replacing the per-tick
-    /// all-flows scan per link the dense path performs.
+    /// all-flows scan per link the reference path performs.
     fn rebuild(
         &mut self,
         link_count: usize,
@@ -295,11 +269,12 @@ pub struct Mesh {
     /// Per-link weights of the last `use_weighted_routing` call, kept so
     /// fault-driven route recomputations stay quality-aware.
     last_weights: Option<Vec<f64>>,
-    /// Which allocation engine `reallocate` dispatches to.
-    engine: AllocEngine,
-    /// Persistent membership index for the incremental engine.
+    /// Set (one way) by [`Mesh::use_reference_allocator`]: `reallocate`
+    /// runs the dense test reference instead of the production path.
+    reference: bool,
+    /// Persistent membership index.
     index: AllocIndex,
-    /// Reusable working state of the incremental allocator.
+    /// Reusable working state of the component fill.
     scratch: AllocScratch,
     /// Per-flow demand vector, reused across ticks.
     demands_scratch: Vec<Bandwidth>,
@@ -312,41 +287,19 @@ pub struct Mesh {
     link_cap_bps: Vec<f64>,
     /// Per-link utilization scratch for the queueing model.
     util_scratch: Vec<f64>,
-    /// Worker threads for the delta engine's sharded component fill
-    /// (1 = fill dirty components serially on the calling thread).
-    alloc_jobs: usize,
-    /// True while the delta engine's `prev_*` snapshots and `rates_bps`
-    /// describe the current flow set; cleared by index rebuilds and
-    /// engine switches to force a full canonical fill.
-    delta_valid: bool,
-    /// Constraint capacities (bps) as of the last delta allocation,
-    /// aligned with `index.constraints`.
+    /// Constraint capacities (bps) as of the last allocation, aligned
+    /// with `index.constraints`.
     prev_caps_bps: Vec<f64>,
-    /// Per-flow transmit demands (bps) as of the last delta allocation.
+    /// Per-flow transmit demands (bps) as of the last allocation.
     prev_demands_bps: Vec<f64>,
-    /// Components marked dirty this tick (delta engine scratch).
+    /// Components marked dirty this tick (scratch).
     dirty_comps: Vec<u32>,
-    /// Per-component dirty flags (delta engine scratch).
+    /// Per-component dirty flags (scratch).
     comp_dirty: Vec<bool>,
-    /// Persistent worker threads (plus their owned scratch and rate
-    /// buffers) for sharded fills. Spawned lazily on the first sharded
-    /// tick and reused for every one after — the per-tick
-    /// `thread::scope` spawn/join cost is what made sharding *lose* to
-    /// the serial fill at 1000 nodes before the pool. Cloning a mesh
-    /// yields an empty pool that respawns on first use.
-    shard_pool: ShardPool,
     /// Largest node id + 1 — the length of dense per-node views.
     /// Topology is immutable after construction, so this never changes
     /// (hoisted out of the per-tick usage-view update).
     max_node: usize,
-    /// Master switch for the O(dirty) tick pipeline (default on; see
-    /// [`Mesh::set_dirty_tracking`]). Off = the full-scan refreshes the
-    /// engines ran before dirty tracking existed — bit-identical
-    /// allocations, just O(F + L) per tick.
-    dirty_tracking: bool,
-    /// True while `link_cap_bps` and the index's link-constraint
-    /// capacities are current for every link *not* in `dirty_links`.
-    caps_valid: bool,
     /// Per-link membership flags of `dirty_links`.
     link_dirty: Vec<bool>,
     /// Links whose effective capacity may have moved since the last
@@ -354,7 +307,7 @@ pub struct Mesh {
     /// cap/source/freeze mutations.
     dirty_links: Vec<u32>,
     /// Links whose effective capacity *actually* moved in the last
-    /// refresh — the O(dirty) input of the delta engine's diff scan.
+    /// refresh — the O(dirty) input of the component scan.
     cap_changed: Vec<u32>,
     /// Min-heap of upcoming trace change-points `(time, link)` across
     /// live (unfrozen) traced links; each pop marks the link
@@ -363,9 +316,6 @@ pub struct Mesh {
     /// False when `trace_heap` must be rebuilt (trace source swapped,
     /// link (un)frozen, or never built).
     trace_heap_valid: bool,
-    /// True while `demands_scratch` is current for every flow slot *not*
-    /// in `dirty_flows`.
-    demands_valid: bool,
     /// Per-flow-slot membership flags of `dirty_flows`.
     flow_dirty: Vec<bool>,
     /// Flow slots whose transmit demand may have moved since the last
@@ -385,8 +335,8 @@ pub struct Mesh {
     /// express.
     routes_epoch: u64,
     /// True when the next queue pass must run the full O(F + L) path
-    /// (allocation reshaped, usage views rebuilt, tracking disabled or
-    /// its bookkeeping overflowed).
+    /// (allocation reshaped, usage views rebuilt, or the pending-set
+    /// bookkeeping overflowed).
     pending_full: bool,
     /// Per-link membership flags of `pending_links`.
     pending_link_flag: Vec<bool>,
@@ -464,29 +414,23 @@ impl Mesh {
             trace_freeze: BTreeMap::new(),
             trace_change_cache: std::cell::Cell::new(None),
             last_weights: None,
-            engine: AllocEngine::default(),
+            reference: false,
             index: AllocIndex { dirty: true, ..AllocIndex::default() },
             scratch: AllocScratch::default(),
             demands_scratch: Vec::new(),
             rates_bps: Vec::new(),
             link_cap_bps: vec![0.0; link_count],
             util_scratch: vec![0.0; link_count],
-            alloc_jobs: 1,
-            delta_valid: false,
             prev_caps_bps: Vec::new(),
             prev_demands_bps: Vec::new(),
             dirty_comps: Vec::new(),
             comp_dirty: Vec::new(),
-            shard_pool: ShardPool::default(),
             max_node,
-            dirty_tracking: true,
-            caps_valid: false,
             link_dirty: vec![false; link_count],
             dirty_links: Vec::new(),
             cap_changed: Vec::new(),
             trace_heap: std::collections::BinaryHeap::new(),
             trace_heap_valid: false,
-            demands_valid: false,
             flow_dirty: Vec::new(),
             dirty_flows: Vec::new(),
             cap_epoch: 0,
@@ -510,57 +454,15 @@ impl Mesh {
         })
     }
 
-    /// The allocation engine [`Mesh::reallocate`] currently dispatches
-    /// to (default [`AllocEngine::Incremental`]).
-    pub fn alloc_engine(&self) -> AllocEngine {
-        self.engine
-    }
-
-    /// Selects the allocation engine; takes effect at the next
-    /// [`Mesh::reallocate`]. All engines produce bit-identical
-    /// allocations (see [`AllocEngine`]), so this only changes cost.
-    pub fn set_alloc_engine(&mut self, engine: AllocEngine) {
-        self.engine = engine;
-        // Snapshots taken under one engine may be stale for another
-        // (the dense path does not maintain `rates_bps`): force the
-        // delta engine to start from a full canonical fill.
-        self.delta_valid = false;
-    }
-
-    /// Worker threads the delta engine fans dirty components out to
-    /// (see [`Mesh::set_alloc_jobs`]).
-    pub fn alloc_jobs(&self) -> usize {
-        self.alloc_jobs
-    }
-
-    /// Sets how many worker threads the delta engine may use to fill
-    /// dirty components within one tick (clamped to ≥ 1; default 1 =
-    /// serial). Allocations are byte-identical at any job count: each
-    /// component's fill is deterministic and writes a disjoint slice of
-    /// the rate vector, so only wall-clock changes — the campaign
-    /// runner's ordered-slot guarantee, applied inside a single tick.
-    /// Other engines ignore this setting.
-    pub fn set_alloc_jobs(&mut self, jobs: usize) {
-        self.alloc_jobs = jobs.max(1);
-    }
-
-    /// Whether the O(dirty) tick pipeline is enabled (see
-    /// [`Mesh::set_dirty_tracking`]; default on).
-    pub fn dirty_tracking(&self) -> bool {
-        self.dirty_tracking
-    }
-
-    /// Enables or disables dirty-set tracking. When disabled every tick
-    /// falls back to the full-scan refreshes the engines ran before
-    /// dirty tracking existed — the same allocations, bit for bit, just
-    /// O(F + L) per tick regardless of how little changed. The
-    /// equivalence batteries use the disabled mode as an oracle and the
-    /// scale bench uses it as the full-refresh baseline column.
-    pub fn set_dirty_tracking(&mut self, on: bool) {
-        self.dirty_tracking = on;
-        self.caps_valid = false;
-        self.demands_valid = false;
-        self.pending_full = true;
+    /// Switches this mesh to the dense reference allocator for the rest
+    /// of its life. Test support: the equivalence batteries flag one
+    /// mesh before handing it to the code under test and require the
+    /// production run to match it bit for bit. The reference maintains
+    /// none of the production path's dirty-set state, so there is no way
+    /// back.
+    #[doc(hidden)]
+    pub fn use_reference_allocator(&mut self) {
+        self.reference = true;
     }
 
     /// Sets how many partial usage-view updates may pass between drift
@@ -856,11 +758,11 @@ impl Mesh {
                 }
             }
         }
-        self.index.dirty = true;
         // Up/down state feeds effective capacities and paths feed
-        // controller scores: both the capacity caches and any score
-        // cache keyed on the routes epoch must refresh.
-        self.caps_valid = false;
+        // controller scores: the stale index forces a full capacity
+        // re-read, and any score cache keyed on the routes epoch must
+        // refresh.
+        self.index.dirty = true;
         self.routes_epoch += 1;
     }
 
@@ -1074,7 +976,6 @@ impl Mesh {
         // The O(dirty) pass is only sound when the activity bookkeeping
         // matches the current flow set and nothing demanded a rebuild.
         let full = self.pending_full
-            || !self.dirty_tracking
             || self.index.ids.len() != n
             || self.allocation.len() != n
             || self.flow_active.len() != n
@@ -1120,7 +1021,7 @@ impl Mesh {
         // Backlog movements feed the demand dirty set only while the
         // slot numbering is live; under a stale index the next refresh
         // is full anyway.
-        let track = self.dirty_tracking && !self.index.dirty && self.flow_dirty.len() == n;
+        let track = !self.index.dirty && self.flow_dirty.len() == n;
         self.flow_active.clear();
         self.flow_active.resize(n, false);
         self.active_flows.clear();
@@ -1162,7 +1063,7 @@ impl Mesh {
         self.pending_flow_flag.clear();
         self.pending_flow_flag.resize(n, false);
         self.pending_flows.clear();
-        self.pending_full = !self.dirty_tracking;
+        self.pending_full = false;
     }
 
     /// The O(dirty) queue pass: utilizations re-derived only for links
@@ -1318,28 +1219,26 @@ impl Mesh {
     }
 
     /// Recomputes the allocation at the current time without advancing
-    /// queues (useful right after changing demands or capacities),
-    /// dispatching to the configured [`AllocEngine`].
+    /// queues (useful right after changing demands or capacities).
     pub fn reallocate(&mut self) {
         self.reallocate_profiled(None);
     }
 
-    /// [`reallocate`](Self::reallocate) with span profiling. The
-    /// incremental engine records its interior phases
-    /// (`mesh.index_rebuild` when the membership index was dirty,
-    /// `mesh.trace_refresh`, `mesh.water_fill`, `mesh.usage_views`); the
-    /// delta engine additionally records `mesh.component_scan` (the
-    /// dirty-component diff), `mesh.delta_fill` (serial component
-    /// refills) and `mesh.shard_fill` (threaded refills); the dense
-    /// reference engine records one `mesh.dense_realloc` span.
+    /// [`reallocate`](Self::reallocate) with span profiling. A tick that
+    /// found the membership index stale records `mesh.index_rebuild`,
+    /// `mesh.trace_refresh` (the full capacity re-read),
+    /// `mesh.water_fill` (every component) and `mesh.usage_views`; a
+    /// steady-state tick records `mesh.cap_diff`, `mesh.demand_diff`,
+    /// `mesh.component_scan`, `mesh.water_fill` (the dirty components
+    /// only) and `mesh.usage_delta` or `mesh.usage_views`, whichever
+    /// tail the dirty share selected. The test reference records one
+    /// `mesh.dense_realloc` span.
     pub fn reallocate_profiled(&mut self, profiler: Option<&mut bass_obs::SpanProfiler>) {
-        match self.engine {
-            AllocEngine::Dense => {
-                let _span = bass_obs::SpanProfiler::span(profiler, "mesh.dense_realloc");
-                self.reallocate_dense();
-            }
-            AllocEngine::Incremental => self.reallocate_incremental(profiler),
-            AllocEngine::Delta => self.reallocate_delta(profiler),
+        if self.reference {
+            let _span = bass_obs::SpanProfiler::span(profiler, "mesh.dense_realloc");
+            self.reallocate_dense();
+        } else {
+            self.reallocate_dirty(profiler);
         }
     }
 
@@ -1357,10 +1256,6 @@ impl Mesh {
 
     /// Marks one link as needing a capacity re-read at the next refresh.
     fn mark_link_capacity_dirty(&mut self, lid: LinkId) {
-        if lid.0 >= self.link_dirty.len() {
-            self.caps_valid = false;
-            return;
-        }
         if !self.link_dirty[lid.0] {
             self.link_dirty[lid.0] = true;
             self.dirty_links.push(lid.0 as u32);
@@ -1370,26 +1265,21 @@ impl Mesh {
     /// Marks one flow's transmit demand (and queue-activity predicate)
     /// as needing a refresh at the next allocation / queue pass.
     fn mark_flow_demand_dirty(&mut self, id: FlowId) {
-        if self.index.dirty || self.flow_dirty.len() != self.index.ids.len() {
-            // The slot map is stale; the next allocation runs the full
-            // refresh (and a full queue pass) anyway.
-            self.demands_valid = false;
-            self.pending_full = true;
+        if self.index.dirty {
+            // The slot map is stale; the next allocation re-reads every
+            // demand (and forces a full queue pass) anyway.
             return;
         }
-        match self.index.ids.binary_search(&id) {
-            Ok(slot) => {
-                if !self.flow_dirty[slot] {
-                    self.flow_dirty[slot] = true;
-                    self.dirty_flows.push(slot as u32);
-                }
-                self.touch_flow(slot);
-            }
-            Err(_) => {
-                self.demands_valid = false;
-                self.pending_full = true;
-            }
+        let slot = self
+            .index
+            .ids
+            .binary_search(&id)
+            .expect("a clean index lists every registered flow");
+        if !self.flow_dirty[slot] {
+            self.flow_dirty[slot] = true;
+            self.dirty_flows.push(slot as u32);
         }
+        self.touch_flow(slot);
     }
 
     /// Queues a link for utilization re-derivation at the next queue
@@ -1420,7 +1310,7 @@ impl Mesh {
 
     /// Records that a link's effective capacity moved: advances the
     /// capacity epoch, appends to the change log (resetting it when
-    /// full), and queues the link for this tick's delta diff scan and
+    /// full), and queues the link for this tick's component scan and
     /// utilization refresh.
     fn log_cap_change(&mut self, l: usize) {
         self.cap_epoch += 1;
@@ -1452,10 +1342,10 @@ impl Mesh {
     }
 
     /// Full capacity refresh: re-reads every link's effective capacity
-    /// and every egress cap into the persistent index, logging each
-    /// capacity that moved (the delta diff scan and the controller's
-    /// score cache consume the log). Used when dirty tracking is off or
-    /// its bookkeeping was invalidated; re-arms the dirty-set state.
+    /// and every egress cap into the freshly rebuilt index, logging each
+    /// capacity that moved (the controller's score cache consumes the
+    /// log), and re-arms the dirty-link set and the trace heap so the
+    /// following ticks can go O(dirty).
     fn refresh_constraint_caps(&mut self, link_count: usize) {
         self.cap_changed.clear();
         self.link_cap_bps.resize(link_count, 0.0);
@@ -1482,18 +1372,13 @@ impl Mesh {
             }
         }
         self.dirty_links.clear();
-        if self.dirty_tracking {
-            self.rebuild_trace_heap();
-            self.caps_valid = true;
-        } else {
-            self.caps_valid = false;
-        }
+        self.rebuild_trace_heap();
     }
 
     /// O(dirty) capacity refresh: pops due trace change-points off the
     /// heap into the dirty-link set, then re-reads only the dirty
-    /// links. Only sound while `caps_valid` — every link outside the
-    /// dirty set has a bitwise-current cached capacity.
+    /// links. Only sound under a clean index — every link outside the
+    /// dirty set then has a bitwise-current cached capacity.
     fn refresh_constraint_caps_dirty(&mut self) {
         self.cap_changed.clear();
         if !self.trace_heap_valid {
@@ -1524,35 +1409,28 @@ impl Mesh {
         self.dirty_links.clear();
     }
 
-    /// Refreshes `demands_scratch`. Returns `true` when only the dirty
-    /// slots were rewritten — so `dirty_flows` is an exhaustive list of
-    /// every slot that can have moved — and `false` after a full
-    /// rewrite. Either way the dirty-flow set is left intact for the
-    /// delta diff scan; the caller clears it via
-    /// [`clear_dirty_flows`](Self::clear_dirty_flows).
-    fn refresh_demands(&mut self) -> bool {
-        let n = self.index.ids.len();
-        if self.dirty_tracking
-            && self.demands_valid
-            && self.demands_scratch.len() == n
-            && self.flow_dirty.len() == n
-        {
-            for k in 0..self.dirty_flows.len() {
-                let slot = self.dirty_flows[k] as usize;
-                let f = &self.flows[&self.index.ids[slot]];
-                self.demands_scratch[slot] = Self::transmit_demand(f);
-            }
-            return true;
-        }
+    /// Rewrites every slot of `demands_scratch` for a freshly rebuilt
+    /// index and resets the dirty-flow set to empty.
+    fn refresh_demands(&mut self) {
         self.demands_scratch.clear();
         for f in self.flows.values() {
             self.demands_scratch.push(Self::transmit_demand(f));
         }
         self.dirty_flows.clear();
         self.flow_dirty.clear();
-        self.flow_dirty.resize(n, false);
-        self.demands_valid = self.dirty_tracking;
-        false
+        self.flow_dirty.resize(self.index.ids.len(), false);
+    }
+
+    /// O(dirty) demand refresh: rewrites only the slots in `dirty_flows`
+    /// — under a clean index an exhaustive list of every slot that can
+    /// have moved. The set is left intact for the component scan, which
+    /// clears it via [`clear_dirty_flows`](Self::clear_dirty_flows).
+    fn refresh_demands_dirty(&mut self) {
+        for k in 0..self.dirty_flows.len() {
+            let slot = self.dirty_flows[k] as usize;
+            let f = &self.flows[&self.index.ids[slot]];
+            self.demands_scratch[slot] = Self::transmit_demand(f);
+        }
     }
 
     /// Clears the dirty-flow set (flags and list).
@@ -1568,9 +1446,9 @@ impl Mesh {
 
     /// Recomputes the per-link and per-node-egress usage views from
     /// `rates_bps`. Each link's members are in ascending flow order, so
-    /// the float accumulation order matches the dense path's flow-major
-    /// loop exactly. A full rewrite can move any utilization, so the
-    /// next queue pass runs in full.
+    /// the float accumulation order matches the reference path's
+    /// flow-major loop exactly. A full rewrite can move any utilization,
+    /// so the next queue pass runs in full.
     fn update_usage_views(&mut self, link_count: usize) {
         self.link_used_bps.resize(link_count, 0.0);
         self.link_used_bps.fill(0.0);
@@ -1674,83 +1552,22 @@ impl Mesh {
         drift
     }
 
-    /// The steady-state hot path: refresh constraint capacities in
-    /// place, run the incremental allocator over the persistent
-    /// membership index (rebuilding it only when dirty), and update the
-    /// usage views — all without allocating.
-    fn reallocate_incremental(&mut self, mut profiler: Option<&mut bass_obs::SpanProfiler>) {
+    /// The production allocator. Under a stale index: rebuild it,
+    /// re-read every capacity and demand, fill every component in
+    /// canonical order and baseline the snapshots. Otherwise: diff
+    /// constraint capacities and transmit demands against the last
+    /// tick's snapshots (bit-compare — the common quiescent tick marks
+    /// nothing), refill only the dirty components, and keep every other
+    /// component's rates verbatim.
+    fn reallocate_dirty(&mut self, mut profiler: Option<&mut bass_obs::SpanProfiler>) {
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
         let link_count = self.topo.link_count();
         if self.index.dirty {
             self.index.rebuild(link_count, &self.flows, &self.egress_caps, self.max_node);
-            self.delta_valid = false;
-            self.caps_valid = false;
-            self.demands_valid = false;
-            self.pending_full = true;
             clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
-        }
-
-        if self.dirty_tracking && self.caps_valid && self.link_cap_bps.len() == link_count {
-            self.refresh_constraint_caps_dirty();
-            clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
-        } else {
             self.refresh_constraint_caps(link_count);
             clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
-        }
-
-        if self.refresh_demands() {
-            clock.lap(profiler.as_deref_mut(), "mesh.demand_diff");
-        }
-        self.clear_dirty_flows();
-        max_min_allocate_into(
-            &self.demands_scratch,
-            &self.index.constraints,
-            &self.index.flow_cons_off,
-            &self.index.flow_cons,
-            &mut self.scratch,
-            &mut self.rates_bps,
-        );
-        self.allocation.assign(&self.index.ids, &self.rates_bps);
-        clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
-
-        self.update_usage_views(link_count);
-        clock.lap(profiler, "mesh.usage_views");
-    }
-
-    /// The delta hot path: diff constraint capacities and transmit
-    /// demands against the last tick's snapshots (bit-compare — the
-    /// common quiescent tick marks nothing), refill only the dirty
-    /// components, and keep every other component's rates verbatim.
-    /// Falls back to one full canonical fill whenever the membership
-    /// index was rebuilt or the engine was just selected.
-    fn reallocate_delta(&mut self, mut profiler: Option<&mut bass_obs::SpanProfiler>) {
-        let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
-        let link_count = self.topo.link_count();
-        if self.index.dirty {
-            self.index.rebuild(link_count, &self.flows, &self.egress_caps, self.max_node);
-            self.delta_valid = false;
-            self.caps_valid = false;
-            self.demands_valid = false;
-            self.pending_full = true;
-            clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
-        }
-
-        let caps_partial =
-            self.dirty_tracking && self.caps_valid && self.link_cap_bps.len() == link_count;
-        if caps_partial {
-            self.refresh_constraint_caps_dirty();
-            clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
-        } else {
-            self.refresh_constraint_caps(link_count);
-            clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
-        }
-
-        let demands_partial = self.refresh_demands();
-        if demands_partial {
-            clock.lap(profiler.as_deref_mut(), "mesh.demand_diff");
-        }
-        if !self.delta_valid {
-            // Full canonical fill, then baseline the snapshots.
+            self.refresh_demands();
             max_min_allocate_components(
                 &self.demands_scratch,
                 &self.index.constraints,
@@ -1766,114 +1583,72 @@ impl Mesh {
             self.prev_demands_bps.clear();
             self.prev_demands_bps
                 .extend(self.demands_scratch.iter().map(|d| d.as_bps()));
-            self.delta_valid = true;
-            self.clear_dirty_flows();
-            clock.lap(profiler.as_deref_mut(), "mesh.delta_fill");
+            clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
             self.allocation.assign(&self.index.ids, &self.rates_bps);
             self.update_usage_views(link_count);
             clock.lap(profiler, "mesh.usage_views");
             return;
         }
 
+        self.refresh_constraint_caps_dirty();
+        clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
+        self.refresh_demands_dirty();
+        clock.lap(profiler.as_deref_mut(), "mesh.demand_diff");
+
         // Dirty-component scan: a constraint whose capacity moved or a
         // flow whose demand moved (backlog drain included) dirties its
-        // component. Unconstrained flows are re-granted directly. With
-        // the dirty sets live the scan touches only the links the
-        // capacity refresh observed moving and the flows in the dirty
-        // demand set — O(dirty), not O(F + L).
+        // component. Unconstrained flows are re-granted directly. The
+        // scan touches only the links the capacity refresh observed
+        // moving and the flows in the dirty demand set — O(dirty), not
+        // O(F + L).
         self.comp_dirty.clear();
         self.comp_dirty.resize(self.index.comps.component_count(), false);
         self.dirty_comps.clear();
-        if caps_partial {
-            for k in 0..self.cap_changed.len() {
-                let ci = self.cap_changed[k] as usize;
-                let bps = self.index.constraints[ci].capacity.as_bps();
-                if bps.to_bits() != self.prev_caps_bps[ci].to_bits() {
-                    self.prev_caps_bps[ci] = bps;
-                    if !self.index.constraints[ci].members.is_empty() {
-                        let comp = self.index.comps.constraint_component(ci);
-                        if !self.comp_dirty[comp as usize] {
-                            self.comp_dirty[comp as usize] = true;
-                            self.dirty_comps.push(comp);
-                        }
-                    }
-                }
-            }
-        } else {
-            for (ci, c) in self.index.constraints.iter().enumerate() {
-                let bps = c.capacity.as_bps();
-                if bps.to_bits() != self.prev_caps_bps[ci].to_bits() {
-                    self.prev_caps_bps[ci] = bps;
-                    if !c.members.is_empty() {
-                        let comp = self.index.comps.constraint_component(ci);
-                        if !self.comp_dirty[comp as usize] {
-                            self.comp_dirty[comp as usize] = true;
-                            self.dirty_comps.push(comp);
-                        }
+        for k in 0..self.cap_changed.len() {
+            let ci = self.cap_changed[k] as usize;
+            let bps = self.index.constraints[ci].capacity.as_bps();
+            if bps.to_bits() != self.prev_caps_bps[ci].to_bits() {
+                self.prev_caps_bps[ci] = bps;
+                if !self.index.constraints[ci].members.is_empty() {
+                    let comp = self.index.comps.constraint_component(ci);
+                    if !self.comp_dirty[comp as usize] {
+                        self.comp_dirty[comp as usize] = true;
+                        self.dirty_comps.push(comp);
                     }
                 }
             }
         }
-        if demands_partial {
-            for k in 0..self.dirty_flows.len() {
-                let i = self.dirty_flows[k] as usize;
-                let bps = self.demands_scratch[i].as_bps();
-                if bps.to_bits() != self.prev_demands_bps[i].to_bits() {
-                    self.prev_demands_bps[i] = bps;
-                    let comp = self.index.comps.flow_component(i);
-                    if comp == NO_COMPONENT {
-                        self.rates_bps[i] = unconstrained_rate(self.demands_scratch[i]);
-                        self.touch_flow(i);
-                    } else if !self.comp_dirty[comp as usize] {
-                        self.comp_dirty[comp as usize] = true;
-                        self.dirty_comps.push(comp);
-                    }
-                }
-            }
-        } else {
-            for (i, d) in self.demands_scratch.iter().enumerate() {
-                let bps = d.as_bps();
-                if bps.to_bits() != self.prev_demands_bps[i].to_bits() {
-                    self.prev_demands_bps[i] = bps;
-                    let comp = self.index.comps.flow_component(i);
-                    if comp == NO_COMPONENT {
-                        self.rates_bps[i] = unconstrained_rate(*d);
-                        if i < self.pending_flow_flag.len() {
-                            if !self.pending_flow_flag[i] {
-                                self.pending_flow_flag[i] = true;
-                                self.pending_flows.push(i as u32);
-                            }
-                        } else {
-                            self.pending_full = true;
-                        }
-                    } else if !self.comp_dirty[comp as usize] {
-                        self.comp_dirty[comp as usize] = true;
-                        self.dirty_comps.push(comp);
-                    }
+        for k in 0..self.dirty_flows.len() {
+            let i = self.dirty_flows[k] as usize;
+            let bps = self.demands_scratch[i].as_bps();
+            if bps.to_bits() != self.prev_demands_bps[i].to_bits() {
+                self.prev_demands_bps[i] = bps;
+                let comp = self.index.comps.flow_component(i);
+                if comp == NO_COMPONENT {
+                    self.rates_bps[i] = unconstrained_rate(self.demands_scratch[i]);
+                    self.touch_flow(i);
+                } else if !self.comp_dirty[comp as usize] {
+                    self.comp_dirty[comp as usize] = true;
+                    self.dirty_comps.push(comp);
                 }
             }
         }
         self.clear_dirty_flows();
         clock.lap(profiler.as_deref_mut(), "mesh.component_scan");
 
-        if self.alloc_jobs > 1 && self.dirty_comps.len() > 1 {
-            self.shard_fill();
-            clock.lap(profiler.as_deref_mut(), "mesh.shard_fill");
-        } else {
-            for k in 0..self.dirty_comps.len() {
-                refill_component_into(
-                    self.dirty_comps[k],
-                    &self.demands_scratch,
-                    &self.index.constraints,
-                    &self.index.flow_cons_off,
-                    &self.index.flow_cons,
-                    &self.index.comps,
-                    &mut self.scratch,
-                    &mut self.rates_bps,
-                );
-            }
-            clock.lap(profiler.as_deref_mut(), "mesh.delta_fill");
+        for k in 0..self.dirty_comps.len() {
+            refill_component_into(
+                self.dirty_comps[k],
+                &self.demands_scratch,
+                &self.index.constraints,
+                &self.index.flow_cons_off,
+                &self.index.flow_cons,
+                &self.index.comps,
+                &mut self.scratch,
+                &mut self.rates_bps,
+            );
         }
+        clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
 
         let n = self.index.ids.len();
         // The partial tail (per-slot allocation writes, per-member usage
@@ -1887,8 +1662,7 @@ impl Mesh {
             .map(|k| self.index.comps.flows_of(self.dirty_comps[k]).len())
             .sum();
         let minority = (self.pending_flows.len() + refilled) * 4 < n;
-        if self.dirty_tracking
-            && !self.pending_full
+        if !self.pending_full
             && minority
             && self.pending_flow_flag.len() == n
             && self.allocation.len() == n
@@ -1923,68 +1697,11 @@ impl Mesh {
         }
     }
 
-    /// Fans this tick's dirty components out across the persistent
-    /// [`ShardPool`] (worker *w* takes components `w, w + jobs, …` of
-    /// the dirty list). Each worker fills into its own full-length rate
-    /// buffer with its own scratch; the caller then scatters exactly
-    /// each component's slots back into `rates_bps`. Because every
-    /// component fill is deterministic and components write disjoint
-    /// slots, the result is byte-identical to the serial refill for any
-    /// job count — the same ordered-slot argument the campaign runner
-    /// uses across replicas, applied inside one tick.
-    fn shard_fill(&mut self) {
-        let jobs = self.alloc_jobs.min(self.dirty_comps.len());
-        // The pool moves out of `self` for the duration of the fill so
-        // its workers can be driven while the job inputs stay borrowed
-        // from `self`.
-        let mut pool = std::mem::take(&mut self.shard_pool);
-        pool.ensure(jobs);
-        let inputs = ShardInputs {
-            dirty: (self.dirty_comps.as_ptr(), self.dirty_comps.len()),
-            demands: (self.demands_scratch.as_ptr(), self.demands_scratch.len()),
-            constraints: (self.index.constraints.as_ptr(), self.index.constraints.len()),
-            flow_cons_off: (self.index.flow_cons_off.as_ptr(), self.index.flow_cons_off.len()),
-            flow_cons: (self.index.flow_cons.as_ptr(), self.index.flow_cons.len()),
-            comps: &self.index.comps,
-            jobs,
-            n: self.rates_bps.len(),
-        };
-        for (w, worker) in pool.workers[..jobs].iter_mut().enumerate() {
-            let job = ShardJob {
-                inputs,
-                w,
-                scratch: std::mem::take(&mut worker.scratch),
-                rates: std::mem::take(&mut worker.rates),
-            };
-            worker
-                .job_tx
-                .as_ref()
-                .expect("live pool workers keep their sender")
-                .send(job)
-                .expect("shard worker alive");
-        }
-        // Blocking on every completion receipt before touching any
-        // borrowed input again is what makes the raw pointers inside
-        // `ShardInputs` sound: no worker outlives this loop with a
-        // pointer in hand.
-        for worker in &mut pool.workers[..jobs] {
-            let (scratch, rates) = worker.done_rx.recv().expect("shard worker alive");
-            worker.scratch = scratch;
-            worker.rates = rates;
-        }
-        for (k, &comp) in self.dirty_comps.iter().enumerate() {
-            let src = &pool.workers[k % jobs].rates;
-            for &i in self.index.comps.flows_of(comp) {
-                self.rates_bps[i] = src[i];
-            }
-        }
-        self.shard_pool = pool;
-    }
-
-    /// The pre-incremental reference path, kept verbatim (fresh buffers,
-    /// per-tick membership scans, dense oracle) so regressions can
-    /// replay both engines and the `scale` bench can measure the
-    /// speedup. See [`AllocEngine::Dense`].
+    /// The test reference, kept verbatim from before the persistent
+    /// index existed (fresh buffers, per-tick membership scans, the dense
+    /// water-fill) so the equivalence batteries can replay any schedule
+    /// through both paths. Reached only via
+    /// [`use_reference_allocator`](Self::use_reference_allocator).
     fn reallocate_dense(&mut self) {
         let ids: Vec<FlowId> = self.flows.keys().copied().collect();
         let demands: Vec<Bandwidth> = ids
@@ -2008,7 +1725,7 @@ impl Mesh {
             let bps = capacity.as_bps();
             if bps.to_bits() != self.link_cap_bps[lid.0].to_bits() {
                 // Keep the capacity-change log live under the reference
-                // engine too (the controller's score cache reads it).
+                // too (the controller's score cache reads it).
                 self.link_cap_bps[lid.0] = bps;
                 self.cap_epoch += 1;
                 if self.cap_log.len() >= CAP_LOG_LIMIT {
@@ -2055,10 +1772,7 @@ impl Mesh {
         }
         self.allocation = allocation;
         // The reference path maintains none of the dirty-set
-        // bookkeeping: invalidate it all so a later engine switch starts
-        // from full refreshes.
-        self.caps_valid = false;
-        self.demands_valid = false;
+        // bookkeeping: every queue pass runs in full.
         self.pending_full = true;
     }
 
@@ -2365,165 +2079,6 @@ impl Mesh {
             .into_iter()
             .map(|l| self.effective_link_capacity(l))
             .sum())
-    }
-}
-
-/// A persistent pool of shard-fill worker threads.
-///
-/// The first sharded implementation spawned fresh scoped threads every
-/// tick; at 1000 nodes the per-tick spawn/join cost exceeded the fill
-/// itself and made `--alloc-jobs 4` *slower* than the serial refill
-/// (412 vs 477 ticks/s in `BENCH_mesh.json`). The pool spawns each
-/// worker once, on first use, and reuses it — plus its owned
-/// [`AllocScratch`] and rate buffer, which round-trip through the job
-/// channels — for every subsequent tick. Workers block on their job
-/// channel between ticks and exit when the pool drops their sender.
-#[derive(Default)]
-struct ShardPool {
-    workers: Vec<ShardWorker>,
-}
-
-/// One pooled worker thread and its parked per-worker buffers.
-struct ShardWorker {
-    /// `None` only while the pool is dropping (dropping the sender is
-    /// what unblocks the worker's receive loop so it can exit).
-    job_tx: Option<std::sync::mpsc::Sender<ShardJob>>,
-    /// Completion receipts carrying the worker's buffers back.
-    done_rx: std::sync::mpsc::Receiver<(AllocScratch, Vec<f64>)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Allocator scratch parked between ticks.
-    scratch: AllocScratch,
-    /// Full-length rate buffer parked between ticks; only the slots of
-    /// the components this worker filled are ever read back.
-    rates: Vec<f64>,
-}
-
-/// Borrowed inputs of one sharded fill, shipped to every worker as raw
-/// `(pointer, len)` pairs because `Mesh` cannot lend lifetimes across a
-/// channel. Soundness is enforced by [`Mesh::shard_fill`]: it blocks on
-/// every worker's completion receipt before returning, and nothing
-/// mutates (or frees) the pointees while a job is in flight, so each
-/// pointer outlives every dereference and is only ever read.
-#[derive(Clone, Copy)]
-struct ShardInputs {
-    dirty: (*const u32, usize),
-    demands: (*const Bandwidth, usize),
-    constraints: (*const Constraint, usize),
-    flow_cons_off: (*const usize, usize),
-    flow_cons: (*const usize, usize),
-    comps: *const ComponentIndex,
-    /// Worker count of this fill; worker `w` takes dirty components
-    /// `w, w + jobs, …`.
-    jobs: usize,
-    /// Flow count — the length workers resize their rate buffers to.
-    n: usize,
-}
-
-// SAFETY: the raw pointers are only dereferenced (read-only) between
-// job send and completion receipt, during which `shard_fill` keeps the
-// owning `Mesh` borrowed and blocked — see the `ShardInputs` docs.
-unsafe impl Send for ShardInputs {}
-
-/// One tick's work order for one pooled worker.
-struct ShardJob {
-    inputs: ShardInputs,
-    /// This worker's index within the fill.
-    w: usize,
-    scratch: AllocScratch,
-    rates: Vec<f64>,
-}
-
-/// The pooled worker loop: fill the assigned components of each job
-/// into the owned rate buffer, send the buffers back, block for the
-/// next job. Ends when the job sender drops (pool drop) or the receipt
-/// receiver is gone.
-fn shard_worker_loop(
-    jobs_rx: std::sync::mpsc::Receiver<ShardJob>,
-    done_tx: std::sync::mpsc::Sender<(AllocScratch, Vec<f64>)>,
-) {
-    while let Ok(ShardJob { inputs, w, mut scratch, mut rates }) = jobs_rx.recv() {
-        // SAFETY: see `ShardInputs` — the pointees are alive and
-        // unmutated until the receipt below is received.
-        let (dirty, demands, constraints, flow_cons_off, flow_cons, comps) = unsafe {
-            (
-                std::slice::from_raw_parts(inputs.dirty.0, inputs.dirty.1),
-                std::slice::from_raw_parts(inputs.demands.0, inputs.demands.1),
-                std::slice::from_raw_parts(inputs.constraints.0, inputs.constraints.1),
-                std::slice::from_raw_parts(inputs.flow_cons_off.0, inputs.flow_cons_off.1),
-                std::slice::from_raw_parts(inputs.flow_cons.0, inputs.flow_cons.1),
-                &*inputs.comps,
-            )
-        };
-        // Stale values outside this worker's components are never read:
-        // each fill resets its slots first.
-        rates.resize(inputs.n, 0.0);
-        let mut k = w;
-        while k < dirty.len() {
-            refill_component_into(
-                dirty[k],
-                demands,
-                constraints,
-                flow_cons_off,
-                flow_cons,
-                comps,
-                &mut scratch,
-                &mut rates,
-            );
-            k += inputs.jobs;
-        }
-        if done_tx.send((scratch, rates)).is_err() {
-            return;
-        }
-    }
-}
-
-impl ShardPool {
-    /// Grows the pool to at least `jobs` live workers.
-    fn ensure(&mut self, jobs: usize) {
-        while self.workers.len() < jobs {
-            let (job_tx, job_rx) = std::sync::mpsc::channel();
-            let (done_tx, done_rx) = std::sync::mpsc::channel();
-            let handle = std::thread::Builder::new()
-                .name("bass-shard".into())
-                .spawn(move || shard_worker_loop(job_rx, done_tx))
-                .expect("spawning a shard worker succeeds");
-            self.workers.push(ShardWorker {
-                job_tx: Some(job_tx),
-                done_rx,
-                handle: Some(handle),
-                scratch: AllocScratch::default(),
-                rates: Vec::new(),
-            });
-        }
-    }
-}
-
-impl Clone for ShardPool {
-    /// Threads are never cloned: a cloned mesh starts with an empty
-    /// pool and respawns workers on its first sharded fill.
-    fn clone(&self) -> Self {
-        ShardPool::default()
-    }
-}
-
-impl fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardPool").field("workers", &self.workers.len()).finish()
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Drop every sender first so all workers unblock…
-        for w in &mut self.workers {
-            w.job_tx = None;
-        }
-        // …then reap them.
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
@@ -2941,13 +2496,14 @@ mod tests {
     }
 
     /// A 4×4 grid mesh with flows spread over several links, some of
-    /// them loopback (unconstrained), driven identically under each
-    /// engine by `script`.
-    fn run_engine(engine: AllocEngine, jobs: usize) -> Vec<(u64, f64)> {
+    /// them loopback (unconstrained), driven through a fixed sparse
+    /// schedule on the production allocator or on the dense reference.
+    fn run_schedule(reference: bool) -> Vec<(u64, f64)> {
         let mut mesh =
             Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(60.0)).unwrap();
-        mesh.set_alloc_engine(engine);
-        mesh.set_alloc_jobs(jobs);
+        if reference {
+            mesh.use_reference_allocator();
+        }
         for i in 0..12u64 {
             let src = NodeId((i % 16) as u32);
             let dst = NodeId(((i * 5 + 3) % 16) as u32);
@@ -2977,25 +2533,13 @@ mod tests {
     }
 
     #[test]
-    fn delta_engine_is_bit_identical_to_dense_and_incremental() {
-        let dense = run_engine(AllocEngine::Dense, 1);
-        let incr = run_engine(AllocEngine::Incremental, 1);
-        let delta = run_engine(AllocEngine::Delta, 1);
-        assert_eq!(dense, incr);
-        assert_eq!(dense, delta);
+    fn production_is_bit_identical_to_the_reference() {
+        assert_eq!(run_schedule(true), run_schedule(false));
     }
 
     #[test]
-    fn sharded_delta_is_byte_identical_to_serial() {
-        let serial = run_engine(AllocEngine::Delta, 1);
-        let sharded = run_engine(AllocEngine::Delta, 4);
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn delta_quiescent_tick_keeps_rates_verbatim() {
+    fn quiescent_tick_keeps_rates_verbatim() {
         let mut mesh = three_node_lan();
-        mesh.set_alloc_engine(AllocEngine::Delta);
         let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
         mesh.advance(SimDuration::from_millis(100));
         let before = mesh.flow_rate(f).as_bps();
@@ -3003,47 +2547,6 @@ mod tests {
         // rate must be the very same bits.
         mesh.advance(SimDuration::from_millis(100));
         assert_eq!(before.to_bits(), mesh.flow_rate(f).as_bps().to_bits());
-    }
-
-    #[test]
-    fn alloc_jobs_clamps_to_one() {
-        let mut mesh = three_node_lan();
-        mesh.set_alloc_jobs(0);
-        assert_eq!(mesh.alloc_jobs(), 1);
-        mesh.set_alloc_jobs(8);
-        assert_eq!(mesh.alloc_jobs(), 8);
-    }
-
-    #[test]
-    fn cloned_mesh_respawns_its_own_shard_pool() {
-        // Clone a sharded mesh mid-run: the clone starts with an empty
-        // pool, respawns workers on its next fill, and both continue to
-        // the identical allocation.
-        let mut mesh =
-            Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(60.0)).unwrap();
-        mesh.set_alloc_engine(AllocEngine::Delta);
-        mesh.set_alloc_jobs(4);
-        for i in 0..12u64 {
-            let src = NodeId((i % 16) as u32);
-            let dst = NodeId(((i * 5 + 3) % 16) as u32);
-            mesh.add_flow(src, dst, mbps(8.0 + i as f64)).unwrap();
-        }
-        mesh.advance(SimDuration::from_millis(100));
-        let mut twin = mesh.clone();
-        for tick in 0..6u64 {
-            for m in [&mut mesh, &mut twin] {
-                m.set_link_cap(NodeId(0), NodeId(1), Some(mbps(20.0 + tick as f64)))
-                    .unwrap();
-                m.advance(SimDuration::from_millis(100));
-            }
-        }
-        for i in 0..12u64 {
-            assert_eq!(
-                mesh.flow_rate(FlowId(i)).as_bps().to_bits(),
-                twin.flow_rate(FlowId(i)).as_bps().to_bits(),
-                "flow {i}"
-            );
-        }
     }
 
     #[test]
@@ -3100,7 +2603,6 @@ mod tests {
     fn advance_quiescent_matches_a_full_tick_bit_for_bit() {
         let step = SimDuration::from_millis(100);
         let mut ticked = three_node_lan();
-        ticked.set_alloc_engine(AllocEngine::Delta);
         let f = ticked.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
         ticked.advance(step);
         let mut skipped = ticked.clone();
@@ -3130,7 +2632,6 @@ mod tests {
     #[test]
     fn usage_audit_detects_and_repairs_injected_drift() {
         let mut mesh = three_node_lan();
-        mesh.set_alloc_engine(AllocEngine::Delta);
         mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
         mesh.add_flow(NodeId(1), NodeId(2), mbps(20.0)).unwrap();
         let step = SimDuration::from_millis(100);
@@ -3155,7 +2656,6 @@ mod tests {
     #[test]
     fn periodic_usage_audit_repairs_drift_on_schedule() {
         let mut mesh = three_node_lan();
-        mesh.set_alloc_engine(AllocEngine::Delta);
         let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
         mesh.set_usage_check_every(1);
         let step = SimDuration::from_millis(100);

@@ -10,9 +10,8 @@
 //! Determinism contract (the same one the campaign runner carries):
 //! the table's [`to_json`](ArenaTable::to_json) and
 //! [`to_text`](ArenaTable::to_text) bytes are a function of
-//! `(corpus, seed, policies, engine, step settings)` only — identical
-//! for any `--jobs`/`--alloc-jobs` value and across allocation
-//! engines' bit-identical backends. Wall-clock throughput
+//! `(corpus, seed, policies)` only — identical for any `--jobs` value
+//! and either step mode. Wall-clock throughput
 //! (ticks/second) is measured too, but lives in the separate
 //! [`ArenaTiming`] records and the
 //! [`to_text_with_timing`](ArenaTable::to_text_with_timing) /
@@ -88,8 +87,6 @@ pub struct ArenaStanding {
 pub struct ArenaTable {
     /// Tournament seed (each campaign runs with it).
     pub seed: u64,
-    /// Allocation engine label.
-    pub engine: String,
     /// Scenario names, in corpus order.
     pub scenarios: Vec<String>,
     /// One row per `(policy, scenario)`, policies in presentation
@@ -161,7 +158,7 @@ impl ArenaTable {
 
     fn render_text(&self, timings: Option<&[ArenaTiming]>) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "arena: seed {} · engine {}", self.seed, self.engine);
+        let _ = writeln!(out, "arena: seed {}", self.seed);
         let _ = writeln!(
             out,
             "{:<22} {:<18} {:>9} {:>9} {:>9} {:>10} {:>11} {:>12}{}",
@@ -299,7 +296,6 @@ pub fn run_arena(
 
     let table = ArenaTable {
         seed,
-        engine: crate::campaign::engine_label(opts.campaign.engine).to_string(),
         scenarios: corpus.iter().map(|s| s.name.clone()).collect(),
         rows,
         ranking,

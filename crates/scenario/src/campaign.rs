@@ -12,10 +12,7 @@
 //! Each replica's tick runs the seven profiled phases described in
 //! `docs/ARCHITECTURE.md` — `tick.faults`, `tick.scenario`,
 //! `tick.demand`, `tick.goodput`, `tick.controller`, `tick.migrate`,
-//! `tick.finalize` — and the campaign is engine-agnostic: any
-//! [`AllocEngine`] (dense, incremental, or delta) produces the same
-//! summary bytes, which CI enforces by running the whole battery once
-//! per engine. Determinism follows the repo-wide rules: per-replica
+//! `tick.finalize`. Determinism follows the repo-wide rules: per-replica
 //! seeds are forked from the campaign seed (never shared), worker
 //! threads only claim work and fill their own slot, and aggregation
 //! happens in replica order after the barrier.
@@ -25,7 +22,7 @@ use crate::spec::{ScenarioSpec, SpecError};
 use bass_appdag::{AppDag, ComponentId};
 use bass_core::{PolicyKind, StepMode};
 use bass_emu::{EnvError, SimEnv, SimEnvConfig};
-use bass_mesh::{AllocEngine, MeshError};
+use bass_mesh::MeshError;
 use bass_obs::{Progress, ProgressLevel, SpanProfiler};
 use bass_util::histogram::Histogram;
 use bass_util::rng::SimRng;
@@ -191,8 +188,6 @@ pub struct CampaignSummary {
     pub scenario: String,
     /// Campaign seed (replica seeds are forked from it).
     pub seed: u64,
-    /// Allocation engine label (`"dense"` or `"incremental"`).
-    pub engine: String,
     /// Horizon per replica, ticks.
     pub horizon_ticks: u64,
     /// Tick length, milliseconds.
@@ -249,17 +244,12 @@ struct ReplicaOutcome {
 }
 
 /// How to run a campaign beyond the deterministic `(spec, seed)` pair:
-/// worker threads, allocation engine, span profiling, and live progress
-/// reporting. None of these affect the summary bytes.
+/// worker threads, step mode, span profiling, and live progress
+/// reporting. Only [`policy`](Self::policy) affects the summary bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignOptions {
     /// Worker threads sharding replicas (≥1; clamped up from 0).
     pub jobs: usize,
-    /// Allocation engine for every replica mesh.
-    pub engine: AllocEngine,
-    /// Worker threads for the delta engine's sharded component fill
-    /// inside each replica mesh (≥1; other engines ignore it).
-    pub alloc_jobs: usize,
     /// How each replica advances time: [`StepMode::Ticked`] executes
     /// every tick; [`StepMode::EventDriven`] skips provably quiescent
     /// windows, replaying one cached sample tuple per window at the
@@ -282,8 +272,6 @@ impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
             jobs: 1,
-            engine: AllocEngine::Incremental,
-            alloc_jobs: 1,
             step_mode: StepMode::Ticked,
             profile: false,
             progress: ProgressLevel::Off,
@@ -317,9 +305,8 @@ pub fn run_campaign(
     spec: &ScenarioSpec,
     seed: u64,
     jobs: usize,
-    engine: AllocEngine,
 ) -> Result<CampaignSummary, CampaignError> {
-    let opts = CampaignOptions { jobs, engine, ..CampaignOptions::default() };
+    let opts = CampaignOptions { jobs, ..CampaignOptions::default() };
     Ok(run_campaign_opts(spec, seed, &opts)?.summary)
 }
 
@@ -338,7 +325,6 @@ pub fn run_campaign_opts(
 ) -> Result<CampaignRun, CampaignError> {
     spec.validate()?;
     let jobs = opts.jobs.max(1);
-    let engine = opts.engine;
     let replica_count = spec.replicas as usize;
 
     // Fork one seed per replica up front: replica k's scenario never
@@ -423,7 +409,6 @@ pub fn run_campaign_opts(
         summary: CampaignSummary {
             scenario: spec.name.clone(),
             seed,
-            engine: engine_label(engine).to_string(),
             horizon_ticks: spec.horizon_ticks,
             step_ms: spec.step_ms,
             replicas,
@@ -431,14 +416,6 @@ pub fn run_campaign_opts(
         },
         profiler: campaign_profiler,
     })
-}
-
-pub(crate) fn engine_label(engine: AllocEngine) -> &'static str {
-    match engine {
-        AllocEngine::Dense => "dense",
-        AllocEngine::Incremental => "incremental",
-        AllocEngine::Delta => "delta",
-    }
 }
 
 fn shares(achieved: &BTreeMap<&'static str, f64>) -> BTreeMap<String, f64> {
@@ -535,8 +512,6 @@ fn run_replica(
     let links = scenario.topology.link_count();
     let cfg = SimEnvConfig {
         step: SimDuration::from_millis(spec.step_ms),
-        alloc_engine: opts.engine,
-        alloc_jobs: opts.alloc_jobs.max(1),
         step_mode: opts.step_mode,
         migration_policy: opts.policy,
         faults: scenario.faults.clone(),
@@ -684,7 +659,7 @@ mod tests {
     #[test]
     fn campaign_runs_and_summarizes() {
         let spec = tiny_spec();
-        let summary = run_campaign(&spec, 1, 1, AllocEngine::Incremental).unwrap();
+        let summary = run_campaign(&spec, 1, 1).unwrap();
         assert_eq!(summary.replicas.len(), 2);
         assert_eq!(summary.aggregate.ticks, 120);
         assert!(summary.aggregate.apps_admitted >= 2, "initial apps admit");
@@ -700,18 +675,17 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_summary() {
         let spec = tiny_spec();
-        let a = run_campaign(&spec, 9, 1, AllocEngine::Incremental).unwrap();
-        let b = run_campaign(&spec, 9, 4, AllocEngine::Incremental).unwrap();
+        let a = run_campaign(&spec, 9, 1).unwrap();
+        let b = run_campaign(&spec, 9, 4).unwrap();
         assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
     fn profiling_does_not_change_summary_bytes() {
         let spec = tiny_spec();
-        let plain = run_campaign(&spec, 9, 2, AllocEngine::Incremental).unwrap();
+        let plain = run_campaign(&spec, 9, 2).unwrap();
         let opts = CampaignOptions {
             jobs: 3,
-            engine: AllocEngine::Incremental,
             profile: true,
             ..CampaignOptions::default()
         };
@@ -722,7 +696,14 @@ mod tests {
         let profiler = profiled.profiler.expect("profiling was on");
         let ticks = profiler.stats("tick.finalize").expect("tick spans present");
         assert_eq!(ticks.count, profiled.summary.aggregate.ticks);
-        assert!(profiler.stats("mesh.water_fill").is_some());
+        // One fill span per allocation, whether it refilled every
+        // component (index rebuilt) or only the dirty ones.
+        let count = |span| profiler.stats(span).map_or(0, |s| s.count);
+        assert!(count("mesh.water_fill") > 0);
+        assert_eq!(
+            count("mesh.water_fill"),
+            count("mesh.trace_refresh") + count("mesh.component_scan")
+        );
         assert!(profiler.stats("env.deploy").unwrap().count >= 2, "one deploy per replica");
     }
 
@@ -745,31 +726,15 @@ mod tests {
     }
 
     #[test]
-    fn step_mode_never_changes_summary_bytes_for_any_engine() {
+    fn step_mode_never_changes_summary_bytes() {
         let spec = tiny_spec();
-        for engine in [AllocEngine::Dense, AllocEngine::Incremental, AllocEngine::Delta] {
-            let ticked = run_campaign_opts(
-                &spec,
-                7,
-                &CampaignOptions { engine, ..CampaignOptions::default() },
-            )
-            .unwrap();
-            let event = run_campaign_opts(
-                &spec,
-                7,
-                &CampaignOptions {
-                    engine,
-                    step_mode: StepMode::EventDriven,
-                    ..CampaignOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                ticked.summary.to_json(),
-                event.summary.to_json(),
-                "engine {engine:?}"
-            );
-        }
+        let run = |step_mode| {
+            run_campaign_opts(&spec, 7, &CampaignOptions { step_mode, ..CampaignOptions::default() })
+                .unwrap()
+                .summary
+                .to_json()
+        };
+        assert_eq!(run(StepMode::Ticked), run(StepMode::EventDriven));
     }
 
     #[test]
@@ -803,35 +768,12 @@ mod tests {
     }
 
     #[test]
-    fn alloc_jobs_never_change_summary_bytes() {
-        let spec = tiny_spec();
-        let base = run_campaign_opts(
-            &spec,
-            13,
-            &CampaignOptions { engine: AllocEngine::Delta, ..CampaignOptions::default() },
-        )
-        .unwrap();
-        let sharded = run_campaign_opts(
-            &spec,
-            13,
-            &CampaignOptions {
-                engine: AllocEngine::Delta,
-                alloc_jobs: 4,
-                step_mode: StepMode::EventDriven,
-                ..CampaignOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(base.summary.to_json(), sharded.summary.to_json());
-    }
-
-    #[test]
     fn same_seed_reproduces_different_seed_differs() {
         let spec = tiny_spec();
-        let a = run_campaign(&spec, 5, 2, AllocEngine::Incremental).unwrap();
-        let b = run_campaign(&spec, 5, 2, AllocEngine::Incremental).unwrap();
+        let a = run_campaign(&spec, 5, 2).unwrap();
+        let b = run_campaign(&spec, 5, 2).unwrap();
         assert_eq!(a.to_json(), b.to_json());
-        let c = run_campaign(&spec, 6, 2, AllocEngine::Incremental).unwrap();
+        let c = run_campaign(&spec, 6, 2).unwrap();
         assert_ne!(a.to_json(), c.to_json());
     }
 }

@@ -38,12 +38,11 @@
 //!
 //! ```
 //! use bass_scenario::{run_campaign, ScenarioSpec};
-//! use bass_mesh::AllocEngine;
 //!
 //! let mut spec = ScenarioSpec::small_reference();
 //! spec.horizon_ticks = 50;
 //! spec.replicas = 1;
-//! let summary = run_campaign(&spec, 7, 2, AllocEngine::Incremental).unwrap();
+//! let summary = run_campaign(&spec, 7, 2).unwrap();
 //! assert_eq!(summary.replicas.len(), 1);
 //! assert!(summary.to_json().contains("\"goodput\""));
 //! ```

@@ -1,24 +1,11 @@
 //! Campaign-runner determinism battery: thread-count independence,
-//! same-seed replay, engine agreement, and summary sanity. The engine
-//! under test follows `BASS_TEST_ENGINE` (`dense`, `delta`, or
-//! `incremental`) and the stepping strategy follows
+//! same-seed replay, and summary sanity. The stepping strategy follows
 //! `BASS_TEST_STEP_MODE` (`ticked` or `event-driven`), so CI runs the
-//! whole file once per engine and once per step mode.
+//! whole file once per step mode.
 
 use bass::core::StepMode;
-use bass::mesh::AllocEngine;
 use bass::scenario::{run_campaign_opts, CampaignOptions, CampaignSummary, ScenarioSpec};
 use serde_json::Value;
-
-/// The allocation engine CI selects via `BASS_TEST_ENGINE`; defaults to
-/// the production incremental engine.
-fn engine_under_test() -> AllocEngine {
-    match std::env::var("BASS_TEST_ENGINE").as_deref() {
-        Ok("dense") => AllocEngine::Dense,
-        Ok("delta") => AllocEngine::Delta,
-        _ => AllocEngine::Incremental,
-    }
-}
 
 /// The stepping strategy CI selects via `BASS_TEST_STEP_MODE`; defaults
 /// to executing every tick. Because event-driven campaigns are
@@ -32,20 +19,14 @@ fn step_mode_under_test() -> StepMode {
 }
 
 /// [`bass::scenario::run_campaign`] with the battery's step mode
-/// threaded in; the engine/jobs surface stays identical so the test
-/// bodies read the same as the public API.
+/// threaded in, so the test bodies read the same as the public API.
 fn run_campaign(
     spec: &ScenarioSpec,
     seed: u64,
     jobs: usize,
-    engine: AllocEngine,
 ) -> Result<CampaignSummary, bass::scenario::CampaignError> {
-    let opts = CampaignOptions {
-        jobs,
-        engine,
-        step_mode: step_mode_under_test(),
-        ..CampaignOptions::default()
-    };
+    let opts =
+        CampaignOptions { jobs, step_mode: step_mode_under_test(), ..CampaignOptions::default() };
     Ok(run_campaign_opts(spec, seed, &opts)?.summary)
 }
 
@@ -61,9 +42,8 @@ fn test_spec() -> ScenarioSpec {
 #[test]
 fn sequential_and_parallel_summaries_are_byte_identical() {
     let spec = test_spec();
-    let engine = engine_under_test();
-    let sequential = run_campaign(&spec, 42, 1, engine).unwrap();
-    let parallel = run_campaign(&spec, 42, 4, engine).unwrap();
+    let sequential = run_campaign(&spec, 42, 1).unwrap();
+    let parallel = run_campaign(&spec, 42, 4).unwrap();
     assert_eq!(
         sequential.to_json(),
         parallel.to_json(),
@@ -74,36 +54,17 @@ fn sequential_and_parallel_summaries_are_byte_identical() {
 #[test]
 fn same_seed_replays_bit_for_bit_and_seeds_differ() {
     let spec = test_spec();
-    let engine = engine_under_test();
-    let a = run_campaign(&spec, 7, 2, engine).unwrap();
-    let b = run_campaign(&spec, 7, 2, engine).unwrap();
+    let a = run_campaign(&spec, 7, 2).unwrap();
+    let b = run_campaign(&spec, 7, 2).unwrap();
     assert_eq!(a.to_json(), b.to_json(), "same seed must replay bit-for-bit");
-    let c = run_campaign(&spec, 8, 2, engine).unwrap();
+    let c = run_campaign(&spec, 8, 2).unwrap();
     assert_ne!(a.to_json(), c.to_json(), "different seeds must differ");
-}
-
-#[test]
-fn dense_and_incremental_engines_agree() {
-    // The two allocation engines are documented as bit-identical
-    // (docs/PERFORMANCE.md); campaigns must preserve that — everything
-    // except the engine label matches.
-    let mut spec = test_spec();
-    spec.horizon_ticks = 60;
-    spec.replicas = 1;
-    let dense = run_campaign(&spec, 11, 1, AllocEngine::Dense).unwrap();
-    let incremental = run_campaign(&spec, 11, 1, AllocEngine::Incremental).unwrap();
-    assert_eq!(dense.engine, "dense");
-    assert_eq!(incremental.engine, "incremental");
-    assert_eq!(
-        serde_json::to_string(&dense.replicas).unwrap(),
-        serde_json::to_string(&incremental.replicas).unwrap()
-    );
 }
 
 #[test]
 fn summary_json_is_well_formed_and_consistent() {
     let spec = test_spec();
-    let summary = run_campaign(&spec, 3, 2, engine_under_test()).unwrap();
+    let summary = run_campaign(&spec, 3, 2).unwrap();
     // Counters fold correctly across replicas.
     assert_eq!(summary.replicas.len(), spec.replicas as usize);
     assert_eq!(
@@ -136,9 +97,9 @@ fn replica_seeds_are_order_independent() {
     // results identical — the guarantee that makes sharding safe.
     let mut spec = test_spec();
     spec.replicas = 3;
-    let three = run_campaign(&spec, 21, 2, engine_under_test()).unwrap();
+    let three = run_campaign(&spec, 21, 2).unwrap();
     spec.replicas = 2;
-    let two = run_campaign(&spec, 21, 2, engine_under_test()).unwrap();
+    let two = run_campaign(&spec, 21, 2).unwrap();
     assert_eq!(
         serde_json::to_string(&three.replicas[..2]).unwrap(),
         serde_json::to_string(&two.replicas[..]).unwrap()

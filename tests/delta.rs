@@ -1,19 +1,28 @@
-//! Delta-engine equivalence battery: the delta water-filler must be
-//! bit-identical to the dense reference (and the incremental engine)
-//! under OU-trace perturbation, flow churn, and composed fault storms,
-//! and the sharded fill must be byte-identical at any `--alloc-jobs`
-//! count (see `docs/ARCHITECTURE.md` for the equivalence contracts).
+//! Fast-path-vs-reference battery: the production allocator — cached
+//! component index, bit-compare snapshots, delta refill of the dirty
+//! components only, the O(dirty) usage and queue tails — must be
+//! bit-identical to the dense reference
+//! (`Mesh::use_reference_allocator`) under OU-trace perturbation, flow
+//! churn, random schedules, composed fault storms and generated
+//! admit/retire lifecycles, ticked and event-driven. The production
+//! meshes audit their maintained usage views against a full
+//! recompute on every tick and must never record a drift rebuild (see
+//! `docs/ARCHITECTURE.md` § The allocator and its reference).
 
-use bass::apps::testbeds::lan_testbed;
-use bass::emu::{SimEnv, SimEnvConfig};
+use bass::appdag::{catalog, AppDag};
+use bass::apps::testbeds::{citylab_testbed, lan_testbed};
+use bass::core::{ControllerConfig, StepMode};
+use bass::emu::{EnvError, SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
-use bass::mesh::{AllocEngine, CapacitySource, FlowId, Mesh, NodeId, Topology};
-use bass::obs::Journal;
+use bass::mesh::{CapacitySource, FlowId, Mesh, NodeId, Topology};
+use bass::obs::{Journal, SpanProfiler};
+use bass::scenario::{generate, GeneratedScenario, ScenarioSpec, WorkloadEvent};
 use bass::trace::OuTraceConfig;
 use bass::util::rng::SimRng;
 use bass::util::time::SimDuration;
 use bass::util::units::Bandwidth;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Ring + random chords topology: always connected, arbitrary shape.
 fn ring_with_chords(n: u32, extra: usize, seed: u64) -> Topology {
@@ -35,28 +44,99 @@ fn ring_with_chords(n: u32, extra: usize, seed: u64) -> Topology {
     topo
 }
 
-/// Per-flow rates must match bit-for-bit across every engine in `meshes`.
-fn assert_rates_agree(meshes: &[&Mesh], ids: &[FlowId], when: &str) {
-    let (reference, rest) = meshes.split_first().expect("at least one mesh");
-    for other in rest {
+/// Flags `mesh` for one side of a comparison: the dense
+/// reference, or production with the every-tick usage audit armed.
+fn prepare(mut mesh: Mesh, reference: bool) -> Mesh {
+    if reference {
+        mesh.use_reference_allocator();
+    } else {
+        mesh.set_usage_check_every(1);
+    }
+    mesh
+}
+
+/// A not-yet-ticked mesh and its twin on the dense reference allocator.
+struct Pair {
+    reference: Mesh,
+    production: Mesh,
+}
+
+impl Pair {
+    fn new(mesh: Mesh) -> Self {
+        Pair {
+            reference: prepare(mesh.clone(), true),
+            production: prepare(mesh, false),
+        }
+    }
+
+    /// Applies the same mutation to both meshes; returns the production
+    /// side's result (flow ids are allocated identically on both).
+    fn both<T>(&mut self, mut f: impl FnMut(&mut Mesh) -> T) -> T {
+        f(&mut self.reference);
+        f(&mut self.production)
+    }
+
+    /// Flow rates, backlogs and link usages must match bit-for-bit.
+    fn assert_agree(&self, ids: &[FlowId], when: &str) {
         for &id in ids {
-            let ra = reference.flow_rate(id).as_bps();
-            let rb = other.flow_rate(id).as_bps();
+            let (ra, rb) = (self.reference.flow_rate(id), self.production.flow_rate(id));
             assert_eq!(
-                ra.to_bits(),
-                rb.to_bits(),
-                "{when}: flow {id} diverged ({ra} vs {rb} bps)"
+                ra.as_bps().to_bits(),
+                rb.as_bps().to_bits(),
+                "{when}: flow {id} rate diverged (reference {ra} vs production {rb})"
+            );
+            let ba = self.reference.flow_backlog(id).unwrap().as_bytes();
+            let bb = self.production.flow_backlog(id).unwrap().as_bytes();
+            assert_eq!(
+                ba, bb,
+                "{when}: flow {id} backlog diverged ({ba} vs {bb} bytes)"
+            );
+        }
+        for (lid, link) in self.reference.topology().links() {
+            let ua = self.reference.link_usage(link.a, link.b).unwrap();
+            let ub = self.production.link_usage(link.a, link.b).unwrap();
+            assert_eq!(
+                ua.as_bps().to_bits(),
+                ub.as_bps().to_bits(),
+                "{when}: link {lid} usage diverged (reference {ua} vs production {ub})"
             );
         }
     }
+
+    fn advance_and_check(&mut self, step: SimDuration, ids: &[FlowId], when: &str) {
+        self.both(|m| m.advance(step));
+        self.assert_agree(ids, when);
+    }
+
+    fn assert_audit_clean(&self) {
+        assert_eq!(
+            self.production.usage_view_rebuilds(),
+            0,
+            "the per-tick usage audit had to rebuild a drifted view"
+        );
+    }
+}
+
+/// `mesh` with every `stride`-th link breathing under its own OU trace,
+/// seeded per link.
+fn with_ou_traces(mut mesh: Mesh, stride: usize, mean: f64, rel_std: f64, seed: u64) -> Mesh {
+    for (lid, link) in mesh.topology().links().collect::<Vec<_>>() {
+        if lid.0 % stride == 0 {
+            let cfg = OuTraceConfig::new(format!("l{}", lid.0), mean).relative_std(rel_std);
+            let trace = cfg.generate(seed ^ lid.0 as u64, SimDuration::from_secs(30));
+            mesh.set_link_source(link.a, link.b, CapacitySource::Trace(trace))
+                .unwrap();
+        }
+    }
+    mesh
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // OU traces move every link capacity every tick; the delta engine's
-    // dirty-component scan must still reproduce the dense reference
-    // exactly, tick after tick.
+    // OU traces move every link capacity every tick; the dirty-component
+    // scan must still reproduce the dense reference exactly, tick after
+    // tick.
     #[test]
     fn delta_matches_dense_under_ou_traces(
         n in 3u32..8,
@@ -67,49 +147,25 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let topo = ring_with_chords(n, extra, seed);
-        let mk = |engine: AllocEngine, jobs: usize| {
-            let mut mesh =
-                Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(mean)).unwrap();
-            mesh.set_alloc_engine(engine);
-            mesh.set_alloc_jobs(jobs);
-            // Every link breathes under its own OU trace, seeded per
-            // link so the three meshes see identical vagaries.
-            for (lid, link) in topo.links().collect::<Vec<_>>() {
-                let cfg = OuTraceConfig::new(format!("l{}", lid.0), mean).relative_std(rel_std);
-                let trace = cfg.generate(seed ^ lid.0 as u64, SimDuration::from_secs(30));
-                mesh.set_link_source(link.a, link.b, CapacitySource::Trace(trace)).unwrap();
-            }
-            mesh
-        };
-        let mut dense = mk(AllocEngine::Dense, 1);
-        let mut incremental = mk(AllocEngine::Incremental, 1);
-        let mut delta = mk(AllocEngine::Delta, 1);
+        let mesh = Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(mean)).unwrap();
+        let mut pair = Pair::new(with_ou_traces(mesh, 1, mean, rel_std, seed));
         let mut rng = SimRng::seed_from_u64(seed ^ 0xDE17A);
         let mut ids = Vec::new();
         for _ in 0..n_flows {
             let src = NodeId(rng.below(n as u64) as u32);
             let dst = NodeId(rng.below(n as u64) as u32);
             let demand = Bandwidth::from_mbps(rng.uniform(0.5, 2.0 * mean));
-            ids.push(dense.add_flow(src, dst, demand).unwrap());
-            incremental.add_flow(src, dst, demand).unwrap();
-            delta.add_flow(src, dst, demand).unwrap();
+            ids.push(pair.both(|m| m.add_flow(src, dst, demand).unwrap()));
         }
-        let step = SimDuration::from_millis(250);
         for tick in 0..40 {
-            dense.advance(step);
-            incremental.advance(step);
-            delta.advance(step);
-            assert_rates_agree(
-                &[&dense, &incremental, &delta],
-                &ids,
-                &format!("OU tick {tick}"),
-            );
+            pair.advance_and_check(SimDuration::from_millis(250), &ids, &format!("OU tick {tick}"));
         }
+        pair.assert_audit_clean();
     }
 
     // Flow churn, demand rewrites, egress caps, and link squeezes all
-    // land on the delta engine's snapshot/dirty paths; rates must stay
-    // bit-identical to the dense reference after every mutation.
+    // land on the snapshot/dirty paths; state must stay bit-identical to
+    // the dense reference after every mutation.
     #[test]
     fn delta_matches_dense_through_churn(
         n in 3u32..9,
@@ -118,103 +174,222 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let topo = ring_with_chords(n, extra, seed);
-        let mk = |engine: AllocEngine| {
-            let mut mesh =
-                Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(20.0)).unwrap();
-            mesh.set_alloc_engine(engine);
-            mesh
-        };
-        let mut dense = mk(AllocEngine::Dense);
-        let mut delta = mk(AllocEngine::Delta);
+        let mut pair =
+            Pair::new(Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(20.0)).unwrap());
         let mut rng = SimRng::seed_from_u64(seed ^ 0xC4u64);
         let mut ids = Vec::new();
         let step = SimDuration::from_millis(100);
-        let lockstep = |a: &mut Mesh, b: &mut Mesh, ids: &[FlowId], when: &str| {
-            a.advance(step);
-            b.advance(step);
-            assert_rates_agree(&[&*a, &*b], ids, when);
-        };
         for _ in 0..n_flows {
             let src = NodeId(rng.below(n as u64) as u32);
             let dst = NodeId(rng.below(n as u64) as u32);
             let demand = Bandwidth::from_mbps(rng.uniform(0.5, 30.0));
-            ids.push(dense.add_flow(src, dst, demand).unwrap());
-            delta.add_flow(src, dst, demand).unwrap();
-            lockstep(&mut dense, &mut delta, &ids, "after add");
+            ids.push(pair.both(|m| m.add_flow(src, dst, demand).unwrap()));
+            pair.advance_and_check(step, &ids, "after add");
         }
         // Rewrite one flow's demand, cap a node, squeeze a link.
         let touched = ids[rng.below(ids.len() as u64) as usize];
         let new_demand = Bandwidth::from_mbps(rng.uniform(0.1, 40.0));
-        dense.set_flow_demand(touched, new_demand).unwrap();
-        delta.set_flow_demand(touched, new_demand).unwrap();
-        lockstep(&mut dense, &mut delta, &ids, "after demand rewrite");
+        pair.both(|m| m.set_flow_demand(touched, new_demand).unwrap());
+        pair.advance_and_check(step, &ids, "after demand rewrite");
         let capped = NodeId(rng.below(n as u64) as u32);
-        dense.set_node_egress_cap(capped, Some(Bandwidth::from_mbps(5.0))).unwrap();
-        delta.set_node_egress_cap(capped, Some(Bandwidth::from_mbps(5.0))).unwrap();
-        lockstep(&mut dense, &mut delta, &ids, "after egress cap");
+        pair.both(|m| m.set_node_egress_cap(capped, Some(Bandwidth::from_mbps(5.0))).unwrap());
+        pair.advance_and_check(step, &ids, "after egress cap");
         let squeezed = NodeId(rng.below(n as u64) as u32);
         let peer = NodeId((squeezed.0 + 1) % n);
-        dense.set_link_cap(squeezed, peer, Some(Bandwidth::from_mbps(1.0))).unwrap();
-        delta.set_link_cap(squeezed, peer, Some(Bandwidth::from_mbps(1.0))).unwrap();
-        lockstep(&mut dense, &mut delta, &ids, "after link squeeze");
+        pair.both(|m| m.set_link_cap(squeezed, peer, Some(Bandwidth::from_mbps(1.0))).unwrap());
+        pair.advance_and_check(step, &ids, "after link squeeze");
         // Remove half the flows (index rebuilds invalidate the snapshot).
         for id in ids.drain(..ids.len() / 2 + 1).collect::<Vec<_>>() {
-            dense.remove_flow(id).unwrap();
-            delta.remove_flow(id).unwrap();
-            lockstep(&mut dense, &mut delta, &ids, "after remove");
+            pair.both(|m| m.remove_flow(id).unwrap());
+            pair.advance_and_check(step, &ids, "after remove");
         }
+        pair.assert_audit_clean();
     }
 
-    // Sharding is a pure scheduling change: `--alloc-jobs 4` must
-    // produce byte-identical rates to the serial delta fill.
+    // A random schedule mixing quiescent stretches, link-cap churn,
+    // demand rewrites, flow add/remove, egress caps, and up/down storms
+    // over OU-trace links: the dirty-set pipeline must stay bit-identical
+    // to the dense reference, tick after tick.
     #[test]
-    fn sharded_delta_is_byte_identical_to_serial(
-        n in 4u32..10,
-        extra in 0usize..8,
-        n_flows in 4usize..14,
+    fn delta_matches_dense_under_random_schedules(
+        n in 3u32..8,
+        extra in 0usize..6,
+        n_flows in 2usize..8,
+        mean in 8.0f64..40.0,
+        rel_std in 0.05f64..0.35,
         seed in any::<u64>(),
     ) {
         let topo = ring_with_chords(n, extra, seed);
-        let mk = |jobs: usize| {
-            let mut mesh =
-                Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(15.0)).unwrap();
-            mesh.set_alloc_engine(AllocEngine::Delta);
-            mesh.set_alloc_jobs(jobs);
-            mesh
-        };
-        let mut serial = mk(1);
-        let mut sharded = mk(4);
-        let mut rng = SimRng::seed_from_u64(seed ^ 0x54A8Du64);
+        let mesh = Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(mean)).unwrap();
+        // Every other link breathes under its own OU trace so the
+        // capacity diff's change-point schedule actually fires on some
+        // ticks and stays silent on others.
+        let mut pair = Pair::new(with_ou_traces(mesh, 2, mean, rel_std, seed));
+        let mut rng = SimRng::seed_from_u64(seed ^ 0xD187);
         let mut ids = Vec::new();
         for _ in 0..n_flows {
             let src = NodeId(rng.below(n as u64) as u32);
             let dst = NodeId(rng.below(n as u64) as u32);
-            let demand = Bandwidth::from_mbps(rng.uniform(0.5, 25.0));
-            ids.push(serial.add_flow(src, dst, demand).unwrap());
-            sharded.add_flow(src, dst, demand).unwrap();
+            let demand = Bandwidth::from_mbps(rng.uniform(0.5, 2.0 * mean));
+            ids.push(pair.both(|m| m.add_flow(src, dst, demand).unwrap()));
         }
-        let step = SimDuration::from_millis(100);
-        for tick in 0..20 {
-            // Perturb several links per tick so multiple components go
-            // dirty at once and the shard scatter actually interleaves.
-            for _ in 0..3 {
-                let a = NodeId(rng.below(n as u64) as u32);
-                let b = NodeId((a.0 + 1) % n);
-                let cap = Bandwidth::from_mbps(rng.uniform(2.0, 30.0));
-                serial.set_link_cap(a, b, Some(cap)).unwrap();
-                sharded.set_link_cap(a, b, Some(cap)).unwrap();
+        for tick in 0..32u32 {
+            // One random mutation per tick — weighted toward "nothing",
+            // the steady state the dirty paths are built for.
+            match rng.below(12) {
+                0 => {
+                    let a = NodeId(rng.below(n as u64) as u32);
+                    let b = NodeId((a.0 + 1) % n);
+                    let cap = Some(Bandwidth::from_mbps(rng.uniform(1.0, 1.5 * mean)));
+                    pair.both(|m| m.set_link_cap(a, b, cap).unwrap());
+                }
+                1 => {
+                    let a = NodeId(rng.below(n as u64) as u32);
+                    let b = NodeId((a.0 + 1) % n);
+                    pair.both(|m| m.set_link_cap(a, b, None).unwrap());
+                }
+                2 if !ids.is_empty() => {
+                    let id = ids[rng.below(ids.len() as u64) as usize];
+                    let demand = Bandwidth::from_mbps(rng.uniform(0.1, 2.5 * mean));
+                    pair.both(|m| m.set_flow_demand(id, demand).unwrap());
+                }
+                3 if ids.len() < 12 => {
+                    let src = NodeId(rng.below(n as u64) as u32);
+                    let dst = NodeId(rng.below(n as u64) as u32);
+                    let demand = Bandwidth::from_mbps(rng.uniform(0.5, 2.0 * mean));
+                    ids.push(pair.both(|m| m.add_flow(src, dst, demand).unwrap()));
+                }
+                4 if ids.len() > 1 => {
+                    let id = ids.swap_remove(rng.below(ids.len() as u64) as usize);
+                    pair.both(|m| m.remove_flow(id).unwrap());
+                }
+                5 => {
+                    let node = NodeId(rng.below(n as u64) as u32);
+                    let cap = (rng.below(2) == 0)
+                        .then(|| Bandwidth::from_mbps(rng.uniform(1.0, mean)));
+                    pair.both(|m| m.set_node_egress_cap(node, cap).unwrap());
+                }
+                6 => {
+                    let a = NodeId(rng.below(n as u64) as u32);
+                    let b = NodeId((a.0 + 1) % n);
+                    let up = rng.below(2) == 0;
+                    pair.both(|m| m.set_link_up(a, b, up).unwrap());
+                }
+                7 => {
+                    let node = NodeId(rng.below(n as u64) as u32);
+                    let up = rng.below(3) != 0;
+                    pair.both(|m| m.set_node_up(node, up).unwrap());
+                }
+                _ => {} // quiescent tick
             }
-            serial.advance(step);
-            sharded.advance(step);
-            assert_rates_agree(&[&serial, &sharded], &ids, &format!("shard tick {tick}"));
+            pair.advance_and_check(
+                SimDuration::from_millis(250),
+                &ids,
+                &format!("schedule tick {tick}"),
+            );
         }
+        pair.assert_audit_clean();
     }
 }
 
-/// The composed fault storm from `tests/faults.rs`, replayed through an
-/// explicit engine on the 3-node LAN testbed; returns the journal's
-/// JSONL export so runs can be compared byte-for-byte.
-fn storm_jsonl(engine: AllocEngine, alloc_jobs: usize) -> String {
+// The cost dispatch between the partial and the full tail is chosen from
+// the dirty share, so one schedule on a mesh of sixteen single-flow
+// components walks both sides of it: a squeezed link (one dirty
+// component, its backlog moving every tick) stays in the minority, a
+// cap change on every link does not. Both tails must leave the state
+// the reference computes.
+#[test]
+fn minority_dispatch_takes_both_tails_and_matches_dense() {
+    const N: u32 = 16;
+    let topo = ring_with_chords(N, 0, 0);
+    let mut pair =
+        Pair::new(Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(40.0)).unwrap());
+    let ids: Vec<FlowId> = (0..N)
+        .map(|i| {
+            let demand = Bandwidth::from_mbps(5.0 + f64::from(i % 8));
+            pair.both(|m| m.add_flow(NodeId(i), NodeId((i + 1) % N), demand).unwrap())
+        })
+        .collect();
+    let step = SimDuration::from_millis(100);
+    let mut profiler = SpanProfiler::new();
+    let mut ticks = 0u64;
+    let mut tick = |pair: &mut Pair, when: &str| {
+        pair.reference.advance(step);
+        pair.production
+            .advance_profiled(step, None, Some(&mut profiler));
+        pair.assert_agree(&ids, when);
+        ticks += 1;
+    };
+    tick(&mut pair, "index build");
+    tick(&mut pair, "quiescent");
+    pair.both(|m| {
+        m.set_link_cap(NodeId(0), NodeId(1), Some(Bandwidth::from_mbps(2.0)))
+            .unwrap()
+    });
+    for k in 0..4 {
+        tick(&mut pair, &format!("squeezed tick {k}"));
+    }
+    assert!(
+        pair.production.flow_backlog(ids[0]).unwrap().as_bytes() > 0,
+        "squeeze must bite"
+    );
+    for i in 0..N {
+        let cap = Some(Bandwidth::from_mbps(30.0));
+        pair.both(|m| m.set_link_cap(NodeId(i), NodeId((i + 1) % N), cap).unwrap());
+    }
+    tick(&mut pair, "every link moved");
+    for k in 0..3 {
+        tick(&mut pair, &format!("draining tick {k}"));
+    }
+    pair.assert_audit_clean();
+    let count = |span| profiler.stats(span).map_or(0, |s| s.count);
+    assert_eq!(
+        count("mesh.index_rebuild"),
+        1,
+        "flows were only added up front"
+    );
+    assert_eq!(
+        count("mesh.usage_views"),
+        2,
+        "the index build and the all-links tick"
+    );
+    assert_eq!(
+        count("mesh.usage_delta"),
+        ticks - 2,
+        "every other tick was a minority tick"
+    );
+    assert_eq!(
+        count("mesh.water_fill"),
+        ticks,
+        "one fill span per allocation, either tail"
+    );
+}
+
+/// A seeded Poisson storm over the CityLab workers and their volatile
+/// links — crashes, flaps, and probe-loss episodes composed — so the
+/// dirty sets see fault transitions, not just trace steps.
+fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
+    let profile = StormProfile {
+        node_crash_rate: 1.0 / 50.0,
+        crash_downtime_s: 20.0,
+        link_flap_rate: 1.0 / 40.0,
+        flap_downtime_s: 8.0,
+        probe_loss_rate: 1.0 / 90.0,
+        probe_loss_p: 0.4,
+        probe_loss_duration_s: 30.0,
+        nodes: vec![NodeId(2), NodeId(3), NodeId(4)],
+        links: vec![
+            (NodeId(1), NodeId(2)),
+            (NodeId(2), NodeId(3)),
+            (NodeId(3), NodeId(4)),
+        ],
+    };
+    FaultPlan::poisson(seed, SimDuration::from_secs(horizon_s), &profile)
+}
+
+/// The composed fault storm of `tests/faults.rs` on the 3-node LAN
+/// testbed; returns the journal's JSONL export.
+fn lan_storm_jsonl(reference: bool) -> String {
     let profile = StormProfile {
         node_crash_rate: 1.0 / 40.0,
         crash_downtime_s: 25.0,
@@ -230,15 +405,18 @@ fn storm_jsonl(engine: AllocEngine, alloc_jobs: usize) -> String {
             (NodeId(1), NodeId(2)),
         ],
     };
-    let plan = FaultPlan::poisson(0xBA55, SimDuration::from_secs(300), &profile);
+    let faults = FaultPlan::poisson(0xBA55, SimDuration::from_secs(300), &profile);
     let (mesh, cluster) = lan_testbed(3, 12);
     let cfg = SimEnvConfig {
-        faults: plan,
-        alloc_engine: engine,
-        alloc_jobs,
+        faults,
         ..Default::default()
     };
-    let mut env = SimEnv::new(mesh, cluster, bass::appdag::catalog::camera_pipeline(), cfg);
+    let mut env = SimEnv::new(
+        prepare(mesh, reference),
+        cluster,
+        catalog::camera_pipeline(),
+        cfg,
+    );
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
     env.run_for(SimDuration::from_secs(300), |_| {})
@@ -247,19 +425,191 @@ fn storm_jsonl(engine: AllocEngine, alloc_jobs: usize) -> String {
 }
 
 // The Poisson fault storm — crashes, flaps, probe loss — must replay
-// byte-identically through the delta engine, serial and sharded alike.
+// byte-identically through the delta fill and the dense reference.
 #[test]
 fn fault_storm_replay_is_delta_engine_independent() {
-    let dense = storm_jsonl(AllocEngine::Dense, 1);
-    let delta = storm_jsonl(AllocEngine::Delta, 1);
-    let delta_sharded = storm_jsonl(AllocEngine::Delta, 4);
+    let dense = lan_storm_jsonl(true);
     assert!(!dense.is_empty());
     assert_eq!(
-        dense, delta,
-        "delta engine must replay the storm byte-identically to the dense path"
+        dense,
+        lan_storm_jsonl(false),
+        "the delta fill must replay the storm byte-identically to the dense path"
     );
+}
+
+/// The camera pipeline on the trace-driven CityLab testbed under the
+/// composed storm; returns the journal for byte comparison.
+fn storm_journal(
+    mode: StepMode,
+    reference: bool,
+    verify_score_cache: bool,
+    seed: u64,
+    secs: u64,
+) -> String {
+    let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
+    let cfg = SimEnvConfig {
+        faults: storm_plan(seed, secs),
+        step_mode: mode,
+        controller: ControllerConfig {
+            verify_score_cache,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut env = SimEnv::new(
+        prepare(mesh, reference),
+        cluster,
+        catalog::camera_pipeline(),
+        cfg,
+    );
+    env.attach_journal(Journal::new());
+    env.deploy(&[]).expect("deploys");
+    env.run_for(SimDuration::from_secs(secs), |_| {})
+        .expect("storm run completes");
     assert_eq!(
-        delta, delta_sharded,
-        "sharded delta fill must not change a single journal byte"
+        env.mesh().usage_view_rebuilds(),
+        0,
+        "usage audit found drift"
     );
+    env.take_journal().expect("journal attached").export_jsonl()
+}
+
+// Ticked vs event-driven, production vs reference: all four replays of
+// the same storm must export byte-identical journals. This is the
+// end-to-end closure of the mesh-level proptests above — the dirty paths
+// may not change a single observable byte in either step mode.
+#[test]
+fn storm_replay_matches_dense_in_both_step_modes() {
+    let reference = storm_journal(StepMode::Ticked, true, false, 0xD187, 240);
+    assert!(!reference.is_empty());
+    for (mode, on_reference) in [
+        (StepMode::Ticked, false),
+        (StepMode::EventDriven, false),
+        (StepMode::EventDriven, true),
+    ] {
+        let journal = storm_journal(mode, on_reference, false, 0xD187, 240);
+        assert_eq!(
+            reference, journal,
+            "journal diverged at mode {mode:?}, reference allocator: {on_reference}"
+        );
+    }
+}
+
+// The score-cache debug oracle re-scores every cached target with the
+// dense scorer and asserts bit-equality inside the controller; running
+// with it on must also leave the journal byte-identical — the oracle
+// observes, never steers.
+#[test]
+fn score_cache_oracle_passes_and_changes_nothing() {
+    let plain = storm_journal(StepMode::Ticked, false, false, 0x5C0E, 240);
+    let verified = storm_journal(StepMode::Ticked, false, true, 0x5C0E, 240);
+    assert!(!plain.is_empty());
+    assert_eq!(
+        plain, verified,
+        "verify_score_cache must not change behavior"
+    );
+}
+
+/// One generated scenario driven at the `SimEnv` level the way a
+/// campaign replica drives it — `admit_app` at each arrival,
+/// `retire_app` at each departure, `run_for` in between — returning the
+/// journal and how many instances were admitted and retired.
+fn lifecycle_journal(mode: StepMode, reference: bool) -> (String, u64, u64) {
+    let mut spec = ScenarioSpec::small_reference();
+    spec.horizon_ticks = 240;
+    spec.workload.arrival_rate_per_s = 0.05;
+    spec.workload.mean_lifetime_s = 60.0;
+    let scenario = generate(&spec, 0x11FE);
+    let ticks_of = |n: u64| SimDuration::from_millis(n * spec.step_ms);
+    let mesh = scenario
+        .build_mesh(ticks_of(spec.horizon_ticks))
+        .expect("mesh builds");
+    let cfg = SimEnvConfig {
+        step: ticks_of(1),
+        step_mode: mode,
+        faults: scenario.faults.clone(),
+        ..Default::default()
+    };
+    let mut env = SimEnv::new(
+        prepare(mesh, reference),
+        scenario.build_cluster(),
+        AppDag::new(scenario.name.clone()),
+        cfg,
+    );
+    env.attach_journal(Journal::new());
+    env.deploy(&[]).expect("deploys");
+    let mut live = BTreeMap::new();
+    let (mut admitted, mut retired) = (0u64, 0u64);
+    let mut tick = 0u64;
+    for event in &scenario.workload {
+        // An event at `at_ms` first applies at tick ⌈at_ms / step_ms⌉.
+        let due = event.at_ms().div_ceil(spec.step_ms);
+        if due >= spec.horizon_ticks {
+            break;
+        }
+        if due > tick {
+            env.run_for(ticks_of(due - tick), |_| {})
+                .expect("run completes");
+            tick = due;
+        }
+        match *event {
+            WorkloadEvent::Arrive { instance, kind, .. } => {
+                let dag = kind.dag(spec.workload.social_rps);
+                match env.admit_app(&dag, GeneratedScenario::instance_offset(instance)) {
+                    Ok(ids) => {
+                        live.insert(
+                            instance,
+                            (GeneratedScenario::instance_label(kind, instance), ids),
+                        );
+                        admitted += 1;
+                    }
+                    Err(EnvError::Schedule(_)) => {}
+                    Err(e) => panic!("admission failed: {e}"),
+                }
+            }
+            WorkloadEvent::Depart { instance, .. } => {
+                if let Some((label, ids)) = live.remove(&instance) {
+                    env.retire_app(&label, &ids).expect("retires");
+                    retired += 1;
+                }
+            }
+        }
+    }
+    env.run_for(ticks_of(spec.horizon_ticks - tick), |_| {})
+        .expect("run completes");
+    assert_eq!(
+        env.mesh().usage_view_rebuilds(),
+        0,
+        "usage audit found drift"
+    );
+    (
+        env.take_journal().expect("journal attached").export_jsonl(),
+        admitted,
+        retired,
+    )
+}
+
+// The lifecycle path — flows appearing and vanishing mid-run as whole
+// applications are admitted and retired, under generated traces and
+// faults — must journal the identical bytes on the production allocator
+// and on the reference, in both step modes.
+#[test]
+fn generated_lifecycle_journal_matches_dense() {
+    let (reference, admitted, retired) = lifecycle_journal(StepMode::Ticked, true);
+    assert!(
+        admitted > 3,
+        "arrivals beyond the initial apps must admit ({admitted})"
+    );
+    assert!(retired > 0, "the horizon must see departures");
+    for (mode, on_reference) in [
+        (StepMode::Ticked, false),
+        (StepMode::EventDriven, false),
+        (StepMode::EventDriven, true),
+    ] {
+        assert_eq!(
+            (reference.clone(), admitted, retired),
+            lifecycle_journal(mode, on_reference),
+            "lifecycle diverged at mode {mode:?}, reference allocator: {on_reference}"
+        );
+    }
 }

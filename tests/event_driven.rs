@@ -1,28 +1,18 @@
 //! Ticked vs event-driven differential battery: the event-driven core
 //! must replay every simulation byte-for-byte — journals and campaign
-//! summaries — across OU trace volatility, workload churn, composed
-//! fault storms, all three allocation engines, and both serial and
-//! sharded component fill (see `docs/ARCHITECTURE.md`).
+//! summaries — across OU trace volatility, workload churn and composed
+//! fault storms (see `docs/ARCHITECTURE.md`).
 
 use bass::appdag::catalog;
 use bass::apps::testbeds::citylab_testbed;
 use bass::core::StepMode;
 use bass::emu::{SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
-use bass::mesh::{AllocEngine, NodeId};
+use bass::mesh::NodeId;
 use bass::obs::Journal;
 use bass::scenario::{run_campaign_opts, CampaignOptions, ScenarioSpec};
 use bass::util::time::SimDuration;
 use proptest::prelude::*;
-use proptest::strategy::Just;
-
-fn arb_engine() -> impl Strategy<Value = AllocEngine> {
-    prop_oneof![
-        Just(AllocEngine::Dense),
-        Just(AllocEngine::Incremental),
-        Just(AllocEngine::Delta),
-    ]
-}
 
 /// A seeded Poisson storm over the CityLab workers and its volatile
 /// links — crashes, flaps, and probe-loss episodes all composed.
@@ -48,22 +38,9 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 /// Runs the camera pipeline on the trace-driven CityLab testbed and
 /// returns the full journal plus the number of ticks actually executed
 /// (skipped ticks never reach the `tick.finalize` span).
-fn sim_run(
-    mode: StepMode,
-    engine: AllocEngine,
-    alloc_jobs: usize,
-    seed: u64,
-    faults: FaultPlan,
-    secs: u64,
-) -> (String, u64) {
+fn sim_run(mode: StepMode, seed: u64, faults: FaultPlan, secs: u64) -> (String, u64) {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
-    let cfg = SimEnvConfig {
-        faults,
-        alloc_engine: engine,
-        alloc_jobs,
-        step_mode: mode,
-        ..Default::default()
-    };
+    let cfg = SimEnvConfig { faults, step_mode: mode, ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
     env.enable_span_profiling();
@@ -95,19 +72,15 @@ proptest! {
 
     /// The tentpole property at the environment level: under OU traces
     /// and (optionally) a composed fault storm, the event-driven loop
-    /// journals the identical bytes for every engine and shard count.
+    /// journals the identical bytes.
     #[test]
     fn event_driven_journals_are_byte_identical(
-        engine in arb_engine(),
-        alloc_jobs in prop_oneof![Just(1usize), Just(4usize)],
         seed in any::<u64>(),
         stormy in any::<bool>(),
     ) {
         let plan = |s| if stormy { storm_plan(s, 120) } else { FaultPlan::new() };
-        let (ticked, executed_ticked) =
-            sim_run(StepMode::Ticked, engine, alloc_jobs, seed, plan(seed), 120);
-        let (event, executed_event) =
-            sim_run(StepMode::EventDriven, engine, alloc_jobs, seed, plan(seed), 120);
+        let (ticked, executed_ticked) = sim_run(StepMode::Ticked, seed, plan(seed), 120);
+        let (event, executed_event) = sim_run(StepMode::EventDriven, seed, plan(seed), 120);
         prop_assert!(!ticked.is_empty());
         prop_assert_eq!(ticked, event, "journals must not depend on step mode");
         prop_assert!(
@@ -117,24 +90,16 @@ proptest! {
     }
 
     /// The same property one layer up: campaign summaries under churn
-    /// stay byte-identical between step modes for every engine and
-    /// shard count.
+    /// stay byte-identical between step modes.
     #[test]
     fn event_driven_campaign_summaries_are_byte_identical(
-        engine in arb_engine(),
-        alloc_jobs in prop_oneof![Just(1usize), Just(4usize)],
         seed in any::<u64>(),
         arrival in 0.0f64..0.1,
         max_concurrent in 1u32..6,
     ) {
         let spec = churn_spec(arrival, max_concurrent, 120);
         let run = |step_mode| {
-            let opts = CampaignOptions {
-                engine,
-                alloc_jobs,
-                step_mode,
-                ..CampaignOptions::default()
-            };
+            let opts = CampaignOptions { step_mode, ..CampaignOptions::default() };
             run_campaign_opts(&spec, seed, &opts).expect("campaign runs").summary.to_json()
         };
         prop_assert_eq!(
@@ -150,10 +115,8 @@ proptest! {
 /// otherwise the properties above would pass vacuously.
 #[test]
 fn event_driven_mode_actually_skips_ticks() {
-    let (ticked, executed_ticked) =
-        sim_run(StepMode::Ticked, AllocEngine::Incremental, 1, 0xBA55, FaultPlan::new(), 120);
-    let (event, executed_event) =
-        sim_run(StepMode::EventDriven, AllocEngine::Incremental, 1, 0xBA55, FaultPlan::new(), 120);
+    let (ticked, executed_ticked) = sim_run(StepMode::Ticked, 0xBA55, FaultPlan::new(), 120);
+    let (event, executed_event) = sim_run(StepMode::EventDriven, 0xBA55, FaultPlan::new(), 120);
     assert_eq!(ticked, event);
     assert_eq!(executed_ticked, 1200, "ticked mode executes every 100 ms tick");
     assert!(

@@ -4,9 +4,10 @@
 
 use bass::appdag::catalog;
 use bass::apps::testbeds::lan_testbed;
+use bass::cluster::Cluster;
 use bass::emu::{SimEnv, SimEnvConfig};
 use bass::faults::{invariants, FaultPlan, StormProfile};
-use bass::mesh::NodeId;
+use bass::mesh::{Mesh, NodeId};
 use bass::obs::Journal;
 use bass::util::time::{SimDuration, SimTime};
 
@@ -14,19 +15,13 @@ use bass::util::time::{SimDuration, SimTime};
 /// seconds under `plan`, and asserts *every* invariant after *every*
 /// tick. Returns the journal for schedule-specific assertions.
 fn checked_run(plan: FaultPlan, secs: u64) -> Journal {
-    checked_run_with_engine(plan, secs, bass::mesh::AllocEngine::default())
+    checked_run_on(lan_testbed(3, 12), plan, secs)
 }
 
-/// [`checked_run`] with an explicit allocation engine, so schedules can
-/// be replayed through both the incremental hot path and the dense
-/// reference path.
-fn checked_run_with_engine(
-    plan: FaultPlan,
-    secs: u64,
-    engine: bass::mesh::AllocEngine,
-) -> Journal {
-    let (mesh, cluster) = lan_testbed(3, 12);
-    let cfg = SimEnvConfig { faults: plan, alloc_engine: engine, ..Default::default() };
+/// [`checked_run`] over a caller-prepared testbed, so a schedule can
+/// also be replayed through the dense reference allocator.
+fn checked_run_on((mesh, cluster): (Mesh, Cluster), plan: FaultPlan, secs: u64) -> Journal {
+    let cfg = SimEnvConfig { faults: plan, ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
@@ -159,22 +154,21 @@ fn same_seed_replays_bit_for_bit() {
     assert_eq!(a, b, "same fault plan must replay identically");
 }
 
-// Engine regression: the composed fault storm replayed through the
-// incremental allocation engine is byte-identical — every journaled
-// event — to the pre-refactor dense path (the seed behaviour). The
-// storm exercises crashes, flaps, probe loss, and controller restarts,
-// so this pins the whole control loop, not just the allocator.
+// Allocator regression: the composed fault storm replayed through the
+// production allocator is byte-identical — every journaled event — to
+// the dense reference path (the seed behaviour). The storm exercises
+// crashes, flaps, probe loss, and controller restarts, so this pins the
+// whole control loop, not just the allocator.
 #[test]
 fn storm_replay_is_engine_independent() {
-    let dense =
-        checked_run_with_engine(storm_plan(), 300, bass::mesh::AllocEngine::Dense).export_jsonl();
-    let incremental =
-        checked_run_with_engine(storm_plan(), 300, bass::mesh::AllocEngine::Incremental)
-            .export_jsonl();
-    assert!(!dense.is_empty());
+    let (mut mesh, cluster) = lan_testbed(3, 12);
+    mesh.use_reference_allocator();
+    let reference = checked_run_on((mesh, cluster), storm_plan(), 300).export_jsonl();
+    let production = checked_run(storm_plan(), 300).export_jsonl();
+    assert!(!reference.is_empty());
     assert_eq!(
-        dense, incremental,
-        "incremental engine must replay the storm byte-identically to the dense path"
+        reference, production,
+        "the production allocator must replay the storm byte-identically to the reference"
     );
 }
 

@@ -13,12 +13,11 @@
 //!    component onto a node it came from, and replays the same seed
 //!    bit-for-bit.
 //! 3. **Arena determinism** — `run_arena` tables are byte-identical
-//!    for any `--jobs` value, engine/step-mode independent up to the
-//!    engine label, and snapshotted under `tests/golden/`.
+//!    for any `--jobs` value and either step mode, and snapshotted
+//!    under `tests/golden/`.
 //!
-//! Like the campaign battery, the engine under test follows
-//! `BASS_TEST_ENGINE` and the stepping strategy `BASS_TEST_STEP_MODE`,
-//! so CI runs the whole file once per engine and once per step mode.
+//! Like the campaign battery, the stepping strategy follows
+//! `BASS_TEST_STEP_MODE`, so CI runs the whole file once per step mode.
 //! Regenerate the arena snapshot after an *intentional* change with:
 //!
 //! ```text
@@ -32,7 +31,7 @@ use bass::core::migration::MigrationConfig;
 use bass::core::{ControllerConfig, PlacementPolicy, PolicyKind, StepMode};
 use bass::emu::{Recorder, Scenario, SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
-use bass::mesh::{AllocEngine, NodeId};
+use bass::mesh::NodeId;
 use bass::netmon::NetMonitorConfig;
 use bass::obs::Journal;
 use bass::scenario::{run_arena, run_campaign_opts, ArenaOptions, CampaignOptions, ScenarioSpec};
@@ -51,16 +50,6 @@ const GOLDEN_ARENA: &str =
 /// Same tolerance story as `tests/golden.rs`: tight enough to catch
 /// behaviour drift, loose enough for benign float reassociation.
 const REL_TOL: f64 = 1e-6;
-
-/// The allocation engine CI selects via `BASS_TEST_ENGINE`; defaults to
-/// the production incremental engine.
-fn engine_under_test() -> AllocEngine {
-    match std::env::var("BASS_TEST_ENGINE").as_deref() {
-        Ok("dense") => AllocEngine::Dense,
-        Ok("delta") => AllocEngine::Delta,
-        _ => AllocEngine::Incremental,
-    }
-}
 
 /// The stepping strategy CI selects via `BASS_TEST_STEP_MODE`;
 /// defaults to executing every tick.
@@ -128,17 +117,6 @@ fn compare(path: &str, golden: &Value, got: &Value, diffs: &mut Vec<String>) {
     }
 }
 
-/// Rewrites the single top-level `"engine": "…"` label so matrix arms
-/// can be compared byte-for-byte against the canonical incremental
-/// rendering (the engines themselves are bit-identical; only the label
-/// differs).
-fn normalize_engine_label(json: &str, to_label: &str) -> String {
-    let key = "\"engine\": \"";
-    let start = json.find(key).expect("summary carries an engine label") + key.len();
-    let end = start + json[start..].find('"').expect("label closes");
-    format!("{}{}{}", &json[..start], to_label, &json[end..])
-}
-
 fn assert_matches_golden(golden_path: &str, current: &str, what: &str) {
     let golden_text = std::fs::read_to_string(golden_path).unwrap_or_else(|e| {
         panic!("missing golden snapshot {golden_path} ({e}); run GOLDEN_UPDATE=1 cargo test")
@@ -160,13 +138,12 @@ fn assert_matches_golden(golden_path: &str, current: &str, what: &str) {
 // ---------------------------------------------------------------------
 
 /// The fig13 squeeze scenario from `tests/golden.rs`, with the
-/// migration policy, engine, and step mode threaded explicitly so the
+/// migration policy and step mode threaded explicitly so the
 /// trait-dispatch path is the one under test.
-fn fig13_snapshot(policy: PolicyKind, engine: AllocEngine, step_mode: StepMode) -> String {
+fn fig13_snapshot(policy: PolicyKind, step_mode: StepMode) -> String {
     let (mesh, cluster) = lan_testbed(3, 16);
     let cfg = SimEnvConfig {
         step_mode,
-        alloc_engine: engine,
         migration_policy: policy,
         policy: PlacementPolicy::LongestPath,
         controller: ControllerConfig {
@@ -239,38 +216,30 @@ fn fig13_snapshot(policy: PolicyKind, engine: AllocEngine, step_mode: StepMode) 
 #[test]
 fn fig13_trait_policy_replays_the_golden_snapshot() {
     // The snapshot was written before the SchedulerPolicy trait
-    // existed; the explicit PolicyKind::Bass arm must reproduce it on
-    // every engine and step mode (the snapshot has no engine label).
-    let current = fig13_snapshot(PolicyKind::Bass, engine_under_test(), step_mode_under_test());
+    // existed; the explicit PolicyKind::Bass arm must reproduce it in
+    // either step mode.
+    let current = fig13_snapshot(PolicyKind::Bass, step_mode_under_test());
     assert_matches_golden(GOLDEN_FIG13, &current, "trait-based fig13 replay");
 }
 
 /// The 20-node reference campaign from `tests/golden.rs`, with the
 /// policy threaded explicitly.
-fn campaign_snapshot(policy: PolicyKind, engine: AllocEngine, step_mode: StepMode) -> String {
+fn campaign_snapshot(policy: PolicyKind, step_mode: StepMode) -> String {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 300;
-    let opts = CampaignOptions { jobs: 2, engine, step_mode, policy, ..CampaignOptions::default() };
+    let opts = CampaignOptions { jobs: 2, step_mode, policy, ..CampaignOptions::default() };
     run_campaign_opts(&spec, 20, &opts).expect("reference campaign runs").summary.to_json()
 }
 
 #[test]
 fn campaign_20node_trait_policy_replays_the_golden_snapshot() {
-    // Canonical arm: byte-for-byte against the unchanged golden.
-    let canonical = campaign_snapshot(PolicyKind::Bass, AllocEngine::Incremental, StepMode::Ticked);
+    // Byte-for-byte against the golden, in whichever step mode CI's
+    // matrix selects.
+    let current = campaign_snapshot(PolicyKind::Bass, step_mode_under_test());
     let golden = std::fs::read_to_string(GOLDEN_CAMPAIGN).expect("golden snapshot present");
     assert_eq!(
-        canonical, golden,
+        current, golden,
         "trait-based BASS campaign must replay the pre-trait golden bytes"
-    );
-
-    // Matrix arm: the summary embeds the engine label, so normalize it
-    // before requiring the rest of the bytes to agree.
-    let arm = campaign_snapshot(PolicyKind::Bass, engine_under_test(), step_mode_under_test());
-    assert_eq!(
-        normalize_engine_label(&arm, "incremental"),
-        golden,
-        "engine/step-mode arm drifted from the campaign golden"
     );
 }
 
@@ -304,7 +273,6 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 fn storm_run(
     policy: PolicyKind,
     mode: StepMode,
-    engine: AllocEngine,
     seed: u64,
     stormy: bool,
     secs: u64,
@@ -312,7 +280,6 @@ fn storm_run(
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: if stormy { storm_plan(seed, secs) } else { FaultPlan::new() },
-        alloc_engine: engine,
         step_mode: mode,
         migration_policy: policy,
         ..Default::default()
@@ -332,14 +299,9 @@ fn bass_policy_storm_journal_is_step_mode_independent_and_matches_the_default() 
     // The default-constructed environment (no explicit policy) is the
     // exact pre-trait configuration; the explicit Bass arm and both
     // step modes must all journal identical bytes.
-    let engine = engine_under_test();
-    let explicit = storm_run(PolicyKind::Bass, StepMode::Ticked, engine, 0xF16, true, 120).0;
+    let explicit = storm_run(PolicyKind::Bass, StepMode::Ticked, 0xF16, true, 120).0;
     let (mesh, cluster, _) = citylab_testbed(0xF16, SimDuration::from_secs(180));
-    let cfg = SimEnvConfig {
-        faults: storm_plan(0xF16, 120),
-        alloc_engine: engine,
-        ..Default::default()
-    };
+    let cfg = SimEnvConfig { faults: storm_plan(0xF16, 120), ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
@@ -347,13 +309,13 @@ fn bass_policy_storm_journal_is_step_mode_independent_and_matches_the_default() 
     let default_built = env.take_journal().expect("journal attached").export_jsonl();
     assert_eq!(explicit, default_built, "explicit Bass must equal the default construction");
 
-    let event = storm_run(PolicyKind::Bass, StepMode::EventDriven, engine, 0xF16, true, 120).0;
+    let event = storm_run(PolicyKind::Bass, StepMode::EventDriven, 0xF16, true, 120).0;
     assert_eq!(explicit, event, "storm journal must not depend on step mode");
 }
 
 proptest! {
     // Each case runs a full simulation twice; keep the count modest
-    // (CI also multiplies this file across engines and step modes).
+    // (CI also runs this file once per step mode).
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Conformance, for every registered policy: same-seed runs are
@@ -367,9 +329,8 @@ proptest! {
     ) {
         let policy = PolicyKind::all()[which];
         let mode = step_mode_under_test();
-        let engine = engine_under_test();
-        let (j1, moves) = storm_run(policy, mode, engine, seed, stormy, 90);
-        let (j2, _) = storm_run(policy, mode, engine, seed, stormy, 90);
+        let (j1, moves) = storm_run(policy, mode, seed, stormy, 90);
+        let (j2, _) = storm_run(policy, mode, seed, stormy, 90);
         prop_assert_eq!(j1, j2, "same-seed replay must be bit-identical ({})", policy.name());
         for (from, to) in moves {
             prop_assert_ne!(from, to, "{} migrated a component onto itself", policy.name());
@@ -378,13 +339,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 3. The arena: jobs-independence, engine-independence, golden.
+// 3. The arena: jobs-independence, step-mode independence, golden.
 // ---------------------------------------------------------------------
 
 /// The golden arena: bass vs random vs spread over the shortened
 /// 20-node reference scenario — the same corpus shape the CI smoke
 /// gate uses.
-fn arena_table(jobs: usize, engine: AllocEngine, step_mode: StepMode) -> String {
+fn arena_table(jobs: usize, step_mode: StepMode) -> String {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 300;
     let opts = ArenaOptions {
@@ -393,7 +354,7 @@ fn arena_table(jobs: usize, engine: AllocEngine, step_mode: StepMode) -> String 
             PolicyKind::Random(bass::core::policy::RANDOM_POLICY_SEED),
             PolicyKind::Spread,
         ],
-        campaign: CampaignOptions { jobs, engine, step_mode, ..CampaignOptions::default() },
+        campaign: CampaignOptions { jobs, step_mode, ..CampaignOptions::default() },
     };
     run_arena(&[spec], 20, &opts).expect("arena runs").table.to_json()
 }
@@ -401,26 +362,24 @@ fn arena_table(jobs: usize, engine: AllocEngine, step_mode: StepMode) -> String 
 #[test]
 fn arena_table_bytes_are_jobs_independent() {
     assert_eq!(
-        arena_table(1, engine_under_test(), step_mode_under_test()),
-        arena_table(4, engine_under_test(), step_mode_under_test()),
+        arena_table(1, step_mode_under_test()),
+        arena_table(4, step_mode_under_test()),
         "arena table must be byte-identical for any --jobs value"
     );
 }
 
 #[test]
-fn arena_table_is_engine_and_step_mode_independent_up_to_the_label() {
-    let canon = arena_table(2, AllocEngine::Incremental, StepMode::Ticked);
-    let arm = arena_table(2, engine_under_test(), step_mode_under_test());
+fn arena_table_is_step_mode_independent() {
     assert_eq!(
-        canon,
-        normalize_engine_label(&arm, "incremental"),
-        "arena rows/ranking must not depend on engine or step mode"
+        arena_table(2, StepMode::Ticked),
+        arena_table(2, StepMode::EventDriven),
+        "arena rows/ranking must not depend on step mode"
     );
 }
 
 #[test]
 fn arena_20node_matches_golden_snapshot() {
-    let current = arena_table(2, AllocEngine::Incremental, StepMode::Ticked);
+    let current = arena_table(2, StepMode::Ticked);
     if std::env::var("GOLDEN_UPDATE").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_ARENA).parent().unwrap())
             .expect("mkdir tests/golden");

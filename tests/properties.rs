@@ -5,7 +5,6 @@ use bass::cluster::{Cluster, NodeSpec};
 use bass::core::heuristics::{breadth_first, hybrid, longest_path, BfsWeighting};
 use bass::core::placement::pack_ordering;
 use bass::mesh::flow::{max_min_allocate, max_min_allocate_dense, Constraint};
-use bass::mesh::AllocEngine;
 use bass::mesh::queueing::{FlowQueue, MAX_DELAY};
 use bass::mesh::routing::RoutingTable;
 use bass::mesh::{LinkId, Mesh, NodeId, Topology};
@@ -101,7 +100,7 @@ proptest! {
         n_constraints in 0usize..10,
         seed in any::<u64>(),
     ) {
-        // `max_min_allocate` now runs the incremental engine; the
+        // `max_min_allocate` runs the incremental component fill; the
         // pre-refactor dense implementation is kept as the oracle. The
         // two must agree bit-for-bit on arbitrary problems, and the
         // incremental output must satisfy the allocator's contract.
@@ -142,19 +141,18 @@ proptest! {
         n_flows in 2usize..10,
         seed in any::<u64>(),
     ) {
-        // Drive two identical meshes — one per engine — through flow
-        // churn, an egress cap, and a link-capacity change, and require
-        // identical per-flow rates at every step. This exercises the
-        // persistent index's dirty-flag invalidation paths end to end.
+        // Drive two identical meshes — the dense reference and the
+        // production allocator — through flow churn, an egress cap, and
+        // a link-capacity change, and require identical per-flow rates
+        // at every step. This exercises the persistent index's
+        // dirty-flag invalidation paths end to end.
         let topo = ring_with_chords(n, extra, seed);
-        let mk = |engine: AllocEngine| {
-            let mut mesh = Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(20.0))
-                .unwrap();
-            mesh.set_alloc_engine(engine);
-            mesh
+        let mk = || {
+            Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(20.0)).unwrap()
         };
-        let mut a = mk(AllocEngine::Dense);
-        let mut b = mk(AllocEngine::Incremental);
+        let mut a = mk();
+        a.use_reference_allocator();
+        let mut b = mk();
         let mut flow_rng = bass::util::rng::SimRng::seed_from_u64(seed ^ 0xF10);
         let mut ids = Vec::new();
         let step = SimDuration::from_millis(100);

@@ -2,7 +2,6 @@
 //! lock down generation's byte-for-byte reproducibility and its
 //! structural invariants across random specs and seeds.
 
-use bass::mesh::AllocEngine;
 use bass::scenario::{generate, run_campaign, ScenarioSpec, TopologySpec, WorkloadEvent};
 use proptest::prelude::*;
 
@@ -138,8 +137,8 @@ proptest! {
         let mut spec = ScenarioSpec::small_reference();
         spec.horizon_ticks = 40;
         spec.replicas = 1;
-        let a = run_campaign(&spec, seed, 1, AllocEngine::Incremental).unwrap();
-        let b = run_campaign(&spec, seed, 1, AllocEngine::Incremental).unwrap();
+        let a = run_campaign(&spec, seed, 1).unwrap();
+        let b = run_campaign(&spec, seed, 1).unwrap();
         prop_assert_eq!(a.to_json(), b.to_json());
     }
 }
