@@ -5,16 +5,15 @@
 //! bassctl place    --manifest app.json --testbed mesh.json [--policy …] [--seed N] [--json]
 //! bassctl simulate --manifest app.json --testbed mesh.json [--policy …] [--duration SECS]
 //!                  [--no-migrations] [--seed N] [--json] [--journal events.jsonl]
-//!                  [--faults plan.json] [--step-mode ticked|event-driven]
-//!                  [--metrics-out metrics.prom] [--verify-score-cache]
+//!                  [--faults plan.json] [--metrics-out metrics.prom]
+//!                  [--verify-score-cache]
 //! bassctl recommend --manifest app.json --testbed mesh.json [--json]
 //! bassctl traces   --testbed mesh.json [--duration SECS] [--seed N]
 //! bassctl campaign --spec scenario.json [--seed N] [--jobs N] [--out summary.json]
-//!                  [--step-mode ticked|event-driven] [--journal events.jsonl]
-//!                  [--metrics-out metrics.prom] [--profile]
-//!                  [--progress[=off|info|debug]]
+//!                  [--journal events.jsonl] [--metrics-out metrics.prom]
+//!                  [--profile] [--progress[=off|info|debug]]
 //! bassctl arena    --spec scenario.json [--spec more.json …] [--policy bass,random,…]
-//!                  [--seed N] [--jobs N] [--step-mode …] [--out table.json] [--json]
+//!                  [--seed N] [--jobs N] [--out table.json] [--json]
 //!                  [--metrics-out metrics.prom] [--progress[=off|info|debug]]
 //! bassctl metrics  --in metrics.prom [--diff other.prom | --lint]
 //! bassctl schema                       # print example input files
@@ -54,7 +53,6 @@ struct Args {
     json: bool,
     journal: Option<String>,
     faults: Option<String>,
-    step_mode: bass_core::StepMode,
     metrics_out: Option<String>,
     verify_score_cache: bool,
     profile: bool,
@@ -92,7 +90,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         json: false,
         journal: None,
         faults: None,
-        step_mode: bass_core::StepMode::Ticked,
         metrics_out: None,
         verify_score_cache: false,
         profile: false,
@@ -143,9 +140,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             "--json" => args.json = true,
             "--journal" => args.journal = Some(value("--journal")?),
             "--faults" => args.faults = Some(value("--faults")?),
-            "--step-mode" => {
-                args.step_mode = bass_core::StepMode::parse(&value("--step-mode")?)?
-            }
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
             "--verify-score-cache" => args.verify_score_cache = true,
             "--profile" => args.profile = true,
@@ -270,7 +264,6 @@ fn run() -> Result<(), String> {
                     seed: args.seed,
                     journal: args.journal.clone().map(std::path::PathBuf::from),
                     faults: args.faults.clone().map(std::path::PathBuf::from),
-                    step_mode: args.step_mode,
                     metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
                     verify_score_cache: args.verify_score_cache,
                 },
@@ -309,7 +302,6 @@ fn run() -> Result<(), String> {
                 .map_err(|e| format!("cannot parse {path}: {e}"))?;
             let opts = bass_cli::CampaignCommandOptions {
                 jobs: args.jobs,
-                step_mode: args.step_mode,
                 journal: args.journal.clone().map(std::path::PathBuf::from),
                 metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
                 profile: args.profile,
@@ -370,7 +362,6 @@ fn run() -> Result<(), String> {
             let opts = bass_cli::ArenaCommandOptions {
                 policies: args.arena_policies.clone(),
                 jobs: args.jobs,
-                step_mode: args.step_mode,
                 metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
                 progress: args.progress,
             };

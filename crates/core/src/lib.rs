@@ -32,16 +32,16 @@
 //!   monitoring, full-probe escalation, cooldowns, and migration
 //!   planning, delegating the decisions themselves to its
 //!   [`policy::SchedulerPolicy`].
-//! - [`events`]: the event-driven stepping primitives — the
-//!   [`StepMode`] switch and the [`EventQueue`] a next-event scanner
-//!   folds over to skip quiescent tick windows byte-identically.
+//! - [`events`]: the [`EventSource`]s that bound how many quiescent
+//!   ticks the step loop may skip byte-identically, and the clock each
+//!   is read against.
 //! - [`planner`]: what-if evaluation of every policy on a scratch
 //!   cluster, automating §3.2.1's "developer picks the heuristic".
 //! - [`tuning`]: the §8 auto-tuning extension for (threshold, headroom).
 //!
 //! Decision points across the crate optionally narrate what they did
 //! into a `bass_obs::Journal` (see `docs/OBSERVABILITY.md`): the
-//! controller's `tick_observed`, the planner's `recommend_observed`,
+//! controller's `tick_profiled`, the planner's `recommend_observed`,
 //! and the tuner's `tune_observed` emit structured events while the
 //! plain entry points stay observation-free.
 
@@ -63,7 +63,7 @@ pub mod tuning;
 pub use controller::{BassController, ControllerConfig, ControllerOutcome, MigrationPlan};
 pub use policy::{PolicyCtx, PolicyKind, SchedulerPolicy};
 pub use score_cache::{ScoreCacheStats, TargetScoreCache};
-pub use events::{EventQueue, EventSource, SimEvent, StepMode};
+pub use events::EventSource;
 pub use heuristics::{BfsWeighting, ComponentOrdering, HeuristicError};
 pub use placement::PlacementError;
 pub use scheduler::{BassScheduler, PlacementPolicy};

@@ -6,10 +6,7 @@ use bass_cluster::{Cluster, MigrationRecord, Placement, RestartModel};
 use bass_core::heuristics::ComponentOrdering;
 use bass_core::placement::pack_ordering;
 use bass_core::scheduler::{BassScheduler, ScheduleError, PlacementPolicy};
-use bass_core::{
-    BassController, ControllerConfig, EventQueue, EventSource, MigrationPlan, PolicyKind,
-    SimEvent, StepMode,
-};
+use bass_core::{BassController, ControllerConfig, EventSource, MigrationPlan, PolicyKind};
 use bass_faults::{Fault, FaultPlan};
 use bass_mesh::{FlowId, Mesh, MeshError, NodeId};
 use bass_netmon::{GoodputMonitor, NetMonitor, NetMonitorConfig, OnlineProfiler};
@@ -22,7 +19,9 @@ use std::fmt;
 /// Environment configuration.
 #[derive(Debug, Clone)]
 pub struct SimEnvConfig {
-    /// Fixed simulation step (default 100 ms).
+    /// Fixed simulation step (default 100 ms). Must be non-zero:
+    /// [`SimEnv::deploy`] and [`SimEnv::run_for`] reject a zero step
+    /// with [`EnvError::ZeroStep`] (the clock would never advance).
     pub step: SimDuration,
     /// Placement policy.
     pub policy: PlacementPolicy,
@@ -61,12 +60,6 @@ pub struct SimEnvConfig {
     /// nothing and leaves runs byte-identical to fault-free behaviour.
     /// See the `bass-faults` crate and `docs/FAULTS.md`.
     pub faults: FaultPlan,
-    /// How [`SimEnv::run_for`] advances time. The default
-    /// [`StepMode::Ticked`] executes every step;
-    /// [`StepMode::EventDriven`] skips provably quiescent tick windows
-    /// (see [`SimEnv::skippable_ticks`]) with byte-identical results and
-    /// journals. Only changes wall-clock.
-    pub step_mode: StepMode,
 }
 
 impl Default for SimEnvConfig {
@@ -83,7 +76,6 @@ impl Default for SimEnvConfig {
             stateful_state: None,
             adaptive_routing: None,
             faults: FaultPlan::new(),
-            step_mode: StepMode::default(),
         }
     }
 }
@@ -110,6 +102,9 @@ pub enum EnvError {
     NotDeployed,
     /// Growing the deployment DAG failed (id collision on admission).
     Dag(bass_appdag::DagError),
+    /// [`SimEnvConfig::step`] is zero: stepping would never advance the
+    /// clock.
+    ZeroStep,
 }
 
 impl fmt::Display for EnvError {
@@ -120,6 +115,7 @@ impl fmt::Display for EnvError {
             EnvError::UnknownComponent(c) => write!(f, "unknown component {c}"),
             EnvError::NotDeployed => write!(f, "application is not deployed"),
             EnvError::Dag(e) => write!(f, "deployment dag rejected the app: {e}"),
+            EnvError::ZeroStep => write!(f, "simulation step must be non-zero"),
         }
     }
 }
@@ -191,10 +187,13 @@ pub struct SimEnv {
     /// Components evicted by a node crash, awaiting re-placement.
     displaced: BTreeSet<ComponentId>,
     /// Bumped by every public mutator that can invalidate an in-flight
-    /// quiescence proof. The event-driven `run_for` loop snapshots it
-    /// before handing control to the per-tick hook and falls back to a
-    /// full step when it moved (see [`SimEnv::skippable_ticks`]).
+    /// quiescence proof. The `run_for` loop snapshots it before handing
+    /// control to the per-tick hook and falls back to a full step when
+    /// it moved (see [`SimEnv::skippable_ticks`]).
     mutation_epoch: u64,
+    /// Set (one way) by [`SimEnv::use_reference_stepping`]:
+    /// `skippable_ticks` vouches for nothing, so every tick executes.
+    reference_stepping: bool,
     /// Probe-loss episodes started so far — each gets its own forked RNG
     /// stream off the fault plan's seed, so episode k draws identically
     /// across replays regardless of what happened in between.
@@ -226,8 +225,20 @@ impl SimEnv {
             spans: None,
             displaced: BTreeSet::new(),
             mutation_epoch: 0,
+            reference_stepping: false,
             probe_loss_episodes: 0,
         }
+    }
+
+    /// Switches this environment to ticked reference stepping for the
+    /// rest of its life: [`skippable_ticks`](Self::skippable_ticks)
+    /// returns 0, so every loop built on it executes every tick in full.
+    /// Test support: the stepping battery flags one environment and
+    /// requires the production run to match it byte for byte. There is
+    /// no way back and no configuration that reaches this.
+    #[doc(hidden)]
+    pub fn use_reference_stepping(&mut self) {
+        self.reference_stepping = true;
     }
 
     /// Installs the network scenario script.
@@ -354,15 +365,17 @@ impl SimEnv {
     ///
     /// # Errors
     ///
-    /// Fails if a pin is unknown, scheduling fails, or flows cannot be
-    /// created.
+    /// Fails if the configured step is zero, a pin is unknown,
+    /// scheduling fails, or flows cannot be created.
     pub fn deploy(&mut self, pins: &[(ComponentId, NodeId)]) -> Result<Placement, EnvError> {
+        if self.cfg.step == SimDuration::ZERO {
+            return Err(EnvError::ZeroStep);
+        }
         self.with_span("env.deploy", |env| env.deploy_inner(pins))
     }
 
     fn deploy_inner(&mut self, pins: &[(ComponentId, NodeId)]) -> Result<Placement, EnvError> {
-        self.netmon
-            .full_probe_observed(&self.mesh, self.journal.as_mut());
+        self.netmon.full_probe_profiled(&self.mesh, self.journal.as_mut(), None);
         for &(cid, node) in pins {
             let comp = self
                 .dag
@@ -830,35 +843,34 @@ impl SimEnv {
         Ok(())
     }
 
-    /// Runs for `duration`, invoking `hook` after every step.
+    /// Runs for `duration`, invoking `hook` after every simulated tick.
     ///
-    /// Under [`StepMode::Ticked`] every step executes in full. Under
-    /// [`StepMode::EventDriven`] the loop follows each full step with as
-    /// many provably quiescent skipped ticks as
+    /// Each full [`step`](Self::step) is followed by as many provably
+    /// quiescent skipped ticks as
     /// [`skippable_ticks`](Self::skippable_ticks) allows; `hook` still
     /// runs after every simulated tick, skipped or not, and a hook that
     /// mutates the environment immediately demotes the rest of its
     /// window back to full steps. Results, stats, and journal contents
-    /// are byte-identical across the two modes — only wall-clock (and
-    /// span-profiler counts, which track work actually performed)
-    /// differs.
+    /// are byte-identical to executing every tick in full — only
+    /// wall-clock (and span-profiler counts, which track work actually
+    /// performed) differs.
     ///
     /// # Errors
     ///
-    /// Stops at the first step error.
+    /// Fails on a zero step; otherwise stops at the first step error.
     pub fn run_for(
         &mut self,
         duration: SimDuration,
         mut hook: impl FnMut(&mut SimEnv),
     ) -> Result<(), EnvError> {
-        let end = self.mesh.now() + duration;
         let step_us = self.cfg.step.as_micros();
+        if step_us == 0 {
+            return Err(EnvError::ZeroStep);
+        }
+        let end = self.mesh.now() + duration;
         while self.mesh.now() < end {
             self.step()?;
             hook(self);
-            if self.cfg.step_mode != StepMode::EventDriven || step_us == 0 {
-                continue;
-            }
             'skip: while self.mesh.now() < end {
                 let remaining =
                     end.saturating_since(self.mesh.now()).as_micros().div_ceil(step_us);
@@ -904,30 +916,36 @@ impl SimEnv {
     /// execute in full. Online profiling, pending displaced components,
     /// and an undeployed environment disable skipping entirely.
     pub fn skippable_ticks(&self, max_ticks: u64) -> u64 {
-        let step = self.cfg.step;
-        let step_us = step.as_micros();
         if max_ticks == 0
-            || step_us == 0
+            || self.reference_stepping
             || !self.deployed
             || !self.displaced.is_empty()
             || self.profiler.is_some()
-            || !self.mesh.queues_quiescent(step)
         {
             return 0;
         }
+        let step = self.cfg.step;
+        let step_us = step.as_micros();
         let t0 = self.mesh.now();
-        let mut queue = EventQueue::new();
+        // The window cap one upcoming event imposes (formulas on
+        // `EventSource::pre_advance`).
+        let cap = |at: SimTime, source: EventSource| {
+            let ticks_to_reach = at.as_micros().saturating_sub(t0.as_micros()).div_ceil(step_us);
+            if source.pre_advance() {
+                ticks_to_reach
+            } else {
+                ticks_to_reach.saturating_sub(1)
+            }
+        };
+        let mut bound = max_ticks;
         if let Some(t) = self.cfg.faults.next_at() {
-            queue.push(SimEvent { at: t, source: EventSource::Fault });
+            bound = bound.min(cap(t, EventSource::Fault));
         }
         if let Some(t) = self.scenario.next_at() {
-            queue.push(SimEvent { at: t, source: EventSource::Scenario });
+            bound = bound.min(cap(t, EventSource::Scenario));
         }
         if let Some(interval) = self.cfg.adaptive_routing {
-            queue.push(SimEvent {
-                at: self.last_route_update + interval,
-                source: EventSource::RouteUpdate,
-            });
+            bound = bound.min(cap(self.last_route_update + interval, EventSource::RouteUpdate));
         }
         for &(start, model) in self.restarts.values() {
             let expiry = start + model.downtime;
@@ -940,30 +958,19 @@ impl SimEnv {
             if expiry.as_micros() + step_us <= t0.as_micros() {
                 continue;
             }
-            queue.push(SimEvent { at: expiry, source: EventSource::RestartExpiry });
+            bound = bound.min(cap(expiry, EventSource::RestartExpiry));
         }
         if let Some(t) = self.mesh.next_trace_change_after(t0) {
-            queue.push(SimEvent { at: t, source: EventSource::TraceChange });
+            bound = bound.min(cap(t, EventSource::TraceChange));
         }
         if self.cfg.migrations_enabled {
-            queue.push(SimEvent {
-                at: self.netmon.next_headroom_probe_at(),
-                source: EventSource::ProbeEpoch,
-            });
+            bound = bound.min(cap(self.netmon.next_headroom_probe_at(), EventSource::ProbeEpoch));
         }
-        let mut bound = max_ticks;
-        while let Some(ev) = queue.pop() {
-            let ticks_to_reach =
-                ev.at.as_micros().saturating_sub(t0.as_micros()).div_ceil(step_us);
-            let cap = if ev.source.pre_advance() {
-                ticks_to_reach
-            } else {
-                ticks_to_reach.saturating_sub(1)
-            };
-            bound = bound.min(cap);
-            if bound == 0 {
-                return 0;
-            }
+        // The event caps are O(1) (the trace scan is memoized per
+        // change-point); the queue scan is O(flows), so it runs last and
+        // only for a window no due event has already zeroed.
+        if bound == 0 || !self.mesh.queues_quiescent(step) {
+            return 0;
         }
         bound
     }
@@ -1379,7 +1386,11 @@ mod tests {
                 env.enable_span_profiling();
             }
             env.deploy(&[]).unwrap();
-            env.run_for(SimDuration::from_secs(5), |_| {}).unwrap();
+            // Full steps only: `run_for` would skip the steady-state
+            // ticks whose spans are asserted below.
+            for _ in 0..50 {
+                env.step().unwrap();
+            }
             let journal = env.take_journal().unwrap();
             (journal.export_jsonl(), env.take_span_profiler())
         };
@@ -1923,18 +1934,16 @@ mod tests {
     }
 
     /// A camera env with a squeeze/release scenario (migration fires),
-    /// run under `mode` with per-tick hook counting; returns the journal
-    /// bytes, final flow rates, migration count, hook invocations, and
-    /// the number of ticks that executed in full.
-    fn squeeze_run(mode: StepMode) -> (String, Vec<u64>, usize, u64, u64) {
-        let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
-        let cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 12, 16384))).unwrap();
-        let cfg = SimEnvConfig {
-            policy: PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
-            step_mode: mode,
-            ..Default::default()
-        };
-        let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
+    /// run with per-tick hook counting; returns the journal bytes, final
+    /// flow rates, migration count, hook invocations, and the number of
+    /// ticks that executed in full. `reference` switches the env to
+    /// ticked reference stepping, which the production run must match
+    /// byte for byte.
+    fn squeeze_run(reference: bool) -> (String, Vec<u64>, usize, u64, u64) {
+        let mut env = camera_env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
+        if reference {
+            env.use_reference_stepping();
+        }
         env.attach_journal(bass_obs::Journal::new());
         env.enable_span_profiling();
         env.deploy(&[]).unwrap();
@@ -1966,31 +1975,45 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_run_is_byte_identical_and_actually_skips() {
-        let (journal_t, rates_t, mig_t, hooks_t, executed_t) = squeeze_run(StepMode::Ticked);
-        let (journal_e, rates_e, mig_e, hooks_e, executed_e) =
-            squeeze_run(StepMode::EventDriven);
-        assert_eq!(journal_t, journal_e);
-        assert_eq!(rates_t, rates_e);
-        assert_eq!(mig_t, mig_e);
+    fn run_for_matches_ticked_reference_and_actually_skips() {
+        let (journal_t, rates_t, mig_t, hooks_t, executed_t) = squeeze_run(true);
+        let (journal_p, rates_p, mig_p, hooks_p, executed_p) = squeeze_run(false);
+        assert_eq!(journal_t, journal_p);
+        assert_eq!(rates_t, rates_p);
+        assert_eq!(mig_t, mig_p);
         assert!(mig_t > 0, "squeeze should trigger a migration");
-        // The hook fires once per simulated tick in both modes.
+        // The hook fires once per simulated tick either way.
         assert_eq!(hooks_t, 1800);
-        assert_eq!(hooks_e, 1800);
-        // Ticked executes every tick; event-driven skips the quiescent
-        // stretches between scenario actions and 30 s probe epochs.
+        assert_eq!(hooks_p, 1800);
+        // The reference executes every tick; `run_for` skips the
+        // quiescent stretches between scenario actions and 30 s probe
+        // epochs.
         assert_eq!(executed_t, 1800);
         assert!(
-            executed_e < executed_t / 2,
-            "event-driven executed {executed_e} of {executed_t} ticks"
+            executed_p < executed_t / 2,
+            "run_for executed {executed_p} of {executed_t} ticks"
         );
     }
 
     #[test]
+    fn zero_step_errors_instead_of_spinning() {
+        let mut env = camera_env(PlacementPolicy::LongestPath);
+        env.cfg.step = SimDuration::ZERO;
+        assert!(matches!(env.deploy(&[]), Err(EnvError::ZeroStep)));
+        assert!(matches!(
+            env.run_for(SimDuration::from_secs(1), |_| {}),
+            Err(EnvError::ZeroStep)
+        ));
+        assert_eq!(env.now(), SimTime::ZERO);
+    }
+
+    #[test]
     fn hook_mutations_demote_skip_windows_not_correctness() {
-        let run = |mode: StepMode| {
+        let journal_of = |reference: bool| {
             let mut env = camera_env(PlacementPolicy::LongestPath);
-            env.cfg.step_mode = mode;
+            if reference {
+                env.use_reference_stepping();
+            }
             env.attach_journal(bass_obs::Journal::new());
             env.deploy(&[]).unwrap();
             let mut ticks = 0u64;
@@ -2007,9 +2030,7 @@ mod tests {
             .unwrap();
             (env.take_journal().unwrap().export_jsonl(), env.now())
         };
-        let ticked = run(StepMode::Ticked);
-        let event = run(StepMode::EventDriven);
-        assert_eq!(ticked, event);
+        assert_eq!(journal_of(true), journal_of(false));
     }
 
     #[test]
@@ -2034,20 +2055,22 @@ mod tests {
     #[test]
     fn skipped_windows_cross_probe_epochs_identically() {
         // No scenario, no faults: the only events are probe epochs. A
-        // long event-driven run must land probes on the same ticks.
-        let run = |mode: StepMode| {
+        // long skipping run must land probes on the same ticks.
+        let probes_of = |reference: bool| {
             let mut env = camera_env(PlacementPolicy::LongestPath);
-            env.cfg.step_mode = mode;
+            if reference {
+                env.use_reference_stepping();
+            }
             env.attach_journal(bass_obs::Journal::new());
             env.deploy(&[]).unwrap();
             env.run_for(SimDuration::from_secs(300), |_| {}).unwrap();
             let j = env.take_journal().unwrap();
             (j.count("probe_completed"), j.export_jsonl())
         };
-        let (probes_t, journal_t) = run(StepMode::Ticked);
-        let (probes_e, journal_e) = run(StepMode::EventDriven);
-        assert_eq!(probes_t, probes_e);
-        assert_eq!(journal_t, journal_e);
+        let (probes_t, journal_t) = probes_of(true);
+        let (probes_p, journal_p) = probes_of(false);
+        assert_eq!(probes_t, probes_p);
+        assert_eq!(journal_t, journal_p);
         assert!(probes_t >= 10, "expected ≥10 probe epochs, saw {probes_t}");
     }
 }

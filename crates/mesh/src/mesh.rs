@@ -1157,7 +1157,7 @@ impl Mesh {
 
     /// Whether one `dt`-long [`advance`](Self::advance) would leave
     /// every flow queue bitwise unchanged, assuming no step input moves
-    /// (the event-driven scanner separately proves that). When true —
+    /// (`SimEnv::skippable_ticks` separately proves that). When true —
     /// and it stays true, since nothing else changed — a whole window of
     /// ticks reduces to moving the clock, which is exactly what
     /// [`advance_quiescent`](Self::advance_quiescent) does.
@@ -1776,15 +1776,6 @@ impl Mesh {
         self.pending_full = true;
     }
 
-    /// [`advance`](Self::advance) that additionally reports to a journal:
-    /// per-link [`LinkCapacityChanged`](bass_obs::Event::LinkCapacityChanged)
-    /// events (cause `"trace"`, ≥1% relative moves) and a
-    /// [`FlowRateRecomputed`](bass_obs::Event::FlowRateRecomputed) event
-    /// whenever the allocation picture materially changed.
-    pub fn advance_observed(&mut self, dt: SimDuration, journal: Option<&mut bass_obs::Journal>) {
-        self.advance_profiled(dt, journal, None);
-    }
-
     /// Diffs the current effective link capacities against the last
     /// journal-reported snapshot and emits a
     /// [`LinkCapacityChanged`](bass_obs::Event::LinkCapacityChanged)
@@ -1792,7 +1783,7 @@ impl Mesh {
     ///
     /// The first call only establishes the baseline and emits nothing.
     /// `cause` labels what moved the capacity — `"trace"` for vagary
-    /// playback during [`advance_observed`](Self::advance_observed),
+    /// playback during [`advance_profiled`](Self::advance_profiled),
     /// `"scenario"` when the emulator applies a scripted restriction.
     pub fn emit_capacity_changes(&mut self, journal: &mut bass_obs::Journal, cause: &str) {
         let caps: Vec<f64> = (0..self.topo.link_count())
@@ -2465,12 +2456,12 @@ mod tests {
         let mut mesh = three_node_lan();
         let mut journal = bass_obs::Journal::new();
         // Quiet mesh: baseline pass emits nothing.
-        mesh.advance_observed(SimDuration::from_millis(100), Some(&mut journal));
+        mesh.advance_profiled(SimDuration::from_millis(100), Some(&mut journal), None);
         assert!(journal.is_empty());
         // A new flow changes the allocation picture exactly once.
         mesh.add_flow(NodeId(0), NodeId(1), mbps(40.0)).unwrap();
-        mesh.advance_observed(SimDuration::from_millis(100), Some(&mut journal));
-        mesh.advance_observed(SimDuration::from_millis(100), Some(&mut journal));
+        mesh.advance_profiled(SimDuration::from_millis(100), Some(&mut journal), None);
+        mesh.advance_profiled(SimDuration::from_millis(100), Some(&mut journal), None);
         assert_eq!(journal.count("flow_rate_recomputed"), 1);
         match journal.events().next().unwrap() {
             bass_obs::Event::FlowRateRecomputed { flows, allocated_mbps, .. } => {
@@ -2492,7 +2483,7 @@ mod tests {
             other => panic!("expected LinkCapacityChanged, got {other:?}"),
         }
         // The None sink stays a pure advance.
-        mesh.advance_observed(SimDuration::from_millis(100), None);
+        mesh.advance_profiled(SimDuration::from_millis(100), None, None);
     }
 
     /// A 4×4 grid mesh with flows spread over several links, some of

@@ -71,7 +71,7 @@ impl FlowQueue {
     /// sits at a fixed point of the integration (drained and staying
     /// drained, or filling and draining at exactly equal rates).
     ///
-    /// This is the per-flow half of the event-driven mode's quiescence
+    /// This is the per-flow half of the step loop's quiescence
     /// test: when every queue is at a fixed point and no input changes,
     /// a whole window of ticks can be skipped without any float drifting
     /// by a single bit. Mirrors `advance`'s arithmetic exactly; growing

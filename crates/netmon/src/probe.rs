@@ -274,13 +274,9 @@ impl NetMonitor {
 
     /// [`full_probe`](Self::full_probe) that also emits a
     /// [`ProbeCompleted`](Event::ProbeCompleted) event carrying the
-    /// probe-traffic cost of this pass (§6.3.4 overhead accounting).
-    pub fn full_probe_observed(&mut self, mesh: &Mesh, journal: Option<&mut Journal>) {
-        self.full_probe_profiled(mesh, journal, None);
-    }
-
-    /// [`full_probe_observed`](Self::full_probe_observed) that also
-    /// records a `netmon.full_probe` span when a profiler is supplied.
+    /// probe-traffic cost of this pass (§6.3.4 overhead accounting),
+    /// and records a `netmon.full_probe` span when a profiler is
+    /// supplied.
     pub fn full_probe_profiled(
         &mut self,
         mesh: &Mesh,
@@ -305,18 +301,8 @@ impl NetMonitor {
 
     /// [`headroom_probe`](Self::headroom_probe) that also emits a
     /// [`ProbeCompleted`](Event::ProbeCompleted) event with the number of
-    /// links found below their required headroom.
-    pub fn headroom_probe_observed(
-        &mut self,
-        mesh: &Mesh,
-        journal: Option<&mut Journal>,
-    ) -> HeadroomReport {
-        self.headroom_probe_profiled(mesh, journal, None)
-    }
-
-    /// [`headroom_probe_observed`](Self::headroom_probe_observed) that
-    /// also records a `netmon.headroom_probe` span when a profiler is
-    /// supplied.
+    /// links found below their required headroom, and records a
+    /// `netmon.headroom_probe` span when a profiler is supplied.
     pub fn headroom_probe_profiled(
         &mut self,
         mesh: &Mesh,
@@ -605,8 +591,8 @@ mod tests {
         let mesh = mesh();
         let mut mon = NetMonitor::new(NetMonitorConfig::default());
         let mut journal = Journal::new();
-        mon.full_probe_observed(&mesh, Some(&mut journal));
-        mon.headroom_probe_observed(&mesh, Some(&mut journal));
+        mon.full_probe_profiled(&mesh, Some(&mut journal), None);
+        mon.headroom_probe_profiled(&mesh, Some(&mut journal), None);
         assert_eq!(journal.count("probe_completed"), 2);
         let events: Vec<&Event> = journal.events().collect();
         match events[0] {
@@ -627,7 +613,7 @@ mod tests {
             other => panic!("expected headroom ProbeCompleted, got {other:?}"),
         }
         // The no-op sink records nothing and still performs the probe.
-        mon.full_probe_observed(&mesh, None);
+        mon.full_probe_profiled(&mesh, None, None);
         assert_eq!(journal.count("probe_completed"), 2);
         assert_eq!(mon.overhead().full_probes, 2);
     }

@@ -10,8 +10,8 @@
 //! Determinism contract (the same one the campaign runner carries):
 //! the table's [`to_json`](ArenaTable::to_json) and
 //! [`to_text`](ArenaTable::to_text) bytes are a function of
-//! `(corpus, seed, policies)` only — identical for any `--jobs` value
-//! and either step mode. Wall-clock throughput
+//! `(corpus, seed, policies)` only — identical for any `--jobs` value.
+//! Wall-clock throughput
 //! (ticks/second) is measured too, but lives in the separate
 //! [`ArenaTiming`] records and the
 //! [`to_text_with_timing`](ArenaTable::to_text_with_timing) /

@@ -1,34 +1,8 @@
 //! Campaign-runner determinism battery: thread-count independence,
-//! same-seed replay, and summary sanity. The stepping strategy follows
-//! `BASS_TEST_STEP_MODE` (`ticked` or `event-driven`), so CI runs the
-//! whole file once per step mode.
+//! same-seed replay, and summary sanity.
 
-use bass::core::StepMode;
-use bass::scenario::{run_campaign_opts, CampaignOptions, CampaignSummary, ScenarioSpec};
+use bass::scenario::{run_campaign, CampaignSummary, ScenarioSpec};
 use serde_json::Value;
-
-/// The stepping strategy CI selects via `BASS_TEST_STEP_MODE`; defaults
-/// to executing every tick. Because event-driven campaigns are
-/// documented as byte-identical to ticked ones, every assertion in this
-/// battery must hold unchanged under either mode.
-fn step_mode_under_test() -> StepMode {
-    match std::env::var("BASS_TEST_STEP_MODE") {
-        Ok(name) => StepMode::parse(&name).expect("CI passes a valid step mode"),
-        Err(_) => StepMode::Ticked,
-    }
-}
-
-/// [`bass::scenario::run_campaign`] with the battery's step mode
-/// threaded in, so the test bodies read the same as the public API.
-fn run_campaign(
-    spec: &ScenarioSpec,
-    seed: u64,
-    jobs: usize,
-) -> Result<CampaignSummary, bass::scenario::CampaignError> {
-    let opts =
-        CampaignOptions { jobs, step_mode: step_mode_under_test(), ..CampaignOptions::default() };
-    Ok(run_campaign_opts(spec, seed, &opts)?.summary)
-}
 
 /// A reference campaign small enough for test time but exercising churn,
 /// fades, faults, and multiple replicas.

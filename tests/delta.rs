@@ -4,14 +4,14 @@
 //! bit-identical to the dense reference
 //! (`Mesh::use_reference_allocator`) under OU-trace perturbation, flow
 //! churn, random schedules, composed fault storms and generated
-//! admit/retire lifecycles, ticked and event-driven. The production
+//! admit/retire lifecycles, ticked and skipping. The production
 //! meshes audit their maintained usage views against a full
 //! recompute on every tick and must never record a drift rebuild (see
 //! `docs/ARCHITECTURE.md` § The allocator and its reference).
 
 use bass::appdag::{catalog, AppDag};
 use bass::apps::testbeds::{citylab_testbed, lan_testbed};
-use bass::core::{ControllerConfig, StepMode};
+use bass::core::ControllerConfig;
 use bass::emu::{EnvError, SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
 use bass::mesh::{CapacitySource, FlowId, Mesh, NodeId, Topology};
@@ -439,8 +439,10 @@ fn fault_storm_replay_is_delta_engine_independent() {
 
 /// The camera pipeline on the trace-driven CityLab testbed under the
 /// composed storm; returns the journal for byte comparison.
+/// `ticked` switches the env to reference stepping (every tick executes
+/// in full), `reference` switches the mesh to the dense allocator.
 fn storm_journal(
-    mode: StepMode,
+    ticked: bool,
     reference: bool,
     verify_score_cache: bool,
     seed: u64,
@@ -449,7 +451,6 @@ fn storm_journal(
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: storm_plan(seed, secs),
-        step_mode: mode,
         controller: ControllerConfig {
             verify_score_cache,
             ..Default::default()
@@ -462,6 +463,9 @@ fn storm_journal(
         catalog::camera_pipeline(),
         cfg,
     );
+    if ticked {
+        env.use_reference_stepping();
+    }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
     env.run_for(SimDuration::from_secs(secs), |_| {})
@@ -474,23 +478,20 @@ fn storm_journal(
     env.take_journal().expect("journal attached").export_jsonl()
 }
 
-// Ticked vs event-driven, production vs reference: all four replays of
-// the same storm must export byte-identical journals. This is the
-// end-to-end closure of the mesh-level proptests above — the dirty paths
-// may not change a single observable byte in either step mode.
+// Ticked reference vs skipping production loop, dense reference vs
+// production allocator: all four replays of the same storm must export
+// byte-identical journals. This is the end-to-end closure of the
+// mesh-level proptests above — the dirty paths may not change a single
+// observable byte whether or not quiescent windows are skipped.
 #[test]
-fn storm_replay_matches_dense_in_both_step_modes() {
-    let reference = storm_journal(StepMode::Ticked, true, false, 0xD187, 240);
+fn storm_replay_matches_dense_ticked_and_skipping() {
+    let reference = storm_journal(true, true, false, 0xD187, 240);
     assert!(!reference.is_empty());
-    for (mode, on_reference) in [
-        (StepMode::Ticked, false),
-        (StepMode::EventDriven, false),
-        (StepMode::EventDriven, true),
-    ] {
-        let journal = storm_journal(mode, on_reference, false, 0xD187, 240);
+    for (ticked, on_reference) in [(true, false), (false, false), (false, true)] {
+        let journal = storm_journal(ticked, on_reference, false, 0xD187, 240);
         assert_eq!(
             reference, journal,
-            "journal diverged at mode {mode:?}, reference allocator: {on_reference}"
+            "journal diverged at ticked stepping: {ticked}, reference allocator: {on_reference}"
         );
     }
 }
@@ -501,8 +502,8 @@ fn storm_replay_matches_dense_in_both_step_modes() {
 // observes, never steers.
 #[test]
 fn score_cache_oracle_passes_and_changes_nothing() {
-    let plain = storm_journal(StepMode::Ticked, false, false, 0x5C0E, 240);
-    let verified = storm_journal(StepMode::Ticked, false, true, 0x5C0E, 240);
+    let plain = storm_journal(false, false, false, 0x5C0E, 240);
+    let verified = storm_journal(false, false, true, 0x5C0E, 240);
     assert!(!plain.is_empty());
     assert_eq!(
         plain, verified,
@@ -513,8 +514,9 @@ fn score_cache_oracle_passes_and_changes_nothing() {
 /// One generated scenario driven at the `SimEnv` level the way a
 /// campaign replica drives it — `admit_app` at each arrival,
 /// `retire_app` at each departure, `run_for` in between — returning the
-/// journal and how many instances were admitted and retired.
-fn lifecycle_journal(mode: StepMode, reference: bool) -> (String, u64, u64) {
+/// journal and how many instances were admitted and retired. `ticked`
+/// and `reference` as in [`storm_journal`].
+fn lifecycle_journal(ticked: bool, reference: bool) -> (String, u64, u64) {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 240;
     spec.workload.arrival_rate_per_s = 0.05;
@@ -526,7 +528,6 @@ fn lifecycle_journal(mode: StepMode, reference: bool) -> (String, u64, u64) {
         .expect("mesh builds");
     let cfg = SimEnvConfig {
         step: ticks_of(1),
-        step_mode: mode,
         faults: scenario.faults.clone(),
         ..Default::default()
     };
@@ -536,6 +537,9 @@ fn lifecycle_journal(mode: StepMode, reference: bool) -> (String, u64, u64) {
         AppDag::new(scenario.name.clone()),
         cfg,
     );
+    if ticked {
+        env.use_reference_stepping();
+    }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
     let mut live = BTreeMap::new();
@@ -592,24 +596,20 @@ fn lifecycle_journal(mode: StepMode, reference: bool) -> (String, u64, u64) {
 // The lifecycle path — flows appearing and vanishing mid-run as whole
 // applications are admitted and retired, under generated traces and
 // faults — must journal the identical bytes on the production allocator
-// and on the reference, in both step modes.
+// and on the reference, ticked and skipping.
 #[test]
 fn generated_lifecycle_journal_matches_dense() {
-    let (reference, admitted, retired) = lifecycle_journal(StepMode::Ticked, true);
+    let (reference, admitted, retired) = lifecycle_journal(true, true);
     assert!(
         admitted > 3,
         "arrivals beyond the initial apps must admit ({admitted})"
     );
     assert!(retired > 0, "the horizon must see departures");
-    for (mode, on_reference) in [
-        (StepMode::Ticked, false),
-        (StepMode::EventDriven, false),
-        (StepMode::EventDriven, true),
-    ] {
+    for (ticked, on_reference) in [(true, false), (false, false), (false, true)] {
         assert_eq!(
             (reference.clone(), admitted, retired),
-            lifecycle_journal(mode, on_reference),
-            "lifecycle diverged at mode {mode:?}, reference allocator: {on_reference}"
+            lifecycle_journal(ticked, on_reference),
+            "lifecycle diverged at ticked stepping: {ticked}, reference allocator: {on_reference}"
         );
     }
 }

@@ -1,16 +1,17 @@
-//! Ticked vs event-driven differential battery: the event-driven core
-//! must replay every simulation byte-for-byte — journals and campaign
-//! summaries — across OU trace volatility, workload churn and composed
-//! fault storms (see `docs/ARCHITECTURE.md`).
+//! Stepping battery, production vs ticked reference: the one step loop
+//! (`SimEnv::run_for`, the campaign replica loop) skips provably
+//! quiescent tick windows, and must replay every simulation
+//! byte-for-byte — journals and campaign summaries — against a run that
+//! executes every tick in full, across OU trace volatility, workload
+//! churn and composed fault storms (see `docs/ARCHITECTURE.md`).
 
 use bass::appdag::catalog;
 use bass::apps::testbeds::citylab_testbed;
-use bass::core::StepMode;
 use bass::emu::{SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
 use bass::mesh::NodeId;
 use bass::obs::Journal;
-use bass::scenario::{run_campaign_opts, CampaignOptions, ScenarioSpec};
+use bass::scenario::{run_campaign_opts, run_campaign_reference, CampaignOptions, ScenarioSpec};
 use bass::util::time::SimDuration;
 use proptest::prelude::*;
 
@@ -37,15 +38,25 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 
 /// Runs the camera pipeline on the trace-driven CityLab testbed and
 /// returns the full journal plus the number of ticks actually executed
-/// (skipped ticks never reach the `tick.finalize` span).
-fn sim_run(mode: StepMode, seed: u64, faults: FaultPlan, secs: u64) -> (String, u64) {
+/// (skipped ticks never reach the `tick.finalize` span). Production
+/// runs go through `SimEnv::run_for`; the ticked `reference` is a bare
+/// `step()` loop that shares no code with `run_for`'s window logic.
+fn sim_run(reference: bool, seed: u64, faults: FaultPlan, secs: u64) -> (String, u64) {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
-    let cfg = SimEnvConfig { faults, step_mode: mode, ..Default::default() };
+    let cfg = SimEnvConfig { faults, ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
     env.enable_span_profiling();
     env.deploy(&[]).expect("deploys");
-    env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
+    let duration = SimDuration::from_secs(secs);
+    if reference {
+        let end = env.now() + duration;
+        while env.now() < end {
+            env.step().expect("step completes");
+        }
+    } else {
+        env.run_for(duration, |_| {}).expect("run completes");
+    }
     let journal = env.take_journal().expect("journal attached").export_jsonl();
     let executed = env
         .take_span_profiler()
@@ -71,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The tentpole property at the environment level: under OU traces
-    /// and (optionally) a composed fault storm, the event-driven loop
+    /// and (optionally) a composed fault storm, the skipping loop
     /// journals the identical bytes.
     #[test]
     fn event_driven_journals_are_byte_identical(
@@ -79,18 +90,19 @@ proptest! {
         stormy in any::<bool>(),
     ) {
         let plan = |s| if stormy { storm_plan(s, 120) } else { FaultPlan::new() };
-        let (ticked, executed_ticked) = sim_run(StepMode::Ticked, seed, plan(seed), 120);
-        let (event, executed_event) = sim_run(StepMode::EventDriven, seed, plan(seed), 120);
+        let (ticked, executed_ticked) = sim_run(true, seed, plan(seed), 120);
+        let (event, executed_event) = sim_run(false, seed, plan(seed), 120);
         prop_assert!(!ticked.is_empty());
-        prop_assert_eq!(ticked, event, "journals must not depend on step mode");
+        prop_assert_eq!(ticked, event, "journals must not depend on skipped windows");
         prop_assert!(
             executed_event <= executed_ticked,
-            "event-driven mode may only skip work: {executed_event} > {executed_ticked}"
+            "production may only skip work: {executed_event} > {executed_ticked}"
         );
     }
 
     /// The same property one layer up: campaign summaries under churn
-    /// stay byte-identical between step modes.
+    /// stay byte-identical between the production replica loop and the
+    /// reference that executes every tick.
     #[test]
     fn event_driven_campaign_summaries_are_byte_identical(
         seed in any::<u64>(),
@@ -98,40 +110,26 @@ proptest! {
         max_concurrent in 1u32..6,
     ) {
         let spec = churn_spec(arrival, max_concurrent, 120);
-        let run = |step_mode| {
-            let opts = CampaignOptions { step_mode, ..CampaignOptions::default() };
-            run_campaign_opts(&spec, seed, &opts).expect("campaign runs").summary.to_json()
-        };
+        let opts = CampaignOptions::default();
         prop_assert_eq!(
-            run(StepMode::Ticked),
-            run(StepMode::EventDriven),
-            "summaries must not depend on step mode"
+            run_campaign_reference(&spec, seed, &opts).expect("reference runs").summary.to_json(),
+            run_campaign_opts(&spec, seed, &opts).expect("campaign runs").summary.to_json(),
+            "summaries must not depend on skipped windows"
         );
     }
 }
 
 /// Deterministic anchor for the battery: on the quiet CityLab run the
-/// event-driven loop must actually skip a substantial share of ticks —
+/// production loop must actually skip a substantial share of ticks —
 /// otherwise the properties above would pass vacuously.
 #[test]
 fn event_driven_mode_actually_skips_ticks() {
-    let (ticked, executed_ticked) = sim_run(StepMode::Ticked, 0xBA55, FaultPlan::new(), 120);
-    let (event, executed_event) = sim_run(StepMode::EventDriven, 0xBA55, FaultPlan::new(), 120);
+    let (ticked, executed_ticked) = sim_run(true, 0xBA55, FaultPlan::new(), 120);
+    let (event, executed_event) = sim_run(false, 0xBA55, FaultPlan::new(), 120);
     assert_eq!(ticked, event);
-    assert_eq!(executed_ticked, 1200, "ticked mode executes every 100 ms tick");
+    assert_eq!(executed_ticked, 1200, "the reference executes every 100 ms tick");
     assert!(
         executed_event < executed_ticked / 2,
         "expected most ticks skipped, executed {executed_event} of {executed_ticked}"
     );
-}
-
-/// The step mode under CI's matrix (`BASS_TEST_STEP_MODE`) round-trips
-/// through the same parser the CLI uses.
-#[test]
-fn step_mode_env_matrix_parses() {
-    let mode = match std::env::var("BASS_TEST_STEP_MODE").as_deref() {
-        Ok(name) => StepMode::parse(name).expect("CI passes a valid step mode"),
-        Err(_) => StepMode::Ticked,
-    };
-    let _ = mode;
 }

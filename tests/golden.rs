@@ -13,7 +13,6 @@ use bass::apps::testbeds::lan_testbed;
 use bass::apps::{ArrivalProcess, SocialNetWorkload};
 use bass::core::migration::MigrationConfig;
 use bass::core::{ControllerConfig, PlacementPolicy};
-use bass::core::StepMode;
 use bass::emu::{Recorder, Scenario, SimEnv, SimEnvConfig};
 use bass::mesh::NodeId;
 use bass::netmon::NetMonitorConfig;
@@ -36,15 +35,16 @@ const REL_TOL: f64 = 1e-6;
 /// with two of the three nodes' egress throttled to 25 Mbps for 150
 /// seconds. Fixed seed 13; bit-for-bit deterministic.
 fn run_scenario() -> String {
-    run_scenario_in(StepMode::Ticked)
+    run_scenario_in(false)
 }
 
-fn run_scenario_in(step_mode: StepMode) -> String {
+/// `reference_stepping` switches the env to the ticked reference
+/// (`SimEnv::use_reference_stepping`): every tick executes in full.
+fn run_scenario_in(reference_stepping: bool) -> String {
     let (mesh, cluster) = lan_testbed(3, 16);
     // The paper's fig13 knobs: 30 s monitoring interval, 0.5 goodput
     // threshold, utilization trigger on.
     let cfg = SimEnvConfig {
-        step_mode,
         policy: PlacementPolicy::LongestPath,
         controller: ControllerConfig {
             migration: MigrationConfig {
@@ -67,6 +67,9 @@ fn run_scenario_in(step_mode: StepMode) -> String {
         ..Default::default()
     };
     let mut env = SimEnv::new(mesh, cluster, catalog::social_network(400.0), cfg);
+    if reference_stepping {
+        env.use_reference_stepping();
+    }
     env.deploy(&[]).expect("deploys");
     let t0 = 10u64;
     let t1 = 160u64;
@@ -202,21 +205,20 @@ fn fig13_style_trace_matches_golden_snapshot() {
 /// shortened to a test-sized horizon): churn, fades, a mild fault
 /// storm, two replicas. The full summary JSON is the snapshot.
 fn run_campaign_snapshot() -> String {
-    run_campaign_snapshot_in(StepMode::Ticked)
+    run_campaign_snapshot_in(false)
 }
 
-fn run_campaign_snapshot_in(step_mode: StepMode) -> String {
+fn run_campaign_snapshot_in(reference_stepping: bool) -> String {
     let mut spec = bass::scenario::ScenarioSpec::small_reference();
     spec.horizon_ticks = 300;
-    let opts = bass::scenario::CampaignOptions {
-        jobs: 2,
-        step_mode,
-        ..bass::scenario::CampaignOptions::default()
+    let opts =
+        bass::scenario::CampaignOptions { jobs: 2, ..bass::scenario::CampaignOptions::default() };
+    let run = if reference_stepping {
+        bass::scenario::run_campaign_reference(&spec, 20, &opts)
+    } else {
+        bass::scenario::run_campaign_opts(&spec, 20, &opts)
     };
-    bass::scenario::run_campaign_opts(&spec, 20, &opts)
-        .expect("reference campaign runs")
-        .summary
-        .to_json()
+    run.expect("reference campaign runs").summary.to_json()
 }
 
 #[test]
@@ -247,48 +249,51 @@ fn campaign_20node_matches_golden_snapshot() {
     );
 }
 
-/// The event-driven arm of the fig13 snapshot: tick-skipping must
-/// replay the *same* golden bytes — no separate snapshot exists, and
+/// The goldens were recorded under ticked stepping, so they are the
+/// frozen reference for the skipping ("event-driven") loop the snapshot
+/// tests above now run by default. This arm pins the other side: the
+/// live ticked reference must still replay the *same* golden bytes and
+/// match production exactly — no separate snapshot exists, and
 /// `GOLDEN_UPDATE` deliberately never writes from this arm.
 #[test]
 fn fig13_event_driven_replays_the_same_golden() {
-    let event = run_scenario_in(StepMode::EventDriven);
+    let ticked = run_scenario_in(true);
     assert_eq!(
         run_scenario(),
-        event,
-        "event-driven fig13 run must be byte-identical to ticked mode"
+        ticked,
+        "the default fig13 run must be byte-identical to the ticked reference"
     );
     if std::env::var("GOLDEN_UPDATE").is_ok() {
-        return; // the ticked arm owns regeneration
+        return; // the production arm owns regeneration
     }
     let golden_text = std::fs::read_to_string(GOLDEN_PATH).expect("golden snapshot present");
     let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
-    let got: Value = serde_json::from_str(&event).expect("snapshot parses");
+    let got: Value = serde_json::from_str(&ticked).expect("snapshot parses");
     let mut diffs = Vec::new();
     compare("$", &golden, &got, &mut diffs);
-    assert!(diffs.is_empty(), "event-driven fig13 drifted from golden:\n{}", diffs.join("\n"));
+    assert!(diffs.is_empty(), "ticked fig13 drifted from golden:\n{}", diffs.join("\n"));
 }
 
-/// The event-driven arm of the 20-node campaign snapshot — same golden
-/// file, bit-for-bit.
+/// The same two-sided check for the 20-node campaign snapshot — same
+/// golden file, bit-for-bit.
 #[test]
 fn campaign_20node_event_driven_replays_the_same_golden() {
-    let event = run_campaign_snapshot_in(StepMode::EventDriven);
+    let ticked = run_campaign_snapshot_in(true);
     assert_eq!(
         run_campaign_snapshot(),
-        event,
-        "event-driven campaign must be byte-identical to ticked mode"
+        ticked,
+        "the default campaign must be byte-identical to the ticked reference"
     );
     if std::env::var("GOLDEN_UPDATE").is_ok() {
-        return; // the ticked arm owns regeneration
+        return; // the production arm owns regeneration
     }
     let golden_text =
         std::fs::read_to_string(GOLDEN_CAMPAIGN_PATH).expect("golden snapshot present");
     let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
-    let got: Value = serde_json::from_str(&event).expect("snapshot parses");
+    let got: Value = serde_json::from_str(&ticked).expect("snapshot parses");
     let mut diffs = Vec::new();
     compare("$", &golden, &got, &mut diffs);
-    assert!(diffs.is_empty(), "event-driven campaign drifted from golden:\n{}", diffs.join("\n"));
+    assert!(diffs.is_empty(), "ticked campaign drifted from golden:\n{}", diffs.join("\n"));
 }
 
 #[test]

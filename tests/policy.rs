@@ -13,11 +13,10 @@
 //!    component onto a node it came from, and replays the same seed
 //!    bit-for-bit.
 //! 3. **Arena determinism** — `run_arena` tables are byte-identical
-//!    for any `--jobs` value and either step mode, and snapshotted
-//!    under `tests/golden/`.
+//!    for any `--jobs` value, every campaign underneath them matches
+//!    the ticked stepping reference, and the table is snapshotted under
+//!    `tests/golden/`.
 //!
-//! Like the campaign battery, the stepping strategy follows
-//! `BASS_TEST_STEP_MODE`, so CI runs the whole file once per step mode.
 //! Regenerate the arena snapshot after an *intentional* change with:
 //!
 //! ```text
@@ -28,13 +27,16 @@ use bass::appdag::catalog;
 use bass::apps::testbeds::{citylab_testbed, lan_testbed};
 use bass::apps::{ArrivalProcess, SocialNetWorkload};
 use bass::core::migration::MigrationConfig;
-use bass::core::{ControllerConfig, PlacementPolicy, PolicyKind, StepMode};
+use bass::core::{ControllerConfig, PlacementPolicy, PolicyKind};
 use bass::emu::{Recorder, Scenario, SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
 use bass::mesh::NodeId;
 use bass::netmon::NetMonitorConfig;
 use bass::obs::Journal;
-use bass::scenario::{run_arena, run_campaign_opts, ArenaOptions, CampaignOptions, ScenarioSpec};
+use bass::scenario::{
+    run_arena, run_campaign_opts, run_campaign_reference, ArenaOptions, CampaignOptions,
+    ScenarioSpec,
+};
 use bass::util::time::{SimDuration, SimTime};
 use bass::util::units::Bandwidth;
 use proptest::prelude::*;
@@ -50,15 +52,6 @@ const GOLDEN_ARENA: &str =
 /// Same tolerance story as `tests/golden.rs`: tight enough to catch
 /// behaviour drift, loose enough for benign float reassociation.
 const REL_TOL: f64 = 1e-6;
-
-/// The stepping strategy CI selects via `BASS_TEST_STEP_MODE`;
-/// defaults to executing every tick.
-fn step_mode_under_test() -> StepMode {
-    match std::env::var("BASS_TEST_STEP_MODE") {
-        Ok(name) => StepMode::parse(&name).expect("CI passes a valid step mode"),
-        Err(_) => StepMode::Ticked,
-    }
-}
 
 /// Recursively compares two parsed JSON values with a relative
 /// tolerance on numbers, reporting the path of the first mismatch
@@ -138,12 +131,11 @@ fn assert_matches_golden(golden_path: &str, current: &str, what: &str) {
 // ---------------------------------------------------------------------
 
 /// The fig13 squeeze scenario from `tests/golden.rs`, with the
-/// migration policy and step mode threaded explicitly so the
-/// trait-dispatch path is the one under test.
-fn fig13_snapshot(policy: PolicyKind, step_mode: StepMode) -> String {
+/// migration policy threaded explicitly so the trait-dispatch path is
+/// the one under test.
+fn fig13_snapshot(policy: PolicyKind) -> String {
     let (mesh, cluster) = lan_testbed(3, 16);
     let cfg = SimEnvConfig {
-        step_mode,
         migration_policy: policy,
         policy: PlacementPolicy::LongestPath,
         controller: ControllerConfig {
@@ -216,26 +208,24 @@ fn fig13_snapshot(policy: PolicyKind, step_mode: StepMode) -> String {
 #[test]
 fn fig13_trait_policy_replays_the_golden_snapshot() {
     // The snapshot was written before the SchedulerPolicy trait
-    // existed; the explicit PolicyKind::Bass arm must reproduce it in
-    // either step mode.
-    let current = fig13_snapshot(PolicyKind::Bass, step_mode_under_test());
+    // existed; the explicit PolicyKind::Bass arm must reproduce it.
+    let current = fig13_snapshot(PolicyKind::Bass);
     assert_matches_golden(GOLDEN_FIG13, &current, "trait-based fig13 replay");
 }
 
 /// The 20-node reference campaign from `tests/golden.rs`, with the
 /// policy threaded explicitly.
-fn campaign_snapshot(policy: PolicyKind, step_mode: StepMode) -> String {
+fn campaign_snapshot(policy: PolicyKind) -> String {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 300;
-    let opts = CampaignOptions { jobs: 2, step_mode, policy, ..CampaignOptions::default() };
+    let opts = CampaignOptions { jobs: 2, policy, ..CampaignOptions::default() };
     run_campaign_opts(&spec, 20, &opts).expect("reference campaign runs").summary.to_json()
 }
 
 #[test]
 fn campaign_20node_trait_policy_replays_the_golden_snapshot() {
-    // Byte-for-byte against the golden, in whichever step mode CI's
-    // matrix selects.
-    let current = campaign_snapshot(PolicyKind::Bass, step_mode_under_test());
+    // Byte-for-byte against the golden.
+    let current = campaign_snapshot(PolicyKind::Bass);
     let golden = std::fs::read_to_string(GOLDEN_CAMPAIGN).expect("golden snapshot present");
     assert_eq!(
         current, golden,
@@ -269,10 +259,11 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 
 /// Camera pipeline on the trace-driven CityLab testbed under `policy`;
 /// returns the journal plus the migration log, asserting cluster
-/// invariants on exit.
+/// invariants on exit. `ticked` switches the env to reference stepping
+/// (every tick executes in full).
 fn storm_run(
     policy: PolicyKind,
-    mode: StepMode,
+    ticked: bool,
     seed: u64,
     stormy: bool,
     secs: u64,
@@ -280,11 +271,13 @@ fn storm_run(
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: if stormy { storm_plan(seed, secs) } else { FaultPlan::new() },
-        step_mode: mode,
         migration_policy: policy,
         ..Default::default()
     };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
+    if ticked {
+        env.use_reference_stepping();
+    }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
     env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
@@ -295,11 +288,11 @@ fn storm_run(
 }
 
 #[test]
-fn bass_policy_storm_journal_is_step_mode_independent_and_matches_the_default() {
+fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     // The default-constructed environment (no explicit policy) is the
-    // exact pre-trait configuration; the explicit Bass arm and both
-    // step modes must all journal identical bytes.
-    let explicit = storm_run(PolicyKind::Bass, StepMode::Ticked, 0xF16, true, 120).0;
+    // exact pre-trait configuration; the explicit Bass arm, ticked and
+    // skipping, must journal identical bytes.
+    let explicit = storm_run(PolicyKind::Bass, true, 0xF16, true, 120).0;
     let (mesh, cluster, _) = citylab_testbed(0xF16, SimDuration::from_secs(180));
     let cfg = SimEnvConfig { faults: storm_plan(0xF16, 120), ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
@@ -309,13 +302,12 @@ fn bass_policy_storm_journal_is_step_mode_independent_and_matches_the_default() 
     let default_built = env.take_journal().expect("journal attached").export_jsonl();
     assert_eq!(explicit, default_built, "explicit Bass must equal the default construction");
 
-    let event = storm_run(PolicyKind::Bass, StepMode::EventDriven, 0xF16, true, 120).0;
-    assert_eq!(explicit, event, "storm journal must not depend on step mode");
+    let skipping = storm_run(PolicyKind::Bass, false, 0xF16, true, 120).0;
+    assert_eq!(explicit, skipping, "storm journal must not depend on skipped windows");
 }
 
 proptest! {
-    // Each case runs a full simulation twice; keep the count modest
-    // (CI also runs this file once per step mode).
+    // Each case runs a full simulation twice; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Conformance, for every registered policy: same-seed runs are
@@ -328,9 +320,8 @@ proptest! {
         stormy in any::<bool>(),
     ) {
         let policy = PolicyKind::all()[which];
-        let mode = step_mode_under_test();
-        let (j1, moves) = storm_run(policy, mode, seed, stormy, 90);
-        let (j2, _) = storm_run(policy, mode, seed, stormy, 90);
+        let (j1, moves) = storm_run(policy, false, seed, stormy, 90);
+        let (j2, _) = storm_run(policy, false, seed, stormy, 90);
         prop_assert_eq!(j1, j2, "same-seed replay must be bit-identical ({})", policy.name());
         for (from, to) in moves {
             prop_assert_ne!(from, to, "{} migrated a component onto itself", policy.name());
@@ -339,47 +330,59 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 3. The arena: jobs-independence, step-mode independence, golden.
+// 3. The arena: jobs-independence, stepping reference, golden.
 // ---------------------------------------------------------------------
 
-/// The golden arena: bass vs random vs spread over the shortened
-/// 20-node reference scenario — the same corpus shape the CI smoke
-/// gate uses.
-fn arena_table(jobs: usize, step_mode: StepMode) -> String {
+/// The golden arena's corpus and entrants: bass vs random vs spread
+/// over the shortened 20-node reference scenario — the same corpus
+/// shape the CI smoke gate uses.
+fn arena_entry() -> (ScenarioSpec, Vec<PolicyKind>) {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 300;
-    let opts = ArenaOptions {
-        policies: vec![
-            PolicyKind::Bass,
-            PolicyKind::Random(bass::core::policy::RANDOM_POLICY_SEED),
-            PolicyKind::Spread,
-        ],
-        campaign: CampaignOptions { jobs, step_mode, ..CampaignOptions::default() },
-    };
+    let policies = vec![
+        PolicyKind::Bass,
+        PolicyKind::Random(bass::core::policy::RANDOM_POLICY_SEED),
+        PolicyKind::Spread,
+    ];
+    (spec, policies)
+}
+
+fn arena_table(jobs: usize) -> String {
+    let (spec, policies) = arena_entry();
+    let opts =
+        ArenaOptions { policies, campaign: CampaignOptions { jobs, ..CampaignOptions::default() } };
     run_arena(&[spec], 20, &opts).expect("arena runs").table.to_json()
 }
 
 #[test]
 fn arena_table_bytes_are_jobs_independent() {
     assert_eq!(
-        arena_table(1, step_mode_under_test()),
-        arena_table(4, step_mode_under_test()),
+        arena_table(1),
+        arena_table(4),
         "arena table must be byte-identical for any --jobs value"
     );
 }
 
+/// The arena table is a pure fold of its campaigns' summaries, so the
+/// rows and ranking match the ticked reference iff every `(policy,
+/// scenario)` campaign does — non-BASS policies included.
 #[test]
-fn arena_table_is_step_mode_independent() {
-    assert_eq!(
-        arena_table(2, StepMode::Ticked),
-        arena_table(2, StepMode::EventDriven),
-        "arena rows/ranking must not depend on step mode"
-    );
+fn arena_campaigns_match_the_ticked_reference() {
+    let (spec, policies) = arena_entry();
+    for policy in policies {
+        let opts = CampaignOptions { jobs: 2, policy, ..CampaignOptions::default() };
+        assert_eq!(
+            run_campaign_reference(&spec, 20, &opts).expect("reference runs").summary.to_json(),
+            run_campaign_opts(&spec, 20, &opts).expect("campaign runs").summary.to_json(),
+            "{} campaign must not depend on skipped windows",
+            policy.name()
+        );
+    }
 }
 
 #[test]
 fn arena_20node_matches_golden_snapshot() {
-    let current = arena_table(2, StepMode::Ticked);
+    let current = arena_table(2);
     if std::env::var("GOLDEN_UPDATE").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_ARENA).parent().unwrap())
             .expect("mkdir tests/golden");
