@@ -62,7 +62,6 @@ impl Knobs {
                 cooldown: SimDuration::from_secs(self.cooldown_s),
                 full_probe_on_headroom_drop: true,
                 best_effort_targets: true,
-                verify_score_cache: false,
             },
             netmon: NetMonitorConfig {
                 headroom_fraction: self.headroom,

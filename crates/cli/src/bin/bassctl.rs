@@ -6,7 +6,6 @@
 //! bassctl simulate --manifest app.json --testbed mesh.json [--policy …] [--duration SECS]
 //!                  [--no-migrations] [--seed N] [--json] [--journal events.jsonl]
 //!                  [--faults plan.json] [--metrics-out metrics.prom]
-//!                  [--verify-score-cache]
 //! bassctl recommend --manifest app.json --testbed mesh.json [--json]
 //! bassctl traces   --testbed mesh.json [--duration SECS] [--seed N]
 //! bassctl campaign --spec scenario.json [--seed N] [--jobs N] [--out summary.json]
@@ -39,6 +38,9 @@ use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use std::process::ExitCode;
 
+/// Every command `bassctl` dispatches on, as shown in usage errors.
+const COMMANDS: &str = "order|place|simulate|recommend|traces|campaign|arena|metrics|schema";
+
 struct Args {
     manifest: Option<String>,
     testbed: Option<String>,
@@ -54,7 +56,6 @@ struct Args {
     journal: Option<String>,
     faults: Option<String>,
     metrics_out: Option<String>,
-    verify_score_cache: bool,
     profile: bool,
     progress: bass_obs::ProgressLevel,
     input: Option<String>,
@@ -75,7 +76,7 @@ fn parse_policy(name: &str) -> Result<PlacementPolicy, String> {
 }
 
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), String> {
-    let command = argv.next().ok_or("missing command (order|place|simulate|schema)")?;
+    let command = argv.next().ok_or_else(|| format!("missing command ({COMMANDS})"))?;
     let mut args = Args {
         manifest: None,
         testbed: None,
@@ -91,7 +92,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         journal: None,
         faults: None,
         metrics_out: None,
-        verify_score_cache: false,
         profile: false,
         progress: bass_obs::ProgressLevel::Off,
         input: None,
@@ -141,7 +141,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             "--journal" => args.journal = Some(value("--journal")?),
             "--faults" => args.faults = Some(value("--faults")?),
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
-            "--verify-score-cache" => args.verify_score_cache = true,
             "--profile" => args.profile = true,
             "--progress" => args.progress = bass_obs::ProgressLevel::Info,
             "--in" => args.input = Some(value("--in")?),
@@ -265,7 +264,6 @@ fn run() -> Result<(), String> {
                     journal: args.journal.clone().map(std::path::PathBuf::from),
                     faults: args.faults.clone().map(std::path::PathBuf::from),
                     metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
-                    verify_score_cache: args.verify_score_cache,
                 },
             )
             .map_err(|e| e.to_string())?;
@@ -397,7 +395,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "--help" | "-h" | "help" => {
-            println!("bassctl order|place|simulate|campaign|arena|metrics|schema — see crate docs");
+            println!("bassctl {COMMANDS} — see crate docs");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'")),

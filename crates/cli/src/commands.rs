@@ -170,10 +170,6 @@ pub struct SimulateOptions {
     /// per-phase span aggregates to this path (see
     /// `docs/OBSERVABILITY.md`). Never alters simulation outputs.
     pub metrics_out: Option<std::path::PathBuf>,
-    /// Re-derive every cached controller target score densely and panic
-    /// on bitwise divergence (`--verify-score-cache`; debug oracle for
-    /// the score cache, outputs byte-identical either way).
-    pub verify_score_cache: bool,
 }
 
 impl Default for SimulateOptions {
@@ -186,7 +182,6 @@ impl Default for SimulateOptions {
             journal: None,
             faults: None,
             metrics_out: None,
-            verify_score_cache: false,
         }
     }
 }
@@ -237,10 +232,6 @@ pub fn simulate(
         policy: opts.policy,
         migrations_enabled: opts.migrations,
         faults,
-        controller: bass_core::ControllerConfig {
-            verify_score_cache: opts.verify_score_cache,
-            ..Default::default()
-        },
         ..Default::default()
     };
     let mut env = SimEnv::new(mesh, cluster, dag, cfg);
@@ -288,7 +279,8 @@ pub fn simulate(
     let journal = env.take_journal();
     let profiler = env.take_span_profiler();
     if let Some(path) = &opts.metrics_out {
-        let metrics = journal.as_ref().map(|j| j.metrics().clone()).unwrap_or_default();
+        let mut metrics = journal.as_ref().map(|j| j.metrics().clone()).unwrap_or_default();
+        add_score_cache_metrics(&mut metrics, env.score_cache_stats());
         let text = bass_obs::prom::render(&metrics, profiler.as_ref());
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;
@@ -447,11 +439,22 @@ pub fn campaign(
         j.flush().map_err(CommandError::Journal)?;
     }
     if let Some(path) = &opts.metrics_out {
-        let text = bass_obs::prom::render(&campaign_metrics(&run.summary), run.profiler.as_ref());
+        let mut metrics = campaign_metrics(&run.summary);
+        add_score_cache_metrics(&mut metrics, run.score_cache);
+        let text = bass_obs::prom::render(&metrics, run.profiler.as_ref());
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;
     }
     Ok(run)
+}
+
+/// Adds the `score_cache.*` counter family — what the controller's
+/// target-score cache did over the run — to a `--metrics-out` registry.
+fn add_score_cache_metrics(m: &mut bass_obs::Metrics, stats: bass_core::ScoreCacheStats) {
+    m.add("score_cache.hits", stats.hits);
+    m.add("score_cache.misses", stats.misses);
+    m.add("score_cache.evictions", stats.evictions);
+    m.add("score_cache.flushes", stats.flushes);
 }
 
 /// Projects a campaign summary's aggregate into the metrics registry so
@@ -695,6 +698,8 @@ mod tests {
             from_s: 30,
             until_s: 600,
         });
+        let metrics_path = std::env::temp_dir()
+            .join(format!("bass-simulate-metrics-{}.prom", std::process::id()));
         let outcome = simulate(
             &camera_manifest(),
             &testbed,
@@ -705,10 +710,7 @@ mod tests {
                 seed: 1,
                 journal: None,
                 faults: None,
-                metrics_out: None,
-                // A migrating run through the CLI path doubles as an
-                // end-to-end oracle check of the score cache.
-                verify_score_cache: true,
+                metrics_out: Some(metrics_path.clone()),
             },
         )
         .unwrap();
@@ -716,6 +718,19 @@ mod tests {
         assert!(outcome.worst_goodput_fraction > 0.9, "recovered: {outcome:?}");
         assert_ne!(outcome.initial.placement, outcome.r#final.placement);
         assert!(outcome.probe_bytes > 0);
+        // A migrating run scored targets through the cache, and the
+        // exposition says what the cache did.
+        let text = std::fs::read_to_string(&metrics_path).unwrap();
+        let _ = std::fs::remove_file(&metrics_path);
+        let exposition = bass_obs::prom::parse(&text).unwrap();
+        let counter = |name: &str| {
+            let family = format!("bass_score_cache_{name}_total");
+            exposition.samples.iter().find(|s| s.name == family).map(|s| s.value)
+        };
+        assert!(counter("misses").unwrap() > 0.0, "target selection scored nothing");
+        assert!(counter("flushes").unwrap() > 0.0, "the first sync starts cold");
+        assert!(counter("hits").is_some() && counter("evictions").is_some());
+        assert!(bass_obs::prom::lint(&text).is_empty(), "exposition must stay lint-clean");
     }
 
     #[test]

@@ -246,6 +246,11 @@ fn campaign_metrics_exposition_is_lint_clean_with_tick_phase_spans() {
     // at least six distinct tick phases, each with buckets+sum+count.
     assert!(text.contains("bass_campaign_ticks_total"));
     assert!(text.contains("bass_campaign_goodput_p95"));
+    // What the controllers' score caches did, summed over replicas.
+    for counter in ["hits", "misses", "evictions", "flushes"] {
+        let family = format!("# TYPE bass_score_cache_{counter}_total counter");
+        assert!(text.contains(&family), "missing {family}");
+    }
     for phase in [
         "tick.faults",
         "tick.scenario",
@@ -365,6 +370,9 @@ fn simulate_metrics_out_writes_exposition_without_journal() {
     // Journal event counters ride along (journal-kind counter names are
     // `obs.event.<kind>`, sanitized to underscores).
     assert!(text.contains("bass_obs_event_tick_completed_total 600"));
+    // So does what the score cache did (the first sync flushes cold).
+    assert!(text.contains("bass_score_cache_hits_total "));
+    assert!(!text.contains("bass_score_cache_flushes_total 0"), "the controller never synced");
 
     // And it lints clean.
     let out = bassctl()
@@ -418,10 +426,10 @@ fn default_simulate_executes_fewer_ticks_than_it_simulates() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Neither the allocator nor the step loop is selectable: the flags
-/// that used to choose an engine, a shard count or a step mode are
-/// unknown to every subcommand, and the run stops in the parser before
-/// any output file is created.
+/// Neither the allocator, the step loop nor the scorer is selectable:
+/// the flags that used to choose an engine, a shard count, a step mode
+/// or the score-cache oracle are unknown to every subcommand, and the
+/// run stops in the parser before any output file is created.
 #[test]
 fn removed_allocator_flags_fail_cleanly() {
     let dir = temp_dir("removed_flags");
@@ -429,12 +437,13 @@ fn removed_allocator_flags_fail_cleanly() {
     for (command, sink_flag) in
         [("simulate", "--journal"), ("campaign", "--out"), ("arena", "--out")]
     {
-        // (The last two flags are spelled in two pieces so a repo-wide
+        // (The last three flags are spelled in two pieces so a repo-wide
         // search for the removed names stays empty.)
         for removed in [
-            ["--engine", "delta"],
-            [concat!("--alloc", "-jobs"), "4"],
-            [concat!("--step", "-mode"), "event-driven"],
+            &["--engine", "delta"][..],
+            &[concat!("--alloc", "-jobs"), "4"],
+            &[concat!("--step", "-mode"), "event-driven"],
+            &[concat!("--verify-score", "-cache")],
         ] {
             let out = bassctl()
                 .arg(command)
@@ -503,6 +512,16 @@ fn malformed_campaign_spec_fails_cleanly() {
 
 #[test]
 fn bad_inputs_fail_cleanly() {
+    // No command: the message lists every command there is.
+    let out = bassctl().output().expect("runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("missing command"), "{stderr}");
+    for command in
+        ["order", "place", "simulate", "recommend", "traces", "campaign", "arena", "metrics", "schema"]
+    {
+        assert!(stderr.contains(command), "{command} missing from: {stderr}");
+    }
     // Unknown command.
     let out = bassctl().arg("frobnicate").output().expect("runs");
     assert!(!out.status.success());

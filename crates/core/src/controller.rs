@@ -32,12 +32,6 @@ pub struct ControllerConfig {
     /// bandwidth toward the component's dependencies). Matches the
     /// deployed system's behaviour for traffic not declared in the DAG.
     pub best_effort_targets: bool,
-    /// Debug oracle for the target-score cache: re-derive every cached
-    /// score densely and panic on any bitwise divergence. Outcomes are
-    /// byte-identical either way — this only trades speed for a loud
-    /// check of the cache's invalidation logic.
-    #[serde(default)]
-    pub verify_score_cache: bool,
 }
 
 impl Default for ControllerConfig {
@@ -47,7 +41,6 @@ impl Default for ControllerConfig {
             cooldown: SimDuration::from_secs(60),
             full_probe_on_headroom_drop: true,
             best_effort_targets: true,
-            verify_score_cache: false,
         }
     }
 }
@@ -149,6 +142,15 @@ impl BassController {
         self.policy_kind = policy;
         self.policy = policy.build();
         self.cache.clear();
+    }
+
+    /// Switches the score cache to reference scoring for the rest of
+    /// the controller's life — across [`reset`](Self::reset) and
+    /// [`set_policy`](Self::set_policy) too. Test support; see
+    /// [`TargetScoreCache::use_reference_scoring`](crate::TargetScoreCache::use_reference_scoring).
+    #[doc(hidden)]
+    pub fn use_reference_scoring(&mut self) {
+        self.cache.use_reference_scoring();
     }
 
     /// Read access to the persistent target-score cache (diagnostics
@@ -272,7 +274,6 @@ impl BassController {
             pinned,
             migration: self.cfg.migration,
             best_effort_targets: self.cfg.best_effort_targets,
-            verify_score_cache: self.cfg.verify_score_cache,
         };
         let candidates = self.policy.find_candidates(&ctx);
         clock.lap(profiler.as_deref_mut(), "ctl.candidates");

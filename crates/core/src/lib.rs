@@ -17,11 +17,11 @@
 //!   de-duplication to avoid cascades.
 //! - [`rescheduler`]: choosing the target node for a migrating
 //!   component (most co-located dependencies, then resource/bandwidth
-//!   fit).
+//!   fit) — two entry points, both scoring through the synced cache.
 //! - [`score_cache`]: the dirty-set-invalidated cache of target
-//!   selection scores the controller carries across rounds, with the
-//!   dense re-score kept behind a verify flag as a bit-identical
-//!   oracle.
+//!   selection scores the controller carries across rounds — the only
+//!   way a target is scored. The dense scorer it fills from doubles as
+//!   the hidden one-way test reference (`use_reference_scoring`).
 //! - [`policy`]: the pluggable migration-decision layer — the
 //!   [`policy::SchedulerPolicy`] trait (candidate filtering + target
 //!   selection) with the paper's controller as the default
@@ -43,7 +43,11 @@
 //! into a `bass_obs::Journal` (see `docs/OBSERVABILITY.md`): the
 //! controller's `tick_profiled`, the planner's `recommend_observed`,
 //! and the tuner's `tune_observed` emit structured events while the
-//! plain entry points stay observation-free.
+//! plain entry points stay observation-free. The migration decision
+//! itself has one path: each round the controller syncs its
+//! [`TargetScoreCache`] and hands it to the policy, whose
+//! [`rescheduler::select_target`] call (or direct score lookup) is
+//! served by it — there is no uncached variant to fall back to.
 
 #![warn(missing_docs)]
 

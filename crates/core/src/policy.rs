@@ -50,8 +50,6 @@ pub struct PolicyCtx<'a> {
     pub migration: MigrationConfig,
     /// Whether best-effort fallback targets are allowed.
     pub best_effort_targets: bool,
-    /// Whether every cache hit is re-derived densely (debug oracle).
-    pub verify_score_cache: bool,
 }
 
 /// A migration-decision policy: candidate filtering plus target
@@ -200,12 +198,12 @@ impl std::fmt::Display for PolicyKind {
 }
 
 /// The paper's controller behaviour, verbatim: Algorithm 3 candidates
-/// (the trait default) and [`select_target_with`] targets through the
+/// (the trait default) and [`select_target`] targets through the
 /// shared cache. This path must stay bit-identical to the pre-trait
 /// controller — the golden refactor-equivalence battery
 /// (`tests/policy.rs`) holds it there.
 ///
-/// [`select_target_with`]: crate::rescheduler::select_target_with
+/// [`select_target`]: crate::rescheduler::select_target
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BassPolicy;
 
@@ -222,7 +220,7 @@ impl SchedulerPolicy for BassPolicy {
         ctx: &PolicyCtx<'_>,
         cache: &mut TargetScoreCache,
     ) -> Result<NodeId, RescheduleError> {
-        crate::rescheduler::select_target_with(
+        crate::rescheduler::select_target(
             component,
             ctx.dag,
             ctx.cluster,
@@ -230,8 +228,7 @@ impl SchedulerPolicy for BassPolicy {
             observed,
             degraded,
             ctx.best_effort_targets,
-            Some(cache),
-            ctx.verify_score_cache,
+            cache,
         )
     }
 
@@ -479,7 +476,7 @@ impl SchedulerPolicy for MetronomePolicy {
         cache: &mut TargetScoreCache,
     ) -> Result<NodeId, RescheduleError> {
         let eager = self.priority(component, ctx.dag) >= self.priority_cutoff;
-        crate::rescheduler::select_target_with(
+        crate::rescheduler::select_target(
             component,
             ctx.dag,
             ctx.cluster,
@@ -487,8 +484,7 @@ impl SchedulerPolicy for MetronomePolicy {
             observed,
             degraded || eager,
             ctx.best_effort_targets,
-            Some(cache),
-            ctx.verify_score_cache,
+            cache,
         )
     }
 

@@ -4,7 +4,6 @@
 //! ranks highest in terms of the number of existing deployed
 //! dependencies, and with sufficient CPU, memory, and bandwidth".
 
-use crate::ranking::rank_nodes;
 use crate::score_cache::TargetScoreCache;
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::Cluster;
@@ -39,7 +38,8 @@ impl fmt::Display for RescheduleError {
 
 impl Error for RescheduleError {}
 
-/// Picks the best migration target for `component`.
+/// Picks the best migration target for `component`, reading the
+/// availability ranking off the synced [`TargetScoreCache`].
 ///
 /// Candidate order: nodes hosting the most of the component's
 /// dependencies first (then overall availability rank); the current node
@@ -55,22 +55,7 @@ pub fn pick_target(
     dag: &AppDag,
     cluster: &Cluster,
     mesh: &Mesh,
-) -> Result<NodeId, RescheduleError> {
-    pick_target_with(component, dag, cluster, mesh, None)
-}
-
-/// [`pick_target`] reusing a synced [`TargetScoreCache`]'s node ranking
-/// instead of re-ranking per call. Bit-identical outcomes.
-///
-/// # Errors
-///
-/// See [`RescheduleError`].
-pub fn pick_target_with(
-    component: ComponentId,
-    dag: &AppDag,
-    cluster: &Cluster,
-    mesh: &Mesh,
-    cache: Option<&TargetScoreCache>,
+    cache: &TargetScoreCache,
 ) -> Result<NodeId, RescheduleError> {
     let comp = dag
         .component(component)
@@ -93,22 +78,10 @@ pub fn pick_target_with(
     // position map, not a linear scan per comparison — the scan made
     // the sort O(N² log N) and showed up as the bulk of
     // `ctl.target_select` on large meshes.
-    let ranked_local;
-    let rank_pos_local;
-    let (ranked, rank_pos): (&[NodeId], &BTreeMap<NodeId, usize>) = match cache {
-        Some(c) => (c.ranked(), c.rank_pos()),
-        None => {
-            ranked_local = rank_nodes(cluster, mesh);
-            rank_pos_local = ranked_local
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (n, i))
-                .collect::<BTreeMap<NodeId, usize>>();
-            (&ranked_local, &rank_pos_local)
-        }
-    };
+    let rank_pos = cache.rank_pos();
     let rank_of = |n: NodeId| rank_pos.get(&n).copied().unwrap_or(usize::MAX);
-    let mut candidates: Vec<NodeId> = ranked
+    let mut candidates: Vec<NodeId> = cache
+        .ranked()
         .iter()
         .copied()
         .filter(|&n| n != current && mesh.node_is_up(n))
@@ -125,83 +98,17 @@ pub fn pick_target_with(
         if !cluster.fits(node, comp.resources).unwrap_or(false) {
             continue;
         }
-        if bandwidth_feasible(component, node, &deps, cluster, mesh) {
+        if bandwidth_feasible(node, &deps, cluster, mesh) {
             return Ok(node);
         }
     }
     Err(RescheduleError::NoFeasibleNode(component))
 }
 
-/// Best-effort variant of [`pick_target`]: when no node can fully
-/// satisfy every dependency's bandwidth, pick the CPU/memory-feasible
-/// node with the best *bandwidth score* — the minimum path **capacity**
-/// to any remote dependency (co-located dependencies score infinity).
-/// Capacity, not spare bandwidth, is the right metric here: the moving
-/// component's own traffic currently pollutes "available" on every path
-/// it uses, whereas the sustained rate it can reach after moving is
-/// governed by the bottleneck capacity it will contend for. To avoid
-/// ping-ponging, a target is only returned when its score beats the
-/// current node's by at least 20%.
-///
-/// This mirrors the paper's deployed behaviour for components whose
-/// traffic is not declared in the DAG (the Pion SFU's client traffic):
-/// migration triggers fire on measured usage and rescheduling moves the
-/// component to the best-connected node even if no node is perfect.
-///
-/// # Errors
-///
-/// Returns [`RescheduleError::NoFeasibleNode`] when no other node fits
-/// the component's CPU/memory or none improves on the current node.
-pub fn pick_target_best_effort(
-    component: ComponentId,
-    dag: &AppDag,
-    cluster: &Cluster,
-    mesh: &Mesh,
-) -> Result<NodeId, RescheduleError> {
-    pick_target_best_effort_with(component, dag, cluster, mesh, None, false)
-}
-
-/// [`pick_target_best_effort`] with an optional synced
-/// [`TargetScoreCache`]; `verify` re-derives every cached score densely
-/// and panics on bitwise divergence. Bit-identical outcomes.
-///
-/// # Errors
-///
-/// See [`pick_target_best_effort`].
-///
-/// # Panics
-///
-/// With `verify`, panics when a cached score diverges from the dense
-/// scorer — that is the point of the flag.
-pub fn pick_target_best_effort_with(
-    component: ComponentId,
-    dag: &AppDag,
-    cluster: &Cluster,
-    mesh: &Mesh,
-    mut cache: Option<&mut TargetScoreCache>,
-    verify: bool,
-) -> Result<NodeId, RescheduleError> {
-    if let Ok(node) = pick_target_with(component, dag, cluster, mesh, cache.as_deref()) {
-        return Ok(node);
-    }
-    let comp = dag
-        .component(component)
-        .ok_or(RescheduleError::UnknownComponent(component))?;
-    let current = cluster
-        .node_of(component)
-        .ok_or(RescheduleError::NotPlaced(component))?;
-    let deps = dag.neighbors(component);
-
-    let current_score = score_of(&mut cache, component, current, &deps, cluster, mesh, verify);
-    best_scoring_target(component, comp.resources, current, &deps, cluster, mesh, &mut cache, verify)
-        .filter(|&(_, s)| clearly_better(s, current_score))
-        .map(|(node, _)| node)
-        .ok_or(RescheduleError::NoFeasibleNode(component))
-}
-
 /// The controller's target selection with an **improvement gate**: a
 /// migration only proceeds when the chosen target's prospective service
-/// clearly beats the current node's.
+/// clearly beats the current node's. Every score is served by the
+/// synced [`TargetScoreCache`] — the only way a target is scored.
 ///
 /// The current node's score blends the hypothetical allocation with the
 /// *observed* goodput fraction of the violating edges
@@ -212,14 +119,25 @@ pub fn pick_target_best_effort_with(
 /// prevents churn when a transient dip fires a trigger but every node —
 /// including the current one — would serve the component equally well.
 ///
-/// Strict bandwidth-feasible selection ([`pick_target`]) is tried first;
-/// with `best_effort`, the best-scoring CPU/memory-feasible node is
-/// considered as a fallback.
+/// Strict bandwidth-feasible selection ([`pick_target`]) is tried first.
+/// With `best_effort`, the CPU/memory-feasible node with the best
+/// *bandwidth score* — a hypothetical max-min allocation over link
+/// **capacities** — is the fallback when no node satisfies every
+/// dependency at once. Capacity, not spare bandwidth, is the right
+/// metric there: the moving component's own traffic currently pollutes
+/// "available" on every path it uses, whereas the sustained rate it can
+/// reach after moving is governed by the bottleneck capacity it will
+/// contend for. This mirrors the paper's deployed behaviour for
+/// components whose traffic is not declared in the DAG (the Pion SFU's
+/// client traffic): the component moves to the best-connected node even
+/// if no node is perfect, but only when that beats staying put by the
+/// 20% hysteresis margin, so it does not ping-pong.
 ///
 /// # Errors
 ///
 /// Returns [`RescheduleError::NoFeasibleNode`] when nothing clearly
 /// improves on staying put, plus the [`pick_target`] error conditions.
+#[allow(clippy::too_many_arguments)]
 pub fn select_target(
     component: ComponentId,
     dag: &AppDag,
@@ -228,43 +146,7 @@ pub fn select_target(
     observed_fraction: f64,
     degraded: bool,
     best_effort: bool,
-) -> Result<NodeId, RescheduleError> {
-    select_target_with(
-        component,
-        dag,
-        cluster,
-        mesh,
-        observed_fraction,
-        degraded,
-        best_effort,
-        None,
-        false,
-    )
-}
-
-/// [`select_target`] with an optional synced [`TargetScoreCache`];
-/// `verify` re-derives every cached score densely and panics on bitwise
-/// divergence. Bit-identical outcomes with or without the cache.
-///
-/// # Errors
-///
-/// See [`select_target`].
-///
-/// # Panics
-///
-/// With `verify`, panics when a cached score diverges from the dense
-/// scorer.
-#[allow(clippy::too_many_arguments)]
-pub fn select_target_with(
-    component: ComponentId,
-    dag: &AppDag,
-    cluster: &Cluster,
-    mesh: &Mesh,
-    observed_fraction: f64,
-    degraded: bool,
-    best_effort: bool,
-    mut cache: Option<&mut TargetScoreCache>,
-    verify: bool,
+    cache: &mut TargetScoreCache,
 ) -> Result<NodeId, RescheduleError> {
     let comp = dag
         .component(component)
@@ -274,13 +156,13 @@ pub fn select_target_with(
         .ok_or(RescheduleError::NotPlaced(component))?;
     let deps = dag.neighbors(component);
 
-    let hypothetical = score_of(&mut cache, component, current, &deps, cluster, mesh, verify);
+    let hypothetical = cache.score(component, current, &deps, cluster, mesh);
     let current_score = (
         hypothetical.0.min(observed_fraction.clamp(0.0, 1.0)),
         hypothetical.1,
     );
 
-    if let Ok(target) = pick_target_with(component, dag, cluster, mesh, cache.as_deref()) {
+    if let Ok(target) = pick_target(component, dag, cluster, mesh, cache) {
         // A *degraded* component (goodput collapsed) moves to any
         // strictly feasible node — the paper's §3.2.2 behaviour. A
         // merely utilization-flagged component additionally needs the
@@ -288,22 +170,25 @@ pub fn select_target_with(
         if degraded {
             return Ok(target);
         }
-        let cand = score_of(&mut cache, component, target, &deps, cluster, mesh, verify);
+        let cand = cache.score(component, target, &deps, cluster, mesh);
         if clearly_better(cand, current_score) {
             return Ok(target);
         }
     }
     if best_effort {
-        let best = best_scoring_target(
-            component,
-            comp.resources,
-            current,
-            &deps,
-            cluster,
-            mesh,
-            &mut cache,
-            verify,
-        );
+        // The CPU/memory-feasible node (other than the current one)
+        // with the best bandwidth score, in availability-rank order:
+        // `max_by` keeps the *last* maximum, so the iteration order is
+        // part of the contract and must not change.
+        let best = (0..cache.ranked().len())
+            .filter_map(|i| {
+                let n = cache.ranked()[i];
+                (n != current
+                    && mesh.node_is_up(n)
+                    && cluster.fits(n, comp.resources).unwrap_or(false))
+                .then(|| (n, cache.score(component, n, &deps, cluster, mesh)))
+            })
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
         if let Some((node, s)) = best {
             if clearly_better(s, current_score) {
                 return Ok(node);
@@ -313,90 +198,25 @@ pub fn select_target_with(
     Err(RescheduleError::NoFeasibleNode(component))
 }
 
-/// The CPU/memory-feasible node (other than `current`) with the best
-/// bandwidth score, in the availability-rank iteration order the dense
-/// path uses — `max_by` keeps the *last* maximum, so the iteration
-/// order is part of the contract and must not change.
-#[allow(clippy::too_many_arguments)]
-fn best_scoring_target(
-    component: ComponentId,
-    resources: bass_appdag::ResourceReq,
-    current: NodeId,
-    deps: &[(ComponentId, Bandwidth)],
-    cluster: &Cluster,
-    mesh: &Mesh,
-    cache: &mut Option<&mut TargetScoreCache>,
-    verify: bool,
-) -> Option<(NodeId, (f64, f64))> {
-    let ranked: Vec<NodeId> = match cache.as_deref() {
-        Some(c) => c.ranked().to_vec(),
-        None => rank_nodes(cluster, mesh),
-    };
-    ranked
-        .into_iter()
-        .filter(|&n| n != current && mesh.node_is_up(n))
-        .filter(|&n| cluster.fits(n, resources).unwrap_or(false))
-        .map(|n| (n, score_of(cache, component, n, deps, cluster, mesh, verify)))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-}
-
-/// One bandwidth score, through the cache when one is supplied. With
-/// `verify`, the dense scorer runs alongside and any bitwise mismatch
-/// panics — the debug oracle for the cache's invalidation logic.
-fn score_of(
-    cache: &mut Option<&mut TargetScoreCache>,
-    component: ComponentId,
-    node: NodeId,
-    deps: &[(ComponentId, Bandwidth)],
-    cluster: &Cluster,
-    mesh: &Mesh,
-    verify: bool,
-) -> (f64, f64) {
-    match cache.as_deref_mut() {
-        Some(c) => {
-            let s = c.score(component, node, deps, cluster, mesh);
-            if verify {
-                let dense = bandwidth_score(node, deps, cluster, mesh);
-                assert!(
-                    s.0.to_bits() == dense.0.to_bits() && s.1.to_bits() == dense.1.to_bits(),
-                    "score cache diverged for component {component} at node {node}: \
-                     cached {s:?} vs dense {dense:?}"
-                );
-            }
-            s
-        }
-        None => bandwidth_score(node, deps, cluster, mesh),
-    }
-}
-
 /// `(worst satisfied fraction, total achieved bps)` of a hypothetical
 /// max-min allocation of the component's dependency edges when hosted at
 /// `node`, over the current link capacities with path sharing taken
-/// into account (two dependencies reached over the same link split it).
-/// Existing traffic is ignored — optimistic, but self-consistent: the
-/// component's own current flows would otherwise pollute the estimate.
-fn bandwidth_score(
+/// into account (two dependencies reached over the same link split it),
+/// plus *which* links the score read (one entry per distinct constraint
+/// link, unsorted) — the invalidation key the [`TargetScoreCache`]
+/// stores alongside the value. Existing traffic is ignored —
+/// optimistic, but self-consistent: the component's own current flows
+/// would otherwise pollute the estimate.
+///
+/// This is the dense scorer: the cache calls it on every miss, and
+/// again on every served score under the hidden reference switch.
+pub(crate) fn bandwidth_score(
     node: NodeId,
     deps: &[(ComponentId, Bandwidth)],
     cluster: &Cluster,
     mesh: &Mesh,
-) -> (f64, f64) {
-    bandwidth_score_with_deps(node, deps, cluster, mesh, None)
-}
-
-/// [`bandwidth_score`] that additionally reports *which* links the
-/// score read (one entry per distinct constraint link, unsorted) — the
-/// invalidation key the [`TargetScoreCache`] stores alongside the
-/// cached value.
-pub(crate) fn bandwidth_score_with_deps(
-    node: NodeId,
-    deps: &[(ComponentId, Bandwidth)],
-    cluster: &Cluster,
-    mesh: &Mesh,
-    mut dep_links: Option<&mut Vec<u32>>,
-) -> (f64, f64) {
+) -> ((f64, f64), Vec<u32>) {
     use bass_mesh::flow::{max_min_allocate, Constraint};
-    use std::collections::BTreeMap;
 
     let mut demands: Vec<Bandwidth> = Vec::new();
     // Constraint membership: canonical link key → flow indices, plus one
@@ -421,15 +241,14 @@ pub(crate) fn bandwidth_score_with_deps(
         }
     }
     if demands.is_empty() {
-        return (1.0, 0.0);
+        return ((1.0, 0.0), Vec::new());
     }
+    let mut dep_links = Vec::with_capacity(link_members.len());
     let constraints: Vec<Constraint> = link_members
         .into_iter()
         .map(|((a, b), members)| {
-            if let Some(v) = dep_links.as_deref_mut() {
-                if let Some(lid) = mesh.topology().find_link(a, b) {
-                    v.push(lid.0 as u32);
-                }
+            if let Some(lid) = mesh.topology().find_link(a, b) {
+                dep_links.push(lid.0 as u32);
             }
             Constraint {
                 capacity: mesh.link_capacity(a, b).unwrap_or(Bandwidth::ZERO),
@@ -446,7 +265,7 @@ pub(crate) fn bandwidth_score_with_deps(
             worst_fraction = worst_fraction.min(rate.as_bps() / demands[i].as_bps());
         }
     }
-    (worst_fraction, total)
+    ((worst_fraction, total), dep_links)
 }
 
 /// Hysteresis: a candidate must beat the current node by ≥20% on the
@@ -462,21 +281,19 @@ fn clearly_better(candidate: (f64, f64), current: (f64, f64)) -> bool {
     candidate.0 > current.0 * 0.95 && candidate.1 > current.1 * 1.2
 }
 
-/// Checks that every dependency that would stay remote after moving
-/// `component` to `target` can be served: the path from `target` to the
+/// Checks that every dependency (`deps`) that would stay remote after
+/// moving the component to `target` can be served: the path from `target` to the
 /// dependency's node needs the edge's bandwidth available.
 ///
 /// The check is conservative-approximate: the component's current flows
 /// still occupy their old paths while we evaluate, so paths that overlap
 /// the old ones may look busier than they will be after the move.
 fn bandwidth_feasible(
-    component: ComponentId,
     target: NodeId,
     deps: &[(ComponentId, Bandwidth)],
     cluster: &Cluster,
     mesh: &Mesh,
 ) -> bool {
-    let _ = component;
     for (dep, required) in deps {
         let Some(dep_node) = cluster.node_of(*dep) else {
             continue;
@@ -506,6 +323,13 @@ mod tests {
         Bandwidth::from_mbps(x)
     }
 
+    /// A cache synced to this world — what the controller hands in.
+    fn synced_cache(cluster: &Cluster, mesh: &Mesh) -> TargetScoreCache {
+        let mut cache = TargetScoreCache::new();
+        cache.sync(mesh, cluster, &cluster.placement());
+        cache
+    }
+
     /// 3 fully-connected nodes; camera pipeline; sampler on its own node.
     fn setup() -> (AppDag, Cluster, Mesh) {
         let dag = catalog::camera_pipeline();
@@ -532,7 +356,7 @@ mod tests {
         // tie on count → availability rank; n2 has 16-11=5 free cores vs
         // n0's 14 free → n0 wins on rank. But the detector edge is 6 Mbps
         // vs camera 20 Mbps... the count tie resolves by rank only.
-        let target = pick_target(sampler, &dag, &cluster, &mesh).unwrap();
+        let target = pick_target(sampler, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap();
         assert_eq!(target, NodeId(0));
     }
 
@@ -550,7 +374,7 @@ mod tests {
         let camera = dag.component_by_name("camera-stream").unwrap().id;
         cluster.relocate(camera, NodeId(2)).unwrap();
         let sampler = dag.component_by_name("frame-sampler").unwrap().id;
-        let target = pick_target(sampler, &dag, &cluster, &mesh).unwrap();
+        let target = pick_target(sampler, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap();
         assert_eq!(target, NodeId(2), "both dependencies live on n2");
     }
 
@@ -562,7 +386,7 @@ mod tests {
             .place(ComponentId(99), ResourceReq::cores_mb(13, 128), NodeId(0))
             .unwrap();
         let sampler = dag.component_by_name("frame-sampler").unwrap().id;
-        let target = pick_target(sampler, &dag, &cluster, &mesh).unwrap();
+        let target = pick_target(sampler, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap();
         assert_eq!(target, NodeId(2));
     }
 
@@ -582,7 +406,7 @@ mod tests {
         // detector edge on a 1 Mbps path; moving to n2 co-locates the
         // detector but leaves the 20 Mbps camera edge on a 1 Mbps path.
         // Nothing is feasible.
-        let err = pick_target(sampler, &dag, &cluster, &mesh).unwrap_err();
+        let err = pick_target(sampler, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap_err();
         assert_eq!(err, RescheduleError::NoFeasibleNode(sampler));
         let _ = &mut cluster;
     }
@@ -605,7 +429,7 @@ mod tests {
         // label is on n2 with the detector already; relocate it first to n0.
         let mut cluster = cluster;
         cluster.relocate(label, NodeId(0)).unwrap();
-        let target = pick_target(label, &dag, &cluster, &mesh).unwrap();
+        let target = pick_target(label, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap();
         assert_eq!(target, NodeId(2));
     }
 
@@ -626,34 +450,42 @@ mod tests {
         cluster.place(ComponentId(2), ResourceReq::default(), NodeId(2)).unwrap();
         cluster.place(ComponentId(9), ResourceReq::cores_mb(4, 128), NodeId(2)).unwrap();
         assert_eq!(
-            pick_target(ComponentId(1), &dag, &cluster, &mesh).unwrap(),
+            pick_target(ComponentId(1), &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap(),
             NodeId(1)
         );
         // n1 crashes: no candidate remains, in strict, best-effort, and
         // degraded select_target selection alike.
         mesh.set_node_up(NodeId(1), false).unwrap();
         let err = Err(RescheduleError::NoFeasibleNode(ComponentId(1)));
-        assert_eq!(pick_target(ComponentId(1), &dag, &cluster, &mesh), err);
-        assert_eq!(pick_target_best_effort(ComponentId(1), &dag, &cluster, &mesh), err);
-        assert_eq!(
-            select_target(ComponentId(1), &dag, &cluster, &mesh, 0.1, true, true),
-            err
-        );
+        let mut cache = synced_cache(&cluster, &mesh);
+        assert_eq!(pick_target(ComponentId(1), &dag, &cluster, &mesh, &cache), err);
+        for observed in [1.0, 0.1] {
+            assert_eq!(
+                select_target(ComponentId(1), &dag, &cluster, &mesh, observed, true, true, &mut cache),
+                err
+            );
+        }
     }
 
     #[test]
     fn error_cases() {
         let (dag, cluster, mesh) = setup();
+        let mut cache = synced_cache(&cluster, &mesh);
+        let unknown = Err(RescheduleError::UnknownComponent(ComponentId(77)));
+        assert_eq!(pick_target(ComponentId(77), &dag, &cluster, &mesh, &cache), unknown);
         assert_eq!(
-            pick_target(ComponentId(77), &dag, &cluster, &mesh),
-            Err(RescheduleError::UnknownComponent(ComponentId(77)))
+            select_target(ComponentId(77), &dag, &cluster, &mesh, 1.0, true, true, &mut cache),
+            unknown
         );
         let mut cluster2 = cluster;
         let camera = dag.component_by_name("camera-stream").unwrap().id;
         cluster2.evict(camera).unwrap();
+        let mut cache = synced_cache(&cluster2, &mesh);
+        let not_placed = Err(RescheduleError::NotPlaced(camera));
+        assert_eq!(pick_target(camera, &dag, &cluster2, &mesh, &cache), not_placed);
         assert_eq!(
-            pick_target(camera, &dag, &cluster2, &mesh),
-            Err(RescheduleError::NotPlaced(camera))
+            select_target(camera, &dag, &cluster2, &mesh, 1.0, true, true, &mut cache),
+            not_placed
         );
     }
 
@@ -713,15 +545,17 @@ mod tests {
                 .unwrap();
         }
         let deps = dag.neighbors(ComponentId(1));
-        let (frac, total) = bandwidth_score(NodeId(0), &deps, &cluster, &mesh);
+        let ((frac, total), links) = bandwidth_score(NodeId(0), &deps, &cluster, &mesh);
         // Three 10 Mbps flows share the 12 Mbps first link → 4 each.
         assert!((frac - 0.4).abs() < 1e-6, "fraction {frac}");
         assert!((total - 12e6).abs() < 1.0, "total {total}");
+        assert_eq!(links.len(), 3, "every line link is read from the end: {links:?}");
         // From node 2 the leaves split across both directions: leaf on
         // n1 via link1 (100), leaf on n2 co-located, leaf on n3 via
         // link2 (100) → everything satisfied.
-        let (frac2, _) = bandwidth_score(NodeId(2), &deps, &cluster, &mesh);
+        let ((frac2, _), links2) = bandwidth_score(NodeId(2), &deps, &cluster, &mesh);
         assert!((frac2 - 1.0).abs() < 1e-6, "fraction {frac2}");
+        assert_eq!(links2.len(), 2, "the co-located leaf reads no link: {links2:?}");
     }
 
     #[test]
@@ -741,7 +575,6 @@ mod tests {
     fn best_effort_moves_hub_to_better_connected_node() {
         // Hub on node 3 (end of the line, weak link); leaves on 0, 1, 2.
         let dag = star_dag(10.0);
-        let mesh = line_mesh([100.0, 100.0, 5.0]);
         let mut cluster =
             Cluster::new((0..4).map(|i| NodeSpec::cores_mb(i, 4, 4096))).unwrap();
         cluster.place(ComponentId(1), ResourceReq::cores_mb(2, 512), NodeId(3)).unwrap();
@@ -750,11 +583,21 @@ mod tests {
                 .place(ComponentId(i), ResourceReq::default(), NodeId(i - 2))
                 .unwrap();
         }
-        // Strict selection fails: no node satisfies all 30 Mbps at once
-        // through the line. Best-effort picks node 1 (center-ish).
-        let target =
-            pick_target_best_effort(ComponentId(1), &dag, &cluster, &mesh).unwrap();
-        assert_eq!(target, NodeId(1));
+        let select = |mesh: &Mesh, best_effort| {
+            let mut cache = synced_cache(&cluster, mesh);
+            select_target(ComponentId(1), &dag, &cluster, mesh, 1.0, true, best_effort, &mut cache)
+        };
+        // Healthy inner links: node 1 (center-ish) is strictly feasible,
+        // so the degraded hub moves there with or without the fallback.
+        let mesh = line_mesh([100.0, 100.0, 5.0]);
+        assert_eq!(select(&mesh, true), Ok(NodeId(1)));
+        assert_eq!(select(&mesh, false), Ok(NodeId(1)));
+        // Every link below the 10 Mbps edges: strict selection fails
+        // everywhere. Best-effort still moves the hub to node 1, whose
+        // worst edge gets 8 of 10 Mbps against 1.67 at the current node.
+        let mesh = line_mesh([8.0, 9.0, 5.0]);
+        assert_eq!(select(&mesh, true), Ok(NodeId(1)));
+        assert_eq!(select(&mesh, false), Err(RescheduleError::NoFeasibleNode(ComponentId(1))));
     }
 
     #[test]
@@ -773,7 +616,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            select_target(ComponentId(1), &dag, &cluster, &mesh, 1.0, false, true),
+            select_target(ComponentId(1), &dag, &cluster, &mesh, 1.0, false, true, &mut synced_cache(&cluster, &mesh)),
             Err(RescheduleError::NoFeasibleNode(ComponentId(1)))
         );
     }
@@ -798,13 +641,13 @@ mod tests {
 
         // Healthy: gate suppresses the sideways move.
         assert_eq!(
-            select_target(ComponentId(1), &dag, &cluster, &mesh, 1.0, false, true),
+            select_target(ComponentId(1), &dag, &cluster, &mesh, 1.0, false, true, &mut synced_cache(&cluster, &mesh)),
             Err(RescheduleError::NoFeasibleNode(ComponentId(1)))
         );
         // Degraded: strict feasibility suffices (co-locating with b on
         // node 1 is feasible and allowed immediately).
         let target =
-            select_target(ComponentId(1), &dag, &cluster, &mesh, 0.1, true, true).unwrap();
+            select_target(ComponentId(1), &dag, &cluster, &mesh, 0.1, true, true, &mut synced_cache(&cluster, &mesh)).unwrap();
         assert_eq!(target, NodeId(1));
     }
 

@@ -28,15 +28,17 @@
 //! inside `bandwidth_feasible`) are never cached: usage moves every
 //! tick and the checks are O(path), not O(mesh).
 //!
-//! The dense re-score stays available behind
-//! [`ControllerConfig::verify_score_cache`](crate::ControllerConfig):
-//! every cache hit is then re-derived from scratch and compared
-//! bitwise, turning any stale-invalidation bug into a loud panic.
+//! The dense scorer doubles as the **test reference**: under the hidden
+//! one-way [`TargetScoreCache::use_reference_scoring`] every score the
+//! cache serves is re-derived from scratch and compared bitwise, and
+//! every `sync` checks the rank order against a fresh [`rank_nodes`] —
+//! turning any stale-invalidation bug into a loud panic. No
+//! configuration reaches it.
 //!
 //! [`bandwidth_score`]: crate::rescheduler
 
 use crate::ranking::rank_nodes;
-use crate::rescheduler::bandwidth_score_with_deps;
+use crate::rescheduler::bandwidth_score;
 use bass_appdag::ComponentId;
 use bass_cluster::{Cluster, Placement};
 use bass_mesh::{Mesh, NodeId};
@@ -65,18 +67,29 @@ pub struct ScoreCacheStats {
     pub flushes: u64,
 }
 
-/// Persistent score state for [`select_target_with`] /
-/// [`pick_target_with`], owned by the controller and carried across
-/// ticks.
+impl std::ops::AddAssign for ScoreCacheStats {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.flushes += other.flushes;
+    }
+}
+
+/// Persistent score state for [`select_target`] / [`pick_target`],
+/// owned by the controller and carried across ticks — the only way a
+/// migration target is scored.
 ///
 /// Call [`sync`](Self::sync) once per controller round (it is cheap —
 /// O(placement) compare plus O(changed links) eviction), then feed the
 /// cache to the rescheduler entry points.
 ///
-/// [`select_target_with`]: crate::rescheduler::select_target_with
-/// [`pick_target_with`]: crate::rescheduler::pick_target_with
+/// [`select_target`]: crate::rescheduler::select_target
+/// [`pick_target`]: crate::rescheduler::pick_target
 #[derive(Debug, Clone, Default)]
 pub struct TargetScoreCache {
+    /// Set (one way) by [`use_reference_scoring`](Self::use_reference_scoring).
+    reference: bool,
     valid: bool,
     place_snap: Placement,
     node_snap: Vec<NodeId>,
@@ -94,11 +107,23 @@ impl TargetScoreCache {
         Self::default()
     }
 
-    /// Drops everything; the next [`sync`](Self::sync) starts cold.
+    /// Switches this cache to reference scoring for the rest of its
+    /// life: every score it serves — hit or miss — is re-derived with
+    /// the dense scorer and every [`sync`](Self::sync) re-ranks from
+    /// scratch, panicking on any bitwise divergence. Test support: the
+    /// scoring battery flags one run and requires the production run's
+    /// journal to match it byte for byte. There is no way back
+    /// ([`clear`](Self::clear) keeps it) and no configuration that
+    /// reaches this.
+    #[doc(hidden)]
+    pub fn use_reference_scoring(&mut self) {
+        self.reference = true;
+    }
+
+    /// Drops every cached value; the next [`sync`](Self::sync) starts
+    /// cold. The behaviour counters (and the reference switch) survive.
     pub fn clear(&mut self) {
-        let stats = self.stats;
-        *self = Self::default();
-        self.stats = stats;
+        *self = TargetScoreCache { reference: self.reference, stats: self.stats, ..Self::default() };
     }
 
     /// Behaviour counters so far.
@@ -150,6 +175,14 @@ impl TargetScoreCache {
         self.routes_epoch = routes;
         self.cap_epoch = mesh.capacity_epoch();
         self.valid = true;
+        if self.reference {
+            let fresh = rank_nodes(cluster, mesh);
+            assert!(
+                self.ranked == fresh,
+                "score cache diverged on the node ranking: cached {:?} vs dense {fresh:?}",
+                self.ranked
+            );
+        }
     }
 
     fn rebuild_ranked(&mut self, cluster: &Cluster, mesh: &Mesh) {
@@ -162,6 +195,7 @@ impl TargetScoreCache {
 
     /// The availability ranking as of the last [`sync`](Self::sync).
     pub fn ranked(&self) -> &[NodeId] {
+        debug_assert!(self.valid, "ranked() on a cache that was never synced");
         &self.ranked
     }
 
@@ -175,6 +209,12 @@ impl TargetScoreCache {
     /// entry is live, computed (and remembered with its dependency
     /// links) otherwise. Bit-identical to the dense
     /// `bandwidth_score` by construction.
+    ///
+    /// # Panics
+    ///
+    /// Under [`use_reference_scoring`](Self::use_reference_scoring),
+    /// when the served score diverges from the dense scorer — that is
+    /// the point of the switch.
     pub(crate) fn score(
         &mut self,
         component: ComponentId,
@@ -183,17 +223,27 @@ impl TargetScoreCache {
         cluster: &Cluster,
         mesh: &Mesh,
     ) -> (f64, f64) {
-        if let Some(e) = self.scores.get(&(component, node)) {
+        debug_assert!(self.valid, "score() on a cache that was never synced");
+        let served = if let Some(e) = self.scores.get(&(component, node)) {
             self.stats.hits += 1;
-            return e.score;
+            e.score
+        } else {
+            let (score, mut dep_links) = bandwidth_score(node, deps, cluster, mesh);
+            dep_links.sort_unstable();
+            dep_links.dedup();
+            self.scores.insert((component, node), ScoreEntry { score, dep_links });
+            self.stats.misses += 1;
+            score
+        };
+        if self.reference {
+            let (dense, _) = bandwidth_score(node, deps, cluster, mesh);
+            assert!(
+                served.0.to_bits() == dense.0.to_bits() && served.1.to_bits() == dense.1.to_bits(),
+                "score cache diverged for component {component} at node {node}: \
+                 cached {served:?} vs dense {dense:?}"
+            );
         }
-        let mut dep_links = Vec::new();
-        let score = bandwidth_score_with_deps(node, deps, cluster, mesh, Some(&mut dep_links));
-        dep_links.sort_unstable();
-        dep_links.dedup();
-        self.scores.insert((component, node), ScoreEntry { score, dep_links });
-        self.stats.misses += 1;
-        score
+        served
     }
 
     /// Number of live entries (test/diagnostic aid).
@@ -204,5 +254,86 @@ impl TargetScoreCache {
     /// True when no entries are cached.
     pub fn is_empty(&self) -> bool {
         self.scores.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BassController, ControllerConfig, PolicyKind};
+    use bass_appdag::ResourceReq;
+    use bass_cluster::NodeSpec;
+    use bass_mesh::Topology;
+
+    const HUB: ComponentId = ComponentId(1);
+
+    /// Hub on n0 with one 5 Mbps dependency on n1; n2 idle.
+    fn world() -> (Cluster, Mesh, Vec<(ComponentId, Bandwidth)>) {
+        let mesh =
+            Mesh::with_uniform_capacity(Topology::full_mesh(3), Bandwidth::from_mbps(100.0))
+                .unwrap();
+        let mut cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 4, 4096))).unwrap();
+        cluster.place(HUB, ResourceReq::cores_mb(1, 128), NodeId(0)).unwrap();
+        cluster.place(ComponentId(2), ResourceReq::default(), NodeId(1)).unwrap();
+        (cluster, mesh, vec![(ComponentId(2), Bandwidth::from_mbps(5.0))])
+    }
+
+    /// A reference-scoring cache synced to `world()` holding one live
+    /// entry for the hub at n2.
+    fn warm_reference_cache(
+        cluster: &Cluster,
+        mesh: &Mesh,
+        deps: &[(ComponentId, Bandwidth)],
+    ) -> TargetScoreCache {
+        let mut cache = TargetScoreCache::new();
+        cache.use_reference_scoring();
+        cache.sync(mesh, cluster, &cluster.placement());
+        cache.score(HUB, NodeId(2), deps, cluster, mesh);
+        cache
+    }
+
+    #[test]
+    fn reference_scoring_passes_on_a_healthy_cache_and_survives_clear() {
+        let (cluster, mesh, deps) = world();
+        let mut cache = warm_reference_cache(&cluster, &mesh, &deps);
+        let hit = cache.score(HUB, NodeId(2), &deps, &cluster, &mesh);
+        assert_eq!(hit, (1.0, 5e6));
+        cache.sync(&mesh, &cluster, &cluster.placement());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.flushes), (1, 1, 1));
+        cache.clear();
+        assert!(cache.is_empty());
+        assert!(cache.reference, "clear() must not switch the oracle off");
+        assert_eq!(cache.stats(), stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "score cache diverged for component")]
+    fn reference_scoring_catches_a_corrupted_entry() {
+        let (cluster, mesh, deps) = world();
+        let mut cache = warm_reference_cache(&cluster, &mesh, &deps);
+        cache.scores.get_mut(&(HUB, NodeId(2))).unwrap().score.1 += 1.0;
+        cache.score(HUB, NodeId(2), &deps, &cluster, &mesh);
+    }
+
+    #[test]
+    #[should_panic(expected = "score cache diverged on the node ranking")]
+    fn reference_scoring_catches_a_stale_ranking() {
+        let (cluster, mesh, deps) = world();
+        let mut cache = warm_reference_cache(&cluster, &mesh, &deps);
+        cache.ranked.swap(0, 1);
+        // Nothing moved, so this sync keeps the (corrupted) ranking.
+        cache.sync(&mesh, &cluster, &cluster.placement());
+    }
+
+    #[test]
+    fn reference_switch_survives_controller_reset_and_policy_switch() {
+        let mut ctl = BassController::new(ControllerConfig::default());
+        assert!(!ctl.score_cache().reference, "no config reaches the oracle");
+        ctl.use_reference_scoring();
+        ctl.reset();
+        assert!(ctl.score_cache().reference, "a controller restart keeps the oracle");
+        ctl.set_policy(PolicyKind::Spread);
+        assert!(ctl.score_cache().reference, "a policy switch keeps the oracle");
     }
 }

@@ -231,14 +231,24 @@ impl SimEnv {
     }
 
     /// Switches this environment to ticked reference stepping for the
-    /// rest of its life: [`skippable_ticks`](Self::skippable_ticks)
-    /// returns 0, so every loop built on it executes every tick in full.
+    /// rest of its life: `skippable_ticks` returns 0, so
+    /// [`run_for`](Self::run_for) executes every tick in full.
     /// Test support: the stepping battery flags one environment and
     /// requires the production run to match it byte for byte. There is
     /// no way back and no configuration that reaches this.
     #[doc(hidden)]
     pub fn use_reference_stepping(&mut self) {
         self.reference_stepping = true;
+    }
+
+    /// Switches the controller's score cache to reference scoring for
+    /// the rest of this environment's life (controller restarts
+    /// included): every served target score and every synced node
+    /// ranking is re-derived densely and compared bitwise. Test support;
+    /// see `TargetScoreCache::use_reference_scoring`.
+    #[doc(hidden)]
+    pub fn use_reference_scoring(&mut self) {
+        self.controller.use_reference_scoring();
     }
 
     /// Installs the network scenario script.
@@ -847,7 +857,7 @@ impl SimEnv {
     ///
     /// Each full [`step`](Self::step) is followed by as many provably
     /// quiescent skipped ticks as
-    /// [`skippable_ticks`](Self::skippable_ticks) allows; `hook` still
+    /// `skippable_ticks` allows; `hook` still
     /// runs after every simulated tick, skipped or not, and a hook that
     /// mutates the environment immediately demotes the rest of its
     /// window back to full steps. Results, stats, and journal contents
@@ -880,7 +890,7 @@ impl SimEnv {
                 }
                 for _ in 0..window {
                     let epoch = self.mutation_epoch;
-                    self.skip_quiescent_ticks(1);
+                    self.skip_quiescent_tick();
                     hook(self);
                     if self.mutation_epoch != epoch {
                         // The hook mutated the environment at this tick
@@ -915,7 +925,7 @@ impl SimEnv {
     /// controller events that matter; probe ticks themselves always
     /// execute in full. Online profiling, pending displaced components,
     /// and an undeployed environment disable skipping entirely.
-    pub fn skippable_ticks(&self, max_ticks: u64) -> u64 {
+    fn skippable_ticks(&self, max_ticks: u64) -> u64 {
         if max_ticks == 0
             || self.reference_stepping
             || !self.deployed
@@ -975,23 +985,21 @@ impl SimEnv {
         bound
     }
 
-    /// Advances `ticks` quiescent ticks: moves the clock and stamps each
+    /// Advances one quiescent tick: moves the clock and stamps the
     /// tick's `TickCompleted` journal event at its true time, nothing
-    /// else. Only sound for ticks [`skippable_ticks`](Self::skippable_ticks)
+    /// else. Only sound for a tick [`skippable_ticks`](Self::skippable_ticks)
     /// vouched for — a quiescent tick's full execution emits exactly the
     /// `TickCompleted` event (every capacity/flow-rate diff is empty and
     /// the controller never wakes), so the journal stays byte-identical.
-    pub fn skip_quiescent_ticks(&mut self, ticks: u64) {
-        for _ in 0..ticks {
-            self.mesh.advance_quiescent(self.cfg.step);
-            if let Some(j) = self.journal.as_mut() {
-                j.record(bass_obs::Event::TickCompleted {
-                    t_s: self.mesh.now().as_secs_f64(),
-                    step_ms: self.cfg.step.as_secs_f64() * 1e3,
-                    flows: self.mesh.flow_count() as u32,
-                    migrations_total: self.stats.migrations.len() as u64,
-                });
-            }
+    fn skip_quiescent_tick(&mut self) {
+        self.mesh.advance_quiescent(self.cfg.step);
+        if let Some(j) = self.journal.as_mut() {
+            j.record(bass_obs::Event::TickCompleted {
+                t_s: self.mesh.now().as_secs_f64(),
+                step_ms: self.cfg.step.as_secs_f64() * 1e3,
+                flows: self.mesh.flow_count() as u32,
+                migrations_total: self.stats.migrations.len() as u64,
+            });
         }
     }
 
@@ -1204,6 +1212,13 @@ impl SimEnv {
     /// The net-monitor (probe overhead accounting etc.).
     pub fn netmon(&self) -> &NetMonitor {
         &self.netmon
+    }
+
+    /// How the controller's target-score cache has behaved so far
+    /// (hits, misses, evictions, flushes). Outside simulation state: the
+    /// counters never feed a decision.
+    pub fn score_cache_stats(&self) -> bass_core::ScoreCacheStats {
+        self.controller.score_cache_stats()
     }
 
     /// Run statistics (migrations, rounds, failures).

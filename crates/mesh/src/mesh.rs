@@ -287,9 +287,6 @@ pub struct Mesh {
     link_cap_bps: Vec<f64>,
     /// Per-link utilization scratch for the queueing model.
     util_scratch: Vec<f64>,
-    /// Constraint capacities (bps) as of the last allocation, aligned
-    /// with `index.constraints`.
-    prev_caps_bps: Vec<f64>,
     /// Per-flow transmit demands (bps) as of the last allocation.
     prev_demands_bps: Vec<f64>,
     /// Components marked dirty this tick (scratch).
@@ -421,7 +418,6 @@ impl Mesh {
             rates_bps: Vec::new(),
             link_cap_bps: vec![0.0; link_count],
             util_scratch: vec![0.0; link_count],
-            prev_caps_bps: Vec::new(),
             prev_demands_bps: Vec::new(),
             dirty_comps: Vec::new(),
             comp_dirty: Vec::new(),
@@ -1554,11 +1550,11 @@ impl Mesh {
 
     /// The production allocator. Under a stale index: rebuild it,
     /// re-read every capacity and demand, fill every component in
-    /// canonical order and baseline the snapshots. Otherwise: diff
-    /// constraint capacities and transmit demands against the last
-    /// tick's snapshots (bit-compare — the common quiescent tick marks
-    /// nothing), refill only the dirty components, and keep every other
-    /// component's rates verbatim.
+    /// canonical order and baseline the demand snapshot. Otherwise: diff
+    /// link capacities against the cached `link_cap_bps` and transmit
+    /// demands against the last tick's snapshot (bit-compare — the
+    /// common quiescent tick marks nothing), refill only the dirty
+    /// components, and keep every other component's rates verbatim.
     fn reallocate_dirty(&mut self, mut profiler: Option<&mut bass_obs::SpanProfiler>) {
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
         let link_count = self.topo.link_count();
@@ -1577,9 +1573,6 @@ impl Mesh {
                 &mut self.scratch,
                 &mut self.rates_bps,
             );
-            self.prev_caps_bps.clear();
-            self.prev_caps_bps
-                .extend(self.index.constraints.iter().map(|c| c.capacity.as_bps()));
             self.prev_demands_bps.clear();
             self.prev_demands_bps
                 .extend(self.demands_scratch.iter().map(|d| d.as_bps()));
@@ -1599,22 +1592,20 @@ impl Mesh {
         // flow whose demand moved (backlog drain included) dirties its
         // component. Unconstrained flows are re-granted directly. The
         // scan touches only the links the capacity refresh observed
-        // moving and the flows in the dirty demand set — O(dirty), not
-        // O(F + L).
+        // moving (`cap_changed` holds a link only because its capacity
+        // bits moved, so there is nothing left to compare) and the flows
+        // in the dirty demand set (a *may-have-moved* set, hence the
+        // snapshot compare) — O(dirty), not O(F + L).
         self.comp_dirty.clear();
         self.comp_dirty.resize(self.index.comps.component_count(), false);
         self.dirty_comps.clear();
         for k in 0..self.cap_changed.len() {
             let ci = self.cap_changed[k] as usize;
-            let bps = self.index.constraints[ci].capacity.as_bps();
-            if bps.to_bits() != self.prev_caps_bps[ci].to_bits() {
-                self.prev_caps_bps[ci] = bps;
-                if !self.index.constraints[ci].members.is_empty() {
-                    let comp = self.index.comps.constraint_component(ci);
-                    if !self.comp_dirty[comp as usize] {
-                        self.comp_dirty[comp as usize] = true;
-                        self.dirty_comps.push(comp);
-                    }
+            if !self.index.constraints[ci].members.is_empty() {
+                let comp = self.index.comps.constraint_component(ci);
+                if !self.comp_dirty[comp as usize] {
+                    self.comp_dirty[comp as usize] = true;
+                    self.dirty_comps.push(comp);
                 }
             }
         }

@@ -134,7 +134,7 @@ impl SpanStats {
 }
 
 /// One span's condensed statistics, as serialized into the `profile`
-/// section of campaign summaries and `PROFILE_mesh.json`.
+/// section of campaign summaries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanSummary {
     /// Completed span instances.

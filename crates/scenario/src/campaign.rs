@@ -20,7 +20,7 @@
 use crate::generate::{generate, AppKind, GeneratedScenario, WorkloadEvent};
 use crate::spec::{ScenarioSpec, SpecError};
 use bass_appdag::{AppDag, ComponentId};
-use bass_core::PolicyKind;
+use bass_core::{PolicyKind, ScoreCacheStats};
 use bass_emu::{EnvError, SimEnv, SimEnvConfig};
 use bass_mesh::MeshError;
 use bass_obs::{Progress, ProgressLevel, SpanProfiler};
@@ -241,6 +241,7 @@ struct ReplicaOutcome {
     goodput_sum: f64,
     achieved_sum_mbps: BTreeMap<&'static str, f64>,
     profiler: Option<SpanProfiler>,
+    score_cache: ScoreCacheStats,
 }
 
 /// How to run a campaign beyond the deterministic `(spec, seed)` pair:
@@ -283,6 +284,9 @@ pub struct CampaignRun {
     /// Merged span statistics across all replicas, present iff
     /// [`CampaignOptions::profile`] was set.
     pub profiler: Option<SpanProfiler>,
+    /// How the controllers' target-score caches behaved, summed over
+    /// replicas. Outside the summary: the counters never feed a decision.
+    pub score_cache: ScoreCacheStats,
 }
 
 /// Runs a full campaign: `spec.replicas` independent replicas sharded
@@ -374,6 +378,7 @@ fn run_campaign_stepping(
 
     let outcomes = results.into_inner().expect("results lock");
     let mut campaign_profiler = opts.profile.then(SpanProfiler::new);
+    let mut score_cache = ScoreCacheStats::default();
     let mut replicas = Vec::with_capacity(replica_count);
     let mut agg_hist = goodput_histogram();
     let mut agg_sum = 0.0;
@@ -393,6 +398,7 @@ fn run_campaign_stepping(
         {
             agg.merge(rep);
         }
+        score_cache += outcome.score_cache;
         agg_hist.merge(&outcome.goodput_hist);
         agg_sum += outcome.goodput_sum;
         agg_samples += outcome.summary.goodput.samples;
@@ -435,6 +441,7 @@ fn run_campaign_stepping(
             aggregate,
         },
         profiler: campaign_profiler,
+        score_cache,
     })
 }
 
@@ -485,14 +492,14 @@ impl SampleFold {
     }
 }
 
+/// Live instances: arrival index → (label, admitted component ids, kind).
+type LiveApps = BTreeMap<u32, (String, Vec<ComponentId>, AppKind)>;
+
 /// One sample's raw reads: aggregate required and achieved bandwidth
-/// over all live edges, plus each app kind's achieved share. Every
-/// input is constant across a quiescent window (flow goodputs are at a
-/// fixed point, restart expiries bound the window on both clocks), so
-/// the replica loop computes this once per window and replays it.
+/// over all live edges, plus each app kind's achieved share.
 fn sample_live_edges(
     env: &SimEnv,
-    live: &BTreeMap<u32, (String, Vec<ComponentId>, AppKind)>,
+    live: &LiveApps,
 ) -> (f64, f64, BTreeMap<&'static str, f64>) {
     let mut required = 0.0;
     let mut achieved = 0.0;
@@ -513,13 +520,13 @@ fn sample_live_edges(
 
 /// Executes one replica, streaming per-sample aggregates into the fold
 /// state. Memory is O(nodes + links + live components): no per-tick
-/// history is kept anywhere. Each executed tick is followed by the
-/// largest provably quiescent window (bounded additionally by the next
-/// workload arrival/departure and the horizon); skipped ticks replay
-/// the window's cached sample tuple at the same tick indices a
-/// tick-by-tick run samples (identical floats, accumulated in identical
-/// order), keeping the summary byte-identical. `reference_stepping`
-/// (test support) executes every tick instead.
+/// history is kept anywhere. Time advances through
+/// [`SimEnv::run_for`] — the one step loop — one inter-event segment at
+/// a time (up to the next workload arrival/departure or the horizon);
+/// its per-tick hook samples at the same tick indices whether a tick
+/// was executed or skipped, and every sample input is constant across
+/// a quiescent window, so the summary is byte-identical to
+/// `reference_stepping` (test support), which executes every tick.
 fn run_replica(
     spec: &ScenarioSpec,
     replica: u32,
@@ -529,12 +536,12 @@ fn run_replica(
 ) -> Result<ReplicaOutcome, CampaignError> {
     let setup_started = std::time::Instant::now();
     let scenario = generate(spec, replica_seed);
-    let horizon = SimDuration::from_millis(spec.horizon_ticks * spec.step_ms);
-    let mesh = scenario.build_mesh(horizon)?;
+    let ticks_of = |n: u64| SimDuration::from_millis(n * spec.step_ms);
+    let mesh = scenario.build_mesh(ticks_of(spec.horizon_ticks))?;
     let cluster = scenario.build_cluster();
     let links = scenario.topology.link_count();
     let cfg = SimEnvConfig {
-        step: SimDuration::from_millis(spec.step_ms),
+        step: ticks_of(1),
         migration_policy: opts.policy,
         faults: scenario.faults.clone(),
         ..SimEnvConfig::default()
@@ -557,79 +564,49 @@ fn run_replica(
     let mut rejected = 0u64;
     let mut retired = 0u64;
 
-    // Live instances: arrival index → (label, admitted component ids).
-    let mut live: BTreeMap<u32, (String, Vec<ComponentId>, AppKind)> = BTreeMap::new();
-    let mut cursor = 0usize;
+    let mut live = LiveApps::new();
     let mut tick = 0u64;
-    while tick < spec.horizon_ticks {
-        let now_ms = tick * spec.step_ms;
-        while cursor < scenario.workload.len() && scenario.workload[cursor].at_ms() <= now_ms {
-            match scenario.workload[cursor] {
-                WorkloadEvent::Arrive { instance, kind, .. } => {
-                    let dag = kind.dag(spec.workload.social_rps);
-                    let offset = GeneratedScenario::instance_offset(instance);
-                    match env.admit_app(&dag, offset) {
-                        Ok(ids) => {
-                            let label = GeneratedScenario::instance_label(kind, instance);
-                            live.insert(instance, (label, ids, kind));
-                            admitted += 1;
-                        }
-                        Err(EnvError::Schedule(_)) => rejected += 1,
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                WorkloadEvent::Depart { instance, .. } => {
-                    if let Some((label, ids, _)) = live.remove(&instance) {
-                        env.retire_app(&label, &ids)?;
-                        retired += 1;
-                    }
-                }
+    // Runs ticks `tick..until`, sampling after every tick whose index is
+    // on the sample cadence.
+    let mut run_until = |env: &mut SimEnv, live: &LiveApps, until: u64| {
+        env.run_for(ticks_of(until.saturating_sub(tick)), |e| {
+            if tick.is_multiple_of(spec.sample_every_ticks) {
+                let (required, achieved, per_kind) = sample_live_edges(e, live);
+                fold.record(required, achieved, &per_kind);
             }
-            cursor += 1;
+            tick += 1;
+        })
+    };
+    for event in &scenario.workload {
+        // An event at `at_ms` first applies at tick ⌈at_ms / step_ms⌉.
+        let due = event.at_ms().div_ceil(spec.step_ms);
+        if due >= spec.horizon_ticks {
+            break;
         }
-        env.step()?;
-        if tick.is_multiple_of(spec.sample_every_ticks) {
-            let (required, achieved, per_kind) = sample_live_edges(&env, &live);
-            fold.record(required, achieved, &per_kind);
-        }
-        tick += 1;
-        while tick < spec.horizon_ticks {
-            let remaining = spec.horizon_ticks - tick;
-            // A skipped tick must not swallow a workload event: the
-            // event at `at_ms` first applies at tick ⌈at_ms/step_ms⌉.
-            let workload_bound = if cursor < scenario.workload.len() {
-                scenario.workload[cursor]
-                    .at_ms()
-                    .div_ceil(spec.step_ms)
-                    .saturating_sub(tick)
-            } else {
-                remaining
-            };
-            let scan_started = std::time::Instant::now();
-            let window = env.skippable_ticks(remaining.min(workload_bound));
-            env.record_span("campaign.skip_scan", scan_started.elapsed());
-            if window == 0 {
-                break;
-            }
-            // One cached tuple serves every sample tick in the window
-            // (every sample input is constant across it); replaying it
-            // per sampled tick repeats the identical float additions a
-            // tick-by-tick run performs. Windows without a sample tick —
-            // the common case at coarse sample cadences — skip the
-            // edge walk entirely.
-            let first_sample = tick.div_ceil(spec.sample_every_ticks) * spec.sample_every_ticks;
-            if first_sample < tick + window {
-                let (required, achieved, per_kind) = sample_live_edges(&env, &live);
-                let mut t = first_sample;
-                while t < tick + window {
-                    fold.record(required, achieved, &per_kind);
-                    t += spec.sample_every_ticks;
+        run_until(&mut env, &live, due)?;
+        match *event {
+            WorkloadEvent::Arrive { instance, kind, .. } => {
+                let dag = kind.dag(spec.workload.social_rps);
+                let offset = GeneratedScenario::instance_offset(instance);
+                match env.admit_app(&dag, offset) {
+                    Ok(ids) => {
+                        let label = GeneratedScenario::instance_label(kind, instance);
+                        live.insert(instance, (label, ids, kind));
+                        admitted += 1;
+                    }
+                    Err(EnvError::Schedule(_)) => rejected += 1,
+                    Err(e) => return Err(e.into()),
                 }
             }
-            env.skip_quiescent_ticks(window);
-            tick += window;
+            WorkloadEvent::Depart { instance, .. } => {
+                if let Some((label, ids, _)) = live.remove(&instance) {
+                    env.retire_app(&label, &ids)?;
+                    retired += 1;
+                }
+            }
         }
     }
+    run_until(&mut env, &live, spec.horizon_ticks)?;
 
     let stats = env.stats();
     let samples = fold.samples;
@@ -663,6 +640,7 @@ fn run_replica(
         goodput_hist: fold.hist,
         goodput_sum: fold.goodput_sum,
         achieved_sum_mbps: fold.achieved_sum_mbps,
+        score_cache: env.score_cache_stats(),
         profiler: env.take_span_profiler(),
     })
 }

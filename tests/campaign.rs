@@ -79,3 +79,20 @@ fn replica_seeds_are_order_independent() {
         serde_json::to_string(&two.replicas[..]).unwrap()
     );
 }
+
+/// `examples/campaign_city.json` is the source of truth for the
+/// city-scale scenario (CI's campaign and arena smokes and every doc
+/// command read it): it must parse, validate, and stay the 100-node,
+/// 100 000-tick city the docs describe.
+#[test]
+fn city_example_spec_parses_and_validates() {
+    let spec = ScenarioSpec::from_json(include_str!("../examples/campaign_city.json"))
+        .expect("the example parses");
+    spec.validate().expect("the example validates");
+    assert_eq!(spec.name, "city-100");
+    assert_eq!(spec.node_count(), 100);
+    assert_eq!(
+        (spec.horizon_ticks, spec.step_ms, spec.sample_every_ticks, spec.replicas),
+        (100_000, 1000, 100, 1)
+    );
+}

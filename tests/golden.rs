@@ -57,7 +57,6 @@ fn run_scenario_in(reference_stepping: bool) -> String {
             cooldown: SimDuration::from_secs(30),
             full_probe_on_headroom_drop: true,
             best_effort_targets: true,
-            verify_score_cache: false,
         },
         netmon: NetMonitorConfig {
             headroom_fraction: 0.2,

@@ -149,7 +149,6 @@ fn fig13_snapshot(policy: PolicyKind) -> String {
             cooldown: SimDuration::from_secs(30),
             full_probe_on_headroom_drop: true,
             best_effort_targets: true,
-            verify_score_cache: false,
         },
         netmon: NetMonitorConfig {
             headroom_fraction: 0.2,
@@ -260,10 +259,12 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 /// Camera pipeline on the trace-driven CityLab testbed under `policy`;
 /// returns the journal plus the migration log, asserting cluster
 /// invariants on exit. `ticked` switches the env to reference stepping
-/// (every tick executes in full).
+/// (every tick executes in full), `dense_scoring` to reference scoring
+/// (every served score and synced ranking re-derived densely).
 fn storm_run(
     policy: PolicyKind,
     ticked: bool,
+    dense_scoring: bool,
     seed: u64,
     stormy: bool,
     secs: u64,
@@ -277,6 +278,9 @@ fn storm_run(
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     if ticked {
         env.use_reference_stepping();
+    }
+    if dense_scoring {
+        env.use_reference_scoring();
     }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
@@ -292,7 +296,7 @@ fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     // The default-constructed environment (no explicit policy) is the
     // exact pre-trait configuration; the explicit Bass arm, ticked and
     // skipping, must journal identical bytes.
-    let explicit = storm_run(PolicyKind::Bass, true, 0xF16, true, 120).0;
+    let explicit = storm_run(PolicyKind::Bass, true, false, 0xF16, true, 120).0;
     let (mesh, cluster, _) = citylab_testbed(0xF16, SimDuration::from_secs(180));
     let cfg = SimEnvConfig { faults: storm_plan(0xF16, 120), ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
@@ -302,8 +306,23 @@ fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     let default_built = env.take_journal().expect("journal attached").export_jsonl();
     assert_eq!(explicit, default_built, "explicit Bass must equal the default construction");
 
-    let skipping = storm_run(PolicyKind::Bass, false, 0xF16, true, 120).0;
+    let skipping = storm_run(PolicyKind::Bass, false, false, 0xF16, true, 120).0;
     assert_eq!(explicit, skipping, "storm journal must not depend on skipped windows");
+}
+
+/// The scoring contract (docs/ARCHITECTURE.md § The scorer and its
+/// reference): for every registered policy, the production storm
+/// journal is byte-identical to the one journaled under reference
+/// scoring — whose every served score and synced ranking is checked
+/// bitwise against the dense scorer, and panics on divergence.
+#[test]
+fn every_policy_storm_journal_matches_reference_scoring() {
+    for policy in PolicyKind::all() {
+        let (production, moves) = storm_run(policy, false, false, 0xF16, true, 240);
+        let (reference, _) = storm_run(policy, false, true, 0xF16, true, 240);
+        assert_eq!(production, reference, "{} diverged under reference scoring", policy.name());
+        assert!(!moves.is_empty(), "the storm must make {} choose a target", policy.name());
+    }
 }
 
 proptest! {
@@ -320,8 +339,8 @@ proptest! {
         stormy in any::<bool>(),
     ) {
         let policy = PolicyKind::all()[which];
-        let (j1, moves) = storm_run(policy, false, seed, stormy, 90);
-        let (j2, _) = storm_run(policy, false, seed, stormy, 90);
+        let (j1, moves) = storm_run(policy, false, false, seed, stormy, 90);
+        let (j2, _) = storm_run(policy, false, false, seed, stormy, 90);
         prop_assert_eq!(j1, j2, "same-seed replay must be bit-identical ({})", policy.name());
         for (from, to) in moves {
             prop_assert_ne!(from, to, "{} migrated a component onto itself", policy.name());
