@@ -67,6 +67,16 @@ pub struct Manifest {
 pub enum ManifestError {
     /// An edge referenced a component name not present in the manifest.
     UnknownName(String),
+    /// Two components share this name, so edges naming it are ambiguous.
+    DuplicateName(String),
+    /// The edge `from → to` carries a negative or non-finite
+    /// `bandwidth_mbps`.
+    InvalidBandwidth {
+        /// Producing component name.
+        from: String,
+        /// Consuming component name.
+        to: String,
+    },
     /// The underlying graph was invalid.
     Dag(DagError),
 }
@@ -75,6 +85,11 @@ impl std::fmt::Display for ManifestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ManifestError::UnknownName(n) => write!(f, "edge references unknown component '{n}'"),
+            ManifestError::DuplicateName(n) => write!(f, "duplicate component name '{n}'"),
+            ManifestError::InvalidBandwidth { from, to } => write!(
+                f,
+                "edge '{from}' -> '{to}': bandwidth_mbps must be finite and non-negative"
+            ),
             ManifestError::Dag(e) => write!(f, "invalid component graph: {e}"),
         }
     }
@@ -84,7 +99,7 @@ impl std::error::Error for ManifestError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ManifestError::Dag(e) => Some(e),
-            ManifestError::UnknownName(_) => None,
+            _ => None,
         }
     }
 }
@@ -127,11 +142,16 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown edge endpoints, duplicate names
-    /// (which surface as duplicate edges/components), or cycles.
+    /// Returns an error for unknown edge endpoints, duplicate component
+    /// names, negative or non-finite bandwidths, duplicate edges, or
+    /// cycles.
     pub fn to_dag(&self) -> Result<AppDag, ManifestError> {
         let mut dag = AppDag::new(self.app.clone());
+        let mut names = std::collections::BTreeSet::new();
         for (i, mc) in self.components.iter().enumerate() {
+            if !names.insert(mc.name.as_str()) {
+                return Err(ManifestError::DuplicateName(mc.name.clone()));
+            }
             dag.add_component(Component::new(
                 ComponentId(i as u32 + 1),
                 mc.name.clone(),
@@ -150,6 +170,12 @@ impl Manifest {
                 .component_by_name(&e.to)
                 .ok_or_else(|| ManifestError::UnknownName(e.to.clone()))?
                 .id;
+            if !(e.bandwidth_mbps.is_finite() && e.bandwidth_mbps >= 0.0) {
+                return Err(ManifestError::InvalidBandwidth {
+                    from: e.from.clone(),
+                    to: e.to.clone(),
+                });
+            }
             dag.add_edge(from, to, Bandwidth::from_mbps(e.bandwidth_mbps))?;
         }
         Ok(dag)

@@ -150,13 +150,24 @@ impl TestbedSpec {
     /// # Errors
     ///
     /// Returns a [`TestbedError`] for empty, duplicate, or disconnected
-    /// descriptions.
+    /// descriptions, and for a link whose `mbps` or `relative_std` is
+    /// negative or non-finite.
     pub fn build(&self, seed: u64, trace_len: SimDuration) -> Result<(Mesh, Cluster), TestbedError> {
         if self.nodes.is_empty() {
             return Err(TestbedError::Invalid("no nodes".into()));
         }
         if self.links.is_empty() && self.nodes.len() > 1 {
             return Err(TestbedError::Invalid("multiple nodes but no links".into()));
+        }
+        for l in &self.links {
+            for (field, v) in [("mbps", l.mbps), ("relative_std", l.relative_std)] {
+                if !(v.is_finite() && v >= 0.0) {
+                    return Err(TestbedError::Invalid(format!(
+                        "link {}-{}: {field} must be finite and non-negative, got {v}",
+                        l.a, l.b
+                    )));
+                }
+            }
         }
         let mut topo = Topology::new();
         for n in &self.nodes {

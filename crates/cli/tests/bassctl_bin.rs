@@ -370,9 +370,10 @@ fn simulate_metrics_out_writes_exposition_without_journal() {
     // Journal event counters ride along (journal-kind counter names are
     // `obs.event.<kind>`, sanitized to underscores).
     assert!(text.contains("bass_obs_event_tick_completed_total 600"));
-    // So does what the score cache did (the first sync flushes cold).
-    assert!(text.contains("bass_score_cache_hits_total "));
-    assert!(!text.contains("bass_score_cache_flushes_total 0"), "the controller never synced");
+    // So does what the score cache did: nothing — the restriction only
+    // starts at 60 s, so no round had a target to score and none synced.
+    assert!(text.contains("bass_score_cache_hits_total 0"));
+    assert!(text.contains("bass_score_cache_flushes_total 0"), "a quiet round synced the cache");
 
     // And it lints clean.
     let out = bassctl()
@@ -537,6 +538,48 @@ fn bad_inputs_fail_cleanly() {
         .expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown policy"));
+}
+
+#[test]
+fn hostile_numbers_and_names_fail_cleanly() {
+    let dir = temp_dir("hostile");
+    let (app, mesh) = write_schema_files(&dir);
+    let app_text = std::fs::read_to_string(&app).expect("manifest");
+    let mesh_text = std::fs::read_to_string(&mesh).expect("testbed");
+    // (case, edit the testbed?, valid text, hostile text, stderr must name)
+    let rows = [
+        ("traced link mbps -5", true, "\"mbps\": 19.9", "\"mbps\": -5", "link 1-2: mbps"),
+        ("constant link mbps -5", true, "\"mbps\": 100", "\"mbps\": -5", "link 0-1: mbps"),
+        ("link mbps 1e999", true, "\"mbps\": 19.9", "\"mbps\": 1e999", "number out of range `1e999`"),
+        ("edge bandwidth -12", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": -12", "bandwidth_mbps"),
+        ("edge bandwidth 1e999", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": 1e999", "number out of range `1e999`"),
+        (
+            "duplicate name",
+            false,
+            "\"components\": [",
+            "\"components\": [{\"name\": \"label-listener\", \"cpu_millis\": 100, \"memory_mb\": 64},",
+            "duplicate component name 'label-listener'",
+        ),
+    ];
+    for (case, in_testbed, valid, hostile, names) in rows {
+        let (path, text) = if in_testbed { (&mesh, &mesh_text) } else { (&app, &app_text) };
+        assert!(text.contains(valid), "{case}: example file lost `{valid}`");
+        std::fs::write(path, text.replacen(valid, hostile, 1)).expect("write hostile file");
+        let out = bassctl()
+            .args(["simulate", "--manifest"])
+            .arg(&app)
+            .arg("--testbed")
+            .arg(&mesh)
+            .args(["--duration", "10"])
+            .output()
+            .expect("bassctl runs");
+        std::fs::write(path, text).expect("restore valid file");
+        assert!(!out.status.success(), "{case} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(names), "{case}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

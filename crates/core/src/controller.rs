@@ -280,8 +280,14 @@ impl BassController {
         // Bring the persistent score cache up to date with this round's
         // world (flush on placement/routing moves, targeted eviction on
         // logged capacity changes) so target selection below re-scores
-        // only what actually changed since the previous round.
-        self.cache.sync(mesh, cluster, &placement);
+        // only what actually changed since the last synced round. Only
+        // target selection reads the cache, so a round with nobody to
+        // migrate skips the sync; the next one still sees every capacity
+        // move through the mesh's change log (or flushes when that
+        // history is gone).
+        if !candidates.to_migrate.is_empty() {
+            self.cache.sync(mesh, cluster, &placement);
+        }
         clock.lap(profiler.as_deref_mut(), "ctl.score_cache");
         if let Some(j) = journal.as_deref_mut() {
             for v in &candidates.violations {
@@ -434,6 +440,19 @@ mod tests {
         assert!(o.headroom.as_ref().unwrap().all_ok());
         assert!(!o.full_probe);
         assert!(o.plans.is_empty());
+    }
+
+    #[test]
+    fn round_without_candidates_leaves_the_score_cache_alone() {
+        let mut w = world();
+        let mut ctl = BassController::new(ControllerConfig::default());
+        w.mesh.advance(SimDuration::from_secs(30));
+        measure(&mut w);
+        let before = ctl.score_cache_stats();
+        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        // A probe-epoch round ran to completion but found nobody to move.
+        assert!(o.headroom.is_some() && o.candidates.to_migrate.is_empty());
+        assert_eq!(ctl.score_cache_stats(), before, "nothing reads the cache this round");
     }
 
     #[test]

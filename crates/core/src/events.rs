@@ -24,8 +24,6 @@ pub enum EventSource {
     Scenario,
     /// A restarting component finishes its downtime.
     RestartExpiry,
-    /// An adaptive-routing refresh becomes due.
-    RouteUpdate,
     /// Some link's bandwidth trace reaches its next change-point.
     TraceChange,
     /// The controller's next headroom-probe epoch (which also ends any
@@ -36,10 +34,10 @@ pub enum EventSource {
 
 impl EventSource {
     /// Whether this source is evaluated against the **pre-advance**
-    /// clock of a tick (faults, scenario actions, and route refreshes
-    /// are applied before `Mesh::advance` moves time) rather than the
-    /// post-advance clock (trace capacities and probe epochs are read
-    /// after it). A pre-advance event at time `t` affects the tick that
+    /// clock of a tick (faults and scenario actions are applied before
+    /// `Mesh::advance` moves time) rather than the post-advance clock
+    /// (trace capacities and probe epochs are read after it). A
+    /// pre-advance event at time `t` affects the tick that
     /// *starts* at or after `t`; a post-advance event affects the tick
     /// that *ends* at or after `t` — one extra skippable tick. With
     /// `t0` the current clock, a pre-advance event caps the window at
@@ -54,7 +52,7 @@ impl EventSource {
     /// lets a campaign cache one sample tuple per window exactly.
     pub fn pre_advance(self) -> bool {
         match self {
-            EventSource::Fault | EventSource::Scenario | EventSource::RouteUpdate => true,
+            EventSource::Fault | EventSource::Scenario => true,
             EventSource::RestartExpiry
             | EventSource::TraceChange
             | EventSource::ProbeEpoch => false,
@@ -72,7 +70,6 @@ mod tests {
             (EventSource::Fault, true),
             (EventSource::Scenario, true),
             (EventSource::RestartExpiry, false),
-            (EventSource::RouteUpdate, true),
             (EventSource::TraceChange, false),
             (EventSource::ProbeEpoch, false),
         ] {

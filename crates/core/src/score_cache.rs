@@ -80,9 +80,9 @@ impl std::ops::AddAssign for ScoreCacheStats {
 /// owned by the controller and carried across ticks — the only way a
 /// migration target is scored.
 ///
-/// Call [`sync`](Self::sync) once per controller round (it is cheap —
-/// O(placement) compare plus O(changed links) eviction), then feed the
-/// cache to the rescheduler entry points.
+/// Call [`sync`](Self::sync) once in every controller round that scores
+/// a target, then feed the cache to the rescheduler entry points; a
+/// round that scores nothing may skip it.
 ///
 /// [`select_target`]: crate::rescheduler::select_target
 /// [`pick_target`]: crate::rescheduler::pick_target

@@ -266,9 +266,6 @@ pub struct Mesh {
     /// [`next_trace_change_after`](Self::next_trace_change_after) scan;
     /// cleared whenever a trace source is swapped or (un)frozen.
     trace_change_cache: std::cell::Cell<Option<(SimTime, Option<SimTime>)>>,
-    /// Per-link weights of the last `use_weighted_routing` call, kept so
-    /// fault-driven route recomputations stay quality-aware.
-    last_weights: Option<Vec<f64>>,
     /// Set (one way) by [`Mesh::use_reference_allocator`]: `reallocate`
     /// runs the dense test reference instead of the production path.
     reference: bool,
@@ -410,7 +407,6 @@ impl Mesh {
             down_links: BTreeSet::new(),
             trace_freeze: BTreeMap::new(),
             trace_change_cache: std::cell::Cell::new(None),
-            last_weights: None,
             reference: false,
             index: AllocIndex { dirty: true, ..AllocIndex::default() },
             scratch: AllocScratch::default(),
@@ -557,29 +553,6 @@ impl Mesh {
         self.hop_latency
     }
 
-    /// Replaces the hop-latency model.
-    pub fn set_hop_latency(&mut self, hl: HopLatency) {
-        self.hop_latency = hl;
-    }
-
-    /// Switches the mesh to quality-aware (ETX-style) routing: routes
-    /// minimize the total per-link weight returned by `weight_of`
-    /// (lower is better) instead of hop count. Every registered flow is
-    /// re-routed onto its new path (queues are preserved — rerouting a
-    /// live mesh does not drop queued data).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a weight is negative or non-finite.
-    pub fn use_weighted_routing(&mut self, mut weight_of: impl FnMut(LinkId) -> f64) {
-        let weights: Vec<f64> = (0..self.topo.link_count())
-            .map(|i| weight_of(LinkId(i)))
-            .collect();
-        self.last_weights = Some(weights);
-        self.recompute_routes_and_flows();
-        self.reallocate();
-    }
-
     // ----- fault state ------------------------------------------------------
 
     /// Marks a node up or down. A down node's links all become unusable:
@@ -706,11 +679,10 @@ impl Mesh {
         self.link_caps[lid.0].effective_at(at)
     }
 
-    /// Rebuilds the routing table honoring down links/nodes (weighted
-    /// when weighted routing is active) and tolerantly re-routes every
-    /// flow: flows whose route vanished are parked as unroutable (zero
-    /// allocation, queues preserved) and restored when a later
-    /// recomputation finds a path again.
+    /// Rebuilds the routing table honoring down links/nodes and
+    /// tolerantly re-routes every flow: flows whose route vanished are
+    /// parked as unroutable (zero allocation, queues preserved) and
+    /// restored when a later recomputation finds a path again.
     fn recompute_routes_and_flows(&mut self) {
         // Borrow the fault state instead of cloning it: the routing
         // computation only needs shared access, and the result is
@@ -725,11 +697,7 @@ impl Mesh {
             let link = topo.link(lid);
             !down_nodes.contains(&link.a) && !down_nodes.contains(&link.b)
         };
-        let routes = match &self.last_weights {
-            Some(w) => RoutingTable::compute_weighted_filtered(topo, |lid| w[lid.0], usable),
-            None => RoutingTable::compute_filtered(topo, usable),
-        };
-        self.routes = routes;
+        self.routes = RoutingTable::compute_filtered(topo, usable);
         for f in self.flows.values_mut() {
             let (src, dst) = (f.spec.src, f.spec.dst);
             let routed = if src == dst {
@@ -2277,40 +2245,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_routing_reroutes_live_flows() {
-        // Triangle with a weak direct link 0–2: under min-hop the flow
-        // goes direct and gets 2 Mbps; after switching to ETX-style
-        // routing it detours via node 1 and gets its full demand.
-        let mut topo = Topology::new();
-        for i in 0..3 {
-            topo.add_node(NodeId(i)).unwrap();
-        }
-        topo.add_link(NodeId(0), NodeId(1)).unwrap();
-        topo.add_link(NodeId(1), NodeId(2)).unwrap();
-        let weak = topo.add_link(NodeId(0), NodeId(2)).unwrap();
-        let mut mesh = Mesh::with_uniform_capacity(topo, mbps(100.0)).unwrap();
-        mesh.set_link_source(NodeId(0), NodeId(2), CapacitySource::Constant(mbps(2.0)))
-            .unwrap();
-        let f = mesh.add_flow(NodeId(0), NodeId(2), mbps(10.0)).unwrap();
-        mesh.advance(SimDuration::from_millis(100));
-        approx(mesh.flow_rate(f), 2.0);
-
-        // ETX ∝ 1/capacity-ish: make the weak link expensive.
-        mesh.use_weighted_routing(|lid| if lid == weak { 10.0 } else { 1.0 });
-        mesh.advance(SimDuration::from_millis(100));
-        // Rate may exceed demand while the starvation backlog drains;
-        // goodput is back at the full demand.
-        approx(mesh.flow_goodput(f), 10.0);
-        assert_eq!(
-            mesh.path(NodeId(0), NodeId(2)).unwrap(),
-            &[NodeId(0), NodeId(1), NodeId(2)]
-        );
-        // Usage accounting follows the new path.
-        assert!(mesh.link_usage(NodeId(0), NodeId(1)).unwrap() >= mbps(10.0));
-        approx(mesh.link_usage(NodeId(0), NodeId(2)).unwrap(), 0.0);
-    }
-
-    #[test]
     fn reset_flow_queue_clears_backlog() {
         let mut mesh = three_node_lan();
         let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(200.0)).unwrap();
@@ -2398,29 +2332,6 @@ mod tests {
         approx(mesh.link_effective_capacity(NodeId(0), NodeId(1)).unwrap(), 50.0);
         mesh.unfreeze_link_trace(NodeId(0), NodeId(1)).unwrap();
         approx(mesh.link_effective_capacity(NodeId(0), NodeId(1)).unwrap(), 5.0);
-    }
-
-    #[test]
-    fn weighted_routing_survives_partition_without_panicking() {
-        // Line 0-1-2 under weighted routing; downing 1 severs 0↔2
-        // entirely — the old implementation would have panicked here.
-        let mut topo = Topology::new();
-        for i in 0..3 {
-            topo.add_node(NodeId(i)).unwrap();
-        }
-        topo.add_link(NodeId(0), NodeId(1)).unwrap();
-        topo.add_link(NodeId(1), NodeId(2)).unwrap();
-        let mut mesh = Mesh::with_uniform_capacity(topo, mbps(100.0)).unwrap();
-        let f = mesh.add_flow(NodeId(0), NodeId(2), mbps(10.0)).unwrap();
-        mesh.use_weighted_routing(|_| 1.0);
-        mesh.set_node_up(NodeId(1), false).unwrap();
-        mesh.advance(SimDuration::from_millis(100));
-        assert_eq!(mesh.flow_rate(f), Bandwidth::ZERO);
-        mesh.set_node_up(NodeId(1), true).unwrap();
-        mesh.advance(SimDuration::from_millis(100));
-        approx(mesh.flow_goodput(f), 10.0);
-        // Weighted routing is still active after recovery.
-        assert_eq!(mesh.path(NodeId(0), NodeId(2)).unwrap().len(), 3);
     }
 
     #[test]

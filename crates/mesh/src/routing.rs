@@ -9,14 +9,6 @@
 use crate::topology::{LinkId, NodeId, Topology};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Per-link routing weight for quality-aware route computation.
-///
-/// Community mesh routing protocols (Babel, BATMAN, OLSR-ETX) prefer
-/// high-quality links over short hop counts. [`RoutingTable::compute_weighted`]
-/// models them: the weight of a link is interpreted ETX-style (expected
-/// transmissions — lower is better), and routes minimize total weight.
-pub type LinkWeight = f64;
-
 /// Precomputed all-pairs min-hop routes over a [`Topology`].
 ///
 /// # Examples
@@ -82,96 +74,6 @@ impl RoutingTable {
                 }
             }
             for (&dst, _) in parent.iter() {
-                let mut path = vec![dst];
-                let mut cur = dst;
-                while cur != src {
-                    cur = parent[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                paths.insert((src, dst), path);
-            }
-        }
-        RoutingTable { paths }
-    }
-
-    /// Runs Dijkstra from every node over per-link ETX-style weights
-    /// (lower is better), producing quality-aware routes. Ties break
-    /// deterministically toward lower node ids.
-    ///
-    /// `weight_of` is called once per link; it must return a finite,
-    /// non-negative weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a weight is negative or non-finite.
-    pub fn compute_weighted(
-        topo: &Topology,
-        weight_of: impl FnMut(LinkId) -> LinkWeight,
-    ) -> Self {
-        Self::compute_weighted_filtered(topo, weight_of, |_| true)
-    }
-
-    /// [`compute_weighted`](Self::compute_weighted) restricted to links
-    /// for which `usable` returns true; filtered-out links are never
-    /// traversed and their weights are not evaluated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a usable link's weight is negative or non-finite.
-    pub fn compute_weighted_filtered(
-        topo: &Topology,
-        mut weight_of: impl FnMut(LinkId) -> LinkWeight,
-        mut usable: impl FnMut(LinkId) -> bool,
-    ) -> Self {
-        // Dense per-link weight table; `None` marks a filtered-out link
-        // (whose weight closure is deliberately never evaluated).
-        let mut weights: Vec<Option<f64>> = vec![None; topo.link_count()];
-        for (lid, _) in topo.links() {
-            if !usable(lid) {
-                continue;
-            }
-            let w = weight_of(lid);
-            assert!(
-                w.is_finite() && w >= 0.0,
-                "link weight must be finite and non-negative, got {w} for {lid}"
-            );
-            weights[lid.0] = Some(w);
-        }
-
-        let mut paths = BTreeMap::new();
-        for src in topo.nodes() {
-            // Dijkstra with (cost, node) ordering; BTreeMap-based
-            // distance table keeps everything deterministic.
-            let mut dist: BTreeMap<NodeId, f64> = BTreeMap::new();
-            let mut parent: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-            let mut done: std::collections::BTreeSet<NodeId> = Default::default();
-            dist.insert(src, 0.0);
-            loop {
-                // Pick the unfinished node with the smallest distance
-                // (ties toward the lower id).
-                let next = dist
-                    .iter()
-                    .filter(|(n, _)| !done.contains(n))
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite").then(a.0.cmp(b.0)))
-                    .map(|(&n, &d)| (n, d));
-                let Some((u, du)) = next else { break };
-                done.insert(u);
-                for &(nb, lid) in topo.neighbor_links(u) {
-                    // Filtered-out links have no weight entry: skip them.
-                    let Some(w) = weights[lid.0] else { continue };
-                    let cand = du + w;
-                    let better = match dist.get(&nb) {
-                        None => true,
-                        Some(&d) => cand < d || (cand == d && u < parent[&nb]),
-                    };
-                    if better && !done.contains(&nb) {
-                        dist.insert(nb, cand);
-                        parent.insert(nb, u);
-                    }
-                }
-            }
-            for &dst in dist.keys() {
                 let mut path = vec![dst];
                 let mut cur = dst;
                 while cur != src {
@@ -310,47 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_routing_prefers_good_links() {
-        // Triangle 0-1-2: the direct 0–2 link is lossy (ETX 4); the
-        // two-hop route through 1 costs 1+1 = 2 and must win.
-        let topo = Topology::full_mesh(3);
-        let direct = topo.find_link(NodeId(0), NodeId(2)).unwrap();
-        let rt = RoutingTable::compute_weighted(&topo, |lid| {
-            if lid == direct {
-                4.0
-            } else {
-                1.0
-            }
-        });
-        assert_eq!(
-            rt.path(NodeId(0), NodeId(2)).unwrap(),
-            &[NodeId(0), NodeId(1), NodeId(2)]
-        );
-        // Other pairs keep their direct links.
-        assert_eq!(rt.hops(NodeId(0), NodeId(1)), Some(1));
-        assert_eq!(rt.hops(NodeId(1), NodeId(2)), Some(1));
-    }
-
-    #[test]
-    fn weighted_routing_with_uniform_weights_matches_min_hop() {
-        let topo = Topology::full_mesh(5);
-        let hop = RoutingTable::compute(&topo);
-        let weighted = RoutingTable::compute_weighted(&topo, |_| 1.0);
-        for a in topo.nodes() {
-            for b in topo.nodes() {
-                assert_eq!(hop.hops(a, b), weighted.hops(a, b), "{a}->{b}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn weighted_routing_rejects_negative_weights() {
-        let topo = Topology::full_mesh(3);
-        let _ = RoutingTable::compute_weighted(&topo, |_| -1.0);
-    }
-
-    #[test]
     fn filtered_routing_avoids_down_links() {
         // Triangle: with the direct 0–2 link filtered out, the route
         // detours through 1; with both 0-* links gone, 0 is isolated.
@@ -367,22 +228,6 @@ mod tests {
         assert_eq!(isolated.path(NodeId(0), NodeId(0)).unwrap(), &[NodeId(0)]);
         assert!(isolated.path(NodeId(1), NodeId(2)).is_some());
         assert!(!isolated.fully_connected(&topo));
-    }
-
-    #[test]
-    fn weighted_filtered_routing_skips_links_without_evaluating_weights() {
-        // The filtered link's weight closure would panic if evaluated.
-        let topo = Topology::full_mesh(3);
-        let direct = topo.find_link(NodeId(0), NodeId(2)).unwrap();
-        let rt = RoutingTable::compute_weighted_filtered(
-            &topo,
-            |lid| {
-                assert_ne!(lid, direct, "filtered link must not be weighed");
-                1.0
-            },
-            |lid| lid != direct,
-        );
-        assert_eq!(rt.hops(NodeId(0), NodeId(2)), Some(2));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The real BASS runs an iPerf3/traceroute/eBPF daemon on every node and
 //! aggregates through Prometheus. Against the simulated mesh the same
-//! three signals are produced by:
+//! signals are produced by:
 //!
 //! - [`probe`]: **max-capacity probes** (flood a link for one second to
 //!   learn its capacity; expensive, used rarely) and **headroom probes**
@@ -12,14 +12,9 @@
 //!   accounting so §6.3.4's probe-cost numbers can be reproduced.
 //! - [`goodput`]: passive per-edge measurement of what each component
 //!   pair actually pushed versus what it required.
-//! - [`profiler`]: the §8 "future work" extension — learning an edge's
-//!   bandwidth requirement online from observed usage instead of offline
-//!   profiling.
 
 pub mod goodput;
 pub mod probe;
-pub mod profiler;
 
 pub use goodput::{EdgeUsage, GoodputMonitor};
 pub use probe::{HeadroomReport, NetMonitor, NetMonitorConfig, ProbeOverhead};
-pub use profiler::OnlineProfiler;

@@ -361,13 +361,6 @@ impl NetMonitor {
         Some(bottleneck)
     }
 
-    /// Live available bandwidth between a node pair (bottleneck spare
-    /// capacity along the routed path) — what the scheduler queries when
-    /// rescheduling.
-    pub fn live_path_available(&self, mesh: &Mesh, src: NodeId, dst: NodeId) -> Bandwidth {
-        mesh.path_available(src, dst).unwrap_or(Bandwidth::ZERO)
-    }
-
     /// Cumulative probe overhead so far.
     pub fn overhead(&self) -> ProbeOverhead {
         self.overhead

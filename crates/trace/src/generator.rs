@@ -88,8 +88,6 @@ pub struct OuTraceConfig {
     fade_rate_per_min: f64,
     fade_depth: f64,
     fade_duration: SimDuration,
-    diurnal_amplitude: f64,
-    diurnal_period: SimDuration,
 }
 
 impl OuTraceConfig {
@@ -112,8 +110,6 @@ impl OuTraceConfig {
             fade_rate_per_min: 0.0,
             fade_depth: 0.5,
             fade_duration: SimDuration::from_secs(45),
-            diurnal_amplitude: 0.0,
-            diurnal_period: SimDuration::from_secs(24 * 3600),
         }
     }
 
@@ -155,26 +151,6 @@ impl OuTraceConfig {
         self
     }
 
-    /// Enables a diurnal capacity pattern: the process mean is modulated
-    /// sinusoidally by ±`amplitude` (a fraction of the mean, in `[0, 1]`)
-    /// with the given period — §2.1 observes variation even in low-usage
-    /// hours, and community links additionally breathe with user load
-    /// over the day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitude` is outside `[0, 1]` or `period` is zero.
-    pub fn diurnal(mut self, amplitude: f64, period: SimDuration) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&amplitude),
-            "diurnal amplitude must be in [0,1]"
-        );
-        assert!(!period.is_zero(), "diurnal period must be positive");
-        self.diurnal_amplitude = amplitude;
-        self.diurnal_period = period;
-        self
-    }
-
     /// The configured mean in Mbps.
     pub fn mean_mbps(&self) -> f64 {
         self.mean_mbps
@@ -203,11 +179,6 @@ impl OuTraceConfig {
             self.fade_rate_per_min / 60.0 * self.sample_interval.as_secs_f64();
         while t <= end {
             let mut mbps = process.step(self.sample_interval, &mut rng);
-            if self.diurnal_amplitude > 0.0 {
-                let phase = std::f64::consts::TAU * t.as_secs_f64()
-                    / self.diurnal_period.as_secs_f64();
-                mbps *= 1.0 + self.diurnal_amplitude * phase.sin();
-            }
             if self.fade_rate_per_min > 0.0 && t >= fade_until && rng.chance(fade_prob_per_sample)
             {
                 fade_until = t + self.fade_duration;
@@ -360,31 +331,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_mean() {
         let _ = OuTraceConfig::new("x", -1.0);
-    }
-
-    #[test]
-    fn diurnal_pattern_modulates_mean() {
-        let period = SimDuration::from_secs(1200);
-        let trace = OuTraceConfig::new("d", 20.0)
-            .relative_std(0.01)
-            .diurnal(0.5, period)
-            .generate(13, period);
-        // First quarter (rising sine) well above the mean; third quarter
-        // well below.
-        let series = trace.to_series_mbps();
-        let q1 = series
-            .stats_in(SimTime::from_secs(200), SimTime::from_secs(400))
-            .mean();
-        let q3 = series
-            .stats_in(SimTime::from_secs(800), SimTime::from_secs(1000))
-            .mean();
-        assert!(q1 > 26.0, "peak quarter {q1}");
-        assert!(q3 < 14.0, "trough quarter {q3}");
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude")]
-    fn diurnal_rejects_bad_amplitude() {
-        let _ = OuTraceConfig::new("d", 10.0).diurnal(1.5, SimDuration::from_secs(60));
     }
 }

@@ -209,8 +209,28 @@ impl<'a> Parser<'a> {
                 return Ok(Content::U64(v));
             }
         }
-        text.parse::<f64>()
-            .map(Content::F64)
-            .map_err(|e| format!("invalid number `{text}`: {e}"))
+        let v = text
+            .parse::<f64>()
+            .map_err(|e| format!("invalid number `{text}`: {e}"))?;
+        // Rust parses an over-large literal to ±∞; upstream serde_json
+        // rejects it, and nothing downstream expects a non-finite number.
+        if !v.is_finite() {
+            return Err(format!("number out of range `{text}`"));
+        }
+        Ok(Content::F64(v))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn out_of_range_literals_are_rejected() {
+        for text in ["1e999", "-1e999", "[1, 1e999]"] {
+            let err = parse_content(text).unwrap_err();
+            assert!(err.contains("number out of range"), "{text}: {err}");
+        }
+        assert!(matches!(parse_content("1e308"), Ok(Content::F64(v)) if v == 1e308));
     }
 }

@@ -95,7 +95,7 @@ proptest! {
     }
 
     #[test]
-    fn incremental_allocator_matches_dense_oracle(
+    fn component_fill_matches_dense_reference(
         demands_mbps in proptest::collection::vec(0.0f64..50.0, 1..24),
         n_constraints in 0usize..10,
         seed in any::<u64>(),
@@ -135,7 +135,7 @@ proptest! {
     }
 
     #[test]
-    fn mesh_engines_agree_through_churn(
+    fn production_mesh_matches_reference_allocator_through_churn(
         n in 3u32..9,
         extra in 0usize..8,
         n_flows in 2usize..10,
