@@ -279,8 +279,7 @@ pub fn simulate(
     let journal = env.take_journal();
     let profiler = env.take_span_profiler();
     if let Some(path) = &opts.metrics_out {
-        let mut metrics = journal.as_ref().map(|j| j.metrics().clone()).unwrap_or_default();
-        add_score_cache_metrics(&mut metrics, env.score_cache_stats());
+        let metrics = journal.as_ref().map(|j| j.metrics().clone()).unwrap_or_default();
         let text = bass_obs::prom::render(&metrics, profiler.as_ref());
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;
@@ -439,22 +438,11 @@ pub fn campaign(
         j.flush().map_err(CommandError::Journal)?;
     }
     if let Some(path) = &opts.metrics_out {
-        let mut metrics = campaign_metrics(&run.summary);
-        add_score_cache_metrics(&mut metrics, run.score_cache);
-        let text = bass_obs::prom::render(&metrics, run.profiler.as_ref());
+        let text = bass_obs::prom::render(&campaign_metrics(&run.summary), run.profiler.as_ref());
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;
     }
     Ok(run)
-}
-
-/// Adds the `score_cache.*` counter family — what the controller's
-/// target-score cache did over the run — to a `--metrics-out` registry.
-fn add_score_cache_metrics(m: &mut bass_obs::Metrics, stats: bass_core::ScoreCacheStats) {
-    m.add("score_cache.hits", stats.hits);
-    m.add("score_cache.misses", stats.misses);
-    m.add("score_cache.evictions", stats.evictions);
-    m.add("score_cache.flushes", stats.flushes);
 }
 
 /// Projects a campaign summary's aggregate into the metrics registry so
@@ -718,18 +706,10 @@ mod tests {
         assert!(outcome.worst_goodput_fraction > 0.9, "recovered: {outcome:?}");
         assert_ne!(outcome.initial.placement, outcome.r#final.placement);
         assert!(outcome.probe_bytes > 0);
-        // A migrating run scored targets through the cache, and the
-        // exposition says what the cache did.
+        // A migrating run selected targets, and the exposition times it.
         let text = std::fs::read_to_string(&metrics_path).unwrap();
         let _ = std::fs::remove_file(&metrics_path);
-        let exposition = bass_obs::prom::parse(&text).unwrap();
-        let counter = |name: &str| {
-            let family = format!("bass_score_cache_{name}_total");
-            exposition.samples.iter().find(|s| s.name == family).map(|s| s.value)
-        };
-        assert!(counter("misses").unwrap() > 0.0, "target selection scored nothing");
-        assert!(counter("flushes").unwrap() > 0.0, "the first sync starts cold");
-        assert!(counter("hits").is_some() && counter("evictions").is_some());
+        assert!(text.contains("span=\"ctl.target_select\""), "target selection left no span");
         assert!(bass_obs::prom::lint(&text).is_empty(), "exposition must stay lint-clean");
     }
 

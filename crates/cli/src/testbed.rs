@@ -150,8 +150,9 @@ impl TestbedSpec {
     /// # Errors
     ///
     /// Returns a [`TestbedError`] for empty, duplicate, or disconnected
-    /// descriptions, and for a link whose `mbps` or `relative_std` is
-    /// negative or non-finite.
+    /// descriptions, for a link whose `mbps` or `relative_std` is
+    /// negative or non-finite, and for a restriction with such an
+    /// `mbps`, an undeclared `node`, or an empty `from_s..until_s`.
     pub fn build(&self, seed: u64, trace_len: SimDuration) -> Result<(Mesh, Cluster), TestbedError> {
         if self.nodes.is_empty() {
             return Err(TestbedError::Invalid("no nodes".into()));
@@ -168,6 +169,18 @@ impl TestbedSpec {
                     )));
                 }
             }
+        }
+        for (i, r) in self.restrictions.iter().enumerate() {
+            let problem = if !(r.mbps.is_finite() && r.mbps >= 0.0) {
+                format!("mbps must be finite and non-negative, got {}", r.mbps)
+            } else if !self.nodes.iter().any(|n| n.id == r.node) {
+                format!("node {} is not declared", r.node)
+            } else if r.from_s >= r.until_s {
+                format!("from_s {} must be before until_s {}", r.from_s, r.until_s)
+            } else {
+                continue;
+            };
+            return Err(TestbedError::Invalid(format!("restriction {i}: {problem}")));
         }
         let mut topo = Topology::new();
         for n in &self.nodes {

@@ -246,11 +246,6 @@ fn campaign_metrics_exposition_is_lint_clean_with_tick_phase_spans() {
     // at least six distinct tick phases, each with buckets+sum+count.
     assert!(text.contains("bass_campaign_ticks_total"));
     assert!(text.contains("bass_campaign_goodput_p95"));
-    // What the controllers' score caches did, summed over replicas.
-    for counter in ["hits", "misses", "evictions", "flushes"] {
-        let family = format!("# TYPE bass_score_cache_{counter}_total counter");
-        assert!(text.contains(&family), "missing {family}");
-    }
     for phase in [
         "tick.faults",
         "tick.scenario",
@@ -370,10 +365,6 @@ fn simulate_metrics_out_writes_exposition_without_journal() {
     // Journal event counters ride along (journal-kind counter names are
     // `obs.event.<kind>`, sanitized to underscores).
     assert!(text.contains("bass_obs_event_tick_completed_total 600"));
-    // So does what the score cache did: nothing — the restriction only
-    // starts at 60 s, so no round had a target to score and none synced.
-    assert!(text.contains("bass_score_cache_hits_total 0"));
-    assert!(text.contains("bass_score_cache_flushes_total 0"), "a quiet round synced the cache");
 
     // And it lints clean.
     let out = bassctl()
@@ -551,6 +542,9 @@ fn hostile_numbers_and_names_fail_cleanly() {
         ("traced link mbps -5", true, "\"mbps\": 19.9", "\"mbps\": -5", "link 1-2: mbps"),
         ("constant link mbps -5", true, "\"mbps\": 100", "\"mbps\": -5", "link 0-1: mbps"),
         ("link mbps 1e999", true, "\"mbps\": 19.9", "\"mbps\": 1e999", "number out of range `1e999`"),
+        ("restriction mbps -5", true, "\"mbps\": 25", "\"mbps\": -5", "restriction 0: mbps"),
+        ("restriction node 99", true, "\"node\": 2", "\"node\": 99", "restriction 0: node 99"),
+        ("restriction until before from", true, "\"until_s\": 180", "\"until_s\": 10", "restriction 0: from_s 60"),
         ("edge bandwidth -12", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": -12", "bandwidth_mbps"),
         ("edge bandwidth 1e999", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": 1e999", "number out of range `1e999`"),
         (

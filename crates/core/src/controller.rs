@@ -96,7 +96,6 @@ pub struct BassController {
     policy: Box<dyn SchedulerPolicy>,
     last_migration: Option<SimTime>,
     full_probes_triggered: u64,
-    cache: crate::score_cache::TargetScoreCache,
 }
 
 impl BassController {
@@ -114,7 +113,6 @@ impl BassController {
             policy: policy.build(),
             last_migration: None,
             full_probes_triggered: 0,
-            cache: crate::score_cache::TargetScoreCache::new(),
         }
     }
 
@@ -133,30 +131,12 @@ impl BassController {
         self.policy.name()
     }
 
-    /// Swaps the migration policy mid-flight. Cached target scores
-    /// belong to the old policy's decision stream, so the score cache
-    /// is dropped (its behaviour counters survive, like
-    /// [`reset`](Self::reset)); the cooldown clock is kept — a policy
-    /// switch is a reconfiguration, not a process restart.
+    /// Swaps the migration policy mid-flight. The cooldown clock is
+    /// kept — a policy switch is a reconfiguration, not a process
+    /// restart.
     pub fn set_policy(&mut self, policy: PolicyKind) {
         self.policy_kind = policy;
         self.policy = policy.build();
-        self.cache.clear();
-    }
-
-    /// Switches the score cache to reference scoring for the rest of
-    /// the controller's life — across [`reset`](Self::reset) and
-    /// [`set_policy`](Self::set_policy) too. Test support; see
-    /// [`TargetScoreCache::use_reference_scoring`](crate::TargetScoreCache::use_reference_scoring).
-    #[doc(hidden)]
-    pub fn use_reference_scoring(&mut self) {
-        self.cache.use_reference_scoring();
-    }
-
-    /// Read access to the persistent target-score cache (diagnostics
-    /// and tests; the controller keeps it synced internally).
-    pub fn score_cache(&self) -> &crate::score_cache::TargetScoreCache {
-        &self.cache
     }
 
     /// Resets runtime state as if the controller process restarted: the
@@ -167,16 +147,10 @@ impl BassController {
     pub fn reset(&mut self) {
         self.last_migration = None;
         self.full_probes_triggered = 0;
-        self.cache.clear();
         // The policy's in-memory state (e.g. the random policy's RNG
         // stream) dies with the process; the kind is configuration and
         // is rebuilt fresh.
         self.policy = self.policy_kind.build();
-    }
-
-    /// How the persistent target-score cache has been behaving.
-    pub fn score_cache_stats(&self) -> crate::score_cache::ScoreCacheStats {
-        self.cache.stats()
     }
 
     /// When the last migration round was planned, if ever.
@@ -277,18 +251,6 @@ impl BassController {
         };
         let candidates = self.policy.find_candidates(&ctx);
         clock.lap(profiler.as_deref_mut(), "ctl.candidates");
-        // Bring the persistent score cache up to date with this round's
-        // world (flush on placement/routing moves, targeted eviction on
-        // logged capacity changes) so target selection below re-scores
-        // only what actually changed since the last synced round. Only
-        // target selection reads the cache, so a round with nobody to
-        // migrate skips the sync; the next one still sees every capacity
-        // move through the mesh's change log (or flushes when that
-        // history is gone).
-        if !candidates.to_migrate.is_empty() {
-            self.cache.sync(mesh, cluster, &placement);
-        }
-        clock.lap(profiler.as_deref_mut(), "ctl.score_cache");
         if let Some(j) = journal.as_deref_mut() {
             for v in &candidates.violations {
                 let threshold = match v.trigger {
@@ -310,15 +272,20 @@ impl BassController {
                 });
             }
         }
+        // One availability ranking per round that has someone to
+        // migrate; every target selection below reads it.
+        let ranked = if candidates.to_migrate.is_empty() {
+            Vec::new()
+        } else {
+            crate::ranking::rank_nodes(cluster, mesh)
+        };
         for &component in &candidates.to_migrate {
             let Some(from) = cluster.node_of(component) else {
                 continue;
             };
             let observed = candidates.worst_goodput_fraction(component);
             let degraded = observed < self.cfg.migration.goodput_threshold;
-            let target =
-                self.policy.select_target(component, observed, degraded, &ctx, &mut self.cache);
-            match target {
+            match self.policy.select_target(component, observed, degraded, &ctx, &ranked) {
                 Ok(to) => {
                     if let Some(j) = journal.as_deref_mut() {
                         j.record(bass_obs::Event::MigrationTargetChosen {
@@ -443,19 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn round_without_candidates_leaves_the_score_cache_alone() {
-        let mut w = world();
-        let mut ctl = BassController::new(ControllerConfig::default());
-        w.mesh.advance(SimDuration::from_secs(30));
-        measure(&mut w);
-        let before = ctl.score_cache_stats();
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
-        // A probe-epoch round ran to completion but found nobody to move.
-        assert!(o.headroom.is_some() && o.candidates.to_migrate.is_empty());
-        assert_eq!(ctl.score_cache_stats(), before, "nothing reads the cache this round");
-    }
-
-    #[test]
     fn capacity_drop_escalates_and_migrates() {
         let mut w = world();
         let mut ctl = BassController::new(ControllerConfig::default());
@@ -554,30 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn controller_restart_evicts_the_score_cache() {
-        let mut w = world();
-        let mut ctl = BassController::new(ControllerConfig::default());
-        w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
-        w.mesh.advance(SimDuration::from_secs(30));
-        measure(&mut w);
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
-        assert_eq!(o.plans.len(), 1);
-        assert!(!ctl.score_cache().is_empty(), "target selection populates the cache");
-        let misses = ctl.score_cache_stats().misses;
-        assert!(misses > 0);
-        // A restart drops every cached score but keeps the counters —
-        // the next round starts cold and re-misses.
-        ctl.reset();
-        assert!(ctl.score_cache().is_empty());
-        assert_eq!(ctl.score_cache_stats().misses, misses);
-        w.mesh.advance(SimDuration::from_secs(30));
-        measure(&mut w);
-        ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
-        assert!(ctl.score_cache_stats().misses > misses, "cold cache must re-score");
-    }
-
-    #[test]
-    fn policy_switch_evicts_the_score_cache_but_keeps_the_cooldown() {
+    fn policy_switch_keeps_the_cooldown() {
         let mut w = world();
         let mut ctl = BassController::new(ControllerConfig::default());
         assert_eq!(ctl.policy_name(), "bass");
@@ -586,14 +517,12 @@ mod tests {
         measure(&mut w);
         let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
         assert_eq!(o.plans.len(), 1);
-        assert!(!ctl.score_cache().is_empty());
         let last = ctl.last_migration_at();
         assert!(last.is_some());
-        // Switching to another policy drops the old policy's scores but
-        // keeps the cooldown clock: a reconfiguration, not a restart.
+        // Switching to another policy keeps the cooldown clock: a
+        // reconfiguration, not a restart.
         ctl.set_policy(crate::policy::PolicyKind::Spread);
         assert_eq!(ctl.policy_name(), "spread");
-        assert!(ctl.score_cache().is_empty());
         assert_eq!(ctl.last_migration_at(), last);
     }
 

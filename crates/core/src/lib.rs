@@ -17,11 +17,8 @@
 //!   de-duplication to avoid cascades.
 //! - [`rescheduler`]: choosing the target node for a migrating
 //!   component (most co-located dependencies, then resource/bandwidth
-//!   fit) — two entry points, both scoring through the synced cache.
-//! - [`score_cache`]: the dirty-set-invalidated cache of target
-//!   selection scores the controller carries across rounds — the only
-//!   way a target is scored. The dense scorer it fills from doubles as
-//!   the hidden one-way test reference (`use_reference_scoring`).
+//!   fit) — two entry points, both scoring densely over the round's
+//!   one availability ranking.
 //! - [`policy`]: the pluggable migration-decision layer — the
 //!   [`policy::SchedulerPolicy`] trait (candidate filtering + target
 //!   selection) with the paper's controller as the default
@@ -44,10 +41,11 @@
 //! controller's `tick_profiled`, the planner's `recommend_observed`,
 //! and the tuner's `tune_observed` emit structured events while the
 //! plain entry points stay observation-free. The migration decision
-//! itself has one path: each round the controller syncs its
-//! [`TargetScoreCache`] and hands it to the policy, whose
-//! [`rescheduler::select_target`] call (or direct score lookup) is
-//! served by it — there is no uncached variant to fall back to.
+//! itself has one path: each round that has someone to migrate, the
+//! controller ranks the nodes once and hands that slice to the policy,
+//! whose [`rescheduler::select_target`] call (or direct scoring)
+//! computes every score from the round's world — nothing is carried
+//! across rounds.
 
 #![warn(missing_docs)]
 
@@ -61,12 +59,10 @@ pub mod policy;
 pub mod ranking;
 pub mod rescheduler;
 pub mod scheduler;
-pub mod score_cache;
 pub mod tuning;
 
 pub use controller::{BassController, ControllerConfig, ControllerOutcome, MigrationPlan};
 pub use policy::{PolicyCtx, PolicyKind, SchedulerPolicy};
-pub use score_cache::{ScoreCacheStats, TargetScoreCache};
 pub use events::EventSource;
 pub use heuristics::{BfsWeighting, ComponentOrdering, HeuristicError};
 pub use placement::PlacementError;

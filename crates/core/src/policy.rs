@@ -10,16 +10,15 @@
 //! priority-aware policy — all runnable head-to-head by `bassctl arena`.
 //!
 //! Determinism contract (see `docs/POLICIES.md`): a policy's decisions
-//! may depend only on the [`PolicyCtx`] snapshot, the synced
-//! [`TargetScoreCache`], and the policy's own seeded state. Wall-clock
+//! may depend only on the [`PolicyCtx`] snapshot, the round's
+//! availability ranking, and the policy's own seeded state. Wall-clock
 //! time, map iteration order over non-`BTree` maps, and global RNGs are
 //! all forbidden — same-seed runs must be bit-identical, and the
 //! default [`BassPolicy`] must reproduce the pre-trait controller's
 //! golden journals byte-for-byte.
 
 use crate::migration::{MigrationCandidates, MigrationConfig};
-use crate::rescheduler::RescheduleError;
-use crate::score_cache::TargetScoreCache;
+use crate::rescheduler::{bandwidth_score, locate, score_cmp, RescheduleError};
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::{Cluster, Placement};
 use bass_mesh::{Mesh, NodeId};
@@ -31,7 +30,7 @@ use std::collections::BTreeSet;
 /// Read-only world snapshot handed to a policy for one decision round.
 ///
 /// Everything a policy may legally consult lives here; the controller
-/// owns the probe cadence, the cooldown clock, and the score cache.
+/// owns the probe cadence and the cooldown clock.
 #[derive(Debug)]
 pub struct PolicyCtx<'a> {
     /// The mesh (capacities, routes, up/down state).
@@ -56,8 +55,8 @@ pub struct PolicyCtx<'a> {
 /// selection for one controller round.
 ///
 /// Implementations must be deterministic functions of the
-/// [`PolicyCtx`], the cache, and their own seeded state (see the
-/// module docs). The provided [`find_candidates`](Self::find_candidates)
+/// [`PolicyCtx`], the round's ranking, and their own seeded state (see
+/// the module docs). The provided [`find_candidates`](Self::find_candidates)
 /// runs the paper's Algorithm 3; override it to re-rank or filter the
 /// candidate list.
 pub trait SchedulerPolicy: std::fmt::Debug + Send {
@@ -80,7 +79,9 @@ pub trait SchedulerPolicy: std::fmt::Debug + Send {
 
     /// Where `component` should move. `observed` is the worst goodput
     /// fraction among its violations; `degraded` is whether it fell
-    /// below the goodput threshold. `Err` marks the component
+    /// below the goodput threshold; `ranked` is this round's
+    /// availability ranking ([`rank_nodes`](crate::ranking::rank_nodes)),
+    /// computed once by the controller. `Err` marks the component
     /// unplaceable this round.
     ///
     /// # Errors
@@ -92,7 +93,7 @@ pub trait SchedulerPolicy: std::fmt::Debug + Send {
         observed: f64,
         degraded: bool,
         ctx: &PolicyCtx<'_>,
-        cache: &mut TargetScoreCache,
+        ranked: &[NodeId],
     ) -> Result<NodeId, RescheduleError>;
 
     /// Clones the policy behind the object (controllers are `Clone`).
@@ -198,8 +199,8 @@ impl std::fmt::Display for PolicyKind {
 }
 
 /// The paper's controller behaviour, verbatim: Algorithm 3 candidates
-/// (the trait default) and [`select_target`] targets through the
-/// shared cache. This path must stay bit-identical to the pre-trait
+/// (the trait default) and [`select_target`] targets over the round's
+/// ranking. This path must stay bit-identical to the pre-trait
 /// controller — the golden refactor-equivalence battery
 /// (`tests/policy.rs`) holds it there.
 ///
@@ -218,7 +219,7 @@ impl SchedulerPolicy for BassPolicy {
         observed: f64,
         degraded: bool,
         ctx: &PolicyCtx<'_>,
-        cache: &mut TargetScoreCache,
+        ranked: &[NodeId],
     ) -> Result<NodeId, RescheduleError> {
         crate::rescheduler::select_target(
             component,
@@ -228,7 +229,7 @@ impl SchedulerPolicy for BassPolicy {
             observed,
             degraded,
             ctx.best_effort_targets,
-            cache,
+            ranked,
         )
     }
 
@@ -243,14 +244,7 @@ fn feasible_targets(
     component: ComponentId,
     ctx: &PolicyCtx<'_>,
 ) -> Result<(NodeId, Vec<NodeId>), RescheduleError> {
-    let comp = ctx
-        .dag
-        .component(component)
-        .ok_or(RescheduleError::UnknownComponent(component))?;
-    let current = ctx
-        .cluster
-        .node_of(component)
-        .ok_or(RescheduleError::NotPlaced(component))?;
+    let (comp, current) = locate(component, ctx.dag, ctx.cluster)?;
     let nodes = ctx
         .cluster
         .node_ids()
@@ -278,7 +272,7 @@ impl SchedulerPolicy for K3sDefaultPolicy {
         _observed: f64,
         _degraded: bool,
         ctx: &PolicyCtx<'_>,
-        _cache: &mut TargetScoreCache,
+        _ranked: &[NodeId],
     ) -> Result<NodeId, RescheduleError> {
         let (_, nodes) = feasible_targets(component, ctx)?;
         nodes
@@ -313,7 +307,7 @@ impl SchedulerPolicy for SpreadPolicy {
         _observed: f64,
         _degraded: bool,
         ctx: &PolicyCtx<'_>,
-        _cache: &mut TargetScoreCache,
+        _ranked: &[NodeId],
     ) -> Result<NodeId, RescheduleError> {
         let (_, nodes) = feasible_targets(component, ctx)?;
         nodes
@@ -360,7 +354,7 @@ impl SchedulerPolicy for RandomPolicy {
         _observed: f64,
         _degraded: bool,
         ctx: &PolicyCtx<'_>,
-        _cache: &mut TargetScoreCache,
+        _ranked: &[NodeId],
     ) -> Result<NodeId, RescheduleError> {
         let (_, nodes) = feasible_targets(component, ctx)?;
         if nodes.is_empty() {
@@ -394,16 +388,16 @@ impl SchedulerPolicy for NetworkAwareGreedyPolicy {
         _observed: f64,
         _degraded: bool,
         ctx: &PolicyCtx<'_>,
-        cache: &mut TargetScoreCache,
+        _ranked: &[NodeId],
     ) -> Result<NodeId, RescheduleError> {
         let (current, nodes) = feasible_targets(component, ctx)?;
         let deps = ctx.dag.neighbors(component);
-        let current_score = cache.score(component, current, &deps, ctx.cluster, ctx.mesh);
+        let current_score = bandwidth_score(current, &deps, ctx.cluster, ctx.mesh);
         nodes
             .into_iter()
-            .map(|n| (n, cache.score(component, n, &deps, ctx.cluster, ctx.mesh)))
+            .map(|n| (n, bandwidth_score(n, &deps, ctx.cluster, ctx.mesh)))
             .filter(|&(_, s)| s > current_score)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
+            .max_by(|a, b| score_cmp(a.1, b.1))
             .map(|(n, _)| n)
             .ok_or(RescheduleError::NoFeasibleNode(component))
     }
@@ -473,7 +467,7 @@ impl SchedulerPolicy for MetronomePolicy {
         observed: f64,
         degraded: bool,
         ctx: &PolicyCtx<'_>,
-        cache: &mut TargetScoreCache,
+        ranked: &[NodeId],
     ) -> Result<NodeId, RescheduleError> {
         let eager = self.priority(component, ctx.dag) >= self.priority_cutoff;
         crate::rescheduler::select_target(
@@ -484,7 +478,7 @@ impl SchedulerPolicy for MetronomePolicy {
             observed,
             degraded || eager,
             ctx.best_effort_targets,
-            cache,
+            ranked,
         )
     }
 

@@ -36,11 +36,7 @@ pub fn rank_nodes(cluster: &Cluster, mesh: &Mesh) -> Vec<NodeId> {
         b.free_cpu_millis
             .cmp(&a.free_cpu_millis)
             .then(b.free_memory_mb.cmp(&a.free_memory_mb))
-            .then(
-                b.link_capacity_bps
-                    .partial_cmp(&a.link_capacity_bps)
-                    .expect("finite capacities"),
-            )
+            .then(b.link_capacity_bps.total_cmp(&a.link_capacity_bps))
             .then(a.node.cmp(&b.node))
     });
     scores.into_iter().map(|s| s.node).collect()

@@ -4,8 +4,7 @@
 //! ranks highest in terms of the number of existing deployed
 //! dependencies, and with sufficient CPU, memory, and bandwidth".
 
-use crate::score_cache::TargetScoreCache;
-use bass_appdag::{AppDag, ComponentId};
+use bass_appdag::{AppDag, Component, ComponentId};
 use bass_cluster::Cluster;
 use bass_mesh::{Mesh, NodeId};
 use bass_util::units::Bandwidth;
@@ -38,8 +37,20 @@ impl fmt::Display for RescheduleError {
 
 impl Error for RescheduleError {}
 
-/// Picks the best migration target for `component`, reading the
-/// availability ranking off the synced [`TargetScoreCache`].
+/// Looks `component` up in the DAG and the cluster: its definition and
+/// the node it currently occupies.
+pub(crate) fn locate<'a>(
+    component: ComponentId,
+    dag: &'a AppDag,
+    cluster: &Cluster,
+) -> Result<(&'a Component, NodeId), RescheduleError> {
+    let comp = dag.component(component).ok_or(RescheduleError::UnknownComponent(component))?;
+    let current = cluster.node_of(component).ok_or(RescheduleError::NotPlaced(component))?;
+    Ok((comp, current))
+}
+
+/// Picks the best migration target for `component`; `ranked` is this
+/// round's availability ranking ([`rank_nodes`](crate::ranking::rank_nodes)).
 ///
 /// Candidate order: nodes hosting the most of the component's
 /// dependencies first (then overall availability rank); the current node
@@ -55,60 +66,40 @@ pub fn pick_target(
     dag: &AppDag,
     cluster: &Cluster,
     mesh: &Mesh,
-    cache: &TargetScoreCache,
+    ranked: &[NodeId],
 ) -> Result<NodeId, RescheduleError> {
-    let comp = dag
-        .component(component)
-        .ok_or(RescheduleError::UnknownComponent(component))?;
-    let current = cluster
-        .node_of(component)
-        .ok_or(RescheduleError::NotPlaced(component))?;
-
+    let (comp, current) = locate(component, dag, cluster)?;
     let deps = dag.neighbors(component);
     // Count dependencies per node.
     let mut dep_count: BTreeMap<NodeId, usize> = BTreeMap::new();
-    for (dep, _) in &deps {
-        if let Some(n) = cluster.node_of(*dep) {
-            *dep_count.entry(n).or_insert(0) += 1;
-        }
+    for n in deps.iter().filter_map(|(dep, _)| cluster.node_of(*dep)) {
+        *dep_count.entry(n).or_insert(0) += 1;
     }
 
     // Candidate order: dependency count descending, then availability
-    // rank, excluding the current node and any down node. The rank is a
-    // position map, not a linear scan per comparison — the scan made
-    // the sort O(N² log N) and showed up as the bulk of
-    // `ctl.target_select` on large meshes.
-    let rank_pos = cache.rank_pos();
-    let rank_of = |n: NodeId| rank_pos.get(&n).copied().unwrap_or(usize::MAX);
-    let mut candidates: Vec<NodeId> = cache
-        .ranked()
+    // rank, excluding the current node and any down node. Candidates
+    // are collected in rank order and the sort is stable, so sorting on
+    // the count alone leaves ties in rank order.
+    let mut candidates: Vec<NodeId> = ranked
         .iter()
         .copied()
         .filter(|&n| n != current && mesh.node_is_up(n))
         .collect();
-    candidates.sort_by(|&a, &b| {
-        dep_count
-            .get(&b)
-            .unwrap_or(&0)
-            .cmp(dep_count.get(&a).unwrap_or(&0))
-            .then(rank_of(a).cmp(&rank_of(b)))
-    });
-
-    for node in candidates {
-        if !cluster.fits(node, comp.resources).unwrap_or(false) {
-            continue;
-        }
-        if bandwidth_feasible(node, &deps, cluster, mesh) {
-            return Ok(node);
-        }
-    }
-    Err(RescheduleError::NoFeasibleNode(component))
+    candidates.sort_by_key(|n| std::cmp::Reverse(dep_count.get(n).copied().unwrap_or(0)));
+    candidates
+        .into_iter()
+        .find(|&n| {
+            cluster.fits(n, comp.resources).unwrap_or(false)
+                && bandwidth_feasible(n, &deps, cluster, mesh)
+        })
+        .ok_or(RescheduleError::NoFeasibleNode(component))
 }
 
 /// The controller's target selection with an **improvement gate**: a
 /// migration only proceeds when the chosen target's prospective service
-/// clearly beats the current node's. Every score is served by the
-/// synced [`TargetScoreCache`] — the only way a target is scored.
+/// clearly beats the current node's. Every score is a
+/// `bandwidth_score` of this round's world; `ranked` is the round's
+/// availability ranking, as for [`pick_target`].
 ///
 /// The current node's score blends the hypothetical allocation with the
 /// *observed* goodput fraction of the violating edges
@@ -146,32 +137,22 @@ pub fn select_target(
     observed_fraction: f64,
     degraded: bool,
     best_effort: bool,
-    cache: &mut TargetScoreCache,
+    ranked: &[NodeId],
 ) -> Result<NodeId, RescheduleError> {
-    let comp = dag
-        .component(component)
-        .ok_or(RescheduleError::UnknownComponent(component))?;
-    let current = cluster
-        .node_of(component)
-        .ok_or(RescheduleError::NotPlaced(component))?;
+    let (comp, current) = locate(component, dag, cluster)?;
     let deps = dag.neighbors(component);
 
-    let hypothetical = cache.score(component, current, &deps, cluster, mesh);
-    let current_score = (
-        hypothetical.0.min(observed_fraction.clamp(0.0, 1.0)),
-        hypothetical.1,
-    );
+    let hypothetical = bandwidth_score(current, &deps, cluster, mesh);
+    let current_score = (hypothetical.0.min(observed_fraction.clamp(0.0, 1.0)), hypothetical.1);
 
-    if let Ok(target) = pick_target(component, dag, cluster, mesh, cache) {
+    if let Ok(target) = pick_target(component, dag, cluster, mesh, ranked) {
         // A *degraded* component (goodput collapsed) moves to any
         // strictly feasible node — the paper's §3.2.2 behaviour. A
         // merely utilization-flagged component additionally needs the
         // move to be a clear improvement, else transient dips churn.
-        if degraded {
-            return Ok(target);
-        }
-        let cand = cache.score(component, target, &deps, cluster, mesh);
-        if clearly_better(cand, current_score) {
+        if degraded
+            || clearly_better(bandwidth_score(target, &deps, cluster, mesh), current_score)
+        {
             return Ok(target);
         }
     }
@@ -180,19 +161,17 @@ pub fn select_target(
         // with the best bandwidth score, in availability-rank order:
         // `max_by` keeps the *last* maximum, so the iteration order is
         // part of the contract and must not change.
-        let best = (0..cache.ranked().len())
-            .filter_map(|i| {
-                let n = cache.ranked()[i];
-                (n != current
+        let best = ranked
+            .iter()
+            .filter(|&&n| {
+                n != current
                     && mesh.node_is_up(n)
-                    && cluster.fits(n, comp.resources).unwrap_or(false))
-                .then(|| (n, cache.score(component, n, &deps, cluster, mesh)))
+                    && cluster.fits(n, comp.resources).unwrap_or(false)
             })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
-        if let Some((node, s)) = best {
-            if clearly_better(s, current_score) {
-                return Ok(node);
-            }
+            .map(|&n| (n, bandwidth_score(n, &deps, cluster, mesh)))
+            .max_by(|a, b| score_cmp(a.1, b.1));
+        if let Some((node, _)) = best.filter(|&(_, s)| clearly_better(s, current_score)) {
+            return Ok(node);
         }
     }
     Err(RescheduleError::NoFeasibleNode(component))
@@ -201,38 +180,31 @@ pub fn select_target(
 /// `(worst satisfied fraction, total achieved bps)` of a hypothetical
 /// max-min allocation of the component's dependency edges when hosted at
 /// `node`, over the current link capacities with path sharing taken
-/// into account (two dependencies reached over the same link split it),
-/// plus *which* links the score read (one entry per distinct constraint
-/// link, unsorted) — the invalidation key the [`TargetScoreCache`]
-/// stores alongside the value. Existing traffic is ignored —
-/// optimistic, but self-consistent: the component's own current flows
-/// would otherwise pollute the estimate.
+/// into account (two dependencies reached over the same link split it).
+/// Existing traffic is ignored — optimistic, but self-consistent: the
+/// component's own current flows would otherwise pollute the estimate.
 ///
-/// This is the dense scorer: the cache calls it on every miss, and
-/// again on every served score under the hidden reference switch.
+/// A pure function of the round's world, recomputed on every call:
+/// nothing is carried across rounds (see `docs/ARCHITECTURE.md` § The
+/// scorer for the measurements behind that).
 pub(crate) fn bandwidth_score(
     node: NodeId,
     deps: &[(ComponentId, Bandwidth)],
     cluster: &Cluster,
     mesh: &Mesh,
-) -> ((f64, f64), Vec<u32>) {
+) -> (f64, f64) {
     use bass_mesh::flow::{max_min_allocate, Constraint};
 
     let mut demands: Vec<Bandwidth> = Vec::new();
-    // Constraint membership: canonical link key → flow indices, plus one
-    // egress constraint per capped transmitting node.
+    // Constraint membership: canonical link key → flow indices.
     let mut link_members: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
     for (dep, required) in deps {
-        let Some(dep_node) = cluster.node_of(*dep) else {
-            continue;
-        };
-        if dep_node == node {
-            // Co-located: trivially satisfied; count it as demand met.
-            demands.push(*required);
-            continue;
-        }
+        let Some(dep_node) = cluster.node_of(*dep) else { continue };
         let idx = demands.len();
         demands.push(*required);
+        if dep_node == node {
+            continue; // co-located: crosses no link, trivially met
+        }
         if let Ok(path) = mesh.path(node, dep_node) {
             for w in path.windows(2) {
                 let key = if w[0] <= w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
@@ -241,19 +213,13 @@ pub(crate) fn bandwidth_score(
         }
     }
     if demands.is_empty() {
-        return ((1.0, 0.0), Vec::new());
+        return (1.0, 0.0);
     }
-    let mut dep_links = Vec::with_capacity(link_members.len());
     let constraints: Vec<Constraint> = link_members
         .into_iter()
-        .map(|((a, b), members)| {
-            if let Some(lid) = mesh.topology().find_link(a, b) {
-                dep_links.push(lid.0 as u32);
-            }
-            Constraint {
-                capacity: mesh.link_capacity(a, b).unwrap_or(Bandwidth::ZERO),
-                members,
-            }
+        .map(|((a, b), members)| Constraint {
+            capacity: mesh.link_capacity(a, b).unwrap_or(Bandwidth::ZERO),
+            members,
         })
         .collect();
     let rates = max_min_allocate(&demands, &constraints);
@@ -265,7 +231,14 @@ pub(crate) fn bandwidth_score(
             worst_fraction = worst_fraction.min(rate.as_bps() / demands[i].as_bps());
         }
     }
-    ((worst_fraction, total), dep_links)
+    (worst_fraction, total)
+}
+
+/// Total order on scores: worst fraction first, then total bandwidth.
+/// Both are non-negative finite sums, so `total_cmp` orders them
+/// numerically and nothing can panic.
+pub(crate) fn score_cmp(a: (f64, f64), b: (f64, f64)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
 }
 
 /// Hysteresis: a candidate must beat the current node by ≥20% on the
@@ -282,8 +255,8 @@ fn clearly_better(candidate: (f64, f64), current: (f64, f64)) -> bool {
 }
 
 /// Checks that every dependency (`deps`) that would stay remote after
-/// moving the component to `target` can be served: the path from `target` to the
-/// dependency's node needs the edge's bandwidth available.
+/// moving the component to `target` can be served: the path from
+/// `target` to its node needs the edge's bandwidth available.
 ///
 /// The check is conservative-approximate: the component's current flows
 /// still occupy their old paths while we evaluate, so paths that overlap
@@ -294,70 +267,182 @@ fn bandwidth_feasible(
     cluster: &Cluster,
     mesh: &Mesh,
 ) -> bool {
-    for (dep, required) in deps {
-        let Some(dep_node) = cluster.node_of(*dep) else {
-            continue;
-        };
-        if dep_node == target {
-            continue; // would be co-located: no network needed
-        }
-        let available = mesh
-            .path_available(target, dep_node)
-            .unwrap_or(Bandwidth::ZERO);
-        if available < *required {
-            return false;
-        }
-    }
-    true
+    // An unplaced or would-be co-located dependency needs no network.
+    !deps.iter().any(|(dep, required)| {
+        cluster.node_of(*dep).is_some_and(|dep_node| {
+            dep_node != target
+                && mesh.path_available(target, dep_node).unwrap_or(Bandwidth::ZERO) < *required
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranking::rank_nodes;
     use bass_appdag::{catalog, ResourceReq};
     use bass_cluster::NodeSpec;
-    use bass_mesh::Topology;
+    use bass_mesh::{CapacitySource, Topology};
     use bass_util::time::SimDuration;
+
+    const HUB: ComponentId = ComponentId(1);
+    const NO_TARGET: Result<NodeId, RescheduleError> = Err(RescheduleError::NoFeasibleNode(HUB));
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::from_mbps(x)
     }
 
-    /// A cache synced to this world — what the controller hands in.
-    fn synced_cache(cluster: &Cluster, mesh: &Mesh) -> TargetScoreCache {
-        let mut cache = TargetScoreCache::new();
-        cache.sync(mesh, cluster, &cluster.placement());
-        cache
+    /// `pick_target` over a fresh ranking of this world.
+    fn pick(c: ComponentId, dag: &AppDag, cl: &Cluster, mesh: &Mesh) -> Result<NodeId, RescheduleError> {
+        pick_target(c, dag, cl, mesh, &rank_nodes(cl, mesh))
+    }
+
+    /// `select_target` over a fresh ranking of this world.
+    fn select(
+        c: ComponentId,
+        dag: &AppDag,
+        cl: &Cluster,
+        mesh: &Mesh,
+        observed: f64,
+        degraded: bool,
+        best_effort: bool,
+    ) -> Result<NodeId, RescheduleError> {
+        select_target(c, dag, cl, mesh, observed, degraded, best_effort, &rank_nodes(cl, mesh))
+    }
+
+    /// Nodes `0..cores.len()` with the given core counts and 4 GB each.
+    fn cluster(cores: &[u64]) -> Cluster {
+        Cluster::new(cores.iter().enumerate().map(|(i, &c)| NodeSpec::cores_mb(i as u32, c, 4096)))
+            .unwrap()
+    }
+
+    fn put(cl: &mut Cluster, component: u32, cores: u64, node: u32) {
+        cl.place(ComponentId(component), ResourceReq::cores_mb(cores, 128), NodeId(node)).unwrap();
+    }
+
+    fn full_mesh(n: u32) -> Mesh {
+        Mesh::with_uniform_capacity(Topology::full_mesh(n), mbps(100.0)).unwrap()
+    }
+
+    /// `n` nodes joined by exactly `links`, each `(a, b, Mbps)` constant.
+    fn linked_mesh(n: u32, links: &[(u32, u32, f64)]) -> Mesh {
+        let mut topo = Topology::new();
+        for i in 0..n {
+            topo.add_node(NodeId(i)).unwrap();
+        }
+        for &(a, b, _) in links {
+            topo.add_link(NodeId(a), NodeId(b)).unwrap();
+        }
+        let mut mesh = Mesh::new(topo).unwrap();
+        for &(a, b, c) in links {
+            mesh.set_link_source(NodeId(a), NodeId(b), CapacitySource::Constant(mbps(c))).unwrap();
+        }
+        mesh
+    }
+
+    /// Line topology 0-1-2-3 with per-link capacities.
+    fn line_mesh(caps: [f64; 3]) -> Mesh {
+        linked_mesh(4, &[(0, 1, caps[0]), (1, 2, caps[1]), (2, 3, caps[2])])
+    }
+
+    /// Star SFU-like DAG: the 2-core hub (component 1) talks to
+    /// zero-resource components 2..=`leaves + 1` over identical edges.
+    fn star_dag(edge_mbps: f64, leaves: u32) -> AppDag {
+        let mut dag = AppDag::new("star");
+        dag.add_component(Component::new(HUB, "hub", ResourceReq::cores_mb(2, 512))).unwrap();
+        for i in 2..=leaves + 1 {
+            dag.add_component(Component::new(ComponentId(i), format!("leaf{i}"), ResourceReq::default()))
+                .unwrap();
+            dag.add_edge(HUB, ComponentId(i), mbps(edge_mbps)).unwrap();
+        }
+        dag
     }
 
     /// 3 fully-connected nodes; camera pipeline; sampler on its own node.
     fn setup() -> (AppDag, Cluster, Mesh) {
         let dag = catalog::camera_pipeline();
-        let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
         let mut cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 16, 16384))).unwrap();
         // camera on n0, sampler alone on n1, detector+listeners on n2.
-        let place = |cl: &mut Cluster, name: &str, n: u32| {
+        for (name, n) in [
+            ("camera-stream", 0),
+            ("frame-sampler", 1),
+            ("object-detector", 2),
+            ("image-listener", 2),
+            ("label-listener", 2),
+        ] {
             let c = dag.component_by_name(name).unwrap();
-            cl.place(c.id, c.resources, NodeId(n)).unwrap();
-        };
-        place(&mut cluster, "camera-stream", 0);
-        place(&mut cluster, "frame-sampler", 1);
-        place(&mut cluster, "object-detector", 2);
-        place(&mut cluster, "image-listener", 2);
-        place(&mut cluster, "label-listener", 2);
-        (dag, cluster, mesh)
+            cluster.place(c.id, c.resources, NodeId(n)).unwrap();
+        }
+        (dag, cluster, full_mesh(3))
+    }
+
+    fn id_of(dag: &AppDag, name: &str) -> ComponentId {
+        dag.component_by_name(name).unwrap().id
     }
 
     #[test]
     fn prefers_node_with_most_dependencies() {
         let (dag, cluster, mesh) = setup();
-        let sampler = dag.component_by_name("frame-sampler").unwrap().id;
         // Sampler talks to camera (n0, 1 dep) and detector (n2, 1 dep);
-        // tie on count → availability rank; n2 has 16-11=5 free cores vs
-        // n0's 14 free → n0 wins on rank. But the detector edge is 6 Mbps
-        // vs camera 20 Mbps... the count tie resolves by rank only.
-        let target = pick_target(sampler, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap();
-        assert_eq!(target, NodeId(0));
+        // tie on count → availability rank: n0 has 14 free cores, n2 5.
+        assert_eq!(pick(id_of(&dag, "frame-sampler"), &dag, &cluster, &mesh), Ok(NodeId(0)));
+    }
+
+    #[test]
+    fn dependency_ties_resolve_by_availability_rank_not_node_id() {
+        // Hub on n0 with one leaf on each of n1 and n2: the two tie on
+        // dependency count, and n2 — the emptier node — outranks n1,
+        // against node-id order.
+        let dag = star_dag(5.0, 2);
+        let mesh = full_mesh(3);
+        let mut cl = cluster(&[4, 4, 8]);
+        put(&mut cl, 1, 2, 0);
+        put(&mut cl, 2, 0, 1);
+        put(&mut cl, 3, 0, 2);
+        let ranked = rank_nodes(&cl, &mesh);
+        assert_eq!(ranked, [NodeId(2), NodeId(1), NodeId(0)]);
+        assert_eq!(pick_target(HUB, &dag, &cl, &mesh, &ranked), Ok(NodeId(2)));
+
+        // The whole candidate order, on a tie pattern long enough that
+        // an unstable sort would shuffle it: hub on n0, a leaf on every
+        // odd node of 40, ranking descending by id. Filling each pick
+        // and asking again (same ranking) walks the order: leaf hosts
+        // first, each group in rank order.
+        let dag = star_dag(1.0, 20);
+        let mesh = full_mesh(40);
+        let mut cl = cluster(&[4; 40]);
+        put(&mut cl, 1, 2, 0);
+        for leaf in 0..20 {
+            put(&mut cl, leaf + 2, 0, 2 * leaf + 1);
+        }
+        let ranked: Vec<NodeId> = (0..40).rev().map(NodeId).collect();
+        let mut order = Vec::new();
+        while let Ok(node) = pick_target(HUB, &dag, &cl, &mesh, &ranked) {
+            order.push(node.0);
+            put(&mut cl, 100 + node.0, 4, node.0);
+        }
+        let expected: Vec<u32> =
+            (0..20).rev().map(|i| 2 * i + 1).chain((1..20).rev().map(|i| 2 * i)).collect();
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn best_effort_keeps_the_last_maximum_in_rank_order() {
+        // Hub on n0, its one 10 Mbps leaf on n3 (CPU-full, so the hub
+        // cannot join it). n1 and n2 each reach n3 over an 8 Mbps link:
+        // strict selection fails everywhere, and both score (0.8, 8 Mbps)
+        // against 0.1 at n0 — two equal best scores.
+        let dag = star_dag(10.0, 1);
+        let mesh =
+            linked_mesh(4, &[(0, 3, 1.0), (1, 3, 8.0), (2, 3, 8.0), (0, 1, 100.0), (0, 2, 100.0)]);
+        // Whichever of n1/n2 ranks *later* wins, whatever its id.
+        for (n1_cores, n2_cores, winner) in [(4, 8, NodeId(1)), (8, 4, NodeId(2))] {
+            let mut cl = cluster(&[4, n1_cores, n2_cores, 4]);
+            put(&mut cl, 1, 2, 0);
+            put(&mut cl, 2, 4, 3);
+            assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, true), Ok(winner));
+            assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, false), NO_TARGET);
+        }
     }
 
     #[test]
@@ -367,166 +452,85 @@ mod tests {
         // relocate the camera to n2: n2 now hosts camera + detector —
         // two of the sampler's dependencies — while n0 is emptier but
         // hosts none.
-        let image = dag.component_by_name("image-listener").unwrap().id;
-        let label = dag.component_by_name("label-listener").unwrap().id;
-        cluster.relocate(image, NodeId(0)).unwrap();
-        cluster.relocate(label, NodeId(0)).unwrap();
-        let camera = dag.component_by_name("camera-stream").unwrap().id;
-        cluster.relocate(camera, NodeId(2)).unwrap();
-        let sampler = dag.component_by_name("frame-sampler").unwrap().id;
-        let target = pick_target(sampler, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap();
-        assert_eq!(target, NodeId(2), "both dependencies live on n2");
+        cluster.relocate(id_of(&dag, "image-listener"), NodeId(0)).unwrap();
+        cluster.relocate(id_of(&dag, "label-listener"), NodeId(0)).unwrap();
+        cluster.relocate(id_of(&dag, "camera-stream"), NodeId(2)).unwrap();
+        let target = pick(id_of(&dag, "frame-sampler"), &dag, &cluster, &mesh);
+        assert_eq!(target, Ok(NodeId(2)), "both dependencies live on n2");
     }
 
     #[test]
     fn skips_nodes_without_cpu() {
         let (dag, mut cluster, mesh) = setup();
         // Stuff n0 so the sampler (4 cores) cannot fit there.
-        cluster
-            .place(ComponentId(99), ResourceReq::cores_mb(13, 128), NodeId(0))
-            .unwrap();
-        let sampler = dag.component_by_name("frame-sampler").unwrap().id;
-        let target = pick_target(sampler, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap();
-        assert_eq!(target, NodeId(2));
+        put(&mut cluster, 99, 13, 0);
+        assert_eq!(pick(id_of(&dag, "frame-sampler"), &dag, &cluster, &mesh), Ok(NodeId(2)));
     }
 
     #[test]
     fn skips_nodes_without_bandwidth() {
-        let (dag, mut cluster, mut mesh) = setup();
-        // Choke every link out of n0 below the 20 Mbps camera→sampler
-        // requirement; moving the sampler to n0 would co-locate it with
-        // the camera, but then the 6 Mbps sampler→detector edge needs
-        // n0→n2 bandwidth, which is gone too.
+        let (dag, cluster, mut mesh) = setup();
+        // Choke every link out of n0 to 1 Mbps.
         mesh.set_node_egress_cap(NodeId(0), Some(mbps(1.0))).unwrap();
         mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(1.0))).unwrap();
         mesh.set_link_cap(NodeId(0), NodeId(2), Some(mbps(1.0))).unwrap();
         mesh.advance(SimDuration::from_millis(100));
-        let sampler = dag.component_by_name("frame-sampler").unwrap().id;
+        let sampler = id_of(&dag, "frame-sampler");
         // Moving to n0 co-locates the camera but leaves the 6 Mbps
         // detector edge on a 1 Mbps path; moving to n2 co-locates the
         // detector but leaves the 20 Mbps camera edge on a 1 Mbps path.
         // Nothing is feasible.
-        let err = pick_target(sampler, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap_err();
+        let err = pick(sampler, &dag, &cluster, &mesh).unwrap_err();
         assert_eq!(err, RescheduleError::NoFeasibleNode(sampler));
-        let _ = &mut cluster;
     }
 
     #[test]
     fn colocation_waives_bandwidth_check() {
-        let (dag, cluster, mut mesh) = setup();
-        // Kill all bandwidth. Moving the detector to n1 (sampler's node)
-        // co-locates its heaviest edge; its other edges (to listeners on
-        // n2) still need bandwidth, so it fails. But moving the
-        // image-listener to n2... it's already there. Use label-listener:
-        // its only edge is detector on n2, so moving it to n2 co-locates
-        // everything and needs zero network.
+        let (dag, mut cluster, mut mesh) = setup();
+        // Kill all bandwidth. The label-listener's only edge is to the
+        // detector on n2, so moving it there co-locates everything and
+        // needs zero network.
         for (a, b) in [(0u32, 1u32), (0, 2), (1, 2)] {
-            mesh.set_link_cap(NodeId(a), NodeId(b), Some(Bandwidth::ZERO))
-                .unwrap();
+            mesh.set_link_cap(NodeId(a), NodeId(b), Some(Bandwidth::ZERO)).unwrap();
         }
         mesh.advance(SimDuration::from_millis(100));
-        let label = dag.component_by_name("label-listener").unwrap().id;
-        // label is on n2 with the detector already; relocate it first to n0.
-        let mut cluster = cluster;
-        cluster.relocate(label, NodeId(0)).unwrap();
-        let target = pick_target(label, &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap();
-        assert_eq!(target, NodeId(2));
+        let label = id_of(&dag, "label-listener");
+        cluster.relocate(label, NodeId(0)).unwrap(); // it starts on n2
+
+        assert_eq!(pick(label, &dag, &cluster, &mesh), Ok(NodeId(2)));
     }
 
     #[test]
     fn down_nodes_are_never_chosen() {
-        // Pair a→b: a on n0, b on n2; n2 is CPU-full, so the empty n1 is
-        // the only viable target for a.
-        let mut dag = AppDag::new("pair");
-        dag.add_component(Component::new(ComponentId(1), "a", ResourceReq::cores_mb(1, 128)))
-            .unwrap();
-        dag.add_component(Component::new(ComponentId(2), "b", ResourceReq::default()))
-            .unwrap();
-        dag.add_edge(ComponentId(1), ComponentId(2), mbps(5.0)).unwrap();
-        let mut mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
-        let mut cluster =
-            Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 4, 4096))).unwrap();
-        cluster.place(ComponentId(1), ResourceReq::cores_mb(1, 128), NodeId(0)).unwrap();
-        cluster.place(ComponentId(2), ResourceReq::default(), NodeId(2)).unwrap();
-        cluster.place(ComponentId(9), ResourceReq::cores_mb(4, 128), NodeId(2)).unwrap();
-        assert_eq!(
-            pick_target(ComponentId(1), &dag, &cluster, &mesh, &synced_cache(&cluster, &mesh)).unwrap(),
-            NodeId(1)
-        );
+        // Hub on n0, its leaf on n2; n2 is CPU-full, so the empty n1 is
+        // the only viable target for the hub.
+        let dag = star_dag(5.0, 1);
+        let mut mesh = full_mesh(3);
+        let mut cl = cluster(&[4, 4, 4]);
+        put(&mut cl, 1, 2, 0);
+        put(&mut cl, 2, 0, 2);
+        put(&mut cl, 9, 4, 2);
+        assert_eq!(pick(HUB, &dag, &cl, &mesh), Ok(NodeId(1)));
         // n1 crashes: no candidate remains, in strict, best-effort, and
         // degraded select_target selection alike.
         mesh.set_node_up(NodeId(1), false).unwrap();
-        let err = Err(RescheduleError::NoFeasibleNode(ComponentId(1)));
-        let mut cache = synced_cache(&cluster, &mesh);
-        assert_eq!(pick_target(ComponentId(1), &dag, &cluster, &mesh, &cache), err);
+        assert_eq!(pick(HUB, &dag, &cl, &mesh), NO_TARGET);
         for observed in [1.0, 0.1] {
-            assert_eq!(
-                select_target(ComponentId(1), &dag, &cluster, &mesh, observed, true, true, &mut cache),
-                err
-            );
+            assert_eq!(select(HUB, &dag, &cl, &mesh, observed, true, true), NO_TARGET);
         }
     }
 
     #[test]
     fn error_cases() {
-        let (dag, cluster, mesh) = setup();
-        let mut cache = synced_cache(&cluster, &mesh);
+        let (dag, mut cluster, mesh) = setup();
         let unknown = Err(RescheduleError::UnknownComponent(ComponentId(77)));
-        assert_eq!(pick_target(ComponentId(77), &dag, &cluster, &mesh, &cache), unknown);
-        assert_eq!(
-            select_target(ComponentId(77), &dag, &cluster, &mesh, 1.0, true, true, &mut cache),
-            unknown
-        );
-        let mut cluster2 = cluster;
-        let camera = dag.component_by_name("camera-stream").unwrap().id;
-        cluster2.evict(camera).unwrap();
-        let mut cache = synced_cache(&cluster2, &mesh);
+        assert_eq!(pick(ComponentId(77), &dag, &cluster, &mesh), unknown);
+        assert_eq!(select(ComponentId(77), &dag, &cluster, &mesh, 1.0, true, true), unknown);
+        let camera = id_of(&dag, "camera-stream");
+        cluster.evict(camera).unwrap();
         let not_placed = Err(RescheduleError::NotPlaced(camera));
-        assert_eq!(pick_target(camera, &dag, &cluster2, &mesh, &cache), not_placed);
-        assert_eq!(
-            select_target(camera, &dag, &cluster2, &mesh, 1.0, true, true, &mut cache),
-            not_placed
-        );
-    }
-
-    /// Star SFU-like DAG: component 1 talks to pinned-style components
-    /// 2..=4 with identical heavy edges.
-    fn star_dag(edge_mbps: f64) -> AppDag {
-        let mut dag = AppDag::new("star");
-        dag.add_component(Component::new(ComponentId(1), "hub", ResourceReq::cores_mb(2, 512)))
-            .unwrap();
-        for i in 2..=4u32 {
-            dag.add_component(Component::new(
-                ComponentId(i),
-                format!("leaf{i}"),
-                ResourceReq::default(),
-            ))
-            .unwrap();
-            dag.add_edge(ComponentId(1), ComponentId(i), mbps(edge_mbps))
-                .unwrap();
-        }
-        dag
-    }
-
-    /// Line topology 0-1-2-3 with per-link capacities.
-    fn line_mesh(caps: [f64; 3]) -> Mesh {
-        let mut topo = Topology::new();
-        for i in 0..4 {
-            topo.add_node(NodeId(i)).unwrap();
-        }
-        for i in 0..3u32 {
-            topo.add_link(NodeId(i), NodeId(i + 1)).unwrap();
-        }
-        let mut mesh = Mesh::new(topo).unwrap();
-        for (i, c) in caps.into_iter().enumerate() {
-            mesh.set_link_source(
-                NodeId(i as u32),
-                NodeId(i as u32 + 1),
-                bass_mesh::CapacitySource::Constant(mbps(c)),
-            )
-            .unwrap();
-        }
-        mesh
+        assert_eq!(pick(camera, &dag, &cluster, &mesh), not_placed);
+        assert_eq!(select(camera, &dag, &cluster, &mesh, 1.0, true, true), not_placed);
     }
 
     #[test]
@@ -534,28 +538,23 @@ mod tests {
         // Hub on node 0; leaves on nodes 1, 2, 3 of a line. Every flow
         // from node 0 shares the first link, so the score must reflect
         // the split, not the per-path bottleneck.
-        let dag = star_dag(10.0);
+        let dag = star_dag(10.0, 3);
         let mesh = line_mesh([12.0, 100.0, 100.0]);
-        let mut cluster =
-            Cluster::new((0..4).map(|i| NodeSpec::cores_mb(i, 4, 4096))).unwrap();
-        cluster.place(ComponentId(1), ResourceReq::cores_mb(2, 512), NodeId(0)).unwrap();
-        for i in 2..=4u32 {
-            cluster
-                .place(ComponentId(i), ResourceReq::default(), NodeId(i - 1))
-                .unwrap();
+        let mut cl = cluster(&[4; 4]);
+        put(&mut cl, 1, 2, 0);
+        for i in 2..=4 {
+            put(&mut cl, i, 0, i - 1);
         }
-        let deps = dag.neighbors(ComponentId(1));
-        let ((frac, total), links) = bandwidth_score(NodeId(0), &deps, &cluster, &mesh);
+        let deps = dag.neighbors(HUB);
+        let (frac, total) = bandwidth_score(NodeId(0), &deps, &cl, &mesh);
         // Three 10 Mbps flows share the 12 Mbps first link → 4 each.
         assert!((frac - 0.4).abs() < 1e-6, "fraction {frac}");
         assert!((total - 12e6).abs() < 1.0, "total {total}");
-        assert_eq!(links.len(), 3, "every line link is read from the end: {links:?}");
         // From node 2 the leaves split across both directions: leaf on
         // n1 via link1 (100), leaf on n2 co-located, leaf on n3 via
         // link2 (100) → everything satisfied.
-        let ((frac2, _), links2) = bandwidth_score(NodeId(2), &deps, &cluster, &mesh);
+        let (frac2, _) = bandwidth_score(NodeId(2), &deps, &cl, &mesh);
         assert!((frac2 - 1.0).abs() < 1e-6, "fraction {frac2}");
-        assert_eq!(links2.len(), 2, "the co-located leaf reads no link: {links2:?}");
     }
 
     #[test]
@@ -574,30 +573,23 @@ mod tests {
     #[test]
     fn best_effort_moves_hub_to_better_connected_node() {
         // Hub on node 3 (end of the line, weak link); leaves on 0, 1, 2.
-        let dag = star_dag(10.0);
-        let mut cluster =
-            Cluster::new((0..4).map(|i| NodeSpec::cores_mb(i, 4, 4096))).unwrap();
-        cluster.place(ComponentId(1), ResourceReq::cores_mb(2, 512), NodeId(3)).unwrap();
-        for i in 2..=4u32 {
-            cluster
-                .place(ComponentId(i), ResourceReq::default(), NodeId(i - 2))
-                .unwrap();
+        let dag = star_dag(10.0, 3);
+        let mut cl = cluster(&[4; 4]);
+        put(&mut cl, 1, 2, 3);
+        for i in 2..=4 {
+            put(&mut cl, i, 0, i - 2);
         }
-        let select = |mesh: &Mesh, best_effort| {
-            let mut cache = synced_cache(&cluster, mesh);
-            select_target(ComponentId(1), &dag, &cluster, mesh, 1.0, true, best_effort, &mut cache)
-        };
         // Healthy inner links: node 1 (center-ish) is strictly feasible,
         // so the degraded hub moves there with or without the fallback.
         let mesh = line_mesh([100.0, 100.0, 5.0]);
-        assert_eq!(select(&mesh, true), Ok(NodeId(1)));
-        assert_eq!(select(&mesh, false), Ok(NodeId(1)));
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, true), Ok(NodeId(1)));
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, false), Ok(NodeId(1)));
         // Every link below the 10 Mbps edges: strict selection fails
         // everywhere. Best-effort still moves the hub to node 1, whose
         // worst edge gets 8 of 10 Mbps against 1.67 at the current node.
         let mesh = line_mesh([8.0, 9.0, 5.0]);
-        assert_eq!(select(&mesh, true), Ok(NodeId(1)));
-        assert_eq!(select(&mesh, false), Err(RescheduleError::NoFeasibleNode(ComponentId(1))));
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, true), Ok(NodeId(1)));
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, false), NO_TARGET);
     }
 
     #[test]
@@ -605,20 +597,14 @@ mod tests {
         // Hub already on the best-connected node, goodput fine: even
         // though other strictly feasible nodes exist, the improvement
         // gate keeps the component where it is.
-        let dag = star_dag(10.0);
+        let dag = star_dag(10.0, 3);
         let mesh = line_mesh([100.0, 100.0, 100.0]);
-        let mut cluster =
-            Cluster::new((0..4).map(|i| NodeSpec::cores_mb(i, 4, 4096))).unwrap();
-        cluster.place(ComponentId(1), ResourceReq::cores_mb(2, 512), NodeId(1)).unwrap();
-        for (leaf, node) in [(2u32, 0u32), (3, 2), (4, 3)] {
-            cluster
-                .place(ComponentId(leaf), ResourceReq::default(), NodeId(node))
-                .unwrap();
+        let mut cl = cluster(&[4; 4]);
+        put(&mut cl, 1, 2, 1);
+        for (leaf, node) in [(2, 0), (3, 2), (4, 3)] {
+            put(&mut cl, leaf, 0, node);
         }
-        assert_eq!(
-            select_target(ComponentId(1), &dag, &cluster, &mesh, 1.0, false, true, &mut synced_cache(&cluster, &mesh)),
-            Err(RescheduleError::NoFeasibleNode(ComponentId(1)))
-        );
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, false, true), NO_TARGET);
     }
 
     #[test]
@@ -627,31 +613,15 @@ mod tests {
         // healthy (observed = 1.0) component must stay; a degraded one
         // (observed ≪ threshold, caller passes degraded=true) moves as
         // soon as a strictly feasible target exists.
-        let mut dag = AppDag::new("pair");
-        dag.add_component(Component::new(ComponentId(1), "a", ResourceReq::cores_mb(1, 128)))
-            .unwrap();
-        dag.add_component(Component::new(ComponentId(2), "b", ResourceReq::default()))
-            .unwrap();
-        dag.add_edge(ComponentId(1), ComponentId(2), mbps(5.0)).unwrap();
-        let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
-        let mut cluster =
-            Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 4, 4096))).unwrap();
-        cluster.place(ComponentId(1), ResourceReq::cores_mb(1, 128), NodeId(0)).unwrap();
-        cluster.place(ComponentId(2), ResourceReq::default(), NodeId(1)).unwrap();
-
+        let dag = star_dag(5.0, 1);
+        let mesh = full_mesh(3);
+        let mut cl = cluster(&[4, 4, 4]);
+        put(&mut cl, 1, 2, 0);
+        put(&mut cl, 2, 0, 1);
         // Healthy: gate suppresses the sideways move.
-        assert_eq!(
-            select_target(ComponentId(1), &dag, &cluster, &mesh, 1.0, false, true, &mut synced_cache(&cluster, &mesh)),
-            Err(RescheduleError::NoFeasibleNode(ComponentId(1)))
-        );
-        // Degraded: strict feasibility suffices (co-locating with b on
-        // node 1 is feasible and allowed immediately).
-        let target =
-            select_target(ComponentId(1), &dag, &cluster, &mesh, 0.1, true, true, &mut synced_cache(&cluster, &mesh)).unwrap();
-        assert_eq!(target, NodeId(1));
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, false, true), NO_TARGET);
+        // Degraded: strict feasibility suffices (co-locating with the
+        // leaf on node 1 is feasible and allowed immediately).
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 0.1, true, true), Ok(NodeId(1)));
     }
-
-    use bass_appdag::AppDag;
-    use bass_appdag::{Component, ComponentId};
-    use bass_mesh::NodeId;
 }

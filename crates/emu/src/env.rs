@@ -221,16 +221,6 @@ impl SimEnv {
         self.reference_stepping = true;
     }
 
-    /// Switches the controller's score cache to reference scoring for
-    /// the rest of this environment's life (controller restarts
-    /// included): every served target score and every synced node
-    /// ranking is re-derived densely and compared bitwise. Test support;
-    /// see `TargetScoreCache::use_reference_scoring`.
-    #[doc(hidden)]
-    pub fn use_reference_scoring(&mut self) {
-        self.controller.use_reference_scoring();
-    }
-
     /// Installs the network scenario script.
     pub fn set_scenario(&mut self, scenario: Scenario) {
         self.mutation_epoch += 1;
@@ -1120,13 +1110,6 @@ impl SimEnv {
     /// The net-monitor (probe overhead accounting etc.).
     pub fn netmon(&self) -> &NetMonitor {
         &self.netmon
-    }
-
-    /// How the controller's target-score cache has behaved so far
-    /// (hits, misses, evictions, flushes). Outside simulation state: the
-    /// counters never feed a decision.
-    pub fn score_cache_stats(&self) -> bass_core::ScoreCacheStats {
-        self.controller.score_cache_stats()
     }
 
     /// Run statistics (migrations, rounds, failures).

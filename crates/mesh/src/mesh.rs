@@ -242,7 +242,6 @@ pub struct Mesh {
     flows: BTreeMap<FlowId, FlowState>,
     next_flow: u64,
     now: SimTime,
-    hop_latency: HopLatency,
     allocation: FlowAllocation,
     /// Allocated bps currently crossing each link (refreshed per step).
     link_used_bps: Vec<f64>,
@@ -315,19 +314,6 @@ pub struct Mesh {
     /// Flow slots whose transmit demand may have moved since the last
     /// refresh: spec changes, queue-backlog byte movements, resets.
     dirty_flows: Vec<u32>,
-    /// Monotone counter of observed capacity moves (see
-    /// [`Mesh::capacity_changes_since`]).
-    cap_epoch: u64,
-    /// Recent capacity moves `(epoch, link)` with strictly increasing
-    /// epochs, consumed by the controller's score cache; reset (with
-    /// `cap_log_floor` advanced) when it would exceed `CAP_LOG_LIMIT`.
-    cap_log: Vec<(u64, u32)>,
-    /// Epoch at or below which `cap_log` history has been discarded.
-    cap_log_floor: u64,
-    /// Bumped whenever routing, up/down state, or the egress-cap set
-    /// changes — controller score inputs the capacity log cannot
-    /// express.
-    routes_epoch: u64,
     /// True when the next queue pass must run the full O(F + L) path
     /// (allocation reshaped, usage views rebuilt, or the pending-set
     /// bookkeeping overflowed).
@@ -366,11 +352,6 @@ pub struct Mesh {
     usage_view_rebuilds: u64,
 }
 
-/// Upper bound on retained capacity-log entries; past this the log
-/// resets and [`Mesh::capacity_changes_since`] readers fall back to a
-/// full rescore.
-const CAP_LOG_LIMIT: usize = 16_384;
-
 impl Mesh {
     /// Creates a mesh over a connected topology; every link starts with
     /// zero capacity until a source is assigned.
@@ -397,7 +378,6 @@ impl Mesh {
             flows: BTreeMap::new(),
             next_flow: 0,
             now: SimTime::ZERO,
-            hop_latency: HopLatency::default(),
             allocation: FlowAllocation::default(),
             link_used_bps: vec![0.0; link_count],
             egress_used_bps: vec![0.0; max_node],
@@ -425,10 +405,6 @@ impl Mesh {
             trace_heap_valid: false,
             flow_dirty: Vec::new(),
             dirty_flows: Vec::new(),
-            cap_epoch: 0,
-            cap_log: Vec::new(),
-            cap_log_floor: 0,
-            routes_epoch: 0,
             pending_full: true,
             pending_link_flag: vec![false; link_count],
             pending_links: Vec::new(),
@@ -472,33 +448,6 @@ impl Mesh {
     /// loop.
     pub fn usage_view_rebuilds(&self) -> u64 {
         self.usage_view_rebuilds
-    }
-
-    /// Monotone counter of observed effective-capacity moves; pair with
-    /// [`Mesh::capacity_changes_since`] to find out *which* links moved.
-    pub fn capacity_epoch(&self) -> u64 {
-        self.cap_epoch
-    }
-
-    /// The links whose effective capacity moved after `epoch` as
-    /// `(epoch, link)` entries with strictly increasing epochs, oldest
-    /// first — or `None` when that history has been discarded, in which
-    /// case the caller must treat every link as changed. Capacity moves
-    /// are observed (and logged) by the allocation refresh, so query
-    /// this after a tick, not between out-of-band mutations.
-    pub fn capacity_changes_since(&self, epoch: u64) -> Option<&[(u64, u32)]> {
-        if epoch < self.cap_log_floor {
-            return None;
-        }
-        let k = self.cap_log.partition_point(|&(e, _)| e <= epoch);
-        Some(&self.cap_log[k..])
-    }
-
-    /// Bumped whenever routing, link/node up-down state, or the
-    /// egress-cap set changes — controller score inputs that move
-    /// without a logged per-link capacity change.
-    pub fn routes_epoch(&self) -> u64 {
-        self.routes_epoch
     }
 
     /// Creates a mesh where every link has the same constant capacity
@@ -550,7 +499,7 @@ impl Mesh {
 
     /// The hop-latency model in use.
     pub fn hop_latency(&self) -> HopLatency {
-        self.hop_latency
+        HopLatency::default()
     }
 
     // ----- fault state ------------------------------------------------------
@@ -722,12 +671,9 @@ impl Mesh {
                 }
             }
         }
-        // Up/down state feeds effective capacities and paths feed
-        // controller scores: the stale index forces a full capacity
-        // re-read, and any score cache keyed on the routes epoch must
-        // refresh.
+        // Up/down state feeds effective capacities: the stale index
+        // forces a full capacity re-read.
         self.index.dirty = true;
-        self.routes_epoch += 1;
     }
 
     // ----- capacity control ------------------------------------------------
@@ -791,10 +737,8 @@ impl Mesh {
             }
         }
         // The egress constraint set changed shape (or value): rebuild the
-        // membership index at the next allocation. Controller scores see
-        // this through the routes epoch (no per-link capacity is logged).
+        // membership index at the next allocation.
         self.index.dirty = true;
-        self.routes_epoch += 1;
         Ok(())
     }
 
@@ -1272,17 +1216,9 @@ impl Mesh {
         }
     }
 
-    /// Records that a link's effective capacity moved: advances the
-    /// capacity epoch, appends to the change log (resetting it when
-    /// full), and queues the link for this tick's component scan and
-    /// utilization refresh.
-    fn log_cap_change(&mut self, l: usize) {
-        self.cap_epoch += 1;
-        if self.cap_log.len() >= CAP_LOG_LIMIT {
-            self.cap_log.clear();
-            self.cap_log_floor = self.cap_epoch - 1;
-        }
-        self.cap_log.push((self.cap_epoch, l as u32));
+    /// Records that a link's effective capacity moved: queues the link
+    /// for this tick's component scan and utilization refresh.
+    fn mark_cap_changed(&mut self, l: usize) {
         self.cap_changed.push(l as u32);
         self.touch_link(l);
     }
@@ -1306,10 +1242,9 @@ impl Mesh {
     }
 
     /// Full capacity refresh: re-reads every link's effective capacity
-    /// and every egress cap into the freshly rebuilt index, logging each
-    /// capacity that moved (the controller's score cache consumes the
-    /// log), and re-arms the dirty-link set and the trace heap so the
-    /// following ticks can go O(dirty).
+    /// and every egress cap into the freshly rebuilt index, marking each
+    /// capacity that moved, and re-arms the dirty-link set and the trace
+    /// heap so the following ticks can go O(dirty).
     fn refresh_constraint_caps(&mut self, link_count: usize) {
         self.cap_changed.clear();
         self.link_cap_bps.resize(link_count, 0.0);
@@ -1317,7 +1252,7 @@ impl Mesh {
             let bps = self.effective_link_capacity(LinkId(i)).as_bps();
             if bps.to_bits() != self.link_cap_bps[i].to_bits() {
                 self.link_cap_bps[i] = bps;
-                self.log_cap_change(i);
+                self.mark_cap_changed(i);
             }
         }
         let AllocIndex { constraints, egress_nodes, .. } = &mut self.index;
@@ -1367,7 +1302,7 @@ impl Mesh {
             if bps.to_bits() != self.link_cap_bps[l].to_bits() {
                 self.link_cap_bps[l] = bps;
                 self.index.constraints[l].capacity = Bandwidth::from_bps(bps);
-                self.log_cap_change(l);
+                self.mark_cap_changed(l);
             }
         }
         self.dirty_links.clear();
@@ -1681,18 +1616,7 @@ impl Mesh {
         // One constraint per link.
         for (lid, _) in self.topo.links() {
             let capacity = self.effective_link_capacity(lid);
-            let bps = capacity.as_bps();
-            if bps.to_bits() != self.link_cap_bps[lid.0].to_bits() {
-                // Keep the capacity-change log live under the reference
-                // too (the controller's score cache reads it).
-                self.link_cap_bps[lid.0] = bps;
-                self.cap_epoch += 1;
-                if self.cap_log.len() >= CAP_LOG_LIMIT {
-                    self.cap_log.clear();
-                    self.cap_log_floor = self.cap_epoch - 1;
-                }
-                self.cap_log.push((self.cap_epoch, lid.0 as u32));
-            }
+            self.link_cap_bps[lid.0] = capacity.as_bps();
             let members: Vec<usize> = ids
                 .iter()
                 .enumerate()
@@ -1845,7 +1769,7 @@ impl Mesh {
         let hops = flow.links.len();
         if hops == 0 {
             // Loopback: pure local latency plus negligible copy time.
-            return Ok(self.hop_latency.for_hops(0));
+            return Ok(self.hop_latency().for_hops(0));
         }
         let capacity = flow
             .links
@@ -1853,7 +1777,7 @@ impl Mesh {
             .map(|l| self.effective_link_capacity(*l))
             .fold(Bandwidth::from_bps(f64::INFINITY), Bandwidth::min);
         let allocated = self.allocation.rate(id);
-        Ok(flow.queue.transfer_delay(size, capacity, allocated) + self.hop_latency.for_hops(hops))
+        Ok(flow.queue.transfer_delay(size, capacity, allocated) + self.hop_latency().for_hops(hops))
     }
 
     /// A flow's current queue backlog.

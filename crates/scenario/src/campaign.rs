@@ -20,7 +20,7 @@
 use crate::generate::{generate, AppKind, GeneratedScenario, WorkloadEvent};
 use crate::spec::{ScenarioSpec, SpecError};
 use bass_appdag::{AppDag, ComponentId};
-use bass_core::{PolicyKind, ScoreCacheStats};
+use bass_core::PolicyKind;
 use bass_emu::{EnvError, SimEnv, SimEnvConfig};
 use bass_mesh::MeshError;
 use bass_obs::{Progress, ProgressLevel, SpanProfiler};
@@ -241,7 +241,6 @@ struct ReplicaOutcome {
     goodput_sum: f64,
     achieved_sum_mbps: BTreeMap<&'static str, f64>,
     profiler: Option<SpanProfiler>,
-    score_cache: ScoreCacheStats,
 }
 
 /// How to run a campaign beyond the deterministic `(spec, seed)` pair:
@@ -284,9 +283,6 @@ pub struct CampaignRun {
     /// Merged span statistics across all replicas, present iff
     /// [`CampaignOptions::profile`] was set.
     pub profiler: Option<SpanProfiler>,
-    /// How the controllers' target-score caches behaved, summed over
-    /// replicas. Outside the summary: the counters never feed a decision.
-    pub score_cache: ScoreCacheStats,
 }
 
 /// Runs a full campaign: `spec.replicas` independent replicas sharded
@@ -378,7 +374,6 @@ fn run_campaign_stepping(
 
     let outcomes = results.into_inner().expect("results lock");
     let mut campaign_profiler = opts.profile.then(SpanProfiler::new);
-    let mut score_cache = ScoreCacheStats::default();
     let mut replicas = Vec::with_capacity(replica_count);
     let mut agg_hist = goodput_histogram();
     let mut agg_sum = 0.0;
@@ -398,7 +393,6 @@ fn run_campaign_stepping(
         {
             agg.merge(rep);
         }
-        score_cache += outcome.score_cache;
         agg_hist.merge(&outcome.goodput_hist);
         agg_sum += outcome.goodput_sum;
         agg_samples += outcome.summary.goodput.samples;
@@ -441,7 +435,6 @@ fn run_campaign_stepping(
             aggregate,
         },
         profiler: campaign_profiler,
-        score_cache,
     })
 }
 
@@ -640,7 +633,6 @@ fn run_replica(
         goodput_hist: fold.hist,
         goodput_sum: fold.goodput_sum,
         achieved_sum_mbps: fold.achieved_sum_mbps,
-        score_cache: env.score_cache_stats(),
         profiler: env.take_span_profiler(),
     })
 }

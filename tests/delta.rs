@@ -439,16 +439,8 @@ fn fault_storm_replay_is_delta_engine_independent() {
 /// The camera pipeline on the trace-driven CityLab testbed under the
 /// composed storm; returns the journal for byte comparison.
 /// `ticked` switches the env to reference stepping (every tick executes
-/// in full), `reference` switches the mesh to the dense allocator,
-/// `dense_scoring` switches the controller to reference scoring (every
-/// served target score and synced ranking re-derived densely).
-fn storm_journal(
-    ticked: bool,
-    reference: bool,
-    dense_scoring: bool,
-    seed: u64,
-    secs: u64,
-) -> String {
+/// in full), `reference` switches the mesh to the dense allocator.
+fn storm_journal(ticked: bool, reference: bool, seed: u64, secs: u64) -> String {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: storm_plan(seed, secs),
@@ -462,9 +454,6 @@ fn storm_journal(
     );
     if ticked {
         env.use_reference_stepping();
-    }
-    if dense_scoring {
-        env.use_reference_scoring();
     }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
@@ -485,10 +474,10 @@ fn storm_journal(
 // observable byte whether or not quiescent windows are skipped.
 #[test]
 fn storm_replay_matches_dense_ticked_and_skipping() {
-    let reference = storm_journal(true, true, false, 0xD187, 240);
+    let reference = storm_journal(true, true, 0xD187, 240);
     assert!(!reference.is_empty());
     for (ticked, on_reference) in [(true, false), (false, false), (false, true)] {
-        let journal = storm_journal(ticked, on_reference, false, 0xD187, 240);
+        let journal = storm_journal(ticked, on_reference, 0xD187, 240);
         assert_eq!(
             reference, journal,
             "journal diverged at ticked stepping: {ticked}, reference allocator: {on_reference}"
@@ -496,24 +485,11 @@ fn storm_replay_matches_dense_ticked_and_skipping() {
     }
 }
 
-// Reference scoring re-derives every score the cache serves with the
-// dense scorer (and every synced ranking with `rank_nodes`) and asserts
-// bit-equality inside the cache; running with it on must also leave the
-// journal byte-identical — the oracle observes, never steers.
-#[test]
-fn score_cache_oracle_passes_and_changes_nothing() {
-    let plain = storm_journal(false, false, false, 0x5C0E, 240);
-    let verified = storm_journal(false, false, true, 0x5C0E, 240);
-    assert!(!plain.is_empty());
-    assert_eq!(plain, verified, "reference scoring must not change behavior");
-}
-
 /// One generated scenario driven at the `SimEnv` level the way a
 /// campaign replica drives it — `admit_app` at each arrival,
 /// `retire_app` at each departure, `run_for` in between — returning the
 /// journal and how many instances were admitted and retired. `ticked`
-/// and `reference` as in [`storm_journal`]; the `reference` legs also
-/// score densely, so the reference run is reference end to end.
+/// and `reference` as in [`storm_journal`].
 fn lifecycle_journal(ticked: bool, reference: bool) -> (String, u64, u64) {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 240;
@@ -537,9 +513,6 @@ fn lifecycle_journal(ticked: bool, reference: bool) -> (String, u64, u64) {
     );
     if ticked {
         env.use_reference_stepping();
-    }
-    if reference {
-        env.use_reference_scoring();
     }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");

@@ -10,20 +10,23 @@
 //!    fault storm's journal. The goldens themselves never move.
 //! 2. **Policy conformance** — every registered `PolicyKind` keeps
 //!    cluster invariants under a fault storm, never migrates a
-//!    component onto a node it came from, and replays the same seed
-//!    bit-for-bit.
+//!    component onto a node it came from, replays the same seed
+//!    bit-for-bit, and makes the migration decisions snapshotted in
+//!    `tests/golden/policy_storm_decisions.json`.
 //! 3. **Arena determinism** — `run_arena` tables are byte-identical
 //!    for any `--jobs` value, every campaign underneath them matches
 //!    the ticked stepping reference, and the table is snapshotted under
 //!    `tests/golden/`.
 //!
-//! Regenerate the arena snapshot after an *intentional* change with:
+//! Regenerate the arena and storm-decision snapshots after an
+//! *intentional* change with:
 //!
 //! ```text
 //! GOLDEN_UPDATE=1 cargo test --test policy
 //! ```
 
 use bass::appdag::catalog;
+use bass::cluster::MigrationRecord;
 use bass::apps::testbeds::{citylab_testbed, lan_testbed};
 use bass::apps::{ArrivalProcess, SocialNetWorkload};
 use bass::core::migration::MigrationConfig;
@@ -48,6 +51,8 @@ const GOLDEN_CAMPAIGN: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/campaign_20node.json");
 const GOLDEN_ARENA: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/arena_20node.json");
+const GOLDEN_STORM: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/policy_storm_decisions.json");
 
 /// Same tolerance story as `tests/golden.rs`: tight enough to catch
 /// behaviour drift, loose enough for benign float reassociation.
@@ -108,6 +113,17 @@ fn compare(path: &str, golden: &Value, got: &Value, diffs: &mut Vec<String>) {
             }
         }
     }
+}
+
+/// Compares `current` against the snapshot at `golden_path`, or — under
+/// `GOLDEN_UPDATE=1` — rewrites the snapshot instead.
+fn assert_or_update_golden(golden_path: &str, current: &str, what: &str) {
+    if std::env::var("GOLDEN_UPDATE").is_ok() {
+        std::fs::write(golden_path, current).expect("write golden snapshot");
+        eprintln!("golden snapshot regenerated at {golden_path}");
+        return;
+    }
+    assert_matches_golden(golden_path, current, what);
 }
 
 fn assert_matches_golden(golden_path: &str, current: &str, what: &str) {
@@ -259,16 +275,14 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 /// Camera pipeline on the trace-driven CityLab testbed under `policy`;
 /// returns the journal plus the migration log, asserting cluster
 /// invariants on exit. `ticked` switches the env to reference stepping
-/// (every tick executes in full), `dense_scoring` to reference scoring
-/// (every served score and synced ranking re-derived densely).
+/// (every tick executes in full).
 fn storm_run(
     policy: PolicyKind,
     ticked: bool,
-    dense_scoring: bool,
     seed: u64,
     stormy: bool,
     secs: u64,
-) -> (String, Vec<(NodeId, NodeId)>) {
+) -> (String, Vec<MigrationRecord>) {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: if stormy { storm_plan(seed, secs) } else { FaultPlan::new() },
@@ -279,16 +293,12 @@ fn storm_run(
     if ticked {
         env.use_reference_stepping();
     }
-    if dense_scoring {
-        env.use_reference_scoring();
-    }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
     env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
     env.cluster().check_invariants().expect("cluster invariants hold");
     let journal = env.take_journal().expect("journal attached").export_jsonl();
-    let moves = env.stats().migrations.iter().map(|m| (m.from, m.to)).collect();
-    (journal, moves)
+    (journal, env.stats().migrations.clone())
 }
 
 #[test]
@@ -296,7 +306,7 @@ fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     // The default-constructed environment (no explicit policy) is the
     // exact pre-trait configuration; the explicit Bass arm, ticked and
     // skipping, must journal identical bytes.
-    let explicit = storm_run(PolicyKind::Bass, true, false, 0xF16, true, 120).0;
+    let explicit = storm_run(PolicyKind::Bass, true, 0xF16, true, 120).0;
     let (mesh, cluster, _) = citylab_testbed(0xF16, SimDuration::from_secs(180));
     let cfg = SimEnvConfig { faults: storm_plan(0xF16, 120), ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
@@ -306,23 +316,35 @@ fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     let default_built = env.take_journal().expect("journal attached").export_jsonl();
     assert_eq!(explicit, default_built, "explicit Bass must equal the default construction");
 
-    let skipping = storm_run(PolicyKind::Bass, false, false, 0xF16, true, 120).0;
+    let skipping = storm_run(PolicyKind::Bass, false, 0xF16, true, 120).0;
     assert_eq!(explicit, skipping, "storm journal must not depend on skipped windows");
 }
 
-/// The scoring contract (docs/ARCHITECTURE.md § The scorer and its
-/// reference): for every registered policy, the production storm
-/// journal is byte-identical to the one journaled under reference
-/// scoring — whose every served score and synced ranking is checked
-/// bitwise against the dense scorer, and panics on divergence.
+/// The six policies' decisions, pinned (docs/ARCHITECTURE.md § The
+/// scorer): for every registered policy, the storm run's migration
+/// sequence `[t_s, component, from, to]` and journal size replay the
+/// snapshot; every entrant must migrate at least once.
 #[test]
-fn every_policy_storm_journal_matches_reference_scoring() {
+fn every_policy_storm_decisions_match_golden() {
+    let mut policies = Vec::new();
     for policy in PolicyKind::all() {
-        let (production, moves) = storm_run(policy, false, false, 0xF16, true, 240);
-        let (reference, _) = storm_run(policy, false, true, 0xF16, true, 240);
-        assert_eq!(production, reference, "{} diverged under reference scoring", policy.name());
+        let (journal, moves) = storm_run(policy, false, 0xF16, true, 240);
         assert!(!moves.is_empty(), "the storm must make {} choose a target", policy.name());
+        let moves: Vec<String> = moves
+            .iter()
+            .map(|m| {
+                format!("[{}, {}, {}, {}]", m.at.as_secs_f64(), m.component.0, m.from.0, m.to.0)
+            })
+            .collect();
+        policies.push(format!(
+            "  \"{}\": {{\n    \"journal_events\": {},\n    \"migrations\": [{}]\n  }}",
+            policy.name(),
+            journal.lines().count(),
+            moves.join(", ")
+        ));
     }
+    let current = format!("{{\n{}\n}}\n", policies.join(",\n"));
+    assert_or_update_golden(GOLDEN_STORM, &current, "six-policy storm decisions");
 }
 
 proptest! {
@@ -339,11 +361,11 @@ proptest! {
         stormy in any::<bool>(),
     ) {
         let policy = PolicyKind::all()[which];
-        let (j1, moves) = storm_run(policy, false, false, seed, stormy, 90);
-        let (j2, _) = storm_run(policy, false, false, seed, stormy, 90);
+        let (j1, moves) = storm_run(policy, false, seed, stormy, 90);
+        let (j2, _) = storm_run(policy, false, seed, stormy, 90);
         prop_assert_eq!(j1, j2, "same-seed replay must be bit-identical ({})", policy.name());
-        for (from, to) in moves {
-            prop_assert_ne!(from, to, "{} migrated a component onto itself", policy.name());
+        for m in moves {
+            prop_assert_ne!(m.from, m.to, "{} migrated a component onto itself", policy.name());
         }
     }
 }
@@ -401,15 +423,7 @@ fn arena_campaigns_match_the_ticked_reference() {
 
 #[test]
 fn arena_20node_matches_golden_snapshot() {
-    let current = arena_table(2);
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_ARENA).parent().unwrap())
-            .expect("mkdir tests/golden");
-        std::fs::write(GOLDEN_ARENA, &current).expect("write golden snapshot");
-        eprintln!("golden snapshot regenerated at {GOLDEN_ARENA}");
-        return;
-    }
-    assert_matches_golden(GOLDEN_ARENA, &current, "arena tournament");
+    assert_or_update_golden(GOLDEN_ARENA, &arena_table(2), "arena tournament");
 }
 
 #[test]
