@@ -555,23 +555,42 @@ fn hostile_numbers_and_names_fail_cleanly() {
             "duplicate component name 'label-listener'",
         ),
     ];
-    for (case, in_testbed, valid, hostile, names) in rows {
-        let (path, text) = if in_testbed { (&mesh, &mesh_text) } else { (&app, &app_text) };
-        assert!(text.contains(valid), "{case}: example file lost `{valid}`");
-        std::fs::write(path, text.replacen(valid, hostile, 1)).expect("write hostile file");
-        let out = bassctl()
+    let simulate = || {
+        bassctl()
             .args(["simulate", "--manifest"])
             .arg(&app)
             .arg("--testbed")
             .arg(&mesh)
             .args(["--duration", "10"])
             .output()
-            .expect("bassctl runs");
+            .expect("bassctl runs")
+    };
+    for (case, in_testbed, valid, hostile, names) in rows {
+        let (path, text) = if in_testbed { (&mesh, &mesh_text) } else { (&app, &app_text) };
+        assert!(text.contains(valid), "{case}: example file lost `{valid}`");
+        std::fs::write(path, text.replacen(valid, hostile, 1)).expect("write hostile file");
+        let out = simulate();
         std::fs::write(path, text).expect("restore valid file");
         assert!(!out.status.success(), "{case} must be rejected");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(names), "{case}: {stderr}");
         assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    }
+    // Node ids are names, not sizes: renaming node 3 changes nothing,
+    // however large the new id (views sized by the largest id once made
+    // 3 000 000 000 a 24 GB allocation and an abort).
+    let dense = simulate();
+    assert!(dense.status.success(), "{}", String::from_utf8_lossy(&dense.stderr));
+    for id in ["200000", "3000000000"] {
+        let mut renamed = mesh_text.clone();
+        for field in ["id", "a", "b"] {
+            renamed = renamed.replace(&format!("\"{field}\": 3,"), &format!("\"{field}\": {id},"));
+        }
+        assert_ne!(renamed, mesh_text, "example testbed lost node 3");
+        std::fs::write(&mesh, renamed).expect("write renamed testbed");
+        let out = simulate();
+        assert!(out.status.success(), "id {id}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.stdout, dense.stdout, "node id {id} changed the run");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -90,9 +90,6 @@ struct AllocIndex {
     /// reference path rebuilds per tick. Capacities are refreshed in place
     /// each [`Mesh::reallocate`]; member lists persist.
     constraints: Vec<Constraint>,
-    /// Nodes of the egress constraints, aligned with
-    /// `constraints[link_count..]`.
-    egress_nodes: Vec<NodeId>,
     /// CSR offsets of the flow → constraints reverse map.
     flow_cons_off: Vec<usize>,
     /// CSR payload of the flow → constraints reverse map.
@@ -107,8 +104,8 @@ struct AllocIndex {
     flow_egr_off: Vec<usize>,
     /// CSR payload of the flow-slot → egress-nodes map.
     flow_egr: Vec<u32>,
-    /// CSR offsets (indexed by node id, length `max_node + 1`) of the
-    /// node → consuming-flow-slots reverse map.
+    /// CSR offsets (indexed by node rank, length `node_count + 1`) of
+    /// the node → consuming-flow-slots reverse map.
     egr_members_off: Vec<usize>,
     /// CSR payload of the reverse map; slots ascend within each node, so
     /// a partial egress re-sum accumulates in the same order as the
@@ -130,23 +127,21 @@ impl AllocIndex {
         &mut self,
         link_count: usize,
         flows: &BTreeMap<FlowId, FlowState>,
-        egress_caps: &BTreeMap<NodeId, Bandwidth>,
-        max_node: usize,
+        egress_nodes: &[u32],
+        node_count: usize,
     ) {
         self.ids.clear();
         self.constraints.clear();
-        self.constraints.resize_with(link_count + egress_caps.len(), || Constraint {
+        self.constraints.resize_with(link_count + egress_nodes.len(), || Constraint {
             capacity: Bandwidth::ZERO,
             members: Vec::new(),
         });
-        self.egress_nodes.clear();
-        self.egress_nodes.extend(egress_caps.keys().copied());
         for (i, f) in flows.values().enumerate() {
             for lid in &f.links {
                 self.constraints[lid.0].members.push(i);
             }
             for node in &f.egress {
-                if let Ok(k) = self.egress_nodes.binary_search(node) {
+                if let Ok(k) = egress_nodes.binary_search(node) {
                     self.constraints[link_count + k].members.push(i);
                 }
             }
@@ -171,13 +166,11 @@ impl AllocIndex {
         self.flow_egr_off.push(0);
         self.flow_egr.clear();
         for f in flows.values() {
-            for node in &f.egress {
-                self.flow_egr.push(node.0);
-            }
+            self.flow_egr.extend(&f.egress);
             self.flow_egr_off.push(self.flow_egr.len());
         }
         self.egr_members_off.clear();
-        self.egr_members_off.resize(max_node + 1, 0);
+        self.egr_members_off.resize(node_count + 1, 0);
         for &n in &self.flow_egr {
             self.egr_members_off[n as usize + 1] += 1;
         }
@@ -188,8 +181,8 @@ impl AllocIndex {
         self.egr_members.resize(self.flow_egr.len(), 0);
         let mut cursor = self.egr_members_off.clone();
         for (i, f) in flows.values().enumerate() {
-            for node in &f.egress {
-                let c = &mut cursor[node.0 as usize];
+            for &node in &f.egress {
+                let c = &mut cursor[node as usize];
                 self.egr_members[*c] = i;
                 *c += 1;
             }
@@ -203,8 +196,9 @@ struct FlowState {
     spec: FlowSpec,
     /// Links crossed by the flow's route (empty for loopback).
     links: Vec<LinkId>,
-    /// Nodes whose egress the flow consumes (every path node except dst).
-    egress: Vec<NodeId>,
+    /// Ranks ([`RoutingTable::rank`]) of the nodes whose egress the flow
+    /// consumes (every path node except dst).
+    egress: Vec<u32>,
     queue: FlowQueue,
     /// False while no usable route exists (endpoint down or the mesh
     /// partitioned by link faults): the flow gets zero allocation until
@@ -245,8 +239,8 @@ pub struct Mesh {
     allocation: FlowAllocation,
     /// Allocated bps currently crossing each link (refreshed per step).
     link_used_bps: Vec<f64>,
-    /// Allocated bps currently leaving each node, indexed by node id
-    /// (refreshed per step; zero-filled past the populated range).
+    /// Allocated bps currently leaving each node, indexed by node rank
+    /// (refreshed per step).
     egress_used_bps: Vec<f64>,
     /// Per-link effective capacities (Mbps) last reported to a journal;
     /// `None` until the first (silent, baseline-setting) emission pass.
@@ -289,10 +283,6 @@ pub struct Mesh {
     dirty_comps: Vec<u32>,
     /// Per-component dirty flags (scratch).
     comp_dirty: Vec<bool>,
-    /// Largest node id + 1 — the length of dense per-node views.
-    /// Topology is immutable after construction, so this never changes
-    /// (hoisted out of the per-tick usage-view update).
-    max_node: usize,
     /// Per-link membership flags of `dirty_links`.
     link_dirty: Vec<bool>,
     /// Links whose effective capacity may have moved since the last
@@ -369,7 +359,7 @@ impl Mesh {
             .map(|_| LinkCapacity::new(CapacitySource::Constant(Bandwidth::ZERO)))
             .collect();
         let link_count = topo.link_count();
-        let max_node = topo.nodes().map(|n| n.0 as usize + 1).max().unwrap_or(0);
+        let node_count = topo.node_count();
         Ok(Mesh {
             topo,
             routes,
@@ -380,7 +370,7 @@ impl Mesh {
             now: SimTime::ZERO,
             allocation: FlowAllocation::default(),
             link_used_bps: vec![0.0; link_count],
-            egress_used_bps: vec![0.0; max_node],
+            egress_used_bps: vec![0.0; node_count],
             obs_cap_snapshot: None,
             obs_flow_sig: None,
             down_nodes: BTreeSet::new(),
@@ -397,7 +387,6 @@ impl Mesh {
             prev_demands_bps: Vec::new(),
             dirty_comps: Vec::new(),
             comp_dirty: Vec::new(),
-            max_node,
             link_dirty: vec![false; link_count],
             dirty_links: Vec::new(),
             cap_changed: Vec::new(),
@@ -414,7 +403,7 @@ impl Mesh {
             active_flows: Vec::new(),
             rho_flag: Vec::new(),
             rho_list: Vec::new(),
-            node_flag: vec![false; max_node],
+            node_flag: vec![false; node_count],
             touched_nodes: Vec::new(),
             usage_check_every: 1024,
             usage_ticks: 0,
@@ -490,11 +479,6 @@ impl Mesh {
     /// Borrow the topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Borrow the routing table.
-    pub fn routes(&self) -> &RoutingTable {
-        &self.routes
     }
 
     /// The hop-latency model in use.
@@ -628,48 +612,31 @@ impl Mesh {
         self.link_caps[lid.0].effective_at(at)
     }
 
+    /// Routes one flow over the current table: the links it crosses and
+    /// the ranks of the nodes whose egress it consumes, or `None` when no
+    /// usable route exists.
+    fn route_flow(&self, src: NodeId, dst: NodeId) -> Option<(Vec<LinkId>, Vec<u32>)> {
+        if src == dst {
+            // Loopback crosses nothing and dies with its node.
+            return (!self.down_nodes.contains(&src)).then(Default::default);
+        }
+        let path = self.routes.path(src, dst)?;
+        let links: Option<_> = path.windows(2).map(|w| self.topo.find_link(w[0], w[1])).collect();
+        let egress = path[..path.len() - 1].iter().filter_map(|&n| self.routes.rank(n)).collect();
+        Some((links?, egress))
+    }
+
     /// Rebuilds the routing table honoring down links/nodes and
     /// tolerantly re-routes every flow: flows whose route vanished are
     /// parked as unroutable (zero allocation, queues preserved) and
     /// restored when a later recomputation finds a path again.
     fn recompute_routes_and_flows(&mut self) {
-        // Borrow the fault state instead of cloning it: the routing
-        // computation only needs shared access, and the result is
-        // assigned to `self.routes` after the borrows end.
-        let topo = &self.topo;
-        let down_links = &self.down_links;
-        let down_nodes = &self.down_nodes;
-        let usable = |lid: LinkId| {
-            if down_links.contains(&lid) {
-                return false;
-            }
-            let link = topo.link(lid);
-            !down_nodes.contains(&link.a) && !down_nodes.contains(&link.b)
-        };
-        self.routes = RoutingTable::compute_filtered(topo, usable);
-        for f in self.flows.values_mut() {
-            let (src, dst) = (f.spec.src, f.spec.dst);
-            let routed = if src == dst {
-                // Loopback dies with its node.
-                (!self.down_nodes.contains(&src)).then(|| (Vec::new(), Vec::new()))
-            } else {
-                self.routes.path_links(&self.topo, src, dst).map(|links| {
-                    let path = self.routes.path(src, dst).expect("path exists");
-                    (links, path[..path.len() - 1].to_vec())
-                })
-            };
-            match routed {
-                Some((links, egress)) => {
-                    f.links = links;
-                    f.egress = egress;
-                    f.routable = true;
-                }
-                None => {
-                    f.links.clear();
-                    f.egress.clear();
-                    f.routable = false;
-                }
-            }
+        self.routes = RoutingTable::compute_filtered(&self.topo, |lid| self.usable(lid));
+        let routed: Vec<_> =
+            self.flows.values().map(|f| self.route_flow(f.spec.src, f.spec.dst)).collect();
+        for (f, r) in self.flows.values_mut().zip(routed) {
+            f.routable = r.is_some();
+            (f.links, f.egress) = r.unwrap_or_default();
         }
         // Up/down state feeds effective capacities: the stale index
         // forces a full capacity re-read.
@@ -766,18 +733,9 @@ impl Mesh {
                 return Err(MeshError::UnknownNode(n));
             }
         }
-        let routed = if src == dst {
-            (!self.down_nodes.contains(&src)).then(|| (Vec::new(), Vec::new()))
-        } else {
-            self.routes.path_links(&self.topo, src, dst).map(|links| {
-                let path = self.routes.path(src, dst).expect("path exists");
-                (links, path[..path.len() - 1].to_vec())
-            })
-        };
-        let (links, egress, routable) = match routed {
-            Some((links, egress)) => (links, egress, true),
-            None => (Vec::new(), Vec::new(), false),
-        };
+        let routed = self.route_flow(src, dst);
+        let routable = routed.is_some();
+        let (links, egress) = routed.unwrap_or_default();
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
         self.flows.insert(
@@ -1255,12 +1213,12 @@ impl Mesh {
                 self.mark_cap_changed(i);
             }
         }
-        let AllocIndex { constraints, egress_nodes, .. } = &mut self.index;
-        for (c, &bps) in constraints.iter_mut().zip(&self.link_cap_bps) {
+        let (link_cons, egress_cons) = self.index.constraints.split_at_mut(link_count);
+        for (c, &bps) in link_cons.iter_mut().zip(&self.link_cap_bps) {
             c.capacity = Bandwidth::from_bps(bps);
         }
-        for (k, node) in egress_nodes.iter().enumerate() {
-            constraints[link_count + k].capacity = self.egress_caps[node];
+        for (c, &cap) in egress_cons.iter_mut().zip(self.egress_caps.values()) {
+            c.capacity = cap;
         }
         // The full pass covered every link: drain the per-link dirty set
         // and re-arm the trace heap so the next tick can go O(dirty).
@@ -1356,11 +1314,10 @@ impl Mesh {
                 self.link_used_bps[ci] += self.rates_bps[m];
             }
         }
-        self.egress_used_bps.resize(self.max_node, 0.0);
         self.egress_used_bps.fill(0.0);
         for (i, f) in self.flows.values().enumerate() {
             for &node in &f.egress {
-                self.egress_used_bps[node.0 as usize] += self.rates_bps[i];
+                self.egress_used_bps[node as usize] += self.rates_bps[i];
             }
         }
         self.pending_full = true;
@@ -1426,10 +1383,10 @@ impl Mesh {
                 links[ci] += self.rates_bps[m];
             }
         }
-        let mut egress = vec![0.0; self.max_node];
+        let mut egress = vec![0.0; self.egress_used_bps.len()];
         for (i, f) in self.flows.values().enumerate() {
             for &node in &f.egress {
-                egress[node.0 as usize] += self.rates_bps[i];
+                egress[node as usize] += self.rates_bps[i];
             }
         }
         let drift = links.len() != self.link_used_bps.len()
@@ -1462,7 +1419,9 @@ impl Mesh {
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
         let link_count = self.topo.link_count();
         if self.index.dirty {
-            self.index.rebuild(link_count, &self.flows, &self.egress_caps, self.max_node);
+            let capped: Vec<u32> =
+                self.egress_caps.keys().filter_map(|&n| self.routes.rank(n)).collect();
+            self.index.rebuild(link_count, &self.flows, &capped, self.topo.node_count());
             clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
             self.refresh_constraint_caps(link_count);
             clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
@@ -1627,10 +1586,11 @@ impl Mesh {
         }
         // One constraint per node egress cap.
         for (&node, &cap) in &self.egress_caps {
+            let rank = self.routes.rank(node);
             let members: Vec<usize> = ids
                 .iter()
                 .enumerate()
-                .filter(|(_, id)| self.flows[id].egress.contains(&node))
+                .filter(|(_, id)| rank.is_some_and(|r| self.flows[id].egress.contains(&r)))
                 .map(|(i, _)| i)
                 .collect();
             constraints.push(Constraint { capacity: cap, members });
@@ -1644,13 +1604,13 @@ impl Mesh {
 
         // Per-link and per-node-egress usage for monitoring.
         self.link_used_bps = vec![0.0; self.topo.link_count()];
-        self.egress_used_bps = vec![0.0; self.max_node];
+        self.egress_used_bps.fill(0.0);
         for (i, id) in ids.iter().enumerate() {
             for lid in &self.flows[id].links {
                 self.link_used_bps[lid.0] += rates[i].as_bps();
             }
             for &node in &self.flows[id].egress {
-                self.egress_used_bps[node.0 as usize] += rates[i].as_bps();
+                self.egress_used_bps[node as usize] += rates[i].as_bps();
             }
         }
         self.allocation = allocation;
@@ -1844,15 +1804,17 @@ impl Mesh {
 
     /// Allocated bps currently leaving `node` (zero when nothing does).
     fn egress_used(&self, node: NodeId) -> f64 {
-        self.egress_used_bps.get(node.0 as usize).copied().unwrap_or(0.0)
+        self.routes.rank(node).map_or(0.0, |r| self.egress_used_bps[r as usize])
     }
 
-    /// The routed node path from `src` to `dst` (the traceroute view).
+    /// The routed node path from `src` to `dst` (the traceroute view),
+    /// walked out of the routing table into an owned vector — no path is
+    /// stored between calls.
     ///
     /// # Errors
     ///
     /// Returns [`MeshError::Unreachable`] when no route exists.
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Result<&[NodeId], MeshError> {
+    pub fn path(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>, MeshError> {
         self.routes
             .path(src, dst)
             .ok_or(MeshError::Unreachable(src, dst))
@@ -1903,10 +1865,7 @@ impl Mesh {
         if src == dst {
             return Ok(Bandwidth::from_bps(f64::INFINITY));
         }
-        let path = self
-            .routes
-            .path(src, dst)
-            .ok_or(MeshError::Unreachable(src, dst))?;
+        let path = self.path(src, dst)?;
         let mut bottleneck = Bandwidth::from_bps(f64::INFINITY);
         for w in path.windows(2) {
             bottleneck = bottleneck.min(self.directed_link_capacity(w[0], w[1])?);
@@ -1925,10 +1884,7 @@ impl Mesh {
         if src == dst {
             return Ok(Bandwidth::from_bps(f64::INFINITY));
         }
-        let path = self
-            .routes
-            .path(src, dst)
-            .ok_or(MeshError::Unreachable(src, dst))?;
+        let path = self.path(src, dst)?;
         let mut avail = Bandwidth::from_bps(f64::INFINITY);
         for w in path.windows(2) {
             avail = avail.min(self.directed_link_available(w[0], w[1])?);

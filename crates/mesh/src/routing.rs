@@ -7,9 +7,15 @@
 //! orchestrator needs.
 
 use crate::topology::{LinkId, NodeId, Topology};
-use std::collections::{BTreeMap, VecDeque};
 
-/// Precomputed all-pairs min-hop routes over a [`Topology`].
+/// Parent-array entry of a destination the source cannot reach.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// All-pairs min-hop routes over a [`Topology`], kept as one BFS parent
+/// array per source: a path is walked out of the array when asked for
+/// and never stored. Arrays are indexed by a node's *rank* (its position
+/// in ascending id order), so the table's size depends on how many
+/// nodes there are, not on how large their ids are.
 ///
 /// # Examples
 ///
@@ -26,19 +32,22 @@ use std::collections::{BTreeMap, VecDeque};
 /// let routes = RoutingTable::compute(&topo);
 /// assert_eq!(
 ///     routes.path(NodeId(0), NodeId(2)).unwrap(),
-///     &[NodeId(0), NodeId(1), NodeId(2)]
+///     [NodeId(0), NodeId(1), NodeId(2)]
 /// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
-    /// `paths[(src, dst)]` = node sequence from src to dst inclusive.
-    paths: BTreeMap<(NodeId, NodeId), Vec<NodeId>>,
+    /// Node ids in ascending order; a node's index here is its rank.
+    ids: Vec<NodeId>,
+    /// `parent[s * n + d]` = rank of the hop before `d` on the route from
+    /// `s` (`s` itself when `d == s`), or [`UNREACHABLE`].
+    parent: Vec<u32>,
 }
 
 impl RoutingTable {
-    /// Runs BFS from every node and records the min-hop path to every
-    /// reachable destination. Ties are broken toward lower node ids, so
-    /// the table is deterministic.
+    /// Runs BFS from every node and records each reached node's parent.
+    /// Ties are broken toward lower node ids, so the table is
+    /// deterministic.
     pub fn compute(topo: &Topology) -> Self {
         Self::compute_filtered(topo, |_| true)
     }
@@ -46,81 +55,84 @@ impl RoutingTable {
     /// [`compute`](Self::compute) restricted to links for which `usable`
     /// returns true — routes never traverse a filtered-out link. Used by
     /// the mesh to route around faulted links and crashed nodes;
-    /// destinations that become unreachable simply have no entry.
+    /// destinations that become unreachable simply have no route.
     pub fn compute_filtered(topo: &Topology, mut usable: impl FnMut(LinkId) -> bool) -> Self {
-        // Link ids are dense, so a bit-vector beats a tree set: O(1)
-        // membership checks on every BFS edge relaxation.
         let mut pass = vec![false; topo.link_count()];
         for (lid, _) in topo.links() {
             pass[lid.0] = usable(lid);
         }
-        let mut paths = BTreeMap::new();
-        for src in topo.nodes() {
-            // BFS with parent pointers; neighbors() is sorted so the
-            // first-found parent is the lowest-id one.
-            let mut parent: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-            let mut queue = VecDeque::new();
-            queue.push_back(src);
-            parent.insert(src, src);
-            while let Some(n) = queue.pop_front() {
-                for &(nb, lid) in topo.neighbor_links(n) {
-                    if !pass[lid.0] {
-                        continue;
-                    }
-                    if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(nb) {
-                        e.insert(n);
-                        queue.push_back(nb);
-                    }
+        let ids: Vec<NodeId> = topo.nodes().collect();
+        let n = ids.len();
+        // Usable adjacency in rank space (CSR). `neighbor_links` ascends
+        // by id, hence by rank, so the first-found BFS parent below is
+        // the lowest-id one.
+        let mut adj_off = vec![0];
+        let mut adj: Vec<u32> = Vec::new();
+        for &node in &ids {
+            for &(nb, lid) in topo.neighbor_links(node) {
+                if !pass[lid.0] {
+                    continue;
+                }
+                if let Ok(r) = ids.binary_search(&nb) {
+                    adj.push(r as u32);
                 }
             }
-            for (&dst, _) in parent.iter() {
-                let mut path = vec![dst];
-                let mut cur = dst;
-                while cur != src {
-                    cur = parent[&cur];
-                    path.push(cur);
+            adj_off.push(adj.len());
+        }
+        let mut parent = vec![UNREACHABLE; n * n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        for s in 0..n {
+            let row = &mut parent[s * n..(s + 1) * n];
+            row[s] = s as u32;
+            queue.clear();
+            queue.push(s as u32);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &v in &adj[adj_off[u as usize]..adj_off[u as usize + 1]] {
+                    if row[v as usize] == UNREACHABLE {
+                        row[v as usize] = u;
+                        queue.push(v);
+                    }
                 }
-                path.reverse();
-                paths.insert((src, dst), path);
             }
         }
-        RoutingTable { paths }
+        RoutingTable { ids, parent }
+    }
+
+    /// The node's rank: its position among the topology's nodes in
+    /// ascending id order, the index of every dense per-node view.
+    pub fn rank(&self, node: NodeId) -> Option<u32> {
+        self.ids.binary_search(&node).ok().map(|r| r as u32)
     }
 
     /// The node sequence from `src` to `dst` (inclusive), or `None` when
     /// unreachable. This is the simulator's "traceroute".
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<&[NodeId]> {
-        self.paths.get(&(src, dst)).map(Vec::as_slice)
-    }
-
-    /// Hop count between two nodes (0 for `src == dst`), or `None` when
-    /// unreachable.
-    pub fn hops(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        self.path(src, dst).map(|p| p.len() - 1)
-    }
-
-    /// The links traversed from `src` to `dst`, or `None` when
-    /// unreachable or when a path edge is missing from the topology
-    /// (which would indicate a stale table).
-    pub fn path_links(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
-        let path = self.path(src, dst)?;
-        path.windows(2)
-            .map(|w| topo.find_link(w[0], w[1]))
-            .collect()
-    }
-
-    /// True when every node pair has a route.
-    pub fn fully_connected(&self, topo: &Topology) -> bool {
-        let nodes: Vec<NodeId> = topo.nodes().collect();
-        nodes
-            .iter()
-            .all(|&a| nodes.iter().all(|&b| self.paths.contains_key(&(a, b))))
+    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+        let (s, d) = (self.rank(src)? as usize, self.rank(dst)? as usize);
+        let n = self.ids.len();
+        let row = &self.parent[s * n..(s + 1) * n];
+        if row[d] == UNREACHABLE {
+            return None;
+        }
+        let mut path = vec![dst];
+        let mut cur = d;
+        while cur != s {
+            cur = row[cur] as usize;
+            path.push(self.ids[cur]);
+        }
+        path.reverse();
+        Some(path)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hops(rt: &RoutingTable, a: u32, b: u32) -> Option<usize> {
+        rt.path(NodeId(a), NodeId(b)).map(|p| p.len() - 1)
+    }
 
     fn line(n: u32) -> Topology {
         let mut topo = Topology::new();
@@ -137,13 +149,12 @@ mod tests {
     fn line_paths() {
         let topo = line(5);
         let rt = RoutingTable::compute(&topo);
-        assert_eq!(rt.hops(NodeId(0), NodeId(4)), Some(4));
+        assert_eq!(hops(&rt, 0, 4), Some(4));
         assert_eq!(
             rt.path(NodeId(0), NodeId(3)).unwrap(),
-            &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
+            [NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
         );
-        assert_eq!(rt.path(NodeId(2), NodeId(2)).unwrap(), &[NodeId(2)]);
-        assert!(rt.fully_connected(&topo));
+        assert_eq!(rt.path(NodeId(2), NodeId(2)).unwrap(), [NodeId(2)]);
     }
 
     #[test]
@@ -153,7 +164,7 @@ mod tests {
         for a in topo.nodes() {
             for b in topo.nodes() {
                 if a != b {
-                    assert_eq!(rt.hops(a, b), Some(1));
+                    assert_eq!(rt.path(a, b).unwrap(), [a, b]);
                 }
             }
         }
@@ -166,8 +177,7 @@ mod tests {
         topo.add_node(NodeId(1)).unwrap();
         let rt = RoutingTable::compute(&topo);
         assert_eq!(rt.path(NodeId(0), NodeId(1)), None);
-        assert_eq!(rt.hops(NodeId(0), NodeId(1)), None);
-        assert!(!rt.fully_connected(&topo));
+        assert_eq!(rt.path(NodeId(0), NodeId(7)), None, "unknown node");
     }
 
     #[test]
@@ -185,30 +195,10 @@ mod tests {
         let rt = RoutingTable::compute(&topo);
         assert_eq!(
             rt.path(NodeId(0), NodeId(3)).unwrap(),
-            &[NodeId(0), NodeId(1), NodeId(3)]
+            [NodeId(0), NodeId(1), NodeId(3)]
         );
         // Recomputation gives the identical table.
         assert_eq!(rt, RoutingTable::compute(&topo));
-    }
-
-    #[test]
-    fn path_links_traverse_topology() {
-        let topo = line(4);
-        let rt = RoutingTable::compute(&topo);
-        let links = rt.path_links(&topo, NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(links.len(), 3);
-        // Every returned link is a real topology link on the path.
-        let path = rt.path(NodeId(0), NodeId(3)).unwrap();
-        for (i, lid) in links.iter().enumerate() {
-            let l = topo.link(*lid);
-            let (a, b) = (path[i], path[i + 1]);
-            assert!(l.other(a) == Some(b));
-        }
-        // Same-node path crosses no links.
-        assert_eq!(
-            rt.path_links(&topo, NodeId(1), NodeId(1)).unwrap(),
-            Vec::<LinkId>::new()
-        );
     }
 
     #[test]
@@ -220,14 +210,13 @@ mod tests {
         let rt = RoutingTable::compute_filtered(&topo, |lid| lid != direct);
         assert_eq!(
             rt.path(NodeId(0), NodeId(2)).unwrap(),
-            &[NodeId(0), NodeId(1), NodeId(2)]
+            [NodeId(0), NodeId(1), NodeId(2)]
         );
         let l01 = topo.find_link(NodeId(0), NodeId(1)).unwrap();
         let isolated = RoutingTable::compute_filtered(&topo, |lid| lid != direct && lid != l01);
         assert_eq!(isolated.path(NodeId(0), NodeId(2)), None);
-        assert_eq!(isolated.path(NodeId(0), NodeId(0)).unwrap(), &[NodeId(0)]);
+        assert_eq!(isolated.path(NodeId(0), NodeId(0)).unwrap(), [NodeId(0)]);
         assert!(isolated.path(NodeId(1), NodeId(2)).is_some());
-        assert!(!isolated.fully_connected(&topo));
     }
 
     #[test]
@@ -244,7 +233,7 @@ mod tests {
         topo.add_link(NodeId(3), NodeId(0)).unwrap();
         topo.add_link(NodeId(0), NodeId(2)).unwrap();
         let rt = RoutingTable::compute(&topo);
-        assert_eq!(rt.hops(NodeId(0), NodeId(2)), Some(1));
-        assert_eq!(rt.hops(NodeId(1), NodeId(3)), Some(2));
+        assert_eq!(hops(&rt, 0, 2), Some(1));
+        assert_eq!(hops(&rt, 1, 3), Some(2));
     }
 }

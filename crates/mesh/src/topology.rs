@@ -7,8 +7,9 @@ use std::fmt;
 
 /// Identifier of a mesh node.
 ///
-/// Node ids are small integers chosen by the caller (the paper numbers
-/// its nodes 1–4 with node 0 hosting the control plane).
+/// Node ids are names chosen by the caller (the paper numbers its nodes
+/// 1–4 with node 0 hosting the control plane), not sizes: nothing is
+/// allocated by the largest id, only by how many nodes there are.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]
@@ -112,8 +113,8 @@ pub struct Topology {
     /// `(lo, hi)` endpoint pair → link id, for O(log E) lookups.
     link_ids: BTreeMap<(NodeId, NodeId), LinkId>,
     /// Per-node adjacency, each list ascending by neighbor id. Routing
-    /// walks these on every BFS/Dijkstra relaxation, so they must stay
-    /// in sync with `links` (see [`Topology::index_link`]).
+    /// reads these for every table it computes, so they must stay in
+    /// sync with `links` (see [`Topology::index_link`]).
     adj: BTreeMap<NodeId, Vec<(NodeId, LinkId)>>,
 }
 
@@ -270,7 +271,7 @@ impl Topology {
     /// Neighbors of a node with the connecting link, ascending by
     /// neighbor id. The allocation-free counterpart of
     /// [`neighbors`](Self::neighbors) + [`find_link`](Self::find_link)
-    /// that routing's inner loops relax over.
+    /// that routing builds its adjacency from.
     pub fn neighbor_links(&self, n: NodeId) -> &[(NodeId, LinkId)] {
         self.adj.get(&n).map_or(&[], Vec::as_slice)
     }

@@ -327,6 +327,62 @@ impl ScenarioSpec {
         if !(0.0..=1.0).contains(&self.links.fade_depth) {
             return Err(SpecError::new("fade depth must be in [0, 1]"));
         }
+        // One Poisson episode family. A negative rate silently disables
+        // the family and a non-positive length compiles zero- or
+        // negative-length episodes, so both are refused here rather than
+        // changing the run.
+        let episodes = |rate_field: &str, rate: f64, length_field: &str, length: f64| {
+            if !(rate.is_finite() && rate >= 0.0) {
+                return Err(SpecError::new(format!("{rate_field} must be finite and non-negative")));
+            }
+            if rate > 0.0 && !positive(length) {
+                return Err(SpecError::new(format!(
+                    "{length_field} must be positive when {rate_field} is"
+                )));
+            }
+            Ok(())
+        };
+        episodes(
+            "links.fade_rate_per_min",
+            self.links.fade_rate_per_min,
+            "links.fade_duration_s",
+            self.links.fade_duration_s,
+        )?;
+        if let Some(f) = &self.faults {
+            episodes(
+                "faults.node_crash_rate",
+                f.node_crash_rate,
+                "faults.crash_downtime_s",
+                f.crash_downtime_s,
+            )?;
+            episodes(
+                "faults.link_flap_rate",
+                f.link_flap_rate,
+                "faults.flap_downtime_s",
+                f.flap_downtime_s,
+            )?;
+            episodes(
+                "faults.probe_loss_rate",
+                f.probe_loss_rate,
+                "faults.probe_loss_duration_s",
+                f.probe_loss_duration_s,
+            )?;
+            if !(0.0..=1.0).contains(&f.probe_loss_p) {
+                return Err(SpecError::new("faults.probe_loss_p must be in [0, 1]"));
+            }
+            // The generator aims the storm at the whole synthesized
+            // topology; a listed target can only be checked, not honoured.
+            if let Some(bad) = f.nodes.iter().find(|id| id.0 >= n) {
+                return Err(SpecError::new(format!(
+                    "faults.nodes: {bad} is outside the {n}-node topology"
+                )));
+            }
+            if let Some((a, b)) = f.links.iter().find(|(a, b)| a.0 >= n || b.0 >= n) {
+                return Err(SpecError::new(format!(
+                    "faults.links: {a}-{b} is outside the {n}-node topology"
+                )));
+            }
+        }
         let w = &self.workload;
         if w.camera_weight < 0.0 || w.videoconf_weight < 0.0 || w.social_weight < 0.0 {
             return Err(SpecError::new("workload weights must be non-negative"));
@@ -429,6 +485,38 @@ mod tests {
         spec.nodes.gateways = 1;
         spec.nodes.cores_min = 1;
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn hostile_fade_and_fault_blocks_are_rejected_by_field() {
+        fn storm(spec: &mut ScenarioSpec) -> &mut StormProfile {
+            spec.faults.as_mut().expect("reference spec has a storm")
+        }
+        type Edit = fn(&mut ScenarioSpec);
+        // (field the error must name, hostile edit)
+        let rows: [(&str, Edit); 8] = [
+            ("links.fade_rate_per_min", |s| s.links.fade_rate_per_min = -1.0),
+            ("links.fade_duration_s", |s| s.links.fade_duration_s = -5.0),
+            ("faults.node_crash_rate", |s| storm(s).node_crash_rate = -0.5),
+            ("faults.crash_downtime_s", |s| storm(s).crash_downtime_s = 0.0),
+            ("faults.crash_downtime_s", |s| storm(s).crash_downtime_s = -3.0),
+            ("faults.flap_downtime_s", |s| storm(s).flap_downtime_s = -10.0),
+            ("faults.probe_loss_p", |s| storm(s).probe_loss_p = 2.0),
+            ("faults.nodes", |s| storm(s).nodes = vec![bass_mesh::NodeId(999)]),
+        ];
+        for (field, edit) in rows {
+            let mut spec = ScenarioSpec::small_reference();
+            storm(&mut spec).node_crash_rate = 0.01;
+            spec.validate().expect("crashes enabled, still valid");
+            edit(&mut spec);
+            let err = spec.validate().expect_err(field).to_string();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        // The length of a disabled family is never read, so never refused.
+        let mut spec = ScenarioSpec::small_reference();
+        spec.links.fade_rate_per_min = 0.0;
+        spec.links.fade_duration_s = 0.0;
+        spec.validate().unwrap();
     }
 
     #[test]

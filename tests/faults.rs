@@ -7,6 +7,7 @@ use bass::apps::testbeds::lan_testbed;
 use bass::cluster::Cluster;
 use bass::emu::{SimEnv, SimEnvConfig};
 use bass::faults::{invariants, FaultPlan, StormProfile};
+use bass::mesh::routing::RoutingTable;
 use bass::mesh::{Mesh, NodeId};
 use bass::obs::Journal;
 use bass::util::time::{SimDuration, SimTime};
@@ -29,9 +30,27 @@ fn checked_run_on((mesh, cluster): (Mesh, Cluster), plan: FaultPlan, secs: u64) 
         if let Err(violations) = invariants::check_all(e.mesh(), e.cluster(), e.journal()) {
             panic!("invariant violations at t={}: {violations:#?}", e.mesh().now());
         }
+        assert_routes_track_faults(e.mesh());
     })
     .expect("run completes under faults");
     env.take_journal().expect("journal attached")
+}
+
+/// Every route the mesh serves (every flow's endpoints included) is the
+/// one a table freshly computed over the links up right now would give:
+/// no fault leaves a stale table behind.
+fn assert_routes_track_faults(mesh: &Mesh) {
+    let topo = mesh.topology();
+    let fresh = RoutingTable::compute_filtered(topo, |lid| {
+        let link = topo.link(lid);
+        mesh.link_is_up(link.a, link.b)
+    });
+    for a in topo.nodes() {
+        for b in topo.nodes() {
+            let served = mesh.path(a, b).ok();
+            assert_eq!(served, fresh.path(a, b), "stale route {a}->{b} at {}", mesh.now());
+        }
+    }
 }
 
 fn t(secs: f64) -> SimTime {

@@ -12,6 +12,7 @@ use bass::trace::OuTraceConfig;
 use bass::util::time::SimDuration;
 use bass::util::units::{Bandwidth, DataSize};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Random DAGs via the catalog's generator (structurally acyclic).
 fn arb_dag() -> impl Strategy<Value = AppDag> {
@@ -292,6 +293,37 @@ fn ring_with_chords(n: u32, extra: usize, seed: u64) -> Topology {
     topo
 }
 
+/// The materialising all-pairs BFS that `RoutingTable` used to be —
+/// every min-hop path stored whole, first-found (lowest-id) parent —
+/// kept as the oracle for the parent-array table.
+fn materialised_paths(
+    topo: &Topology,
+    usable: impl Fn(LinkId) -> bool,
+) -> BTreeMap<(NodeId, NodeId), Vec<NodeId>> {
+    let mut paths = BTreeMap::new();
+    for src in topo.nodes() {
+        let mut parent = BTreeMap::from([(src, src)]);
+        let mut queue = VecDeque::from([src]);
+        while let Some(n) = queue.pop_front() {
+            for &(nb, lid) in topo.neighbor_links(n) {
+                if usable(lid) && !parent.contains_key(&nb) {
+                    parent.insert(nb, n);
+                    queue.push_back(nb);
+                }
+            }
+        }
+        for &dst in parent.keys() {
+            let mut path = vec![dst];
+            while path[path.len() - 1] != src {
+                path.push(parent[&path[path.len() - 1]]);
+            }
+            path.reverse();
+            paths.insert((src, dst), path);
+        }
+    }
+    paths
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -380,6 +412,35 @@ proptest! {
                         "route {a}->{b} traverses down link {lid}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn routes_are_min_hop_lowest_id_under_faults_and_sparse_ids(
+        n in 3u32..10,
+        extra in 0usize..10,
+        seed in any::<u64>(),
+        down_bits in any::<u64>(),
+        stride in 1u32..400_000_000,
+    ) {
+        // The same ring, its node ids spread out: the table must depend
+        // on how many nodes there are, never on how large their ids are.
+        let dense = ring_with_chords(n, extra, seed);
+        let mut topo = Topology::new();
+        for v in dense.nodes() {
+            topo.add_node(NodeId(v.0 * stride)).unwrap();
+        }
+        for (_, l) in dense.links() {
+            topo.add_link(NodeId(l.a.0 * stride), NodeId(l.b.0 * stride)).unwrap();
+        }
+        let up = |lid: LinkId| down_bits & (1 << (lid.0 % 64)) == 0;
+        let table = RoutingTable::compute_filtered(&topo, up);
+        let oracle = materialised_paths(&topo, up);
+        for a in topo.nodes() {
+            for b in topo.nodes() {
+                // Node for node, and `None` exactly where the oracle has no path.
+                prop_assert_eq!(table.path(a, b), oracle.get(&(a, b)).cloned());
             }
         }
     }
