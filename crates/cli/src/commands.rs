@@ -221,10 +221,11 @@ pub fn simulate(
     let (mesh, cluster) = testbed.build(opts.seed, trace_len)?;
     let faults = match &opts.faults {
         Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CommandError::Faults(format!("{}: {e}", path.display())))?;
-            serde_json::from_str::<bass_faults::FaultPlan>(&text)
-                .map_err(|e| CommandError::Faults(format!("{}: {e}", path.display())))?
+            let bad = |e: &dyn fmt::Display| CommandError::Faults(format!("{}: {e}", path.display()));
+            let text = std::fs::read_to_string(path).map_err(|e| bad(&e))?;
+            let plan: bass_faults::FaultPlan = serde_json::from_str(&text).map_err(|e| bad(&e))?;
+            plan.validate(mesh.topology()).map_err(|e| bad(&e))?;
+            plan
         }
         None => bass_faults::FaultPlan::new(),
     };

@@ -87,6 +87,9 @@ fn simulate_reports_json_outcome() {
     let parsed: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
     assert!(parsed["worst_goodput_fraction"].as_f64().expect("number") > 0.0);
     assert!(parsed["probe_bytes"].as_u64().expect("number") > 0);
+    // A raw identifier (`r#final`) names the key `final`.
+    assert!(parsed["final"]["placement"].as_object().is_some(), "top-level `final`");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains('#'), "no key carries `r#`");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -555,31 +558,53 @@ fn hostile_numbers_and_names_fail_cleanly() {
             "duplicate component name 'label-listener'",
         ),
     ];
-    let simulate = || {
-        bassctl()
-            .args(["simulate", "--manifest"])
+    let simulate = |faults: Option<&std::path::Path>| {
+        let mut cmd = bassctl();
+        cmd.args(["simulate", "--manifest"])
             .arg(&app)
             .arg("--testbed")
             .arg(&mesh)
-            .args(["--duration", "10"])
-            .output()
-            .expect("bassctl runs")
+            .args(["--duration", "10"]);
+        if let Some(plan) = faults {
+            cmd.arg("--faults").arg(plan);
+        }
+        cmd.output().expect("bassctl runs")
     };
     for (case, in_testbed, valid, hostile, names) in rows {
         let (path, text) = if in_testbed { (&mesh, &mesh_text) } else { (&app, &app_text) };
         assert!(text.contains(valid), "{case}: example file lost `{valid}`");
         std::fs::write(path, text.replacen(valid, hostile, 1)).expect("write hostile file");
-        let out = simulate();
+        let out = simulate(None);
         std::fs::write(path, text).expect("restore valid file");
         assert!(!out.status.success(), "{case} must be rejected");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(names), "{case}: {stderr}");
         assert!(!stderr.contains("panicked"), "{case}: {stderr}");
     }
+    // `--faults` plans are checked against the testbed at load, before
+    // the first tick: (case, events, cursor, stderr must name).
+    let crash = |t_s: u64, node: u32| format!("[{t_s}000000, {{\"NodeCrash\": {{\"node\": {node}}}}}]");
+    let plan_rows = [
+        ("probe loss p 7", "[5000000, {\"ProbeLossStart\": {\"p\": 7}}]".to_string(), 0, "event 0: probe-loss probability 7"),
+        ("probe loss p -1", "[5000000, {\"ProbeLossStart\": {\"p\": -1}}]".to_string(), 0, "event 0: probe-loss probability -1"),
+        ("cursor past the plan", crash(5, 2), 9, "cursor is 9"),
+        ("events out of time order", format!("{}, {}", crash(6, 2), crash(5, 3)), 0, "event 1: due before event 0"),
+        ("crash of node 99", crash(5, 99), 0, "event 0: unknown node n99"),
+        ("link 0-3 down", "[5000000, {\"LinkDown\": {\"a\": 0, \"b\": 3}}]".to_string(), 0, "event 0: no link between n0 and n3"),
+    ];
+    let plan_path = dir.join("plan.json");
+    for (case, events, cursor, names) in plan_rows {
+        let plan = format!("{{\"events\": [{events}], \"cursor\": {cursor}, \"seed\": 0}}");
+        std::fs::write(&plan_path, plan).expect("write plan");
+        let out = simulate(Some(&plan_path));
+        assert!(!out.status.success(), "{case} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("fault plan error") && stderr.contains(names), "{case}: {stderr}");
+    }
     // Node ids are names, not sizes: renaming node 3 changes nothing,
     // however large the new id (views sized by the largest id once made
     // 3 000 000 000 a 24 GB allocation and an abort).
-    let dense = simulate();
+    let dense = simulate(None);
     assert!(dense.status.success(), "{}", String::from_utf8_lossy(&dense.stderr));
     for id in ["200000", "3000000000"] {
         let mut renamed = mesh_text.clone();
@@ -588,7 +613,7 @@ fn hostile_numbers_and_names_fail_cleanly() {
         }
         assert_ne!(renamed, mesh_text, "example testbed lost node 3");
         std::fs::write(&mesh, renamed).expect("write renamed testbed");
-        let out = simulate();
+        let out = simulate(None);
         assert!(out.status.success(), "id {id}: {}", String::from_utf8_lossy(&out.stderr));
         assert_eq!(out.stdout, dense.stdout, "node id {id} changed the run");
     }

@@ -102,8 +102,7 @@ impl BaselineScheduler {
                 .copied()
                 .max_by(|&a, &b| {
                     free_fraction(cluster, a)
-                        .partial_cmp(&free_fraction(cluster, b))
-                        .expect("fractions are finite")
+                        .total_cmp(&free_fraction(cluster, b))
                 })
                 .expect("cluster has nodes");
             return Err(ClusterError::InsufficientResources {
@@ -118,8 +117,7 @@ impl BaselineScheduler {
                 .copied()
                 .max_by(|&a, &b| {
                     free_fraction(cluster, a)
-                        .partial_cmp(&free_fraction(cluster, b))
-                        .expect("fractions are finite")
+                        .total_cmp(&free_fraction(cluster, b))
                         // Tie-break toward the lower node id: iterate max_by
                         // keeps the *later* max, so invert on equality.
                         .then(b.cmp(&a))
@@ -130,8 +128,7 @@ impl BaselineScheduler {
                 .copied()
                 .min_by(|&a, &b| {
                     free_fraction(cluster, a)
-                        .partial_cmp(&free_fraction(cluster, b))
-                        .expect("fractions are finite")
+                        .total_cmp(&free_fraction(cluster, b))
                         .then(a.cmp(&b))
                 })
                 .expect("feasible non-empty"),

@@ -158,7 +158,7 @@ pub fn breadth_first(
             // Stable sort, descending by weight; ties keep insertion
             // order (and the original insertion is by descending edge
             // weight among siblings).
-            queue.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite weights"));
+            queue.sort_by(|a, b| b.0.total_cmp(&a.0));
             let (_, current) = queue.remove(0);
             order.push(current);
 
@@ -167,7 +167,7 @@ pub fn breadth_first(
                 .out_edges(current)
                 .map(|e| (e.to, e.bandwidth.as_bps()))
                 .collect();
-            deps.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights").then(a.0.cmp(&b.0)));
+            deps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             for (dep, w) in deps {
                 if visited.insert(dep) {
                     let path_w = cumulative[&current] + w;
@@ -262,7 +262,7 @@ fn longest_chain_from(
     // Farthest vertex: max distance, ties toward the smaller id.
     let (&last, _) = dist
         .iter()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite").then(b.0.cmp(a.0)))
+        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
         .expect("start is always in dist");
     let mut chain = vec![last];
     let mut cur = last;

@@ -213,8 +213,7 @@ fn dedup_candidates(dag: &AppDag, violations: &[Violation]) -> Vec<ComponentId> 
     }
     weight.sort_by(|a, b| {
         b.1.as_bps()
-            .partial_cmp(&a.1.as_bps())
-            .expect("finite bandwidths")
+            .total_cmp(&a.1.as_bps())
             .then(a.0.cmp(&b.0))
     });
 

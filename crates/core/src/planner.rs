@@ -127,8 +127,7 @@ pub fn recommend_observed(
         .collect();
     ranking.sort_by(|a, b| {
         a.crossing_bps
-            .partial_cmp(&b.crossing_bps)
-            .expect("finite bandwidths")
+            .total_cmp(&b.crossing_bps)
     });
     Recommendation {
         ranking,

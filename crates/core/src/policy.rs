@@ -454,8 +454,7 @@ impl SchedulerPolicy for MetronomePolicy {
         out.to_migrate.sort_by(|&a, &b| {
             let (pa, pb) = (self.priority(a, ctx.dag), self.priority(b, ctx.dag));
             pb.as_bps()
-                .partial_cmp(&pa.as_bps())
-                .expect("finite bandwidths")
+                .total_cmp(&pa.as_bps())
                 .then(a.cmp(&b))
         });
         out

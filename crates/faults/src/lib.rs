@@ -26,10 +26,11 @@
 
 pub mod invariants;
 
-use bass_mesh::NodeId;
+use bass_mesh::{NodeId, Topology};
 use bass_util::rng::SimRng;
 use bass_util::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One injectable fault. All faults are instantaneous events; durable
 /// conditions (a crashed node, a lossy monitor) are expressed as a
@@ -119,6 +120,70 @@ impl Fault {
         }
     }
 }
+
+/// Why [`FaultPlan::validate`] rejected a plan read from outside the
+/// program. `index` counts events from zero in file order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlanError {
+    /// The stored cursor is not zero: the plan would silently skip its
+    /// first events (or all of them).
+    Consumed {
+        /// The cursor found.
+        cursor: usize,
+    },
+    /// An event is due before its predecessor; `due`, `next_at` and the
+    /// tick-skip bound all rely on time order.
+    OutOfOrder {
+        /// The offending event.
+        index: usize,
+    },
+    /// A probe-loss probability outside `[0, 1]` (or not finite).
+    LossProbability {
+        /// The offending event.
+        index: usize,
+        /// The probability found.
+        p: f64,
+    },
+    /// An event names a node the topology does not have.
+    UnknownNode {
+        /// The offending event.
+        index: usize,
+        /// The node named.
+        node: NodeId,
+    },
+    /// An event names a link the topology does not have.
+    UnknownLink {
+        /// The offending event.
+        index: usize,
+        /// One endpoint named.
+        a: NodeId,
+        /// The other endpoint named.
+        b: NodeId,
+    },
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::Consumed { cursor } => {
+                write!(f, "cursor is {cursor}, a stored plan must start at 0")
+            }
+            PlanError::OutOfOrder { index } => {
+                let prev = index - 1;
+                write!(f, "event {index}: due before event {prev}, events must be in time order")
+            }
+            PlanError::LossProbability { index, p } => {
+                write!(f, "event {index}: probe-loss probability {p} is not in [0, 1]")
+            }
+            PlanError::UnknownNode { index, node } => write!(f, "event {index}: unknown node {node}"),
+            PlanError::UnknownLink { index, a, b } => {
+                write!(f, "event {index}: no link between {a} and {b}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
 
 /// Rates and targets for [`FaultPlan::poisson`] storm compilation.
 ///
@@ -344,6 +409,48 @@ impl FaultPlan {
             }
         }
         plan
+    }
+
+    /// Checks a plan that arrived from outside the program (a `--faults`
+    /// file) against the topology it will run on: unconsumed, in time
+    /// order, every probability in `[0, 1]`, every named node and link
+    /// present. Plans assembled through the builders hold the first two
+    /// by construction.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`PlanError`] in file order.
+    pub fn validate(&self, topo: &Topology) -> Result<(), PlanError> {
+        if self.cursor != 0 {
+            return Err(PlanError::Consumed { cursor: self.cursor });
+        }
+        for (index, (at, fault)) in self.events.iter().enumerate() {
+            if index > 0 && *at < self.events[index - 1].0 {
+                return Err(PlanError::OutOfOrder { index });
+            }
+            match *fault {
+                Fault::NodeCrash { node } | Fault::NodeRecover { node } => {
+                    if !topo.contains_node(node) {
+                        return Err(PlanError::UnknownNode { index, node });
+                    }
+                }
+                Fault::LinkDown { a, b }
+                | Fault::LinkUp { a, b }
+                | Fault::StaleTraceStart { a, b }
+                | Fault::StaleTraceStop { a, b } => {
+                    if topo.find_link(a, b).is_none() {
+                        return Err(PlanError::UnknownLink { index, a, b });
+                    }
+                }
+                Fault::ProbeLossStart { p } => {
+                    if !(0.0..=1.0).contains(&p) {
+                        return Err(PlanError::LossProbability { index, p });
+                    }
+                }
+                Fault::ProbeLossStop | Fault::ControllerRestart => {}
+            }
+        }
+        Ok(())
     }
 
     /// Pops every fault due at or before `now`, in schedule order. The

@@ -67,20 +67,6 @@ impl FlowAllocation {
         self.rates.insert(id, rate);
     }
 
-    /// Overwrites the rates of the listed slots only. Every `ids[s]`
-    /// must already be a key — i.e. the allocation was last assigned
-    /// from the same `ids` — which [`crate::Mesh`] guarantees on its
-    /// steady-state tick, making the map write O(dirty · log F)
-    /// instead of the O(F) full [`assign`](Self::assign).
-    pub(crate) fn write_slots(&mut self, ids: &[FlowId], rates_bps: &[f64], slots: &[u32]) {
-        for &s in slots {
-            let s = s as usize;
-            if let Some(r) = self.rates.get_mut(&ids[s]) {
-                *r = Bandwidth::from_bps(rates_bps[s]);
-            }
-        }
-    }
-
     /// Replaces the allocation with `rates_bps[i]` for `ids[i]` (both in
     /// ascending id order), updating values in place when the flow set is
     /// unchanged so the steady-state tick path performs no allocation.

@@ -11,11 +11,9 @@
 //! [`crate::flow::ComponentIndex`]) across ticks, bit-compares capacity
 //! and demand snapshots each tick, and refills only the *dirty*
 //! components; every other component keeps its previous rates verbatim.
-//! A tick that rebuilt the index refills everything. The usage views and
-//! the queue pass follow the same dirty sets while the refilled slice is
-//! a minority of the mesh, and fall back to their full passes otherwise
-//! — a cost dispatch the code takes from the dirty share it observes,
-//! never a setting.
+//! A tick that rebuilt the index refills everything. After the fill
+//! every tick has the same tail: the allocation map and both usage views
+//! are rewritten in full and one queue pass visits every flow.
 //!
 //! The pre-index implementation (`reallocate_dense`: fresh buffers,
 //! per-tick membership scans, [`crate::flow::max_min_allocate_dense`])
@@ -98,19 +96,6 @@ struct AllocIndex {
     /// map of a gateway-partitioned city mesh). Rebuilt together with
     /// the membership lists.
     comps: ComponentIndex,
-    /// CSR offsets of the flow-slot → egress-nodes map (every path node
-    /// except the destination, whether egress-capped or not) backing the
-    /// O(dirty) usage-view update.
-    flow_egr_off: Vec<usize>,
-    /// CSR payload of the flow-slot → egress-nodes map.
-    flow_egr: Vec<u32>,
-    /// CSR offsets (indexed by node rank, length `node_count + 1`) of
-    /// the node → consuming-flow-slots reverse map.
-    egr_members_off: Vec<usize>,
-    /// CSR payload of the reverse map; slots ascend within each node, so
-    /// a partial egress re-sum accumulates in the same order as the
-    /// full flow-major pass.
-    egr_members: Vec<usize>,
     /// Set whenever membership, routing or up/down state may have
     /// changed; cleared by `rebuild`. While set, every per-slot dirty
     /// set and snapshot is stale and the next allocation rebuilds the
@@ -128,7 +113,6 @@ impl AllocIndex {
         link_count: usize,
         flows: &BTreeMap<FlowId, FlowState>,
         egress_nodes: &[u32],
-        node_count: usize,
     ) {
         self.ids.clear();
         self.constraints.clear();
@@ -159,34 +143,6 @@ impl AllocIndex {
             &self.flow_cons_off,
             &self.flow_cons,
         );
-        // Egress CSRs for the O(dirty) usage-view update: forward
-        // (flow slot → path nodes consuming egress) and reverse
-        // (node → consuming flow slots, ascending).
-        self.flow_egr_off.clear();
-        self.flow_egr_off.push(0);
-        self.flow_egr.clear();
-        for f in flows.values() {
-            self.flow_egr.extend(&f.egress);
-            self.flow_egr_off.push(self.flow_egr.len());
-        }
-        self.egr_members_off.clear();
-        self.egr_members_off.resize(node_count + 1, 0);
-        for &n in &self.flow_egr {
-            self.egr_members_off[n as usize + 1] += 1;
-        }
-        for k in 1..self.egr_members_off.len() {
-            self.egr_members_off[k] += self.egr_members_off[k - 1];
-        }
-        self.egr_members.clear();
-        self.egr_members.resize(self.flow_egr.len(), 0);
-        let mut cursor = self.egr_members_off.clone();
-        for (i, f) in flows.values().enumerate() {
-            for &node in &f.egress {
-                let c = &mut cursor[node as usize];
-                self.egr_members[*c] = i;
-                *c += 1;
-            }
-        }
         self.dirty = false;
     }
 }
@@ -304,42 +260,6 @@ pub struct Mesh {
     /// Flow slots whose transmit demand may have moved since the last
     /// refresh: spec changes, queue-backlog byte movements, resets.
     dirty_flows: Vec<u32>,
-    /// True when the next queue pass must run the full O(F + L) path
-    /// (allocation reshaped, usage views rebuilt, or the pending-set
-    /// bookkeeping overflowed).
-    pending_full: bool,
-    /// Per-link membership flags of `pending_links`.
-    pending_link_flag: Vec<bool>,
-    /// Links whose utilization must be re-derived at the next queue
-    /// pass (capacity or usage moved since the last pass).
-    pending_links: Vec<u32>,
-    /// Per-flow-slot membership flags of `pending_flows`.
-    pending_flow_flag: Vec<bool>,
-    /// Flow slots whose rate or demand moved since the last queue pass —
-    /// the candidates for (re)activation.
-    pending_flows: Vec<u32>,
-    /// Per-flow-slot membership flags of `active_flows`.
-    flow_active: Vec<bool>,
-    /// Flow slots whose queue integration is not the identity: nonzero
-    /// backlog, or offered demand above the allocated rate.
-    active_flows: Vec<u32>,
-    /// Per-flow-slot scratch flags of `rho_list`.
-    rho_flag: Vec<bool>,
-    /// Flow slots whose path utilization must be re-pushed this pass
-    /// (they cross a link whose utilization moved).
-    rho_list: Vec<u32>,
-    /// Per-node scratch flags of `touched_nodes`.
-    node_flag: Vec<bool>,
-    /// Nodes whose egress usage must be re-summed this update.
-    touched_nodes: Vec<u32>,
-    /// Partial usage-view updates between drift audits (0 disables; see
-    /// [`Mesh::set_usage_check_every`]).
-    usage_check_every: u64,
-    /// Partial usage-view updates since the last drift audit.
-    usage_ticks: u64,
-    /// Times the drift audit found a divergence and rebuilt the views
-    /// (see [`Mesh::usage_view_rebuilds`]).
-    usage_view_rebuilds: u64,
 }
 
 impl Mesh {
@@ -394,20 +314,6 @@ impl Mesh {
             trace_heap_valid: false,
             flow_dirty: Vec::new(),
             dirty_flows: Vec::new(),
-            pending_full: true,
-            pending_link_flag: vec![false; link_count],
-            pending_links: Vec::new(),
-            pending_flow_flag: Vec::new(),
-            pending_flows: Vec::new(),
-            flow_active: Vec::new(),
-            active_flows: Vec::new(),
-            rho_flag: Vec::new(),
-            rho_list: Vec::new(),
-            node_flag: vec![false; node_count],
-            touched_nodes: Vec::new(),
-            usage_check_every: 1024,
-            usage_ticks: 0,
-            usage_view_rebuilds: 0,
         })
     }
 
@@ -420,23 +326,6 @@ impl Mesh {
     #[doc(hidden)]
     pub fn use_reference_allocator(&mut self) {
         self.reference = true;
-    }
-
-    /// Sets how many partial usage-view updates may pass between drift
-    /// audits (0 disables auditing; default 1024). Each audit recomputes
-    /// `link_used`/`egress_used` from scratch and, on any bitwise
-    /// divergence, installs the recomputed views and counts a rebuild.
-    pub fn set_usage_check_every(&mut self, every: u64) {
-        self.usage_check_every = every;
-    }
-
-    /// How many drift audits found (and repaired) a divergence. Stays
-    /// zero in practice: partial updates re-*sum* every affected slot in
-    /// full-pass order instead of applying signed deltas, so no float
-    /// drift can accumulate — the audit is a safety net, not a repair
-    /// loop.
-    pub fn usage_view_rebuilds(&self) -> u64 {
-        self.usage_view_rebuilds
     }
 
     /// Creates a mesh where every link has the same constant capacity
@@ -789,8 +678,7 @@ impl Mesh {
     pub fn reset_flow_queue(&mut self, id: FlowId) -> Result<(), MeshError> {
         let flow = self.flows.get_mut(&id).ok_or(MeshError::UnknownFlow(id))?;
         flow.queue.reset();
-        // Dropping the backlog moves the drain demand and may
-        // deactivate the queue.
+        // Dropping the backlog moves the drain demand.
         self.mark_flow_demand_dirty(id);
         Ok(())
     }
@@ -837,23 +725,7 @@ impl Mesh {
         self.now += dt;
         self.reallocate_profiled(profiler.as_deref_mut());
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
-        let link_count = self.topo.link_count();
-        let n = self.flows.len();
-        // The O(dirty) pass is only sound when the activity bookkeeping
-        // matches the current flow set and nothing demanded a rebuild.
-        let full = self.pending_full
-            || self.index.ids.len() != n
-            || self.allocation.len() != n
-            || self.flow_active.len() != n
-            || self.rho_flag.len() != n
-            || self.pending_flow_flag.len() != n
-            || self.util_scratch.len() != link_count
-            || self.pending_link_flag.len() != link_count;
-        if full {
-            self.advance_queues_full(dt, link_count);
-        } else {
-            self.advance_queues_dirty(dt);
-        }
+        self.advance_queues(dt);
         clock.lap(profiler.as_deref_mut(), "mesh.queues");
         if let Some(j) = journal {
             self.emit_capacity_changes(j, "trace");
@@ -862,11 +734,11 @@ impl Mesh {
         }
     }
 
-    /// The full O(F + L) queue pass: derive every link's utilization,
-    /// advance every flow queue, and rebuild the activity bookkeeping
-    /// from scratch — also re-arming the dirty sets so subsequent
-    /// passes can go O(dirty).
-    fn advance_queues_full(&mut self, dt: SimDuration, link_count: usize) {
+    /// The queue pass: derive every link's utilization, advance every
+    /// flow queue, and feed each backlog that moved into the dirty-flow
+    /// set of the next demand diff.
+    fn advance_queues(&mut self, dt: SimDuration) {
+        let link_count = self.topo.link_count();
         // Per-link utilization for the queueing model, derived from the
         // effective capacities `reallocate` just cached (same instant,
         // so no capacity source is queried twice per tick).
@@ -888,12 +760,6 @@ impl Mesh {
         // slot numbering is live; under a stale index the next refresh
         // is full anyway.
         let track = !self.index.dirty && self.flow_dirty.len() == n;
-        self.flow_active.clear();
-        self.flow_active.resize(n, false);
-        self.active_flows.clear();
-        self.rho_flag.clear();
-        self.rho_flag.resize(n, false);
-        self.rho_list.clear();
         // `reallocate` left `allocation` keyed exactly by the current
         // flow set (ascending), so the two maps zip in lockstep — no
         // per-flow map lookup on the hot path.
@@ -915,110 +781,7 @@ impl Mesh {
                 self.flow_dirty[slot] = true;
                 self.dirty_flows.push(slot as u32);
             }
-            if flow.queue.backlog_bits() > 0.0
-                || flow.spec.demand.as_bps() > allocated.as_bps()
-            {
-                self.flow_active[slot] = true;
-                self.active_flows.push(slot as u32);
-            }
         }
-        // The full pass consumed every pending marker: reset the sets.
-        self.pending_link_flag.clear();
-        self.pending_link_flag.resize(link_count, false);
-        self.pending_links.clear();
-        self.pending_flow_flag.clear();
-        self.pending_flow_flag.resize(n, false);
-        self.pending_flows.clear();
-        self.pending_full = false;
-    }
-
-    /// The O(dirty) queue pass: utilizations re-derived only for links
-    /// whose capacity or usage moved, activity re-evaluated only for
-    /// flows whose rate or demand moved, queue integration only over
-    /// active flows (everyone else's advance is bitwise the identity),
-    /// and path utilization re-pushed only to flows crossing a moved
-    /// link. Only sound right after a tick whose reallocation kept the
-    /// pending sets live (see the guard in
-    /// [`advance_profiled`](Self::advance_profiled)).
-    fn advance_queues_dirty(&mut self, dt: SimDuration) {
-        // 1. Re-derive the utilization of moved links; members of links
-        //    whose utilization bits actually moved need a rho re-push.
-        for k in 0..self.pending_links.len() {
-            let l = self.pending_links[k] as usize;
-            self.pending_link_flag[l] = false;
-            let cap = self.link_cap_bps[l];
-            let util = if cap <= f64::EPSILON {
-                if self.link_used_bps[l] > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                (self.link_used_bps[l] / cap).clamp(0.0, 1.0)
-            };
-            if util.to_bits() == self.util_scratch[l].to_bits() {
-                continue;
-            }
-            self.util_scratch[l] = util;
-            for &m in &self.index.constraints[l].members {
-                if !self.rho_flag[m] {
-                    self.rho_flag[m] = true;
-                    self.rho_list.push(m as u32);
-                }
-            }
-        }
-        self.pending_links.clear();
-        // 2. Re-evaluate the activity of touched flows.
-        for k in 0..self.pending_flows.len() {
-            let s = self.pending_flows[k] as usize;
-            self.pending_flow_flag[s] = false;
-            if self.flow_active[s] {
-                continue;
-            }
-            let f = &self.flows[&self.index.ids[s]];
-            let allocated_bps = Bandwidth::from_bps(self.rates_bps[s]).as_bps();
-            if f.queue.backlog_bits() > 0.0 || f.spec.demand.as_bps() > allocated_bps {
-                self.flow_active[s] = true;
-                self.active_flows.push(s as u32);
-            }
-        }
-        self.pending_flows.clear();
-        // 3. Integrate active queues; drop the ones that reached the
-        //    integration fixed point (drained, demand satisfied).
-        let mut k = 0;
-        while k < self.active_flows.len() {
-            let s = self.active_flows[k] as usize;
-            let id = self.index.ids[s];
-            let allocated = Bandwidth::from_bps(self.rates_bps[s]);
-            let flow = self.flows.get_mut(&id).expect("indexed flow exists");
-            let before = flow.queue.backlog().as_bytes();
-            flow.queue.advance(dt, flow.spec.demand, allocated);
-            if flow.queue.backlog().as_bytes() != before && !self.flow_dirty[s] {
-                self.flow_dirty[s] = true;
-                self.dirty_flows.push(s as u32);
-            }
-            if flow.queue.backlog_bits() > 0.0 || flow.spec.demand.as_bps() > allocated.as_bps()
-            {
-                k += 1;
-            } else {
-                self.flow_active[s] = false;
-                self.active_flows.swap_remove(k);
-            }
-        }
-        // 4. Re-push path utilization to flows crossing moved links.
-        for k in 0..self.rho_list.len() {
-            let s = self.rho_list[k] as usize;
-            self.rho_flag[s] = false;
-            let id = self.index.ids[s];
-            let flow = self.flows.get_mut(&id).expect("indexed flow exists");
-            let rho = flow
-                .links
-                .iter()
-                .map(|l| self.util_scratch[l.0])
-                .fold(0.0f64, f64::max);
-            flow.queue.set_path_utilization(rho);
-        }
-        self.rho_list.clear();
     }
 
     /// Whether one `dt`-long [`advance`](Self::advance) would leave
@@ -1096,8 +859,7 @@ impl Mesh {
     /// `mesh.water_fill` (every component) and `mesh.usage_views`; a
     /// steady-state tick records `mesh.cap_diff`, `mesh.demand_diff`,
     /// `mesh.component_scan`, `mesh.water_fill` (the dirty components
-    /// only) and `mesh.usage_delta` or `mesh.usage_views`, whichever
-    /// tail the dirty share selected. The test reference records one
+    /// only) and `mesh.usage_views`. The test reference records one
     /// `mesh.dense_realloc` span.
     pub fn reallocate_profiled(&mut self, profiler: Option<&mut bass_obs::SpanProfiler>) {
         if self.reference {
@@ -1128,12 +890,12 @@ impl Mesh {
         }
     }
 
-    /// Marks one flow's transmit demand (and queue-activity predicate)
-    /// as needing a refresh at the next allocation / queue pass.
+    /// Marks one flow's transmit demand as needing a refresh at the next
+    /// allocation.
     fn mark_flow_demand_dirty(&mut self, id: FlowId) {
         if self.index.dirty {
             // The slot map is stale; the next allocation re-reads every
-            // demand (and forces a full queue pass) anyway.
+            // demand anyway.
             return;
         }
         let slot = self
@@ -1145,40 +907,6 @@ impl Mesh {
             self.flow_dirty[slot] = true;
             self.dirty_flows.push(slot as u32);
         }
-        self.touch_flow(slot);
-    }
-
-    /// Queues a link for utilization re-derivation at the next queue
-    /// pass.
-    fn touch_link(&mut self, l: usize) {
-        if l >= self.pending_link_flag.len() {
-            self.pending_full = true;
-            return;
-        }
-        if !self.pending_link_flag[l] {
-            self.pending_link_flag[l] = true;
-            self.pending_links.push(l as u32);
-        }
-    }
-
-    /// Queues a flow slot for queue-activity re-evaluation at the next
-    /// queue pass.
-    fn touch_flow(&mut self, slot: usize) {
-        if slot >= self.pending_flow_flag.len() {
-            self.pending_full = true;
-            return;
-        }
-        if !self.pending_flow_flag[slot] {
-            self.pending_flow_flag[slot] = true;
-            self.pending_flows.push(slot as u32);
-        }
-    }
-
-    /// Records that a link's effective capacity moved: queues the link
-    /// for this tick's component scan and utilization refresh.
-    fn mark_cap_changed(&mut self, l: usize) {
-        self.cap_changed.push(l as u32);
-        self.touch_link(l);
     }
 
     /// Rebuilds the upcoming trace change-point heap from scratch: one
@@ -1210,7 +938,7 @@ impl Mesh {
             let bps = self.effective_link_capacity(LinkId(i)).as_bps();
             if bps.to_bits() != self.link_cap_bps[i].to_bits() {
                 self.link_cap_bps[i] = bps;
-                self.mark_cap_changed(i);
+                self.cap_changed.push(i as u32);
             }
         }
         let (link_cons, egress_cons) = self.index.constraints.split_at_mut(link_count);
@@ -1260,7 +988,7 @@ impl Mesh {
             if bps.to_bits() != self.link_cap_bps[l].to_bits() {
                 self.link_cap_bps[l] = bps;
                 self.index.constraints[l].capacity = Bandwidth::from_bps(bps);
-                self.mark_cap_changed(l);
+                self.cap_changed.push(l as u32);
             }
         }
         self.dirty_links.clear();
@@ -1304,8 +1032,7 @@ impl Mesh {
     /// Recomputes the per-link and per-node-egress usage views from
     /// `rates_bps`. Each link's members are in ascending flow order, so
     /// the float accumulation order matches the reference path's
-    /// flow-major loop exactly. A full rewrite can move any utilization,
-    /// so the next queue pass runs in full.
+    /// flow-major loop exactly.
     fn update_usage_views(&mut self, link_count: usize) {
         self.link_used_bps.resize(link_count, 0.0);
         self.link_used_bps.fill(0.0);
@@ -1320,92 +1047,6 @@ impl Mesh {
                 self.egress_used_bps[node as usize] += self.rates_bps[i];
             }
         }
-        self.pending_full = true;
-    }
-
-    /// O(dirty) usage-view update: re-sums the links of every dirty
-    /// component and the egress of every node their flows touch, in the
-    /// same ascending-member order as the full pass. Re-summing (rather
-    /// than applying signed deltas) keeps every view bit-identical to a
-    /// full recompute, which the periodic drift audit asserts.
-    fn update_usage_views_delta(&mut self, link_count: usize) {
-        for k in 0..self.dirty_comps.len() {
-            let comp = self.dirty_comps[k];
-            for &ci in self.index.comps.constraints_of(comp) {
-                if ci >= link_count {
-                    continue; // egress constraints have no usage view
-                }
-                let mut sum = 0.0;
-                for &m in &self.index.constraints[ci].members {
-                    sum += self.rates_bps[m];
-                }
-                self.link_used_bps[ci] = sum;
-                if !self.pending_link_flag[ci] {
-                    self.pending_link_flag[ci] = true;
-                    self.pending_links.push(ci as u32);
-                }
-            }
-            for &i in self.index.comps.flows_of(comp) {
-                let s = self.index.flow_egr_off[i];
-                let e = self.index.flow_egr_off[i + 1];
-                for &node in &self.index.flow_egr[s..e] {
-                    let n = node as usize;
-                    if !self.node_flag[n] {
-                        self.node_flag[n] = true;
-                        self.touched_nodes.push(node);
-                    }
-                }
-            }
-        }
-        for k in 0..self.touched_nodes.len() {
-            let n = self.touched_nodes[k] as usize;
-            self.node_flag[n] = false;
-            let s = self.index.egr_members_off[n];
-            let e = self.index.egr_members_off[n + 1];
-            let mut sum = 0.0;
-            for &m in &self.index.egr_members[s..e] {
-                sum += self.rates_bps[m];
-            }
-            self.egress_used_bps[n] = sum;
-        }
-        self.touched_nodes.clear();
-    }
-
-    /// Recomputes both usage views from scratch and compares bitwise
-    /// against the incrementally maintained ones. On any divergence the
-    /// recomputed views are installed, the rebuild counter bumps, and
-    /// the next queue pass runs in full. Returns whether drift was
-    /// found (asserted never in the unit tests of the maintained path).
-    fn audit_usage_views(&mut self, link_count: usize) -> bool {
-        let mut links = vec![0.0; link_count];
-        for (ci, c) in self.index.constraints[..link_count].iter().enumerate() {
-            for &m in &c.members {
-                links[ci] += self.rates_bps[m];
-            }
-        }
-        let mut egress = vec![0.0; self.egress_used_bps.len()];
-        for (i, f) in self.flows.values().enumerate() {
-            for &node in &f.egress {
-                egress[node as usize] += self.rates_bps[i];
-            }
-        }
-        let drift = links.len() != self.link_used_bps.len()
-            || egress.len() != self.egress_used_bps.len()
-            || links
-                .iter()
-                .zip(&self.link_used_bps)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-            || egress
-                .iter()
-                .zip(&self.egress_used_bps)
-                .any(|(a, b)| a.to_bits() != b.to_bits());
-        if drift {
-            self.link_used_bps = links;
-            self.egress_used_bps = egress;
-            self.usage_view_rebuilds += 1;
-            self.pending_full = true;
-        }
-        drift
     }
 
     /// The production allocator. Under a stale index: rebuild it,
@@ -1421,7 +1062,7 @@ impl Mesh {
         if self.index.dirty {
             let capped: Vec<u32> =
                 self.egress_caps.keys().filter_map(|&n| self.routes.rank(n)).collect();
-            self.index.rebuild(link_count, &self.flows, &capped, self.topo.node_count());
+            self.index.rebuild(link_count, &self.flows, &capped);
             clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
             self.refresh_constraint_caps(link_count);
             clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
@@ -1479,7 +1120,6 @@ impl Mesh {
                 let comp = self.index.comps.flow_component(i);
                 if comp == NO_COMPONENT {
                     self.rates_bps[i] = unconstrained_rate(self.demands_scratch[i]);
-                    self.touch_flow(i);
                 } else if !self.comp_dirty[comp as usize] {
                     self.comp_dirty[comp as usize] = true;
                     self.dirty_comps.push(comp);
@@ -1503,51 +1143,9 @@ impl Mesh {
         }
         clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
 
-        let n = self.index.ids.len();
-        // The partial tail (per-slot allocation writes, per-member usage
-        // re-sums, O(dirty) queue pass) only pays off while the dirty
-        // slice is a minority of the mesh: each partial slot costs a map
-        // lookup where the full pass pays an in-order walk. Past roughly
-        // a quarter of the flows the straight full tail is cheaper, so
-        // take it — both tails produce bit-identical state by
-        // construction, this is purely a cost dispatch.
-        let refilled: usize = (0..self.dirty_comps.len())
-            .map(|k| self.index.comps.flows_of(self.dirty_comps[k]).len())
-            .sum();
-        let minority = (self.pending_flows.len() + refilled) * 4 < n;
-        if !self.pending_full
-            && minority
-            && self.pending_flow_flag.len() == n
-            && self.allocation.len() == n
-        {
-            // Queue every refilled flow for activity re-evaluation; the
-            // same list drives the O(dirty) allocation-map write.
-            for k in 0..self.dirty_comps.len() {
-                let comp = self.dirty_comps[k];
-                for &i in self.index.comps.flows_of(comp) {
-                    if !self.pending_flow_flag[i] {
-                        self.pending_flow_flag[i] = true;
-                        self.pending_flows.push(i as u32);
-                    }
-                }
-            }
-            self.allocation
-                .write_slots(&self.index.ids, &self.rates_bps, &self.pending_flows);
-            self.update_usage_views_delta(link_count);
-            if self.usage_check_every > 0 {
-                self.usage_ticks += 1;
-                if self.usage_ticks >= self.usage_check_every {
-                    self.usage_ticks = 0;
-                    self.audit_usage_views(link_count);
-                }
-            }
-            clock.lap(profiler, "mesh.usage_delta");
-        } else {
-            self.pending_full = true;
-            self.allocation.assign(&self.index.ids, &self.rates_bps);
-            self.update_usage_views(link_count);
-            clock.lap(profiler, "mesh.usage_views");
-        }
+        self.allocation.assign(&self.index.ids, &self.rates_bps);
+        self.update_usage_views(link_count);
+        clock.lap(profiler, "mesh.usage_views");
     }
 
     /// The test reference, kept verbatim from before the persistent
@@ -1614,9 +1212,6 @@ impl Mesh {
             }
         }
         self.allocation = allocation;
-        // The reference path maintains none of the dirty-set
-        // bookkeeping: every queue pass runs in full.
-        self.pending_full = true;
     }
 
     /// Diffs the current effective link capacities against the last
@@ -2400,55 +1995,5 @@ mod tests {
             ticked.flow_rate(f).as_bps().to_bits(),
             skipped.flow_rate(f).as_bps().to_bits()
         );
-    }
-
-    #[test]
-    fn usage_audit_detects_and_repairs_injected_drift() {
-        let mut mesh = three_node_lan();
-        mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
-        mesh.add_flow(NodeId(1), NodeId(2), mbps(20.0)).unwrap();
-        let step = SimDuration::from_millis(100);
-        mesh.advance(step);
-        let link_count = mesh.topo.link_count();
-        // The maintained views are clean after a normal tick.
-        assert!(!mesh.audit_usage_views(link_count));
-        assert_eq!(mesh.usage_view_rebuilds(), 0);
-        // Inject drift into both views; the audit must detect it,
-        // install the recomputed truth, bump the rebuild counter, and
-        // force the next queue pass to run in full.
-        mesh.link_used_bps[0] += 123.0;
-        mesh.egress_used_bps[1] -= 7.0;
-        assert!(mesh.audit_usage_views(link_count));
-        assert_eq!(mesh.usage_view_rebuilds(), 1);
-        assert!(mesh.pending_full);
-        // Repaired: a second audit is clean and the counter holds.
-        assert!(!mesh.audit_usage_views(link_count));
-        assert_eq!(mesh.usage_view_rebuilds(), 1);
-    }
-
-    #[test]
-    fn periodic_usage_audit_repairs_drift_on_schedule() {
-        let mut mesh = three_node_lan();
-        let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
-        mesh.set_usage_check_every(1);
-        let step = SimDuration::from_millis(100);
-        mesh.advance(step);
-        mesh.advance(step);
-        assert_eq!(mesh.usage_view_rebuilds(), 0, "clean runs never rebuild");
-        // Corrupt the maintained link view: the next audited tick must
-        // repair it and keep allocations unaffected.
-        mesh.link_used_bps[0] += 1e6;
-        for _ in 0..3 {
-            mesh.advance(step);
-        }
-        assert_eq!(mesh.usage_view_rebuilds(), 1);
-        assert_eq!(mesh.flow_rate(f).as_bps().to_bits(), mbps(30.0).as_bps().to_bits());
-        // Disabled audits leave corruption alone (and never rebuild).
-        mesh.set_usage_check_every(0);
-        mesh.link_used_bps[0] += 1e6;
-        for _ in 0..3 {
-            mesh.advance(step);
-        }
-        assert_eq!(mesh.usage_view_rebuilds(), 1);
     }
 }

@@ -100,14 +100,6 @@ impl FlowQueue {
         DataSize::from_bytes((self.backlog_bits / 8.0) as u64)
     }
 
-    /// Raw queued bits — the exact float the integrator maintains.
-    /// Unlike [`backlog`](Self::backlog) there is no byte quantization,
-    /// so `backlog_bits() > 0.0` is the precise "this queue still has
-    /// data" predicate the active-flow bookkeeping needs.
-    pub fn backlog_bits(&self) -> f64 {
-        self.backlog_bits
-    }
-
     /// Bottleneck-link utilization set at the last advance, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
         self.rho

@@ -286,8 +286,7 @@ pub fn run_arena(
         .collect();
     ranking.sort_by(|a, b| {
         b.mean_goodput
-            .partial_cmp(&a.mean_goodput)
-            .expect("finite goodputs")
+            .total_cmp(&a.mean_goodput)
             .then_with(|| a.policy.cmp(&b.policy))
     });
     for (i, s) in ranking.iter_mut().enumerate() {

@@ -164,11 +164,10 @@ pub struct Percentiles {
 }
 
 impl Percentiles {
-    /// Builds a summary from samples. NaN samples are dropped so the
-    /// ordering is total.
+    /// Builds a summary from samples. NaN samples are dropped.
     pub fn from_samples(samples: &[f64]) -> Self {
         let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| !x.is_nan()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs were filtered"));
+        sorted.sort_by(f64::total_cmp);
         Percentiles { sorted }
     }
 

@@ -31,7 +31,10 @@ struct SerdeAttrs {
 
 #[derive(Debug)]
 struct NamedField {
+    /// The identifier as written (`r#final`): what generated code names.
     name: String,
+    /// The wire key (`final`).
+    key: String,
     attrs: SerdeAttrs,
 }
 
@@ -44,7 +47,10 @@ enum Fields {
 
 #[derive(Debug)]
 struct Variant {
+    /// The identifier as written; see [`NamedField::name`].
     name: String,
+    /// The wire key.
+    key: String,
     fields: Fields,
 }
 
@@ -155,6 +161,12 @@ fn skip_type(it: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) {
     }
 }
 
+/// The wire key of an identifier: a raw identifier (`r#type`) names the
+/// key `type`, as in upstream serde.
+fn wire_key(ident: &str) -> String {
+    ident.strip_prefix("r#").unwrap_or(ident).to_string()
+}
+
 fn parse_named_fields(group: &proc_macro::Group) -> Vec<NamedField> {
     let mut fields = Vec::new();
     let mut it = group.stream().into_iter().peekable();
@@ -171,7 +183,7 @@ fn parse_named_fields(group: &proc_macro::Group) -> Vec<NamedField> {
             other => panic!("serde shim derive: expected `:` after field `{name}`, got {other:?}"),
         }
         skip_type(&mut it);
-        fields.push(NamedField { name, attrs });
+        fields.push(NamedField { key: wire_key(&name), name, attrs });
     }
     fields
 }
@@ -220,7 +232,7 @@ fn parse_variants(group: &proc_macro::Group) -> Vec<Variant> {
                 break;
             }
         }
-        variants.push(Variant { name, fields });
+        variants.push(Variant { key: wire_key(&name), name, fields });
     }
     variants
 }
@@ -278,8 +290,8 @@ fn gen_serialize(item: &Item) -> String {
                 );
                 for f in fields {
                     s.push_str(&format!(
-                        "__m.push((String::from(\"{0}\"), ::serde::Serialize::serialize(&self.{0})));\n",
-                        f.name
+                        "__m.push((String::from(\"{}\"), ::serde::Serialize::serialize(&self.{})));\n",
+                        f.key, f.name
                     ));
                 }
                 s.push_str("::serde::Content::Map(__m)");
@@ -301,13 +313,13 @@ fn gen_serialize(item: &Item) -> String {
         ItemKind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
-                let vname = &v.name;
+                let (vname, vkey) = (&v.name, &v.key);
                 match &v.fields {
                     Fields::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Content::Str(String::from(\"{vname}\")),\n"
+                        "{name}::{vname} => ::serde::Content::Str(String::from(\"{vkey}\")),\n"
                     )),
                     Fields::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vname}(__f0) => ::serde::Content::Map(vec![(String::from(\"{vname}\"), ::serde::Serialize::serialize(__f0))]),\n"
+                        "{name}::{vname}(__f0) => ::serde::Content::Map(vec![(String::from(\"{vkey}\"), ::serde::Serialize::serialize(__f0))]),\n"
                     )),
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
@@ -315,7 +327,7 @@ fn gen_serialize(item: &Item) -> String {
                             .map(|i| format!("::serde::Serialize::serialize(__f{i})"))
                             .collect();
                         arms.push_str(&format!(
-                            "{name}::{vname}({}) => ::serde::Content::Map(vec![(String::from(\"{vname}\"), ::serde::Content::Seq(vec![{}]))]),\n",
+                            "{name}::{vname}({}) => ::serde::Content::Map(vec![(String::from(\"{vkey}\"), ::serde::Content::Seq(vec![{}]))]),\n",
                             binds.join(", "),
                             elems.join(", ")
                         ));
@@ -328,12 +340,12 @@ fn gen_serialize(item: &Item) -> String {
                         );
                         for f in fields {
                             inner.push_str(&format!(
-                                "__vm.push((String::from(\"{0}\"), ::serde::Serialize::serialize({0})));\n",
-                                f.name
+                                "__vm.push((String::from(\"{}\"), ::serde::Serialize::serialize({})));\n",
+                                f.key, f.name
                             ));
                         }
                         arms.push_str(&format!(
-                            "{name}::{vname} {{ {} }} => {{\n{inner}::serde::Content::Map(vec![(String::from(\"{vname}\"), ::serde::Content::Map(__vm))])\n}},\n",
+                            "{name}::{vname} {{ {} }} => {{\n{inner}::serde::Content::Map(vec![(String::from(\"{vkey}\"), ::serde::Content::Map(__vm))])\n}},\n",
                             binds.join(", ")
                         ));
                     }
@@ -354,16 +366,16 @@ fn named_field_expr(f: &NamedField, ty_name: &str) -> String {
     let fallback = match &f.attrs.default {
         None => format!(
             "return Err(::serde::DeError::missing_field(\"{}\", \"{ty_name}\"))",
-            f.name
+            f.key
         ),
         Some(None) => "::core::default::Default::default()".to_string(),
         Some(Some(path)) => format!("{path}()"),
     };
     format!(
-        "{0}: match ::serde::content_get(__m, \"{0}\") {{\n\
+        "{}: match ::serde::content_get(__m, \"{}\") {{\n\
          Some(__v) => ::serde::Deserialize::deserialize(__v)?,\n\
          None => {fallback},\n}}",
-        f.name
+        f.name, f.key
     )
 }
 
@@ -405,25 +417,25 @@ fn gen_deserialize(item: &Item) -> String {
             let mut str_arms = String::new();
             let mut map_arms = String::new();
             for v in variants {
-                let vname = &v.name;
+                let (vname, vkey) = (&v.name, &v.key);
                 match &v.fields {
                     Fields::Unit => {
                         str_arms
-                            .push_str(&format!("\"{vname}\" => Ok({name}::{vname}),\n"));
+                            .push_str(&format!("\"{vkey}\" => Ok({name}::{vname}),\n"));
                         map_arms
-                            .push_str(&format!("\"{vname}\" => Ok({name}::{vname}),\n"));
+                            .push_str(&format!("\"{vkey}\" => Ok({name}::{vname}),\n"));
                     }
                     Fields::Tuple(1) => map_arms.push_str(&format!(
-                        "\"{vname}\" => Ok({name}::{vname}(::serde::Deserialize::deserialize(__v)?)),\n"
+                        "\"{vkey}\" => Ok({name}::{vname}(::serde::Deserialize::deserialize(__v)?)),\n"
                     )),
                     Fields::Tuple(n) => {
                         let elems: Vec<String> = (0..*n)
                             .map(|i| format!("::serde::Deserialize::deserialize(&__s[{i}])?"))
                             .collect();
                         map_arms.push_str(&format!(
-                            "\"{vname}\" => {{\n\
-                             let __s = __v.as_seq().ok_or_else(|| ::serde::DeError::expected(\"sequence\", \"{name}::{vname}\"))?;\n\
-                             if __s.len() != {n} {{ return Err(::serde::DeError::expected(\"sequence of length {n}\", \"{name}::{vname}\")); }}\n\
+                            "\"{vkey}\" => {{\n\
+                             let __s = __v.as_seq().ok_or_else(|| ::serde::DeError::expected(\"sequence\", \"{name}::{vkey}\"))?;\n\
+                             if __s.len() != {n} {{ return Err(::serde::DeError::expected(\"sequence of length {n}\", \"{name}::{vkey}\")); }}\n\
                              Ok({name}::{vname}({}))\n}},\n",
                             elems.join(", ")
                         ));
@@ -431,11 +443,11 @@ fn gen_deserialize(item: &Item) -> String {
                     Fields::Named(fields) => {
                         let field_exprs: Vec<String> = fields
                             .iter()
-                            .map(|f| named_field_expr(f, &format!("{name}::{vname}")))
+                            .map(|f| named_field_expr(f, &format!("{name}::{vkey}")))
                             .collect();
                         map_arms.push_str(&format!(
-                            "\"{vname}\" => {{\n\
-                             let __m = __v.as_map().ok_or_else(|| ::serde::DeError::expected(\"map\", \"{name}::{vname}\"))?;\n\
+                            "\"{vkey}\" => {{\n\
+                             let __m = __v.as_map().ok_or_else(|| ::serde::DeError::expected(\"map\", \"{name}::{vkey}\"))?;\n\
                              Ok({name}::{vname} {{\n{}\n}})\n}},\n",
                             field_exprs.join(",\n")
                         ));
