@@ -67,20 +67,31 @@ impl FlowAllocation {
         self.rates.insert(id, rate);
     }
 
-    /// Replaces the allocation with `rates_bps[i]` for `ids[i]` (both in
-    /// ascending id order), updating values in place when the flow set is
-    /// unchanged so the steady-state tick path performs no allocation.
-    pub(crate) fn assign(&mut self, ids: &[FlowId], rates_bps: &[f64]) {
-        if self.rates.len() == ids.len() && self.rates.keys().zip(ids).all(|(a, b)| a == b) {
-            for (slot, &r) in self.rates.values_mut().zip(rates_bps) {
-                *slot = Bandwidth::from_bps(r);
+    /// Replaces the allocation with the `(flow, bps)` pairs of `live`
+    /// (ascending flow order). One merge walk finds the keys that left
+    /// and the keys that joined; only those are removed or inserted, and
+    /// every value is then updated in place — so neither the steady-state
+    /// tick nor a tick after flow churn rebuilds the map.
+    pub(crate) fn assign(&mut self, live: impl Iterator<Item = (FlowId, f64)> + Clone) {
+        let (mut gone, mut fresh) = (Vec::new(), Vec::new());
+        let mut have = self.rates.keys().copied().peekable();
+        for (id, _) in live.clone() {
+            while let Some(k) = have.next_if(|&k| k < id) {
+                gone.push(k);
             }
-        } else {
-            self.rates = ids
-                .iter()
-                .zip(rates_bps)
-                .map(|(&id, &r)| (id, Bandwidth::from_bps(r)))
-                .collect();
+            if have.next_if_eq(&id).is_none() {
+                fresh.push(id);
+            }
+        }
+        gone.extend(have);
+        for k in gone {
+            self.rates.remove(&k);
+        }
+        for id in fresh {
+            self.rates.insert(id, Bandwidth::ZERO);
+        }
+        for (slot, (_, r)) in self.rates.values_mut().zip(live) {
+            *slot = Bandwidth::from_bps(r);
         }
     }
 }
@@ -122,7 +133,11 @@ pub const NO_COMPONENT: u32 = u32::MAX;
 /// component index *is* the district map (see `docs/ARCHITECTURE.md`).
 ///
 /// Rebuilt from the CSR flow → constraint map with a union-find pass
-/// (O(memberships · α)); all storage is reused across rebuilds.
+/// (O(memberships · α)); all storage is reused across rebuilds. Between
+/// rebuilds [`crate::Mesh`] *patches* it: appending or retiring a flow
+/// records the components it joined or left, and the next allocation
+/// re-derives just those — a removal can split a component, an add can
+/// merge several.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentIndex {
     /// Component of each flow; [`NO_COMPONENT`] for unconstrained flows.
@@ -140,6 +155,16 @@ pub struct ComponentIndex {
     comp_cons: Vec<usize>,
     /// Union-find parents over constraints (scratch, reused).
     parent: Vec<u32>,
+    /// Components flows joined or left since the last rebuild or patch
+    /// (unsorted, may repeat).
+    touched: Vec<u32>,
+    /// Constrained flows pushed since the last rebuild or patch; they
+    /// sit in no component's flow list yet.
+    added: Vec<usize>,
+    /// Temporary → canonical component id map (scratch, reused).
+    remap: Vec<u32>,
+    /// Flows re-derived by the current patch (scratch, reused).
+    patch_flows: Vec<usize>,
 }
 
 impl ComponentIndex {
@@ -157,42 +182,141 @@ impl ComponentIndex {
         let m = constraints.len();
         self.parent.clear();
         self.parent.extend(0..m as u32);
-        // Union every constraint a flow crosses into the flow's first.
         for i in 0..n {
-            let row = &flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]];
-            if let Some((&first, rest)) = row.split_first() {
-                let root = self.find(first as u32);
-                for &ci in rest {
-                    let r = self.find(ci as u32);
-                    if r != root {
-                        self.parent[r as usize] = root;
-                    }
+            self.union_row(&flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]]);
+        }
+        // Label by union-find root; `relabel` makes the ids canonical.
+        self.cons_comp.clear();
+        for ci in 0..m as u32 {
+            let root = self.find(ci);
+            self.cons_comp.push(root);
+        }
+        self.flow_comp.clear();
+        for i in 0..n {
+            let comp = if flow_cons_off[i + 1] > flow_cons_off[i] {
+                self.cons_comp[flow_cons[flow_cons_off[i]]]
+            } else {
+                NO_COMPONENT
+            };
+            self.flow_comp.push(comp);
+        }
+        self.touched.clear();
+        self.added.clear();
+        self.relabel(m);
+    }
+
+    /// Appends one flow slot crossing the constraints in `row` (its CSR
+    /// row). A constrained flow is unassigned until the next
+    /// [`patch`](Self::patch) merges it into the components of `row`.
+    pub(crate) fn push_flow(&mut self, row: &[usize]) {
+        let slot = self.flow_comp.len();
+        self.flow_comp.push(NO_COMPONENT);
+        if !row.is_empty() {
+            self.added.push(slot);
+            self.touched.extend(row.iter().map(|&ci| self.cons_comp[ci]));
+        }
+    }
+
+    /// Takes a retiring flow out of its component for good: the slot
+    /// becomes unconstrained and its former component is re-derived by
+    /// the next [`patch`](Self::patch). The caller removes the slot from
+    /// its constraints' member lists.
+    pub(crate) fn detach_flow(&mut self, flow: usize) {
+        match std::mem::replace(&mut self.flow_comp[flow], NO_COMPONENT) {
+            NO_COMPONENT => self.added.retain(|&a| a != flow),
+            comp => self.touched.push(comp),
+        }
+    }
+
+    /// True when flows were pushed or detached since the last rebuild
+    /// or patch.
+    pub(crate) fn patch_pending(&self) -> bool {
+        !self.touched.is_empty()
+    }
+
+    /// Re-derives the partition of the touched components only: resets
+    /// their constraints to singletons, unions them through their
+    /// remaining and newly pushed flows, then relabels every component
+    /// canonically and re-lays both CSR maps (one O(flows + constraints)
+    /// pass). The re-derived constraints are written to `repatched`:
+    /// their (possibly split or merged) components are exactly the ones
+    /// whose rates may have moved.
+    pub(crate) fn patch(
+        &mut self,
+        flow_cons_off: &[usize],
+        flow_cons: &[usize],
+        repatched: &mut Vec<usize>,
+    ) {
+        debug_assert_eq!(flow_cons_off.len(), self.flow_comp.len() + 1);
+        let m = self.cons_comp.len();
+        let base = self.component_count() as u32;
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        repatched.clear();
+        let mut flows = std::mem::take(&mut self.patch_flows);
+        flows.clear();
+        for &t in &self.touched {
+            let t = t as usize;
+            for &ci in &self.comp_cons[self.comp_cons_off[t]..self.comp_cons_off[t + 1]] {
+                self.parent[ci] = ci as u32;
+                repatched.push(ci);
+            }
+            // Detached flows already read NO_COMPONENT.
+            let members = &self.comp_flows[self.comp_flows_off[t]..self.comp_flows_off[t + 1]];
+            flows.extend(members.iter().filter(|&&f| self.flow_comp[f] == t as u32));
+        }
+        flows.append(&mut self.added);
+        for &f in &flows {
+            self.union_row(&flow_cons[flow_cons_off[f]..flow_cons_off[f + 1]]);
+        }
+        // Temporary ids above every live one; `relabel` renumbers.
+        for &ci in repatched.iter() {
+            self.cons_comp[ci] = base + self.find(ci as u32);
+        }
+        for &f in &flows {
+            self.flow_comp[f] = base + self.find(flow_cons[flow_cons_off[f]] as u32);
+        }
+        self.patch_flows = flows;
+        self.touched.clear();
+        self.relabel(base as usize + m);
+    }
+
+    /// Unions every constraint of one CSR row into the row's first.
+    fn union_row(&mut self, row: &[usize]) {
+        if let Some((&first, rest)) = row.split_first() {
+            let root = self.find(first as u32);
+            for &ci in rest {
+                let r = self.find(ci as u32);
+                if r != root {
+                    self.parent[r as usize] = root;
                 }
             }
         }
-        // Canonical numbering: components appear in ascending order of
-        // their smallest constraint index.
-        self.cons_comp.clear();
-        self.cons_comp.resize(m, NO_COMPONENT);
+    }
+
+    /// Renumbers components canonically — ascending order of their
+    /// smallest constraint index — from temporary ids below `temp_ids`,
+    /// then lays out both CSR side maps.
+    fn relabel(&mut self, temp_ids: usize) {
+        self.remap.clear();
+        self.remap.resize(temp_ids, NO_COMPONENT);
         let mut count = 0u32;
-        for ci in 0..m as u32 {
-            let root = self.find(ci) as usize;
-            if self.cons_comp[root] == NO_COMPONENT {
-                self.cons_comp[root] = count;
+        for c in &mut self.cons_comp {
+            let id = &mut self.remap[*c as usize];
+            if *id == NO_COMPONENT {
+                *id = count;
                 count += 1;
             }
-            let comp = self.cons_comp[root];
-            self.cons_comp[ci as usize] = comp;
+            *c = *id;
+        }
+        for c in &mut self.flow_comp {
+            if *c != NO_COMPONENT {
+                *c = self.remap[*c as usize];
+            }
         }
         // Two-pass CSR builds (counts, prefix sums, fill) for both side
         // maps; ascending iteration keeps payloads sorted.
-        self.flow_comp.clear();
-        self.flow_comp.resize(n, NO_COMPONENT);
-        for i in 0..n {
-            if flow_cons_off[i + 1] > flow_cons_off[i] {
-                self.flow_comp[i] = self.cons_comp[flow_cons[flow_cons_off[i]]];
-            }
-        }
+        let m = self.cons_comp.len();
         let nc = count as usize;
         self.comp_flows_off.clear();
         self.comp_flows_off.resize(nc + 1, 0);
@@ -941,19 +1065,79 @@ mod tests {
     }
 
     #[test]
-    fn allocation_assign_reuses_and_rebuilds() {
+    fn allocation_assign_patches_keys() {
         let mut alloc = FlowAllocation::default();
-        alloc.assign(&[FlowId(1), FlowId(4)], &[1e6, 2e6]);
+        alloc.assign([(FlowId(1), 1e6), (FlowId(4), 2e6)].into_iter());
         assert_mbps(alloc.rate(FlowId(1)), 1.0);
         assert_mbps(alloc.rate(FlowId(4)), 2.0);
         // Same key set: values update in place.
-        alloc.assign(&[FlowId(1), FlowId(4)], &[3e6, 4e6]);
+        alloc.assign([(FlowId(1), 3e6), (FlowId(4), 4e6)].into_iter());
         assert_mbps(alloc.rate(FlowId(1)), 3.0);
-        // Changed key set: the map is rebuilt.
-        alloc.assign(&[FlowId(2)], &[5e6]);
-        assert_eq!(alloc.len(), 1);
-        assert_mbps(alloc.rate(FlowId(2)), 5.0);
-        assert_mbps(alloc.rate(FlowId(1)), 0.0);
+        // Changed key set: leavers dropped, joiners inserted.
+        alloc.assign([(FlowId(2), 5e6), (FlowId(4), 6e6), (FlowId(7), 7e6)].into_iter());
+        let got: Vec<_> = alloc.iter().map(|(k, v)| (k.0, v.as_mbps())).collect();
+        assert_eq!(got, [(2, 5.0), (4, 6.0), (7, 7.0)]);
+        alloc.assign(std::iter::empty());
+        assert!(alloc.is_empty());
+    }
+
+    /// Patching a partition after flows leave and join must land on the
+    /// partition a rebuild of the same rows derives, numbering included.
+    #[test]
+    fn component_patch_splits_and_merges_like_a_rebuild() {
+        // Constraints 0-1-2 chained by flows 0 (0,1) and 1 (1,2); 3 and
+        // 4 joined by flow 2; flow 3 alone on 5.
+        let mut rows: Vec<Vec<usize>> = vec![vec![0, 1], vec![1, 2], vec![3, 4], vec![5]];
+        let csr = |rows: &[Vec<usize>], live: &[bool]| {
+            let mut off = vec![0];
+            let mut cons = Vec::new();
+            for (row, &l) in rows.iter().zip(live) {
+                if l {
+                    cons.extend(row);
+                }
+                off.push(cons.len());
+            }
+            (off, cons)
+        };
+        let constraints: Vec<Constraint> = (0..6)
+            .map(|_| Constraint { capacity: mbps(1.0), members: Vec::new() })
+            .collect();
+        let mut live = vec![true; 4];
+        let (off, cons) = csr(&rows, &live);
+        let mut patched = ComponentIndex::default();
+        patched.rebuild(4, &constraints, &off, &cons);
+        assert_eq!(patched.component_count(), 3);
+        let check = |patched: &mut ComponentIndex, rows: &[Vec<usize>], live: &[bool]| {
+            let (off, cons) = csr(rows, live);
+            let mut repatched = Vec::new();
+            patched.patch(&off, &cons, &mut repatched);
+            let mut fresh = ComponentIndex::default();
+            fresh.rebuild(rows.len(), &constraints, &off, &cons);
+            assert_eq!(patched.flow_comp, fresh.flow_comp);
+            assert_eq!(patched.cons_comp, fresh.cons_comp);
+            assert_eq!(patched.comp_flows, fresh.comp_flows);
+            assert_eq!(patched.comp_cons_off, fresh.comp_cons_off);
+            assert!(!patched.patch_pending());
+            repatched
+        };
+        // Removing the bridge (flow 1) splits {0,1,2} into {0,1} and {2}.
+        patched.detach_flow(1);
+        live[1] = false;
+        assert_eq!(check(&mut patched, &rows, &live), [0, 1, 2]);
+        assert_eq!(patched.component_count(), 4);
+        // A flow over 2 and 3 merges {2} with {3,4}.
+        rows.push(vec![2, 3]);
+        live.push(true);
+        patched.push_flow(&rows[4]);
+        assert_eq!(check(&mut patched, &rows, &live), [2, 3, 4]);
+        assert_eq!(patched.component_count(), 3);
+        // Pushed and detached before any patch: nothing left to merge.
+        rows.push(vec![0, 5]);
+        live.push(false);
+        patched.push_flow(&rows[5]);
+        patched.detach_flow(5);
+        assert_eq!(check(&mut patched, &rows, &live), [0, 1, 5]);
+        assert_eq!(patched.component_count(), 3);
     }
 
     #[test]

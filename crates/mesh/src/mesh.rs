@@ -2,18 +2,22 @@
 //!
 //! Each [`Mesh::advance`] tick runs the allocation pipeline described in
 //! `docs/ARCHITECTURE.md`: refresh per-link capacities from traces and
-//! overrides, rebuild the flow↔constraint `AllocIndex` if topology or
-//! membership changed, water-fill per-flow rates, then drain per-flow
-//! queues against the granted rates.
+//! overrides, patch or rebuild the flow↔constraint `AllocIndex`,
+//! water-fill per-flow rates, then drain per-flow queues against the
+//! granted rates.
 //!
 //! There is one allocator. It keeps the `AllocIndex` (a CSR
 //! flow↔constraint map plus the connected components of that graph,
 //! [`crate::flow::ComponentIndex`]) across ticks, bit-compares capacity
 //! and demand snapshots each tick, and refills only the *dirty*
 //! components; every other component keeps its previous rates verbatim.
-//! A tick that rebuilt the index refills everything. After the fill
-//! every tick has the same tail: the allocation map and both usage views
-//! are rewritten in full and one queue pass visits every flow.
+//! Flow add/remove patch the index in place — appended and tombstoned
+//! slots, and a re-derivation of just the components they touched,
+//! which are then dirty. Route or egress-cap changes, and tombstones
+//! outnumbering live flows, rebuild it, and a tick that rebuilt the
+//! index refills everything. After the fill every tick has the same
+//! tail: the allocation map and both usage views are rewritten in full
+//! and one queue pass visits every flow.
 //!
 //! The pre-index implementation (`reallocate_dense`: fresh buffers,
 //! per-tick membership scans, [`crate::flow::max_min_allocate_dense`])
@@ -22,15 +26,15 @@
 //! production path to match it bit for bit.
 //!
 //! Determinism rules: component order is canonical (ascending smallest
-//! constraint index), all allocator state is rebuilt from the same
-//! inputs, and nothing samples wall-clock time — the same seed and
-//! mutation sequence replays bit-for-bit on any machine.
+//! constraint index, after a patch as after a rebuild), slots stay in
+//! ascending flow-id order, and nothing samples wall-clock time — the
+//! same seed and mutation sequence replays bit-for-bit on any machine.
 
 use crate::capacity::{CapacitySource, LinkCapacity};
 use crate::flow::{
-    build_flow_constraint_map, max_min_allocate_components, max_min_allocate_dense,
-    refill_component_into, unconstrained_rate, AllocScratch, ComponentIndex, Constraint,
-    FlowAllocation, FlowId, FlowSpec, NO_COMPONENT,
+    max_min_allocate_components, max_min_allocate_dense, refill_component_into,
+    unconstrained_rate, AllocScratch, ComponentIndex, Constraint, FlowAllocation, FlowId,
+    FlowSpec, NO_COMPONENT,
 };
 use crate::queueing::{FlowQueue, HopLatency};
 use crate::routing::RoutingTable;
@@ -74,76 +78,144 @@ impl fmt::Display for MeshError {
 
 impl Error for MeshError {}
 
-/// Persistent inverted index backing the allocator: the dense flow
-/// ordering, one constraint per link (and per
-/// egress-capped node) with its member list, and a CSR flow →
-/// constraints reverse map. Rebuilt only when the flow set, the routing,
-/// or the egress-cap set changes — never on the steady-state tick path.
+/// Persistent inverted index backing the allocator: one *slot* per flow,
+/// one constraint per link (and per egress-capped node) with its member
+/// list of slots, and a CSR slot → constraints reverse map.
+///
+/// Flow add/remove *patch* the index in place: a new flow's slot is
+/// appended (flow ids only grow, so slot order stays ascending-id order
+/// and every member list stays sorted), a removed flow's slot is
+/// tombstoned — taken out of its member lists and its component, its row
+/// left unread. The touched components are re-derived once at the next
+/// allocation. A full rebuild, which also compacts the tombstones,
+/// happens only when the routing or the egress-cap set changes, when dead
+/// slots outnumber live ones, or for a patch arriving on an already stale
+/// index.
 #[derive(Debug, Clone, Default)]
 struct AllocIndex {
-    /// Flow ids in ascending order; constraint `members` index into this.
+    /// Flow id of every slot, ascending; dead slots keep their id so
+    /// `binary_search` still finds every live one.
     ids: Vec<FlowId>,
+    /// False for a tombstoned slot.
+    live: Vec<bool>,
+    /// Tombstoned slots since the last rebuild.
+    dead: usize,
+    /// Ranks of the egress-capped nodes, ascending: egress constraint
+    /// `link_count + k` caps node `egress_ranks[k]`.
+    egress_ranks: Vec<u32>,
     /// Link constraints first (one per link, in `LinkId` order), then one
     /// per egress-capped node (in `NodeId` order) — the same layout the
     /// reference path rebuilds per tick. Capacities are refreshed in place
     /// each [`Mesh::reallocate`]; member lists persist.
     constraints: Vec<Constraint>,
-    /// CSR offsets of the flow → constraints reverse map.
+    /// CSR offsets of the slot → constraints reverse map.
     flow_cons_off: Vec<usize>,
-    /// CSR payload of the flow → constraints reverse map.
+    /// CSR payload of the slot → constraints reverse map (a row in path
+    /// order; a dead slot's row is never read).
     flow_cons: Vec<usize>,
     /// Connected components of the flow ↔ constraint graph (the district
-    /// map of a gateway-partitioned city mesh). Rebuilt together with
-    /// the membership lists.
+    /// map of a gateway-partitioned city mesh), patched with the slots.
     comps: ComponentIndex,
-    /// Set whenever membership, routing or up/down state may have
-    /// changed; cleared by `rebuild`. While set, every per-slot dirty
-    /// set and snapshot is stale and the next allocation rebuilds the
-    /// index, re-reads every capacity and demand, and refills every
-    /// component.
+    /// Constraints whose component the last patch re-derived; the next
+    /// component scan marks those components dirty and drains this.
+    repatched: Vec<usize>,
+    /// Set whenever routing, up/down state or the egress-cap set may
+    /// have changed, or tombstones must be compacted; cleared by
+    /// `rebuild`. While set, every per-slot dirty set and snapshot is
+    /// stale and the next allocation rebuilds the index, re-reads every
+    /// capacity and demand, and refills every component.
     dirty: bool,
 }
 
 impl AllocIndex {
     /// One pass over every flow's path (O(Σ path lengths)) rebuilding the
-    /// member lists and the CSR reverse map — replacing the per-tick
-    /// all-flows scan per link the reference path performs.
+    /// member lists and the CSR reverse map with no tombstones —
+    /// replacing the per-tick all-flows scan per link the reference path
+    /// performs.
     fn rebuild(
         &mut self,
         link_count: usize,
         flows: &BTreeMap<FlowId, FlowState>,
-        egress_nodes: &[u32],
+        egress_ranks: Vec<u32>,
     ) {
         self.ids.clear();
+        self.live.clear();
+        self.dead = 0;
         self.constraints.clear();
-        self.constraints.resize_with(link_count + egress_nodes.len(), || Constraint {
+        self.constraints.resize_with(link_count + egress_ranks.len(), || Constraint {
             capacity: Bandwidth::ZERO,
             members: Vec::new(),
         });
-        for (i, f) in flows.values().enumerate() {
-            for lid in &f.links {
-                self.constraints[lid.0].members.push(i);
-            }
-            for node in &f.egress {
-                if let Ok(k) = egress_nodes.binary_search(node) {
-                    self.constraints[link_count + k].members.push(i);
-                }
-            }
+        self.egress_ranks = egress_ranks;
+        self.flow_cons.clear();
+        self.flow_cons_off.clear();
+        self.flow_cons_off.push(0);
+        for (&id, f) in flows {
+            self.push_slot(id, f);
         }
-        self.ids.extend(flows.keys().copied());
-        build_flow_constraint_map(
-            self.ids.len(),
-            &self.constraints,
-            &mut self.flow_cons_off,
-            &mut self.flow_cons,
-        );
         self.comps.rebuild(
             self.ids.len(),
             &self.constraints,
             &self.flow_cons_off,
             &self.flow_cons,
         );
+        self.repatched.clear();
         self.dirty = false;
+    }
+
+    /// Appends a slot for flow `id`: pushes it onto each of its links'
+    /// and capped-egress constraints' member lists and appends its CSR
+    /// row. Returns the slot.
+    fn push_slot(&mut self, id: FlowId, f: &FlowState) -> usize {
+        let slot = self.ids.len();
+        let link_count = self.constraints.len() - self.egress_ranks.len();
+        for lid in &f.links {
+            self.constraints[lid.0].members.push(slot);
+            self.flow_cons.push(lid.0);
+        }
+        for node in &f.egress {
+            if let Ok(k) = self.egress_ranks.binary_search(node) {
+                self.constraints[link_count + k].members.push(slot);
+                self.flow_cons.push(link_count + k);
+            }
+        }
+        self.flow_cons_off.push(self.flow_cons.len());
+        self.ids.push(id);
+        self.live.push(true);
+        slot
+    }
+
+    /// Patches a newly registered flow in (clean index only); its
+    /// components are merged by the next [`ComponentIndex::patch`].
+    fn add(&mut self, id: FlowId, f: &FlowState) -> usize {
+        let slot = self.push_slot(id, f);
+        self.comps.push_flow(&self.flow_cons[self.flow_cons_off[slot]..]);
+        slot
+    }
+
+    /// Tombstones a removed flow's slot (clean index only): out of every
+    /// member list and out of its component. Returns the slot.
+    fn remove(&mut self, id: FlowId) -> usize {
+        let slot = self
+            .ids
+            .binary_search(&id)
+            .expect("a clean index lists every registered flow");
+        for &ci in &self.flow_cons[self.flow_cons_off[slot]..self.flow_cons_off[slot + 1]] {
+            let members = &mut self.constraints[ci].members;
+            let at = members
+                .binary_search(&slot)
+                .expect("a live slot sits in each of its constraints");
+            members.remove(at);
+        }
+        self.comps.detach_flow(slot);
+        self.live[slot] = false;
+        self.dead += 1;
+        slot
+    }
+
+    /// The live slots, ascending (the registered flows in id order).
+    fn live_slots(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.live.iter().enumerate().filter_map(|(s, &l)| l.then_some(s))
     }
 }
 
@@ -222,10 +294,11 @@ pub struct Mesh {
     index: AllocIndex,
     /// Reusable working state of the component fill.
     scratch: AllocScratch,
-    /// Per-flow demand vector, reused across ticks.
-    demands_scratch: Vec<Bandwidth>,
-    /// Per-flow allocated bps from the last allocation, reused across
+    /// Per-slot transmit demands (zero for a dead slot), reused across
     /// ticks.
+    demands_scratch: Vec<Bandwidth>,
+    /// Per-slot allocated bps from the last allocation (zero for a dead
+    /// slot), reused across ticks.
     rates_bps: Vec<f64>,
     /// Effective per-link capacities (bps) cached by the last
     /// `reallocate` — `advance` derives utilizations from these without
@@ -233,7 +306,7 @@ pub struct Mesh {
     link_cap_bps: Vec<f64>,
     /// Per-link utilization scratch for the queueing model.
     util_scratch: Vec<f64>,
-    /// Per-flow transmit demands (bps) as of the last allocation.
+    /// Per-slot transmit demands (bps) as of the last allocation.
     prev_demands_bps: Vec<f64>,
     /// Components marked dirty this tick (scratch).
     dirty_comps: Vec<u32>,
@@ -326,6 +399,9 @@ impl Mesh {
     #[doc(hidden)]
     pub fn use_reference_allocator(&mut self) {
         self.reference = true;
+        // The reference never rebuilds the index; a stale one is never
+        // patched either.
+        self.index.dirty = true;
     }
 
     /// Creates a mesh where every link has the same constant capacity
@@ -627,17 +703,24 @@ impl Mesh {
         let (links, egress) = routed.unwrap_or_default();
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
-        self.flows.insert(
-            id,
-            FlowState {
-                spec: FlowSpec { src, dst, demand },
-                links,
-                egress,
-                queue: FlowQueue::new(),
-                routable,
-            },
-        );
-        self.index.dirty = true;
+        let flow = FlowState {
+            spec: FlowSpec { src, dst, demand },
+            links,
+            egress,
+            queue: FlowQueue::new(),
+            routable,
+        };
+        if !self.index.dirty {
+            // Patch, don't rebuild: append the slot, extend every
+            // per-slot vector, and let the demand diff read it in.
+            let slot = self.index.add(id, &flow);
+            self.demands_scratch.push(Bandwidth::ZERO);
+            self.prev_demands_bps.push(0.0);
+            self.rates_bps.push(0.0);
+            self.flow_dirty.push(false);
+            self.mark_slot_demand_dirty(slot);
+        }
+        self.flows.insert(id, flow);
         Ok(id)
     }
 
@@ -665,7 +748,19 @@ impl Mesh {
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), MeshError> {
         self.flows.remove(&id).ok_or(MeshError::UnknownFlow(id))?;
-        self.index.dirty = true;
+        if !self.index.dirty {
+            // Tombstone the slot. Its rate stays readable through
+            // `allocation` until the next allocation.
+            let slot = self.index.remove(id);
+            self.demands_scratch[slot] = Bandwidth::ZERO;
+            self.prev_demands_bps[slot] = 0.0;
+            self.rates_bps[slot] = 0.0;
+            // Compact once dead slots outnumber live ones (a fixed
+            // growth rule, like `Vec` doubling).
+            if self.index.dead > self.flows.len() {
+                self.index.dirty = true;
+            }
+        }
         Ok(())
     }
 
@@ -755,20 +850,21 @@ impl Mesh {
                 (self.link_used_bps[i] / cap).clamp(0.0, 1.0)
             };
         }
-        let n = self.flows.len();
-        // Backlog movements feed the demand dirty set only while the
-        // slot numbering is live; under a stale index the next refresh
-        // is full anyway.
-        let track = !self.index.dirty && self.flow_dirty.len() == n;
+        // Backlog movements feed the demand dirty set whenever the index
+        // is clean — it then has exactly one live slot per flow, in the
+        // same ascending order; under a stale index (or on the
+        // reference) the next refresh is full anyway.
+        let track = !self.index.dirty;
+        debug_assert!(!track || self.flow_dirty.len() == self.index.ids.len());
+        let mut slots = self.index.live_slots();
         // `reallocate` left `allocation` keyed exactly by the current
         // flow set (ascending), so the two maps zip in lockstep — no
         // per-flow map lookup on the hot path.
         debug_assert_eq!(self.allocation.len(), self.flows.len());
-        for (slot, ((&id, flow), (aid, allocated))) in
-            self.flows.iter_mut().zip(self.allocation.iter()).enumerate()
-        {
+        for ((&id, flow), (aid, allocated)) in self.flows.iter_mut().zip(self.allocation.iter()) {
             debug_assert_eq!(id, aid);
-            let _ = id;
+            let slot = track.then(|| slots.next().expect("a clean index has a live slot per flow"));
+            debug_assert!(slot.is_none_or(|s| self.index.ids[s] == id));
             let before = flow.queue.backlog().as_bytes();
             flow.queue.advance(dt, flow.spec.demand, allocated);
             let rho = flow
@@ -777,9 +873,11 @@ impl Mesh {
                 .map(|l| self.util_scratch[l.0])
                 .fold(0.0f64, f64::max);
             flow.queue.set_path_utilization(rho);
-            if track && flow.queue.backlog().as_bytes() != before && !self.flow_dirty[slot] {
-                self.flow_dirty[slot] = true;
-                self.dirty_flows.push(slot as u32);
+            if let Some(s) = slot {
+                if flow.queue.backlog().as_bytes() != before && !self.flow_dirty[s] {
+                    self.flow_dirty[s] = true;
+                    self.dirty_flows.push(s as u32);
+                }
             }
         }
     }
@@ -856,11 +954,12 @@ impl Mesh {
     /// [`reallocate`](Self::reallocate) with span profiling. A tick that
     /// found the membership index stale records `mesh.index_rebuild`,
     /// `mesh.trace_refresh` (the full capacity re-read),
-    /// `mesh.water_fill` (every component) and `mesh.usage_views`; a
-    /// steady-state tick records `mesh.cap_diff`, `mesh.demand_diff`,
-    /// `mesh.component_scan`, `mesh.water_fill` (the dirty components
-    /// only) and `mesh.usage_views`. The test reference records one
-    /// `mesh.dense_realloc` span.
+    /// `mesh.water_fill` (every component) and `mesh.usage_views`; any
+    /// other tick records `mesh.index_patch` (only when flows were added
+    /// or removed since the last allocation), `mesh.cap_diff`,
+    /// `mesh.demand_diff`, `mesh.component_scan`, `mesh.water_fill` (the
+    /// dirty components only) and `mesh.usage_views`. The test reference
+    /// records one `mesh.dense_realloc` span.
     pub fn reallocate_profiled(&mut self, profiler: Option<&mut bass_obs::SpanProfiler>) {
         if self.reference {
             let _span = bass_obs::SpanProfiler::span(profiler, "mesh.dense_realloc");
@@ -903,6 +1002,11 @@ impl Mesh {
             .ids
             .binary_search(&id)
             .expect("a clean index lists every registered flow");
+        self.mark_slot_demand_dirty(slot);
+    }
+
+    /// Adds one slot to the dirty-flow set (clean index only).
+    fn mark_slot_demand_dirty(&mut self, slot: usize) {
         if !self.flow_dirty[slot] {
             self.flow_dirty[slot] = true;
             self.dirty_flows.push(slot as u32);
@@ -1008,13 +1112,17 @@ impl Mesh {
 
     /// O(dirty) demand refresh: rewrites only the slots in `dirty_flows`
     /// — under a clean index an exhaustive list of every slot that can
-    /// have moved. The set is left intact for the component scan, which
-    /// clears it via [`clear_dirty_flows`](Self::clear_dirty_flows).
+    /// have moved. A slot tombstoned since it was marked keeps the zero
+    /// demand `remove_flow` wrote. The set is left intact for the
+    /// component scan, which clears it via
+    /// [`clear_dirty_flows`](Self::clear_dirty_flows).
     fn refresh_demands_dirty(&mut self) {
         for k in 0..self.dirty_flows.len() {
             let slot = self.dirty_flows[k] as usize;
-            let f = &self.flows[&self.index.ids[slot]];
-            self.demands_scratch[slot] = Self::transmit_demand(f);
+            if self.index.live[slot] {
+                let f = &self.flows[&self.index.ids[slot]];
+                self.demands_scratch[slot] = Self::transmit_demand(f);
+            }
         }
     }
 
@@ -1030,8 +1138,9 @@ impl Mesh {
     }
 
     /// Recomputes the per-link and per-node-egress usage views from
-    /// `rates_bps`. Each link's members are in ascending flow order, so
-    /// the float accumulation order matches the reference path's
+    /// `rates_bps`. Each link's members are live slots in ascending flow
+    /// order and the egress pass walks live slots alongside the flows,
+    /// so the float accumulation order matches the reference path's
     /// flow-major loop exactly.
     fn update_usage_views(&mut self, link_count: usize) {
         self.link_used_bps.resize(link_count, 0.0);
@@ -1042,9 +1151,9 @@ impl Mesh {
             }
         }
         self.egress_used_bps.fill(0.0);
-        for (i, f) in self.flows.values().enumerate() {
+        for (f, slot) in self.flows.values().zip(self.index.live_slots()) {
             for &node in &f.egress {
-                self.egress_used_bps[node as usize] += self.rates_bps[i];
+                self.egress_used_bps[node as usize] += self.rates_bps[slot];
             }
         }
     }
@@ -1062,7 +1171,7 @@ impl Mesh {
         if self.index.dirty {
             let capped: Vec<u32> =
                 self.egress_caps.keys().filter_map(|&n| self.routes.rank(n)).collect();
-            self.index.rebuild(link_count, &self.flows, &capped);
+            self.index.rebuild(link_count, &self.flows, capped);
             clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
             self.refresh_constraint_caps(link_count);
             clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
@@ -1080,21 +1189,29 @@ impl Mesh {
             self.prev_demands_bps
                 .extend(self.demands_scratch.iter().map(|d| d.as_bps()));
             clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
-            self.allocation.assign(&self.index.ids, &self.rates_bps);
+            self.assign_allocation();
             self.update_usage_views(link_count);
             clock.lap(profiler, "mesh.usage_views");
             return;
         }
 
+        let index = &mut self.index;
+        if index.comps.patch_pending() {
+            index
+                .comps
+                .patch(&index.flow_cons_off, &index.flow_cons, &mut index.repatched);
+            clock.lap(profiler.as_deref_mut(), "mesh.index_patch");
+        }
         self.refresh_constraint_caps_dirty();
         clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
         self.refresh_demands_dirty();
         clock.lap(profiler.as_deref_mut(), "mesh.demand_diff");
 
-        // Dirty-component scan: a constraint whose capacity moved or a
-        // flow whose demand moved (backlog drain included) dirties its
-        // component. Unconstrained flows are re-granted directly. The
-        // scan touches only the links the capacity refresh observed
+        // Dirty-component scan: a component the index patch re-derived,
+        // a constraint whose capacity moved or a flow whose demand moved
+        // (backlog drain included) dirties its component. Unconstrained
+        // flows are re-granted directly. The scan touches only the
+        // patched constraints, the links the capacity refresh observed
         // moving (`cap_changed` holds a link only because its capacity
         // bits moved, so there is nothing left to compare) and the flows
         // in the dirty demand set (a *may-have-moved* set, hence the
@@ -1102,8 +1219,8 @@ impl Mesh {
         self.comp_dirty.clear();
         self.comp_dirty.resize(self.index.comps.component_count(), false);
         self.dirty_comps.clear();
-        for k in 0..self.cap_changed.len() {
-            let ci = self.cap_changed[k] as usize;
+        let changed = self.cap_changed.iter().map(|&l| l as usize);
+        for ci in self.index.repatched.iter().copied().chain(changed) {
             if !self.index.constraints[ci].members.is_empty() {
                 let comp = self.index.comps.constraint_component(ci);
                 if !self.comp_dirty[comp as usize] {
@@ -1112,6 +1229,7 @@ impl Mesh {
                 }
             }
         }
+        self.index.repatched.clear();
         for k in 0..self.dirty_flows.len() {
             let i = self.dirty_flows[k] as usize;
             let bps = self.demands_scratch[i].as_bps();
@@ -1143,9 +1261,16 @@ impl Mesh {
         }
         clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
 
-        self.allocation.assign(&self.index.ids, &self.rates_bps);
+        self.assign_allocation();
         self.update_usage_views(link_count);
         clock.lap(profiler, "mesh.usage_views");
+    }
+
+    /// Writes every live slot's rate into `allocation`, keyed by flow.
+    fn assign_allocation(&mut self) {
+        let (ids, rates) = (&self.index.ids, &self.rates_bps);
+        self.allocation
+            .assign(self.index.live_slots().map(|s| (ids[s], rates[s])));
     }
 
     /// The test reference, kept verbatim from before the persistent
@@ -1903,6 +2028,92 @@ mod tests {
     #[test]
     fn production_is_bit_identical_to_the_reference() {
         assert_eq!(run_schedule(true), run_schedule(false));
+    }
+
+    fn bits(b: Bandwidth) -> u64 {
+        b.as_bps().to_bits()
+    }
+
+    /// A ticked 4×4 grid carrying six flows, plus a clone of it whose
+    /// index is forced stale — the next allocation rebuilds it from
+    /// scratch instead of patching.
+    fn patched_and_rebuilt() -> (Mesh, Mesh) {
+        let mut mesh = Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(20.0)).unwrap();
+        for i in 0..6u32 {
+            mesh.add_flow(NodeId(i), NodeId(15 - i), mbps(4.0 + f64::from(i))).unwrap();
+        }
+        mesh.advance(SimDuration::from_millis(100));
+        let mut rebuilt = mesh.clone();
+        rebuilt.index.dirty = true;
+        (mesh, rebuilt)
+    }
+
+    /// Advances both meshes one tick; rates, backlogs and link usages
+    /// must agree bit for bit, and the patched partition must number its
+    /// components exactly as a rebuild does.
+    fn assert_patch_matches_rebuild(patched: &mut Mesh, rebuilt: &mut Mesh) {
+        let mut profiler = bass_obs::SpanProfiler::new();
+        patched.advance_profiled(SimDuration::from_millis(100), None, Some(&mut profiler));
+        rebuilt.advance(SimDuration::from_millis(100));
+        assert!(profiler.stats("mesh.index_rebuild").is_none(), "patched, not rebuilt");
+        assert!(patched.flows.keys().eq(rebuilt.flows.keys()));
+        for &id in patched.flows.keys() {
+            assert_eq!(bits(patched.flow_rate(id)), bits(rebuilt.flow_rate(id)));
+            assert_eq!(patched.flow_backlog(id), rebuilt.flow_backlog(id));
+        }
+        for (a, b) in patched.link_used_bps.iter().zip(&rebuilt.link_used_bps) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let (p, r) = (&patched.index.comps, &rebuilt.index.comps);
+        assert_eq!(p.component_count(), r.component_count());
+        for ci in 0..patched.index.constraints.len() {
+            assert_eq!(p.constraint_component(ci), r.constraint_component(ci));
+        }
+    }
+
+    #[test]
+    fn flow_added_and_removed_inside_one_tick_matches_a_rebuild() {
+        let (mut patched, mut rebuilt) = patched_and_rebuilt();
+        for m in [&mut patched, &mut rebuilt] {
+            let g = m.add_flow(NodeId(3), NodeId(12), mbps(9.0)).unwrap();
+            m.set_flow_demand(g, mbps(11.0)).unwrap();
+            m.remove_flow(g).unwrap();
+            m.remove_flow(FlowId(2)).unwrap();
+            m.add_flow(NodeId(5), NodeId(6), mbps(7.0)).unwrap();
+        }
+        assert_eq!(patched.index.dead, 2);
+        assert!(!patched.index.dirty);
+        assert_patch_matches_rebuild(&mut patched, &mut rebuilt);
+    }
+
+    #[test]
+    fn set_flow_demand_on_a_just_added_flow_finds_its_slot() {
+        let (mut patched, mut rebuilt) = patched_and_rebuilt();
+        for m in [&mut patched, &mut rebuilt] {
+            let g = m.add_flow(NodeId(0), NodeId(15), mbps(2.0)).unwrap();
+            m.set_flow_demand(g, mbps(30.0)).unwrap();
+        }
+        assert_patch_matches_rebuild(&mut patched, &mut rebuilt);
+        // A later demand move on the patched-in flow lands on its slot.
+        for m in [&mut patched, &mut rebuilt] {
+            m.set_flow_demand(FlowId(6), mbps(1.0)).unwrap();
+        }
+        rebuilt.index.dirty = true;
+        assert_patch_matches_rebuild(&mut patched, &mut rebuilt);
+    }
+
+    #[test]
+    fn clearing_an_absent_egress_cap_rebuilds_without_changing_rates() {
+        let (mut cleared, _) = patched_and_rebuilt();
+        let mut untouched = cleared.clone();
+        cleared.set_node_egress_cap(NodeId(3), None).unwrap();
+        let mut profiler = bass_obs::SpanProfiler::new();
+        cleared.advance_profiled(SimDuration::from_millis(100), None, Some(&mut profiler));
+        untouched.advance(SimDuration::from_millis(100));
+        assert_eq!(profiler.stats("mesh.index_rebuild").map(|s| s.count), Some(1));
+        for &id in untouched.flows.keys() {
+            assert_eq!(bits(cleared.flow_rate(id)), bits(untouched.flow_rate(id)));
+        }
     }
 
     #[test]

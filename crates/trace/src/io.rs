@@ -112,9 +112,16 @@ pub fn parse_trace_csv(name: &str, text: &str) -> Result<BandwidthTrace, TraceIo
             .trim()
             .parse()
             .map_err(|e| TraceIoError::Parse(format!("line {}: bad mbps: {e}", lineno + 1)))?;
-        if t < 0.0 {
+        // `f64`'s parser takes `NaN` and `inf`: range-check both fields.
+        if !t.is_finite() || t < 0.0 {
             return Err(TraceIoError::Parse(format!(
-                "line {}: negative time",
+                "line {}: time must be finite and non-negative, got {t}",
+                lineno + 1
+            )));
+        }
+        if !m.is_finite() || m < 0.0 {
+            return Err(TraceIoError::Parse(format!(
+                "line {}: mbps must be finite and non-negative, got {m}",
                 lineno + 1
             )));
         }
@@ -160,6 +167,15 @@ mod tests {
         assert!(parse_trace_csv("t", "1.0,xyz\n").is_err());
         assert!(parse_trace_csv("t", "-1.0,5.0\n").is_err());
         assert!(parse_trace_csv("t", "5.0,1.0\n2.0,1.0\n").is_err());
+        // Non-finite or negative numbers fail naming their line.
+        for row in ["NaN,5", "1,NaN", "1,inf", "1,-5"] {
+            match parse_trace_csv("t", &format!("time_s,mbps\n0,1\n{row}\n")) {
+                Err(TraceIoError::Parse(msg)) => {
+                    assert!(msg.starts_with("line 3:"), "{row}: {msg}")
+                }
+                other => panic!("{row}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -334,6 +334,160 @@ fn one_dirty_district_then_every_link_matches_dense() {
     }
 }
 
+/// One profiled production tick against one reference tick, then the
+/// bit-for-bit comparison.
+fn profiled_tick(pair: &mut Pair, profiler: &mut SpanProfiler, ids: &[FlowId], when: &str) {
+    let step = SimDuration::from_millis(100);
+    pair.reference.advance(step);
+    pair.production.advance_profiled(step, None, Some(profiler));
+    pair.assert_agree(ids, when);
+}
+
+fn span_count(profiler: &SpanProfiler, span: &str) -> u64 {
+    profiler.stats(span).map_or(0, |s| s.count)
+}
+
+// Flow churn patches the allocation index instead of rebuilding it. A
+// 4 × 6 grid is cut into two row-band districts (rows 0–2 and 3–5)
+// whose flows stay home, and one bridging flow down column 0 joins the
+// two into one component. Removing the bridge splits it — the next
+// squeeze in one half leaves the other half's rates untouched —
+// re-adding it merges them again, and swapping flows until dead slots
+// outnumber live ones compacts the index with the one further rebuild.
+// Every tick must match the dense reference bit for bit.
+#[test]
+fn bridge_split_merge_and_compaction_match_dense() {
+    const W: u32 = 4;
+    const HALF: u32 = 3 * W; // nodes per district
+    let topo = Topology::grid(W, 6);
+    let mut pair =
+        Pair::new(Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(200.0)).unwrap());
+    let mut rng = SimRng::seed_from_u64(0xB41D);
+    let draw = |rng: &mut SimRng, district: u32| {
+        let src = district * HALF + rng.below(u64::from(HALF)) as u32;
+        let mut dst = src;
+        while dst == src {
+            dst = district * HALF + rng.below(u64::from(HALF)) as u32;
+        }
+        let demand = Bandwidth::from_mbps(rng.uniform(1.0, 5.0));
+        (NodeId(src), NodeId(dst), demand)
+    };
+    let mut district_of = BTreeMap::new();
+    let mut ids = Vec::new();
+    let add = |pair: &mut Pair,
+               ids: &mut Vec<FlowId>,
+               (src, dst, demand): (NodeId, NodeId, Bandwidth)| {
+        let id = pair.both(|m| m.add_flow(src, dst, demand).unwrap());
+        ids.push(id);
+        id
+    };
+    for district in 0..2 {
+        for _ in 0..8 {
+            let id = add(&mut pair, &mut ids, draw(&mut rng, district));
+            district_of.insert(id, district);
+        }
+    }
+    // Anchors make the bridge's end links district links; the bridge
+    // crosses 4–8, 8–12 and 12–16. District 1's anchors share a
+    // saturated link, so its rates are fair shares a fill merged with
+    // district 0 would round differently.
+    let mbps = Bandwidth::from_mbps;
+    district_of.insert(
+        add(&mut pair, &mut ids, (NodeId(0), NodeId(8), mbps(3.0))),
+        0,
+    );
+    for src in [12, 16, 16] {
+        let id = add(&mut pair, &mut ids, (NodeId(src), NodeId(20), mbps(3.0)));
+        district_of.insert(id, 1);
+    }
+    pair.both(|m| {
+        m.set_link_cap(NodeId(16), NodeId(20), Some(mbps(1.1)))
+            .unwrap()
+    });
+    let bridge = (NodeId(4), NodeId(16), mbps(2.0));
+    let bridge_id = add(&mut pair, &mut ids, bridge);
+
+    let mut profiler = SpanProfiler::new();
+    let mut patched = 0u64;
+    profiled_tick(&mut pair, &mut profiler, &ids, "index build");
+    profiled_tick(&mut pair, &mut profiler, &ids, "quiescent");
+
+    // Split: the removed bridge's rate stays readable until the next
+    // allocation, on both sides.
+    ids.retain(|&id| id != bridge_id);
+    pair.both(|m| m.remove_flow(bridge_id).unwrap());
+    let before = pair.production.flow_rate(bridge_id);
+    assert!(before > Bandwidth::ZERO);
+    assert_eq!(pair.reference.flow_rate(bridge_id), before);
+    profiled_tick(&mut pair, &mut profiler, &ids, "bridge removed");
+    patched += 1;
+    assert_eq!(pair.production.flow_rate(bridge_id), Bandwidth::ZERO);
+
+    // Squeeze the anchor's link in district 0 below district 1's fair
+    // share: district 1 keeps its rates verbatim (a fill still merged
+    // across the split would reach that share in two rounds, not one,
+    // and round it differently).
+    let rates = |pair: &Pair, district: u32| -> Vec<u64> {
+        ids.iter()
+            .filter(|id| district_of[*id] == district)
+            .map(|&id| pair.production.flow_rate(id).as_bps().to_bits())
+            .collect()
+    };
+    let (west, east) = (rates(&pair, 0), rates(&pair, 1));
+    pair.both(|m| {
+        m.set_link_cap(NodeId(0), NodeId(4), Some(mbps(0.2)))
+            .unwrap()
+    });
+    profiled_tick(&mut pair, &mut profiler, &ids, "one half squeezed");
+    assert_ne!(rates(&pair, 0), west, "the squeeze must bite");
+    assert_eq!(rates(&pair, 1), east, "the other half is its own component");
+
+    // Merge: the bridge comes back under a fresh id.
+    let bridge_id = add(&mut pair, &mut ids, bridge);
+    profiled_tick(&mut pair, &mut profiler, &ids, "bridge re-added");
+    patched += 1;
+    assert!(pair.production.flow_rate(bridge_id) > Bandwidth::ZERO);
+    assert_eq!(span_count(&profiler, "mesh.index_rebuild"), 1);
+
+    // Swap one district flow per tick until tombstones outnumber live
+    // slots; the removal that tips it compacts the index.
+    let mut dead = 1usize; // the first bridge's slot
+    let mut compacted_at = None;
+    for swap in 0..30 {
+        let at = rng.below(ids.len() as u64) as usize;
+        let old = ids[at];
+        if old == bridge_id {
+            continue;
+        }
+        let district = district_of[&old];
+        ids.remove(at);
+        pair.both(|m| m.remove_flow(old).unwrap());
+        dead += 1;
+        let compacts = dead > ids.len();
+        let new = add(&mut pair, &mut ids, draw(&mut rng, district));
+        district_of.insert(new, district);
+        profiled_tick(&mut pair, &mut profiler, &ids, &format!("swap {swap}"));
+        if compacts {
+            assert!(compacted_at.is_none(), "one compaction");
+            compacted_at = Some(swap);
+            dead = 0;
+        } else {
+            patched += 1;
+        }
+        let rebuilds = if compacted_at.is_some() { 2 } else { 1 };
+        assert_eq!(
+            span_count(&profiler, "mesh.index_rebuild"),
+            rebuilds,
+            "swap {swap}"
+        );
+    }
+    assert!(
+        compacted_at.is_some(),
+        "the swaps must outnumber the live flows"
+    );
+    assert_eq!(span_count(&profiler, "mesh.index_patch"), patched);
+}
+
 /// A seeded Poisson storm over the CityLab workers and their volatile
 /// links — crashes, flaps, and probe-loss episodes composed — so the
 /// dirty sets see fault transitions, not just trace steps.
