@@ -882,14 +882,14 @@ impl SimEnv {
             }
             bound = bound.min(cap(expiry, EventSource::RestartExpiry));
         }
-        if let Some(t) = self.mesh.next_trace_change_after(t0) {
+        if let Some(t) = self.mesh.next_trace_change() {
             bound = bound.min(cap(t, EventSource::TraceChange));
         }
         if self.cfg.migrations_enabled {
             bound = bound.min(cap(self.netmon.next_headroom_probe_at(), EventSource::ProbeEpoch));
         }
-        // The event caps are O(1) (the trace scan is memoized per
-        // change-point); the queue scan is O(flows), so it runs last and
+        // The event caps are O(1) (the mesh keeps its trace clock armed
+        // across ticks); the queue scan is O(flows), so it runs last and
         // only for a window no due event has already zeroed.
         if bound == 0 || !self.mesh.queues_quiescent(step) {
             return 0;

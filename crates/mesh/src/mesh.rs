@@ -283,10 +283,13 @@ pub struct Mesh {
     /// Links whose trace feed is frozen at a past instant (fault
     /// injection): capacity reads use the frozen time, not `now`.
     trace_freeze: BTreeMap<LinkId, SimTime>,
-    /// Memoized `(from, next)` result of the last
-    /// [`next_trace_change_after`](Self::next_trace_change_after) scan;
-    /// cleared whenever a trace source is swapped or (un)frozen.
-    trace_change_cache: std::cell::Cell<Option<(SimTime, Option<SimTime>)>>,
+    /// The trace clock: the earliest change-point across every unfrozen
+    /// traced link strictly after the last full capacity read — inner
+    /// `None` when no trace changes again. The outer `None` marks it
+    /// stale (never read yet, a trace source swapped, a link
+    /// (un)frozen); the dense reference never reads through it, so there
+    /// it stays stale.
+    trace_clock: Option<Option<SimTime>>,
     /// Set (one way) by [`Mesh::use_reference_allocator`]: `reallocate`
     /// runs the dense test reference instead of the production path.
     reference: bool,
@@ -306,32 +309,24 @@ pub struct Mesh {
     link_cap_bps: Vec<f64>,
     /// Per-link utilization scratch for the queueing model.
     util_scratch: Vec<f64>,
-    /// Per-slot transmit demands (bps) as of the last allocation.
-    prev_demands_bps: Vec<f64>,
     /// Components marked dirty this tick (scratch).
     dirty_comps: Vec<u32>,
     /// Per-component dirty flags (scratch).
     comp_dirty: Vec<bool>,
     /// Per-link membership flags of `dirty_links`.
     link_dirty: Vec<bool>,
-    /// Links whose effective capacity may have moved since the last
-    /// refresh: trace change-points popped from `trace_heap`, plus
-    /// cap/source/freeze mutations.
+    /// Links whose `tc` cap moved since the last refresh. Trace
+    /// change-points need no entry: a due trace clock reads every link.
     dirty_links: Vec<u32>,
     /// Links whose effective capacity *actually* moved in the last
     /// refresh — the O(dirty) input of the component scan.
     cap_changed: Vec<u32>,
-    /// Min-heap of upcoming trace change-points `(time, link)` across
-    /// live (unfrozen) traced links; each pop marks the link
-    /// capacity-dirty and re-pushes the link's next change.
-    trace_heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u32)>>,
-    /// False when `trace_heap` must be rebuilt (trace source swapped,
-    /// link (un)frozen, or never built).
-    trace_heap_valid: bool,
     /// Per-flow-slot membership flags of `dirty_flows`.
     flow_dirty: Vec<bool>,
     /// Flow slots whose transmit demand may have moved since the last
-    /// refresh: spec changes, queue-backlog byte movements, resets.
+    /// refresh: spec changes, queue-backlog byte movements, resets. The
+    /// demand refresh narrows it to the slots whose demand *actually*
+    /// moved — the component scan's input, as `cap_changed` is for links.
     dirty_flows: Vec<u32>,
 }
 
@@ -369,7 +364,7 @@ impl Mesh {
             down_nodes: BTreeSet::new(),
             down_links: BTreeSet::new(),
             trace_freeze: BTreeMap::new(),
-            trace_change_cache: std::cell::Cell::new(None),
+            trace_clock: None,
             reference: false,
             index: AllocIndex { dirty: true, ..AllocIndex::default() },
             scratch: AllocScratch::default(),
@@ -377,14 +372,11 @@ impl Mesh {
             rates_bps: Vec::new(),
             link_cap_bps: vec![0.0; link_count],
             util_scratch: vec![0.0; link_count],
-            prev_demands_bps: Vec::new(),
             dirty_comps: Vec::new(),
             comp_dirty: Vec::new(),
             link_dirty: vec![false; link_count],
             dirty_links: Vec::new(),
             cap_changed: Vec::new(),
-            trace_heap: std::collections::BinaryHeap::new(),
-            trace_heap_valid: false,
             flow_dirty: Vec::new(),
             dirty_flows: Vec::new(),
         })
@@ -520,9 +512,7 @@ impl Mesh {
     pub fn freeze_link_trace(&mut self, a: NodeId, b: NodeId) -> Result<(), MeshError> {
         let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
         self.trace_freeze.entry(lid).or_insert(self.now);
-        self.trace_change_cache.set(None);
-        self.trace_heap_valid = false;
-        self.mark_link_capacity_dirty(lid);
+        self.trace_clock = None;
         self.reallocate();
         Ok(())
     }
@@ -535,9 +525,7 @@ impl Mesh {
     pub fn unfreeze_link_trace(&mut self, a: NodeId, b: NodeId) -> Result<(), MeshError> {
         let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
         self.trace_freeze.remove(&lid);
-        self.trace_change_cache.set(None);
-        self.trace_heap_valid = false;
-        self.mark_link_capacity_dirty(lid);
+        self.trace_clock = None;
         self.reallocate();
         Ok(())
     }
@@ -623,9 +611,8 @@ impl Mesh {
     ) -> Result<(), MeshError> {
         let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
         self.link_caps[lid.0].set_source(source);
-        self.trace_change_cache.set(None);
-        self.trace_heap_valid = false;
-        self.mark_link_capacity_dirty(lid);
+        // A stale clock makes the next refresh read every link.
+        self.trace_clock = None;
         Ok(())
     }
 
@@ -642,7 +629,10 @@ impl Mesh {
     ) -> Result<(), MeshError> {
         let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
         self.link_caps[lid.0].set_cap(cap);
-        self.mark_link_capacity_dirty(lid);
+        if !self.link_dirty[lid.0] {
+            self.link_dirty[lid.0] = true;
+            self.dirty_links.push(lid.0 as u32);
+        }
         Ok(())
     }
 
@@ -715,7 +705,6 @@ impl Mesh {
             // per-slot vector, and let the demand diff read it in.
             let slot = self.index.add(id, &flow);
             self.demands_scratch.push(Bandwidth::ZERO);
-            self.prev_demands_bps.push(0.0);
             self.rates_bps.push(0.0);
             self.flow_dirty.push(false);
             self.mark_slot_demand_dirty(slot);
@@ -753,7 +742,6 @@ impl Mesh {
             // `allocation` until the next allocation.
             let slot = self.index.remove(id);
             self.demands_scratch[slot] = Bandwidth::ZERO;
-            self.prev_demands_bps[slot] = 0.0;
             self.rates_bps[slot] = 0.0;
             // Compact once dead slots outnumber live ones (a fixed
             // growth rule, like `Vec` doubling).
@@ -902,38 +890,39 @@ impl Mesh {
             })
     }
 
-    /// Earliest strictly-later change-point across every live (unfrozen)
-    /// traced link, or `None` when all capacities are constant from `t`
+    /// Earliest change-point strictly after `now` across every unfrozen
+    /// traced link, or `None` when all capacities are constant from `now`
     /// on. Frozen links read their capacity at the freeze time, so their
     /// traces cannot change anything until unfrozen.
-    /// The scan is memoized: change-points are a static property of the
-    /// installed traces, so a result `(from, next)` answers every query
-    /// in `[from, next)` without rescanning — the earliest change after
-    /// `from` being `next` means the interval contains no change-point,
-    /// hence the earliest change after any `t` inside it is still
-    /// `next`. The cache is dropped whenever the set itself can move:
-    /// [`set_link_source`](Self::set_link_source),
-    /// [`freeze_link_trace`](Self::freeze_link_trace),
-    /// [`unfreeze_link_trace`](Self::unfreeze_link_trace).
-    pub fn next_trace_change_after(&self, t: SimTime) -> Option<SimTime> {
-        if let Some((from, next)) = self.trace_change_cache.get() {
-            if t >= from && next.is_none_or(|n| t < n) {
-                return next;
-            }
-        }
-        let mut next: Option<SimTime> = None;
-        for (i, lc) in self.link_caps.iter().enumerate() {
-            if self.trace_freeze.contains_key(&LinkId(i)) {
-                continue;
-            }
-            if let CapacitySource::Trace(trace) = lc.source() {
-                if let Some(st) = trace.next_change_after(t) {
-                    next = Some(next.map_or(st, |n| n.min(st)));
-                }
-            }
-        }
-        self.trace_change_cache.set(Some((t, next)));
-        next
+    ///
+    /// O(1) while the trace clock is fresh: it holds the earliest
+    /// change-point after the last full capacity read, and no
+    /// change-point lies between that read and a clock still ahead of
+    /// `now`, so the clock is also the earliest one after `now`.
+    /// Otherwise — stale clock, a clock `now` has reached, or the dense
+    /// reference, which never arms it — every link is scanned.
+    pub fn next_trace_change(&self) -> Option<SimTime> {
+        self.armed_trace_clock().unwrap_or_else(|| self.scan_trace_change())
+    }
+
+    /// The trace clock while it still answers for `now` — armed and not
+    /// yet reached; `None` when stale or due.
+    fn armed_trace_clock(&self) -> Option<Option<SimTime>> {
+        self.trace_clock.filter(|next| next.is_none_or(|t| t > self.now))
+    }
+
+    /// The scan behind the trace clock: the earliest change-point
+    /// strictly after `now` across every unfrozen traced link.
+    fn scan_trace_change(&self) -> Option<SimTime> {
+        self.link_caps
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !self.trace_freeze.contains_key(&LinkId(i)))
+            .filter_map(|(_, lc)| match lc.source() {
+                CapacitySource::Trace(trace) => trace.next_change_after(self.now),
+                _ => None,
+            })
+            .min()
     }
 
     /// Advances the clock by `dt` without touching capacities,
@@ -956,7 +945,8 @@ impl Mesh {
     /// `mesh.trace_refresh` (the full capacity re-read),
     /// `mesh.water_fill` (every component) and `mesh.usage_views`; any
     /// other tick records `mesh.index_patch` (only when flows were added
-    /// or removed since the last allocation), `mesh.cap_diff`,
+    /// or removed since the last allocation), `mesh.cap_diff` (every link
+    /// once the trace clock is due or stale, else the capped links),
     /// `mesh.demand_diff`, `mesh.component_scan`, `mesh.water_fill` (the
     /// dirty components only) and `mesh.usage_views`. The test reference
     /// records one `mesh.dense_realloc` span.
@@ -978,14 +968,6 @@ impl Mesh {
             Bandwidth::ZERO
         } else {
             f.spec.demand + f.queue.backlog().rate_over(SimDuration::from_secs(1))
-        }
-    }
-
-    /// Marks one link as needing a capacity re-read at the next refresh.
-    fn mark_link_capacity_dirty(&mut self, lid: LinkId) {
-        if !self.link_dirty[lid.0] {
-            self.link_dirty[lid.0] = true;
-            self.dirty_links.push(lid.0 as u32);
         }
     }
 
@@ -1013,87 +995,45 @@ impl Mesh {
         }
     }
 
-    /// Rebuilds the upcoming trace change-point heap from scratch: one
-    /// entry per live (unfrozen) traced link, holding its earliest
-    /// change strictly after `now`.
-    fn rebuild_trace_heap(&mut self) {
-        self.trace_heap.clear();
-        for (i, lc) in self.link_caps.iter().enumerate() {
-            if self.trace_freeze.contains_key(&LinkId(i)) {
-                continue;
-            }
-            if let CapacitySource::Trace(trace) = lc.source() {
-                if let Some(t) = trace.next_change_after(self.now) {
-                    self.trace_heap.push(std::cmp::Reverse((t, i as u32)));
+    /// Capacity refresh into the index's constraints, recording in
+    /// `cap_changed` every link whose effective capacity moved. Reads
+    /// every link (and every egress cap) when the index was just
+    /// `rebuilt`, when the trace clock is stale or when `now` has
+    /// reached it, and then re-arms the clock. Otherwise it reads only
+    /// `dirty_links`: under a clean index and a clock still ahead of
+    /// `now`, no other link's capacity can have moved.
+    fn refresh_constraint_caps(&mut self, rebuilt: bool) {
+        self.cap_changed.clear();
+        if rebuilt || self.armed_trace_clock().is_none() {
+            let link_count = self.topo.link_count();
+            for i in 0..link_count {
+                let bps = self.effective_link_capacity(LinkId(i)).as_bps();
+                if bps.to_bits() != self.link_cap_bps[i].to_bits() {
+                    self.link_cap_bps[i] = bps;
+                    self.cap_changed.push(i as u32);
                 }
             }
-        }
-        self.trace_heap_valid = true;
-    }
-
-    /// Full capacity refresh: re-reads every link's effective capacity
-    /// and every egress cap into the freshly rebuilt index, marking each
-    /// capacity that moved, and re-arms the dirty-link set and the trace
-    /// heap so the following ticks can go O(dirty).
-    fn refresh_constraint_caps(&mut self, link_count: usize) {
-        self.cap_changed.clear();
-        self.link_cap_bps.resize(link_count, 0.0);
-        for i in 0..link_count {
-            let bps = self.effective_link_capacity(LinkId(i)).as_bps();
-            if bps.to_bits() != self.link_cap_bps[i].to_bits() {
-                self.link_cap_bps[i] = bps;
-                self.cap_changed.push(i as u32);
+            let (link_cons, egress_cons) = self.index.constraints.split_at_mut(link_count);
+            for (c, &bps) in link_cons.iter_mut().zip(&self.link_cap_bps) {
+                c.capacity = Bandwidth::from_bps(bps);
             }
-        }
-        let (link_cons, egress_cons) = self.index.constraints.split_at_mut(link_count);
-        for (c, &bps) in link_cons.iter_mut().zip(&self.link_cap_bps) {
-            c.capacity = Bandwidth::from_bps(bps);
-        }
-        for (c, &cap) in egress_cons.iter_mut().zip(self.egress_caps.values()) {
-            c.capacity = cap;
-        }
-        // The full pass covered every link: drain the per-link dirty set
-        // and re-arm the trace heap so the next tick can go O(dirty).
-        for k in 0..self.dirty_links.len() {
-            let l = self.dirty_links[k] as usize;
-            if let Some(fl) = self.link_dirty.get_mut(l) {
-                *fl = false;
+            for (c, &cap) in egress_cons.iter_mut().zip(self.egress_caps.values()) {
+                c.capacity = cap;
             }
-        }
-        self.dirty_links.clear();
-        self.rebuild_trace_heap();
-    }
-
-    /// O(dirty) capacity refresh: pops due trace change-points off the
-    /// heap into the dirty-link set, then re-reads only the dirty
-    /// links. Only sound under a clean index — every link outside the
-    /// dirty set then has a bitwise-current cached capacity.
-    fn refresh_constraint_caps_dirty(&mut self) {
-        self.cap_changed.clear();
-        if !self.trace_heap_valid {
-            self.rebuild_trace_heap();
-        }
-        while let Some(&std::cmp::Reverse((t, l))) = self.trace_heap.peek() {
-            if t > self.now {
-                break;
-            }
-            self.trace_heap.pop();
-            self.mark_link_capacity_dirty(LinkId(l as usize));
-            if let CapacitySource::Trace(trace) = self.link_caps[l as usize].source() {
-                if let Some(nt) = trace.next_change_after(self.now) {
-                    self.trace_heap.push(std::cmp::Reverse((nt, l)));
+            self.trace_clock = Some(self.scan_trace_change());
+        } else {
+            for k in 0..self.dirty_links.len() {
+                let l = self.dirty_links[k] as usize;
+                let bps = self.effective_link_capacity(LinkId(l)).as_bps();
+                if bps.to_bits() != self.link_cap_bps[l].to_bits() {
+                    self.link_cap_bps[l] = bps;
+                    self.index.constraints[l].capacity = Bandwidth::from_bps(bps);
+                    self.cap_changed.push(l as u32);
                 }
             }
         }
         for k in 0..self.dirty_links.len() {
-            let l = self.dirty_links[k] as usize;
-            self.link_dirty[l] = false;
-            let bps = self.effective_link_capacity(LinkId(l)).as_bps();
-            if bps.to_bits() != self.link_cap_bps[l].to_bits() {
-                self.link_cap_bps[l] = bps;
-                self.index.constraints[l].capacity = Bandwidth::from_bps(bps);
-                self.cap_changed.push(l as u32);
-            }
+            self.link_dirty[self.dirty_links[k] as usize] = false;
         }
         self.dirty_links.clear();
     }
@@ -1110,31 +1050,30 @@ impl Mesh {
         self.flow_dirty.resize(self.index.ids.len(), false);
     }
 
-    /// O(dirty) demand refresh: rewrites only the slots in `dirty_flows`
-    /// — under a clean index an exhaustive list of every slot that can
-    /// have moved. A slot tombstoned since it was marked keeps the zero
-    /// demand `remove_flow` wrote. The set is left intact for the
-    /// component scan, which clears it via
-    /// [`clear_dirty_flows`](Self::clear_dirty_flows).
+    /// O(dirty) demand refresh over the slots in `dirty_flows` — under a
+    /// clean index an exhaustive list of every slot that can have moved.
+    /// Each live slot's transmit demand is bit-compared against
+    /// `demands_scratch` (which holds exactly what the last allocation
+    /// filled with) before it is overwritten. A slot tombstoned since it
+    /// was marked keeps the zero demand `remove_flow` wrote. Clears every
+    /// flag and leaves in `dirty_flows` only the slots whose demand moved,
+    /// for the component scan.
     fn refresh_demands_dirty(&mut self) {
+        let mut moved = 0;
         for k in 0..self.dirty_flows.len() {
             let slot = self.dirty_flows[k] as usize;
-            if self.index.live[slot] {
-                let f = &self.flows[&self.index.ids[slot]];
-                self.demands_scratch[slot] = Self::transmit_demand(f);
+            self.flow_dirty[slot] = false;
+            if !self.index.live[slot] {
+                continue;
+            }
+            let demand = Self::transmit_demand(&self.flows[&self.index.ids[slot]]);
+            if demand.as_bps().to_bits() != self.demands_scratch[slot].as_bps().to_bits() {
+                self.demands_scratch[slot] = demand;
+                self.dirty_flows[moved] = slot as u32;
+                moved += 1;
             }
         }
-    }
-
-    /// Clears the dirty-flow set (flags and list).
-    fn clear_dirty_flows(&mut self) {
-        for k in 0..self.dirty_flows.len() {
-            let s = self.dirty_flows[k] as usize;
-            if let Some(fl) = self.flow_dirty.get_mut(s) {
-                *fl = false;
-            }
-        }
-        self.dirty_flows.clear();
+        self.dirty_flows.truncate(moved);
     }
 
     /// Recomputes the per-link and per-node-egress usage views from
@@ -1159,12 +1098,12 @@ impl Mesh {
     }
 
     /// The production allocator. Under a stale index: rebuild it,
-    /// re-read every capacity and demand, fill every component in
-    /// canonical order and baseline the demand snapshot. Otherwise: diff
-    /// link capacities against the cached `link_cap_bps` and transmit
-    /// demands against the last tick's snapshot (bit-compare — the
-    /// common quiescent tick marks nothing), refill only the dirty
-    /// components, and keep every other component's rates verbatim.
+    /// re-read every capacity and demand, and fill every component in
+    /// canonical order. Otherwise: diff link capacities against the
+    /// cached `link_cap_bps` and transmit demands against
+    /// `demands_scratch` (bit-compare — the common quiescent tick marks
+    /// nothing), refill only the dirty components, and keep every other
+    /// component's rates verbatim.
     fn reallocate_dirty(&mut self, mut profiler: Option<&mut bass_obs::SpanProfiler>) {
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
         let link_count = self.topo.link_count();
@@ -1173,7 +1112,7 @@ impl Mesh {
                 self.egress_caps.keys().filter_map(|&n| self.routes.rank(n)).collect();
             self.index.rebuild(link_count, &self.flows, capped);
             clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
-            self.refresh_constraint_caps(link_count);
+            self.refresh_constraint_caps(true);
             clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
             self.refresh_demands();
             max_min_allocate_components(
@@ -1185,9 +1124,6 @@ impl Mesh {
                 &mut self.scratch,
                 &mut self.rates_bps,
             );
-            self.prev_demands_bps.clear();
-            self.prev_demands_bps
-                .extend(self.demands_scratch.iter().map(|d| d.as_bps()));
             clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
             self.assign_allocation();
             self.update_usage_views(link_count);
@@ -1202,7 +1138,7 @@ impl Mesh {
                 .patch(&index.flow_cons_off, &index.flow_cons, &mut index.repatched);
             clock.lap(profiler.as_deref_mut(), "mesh.index_patch");
         }
-        self.refresh_constraint_caps_dirty();
+        self.refresh_constraint_caps(false);
         clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
         self.refresh_demands_dirty();
         clock.lap(profiler.as_deref_mut(), "mesh.demand_diff");
@@ -1211,11 +1147,10 @@ impl Mesh {
         // a constraint whose capacity moved or a flow whose demand moved
         // (backlog drain included) dirties its component. Unconstrained
         // flows are re-granted directly. The scan touches only the
-        // patched constraints, the links the capacity refresh observed
-        // moving (`cap_changed` holds a link only because its capacity
-        // bits moved, so there is nothing left to compare) and the flows
-        // in the dirty demand set (a *may-have-moved* set, hence the
-        // snapshot compare) — O(dirty), not O(F + L).
+        // patched constraints and what the two refreshes observed moving
+        // (`cap_changed`, and `dirty_flows` as narrowed by the demand
+        // refresh — both hold only bits that moved, so there is nothing
+        // left to compare) — O(dirty), not O(F + L).
         self.comp_dirty.clear();
         self.comp_dirty.resize(self.index.comps.component_count(), false);
         self.dirty_comps.clear();
@@ -1232,19 +1167,15 @@ impl Mesh {
         self.index.repatched.clear();
         for k in 0..self.dirty_flows.len() {
             let i = self.dirty_flows[k] as usize;
-            let bps = self.demands_scratch[i].as_bps();
-            if bps.to_bits() != self.prev_demands_bps[i].to_bits() {
-                self.prev_demands_bps[i] = bps;
-                let comp = self.index.comps.flow_component(i);
-                if comp == NO_COMPONENT {
-                    self.rates_bps[i] = unconstrained_rate(self.demands_scratch[i]);
-                } else if !self.comp_dirty[comp as usize] {
-                    self.comp_dirty[comp as usize] = true;
-                    self.dirty_comps.push(comp);
-                }
+            let comp = self.index.comps.flow_component(i);
+            if comp == NO_COMPONENT {
+                self.rates_bps[i] = unconstrained_rate(self.demands_scratch[i]);
+            } else if !self.comp_dirty[comp as usize] {
+                self.comp_dirty[comp as usize] = true;
+                self.dirty_comps.push(comp);
             }
         }
-        self.clear_dirty_flows();
+        self.dirty_flows.clear();
         clock.lap(profiler.as_deref_mut(), "mesh.component_scan");
 
         for k in 0..self.dirty_comps.len() {
@@ -2167,15 +2098,15 @@ mod tests {
         let mut mesh = Mesh::new(topo).unwrap();
         mesh.set_link_source(NodeId(0), NodeId(1), CapacitySource::Trace(trace))
             .unwrap();
-        let first = mesh.next_trace_change_after(SimTime::ZERO).unwrap();
+        let first = mesh.next_trace_change().unwrap();
         assert!(first > SimTime::ZERO && first <= SimTime::from_secs(10));
         // A frozen link's trace can no longer change any capacity read.
         mesh.freeze_link_trace(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(mesh.next_trace_change_after(SimTime::ZERO), None);
+        assert_eq!(mesh.next_trace_change(), None);
         mesh.unfreeze_link_trace(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(mesh.next_trace_change_after(SimTime::ZERO), Some(first));
+        assert_eq!(mesh.next_trace_change(), Some(first));
         // Constant-capacity meshes never schedule a trace change.
-        assert_eq!(three_node_lan().next_trace_change_after(SimTime::ZERO), None);
+        assert_eq!(three_node_lan().next_trace_change(), None);
     }
 
     #[test]

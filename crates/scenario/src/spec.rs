@@ -104,7 +104,8 @@ pub struct LinkSpec {
     pub relative_std_min: f64,
     /// Maximum relative standard deviation (fraction of the mean).
     pub relative_std_max: f64,
-    /// Trace sample interval, seconds (coarser = less memory per link).
+    /// Trace sample interval, seconds, at least 0.001 (coarser = less
+    /// memory per link).
     pub sample_interval_s: f64,
     /// Fade arrival rate per minute (0 disables fades).
     pub fade_rate_per_min: f64,
@@ -321,8 +322,10 @@ impl ScenarioSpec {
         {
             return Err(SpecError::new("link std range must satisfy 0 <= min <= max"));
         }
-        if !positive(self.links.sample_interval_s) {
-            return Err(SpecError::new("trace sample interval must be positive"));
+        // Traces are sampled on a whole-millisecond grid: anything shorter
+        // would truncate to a zero interval.
+        if !(self.links.sample_interval_s.is_finite() && self.links.sample_interval_s >= 1e-3) {
+            return Err(SpecError::new("links.sample_interval_s must be at least 0.001 (1 ms)"));
         }
         if !(0.0..=1.0).contains(&self.links.fade_depth) {
             return Err(SpecError::new("fade depth must be in [0, 1]"));
@@ -494,7 +497,8 @@ mod tests {
         }
         type Edit = fn(&mut ScenarioSpec);
         // (field the error must name, hostile edit)
-        let rows: [(&str, Edit); 8] = [
+        let rows: [(&str, Edit); 9] = [
+            ("links.sample_interval_s", |s| s.links.sample_interval_s = 0.0004),
             ("links.fade_rate_per_min", |s| s.links.fade_rate_per_min = -1.0),
             ("links.fade_duration_s", |s| s.links.fade_duration_s = -5.0),
             ("faults.node_crash_rate", |s| storm(s).node_crash_rate = -0.5),

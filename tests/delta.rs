@@ -70,8 +70,15 @@ impl Pair {
         f(&mut self.production)
     }
 
-    /// Flow rates, backlogs and link usages must match bit-for-bit.
+    /// Flow rates, backlogs and link usages must match bit-for-bit, and
+    /// production's maintained trace clock must name the change-point
+    /// the reference finds by scanning every link.
     fn assert_agree(&self, ids: &[FlowId], when: &str) {
+        assert_eq!(
+            self.reference.next_trace_change(),
+            self.production.next_trace_change(),
+            "{when}: next trace change-point diverged"
+        );
         for &id in ids {
             let (ra, rb) = (self.reference.flow_rate(id), self.production.flow_rate(id));
             assert_eq!(
@@ -191,9 +198,11 @@ proptest! {
     }
 
     // A random schedule mixing quiescent stretches, link-cap churn,
-    // demand rewrites, flow add/remove, egress caps, and up/down storms
-    // over OU-trace links: the dirty-set pipeline must stay bit-identical
-    // to the dense reference, tick after tick.
+    // demand rewrites, flow add/remove, egress caps, up/down storms,
+    // mid-run trace source swaps and trace freezes over OU-trace links:
+    // the dirty-set pipeline must stay bit-identical to the dense
+    // reference, tick after tick. A swap followed by a tick that crosses
+    // another link's change-point must still read that link.
     #[test]
     fn delta_matches_dense_under_random_schedules(
         n in 3u32..8,
@@ -209,6 +218,8 @@ proptest! {
         // capacity diff's change-point schedule actually fires on some
         // ticks and stays silent on others.
         let mut pair = Pair::new(with_ou_traces(mesh, 2, mean, rel_std, seed));
+        let links: Vec<_> = pair.production.topology().links().map(|(_, l)| (l.a, l.b)).collect();
+        let mut traced: Vec<bool> = (0..links.len()).map(|l| l % 2 == 0).collect();
         let mut rng = SimRng::seed_from_u64(seed ^ 0xD187);
         let mut ids = Vec::new();
         for _ in 0..n_flows {
@@ -220,7 +231,7 @@ proptest! {
         for tick in 0..32u32 {
             // One random mutation per tick — weighted toward "nothing",
             // the steady state the dirty paths are built for.
-            match rng.below(12) {
+            match rng.below(14) {
                 0 => {
                     let a = NodeId(rng.below(n as u64) as u32);
                     let b = NodeId((a.0 + 1) % n);
@@ -263,6 +274,31 @@ proptest! {
                     let node = NodeId(rng.below(n as u64) as u32);
                     let up = rng.below(3) != 0;
                     pair.both(|m| m.set_node_up(node, up).unwrap());
+                }
+                8 => {
+                    let l = rng.below(links.len() as u64) as usize;
+                    let (a, b) = links[l];
+                    traced[l] = rng.below(2) == 0;
+                    let source = if traced[l] {
+                        let cfg = OuTraceConfig::new(format!("swap{tick}"), mean)
+                            .relative_std(rel_std);
+                        let trace = cfg.generate(rng.next_u64(), SimDuration::from_secs(30));
+                        CapacitySource::Trace(trace)
+                    } else {
+                        CapacitySource::Constant(Bandwidth::from_mbps(rng.uniform(1.0, 1.5 * mean)))
+                    };
+                    pair.both(|m| m.set_link_source(a, b, source.clone()).unwrap());
+                }
+                9 => {
+                    let on: Vec<usize> = (0..links.len()).filter(|&l| traced[l]).collect();
+                    if !on.is_empty() {
+                        let (a, b) = links[on[rng.below(on.len() as u64) as usize]];
+                        if rng.below(2) == 0 {
+                            pair.both(|m| m.freeze_link_trace(a, b).unwrap());
+                        } else {
+                            pair.both(|m| m.unfreeze_link_trace(a, b).unwrap());
+                        }
+                    }
                 }
                 _ => {} // quiescent tick
             }
