@@ -36,6 +36,7 @@ use bass_cli::{commands::recommend, commands::traces, order, place, simulate, Si
 use bass_cluster::BaselinePolicy;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// Every command `bassctl` dispatches on, as shown in usage errors.
@@ -170,18 +171,45 @@ fn load_testbed(args: &Args) -> Result<TestbedSpec, String> {
     serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn run() -> Result<(), String> {
+/// Why a command stopped: a message for stderr, or a write to stdout
+/// that failed.
+enum Failure {
+    Message(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Message(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Message(msg.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
+/// Runs one command, writing everything it reports to `stdout`.
+fn run(stdout: &mut impl Write) -> Result<(), Failure> {
     let (command, args) = parse_args(std::env::args().skip(1))?;
     match command.as_str() {
         "schema" => {
             let manifest = Manifest::from_dag(&bass_appdag::catalog::camera_pipeline());
-            println!("--- example application manifest (app.json) ---");
-            println!("{}", serde_json::to_string_pretty(&manifest).expect("serializable"));
-            println!("--- example testbed (mesh.json) ---");
-            println!(
+            writeln!(stdout, "--- example application manifest (app.json) ---")?;
+            writeln!(stdout, "{}", serde_json::to_string_pretty(&manifest).expect("serializable"))?;
+            writeln!(stdout, "--- example testbed (mesh.json) ---")?;
+            writeln!(
+                stdout,
                 "{}",
                 serde_json::to_string_pretty(&TestbedSpec::example()).expect("serializable")
-            );
+            )?;
             Ok(())
         }
         "traces" => {
@@ -195,7 +223,7 @@ fn run() -> Result<(), String> {
                 let path = out_dir.join(format!("{key}.csv"));
                 std::fs::write(&path, csv)
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                println!("wrote {}", path.display());
+                writeln!(stdout, "wrote {}", path.display())?;
             }
             Ok(())
         }
@@ -204,22 +232,24 @@ fn run() -> Result<(), String> {
             let testbed = load_testbed(&args)?;
             let rec = recommend(&manifest, &testbed, args.seed).map_err(|e| e.to_string())?;
             if args.json {
-                println!("{}", serde_json::to_string_pretty(&rec).expect("serializable"));
+                writeln!(stdout, "{}", serde_json::to_string_pretty(&rec).expect("serializable"))?;
             } else {
-                println!(
+                writeln!(
+                    stdout,
                     "DAG shape: max fan-out {}, depth {}",
                     rec.max_fan_out, rec.depth
-                );
+                )?;
                 for (i, score) in rec.ranking.iter().enumerate() {
-                    println!(
+                    writeln!(
+                        stdout,
                         "{}. {:<14} crossing {:>6.1}% of total bandwidth",
                         i + 1,
                         score.policy.to_string(),
                         score.crossing_fraction * 100.0
-                    );
+                    )?;
                 }
                 if !rec.is_feasible() {
-                    println!("no policy produced a feasible placement");
+                    writeln!(stdout, "no policy produced a feasible placement")?;
                 }
             }
             Ok(())
@@ -228,7 +258,7 @@ fn run() -> Result<(), String> {
             let manifest = load_manifest(&args)?;
             let groups = order(&manifest, args.policy).map_err(|e| e.to_string())?;
             for (i, group) in groups.iter().enumerate() {
-                println!("group {}: {}", i + 1, group.join(" -> "));
+                writeln!(stdout, "group {}: {}", i + 1, group.join(" -> "))?;
             }
             Ok(())
         }
@@ -238,15 +268,20 @@ fn run() -> Result<(), String> {
             let outcome =
                 place(&manifest, &testbed, args.policy, args.seed).map_err(|e| e.to_string())?;
             if args.json {
-                println!("{}", serde_json::to_string_pretty(&outcome).expect("serializable"));
+                writeln!(
+                    stdout,
+                    "{}",
+                    serde_json::to_string_pretty(&outcome).expect("serializable")
+                )?;
             } else {
                 for (name, node) in &outcome.placement {
-                    println!("{name:<28} -> node {node}");
+                    writeln!(stdout, "{name:<28} -> node {node}")?;
                 }
-                println!(
+                writeln!(
+                    stdout,
                     "crossing bandwidth: {:.2} / {:.2} Mbps",
                     outcome.crossing_mbps, outcome.total_mbps
-                );
+                )?;
             }
             Ok(())
         }
@@ -268,26 +303,32 @@ fn run() -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             if args.json {
-                println!("{}", serde_json::to_string_pretty(&outcome).expect("serializable"));
+                writeln!(
+                    stdout,
+                    "{}",
+                    serde_json::to_string_pretty(&outcome).expect("serializable")
+                )?;
             } else {
-                println!(
+                writeln!(
+                    stdout,
                     "initial crossing bandwidth: {:.2} Mbps",
                     outcome.initial.crossing_mbps
-                );
+                )?;
                 for (t, name, from, to) in &outcome.migrations {
-                    println!("t={t:>7.1}s migrate {name}: node {from} -> node {to}");
+                    writeln!(stdout, "t={t:>7.1}s migrate {name}: node {from} -> node {to}")?;
                 }
-                println!(
+                writeln!(
+                    stdout,
                     "final crossing bandwidth: {:.2} Mbps; worst edge goodput: {:.0}%",
                     outcome.r#final.crossing_mbps,
                     outcome.worst_goodput_fraction * 100.0
-                );
-                println!("probe overhead: {} bytes", outcome.probe_bytes);
+                )?;
+                writeln!(stdout, "probe overhead: {} bytes", outcome.probe_bytes)?;
                 if let (Some(n), Some(path)) = (outcome.journal_events, &args.journal) {
-                    println!("journal: {n} events -> {path}");
+                    writeln!(stdout, "journal: {n} events -> {path}")?;
                 }
                 if let Some(path) = &args.metrics_out {
-                    println!("metrics exposition -> {path}");
+                    writeln!(stdout, "metrics exposition -> {path}")?;
                 }
             }
             Ok(())
@@ -317,36 +358,39 @@ fn run() -> Result<(), String> {
                 std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
             }
             if args.json || args.out.is_none() {
-                println!("{json}");
+                writeln!(stdout, "{json}")?;
             } else {
                 let a = &summary.aggregate;
-                println!(
+                writeln!(
+                    stdout,
                     "campaign '{}' seed {}: {} replicas, {} ticks total",
                     summary.scenario,
                     summary.seed,
                     summary.replicas.len(),
                     a.ticks
-                );
-                println!(
+                )?;
+                writeln!(
+                    stdout,
                     "apps: {} admitted, {} rejected, {} retired; {} migrations ({} unplaceable); {} faults",
                     a.apps_admitted, a.apps_rejected, a.apps_retired, a.migrations,
                     a.unplaceable, a.faults_injected
-                );
-                println!(
+                )?;
+                writeln!(
+                    stdout,
                     "goodput fraction: p50 {:.3}, p95 {:.3}, p99 {:.3}, mean {:.3} over {} samples",
                     a.goodput.p50, a.goodput.p95, a.goodput.p99, a.goodput.mean,
                     a.goodput.samples
-                );
-                println!("summary written to {}", args.out.as_deref().unwrap_or("-"));
+                )?;
+                writeln!(stdout, "summary written to {}", args.out.as_deref().unwrap_or("-"))?;
                 if let Some(path) = &args.metrics_out {
-                    println!("metrics exposition -> {path}");
+                    writeln!(stdout, "metrics exposition -> {path}")?;
                 }
             }
             Ok(())
         }
         "arena" => {
             if args.specs.is_empty() {
-                return Err("--spec is required (repeat for a multi-scenario corpus)".to_string());
+                return Err("--spec is required (repeat for a multi-scenario corpus)".into());
             }
             let mut corpus = Vec::with_capacity(args.specs.len());
             for path in &args.specs {
@@ -371,14 +415,14 @@ fn run() -> Result<(), String> {
                     .map_err(|e| format!("cannot write {out}: {e}"))?;
             }
             if args.json {
-                println!("{}", run.table.to_json_with_timing(&run.timings));
+                writeln!(stdout, "{}", run.table.to_json_with_timing(&run.timings))?;
             } else {
-                print!("{}", run.table.to_text_with_timing(&run.timings));
+                write!(stdout, "{}", run.table.to_text_with_timing(&run.timings))?;
                 if let Some(out) = &args.out {
-                    println!("table written to {out}");
+                    writeln!(stdout, "table written to {out}")?;
                 }
                 if let Some(path) = &args.metrics_out {
-                    println!("metrics exposition -> {path}");
+                    writeln!(stdout, "metrics exposition -> {path}")?;
                 }
             }
             Ok(())
@@ -391,21 +435,29 @@ fn run() -> Result<(), String> {
                 args.lint,
             )
             .map_err(|e| e.to_string())?;
-            print!("{report}");
+            write!(stdout, "{report}")?;
             Ok(())
         }
         "--help" | "-h" | "help" => {
-            println!("bassctl {COMMANDS} — see crate docs");
+            writeln!(stdout, "bassctl {COMMANDS} — see crate docs")?;
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(format!("unknown command '{other}'").into()),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let mut stdout = io::stdout();
+    match run(&mut stdout).and_then(|()| stdout.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader is gone (`bassctl schema | head -c 1`): there is
+        // no one left to tell, so end quietly.
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("bassctl: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(msg)) => {
             eprintln!("bassctl: {msg}");
             ExitCode::FAILURE
         }

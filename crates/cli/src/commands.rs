@@ -32,6 +32,8 @@ pub enum CommandError {
     Campaign(bass_scenario::CampaignError),
     /// A metrics exposition file could not be read, written, or parsed.
     Metrics(String),
+    /// `simulate` was asked to run for zero seconds.
+    ZeroDuration,
 }
 
 impl fmt::Display for CommandError {
@@ -45,6 +47,7 @@ impl fmt::Display for CommandError {
             CommandError::Faults(e) => write!(f, "fault plan error: {e}"),
             CommandError::Campaign(e) => write!(f, "campaign error: {e}"),
             CommandError::Metrics(e) => write!(f, "metrics error: {e}"),
+            CommandError::ZeroDuration => write!(f, "--duration must be at least 1 second"),
         }
     }
 }
@@ -59,7 +62,7 @@ impl Error for CommandError {
             CommandError::Journal(e) => Some(e),
             CommandError::Faults(_) => None,
             CommandError::Campaign(e) => Some(e),
-            CommandError::Metrics(_) => None,
+            CommandError::Metrics(_) | CommandError::ZeroDuration => None,
         }
     }
 }
@@ -153,7 +156,7 @@ fn outcome_from(dag: &AppDag, placement: &bass_cluster::Placement) -> PlaceOutco
 pub struct SimulateOptions {
     /// Placement policy.
     pub policy: PlacementPolicy,
-    /// Run length in seconds.
+    /// Run length in seconds (at least 1).
     pub duration_s: u64,
     /// Dynamic migration on/off.
     pub migrations: bool,
@@ -210,12 +213,17 @@ pub struct SimulateOutcome {
 ///
 /// # Errors
 ///
-/// Fails on invalid inputs, infeasible placement, or simulation errors.
+/// Fails on a zero duration, invalid inputs, infeasible placement, or
+/// simulation errors.
 pub fn simulate(
     manifest: &Manifest,
     testbed: &TestbedSpec,
     opts: SimulateOptions,
 ) -> Result<SimulateOutcome, CommandError> {
+    if opts.duration_s == 0 {
+        // A run that simulates nothing has no goodput to report.
+        return Err(CommandError::ZeroDuration);
+    }
     let dag = manifest.to_dag()?;
     let trace_len = SimDuration::from_secs(opts.duration_s + 60);
     let (mesh, cluster) = testbed.build(opts.seed, trace_len)?;

@@ -534,6 +534,23 @@ fn bad_inputs_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown policy"));
 }
 
+/// A reader that closes its end early (`bassctl schema | head -c 1`)
+/// ends the run quietly instead of panicking on the broken pipe.
+#[test]
+fn closed_stdout_ends_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = bassctl()
+        .arg("schema")
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("bassctl runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
+
 #[test]
 fn hostile_numbers_and_names_fail_cleanly() {
     let dir = temp_dir("hostile");
@@ -558,18 +575,19 @@ fn hostile_numbers_and_names_fail_cleanly() {
             "duplicate component name 'label-listener'",
         ),
     ];
-    let simulate = |faults: Option<&std::path::Path>| {
+    let simulate_for = |duration: &str, faults: Option<&std::path::Path>| {
         let mut cmd = bassctl();
         cmd.args(["simulate", "--manifest"])
             .arg(&app)
             .arg("--testbed")
             .arg(&mesh)
-            .args(["--duration", "10"]);
+            .args(["--duration", duration]);
         if let Some(plan) = faults {
             cmd.arg("--faults").arg(plan);
         }
         cmd.output().expect("bassctl runs")
     };
+    let simulate = |faults: Option<&std::path::Path>| simulate_for("10", faults);
     for (case, in_testbed, valid, hostile, names) in rows {
         let (path, text) = if in_testbed { (&mesh, &mesh_text) } else { (&app, &app_text) };
         assert!(text.contains(valid), "{case}: example file lost `{valid}`");
@@ -601,6 +619,13 @@ fn hostile_numbers_and_names_fail_cleanly() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("fault plan error") && stderr.contains(names), "{case}: {stderr}");
     }
+    // `--duration 0` once reported "worst edge goodput: 0%" for a run
+    // that simulated nothing.
+    let out = simulate_for("0", None);
+    assert!(!out.status.success(), "duration 0 must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--duration must be at least 1 second"), "duration 0: {stderr}");
+    assert!(out.stdout.is_empty(), "duration 0 printed an outcome");
     // Node ids are names, not sizes: renaming node 3 changes nothing,
     // however large the new id (views sized by the largest id once made
     // 3 000 000 000 a 24 GB allocation and an abort).

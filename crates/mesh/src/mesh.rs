@@ -305,7 +305,8 @@ pub struct Mesh {
     rates_bps: Vec<f64>,
     /// Effective per-link capacities (bps) cached by the last
     /// `reallocate` — `advance` derives utilizations from these without
-    /// re-querying every capacity source.
+    /// re-querying every capacity source, and every public capacity
+    /// read serves from them while `link_snapshot_current` holds.
     link_cap_bps: Vec<f64>,
     /// Per-link utilization scratch for the queueing model.
     util_scratch: Vec<f64>,
@@ -542,7 +543,7 @@ impl Mesh {
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn link_effective_capacity(&self, a: NodeId, b: NodeId) -> Result<Bandwidth, MeshError> {
         let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        Ok(self.effective_link_capacity(lid))
+        Ok(self.link_capacity_now(lid))
     }
 
     /// True when the link and both its endpoints are up.
@@ -563,6 +564,31 @@ impl Mesh {
         }
         let at = self.trace_freeze.get(&lid).copied().unwrap_or(self.now);
         self.link_caps[lid.0].effective_at(at)
+    }
+
+    /// True when `link_cap_bps` holds every link's
+    /// [`effective_link_capacity`](Self::effective_link_capacity) at
+    /// `now`: the production allocator, a clean index, no queued `tc`
+    /// change and a trace clock still ahead of `now` — exactly when
+    /// `refresh_constraint_caps` would re-read nothing. Every other
+    /// input of a link's capacity reallocates on the spot (freeze,
+    /// up/down), stales the clock (a source swap) or dirties the index.
+    fn link_snapshot_current(&self) -> bool {
+        !self.reference
+            && !self.index.dirty
+            && self.dirty_links.is_empty()
+            && self.armed_trace_clock().is_some()
+    }
+
+    /// The effective capacity of `lid` at `now`: one read of the
+    /// allocator's snapshot when it is current, else the source read.
+    /// Every public capacity read goes through here.
+    fn link_capacity_now(&self, lid: LinkId) -> Bandwidth {
+        if self.link_snapshot_current() {
+            Bandwidth::from_bps(self.link_cap_bps[lid.0])
+        } else {
+            self.effective_link_capacity(lid)
+        }
     }
 
     /// Routes one flow over the current table: the links it crosses and
@@ -1001,9 +1027,13 @@ impl Mesh {
     /// `rebuilt`, when the trace clock is stale or when `now` has
     /// reached it, and then re-arms the clock. Otherwise it reads only
     /// `dirty_links`: under a clean index and a clock still ahead of
-    /// `now`, no other link's capacity can have moved.
+    /// `now`, no other link's capacity can have moved — and with none
+    /// queued the snapshot is current and nothing is read.
     fn refresh_constraint_caps(&mut self, rebuilt: bool) {
         self.cap_changed.clear();
+        if !rebuilt && self.link_snapshot_current() {
+            return;
+        }
         if rebuilt || self.armed_trace_clock().is_none() {
             let link_count = self.topo.link_count();
             for i in 0..link_count {
@@ -1281,7 +1311,7 @@ impl Mesh {
     /// `"scenario"` when the emulator applies a scripted restriction.
     pub fn emit_capacity_changes(&mut self, journal: &mut bass_obs::Journal, cause: &str) {
         let caps: Vec<f64> = (0..self.topo.link_count())
-            .map(|i| self.effective_link_capacity(LinkId(i)).as_mbps())
+            .map(|i| self.link_capacity_now(LinkId(i)).as_mbps())
             .collect();
         match self.obs_cap_snapshot.as_mut() {
             None => self.obs_cap_snapshot = Some(caps),
@@ -1326,7 +1356,7 @@ impl Mesh {
         if changed {
             let saturated_links = (0..self.topo.link_count())
                 .filter(|&i| {
-                    let cap = self.effective_link_capacity(LinkId(i)).as_bps();
+                    let cap = self.link_capacity_now(LinkId(i)).as_bps();
                     cap > 0.0 && self.link_used_bps[i] >= 0.999 * cap
                 })
                 .count() as u32;
@@ -1385,7 +1415,7 @@ impl Mesh {
         let capacity = flow
             .links
             .iter()
-            .map(|l| self.effective_link_capacity(*l))
+            .map(|l| self.link_capacity_now(*l))
             .fold(Bandwidth::from_bps(f64::INFINITY), Bandwidth::min);
         let allocated = self.allocation.rate(id);
         Ok(flow.queue.transfer_delay(size, capacity, allocated) + self.hop_latency().for_hops(hops))
@@ -1413,13 +1443,24 @@ impl Mesh {
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn link_capacity(&self, a: NodeId, b: NodeId) -> Result<Bandwidth, MeshError> {
         let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        let mut cap = self.effective_link_capacity(lid);
-        for n in [a, b] {
+        Ok(self.link_capacity_by_id(lid))
+    }
+
+    /// [`link_capacity`](Self::link_capacity) of the link with id `lid`
+    /// — O(1) while the allocator's capacity snapshot is current.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lid` is not a link of this mesh's topology.
+    pub fn link_capacity_by_id(&self, lid: LinkId) -> Bandwidth {
+        let link = self.topo.link(lid);
+        let mut cap = self.link_capacity_now(lid);
+        for n in [link.a, link.b] {
             if let Some(&c) = self.egress_caps.get(&n) {
                 cap = cap.min(c);
             }
         }
-        Ok(cap)
+        cap
     }
 
     /// Allocated traffic currently crossing the link between `a` and `b`.
@@ -1441,16 +1482,27 @@ impl Mesh {
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn link_available(&self, a: NodeId, b: NodeId) -> Result<Bandwidth, MeshError> {
         let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
+        Ok(self.link_available_by_id(lid))
+    }
+
+    /// [`link_available`](Self::link_available) of the link with id
+    /// `lid` — O(1) while the allocator's capacity snapshot is current.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lid` is not a link of this mesh's topology.
+    pub fn link_available_by_id(&self, lid: LinkId) -> Bandwidth {
+        let link = self.topo.link(lid);
         let mut avail = self
-            .effective_link_capacity(lid)
+            .link_capacity_now(lid)
             .saturating_sub(Bandwidth::from_bps(self.link_used_bps[lid.0]));
-        for n in [a, b] {
+        for n in [link.a, link.b] {
             if let Some(&c) = self.egress_caps.get(&n) {
                 let used = self.egress_used(n);
                 avail = avail.min(c.saturating_sub(Bandwidth::from_bps(used)));
             }
         }
-        Ok(avail)
+        avail
     }
 
     /// Allocated bps currently leaving `node` (zero when nothing does).
@@ -1480,7 +1532,7 @@ impl Mesh {
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn directed_link_capacity(&self, u: NodeId, v: NodeId) -> Result<Bandwidth, MeshError> {
         let lid = self.topo.find_link(u, v).ok_or(MeshError::UnknownLink(u, v))?;
-        let mut cap = self.effective_link_capacity(lid);
+        let mut cap = self.link_capacity_now(lid);
         if let Some(&c) = self.egress_caps.get(&u) {
             cap = cap.min(c);
         }
@@ -1496,7 +1548,7 @@ impl Mesh {
     pub fn directed_link_available(&self, u: NodeId, v: NodeId) -> Result<Bandwidth, MeshError> {
         let lid = self.topo.find_link(u, v).ok_or(MeshError::UnknownLink(u, v))?;
         let mut avail = self
-            .effective_link_capacity(lid)
+            .link_capacity_now(lid)
             .saturating_sub(Bandwidth::from_bps(self.link_used_bps[lid.0]));
         if let Some(&c) = self.egress_caps.get(&u) {
             let used = self.egress_used(u);
@@ -1558,7 +1610,7 @@ impl Mesh {
             .topo
             .incident_links(node)
             .into_iter()
-            .map(|l| self.effective_link_capacity(l))
+            .map(|l| self.link_capacity_now(l))
             .sum())
     }
 }

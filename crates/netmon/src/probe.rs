@@ -6,16 +6,6 @@ use bass_util::rng::SimRng;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Canonical undirected link key.
-fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
 
 /// Configuration of the net-monitor's probing behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -107,8 +97,7 @@ impl HeadroomReport {
 
     /// The headroom entry for a link, order-insensitive.
     pub fn link(&self, a: NodeId, b: NodeId) -> Option<&LinkHeadroom> {
-        let k = key(a, b);
-        self.links.iter().find(|l| (l.a, l.b) == k)
+        self.links.iter().find(|l| (l.a, l.b) == (a.min(b), a.max(b)))
     }
 }
 
@@ -125,7 +114,7 @@ impl HeadroomReport {
 /// let mut monitor = NetMonitor::new(Default::default());
 /// monitor.full_probe(&mesh);
 /// assert_eq!(
-///     monitor.cached_link_capacity(NodeId(0), NodeId(1)).unwrap().as_mbps(),
+///     monitor.cached_link_capacity(&mesh, NodeId(0), NodeId(1)).unwrap().as_mbps(),
 ///     50.0
 /// );
 /// # Ok::<(), bass_mesh::MeshError>(())
@@ -133,8 +122,12 @@ impl HeadroomReport {
 #[derive(Debug, Clone, Default)]
 pub struct NetMonitor {
     cfg: NetMonitorConfig,
-    capacity_cache: BTreeMap<(NodeId, NodeId), (Bandwidth, SimTime)>,
-    headroom_ok: BTreeMap<(NodeId, NodeId), bool>,
+    /// Per link, indexed by `LinkId`: the last measured capacity and
+    /// when it was measured; `None` until a full-probe sample lands.
+    capacity_cache: Vec<Option<(Bandwidth, SimTime)>>,
+    /// Per link, indexed by `LinkId`: whether the last sampled
+    /// headroom probe found the headroom; `true` until first sampled.
+    headroom_ok: Vec<bool>,
     overhead: ProbeOverhead,
     last_full_probe: Option<SimTime>,
     last_headroom_probe: Option<SimTime>,
@@ -150,8 +143,8 @@ impl NetMonitor {
     pub fn new(cfg: NetMonitorConfig) -> Self {
         NetMonitor {
             cfg,
-            capacity_cache: BTreeMap::new(),
-            headroom_ok: BTreeMap::new(),
+            capacity_cache: Vec::new(),
+            headroom_ok: Vec::new(),
             overhead: ProbeOverhead::default(),
             last_full_probe: None,
             last_headroom_probe: None,
@@ -197,10 +190,9 @@ impl NetMonitor {
     /// flood traffic, which is charged to the overhead accounting.
     pub fn full_probe(&mut self, mesh: &Mesh) {
         let now = mesh.now();
-        for (_, link) in mesh.topology().links() {
-            let cap = mesh
-                .link_capacity(link.a, link.b)
-                .expect("topology link exists");
+        self.fit_links(mesh);
+        for (lid, _) in mesh.topology().links() {
+            let cap = mesh.link_capacity_by_id(lid);
             // Flooding the link for probe_duration costs its capacity —
             // even when the resulting sample is lost.
             let bits = cap.as_bps() * self.cfg.probe_duration.as_secs_f64();
@@ -208,7 +200,7 @@ impl NetMonitor {
             if self.sample_lost() {
                 continue; // measurement dropped: the stale cache entry survives
             }
-            self.capacity_cache.insert(key(link.a, link.b), (cap, now));
+            self.capacity_cache[lid.0] = Some((cap, now));
         }
         self.overhead.full_probes += 1;
         self.last_full_probe = Some(now);
@@ -222,17 +214,16 @@ impl NetMonitor {
     /// first full probe at startup in practice (§4.2).
     pub fn headroom_probe(&mut self, mesh: &Mesh) -> HeadroomReport {
         let now = mesh.now();
-        let mut report = HeadroomReport::default();
-        for (_, link) in mesh.topology().links() {
-            let k = key(link.a, link.b);
-            let cached = self
-                .capacity_cache
-                .get(&k)
-                .map(|&(c, _)| c)
-                .unwrap_or_else(|| {
-                    mesh.link_capacity(link.a, link.b)
-                        .expect("topology link exists")
-                });
+        self.fit_links(mesh);
+        let mut report = HeadroomReport {
+            links: Vec::with_capacity(mesh.topology().link_count()),
+            newly_violated: Vec::new(),
+        };
+        for (lid, link) in mesh.topology().links() {
+            let cached = match self.capacity_cache[lid.0] {
+                Some((c, _)) => c,
+                None => mesh.link_capacity_by_id(lid),
+            };
             if self.sample_lost() {
                 // Measurement dropped: the probe traffic was still sent,
                 // but this link contributes nothing to the report and its
@@ -245,17 +236,15 @@ impl NetMonitor {
                 continue;
             }
             let required = cached.scale(self.cfg.headroom_fraction);
-            let available = mesh
-                .link_available(link.a, link.b)
-                .expect("topology link exists");
+            let available = mesh.link_available_by_id(lid);
             let ok = available + Bandwidth::from_bps(1.0) >= required;
-            let was_ok = self.headroom_ok.insert(k, ok).unwrap_or(true);
+            let was_ok = std::mem::replace(&mut self.headroom_ok[lid.0], ok);
             if was_ok && !ok {
-                report.newly_violated.push(k);
+                report.newly_violated.push((link.a, link.b));
             }
             report.links.push(LinkHeadroom {
-                a: k.0,
-                b: k.1,
+                a: link.a,
+                b: link.b,
                 required,
                 available,
                 ok,
@@ -334,14 +323,33 @@ impl NetMonitor {
         }
     }
 
-    /// Cached capacity of a link, if it was ever probed.
-    pub fn cached_link_capacity(&self, a: NodeId, b: NodeId) -> Option<Bandwidth> {
-        self.capacity_cache.get(&key(a, b)).map(|&(c, _)| c)
+    /// Grows the per-link state to `mesh`'s link count; a link never
+    /// probed has no cached capacity and counts as having had headroom.
+    fn fit_links(&mut self, mesh: &Mesh) {
+        let n = mesh.topology().link_count();
+        if self.capacity_cache.len() < n {
+            self.capacity_cache.resize(n, None);
+            self.headroom_ok.resize(n, true);
+        }
     }
 
-    /// When a link's capacity was last measured.
-    pub fn cached_link_age(&self, a: NodeId, b: NodeId) -> Option<SimTime> {
-        self.capacity_cache.get(&key(a, b)).map(|&(_, t)| t)
+    /// The cache entry of the link between `a` and `b` in `mesh`, if
+    /// that link exists and was ever probed.
+    fn cached(&self, mesh: &Mesh, a: NodeId, b: NodeId) -> Option<(Bandwidth, SimTime)> {
+        let lid = mesh.topology().find_link(a, b)?;
+        self.capacity_cache.get(lid.0).copied().flatten()
+    }
+
+    /// Cached capacity of the link between `a` and `b` in `mesh`, if it
+    /// was ever probed.
+    pub fn cached_link_capacity(&self, mesh: &Mesh, a: NodeId, b: NodeId) -> Option<Bandwidth> {
+        self.cached(mesh, a, b).map(|(c, _)| c)
+    }
+
+    /// When the capacity of the link between `a` and `b` in `mesh` was
+    /// last measured.
+    pub fn cached_link_age(&self, mesh: &Mesh, a: NodeId, b: NodeId) -> Option<SimTime> {
+        self.cached(mesh, a, b).map(|(_, t)| t)
     }
 
     /// Path capacity estimate from cached link estimates: traceroute the
@@ -355,7 +363,7 @@ impl NetMonitor {
         let path = mesh.path(src, dst).ok()?;
         let mut bottleneck = Bandwidth::from_bps(f64::INFINITY);
         for w in path.windows(2) {
-            let cap = self.cached_link_capacity(w[0], w[1])?;
+            let cap = self.cached_link_capacity(mesh, w[0], w[1])?;
             bottleneck = bottleneck.min(cap);
         }
         Some(bottleneck)
@@ -388,7 +396,7 @@ impl NetMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bass_mesh::Topology;
+    use bass_mesh::{CapacitySource, Topology};
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::from_mbps(x)
@@ -402,10 +410,16 @@ mod tests {
     fn full_probe_caches_capacities() {
         let mesh = mesh();
         let mut mon = NetMonitor::new(NetMonitorConfig::default());
-        assert_eq!(mon.cached_link_capacity(NodeId(0), NodeId(1)), None);
+        assert_eq!(mon.cached_link_capacity(&mesh, NodeId(0), NodeId(1)), None);
         mon.full_probe(&mesh);
-        assert_eq!(mon.cached_link_capacity(NodeId(0), NodeId(1)), Some(mbps(50.0)));
-        assert_eq!(mon.cached_link_capacity(NodeId(1), NodeId(0)), Some(mbps(50.0)));
+        assert_eq!(
+            mon.cached_link_capacity(&mesh, NodeId(0), NodeId(1)),
+            Some(mbps(50.0))
+        );
+        assert_eq!(
+            mon.cached_link_capacity(&mesh, NodeId(1), NodeId(0)),
+            Some(mbps(50.0))
+        );
         assert_eq!(mon.overhead().full_probes, 1);
         // 3 links × 50 Mbit = 150 Mbit = 18.75 MB.
         assert_eq!(
@@ -461,6 +475,36 @@ mod tests {
         mesh.advance(SimDuration::from_secs(1));
         let r3 = mon.headroom_probe(&mesh);
         assert_eq!(r3.newly_violated.len(), 1);
+    }
+
+    #[test]
+    fn probes_see_mutations_before_the_next_advance() {
+        let mut mesh = mesh();
+        let mut mon = NetMonitor::new(NetMonitorConfig::default());
+        // One tick: the allocator's capacity snapshot now serves reads.
+        mesh.advance(SimDuration::from_secs(1));
+        let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+        let available = |mon: &mut NetMonitor, mesh: &Mesh| {
+            mon.headroom_probe(mesh).link(n0, n1).unwrap().available
+        };
+        assert_eq!(available(&mut mon, &mesh), mbps(50.0));
+        // A `tc` cap with no advance: the probe reads the new cap.
+        mesh.set_link_cap(n0, n1, Some(mbps(20.0))).unwrap();
+        assert_eq!(available(&mut mon, &mesh), mbps(20.0));
+        mesh.advance(SimDuration::from_secs(1));
+        assert_eq!(available(&mut mon, &mesh), mbps(20.0));
+        // A swapped source with no advance (and no cap queued beside
+        // it): the full probe caches the new value.
+        let constant = CapacitySource::Constant(mbps(30.0));
+        mesh.set_link_source(n1, n2, constant).unwrap();
+        mon.full_probe(&mesh);
+        assert_eq!(mon.cached_link_capacity(&mesh, n1, n2), Some(mbps(30.0)));
+        // After one advance both are served from the refreshed snapshot.
+        mesh.advance(SimDuration::from_secs(1));
+        assert_eq!(available(&mut mon, &mesh), mbps(20.0));
+        mon.full_probe(&mesh);
+        assert_eq!(mon.cached_link_capacity(&mesh, n1, n2), Some(mbps(30.0)));
+        assert_eq!(mon.cached_link_capacity(&mesh, n0, n1), Some(mbps(20.0)));
     }
 
     #[test]
@@ -534,7 +578,7 @@ mod tests {
         mesh.advance(SimDuration::from_secs(5));
         mon.full_probe(&mesh);
         assert_eq!(
-            mon.cached_link_age(NodeId(0), NodeId(1)),
+            mon.cached_link_age(&mesh, NodeId(0), NodeId(1)),
             Some(SimTime::from_secs(5))
         );
         assert_eq!(mon.last_full_probe(), Some(SimTime::from_secs(5)));
@@ -548,7 +592,7 @@ mod tests {
         assert_eq!(mon.probe_loss(), Some(1.0));
         mon.full_probe(&mesh);
         // All samples dropped: nothing cached, yet the flood was paid for.
-        assert_eq!(mon.cached_link_capacity(NodeId(0), NodeId(1)), None);
+        assert_eq!(mon.cached_link_capacity(&mesh, NodeId(0), NodeId(1)), None);
         assert_eq!(
             mon.overhead().full_probe_bytes,
             DataSize::from_bytes(3 * 50_000_000 / 8)
@@ -561,7 +605,10 @@ mod tests {
         mon.clear_probe_loss();
         assert_eq!(mon.probe_loss(), None);
         mon.full_probe(&mesh);
-        assert_eq!(mon.cached_link_capacity(NodeId(0), NodeId(1)), Some(mbps(50.0)));
+        assert_eq!(
+            mon.cached_link_capacity(&mesh, NodeId(0), NodeId(1)),
+            Some(mbps(50.0))
+        );
     }
 
     #[test]
@@ -573,7 +620,7 @@ mod tests {
             mon.full_probe(&mesh);
             mesh.topology()
                 .links()
-                .map(|(_, l)| mon.cached_link_capacity(l.a, l.b).is_some())
+                .map(|(_, l)| mon.cached_link_capacity(&mesh, l.a, l.b).is_some())
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(42), run(42), "same seed ⇒ same drop pattern");

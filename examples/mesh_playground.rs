@@ -43,7 +43,7 @@ fn main() {
     println!(
         "\nprobed n2–n3 capacity: {}",
         monitor
-            .cached_link_capacity(NodeId(2), NodeId(3))
+            .cached_link_capacity(&mesh, NodeId(2), NodeId(3))
             .expect("probed")
     );
 

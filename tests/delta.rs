@@ -70,15 +70,40 @@ impl Pair {
         f(&mut self.production)
     }
 
-    /// Flow rates, backlogs and link usages must match bit-for-bit, and
-    /// production's maintained trace clock must name the change-point
-    /// the reference finds by scanning every link.
+    /// Every public capacity read must match bit-for-bit on every link.
+    /// The reference never trusts its capacity snapshot and always reads
+    /// the sources; production serves from its snapshot whenever it
+    /// judges it current, so a stale snapshot it trusts shows up here.
+    fn assert_capacities_agree(&self, when: &str) {
+        for (lid, link) in self.reference.topology().links() {
+            let reads = |m: &Mesh| {
+                [
+                    ("capacity", m.link_capacity_by_id(lid)),
+                    ("available", m.link_available_by_id(lid)),
+                    ("effective", m.link_effective_capacity(link.a, link.b).unwrap()),
+                ]
+            };
+            let pairs = reads(&self.reference).into_iter().zip(reads(&self.production));
+            for ((what, a), (_, b)) in pairs {
+                assert_eq!(
+                    a.as_bps().to_bits(),
+                    b.as_bps().to_bits(),
+                    "{when}: link {lid} {what} diverged (reference {a} vs production {b})"
+                );
+            }
+        }
+    }
+
+    /// Flow rates, backlogs, link usages and capacity reads must match
+    /// bit-for-bit, and production's maintained trace clock must name
+    /// the change-point the reference finds by scanning every link.
     fn assert_agree(&self, ids: &[FlowId], when: &str) {
         assert_eq!(
             self.reference.next_trace_change(),
             self.production.next_trace_change(),
             "{when}: next trace change-point diverged"
         );
+        self.assert_capacities_agree(when);
         for &id in ids {
             let (ra, rb) = (self.reference.flow_rate(id), self.production.flow_rate(id));
             assert_eq!(
@@ -202,7 +227,8 @@ proptest! {
     // mid-run trace source swaps and trace freezes over OU-trace links:
     // the dirty-set pipeline must stay bit-identical to the dense
     // reference, tick after tick. A swap followed by a tick that crosses
-    // another link's change-point must still read that link.
+    // another link's change-point must still read that link, and every
+    // capacity read between a mutation and the next tick must see it.
     #[test]
     fn delta_matches_dense_under_random_schedules(
         n in 3u32..8,
@@ -302,6 +328,9 @@ proptest! {
                 }
                 _ => {} // quiescent tick
             }
+            // Before the advance a mutated snapshot is stale: production
+            // must notice and answer from the sources.
+            pair.assert_capacities_agree(&format!("schedule tick {tick}, before advance"));
             pair.advance_and_check(
                 SimDuration::from_millis(250),
                 &ids,
