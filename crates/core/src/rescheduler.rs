@@ -110,6 +110,13 @@ pub fn pick_target(
 /// prevents churn when a transient dip fires a trigger but every node —
 /// including the current one — would serve the component equally well.
 ///
+/// A component that is not `degraded` exits before any candidate is
+/// looked at when even a perfect candidate — the score ceiling, every
+/// placed dependency fully served — would not clear the hysteresis: no
+/// real score exceeds the ceiling in either term and `clearly_better`
+/// is monotone in the candidate, so both arms below would refuse every
+/// node anyway.
+///
 /// Strict bandwidth-feasible selection ([`pick_target`]) is tried first.
 /// With `best_effort`, the CPU/memory-feasible node with the best
 /// *bandwidth score* — a hypothetical max-min allocation over link
@@ -144,6 +151,9 @@ pub fn select_target(
 
     let hypothetical = bandwidth_score(current, &deps, cluster, mesh);
     let current_score = (hypothetical.0.min(observed_fraction.clamp(0.0, 1.0)), hypothetical.1);
+    if !degraded && !clearly_better(score_ceiling(&deps, cluster), current_score) {
+        return Err(RescheduleError::NoFeasibleNode(component));
+    }
 
     if let Ok(target) = pick_target(component, dag, cluster, mesh, ranked) {
         // A *degraded* component (goodput collapsed) moves to any
@@ -183,6 +193,7 @@ pub fn select_target(
 /// into account (two dependencies reached over the same link split it).
 /// Existing traffic is ignored — optimistic, but self-consistent: the
 /// component's own current flows would otherwise pollute the estimate.
+/// A dependency `node` has no route to is served at rate 0.
 ///
 /// A pure function of the round's world, recomputed on every call:
 /// nothing is carried across rounds (see `docs/ARCHITECTURE.md` § The
@@ -198,6 +209,7 @@ pub(crate) fn bandwidth_score(
     let mut demands: Vec<Bandwidth> = Vec::new();
     // Constraint membership: canonical link key → flow indices.
     let mut link_members: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
+    let mut unreachable: Vec<usize> = Vec::new();
     for (dep, required) in deps {
         let Some(dep_node) = cluster.node_of(*dep) else { continue };
         let idx = demands.len();
@@ -205,11 +217,13 @@ pub(crate) fn bandwidth_score(
         if dep_node == node {
             continue; // co-located: crosses no link, trivially met
         }
-        if let Ok(path) = mesh.path(node, dep_node) {
-            for w in path.windows(2) {
-                let key = if w[0] <= w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
-                link_members.entry(key).or_default().push(idx);
-            }
+        let Ok(path) = mesh.path(node, dep_node) else {
+            unreachable.push(idx);
+            continue;
+        };
+        for w in path.windows(2) {
+            let key = if w[0] <= w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
+            link_members.entry(key).or_default().push(idx);
         }
     }
     if demands.is_empty() {
@@ -222,7 +236,12 @@ pub(crate) fn bandwidth_score(
             members,
         })
         .collect();
-    let rates = max_min_allocate(&demands, &constraints);
+    let mut rates = max_min_allocate(&demands, &constraints);
+    // An unreachable flow crosses no constraint, so the fill granted it
+    // its demand without touching any other flow's rate.
+    for i in unreachable {
+        rates[i] = Bandwidth::ZERO;
+    }
     let mut worst_fraction = 1.0f64;
     let mut total = 0.0f64;
     for (i, rate) in rates.iter().enumerate() {
@@ -232,6 +251,26 @@ pub(crate) fn bandwidth_score(
         }
     }
     (worst_fraction, total)
+}
+
+/// Relative slack on [`score_ceiling`]. The fill kernel's `rates[i] +=
+/// delta`, with `delta ≤ demand − rate`, can overshoot a demand by about
+/// one ulp, so a fully served score may exceed `(1, D)` by a few ulps;
+/// this covers that many orders of magnitude over.
+const CEILING_SLACK: f64 = 1e-9;
+
+/// The best score any node can get for a component with dependencies
+/// `deps`: every placed dependency served at its full demand, `(1, D)`
+/// with `D` the sum of those demands, each term widened by
+/// [`CEILING_SLACK`]. Every [`bandwidth_score`] of the same `deps` and
+/// placement is ≤ it in both terms.
+fn score_ceiling(deps: &[(ComponentId, Bandwidth)], cluster: &Cluster) -> (f64, f64) {
+    let placed: f64 = deps
+        .iter()
+        .filter(|(dep, _)| cluster.node_of(*dep).is_some())
+        .map(|(_, required)| required.as_bps())
+        .sum();
+    (1.0 + CEILING_SLACK, placed * (1.0 + CEILING_SLACK))
 }
 
 /// Total order on scores: worst fraction first, then total bandwidth.
@@ -283,6 +322,7 @@ mod tests {
     use bass_appdag::{catalog, ResourceReq};
     use bass_cluster::NodeSpec;
     use bass_mesh::{CapacitySource, Topology};
+    use bass_util::rng::SimRng;
     use bass_util::time::SimDuration;
 
     const HUB: ComponentId = ComponentId(1);
@@ -623,5 +663,173 @@ mod tests {
         // Degraded: strict feasibility suffices (co-locating with the
         // leaf on node 1 is feasible and allowed immediately).
         assert_eq!(select(HUB, &dag, &cl, &mesh, 0.1, true, true), Ok(NodeId(1)));
+    }
+
+    #[test]
+    fn unreachable_dependencies_score_zero_and_never_attract_the_hub() {
+        // Island A {0, 1, 2}: the hub on n0 reaches its leaves on n1 and
+        // n2 over 1 Mbps links; n1–n2 is 8 Mbps. Island B {3, 4} is cut
+        // off by the downed 2–3 bridge and hosts no dependency. Strict
+        // selection fails everywhere (an 8 Mbps path for a 10 Mbps edge,
+        // or no path at all), so best-effort decides.
+        let dag = star_dag(10.0, 2);
+        let mut mesh = linked_mesh(
+            5,
+            &[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 8.0), (2, 3, 100.0), (3, 4, 100.0)],
+        );
+        mesh.set_link_up(NodeId(2), NodeId(3), false).unwrap();
+        let mut cl = cluster(&[4; 5]);
+        put(&mut cl, 1, 2, 0);
+        put(&mut cl, 2, 0, 1);
+        put(&mut cl, 3, 0, 2);
+        let deps = dag.neighbors(HUB);
+        // From either island-B node neither leaf is reachable at all.
+        for n in [3, 4] {
+            assert_eq!(bandwidth_score(NodeId(n), &deps, &cl, &mesh), (0.0, 0.0));
+        }
+        // n1 or n2 co-locates one leaf and serves the other at 8 of 10
+        // Mbps — the best anyone can do, against 0.1 at n0.
+        let got = select(HUB, &dag, &cl, &mesh, 1.0, true, true);
+        assert!(matches!(got, Ok(NodeId(1 | 2))), "hub moved to {got:?}");
+    }
+
+    /// `select_target` without the gate-first exit, otherwise verbatim:
+    /// the reference the gate is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn select_ungated(
+        component: ComponentId,
+        dag: &AppDag,
+        cluster: &Cluster,
+        mesh: &Mesh,
+        observed_fraction: f64,
+        degraded: bool,
+        best_effort: bool,
+        ranked: &[NodeId],
+    ) -> Result<NodeId, RescheduleError> {
+        let (comp, current) = locate(component, dag, cluster)?;
+        let deps = dag.neighbors(component);
+        let hypothetical = bandwidth_score(current, &deps, cluster, mesh);
+        let current_score = (hypothetical.0.min(observed_fraction.clamp(0.0, 1.0)), hypothetical.1);
+        if let Ok(target) = pick_target(component, dag, cluster, mesh, ranked) {
+            if degraded
+                || clearly_better(bandwidth_score(target, &deps, cluster, mesh), current_score)
+            {
+                return Ok(target);
+            }
+        }
+        if best_effort {
+            let best = ranked
+                .iter()
+                .filter(|&&n| {
+                    n != current
+                        && mesh.node_is_up(n)
+                        && cluster.fits(n, comp.resources).unwrap_or(false)
+                })
+                .map(|&n| (n, bandwidth_score(n, &deps, cluster, mesh)))
+                .max_by(|a, b| score_cmp(a.1, b.1));
+            if let Some((node, _)) = best.filter(|&(_, s)| clearly_better(s, current_score)) {
+                return Ok(node);
+            }
+        }
+        Err(RescheduleError::NoFeasibleNode(component))
+    }
+
+    /// A random small world: 3–6 nodes on a random spanning tree plus
+    /// extra links (1–100 Mbps), sometimes a downed link or node; 2–6
+    /// components with random edges (0.5–20 Mbps, one in ten zero) and
+    /// CPU requests, each placed on a random node with room, or left
+    /// unplaced one time in ten.
+    fn random_world(rng: &mut SimRng) -> (AppDag, Cluster, Mesh, u32) {
+        let n = 3 + rng.below(4) as u32;
+        let mut links: Vec<(u32, u32, f64)> = Vec::new();
+        for b in 1..n {
+            links.push((rng.below(u64::from(b)) as u32, b, rng.uniform(1.0, 100.0)));
+        }
+        for a in 0..n {
+            for b in a + 1..n {
+                if !links.iter().any(|&(x, y, _)| (x, y) == (a, b)) && rng.chance(0.3) {
+                    links.push((a, b, rng.uniform(1.0, 100.0)));
+                }
+            }
+        }
+        let mut mesh = linked_mesh(n, &links);
+        if rng.chance(0.3) {
+            let (a, b, _) = links[rng.below(links.len() as u64) as usize];
+            mesh.set_link_up(NodeId(a), NodeId(b), false).unwrap();
+        }
+        if rng.chance(0.2) {
+            mesh.set_node_up(NodeId(rng.below(u64::from(n)) as u32), false).unwrap();
+        }
+        let k = 2 + rng.below(5) as u32;
+        let mut dag = AppDag::new("random");
+        for c in 1..=k {
+            let req = ResourceReq::cores_mb(rng.below(3), 128);
+            dag.add_component(Component::new(ComponentId(c), format!("c{c}"), req)).unwrap();
+        }
+        for a in 1..=k {
+            for b in a + 1..=k {
+                if rng.chance(0.5) {
+                    let bw = if rng.chance(0.1) { 0.0 } else { rng.uniform(0.5, 20.0) };
+                    dag.add_edge(ComponentId(a), ComponentId(b), mbps(bw)).unwrap();
+                }
+            }
+        }
+        let cores: Vec<u64> = (0..n).map(|_| 2 + rng.below(7)).collect();
+        let mut cl = cluster(&cores);
+        for c in dag.component_ids() {
+            if rng.chance(0.9) {
+                let req = dag.component(c).unwrap().resources;
+                let _ = cl.place(c, req, NodeId(rng.below(u64::from(n)) as u32));
+            }
+        }
+        (dag, cl, mesh, n)
+    }
+
+    #[test]
+    fn gate_first_exit_matches_the_ungated_selection() {
+        let (mut gated, mut moved) = (0, 0);
+        for seed in 0..300 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let (dag, cl, mesh, n) = random_world(&mut rng);
+            let ranked = rank_nodes(&cl, &mesh);
+            for c in dag.component_ids() {
+                let Some(current) = cl.node_of(c) else { continue };
+                let deps = dag.neighbors(c);
+                let ceiling = score_ceiling(&deps, &cl);
+                // The ceiling lemma: no node scores above it in either term.
+                for node in (0..n).map(NodeId) {
+                    let s = bandwidth_score(node, &deps, &cl, &mesh);
+                    assert!(
+                        s.0 <= ceiling.0 && s.1 <= ceiling.1,
+                        "seed {seed}: {c} at {node} scores {s:?} above {ceiling:?}"
+                    );
+                }
+                let hypothetical = bandwidth_score(current, &deps, &cl, &mesh);
+                for observed in [1.0, rng.next_f64()] {
+                    let current_score = (hypothetical.0.min(observed), hypothetical.1);
+                    if !clearly_better(ceiling, current_score) {
+                        gated += 1;
+                    }
+                    for degraded in [false, true] {
+                        for best_effort in [false, true] {
+                            let got = select_target(
+                                c, &dag, &cl, &mesh, observed, degraded, best_effort, &ranked,
+                            );
+                            let want = select_ungated(
+                                c, &dag, &cl, &mesh, observed, degraded, best_effort, &ranked,
+                            );
+                            assert_eq!(
+                                got, want,
+                                "seed {seed}: {c} observed {observed} degraded {degraded} \
+                                 best_effort {best_effort}"
+                            );
+                            moved += usize::from(got.is_ok());
+                        }
+                    }
+                }
+            }
+        }
+        // Neither arm of the comparison may be vacuous.
+        assert!(gated > 100 && moved > 100, "gated {gated}, moved {moved}");
     }
 }

@@ -73,6 +73,19 @@ pub enum EdgeState {
     Remote(FlowId),
 }
 
+/// One bound DAG edge: how it is realized, and its declared requirement
+/// (`AppDag::bandwidth_between`), read once when the edge is bound.
+///
+/// The requirement cannot go stale while the edge stays bound: the
+/// deployment DAG only grows by `absorb`, whose fresh ids cannot add an
+/// edge between already-bound components, and `remove_component` runs
+/// only after its callers have unbound every edge touching it.
+#[derive(Debug, Clone, Copy)]
+struct BoundEdge {
+    state: EdgeState,
+    required: Bandwidth,
+}
+
 /// Environment errors.
 #[derive(Debug)]
 pub enum EnvError {
@@ -154,7 +167,7 @@ pub struct SimEnv {
     netmon: NetMonitor,
     goodput: GoodputMonitor,
     scenario: Scenario,
-    edges: BTreeMap<(ComponentId, ComponentId), EdgeState>,
+    edges: BTreeMap<(ComponentId, ComponentId), BoundEdge>,
     demand_factor: BTreeMap<(ComponentId, ComponentId), f64>,
     /// When each restarting component began its restart; the cost
     /// model is [`SimEnvConfig::restart`].
@@ -408,8 +421,8 @@ impl SimEnv {
     /// Tears down all mesh flows for DAG edges and recreates them from
     /// the current placement.
     fn rebuild_all_edges(&mut self) -> Result<(), EnvError> {
-        for (_, state) in std::mem::take(&mut self.edges) {
-            if let EdgeState::Remote(f) = state {
+        for (_, edge) in std::mem::take(&mut self.edges) {
+            if let EdgeState::Remote(f) = edge.state {
                 let _ = self.mesh.remove_flow(f);
             }
         }
@@ -422,32 +435,61 @@ impl SimEnv {
     }
 
     /// (Re)creates the mesh flow backing one DAG edge from the current
-    /// placement.
+    /// placement, reading the edge's requirement from the DAG.
     fn bind_edge(&mut self, from: ComponentId, to: ComponentId) -> Result<(), EnvError> {
-        if let Some(EdgeState::Remote(f)) = self.edges.remove(&(from, to)) {
-            let _ = self.mesh.remove_flow(f);
-        }
+        self.unbind_edge((from, to));
         let (Some(fn_), Some(tn)) = (self.cluster.node_of(from), self.cluster.node_of(to)) else {
             return Ok(()); // endpoint unplaced: nothing to bind
         };
+        let required = self.dag.bandwidth_between(from, to);
         let state = if fn_ == tn {
             EdgeState::Local
         } else {
-            let demand = self.edge_demand(from, to);
+            let demand = self.edge_demand(from, to, required);
             EdgeState::Remote(self.mesh.add_flow(fn_, tn, demand)?)
         };
-        self.edges.insert((from, to), state);
+        self.edges.insert((from, to), BoundEdge { state, required });
         Ok(())
     }
 
-    /// The current offered demand of an edge: requirement × factor,
-    /// zeroed while either endpoint is restarting.
-    fn edge_demand(&self, from: ComponentId, to: ComponentId) -> Bandwidth {
+    /// Drops one edge's binding and the mesh flow behind it, if any.
+    fn unbind_edge(&mut self, key: (ComponentId, ComponentId)) {
+        if let Some(BoundEdge { state: EdgeState::Remote(f), .. }) = self.edges.remove(&key) {
+            let _ = self.mesh.remove_flow(f);
+        }
+    }
+
+    /// Drops the binding of every bound edge touching `component`.
+    fn unbind_edges_touching(&mut self, component: ComponentId) {
+        let touching: Vec<(ComponentId, ComponentId)> = self
+            .edges
+            .keys()
+            .filter(|&&(a, b)| a == component || b == component)
+            .copied()
+            .collect();
+        for key in touching {
+            self.unbind_edge(key);
+        }
+    }
+
+    /// The current offered demand of an edge whose requirement is
+    /// `required`: requirement × factor, zeroed while either endpoint is
+    /// restarting.
+    fn edge_demand(&self, from: ComponentId, to: ComponentId, required: Bandwidth) -> Bandwidth {
         if self.component_down(from) || self.component_down(to) {
             return Bandwidth::ZERO;
         }
         let factor = self.demand_factor.get(&(from, to)).copied().unwrap_or(1.0);
-        self.dag.bandwidth_between(from, to).scale(factor)
+        required.scale(factor)
+    }
+
+    /// What a bound edge achieves: its full demand when co-located, its
+    /// flow's goodput when remote.
+    fn bound_achieved(&self, from: ComponentId, to: ComponentId, edge: BoundEdge) -> Bandwidth {
+        match edge.state {
+            EdgeState::Local => self.edge_demand(from, to, edge.required),
+            EdgeState::Remote(f) => self.mesh.flow_goodput(f),
+        }
     }
 
     /// Scales an edge's offered demand relative to its declared
@@ -551,17 +593,7 @@ impl SimEnv {
         if let Err(e) = result {
             for &c in &added {
                 // Tear down any flows bound before the failure.
-                let touching: Vec<_> = self
-                    .edges
-                    .keys()
-                    .filter(|&&(a, b)| a == c || b == c)
-                    .copied()
-                    .collect();
-                for key in touching {
-                    if let Some(EdgeState::Remote(f)) = self.edges.remove(&key) {
-                        let _ = self.mesh.remove_flow(f);
-                    }
-                }
+                self.unbind_edges_touching(c);
                 let _ = self.cluster.evict(c);
                 self.dag.remove_component(c);
             }
@@ -609,17 +641,7 @@ impl SimEnv {
         }
         let mut removed = 0u32;
         for &c in components {
-            let touching: Vec<(ComponentId, ComponentId)> = self
-                .edges
-                .keys()
-                .filter(|&&(a, b)| a == c || b == c)
-                .copied()
-                .collect();
-            for key in touching {
-                if let Some(EdgeState::Remote(f)) = self.edges.remove(&key) {
-                    let _ = self.mesh.remove_flow(f);
-                }
-            }
+            self.unbind_edges_touching(c);
             let _ = self.cluster.evict(c);
             if self.dag.remove_component(c) {
                 removed += 1;
@@ -689,14 +711,20 @@ impl SimEnv {
         }
         clock.lap(profiler.as_deref_mut(), "tick.scenario");
 
-        // 2. Push demands.
-        let edge_keys: Vec<(ComponentId, ComponentId)> = self.edges.keys().copied().collect();
-        for (from, to) in &edge_keys {
-            if let Some(EdgeState::Remote(f)) = self.edges.get(&(*from, *to)) {
-                let demand = self.edge_demand(*from, *to);
-                self.mesh.set_flow_demand(*f, demand)?;
+        // 2. Push demands from each remote edge's stored requirement. The
+        // edge map is lifted out for the walk (an O(1) move, put back
+        // before any error propagates) so the loop can read `self` while
+        // it writes the mesh.
+        let edges = std::mem::take(&mut self.edges);
+        let pushed = edges.iter().try_for_each(|(&(from, to), edge)| match edge.state {
+            EdgeState::Remote(f) => {
+                let demand = self.edge_demand(from, to, edge.required);
+                self.mesh.set_flow_demand(f, demand)
             }
-        }
+            EdgeState::Local => Ok(()),
+        });
+        self.edges = edges;
+        pushed?;
         clock.lap(profiler.as_deref_mut(), "tick.demand");
 
         // 3. Advance the network. The mesh profiles its own interior
@@ -710,15 +738,15 @@ impl SimEnv {
         clock.reset();
         let now = self.mesh.now();
 
-        // 4. Passive goodput measurement.
-        for (from, to) in &edge_keys {
-            let required = {
-                let factor = self.demand_factor.get(&(*from, *to)).copied().unwrap_or(1.0);
-                self.dag.bandwidth_between(*from, *to).scale(factor)
-            };
-            let achieved = self.edge_achieved(*from, *to);
-            self.goodput.record(*from, *to, required, achieved, now);
+        // 4. Passive goodput measurement against each edge's stored
+        // requirement × factor (the map lifted out as in phase 2).
+        let edges = std::mem::take(&mut self.edges);
+        for (&(from, to), &edge) in &edges {
+            let factor = self.demand_factor.get(&(from, to)).copied().unwrap_or(1.0);
+            let achieved = self.bound_achieved(from, to, edge);
+            self.goodput.record(from, to, edge.required.scale(factor), achieved, now);
         }
+        self.edges = edges;
         clock.lap(profiler.as_deref_mut(), "tick.goodput");
 
         // 5. Controller. A restart injected this tick loses the tick: the
@@ -1141,17 +1169,15 @@ impl SimEnv {
     /// The bandwidth an edge currently achieves: its full demand when
     /// co-located, the flow's goodput when remote.
     pub fn edge_achieved(&self, from: ComponentId, to: ComponentId) -> Bandwidth {
-        match self.edges.get(&(from, to)) {
-            Some(EdgeState::Local) => self.edge_demand(from, to),
-            Some(EdgeState::Remote(f)) => self.mesh.flow_goodput(*f),
-            None => Bandwidth::ZERO,
-        }
+        self.edges
+            .get(&(from, to))
+            .map_or(Bandwidth::ZERO, |&edge| self.bound_achieved(from, to, edge))
     }
 
     /// Loss fraction on an edge (0 when co-located).
     pub fn edge_loss(&self, from: ComponentId, to: ComponentId) -> f64 {
-        match self.edges.get(&(from, to)) {
-            Some(EdgeState::Remote(f)) => self.mesh.flow_loss(*f),
+        match self.edge_state(from, to) {
+            Some(EdgeState::Remote(f)) => self.mesh.flow_loss(f),
             _ => 0.0,
         }
     }
@@ -1171,11 +1197,11 @@ impl SimEnv {
                 }
             }
         }
-        let base = match self.edges.get(&(from, to)) {
+        let base = match self.edge_state(from, to) {
             Some(EdgeState::Local) | None => self.mesh.hop_latency().for_hops(0),
             Some(EdgeState::Remote(f)) => self
                 .mesh
-                .flow_message_delay(*f, size)
+                .flow_message_delay(f, size)
                 .unwrap_or(SimDuration::from_secs(600)),
         };
         penalty + base
@@ -1183,14 +1209,14 @@ impl SimEnv {
 
     /// How one DAG edge is currently realized.
     pub fn edge_state(&self, from: ComponentId, to: ComponentId) -> Option<EdgeState> {
-        self.edges.get(&(from, to)).copied()
+        self.edges.get(&(from, to)).map(|edge| edge.state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bass_appdag::catalog;
+    use bass_appdag::{catalog, Component, ResourceReq};
     use bass_cluster::NodeSpec;
     use bass_core::heuristics::BfsWeighting;
     use bass_mesh::Topology;
@@ -1273,6 +1299,76 @@ mod tests {
         assert_eq!(env.mesh().flow_count(), flows_before);
         // The environment still steps.
         env.run_for(SimDuration::from_secs(1), |_| {}).unwrap();
+    }
+
+    /// Every stored requirement equals the DAG's, and exactly the DAG
+    /// edges whose endpoints are both placed are bound.
+    fn assert_edges_current(env: &SimEnv, after: &str) {
+        for (&(from, to), edge) in &env.edges {
+            assert_eq!(
+                edge.required.as_bps().to_bits(),
+                env.dag.bandwidth_between(from, to).as_bps().to_bits(),
+                "after {after}: stored requirement of {from}→{to}"
+            );
+        }
+        let mut placed = 0;
+        for e in env.dag.edges() {
+            let both = env.cluster.node_of(e.from).is_some() && env.cluster.node_of(e.to).is_some();
+            placed += usize::from(both);
+            assert_eq!(
+                env.edges.contains_key(&(e.from, e.to)),
+                both,
+                "after {after}: binding of {}→{}",
+                e.from,
+                e.to
+            );
+        }
+        assert_eq!(env.edges.len(), placed, "after {after}: bindings outside the DAG");
+    }
+
+    #[test]
+    fn stored_edge_requirements_track_the_dag_through_churn() {
+        let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(4), mbps(100.0)).unwrap();
+        let cluster = Cluster::new((0..4).map(|i| NodeSpec::cores_mb(i, 16, 32768))).unwrap();
+        let mut env = SimEnv::new(mesh, cluster, AppDag::new("city"), SimEnvConfig::default());
+        env.deploy(&[]).unwrap();
+        let first = env.admit_app(&catalog::camera_pipeline(), 1000).unwrap();
+        assert_edges_current(&env, "an admission");
+        let second = env.admit_app(&catalog::camera_pipeline(), 2000).unwrap();
+        env.run_for(SimDuration::from_secs(2), |_| {}).unwrap();
+        assert_edges_current(&env, "a second admission and two seconds");
+
+        // An instance one of whose components fits no node: the
+        // admission fails after absorbing it and rolls back.
+        let mut hog = AppDag::new("hog");
+        hog.add_component(Component::new(ComponentId(1), "small", ResourceReq::cores_mb(1, 128)))
+            .unwrap();
+        hog.add_component(Component::new(ComponentId(2), "huge", ResourceReq::cores_mb(64, 128)))
+            .unwrap();
+        hog.add_edge(ComponentId(1), ComponentId(2), mbps(5.0)).unwrap();
+        assert!(matches!(env.admit_app(&hog, 3000), Err(EnvError::Schedule(_))));
+        assert_edges_current(&env, "a rolled-back admission");
+
+        let moved = second[0];
+        let from = env.cluster.node_of(moved).unwrap();
+        let resources = env.dag.component(moved).unwrap().resources;
+        let to = (0..4)
+            .map(NodeId)
+            .find(|&n| n != from && env.cluster.fits(n, resources).unwrap_or(false))
+            .unwrap();
+        env.apply_migration(MigrationPlan { component: moved, from, to }).unwrap();
+        assert_eq!(env.cluster.node_of(moved), Some(to));
+        assert_edges_current(&env, "a migration");
+
+        env.retire_app("camera-0", &first).unwrap();
+        assert_edges_current(&env, "a retirement");
+        // The retired instance's ids come back with the next admission.
+        env.admit_app(&catalog::camera_pipeline(), 1000).unwrap();
+        assert_edges_current(&env, "an admission reusing retired ids");
+
+        env.rebuild_all_edges().unwrap();
+        env.run_for(SimDuration::from_secs(2), |_| {}).unwrap();
+        assert_edges_current(&env, "a full rebind and two seconds");
     }
 
     #[test]
