@@ -4,7 +4,7 @@ use bass_cluster::{Cluster, ClusterError, NodeSpec};
 use bass_mesh::{Mesh, MeshError, NodeId, Topology, TopologyError};
 use bass_trace::OuTraceConfig;
 use bass_util::time::SimDuration;
-use bass_util::units::Bandwidth;
+use bass_util::units::{Bandwidth, Millicores};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -150,7 +150,8 @@ impl TestbedSpec {
     /// # Errors
     ///
     /// Returns a [`TestbedError`] for empty, duplicate, or disconnected
-    /// descriptions, for a link whose `mbps` or `relative_std` is
+    /// descriptions, for a node with more than [`Millicores::MAX_CORES`]
+    /// cores, for a link whose `mbps` or `relative_std` is
     /// negative or non-finite, and for a restriction with such an
     /// `mbps`, an undeclared `node`, or an empty `from_s..until_s`.
     pub fn build(&self, seed: u64, trace_len: SimDuration) -> Result<(Mesh, Cluster), TestbedError> {
@@ -159,6 +160,15 @@ impl TestbedSpec {
         }
         if self.links.is_empty() && self.nodes.len() > 1 {
             return Err(TestbedError::Invalid("multiple nodes but no links".into()));
+        }
+        // Cores are counted in millicores: a larger count would wrap.
+        if let Some(n) = self.nodes.iter().find(|n| n.cores > Millicores::MAX_CORES) {
+            return Err(TestbedError::Invalid(format!(
+                "node {}: cores must be at most {}, got {}",
+                n.id,
+                Millicores::MAX_CORES,
+                n.cores
+            )));
         }
         for l in &self.links {
             for (field, v) in [("mbps", l.mbps), ("relative_std", l.relative_std)] {

@@ -10,7 +10,7 @@
 //! node.
 
 use crate::heuristics::ComponentOrdering;
-use crate::ranking::rank_nodes;
+use crate::ranking::NodeRanking;
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::{Cluster, Placement};
 use bass_mesh::Mesh;
@@ -45,6 +45,14 @@ impl Error for PlacementError {}
 /// Packs `ordering` onto the cluster, mutating it, and returns the
 /// resulting placement.
 ///
+/// Every group packs onto the availability ranking as it stands at the
+/// group's start, exactly as if [`rank_nodes`](crate::ranking::rank_nodes)
+/// were called there. The ranking is built once per call and, between
+/// groups, only the nodes the previous group placed on are re-scored
+/// ([`NodeRanking::refresh`]): placing moves nothing but those nodes'
+/// free CPU and memory, and the mesh is borrowed, so every other score
+/// is unchanged.
+///
 /// # Errors
 ///
 /// On error the cluster may hold a partial placement (mirroring k8s
@@ -76,8 +84,13 @@ pub fn pack_ordering(
     cluster: &mut Cluster,
     mesh: &Mesh,
 ) -> Result<Placement, PlacementError> {
+    let mut ranking = NodeRanking::new(cluster, mesh);
+    // Nodes the current group placed on, in rank order (the cursor
+    // never moves back, so each appears once).
+    let mut touched = Vec::new();
     for group in ordering.groups() {
-        let ranked = rank_nodes(cluster, mesh);
+        ranking.refresh(cluster, &touched);
+        touched.clear();
         let mut cursor = 0usize;
         for &cid in group {
             let component = dag
@@ -87,13 +100,16 @@ pub fn pack_ordering(
                 return Err(PlacementError::AlreadyPlaced(cid));
             }
             loop {
-                let Some(&node) = ranked.get(cursor) else {
+                let Some(node) = ranking.get(cursor) else {
                     return Err(PlacementError::NoCapacity(cid));
                 };
                 if cluster.fits(node, component.resources).unwrap_or(false) {
                     cluster
                         .place(cid, component.resources, node)
                         .expect("fit checked");
+                    if touched.last() != Some(&node) {
+                        touched.push(node);
+                    }
                     break;
                 }
                 cursor += 1;

@@ -3,6 +3,7 @@
 
 use bass_cluster::Cluster;
 use bass_mesh::{Mesh, NodeId};
+use std::cmp::Ordering;
 
 /// One node's ranking score: free CPU, free memory, and total incident
 /// link capacity, compared lexicographically in that order (CPU is the
@@ -20,26 +21,96 @@ pub struct NodeScore {
     pub link_capacity_bps: f64,
 }
 
-/// Ranks the cluster's nodes by availability, best first.
+impl NodeScore {
+    /// The ranking's total order: more free CPU first, then more free
+    /// memory, then more link capacity, then the lower node id.
+    fn rank_cmp(&self, other: &NodeScore) -> Ordering {
+        other
+            .free_cpu_millis
+            .cmp(&self.free_cpu_millis)
+            .then(other.free_memory_mb.cmp(&self.free_memory_mb))
+            .then(other.link_capacity_bps.total_cmp(&self.link_capacity_bps))
+            .then(self.node.cmp(&other.node))
+    }
+}
+
+/// Every node's score, read once and kept sorted best first.
+///
+/// A placement or eviction moves only its node's free CPU and memory;
+/// [`refresh`](Self::refresh) re-reads those for the named nodes and
+/// moves them to their new rank. Link capacities are read once, at
+/// [`new`](Self::new): while the mesh's capacities hold still (flows
+/// never move them), the refreshed ranking is exactly a fresh
+/// [`rank_nodes`].
+#[derive(Debug, Clone)]
+pub struct NodeRanking {
+    scores: Vec<NodeScore>,
+}
+
+impl NodeRanking {
+    /// Scores every cluster node and sorts them, best first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster references a node the mesh does not know —
+    /// construction wiring should make that impossible.
+    pub fn new(cluster: &Cluster, mesh: &Mesh) -> Self {
+        let mut scores: Vec<NodeScore> = cluster
+            .node_ids()
+            .into_iter()
+            .map(|n| score_node(cluster, mesh, n))
+            .collect();
+        scores.sort_by(NodeScore::rank_cmp);
+        NodeRanking { scores }
+    }
+
+    /// Re-reads the free CPU and memory of `nodes` and re-sorts them
+    /// into place — O(ranked nodes) per named node, no link read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named node is not ranked.
+    pub fn refresh(&mut self, cluster: &Cluster, nodes: &[NodeId]) {
+        for &node in nodes {
+            let at = self
+                .scores
+                .iter()
+                .position(|s| s.node == node)
+                .expect("refreshed node is ranked");
+            let mut score = self.scores.remove(at);
+            let free = cluster.free_on(node).expect("cluster node exists");
+            score.free_cpu_millis = free.cpu.as_millis();
+            score.free_memory_mb = free.memory.as_mb();
+            let to = self.scores.partition_point(|s| s.rank_cmp(&score) == Ordering::Less);
+            self.scores.insert(to, score);
+        }
+    }
+
+    /// The node at rank `i` (0 = best), if any.
+    pub fn get(&self, i: usize) -> Option<NodeId> {
+        self.scores.get(i).map(|s| s.node)
+    }
+
+    /// The nodes, best first.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.scores.iter().map(|s| s.node)
+    }
+
+    /// The scores, best first.
+    pub fn scores(&self) -> &[NodeScore] {
+        &self.scores
+    }
+}
+
+/// Ranks the cluster's nodes by availability, best first — a fresh
+/// [`NodeRanking`]'s order.
 ///
 /// # Panics
 ///
 /// Panics if the cluster references a node the mesh does not know —
 /// construction wiring should make that impossible.
 pub fn rank_nodes(cluster: &Cluster, mesh: &Mesh) -> Vec<NodeId> {
-    let mut scores: Vec<NodeScore> = cluster
-        .node_ids()
-        .into_iter()
-        .map(|n| score_node(cluster, mesh, n))
-        .collect();
-    scores.sort_by(|a, b| {
-        b.free_cpu_millis
-            .cmp(&a.free_cpu_millis)
-            .then(b.free_memory_mb.cmp(&a.free_memory_mb))
-            .then(b.link_capacity_bps.total_cmp(&a.link_capacity_bps))
-            .then(a.node.cmp(&b.node))
-    });
-    scores.into_iter().map(|s| s.node).collect()
+    NodeRanking::new(cluster, mesh).nodes().collect()
 }
 
 /// Computes a single node's score.
@@ -129,6 +200,27 @@ mod tests {
             rank_nodes(&cluster, &mesh3()),
             vec![NodeId(0), NodeId(1), NodeId(2)]
         );
+    }
+
+    #[test]
+    fn refresh_moves_only_the_touched_nodes() {
+        let mut cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 4, 1024))).unwrap();
+        let mesh = mesh3();
+        let mut ranking = NodeRanking::new(&cluster, &mesh);
+        assert_eq!(ranking.nodes().collect::<Vec<_>>(), vec![NodeId(0), NodeId(1), NodeId(2)]);
+        cluster
+            .place(ComponentId(1), ResourceReq::cores_mb(1, 128), NodeId(0))
+            .unwrap();
+        cluster
+            .place(ComponentId(2), ResourceReq::cores_mb(2, 128), NodeId(1))
+            .unwrap();
+        ranking.refresh(&cluster, &[NodeId(0), NodeId(1)]);
+        assert_eq!(ranking.scores(), NodeRanking::new(&cluster, &mesh).scores());
+        assert_eq!(ranking.get(0), Some(NodeId(2)));
+        cluster.evict(ComponentId(2)).unwrap();
+        ranking.refresh(&cluster, &[NodeId(1)]);
+        assert_eq!(ranking.nodes().collect::<Vec<_>>(), rank_nodes(&cluster, &mesh));
+        assert_eq!(ranking.get(3), None);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::{Cluster, MigrationRecord, Placement, RestartModel};
 use bass_core::heuristics::ComponentOrdering;
 use bass_core::placement::pack_ordering;
+use bass_core::ranking::NodeRanking;
 use bass_core::scheduler::{BassScheduler, ScheduleError, PlacementPolicy};
 use bass_core::{BassController, ControllerConfig, EventSource, MigrationPlan, PolicyKind};
 use bass_faults::{Fault, FaultPlan};
@@ -1011,12 +1012,16 @@ impl SimEnv {
 
     /// Tries to re-place every displaced component on the best-ranked up
     /// node with room; newly placed components pay a restart and have
-    /// their edges rebound.
+    /// their edges rebound. The ranking is read once and only the node
+    /// just placed on is re-scored: rebinding edges adds and removes
+    /// flows, which move no link capacity, so each component sees
+    /// exactly a fresh `rank_nodes`.
     fn replace_displaced(&mut self) -> Result<(), EnvError> {
         if self.displaced.is_empty() {
             return Ok(());
         }
         let candidates: Vec<ComponentId> = self.displaced.iter().copied().collect();
+        let mut ranking = NodeRanking::new(&self.cluster, &self.mesh);
         let mut placed_any = false;
         for c in candidates {
             let Some(comp) = self.dag.component(c) else {
@@ -1024,8 +1029,8 @@ impl SimEnv {
                 continue;
             };
             let resources = comp.resources;
-            let target = bass_core::ranking::rank_nodes(&self.cluster, &self.mesh)
-                .into_iter()
+            let target = ranking
+                .nodes()
                 .filter(|&n| self.mesh.node_is_up(n))
                 .find(|&n| self.cluster.fits(n, resources).unwrap_or(false));
             let Some(node) = target else {
@@ -1034,6 +1039,7 @@ impl SimEnv {
             self.cluster
                 .place(c, resources, node)
                 .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
+            ranking.refresh(&self.cluster, &[node]);
             self.displaced.remove(&c);
             // The component restarts on its new node.
             self.restarts.insert(c, self.mesh.now());

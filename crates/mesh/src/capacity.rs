@@ -64,7 +64,21 @@ impl LinkCapacity {
 
     /// Effective capacity at time `t`: `min(base, cap)`.
     pub fn effective_at(&self, t: SimTime) -> Bandwidth {
-        let base = self.source.capacity_at(t);
+        self.capped(self.source.capacity_at(t))
+    }
+
+    /// [`effective_at`](Self::effective_at) `t` and the source's next
+    /// change-point after `t` (`None` for a constant), a trace read
+    /// forward from `cursor` ([`BandwidthTrace::read_forward`]).
+    pub fn read_forward(&self, t: SimTime, cursor: &mut u32) -> (Bandwidth, Option<SimTime>) {
+        let (base, next) = match &self.source {
+            CapacitySource::Constant(b) => (*b, None),
+            CapacitySource::Trace(trace) => trace.read_forward(t, cursor),
+        };
+        (self.capped(base), next)
+    }
+
+    fn capped(&self, base: Bandwidth) -> Bandwidth {
         match self.cap {
             Some(c) => base.min(c),
             None => base,

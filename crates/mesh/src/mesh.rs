@@ -290,6 +290,10 @@ pub struct Mesh {
     /// (un)frozen); the dense reference never reads through it, so there
     /// it stays stale.
     trace_clock: Option<Option<SimTime>>,
+    /// Per-link sample cursors of the full capacity re-read
+    /// ([`BandwidthTrace::read_forward`](bass_trace::BandwidthTrace::read_forward)),
+    /// which re-arms the trace clock in the same pass.
+    trace_cursor: Vec<u32>,
     /// Set (one way) by [`Mesh::use_reference_allocator`]: `reallocate`
     /// runs the dense test reference instead of the production path.
     reference: bool,
@@ -366,6 +370,7 @@ impl Mesh {
             down_links: BTreeSet::new(),
             trace_freeze: BTreeMap::new(),
             trace_clock: None,
+            trace_cursor: vec![0; link_count],
             reference: false,
             index: AllocIndex { dirty: true, ..AllocIndex::default() },
             scratch: AllocScratch::default(),
@@ -937,8 +942,11 @@ impl Mesh {
         self.trace_clock.filter(|next| next.is_none_or(|t| t > self.now))
     }
 
-    /// The scan behind the trace clock: the earliest change-point
-    /// strictly after `now` across every unfrozen traced link.
+    /// The stale-clock fallback of [`next_trace_change`](Self::next_trace_change):
+    /// the earliest change-point strictly after `now` across every
+    /// unfrozen traced link, one binary search per link. The full
+    /// capacity re-read arms the clock with the same answer from its
+    /// cursors.
     fn scan_trace_change(&self) -> Option<SimTime> {
         self.link_caps
             .iter()
@@ -1025,10 +1033,14 @@ impl Mesh {
     /// `cap_changed` every link whose effective capacity moved. Reads
     /// every link (and every egress cap) when the index was just
     /// `rebuilt`, when the trace clock is stale or when `now` has
-    /// reached it, and then re-arms the clock. Otherwise it reads only
-    /// `dirty_links`: under a clean index and a clock still ahead of
-    /// `now`, no other link's capacity can have moved — and with none
-    /// queued the snapshot is current and nothing is read.
+    /// reached it, and re-arms the clock from that same pass: each
+    /// unfrozen link reads its source forward from its sample cursor —
+    /// O(links + samples crossed) — and yields its next change-point;
+    /// a frozen link reads its freeze instant and has no change-point.
+    /// Otherwise it reads only `dirty_links`: under a clean index and a
+    /// clock still ahead of `now`, no other link's capacity can have
+    /// moved — and with none queued the snapshot is current and nothing
+    /// is read.
     fn refresh_constraint_caps(&mut self, rebuilt: bool) {
         self.cap_changed.clear();
         if !rebuilt && self.link_snapshot_current() {
@@ -1036,8 +1048,25 @@ impl Mesh {
         }
         if rebuilt || self.armed_trace_clock().is_none() {
             let link_count = self.topo.link_count();
+            let mut clock: Option<SimTime> = None;
             for i in 0..link_count {
-                let bps = self.effective_link_capacity(LinkId(i)).as_bps();
+                let lid = LinkId(i);
+                let cap = if self.trace_freeze.contains_key(&lid) {
+                    self.effective_link_capacity(lid)
+                } else {
+                    let (cap, next) =
+                        self.link_caps[i].read_forward(self.now, &mut self.trace_cursor[i]);
+                    clock = match (clock, next) {
+                        (Some(a), Some(b)) => Some(a.min(b)),
+                        (a, b) => a.or(b),
+                    };
+                    if self.usable(lid) { cap } else { Bandwidth::ZERO }
+                };
+                let bps = cap.as_bps();
+                debug_assert_eq!(
+                    bps.to_bits(),
+                    self.effective_link_capacity(lid).as_bps().to_bits()
+                );
                 if bps.to_bits() != self.link_cap_bps[i].to_bits() {
                     self.link_cap_bps[i] = bps;
                     self.cap_changed.push(i as u32);
@@ -1050,7 +1079,8 @@ impl Mesh {
             for (c, &cap) in egress_cons.iter_mut().zip(self.egress_caps.values()) {
                 c.capacity = cap;
             }
-            self.trace_clock = Some(self.scan_trace_change());
+            debug_assert_eq!(clock, self.scan_trace_change());
+            self.trace_clock = Some(clock);
         } else {
             for k in 0..self.dirty_links.len() {
                 let l = self.dirty_links[k] as usize;

@@ -8,6 +8,7 @@
 //! campaign never dies halfway through a replica on a bad parameter.
 
 use bass_faults::StormProfile;
+use bass_util::units::Millicores;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -306,6 +307,14 @@ impl ScenarioSpec {
         if self.nodes.cores_min == 0 || self.nodes.cores_min > self.nodes.cores_max {
             return Err(SpecError::new("node core range must satisfy 1 <= min <= max"));
         }
+        // Cores are counted in millicores: a larger count would wrap.
+        if self.nodes.cores_max > Millicores::MAX_CORES {
+            return Err(SpecError::new(format!(
+                "nodes.cores_max must be at most {}, got {}",
+                Millicores::MAX_CORES,
+                self.nodes.cores_max
+            )));
+        }
         if self.nodes.mem_mb_min == 0 || self.nodes.mem_mb_min > self.nodes.mem_mb_max {
             return Err(SpecError::new("node memory range must satisfy 1 <= min <= max"));
         }
@@ -497,7 +506,12 @@ mod tests {
         }
         type Edit = fn(&mut ScenarioSpec);
         // (field the error must name, hostile edit)
-        let rows: [(&str, Edit); 9] = [
+        let rows: [(&str, Edit); 10] = [
+            // One core over: 1000× it wraps to 384 millicores.
+            ("nodes.cores_max", |s| {
+                s.nodes.cores_min = 18446744073709552;
+                s.nodes.cores_max = 18446744073709552;
+            }),
             ("links.sample_interval_s", |s| s.links.sample_interval_s = 0.0004),
             ("links.fade_rate_per_min", |s| s.links.fade_rate_per_min = -1.0),
             ("links.fade_duration_s", |s| s.links.fade_duration_s = -5.0),

@@ -115,6 +115,47 @@ impl BandwidthTrace {
         self.samples.get(idx).map(|&(st, _)| st)
     }
 
+    /// [`capacity_at`](Self::capacity_at) and
+    /// [`next_change_after`](Self::next_change_after) at `t` in one
+    /// forward read from a caller-held sample cursor.
+    ///
+    /// `cursor` counts the samples at or before the last instant read
+    /// through it. A read at or after that instant walks forward from
+    /// it — O(samples crossed); a cursor past the end or ahead of `t` (a
+    /// different trace read since, or an earlier `t`) is recomputed by
+    /// binary search. Either way the answer is exactly the two searches'
+    /// and the cursor is left at `t`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bass_trace::BandwidthTrace;
+    /// use bass_util::prelude::*;
+    ///
+    /// let mut trace = BandwidthTrace::new("uplink");
+    /// trace.push(SimTime::ZERO, Bandwidth::from_mbps(25.0));
+    /// trace.push(SimTime::from_secs(60), Bandwidth::from_mbps(7.0));
+    /// let mut cursor = 0;
+    /// let (cap, next) = trace.read_forward(SimTime::from_secs(30), &mut cursor);
+    /// assert_eq!((cap.as_mbps(), next), (25.0, Some(SimTime::from_secs(60))));
+    /// let (cap, next) = trace.read_forward(SimTime::from_secs(90), &mut cursor);
+    /// assert_eq!((cap.as_mbps(), next), (7.0, None));
+    /// ```
+    pub fn read_forward(&self, t: SimTime, cursor: &mut u32) -> (Bandwidth, Option<SimTime>) {
+        let s = &self.samples;
+        let mut i = *cursor as usize;
+        if i > s.len() || (i > 0 && s[i - 1].0 > t) {
+            i = s.partition_point(|&(st, _)| st <= t);
+        } else {
+            while s.get(i).is_some_and(|&(st, _)| st <= t) {
+                i += 1;
+            }
+        }
+        *cursor = i as u32;
+        let capacity = i.checked_sub(1).map_or(Bandwidth::ZERO, |k| s[k].1);
+        (capacity, s.get(i).map(|&(st, _)| st))
+    }
+
     /// The time of the last sample, or `None` when empty.
     pub fn end_time(&self) -> Option<SimTime> {
         self.samples.last().map(|&(t, _)| t)
@@ -317,6 +358,58 @@ mod tests {
         );
         assert_eq!(t.next_change_after(SimTime::from_secs(20)), None);
         assert_eq!(BandwidthTrace::new("e").next_change_after(SimTime::ZERO), None);
+    }
+
+    /// What `read_forward` must equal: the two binary searches.
+    fn searched(t: &BandwidthTrace, at: SimTime) -> (Bandwidth, Option<SimTime>) {
+        (t.capacity_at(at), t.next_change_after(at))
+    }
+
+    #[test]
+    fn read_forward_matches_the_two_searches() {
+        let mut t = BandwidthTrace::new("l");
+        for (s, v) in [(10, 5.0), (10, 6.0), (20, 2.0), (30, 3.0), (40, 4.0), (50, 8.0)] {
+            t.push(SimTime::from_secs(s), mbps(v));
+        }
+        // Before the first sample, exactly on one (duplicate instants
+        // included), between two, several skipped in one read, past the
+        // end, and a repeat of the last instant.
+        let mut cursor = 0;
+        for s in [0, 10, 10, 15, 20, 45, 50, 99, 99] {
+            let at = SimTime::from_secs(s);
+            assert_eq!(t.read_forward(at, &mut cursor), searched(&t, at), "t = {s}");
+            assert_eq!(cursor as usize, t.samples().partition_point(|&(st, _)| st <= at));
+        }
+    }
+
+    #[test]
+    fn read_forward_recovers_from_a_stale_cursor() {
+        let mut t = BandwidthTrace::new("l");
+        for s in 0..10 {
+            t.push(SimTime::from_secs(10 * s), mbps(s as f64 + 1.0));
+        }
+        // Ahead of `t`: an earlier instant, or a cursor left by a longer
+        // trace that was swapped out. The last row is already in place.
+        for (at, start) in [(25, 7), (0, 10), (95, 11), (95, 4_000_000_000), (5, 1)] {
+            let at = SimTime::from_secs(at);
+            let mut cursor = start;
+            assert_eq!(t.read_forward(at, &mut cursor), searched(&t, at), "{at:?} from {start}");
+            assert_eq!(cursor as usize, t.samples().partition_point(|&(st, _)| st <= at));
+        }
+        // Behind `t` by any distance is a plain forward walk.
+        let (mut cursor, late) = (0, SimTime::from_secs(1000));
+        assert_eq!(t.read_forward(late, &mut cursor), searched(&t, late));
+        assert_eq!(cursor, 10);
+    }
+
+    #[test]
+    fn read_forward_on_an_empty_trace() {
+        let t = BandwidthTrace::new("e");
+        for start in [0, 3] {
+            let mut cursor = start;
+            assert_eq!(t.read_forward(SimTime::from_secs(5), &mut cursor), (Bandwidth::ZERO, None));
+            assert_eq!(cursor, 0);
+        }
     }
 
     #[test]

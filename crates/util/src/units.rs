@@ -278,12 +278,17 @@ impl Millicores {
     /// Zero CPU.
     pub const ZERO: Millicores = Millicores(0);
 
+    /// The largest whole-core count [`from_cores`](Self::from_cores)
+    /// can represent; input boundaries reject anything above it.
+    pub const MAX_CORES: u64 = u64::MAX / 1000;
+
     /// Creates a quantity from raw millicores.
     pub const fn from_millis(m: u64) -> Self {
         Millicores(m)
     }
 
-    /// Creates a quantity from whole cores.
+    /// Creates a quantity from whole cores. `cores` must not exceed
+    /// [`MAX_CORES`](Self::MAX_CORES) (the product overflows).
     pub const fn from_cores(cores: u64) -> Self {
         Millicores(cores * 1000)
     }

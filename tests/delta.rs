@@ -227,8 +227,10 @@ proptest! {
     // mid-run trace source swaps and trace freezes over OU-trace links:
     // the dirty-set pipeline must stay bit-identical to the dense
     // reference, tick after tick. A swap followed by a tick that crosses
-    // another link's change-point must still read that link, and every
-    // capacity read between a mutation and the next tick must see it.
+    // another link's change-point must still read that link, every
+    // capacity read between a mutation and the next tick must see it,
+    // and a swapped-in trace on a sub-tick grid or one that already
+    // ended must read the same through its sample cursor.
     #[test]
     fn delta_matches_dense_under_random_schedules(
         n in 3u32..8,
@@ -301,15 +303,41 @@ proptest! {
                     let up = rng.below(3) != 0;
                     pair.both(|m| m.set_node_up(node, up).unwrap());
                 }
-                8 => {
-                    let l = rng.below(links.len() as u64) as usize;
+                8 | 10 => {
+                    // A source swap, twice as likely as the other
+                    // mutations: half the time on a traced link, whose
+                    // sample cursor the full capacity re-reads have been
+                    // moving.
+                    let on: Vec<usize> = (0..links.len()).filter(|&l| traced[l]).collect();
+                    let l = if !on.is_empty() && rng.below(2) == 0 {
+                        on[rng.below(on.len() as u64) as usize]
+                    } else {
+                        rng.below(links.len() as u64) as usize
+                    };
                     let (a, b) = links[l];
                     traced[l] = rng.below(2) == 0;
                     let source = if traced[l] {
-                        let cfg = OuTraceConfig::new(format!("swap{tick}"), mean)
+                        // A 1 s grid like the others, a sub-tick grid (one
+                        // advance crosses several change-points), a coarse
+                        // grid, or a trace that ended before `now` — the
+                        // link's sample cursor is left behind `now`, ahead
+                        // of it or past the end.
+                        let mut cfg = OuTraceConfig::new(format!("swap{tick}"), mean)
                             .relative_std(rel_std);
-                        let trace = cfg.generate(rng.next_u64(), SimDuration::from_secs(30));
-                        CapacitySource::Trace(trace)
+                        let mut length = SimDuration::from_secs(30);
+                        match rng.below(4) {
+                            0 => {}
+                            1 => {
+                                let grid = SimDuration::from_millis(30 + rng.below(80));
+                                cfg = cfg.sample_interval(grid);
+                            }
+                            2 => {
+                                let grid = SimDuration::from_millis(2_000 + rng.below(3_000));
+                                cfg = cfg.sample_interval(grid);
+                            }
+                            _ => length = SimDuration::from_millis(u64::from(tick) * 100),
+                        }
+                        CapacitySource::Trace(cfg.generate(rng.next_u64(), length))
                     } else {
                         CapacitySource::Constant(Bandwidth::from_mbps(rng.uniform(1.0, 1.5 * mean)))
                     };

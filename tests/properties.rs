@@ -1,14 +1,16 @@
 //! Property-based tests on the core invariants, spanning crates.
 
-use bass::appdag::{AppDag, ComponentId};
-use bass::cluster::{Cluster, NodeSpec};
-use bass::core::heuristics::{breadth_first, hybrid, longest_path, BfsWeighting};
-use bass::core::placement::pack_ordering;
+use bass::appdag::{AppDag, ComponentId, ResourceReq};
+use bass::cluster::{Cluster, NodeSpec, Placement};
+use bass::core::heuristics::{breadth_first, hybrid, longest_path, BfsWeighting, ComponentOrdering};
+use bass::core::placement::{pack_ordering, PlacementError};
+use bass::core::ranking::{rank_nodes, NodeRanking};
 use bass::mesh::flow::{max_min_allocate, max_min_allocate_dense, Constraint};
 use bass::mesh::queueing::{FlowQueue, MAX_DELAY};
 use bass::mesh::routing::RoutingTable;
-use bass::mesh::{LinkId, Mesh, NodeId, Topology};
+use bass::mesh::{CapacitySource, LinkId, Mesh, NodeId, Topology};
 use bass::trace::OuTraceConfig;
+use bass::util::rng::SimRng;
 use bass::util::time::SimDuration;
 use bass::util::units::{Bandwidth, DataSize};
 use proptest::prelude::*;
@@ -443,5 +445,119 @@ proptest! {
                 prop_assert_eq!(table.path(a, b), oracle.get(&(a, b)).cloned());
             }
         }
+    }
+}
+
+/// A small world for the ranking: a ring with chords whose link
+/// capacities repeat, and nodes drawn from short core and memory ranges,
+/// so every tier of the order (CPU, memory, link capacity, id) decides
+/// some ties.
+fn ranking_world(n: u32, seed: u64) -> (Cluster, Mesh) {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let topo = ring_with_chords(n, n as usize, seed);
+    let mut mesh = Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(10.0)).unwrap();
+    let links: Vec<_> = mesh.topology().links().map(|(_, l)| (l.a, l.b)).collect();
+    for (a, b) in links {
+        let mbps = [10.0, 20.0, 40.0][rng.below(3) as usize];
+        mesh.set_link_source(a, b, CapacitySource::Constant(Bandwidth::from_mbps(mbps)))
+            .unwrap();
+    }
+    let nodes = (0..n).map(|i| NodeSpec::cores_mb(i, 2 + rng.below(4), 512 * (1 + rng.below(3))));
+    (Cluster::new(nodes).unwrap(), mesh)
+}
+
+/// `pack_ordering` as it was before the ranking was kept across groups:
+/// one fresh `rank_nodes` per group.
+fn pack_one_rank_per_group(
+    ordering: &ComponentOrdering,
+    dag: &AppDag,
+    cluster: &mut Cluster,
+    mesh: &Mesh,
+) -> Result<Placement, PlacementError> {
+    for group in ordering.groups() {
+        let ranked = rank_nodes(cluster, mesh);
+        let mut cursor = 0;
+        for &cid in group {
+            let component = dag.component(cid).ok_or(PlacementError::UnknownComponent(cid))?;
+            if cluster.node_of(cid).is_some() {
+                return Err(PlacementError::AlreadyPlaced(cid));
+            }
+            loop {
+                let Some(&node) = ranked.get(cursor) else {
+                    return Err(PlacementError::NoCapacity(cid));
+                };
+                if cluster.fits(node, component.resources).unwrap_or(false) {
+                    cluster.place(cid, component.resources, node).expect("fit checked");
+                    break;
+                }
+                cursor += 1;
+            }
+        }
+    }
+    Ok(cluster.placement())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn node_ranking_refresh_matches_a_fresh_ranking(
+        n in 2u32..12,
+        ops in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        let (mut cluster, mesh) = ranking_world(n, seed);
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x5eed);
+        let mut ranking = NodeRanking::new(&cluster, &mesh);
+        let mut touched = Vec::new();
+        for _ in 0..ops {
+            // Toggle one of eight components: evict it if placed, else
+            // try a random node.
+            let c = ComponentId(rng.below(8) as u32);
+            if cluster.node_of(c).is_some() {
+                touched.push(cluster.evict(c).unwrap());
+            } else {
+                let node = NodeId(rng.below(u64::from(n)) as u32);
+                let req = ResourceReq::cores_mb(1 + rng.below(2), 128 * (1 + rng.below(4)));
+                if cluster.place(c, req, node).is_ok() {
+                    touched.push(node);
+                }
+            }
+            if rng.chance(0.4) {
+                ranking.refresh(&cluster, &touched);
+                touched.clear();
+                prop_assert_eq!(ranking.scores(), NodeRanking::new(&cluster, &mesh).scores());
+                prop_assert_eq!(ranking.nodes().collect::<Vec<_>>(), rank_nodes(&cluster, &mesh));
+            }
+        }
+    }
+
+    #[test]
+    fn pack_ordering_matches_one_rank_per_group(
+        dag in arb_dag(),
+        n in 2u32..8,
+        seed in any::<u64>(),
+        chains in any::<bool>(),
+    ) {
+        let (mut cluster, mesh) = ranking_world(n, seed);
+        // Pre-load some nodes with components outside the DAG's ids.
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x10ad);
+        for k in 0..n {
+            let req = ResourceReq::cores_mb(rng.below(3), 128 * rng.below(3));
+            let node = NodeId(rng.below(u64::from(n)) as u32);
+            let _ = cluster.place(ComponentId(1000 + k), req, node);
+        }
+        let ordering = if chains {
+            longest_path(&dag).unwrap()
+        } else {
+            breadth_first(&dag, BfsWeighting::EdgeWeight).unwrap()
+        };
+        let mut reference = cluster.clone();
+        let want = pack_one_rank_per_group(&ordering, &dag, &mut reference, &mesh);
+        let got = pack_ordering(&ordering, &dag, &mut cluster, &mesh);
+        // Same placement, or `NoCapacity` at the same component with the
+        // same partial placement left behind.
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(cluster, reference);
     }
 }
