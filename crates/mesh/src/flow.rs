@@ -9,7 +9,6 @@
 use crate::topology::NodeId;
 use bass_util::units::Bandwidth;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a flow registered with the mesh.
@@ -34,66 +33,6 @@ pub struct FlowSpec {
     pub dst: NodeId,
     /// Offered load (demand). The allocation never exceeds this.
     pub demand: Bandwidth,
-}
-
-/// The result of a fairness computation: the rate granted to each flow.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct FlowAllocation {
-    rates: BTreeMap<FlowId, Bandwidth>,
-}
-
-impl FlowAllocation {
-    /// The rate granted to a flow; zero for unknown flows.
-    pub fn rate(&self, id: FlowId) -> Bandwidth {
-        self.rates.get(&id).copied().unwrap_or(Bandwidth::ZERO)
-    }
-
-    /// Iterates over `(flow, rate)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (FlowId, Bandwidth)> + '_ {
-        self.rates.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Number of flows in the allocation.
-    pub fn len(&self) -> usize {
-        self.rates.len()
-    }
-
-    /// True when no flows were allocated.
-    pub fn is_empty(&self) -> bool {
-        self.rates.is_empty()
-    }
-
-    pub(crate) fn insert(&mut self, id: FlowId, rate: Bandwidth) {
-        self.rates.insert(id, rate);
-    }
-
-    /// Replaces the allocation with the `(flow, bps)` pairs of `live`
-    /// (ascending flow order). One merge walk finds the keys that left
-    /// and the keys that joined; only those are removed or inserted, and
-    /// every value is then updated in place — so neither the steady-state
-    /// tick nor a tick after flow churn rebuilds the map.
-    pub(crate) fn assign(&mut self, live: impl Iterator<Item = (FlowId, f64)> + Clone) {
-        let (mut gone, mut fresh) = (Vec::new(), Vec::new());
-        let mut have = self.rates.keys().copied().peekable();
-        for (id, _) in live.clone() {
-            while let Some(k) = have.next_if(|&k| k < id) {
-                gone.push(k);
-            }
-            if have.next_if_eq(&id).is_none() {
-                fresh.push(id);
-            }
-        }
-        gone.extend(have);
-        for k in gone {
-            self.rates.remove(&k);
-        }
-        for id in fresh {
-            self.rates.insert(id, Bandwidth::ZERO);
-        }
-        for (slot, (_, r)) in self.rates.values_mut().zip(live) {
-            *slot = Bandwidth::from_bps(r);
-        }
-    }
 }
 
 /// One capacity constraint (a link, or a node egress cap) and the flows
@@ -410,11 +349,12 @@ pub struct AllocScratch {
 
 /// Progressive-filling water-fill of one constraint component, in place.
 ///
-/// Resets the component's slice of the working state (`rates`, `frozen`,
+/// Resets the component's slice of the working state (`frozen`,
 /// `remaining`, `active_count`), then runs the incremental water-filling
-/// rounds restricted to the component's flows and constraints. This is
-/// *the* canonical fill: the dense reference performs the same
-/// floating-point operations by re-scanning membership lists, and
+/// rounds restricted to the component's flows and constraints, writing
+/// each flow's entry of `rates` once, when it freezes. This is *the*
+/// canonical fill: the dense reference reaches the same floating-point
+/// values by re-scanning membership lists and adding to every rate, and
 /// [`crate::Mesh`] calls this directly for each dirty component. State
 /// arrays are global-sized; only the component's entries are read or
 /// written, so disjoint components can be filled in any order with
@@ -438,13 +378,16 @@ fn fill_component(
     // 0 (mirroring the historical global pre-pass), everything else
     // starts unfrozen at rate 0.
     active.clear();
+    let mut min_demand = f64::INFINITY;
     for &i in comp_flows {
-        rates[i] = 0.0;
-        if demands[i].as_bps() <= EPS {
+        let d = demands[i].as_bps();
+        if d <= EPS {
+            rates[i] = 0.0;
             frozen[i] = true;
         } else {
             frozen[i] = false;
             active.push(i);
+            min_demand = min_demand.min(d);
         }
     }
     for &ci in comp_cons {
@@ -459,12 +402,15 @@ fn fill_component(
         active_count[ci] = k;
     }
 
+    // Every active flow has received the same additions from 0.0, so
+    // all of them carry one rate: the water `level`. A flow's rate is
+    // written once, as the level, when it freezes.
+    let mut level = 0.0f64;
     while !active.is_empty() {
-        // Smallest per-flow increment until some flow hits its demand …
-        let mut delta = f64::INFINITY;
-        for &i in active.iter() {
-            delta = delta.min(demands[i].as_bps() - rates[i]);
-        }
+        // Smallest per-flow increment until some flow hits its demand —
+        // `min(demand − level)` is `min(demand) − level`, subtraction
+        // being monotone in the minuend — …
+        let mut delta = min_demand - level;
         // … or some constraint saturates.
         for &ci in comp_cons {
             let k = active_count[ci];
@@ -473,34 +419,25 @@ fn fill_component(
             }
         }
         let delta = delta.max(0.0);
-
-        for &i in active.iter() {
-            rates[i] += delta;
-        }
+        level += delta;
         for &ci in comp_cons {
             remaining[ci] -= delta * active_count[ci] as f64;
         }
 
-        // Freeze demand-satisfied flows and members of saturated
-        // constraints, decrementing the counts of every constraint a
-        // freezing flow belongs to. At least one flow freezes per round
-        // (delta picked the binding resource), so the loop terminates.
-        let mut any_frozen = false;
-        for &i in active.iter() {
-            if demands[i].as_bps() - rates[i] <= EPS {
-                frozen[i] = true;
-                any_frozen = true;
-                for &ci in &flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]] {
-                    active_count[ci] -= 1;
-                }
-            }
-        }
+        // Freeze members of saturated constraints and demand-satisfied
+        // flows, decrementing the counts of every constraint a freezing
+        // flow belongs to. The frozen set does not depend on the order
+        // of the two passes, so saturation goes first and the demand pass
+        // also compacts the active list and finds the next minimum. At
+        // least one flow freezes per round (delta picked the binding
+        // resource), so the loop terminates.
+        let before = active.len();
         for &ci in comp_cons {
             if remaining[ci] <= EPS && active_count[ci] > 0 {
                 for &m in &constraints[ci].members {
                     if !frozen[m] {
                         frozen[m] = true;
-                        any_frozen = true;
+                        rates[m] = level;
                         for &cj in &flow_cons[flow_cons_off[m]..flow_cons_off[m + 1]] {
                             active_count[cj] -= 1;
                         }
@@ -508,11 +445,34 @@ fn fill_component(
                 }
             }
         }
-        if !any_frozen {
+        min_demand = f64::INFINITY;
+        let mut kept = 0;
+        for k in 0..active.len() {
+            let i = active[k];
+            if frozen[i] {
+                continue;
+            }
+            let d = demands[i].as_bps();
+            if d - level <= EPS {
+                frozen[i] = true;
+                rates[i] = level;
+                for &ci in &flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]] {
+                    active_count[ci] -= 1;
+                }
+            } else {
+                active[kept] = i;
+                kept += 1;
+                min_demand = min_demand.min(d);
+            }
+        }
+        if kept == before {
             // Defensive: numerical corner where nothing moved.
             break;
         }
-        active.retain(|&i| !frozen[i]);
+        active.truncate(kept);
+    }
+    for &i in active.iter() {
+        rates[i] = level;
     }
 }
 
@@ -535,14 +495,15 @@ fn reserve_scratch(scratch: &mut AllocScratch, n: usize, m: usize) {
 /// caller-maintained [`ComponentIndex`].
 ///
 /// Semantically identical to [`max_min_allocate_dense`] (bit-for-bit:
-/// both perform the same floating-point operations in the same order),
-/// but instead of re-counting every constraint's unfrozen members on
-/// every water-filling round — O(Σ members) *three times per round* —
-/// it keeps a per-constraint *active-member count* and the *remaining
-/// capacity* updated in place. Each round then costs
-/// O(active flows + component constraints), and the membership lists are
-/// only walked once in total when flows freeze (amortized
-/// O(Σ memberships) across the whole run).
+/// every rate, remaining capacity and increment is the same
+/// floating-point value), but instead of re-counting every constraint's
+/// unfrozen members on every water-filling round — O(Σ members) *three
+/// times per round* — it keeps a per-constraint *active-member count*
+/// and the *remaining capacity* updated in place, and holds the one rate
+/// every unfrozen flow shares as a single water level. Each round then
+/// costs one pass over the active flows plus O(component constraints),
+/// and the membership lists are only walked once in total when flows
+/// freeze (amortized O(Σ memberships) across the whole run).
 ///
 /// Fills every connected component of the flow ↔ constraint graph in
 /// canonical component order, plus the unconstrained flows, writing one
@@ -1064,23 +1025,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn allocation_assign_patches_keys() {
-        let mut alloc = FlowAllocation::default();
-        alloc.assign([(FlowId(1), 1e6), (FlowId(4), 2e6)].into_iter());
-        assert_mbps(alloc.rate(FlowId(1)), 1.0);
-        assert_mbps(alloc.rate(FlowId(4)), 2.0);
-        // Same key set: values update in place.
-        alloc.assign([(FlowId(1), 3e6), (FlowId(4), 4e6)].into_iter());
-        assert_mbps(alloc.rate(FlowId(1)), 3.0);
-        // Changed key set: leavers dropped, joiners inserted.
-        alloc.assign([(FlowId(2), 5e6), (FlowId(4), 6e6), (FlowId(7), 7e6)].into_iter());
-        let got: Vec<_> = alloc.iter().map(|(k, v)| (k.0, v.as_mbps())).collect();
-        assert_eq!(got, [(2, 5.0), (4, 6.0), (7, 7.0)]);
-        alloc.assign(std::iter::empty());
-        assert!(alloc.is_empty());
-    }
-
     /// Patching a partition after flows leave and join must land on the
     /// partition a rebuild of the same rows derives, numbering included.
     #[test]
@@ -1141,14 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn allocation_accessors() {
-        let mut alloc = FlowAllocation::default();
-        assert!(alloc.is_empty());
-        alloc.insert(FlowId(3), mbps(1.0));
-        assert_eq!(alloc.len(), 1);
-        assert_mbps(alloc.rate(FlowId(3)), 1.0);
-        assert_mbps(alloc.rate(FlowId(99)), 0.0);
-        assert_eq!(alloc.iter().count(), 1);
+    fn flow_id_displays_with_its_prefix() {
         assert_eq!(FlowId(3).to_string(), "f3");
     }
 }

@@ -6,18 +6,24 @@
 //! water-fill per-flow rates, then drain per-flow queues against the
 //! granted rates.
 //!
+//! Flows live in one `FlowTable`, one *slot* per flow in ascending id
+//! order; every per-flow vector — the allocation index's rows, the
+//! demand snapshot, the rates — is indexed by slot, and the rate vector
+//! *is* the allocation.
+//!
 //! There is one allocator. It keeps the `AllocIndex` (a CSR
 //! flow↔constraint map plus the connected components of that graph,
 //! [`crate::flow::ComponentIndex`]) across ticks, bit-compares capacity
 //! and demand snapshots each tick, and refills only the *dirty*
 //! components; every other component keeps its previous rates verbatim.
-//! Flow add/remove patch the index in place — appended and tombstoned
-//! slots, and a re-derivation of just the components they touched,
-//! which are then dirty. Route or egress-cap changes, and tombstones
-//! outnumbering live flows, rebuild it, and a tick that rebuilt the
-//! index refills everything. After the fill every tick has the same
-//! tail: the allocation map and both usage views are rewritten in full
-//! and one queue pass visits every flow.
+//! Flow add/remove patch the table and the index in place — appended
+//! and tombstoned slots, and a re-derivation of just the components they
+//! touched, which are then dirty. Route or egress-cap changes, and
+//! tombstones outnumbering live flows, rebuild the index (compacting the
+//! table with it), and a tick that rebuilt the index refills everything.
+//! After the fill every tick has the same tail: the link usage view and
+//! the egress usage of each capped node are re-summed from their
+//! constraints' members, and one queue pass visits every flow.
 //!
 //! The pre-index implementation (`reallocate_dense`: fresh buffers,
 //! per-tick membership scans, [`crate::flow::max_min_allocate_dense`])
@@ -33,8 +39,7 @@
 use crate::capacity::{CapacitySource, LinkCapacity};
 use crate::flow::{
     max_min_allocate_components, max_min_allocate_dense, refill_component_into,
-    unconstrained_rate, AllocScratch, ComponentIndex, Constraint, FlowAllocation, FlowId,
-    FlowSpec, NO_COMPONENT,
+    unconstrained_rate, AllocScratch, ComponentIndex, Constraint, FlowId, FlowSpec, NO_COMPONENT,
 };
 use crate::queueing::{FlowQueue, HopLatency};
 use crate::routing::RoutingTable;
@@ -78,28 +83,133 @@ impl fmt::Display for MeshError {
 
 impl Error for MeshError {}
 
-/// Persistent inverted index backing the allocator: one *slot* per flow,
-/// one constraint per link (and per egress-capped node) with its member
-/// list of slots, and a CSR slot → constraints reverse map.
+/// The registered flows, one *slot* each in ascending flow-id order —
+/// the slot numbering every per-flow vector of the allocator shares.
 ///
-/// Flow add/remove *patch* the index in place: a new flow's slot is
-/// appended (flow ids only grow, so slot order stays ascending-id order
-/// and every member list stays sorted), a removed flow's slot is
-/// tombstoned — taken out of its member lists and its component, its row
-/// left unread. The touched components are re-derived once at the next
-/// allocation. A full rebuild, which also compacts the tombstones,
-/// happens only when the routing or the egress-cap set changes, when dead
-/// slots outnumber live ones, or for a patch arriving on an already stale
-/// index.
+/// A new flow's slot is appended (flow ids only grow, so the order
+/// holds); a removed flow's slot is tombstoned, keeping its id — its
+/// rate stays readable until the next allocation — and its path, which
+/// seeds the egress usage of a node capped before then. Compaction drops
+/// the tombstones: at every index rebuild, and before each dense
+/// reference allocation.
 #[derive(Debug, Clone, Default)]
-struct AllocIndex {
-    /// Flow id of every slot, ascending; dead slots keep their id so
-    /// `binary_search` still finds every live one.
+struct FlowTable {
+    /// Flow id of every slot, ascending; a tombstoned slot keeps its id,
+    /// so `binary_search` finds every live slot and every dead one.
     ids: Vec<FlowId>,
     /// False for a tombstoned slot.
     live: Vec<bool>,
-    /// Tombstoned slots since the last rebuild.
+    /// Each slot's flow.
+    states: Vec<FlowState>,
+    /// Tombstoned slots since the last compaction.
     dead: usize,
+}
+
+impl FlowTable {
+    /// The slot of flow `id`, live or tombstoned.
+    fn slot(&self, id: FlowId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// The slot of registered flow `id`.
+    fn live_slot(&self, id: FlowId) -> Option<usize> {
+        self.slot(id).filter(|&s| self.live[s])
+    }
+
+    /// Registered flow `id`.
+    fn get(&self, id: FlowId) -> Option<&FlowState> {
+        self.live_slot(id).map(|s| &self.states[s])
+    }
+
+    /// Number of registered flows.
+    fn len(&self) -> usize {
+        self.ids.len() - self.dead
+    }
+
+    /// The live slots, ascending (the registered flows in id order).
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live.iter().enumerate().filter_map(|(s, &l)| l.then_some(s))
+    }
+
+    /// Appends a slot for flow `id` (larger than every id so far).
+    fn push(&mut self, id: FlowId, flow: FlowState) -> usize {
+        debug_assert!(self.ids.last().is_none_or(|&last| last < id));
+        self.ids.push(id);
+        self.live.push(true);
+        self.states.push(flow);
+        self.ids.len() - 1
+    }
+
+    /// Tombstones a live slot.
+    fn tombstone(&mut self, slot: usize) {
+        self.live[slot] = false;
+        self.dead += 1;
+    }
+
+    /// Drops every tombstoned slot; live slots keep their order.
+    fn compact(&mut self) {
+        if self.dead == 0 {
+            return;
+        }
+        // `retain` visits each element once, in order.
+        let mut slot = 0;
+        self.ids.retain(|_| {
+            slot += 1;
+            self.live[slot - 1]
+        });
+        let mut slot = 0;
+        self.states.retain(|_| {
+            slot += 1;
+            self.live[slot - 1]
+        });
+        self.live.clear();
+        self.live.resize(self.ids.len(), true);
+        self.dead = 0;
+    }
+}
+
+/// A node's egress cap and the allocated bps leaving the node — the
+/// egress view, kept only for capped nodes, the only ones it is read
+/// for.
+#[derive(Debug, Clone, Copy)]
+struct EgressCap {
+    cap: Bandwidth,
+    /// Sum of the last allocation's rates over the flows leaving the
+    /// node, in slot order.
+    used_bps: f64,
+}
+
+impl EgressCap {
+    /// The cap's spare bandwidth.
+    fn available(&self) -> Bandwidth {
+        self.cap.saturating_sub(Bandwidth::from_bps(self.used_bps))
+    }
+}
+
+/// The sum of `rates` over a constraint's members, in member order.
+fn member_sum(c: &Constraint, rates: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for &m in &c.members {
+        sum += rates[m];
+    }
+    sum
+}
+
+/// Persistent inverted index backing the allocator over the
+/// [`FlowTable`]'s slots: one constraint per link (and per egress-capped
+/// node) with its member list of slots, and a CSR slot → constraints
+/// reverse map.
+///
+/// Flow add/remove *patch* the index in place: a new flow's appended
+/// slot joins its member lists (which stay sorted, slots being appended
+/// in id order), a tombstoned slot is taken out of its member lists and
+/// its component, its row left unread. The touched components are
+/// re-derived once at the next allocation. A full rebuild, which
+/// compacts the table first, happens only when the routing or the
+/// egress-cap set changes, when dead slots outnumber live ones, or for a
+/// patch arriving on an already stale index.
+#[derive(Debug, Clone, Default)]
+struct AllocIndex {
     /// Ranks of the egress-capped nodes, ascending: egress constraint
     /// `link_count + k` caps node `egress_ranks[k]`.
     egress_ranks: Vec<u32>,
@@ -128,19 +238,12 @@ struct AllocIndex {
 }
 
 impl AllocIndex {
-    /// One pass over every flow's path (O(Σ path lengths)) rebuilding the
-    /// member lists and the CSR reverse map with no tombstones —
-    /// replacing the per-tick all-flows scan per link the reference path
-    /// performs.
-    fn rebuild(
-        &mut self,
-        link_count: usize,
-        flows: &BTreeMap<FlowId, FlowState>,
-        egress_ranks: Vec<u32>,
-    ) {
-        self.ids.clear();
-        self.live.clear();
-        self.dead = 0;
+    /// Compacts the flow table, then one pass over every flow's path
+    /// (O(Σ path lengths)) rebuilds the member lists and the CSR reverse
+    /// map — replacing the per-tick all-flows scan per link the reference
+    /// path performs.
+    fn rebuild(&mut self, link_count: usize, flows: &mut FlowTable, egress_ranks: Vec<u32>) {
+        flows.compact();
         self.constraints.clear();
         self.constraints.resize_with(link_count + egress_ranks.len(), || Constraint {
             capacity: Bandwidth::ZERO,
@@ -150,11 +253,11 @@ impl AllocIndex {
         self.flow_cons.clear();
         self.flow_cons_off.clear();
         self.flow_cons_off.push(0);
-        for (&id, f) in flows {
-            self.push_slot(id, f);
+        for f in &flows.states {
+            self.push_slot(f);
         }
         self.comps.rebuild(
-            self.ids.len(),
+            flows.states.len(),
             &self.constraints,
             &self.flow_cons_off,
             &self.flow_cons,
@@ -163,11 +266,11 @@ impl AllocIndex {
         self.dirty = false;
     }
 
-    /// Appends a slot for flow `id`: pushes it onto each of its links'
-    /// and capped-egress constraints' member lists and appends its CSR
-    /// row. Returns the slot.
-    fn push_slot(&mut self, id: FlowId, f: &FlowState) -> usize {
-        let slot = self.ids.len();
+    /// Appends the next slot's row for flow `f`: pushes the slot onto
+    /// each of its links' and capped-egress constraints' member lists
+    /// and appends its CSR row. Returns the slot.
+    fn push_slot(&mut self, f: &FlowState) -> usize {
+        let slot = self.flow_cons_off.len() - 1;
         let link_count = self.constraints.len() - self.egress_ranks.len();
         for lid in &f.links {
             self.constraints[lid.0].members.push(slot);
@@ -180,26 +283,20 @@ impl AllocIndex {
             }
         }
         self.flow_cons_off.push(self.flow_cons.len());
-        self.ids.push(id);
-        self.live.push(true);
         slot
     }
 
-    /// Patches a newly registered flow in (clean index only); its
+    /// Patches a newly registered flow's slot in (clean index only); its
     /// components are merged by the next [`ComponentIndex::patch`].
-    fn add(&mut self, id: FlowId, f: &FlowState) -> usize {
-        let slot = self.push_slot(id, f);
+    fn add(&mut self, f: &FlowState) -> usize {
+        let slot = self.push_slot(f);
         self.comps.push_flow(&self.flow_cons[self.flow_cons_off[slot]..]);
         slot
     }
 
-    /// Tombstones a removed flow's slot (clean index only): out of every
-    /// member list and out of its component. Returns the slot.
-    fn remove(&mut self, id: FlowId) -> usize {
-        let slot = self
-            .ids
-            .binary_search(&id)
-            .expect("a clean index lists every registered flow");
+    /// Takes a tombstoned slot out of every member list and out of its
+    /// component (clean index only).
+    fn remove(&mut self, slot: usize) {
         for &ci in &self.flow_cons[self.flow_cons_off[slot]..self.flow_cons_off[slot + 1]] {
             let members = &mut self.constraints[ci].members;
             let at = members
@@ -208,14 +305,6 @@ impl AllocIndex {
             members.remove(at);
         }
         self.comps.detach_flow(slot);
-        self.live[slot] = false;
-        self.dead += 1;
-        slot
-    }
-
-    /// The live slots, ascending (the registered flows in id order).
-    fn live_slots(&self) -> impl Iterator<Item = usize> + Clone + '_ {
-        self.live.iter().enumerate().filter_map(|(s, &l)| l.then_some(s))
     }
 }
 
@@ -260,16 +349,17 @@ pub struct Mesh {
     topo: Topology,
     routes: RoutingTable,
     link_caps: Vec<LinkCapacity>,
-    egress_caps: BTreeMap<NodeId, Bandwidth>,
-    flows: BTreeMap<FlowId, FlowState>,
+    /// Egress-capped nodes with their caps and egress usage (refreshed
+    /// per step).
+    egress_caps: BTreeMap<NodeId, EgressCap>,
+    flows: FlowTable,
     next_flow: u64,
     now: SimTime,
-    allocation: FlowAllocation,
+    /// False from a flow add or remove until the next allocation: the
+    /// rates do not yet cover the registered flow set.
+    allocated: bool,
     /// Allocated bps currently crossing each link (refreshed per step).
     link_used_bps: Vec<f64>,
-    /// Allocated bps currently leaving each node, indexed by node rank
-    /// (refreshed per step).
-    egress_used_bps: Vec<f64>,
     /// Per-link effective capacities (Mbps) last reported to a journal;
     /// `None` until the first (silent, baseline-setting) emission pass.
     obs_cap_snapshot: Option<Vec<f64>>,
@@ -304,8 +394,9 @@ pub struct Mesh {
     /// Per-slot transmit demands (zero for a dead slot), reused across
     /// ticks.
     demands_scratch: Vec<Bandwidth>,
-    /// Per-slot allocated bps from the last allocation (zero for a dead
-    /// slot), reused across ticks.
+    /// The allocation: per-slot allocated bps from the last allocation
+    /// (zero for a flow added since). A slot tombstoned since the last
+    /// allocation keeps its rate until the next one, which zeroes it.
     rates_bps: Vec<f64>,
     /// Effective per-link capacities (bps) cached by the last
     /// `reallocate` — `advance` derives utilizations from these without
@@ -352,18 +443,16 @@ impl Mesh {
             .map(|_| LinkCapacity::new(CapacitySource::Constant(Bandwidth::ZERO)))
             .collect();
         let link_count = topo.link_count();
-        let node_count = topo.node_count();
         Ok(Mesh {
             topo,
             routes,
             link_caps,
             egress_caps: BTreeMap::new(),
-            flows: BTreeMap::new(),
+            flows: FlowTable::default(),
             next_flow: 0,
             now: SimTime::ZERO,
-            allocation: FlowAllocation::default(),
+            allocated: true,
             link_used_bps: vec![0.0; link_count],
-            egress_used_bps: vec![0.0; node_count],
             obs_cap_snapshot: None,
             obs_flow_sig: None,
             down_nodes: BTreeSet::new(),
@@ -616,9 +705,13 @@ impl Mesh {
     /// restored when a later recomputation finds a path again.
     fn recompute_routes_and_flows(&mut self) {
         self.routes = RoutingTable::compute_filtered(&self.topo, |lid| self.usable(lid));
-        let routed: Vec<_> =
-            self.flows.values().map(|f| self.route_flow(f.spec.src, f.spec.dst)).collect();
-        for (f, r) in self.flows.values_mut().zip(routed) {
+        let routed: Vec<_> = self
+            .flows
+            .states
+            .iter()
+            .map(|f| self.route_flow(f.spec.src, f.spec.dst))
+            .collect();
+        for (f, r) in self.flows.states.iter_mut().zip(routed) {
             f.routable = r.is_some();
             (f.links, f.egress) = r.unwrap_or_default();
         }
@@ -670,6 +763,9 @@ impl Mesh {
     /// Applies (or clears) a cap on a node's total outgoing traffic —
     /// the paper's "limit outgoing traffic at node 2 to 30 Mbps".
     ///
+    /// Until the next allocation a newly capped node's egress usage is
+    /// what the last allocation sent out of it.
+    ///
     /// # Errors
     ///
     /// Returns [`MeshError::UnknownNode`] if the node does not exist.
@@ -682,8 +778,12 @@ impl Mesh {
             return Err(MeshError::UnknownNode(node));
         }
         match cap {
-            Some(c) => {
-                self.egress_caps.insert(node, c);
+            Some(cap) => {
+                let used_bps = match self.egress_caps.get(&node) {
+                    Some(e) => e.used_bps,
+                    None => self.allocated_egress(node),
+                };
+                self.egress_caps.insert(node, EgressCap { cap, used_bps });
             }
             None => {
                 self.egress_caps.remove(&node);
@@ -732,15 +832,17 @@ impl Mesh {
             routable,
         };
         if !self.index.dirty {
-            // Patch, don't rebuild: append the slot, extend every
+            // Patch, don't rebuild: append the slot's row, extend every
             // per-slot vector, and let the demand diff read it in.
-            let slot = self.index.add(id, &flow);
+            let slot = self.index.add(&flow);
+            debug_assert_eq!(slot, self.flows.ids.len());
             self.demands_scratch.push(Bandwidth::ZERO);
-            self.rates_bps.push(0.0);
             self.flow_dirty.push(false);
             self.mark_slot_demand_dirty(slot);
         }
-        self.flows.insert(id, flow);
+        self.flows.push(id, flow);
+        self.rates_bps.push(0.0);
+        self.allocated = false;
         Ok(id)
     }
 
@@ -750,33 +852,36 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn set_flow_demand(&mut self, id: FlowId, demand: Bandwidth) -> Result<(), MeshError> {
-        let flow = self.flows.get_mut(&id).ok_or(MeshError::UnknownFlow(id))?;
+        let slot = self.flows.live_slot(id).ok_or(MeshError::UnknownFlow(id))?;
+        let flow = &mut self.flows.states[slot];
         // The emulator re-pushes every demand every tick; only a bitwise
         // change dirties the slot (the common tick marks nothing).
         let changed = flow.spec.demand.as_bps().to_bits() != demand.as_bps().to_bits();
         flow.spec.demand = demand;
         if changed {
-            self.mark_flow_demand_dirty(id);
+            self.mark_slot_demand_dirty(slot);
         }
         Ok(())
     }
 
-    /// Removes a flow, dropping its queue.
+    /// Removes a flow, dropping its queue. Its rate stays readable
+    /// through [`flow_rate`](Self::flow_rate) until the next allocation.
     ///
     /// # Errors
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), MeshError> {
-        self.flows.remove(&id).ok_or(MeshError::UnknownFlow(id))?;
+        let slot = self.flows.live_slot(id).ok_or(MeshError::UnknownFlow(id))?;
+        self.flows.tombstone(slot);
+        self.allocated = false;
         if !self.index.dirty {
-            // Tombstone the slot. Its rate stays readable through
-            // `allocation` until the next allocation.
-            let slot = self.index.remove(id);
+            // Out of the index; the demand diff zeroes the slot's rate.
+            self.index.remove(slot);
             self.demands_scratch[slot] = Bandwidth::ZERO;
-            self.rates_bps[slot] = 0.0;
+            self.mark_slot_demand_dirty(slot);
             // Compact once dead slots outnumber live ones (a fixed
             // growth rule, like `Vec` doubling).
-            if self.index.dead > self.flows.len() {
+            if self.flows.dead > self.flows.len() {
                 self.index.dirty = true;
             }
         }
@@ -790,10 +895,10 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn reset_flow_queue(&mut self, id: FlowId) -> Result<(), MeshError> {
-        let flow = self.flows.get_mut(&id).ok_or(MeshError::UnknownFlow(id))?;
-        flow.queue.reset();
+        let slot = self.flows.live_slot(id).ok_or(MeshError::UnknownFlow(id))?;
+        self.flows.states[slot].queue.reset();
         // Dropping the backlog moves the drain demand.
-        self.mark_flow_demand_dirty(id);
+        self.mark_slot_demand_dirty(slot);
         Ok(())
     }
 
@@ -804,7 +909,7 @@ impl Mesh {
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn flow_spec(&self, id: FlowId) -> Result<FlowSpec, MeshError> {
         self.flows
-            .get(&id)
+            .get(id)
             .map(|f| f.spec)
             .ok_or(MeshError::UnknownFlow(id))
     }
@@ -870,21 +975,17 @@ impl Mesh {
             };
         }
         // Backlog movements feed the demand dirty set whenever the index
-        // is clean — it then has exactly one live slot per flow, in the
-        // same ascending order; under a stale index (or on the
-        // reference) the next refresh is full anyway.
+        // is clean; under a stale index (or on the reference) the next
+        // refresh is full anyway.
         let track = !self.index.dirty;
-        debug_assert!(!track || self.flow_dirty.len() == self.index.ids.len());
-        let mut slots = self.index.live_slots();
-        // `reallocate` left `allocation` keyed exactly by the current
-        // flow set (ascending), so the two maps zip in lockstep — no
-        // per-flow map lookup on the hot path.
-        debug_assert_eq!(self.allocation.len(), self.flows.len());
-        for ((&id, flow), (aid, allocated)) in self.flows.iter_mut().zip(self.allocation.iter()) {
-            debug_assert_eq!(id, aid);
-            let slot = track.then(|| slots.next().expect("a clean index has a live slot per flow"));
-            debug_assert!(slot.is_none_or(|s| self.index.ids[s] == id));
+        debug_assert!(self.allocated);
+        let FlowTable { live, states, .. } = &mut self.flows;
+        for (s, flow) in states.iter_mut().enumerate() {
+            if !live[s] {
+                continue;
+            }
             let before = flow.queue.backlog().as_bytes();
+            let allocated = Bandwidth::from_bps(self.rates_bps[s]);
             flow.queue.advance(dt, flow.spec.demand, allocated);
             let rho = flow
                 .links
@@ -892,11 +993,9 @@ impl Mesh {
                 .map(|l| self.util_scratch[l.0])
                 .fold(0.0f64, f64::max);
             flow.queue.set_path_utilization(rho);
-            if let Some(s) = slot {
-                if flow.queue.backlog().as_bytes() != before && !self.flow_dirty[s] {
-                    self.flow_dirty[s] = true;
-                    self.dirty_flows.push(s as u32);
-                }
+            if track && flow.queue.backlog().as_bytes() != before && !self.flow_dirty[s] {
+                self.flow_dirty[s] = true;
+                self.dirty_flows.push(s as u32);
             }
         }
     }
@@ -908,17 +1007,17 @@ impl Mesh {
     /// ticks reduces to moving the clock, which is exactly what
     /// [`advance_quiescent`](Self::advance_quiescent) does.
     pub fn queues_quiescent(&self, dt: SimDuration) -> bool {
-        if self.allocation.len() != self.flows.len() {
-            // No allocation computed yet (pre-first-tick) — a full step
-            // would change state, so nothing is skippable.
+        if !self.allocated {
+            // Flows were added or removed since the last allocation
+            // (before the first tick included), so some rate is stale —
+            // a full step would change state, so nothing is skippable.
             return false;
         }
-        self.flows
-            .values()
-            .zip(self.allocation.iter())
-            .all(|(f, (_, allocated))| {
-                f.queue.advance_is_identity(dt, f.spec.demand, allocated)
-            })
+        self.flows.live_slots().all(|s| {
+            let f = &self.flows.states[s];
+            let allocated = Bandwidth::from_bps(self.rates_bps[s]);
+            f.queue.advance_is_identity(dt, f.spec.demand, allocated)
+        })
     }
 
     /// Earliest change-point strictly after `now` across every unfrozen
@@ -991,6 +1090,7 @@ impl Mesh {
         } else {
             self.reallocate_dirty(profiler);
         }
+        self.allocated = true;
     }
 
     /// The transmit demand of one flow: offered load plus bandwidth to
@@ -1005,25 +1105,11 @@ impl Mesh {
         }
     }
 
-    /// Marks one flow's transmit demand as needing a refresh at the next
-    /// allocation.
-    fn mark_flow_demand_dirty(&mut self, id: FlowId) {
-        if self.index.dirty {
-            // The slot map is stale; the next allocation re-reads every
-            // demand anyway.
-            return;
-        }
-        let slot = self
-            .index
-            .ids
-            .binary_search(&id)
-            .expect("a clean index lists every registered flow");
-        self.mark_slot_demand_dirty(slot);
-    }
-
-    /// Adds one slot to the dirty-flow set (clean index only).
+    /// Marks one slot's transmit demand as needing a refresh at the next
+    /// allocation. Under a stale index the next allocation re-reads every
+    /// demand anyway, so nothing is recorded.
     fn mark_slot_demand_dirty(&mut self, slot: usize) {
-        if !self.flow_dirty[slot] {
+        if !self.index.dirty && !self.flow_dirty[slot] {
             self.flow_dirty[slot] = true;
             self.dirty_flows.push(slot as u32);
         }
@@ -1076,8 +1162,8 @@ impl Mesh {
             for (c, &bps) in link_cons.iter_mut().zip(&self.link_cap_bps) {
                 c.capacity = Bandwidth::from_bps(bps);
             }
-            for (c, &cap) in egress_cons.iter_mut().zip(self.egress_caps.values()) {
-                c.capacity = cap;
+            for (c, e) in egress_cons.iter_mut().zip(self.egress_caps.values()) {
+                c.capacity = e.cap;
             }
             debug_assert_eq!(clock, self.scan_trace_change());
             self.trace_clock = Some(clock);
@@ -1099,34 +1185,37 @@ impl Mesh {
     }
 
     /// Rewrites every slot of `demands_scratch` for a freshly rebuilt
-    /// index and resets the dirty-flow set to empty.
+    /// index (and compacted table) and resets the dirty-flow set to
+    /// empty.
     fn refresh_demands(&mut self) {
         self.demands_scratch.clear();
-        for f in self.flows.values() {
+        for f in &self.flows.states {
             self.demands_scratch.push(Self::transmit_demand(f));
         }
         self.dirty_flows.clear();
         self.flow_dirty.clear();
-        self.flow_dirty.resize(self.index.ids.len(), false);
+        self.flow_dirty.resize(self.flows.states.len(), false);
     }
 
     /// O(dirty) demand refresh over the slots in `dirty_flows` — under a
     /// clean index an exhaustive list of every slot that can have moved.
     /// Each live slot's transmit demand is bit-compared against
     /// `demands_scratch` (which holds exactly what the last allocation
-    /// filled with) before it is overwritten. A slot tombstoned since it
-    /// was marked keeps the zero demand `remove_flow` wrote. Clears every
-    /// flag and leaves in `dirty_flows` only the slots whose demand moved,
-    /// for the component scan.
+    /// filled with) before it is overwritten. A slot tombstoned since the
+    /// last allocation (which `remove_flow` marked) keeps the zero demand
+    /// it wrote, and its rate is zeroed here. Clears every flag and leaves
+    /// in `dirty_flows` only the slots whose demand moved, for the
+    /// component scan.
     fn refresh_demands_dirty(&mut self) {
         let mut moved = 0;
         for k in 0..self.dirty_flows.len() {
             let slot = self.dirty_flows[k] as usize;
             self.flow_dirty[slot] = false;
-            if !self.index.live[slot] {
+            if !self.flows.live[slot] {
+                self.rates_bps[slot] = 0.0;
                 continue;
             }
-            let demand = Self::transmit_demand(&self.flows[&self.index.ids[slot]]);
+            let demand = Self::transmit_demand(&self.flows.states[slot]);
             if demand.as_bps().to_bits() != self.demands_scratch[slot].as_bps().to_bits() {
                 self.demands_scratch[slot] = demand;
                 self.dirty_flows[moved] = slot as u32;
@@ -1136,24 +1225,19 @@ impl Mesh {
         self.dirty_flows.truncate(moved);
     }
 
-    /// Recomputes the per-link and per-node-egress usage views from
-    /// `rates_bps`. Each link's members are live slots in ascending flow
-    /// order and the egress pass walks live slots alongside the flows,
-    /// so the float accumulation order matches the reference path's
-    /// flow-major loop exactly.
+    /// Recomputes the link usage view and every capped node's egress
+    /// usage from `rates_bps`, each as its constraint's member sum.
+    /// Members are live slots in ascending flow order, so the float
+    /// accumulation order matches the reference path's flow-major loop
+    /// exactly.
     fn update_usage_views(&mut self, link_count: usize) {
+        let (link_cons, egress_cons) = self.index.constraints.split_at(link_count);
         self.link_used_bps.resize(link_count, 0.0);
-        self.link_used_bps.fill(0.0);
-        for (ci, c) in self.index.constraints[..link_count].iter().enumerate() {
-            for &m in &c.members {
-                self.link_used_bps[ci] += self.rates_bps[m];
-            }
+        for (used, c) in self.link_used_bps.iter_mut().zip(link_cons) {
+            *used = member_sum(c, &self.rates_bps);
         }
-        self.egress_used_bps.fill(0.0);
-        for (f, slot) in self.flows.values().zip(self.index.live_slots()) {
-            for &node in &f.egress {
-                self.egress_used_bps[node as usize] += self.rates_bps[slot];
-            }
+        for (e, c) in self.egress_caps.values_mut().zip(egress_cons) {
+            e.used_bps = member_sum(c, &self.rates_bps);
         }
     }
 
@@ -1170,7 +1254,7 @@ impl Mesh {
         if self.index.dirty {
             let capped: Vec<u32> =
                 self.egress_caps.keys().filter_map(|&n| self.routes.rank(n)).collect();
-            self.index.rebuild(link_count, &self.flows, capped);
+            self.index.rebuild(link_count, &mut self.flows, capped);
             clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
             self.refresh_constraint_caps(true);
             clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
@@ -1185,7 +1269,6 @@ impl Mesh {
                 &mut self.rates_bps,
             );
             clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
-            self.assign_allocation();
             self.update_usage_views(link_count);
             clock.lap(profiler, "mesh.usage_views");
             return;
@@ -1252,16 +1335,8 @@ impl Mesh {
         }
         clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
 
-        self.assign_allocation();
         self.update_usage_views(link_count);
         clock.lap(profiler, "mesh.usage_views");
-    }
-
-    /// Writes every live slot's rate into `allocation`, keyed by flow.
-    fn assign_allocation(&mut self) {
-        let (ids, rates) = (&self.index.ids, &self.rates_bps);
-        self.allocation
-            .assign(self.index.live_slots().map(|s| (ids[s], rates[s])));
     }
 
     /// The test reference, kept verbatim from before the persistent
@@ -1270,11 +1345,11 @@ impl Mesh {
     /// through both paths. Reached only via
     /// [`use_reference_allocator`](Self::use_reference_allocator).
     fn reallocate_dense(&mut self) {
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-        let demands: Vec<Bandwidth> = ids
+        self.flows.compact();
+        let flows = &self.flows.states;
+        let demands: Vec<Bandwidth> = flows
             .iter()
-            .map(|id| {
-                let f = &self.flows[id];
+            .map(|f| {
                 if !f.routable {
                     // No route: the flow transmits nothing at all.
                     return Bandwidth::ZERO;
@@ -1290,44 +1365,41 @@ impl Mesh {
         for (lid, _) in self.topo.links() {
             let capacity = self.effective_link_capacity(lid);
             self.link_cap_bps[lid.0] = capacity.as_bps();
-            let members: Vec<usize> = ids
+            let members: Vec<usize> = flows
                 .iter()
                 .enumerate()
-                .filter(|(_, id)| self.flows[id].links.contains(&lid))
+                .filter(|(_, f)| f.links.contains(&lid))
                 .map(|(i, _)| i)
                 .collect();
             constraints.push(Constraint { capacity, members });
         }
         // One constraint per node egress cap.
-        for (&node, &cap) in &self.egress_caps {
+        for (&node, e) in &self.egress_caps {
             let rank = self.routes.rank(node);
-            let members: Vec<usize> = ids
+            let members: Vec<usize> = flows
                 .iter()
                 .enumerate()
-                .filter(|(_, id)| rank.is_some_and(|r| self.flows[id].egress.contains(&r)))
+                .filter(|(_, f)| rank.is_some_and(|r| f.egress.contains(&r)))
                 .map(|(i, _)| i)
                 .collect();
-            constraints.push(Constraint { capacity: cap, members });
+            constraints.push(Constraint { capacity: e.cap, members });
         }
 
         let rates = max_min_allocate_dense(&demands, &constraints);
-        let mut allocation = FlowAllocation::default();
-        for (i, id) in ids.iter().enumerate() {
-            allocation.insert(*id, rates[i]);
-        }
+        self.rates_bps.clear();
+        self.rates_bps.extend(rates.iter().map(|r| r.as_bps()));
 
-        // Per-link and per-node-egress usage for monitoring.
+        // Per-link and capped-node egress usage for monitoring.
         self.link_used_bps = vec![0.0; self.topo.link_count()];
-        self.egress_used_bps.fill(0.0);
-        for (i, id) in ids.iter().enumerate() {
-            for lid in &self.flows[id].links {
-                self.link_used_bps[lid.0] += rates[i].as_bps();
-            }
-            for &node in &self.flows[id].egress {
-                self.egress_used_bps[node as usize] += rates[i].as_bps();
+        for (i, f) in flows.iter().enumerate() {
+            for lid in &f.links {
+                self.link_used_bps[lid.0] += self.rates_bps[i];
             }
         }
-        self.allocation = allocation;
+        let egress_cons = &constraints[self.topo.link_count()..];
+        for (e, c) in self.egress_caps.values_mut().zip(egress_cons) {
+            e.used_bps = member_sum(c, &self.rates_bps);
+        }
     }
 
     /// Diffs the current effective link capacities against the last
@@ -1373,11 +1445,15 @@ impl Mesh {
             (new - old).abs() / old.abs().max(1e-9) > 0.001
         }
         let flows = self.flows.len() as u32;
-        let demand_mbps: f64 = self.flows.values().map(|f| f.spec.demand.as_mbps()).sum();
+        let demand_mbps: f64 = self
+            .flows
+            .live_slots()
+            .map(|s| self.flows.states[s].spec.demand.as_mbps())
+            .sum();
         let allocated_mbps: f64 = self
             .flows
-            .keys()
-            .map(|id| self.allocation.rate(*id).as_mbps())
+            .live_slots()
+            .map(|s| Bandwidth::from_bps(self.rates_bps[s]).as_mbps())
             .sum();
         let changed = match self.obs_flow_sig {
             None => flows > 0,
@@ -1403,23 +1479,33 @@ impl Mesh {
 
     // ----- queries ----------------------------------------------------------
 
-    /// The rate currently allocated to a flow (zero for unknown flows).
+    /// The rate the last allocation granted a flow — zero for unknown
+    /// flows and for flows added since. A flow removed since the last
+    /// allocation still reads its last rate until the next one.
     pub fn flow_rate(&self, id: FlowId) -> Bandwidth {
-        self.allocation.rate(id)
+        self.flows
+            .slot(id)
+            .map_or(Bandwidth::ZERO, |s| Bandwidth::from_bps(self.rates_bps[s]))
+    }
+
+    /// A registered flow's spec and allocated rate.
+    fn flow_and_rate(&self, id: FlowId) -> Option<(&FlowState, Bandwidth)> {
+        let s = self.flows.live_slot(id)?;
+        Some((&self.flows.states[s], Bandwidth::from_bps(self.rates_bps[s])))
     }
 
     /// A flow's goodput: the smaller of demand and allocation.
     pub fn flow_goodput(&self, id: FlowId) -> Bandwidth {
-        match self.flows.get(&id) {
-            Some(f) => f.spec.demand.min(self.allocation.rate(id)),
+        match self.flow_and_rate(id) {
+            Some((f, rate)) => f.spec.demand.min(rate),
             None => Bandwidth::ZERO,
         }
     }
 
     /// Loss fraction for a flow treated as real-time traffic.
     pub fn flow_loss(&self, id: FlowId) -> f64 {
-        match self.flows.get(&id) {
-            Some(f) => FlowQueue::loss_fraction(f.spec.demand, self.allocation.rate(id)),
+        match self.flow_and_rate(id) {
+            Some((f, rate)) => FlowQueue::loss_fraction(f.spec.demand, rate),
             None => 0.0,
         }
     }
@@ -1431,7 +1517,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn flow_message_delay(&self, id: FlowId, size: DataSize) -> Result<SimDuration, MeshError> {
-        let flow = self.flows.get(&id).ok_or(MeshError::UnknownFlow(id))?;
+        let (flow, allocated) = self.flow_and_rate(id).ok_or(MeshError::UnknownFlow(id))?;
         if !flow.routable {
             // Severed by faults: nothing is delivered until a route
             // returns, so report the dead-path cap.
@@ -1447,7 +1533,6 @@ impl Mesh {
             .iter()
             .map(|l| self.link_capacity_now(*l))
             .fold(Bandwidth::from_bps(f64::INFINITY), Bandwidth::min);
-        let allocated = self.allocation.rate(id);
         Ok(flow.queue.transfer_delay(size, capacity, allocated) + self.hop_latency().for_hops(hops))
     }
 
@@ -1458,7 +1543,7 @@ impl Mesh {
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn flow_backlog(&self, id: FlowId) -> Result<DataSize, MeshError> {
         self.flows
-            .get(&id)
+            .get(id)
             .map(|f| f.queue.backlog())
             .ok_or(MeshError::UnknownFlow(id))
     }
@@ -1486,8 +1571,8 @@ impl Mesh {
         let link = self.topo.link(lid);
         let mut cap = self.link_capacity_now(lid);
         for n in [link.a, link.b] {
-            if let Some(&c) = self.egress_caps.get(&n) {
-                cap = cap.min(c);
+            if let Some(e) = self.egress_caps.get(&n) {
+                cap = cap.min(e.cap);
             }
         }
         cap
@@ -1527,17 +1612,27 @@ impl Mesh {
             .link_capacity_now(lid)
             .saturating_sub(Bandwidth::from_bps(self.link_used_bps[lid.0]));
         for n in [link.a, link.b] {
-            if let Some(&c) = self.egress_caps.get(&n) {
-                let used = self.egress_used(n);
-                avail = avail.min(c.saturating_sub(Bandwidth::from_bps(used)));
+            if let Some(e) = self.egress_caps.get(&n) {
+                avail = avail.min(e.available());
             }
         }
         avail
     }
 
-    /// Allocated bps currently leaving `node` (zero when nothing does).
-    fn egress_used(&self, node: NodeId) -> f64 {
-        self.routes.rank(node).map_or(0.0, |r| self.egress_used_bps[r as usize])
+    /// Allocated bps the rates in `rates_bps` send out of `node`, summed
+    /// in slot order — the last allocation's egress usage of the node:
+    /// a slot tombstoned since keeps its rate, one added since has none.
+    fn allocated_egress(&self, node: NodeId) -> f64 {
+        let Some(rank) = self.routes.rank(node) else {
+            return 0.0;
+        };
+        let mut used = 0.0;
+        for (f, &rate) in self.flows.states.iter().zip(&self.rates_bps) {
+            if f.egress.contains(&rank) {
+                used += rate;
+            }
+        }
+        used
     }
 
     /// The routed node path from `src` to `dst` (the traceroute view),
@@ -1563,8 +1658,8 @@ impl Mesh {
     pub fn directed_link_capacity(&self, u: NodeId, v: NodeId) -> Result<Bandwidth, MeshError> {
         let lid = self.topo.find_link(u, v).ok_or(MeshError::UnknownLink(u, v))?;
         let mut cap = self.link_capacity_now(lid);
-        if let Some(&c) = self.egress_caps.get(&u) {
-            cap = cap.min(c);
+        if let Some(e) = self.egress_caps.get(&u) {
+            cap = cap.min(e.cap);
         }
         Ok(cap)
     }
@@ -1580,9 +1675,8 @@ impl Mesh {
         let mut avail = self
             .link_capacity_now(lid)
             .saturating_sub(Bandwidth::from_bps(self.link_used_bps[lid.0]));
-        if let Some(&c) = self.egress_caps.get(&u) {
-            let used = self.egress_used(u);
-            avail = avail.min(c.saturating_sub(Bandwidth::from_bps(used)));
+        if let Some(e) = self.egress_caps.get(&u) {
+            avail = avail.min(e.available());
         }
         Ok(avail)
     }
@@ -2047,6 +2141,10 @@ mod tests {
         b.as_bps().to_bits()
     }
 
+    fn live_ids(mesh: &Mesh) -> Vec<FlowId> {
+        mesh.flows.live_slots().map(|s| mesh.flows.ids[s]).collect()
+    }
+
     /// A ticked 4×4 grid carrying six flows, plus a clone of it whose
     /// index is forced stale — the next allocation rebuilds it from
     /// scratch instead of patching.
@@ -2069,8 +2167,8 @@ mod tests {
         patched.advance_profiled(SimDuration::from_millis(100), None, Some(&mut profiler));
         rebuilt.advance(SimDuration::from_millis(100));
         assert!(profiler.stats("mesh.index_rebuild").is_none(), "patched, not rebuilt");
-        assert!(patched.flows.keys().eq(rebuilt.flows.keys()));
-        for &id in patched.flows.keys() {
+        assert_eq!(live_ids(patched), live_ids(rebuilt));
+        for id in live_ids(patched) {
             assert_eq!(bits(patched.flow_rate(id)), bits(rebuilt.flow_rate(id)));
             assert_eq!(patched.flow_backlog(id), rebuilt.flow_backlog(id));
         }
@@ -2094,7 +2192,7 @@ mod tests {
             m.remove_flow(FlowId(2)).unwrap();
             m.add_flow(NodeId(5), NodeId(6), mbps(7.0)).unwrap();
         }
-        assert_eq!(patched.index.dead, 2);
+        assert_eq!(patched.flows.dead, 2);
         assert!(!patched.index.dirty);
         assert_patch_matches_rebuild(&mut patched, &mut rebuilt);
     }
@@ -2124,7 +2222,7 @@ mod tests {
         cleared.advance_profiled(SimDuration::from_millis(100), None, Some(&mut profiler));
         untouched.advance(SimDuration::from_millis(100));
         assert_eq!(profiler.stats("mesh.index_rebuild").map(|s| s.count), Some(1));
-        for &id in untouched.flows.keys() {
+        for id in live_ids(&untouched) {
             assert_eq!(bits(cleared.flow_rate(id)), bits(untouched.flow_rate(id)));
         }
     }
@@ -2166,6 +2264,59 @@ mod tests {
             drained += 1;
             assert!(drained < 50_000, "backlog never reached a fixed point");
         }
+    }
+
+    #[test]
+    fn queues_quiescent_is_false_after_a_same_size_flow_swap() {
+        let step = SimDuration::from_millis(100);
+        let mut mesh = three_node_lan();
+        mesh.set_link_cap(NodeId(0), NodeId(2), Some(mbps(10.0))).unwrap();
+        let a = mesh.add_flow(NodeId(0), NodeId(1), mbps(50.0)).unwrap();
+        mesh.advance(step);
+        assert!(mesh.queues_quiescent(step));
+        // One flow out, one in, no tick between: the flow count is
+        // unchanged, but B has no rate yet — A's 50 Mbps is not B's.
+        mesh.remove_flow(a).unwrap();
+        let b = mesh.add_flow(NodeId(0), NodeId(2), mbps(40.0)).unwrap();
+        assert_eq!(mesh.flow_count(), 1);
+        assert!(!mesh.queues_quiescent(step));
+        mesh.advance(step);
+        assert!(mesh.flow_backlog(b).unwrap().as_bytes() > 0, "B outgrows its 10 Mbps link");
+    }
+
+    #[test]
+    fn capping_a_node_after_removing_its_flow_reads_the_last_allocation() {
+        let step = SimDuration::from_millis(100);
+        let (mut reference, mut production) = (three_node_lan(), three_node_lan());
+        reference.use_reference_allocator();
+        let removed = FlowId(2);
+        for m in [&mut reference, &mut production] {
+            for (dst, demand) in [(0, 0.1), (1, 0.2), (0, 0.3), (1, 0.7)] {
+                m.add_flow(NodeId(2), NodeId(dst), mbps(demand)).unwrap();
+            }
+            m.advance(step);
+            m.remove_flow(removed).unwrap();
+            m.add_flow(NodeId(2), NodeId(0), mbps(5.0)).unwrap();
+            m.set_node_egress_cap(NodeId(2), Some(mbps(20.0))).unwrap();
+        }
+        // Before the next allocation node 2's egress usage is the last
+        // allocation's, the removed flow's rate included.
+        assert!(production.flow_rate(removed) > Bandwidth::ZERO);
+        let reads = |m: &Mesh| {
+            [
+                m.link_available(NodeId(2), NodeId(0)).unwrap(),
+                m.link_available(NodeId(1), NodeId(2)).unwrap(),
+                m.directed_link_available(NodeId(2), NodeId(1)).unwrap(),
+            ]
+            .map(bits)
+        };
+        assert_eq!(reads(&reference), reads(&production));
+        approx(production.link_available(NodeId(2), NodeId(0)).unwrap(), 20.0 - 1.3);
+        for m in [&mut reference, &mut production] {
+            m.advance(step);
+        }
+        assert_eq!(reads(&reference), reads(&production));
+        assert_eq!(production.flow_rate(removed), Bandwidth::ZERO);
     }
 
     #[test]

@@ -70,17 +70,25 @@ impl Pair {
         f(&mut self.production)
     }
 
-    /// Every public capacity read must match bit-for-bit on every link.
-    /// The reference never trusts its capacity snapshot and always reads
-    /// the sources; production serves from its snapshot whenever it
-    /// judges it current, so a stale snapshot it trusts shows up here.
+    /// Every public capacity read must match bit-for-bit on every link,
+    /// undirected and in both directions. The reference never trusts its
+    /// capacity snapshot and always reads the sources; production serves
+    /// from its snapshot whenever it judges it current, so a stale
+    /// snapshot it trusts shows up here. The available reads fold in
+    /// every capped endpoint's egress usage, so they check production's
+    /// egress view against the reference's too.
     fn assert_capacities_agree(&self, when: &str) {
         for (lid, link) in self.reference.topology().links() {
+            let (a, b) = (link.a, link.b);
             let reads = |m: &Mesh| {
                 [
                     ("capacity", m.link_capacity_by_id(lid)),
                     ("available", m.link_available_by_id(lid)),
-                    ("effective", m.link_effective_capacity(link.a, link.b).unwrap()),
+                    ("effective", m.link_effective_capacity(a, b).unwrap()),
+                    ("capacity a→b", m.directed_link_capacity(a, b).unwrap()),
+                    ("capacity b→a", m.directed_link_capacity(b, a).unwrap()),
+                    ("available a→b", m.directed_link_available(a, b).unwrap()),
+                    ("available b→a", m.directed_link_available(b, a).unwrap()),
                 ]
             };
             let pairs = reads(&self.reference).into_iter().zip(reads(&self.production));
