@@ -24,7 +24,7 @@ pub enum CommandError {
     Schedule(bass_core::scheduler::ScheduleError),
     /// Simulation failed.
     Env(EnvError),
-    /// The journal sink could not be opened.
+    /// The journal sink could not be opened or written.
     Journal(std::io::Error),
     /// The `--faults` plan could not be read or parsed.
     Faults(String),
@@ -295,13 +295,12 @@ pub fn simulate(
     }
     // `journal_events` reports only an explicitly requested journal; the
     // in-memory sink attached for `--metrics-out` stays invisible.
-    let journal_events = if opts.journal.is_some() {
-        journal.map(|mut j| {
-            let _ = j.flush();
-            j.total_recorded()
-        })
-    } else {
-        None
+    let journal_events = match journal {
+        Some(mut j) if opts.journal.is_some() => {
+            j.flush().map_err(CommandError::Journal)?;
+            Some(j.total_recorded())
+        }
+        _ => None,
     };
     Ok(SimulateOutcome {
         initial,

@@ -122,6 +122,28 @@ fn simulate_journal_writes_parseable_events() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn simulate_fails_when_the_journal_cannot_be_written() {
+    let dir = temp_dir("journal_full");
+    let (app, mesh) = write_schema_files(&dir);
+    // /dev/full opens fine and fails every write with ENOSPC: the run
+    // must not report events that never reached the file.
+    let out = bassctl()
+        .args(["simulate", "--manifest"])
+        .arg(&app)
+        .arg("--testbed")
+        .arg(&mesh)
+        .args(["--duration", "600", "--json", "--journal", "/dev/full"])
+        .output()
+        .expect("bassctl runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "an unwritable journal must fail the run");
+    assert!(stderr.contains("journal error"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("journal_events"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn simulate_faults_crash_and_recover_end_to_end() {
     let dir = temp_dir("faults");

@@ -173,7 +173,8 @@ pub struct ProfileSummary {
 /// compiles down to a branch and no clock read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanProfiler {
-    spans: BTreeMap<&'static str, SpanStats>,
+    /// One entry per distinct name, sorted by name.
+    spans: Vec<(&'static str, SpanStats)>,
 }
 
 impl SpanProfiler {
@@ -184,17 +185,37 @@ impl SpanProfiler {
 
     /// Records one completed instance of `span`.
     pub fn record(&mut self, span: &'static str, d: Duration) {
-        self.spans.entry(span).or_default().record(d);
+        self.entry(span).record(d);
+    }
+
+    /// The statistics of span `name`, created empty on first sight.
+    /// An instrumentation point passes the same literal every time, so
+    /// the name's address and length find its entry without comparing
+    /// text; an equal name from elsewhere falls back to a search by
+    /// content and shares the entry.
+    fn entry(&mut self, name: &'static str) -> &mut SpanStats {
+        let i = match self.spans.iter().position(|(seen, _)| std::ptr::eq(*seen, name)) {
+            Some(i) => i,
+            None => match self.spans.binary_search_by(|(seen, _)| (*seen).cmp(name)) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.spans.insert(i, (name, SpanStats::default()));
+                    i
+                }
+            },
+        };
+        &mut self.spans[i].1
     }
 
     /// Statistics for one span, if it ever completed.
     pub fn stats(&self, span: &str) -> Option<&SpanStats> {
-        self.spans.get(span)
+        let i = self.spans.binary_search_by(|(seen, _)| (*seen).cmp(span)).ok()?;
+        Some(&self.spans[i].1)
     }
 
     /// Iterates all spans in name order.
     pub fn spans(&self) -> impl Iterator<Item = (&'static str, &SpanStats)> {
-        self.spans.iter().map(|(&k, v)| (k, v))
+        self.spans.iter().map(|(name, stats)| (*name, stats))
     }
 
     /// Number of distinct spans recorded.
@@ -210,19 +231,15 @@ impl SpanProfiler {
     /// Folds another profiler in span by span — how campaign replicas
     /// roll up into one campaign-level profile.
     pub fn merge(&mut self, other: &SpanProfiler) {
-        for (&name, stats) in &other.spans {
-            self.spans.entry(name).or_default().merge(stats);
+        for (name, stats) in other.spans() {
+            self.entry(name).merge(stats);
         }
     }
 
     /// Condenses every span into the serializable [`ProfileSummary`].
     pub fn summary(&self) -> ProfileSummary {
         ProfileSummary {
-            spans: self
-                .spans
-                .iter()
-                .map(|(&name, stats)| (name.to_string(), stats.summarize()))
-                .collect(),
+            spans: self.spans().map(|(name, stats)| (name.to_string(), stats.summarize())).collect(),
         }
     }
 
@@ -329,6 +346,57 @@ mod tests {
         assert_eq!(x.min_ns, 5_000);
         assert_eq!(x.max_ns, 15_000);
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_share_one_span() {
+        let leaked: &'static str = Box::leak(String::from("tick.same").into_boxed_str());
+        assert!(!std::ptr::eq(leaked, "tick.same"));
+        let mut prof = SpanProfiler::new();
+        prof.record("tick.same", Duration::from_micros(1));
+        prof.record(leaked, Duration::from_micros(2));
+        prof.record("tick.same", Duration::from_micros(3));
+        prof.record(leaked, Duration::from_micros(4));
+        assert_eq!(prof.len(), 1);
+        let stats = prof.stats("tick.same").unwrap();
+        assert_eq!((stats.count, stats.total_ns), (4, 10_000));
+    }
+
+    #[test]
+    fn spans_iterate_in_name_order_whatever_order_they_were_seen() {
+        let names = ["tick.finalize", "mesh.obs_emit", "tick.demand", "ctl.tick", "tick.controller"];
+        let mut sorted = names;
+        sorted.sort_unstable();
+        for rotation in 0..names.len() {
+            let mut prof = SpanProfiler::new();
+            for &name in names.iter().cycle().skip(rotation).take(names.len()) {
+                prof.record(name, Duration::from_micros(1));
+            }
+            let seen: Vec<&str> = prof.spans().map(|(name, _)| name).collect();
+            assert_eq!(seen, sorted, "rotation {rotation}");
+        }
+    }
+
+    #[test]
+    fn merge_is_independent_of_first_seen_order() {
+        let timings = [("tick.b", 7), ("tick.a", 3), ("mesh.c", 11), ("tick.b", 2)];
+        let profile = |order: &[usize]| {
+            let mut prof = SpanProfiler::new();
+            for &i in order {
+                let (name, us) = timings[i];
+                prof.record(name, Duration::from_micros(us));
+            }
+            prof
+        };
+        let render = |a: &SpanProfiler, b: &SpanProfiler| {
+            let mut merged = a.clone();
+            merged.merge(b);
+            crate::prom::render(&crate::Metrics::new(), Some(&merged))
+        };
+        let name_order = render(&profile(&[2, 1, 0, 3]), &profile(&[2, 1, 3, 0]));
+        let seen_order = render(&profile(&[0, 3, 1, 2]), &profile(&[3, 2, 0, 1]));
+        assert_eq!(seen_order, name_order);
+        assert!(name_order.contains("_count{span=\"tick.b\"} 4"), "{name_order}");
     }
 
     #[test]
