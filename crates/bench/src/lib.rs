@@ -4,8 +4,8 @@
 //! Each submodule of [`experiments`] reproduces one artifact and returns
 //! an [`report::ExperimentReport`] — the same rows/series the paper
 //! plots. The `experiments` binary runs them all and writes JSON +
-//! human-readable summaries; the criterion benches cover the overhead
-//! tables (Tables 3 and 4) and the ablations.
+//! human-readable summaries, the wall-clock overhead tables (Tables 3
+//! and 4) and the ablations included.
 //!
 //! Absolute numbers will not match the paper (its substrate was a
 //! CloudLab testbed, ours is a simulator); the *shape* — which scheduler

@@ -177,27 +177,15 @@ impl BassController {
     /// link escalates to a full probe (refreshing capacity estimates);
     /// then — outside the cooldown window — Algorithm 3 selects
     /// candidates and the rescheduler picks targets.
-    pub fn tick(
-        &mut self,
-        mesh: &Mesh,
-        netmon: &mut NetMonitor,
-        goodput: &GoodputMonitor,
-        dag: &AppDag,
-        cluster: &Cluster,
-        pinned: &std::collections::BTreeSet<ComponentId>,
-    ) -> ControllerOutcome {
-        self.tick_profiled(mesh, netmon, goodput, dag, cluster, pinned, None, None)
-    }
-
-    /// [`tick`](Self::tick) that narrates its decisions into a journal:
+    ///
+    /// With a journal it narrates its decisions:
     /// [`ProbeCompleted`](bass_obs::Event::ProbeCompleted) for each probe,
     /// [`MigrationTriggered`](bass_obs::Event::MigrationTriggered) per
     /// threshold crossing, [`MigrationTargetChosen`](bass_obs::Event::MigrationTargetChosen)
     /// per feasible plan, and [`PlacementRejected`](bass_obs::Event::PlacementRejected)
-    /// per candidate with no feasible target. With both `None` it is
-    /// exactly [`tick`](Self::tick).
+    /// per candidate with no feasible target.
     ///
-    /// When a profiler is supplied it also times its decision points:
+    /// With a profiler it also times its decision points:
     /// the probe passes record `netmon.headroom_probe` /
     /// `netmon.full_probe`, candidate selection (Alg. 3) records
     /// `ctl.candidates`, and target selection (Alg. 2 per candidate)
@@ -205,7 +193,7 @@ impl BassController {
     /// readings never feed back into any decision, so outcomes are
     /// byte-identical with or without the profiler.
     #[allow(clippy::too_many_arguments)]
-    pub fn tick_profiled(
+    pub fn tick(
         &mut self,
         mesh: &Mesh,
         netmon: &mut NetMonitor,
@@ -390,10 +378,10 @@ mod tests {
         w.mesh.advance(SimDuration::from_secs(1));
         measure(&mut w);
         // First tick probes (never probed); second tick 1 s later is quiet.
-        let o1 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o1 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(o1.headroom.is_some());
         w.mesh.advance(SimDuration::from_secs(1));
-        let o2 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o2 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(o2.is_quiet());
     }
 
@@ -403,7 +391,7 @@ mod tests {
         let mut ctl = BassController::new(ControllerConfig::default());
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(o.headroom.as_ref().unwrap().all_ok());
         assert!(!o.full_probe);
         assert!(o.plans.is_empty());
@@ -417,7 +405,7 @@ mod tests {
         w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(o.full_probe, "newly violated headroom must escalate");
         assert_eq!(ctl.full_probes_triggered(), 1);
         assert_eq!(o.plans.len(), 1);
@@ -442,13 +430,13 @@ mod tests {
         w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o1 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o1 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert_eq!(o1.plans.len(), 1);
         // Pretend the migration was NOT applied; 30 s later the same
         // violation exists but cooldown suppresses planning.
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o2 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o2 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(o2.plans.is_empty());
         assert!(o2.headroom.is_some());
         // After the cooldown expires it plans again.
@@ -456,7 +444,7 @@ mod tests {
             w.mesh.advance(SimDuration::from_secs(30));
         }
         measure(&mut w);
-        let o3 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o3 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert_eq!(o3.plans.len(), 1);
     }
 
@@ -473,7 +461,7 @@ mod tests {
         }
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(o.plans.is_empty());
         assert_eq!(o.unplaceable.len(), 1);
         // No migration was planned → cooldown clock not started.
@@ -491,7 +479,7 @@ mod tests {
         w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o1 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o1 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert_eq!(o1.plans.len(), 1);
         assert!(ctl.last_migration_at().is_some());
         assert_eq!(ctl.full_probes_triggered(), 1);
@@ -503,7 +491,7 @@ mod tests {
         // immediately instead of waiting out the 300 s window.
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o2 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o2 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert_eq!(o2.plans.len(), 1);
     }
 
@@ -515,7 +503,7 @@ mod tests {
         w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert_eq!(o.plans.len(), 1);
         let last = ctl.last_migration_at();
         assert!(last.is_some());
@@ -535,7 +523,7 @@ mod tests {
             w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
             w.mesh.advance(SimDuration::from_secs(30));
             measure(&mut w);
-            let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+            let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
             for plan in &o.plans {
                 assert!(w.mesh.node_is_up(plan.to), "{kind:?} targeted a down node");
                 assert_ne!(plan.to, plan.from, "{kind:?} migrated in place");
@@ -556,7 +544,7 @@ mod tests {
             w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
             w.mesh.advance(SimDuration::from_secs(30));
             measure(&mut w);
-            ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default())
+            ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None)
         };
         let a = run(BassController::new(ControllerConfig::default()));
         let b = run(BassController::with_policy(
@@ -576,7 +564,7 @@ mod tests {
         w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(!o.full_probe);
         assert_eq!(ctl.full_probes_triggered(), 0);
     }
@@ -589,7 +577,7 @@ mod tests {
         w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
-        let o = ctl.tick_profiled(
+        let o = ctl.tick(
             &w.mesh,
             &mut w.netmon,
             &w.goodput,
@@ -621,10 +609,10 @@ mod tests {
             }
             other => panic!("expected MigrationTargetChosen, got {other:?}"),
         }
-        // The None path matches tick() exactly and emits nothing further.
+        // Without a journal nothing further is emitted.
         let before = journal.total_recorded();
         w.mesh.advance(SimDuration::from_secs(1));
-        let quiet = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default());
+        let quiet = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(quiet.is_quiet());
         assert_eq!(journal.total_recorded(), before);
     }

@@ -38,9 +38,9 @@
 //!
 //! Decision points across the crate optionally narrate what they did
 //! into a `bass_obs::Journal` (see `docs/OBSERVABILITY.md`): the
-//! controller's `tick_profiled`, the planner's `recommend_observed`,
-//! and the tuner's `tune_observed` emit structured events while the
-//! plain entry points stay observation-free. The migration decision
+//! controller's `tick` when handed one, the planner's
+//! `recommend_observed` and the tuner's `tune_observed`; the planner's
+//! and tuner's plain entry points stay observation-free. The migration decision
 //! itself has one path: each round that has someone to migrate, the
 //! controller ranks the nodes once and hands that slice to the policy,
 //! whose [`rescheduler::select_target`] call (or direct scoring)

@@ -146,7 +146,8 @@ impl BassScheduler {
         Ok(ordering)
     }
 
-    /// Schedules the whole application onto the cluster.
+    /// Schedules the whole application onto the cluster: its
+    /// [`ordering`](Self::ordering), [`place`](Self::place)d.
     ///
     /// # Errors
     ///
@@ -159,16 +160,37 @@ impl BassScheduler {
         cluster: &mut Cluster,
         mesh: &Mesh,
     ) -> Result<Placement, ScheduleError> {
-        match self.policy {
-            PlacementPolicy::K3sDefault(policy) => {
-                let mut baseline = BaselineScheduler::new(policy);
-                Ok(baseline.schedule(dag, cluster)?)
-            }
-            _ => {
-                let ordering = self.ordering(dag)?;
-                Ok(pack_ordering(&ordering, dag, cluster, mesh)?)
-            }
+        self.place(&self.ordering(dag)?, dag, cluster, mesh)
+    }
+
+    /// Places `ordering`'s components onto the cluster and returns the
+    /// cluster's placement — the one placement dispatch. The k3s baseline
+    /// binds them one at a time, in ordering order, with
+    /// [`BaselineScheduler::pick_node`] (its ordering is one group in id
+    /// order, the order pods arrive in); every other policy packs the
+    /// ordering with [`pack_ordering`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when some component cannot be placed; the
+    /// cluster may then hold a partial placement.
+    pub fn place(
+        &self,
+        ordering: &ComponentOrdering,
+        dag: &AppDag,
+        cluster: &mut Cluster,
+        mesh: &Mesh,
+    ) -> Result<Placement, ScheduleError> {
+        let PlacementPolicy::K3sDefault(policy) = self.policy else {
+            return Ok(pack_ordering(ordering, dag, cluster, mesh)?);
+        };
+        let mut baseline = BaselineScheduler::new(policy);
+        for &c in ordering.groups().iter().flatten() {
+            let component = dag.component(c).ok_or(PlacementError::UnknownComponent(c))?;
+            let node = baseline.pick_node(cluster, component.resources)?;
+            cluster.place(c, component.resources, node)?;
         }
+        Ok(cluster.placement())
     }
 }
 

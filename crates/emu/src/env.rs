@@ -4,11 +4,11 @@ use crate::scenario::Scenario;
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::{Cluster, MigrationRecord, Placement, RestartModel};
 use bass_core::heuristics::ComponentOrdering;
-use bass_core::placement::pack_ordering;
 use bass_core::ranking::NodeRanking;
 use bass_core::scheduler::{BassScheduler, ScheduleError, PlacementPolicy};
 use bass_core::{BassController, ControllerConfig, EventSource, MigrationPlan, PolicyKind};
 use bass_faults::{Fault, FaultPlan};
+use bass_mesh::queueing::{LOOPBACK_LATENCY, MAX_DELAY};
 use bass_mesh::{FlowId, Mesh, MeshError, NodeId};
 use bass_netmon::{GoodputMonitor, NetMonitor, NetMonitorConfig};
 use bass_util::time::{SimDuration, SimTime};
@@ -361,40 +361,17 @@ impl SimEnv {
             self.deployed = true;
             return Ok(self.cluster.placement());
         }
-        match self.cfg.policy {
-            PlacementPolicy::K3sDefault(policy) => {
-                let mut baseline = bass_cluster::BaselineScheduler::new(policy);
-                for component in self.dag.components() {
-                    if pinned.contains(&component.id) {
-                        continue;
-                    }
-                    let node = baseline
-                        .pick_node(&self.cluster, component.resources)
-                        .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
-                    self.cluster
-                        .place(component.id, component.resources, node)
-                        .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
-                }
-            }
-            _ => {
-                let ordering = scheduler.ordering(&self.dag)?;
-                let filtered = ComponentOrdering::new(
-                    ordering
-                        .groups()
-                        .iter()
-                        .map(|g| {
-                            g.iter()
-                                .copied()
-                                .filter(|c| !pinned.contains(c))
-                                .collect::<Vec<_>>()
-                        })
-                        .filter(|g: &Vec<ComponentId>| !g.is_empty())
-                        .collect(),
-                );
-                pack_ordering(&filtered, &self.dag, &mut self.cluster, &self.mesh)
-                    .map_err(ScheduleError::Placement)?;
-            }
-        }
+        // The pins are placed; the policy places the rest.
+        let ordering = scheduler.ordering(&self.dag)?;
+        let unpinned = ComponentOrdering::new(
+            ordering
+                .groups()
+                .iter()
+                .map(|g| g.iter().copied().filter(|c| !pinned.contains(c)).collect::<Vec<_>>())
+                .filter(|g: &Vec<ComponentId>| !g.is_empty())
+                .collect(),
+        );
+        scheduler.place(&unpinned, &self.dag, &mut self.cluster, &self.mesh)?;
         self.deployed = true;
         self.rebuild_all_edges()?;
         let placement = self.cluster.placement();
@@ -551,38 +528,18 @@ impl SimEnv {
             .absorb(app, id_offset, &prefix)
             .map_err(EnvError::Dag)?;
         let result = (|| -> Result<(), EnvError> {
-            match self.cfg.policy {
-                PlacementPolicy::K3sDefault(policy) => {
-                    let mut baseline = bass_cluster::BaselineScheduler::new(policy);
-                    for &c in &added {
-                        let resources =
-                            self.dag.component(c).expect("just absorbed").resources;
-                        let node = baseline
-                            .pick_node(&self.cluster, resources)
-                            .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
-                        self.cluster
-                            .place(c, resources, node)
-                            .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
-                    }
-                }
-                _ => {
-                    // Order the fragment on its own shape, then shift the
-                    // ids into deployment space before packing.
-                    let scheduler = BassScheduler::new(self.cfg.policy);
-                    let ordering = scheduler.ordering(app)?;
-                    let shifted = ComponentOrdering::new(
-                        ordering
-                            .groups()
-                            .iter()
-                            .map(|g| {
-                                g.iter().map(|c| ComponentId(c.0 + id_offset)).collect()
-                            })
-                            .collect(),
-                    );
-                    pack_ordering(&shifted, &self.dag, &mut self.cluster, &self.mesh)
-                        .map_err(|e| EnvError::Schedule(ScheduleError::Placement(e)))?;
-                }
-            }
+            // Order the fragment on its own shape, then shift the ids
+            // into deployment space before placing.
+            let scheduler = BassScheduler::new(self.cfg.policy);
+            let ordering = scheduler.ordering(app)?;
+            let shifted = ComponentOrdering::new(
+                ordering
+                    .groups()
+                    .iter()
+                    .map(|g| g.iter().map(|c| ComponentId(c.0 + id_offset)).collect())
+                    .collect(),
+            );
+            scheduler.place(&shifted, &self.dag, &mut self.cluster, &self.mesh)?;
             for e in app.edges() {
                 self.bind_edge(
                     ComponentId(e.from.0 + id_offset),
@@ -753,7 +710,7 @@ impl SimEnv {
         // 5. Controller. A restart injected this tick loses the tick: the
         // new controller process comes up after the decision window.
         if self.cfg.migrations_enabled && !controller_restarted {
-            let outcome = self.controller.tick_profiled(
+            let outcome = self.controller.tick(
                 &self.mesh,
                 &mut self.netmon,
                 &self.goodput,
@@ -786,14 +743,7 @@ impl SimEnv {
         }
 
         // 6. Close the tick span.
-        if let Some(j) = self.journal.as_mut() {
-            j.record(bass_obs::Event::TickCompleted {
-                t_s: now.as_secs_f64(),
-                step_ms: self.cfg.step.as_secs_f64() * 1e3,
-                flows: self.mesh.flow_count() as u32,
-                migrations_total: self.stats.migrations.len() as u64,
-            });
-        }
+        self.record_tick_completed();
         clock.lap(profiler, "tick.finalize");
         Ok(())
     }
@@ -934,6 +884,12 @@ impl SimEnv {
     /// the controller never wakes), so the journal stays byte-identical.
     fn skip_quiescent_tick(&mut self) {
         self.mesh.advance_quiescent(self.cfg.step);
+        self.record_tick_completed();
+    }
+
+    /// Journals the `TickCompleted` event of the tick ending at the mesh
+    /// clock — one writer for executed and skipped ticks alike.
+    fn record_tick_completed(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             j.record(bass_obs::Event::TickCompleted {
                 t_s: self.mesh.now().as_secs_f64(),
@@ -1204,11 +1160,8 @@ impl SimEnv {
             }
         }
         let base = match self.edge_state(from, to) {
-            Some(EdgeState::Local) | None => self.mesh.hop_latency().for_hops(0),
-            Some(EdgeState::Remote(f)) => self
-                .mesh
-                .flow_message_delay(f, size)
-                .unwrap_or(SimDuration::from_secs(600)),
+            Some(EdgeState::Local) | None => LOOPBACK_LATENCY,
+            Some(EdgeState::Remote(f)) => self.mesh.flow_message_delay(f, size).unwrap_or(MAX_DELAY),
         };
         penalty + base
     }
@@ -1223,7 +1176,7 @@ impl SimEnv {
 mod tests {
     use super::*;
     use bass_appdag::{catalog, Component, ResourceReq};
-    use bass_cluster::NodeSpec;
+    use bass_cluster::{BaselinePolicy, BaselineScheduler, NodeSpec};
     use bass_core::heuristics::BfsWeighting;
     use bass_mesh::Topology;
 
@@ -1304,6 +1257,48 @@ mod tests {
         assert!(env.placement().is_empty());
         assert_eq!(env.mesh().flow_count(), flows_before);
         // The environment still steps.
+        env.run_for(SimDuration::from_secs(1), |_| {}).unwrap();
+    }
+
+    #[test]
+    fn k3s_admission_places_like_a_fresh_baseline_and_rolls_back_cleanly() {
+        let k3s_env = |dag: AppDag, nodes: u32, cores: u64, policy: BaselinePolicy| {
+            let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(nodes), mbps(100.0)).unwrap();
+            let specs = (0..nodes).map(|i| NodeSpec::cores_mb(i, cores, 1024 * cores));
+            let cfg = SimEnvConfig { policy: PlacementPolicy::K3sDefault(policy), ..Default::default() };
+            let mut env = SimEnv::new(mesh, Cluster::new(specs).unwrap(), dag, cfg);
+            env.deploy(&[]).unwrap();
+            env
+        };
+        let app = catalog::camera_pipeline();
+        for policy in [
+            BaselinePolicy::LeastAllocated,
+            BaselinePolicy::MostAllocated,
+            BaselinePolicy::RoundRobin,
+        ] {
+            let mut env = k3s_env(catalog::camera_pipeline(), 3, 24, policy);
+            env.step().unwrap();
+            // A fresh baseline scheduler on a copy of the pre-admission
+            // cluster, fed the app under its deployment ids.
+            let mut shifted = AppDag::new("expected");
+            shifted.absorb(&app, 1000, "").unwrap();
+            let mut cluster = env.cluster().clone();
+            let expected = BaselineScheduler::new(policy).schedule(&shifted, &mut cluster).unwrap();
+            let added = env.admit_app(&app, 1000).unwrap();
+            assert_eq!(added.len(), app.component_count());
+            let placement = env.placement();
+            for c in &added {
+                assert_eq!(placement[c], expected[c], "{policy:?}: component {c}");
+            }
+        }
+        // Out of room part-way: the admission leaves nothing behind.
+        let mut env = k3s_env(AppDag::new("city"), 2, 2, BaselinePolicy::LeastAllocated);
+        let before = env.cluster().clone();
+        let err = env.admit_app(&catalog::social_network(50.0), 5000).unwrap_err();
+        assert!(matches!(err, EnvError::Schedule(ScheduleError::Baseline(_))), "{err}");
+        assert_eq!(env.cluster(), &before);
+        assert_eq!(env.dag().component_count(), 0);
+        assert_eq!(env.mesh().flow_count(), 0);
         env.run_for(SimDuration::from_secs(1), |_| {}).unwrap();
     }
 

@@ -543,20 +543,9 @@ pub fn max_min_allocate_components(
             out[i] = unconstrained_rate(demands[i]);
         }
     }
-    let AllocScratch { frozen, remaining, active_count, active } = scratch;
     for comp in 0..comps.component_count() as u32 {
-        fill_component(
-            demands,
-            constraints,
-            flow_cons_off,
-            flow_cons,
-            comps.flows_of(comp),
-            comps.constraints_of(comp),
-            out,
-            frozen,
-            remaining,
-            active_count,
-            active,
+        refill_component_into(
+            comp, demands, constraints, flow_cons_off, flow_cons, comps, scratch, out,
         );
     }
 }

@@ -29,10 +29,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod alloc;
 pub mod capacity;
 pub mod flow;
+mod links;
 pub mod mesh;
 pub mod queueing;
+mod routes;
 pub mod routing;
 pub mod topology;
 

@@ -1,53 +1,29 @@
-//! The [`Mesh`] facade: topology + routing + capacities + flows + queues.
+//! The [`Mesh`] façade over three private parts, one module each, each
+//! with its own invariant and its fields marked logical (inputs a
+//! snapshot must keep) or derived (rebuilt from them):
 //!
-//! Each [`Mesh::advance`] tick runs the allocation pipeline described in
-//! `docs/ARCHITECTURE.md`: refresh per-link capacities from traces and
-//! overrides, patch or rebuild the flow↔constraint `AllocIndex`,
-//! water-fill per-flow rates, then drain per-flow queues against the
-//! granted rates.
+//! - **routes** (`routes.rs`): the topology, the nodes and links faults
+//!   took down, and the min-hop routing table over what is usable;
+//! - **link capacities** (`links.rs`): each link's capacity source and
+//!   `tc` cap, stale-trace freezes, and the snapshot of effective
+//!   capacities the allocator last read, with its trace clock;
+//! - **flow allocation** (`alloc.rs`): the flow table with its queues,
+//!   node egress caps, the persistent allocation index and the rates.
 //!
-//! Flows live in one `FlowTable`, one *slot* per flow in ascending id
-//! order; every per-flow vector — the allocation index's rows, the
-//! demand snapshot, the rates — is indexed by slot, and the rate vector
-//! *is* the allocation.
-//!
-//! There is one allocator. It keeps the `AllocIndex` (a CSR
-//! flow↔constraint map plus the connected components of that graph,
-//! [`crate::flow::ComponentIndex`]) across ticks, bit-compares capacity
-//! and demand snapshots each tick, and refills only the *dirty*
-//! components; every other component keeps its previous rates verbatim.
-//! Flow add/remove patch the table and the index in place — appended
-//! and tombstoned slots, and a re-derivation of just the components they
-//! touched, which are then dirty. Route or egress-cap changes, and
-//! tombstones outnumbering live flows, rebuild the index (compacting the
-//! table with it), and a tick that rebuilt the index refills everything.
-//! After the fill every tick has the same tail: the link usage view and
-//! the egress usage of each capped node are re-summed from their
-//! constraints' members, and one queue pass visits every flow.
-//!
-//! The pre-index implementation (`reallocate_dense`: fresh buffers,
-//! per-tick membership scans, [`crate::flow::max_min_allocate_dense`])
-//! is kept verbatim as the *test reference*. Tests reach it through the
-//! hidden one-way `Mesh::use_reference_allocator` and require the
-//! production path to match it bit for bit.
-//!
-//! Determinism rules: component order is canonical (ascending smallest
-//! constraint index, after a patch as after a rebuild), slots stay in
-//! ascending flow-id order, and nothing samples wall-clock time — the
-//! same seed and mutation sequence replays bit-for-bit on any machine.
+//! The façade owns the clock and the journal diff. Each
+//! [`Mesh::advance`] refreshes capacities, reallocates, then drains
+//! per-flow queues against the granted rates (`docs/ARCHITECTURE.md`).
 
-use crate::capacity::{CapacitySource, LinkCapacity};
-use crate::flow::{
-    max_min_allocate_components, max_min_allocate_dense, refill_component_into,
-    unconstrained_rate, AllocScratch, ComponentIndex, Constraint, FlowId, FlowSpec, NO_COMPONENT,
-};
-use crate::queueing::{FlowQueue, HopLatency};
-use crate::routing::RoutingTable;
+use crate::alloc::Allocation;
+use crate::capacity::CapacitySource;
+use crate::flow::{FlowId, FlowSpec};
+use crate::links::LinkCaps;
+use crate::queueing::{hop_latency, FlowQueue};
+use crate::routes::Routes;
 use crate::topology::{LinkId, NodeId, Topology};
 use bass_trace::TraceBundle;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
-use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -83,247 +59,6 @@ impl fmt::Display for MeshError {
 
 impl Error for MeshError {}
 
-/// The registered flows, one *slot* each in ascending flow-id order —
-/// the slot numbering every per-flow vector of the allocator shares.
-///
-/// A new flow's slot is appended (flow ids only grow, so the order
-/// holds); a removed flow's slot is tombstoned, keeping its id — its
-/// rate stays readable until the next allocation — and its path, which
-/// seeds the egress usage of a node capped before then. Compaction drops
-/// the tombstones: at every index rebuild, and before each dense
-/// reference allocation.
-#[derive(Debug, Clone, Default)]
-struct FlowTable {
-    /// Flow id of every slot, ascending; a tombstoned slot keeps its id,
-    /// so `binary_search` finds every live slot and every dead one.
-    ids: Vec<FlowId>,
-    /// False for a tombstoned slot.
-    live: Vec<bool>,
-    /// Each slot's flow.
-    states: Vec<FlowState>,
-    /// Tombstoned slots since the last compaction.
-    dead: usize,
-}
-
-impl FlowTable {
-    /// The slot of flow `id`, live or tombstoned.
-    fn slot(&self, id: FlowId) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
-    }
-
-    /// The slot of registered flow `id`.
-    fn live_slot(&self, id: FlowId) -> Option<usize> {
-        self.slot(id).filter(|&s| self.live[s])
-    }
-
-    /// Registered flow `id`.
-    fn get(&self, id: FlowId) -> Option<&FlowState> {
-        self.live_slot(id).map(|s| &self.states[s])
-    }
-
-    /// Number of registered flows.
-    fn len(&self) -> usize {
-        self.ids.len() - self.dead
-    }
-
-    /// The live slots, ascending (the registered flows in id order).
-    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live.iter().enumerate().filter_map(|(s, &l)| l.then_some(s))
-    }
-
-    /// Appends a slot for flow `id` (larger than every id so far).
-    fn push(&mut self, id: FlowId, flow: FlowState) -> usize {
-        debug_assert!(self.ids.last().is_none_or(|&last| last < id));
-        self.ids.push(id);
-        self.live.push(true);
-        self.states.push(flow);
-        self.ids.len() - 1
-    }
-
-    /// Tombstones a live slot.
-    fn tombstone(&mut self, slot: usize) {
-        self.live[slot] = false;
-        self.dead += 1;
-    }
-
-    /// Drops every tombstoned slot; live slots keep their order.
-    fn compact(&mut self) {
-        if self.dead == 0 {
-            return;
-        }
-        // `retain` visits each element once, in order.
-        let mut slot = 0;
-        self.ids.retain(|_| {
-            slot += 1;
-            self.live[slot - 1]
-        });
-        let mut slot = 0;
-        self.states.retain(|_| {
-            slot += 1;
-            self.live[slot - 1]
-        });
-        self.live.clear();
-        self.live.resize(self.ids.len(), true);
-        self.dead = 0;
-    }
-}
-
-/// A node's egress cap and the allocated bps leaving the node — the
-/// egress view, kept only for capped nodes, the only ones it is read
-/// for.
-#[derive(Debug, Clone, Copy)]
-struct EgressCap {
-    cap: Bandwidth,
-    /// Sum of the last allocation's rates over the flows leaving the
-    /// node, in slot order.
-    used_bps: f64,
-}
-
-impl EgressCap {
-    /// The cap's spare bandwidth.
-    fn available(&self) -> Bandwidth {
-        self.cap.saturating_sub(Bandwidth::from_bps(self.used_bps))
-    }
-}
-
-/// The sum of `rates` over a constraint's members, in member order.
-fn member_sum(c: &Constraint, rates: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for &m in &c.members {
-        sum += rates[m];
-    }
-    sum
-}
-
-/// Persistent inverted index backing the allocator over the
-/// [`FlowTable`]'s slots: one constraint per link (and per egress-capped
-/// node) with its member list of slots, and a CSR slot → constraints
-/// reverse map.
-///
-/// Flow add/remove *patch* the index in place: a new flow's appended
-/// slot joins its member lists (which stay sorted, slots being appended
-/// in id order), a tombstoned slot is taken out of its member lists and
-/// its component, its row left unread. The touched components are
-/// re-derived once at the next allocation. A full rebuild, which
-/// compacts the table first, happens only when the routing or the
-/// egress-cap set changes, when dead slots outnumber live ones, or for a
-/// patch arriving on an already stale index.
-#[derive(Debug, Clone, Default)]
-struct AllocIndex {
-    /// Ranks of the egress-capped nodes, ascending: egress constraint
-    /// `link_count + k` caps node `egress_ranks[k]`.
-    egress_ranks: Vec<u32>,
-    /// Link constraints first (one per link, in `LinkId` order), then one
-    /// per egress-capped node (in `NodeId` order) — the same layout the
-    /// reference path rebuilds per tick. Capacities are refreshed in place
-    /// each [`Mesh::reallocate`]; member lists persist.
-    constraints: Vec<Constraint>,
-    /// CSR offsets of the slot → constraints reverse map.
-    flow_cons_off: Vec<usize>,
-    /// CSR payload of the slot → constraints reverse map (a row in path
-    /// order; a dead slot's row is never read).
-    flow_cons: Vec<usize>,
-    /// Connected components of the flow ↔ constraint graph (the district
-    /// map of a gateway-partitioned city mesh), patched with the slots.
-    comps: ComponentIndex,
-    /// Constraints whose component the last patch re-derived; the next
-    /// component scan marks those components dirty and drains this.
-    repatched: Vec<usize>,
-    /// Set whenever routing, up/down state or the egress-cap set may
-    /// have changed, or tombstones must be compacted; cleared by
-    /// `rebuild`. While set, every per-slot dirty set and snapshot is
-    /// stale and the next allocation rebuilds the index, re-reads every
-    /// capacity and demand, and refills every component.
-    dirty: bool,
-}
-
-impl AllocIndex {
-    /// Compacts the flow table, then one pass over every flow's path
-    /// (O(Σ path lengths)) rebuilds the member lists and the CSR reverse
-    /// map — replacing the per-tick all-flows scan per link the reference
-    /// path performs.
-    fn rebuild(&mut self, link_count: usize, flows: &mut FlowTable, egress_ranks: Vec<u32>) {
-        flows.compact();
-        self.constraints.clear();
-        self.constraints.resize_with(link_count + egress_ranks.len(), || Constraint {
-            capacity: Bandwidth::ZERO,
-            members: Vec::new(),
-        });
-        self.egress_ranks = egress_ranks;
-        self.flow_cons.clear();
-        self.flow_cons_off.clear();
-        self.flow_cons_off.push(0);
-        for f in &flows.states {
-            self.push_slot(f);
-        }
-        self.comps.rebuild(
-            flows.states.len(),
-            &self.constraints,
-            &self.flow_cons_off,
-            &self.flow_cons,
-        );
-        self.repatched.clear();
-        self.dirty = false;
-    }
-
-    /// Appends the next slot's row for flow `f`: pushes the slot onto
-    /// each of its links' and capped-egress constraints' member lists
-    /// and appends its CSR row. Returns the slot.
-    fn push_slot(&mut self, f: &FlowState) -> usize {
-        let slot = self.flow_cons_off.len() - 1;
-        let link_count = self.constraints.len() - self.egress_ranks.len();
-        for lid in &f.links {
-            self.constraints[lid.0].members.push(slot);
-            self.flow_cons.push(lid.0);
-        }
-        for node in &f.egress {
-            if let Ok(k) = self.egress_ranks.binary_search(node) {
-                self.constraints[link_count + k].members.push(slot);
-                self.flow_cons.push(link_count + k);
-            }
-        }
-        self.flow_cons_off.push(self.flow_cons.len());
-        slot
-    }
-
-    /// Patches a newly registered flow's slot in (clean index only); its
-    /// components are merged by the next [`ComponentIndex::patch`].
-    fn add(&mut self, f: &FlowState) -> usize {
-        let slot = self.push_slot(f);
-        self.comps.push_flow(&self.flow_cons[self.flow_cons_off[slot]..]);
-        slot
-    }
-
-    /// Takes a tombstoned slot out of every member list and out of its
-    /// component (clean index only).
-    fn remove(&mut self, slot: usize) {
-        for &ci in &self.flow_cons[self.flow_cons_off[slot]..self.flow_cons_off[slot + 1]] {
-            let members = &mut self.constraints[ci].members;
-            let at = members
-                .binary_search(&slot)
-                .expect("a live slot sits in each of its constraints");
-            members.remove(at);
-        }
-        self.comps.detach_flow(slot);
-    }
-}
-
-#[derive(Debug, Clone)]
-struct FlowState {
-    spec: FlowSpec,
-    /// Links crossed by the flow's route (empty for loopback).
-    links: Vec<LinkId>,
-    /// Ranks ([`RoutingTable::rank`]) of the nodes whose egress the flow
-    /// consumes (every path node except dst).
-    egress: Vec<u32>,
-    queue: FlowQueue,
-    /// False while no usable route exists (endpoint down or the mesh
-    /// partitioned by link faults): the flow gets zero allocation until
-    /// connectivity returns and [`Mesh::recompute_routes_and_flows`]
-    /// restores its path.
-    routable: bool,
-}
-
 /// A simulated wireless mesh carrying fluid flows.
 ///
 /// Time advances with [`Mesh::advance`]; at each step the mesh refreshes
@@ -346,84 +81,18 @@ struct FlowState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mesh {
-    topo: Topology,
-    routes: RoutingTable,
-    link_caps: Vec<LinkCapacity>,
-    /// Egress-capped nodes with their caps and egress usage (refreshed
-    /// per step).
-    egress_caps: BTreeMap<NodeId, EgressCap>,
-    flows: FlowTable,
-    next_flow: u64,
+    routes: Routes,
+    links: LinkCaps,
+    alloc: Allocation,
+    /// The simulation clock (logical).
     now: SimTime,
-    /// False from a flow add or remove until the next allocation: the
-    /// rates do not yet cover the registered flow set.
-    allocated: bool,
-    /// Allocated bps currently crossing each link (refreshed per step).
-    link_used_bps: Vec<f64>,
+    /// Per-link utilization scratch for the queueing model.
+    util_scratch: Vec<f64>,
     /// Per-link effective capacities (Mbps) last reported to a journal;
     /// `None` until the first (silent, baseline-setting) emission pass.
     obs_cap_snapshot: Option<Vec<f64>>,
     /// (flows, demand Mbps, allocated Mbps) last reported to a journal.
     obs_flow_sig: Option<(u32, f64, f64)>,
-    /// Nodes currently crashed (fault injection): all incident links are
-    /// unusable and the node's loopback traffic is dead.
-    down_nodes: BTreeSet<NodeId>,
-    /// Links currently down (fault injection), independent of node state.
-    down_links: BTreeSet<LinkId>,
-    /// Links whose trace feed is frozen at a past instant (fault
-    /// injection): capacity reads use the frozen time, not `now`.
-    trace_freeze: BTreeMap<LinkId, SimTime>,
-    /// The trace clock: the earliest change-point across every unfrozen
-    /// traced link strictly after the last full capacity read — inner
-    /// `None` when no trace changes again. The outer `None` marks it
-    /// stale (never read yet, a trace source swapped, a link
-    /// (un)frozen); the dense reference never reads through it, so there
-    /// it stays stale.
-    trace_clock: Option<Option<SimTime>>,
-    /// Per-link sample cursors of the full capacity re-read
-    /// ([`BandwidthTrace::read_forward`](bass_trace::BandwidthTrace::read_forward)),
-    /// which re-arms the trace clock in the same pass.
-    trace_cursor: Vec<u32>,
-    /// Set (one way) by [`Mesh::use_reference_allocator`]: `reallocate`
-    /// runs the dense test reference instead of the production path.
-    reference: bool,
-    /// Persistent membership index.
-    index: AllocIndex,
-    /// Reusable working state of the component fill.
-    scratch: AllocScratch,
-    /// Per-slot transmit demands (zero for a dead slot), reused across
-    /// ticks.
-    demands_scratch: Vec<Bandwidth>,
-    /// The allocation: per-slot allocated bps from the last allocation
-    /// (zero for a flow added since). A slot tombstoned since the last
-    /// allocation keeps its rate until the next one, which zeroes it.
-    rates_bps: Vec<f64>,
-    /// Effective per-link capacities (bps) cached by the last
-    /// `reallocate` — `advance` derives utilizations from these without
-    /// re-querying every capacity source, and every public capacity
-    /// read serves from them while `link_snapshot_current` holds.
-    link_cap_bps: Vec<f64>,
-    /// Per-link utilization scratch for the queueing model.
-    util_scratch: Vec<f64>,
-    /// Components marked dirty this tick (scratch).
-    dirty_comps: Vec<u32>,
-    /// Per-component dirty flags (scratch).
-    comp_dirty: Vec<bool>,
-    /// Per-link membership flags of `dirty_links`.
-    link_dirty: Vec<bool>,
-    /// Links whose `tc` cap moved since the last refresh. Trace
-    /// change-points need no entry: a due trace clock reads every link.
-    dirty_links: Vec<u32>,
-    /// Links whose effective capacity *actually* moved in the last
-    /// refresh — the O(dirty) input of the component scan.
-    cap_changed: Vec<u32>,
-    /// Per-flow-slot membership flags of `dirty_flows`.
-    flow_dirty: Vec<bool>,
-    /// Flow slots whose transmit demand may have moved since the last
-    /// refresh: spec changes, queue-backlog byte movements, resets. The
-    /// demand refresh narrows it to the slots whose demand *actually*
-    /// moved — the component scan's input, as `cap_changed` is for links.
-    dirty_flows: Vec<u32>,
 }
 
 impl Mesh {
@@ -435,45 +104,15 @@ impl Mesh {
     /// Returns [`MeshError::NotConnected`] for disconnected topologies —
     /// the paper's assumption is "no partitioning of the network".
     pub fn new(topo: Topology) -> Result<Self, MeshError> {
-        if !topo.is_connected() {
-            return Err(MeshError::NotConnected);
-        }
-        let routes = RoutingTable::compute(&topo);
-        let link_caps = (0..topo.link_count())
-            .map(|_| LinkCapacity::new(CapacitySource::Constant(Bandwidth::ZERO)))
-            .collect();
         let link_count = topo.link_count();
         Ok(Mesh {
-            topo,
-            routes,
-            link_caps,
-            egress_caps: BTreeMap::new(),
-            flows: FlowTable::default(),
-            next_flow: 0,
+            routes: Routes::new(topo)?,
+            links: LinkCaps::new(link_count),
+            alloc: Allocation::new(link_count),
             now: SimTime::ZERO,
-            allocated: true,
-            link_used_bps: vec![0.0; link_count],
+            util_scratch: vec![0.0; link_count],
             obs_cap_snapshot: None,
             obs_flow_sig: None,
-            down_nodes: BTreeSet::new(),
-            down_links: BTreeSet::new(),
-            trace_freeze: BTreeMap::new(),
-            trace_clock: None,
-            trace_cursor: vec![0; link_count],
-            reference: false,
-            index: AllocIndex { dirty: true, ..AllocIndex::default() },
-            scratch: AllocScratch::default(),
-            demands_scratch: Vec::new(),
-            rates_bps: Vec::new(),
-            link_cap_bps: vec![0.0; link_count],
-            util_scratch: vec![0.0; link_count],
-            dirty_comps: Vec::new(),
-            comp_dirty: Vec::new(),
-            link_dirty: vec![false; link_count],
-            dirty_links: Vec::new(),
-            cap_changed: Vec::new(),
-            flow_dirty: Vec::new(),
-            dirty_flows: Vec::new(),
         })
     }
 
@@ -485,10 +124,8 @@ impl Mesh {
     /// back.
     #[doc(hidden)]
     pub fn use_reference_allocator(&mut self) {
-        self.reference = true;
-        // The reference never rebuilds the index; a stale one is never
-        // patched either.
-        self.index.dirty = true;
+        self.alloc.use_reference();
+        self.links.invalidate();
     }
 
     /// Creates a mesh where every link has the same constant capacity
@@ -499,8 +136,8 @@ impl Mesh {
     /// Returns [`MeshError::NotConnected`] for disconnected topologies.
     pub fn with_uniform_capacity(topo: Topology, capacity: Bandwidth) -> Result<Self, MeshError> {
         let mut mesh = Mesh::new(topo)?;
-        for cap in &mut mesh.link_caps {
-            cap.set_source(CapacitySource::Constant(capacity));
+        for l in 0..mesh.topology().link_count() {
+            mesh.links.set_source(LinkId(l), CapacitySource::Constant(capacity));
         }
         Ok(mesh)
     }
@@ -513,12 +150,10 @@ impl Mesh {
     /// Returns [`MeshError::NotConnected`] or [`MeshError::MissingTrace`].
     pub fn from_bundle(topo: Topology, bundle: &TraceBundle) -> Result<Self, MeshError> {
         let mut mesh = Mesh::new(topo)?;
-        for (lid, link) in mesh.topo.links().collect::<Vec<_>>() {
+        for (lid, link) in mesh.topology().links().collect::<Vec<_>>() {
             let key = TraceBundle::link_key(link.a.0, link.b.0);
-            let trace = bundle
-                .get(&key)
-                .ok_or_else(|| MeshError::MissingTrace(key.clone()))?;
-            mesh.link_caps[lid.0].set_source(CapacitySource::Trace(trace.clone()));
+            let trace = bundle.get(&key).ok_or_else(|| MeshError::MissingTrace(key.clone()))?;
+            mesh.links.set_source(lid, CapacitySource::Trace(trace.clone()));
         }
         Ok(mesh)
     }
@@ -530,12 +165,7 @@ impl Mesh {
 
     /// Borrow the topology.
     pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The hop-latency model in use.
-    pub fn hop_latency(&self) -> HopLatency {
-        HopLatency::default()
+        self.routes.topo()
     }
 
     // ----- fault state ------------------------------------------------------
@@ -548,18 +178,8 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownNode`] if the node does not exist.
     pub fn set_node_up(&mut self, node: NodeId, up: bool) -> Result<(), MeshError> {
-        if !self.topo.contains_node(node) {
-            return Err(MeshError::UnknownNode(node));
-        }
-        let changed = if up {
-            self.down_nodes.remove(&node)
-        } else {
-            self.down_nodes.insert(node)
-        };
-        if changed {
-            self.recompute_routes_and_flows();
-            self.reallocate();
-        }
+        let changed = self.routes.set_node_up(node, up)?;
+        self.reroute_if(changed);
         Ok(())
     }
 
@@ -570,31 +190,29 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) -> Result<(), MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        let changed = if up {
-            self.down_links.remove(&lid)
-        } else {
-            self.down_links.insert(lid)
-        };
-        if changed {
-            self.recompute_routes_and_flows();
-            self.reallocate();
-        }
+        let changed = self.routes.set_link_up(a, b, up)?;
+        self.reroute_if(changed);
         Ok(())
+    }
+
+    /// After an up/down change: re-path every flow and reallocate.
+    fn reroute_if(&mut self, changed: bool) {
+        if changed {
+            self.links.invalidate();
+            self.alloc.reroute(&self.routes);
+            self.alloc.reallocate(&mut self.links, &self.routes, self.now, None);
+        }
     }
 
     /// True when the node exists and is not crashed.
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        self.topo.contains_node(node) && !self.down_nodes.contains(&node)
+        self.routes.node_is_up(node)
     }
 
     /// True when the link exists, is not down, and neither endpoint is
     /// crashed.
     pub fn link_is_up(&self, a: NodeId, b: NodeId) -> bool {
-        match self.topo.find_link(a, b) {
-            Some(lid) => self.usable(lid),
-            None => false,
-        }
+        self.routes.link(a, b).is_ok_and(|lid| self.routes.usable(lid))
     }
 
     /// Freezes the link's trace feed at the current time: until unfrozen,
@@ -605,11 +223,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn freeze_link_trace(&mut self, a: NodeId, b: NodeId) -> Result<(), MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        self.trace_freeze.entry(lid).or_insert(self.now);
-        self.trace_clock = None;
-        self.reallocate();
-        Ok(())
+        self.set_trace_frozen(a, b, Some(self.now))
     }
 
     /// Reverses [`freeze_link_trace`](Self::freeze_link_trace).
@@ -618,10 +232,13 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn unfreeze_link_trace(&mut self, a: NodeId, b: NodeId) -> Result<(), MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        self.trace_freeze.remove(&lid);
-        self.trace_clock = None;
-        self.reallocate();
+        self.set_trace_frozen(a, b, None)
+    }
+
+    fn set_trace_frozen(&mut self, a: NodeId, b: NodeId, at: Option<SimTime>) -> Result<(), MeshError> {
+        let lid = self.routes.link(a, b)?;
+        self.links.set_frozen(lid, at);
+        self.alloc.reallocate(&mut self.links, &self.routes, self.now, None);
         Ok(())
     }
 
@@ -636,88 +253,13 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn link_effective_capacity(&self, a: NodeId, b: NodeId) -> Result<Bandwidth, MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        Ok(self.link_capacity_now(lid))
+        Ok(self.link_capacity_now(self.routes.link(a, b)?))
     }
 
-    /// True when the link and both its endpoints are up.
-    fn usable(&self, lid: LinkId) -> bool {
-        if self.down_links.contains(&lid) {
-            return false;
-        }
-        let link = self.topo.link(lid);
-        !self.down_nodes.contains(&link.a) && !self.down_nodes.contains(&link.b)
-    }
-
-    /// The capacity the allocator grants the link right now: zero when
-    /// unusable, otherwise the source's value at `now` (or at the freeze
-    /// instant for stale-trace links), with any `tc` cap applied.
-    fn effective_link_capacity(&self, lid: LinkId) -> Bandwidth {
-        if !self.usable(lid) {
-            return Bandwidth::ZERO;
-        }
-        let at = self.trace_freeze.get(&lid).copied().unwrap_or(self.now);
-        self.link_caps[lid.0].effective_at(at)
-    }
-
-    /// True when `link_cap_bps` holds every link's
-    /// [`effective_link_capacity`](Self::effective_link_capacity) at
-    /// `now`: the production allocator, a clean index, no queued `tc`
-    /// change and a trace clock still ahead of `now` — exactly when
-    /// `refresh_constraint_caps` would re-read nothing. Every other
-    /// input of a link's capacity reallocates on the spot (freeze,
-    /// up/down), stales the clock (a source swap) or dirties the index.
-    fn link_snapshot_current(&self) -> bool {
-        !self.reference
-            && !self.index.dirty
-            && self.dirty_links.is_empty()
-            && self.armed_trace_clock().is_some()
-    }
-
-    /// The effective capacity of `lid` at `now`: one read of the
-    /// allocator's snapshot when it is current, else the source read.
+    /// The effective capacity of `lid` at `now` ([`LinkCaps::capacity`]).
     /// Every public capacity read goes through here.
     fn link_capacity_now(&self, lid: LinkId) -> Bandwidth {
-        if self.link_snapshot_current() {
-            Bandwidth::from_bps(self.link_cap_bps[lid.0])
-        } else {
-            self.effective_link_capacity(lid)
-        }
-    }
-
-    /// Routes one flow over the current table: the links it crosses and
-    /// the ranks of the nodes whose egress it consumes, or `None` when no
-    /// usable route exists.
-    fn route_flow(&self, src: NodeId, dst: NodeId) -> Option<(Vec<LinkId>, Vec<u32>)> {
-        if src == dst {
-            // Loopback crosses nothing and dies with its node.
-            return (!self.down_nodes.contains(&src)).then(Default::default);
-        }
-        let path = self.routes.path(src, dst)?;
-        let links: Option<_> = path.windows(2).map(|w| self.topo.find_link(w[0], w[1])).collect();
-        let egress = path[..path.len() - 1].iter().filter_map(|&n| self.routes.rank(n)).collect();
-        Some((links?, egress))
-    }
-
-    /// Rebuilds the routing table honoring down links/nodes and
-    /// tolerantly re-routes every flow: flows whose route vanished are
-    /// parked as unroutable (zero allocation, queues preserved) and
-    /// restored when a later recomputation finds a path again.
-    fn recompute_routes_and_flows(&mut self) {
-        self.routes = RoutingTable::compute_filtered(&self.topo, |lid| self.usable(lid));
-        let routed: Vec<_> = self
-            .flows
-            .states
-            .iter()
-            .map(|f| self.route_flow(f.spec.src, f.spec.dst))
-            .collect();
-        for (f, r) in self.flows.states.iter_mut().zip(routed) {
-            f.routable = r.is_some();
-            (f.links, f.egress) = r.unwrap_or_default();
-        }
-        // Up/down state feeds effective capacities: the stale index
-        // forces a full capacity re-read.
-        self.index.dirty = true;
+        self.links.capacity(lid, &self.routes, self.now)
     }
 
     // ----- capacity control ------------------------------------------------
@@ -733,10 +275,8 @@ impl Mesh {
         b: NodeId,
         source: CapacitySource,
     ) -> Result<(), MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        self.link_caps[lid.0].set_source(source);
-        // A stale clock makes the next refresh read every link.
-        self.trace_clock = None;
+        let lid = self.routes.link(a, b)?;
+        self.links.set_source(lid, source);
         Ok(())
     }
 
@@ -751,12 +291,8 @@ impl Mesh {
         b: NodeId,
         cap: Option<Bandwidth>,
     ) -> Result<(), MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        self.link_caps[lid.0].set_cap(cap);
-        if !self.link_dirty[lid.0] {
-            self.link_dirty[lid.0] = true;
-            self.dirty_links.push(lid.0 as u32);
-        }
+        let lid = self.routes.link(a, b)?;
+        self.links.set_cap(lid, cap);
         Ok(())
     }
 
@@ -774,24 +310,10 @@ impl Mesh {
         node: NodeId,
         cap: Option<Bandwidth>,
     ) -> Result<(), MeshError> {
-        if !self.topo.contains_node(node) {
+        if !self.topology().contains_node(node) {
             return Err(MeshError::UnknownNode(node));
         }
-        match cap {
-            Some(cap) => {
-                let used_bps = match self.egress_caps.get(&node) {
-                    Some(e) => e.used_bps,
-                    None => self.allocated_egress(node),
-                };
-                self.egress_caps.insert(node, EgressCap { cap, used_bps });
-            }
-            None => {
-                self.egress_caps.remove(&node);
-            }
-        }
-        // The egress constraint set changed shape (or value): rebuild the
-        // membership index at the next allocation.
-        self.index.dirty = true;
+        self.alloc.set_egress_cap(node, self.routes.rank(node), cap);
         Ok(())
     }
 
@@ -815,35 +337,12 @@ impl Mesh {
         demand: Bandwidth,
     ) -> Result<FlowId, MeshError> {
         for &n in &[src, dst] {
-            if !self.topo.contains_node(n) {
+            if !self.topology().contains_node(n) {
                 return Err(MeshError::UnknownNode(n));
             }
         }
-        let routed = self.route_flow(src, dst);
-        let routable = routed.is_some();
-        let (links, egress) = routed.unwrap_or_default();
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        let flow = FlowState {
-            spec: FlowSpec { src, dst, demand },
-            links,
-            egress,
-            queue: FlowQueue::new(),
-            routable,
-        };
-        if !self.index.dirty {
-            // Patch, don't rebuild: append the slot's row, extend every
-            // per-slot vector, and let the demand diff read it in.
-            let slot = self.index.add(&flow);
-            debug_assert_eq!(slot, self.flows.ids.len());
-            self.demands_scratch.push(Bandwidth::ZERO);
-            self.flow_dirty.push(false);
-            self.mark_slot_demand_dirty(slot);
-        }
-        self.flows.push(id, flow);
-        self.rates_bps.push(0.0);
-        self.allocated = false;
-        Ok(id)
+        let routed = self.routes.route_flow(src, dst);
+        Ok(self.alloc.add(FlowSpec { src, dst, demand }, routed))
     }
 
     /// Updates a flow's offered demand.
@@ -852,16 +351,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn set_flow_demand(&mut self, id: FlowId, demand: Bandwidth) -> Result<(), MeshError> {
-        let slot = self.flows.live_slot(id).ok_or(MeshError::UnknownFlow(id))?;
-        let flow = &mut self.flows.states[slot];
-        // The emulator re-pushes every demand every tick; only a bitwise
-        // change dirties the slot (the common tick marks nothing).
-        let changed = flow.spec.demand.as_bps().to_bits() != demand.as_bps().to_bits();
-        flow.spec.demand = demand;
-        if changed {
-            self.mark_slot_demand_dirty(slot);
-        }
-        Ok(())
+        self.alloc.set_demand(id, demand)
     }
 
     /// Removes a flow, dropping its queue. Its rate stays readable
@@ -871,35 +361,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), MeshError> {
-        let slot = self.flows.live_slot(id).ok_or(MeshError::UnknownFlow(id))?;
-        self.flows.tombstone(slot);
-        self.allocated = false;
-        if !self.index.dirty {
-            // Out of the index; the demand diff zeroes the slot's rate.
-            self.index.remove(slot);
-            self.demands_scratch[slot] = Bandwidth::ZERO;
-            self.mark_slot_demand_dirty(slot);
-            // Compact once dead slots outnumber live ones (a fixed
-            // growth rule, like `Vec` doubling).
-            if self.flows.dead > self.flows.len() {
-                self.index.dirty = true;
-            }
-        }
-        Ok(())
-    }
-
-    /// Clears a flow's queue backlog (connection re-establishment after a
-    /// component restart).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeshError::UnknownFlow`] for unknown ids.
-    pub fn reset_flow_queue(&mut self, id: FlowId) -> Result<(), MeshError> {
-        let slot = self.flows.live_slot(id).ok_or(MeshError::UnknownFlow(id))?;
-        self.flows.states[slot].queue.reset();
-        // Dropping the backlog moves the drain demand.
-        self.mark_slot_demand_dirty(slot);
-        Ok(())
+        self.alloc.remove(id)
     }
 
     /// The spec of a flow.
@@ -908,15 +370,12 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn flow_spec(&self, id: FlowId) -> Result<FlowSpec, MeshError> {
-        self.flows
-            .get(id)
-            .map(|f| f.spec)
-            .ok_or(MeshError::UnknownFlow(id))
+        self.alloc.flow_and_rate(id).map(|(f, _)| f.spec).ok_or(MeshError::UnknownFlow(id))
     }
 
     /// Number of registered flows.
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.alloc.flows.len()
     }
 
     // ----- stepping ---------------------------------------------------------
@@ -931,10 +390,8 @@ impl Mesh {
     /// profiling. With both `None` this *is* `advance` — the profiler is
     /// threaded as `Option` so the hot path pays one branch per phase
     /// and never reads a clock when profiling is off. Spans recorded
-    /// (see `docs/OBSERVABILITY.md`): the `mesh.*` allocation phases via
-    /// [`reallocate_profiled`](Self::reallocate_profiled), plus
-    /// `mesh.queues` (queue integration) and `mesh.obs_emit` (journal
-    /// diffing) here.
+    /// (see `docs/OBSERVABILITY.md`): the allocation phases (see
+    /// `alloc.rs`), then `mesh.queues` and, with a journal, `mesh.obs_emit`.
     pub fn advance_profiled(
         &mut self,
         dt: SimDuration,
@@ -942,7 +399,8 @@ impl Mesh {
         mut profiler: Option<&mut bass_obs::SpanProfiler>,
     ) {
         self.now += dt;
-        self.reallocate_profiled(profiler.as_deref_mut());
+        let profile = profiler.as_deref_mut();
+        self.alloc.reallocate(&mut self.links, &self.routes, self.now, profile);
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
         self.advance_queues(dt);
         clock.lap(profiler.as_deref_mut(), "mesh.queues");
@@ -953,51 +411,23 @@ impl Mesh {
         }
     }
 
-    /// The queue pass: derive every link's utilization, advance every
-    /// flow queue, and feed each backlog that moved into the dirty-flow
-    /// set of the next demand diff.
+    /// The queue pass: derive every link's utilization from the
+    /// capacities and usage the allocation just left (same instant, so no
+    /// capacity source is queried twice per tick), then advance every
+    /// flow queue.
     fn advance_queues(&mut self, dt: SimDuration) {
-        let link_count = self.topo.link_count();
-        // Per-link utilization for the queueing model, derived from the
-        // effective capacities `reallocate` just cached (same instant,
-        // so no capacity source is queried twice per tick).
+        let link_count = self.topology().link_count();
         self.util_scratch.resize(link_count, 0.0);
+        let (caps, used) = (self.links.caps_bps(), self.alloc.link_used_bps());
         for i in 0..link_count {
-            let cap = self.link_cap_bps[i];
-            self.util_scratch[i] = if cap <= f64::EPSILON {
-                if self.link_used_bps[i] > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                (self.link_used_bps[i] / cap).clamp(0.0, 1.0)
+            let (cap, used) = (caps[i], used[i]);
+            self.util_scratch[i] = match (cap <= f64::EPSILON, used > 0.0) {
+                (true, true) => 1.0,
+                (true, false) => 0.0,
+                (false, _) => (used / cap).clamp(0.0, 1.0),
             };
         }
-        // Backlog movements feed the demand dirty set whenever the index
-        // is clean; under a stale index (or on the reference) the next
-        // refresh is full anyway.
-        let track = !self.index.dirty;
-        debug_assert!(self.allocated);
-        let FlowTable { live, states, .. } = &mut self.flows;
-        for (s, flow) in states.iter_mut().enumerate() {
-            if !live[s] {
-                continue;
-            }
-            let before = flow.queue.backlog().as_bytes();
-            let allocated = Bandwidth::from_bps(self.rates_bps[s]);
-            flow.queue.advance(dt, flow.spec.demand, allocated);
-            let rho = flow
-                .links
-                .iter()
-                .map(|l| self.util_scratch[l.0])
-                .fold(0.0f64, f64::max);
-            flow.queue.set_path_utilization(rho);
-            if track && flow.queue.backlog().as_bytes() != before && !self.flow_dirty[s] {
-                self.flow_dirty[s] = true;
-                self.dirty_flows.push(s as u32);
-            }
-        }
+        self.alloc.advance_queues(dt, &self.util_scratch);
     }
 
     /// Whether one `dt`-long [`advance`](Self::advance) would leave
@@ -1007,55 +437,16 @@ impl Mesh {
     /// ticks reduces to moving the clock, which is exactly what
     /// [`advance_quiescent`](Self::advance_quiescent) does.
     pub fn queues_quiescent(&self, dt: SimDuration) -> bool {
-        if !self.allocated {
-            // Flows were added or removed since the last allocation
-            // (before the first tick included), so some rate is stale —
-            // a full step would change state, so nothing is skippable.
-            return false;
-        }
-        self.flows.live_slots().all(|s| {
-            let f = &self.flows.states[s];
-            let allocated = Bandwidth::from_bps(self.rates_bps[s]);
-            f.queue.advance_is_identity(dt, f.spec.demand, allocated)
-        })
+        self.alloc.queues_quiescent(dt)
     }
 
     /// Earliest change-point strictly after `now` across every unfrozen
     /// traced link, or `None` when all capacities are constant from `now`
     /// on. Frozen links read their capacity at the freeze time, so their
-    /// traces cannot change anything until unfrozen.
-    ///
-    /// O(1) while the trace clock is fresh: it holds the earliest
-    /// change-point after the last full capacity read, and no
-    /// change-point lies between that read and a clock still ahead of
-    /// `now`, so the clock is also the earliest one after `now`.
-    /// Otherwise — stale clock, a clock `now` has reached, or the dense
-    /// reference, which never arms it — every link is scanned.
+    /// traces cannot change anything until unfrozen. O(1) while the trace
+    /// clock is armed and ahead of `now`, else one scan of every link.
     pub fn next_trace_change(&self) -> Option<SimTime> {
-        self.armed_trace_clock().unwrap_or_else(|| self.scan_trace_change())
-    }
-
-    /// The trace clock while it still answers for `now` — armed and not
-    /// yet reached; `None` when stale or due.
-    fn armed_trace_clock(&self) -> Option<Option<SimTime>> {
-        self.trace_clock.filter(|next| next.is_none_or(|t| t > self.now))
-    }
-
-    /// The stale-clock fallback of [`next_trace_change`](Self::next_trace_change):
-    /// the earliest change-point strictly after `now` across every
-    /// unfrozen traced link, one binary search per link. The full
-    /// capacity re-read arms the clock with the same answer from its
-    /// cursors.
-    fn scan_trace_change(&self) -> Option<SimTime> {
-        self.link_caps
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.trace_freeze.contains_key(&LinkId(i)))
-            .filter_map(|(_, lc)| match lc.source() {
-                CapacitySource::Trace(trace) => trace.next_change_after(self.now),
-                _ => None,
-            })
-            .min()
+        self.links.next_change(self.now)
     }
 
     /// Advances the clock by `dt` without touching capacities,
@@ -1065,341 +456,6 @@ impl Mesh {
     /// full [`advance`](Self::advance) would recompute the identity.
     pub fn advance_quiescent(&mut self, dt: SimDuration) {
         self.now += dt;
-    }
-
-    /// Recomputes the allocation at the current time without advancing
-    /// queues (useful right after changing demands or capacities).
-    pub fn reallocate(&mut self) {
-        self.reallocate_profiled(None);
-    }
-
-    /// [`reallocate`](Self::reallocate) with span profiling. A tick that
-    /// found the membership index stale records `mesh.index_rebuild`,
-    /// `mesh.trace_refresh` (the full capacity re-read),
-    /// `mesh.water_fill` (every component) and `mesh.usage_views`; any
-    /// other tick records `mesh.index_patch` (only when flows were added
-    /// or removed since the last allocation), `mesh.cap_diff` (every link
-    /// once the trace clock is due or stale, else the capped links),
-    /// `mesh.demand_diff`, `mesh.component_scan`, `mesh.water_fill` (the
-    /// dirty components only) and `mesh.usage_views`. The test reference
-    /// records one `mesh.dense_realloc` span.
-    pub fn reallocate_profiled(&mut self, profiler: Option<&mut bass_obs::SpanProfiler>) {
-        if self.reference {
-            let _span = bass_obs::SpanProfiler::span(profiler, "mesh.dense_realloc");
-            self.reallocate_dense();
-        } else {
-            self.reallocate_dirty(profiler);
-        }
-        self.allocated = true;
-    }
-
-    /// The transmit demand of one flow: offered load plus bandwidth to
-    /// drain any queued backlog within one second — this is how a real
-    /// transport keeps transmitting a queue even after the application
-    /// stops producing. An unroutable flow transmits nothing at all.
-    fn transmit_demand(f: &FlowState) -> Bandwidth {
-        if !f.routable {
-            Bandwidth::ZERO
-        } else {
-            f.spec.demand + f.queue.backlog().rate_over(SimDuration::from_secs(1))
-        }
-    }
-
-    /// Marks one slot's transmit demand as needing a refresh at the next
-    /// allocation. Under a stale index the next allocation re-reads every
-    /// demand anyway, so nothing is recorded.
-    fn mark_slot_demand_dirty(&mut self, slot: usize) {
-        if !self.index.dirty && !self.flow_dirty[slot] {
-            self.flow_dirty[slot] = true;
-            self.dirty_flows.push(slot as u32);
-        }
-    }
-
-    /// Capacity refresh into the index's constraints, recording in
-    /// `cap_changed` every link whose effective capacity moved. Reads
-    /// every link (and every egress cap) when the index was just
-    /// `rebuilt`, when the trace clock is stale or when `now` has
-    /// reached it, and re-arms the clock from that same pass: each
-    /// unfrozen link reads its source forward from its sample cursor —
-    /// O(links + samples crossed) — and yields its next change-point;
-    /// a frozen link reads its freeze instant and has no change-point.
-    /// Otherwise it reads only `dirty_links`: under a clean index and a
-    /// clock still ahead of `now`, no other link's capacity can have
-    /// moved — and with none queued the snapshot is current and nothing
-    /// is read.
-    fn refresh_constraint_caps(&mut self, rebuilt: bool) {
-        self.cap_changed.clear();
-        if !rebuilt && self.link_snapshot_current() {
-            return;
-        }
-        if rebuilt || self.armed_trace_clock().is_none() {
-            let link_count = self.topo.link_count();
-            let mut clock: Option<SimTime> = None;
-            for i in 0..link_count {
-                let lid = LinkId(i);
-                let cap = if self.trace_freeze.contains_key(&lid) {
-                    self.effective_link_capacity(lid)
-                } else {
-                    let (cap, next) =
-                        self.link_caps[i].read_forward(self.now, &mut self.trace_cursor[i]);
-                    clock = match (clock, next) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    if self.usable(lid) { cap } else { Bandwidth::ZERO }
-                };
-                let bps = cap.as_bps();
-                debug_assert_eq!(
-                    bps.to_bits(),
-                    self.effective_link_capacity(lid).as_bps().to_bits()
-                );
-                if bps.to_bits() != self.link_cap_bps[i].to_bits() {
-                    self.link_cap_bps[i] = bps;
-                    self.cap_changed.push(i as u32);
-                }
-            }
-            let (link_cons, egress_cons) = self.index.constraints.split_at_mut(link_count);
-            for (c, &bps) in link_cons.iter_mut().zip(&self.link_cap_bps) {
-                c.capacity = Bandwidth::from_bps(bps);
-            }
-            for (c, e) in egress_cons.iter_mut().zip(self.egress_caps.values()) {
-                c.capacity = e.cap;
-            }
-            debug_assert_eq!(clock, self.scan_trace_change());
-            self.trace_clock = Some(clock);
-        } else {
-            for k in 0..self.dirty_links.len() {
-                let l = self.dirty_links[k] as usize;
-                let bps = self.effective_link_capacity(LinkId(l)).as_bps();
-                if bps.to_bits() != self.link_cap_bps[l].to_bits() {
-                    self.link_cap_bps[l] = bps;
-                    self.index.constraints[l].capacity = Bandwidth::from_bps(bps);
-                    self.cap_changed.push(l as u32);
-                }
-            }
-        }
-        for k in 0..self.dirty_links.len() {
-            self.link_dirty[self.dirty_links[k] as usize] = false;
-        }
-        self.dirty_links.clear();
-    }
-
-    /// Rewrites every slot of `demands_scratch` for a freshly rebuilt
-    /// index (and compacted table) and resets the dirty-flow set to
-    /// empty.
-    fn refresh_demands(&mut self) {
-        self.demands_scratch.clear();
-        for f in &self.flows.states {
-            self.demands_scratch.push(Self::transmit_demand(f));
-        }
-        self.dirty_flows.clear();
-        self.flow_dirty.clear();
-        self.flow_dirty.resize(self.flows.states.len(), false);
-    }
-
-    /// O(dirty) demand refresh over the slots in `dirty_flows` — under a
-    /// clean index an exhaustive list of every slot that can have moved.
-    /// Each live slot's transmit demand is bit-compared against
-    /// `demands_scratch` (which holds exactly what the last allocation
-    /// filled with) before it is overwritten. A slot tombstoned since the
-    /// last allocation (which `remove_flow` marked) keeps the zero demand
-    /// it wrote, and its rate is zeroed here. Clears every flag and leaves
-    /// in `dirty_flows` only the slots whose demand moved, for the
-    /// component scan.
-    fn refresh_demands_dirty(&mut self) {
-        let mut moved = 0;
-        for k in 0..self.dirty_flows.len() {
-            let slot = self.dirty_flows[k] as usize;
-            self.flow_dirty[slot] = false;
-            if !self.flows.live[slot] {
-                self.rates_bps[slot] = 0.0;
-                continue;
-            }
-            let demand = Self::transmit_demand(&self.flows.states[slot]);
-            if demand.as_bps().to_bits() != self.demands_scratch[slot].as_bps().to_bits() {
-                self.demands_scratch[slot] = demand;
-                self.dirty_flows[moved] = slot as u32;
-                moved += 1;
-            }
-        }
-        self.dirty_flows.truncate(moved);
-    }
-
-    /// Recomputes the link usage view and every capped node's egress
-    /// usage from `rates_bps`, each as its constraint's member sum.
-    /// Members are live slots in ascending flow order, so the float
-    /// accumulation order matches the reference path's flow-major loop
-    /// exactly.
-    fn update_usage_views(&mut self, link_count: usize) {
-        let (link_cons, egress_cons) = self.index.constraints.split_at(link_count);
-        self.link_used_bps.resize(link_count, 0.0);
-        for (used, c) in self.link_used_bps.iter_mut().zip(link_cons) {
-            *used = member_sum(c, &self.rates_bps);
-        }
-        for (e, c) in self.egress_caps.values_mut().zip(egress_cons) {
-            e.used_bps = member_sum(c, &self.rates_bps);
-        }
-    }
-
-    /// The production allocator. Under a stale index: rebuild it,
-    /// re-read every capacity and demand, and fill every component in
-    /// canonical order. Otherwise: diff link capacities against the
-    /// cached `link_cap_bps` and transmit demands against
-    /// `demands_scratch` (bit-compare — the common quiescent tick marks
-    /// nothing), refill only the dirty components, and keep every other
-    /// component's rates verbatim.
-    fn reallocate_dirty(&mut self, mut profiler: Option<&mut bass_obs::SpanProfiler>) {
-        let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
-        let link_count = self.topo.link_count();
-        if self.index.dirty {
-            let capped: Vec<u32> =
-                self.egress_caps.keys().filter_map(|&n| self.routes.rank(n)).collect();
-            self.index.rebuild(link_count, &mut self.flows, capped);
-            clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
-            self.refresh_constraint_caps(true);
-            clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
-            self.refresh_demands();
-            max_min_allocate_components(
-                &self.demands_scratch,
-                &self.index.constraints,
-                &self.index.flow_cons_off,
-                &self.index.flow_cons,
-                &self.index.comps,
-                &mut self.scratch,
-                &mut self.rates_bps,
-            );
-            clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
-            self.update_usage_views(link_count);
-            clock.lap(profiler, "mesh.usage_views");
-            return;
-        }
-
-        let index = &mut self.index;
-        if index.comps.patch_pending() {
-            index
-                .comps
-                .patch(&index.flow_cons_off, &index.flow_cons, &mut index.repatched);
-            clock.lap(profiler.as_deref_mut(), "mesh.index_patch");
-        }
-        self.refresh_constraint_caps(false);
-        clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
-        self.refresh_demands_dirty();
-        clock.lap(profiler.as_deref_mut(), "mesh.demand_diff");
-
-        // Dirty-component scan: a component the index patch re-derived,
-        // a constraint whose capacity moved or a flow whose demand moved
-        // (backlog drain included) dirties its component. Unconstrained
-        // flows are re-granted directly. The scan touches only the
-        // patched constraints and what the two refreshes observed moving
-        // (`cap_changed`, and `dirty_flows` as narrowed by the demand
-        // refresh — both hold only bits that moved, so there is nothing
-        // left to compare) — O(dirty), not O(F + L).
-        self.comp_dirty.clear();
-        self.comp_dirty.resize(self.index.comps.component_count(), false);
-        self.dirty_comps.clear();
-        let changed = self.cap_changed.iter().map(|&l| l as usize);
-        for ci in self.index.repatched.iter().copied().chain(changed) {
-            if !self.index.constraints[ci].members.is_empty() {
-                let comp = self.index.comps.constraint_component(ci);
-                if !self.comp_dirty[comp as usize] {
-                    self.comp_dirty[comp as usize] = true;
-                    self.dirty_comps.push(comp);
-                }
-            }
-        }
-        self.index.repatched.clear();
-        for k in 0..self.dirty_flows.len() {
-            let i = self.dirty_flows[k] as usize;
-            let comp = self.index.comps.flow_component(i);
-            if comp == NO_COMPONENT {
-                self.rates_bps[i] = unconstrained_rate(self.demands_scratch[i]);
-            } else if !self.comp_dirty[comp as usize] {
-                self.comp_dirty[comp as usize] = true;
-                self.dirty_comps.push(comp);
-            }
-        }
-        self.dirty_flows.clear();
-        clock.lap(profiler.as_deref_mut(), "mesh.component_scan");
-
-        for k in 0..self.dirty_comps.len() {
-            refill_component_into(
-                self.dirty_comps[k],
-                &self.demands_scratch,
-                &self.index.constraints,
-                &self.index.flow_cons_off,
-                &self.index.flow_cons,
-                &self.index.comps,
-                &mut self.scratch,
-                &mut self.rates_bps,
-            );
-        }
-        clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
-
-        self.update_usage_views(link_count);
-        clock.lap(profiler, "mesh.usage_views");
-    }
-
-    /// The test reference, kept verbatim from before the persistent
-    /// index existed (fresh buffers, per-tick membership scans, the dense
-    /// water-fill) so the equivalence batteries can replay any schedule
-    /// through both paths. Reached only via
-    /// [`use_reference_allocator`](Self::use_reference_allocator).
-    fn reallocate_dense(&mut self) {
-        self.flows.compact();
-        let flows = &self.flows.states;
-        let demands: Vec<Bandwidth> = flows
-            .iter()
-            .map(|f| {
-                if !f.routable {
-                    // No route: the flow transmits nothing at all.
-                    return Bandwidth::ZERO;
-                }
-                let drain = f.queue.backlog().rate_over(SimDuration::from_secs(1));
-                f.spec.demand + drain
-            })
-            .collect();
-
-        self.link_cap_bps.resize(self.topo.link_count(), 0.0);
-        let mut constraints = Vec::new();
-        // One constraint per link.
-        for (lid, _) in self.topo.links() {
-            let capacity = self.effective_link_capacity(lid);
-            self.link_cap_bps[lid.0] = capacity.as_bps();
-            let members: Vec<usize> = flows
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.links.contains(&lid))
-                .map(|(i, _)| i)
-                .collect();
-            constraints.push(Constraint { capacity, members });
-        }
-        // One constraint per node egress cap.
-        for (&node, e) in &self.egress_caps {
-            let rank = self.routes.rank(node);
-            let members: Vec<usize> = flows
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| rank.is_some_and(|r| f.egress.contains(&r)))
-                .map(|(i, _)| i)
-                .collect();
-            constraints.push(Constraint { capacity: e.cap, members });
-        }
-
-        let rates = max_min_allocate_dense(&demands, &constraints);
-        self.rates_bps.clear();
-        self.rates_bps.extend(rates.iter().map(|r| r.as_bps()));
-
-        // Per-link and capped-node egress usage for monitoring.
-        self.link_used_bps = vec![0.0; self.topo.link_count()];
-        for (i, f) in flows.iter().enumerate() {
-            for lid in &f.links {
-                self.link_used_bps[lid.0] += self.rates_bps[i];
-            }
-        }
-        let egress_cons = &constraints[self.topo.link_count()..];
-        for (e, c) in self.egress_caps.values_mut().zip(egress_cons) {
-            e.used_bps = member_sum(c, &self.rates_bps);
-        }
     }
 
     /// Diffs the current effective link capacities against the last
@@ -1412,13 +468,13 @@ impl Mesh {
     /// playback during [`advance_profiled`](Self::advance_profiled),
     /// `"scenario"` when the emulator applies a scripted restriction.
     pub fn emit_capacity_changes(&mut self, journal: &mut bass_obs::Journal, cause: &str) {
-        let caps: Vec<f64> = (0..self.topo.link_count())
+        let caps: Vec<f64> = (0..self.topology().link_count())
             .map(|i| self.link_capacity_now(LinkId(i)).as_mbps())
             .collect();
         match self.obs_cap_snapshot.as_mut() {
             None => self.obs_cap_snapshot = Some(caps),
             Some(prev) => {
-                for (lid, link) in self.topo.links() {
+                for (lid, link) in self.routes.topo().links() {
                     let old = prev[lid.0];
                     let new = caps[lid.0];
                     if (new - old).abs() / old.abs().max(1e-9) > 0.01 {
@@ -1444,26 +500,16 @@ impl Mesh {
         fn moved(old: f64, new: f64) -> bool {
             (new - old).abs() / old.abs().max(1e-9) > 0.001
         }
-        let flows = self.flows.len() as u32;
-        let demand_mbps: f64 = self
-            .flows
-            .live_slots()
-            .map(|s| self.flows.states[s].spec.demand.as_mbps())
-            .sum();
-        let allocated_mbps: f64 = self
-            .flows
-            .live_slots()
-            .map(|s| Bandwidth::from_bps(self.rates_bps[s]).as_mbps())
-            .sum();
+        let (flows, demand_mbps, allocated_mbps) = self.alloc.totals();
         let changed = match self.obs_flow_sig {
             None => flows > 0,
             Some((f, d, a)) => f != flows || moved(d, demand_mbps) || moved(a, allocated_mbps),
         };
         if changed {
-            let saturated_links = (0..self.topo.link_count())
+            let saturated_links = (0..self.topology().link_count())
                 .filter(|&i| {
                     let cap = self.link_capacity_now(LinkId(i)).as_bps();
-                    cap > 0.0 && self.link_used_bps[i] >= 0.999 * cap
+                    cap > 0.0 && self.alloc.link_used_bps()[i] >= 0.999 * cap
                 })
                 .count() as u32;
             journal.record(bass_obs::Event::FlowRateRecomputed {
@@ -1483,31 +529,19 @@ impl Mesh {
     /// flows and for flows added since. A flow removed since the last
     /// allocation still reads its last rate until the next one.
     pub fn flow_rate(&self, id: FlowId) -> Bandwidth {
-        self.flows
-            .slot(id)
-            .map_or(Bandwidth::ZERO, |s| Bandwidth::from_bps(self.rates_bps[s]))
-    }
-
-    /// A registered flow's spec and allocated rate.
-    fn flow_and_rate(&self, id: FlowId) -> Option<(&FlowState, Bandwidth)> {
-        let s = self.flows.live_slot(id)?;
-        Some((&self.flows.states[s], Bandwidth::from_bps(self.rates_bps[s])))
+        self.alloc.rate(id)
     }
 
     /// A flow's goodput: the smaller of demand and allocation.
     pub fn flow_goodput(&self, id: FlowId) -> Bandwidth {
-        match self.flow_and_rate(id) {
-            Some((f, rate)) => f.spec.demand.min(rate),
-            None => Bandwidth::ZERO,
-        }
+        self.alloc.flow_and_rate(id).map_or(Bandwidth::ZERO, |(f, rate)| f.spec.demand.min(rate))
     }
 
     /// Loss fraction for a flow treated as real-time traffic.
     pub fn flow_loss(&self, id: FlowId) -> f64 {
-        match self.flow_and_rate(id) {
-            Some((f, rate)) => FlowQueue::loss_fraction(f.spec.demand, rate),
-            None => 0.0,
-        }
+        self.alloc
+            .flow_and_rate(id)
+            .map_or(0.0, |(f, rate)| FlowQueue::loss_fraction(f.spec.demand, rate))
     }
 
     /// End-to-end delay to deliver a message of `size` on a flow at the
@@ -1517,7 +551,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn flow_message_delay(&self, id: FlowId, size: DataSize) -> Result<SimDuration, MeshError> {
-        let (flow, allocated) = self.flow_and_rate(id).ok_or(MeshError::UnknownFlow(id))?;
+        let (flow, allocated) = self.alloc.flow_and_rate(id).ok_or(MeshError::UnknownFlow(id))?;
         if !flow.routable {
             // Severed by faults: nothing is delivered until a route
             // returns, so report the dead-path cap.
@@ -1526,14 +560,14 @@ impl Mesh {
         let hops = flow.links.len();
         if hops == 0 {
             // Loopback: pure local latency plus negligible copy time.
-            return Ok(self.hop_latency().for_hops(0));
+            return Ok(hop_latency(0));
         }
         let capacity = flow
             .links
             .iter()
             .map(|l| self.link_capacity_now(*l))
             .fold(Bandwidth::from_bps(f64::INFINITY), Bandwidth::min);
-        Ok(flow.queue.transfer_delay(size, capacity, allocated) + self.hop_latency().for_hops(hops))
+        Ok(flow.queue.transfer_delay(size, capacity, allocated) + hop_latency(hops))
     }
 
     /// A flow's current queue backlog.
@@ -1542,10 +576,51 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownFlow`] for unknown ids.
     pub fn flow_backlog(&self, id: FlowId) -> Result<DataSize, MeshError> {
-        self.flows
-            .get(id)
-            .map(|f| f.queue.backlog())
-            .ok_or(MeshError::UnknownFlow(id))
+        let (f, _) = self.alloc.flow_and_rate(id).ok_or(MeshError::UnknownFlow(id))?;
+        Ok(f.queue.backlog())
+    }
+
+    /// Capacity of `lid` for traffic the `senders` transmit: the link's
+    /// capacity limited by their egress caps.
+    fn hop_capacity(&self, lid: LinkId, senders: &[NodeId]) -> Bandwidth {
+        let mut cap = self.link_capacity_now(lid);
+        for &n in senders {
+            if let Some(e) = self.alloc.egress_cap(n) {
+                cap = cap.min(e.cap);
+            }
+        }
+        cap
+    }
+
+    /// Spare bandwidth on `lid` for new traffic the `senders` transmit:
+    /// the link's headroom limited by their spare egress.
+    fn hop_available(&self, lid: LinkId, senders: &[NodeId]) -> Bandwidth {
+        let used = Bandwidth::from_bps(self.alloc.link_used_bps()[lid.0]);
+        let mut avail = self.link_capacity_now(lid).saturating_sub(used);
+        for &n in senders {
+            if let Some(e) = self.alloc.egress_cap(n) {
+                avail = avail.min(e.available());
+            }
+        }
+        avail
+    }
+
+    /// The narrowest `hop` along the routed path from `src` to `dst`
+    /// (infinite for `src == dst`), each hop shaped by its transmitting
+    /// side only.
+    fn path_narrowest(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        hop: fn(&Self, LinkId, &[NodeId]) -> Bandwidth,
+    ) -> Result<Bandwidth, MeshError> {
+        let mut narrowest = Bandwidth::from_bps(f64::INFINITY);
+        if src != dst {
+            for w in self.path(src, dst)?.windows(2) {
+                narrowest = narrowest.min(hop(self, self.routes.link(w[0], w[1])?, &w[..1]));
+            }
+        }
+        Ok(narrowest)
     }
 
     /// Current capacity of the link between `a` and `b`, as a probe
@@ -1557,8 +632,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn link_capacity(&self, a: NodeId, b: NodeId) -> Result<Bandwidth, MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        Ok(self.link_capacity_by_id(lid))
+        Ok(self.link_capacity_by_id(self.routes.link(a, b)?))
     }
 
     /// [`link_capacity`](Self::link_capacity) of the link with id `lid`
@@ -1568,14 +642,8 @@ impl Mesh {
     ///
     /// Panics if `lid` is not a link of this mesh's topology.
     pub fn link_capacity_by_id(&self, lid: LinkId) -> Bandwidth {
-        let link = self.topo.link(lid);
-        let mut cap = self.link_capacity_now(lid);
-        for n in [link.a, link.b] {
-            if let Some(e) = self.egress_caps.get(&n) {
-                cap = cap.min(e.cap);
-            }
-        }
-        cap
+        let link = self.topology().link(lid);
+        self.hop_capacity(lid, &[link.a, link.b])
     }
 
     /// Allocated traffic currently crossing the link between `a` and `b`.
@@ -1584,8 +652,8 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn link_usage(&self, a: NodeId, b: NodeId) -> Result<Bandwidth, MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        Ok(Bandwidth::from_bps(self.link_used_bps[lid.0]))
+        let lid = self.routes.link(a, b)?;
+        Ok(Bandwidth::from_bps(self.alloc.link_used_bps()[lid.0]))
     }
 
     /// Spare capacity on the link between `a` and `b`: the link's own
@@ -1596,8 +664,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn link_available(&self, a: NodeId, b: NodeId) -> Result<Bandwidth, MeshError> {
-        let lid = self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))?;
-        Ok(self.link_available_by_id(lid))
+        Ok(self.link_available_by_id(self.routes.link(a, b)?))
     }
 
     /// [`link_available`](Self::link_available) of the link with id
@@ -1607,32 +674,8 @@ impl Mesh {
     ///
     /// Panics if `lid` is not a link of this mesh's topology.
     pub fn link_available_by_id(&self, lid: LinkId) -> Bandwidth {
-        let link = self.topo.link(lid);
-        let mut avail = self
-            .link_capacity_now(lid)
-            .saturating_sub(Bandwidth::from_bps(self.link_used_bps[lid.0]));
-        for n in [link.a, link.b] {
-            if let Some(e) = self.egress_caps.get(&n) {
-                avail = avail.min(e.available());
-            }
-        }
-        avail
-    }
-
-    /// Allocated bps the rates in `rates_bps` send out of `node`, summed
-    /// in slot order — the last allocation's egress usage of the node:
-    /// a slot tombstoned since keeps its rate, one added since has none.
-    fn allocated_egress(&self, node: NodeId) -> f64 {
-        let Some(rank) = self.routes.rank(node) else {
-            return 0.0;
-        };
-        let mut used = 0.0;
-        for (f, &rate) in self.flows.states.iter().zip(&self.rates_bps) {
-            if f.egress.contains(&rank) {
-                used += rate;
-            }
-        }
-        used
+        let link = self.topology().link(lid);
+        self.hop_available(lid, &[link.a, link.b])
     }
 
     /// The routed node path from `src` to `dst` (the traceroute view),
@@ -1643,9 +686,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::Unreachable`] when no route exists.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>, MeshError> {
-        self.routes
-            .path(src, dst)
-            .ok_or(MeshError::Unreachable(src, dst))
+        self.routes.path(src, dst).ok_or(MeshError::Unreachable(src, dst))
     }
 
     /// Capacity for traffic sent from `u` across the link to `v`: the
@@ -1656,12 +697,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn directed_link_capacity(&self, u: NodeId, v: NodeId) -> Result<Bandwidth, MeshError> {
-        let lid = self.topo.find_link(u, v).ok_or(MeshError::UnknownLink(u, v))?;
-        let mut cap = self.link_capacity_now(lid);
-        if let Some(e) = self.egress_caps.get(&u) {
-            cap = cap.min(e.cap);
-        }
-        Ok(cap)
+        Ok(self.hop_capacity(self.routes.link(u, v)?, &[u]))
     }
 
     /// Spare bandwidth for new traffic sent from `u` across the link to
@@ -1671,14 +707,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownLink`] if no such link exists.
     pub fn directed_link_available(&self, u: NodeId, v: NodeId) -> Result<Bandwidth, MeshError> {
-        let lid = self.topo.find_link(u, v).ok_or(MeshError::UnknownLink(u, v))?;
-        let mut avail = self
-            .link_capacity_now(lid)
-            .saturating_sub(Bandwidth::from_bps(self.link_used_bps[lid.0]));
-        if let Some(e) = self.egress_caps.get(&u) {
-            avail = avail.min(e.available());
-        }
-        Ok(avail)
+        Ok(self.hop_available(self.routes.link(u, v)?, &[u]))
     }
 
     /// Bottleneck *capacity* along the routed path from `src` to `dst` —
@@ -1689,15 +718,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::Unreachable`] when no route exists.
     pub fn path_bottleneck_capacity(&self, src: NodeId, dst: NodeId) -> Result<Bandwidth, MeshError> {
-        if src == dst {
-            return Ok(Bandwidth::from_bps(f64::INFINITY));
-        }
-        let path = self.path(src, dst)?;
-        let mut bottleneck = Bandwidth::from_bps(f64::INFINITY);
-        for w in path.windows(2) {
-            bottleneck = bottleneck.min(self.directed_link_capacity(w[0], w[1])?);
-        }
-        Ok(bottleneck)
+        self.path_narrowest(src, dst, Self::hop_capacity)
     }
 
     /// Bottleneck *available* (unused) bandwidth along the routed path —
@@ -1708,15 +729,7 @@ impl Mesh {
     ///
     /// Returns [`MeshError::Unreachable`] when no route exists.
     pub fn path_available(&self, src: NodeId, dst: NodeId) -> Result<Bandwidth, MeshError> {
-        if src == dst {
-            return Ok(Bandwidth::from_bps(f64::INFINITY));
-        }
-        let path = self.path(src, dst)?;
-        let mut avail = Bandwidth::from_bps(f64::INFINITY);
-        for w in path.windows(2) {
-            avail = avail.min(self.directed_link_available(w[0], w[1])?);
-        }
-        Ok(avail)
+        self.path_narrowest(src, dst, Self::hop_available)
     }
 
     /// Sum of current capacities of all links incident to `node` — the
@@ -1727,15 +740,11 @@ impl Mesh {
     ///
     /// Returns [`MeshError::UnknownNode`] if the node does not exist.
     pub fn node_total_link_capacity(&self, node: NodeId) -> Result<Bandwidth, MeshError> {
-        if !self.topo.contains_node(node) {
+        let topo = self.topology();
+        if !topo.contains_node(node) {
             return Err(MeshError::UnknownNode(node));
         }
-        Ok(self
-            .topo
-            .incident_links(node)
-            .into_iter()
-            .map(|l| self.link_capacity_now(l))
-            .sum())
+        Ok(topo.incident_links(node).into_iter().map(|l| self.link_capacity_now(l)).sum())
     }
 }
 
@@ -1952,16 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_flow_queue_clears_backlog() {
-        let mut mesh = three_node_lan();
-        let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(200.0)).unwrap();
-        mesh.advance(SimDuration::from_secs(5));
-        assert!(mesh.flow_backlog(f).unwrap().as_bytes() > 0);
-        mesh.reset_flow_queue(f).unwrap();
-        assert_eq!(mesh.flow_backlog(f).unwrap(), DataSize::ZERO);
-    }
-
-    #[test]
     fn down_link_reroutes_and_recovers() {
         // Triangle: flow 0→2 goes direct; link down forces the detour
         // via 1; link up restores the direct path.
@@ -2142,7 +1141,7 @@ mod tests {
     }
 
     fn live_ids(mesh: &Mesh) -> Vec<FlowId> {
-        mesh.flows.live_slots().map(|s| mesh.flows.ids[s]).collect()
+        mesh.alloc.flows.live_slots().map(|s| mesh.alloc.flows.ids[s]).collect()
     }
 
     /// A ticked 4×4 grid carrying six flows, plus a clone of it whose
@@ -2155,7 +1154,7 @@ mod tests {
         }
         mesh.advance(SimDuration::from_millis(100));
         let mut rebuilt = mesh.clone();
-        rebuilt.index.dirty = true;
+        rebuilt.alloc.index.dirty = true;
         (mesh, rebuilt)
     }
 
@@ -2172,12 +1171,12 @@ mod tests {
             assert_eq!(bits(patched.flow_rate(id)), bits(rebuilt.flow_rate(id)));
             assert_eq!(patched.flow_backlog(id), rebuilt.flow_backlog(id));
         }
-        for (a, b) in patched.link_used_bps.iter().zip(&rebuilt.link_used_bps) {
+        for (a, b) in patched.alloc.link_used_bps().iter().zip(rebuilt.alloc.link_used_bps()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let (p, r) = (&patched.index.comps, &rebuilt.index.comps);
+        let (p, r) = (&patched.alloc.index.comps, &rebuilt.alloc.index.comps);
         assert_eq!(p.component_count(), r.component_count());
-        for ci in 0..patched.index.constraints.len() {
+        for ci in 0..patched.alloc.index.constraints.len() {
             assert_eq!(p.constraint_component(ci), r.constraint_component(ci));
         }
     }
@@ -2192,8 +1191,8 @@ mod tests {
             m.remove_flow(FlowId(2)).unwrap();
             m.add_flow(NodeId(5), NodeId(6), mbps(7.0)).unwrap();
         }
-        assert_eq!(patched.flows.dead, 2);
-        assert!(!patched.index.dirty);
+        assert_eq!(patched.alloc.flows.dead, 2);
+        assert!(!patched.alloc.index.dirty);
         assert_patch_matches_rebuild(&mut patched, &mut rebuilt);
     }
 
@@ -2209,7 +1208,7 @@ mod tests {
         for m in [&mut patched, &mut rebuilt] {
             m.set_flow_demand(FlowId(6), mbps(1.0)).unwrap();
         }
-        rebuilt.index.dirty = true;
+        rebuilt.alloc.index.dirty = true;
         assert_patch_matches_rebuild(&mut patched, &mut rebuilt);
     }
 

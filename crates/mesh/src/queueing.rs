@@ -105,13 +105,6 @@ impl FlowQueue {
         self.rho
     }
 
-    /// Clears the backlog (e.g. when the component restarts and its
-    /// connections are torn down).
-    pub fn reset(&mut self) {
-        self.backlog_bits = 0.0;
-        self.rho = 0.0;
-    }
-
     /// Delay to deliver a message of `size`:
     ///
     /// - queued backlog drains first at the flow's `allocated` rate;
@@ -155,36 +148,20 @@ impl FlowQueue {
     }
 }
 
-/// Constant one-hop propagation/forwarding latency of a wireless hop.
-///
-/// 802.11 per-hop forwarding latency is on the order of a millisecond;
-/// co-located (loopback) communication is ~50 µs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HopLatency {
-    /// Per-wireless-hop forwarding latency.
-    pub per_hop: SimDuration,
-    /// Loopback latency for co-located components.
-    pub loopback: SimDuration,
-}
+/// Forwarding latency of one wireless hop: 802.11 per-hop forwarding
+/// latency is on the order of a millisecond.
+pub const HOP_LATENCY: SimDuration = SimDuration::from_millis(1);
 
-impl Default for HopLatency {
-    fn default() -> Self {
-        HopLatency {
-            per_hop: SimDuration::from_millis(1),
-            loopback: SimDuration::from_micros(50),
-        }
-    }
-}
+/// Latency between co-located (loopback) components.
+pub const LOOPBACK_LATENCY: SimDuration = SimDuration::from_micros(50);
 
-impl HopLatency {
-    /// Propagation latency for a path of `hops` wireless hops (0 hops =
-    /// loopback).
-    pub fn for_hops(&self, hops: usize) -> SimDuration {
-        if hops == 0 {
-            self.loopback
-        } else {
-            self.per_hop * hops as u64
-        }
+/// Propagation latency for a path of `hops` wireless hops (0 hops =
+/// loopback).
+pub fn hop_latency(hops: usize) -> SimDuration {
+    if hops == 0 {
+        LOOPBACK_LATENCY
+    } else {
+        HOP_LATENCY * hops as u64
     }
 }
 
@@ -324,15 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut q = FlowQueue::new();
-        q.advance(SimDuration::from_secs(10), mbps(10.0), mbps(1.0));
-        q.reset();
-        assert_eq!(q.backlog(), DataSize::ZERO);
-        assert_eq!(q.utilization(), 0.0);
-    }
-
-    #[test]
     fn loss_fraction_regimes() {
         assert_eq!(FlowQueue::loss_fraction(Bandwidth::ZERO, mbps(1.0)), 0.0);
         assert_eq!(FlowQueue::loss_fraction(mbps(1.0), mbps(1.0)), 0.0);
@@ -341,10 +309,9 @@ mod tests {
     }
 
     #[test]
-    fn hop_latency() {
-        let h = HopLatency::default();
-        assert_eq!(h.for_hops(0), SimDuration::from_micros(50));
-        assert_eq!(h.for_hops(3), SimDuration::from_millis(3));
+    fn hop_latency_is_loopback_or_per_hop() {
+        assert_eq!(hop_latency(0), SimDuration::from_micros(50));
+        assert_eq!(hop_latency(3), SimDuration::from_millis(3));
     }
 
     #[test]
