@@ -32,8 +32,8 @@ pub enum CommandError {
     Campaign(bass_scenario::CampaignError),
     /// A metrics exposition file could not be read, written, or parsed.
     Metrics(String),
-    /// `simulate` was asked to run for zero seconds.
-    ZeroDuration,
+    /// `--duration` was zero, or too long for the microsecond clock.
+    DurationOutOfRange,
 }
 
 impl fmt::Display for CommandError {
@@ -47,7 +47,10 @@ impl fmt::Display for CommandError {
             CommandError::Faults(e) => write!(f, "fault plan error: {e}"),
             CommandError::Campaign(e) => write!(f, "campaign error: {e}"),
             CommandError::Metrics(e) => write!(f, "metrics error: {e}"),
-            CommandError::ZeroDuration => write!(f, "--duration must be at least 1 second"),
+            CommandError::DurationOutOfRange => write!(
+                f,
+                "--duration must be at least 1 second and at most {MAX_DURATION_S} seconds"
+            ),
         }
     }
 }
@@ -62,9 +65,22 @@ impl Error for CommandError {
             CommandError::Journal(e) => Some(e),
             CommandError::Faults(_) => None,
             CommandError::Campaign(e) => Some(e),
-            CommandError::Metrics(_) | CommandError::ZeroDuration => None,
+            CommandError::Metrics(_) | CommandError::DurationOutOfRange => None,
         }
     }
+}
+
+/// The longest `--duration`: `simulate` generates traces 60 s past the
+/// run, and both must fit the microsecond clock.
+const MAX_DURATION_S: u64 = u64::MAX / 1_000_000 - 60;
+
+/// `--duration` as a run length. A run that simulates nothing has no
+/// goodput to report, so zero is out of range too.
+fn run_length(duration_s: u64) -> Result<SimDuration, CommandError> {
+    if !(1..=MAX_DURATION_S).contains(&duration_s) {
+        return Err(CommandError::DurationOutOfRange);
+    }
+    Ok(SimDuration::from_secs(duration_s))
 }
 
 impl From<bass_appdag::manifest::ManifestError> for CommandError {
@@ -213,19 +229,16 @@ pub struct SimulateOutcome {
 ///
 /// # Errors
 ///
-/// Fails on a zero duration, invalid inputs, infeasible placement, or
-/// simulation errors.
+/// Fails on a duration out of range, invalid inputs, infeasible
+/// placement, or simulation errors.
 pub fn simulate(
     manifest: &Manifest,
     testbed: &TestbedSpec,
     opts: SimulateOptions,
 ) -> Result<SimulateOutcome, CommandError> {
-    if opts.duration_s == 0 {
-        // A run that simulates nothing has no goodput to report.
-        return Err(CommandError::ZeroDuration);
-    }
+    let duration = run_length(opts.duration_s)?;
     let dag = manifest.to_dag()?;
-    let trace_len = SimDuration::from_secs(opts.duration_s + 60);
+    let trace_len = duration + SimDuration::from_secs(60);
     let (mesh, cluster) = testbed.build(opts.seed, trace_len)?;
     let faults = match &opts.faults {
         Some(path) => {
@@ -270,7 +283,7 @@ pub fn simulate(
         );
     }
     env.set_scenario(scenario);
-    env.run_for(SimDuration::from_secs(opts.duration_s), |_| {})?;
+    env.run_for(duration, |_| {})?;
 
     let final_outcome = outcome_from(&dag, &env.placement());
     let worst = dag
@@ -346,13 +359,14 @@ pub fn recommend(
 ///
 /// # Errors
 ///
-/// Fails when the testbed is invalid.
+/// Fails on a duration out of range or an invalid testbed.
 pub fn traces(
     testbed: &TestbedSpec,
     seed: u64,
     duration_s: u64,
 ) -> Result<Vec<(String, String)>, CommandError> {
     use bass_trace::OuTraceConfig;
+    let duration = run_length(duration_s)?;
     let mut out = Vec::new();
     // Validate the whole spec first so errors surface consistently.
     testbed.build(seed, SimDuration::from_secs(1))?;
@@ -363,10 +377,7 @@ pub fn traces(
         let key = format!("n{}-n{}", l.a.min(l.b), l.a.max(l.b));
         let trace = OuTraceConfig::new(key.clone(), l.mbps)
             .relative_std(l.relative_std)
-            .generate(
-                seed.wrapping_add(i as u64 * 0x9E37),
-                SimDuration::from_secs(duration_s),
-            );
+            .generate(seed.wrapping_add(i as u64 * 0x9E37), duration);
         let mut csv = Vec::new();
         bass_trace::io::write_trace_csv(&trace, &mut csv)
             .expect("writing to a Vec cannot fail");

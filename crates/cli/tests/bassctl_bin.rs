@@ -643,12 +643,22 @@ fn hostile_numbers_and_names_fail_cleanly() {
         assert!(stderr.contains("fault plan error") && stderr.contains(names), "{case}: {stderr}");
     }
     // `--duration 0` once reported "worst edge goodput: 0%" for a run
-    // that simulated nothing.
-    let out = simulate_for("0", None);
-    assert!(!out.status.success(), "duration 0 must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--duration must be at least 1 second"), "duration 0: {stderr}");
-    assert!(out.stdout.is_empty(), "duration 0 printed an outcome");
+    // that simulated nothing; `u64::MAX` overflowed the microsecond clock
+    // (a panic, or in release a 59 s trace and an endless run).
+    let max = "18446744073709551615";
+    for (command, duration) in [("simulate", "0"), ("simulate", max), ("traces", max), ("traces", "0")] {
+        let mut cmd = bassctl();
+        cmd.current_dir(&dir).arg(command);
+        if command == "simulate" {
+            cmd.arg("--manifest").arg(&app);
+        }
+        let out = cmd.arg("--testbed").arg(&mesh).args(["--duration", duration]).output().expect("bassctl runs");
+        assert!(!out.status.success(), "{command} --duration {duration} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--duration must be at least 1 second"), "{command} --duration {duration}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command} --duration {duration}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command} --duration {duration} printed output");
+    }
     // Node ids are names, not sizes: renaming node 3 changes nothing,
     // however large the new id (views sized by the largest id once made
     // 3 000 000 000 a 24 GB allocation and an abort).

@@ -1,19 +1,26 @@
 //! The emulation environment: one application deployment, end to end.
+//! Lifecycle and queries live here; `edges` binds DAG edges to mesh
+//! flows, `faults` applies injected faults, `stepping` runs ticks.
+
+mod edges;
+mod faults;
+mod stepping;
 
 use crate::scenario::Scenario;
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::{Cluster, MigrationRecord, Placement, RestartModel};
 use bass_core::heuristics::ComponentOrdering;
-use bass_core::ranking::NodeRanking;
 use bass_core::scheduler::{BassScheduler, ScheduleError, PlacementPolicy};
-use bass_core::{BassController, ControllerConfig, EventSource, MigrationPlan, PolicyKind};
-use bass_faults::{Fault, FaultPlan};
+use bass_core::{BassController, ControllerConfig, MigrationPlan, PolicyKind};
+use bass_faults::FaultPlan;
 use bass_mesh::queueing::{LOOPBACK_LATENCY, MAX_DELAY};
 use bass_mesh::{FlowId, Mesh, MeshError, NodeId};
 use bass_netmon::{GoodputMonitor, NetMonitor, NetMonitorConfig};
+use bass_obs::SpanProfiler;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
-use std::collections::{BTreeMap, BTreeSet};
+use edges::Bindings;
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -72,19 +79,6 @@ pub enum EdgeState {
     Local,
     /// Endpoints on different nodes: carried by this mesh flow.
     Remote(FlowId),
-}
-
-/// One bound DAG edge: how it is realized, and its declared requirement
-/// (`AppDag::bandwidth_between`), read once when the edge is bound.
-///
-/// The requirement cannot go stale while the edge stays bound: the
-/// deployment DAG only grows by `absorb`, whose fresh ids cannot add an
-/// edge between already-bound components, and `remove_component` runs
-/// only after its callers have unbound every edge touching it.
-#[derive(Debug, Clone, Copy)]
-struct BoundEdge {
-    state: EdgeState,
-    required: Bandwidth,
 }
 
 /// Environment errors.
@@ -168,18 +162,14 @@ pub struct SimEnv {
     netmon: NetMonitor,
     goodput: GoodputMonitor,
     scenario: Scenario,
-    edges: BTreeMap<(ComponentId, ComponentId), BoundEdge>,
-    demand_factor: BTreeMap<(ComponentId, ComponentId), f64>,
-    /// When each restarting component began its restart; the cost
-    /// model is [`SimEnvConfig::restart`].
-    restarts: BTreeMap<ComponentId, SimTime>,
+    bindings: Bindings,
     deployed: bool,
     stats: EnvStats,
     journal: Option<bass_obs::Journal>,
     /// Span profiler for wall-clock phase timing. Strictly write-only
     /// from the simulation's perspective: timings never feed back into
     /// any decision, so enabling it cannot change simulation results.
-    spans: Option<bass_obs::SpanProfiler>,
+    spans: Option<SpanProfiler>,
     /// Components evicted by a node crash, awaiting re-placement.
     displaced: BTreeSet<ComponentId>,
     /// Bumped by every public mutator that can invalidate an in-flight
@@ -199,20 +189,16 @@ pub struct SimEnv {
 impl SimEnv {
     /// Creates an environment over a mesh, a cluster, and an application.
     pub fn new(mesh: Mesh, cluster: Cluster, dag: AppDag, cfg: SimEnvConfig) -> Self {
-        let controller = BassController::with_policy(cfg.controller, cfg.migration_policy);
-        let netmon = NetMonitor::new(cfg.netmon);
         SimEnv {
+            controller: BassController::with_policy(cfg.controller, cfg.migration_policy),
+            netmon: NetMonitor::new(cfg.netmon),
+            bindings: Bindings::new(cfg.restart),
             cfg,
             mesh,
             cluster,
             dag,
-            controller,
-            netmon,
             goodput: GoodputMonitor::new(),
             scenario: Scenario::new(),
-            edges: BTreeMap::new(),
-            demand_factor: BTreeMap::new(),
-            restarts: BTreeMap::new(),
             deployed: false,
             stats: EnvStats::default(),
             journal: None,
@@ -265,13 +251,10 @@ impl SimEnv {
     /// `docs/OBSERVABILITY.md`). Without a journal the environment pays
     /// no observability cost.
     pub fn attach_journal(&mut self, journal: bass_obs::Journal) {
-        self.journal = Some(journal);
         // If attached after `deploy`, establish the capacity baseline
         // now so that later scenario cuts and trace drift are reported
         // as changes rather than silently becoming the baseline.
-        if let Some(j) = self.journal.as_mut() {
-            self.mesh.emit_capacity_changes(j, "scenario");
-        }
+        self.mesh.emit_capacity_changes(self.journal.insert(journal), "scenario");
     }
 
     /// Detaches and returns the journal, if one was attached.
@@ -292,11 +275,11 @@ impl SimEnv {
     /// span taxonomy. Timings live outside simulation state: results
     /// and journal contents are byte-identical with profiling on or off.
     pub fn enable_span_profiling(&mut self) {
-        self.spans = Some(bass_obs::SpanProfiler::new());
+        self.spans = Some(SpanProfiler::new());
     }
 
     /// Detaches and returns the span profiler, if profiling was enabled.
-    pub fn take_span_profiler(&mut self) -> Option<bass_obs::SpanProfiler> {
+    pub fn take_span_profiler(&mut self) -> Option<SpanProfiler> {
         self.spans.take()
     }
 
@@ -311,19 +294,25 @@ impl SimEnv {
         }
     }
 
-    /// Runs `f` against the environment, recording its wall-clock
-    /// duration as `name` when span profiling is enabled. The profiler
-    /// is parked for the duration of the call, so `f` sees an
-    /// environment without interior `env.*` spans.
-    fn with_span<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
+    /// Runs `f` with the span profiler parked in a local and lent to it
+    /// apart from `self`, so `f` can time phases around `&mut self` calls.
+    fn parked<T>(&mut self, f: impl FnOnce(&mut Self, Option<&mut SpanProfiler>) -> T) -> T {
         let mut spans = self.spans.take();
-        let started = spans.as_ref().map(|_| std::time::Instant::now());
-        let out = f(self);
-        if let (Some(p), Some(t0)) = (spans.as_mut(), started) {
-            p.record(name, t0.elapsed());
-        }
+        let out = f(self, spans.as_mut());
         self.spans = spans;
         out
+    }
+
+    /// Runs `f` against the environment, recording its wall-clock
+    /// duration as `name` when span profiling is enabled. `f` sees an
+    /// environment without a profiler, so it records no interior spans.
+    fn with_span<T>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
+        self.parked(|env, spans| {
+            let mut clock = bass_obs::PhaseClock::new(spans.is_some());
+            let out = f(env);
+            clock.lap(spans, name);
+            out
+        })
     }
 
     /// Deploys the application: an initial full probe (the paper's
@@ -338,136 +327,49 @@ impl SimEnv {
         if self.cfg.step == SimDuration::ZERO {
             return Err(EnvError::ZeroStep);
         }
-        self.with_span("env.deploy", |env| env.deploy_inner(pins))
-    }
-
-    fn deploy_inner(&mut self, pins: &[(ComponentId, NodeId)]) -> Result<Placement, EnvError> {
-        self.netmon.full_probe_profiled(&self.mesh, self.journal.as_mut(), None);
-        for &(cid, node) in pins {
-            let comp = self
-                .dag
-                .component(cid)
-                .ok_or(EnvError::UnknownComponent(cid))?;
-            self.cluster
-                .place(cid, comp.resources, node)
-                .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
-        }
-        let pinned: BTreeSet<ComponentId> = pins.iter().map(|&(c, _)| c).collect();
-        let scheduler = BassScheduler::new(self.cfg.policy);
-        // An empty DAG deploys trivially — the churning-scenario entry
-        // point: start with nothing and admit app instances as they
-        // arrive. The heuristics reject empty graphs, so skip them.
-        if self.dag.component_count() == 0 {
-            self.deployed = true;
-            return Ok(self.cluster.placement());
-        }
-        // The pins are placed; the policy places the rest.
-        let ordering = scheduler.ordering(&self.dag)?;
-        let unpinned = ComponentOrdering::new(
-            ordering
-                .groups()
-                .iter()
-                .map(|g| g.iter().copied().filter(|c| !pinned.contains(c)).collect::<Vec<_>>())
-                .filter(|g: &Vec<ComponentId>| !g.is_empty())
-                .collect(),
-        );
-        scheduler.place(&unpinned, &self.dag, &mut self.cluster, &self.mesh)?;
-        self.deployed = true;
-        self.rebuild_all_edges()?;
-        let placement = self.cluster.placement();
-        if let Some(j) = self.journal.as_mut() {
-            let crossing_mbps =
-                bass_core::placement::crossing_bandwidth(&self.dag, &placement).as_mbps();
-            let policy = self.cfg.policy.to_string();
-            let t_s = self.mesh.now().as_secs_f64();
-            for (&component, &node) in &placement {
-                j.record(bass_obs::Event::PlacementDecided {
-                    t_s,
-                    component: component.0,
-                    node: node.0,
-                    policy: policy.clone(),
-                    crossing_mbps,
-                });
+        self.with_span("env.deploy", |env| {
+            env.netmon.full_probe_profiled(&env.mesh, env.journal.as_mut(), None);
+            for &(cid, node) in pins {
+                let comp = env.dag.component(cid).ok_or(EnvError::UnknownComponent(cid))?;
+                env.cluster
+                    .place(cid, comp.resources, node)
+                    .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
             }
-            // Establish the capacity baseline so later scenario/trace
-            // changes are reported as deltas against deploy time.
-            self.mesh.emit_capacity_changes(j, "scenario");
-        }
-        Ok(placement)
-    }
-
-    /// Tears down all mesh flows for DAG edges and recreates them from
-    /// the current placement.
-    fn rebuild_all_edges(&mut self) -> Result<(), EnvError> {
-        for (_, edge) in std::mem::take(&mut self.edges) {
-            if let EdgeState::Remote(f) = edge.state {
-                let _ = self.mesh.remove_flow(f);
+            let pinned: BTreeSet<ComponentId> = pins.iter().map(|&(c, _)| c).collect();
+            // An empty DAG deploys trivially — the churning-scenario entry
+            // point: start with nothing and admit app instances as they
+            // arrive. The heuristics reject empty graphs, so skip them.
+            if env.dag.component_count() == 0 {
+                env.deployed = true;
+                return Ok(env.cluster.placement());
             }
-        }
-        let edges: Vec<(ComponentId, ComponentId)> =
-            self.dag.edges().iter().map(|e| (e.from, e.to)).collect();
-        for (from, to) in edges {
-            self.bind_edge(from, to)?;
-        }
-        Ok(())
-    }
-
-    /// (Re)creates the mesh flow backing one DAG edge from the current
-    /// placement, reading the edge's requirement from the DAG.
-    fn bind_edge(&mut self, from: ComponentId, to: ComponentId) -> Result<(), EnvError> {
-        self.unbind_edge((from, to));
-        let (Some(fn_), Some(tn)) = (self.cluster.node_of(from), self.cluster.node_of(to)) else {
-            return Ok(()); // endpoint unplaced: nothing to bind
-        };
-        let required = self.dag.bandwidth_between(from, to);
-        let state = if fn_ == tn {
-            EdgeState::Local
-        } else {
-            let demand = self.edge_demand(from, to, required);
-            EdgeState::Remote(self.mesh.add_flow(fn_, tn, demand)?)
-        };
-        self.edges.insert((from, to), BoundEdge { state, required });
-        Ok(())
-    }
-
-    /// Drops one edge's binding and the mesh flow behind it, if any.
-    fn unbind_edge(&mut self, key: (ComponentId, ComponentId)) {
-        if let Some(BoundEdge { state: EdgeState::Remote(f), .. }) = self.edges.remove(&key) {
-            let _ = self.mesh.remove_flow(f);
-        }
-    }
-
-    /// Drops the binding of every bound edge touching `component`.
-    fn unbind_edges_touching(&mut self, component: ComponentId) {
-        let touching: Vec<(ComponentId, ComponentId)> = self
-            .edges
-            .keys()
-            .filter(|&&(a, b)| a == component || b == component)
-            .copied()
-            .collect();
-        for key in touching {
-            self.unbind_edge(key);
-        }
-    }
-
-    /// The current offered demand of an edge whose requirement is
-    /// `required`: requirement × factor, zeroed while either endpoint is
-    /// restarting.
-    fn edge_demand(&self, from: ComponentId, to: ComponentId, required: Bandwidth) -> Bandwidth {
-        if self.component_down(from) || self.component_down(to) {
-            return Bandwidth::ZERO;
-        }
-        let factor = self.demand_factor.get(&(from, to)).copied().unwrap_or(1.0);
-        required.scale(factor)
-    }
-
-    /// What a bound edge achieves: its full demand when co-located, its
-    /// flow's goodput when remote.
-    fn bound_achieved(&self, from: ComponentId, to: ComponentId, edge: BoundEdge) -> Bandwidth {
-        match edge.state {
-            EdgeState::Local => self.edge_demand(from, to, edge.required),
-            EdgeState::Remote(f) => self.mesh.flow_goodput(f),
-        }
+            // The pins are placed; the policy places the rest.
+            let unpinned = |c| (!pinned.contains(&c)).then_some(c);
+            let (policy, dag) = (env.cfg.policy, &env.dag);
+            place_fragment(policy, dag, unpinned, dag, &mut env.cluster, &env.mesh)?;
+            env.deployed = true;
+            env.bindings.bind_all(&mut env.mesh, &env.cluster, &env.dag)?;
+            let placement = env.cluster.placement();
+            if let Some(j) = env.journal.as_mut() {
+                let crossing_mbps =
+                    bass_core::placement::crossing_bandwidth(&env.dag, &placement).as_mbps();
+                let policy = env.cfg.policy.to_string();
+                let t_s = env.mesh.now().as_secs_f64();
+                for (&component, &node) in &placement {
+                    j.record(bass_obs::Event::PlacementDecided {
+                        t_s,
+                        component: component.0,
+                        node: node.0,
+                        policy: policy.clone(),
+                        crossing_mbps,
+                    });
+                }
+                // Establish the capacity baseline so later scenario/trace
+                // changes are reported as deltas against deploy time.
+                env.mesh.emit_capacity_changes(j, "scenario");
+            }
+            Ok(placement)
+        })
     }
 
     /// Scales an edge's offered demand relative to its declared
@@ -475,15 +377,14 @@ impl SimEnv {
     /// express time-varying load.
     pub fn set_edge_demand_factor(&mut self, from: ComponentId, to: ComponentId, factor: f64) {
         self.mutation_epoch += 1;
-        self.demand_factor.insert((from, to), factor.max(0.0));
+        self.bindings.set_factor((from, to), factor);
     }
 
     /// Scales every edge's demand at once (open-loop load scaling).
     pub fn set_global_demand_factor(&mut self, factor: f64) {
-        let keys: Vec<(ComponentId, ComponentId)> =
-            self.dag.edges().iter().map(|e| (e.from, e.to)).collect();
-        for (f, t) in keys {
-            self.set_edge_demand_factor(f, t, factor);
+        self.mutation_epoch += 1;
+        for e in self.dag.edges() {
+            self.bindings.set_factor((e.from, e.to), factor);
         }
     }
 
@@ -511,60 +412,41 @@ impl SimEnv {
         id_offset: u32,
     ) -> Result<Vec<ComponentId>, EnvError> {
         self.mutation_epoch += 1;
-        self.with_span("env.admit_app", |env| env.admit_app_inner(app, id_offset))
-    }
-
-    fn admit_app_inner(
-        &mut self,
-        app: &AppDag,
-        id_offset: u32,
-    ) -> Result<Vec<ComponentId>, EnvError> {
-        if !self.deployed {
-            return Err(EnvError::NotDeployed);
-        }
-        let prefix = format!("{}/", app.name());
-        let added = self
-            .dag
-            .absorb(app, id_offset, &prefix)
-            .map_err(EnvError::Dag)?;
-        let result = (|| -> Result<(), EnvError> {
-            // Order the fragment on its own shape, then shift the ids
-            // into deployment space before placing.
-            let scheduler = BassScheduler::new(self.cfg.policy);
-            let ordering = scheduler.ordering(app)?;
-            let shifted = ComponentOrdering::new(
-                ordering
-                    .groups()
-                    .iter()
-                    .map(|g| g.iter().map(|c| ComponentId(c.0 + id_offset)).collect())
-                    .collect(),
-            );
-            scheduler.place(&shifted, &self.dag, &mut self.cluster, &self.mesh)?;
-            for e in app.edges() {
-                self.bind_edge(
-                    ComponentId(e.from.0 + id_offset),
-                    ComponentId(e.to.0 + id_offset),
-                )?;
+        self.with_span("env.admit_app", |env| {
+            if !env.deployed {
+                return Err(EnvError::NotDeployed);
             }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            for &c in &added {
-                // Tear down any flows bound before the failure.
-                self.unbind_edges_touching(c);
-                let _ = self.cluster.evict(c);
-                self.dag.remove_component(c);
+            let prefix = format!("{}/", app.name());
+            let added = env.dag.absorb(app, id_offset, &prefix).map_err(EnvError::Dag)?;
+            // Order the fragment on its own shape, shifted into deployment space.
+            let shift = |c: ComponentId| ComponentId(c.0 + id_offset);
+            let result = (|| -> Result<(), EnvError> {
+                let (policy, dag) = (env.cfg.policy, &env.dag);
+                place_fragment(policy, app, |c| Some(shift(c)), dag, &mut env.cluster, &env.mesh)?;
+                for e in app.edges() {
+                    let key = (shift(e.from), shift(e.to));
+                    env.bindings.bind(key, &mut env.mesh, &env.cluster, &env.dag)?;
+                }
+                Ok(())
+            })();
+            if let Err(e) = result {
+                for &c in &added {
+                    let _ = env.cluster.evict(c);
+                    // Unbinds the flows bound before the failure: `c` is unplaced.
+                    let _ = env.bindings.rebind_touching(c, &mut env.mesh, &env.cluster, &env.dag);
+                    env.dag.remove_component(c);
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
-        if let Some(j) = self.journal.as_mut() {
-            j.record(bass_obs::Event::AppAdmitted {
-                t_s: self.mesh.now().as_secs_f64(),
-                app: app.name().to_string(),
-                components: added.len() as u32,
-            });
-        }
-        Ok(added)
+            if let Some(j) = env.journal.as_mut() {
+                j.record(bass_obs::Event::AppAdmitted {
+                    t_s: env.mesh.now().as_secs_f64(),
+                    app: app.name().to_string(),
+                    components: added.len() as u32,
+                });
+            }
+            Ok(added)
+        })
     }
 
     /// Retires a running application instance: removes its mesh flows,
@@ -580,464 +462,32 @@ impl SimEnv {
     /// # Errors
     ///
     /// [`EnvError::NotDeployed`] before [`SimEnv::deploy`].
-    pub fn retire_app(
-        &mut self,
-        label: &str,
-        components: &[ComponentId],
-    ) -> Result<(), EnvError> {
+    pub fn retire_app(&mut self, label: &str, components: &[ComponentId]) -> Result<(), EnvError> {
         self.mutation_epoch += 1;
-        self.with_span("env.retire_app", |env| env.retire_app_inner(label, components))
-    }
-
-    fn retire_app_inner(
-        &mut self,
-        label: &str,
-        components: &[ComponentId],
-    ) -> Result<(), EnvError> {
-        if !self.deployed {
-            return Err(EnvError::NotDeployed);
-        }
-        let mut removed = 0u32;
-        for &c in components {
-            self.unbind_edges_touching(c);
-            let _ = self.cluster.evict(c);
-            if self.dag.remove_component(c) {
-                removed += 1;
+        self.with_span("env.retire_app", |env| {
+            if !env.deployed {
+                return Err(EnvError::NotDeployed);
             }
-            self.restarts.remove(&c);
-            self.displaced.remove(&c);
-            self.demand_factor.retain(|&(a, b), _| a != c && b != c);
-            self.goodput.forget_touching(c);
-        }
-        if let Some(j) = self.journal.as_mut() {
-            j.record(bass_obs::Event::AppRetired {
-                t_s: self.mesh.now().as_secs_f64(),
-                app: label.to_string(),
-                components: removed,
-            });
-        }
-        Ok(())
-    }
-
-    /// Advances the environment by one step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scenario/mesh errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`SimEnv::deploy`].
-    pub fn step(&mut self) -> Result<(), EnvError> {
-        // The profiler is parked in a local for the duration of the
-        // tick: `step_inner` borrows it independently of `self`, which
-        // lets the phase clock interleave with `&mut self` phase calls.
-        let mut spans = self.spans.take();
-        let result = self.step_inner(spans.as_mut());
-        self.spans = spans;
-        result
-    }
-
-    /// One tick with per-phase span profiling (the `tick.*` spans; see
-    /// `docs/OBSERVABILITY.md`). Phases that profile their own interior
-    /// — the mesh advance and the controller — receive the profiler and
-    /// are followed by a [`PhaseClock::reset`](bass_obs::PhaseClock) or
-    /// their own enclosing lap.
-    fn step_inner(
-        &mut self,
-        mut profiler: Option<&mut bass_obs::SpanProfiler>,
-    ) -> Result<(), EnvError> {
-        assert!(self.deployed, "call deploy() before step()");
-        let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
-        // 0. Injected faults due now, then re-placement of components a
-        // crash displaced (possible again once capacity recovers).
-        let now = self.mesh.now();
-        let mut controller_restarted = false;
-        for fault in self.cfg.faults.due(now) {
-            controller_restarted |= self.apply_fault(fault)?;
-        }
-        self.replace_displaced()?;
-        clock.lap(profiler.as_deref_mut(), "tick.faults");
-
-        // 1. Scenario actions due now.
-        let pending_before = self.scenario.remaining();
-        self.scenario.apply_due(&mut self.mesh, now)?;
-        if pending_before != self.scenario.remaining() {
-            if let Some(j) = self.journal.as_mut() {
-                self.mesh.emit_capacity_changes(j, "scenario");
-            }
-        }
-        clock.lap(profiler.as_deref_mut(), "tick.scenario");
-
-        // 2. Push demands from each remote edge's stored requirement. The
-        // edge map is lifted out for the walk (an O(1) move, put back
-        // before any error propagates) so the loop can read `self` while
-        // it writes the mesh.
-        let edges = std::mem::take(&mut self.edges);
-        let pushed = edges.iter().try_for_each(|(&(from, to), edge)| match edge.state {
-            EdgeState::Remote(f) => {
-                let demand = self.edge_demand(from, to, edge.required);
-                self.mesh.set_flow_demand(f, demand)
-            }
-            EdgeState::Local => Ok(()),
-        });
-        self.edges = edges;
-        pushed?;
-        clock.lap(profiler.as_deref_mut(), "tick.demand");
-
-        // 3. Advance the network. The mesh profiles its own interior
-        // phases (`mesh.*`), so the enclosing clock restarts afterwards
-        // rather than double-attributing that time to a tick phase.
-        self.mesh.advance_profiled(
-            self.cfg.step,
-            self.journal.as_mut(),
-            profiler.as_deref_mut(),
-        );
-        clock.reset();
-        let now = self.mesh.now();
-
-        // 4. Passive goodput measurement against each edge's stored
-        // requirement × factor (the map lifted out as in phase 2).
-        let edges = std::mem::take(&mut self.edges);
-        for (&(from, to), &edge) in &edges {
-            let factor = self.demand_factor.get(&(from, to)).copied().unwrap_or(1.0);
-            let achieved = self.bound_achieved(from, to, edge);
-            self.goodput.record(from, to, edge.required.scale(factor), achieved, now);
-        }
-        self.edges = edges;
-        clock.lap(profiler.as_deref_mut(), "tick.goodput");
-
-        // 5. Controller. A restart injected this tick loses the tick: the
-        // new controller process comes up after the decision window.
-        if self.cfg.migrations_enabled && !controller_restarted {
-            let outcome = self.controller.tick(
-                &self.mesh,
-                &mut self.netmon,
-                &self.goodput,
-                &self.dag,
-                &self.cluster,
-                &self.cfg.pinned,
-                self.journal.as_mut(),
-                profiler.as_deref_mut(),
-            );
-            clock.lap(profiler.as_deref_mut(), "tick.controller");
-            let plans: Vec<MigrationPlan> = outcome
-                .plans
-                .iter()
-                .copied()
-                .filter(|p| !self.cfg.pinned.contains(&p.component))
-                .collect();
-            if !plans.is_empty() || !outcome.candidates.violations.is_empty() {
-                self.stats.migration_rounds.push((
-                    outcome.candidates.violating_component_count(),
-                    plans.len(),
-                ));
-            }
-            self.stats.unplaceable += outcome.unplaceable.len() as u64;
-            for plan in plans {
-                self.apply_migration(plan)?;
-            }
-            clock.lap(profiler.as_deref_mut(), "tick.migrate");
-        } else {
-            clock.reset();
-        }
-
-        // 6. Close the tick span.
-        self.record_tick_completed();
-        clock.lap(profiler, "tick.finalize");
-        Ok(())
-    }
-
-    /// Runs for `duration`, invoking `hook` after every simulated tick.
-    ///
-    /// Each full [`step`](Self::step) is followed by as many provably
-    /// quiescent skipped ticks as
-    /// `skippable_ticks` allows; `hook` still
-    /// runs after every simulated tick, skipped or not, and a hook that
-    /// mutates the environment immediately demotes the rest of its
-    /// window back to full steps. Results, stats, and journal contents
-    /// are byte-identical to executing every tick in full — only
-    /// wall-clock (and span-profiler counts, which track work actually
-    /// performed) differs.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a zero step; otherwise stops at the first step error.
-    pub fn run_for(
-        &mut self,
-        duration: SimDuration,
-        mut hook: impl FnMut(&mut SimEnv),
-    ) -> Result<(), EnvError> {
-        let step_us = self.cfg.step.as_micros();
-        if step_us == 0 {
-            return Err(EnvError::ZeroStep);
-        }
-        let end = self.mesh.now() + duration;
-        while self.mesh.now() < end {
-            self.step()?;
-            hook(self);
-            'skip: while self.mesh.now() < end {
-                let remaining =
-                    end.saturating_since(self.mesh.now()).as_micros().div_ceil(step_us);
-                let window = self.skippable_ticks(remaining);
-                if window == 0 {
-                    break;
+            let mut removed = 0u32;
+            for &c in components {
+                let _ = env.cluster.evict(c);
+                env.bindings.rebind_touching(c, &mut env.mesh, &env.cluster, &env.dag)?;
+                if env.dag.remove_component(c) {
+                    removed += 1;
                 }
-                for _ in 0..window {
-                    let epoch = self.mutation_epoch;
-                    self.skip_quiescent_tick();
-                    hook(self);
-                    if self.mutation_epoch != epoch {
-                        // The hook mutated the environment at this tick
-                        // boundary; the rest of the window is no longer
-                        // proven. Fall back to a full step.
-                        break 'skip;
-                    }
-                }
+                env.bindings.forget(c);
+                env.displaced.remove(&c);
+                env.goodput.forget_touching(c);
             }
-        }
-        Ok(())
-    }
-
-    /// Upper bound on how many consecutive ticks, starting now, are
-    /// provably quiescent — i.e. executing them in full would change
-    /// nothing but the clock. Returns at most `max_ticks`, and 0
-    /// whenever quiescence cannot be proven.
-    ///
-    /// A tick is quiescent when every input to [`step`](Self::step) is
-    /// bitwise unchanged and every flow queue is at a bitwise fixed
-    /// point ([`Mesh::queues_quiescent`]): the fault plan and the
-    /// scenario script are evaluated against the tick's
-    /// **pre-advance** clock, while trace change-points,
-    /// controller probe epochs, and restart expiries are bounded on the
-    /// **post-advance** clock (see
-    /// [`EventSource::pre_advance`](bass_core::EventSource::pre_advance)
-    /// for why expiries take the stricter side) — so with `t0 = now()`,
-    /// a pre-advance event at `t` caps the window at `⌈(t − t0)/step⌉`
-    /// ticks and a post-advance event at `⌈(t − t0)/step⌉ − 1` (its tick
-    /// *ends* at or after `t`). The controller is a guaranteed no-op
-    /// between headroom-probe epochs, so probe epochs are the only
-    /// controller events that matter; probe ticks themselves always
-    /// execute in full. Pending displaced components and an undeployed
-    /// environment disable skipping entirely.
-    fn skippable_ticks(&self, max_ticks: u64) -> u64 {
-        if max_ticks == 0
-            || self.reference_stepping
-            || !self.deployed
-            || !self.displaced.is_empty()
-        {
-            return 0;
-        }
-        let step = self.cfg.step;
-        let step_us = step.as_micros();
-        let t0 = self.mesh.now();
-        // The window cap one upcoming event imposes (formulas on
-        // `EventSource::pre_advance`).
-        let cap = |at: SimTime, source: EventSource| {
-            let ticks_to_reach = at.as_micros().saturating_sub(t0.as_micros()).div_ceil(step_us);
-            if source.pre_advance() {
-                ticks_to_reach
-            } else {
-                ticks_to_reach.saturating_sub(1)
-            }
-        };
-        let mut bound = max_ticks;
-        if let Some(t) = self.cfg.faults.next_at() {
-            bound = bound.min(cap(t, EventSource::Fault));
-        }
-        if let Some(t) = self.scenario.next_at() {
-            bound = bound.min(cap(t, EventSource::Scenario));
-        }
-        for &start in self.restarts.values() {
-            let expiry = start + self.cfg.restart.downtime;
-            // An expiry both clocks passed by the last executed tick
-            // (pre-advance `t0 − step`, post-advance `t0`) can never
-            // change a future tick; keeping it would pin the bound at 0.
-            // One in `(t0 − step, t0]` still flips the *next* tick's
-            // pre-advance demand push — the post-advance cap formula
-            // yields 0 for it, forcing that tick to execute in full.
-            if expiry.as_micros() + step_us <= t0.as_micros() {
-                continue;
-            }
-            bound = bound.min(cap(expiry, EventSource::RestartExpiry));
-        }
-        if let Some(t) = self.mesh.next_trace_change() {
-            bound = bound.min(cap(t, EventSource::TraceChange));
-        }
-        if self.cfg.migrations_enabled {
-            bound = bound.min(cap(self.netmon.next_headroom_probe_at(), EventSource::ProbeEpoch));
-        }
-        // The event caps are O(1) (the mesh keeps its trace clock armed
-        // across ticks); the queue scan is O(flows), so it runs last and
-        // only for a window no due event has already zeroed.
-        if bound == 0 || !self.mesh.queues_quiescent(step) {
-            return 0;
-        }
-        bound
-    }
-
-    /// Advances one quiescent tick: moves the clock and stamps the
-    /// tick's `TickCompleted` journal event at its true time, nothing
-    /// else. Only sound for a tick [`skippable_ticks`](Self::skippable_ticks)
-    /// vouched for — a quiescent tick's full execution emits exactly the
-    /// `TickCompleted` event (every capacity/flow-rate diff is empty and
-    /// the controller never wakes), so the journal stays byte-identical.
-    fn skip_quiescent_tick(&mut self) {
-        self.mesh.advance_quiescent(self.cfg.step);
-        self.record_tick_completed();
-    }
-
-    /// Journals the `TickCompleted` event of the tick ending at the mesh
-    /// clock — one writer for executed and skipped ticks alike.
-    fn record_tick_completed(&mut self) {
-        if let Some(j) = self.journal.as_mut() {
-            j.record(bass_obs::Event::TickCompleted {
-                t_s: self.mesh.now().as_secs_f64(),
-                step_ms: self.cfg.step.as_secs_f64() * 1e3,
-                flows: self.mesh.flow_count() as u32,
-                migrations_total: self.stats.migrations.len() as u64,
-            });
-        }
-    }
-
-    /// Applies one injected fault and journals it. Returns `true` when
-    /// the fault was a controller restart (the controller loses its tick).
-    fn apply_fault(&mut self, fault: Fault) -> Result<bool, EnvError> {
-        let mut controller_restarted = false;
-        let mut detail = String::new();
-        match fault {
-            Fault::NodeCrash { node } => {
-                self.mesh.set_node_up(node, false)?;
-                let victims: Vec<ComponentId> = self
-                    .cluster
-                    .placement()
-                    .into_iter()
-                    .filter(|&(_, n)| n == node)
-                    .map(|(c, _)| c)
-                    .collect();
-                detail = format!("evicted {} component(s)", victims.len());
-                for c in victims {
-                    let _ = self.cluster.evict(c);
-                    self.displaced.insert(c);
-                    self.rebind_edges_touching(c)?;
-                }
-            }
-            Fault::NodeRecover { node } => {
-                self.mesh.set_node_up(node, true)?;
-            }
-            Fault::LinkDown { a, b } => {
-                self.mesh.set_link_up(a, b, false)?;
-            }
-            Fault::LinkUp { a, b } => {
-                self.mesh.set_link_up(a, b, true)?;
-            }
-            Fault::ProbeLossStart { p } => {
-                // Fork a fresh stream per episode off the plan seed:
-                // episode k replays identically regardless of how many
-                // probes earlier episodes consumed.
-                let mut root = bass_util::rng::SimRng::seed_from_u64(self.cfg.faults.seed());
-                let rng = root.fork(1_000 + self.probe_loss_episodes);
-                self.probe_loss_episodes += 1;
-                self.netmon.set_probe_loss(p, rng);
-                detail = format!("p={p}");
-            }
-            Fault::ProbeLossStop => {
-                self.netmon.clear_probe_loss();
-            }
-            Fault::StaleTraceStart { a, b } => {
-                self.mesh.freeze_link_trace(a, b)?;
-            }
-            Fault::StaleTraceStop { a, b } => {
-                self.mesh.unfreeze_link_trace(a, b)?;
-            }
-            Fault::ControllerRestart => {
-                self.controller.reset();
-                controller_restarted = true;
-            }
-        }
-        if let Some(j) = self.journal.as_mut() {
-            j.record(bass_obs::Event::FaultInjected {
-                t_s: self.mesh.now().as_secs_f64(),
-                kind: fault.kind().to_string(),
-                target: fault.target(),
-                detail,
-            });
-        }
-        Ok(controller_restarted)
-    }
-
-    /// Tries to re-place every displaced component on the best-ranked up
-    /// node with room; newly placed components pay a restart and have
-    /// their edges rebound. The ranking is read once and only the node
-    /// just placed on is re-scored: rebinding edges adds and removes
-    /// flows, which move no link capacity, so each component sees
-    /// exactly a fresh `rank_nodes`.
-    fn replace_displaced(&mut self) -> Result<(), EnvError> {
-        if self.displaced.is_empty() {
-            return Ok(());
-        }
-        let candidates: Vec<ComponentId> = self.displaced.iter().copied().collect();
-        let mut ranking = NodeRanking::new(&self.cluster, &self.mesh);
-        let mut placed_any = false;
-        for c in candidates {
-            let Some(comp) = self.dag.component(c) else {
-                self.displaced.remove(&c);
-                continue;
-            };
-            let resources = comp.resources;
-            let target = ranking
-                .nodes()
-                .filter(|&n| self.mesh.node_is_up(n))
-                .find(|&n| self.cluster.fits(n, resources).unwrap_or(false));
-            let Some(node) = target else {
-                continue; // still nowhere to go; retry next tick
-            };
-            self.cluster
-                .place(c, resources, node)
-                .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
-            ranking.refresh(&self.cluster, &[node]);
-            self.displaced.remove(&c);
-            // The component restarts on its new node.
-            self.restarts.insert(c, self.mesh.now());
-            self.rebind_edges_touching(c)?;
-            placed_any = true;
-            if let Some(j) = self.journal.as_mut() {
-                j.record(bass_obs::Event::PlacementDecided {
-                    t_s: self.mesh.now().as_secs_f64(),
-                    component: c.0,
-                    node: node.0,
-                    policy: "fault-recovery".to_string(),
-                    crossing_mbps: 0.0,
+            if let Some(j) = env.journal.as_mut() {
+                j.record(bass_obs::Event::AppRetired {
+                    t_s: env.mesh.now().as_secs_f64(),
+                    app: label.to_string(),
+                    components: removed,
                 });
             }
-        }
-        if placed_any {
-            if let Some(j) = self.journal.as_mut() {
-                // Recompute the crossing bandwidth of the repaired
-                // placement into the last event's metric registry.
-                let crossing =
-                    bass_core::placement::crossing_bandwidth(&self.dag, &self.cluster.placement());
-                j.metrics_mut()
-                    .set_gauge("fault_recovery.crossing_mbps", crossing.as_mbps());
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebinds every DAG edge touching `component` to the current
-    /// placement (tears down flows whose endpoint is unplaced).
-    fn rebind_edges_touching(&mut self, component: ComponentId) -> Result<(), EnvError> {
-        let touching: Vec<(ComponentId, ComponentId)> = self
-            .dag
-            .edges()
-            .iter()
-            .filter(|e| e.from == component || e.to == component)
-            .map(|e| (e.from, e.to))
-            .collect();
-        for (f, t) in touching {
-            self.bind_edge(f, t)?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn apply_migration(&mut self, plan: MigrationPlan) -> Result<(), EnvError> {
@@ -1053,14 +503,14 @@ impl SimEnv {
             return Ok(());
         }
         let now = self.mesh.now();
-        self.restarts.insert(plan.component, now);
+        self.bindings.restart(plan.component, now);
         self.stats.migrations.push(MigrationRecord {
             at: now,
             component: plan.component,
             from: plan.from,
             to: plan.to,
         });
-        self.rebind_edges_touching(plan.component)
+        Ok(self.bindings.rebind_touching(plan.component, &mut self.mesh, &self.cluster, &self.dag)?)
     }
 
     // ----- queries the workload models use ---------------------------------
@@ -1109,31 +559,25 @@ impl SimEnv {
 
     /// True while a component is hard-down due to a restart.
     pub fn component_down(&self, c: ComponentId) -> bool {
-        self.restarts
-            .get(&c)
-            .is_some_and(|&start| self.cfg.restart.is_down(start, self.mesh.now()))
+        self.bindings.down(c, self.mesh.now())
     }
 
     /// Residual restart slowdown factor for a component (1.0 = healthy).
     pub fn slowdown(&self, c: ComponentId) -> f64 {
-        self.restarts
-            .get(&c)
-            .map_or(1.0, |&start| self.cfg.restart.slowdown_at(start, self.mesh.now()))
+        self.bindings.slowdown(c, self.mesh.now())
     }
 
     /// Marks a component as restarted now (for restart-cost experiments
     /// like Fig. 14a, independent of any migration).
     pub fn force_restart(&mut self, c: ComponentId) {
         self.mutation_epoch += 1;
-        self.restarts.insert(c, self.mesh.now());
+        self.bindings.restart(c, self.mesh.now());
     }
 
     /// The bandwidth an edge currently achieves: its full demand when
     /// co-located, the flow's goodput when remote.
     pub fn edge_achieved(&self, from: ComponentId, to: ComponentId) -> Bandwidth {
-        self.edges
-            .get(&(from, to))
-            .map_or(Bandwidth::ZERO, |&edge| self.bound_achieved(from, to, edge))
+        self.bindings.achieved((from, to), &self.mesh)
     }
 
     /// Loss fraction on an edge (0 when co-located).
@@ -1149,16 +593,8 @@ impl SimEnv {
     /// restarting component waits out the remaining downtime).
     pub fn edge_delay(&self, from: ComponentId, to: ComponentId, size: DataSize) -> SimDuration {
         let now = self.mesh.now();
-        let mut penalty = SimDuration::ZERO;
-        for c in [from, to] {
-            if let Some(&start) = self.restarts.get(&c) {
-                let model = self.cfg.restart;
-                if model.is_down(start, now) {
-                    let until = start + model.downtime;
-                    penalty = penalty.max(until.saturating_since(now));
-                }
-            }
-        }
+        let left = |c| self.bindings.downtime_left(c, now);
+        let penalty = left(from).max(left(to));
         let base = match self.edge_state(from, to) {
             Some(EdgeState::Local) | None => LOOPBACK_LATENCY,
             Some(EdgeState::Remote(f)) => self.mesh.flow_message_delay(f, size).unwrap_or(MAX_DELAY),
@@ -1168,8 +604,27 @@ impl SimEnv {
 
     /// How one DAG edge is currently realized.
     pub fn edge_state(&self, from: ComponentId, to: ComponentId) -> Option<EdgeState> {
-        self.edges.get(&(from, to)).map(|edge| edge.state)
+        self.bindings.state((from, to))
     }
+}
+
+/// Orders `app` under `policy`, maps each component into deployment
+/// space (dropping those `remap` maps to `None`) and places them.
+fn place_fragment(
+    policy: PlacementPolicy,
+    app: &AppDag,
+    remap: impl Fn(ComponentId) -> Option<ComponentId>,
+    dag: &AppDag,
+    cluster: &mut Cluster,
+    mesh: &Mesh,
+) -> Result<(), ScheduleError> {
+    let scheduler = BassScheduler::new(policy);
+    let groups = scheduler.ordering(app)?.groups().iter()
+        .map(|g| g.iter().filter_map(|&c| remap(c)).collect::<Vec<_>>())
+        .filter(|g| !g.is_empty())
+        .collect();
+    scheduler.place(&ComponentOrdering::new(groups), dag, cluster, mesh)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1178,6 +633,7 @@ mod tests {
     use bass_appdag::{catalog, Component, ResourceReq};
     use bass_cluster::{BaselinePolicy, BaselineScheduler, NodeSpec};
     use bass_core::heuristics::BfsWeighting;
+    use bass_faults::Fault;
     use bass_mesh::Topology;
 
     fn mbps(x: f64) -> Bandwidth {
@@ -1302,29 +758,8 @@ mod tests {
         env.run_for(SimDuration::from_secs(1), |_| {}).unwrap();
     }
 
-    /// Every stored requirement equals the DAG's, and exactly the DAG
-    /// edges whose endpoints are both placed are bound.
     fn assert_edges_current(env: &SimEnv, after: &str) {
-        for (&(from, to), edge) in &env.edges {
-            assert_eq!(
-                edge.required.as_bps().to_bits(),
-                env.dag.bandwidth_between(from, to).as_bps().to_bits(),
-                "after {after}: stored requirement of {from}→{to}"
-            );
-        }
-        let mut placed = 0;
-        for e in env.dag.edges() {
-            let both = env.cluster.node_of(e.from).is_some() && env.cluster.node_of(e.to).is_some();
-            placed += usize::from(both);
-            assert_eq!(
-                env.edges.contains_key(&(e.from, e.to)),
-                both,
-                "after {after}: binding of {}→{}",
-                e.from,
-                e.to
-            );
-        }
-        assert_eq!(env.edges.len(), placed, "after {after}: bindings outside the DAG");
+        env.bindings.assert_current(&env.cluster, &env.dag, after);
     }
 
     #[test]
@@ -1361,13 +796,22 @@ mod tests {
         assert_eq!(env.cluster.node_of(moved), Some(to));
         assert_edges_current(&env, "a migration");
 
+        // A crash evicts and unbinds; the next tick re-places and rebinds.
+        let crashed = env.cluster.node_of(second[1]).unwrap();
+        env.apply_fault(Fault::NodeCrash { node: crashed }).unwrap();
+        assert!(env.displaced.contains(&second[1]));
+        assert_edges_current(&env, "a node crash");
+        env.step().unwrap();
+        assert!(env.displaced.is_empty());
+        assert_edges_current(&env, "a re-placement after a crash");
+
         env.retire_app("camera-0", &first).unwrap();
         assert_edges_current(&env, "a retirement");
         // The retired instance's ids come back with the next admission.
         env.admit_app(&catalog::camera_pipeline(), 1000).unwrap();
         assert_edges_current(&env, "an admission reusing retired ids");
 
-        env.rebuild_all_edges().unwrap();
+        env.bindings.bind_all(&mut env.mesh, &env.cluster, &env.dag).unwrap();
         env.run_for(SimDuration::from_secs(2), |_| {}).unwrap();
         assert_edges_current(&env, "a full rebind and two seconds");
     }

@@ -1,0 +1,210 @@
+//! How the deployment's DAG edges ride the mesh, and the restart clocks
+//! that gate their demand.
+
+use super::EdgeState;
+use bass_appdag::{AppDag, ComponentId};
+use bass_cluster::{Cluster, RestartModel};
+use bass_mesh::{Mesh, MeshError};
+use bass_netmon::GoodputMonitor;
+use bass_util::time::{SimDuration, SimTime};
+use bass_util::units::Bandwidth;
+use std::collections::BTreeMap;
+
+type Key = (ComponentId, ComponentId);
+
+/// One bound DAG edge: how it is realized, and its declared requirement
+/// (`AppDag::bandwidth_between`), read once when the edge is bound.
+#[derive(Debug, Clone, Copy)]
+struct BoundEdge {
+    state: EdgeState,
+    required: Bandwidth,
+}
+
+/// The edge bindings of one deployment.
+///
+/// Invariant: exactly the DAG edges with both endpoints placed are
+/// bound, each holding its DAG requirement. Whoever places, evicts or
+/// moves a component calls [`rebind_touching`](Self::rebind_touching)
+/// before the DAG loses it. The requirement cannot go stale while an
+/// edge stays bound: the DAG only grows by `absorb`, whose fresh ids
+/// cannot add an edge between bound components.
+///
+/// Logical: `restarts`, `demand_factor` and each binding's flow id.
+/// Derived: which edges are bound and their requirements (the placement
+/// and the DAG), and `restart` (the environment's configuration).
+#[derive(Debug, Default)]
+pub(super) struct Bindings {
+    edges: BTreeMap<Key, BoundEdge>,
+    demand_factor: BTreeMap<Key, f64>,
+    /// When each restarting component began its restart.
+    restarts: BTreeMap<ComponentId, SimTime>,
+    restart: RestartModel,
+}
+
+impl Bindings {
+    pub(super) fn new(restart: RestartModel) -> Self {
+        Bindings { restart, ..Bindings::default() }
+    }
+
+    /// (Re)binds one DAG edge to the current placement: drops its old
+    /// binding and flow, then binds it unless an endpoint is unplaced.
+    pub(super) fn bind(
+        &mut self, (from, to): Key, mesh: &mut Mesh, cluster: &Cluster, dag: &AppDag,
+    ) -> Result<(), MeshError> {
+        let old = self.edges.remove(&(from, to));
+        if let Some(BoundEdge { state: EdgeState::Remote(f), .. }) = old {
+            let _ = mesh.remove_flow(f);
+        }
+        let (Some(a), Some(b)) = (cluster.node_of(from), cluster.node_of(to)) else {
+            return Ok(());
+        };
+        let required = dag.bandwidth_between(from, to);
+        let state = if a == b {
+            EdgeState::Local
+        } else {
+            EdgeState::Remote(mesh.add_flow(a, b, self.demand((from, to), required, mesh.now()))?)
+        };
+        self.edges.insert((from, to), BoundEdge { state, required });
+        Ok(())
+    }
+
+    /// Binds every DAG edge.
+    pub(super) fn bind_all(
+        &mut self, mesh: &mut Mesh, cluster: &Cluster, dag: &AppDag,
+    ) -> Result<(), MeshError> {
+        dag.edges().iter().try_for_each(|e| self.bind((e.from, e.to), mesh, cluster, dag))
+    }
+
+    /// Rebinds every DAG edge touching `c`.
+    pub(super) fn rebind_touching(
+        &mut self, c: ComponentId, mesh: &mut Mesh, cluster: &Cluster, dag: &AppDag,
+    ) -> Result<(), MeshError> {
+        let mut touching = dag.edges().iter().filter(|e| e.from == c || e.to == c);
+        touching.try_for_each(|e| self.bind((e.from, e.to), mesh, cluster, dag))
+    }
+
+    /// Pushes every remote edge's current demand into its flow.
+    pub(super) fn push_demands(&self, mesh: &mut Mesh) -> Result<(), MeshError> {
+        let now = mesh.now();
+        for (&key, edge) in &self.edges {
+            if let EdgeState::Remote(f) = edge.state {
+                mesh.set_flow_demand(f, self.demand(key, edge.required, now))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Feeds every bound edge's achieved bandwidth, against its
+    /// requirement × factor, to the goodput monitor.
+    pub(super) fn record_goodput(&self, mesh: &Mesh, goodput: &mut GoodputMonitor) {
+        for (&key, &edge) in &self.edges {
+            let required = edge.required.scale(self.factor(key));
+            goodput.record(key.0, key.1, required, self.achieved_by(key, edge, mesh), mesh.now());
+        }
+    }
+
+    /// What an edge achieves: its full demand when co-located, its
+    /// flow's goodput when remote, nothing when unbound.
+    pub(super) fn achieved(&self, key: Key, mesh: &Mesh) -> Bandwidth {
+        let edge = self.edges.get(&key);
+        edge.map_or(Bandwidth::ZERO, |&edge| self.achieved_by(key, edge, mesh))
+    }
+
+    fn achieved_by(&self, key: Key, edge: BoundEdge, mesh: &Mesh) -> Bandwidth {
+        match edge.state {
+            EdgeState::Local => self.demand(key, edge.required, mesh.now()),
+            EdgeState::Remote(f) => mesh.flow_goodput(f),
+        }
+    }
+
+    /// The offered demand of an edge whose requirement is `required`:
+    /// requirement × factor, zero while either endpoint is down.
+    fn demand(&self, (from, to): Key, required: Bandwidth, now: SimTime) -> Bandwidth {
+        if self.down(from, now) || self.down(to, now) {
+            return Bandwidth::ZERO;
+        }
+        required.scale(self.factor((from, to)))
+    }
+
+    fn factor(&self, key: Key) -> f64 {
+        self.demand_factor.get(&key).copied().unwrap_or(1.0)
+    }
+
+    pub(super) fn state(&self, key: Key) -> Option<EdgeState> {
+        self.edges.get(&key).map(|edge| edge.state)
+    }
+
+    pub(super) fn set_factor(&mut self, key: Key, factor: f64) {
+        self.demand_factor.insert(key, factor.max(0.0));
+    }
+
+    /// Starts `c`'s restart clock at `now`.
+    pub(super) fn restart(&mut self, c: ComponentId, now: SimTime) {
+        self.restarts.insert(c, now);
+    }
+
+    /// Drops a retired component's restart clock and demand factors.
+    pub(super) fn forget(&mut self, c: ComponentId) {
+        self.restarts.remove(&c);
+        self.demand_factor.retain(|&(a, b), _| a != c && b != c);
+    }
+
+    /// The restart downtime `c` still has to wait out at `now`; zero once
+    /// it is up.
+    pub(super) fn downtime_left(&self, c: ComponentId, now: SimTime) -> SimDuration {
+        match self.restarts.get(&c) {
+            Some(&start) if self.restart.is_down(start, now) => {
+                (start + self.restart.downtime).saturating_since(now)
+            }
+            _ => SimDuration::ZERO,
+        }
+    }
+
+    pub(super) fn down(&self, c: ComponentId, now: SimTime) -> bool {
+        !self.downtime_left(c, now).is_zero()
+    }
+
+    pub(super) fn slowdown(&self, c: ComponentId, now: SimTime) -> f64 {
+        self.restarts.get(&c).map_or(1.0, |&start| self.restart.slowdown_at(start, now))
+    }
+
+    /// The earliest downtime expiry that can still change a tick starting
+    /// at `t0`. An expiry both clocks passed by the last executed tick
+    /// (pre-advance `t0 − step`, post-advance `t0`) never can; keeping it
+    /// would pin the skip window at 0. One in `(t0 − step, t0]` still
+    /// flips the next tick's pre-advance demand push.
+    pub(super) fn next_expiry(&self, t0: SimTime, step: SimDuration) -> Option<SimTime> {
+        self.restarts
+            .values()
+            .map(|&start| start + self.restart.downtime)
+            .filter(|expiry| expiry.as_micros() + step.as_micros() > t0.as_micros())
+            .min()
+    }
+}
+
+#[cfg(test)]
+impl Bindings {
+    /// Panics unless the invariant holds for this cluster and DAG.
+    pub(super) fn assert_current(&self, cluster: &Cluster, dag: &AppDag, after: &str) {
+        for (&(from, to), edge) in &self.edges {
+            assert_eq!(
+                edge.required.as_bps().to_bits(),
+                dag.bandwidth_between(from, to).as_bps().to_bits(),
+                "after {after}: stored requirement of {from}→{to}"
+            );
+        }
+        let mut placed = 0;
+        for e in dag.edges() {
+            let both = cluster.node_of(e.from).is_some() && cluster.node_of(e.to).is_some();
+            placed += usize::from(both);
+            assert_eq!(
+                self.edges.contains_key(&(e.from, e.to)),
+                both,
+                "after {after}: binding of {}→{}",
+                e.from,
+                e.to
+            );
+        }
+        assert_eq!(self.edges.len(), placed, "after {after}: bindings outside the DAG");
+    }
+}

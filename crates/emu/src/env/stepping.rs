@@ -1,0 +1,235 @@
+//! The step loop: one full tick, and the quiescent ticks `run_for`
+//! skips between them.
+
+use super::{EnvError, SimEnv};
+use bass_core::{EventSource, MigrationPlan};
+use bass_obs::SpanProfiler;
+use bass_util::time::{SimDuration, SimTime};
+
+impl SimEnv {
+    /// Advances the environment by one step.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scenario/mesh errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`SimEnv::deploy`].
+    pub fn step(&mut self) -> Result<(), EnvError> {
+        self.parked(Self::step_inner)
+    }
+
+    /// One tick with per-phase span profiling (the `tick.*` spans; see
+    /// `docs/OBSERVABILITY.md`). Phases that profile their own interior
+    /// — the mesh advance and the controller — receive the profiler and
+    /// are followed by a [`PhaseClock::reset`](bass_obs::PhaseClock) or
+    /// their own enclosing lap.
+    fn step_inner(&mut self, mut profiler: Option<&mut SpanProfiler>) -> Result<(), EnvError> {
+        assert!(self.deployed, "call deploy() before step()");
+        let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
+        // 0. Injected faults due now, then re-placement of components a
+        // crash displaced (possible again once capacity recovers).
+        let now = self.mesh.now();
+        let mut controller_restarted = false;
+        for fault in self.cfg.faults.due(now) {
+            controller_restarted |= self.apply_fault(fault)?;
+        }
+        self.replace_displaced()?;
+        clock.lap(profiler.as_deref_mut(), "tick.faults");
+
+        // 1. Scenario actions due now.
+        let pending_before = self.scenario.remaining();
+        self.scenario.apply_due(&mut self.mesh, now)?;
+        if pending_before != self.scenario.remaining() {
+            if let Some(j) = self.journal.as_mut() {
+                self.mesh.emit_capacity_changes(j, "scenario");
+            }
+        }
+        clock.lap(profiler.as_deref_mut(), "tick.scenario");
+
+        // 2. Push demands from each remote edge's stored requirement.
+        self.bindings.push_demands(&mut self.mesh)?;
+        clock.lap(profiler.as_deref_mut(), "tick.demand");
+
+        // 3. Advance the network. The mesh profiles its own interior
+        // phases (`mesh.*`), so the enclosing clock restarts afterwards
+        // rather than double-attributing that time to a tick phase.
+        self.mesh.advance_profiled(self.cfg.step, self.journal.as_mut(), profiler.as_deref_mut());
+        clock.reset();
+
+        // 4. Passive goodput measurement against each edge's stored
+        // requirement × factor.
+        self.bindings.record_goodput(&self.mesh, &mut self.goodput);
+        clock.lap(profiler.as_deref_mut(), "tick.goodput");
+
+        // 5. Controller. A restart injected this tick loses the tick: the
+        // new controller process comes up after the decision window.
+        if self.cfg.migrations_enabled && !controller_restarted {
+            let outcome = self.controller.tick(
+                &self.mesh,
+                &mut self.netmon,
+                &self.goodput,
+                &self.dag,
+                &self.cluster,
+                &self.cfg.pinned,
+                self.journal.as_mut(),
+                profiler.as_deref_mut(),
+            );
+            clock.lap(profiler.as_deref_mut(), "tick.controller");
+            let pinned = &self.cfg.pinned;
+            let plans: Vec<MigrationPlan> =
+                outcome.plans.iter().copied().filter(|p| !pinned.contains(&p.component)).collect();
+            if !plans.is_empty() || !outcome.candidates.violations.is_empty() {
+                let violating = outcome.candidates.violating_component_count();
+                self.stats.migration_rounds.push((violating, plans.len()));
+            }
+            self.stats.unplaceable += outcome.unplaceable.len() as u64;
+            for plan in plans {
+                self.apply_migration(plan)?;
+            }
+            clock.lap(profiler.as_deref_mut(), "tick.migrate");
+        } else {
+            clock.reset();
+        }
+
+        // 6. Close the tick span.
+        self.record_tick_completed();
+        clock.lap(profiler, "tick.finalize");
+        Ok(())
+    }
+
+    /// Runs for `duration`, invoking `hook` after every simulated tick.
+    ///
+    /// Each full [`step`](Self::step) is followed by as many provably
+    /// quiescent skipped ticks as `skippable_ticks` allows; `hook` still
+    /// runs after every simulated tick, skipped or not, and a hook that
+    /// mutates the environment immediately demotes the rest of its
+    /// window back to full steps. Results, stats, and journal contents
+    /// are byte-identical to executing every tick in full — only
+    /// wall-clock (and span-profiler counts, which track work actually
+    /// performed) differs.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a zero step; otherwise stops at the first step error.
+    pub fn run_for(
+        &mut self,
+        duration: SimDuration,
+        mut hook: impl FnMut(&mut SimEnv),
+    ) -> Result<(), EnvError> {
+        let step_us = self.cfg.step.as_micros();
+        if step_us == 0 {
+            return Err(EnvError::ZeroStep);
+        }
+        let end = self.mesh.now() + duration;
+        while self.mesh.now() < end {
+            self.step()?;
+            hook(self);
+            'skip: while self.mesh.now() < end {
+                let remaining =
+                    end.saturating_since(self.mesh.now()).as_micros().div_ceil(step_us);
+                let window = self.skippable_ticks(remaining);
+                if window == 0 {
+                    break;
+                }
+                for _ in 0..window {
+                    let epoch = self.mutation_epoch;
+                    self.skip_quiescent_tick();
+                    hook(self);
+                    if self.mutation_epoch != epoch {
+                        // The hook mutated the environment at this tick
+                        // boundary; the rest of the window is no longer
+                        // proven. Fall back to a full step.
+                        break 'skip;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Upper bound on how many consecutive ticks, starting now, are
+    /// provably quiescent — i.e. executing them in full would change
+    /// nothing but the clock. Returns at most `max_ticks`, and 0
+    /// whenever quiescence cannot be proven.
+    ///
+    /// A tick is quiescent when every input to [`step`](Self::step) is
+    /// bitwise unchanged and every flow queue is at a bitwise fixed
+    /// point ([`Mesh::queues_quiescent`](bass_mesh::Mesh::queues_quiescent)):
+    /// the fault plan and the scenario script are evaluated against the
+    /// tick's **pre-advance** clock, while trace change-points,
+    /// controller probe epochs, and restart expiries are bounded on the
+    /// **post-advance** clock (see
+    /// [`EventSource::pre_advance`](bass_core::EventSource::pre_advance)
+    /// for why expiries take the stricter side) — so with `t0 = now()`,
+    /// a pre-advance event at `t` caps the window at `⌈(t − t0)/step⌉`
+    /// ticks and a post-advance event at `⌈(t − t0)/step⌉ − 1` (its tick
+    /// *ends* at or after `t`). The controller is a guaranteed no-op
+    /// between headroom-probe epochs, so probe epochs are the only
+    /// controller events that matter; probe ticks themselves always
+    /// execute in full. Pending displaced components and an undeployed
+    /// environment disable skipping entirely.
+    pub(super) fn skippable_ticks(&self, max_ticks: u64) -> u64 {
+        let unprovable = self.reference_stepping || !self.deployed || !self.displaced.is_empty();
+        if max_ticks == 0 || unprovable {
+            return 0;
+        }
+        let step = self.cfg.step;
+        let t0 = self.mesh.now();
+        // The window cap one upcoming event imposes (formulas on
+        // `EventSource::pre_advance`).
+        let cap = |at: SimTime, source: EventSource| {
+            let ticks_to_reach =
+                at.as_micros().saturating_sub(t0.as_micros()).div_ceil(step.as_micros());
+            if source.pre_advance() {
+                ticks_to_reach
+            } else {
+                ticks_to_reach.saturating_sub(1)
+            }
+        };
+        let probe = self.cfg.migrations_enabled.then(|| self.netmon.next_headroom_probe_at());
+        let events = [
+            (self.cfg.faults.next_at(), EventSource::Fault),
+            (self.scenario.next_at(), EventSource::Scenario),
+            (self.bindings.next_expiry(t0, step), EventSource::RestartExpiry),
+            (self.mesh.next_trace_change(), EventSource::TraceChange),
+            (probe, EventSource::ProbeEpoch),
+        ];
+        let bound = events
+            .into_iter()
+            .filter_map(|(at, source)| at.map(|t| cap(t, source)))
+            .fold(max_ticks, u64::min);
+        // The event caps are O(1) (the mesh keeps its trace clock armed
+        // across ticks); the queue scan is O(flows), so it runs last and
+        // only for a window no due event has already zeroed.
+        if bound == 0 || !self.mesh.queues_quiescent(step) {
+            return 0;
+        }
+        bound
+    }
+
+    /// Advances one quiescent tick: moves the clock and stamps the
+    /// tick's `TickCompleted` journal event at its true time, nothing
+    /// else. Only sound for a tick [`skippable_ticks`](Self::skippable_ticks)
+    /// vouched for — a quiescent tick's full execution emits exactly the
+    /// `TickCompleted` event (every capacity/flow-rate diff is empty and
+    /// the controller never wakes), so the journal stays byte-identical.
+    fn skip_quiescent_tick(&mut self) {
+        self.mesh.advance_quiescent(self.cfg.step);
+        self.record_tick_completed();
+    }
+
+    /// Journals the `TickCompleted` event of the tick ending at the mesh
+    /// clock — one writer for executed and skipped ticks alike.
+    fn record_tick_completed(&mut self) {
+        if let Some(j) = self.journal.as_mut() {
+            j.record(bass_obs::Event::TickCompleted {
+                t_s: self.mesh.now().as_secs_f64(),
+                step_ms: self.cfg.step.as_secs_f64() * 1e3,
+                flows: self.mesh.flow_count() as u32,
+                migrations_total: self.stats.migrations.len() as u64,
+            });
+        }
+    }
+}

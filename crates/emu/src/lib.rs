@@ -6,12 +6,13 @@
 //! scheduler, the net-monitor, and the bandwidth controller. Each fixed
 //! time step it:
 //!
-//! 1. applies any scenario actions due (the `tc` script),
-//! 2. pushes the application's current per-edge demands into the mesh,
-//! 3. advances the mesh (capacity refresh, max-min reallocation, queue
+//! 1. applies any injected faults due and re-places what a crash evicted,
+//! 2. applies any scenario actions due (the `tc` script),
+//! 3. pushes the application's current per-edge demands into the mesh,
+//! 4. advances the mesh (capacity refresh, max-min reallocation, queue
 //!    integration),
-//! 4. feeds passive goodput measurements to the monitor, and
-//! 5. runs the controller, enacting any planned migrations (cluster
+//! 5. feeds passive goodput measurements to the monitor, and
+//! 6. runs the controller, enacting any planned migrations (cluster
 //!    relocation, flow rebinding, restart downtime).
 //!
 //! Workload models (crate `bass-apps`) drive demands and read delays.

@@ -47,11 +47,6 @@ impl LinkCapacity {
         self.cap = cap;
     }
 
-    /// The current cap, if any.
-    pub fn cap(&self) -> Option<Bandwidth> {
-        self.cap
-    }
-
     /// Replaces the base source.
     pub fn set_source(&mut self, source: CapacitySource) {
         self.source = source;
@@ -119,7 +114,6 @@ mod tests {
         let mut lc = LinkCapacity::new(CapacitySource::Constant(mbps(1000.0)));
         lc.set_cap(Some(mbps(30.0)));
         assert_eq!(lc.effective_at(SimTime::ZERO), mbps(30.0));
-        assert_eq!(lc.cap(), Some(mbps(30.0)));
         lc.set_cap(None);
         assert_eq!(lc.effective_at(SimTime::ZERO), mbps(1000.0));
     }

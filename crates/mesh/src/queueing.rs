@@ -17,7 +17,7 @@
 //! Loss (for the video-conferencing loss plots, Fig. 4) is the excess
 //! demand fraction `max(0, 1 - allocated/offered)`.
 
-use bass_util::time::{SimDuration, SimTime};
+use bass_util::time::SimDuration;
 use bass_util::units::{Bandwidth, DataSize};
 use serde::{Deserialize, Serialize};
 
@@ -100,11 +100,6 @@ impl FlowQueue {
         DataSize::from_bytes((self.backlog_bits / 8.0) as u64)
     }
 
-    /// Bottleneck-link utilization set at the last advance, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        self.rho
-    }
-
     /// Delay to deliver a message of `size`:
     ///
     /// - queued backlog drains first at the flow's `allocated` rate;
@@ -165,43 +160,6 @@ pub fn hop_latency(hops: usize) -> SimDuration {
     }
 }
 
-/// A helper tracking when an in-flight transfer completes; used by
-/// emulation layers that need explicit completion times rather than
-/// instantaneous delays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Transfer {
-    /// Time the transfer was initiated.
-    pub started: SimTime,
-    /// Remaining bytes to move.
-    pub remaining: DataSize,
-}
-
-impl Transfer {
-    /// Creates a transfer of `size` starting at `now`.
-    pub fn new(now: SimTime, size: DataSize) -> Self {
-        Transfer { started: now, remaining: size }
-    }
-
-    /// Advances the transfer at `rate` for `dt`; returns `true` when the
-    /// transfer completed during this step.
-    pub fn advance(&mut self, dt: SimDuration, rate: Bandwidth) -> bool {
-        let moved_bits = rate.as_bps() * dt.as_secs_f64();
-        let moved = DataSize::from_bytes((moved_bits / 8.0) as u64);
-        if moved.as_bytes() >= self.remaining.as_bytes() {
-            self.remaining = DataSize::ZERO;
-            true
-        } else {
-            self.remaining = DataSize::from_bytes(self.remaining.as_bytes() - moved.as_bytes());
-            false
-        }
-    }
-
-    /// True when nothing remains.
-    pub fn is_complete(&self) -> bool {
-        self.remaining == DataSize::ZERO
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +187,6 @@ mod tests {
         // 50 Mbit backlog at 5 Mbps → 10 s drain.
         let d = q.transfer_delay(DataSize::from_bytes(1), mbps(5.0), mbps(5.0));
         assert!(d.as_secs_f64() > 9.9, "{d}");
-        assert_eq!(q.utilization(), 1.0);
         // Draining: allocation above offer shrinks the backlog.
         q.advance(SimDuration::from_secs(10), Bandwidth::ZERO, mbps(5.0));
         assert_eq!(q.backlog(), DataSize::ZERO);
@@ -269,15 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_is_clamped() {
-        let mut q = FlowQueue::new();
-        q.set_path_utilization(3.0);
-        assert_eq!(q.utilization(), 1.0);
-        q.set_path_utilization(-1.0);
-        assert_eq!(q.utilization(), 0.0);
-    }
-
-    #[test]
     fn dead_path_delay_is_capped() {
         let q = FlowQueue::new();
         let d = q.transfer_delay(DataSize::from_megabytes(1), Bandwidth::ZERO, Bandwidth::ZERO);
@@ -312,17 +260,5 @@ mod tests {
     fn hop_latency_is_loopback_or_per_hop() {
         assert_eq!(hop_latency(0), SimDuration::from_micros(50));
         assert_eq!(hop_latency(3), SimDuration::from_millis(3));
-    }
-
-    #[test]
-    fn transfer_progression() {
-        let mut t = Transfer::new(SimTime::ZERO, DataSize::from_megabytes(1));
-        // 8 Mbit at 4 Mbps: needs 2 s.
-        assert!(!t.advance(SimDuration::from_secs(1), mbps(4.0)));
-        assert!(!t.is_complete());
-        assert!(t.advance(SimDuration::from_secs(1), mbps(4.0)));
-        assert!(t.is_complete());
-        // Further advances stay complete.
-        assert!(t.advance(SimDuration::from_secs(1), mbps(4.0)));
     }
 }

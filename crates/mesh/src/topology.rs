@@ -51,19 +51,6 @@ pub struct Link {
     pub b: NodeId,
 }
 
-impl Link {
-    /// The endpoint opposite to `n`, or `None` if `n` is not an endpoint.
-    pub fn other(&self, n: NodeId) -> Option<NodeId> {
-        if n == self.a {
-            Some(self.b)
-        } else if n == self.b {
-            Some(self.a)
-        } else {
-            None
-        }
-    }
-}
-
 /// Errors constructing or mutating a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -545,14 +532,6 @@ mod tests {
         let topo = Topology::full_mesh(3);
         let incident = topo.incident_links(NodeId(0));
         assert_eq!(incident.len(), 2);
-    }
-
-    #[test]
-    fn link_other_endpoint() {
-        let l = Link { a: NodeId(1), b: NodeId(2) };
-        assert_eq!(l.other(NodeId(1)), Some(NodeId(2)));
-        assert_eq!(l.other(NodeId(2)), Some(NodeId(1)));
-        assert_eq!(l.other(NodeId(3)), None);
     }
 
     #[test]
