@@ -56,12 +56,8 @@ impl Knobs {
                     goodput_threshold: self.goodput_threshold,
                     utilization_threshold: self.utilization_threshold,
                     headroom_fraction: self.headroom,
-                    use_utilization_trigger: true,
-                    use_degradation_trigger: true,
                 },
                 cooldown: SimDuration::from_secs(self.cooldown_s),
-                full_probe_on_headroom_drop: true,
-                best_effort_targets: true,
             },
             netmon: NetMonitorConfig {
                 headroom_fraction: self.headroom,

@@ -8,11 +8,12 @@
 //! relocating components and charging restart downtime.
 
 use crate::migration::{MigrationCandidates, MigrationConfig};
-use crate::policy::{PolicyCtx, PolicyKind, SchedulerPolicy};
+use crate::policy::{PolicyCtx, PolicyKind, RANDOM_POLICY_SEED};
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::Cluster;
 use bass_mesh::{Mesh, NodeId};
 use bass_netmon::{GoodputMonitor, HeadroomReport, NetMonitor};
+use bass_util::rng::SimRng;
 use bass_util::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -24,14 +25,6 @@ pub struct ControllerConfig {
     /// Minimum time between migration rounds — the §4.3 "cooldown"
     /// between detection of low bandwidth and the next migration trigger.
     pub cooldown: SimDuration,
-    /// Escalate to a full (max-capacity) probe whenever a headroom probe
-    /// reports a *newly* violated link (Fig. 8's behaviour).
-    pub full_probe_on_headroom_drop: bool,
-    /// When strict rescheduling finds no bandwidth-feasible target, fall
-    /// back to the best-effort target (the node with the most available
-    /// bandwidth toward the component's dependencies). Matches the
-    /// deployed system's behaviour for traffic not declared in the DAG.
-    pub best_effort_targets: bool,
 }
 
 impl Default for ControllerConfig {
@@ -39,8 +32,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             migration: MigrationConfig::default(),
             cooldown: SimDuration::from_secs(60),
-            full_probe_on_headroom_drop: true,
-            best_effort_targets: true,
         }
     }
 }
@@ -92,8 +83,10 @@ impl ControllerOutcome {
 #[derive(Debug, Clone)]
 pub struct BassController {
     cfg: ControllerConfig,
-    policy_kind: PolicyKind,
-    policy: Box<dyn SchedulerPolicy>,
+    policy: PolicyKind,
+    /// The random policy's stream, seeded with [`RANDOM_POLICY_SEED`];
+    /// no other policy draws from it.
+    rng: SimRng,
     last_migration: Option<SimTime>,
     full_probes_triggered: u64,
 }
@@ -109,8 +102,8 @@ impl BassController {
     pub fn with_policy(cfg: ControllerConfig, policy: PolicyKind) -> Self {
         BassController {
             cfg,
-            policy_kind: policy,
-            policy: policy.build(),
+            policy,
+            rng: SimRng::seed_from_u64(RANDOM_POLICY_SEED),
             last_migration: None,
             full_probes_triggered: 0,
         }
@@ -123,34 +116,17 @@ impl BassController {
 
     /// The migration policy in use.
     pub fn policy_kind(&self) -> PolicyKind {
-        self.policy_kind
-    }
-
-    /// The registry name of the migration policy in use.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// Swaps the migration policy mid-flight. The cooldown clock is
-    /// kept — a policy switch is a reconfiguration, not a process
-    /// restart.
-    pub fn set_policy(&mut self, policy: PolicyKind) {
-        self.policy_kind = policy;
-        self.policy = policy.build();
+        self.policy
     }
 
     /// Resets runtime state as if the controller process restarted: the
-    /// cooldown clock and escalation counter are lost (any in-flight
-    /// migration plans die with the old process; fault injection uses
-    /// this for `ControllerRestart`). The configuration survives — it is
-    /// redeployed with the process.
+    /// cooldown clock, the escalation counter and the random policy's
+    /// stream are lost (any in-flight migration plans die with the old
+    /// process; fault injection uses this for `ControllerRestart`). The
+    /// configuration and the policy survive — they are redeployed with
+    /// the process, and the stream restarts from its seed.
     pub fn reset(&mut self) {
-        self.last_migration = None;
-        self.full_probes_triggered = 0;
-        // The policy's in-memory state (e.g. the random policy's RNG
-        // stream) dies with the process; the kind is configuration and
-        // is rebuilt fresh.
-        self.policy = self.policy_kind.build();
+        *self = Self::with_policy(self.cfg, self.policy);
     }
 
     /// When the last migration round was planned, if ever.
@@ -215,7 +191,7 @@ impl BassController {
         let newly_violated = !report.newly_violated.is_empty();
         outcome.headroom = Some(report);
 
-        if newly_violated && self.cfg.full_probe_on_headroom_drop {
+        if newly_violated {
             netmon.full_probe_profiled(mesh, journal.as_deref_mut(), profiler.as_deref_mut());
             self.full_probes_triggered += 1;
             outcome.full_probe = true;
@@ -226,17 +202,7 @@ impl BassController {
         }
 
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
-        let placement = cluster.placement();
-        let ctx = PolicyCtx {
-            mesh,
-            dag,
-            cluster,
-            goodput,
-            placement: &placement,
-            pinned,
-            migration: self.cfg.migration,
-            best_effort_targets: self.cfg.best_effort_targets,
-        };
+        let ctx = PolicyCtx { mesh, dag, cluster, goodput, pinned, migration: self.cfg.migration };
         let candidates = self.policy.find_candidates(&ctx);
         clock.lap(profiler.as_deref_mut(), "ctl.candidates");
         if let Some(j) = journal.as_deref_mut() {
@@ -273,7 +239,7 @@ impl BassController {
             };
             let observed = candidates.worst_goodput_fraction(component);
             let degraded = observed < self.cfg.migration.goodput_threshold;
-            match self.policy.select_target(component, observed, degraded, &ctx, &ranked) {
+            match self.policy.select_target(component, observed, degraded, &ctx, &ranked, &mut self.rng) {
                 Ok(to) => {
                     if let Some(j) = journal.as_deref_mut() {
                         j.record(bass_obs::Event::MigrationTargetChosen {
@@ -451,14 +417,15 @@ mod tests {
     #[test]
     fn unplaceable_candidates_are_reported() {
         let mut w = world();
-        let mut ctl = BassController::new(ControllerConfig {
-            best_effort_targets: false,
-            ..Default::default()
-        });
-        // Degrade ALL links so no target is bandwidth-feasible.
-        for (a, b) in [(0u32, 1u32), (0, 2), (1, 2)] {
-            w.mesh.set_link_cap(NodeId(a), NodeId(b), Some(mbps(2.0))).unwrap();
+        let mut ctl = BassController::new(ControllerConfig::default());
+        // Fill n1 and n2 to the last core so the sampler fits nowhere
+        // else, then degrade its link.
+        for (filler, n) in [(90u32, 1u32), (91, 2)] {
+            let free = w.cluster.free_on(NodeId(n)).unwrap();
+            let req = bass_appdag::ResourceReq { cpu: free.cpu, memory: free.memory };
+            w.cluster.place(ComponentId(filler), req, NodeId(n)).unwrap();
         }
+        w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
         w.mesh.advance(SimDuration::from_secs(30));
         measure(&mut w);
         let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
@@ -495,31 +462,44 @@ mod tests {
         assert_eq!(o2.plans.len(), 1);
     }
 
-    #[test]
-    fn policy_switch_keeps_the_cooldown() {
+    /// `rounds` probe rounds of a fresh degraded world, 60 s apart,
+    /// plans never applied: the targets `ctl` picks, in order.
+    fn degraded_targets(ctl: &mut BassController, rounds: usize) -> Vec<NodeId> {
         let mut w = world();
-        let mut ctl = BassController::new(ControllerConfig::default());
-        assert_eq!(ctl.policy_name(), "bass");
         w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
-        w.mesh.advance(SimDuration::from_secs(30));
-        measure(&mut w);
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
-        assert_eq!(o.plans.len(), 1);
-        let last = ctl.last_migration_at();
-        assert!(last.is_some());
-        // Switching to another policy keeps the cooldown clock: a
-        // reconfiguration, not a restart.
-        ctl.set_policy(crate::policy::PolicyKind::Spread);
-        assert_eq!(ctl.policy_name(), "spread");
-        assert_eq!(ctl.last_migration_at(), last);
+        let mut targets = Vec::new();
+        for _ in 0..rounds {
+            w.mesh.advance(SimDuration::from_secs(60));
+            measure(&mut w);
+            let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
+            targets.extend(o.plans.iter().map(|p| p.to));
+        }
+        targets
+    }
+
+    #[test]
+    fn reset_restarts_the_random_policy_stream() {
+        let cfg = ControllerConfig { cooldown: SimDuration::ZERO, ..Default::default() };
+        let fresh = degraded_targets(&mut BassController::with_policy(cfg, PolicyKind::Random), 12);
+        assert_eq!(fresh.len(), 12);
+        assert!(fresh.contains(&NodeId(1)) && fresh.contains(&NodeId(2)), "{fresh:?}");
+        let mut ctl = BassController::with_policy(cfg, PolicyKind::Random);
+        assert_eq!(degraded_targets(&mut ctl, 12), fresh);
+        // Without a restart the stream continues and the draws differ;
+        // after one it starts over from its seed.
+        let mut continued = ctl.clone();
+        assert_ne!(degraded_targets(&mut continued, 12), fresh);
+        ctl.reset();
+        assert_eq!(ctl.policy_kind(), PolicyKind::Random);
+        assert_eq!(degraded_targets(&mut ctl, 12), fresh);
     }
 
     #[test]
     fn every_registered_policy_targets_an_up_node_that_fits() {
-        for kind in crate::policy::PolicyKind::all() {
+        for kind in PolicyKind::all() {
             let mut w = world();
             let mut ctl = BassController::with_policy(ControllerConfig::default(), kind);
-            assert_eq!(ctl.policy_name(), kind.name());
+            assert_eq!(ctl.policy_kind(), kind);
             w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
             w.mesh.advance(SimDuration::from_secs(30));
             measure(&mut w);
@@ -549,24 +529,9 @@ mod tests {
         let a = run(BassController::new(ControllerConfig::default()));
         let b = run(BassController::with_policy(
             ControllerConfig::default(),
-            crate::policy::PolicyKind::Bass,
+            PolicyKind::Bass,
         ));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn full_probe_escalation_can_be_disabled() {
-        let mut w = world();
-        let mut ctl = BassController::new(ControllerConfig {
-            full_probe_on_headroom_drop: false,
-            ..Default::default()
-        });
-        w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
-        w.mesh.advance(SimDuration::from_secs(30));
-        measure(&mut w);
-        let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
-        assert!(!o.full_probe);
-        assert_eq!(ctl.full_probes_triggered(), 0);
     }
 
     #[test]

@@ -17,40 +17,30 @@
 //!   de-duplication to avoid cascades.
 //! - [`rescheduler`]: choosing the target node for a migrating
 //!   component (most co-located dependencies, then resource/bandwidth
-//!   fit) — two entry points, both scoring densely over the round's
-//!   one availability ranking.
-//! - [`policy`]: the pluggable migration-decision layer — the
-//!   [`policy::SchedulerPolicy`] trait (candidate filtering + target
-//!   selection) with the paper's controller as the default
-//!   implementation among spread/random/greedy/k3s/Metronome
-//!   baselines, registered under [`policy::PolicyKind`] (see
-//!   `docs/POLICIES.md`).
+//!   fit, then the best-effort fallback), scoring densely over the
+//!   round's one availability ranking.
+//! - [`policy`]: the migration-decision registry [`policy::PolicyKind`]
+//!   — the paper's controller among spread/random/greedy/k3s/Metronome
+//!   baselines, candidate filtering and target selection each one
+//!   `match` over the kind (see `docs/POLICIES.md`).
 //! - [`controller`]: the bandwidth controller (§4.3) — headroom
 //!   monitoring, full-probe escalation, cooldowns, and migration
-//!   planning, delegating the decisions themselves to its
-//!   [`policy::SchedulerPolicy`].
-//! - [`events`]: the [`EventSource`]s that bound how many quiescent
-//!   ticks the step loop may skip byte-identically, and the clock each
-//!   is read against.
+//!   planning, delegating the decisions themselves to its policy.
 //! - [`planner`]: what-if evaluation of every policy on a scratch
 //!   cluster, automating §3.2.1's "developer picks the heuristic".
 //! - [`tuning`]: the §8 auto-tuning extension for (threshold, headroom).
 //!
-//! Decision points across the crate optionally narrate what they did
-//! into a `bass_obs::Journal` (see `docs/OBSERVABILITY.md`): the
-//! controller's `tick` when handed one, the planner's
-//! `recommend_observed` and the tuner's `tune_observed`; the planner's
-//! and tuner's plain entry points stay observation-free. The migration decision
-//! itself has one path: each round that has someone to migrate, the
-//! controller ranks the nodes once and hands that slice to the policy,
-//! whose [`rescheduler::select_target`] call (or direct scoring)
-//! computes every score from the round's world — nothing is carried
-//! across rounds.
+//! The controller's `tick` narrates its decisions into a
+//! `bass_obs::Journal` when handed one (see `docs/OBSERVABILITY.md`).
+//! The migration decision itself has one path: each round that has
+//! someone to migrate, the controller ranks the nodes once and hands
+//! that slice to the policy, whose [`rescheduler::select_target`] call
+//! (or direct scoring) computes every score from the round's world —
+//! nothing is carried across rounds.
 
 #![warn(missing_docs)]
 
 pub mod controller;
-pub mod events;
 pub mod heuristics;
 pub mod migration;
 pub mod placement;
@@ -62,8 +52,7 @@ pub mod scheduler;
 pub mod tuning;
 
 pub use controller::{BassController, ControllerConfig, ControllerOutcome, MigrationPlan};
-pub use policy::{PolicyCtx, PolicyKind, SchedulerPolicy};
-pub use events::EventSource;
+pub use policy::PolicyKind;
 pub use heuristics::{BfsWeighting, ComponentOrdering, HeuristicError};
 pub use placement::PlacementError;
 pub use scheduler::{BassScheduler, PlacementPolicy};

@@ -15,7 +15,7 @@
 //! avoid cascading effects").
 
 use bass_appdag::{AppDag, ComponentId};
-use bass_cluster::Placement;
+use bass_cluster::Cluster;
 use bass_mesh::Mesh;
 use bass_netmon::GoodputMonitor;
 use bass_util::units::Bandwidth;
@@ -35,10 +35,6 @@ pub struct MigrationConfig {
     pub utilization_threshold: f64,
     /// Required headroom as a fraction of link capacity (paper ~0.2).
     pub headroom_fraction: f64,
-    /// Enable the utilization trigger.
-    pub use_utilization_trigger: bool,
-    /// Enable the degradation trigger.
-    pub use_degradation_trigger: bool,
 }
 
 impl Default for MigrationConfig {
@@ -47,8 +43,6 @@ impl Default for MigrationConfig {
             goodput_threshold: 0.5,
             utilization_threshold: 0.65,
             headroom_fraction: 0.2,
-            use_utilization_trigger: true,
-            use_degradation_trigger: true,
         }
     }
 }
@@ -110,12 +104,12 @@ impl MigrationCandidates {
     }
 }
 
-/// Runs Algorithm 3 over the current placement.
+/// Runs Algorithm 3 over the cluster's current placement.
 ///
 /// For every DAG edge whose endpoints sit on *different* nodes, the
 /// goodput monitor supplies the achieved bandwidth and the mesh supplies
-/// the path's spare bandwidth; the configured triggers decide whether a
-/// component becomes a candidate:
+/// the path's spare bandwidth; two triggers decide whether a component
+/// becomes a candidate:
 ///
 /// - **Utilization** (Algorithm 3 line 8, literally): the edge is
 ///   achieving its traffic (`goodput > utilization_threshold`) *and* the
@@ -131,7 +125,7 @@ impl MigrationCandidates {
 /// Edges without a goodput measurement are skipped (nothing has flowed).
 pub fn find_candidates(
     dag: &AppDag,
-    placement: &Placement,
+    cluster: &Cluster,
     goodput: &GoodputMonitor,
     mesh: &Mesh,
     cfg: &MigrationConfig,
@@ -140,7 +134,7 @@ pub fn find_candidates(
     let mut violations = Vec::new();
 
     for e in dag.edges() {
-        let (Some(&cn), Some(&dn)) = (placement.get(&e.from), placement.get(&e.to)) else {
+        let (Some(cn), Some(dn)) = (cluster.node_of(e.from), cluster.node_of(e.to)) else {
             continue;
         };
         if cn == dn {
@@ -166,10 +160,7 @@ pub fn find_candidates(
             (e.from, e.to)
         };
 
-        if cfg.use_utilization_trigger
-            && goodput_fraction > cfg.utilization_threshold
-            && available < usage.achieved + headroom_req
-        {
+        if goodput_fraction > cfg.utilization_threshold && available < usage.achieved + headroom_req {
             violations.push(Violation {
                 component: candidate,
                 dependency: other,
@@ -179,10 +170,7 @@ pub fn find_candidates(
             });
             continue;
         }
-        if cfg.use_degradation_trigger
-            && goodput_fraction < cfg.goodput_threshold
-            && available < headroom_req
-        {
+        if goodput_fraction < cfg.goodput_threshold && available < headroom_req {
             violations.push(Violation {
                 component: candidate,
                 dependency: other,
@@ -233,6 +221,7 @@ fn dedup_candidates(dag: &AppDag, violations: &[Violation]) -> Vec<ComponentId> 
 mod tests {
     use super::*;
     use bass_appdag::{catalog, Component, ResourceReq};
+    use bass_cluster::NodeSpec;
     use bass_mesh::{NodeId, Topology};
     use bass_util::time::{SimDuration, SimTime};
 
@@ -242,7 +231,7 @@ mod tests {
 
     /// Camera pipeline split across two nodes joined by one link, with a
     /// controllable cap.
-    fn scenario(cap_mbps: f64) -> (AppDag, Placement, Mesh) {
+    fn scenario(cap_mbps: f64) -> (AppDag, Cluster, Mesh) {
         let dag = catalog::camera_pipeline();
         let mut topo = Topology::new();
         topo.add_node(NodeId(0)).unwrap();
@@ -253,13 +242,12 @@ mod tests {
             .unwrap();
         // camera+sampler on n0; detector & listeners on n1 → the
         // sampler→detector edge (6 Mbps) crosses the link.
-        let mut placement = Placement::new();
-        placement.insert(ComponentId(1), NodeId(0));
-        placement.insert(ComponentId(2), NodeId(0));
-        placement.insert(ComponentId(3), NodeId(1));
-        placement.insert(ComponentId(4), NodeId(1));
-        placement.insert(ComponentId(5), NodeId(1));
-        (dag, placement, mesh)
+        let mut cluster = Cluster::new((0..2).map(|i| NodeSpec::cores_mb(i, 32, 32_768))).unwrap();
+        for (c, n) in [(1, 0), (2, 0), (3, 1), (4, 1), (5, 1)] {
+            let req = dag.component(ComponentId(c)).unwrap().resources;
+            cluster.place(ComponentId(c), req, NodeId(n)).unwrap();
+        }
+        (dag, cluster, mesh)
     }
 
     fn drive(mesh: &mut Mesh, demand: Bandwidth) -> bass_mesh::FlowId {
@@ -270,7 +258,7 @@ mod tests {
 
     #[test]
     fn healthy_link_yields_no_candidates() {
-        let (dag, placement, mut mesh) = scenario(100.0);
+        let (dag, cluster, mut mesh) = scenario(100.0);
         let f = drive(&mut mesh, mbps(6.0));
         let mut gp = GoodputMonitor::new();
         gp.record(
@@ -280,7 +268,7 @@ mod tests {
             mesh.flow_goodput(f),
             SimTime::ZERO,
         );
-        let out = find_candidates(&dag, &placement, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
         assert!(out.violations.is_empty());
         assert!(out.to_migrate.is_empty());
     }
@@ -289,7 +277,7 @@ mod tests {
     fn degradation_trigger_fires_when_capacity_drops() {
         // Link capped to 2 Mbps: the 6 Mbps edge achieves only 2 →
         // goodput 0.33 < 0.5 and headroom (0.4 Mbps) is gone.
-        let (dag, placement, mut mesh) = scenario(2.0);
+        let (dag, cluster, mut mesh) = scenario(2.0);
         let f = drive(&mut mesh, mbps(6.0));
         let mut gp = GoodputMonitor::new();
         gp.record(
@@ -299,7 +287,7 @@ mod tests {
             mesh.flow_goodput(f),
             SimTime::ZERO,
         );
-        let out = find_candidates(&dag, &placement, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
         assert_eq!(out.to_migrate, vec![ComponentId(2)]);
         assert_eq!(out.violations[0].trigger, TriggerKind::Degradation);
     }
@@ -309,7 +297,7 @@ mod tests {
         // Link capped to 7 Mbps: the edge achieves its full 6 Mbps
         // (goodput 1.0 — no degradation) but uses 86% of the link and
         // leaves less than the 20% headroom.
-        let (dag, placement, mut mesh) = scenario(7.0);
+        let (dag, cluster, mut mesh) = scenario(7.0);
         let f = drive(&mut mesh, mbps(6.0));
         let mut gp = GoodputMonitor::new();
         gp.record(
@@ -319,52 +307,31 @@ mod tests {
             mesh.flow_goodput(f),
             SimTime::ZERO,
         );
-        let out = find_candidates(&dag, &placement, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
         assert_eq!(out.to_migrate, vec![ComponentId(2)]);
         assert_eq!(out.violations[0].trigger, TriggerKind::Utilization);
     }
 
     #[test]
-    fn triggers_can_be_disabled() {
-        let (dag, placement, mut mesh) = scenario(2.0);
-        let f = drive(&mut mesh, mbps(6.0));
-        let mut gp = GoodputMonitor::new();
-        gp.record(
-            ComponentId(2),
-            ComponentId(3),
-            mbps(6.0),
-            mesh.flow_goodput(f),
-            SimTime::ZERO,
-        );
-        let cfg = MigrationConfig {
-            use_degradation_trigger: false,
-            use_utilization_trigger: false,
-            ..Default::default()
-        };
-        let out = find_candidates(&dag, &placement, &gp, &mesh, &cfg, &BTreeSet::new());
-        assert!(out.violations.is_empty());
-    }
-
-    #[test]
     fn colocated_edges_never_violate() {
-        let (dag, mut placement, mut mesh) = scenario(1.0);
+        let (dag, mut cluster, mut mesh) = scenario(1.0);
         // Co-locate everything on n0.
         for c in dag.component_ids() {
-            placement.insert(c, NodeId(0));
+            cluster.relocate(c, NodeId(0)).unwrap();
         }
         drive(&mut mesh, mbps(50.0)); // saturate the link with unrelated load
         let mut gp = GoodputMonitor::new();
         gp.record(ComponentId(2), ComponentId(3), mbps(6.0), mbps(6.0), SimTime::ZERO);
-        let out = find_candidates(&dag, &placement, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
         assert!(out.violations.is_empty());
     }
 
     #[test]
     fn unmeasured_edges_are_skipped() {
-        let (dag, placement, mut mesh) = scenario(1.0);
+        let (dag, cluster, mut mesh) = scenario(1.0);
         drive(&mut mesh, mbps(50.0));
         let gp = GoodputMonitor::new(); // no measurements
-        let out = find_candidates(&dag, &placement, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
         assert!(out.violations.is_empty());
     }
 

@@ -80,19 +80,6 @@ impl Recommendation {
 /// # Ok::<(), bass_mesh::MeshError>(())
 /// ```
 pub fn recommend(dag: &AppDag, cluster: &Cluster, mesh: &Mesh) -> Recommendation {
-    recommend_observed(dag, cluster, mesh, None)
-}
-
-/// [`recommend`] that also emits one
-/// [`PolicyEvaluated`](bass_obs::Event::PolicyEvaluated) event per policy
-/// tried — infeasible policies included, with `feasible: false` and a
-/// zero crossing bandwidth — stamped with the mesh's current time.
-pub fn recommend_observed(
-    dag: &AppDag,
-    cluster: &Cluster,
-    mesh: &Mesh,
-    mut journal: Option<&mut bass_obs::Journal>,
-) -> Recommendation {
     let policies = [
         PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
         PlacementPolicy::LongestPath,
@@ -104,20 +91,8 @@ pub fn recommend_observed(
         .into_iter()
         .filter_map(|policy| {
             let mut scratch = cluster.clone();
-            let placement = BassScheduler::new(policy).schedule(dag, &mut scratch, mesh);
-            let crossing = placement
-                .as_ref()
-                .map(|p| crossing_bandwidth(dag, p).as_bps())
-                .unwrap_or(0.0);
-            if let Some(j) = journal.as_deref_mut() {
-                j.record(bass_obs::Event::PolicyEvaluated {
-                    t_s: mesh.now().as_secs_f64(),
-                    policy: policy.to_string(),
-                    feasible: placement.is_ok(),
-                    crossing_mbps: crossing / 1e6,
-                });
-            }
-            placement.ok()?;
+            let placement = BassScheduler::new(policy).schedule(dag, &mut scratch, mesh).ok()?;
+            let crossing = crossing_bandwidth(dag, &placement).as_bps();
             Some(PolicyScore {
                 policy,
                 crossing_bps: crossing,
@@ -188,25 +163,6 @@ mod tests {
         let rec = recommend(&catalog::camera_pipeline(), &cluster, &mesh);
         assert!(!rec.is_feasible());
         assert!(rec.ranking.is_empty());
-    }
-
-    #[test]
-    fn observed_recommendation_scores_every_policy() {
-        let (mesh, cluster) = setup(3, 12);
-        let mut journal = bass_obs::Journal::new();
-        let rec = recommend_observed(
-            &catalog::camera_pipeline(),
-            &cluster,
-            &mesh,
-            Some(&mut journal),
-        );
-        // All four policies are journalled, feasible or not.
-        assert_eq!(journal.count("policy_evaluated"), 4);
-        let feasible = journal
-            .events()
-            .filter(|e| matches!(e, bass_obs::Event::PolicyEvaluated { feasible: true, .. }))
-            .count();
-        assert_eq!(feasible, rec.ranking.len());
     }
 
     #[test]

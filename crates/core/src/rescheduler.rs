@@ -49,19 +49,15 @@ pub(crate) fn locate<'a>(
     Ok((comp, current))
 }
 
-/// Picks the best migration target for `component`; `ranked` is this
-/// round's availability ranking ([`rank_nodes`](crate::ranking::rank_nodes)).
+/// Strict target selection for `component`; `ranked` is this round's
+/// availability ranking ([`rank_nodes`](crate::ranking::rank_nodes)).
 ///
 /// Candidate order: nodes hosting the most of the component's
 /// dependencies first (then overall availability rank); the current node
 /// is excluded. A candidate is feasible when the component's CPU/memory
 /// fit and, for every dependency that would remain remote, the path to
 /// its node has at least the edge's bandwidth available.
-///
-/// # Errors
-///
-/// See [`RescheduleError`].
-pub fn pick_target(
+fn pick_target(
     component: ComponentId,
     dag: &AppDag,
     cluster: &Cluster,
@@ -98,8 +94,8 @@ pub fn pick_target(
 /// The controller's target selection with an **improvement gate**: a
 /// migration only proceeds when the chosen target's prospective service
 /// clearly beats the current node's. Every score is a
-/// `bandwidth_score` of this round's world; `ranked` is the round's
-/// availability ranking, as for [`pick_target`].
+/// `bandwidth_score` of this round's world; `ranked` is this round's
+/// availability ranking ([`rank_nodes`](crate::ranking::rank_nodes)).
 ///
 /// The current node's score blends the hypothetical allocation with the
 /// *observed* goodput fraction of the violating edges
@@ -117,11 +113,11 @@ pub fn pick_target(
 /// is monotone in the candidate, so both arms below would refuse every
 /// node anyway.
 ///
-/// Strict bandwidth-feasible selection ([`pick_target`]) is tried first.
-/// With `best_effort`, the CPU/memory-feasible node with the best
-/// *bandwidth score* — a hypothetical max-min allocation over link
-/// **capacities** — is the fallback when no node satisfies every
-/// dependency at once. Capacity, not spare bandwidth, is the right
+/// Strict bandwidth-feasible selection (`pick_target`: most co-located
+/// dependencies first, then availability rank) is tried first. The
+/// fallback, when no node satisfies every dependency at once, is the
+/// CPU/memory-feasible node with the best *bandwidth score* — a
+/// hypothetical max-min allocation over link **capacities**. Capacity, not spare bandwidth, is the right
 /// metric there: the moving component's own traffic currently pollutes
 /// "available" on every path it uses, whereas the sustained rate it can
 /// reach after moving is governed by the bottleneck capacity it will
@@ -134,8 +130,9 @@ pub fn pick_target(
 /// # Errors
 ///
 /// Returns [`RescheduleError::NoFeasibleNode`] when nothing clearly
-/// improves on staying put, plus the [`pick_target`] error conditions.
-#[allow(clippy::too_many_arguments)]
+/// improves on staying put, [`RescheduleError::UnknownComponent`] or
+/// [`RescheduleError::NotPlaced`] for a component the DAG or cluster
+/// does not hold.
 pub fn select_target(
     component: ComponentId,
     dag: &AppDag,
@@ -143,7 +140,6 @@ pub fn select_target(
     mesh: &Mesh,
     observed_fraction: f64,
     degraded: bool,
-    best_effort: bool,
     ranked: &[NodeId],
 ) -> Result<NodeId, RescheduleError> {
     let (comp, current) = locate(component, dag, cluster)?;
@@ -166,25 +162,20 @@ pub fn select_target(
             return Ok(target);
         }
     }
-    if best_effort {
-        // The CPU/memory-feasible node (other than the current one)
-        // with the best bandwidth score, in availability-rank order:
-        // `max_by` keeps the *last* maximum, so the iteration order is
-        // part of the contract and must not change.
-        let best = ranked
-            .iter()
-            .filter(|&&n| {
-                n != current
-                    && mesh.node_is_up(n)
-                    && cluster.fits(n, comp.resources).unwrap_or(false)
-            })
-            .map(|&n| (n, bandwidth_score(n, &deps, cluster, mesh)))
-            .max_by(|a, b| score_cmp(a.1, b.1));
-        if let Some((node, _)) = best.filter(|&(_, s)| clearly_better(s, current_score)) {
-            return Ok(node);
-        }
-    }
-    Err(RescheduleError::NoFeasibleNode(component))
+    // The best-effort fallback: the CPU/memory-feasible node (other
+    // than the current one) with the best bandwidth score, in
+    // availability-rank order: `max_by` keeps the *last* maximum, so
+    // the iteration order is part of the contract and must not change.
+    ranked
+        .iter()
+        .filter(|&&n| {
+            n != current && mesh.node_is_up(n) && cluster.fits(n, comp.resources).unwrap_or(false)
+        })
+        .map(|&n| (n, bandwidth_score(n, &deps, cluster, mesh)))
+        .max_by(|a, b| score_cmp(a.1, b.1))
+        .filter(|&(_, s)| clearly_better(s, current_score))
+        .map(|(node, _)| node)
+        .ok_or(RescheduleError::NoFeasibleNode(component))
 }
 
 /// `(worst satisfied fraction, total achieved bps)` of a hypothetical
@@ -345,9 +336,8 @@ mod tests {
         mesh: &Mesh,
         observed: f64,
         degraded: bool,
-        best_effort: bool,
     ) -> Result<NodeId, RescheduleError> {
-        select_target(c, dag, cl, mesh, observed, degraded, best_effort, &rank_nodes(cl, mesh))
+        select_target(c, dag, cl, mesh, observed, degraded, &rank_nodes(cl, mesh))
     }
 
     /// Nodes `0..cores.len()` with the given core counts and 4 GB each.
@@ -480,8 +470,8 @@ mod tests {
             let mut cl = cluster(&[4, n1_cores, n2_cores, 4]);
             put(&mut cl, 1, 2, 0);
             put(&mut cl, 2, 4, 3);
-            assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, true), Ok(winner));
-            assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, false), NO_TARGET);
+            assert_eq!(pick(HUB, &dag, &cl, &mesh), NO_TARGET);
+            assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true), Ok(winner));
         }
     }
 
@@ -556,7 +546,7 @@ mod tests {
         mesh.set_node_up(NodeId(1), false).unwrap();
         assert_eq!(pick(HUB, &dag, &cl, &mesh), NO_TARGET);
         for observed in [1.0, 0.1] {
-            assert_eq!(select(HUB, &dag, &cl, &mesh, observed, true, true), NO_TARGET);
+            assert_eq!(select(HUB, &dag, &cl, &mesh, observed, true), NO_TARGET);
         }
     }
 
@@ -565,12 +555,12 @@ mod tests {
         let (dag, mut cluster, mesh) = setup();
         let unknown = Err(RescheduleError::UnknownComponent(ComponentId(77)));
         assert_eq!(pick(ComponentId(77), &dag, &cluster, &mesh), unknown);
-        assert_eq!(select(ComponentId(77), &dag, &cluster, &mesh, 1.0, true, true), unknown);
+        assert_eq!(select(ComponentId(77), &dag, &cluster, &mesh, 1.0, true), unknown);
         let camera = id_of(&dag, "camera-stream");
         cluster.evict(camera).unwrap();
         let not_placed = Err(RescheduleError::NotPlaced(camera));
         assert_eq!(pick(camera, &dag, &cluster, &mesh), not_placed);
-        assert_eq!(select(camera, &dag, &cluster, &mesh, 1.0, true, true), not_placed);
+        assert_eq!(select(camera, &dag, &cluster, &mesh, 1.0, true), not_placed);
     }
 
     #[test]
@@ -620,16 +610,16 @@ mod tests {
             put(&mut cl, i, 0, i - 2);
         }
         // Healthy inner links: node 1 (center-ish) is strictly feasible,
-        // so the degraded hub moves there with or without the fallback.
+        // so the degraded hub moves there without the fallback.
         let mesh = line_mesh([100.0, 100.0, 5.0]);
-        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, true), Ok(NodeId(1)));
-        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, false), Ok(NodeId(1)));
+        assert_eq!(pick(HUB, &dag, &cl, &mesh), Ok(NodeId(1)));
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true), Ok(NodeId(1)));
         // Every link below the 10 Mbps edges: strict selection fails
         // everywhere. Best-effort still moves the hub to node 1, whose
         // worst edge gets 8 of 10 Mbps against 1.67 at the current node.
         let mesh = line_mesh([8.0, 9.0, 5.0]);
-        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, true), Ok(NodeId(1)));
-        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true, false), NO_TARGET);
+        assert_eq!(pick(HUB, &dag, &cl, &mesh), NO_TARGET);
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, true), Ok(NodeId(1)));
     }
 
     #[test]
@@ -644,7 +634,7 @@ mod tests {
         for (leaf, node) in [(2, 0), (3, 2), (4, 3)] {
             put(&mut cl, leaf, 0, node);
         }
-        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, false, true), NO_TARGET);
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, false), NO_TARGET);
     }
 
     #[test]
@@ -659,10 +649,10 @@ mod tests {
         put(&mut cl, 1, 2, 0);
         put(&mut cl, 2, 0, 1);
         // Healthy: gate suppresses the sideways move.
-        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, false, true), NO_TARGET);
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 1.0, false), NO_TARGET);
         // Degraded: strict feasibility suffices (co-locating with the
         // leaf on node 1 is feasible and allowed immediately).
-        assert_eq!(select(HUB, &dag, &cl, &mesh, 0.1, true, true), Ok(NodeId(1)));
+        assert_eq!(select(HUB, &dag, &cl, &mesh, 0.1, true), Ok(NodeId(1)));
     }
 
     #[test]
@@ -689,13 +679,12 @@ mod tests {
         }
         // n1 or n2 co-locates one leaf and serves the other at 8 of 10
         // Mbps — the best anyone can do, against 0.1 at n0.
-        let got = select(HUB, &dag, &cl, &mesh, 1.0, true, true);
+        let got = select(HUB, &dag, &cl, &mesh, 1.0, true);
         assert!(matches!(got, Ok(NodeId(1 | 2))), "hub moved to {got:?}");
     }
 
     /// `select_target` without the gate-first exit, otherwise verbatim:
     /// the reference the gate is held to.
-    #[allow(clippy::too_many_arguments)]
     fn select_ungated(
         component: ComponentId,
         dag: &AppDag,
@@ -703,7 +692,6 @@ mod tests {
         mesh: &Mesh,
         observed_fraction: f64,
         degraded: bool,
-        best_effort: bool,
         ranked: &[NodeId],
     ) -> Result<NodeId, RescheduleError> {
         let (comp, current) = locate(component, dag, cluster)?;
@@ -717,19 +705,17 @@ mod tests {
                 return Ok(target);
             }
         }
-        if best_effort {
-            let best = ranked
-                .iter()
-                .filter(|&&n| {
-                    n != current
-                        && mesh.node_is_up(n)
-                        && cluster.fits(n, comp.resources).unwrap_or(false)
-                })
-                .map(|&n| (n, bandwidth_score(n, &deps, cluster, mesh)))
-                .max_by(|a, b| score_cmp(a.1, b.1));
-            if let Some((node, _)) = best.filter(|&(_, s)| clearly_better(s, current_score)) {
-                return Ok(node);
-            }
+        let best = ranked
+            .iter()
+            .filter(|&&n| {
+                n != current
+                    && mesh.node_is_up(n)
+                    && cluster.fits(n, comp.resources).unwrap_or(false)
+            })
+            .map(|&n| (n, bandwidth_score(n, &deps, cluster, mesh)))
+            .max_by(|a, b| score_cmp(a.1, b.1));
+        if let Some((node, _)) = best.filter(|&(_, s)| clearly_better(s, current_score)) {
+            return Ok(node);
         }
         Err(RescheduleError::NoFeasibleNode(component))
     }
@@ -811,20 +797,10 @@ mod tests {
                         gated += 1;
                     }
                     for degraded in [false, true] {
-                        for best_effort in [false, true] {
-                            let got = select_target(
-                                c, &dag, &cl, &mesh, observed, degraded, best_effort, &ranked,
-                            );
-                            let want = select_ungated(
-                                c, &dag, &cl, &mesh, observed, degraded, best_effort, &ranked,
-                            );
-                            assert_eq!(
-                                got, want,
-                                "seed {seed}: {c} observed {observed} degraded {degraded} \
-                                 best_effort {best_effort}"
-                            );
-                            moved += usize::from(got.is_ok());
-                        }
+                        let got = select_target(c, &dag, &cl, &mesh, observed, degraded, &ranked);
+                        let want = select_ungated(c, &dag, &cl, &mesh, observed, degraded, &ranked);
+                        assert_eq!(got, want, "seed {seed}: {c} observed {observed} degraded {degraded}");
+                        moved += usize::from(got.is_ok());
                     }
                 }
             }

@@ -114,41 +114,6 @@ pub fn tune(grid: &TuningGrid, mut objective: impl FnMut(TuningPoint) -> f64) ->
     TuningResult { best, best_cost, evaluated }
 }
 
-/// [`tune`] that also narrates the search into a journal: one
-/// [`ThresholdTuned`](bass_obs::Event::ThresholdTuned) event per grid
-/// cell evaluated, in evaluation order, with `accepted` marking the
-/// points that became the incumbent best. `t_s` stamps the events
-/// (tuning runs offline, so the caller supplies the reference time).
-pub fn tune_observed(
-    grid: &TuningGrid,
-    objective: impl FnMut(TuningPoint) -> f64,
-    t_s: f64,
-    journal: Option<&mut bass_obs::Journal>,
-) -> TuningResult {
-    let result = tune(grid, objective);
-    if let Some(j) = journal {
-        // Replay the evaluation log against a running minimum; a point is
-        // accepted exactly when it beat every earlier evaluation, which
-        // matches the descent's incumbent updates because the incumbent
-        // cost only decreases after a point is first scored.
-        let mut incumbent = f64::INFINITY;
-        for (p, c) in &result.evaluated {
-            let accepted = *c < incumbent;
-            if accepted {
-                incumbent = *c;
-            }
-            j.record(bass_obs::Event::ThresholdTuned {
-                t_s,
-                threshold: p.threshold,
-                headroom: p.headroom,
-                cost: *c,
-                accepted,
-            });
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,36 +166,6 @@ mod tests {
             headrooms: vec![0.2],
         };
         let _ = tune(&grid, |_| 0.0);
-    }
-
-    #[test]
-    fn observed_tuning_journals_every_evaluation() {
-        let grid = TuningGrid::default();
-        let mut journal = bass_obs::Journal::new();
-        let result = tune_observed(
-            &grid,
-            |p| (p.threshold - 0.65).powi(2) + (p.headroom - 0.20).powi(2),
-            0.0,
-            Some(&mut journal),
-        );
-        assert_eq!(journal.count("threshold_tuned") as usize, result.evaluated.len());
-        // The accepted trail ends at the reported best point.
-        let last_accepted = journal
-            .events()
-            .filter_map(|e| match e {
-                bass_obs::Event::ThresholdTuned { threshold, headroom, accepted: true, .. } => {
-                    Some((*threshold, *headroom))
-                }
-                _ => None,
-            })
-            .last()
-            .unwrap();
-        assert_eq!(last_accepted, (result.best.threshold, result.best.headroom));
-        // First evaluation is always accepted (it seeds the incumbent).
-        match journal.events().next().unwrap() {
-            bass_obs::Event::ThresholdTuned { accepted, .. } => assert!(accepted),
-            other => panic!("expected ThresholdTuned, got {other:?}"),
-        };
     }
 
     #[test]

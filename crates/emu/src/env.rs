@@ -35,7 +35,8 @@ pub struct SimEnvConfig {
     pub policy: PlacementPolicy,
     /// Migration-decision policy the controller runs (the arena's
     /// registry; the default [`PolicyKind::Bass`] is the paper's
-    /// behaviour and is byte-identical to the pre-trait controller).
+    /// behaviour, byte-identical to the controller before policies were
+    /// pluggable).
     pub migration_policy: PolicyKind,
     /// Controller configuration (thresholds, cooldown).
     pub controller: ControllerConfig,

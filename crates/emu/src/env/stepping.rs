@@ -2,7 +2,7 @@
 //! skips between them.
 
 use super::{EnvError, SimEnv};
-use bass_core::{EventSource, MigrationPlan};
+use bass_core::MigrationPlan;
 use bass_obs::SpanProfiler;
 use bass_util::time::{SimDuration, SimTime};
 
@@ -160,12 +160,10 @@ impl SimEnv {
     /// the fault plan and the scenario script are evaluated against the
     /// tick's **pre-advance** clock, while trace change-points,
     /// controller probe epochs, and restart expiries are bounded on the
-    /// **post-advance** clock (see
-    /// [`EventSource::pre_advance`](bass_core::EventSource::pre_advance)
-    /// for why expiries take the stricter side) — so with `t0 = now()`,
-    /// a pre-advance event at `t` caps the window at `⌈(t − t0)/step⌉`
-    /// ticks and a post-advance event at `⌈(t − t0)/step⌉ − 1` (its tick
-    /// *ends* at or after `t`). The controller is a guaranteed no-op
+    /// **post-advance** clock — so with `t0 = now()`, a pre-advance event
+    /// at `t` caps the window at `⌈(t − t0)/step⌉` ticks (its tick
+    /// *starts* at or after `t`) and a post-advance event at
+    /// `⌈(t − t0)/step⌉ − 1` (its tick *ends* at or after `t`). The controller is a guaranteed no-op
     /// between headroom-probe epochs, so probe epochs are the only
     /// controller events that matter; probe ticks themselves always
     /// execute in full. Pending displaced components and an undeployed
@@ -177,28 +175,26 @@ impl SimEnv {
         }
         let step = self.cfg.step;
         let t0 = self.mesh.now();
-        // The window cap one upcoming event imposes (formulas on
-        // `EventSource::pre_advance`).
-        let cap = |at: SimTime, source: EventSource| {
-            let ticks_to_reach =
-                at.as_micros().saturating_sub(t0.as_micros()).div_ceil(step.as_micros());
-            if source.pre_advance() {
-                ticks_to_reach
-            } else {
-                ticks_to_reach.saturating_sub(1)
-            }
-        };
+        let ticks_to_reach =
+            |at: SimTime| at.as_micros().saturating_sub(t0.as_micros()).div_ceil(step.as_micros());
+        // Faults and scenario actions are applied before `Mesh::advance`
+        // moves time.
+        let pre_advance = [self.cfg.faults.next_at(), self.scenario.next_at()];
+        // Trace capacities and probe epochs are read after it. Restart
+        // expiries take this stricter side even though demands are
+        // pushed on the pre-advance clock: samplers (goodput recording,
+        // campaign metrics) read edge state on the post-advance clock,
+        // and the stricter bound keeps *both* clocks on one side of the
+        // expiry across a skipped window — which is what lets a campaign
+        // cache one sample tuple per window exactly.
         let probe = self.cfg.migrations_enabled.then(|| self.netmon.next_headroom_probe_at());
-        let events = [
-            (self.cfg.faults.next_at(), EventSource::Fault),
-            (self.scenario.next_at(), EventSource::Scenario),
-            (self.bindings.next_expiry(t0, step), EventSource::RestartExpiry),
-            (self.mesh.next_trace_change(), EventSource::TraceChange),
-            (probe, EventSource::ProbeEpoch),
-        ];
-        let bound = events
+        let post_advance =
+            [self.bindings.next_expiry(t0, step), self.mesh.next_trace_change(), probe];
+        let bound = pre_advance
             .into_iter()
-            .filter_map(|(at, source)| at.map(|t| cap(t, source)))
+            .flatten()
+            .map(ticks_to_reach)
+            .chain(post_advance.into_iter().flatten().map(|t| ticks_to_reach(t).saturating_sub(1)))
             .fold(max_ticks, u64::min);
         // The event caps are O(1) (the mesh keeps its trace clock armed
         // across ticks); the queue scan is O(flows), so it runs last and

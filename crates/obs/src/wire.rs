@@ -240,23 +240,6 @@ impl Event {
                     .int("saturated_links", *saturated_links)
                     .close();
             }
-            Event::ThresholdTuned { t_s, threshold, headroom, cost, accepted } => {
-                Object::open(out, "ThresholdTuned")
-                    .float("t_s", *t_s)
-                    .float("threshold", *threshold)
-                    .float("headroom", *headroom)
-                    .float("cost", *cost)
-                    .flag("accepted", *accepted)
-                    .close();
-            }
-            Event::PolicyEvaluated { t_s, policy, feasible, crossing_mbps } => {
-                Object::open(out, "PolicyEvaluated")
-                    .float("t_s", *t_s)
-                    .text("policy", policy)
-                    .flag("feasible", *feasible)
-                    .float("crossing_mbps", *crossing_mbps)
-                    .close();
-            }
             Event::FaultInjected { t_s, kind, target, detail } => {
                 Object::open(out, "FaultInjected")
                     .float("t_s", *t_s)
@@ -450,28 +433,15 @@ mod tests {
                     allocated_mbps: self.float(),
                     saturated_links: self.u32(),
                 },
-                7 => Event::ThresholdTuned {
-                    t_s,
-                    threshold: self.float(),
-                    headroom: self.float(),
-                    cost: self.float(),
-                    accepted: self.flag(),
-                },
-                8 => Event::PolicyEvaluated {
-                    t_s,
-                    policy: self.text(),
-                    feasible: self.flag(),
-                    crossing_mbps: self.float(),
-                },
-                9 => Event::FaultInjected {
+                7 => Event::FaultInjected {
                     t_s,
                     kind: self.text(),
                     target: self.text(),
                     detail: self.text(),
                 },
-                10 => Event::AppAdmitted { t_s, app: self.text(), components: self.u32() },
-                11 => Event::AppRetired { t_s, app: self.text(), components: self.u32() },
-                12 => Event::CampaignReplicaCompleted {
+                8 => Event::AppAdmitted { t_s, app: self.text(), components: self.u32() },
+                9 => Event::AppRetired { t_s, app: self.text(), components: self.u32() },
+                10 => Event::CampaignReplicaCompleted {
                     t_s,
                     replica: self.u32(),
                     ticks: self.u64(),
@@ -513,7 +483,7 @@ mod tests {
         let all: String = HOSTILE_CHARS.iter().collect();
         let controls: String = (0u8..0x20).map(char::from).collect();
         let texts = HOSTILE_CHARS.iter().map(|c| format!("a{c}{c}b{c}")).chain([all, controls]);
-        for variant in 0..14 {
+        for variant in 0..12 {
             kinds.insert(gen.event(variant).kind());
             for &f in &HOSTILE_FLOATS {
                 gen.float = Some(f);
@@ -531,15 +501,15 @@ mod tests {
             }
             gen.text = None;
         }
-        assert_eq!(kinds.len(), 14, "every variant covered");
+        assert_eq!(kinds.len(), 12, "every variant covered");
     }
 
     #[test]
     fn seeded_events_match_serde_byte_for_byte() {
         let mut gen = Gen::new(0x05ee_d0b5);
         let mut finite = 0;
-        for i in 0..14 * 400 {
-            let ev = gen.event(i % 14);
+        for i in 0..12 * 400 {
+            let ev = gen.event(i % 12);
             finite += usize::from(all_finite(&ev));
             assert_matches_serde(&ev);
         }

@@ -51,12 +51,8 @@ fn run_scenario_in(reference_stepping: bool) -> String {
                 goodput_threshold: 0.5,
                 utilization_threshold: 0.65,
                 headroom_fraction: 0.2,
-                use_utilization_trigger: true,
-                use_degradation_trigger: true,
             },
             cooldown: SimDuration::from_secs(30),
-            full_probe_on_headroom_drop: true,
-            best_effort_targets: true,
         },
         netmon: NetMonitorConfig {
             headroom_fraction: 0.2,

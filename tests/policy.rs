@@ -3,9 +3,9 @@
 //!
 //! Three layers of guarantees:
 //!
-//! 1. **Refactor equivalence** — the trait-based BASS policy
-//!    (`PolicyKind::Bass`, the default) must replay the *pre-trait*
-//!    golden snapshots under `tests/golden/` bit-for-bit: the fig13
+//! 1. **Refactor equivalence** — the registry's BASS policy
+//!    (`PolicyKind::Bass`, the default) must replay the golden
+//!    snapshots written before policies were pluggable under `tests/golden/` bit-for-bit: the fig13
 //!    squeeze trace, the 20-node reference campaign, and a composed
 //!    fault storm's journal. The goldens themselves never move.
 //! 2. **Policy conformance** — every registered `PolicyKind` keeps
@@ -142,12 +142,12 @@ fn assert_matches_golden(golden_path: &str, current: &str, what: &str) {
 }
 
 // ---------------------------------------------------------------------
-// 1. Refactor equivalence: trait-based BASS replays the pre-trait
-//    goldens, which this PR deliberately did not regenerate.
+// 1. Refactor equivalence: the BASS policy replays the goldens written
+//    before policies were pluggable, which are never regenerated.
 // ---------------------------------------------------------------------
 
 /// The fig13 squeeze scenario from `tests/golden.rs`, with the
-/// migration policy threaded explicitly so the trait-dispatch path is
+/// migration policy threaded explicitly so the registry's dispatch is
 /// the one under test.
 fn fig13_snapshot(policy: PolicyKind) -> String {
     let (mesh, cluster) = lan_testbed(3, 16);
@@ -159,12 +159,8 @@ fn fig13_snapshot(policy: PolicyKind) -> String {
                 goodput_threshold: 0.5,
                 utilization_threshold: 0.65,
                 headroom_fraction: 0.2,
-                use_utilization_trigger: true,
-                use_degradation_trigger: true,
             },
             cooldown: SimDuration::from_secs(30),
-            full_probe_on_headroom_drop: true,
-            best_effort_targets: true,
         },
         netmon: NetMonitorConfig {
             headroom_fraction: 0.2,
@@ -222,10 +218,10 @@ fn fig13_snapshot(policy: PolicyKind) -> String {
 
 #[test]
 fn fig13_trait_policy_replays_the_golden_snapshot() {
-    // The snapshot was written before the SchedulerPolicy trait
-    // existed; the explicit PolicyKind::Bass arm must reproduce it.
+    // The snapshot was written before policies were pluggable; the
+    // explicit PolicyKind::Bass arm must reproduce it.
     let current = fig13_snapshot(PolicyKind::Bass);
-    assert_matches_golden(GOLDEN_FIG13, &current, "trait-based fig13 replay");
+    assert_matches_golden(GOLDEN_FIG13, &current, "BASS-policy fig13 replay");
 }
 
 /// The 20-node reference campaign from `tests/golden.rs`, with the
@@ -244,7 +240,7 @@ fn campaign_20node_trait_policy_replays_the_golden_snapshot() {
     let golden = std::fs::read_to_string(GOLDEN_CAMPAIGN).expect("golden snapshot present");
     assert_eq!(
         current, golden,
-        "trait-based BASS campaign must replay the pre-trait golden bytes"
+        "BASS-policy campaign must replay the golden bytes"
     );
 }
 
@@ -304,7 +300,7 @@ fn storm_run(
 #[test]
 fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     // The default-constructed environment (no explicit policy) is the
-    // exact pre-trait configuration; the explicit Bass arm, ticked and
+    // paper's configuration; the explicit Bass arm, ticked and
     // skipping, must journal identical bytes.
     let explicit = storm_run(PolicyKind::Bass, true, 0xF16, true, 120).0;
     let (mesh, cluster, _) = citylab_testbed(0xF16, SimDuration::from_secs(180));
@@ -382,7 +378,7 @@ fn arena_entry() -> (ScenarioSpec, Vec<PolicyKind>) {
     spec.horizon_ticks = 300;
     let policies = vec![
         PolicyKind::Bass,
-        PolicyKind::Random(bass::core::policy::RANDOM_POLICY_SEED),
+        PolicyKind::Random,
         PolicyKind::Spread,
     ];
     (spec, policies)
