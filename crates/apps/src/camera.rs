@@ -13,43 +13,18 @@ use bass_appdag::{AppDag, ComponentId};
 use bass_emu::{Recorder, SimEnv};
 use bass_util::time::SimDuration;
 use bass_util::units::DataSize;
-use serde::{Deserialize, Serialize};
 
-/// Per-stage service times and per-hop message sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CameraCalibration {
-    /// Camera/RTP publishing time per frame.
-    pub camera_ms: u64,
-    /// Frame-similarity sampling time.
-    pub sampler_ms: u64,
-    /// YOLO inference time.
-    pub detector_ms: u64,
-    /// Listener handling time.
-    pub listener_ms: u64,
-    /// Raw frame size on the camera→sampler hop.
-    pub frame: DataSize,
-    /// Sampled frame size on the sampler→detector hop.
-    pub sampled_frame: DataSize,
-    /// Annotated image size on the detector→image hop.
-    pub annotated: DataSize,
-    /// Label message size on the detector→label hop.
-    pub labels: DataSize,
-}
+// Per-stage service times.
+const CAMERA_MS: u64 = 10; // camera/RTP publishing per frame
+const SAMPLER_MS: u64 = 60; // frame-similarity sampling
+const DETECTOR_MS: u64 = 300; // YOLO inference
+const LISTENER_MS: u64 = 10; // listener handling
 
-impl Default for CameraCalibration {
-    fn default() -> Self {
-        CameraCalibration {
-            camera_ms: 10,
-            sampler_ms: 60,
-            detector_ms: 300,
-            listener_ms: 10,
-            frame: DataSize::from_kilobytes(60),
-            sampled_frame: DataSize::from_kilobytes(50),
-            annotated: DataSize::from_kilobytes(40),
-            labels: DataSize::from_kilobytes(1),
-        }
-    }
-}
+// Per-hop message sizes.
+const FRAME: DataSize = DataSize::from_kilobytes(60); // camera → sampler
+const SAMPLED_FRAME: DataSize = DataSize::from_kilobytes(50); // sampler → detector
+const ANNOTATED: DataSize = DataSize::from_kilobytes(40); // detector → image listener
+const LABELS: DataSize = DataSize::from_kilobytes(1); // detector → label listener
 
 /// The camera workload driver.
 ///
@@ -58,7 +33,6 @@ impl Default for CameraCalibration {
 /// [`CameraWorkload::observe`] every tick to sample a frame's latency.
 #[derive(Debug, Clone)]
 pub struct CameraWorkload {
-    cal: CameraCalibration,
     camera: ComponentId,
     sampler: ComponentId,
     detector: ComponentId,
@@ -72,14 +46,13 @@ impl CameraWorkload {
     /// # Panics
     ///
     /// Panics if the DAG is not the camera pipeline (missing components).
-    pub fn new(dag: &AppDag, cal: CameraCalibration) -> Self {
+    pub fn new(dag: &AppDag) -> Self {
         let id = |name: &str| {
             dag.component_by_name(name)
                 .unwrap_or_else(|| panic!("camera pipeline must contain '{name}'"))
                 .id
         };
         CameraWorkload {
-            cal,
             camera: id("camera-stream"),
             sampler: id("frame-sampler"),
             detector: id("object-detector"),
@@ -94,13 +67,13 @@ impl CameraWorkload {
         let svc = |c: ComponentId, ms: u64| {
             SimDuration::from_millis(ms).mul_f64(env.slowdown(c))
         };
-        svc(self.camera, self.cal.camera_ms)
-            + env.edge_delay(self.camera, self.sampler, self.cal.frame)
-            + svc(self.sampler, self.cal.sampler_ms)
-            + env.edge_delay(self.sampler, self.detector, self.cal.sampled_frame)
-            + svc(self.detector, self.cal.detector_ms)
-            + env.edge_delay(self.detector, self.image, self.cal.annotated)
-            + svc(self.image, self.cal.listener_ms)
+        svc(self.camera, CAMERA_MS)
+            + env.edge_delay(self.camera, self.sampler, FRAME)
+            + svc(self.sampler, SAMPLER_MS)
+            + env.edge_delay(self.sampler, self.detector, SAMPLED_FRAME)
+            + svc(self.detector, DETECTOR_MS)
+            + env.edge_delay(self.detector, self.image, ANNOTATED)
+            + svc(self.image, LISTENER_MS)
     }
 
     /// Latency of the label branch (detector → label listener).
@@ -108,13 +81,13 @@ impl CameraWorkload {
         let svc = |c: ComponentId, ms: u64| {
             SimDuration::from_millis(ms).mul_f64(env.slowdown(c))
         };
-        svc(self.camera, self.cal.camera_ms)
-            + env.edge_delay(self.camera, self.sampler, self.cal.frame)
-            + svc(self.sampler, self.cal.sampler_ms)
-            + env.edge_delay(self.sampler, self.detector, self.cal.sampled_frame)
-            + svc(self.detector, self.cal.detector_ms)
-            + env.edge_delay(self.detector, self.label, self.cal.labels)
-            + svc(self.label, self.cal.listener_ms)
+        svc(self.camera, CAMERA_MS)
+            + env.edge_delay(self.camera, self.sampler, FRAME)
+            + svc(self.sampler, SAMPLER_MS)
+            + env.edge_delay(self.sampler, self.detector, SAMPLED_FRAME)
+            + svc(self.detector, DETECTOR_MS)
+            + env.edge_delay(self.detector, self.label, LABELS)
+            + svc(self.label, LISTENER_MS)
     }
 
     /// Records one observation: a `latency_ms` sample and an
@@ -147,7 +120,7 @@ mod tests {
     #[test]
     fn healthy_lan_latency_matches_fig10_ballpark() {
         let mut env = env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
-        let wl = CameraWorkload::new(&env.dag().clone(), CameraCalibration::default());
+        let wl = CameraWorkload::new(&env.dag().clone());
         let mut rec = Recorder::new();
         env.run_for(SimDuration::from_secs(10), |e| {
             wl.observe(e, &mut rec);
@@ -167,10 +140,10 @@ mod tests {
         for policy in [
             PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
             PlacementPolicy::LongestPath,
-            PlacementPolicy::K3sDefault(bass_cluster::BaselinePolicy::LeastAllocated),
+            PlacementPolicy::K3sDefault,
         ] {
             let mut e = env(policy);
-            let wl = CameraWorkload::new(&e.dag().clone(), CameraCalibration::default());
+            let wl = CameraWorkload::new(&e.dag().clone());
             let mut rec = Recorder::new();
             e.run_for(SimDuration::from_secs(10), |e| wl.observe(e, &mut rec))
                 .unwrap();
@@ -193,7 +166,7 @@ mod tests {
         let mut e = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
         e.deploy(&[]).unwrap();
         let dag = e.dag().clone();
-        let wl = CameraWorkload::new(&dag, CameraCalibration::default());
+        let wl = CameraWorkload::new(&dag);
         let healthy = wl.frame_latency(&e);
         // Cap the crossing link under the 6 Mbps sampler→detector demand.
         let placement = e.placement();
@@ -213,7 +186,7 @@ mod tests {
     #[test]
     fn label_branch_is_faster_than_image_branch() {
         let e = env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
-        let wl = CameraWorkload::new(&e.dag().clone(), CameraCalibration::default());
+        let wl = CameraWorkload::new(&e.dag().clone());
         assert!(wl.label_latency(&e) <= wl.frame_latency(&e));
     }
 }

@@ -20,49 +20,28 @@ use bass_emu::{Recorder, SimEnv};
 use bass_util::rng::SimRng;
 use bass_util::time::SimDuration;
 use bass_util::units::DataSize;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Per-role service times, calibrated to the paper's slow d710 workers
-/// so a healthy 50 RPS deployment averages ≈0.5 s end to end (Fig. 14a
-/// reports 552 ms).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServiceTimes {
-    /// Frontend (nginx) per-request time.
-    pub frontend_ms: u64,
-    /// Stateless microservice handler time.
-    pub service_ms: u64,
-    /// Cache (memcached/redis) access time.
-    pub cache_ms: u64,
-    /// Database (mongodb) access time.
-    pub database_ms: u64,
-}
+// Per-role service times, calibrated to the paper's slow d710 workers
+// so a healthy 50 RPS deployment averages ≈0.5 s end to end (Fig. 14a
+// reports 552 ms).
+const FRONTEND_MS: u64 = 20; // nginx / frontends
+const SERVICE_MS: u64 = 60; // stateless microservice handlers
+const CACHE_MS: u64 = 10; // memcached / redis
+const DATABASE_MS: u64 = 100; // mongodb
 
-impl Default for ServiceTimes {
-    fn default() -> Self {
-        ServiceTimes {
-            frontend_ms: 20,
-            service_ms: 60,
-            cache_ms: 10,
-            database_ms: 100,
-        }
-    }
-}
-
-impl ServiceTimes {
-    /// The service time for a component, inferred from its name suffix.
-    pub fn for_component(&self, name: &str) -> SimDuration {
-        let ms = if name.contains("nginx") || name.contains("frontend") {
-            self.frontend_ms
-        } else if name.ends_with("memcached") || name.ends_with("redis") {
-            self.cache_ms
-        } else if name.ends_with("mongodb") {
-            self.database_ms
-        } else {
-            self.service_ms
-        };
-        SimDuration::from_millis(ms)
-    }
+/// The service time for a component, inferred from its name suffix.
+fn service_time(name: &str) -> SimDuration {
+    let ms = if name.contains("nginx") || name.contains("frontend") {
+        FRONTEND_MS
+    } else if name.ends_with("memcached") || name.ends_with("redis") {
+        CACHE_MS
+    } else if name.ends_with("mongodb") {
+        DATABASE_MS
+    } else {
+        SERVICE_MS
+    };
+    SimDuration::from_millis(ms)
 }
 
 /// The social-network workload driver.
@@ -70,7 +49,6 @@ impl ServiceTimes {
 pub struct SocialNetWorkload {
     rps: f64,
     arrivals: ArrivalProcess,
-    times: ServiceTimes,
     rng: SimRng,
     /// Multiplicative measurement jitter (σ as a fraction of the
     /// latency), modeling testbed noise; 0 = none.
@@ -121,17 +99,10 @@ impl SocialNetWorkload {
         SocialNetWorkload {
             rps,
             arrivals,
-            times: ServiceTimes::default(),
             rng: SimRng::seed_from_u64(seed),
             jitter: 0.0,
             paths,
         }
-    }
-
-    /// Replaces the service-time calibration.
-    pub fn with_service_times(mut self, times: ServiceTimes) -> Self {
-        self.times = times;
-        self
     }
 
     /// Adds multiplicative measurement jitter: each recorded latency is
@@ -173,12 +144,12 @@ impl SocialNetWorkload {
         // Frontend entry cost.
         if let Some((first, _, _)) = path.hops.first() {
             let name = &dag.component(*first).expect("resolved").name;
-            total += self.times.for_component(name).mul_f64(env.slowdown(*first));
+            total += service_time(name).mul_f64(env.slowdown(*first));
         }
         for &(from, to, size) in &path.hops {
             total += env.edge_delay(from, to, size);
             let name = &dag.component(to).expect("resolved").name;
-            total += self.times.for_component(name).mul_f64(env.slowdown(to));
+            total += service_time(name).mul_f64(env.slowdown(to));
         }
         total
     }
@@ -295,7 +266,7 @@ mod tests {
     #[test]
     fn restriction_inflates_latency_by_an_order_of_magnitude() {
         // Fig. 5: 400 RPS, 25 Mbps squeeze on the frontend's node.
-        let mut env = social_env(400.0, PlacementPolicy::K3sDefault(Default::default()), false);
+        let mut env = social_env(400.0, PlacementPolicy::K3sDefault, false);
         let dag = env.dag().clone();
         let nginx = dag.component_by_name("nginx-frontend").unwrap().id;
         let nginx_node = env.placement()[&nginx];
@@ -380,13 +351,12 @@ mod tests {
 
     #[test]
     fn service_times_infer_roles_from_names() {
-        let t = ServiceTimes::default();
-        assert_eq!(t.for_component("nginx-frontend"), SimDuration::from_millis(20));
-        assert_eq!(t.for_component("media-frontend"), SimDuration::from_millis(20));
-        assert_eq!(t.for_component("post-storage-memcached"), SimDuration::from_millis(10));
-        assert_eq!(t.for_component("home-timeline-redis"), SimDuration::from_millis(10));
-        assert_eq!(t.for_component("user-mongodb"), SimDuration::from_millis(100));
-        assert_eq!(t.for_component("compose-post-service"), SimDuration::from_millis(60));
+        assert_eq!(service_time("nginx-frontend"), SimDuration::from_millis(20));
+        assert_eq!(service_time("media-frontend"), SimDuration::from_millis(20));
+        assert_eq!(service_time("post-storage-memcached"), SimDuration::from_millis(10));
+        assert_eq!(service_time("home-timeline-redis"), SimDuration::from_millis(10));
+        assert_eq!(service_time("user-mongodb"), SimDuration::from_millis(100));
+        assert_eq!(service_time("compose-post-service"), SimDuration::from_millis(60));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::{ExperimentReport, Row, RunMode};
 use bass_appdag::{catalog, AppDag};
 use bass_apps::testbeds::lan_testbed;
-use bass_cluster::BaselinePolicy;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::placement::crossing_bandwidth;
 use bass_core::{BassScheduler, PlacementPolicy};
@@ -23,10 +22,10 @@ const POLICIES: &[(&str, PlacementPolicy)] = &[
         PlacementPolicy::BreadthFirst(BfsWeighting::CumulativePath),
     ),
     ("longest-path", PlacementPolicy::LongestPath),
-    ("hybrid", PlacementPolicy::Hybrid { fanout_threshold: 3 }),
+    ("hybrid", PlacementPolicy::Hybrid),
     (
         "k3s-default",
-        PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+        PlacementPolicy::K3sDefault,
     ),
 ];
 

@@ -25,7 +25,8 @@ pub struct Knobs {
     pub goodput_threshold: f64,
     /// Link-utilization threshold (Fig. 15 sweeps 0.65/0.85).
     pub utilization_threshold: f64,
-    /// Headroom fraction (paper ~0.2).
+    /// Headroom fraction, the one setting the headroom probe and
+    /// Algorithm 3 both read (paper ~0.2; Fig. 14c/d sweeps 0.1–0.3).
     pub headroom: f64,
     /// Migration cooldown in seconds.
     pub cooldown_s: u64,
@@ -55,14 +56,12 @@ impl Knobs {
                 migration: MigrationConfig {
                     goodput_threshold: self.goodput_threshold,
                     utilization_threshold: self.utilization_threshold,
-                    headroom_fraction: self.headroom,
                 },
                 cooldown: SimDuration::from_secs(self.cooldown_s),
             },
             netmon: NetMonitorConfig {
                 headroom_fraction: self.headroom,
                 probe_interval: SimDuration::from_secs(self.probe_interval_s),
-                ..NetMonitorConfig::default()
             },
             ..SimEnvConfig::default()
         }

@@ -7,8 +7,7 @@
 
 use crate::experiments::common::{camera_lan, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
-use bass_apps::camera::{CameraCalibration, CameraWorkload};
-use bass_cluster::BaselinePolicy;
+use bass_apps::camera::CameraWorkload;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
@@ -26,11 +25,11 @@ pub fn run(mode: RunMode) -> ExperimentReport {
     for (label, policy) in [
         ("bfs", PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight)),
         ("longest-path", PlacementPolicy::LongestPath),
-        ("k3s-default", PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated)),
+        ("k3s-default", PlacementPolicy::K3sDefault),
     ] {
         let knobs = Knobs { policy, ..Knobs::default() };
         let mut env = camera_lan(3, 12, &knobs);
-        let wl = CameraWorkload::new(&env.dag().clone(), CameraCalibration::default());
+        let wl = CameraWorkload::new(&env.dag().clone());
         let mut rec = Recorder::new();
         env.run_for(duration, |e| wl.observe(e, &mut rec))
             .expect("run completes");

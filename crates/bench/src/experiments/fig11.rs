@@ -8,7 +8,6 @@
 use crate::experiments::common::{social_lan, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
 use bass_apps::ArrivalProcess;
-use bass_cluster::BaselinePolicy;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
 use bass_util::stats::StreamingStats;
@@ -34,7 +33,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
                 ("longest-path", PlacementPolicy::LongestPath),
                 (
                     "k3s-default",
-                    PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+                    PlacementPolicy::K3sDefault,
                 ),
             ] {
                 let mut p99s = StreamingStats::new();

@@ -8,7 +8,6 @@
 use crate::experiments::common::{social_citylab, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
 use bass_apps::ArrivalProcess;
-use bass_cluster::BaselinePolicy;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
@@ -39,7 +38,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
         ("longest-path-nomig", PlacementPolicy::LongestPath, false),
         (
             "k3s-default",
-            PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+            PlacementPolicy::K3sDefault,
             false,
         ),
     ] {

@@ -27,7 +27,6 @@ pub fn run(mode: RunMode) -> ExperimentReport {
             policy: PlacementPolicy::LongestPath,
             utilization_threshold: threshold,
             goodput_threshold: threshold.min(0.5),
-            headroom: 0.20,
             ..Knobs::default()
         };
         let (mut env, mut wl) = social_citylab(

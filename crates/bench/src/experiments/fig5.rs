@@ -8,7 +8,6 @@
 use crate::experiments::common::{node_of, social_lan, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
 use bass_apps::ArrivalProcess;
-use bass_cluster::BaselinePolicy;
 use bass_core::PlacementPolicy;
 use bass_emu::{Recorder, Scenario};
 use bass_util::time::{SimDuration, SimTime};
@@ -26,7 +25,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
     let total = SimDuration::from_secs(start_s + restrict_s + 60);
 
     let knobs = Knobs {
-        policy: PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+        policy: PlacementPolicy::K3sDefault,
         migrations: false,
         ..Knobs::default()
     };

@@ -8,8 +8,7 @@
 
 use crate::experiments::common::{camera_citylab, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
-use bass_apps::camera::{CameraCalibration, CameraWorkload};
-use bass_cluster::BaselinePolicy;
+use bass_apps::camera::CameraWorkload;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
@@ -29,7 +28,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
         ("longest-path", PlacementPolicy::LongestPath),
         (
             "k3s-default",
-            PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+            PlacementPolicy::K3sDefault,
         ),
     ] {
         let mut row = Row::new(label);
@@ -38,11 +37,11 @@ pub fn run(mode: RunMode) -> ExperimentReport {
                 policy,
                 // k3s performs no dynamic migration; BASS has it enabled
                 // but the paper observed none for this workload.
-                migrations: !matches!(policy, PlacementPolicy::K3sDefault(_)),
+                migrations: policy != PlacementPolicy::K3sDefault,
                 ..Knobs::default()
             };
             let mut env = camera_citylab(&knobs, 42, duration + SimDuration::from_secs(60), flat);
-            let wl = CameraWorkload::new(&env.dag().clone(), CameraCalibration::default());
+            let wl = CameraWorkload::new(&env.dag().clone());
             let mut rec = Recorder::new();
             env.run_for(duration, |e| {
                 if e.now().as_micros() % 1_000_000 == 0 {

@@ -8,7 +8,6 @@
 use crate::{ExperimentReport, Row, RunMode};
 use bass_appdag::{catalog, AppDag};
 use bass_apps::testbeds::lan_testbed;
-use bass_cluster::BaselinePolicy;
 use bass_core::{BassScheduler, PlacementPolicy};
 use std::time::Instant;
 
@@ -48,7 +47,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
     ] {
         let (k3s_mean, k3s_std) = per_component_ms(
             &dag,
-            PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+            PlacementPolicy::K3sDefault,
             iters,
         );
         let (bass_mean, bass_std) = per_component_ms(&dag, PlacementPolicy::LongestPath, iters);

@@ -33,7 +33,6 @@
 
 use bass_appdag::Manifest;
 use bass_cli::{commands::recommend, commands::traces, order, place, simulate, SimulateOptions, TestbedSpec};
-use bass_cluster::BaselinePolicy;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use std::io::{self, Write};
@@ -68,8 +67,8 @@ fn parse_policy(name: &str) -> Result<PlacementPolicy, String> {
     match name {
         "bfs" => Ok(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight)),
         "longest-path" | "lp" => Ok(PlacementPolicy::LongestPath),
-        "hybrid" => Ok(PlacementPolicy::Hybrid { fanout_threshold: 3 }),
-        "k3s" => Ok(PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated)),
+        "hybrid" => Ok(PlacementPolicy::Hybrid),
+        "k3s" => Ok(PlacementPolicy::K3sDefault),
         other => Err(format!(
             "unknown policy '{other}' (expected bfs, longest-path, hybrid, or k3s)"
         )),
@@ -417,7 +416,7 @@ fn run(stdout: &mut impl Write) -> Result<(), Failure> {
             if args.json {
                 writeln!(stdout, "{}", run.table.to_json_with_timing(&run.timings))?;
             } else {
-                write!(stdout, "{}", run.table.to_text_with_timing(&run.timings))?;
+                write!(stdout, "{}", run.table.to_text(&run.timings))?;
                 if let Some(out) = &args.out {
                     writeln!(stdout, "table written to {out}")?;
                 }

@@ -365,25 +365,18 @@ pub fn traces(
     seed: u64,
     duration_s: u64,
 ) -> Result<Vec<(String, String)>, CommandError> {
-    use bass_trace::OuTraceConfig;
     let duration = run_length(duration_s)?;
-    let mut out = Vec::new();
     // Validate the whole spec first so errors surface consistently.
     testbed.build(seed, SimDuration::from_secs(1))?;
-    for (i, l) in testbed.links.iter().enumerate() {
-        if l.relative_std <= 0.0 {
-            continue;
-        }
-        let key = format!("n{}-n{}", l.a.min(l.b), l.a.max(l.b));
-        let trace = OuTraceConfig::new(key.clone(), l.mbps)
-            .relative_std(l.relative_std)
-            .generate(seed.wrapping_add(i as u64 * 0x9E37), duration);
-        let mut csv = Vec::new();
-        bass_trace::io::write_trace_csv(&trace, &mut csv)
-            .expect("writing to a Vec cannot fail");
-        out.push((key, String::from_utf8(csv).expect("CSV is UTF-8")));
-    }
-    Ok(out)
+    Ok((0..testbed.links.len())
+        .filter_map(|i| testbed.link_trace(i, seed, duration))
+        .map(|trace| {
+            let mut csv = Vec::new();
+            bass_trace::io::write_trace_csv(&trace, &mut csv)
+                .expect("writing to a Vec cannot fail");
+            (trace.name().to_string(), String::from_utf8(csv).expect("CSV is UTF-8"))
+        })
+        .collect())
 }
 
 /// Options for `bassctl campaign` beyond the spec and seed.
@@ -531,12 +524,8 @@ pub fn arena(
 ) -> Result<bass_scenario::ArenaRun, CommandError> {
     let scn_opts = bass_scenario::ArenaOptions {
         policies: opts.policies.clone(),
-        campaign: bass_scenario::CampaignOptions {
-            jobs: opts.jobs,
-            profile: false,
-            progress: opts.progress,
-            policy: bass_core::PolicyKind::Bass,
-        },
+        jobs: opts.jobs,
+        progress: opts.progress,
     };
     let run =
         bass_scenario::run_arena(corpus, seed, &scn_opts).map_err(CommandError::Campaign)?;
@@ -753,6 +742,26 @@ mod tests {
         }
         // Deterministic.
         assert_eq!(traces(&spec, 7, 60).unwrap(), out);
+        // Each CSV is, sample for sample, the trace `build` installs on
+        // that link: replay the built mesh and read every link's capacity.
+        let (mut mesh, _) = spec.build(7, SimDuration::from_secs(60)).unwrap();
+        let links: Vec<(NodeId, NodeId, Vec<&str>)> = out
+            .iter()
+            .map(|(key, csv)| {
+                let (a, b) = key.trim_start_matches('n').split_once("-n").unwrap();
+                let rows = csv.lines().skip(1).collect::<Vec<_>>();
+                assert_eq!(rows.len(), 61, "{key}");
+                (NodeId(a.parse().unwrap()), NodeId(b.parse().unwrap()), rows)
+            })
+            .collect();
+        for k in 0..61 {
+            for (a, b, rows) in &links {
+                let cap = mesh.link_capacity(*a, *b).unwrap().as_mbps();
+                let t = mesh.now().as_secs_f64();
+                assert_eq!(rows[k], format!("{t:.6},{cap:.6}"), "{a:?}-{b:?} sample {k}");
+            }
+            mesh.advance(SimDuration::from_secs(1));
+        }
     }
 
     #[test]

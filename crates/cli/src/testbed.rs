@@ -2,7 +2,7 @@
 
 use bass_cluster::{Cluster, ClusterError, NodeSpec};
 use bass_mesh::{Mesh, MeshError, NodeId, Topology, TopologyError};
-use bass_trace::OuTraceConfig;
+use bass_trace::{BandwidthTrace, OuTraceConfig};
 use bass_util::time::SimDuration;
 use bass_util::units::{Bandwidth, Millicores};
 use serde::{Deserialize, Serialize};
@@ -201,13 +201,9 @@ impl TestbedSpec {
         }
         let mut mesh = Mesh::new(topo)?;
         for (i, l) in self.links.iter().enumerate() {
-            let source = if l.relative_std > 0.0 {
-                let trace = OuTraceConfig::new(format!("n{}-n{}", l.a, l.b), l.mbps)
-                    .relative_std(l.relative_std)
-                    .generate(seed.wrapping_add(i as u64 * 0x9E37), trace_len);
-                bass_mesh::CapacitySource::Trace(trace)
-            } else {
-                bass_mesh::CapacitySource::Constant(Bandwidth::from_mbps(l.mbps))
+            let source = match self.link_trace(i, seed, trace_len) {
+                Some(trace) => bass_mesh::CapacitySource::Trace(trace),
+                None => bass_mesh::CapacitySource::Constant(Bandwidth::from_mbps(l.mbps)),
             };
             mesh.set_link_source(NodeId(l.a), NodeId(l.b), source)?;
         }
@@ -219,6 +215,22 @@ impl TestbedSpec {
             }
         }))?;
         Ok((mesh, cluster))
+    }
+
+    /// The trace link `i` replays (`None` if constant), as
+    /// [`build`](Self::build) installs it and `bassctl traces` exports it.
+    pub(crate) fn link_trace(
+        &self,
+        i: usize,
+        seed: u64,
+        len: SimDuration,
+    ) -> Option<BandwidthTrace> {
+        let l = &self.links[i];
+        (l.relative_std > 0.0).then(|| {
+            OuTraceConfig::new(format!("n{}-n{}", l.a.min(l.b), l.a.max(l.b)), l.mbps)
+                .relative_std(l.relative_std)
+                .generate(seed.wrapping_add(i as u64 * 0x9E37), len)
+        })
     }
 
     /// An example spec (printed by `bassctl schema`).

@@ -524,6 +524,17 @@ fn malformed_campaign_spec_fails_cleanly() {
         assert!(stderr.contains("cannot parse"), "{name}: {stderr}");
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
+    // A horizon that fits in milliseconds but not in the microsecond
+    // clock once panicked (in release: a short trace, then an endless run).
+    let mut spec = bass_scenario::ScenarioSpec::small_reference();
+    spec.horizon_ticks = u64::MAX / 1000;
+    spec.step_ms = 1000;
+    let path = dir.join("endless.json");
+    std::fs::write(&path, spec.to_json()).expect("write spec");
+    let out = bassctl().args(["campaign", "--spec"]).arg(&path).output().expect("bassctl runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("campaign error") && stderr.contains("horizon_ticks"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

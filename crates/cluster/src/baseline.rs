@@ -1,145 +1,88 @@
-//! Bandwidth-oblivious baseline schedulers (the k3s default and
-//! variants).
+//! The bandwidth-oblivious baseline scheduler: the k3s default.
 //!
 //! k3s embeds the upstream kube-scheduler: pods are handled **one at a
 //! time**; feasible nodes are filtered by resource fit and scored; the
 //! default score favors the least-allocated node, spreading pods. The
 //! scheduler never looks at inter-pod traffic — that is precisely the
-//! blindness BASS exploits (paper §2.2).
+//! blindness BASS exploits (paper §2.2). Least-allocated is the only
+//! score modelled: it is the k3s default the paper compares against.
 
 use crate::cluster::{Cluster, ClusterError, Placement};
 use bass_appdag::AppDag;
 use bass_mesh::NodeId;
-use serde::{Deserialize, Serialize};
 
-/// Node-scoring policy for the baseline scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum BaselinePolicy {
-    /// Prefer the node with the largest free-resource fraction (the
-    /// kube-scheduler `LeastAllocated` default: spreads pods).
-    #[default]
-    LeastAllocated,
-    /// Prefer the node with the smallest free-resource fraction
-    /// (bin-packing; kube-scheduler's `MostAllocated` option).
-    MostAllocated,
-    /// Rotate through nodes regardless of load (naive spread).
-    RoundRobin,
-}
-
-/// A model of the default k3s scheduler: bandwidth-oblivious, one pod at
-/// a time.
+/// Schedules every component of `dag` onto the cluster, one at a time
+/// in component-id order (k8s processes pods in arrival order; a
+/// manifest's pods arrive in declaration order).
 ///
 /// # Examples
 ///
 /// ```
 /// use bass_appdag::catalog;
-/// use bass_cluster::{BaselineScheduler, Cluster, NodeSpec};
+/// use bass_cluster::{baseline, Cluster, NodeSpec};
 ///
 /// let mut cluster = Cluster::new(vec![
 ///     NodeSpec::cores_mb(1, 16, 16384),
 ///     NodeSpec::cores_mb(2, 16, 16384),
 /// ])?;
 /// let dag = catalog::camera_pipeline();
-/// let placement = BaselineScheduler::default().schedule(&dag, &mut cluster)?;
+/// let placement = baseline::schedule(&dag, &mut cluster)?;
 /// assert_eq!(placement.len(), 5);
 /// # Ok::<(), bass_cluster::ClusterError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BaselineScheduler {
-    policy: BaselinePolicy,
-    rr_cursor: usize,
+///
+/// # Errors
+///
+/// Returns the first placement error (e.g. no node fits a component);
+/// components placed before the failure remain placed, mirroring how
+/// k8s leaves earlier pods running when a later pod is unschedulable.
+pub fn schedule(dag: &AppDag, cluster: &mut Cluster) -> Result<Placement, ClusterError> {
+    for component in dag.components() {
+        let node = pick_node(cluster, component.resources)?;
+        cluster.place(component.id, component.resources, node)?;
+    }
+    Ok(cluster.placement())
 }
 
-impl BaselineScheduler {
-    /// Creates a scheduler with the given scoring policy.
-    pub fn new(policy: BaselinePolicy) -> Self {
-        BaselineScheduler { policy, rr_cursor: 0 }
-    }
-
-    /// The scoring policy.
-    pub fn policy(&self) -> BaselinePolicy {
-        self.policy
-    }
-
-    /// Schedules every component of `dag` onto the cluster, one at a
-    /// time in component-id order (k8s processes pods in arrival order;
-    /// a manifest's pods arrive in declaration order).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first placement error (e.g. no node fits a component);
-    /// components placed before the failure remain placed, mirroring how
-    /// k8s leaves earlier pods running when a later pod is unschedulable.
-    pub fn schedule(&mut self, dag: &AppDag, cluster: &mut Cluster) -> Result<Placement, ClusterError> {
-        for component in dag.components() {
-            let node = self.pick_node(cluster, component.resources)?;
-            cluster.place(component.id, component.resources, node)?;
-        }
-        Ok(cluster.placement())
-    }
-
-    /// Picks a node for a single pod: filter by fit, then score.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InsufficientResources`] (against the
-    /// best-scoring node) when nothing fits.
-    pub fn pick_node(
-        &mut self,
-        cluster: &Cluster,
-        req: bass_appdag::ResourceReq,
-    ) -> Result<NodeId, ClusterError> {
-        let nodes = cluster.node_ids();
-        let feasible: Vec<NodeId> = nodes
+/// Picks a node for a single pod: filter by fit, then prefer the node
+/// with the largest free-resource fraction (the kube-scheduler
+/// `LeastAllocated` default), lowest id on a tie.
+///
+/// # Errors
+///
+/// Returns [`ClusterError::InsufficientResources`] (against the
+/// best-scoring node) when nothing fits.
+pub fn pick_node(cluster: &Cluster, req: bass_appdag::ResourceReq) -> Result<NodeId, ClusterError> {
+    let nodes = cluster.node_ids();
+    let feasible: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| cluster.fits(n, req).unwrap_or(false))
+        .collect();
+    if feasible.is_empty() {
+        // Report against the emptiest node for a useful error.
+        let roomiest = nodes
             .iter()
             .copied()
-            .filter(|&n| cluster.fits(n, req).unwrap_or(false))
-            .collect();
-        if feasible.is_empty() {
-            // Report against the emptiest node for a useful error.
-            let roomiest = nodes
-                .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    free_fraction(cluster, a)
-                        .total_cmp(&free_fraction(cluster, b))
-                })
-                .expect("cluster has nodes");
-            return Err(ClusterError::InsufficientResources {
-                node: roomiest,
-                requested: req,
-                free: cluster.free_on(roomiest)?,
-            });
-        }
-        let picked = match self.policy {
-            BaselinePolicy::LeastAllocated => feasible
-                .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    free_fraction(cluster, a)
-                        .total_cmp(&free_fraction(cluster, b))
-                        // Tie-break toward the lower node id: iterate max_by
-                        // keeps the *later* max, so invert on equality.
-                        .then(b.cmp(&a))
-                })
-                .expect("feasible non-empty"),
-            BaselinePolicy::MostAllocated => feasible
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    free_fraction(cluster, a)
-                        .total_cmp(&free_fraction(cluster, b))
-                        .then(a.cmp(&b))
-                })
-                .expect("feasible non-empty"),
-            BaselinePolicy::RoundRobin => {
-                let node = feasible[self.rr_cursor % feasible.len()];
-                self.rr_cursor += 1;
-                node
-            }
-        };
-        Ok(picked)
+            .max_by(|&a, &b| free_fraction(cluster, a).total_cmp(&free_fraction(cluster, b)))
+            .expect("cluster has nodes");
+        return Err(ClusterError::InsufficientResources {
+            node: roomiest,
+            requested: req,
+            free: cluster.free_on(roomiest)?,
+        });
     }
+    Ok(feasible
+        .iter()
+        .copied()
+        .max_by(|&a, &b| {
+            free_fraction(cluster, a)
+                .total_cmp(&free_fraction(cluster, b))
+                // Tie-break toward the lower node id: iterate max_by
+                // keeps the *later* max, so invert on equality.
+                .then(b.cmp(&a))
+        })
+        .expect("feasible non-empty"))
 }
 
 /// Mean of the node's free CPU and memory fractions (the kube-scheduler
@@ -173,12 +116,9 @@ mod tests {
     #[test]
     fn least_allocated_spreads() {
         let mut cluster = Cluster::new(nodes(2, 8)).unwrap();
-        let mut sched = BaselineScheduler::default();
         // Four identical pods alternate between the two nodes.
         for i in 1..=4 {
-            let n = sched
-                .pick_node(&cluster, ResourceReq::cores_mb(1, 512))
-                .unwrap();
+            let n = pick_node(&cluster, ResourceReq::cores_mb(1, 512)).unwrap();
             cluster.place(ComponentId(i), ResourceReq::cores_mb(1, 512), n).unwrap();
         }
         assert_eq!(cluster.components_on(NodeId(1)).len(), 2);
@@ -188,38 +128,7 @@ mod tests {
     #[test]
     fn least_allocated_tie_breaks_to_lower_id() {
         let cluster = Cluster::new(nodes(3, 8)).unwrap();
-        let mut sched = BaselineScheduler::default();
-        assert_eq!(
-            sched.pick_node(&cluster, ResourceReq::cores_mb(1, 1)).unwrap(),
-            NodeId(1)
-        );
-    }
-
-    #[test]
-    fn most_allocated_packs() {
-        let mut cluster = Cluster::new(nodes(2, 8)).unwrap();
-        let mut sched = BaselineScheduler::new(BaselinePolicy::MostAllocated);
-        for i in 1..=4 {
-            let n = sched
-                .pick_node(&cluster, ResourceReq::cores_mb(1, 512))
-                .unwrap();
-            cluster.place(ComponentId(i), ResourceReq::cores_mb(1, 512), n).unwrap();
-        }
-        assert_eq!(cluster.components_on(NodeId(1)).len(), 4);
-        assert!(cluster.components_on(NodeId(2)).is_empty());
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let mut cluster = Cluster::new(nodes(3, 8)).unwrap();
-        let mut sched = BaselineScheduler::new(BaselinePolicy::RoundRobin);
-        let mut seen = Vec::new();
-        for i in 1..=3 {
-            let n = sched.pick_node(&cluster, ResourceReq::cores_mb(1, 1)).unwrap();
-            cluster.place(ComponentId(i), ResourceReq::cores_mb(1, 1), n).unwrap();
-            seen.push(n);
-        }
-        assert_eq!(seen, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(pick_node(&cluster, ResourceReq::cores_mb(1, 1)).unwrap(), NodeId(1));
     }
 
     #[test]
@@ -229,10 +138,9 @@ mod tests {
             NodeSpec::cores_mb(2, 16, 16384),
         ])
         .unwrap();
-        let mut sched = BaselineScheduler::default();
         // An 8-core pod can only go to node 2 even though node 1 is
         // emptier in relative terms.
-        let n = sched.pick_node(&cluster, ResourceReq::cores_mb(8, 512)).unwrap();
+        let n = pick_node(&cluster, ResourceReq::cores_mb(8, 512)).unwrap();
         assert_eq!(n, NodeId(2));
         cluster.place(ComponentId(1), ResourceReq::cores_mb(8, 512), n).unwrap();
     }
@@ -241,9 +149,7 @@ mod tests {
     fn schedules_whole_dag() {
         let mut cluster = Cluster::new(nodes(3, 16)).unwrap();
         let dag = catalog::camera_pipeline();
-        let placement = BaselineScheduler::default()
-            .schedule(&dag, &mut cluster)
-            .unwrap();
+        let placement = schedule(&dag, &mut cluster).unwrap();
         assert_eq!(placement.len(), 5);
         cluster.check_invariants().unwrap();
     }
@@ -252,9 +158,7 @@ mod tests {
     fn unschedulable_pod_errors() {
         let mut cluster = Cluster::new(nodes(2, 2)).unwrap();
         let dag = catalog::camera_pipeline(); // detector wants 8 cores
-        let err = BaselineScheduler::default()
-            .schedule(&dag, &mut cluster)
-            .unwrap_err();
+        let err = schedule(&dag, &mut cluster).unwrap_err();
         assert!(matches!(err, ClusterError::InsufficientResources { .. }));
         // Earlier pods remain placed, as in k8s.
         assert!(cluster.placed_count() >= 1);
@@ -265,9 +169,7 @@ mod tests {
         // The paper's §6.2.2 setup: 4 × (4-core, 12 GB) workers.
         let mut cluster = Cluster::new(nodes(4, 4)).unwrap();
         let dag = catalog::social_network(100.0);
-        let placement = BaselineScheduler::default()
-            .schedule(&dag, &mut cluster)
-            .unwrap();
+        let placement = schedule(&dag, &mut cluster).unwrap();
         assert_eq!(placement.len(), 27);
         cluster.check_invariants().unwrap();
     }

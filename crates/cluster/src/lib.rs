@@ -9,13 +9,13 @@
 //! considered** (paper §2.2, §6.2).
 //!
 //! - [`cluster`]: [`cluster::Cluster`] — nodes, allocations, placements.
-//! - [`baseline`]: the bandwidth-oblivious baseline schedulers.
+//! - [`baseline`]: the bandwidth-oblivious k3s default scheduler
+//!   (least-allocated only).
 //! - [`migration`]: migration/restart cost bookkeeping.
 
 pub mod baseline;
 pub mod cluster;
 pub mod migration;
 
-pub use baseline::{BaselinePolicy, BaselineScheduler};
 pub use cluster::{Cluster, ClusterError, NodeSpec, Placement};
 pub use migration::{MigrationRecord, RestartModel};

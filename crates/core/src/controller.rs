@@ -202,7 +202,15 @@ impl BassController {
         }
 
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
-        let ctx = PolicyCtx { mesh, dag, cluster, goodput, pinned, migration: self.cfg.migration };
+        let ctx = PolicyCtx {
+            mesh,
+            dag,
+            cluster,
+            goodput,
+            pinned,
+            migration: self.cfg.migration,
+            headroom_fraction: netmon.config().headroom_fraction,
+        };
         let candidates = self.policy.find_candidates(&ctx);
         clock.lap(profiler.as_deref_mut(), "ctl.candidates");
         if let Some(j) = journal.as_deref_mut() {
@@ -280,6 +288,7 @@ mod tests {
     use bass_appdag::catalog;
     use bass_cluster::NodeSpec;
     use bass_mesh::Topology;
+    use crate::migration::{TriggerKind, Violation};
     use bass_netmon::NetMonitorConfig;
     use bass_util::units::Bandwidth;
 
@@ -384,6 +393,42 @@ mod tests {
         // so the healthy idle node n2 is chosen instead.
         assert_eq!(plan.to, NodeId(2));
         assert_eq!(ctl.last_migration_at(), Some(w.mesh.now()));
+    }
+
+    #[test]
+    fn probe_and_utilization_trigger_read_the_one_headroom_setting() {
+        // With headroom h, the probe flags the n0–n1 link once its spare
+        // capacity falls below h·C, and Algorithm 3's utilization trigger
+        // fires once spare < achieved + h·C. On the C = 100 Mbps link
+        // carrying demand d alone, that is d > (1 − h)·C and
+        // d > (1 − h)·C / 2. At the 0.2 default the second and fourth
+        // cases would come out the other way.
+        let h = 0.35;
+        let (probe_at, trigger_at) = ((1.0 - h) * 100.0, (1.0 - h) * 100.0 / 2.0);
+        for (d, probe_ok, triggered) in [
+            (trigger_at - 2.0, true, false),
+            (trigger_at + 2.0, true, true),
+            (probe_at - 2.0, true, true),
+            (probe_at + 2.0, false, true),
+        ] {
+            let mut w = world();
+            let cfg = NetMonitorConfig { headroom_fraction: h, ..Default::default() };
+            w.netmon = NetMonitor::new(cfg);
+            w.netmon.full_probe(&w.mesh);
+            w.mesh.set_flow_demand(w.flow, mbps(d)).unwrap();
+            w.mesh.advance(SimDuration::from_secs(30));
+            let id = |name: &str| w.dag.component_by_name(name).unwrap().id;
+            let achieved = w.mesh.flow_goodput(w.flow);
+            let (sampler, detector) = (id("frame-sampler"), id("object-detector"));
+            w.goodput.record(sampler, detector, mbps(d), achieved, w.mesh.now());
+            let mut ctl = BassController::new(ControllerConfig::default());
+            let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
+            let link = *o.headroom.as_ref().unwrap().link(NodeId(0), NodeId(1)).unwrap();
+            assert_eq!(link.ok, probe_ok, "d = {d}: {link:?}");
+            let utilization = |v: &Violation| v.trigger == TriggerKind::Utilization;
+            let fired = o.candidates.violations.iter().any(utilization);
+            assert_eq!(fired, triggered, "d = {d}: {:?}", o.candidates);
+        }
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub struct MigrationConfig {
     /// edge consumes *more* than this fraction of its path's capacity
     /// (Fig. 15b evaluates 0.65 and 0.85).
     pub utilization_threshold: f64,
-    /// Required headroom as a fraction of link capacity (paper ~0.2).
-    pub headroom_fraction: f64,
 }
 
 impl Default for MigrationConfig {
@@ -42,7 +40,6 @@ impl Default for MigrationConfig {
         MigrationConfig {
             goodput_threshold: 0.5,
             utilization_threshold: 0.65,
-            headroom_fraction: 0.2,
         }
     }
 }
@@ -119,6 +116,10 @@ impl MigrationCandidates {
 /// - **Degradation** (§4.3): goodput collapsed below the threshold and
 ///   the headroom requirement is violated — the link itself degraded.
 ///
+/// The required headroom is `headroom_fraction` × the path's bottleneck
+/// capacity; the controller passes its net-monitor's setting, so the
+/// headroom probe and both triggers read one value.
+///
 /// The candidate is the edge's producer unless it is `pinned`, in which
 /// case the consumer is proposed instead (pinned components — e.g. the
 /// pseudo-components that anchor external clients — can never move).
@@ -129,6 +130,7 @@ pub fn find_candidates(
     goodput: &GoodputMonitor,
     mesh: &Mesh,
     cfg: &MigrationConfig,
+    headroom_fraction: f64,
     pinned: &BTreeSet<ComponentId>,
 ) -> MigrationCandidates {
     let mut violations = Vec::new();
@@ -147,7 +149,7 @@ pub fn find_candidates(
             .path_bottleneck_capacity(cn, dn)
             .unwrap_or(Bandwidth::ZERO);
         let available = mesh.path_available(cn, dn).unwrap_or(Bandwidth::ZERO);
-        let headroom_req = capacity.scale(cfg.headroom_fraction);
+        let headroom_req = capacity.scale(headroom_fraction);
 
         let goodput_fraction = usage.goodput_fraction();
         // The migratable endpoint: producer unless pinned, else consumer.
@@ -268,7 +270,7 @@ mod tests {
             mesh.flow_goodput(f),
             SimTime::ZERO,
         );
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert!(out.violations.is_empty());
         assert!(out.to_migrate.is_empty());
     }
@@ -287,7 +289,7 @@ mod tests {
             mesh.flow_goodput(f),
             SimTime::ZERO,
         );
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert_eq!(out.to_migrate, vec![ComponentId(2)]);
         assert_eq!(out.violations[0].trigger, TriggerKind::Degradation);
     }
@@ -307,7 +309,7 @@ mod tests {
             mesh.flow_goodput(f),
             SimTime::ZERO,
         );
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert_eq!(out.to_migrate, vec![ComponentId(2)]);
         assert_eq!(out.violations[0].trigger, TriggerKind::Utilization);
     }
@@ -322,7 +324,7 @@ mod tests {
         drive(&mut mesh, mbps(50.0)); // saturate the link with unrelated load
         let mut gp = GoodputMonitor::new();
         gp.record(ComponentId(2), ComponentId(3), mbps(6.0), mbps(6.0), SimTime::ZERO);
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert!(out.violations.is_empty());
     }
 
@@ -331,7 +333,7 @@ mod tests {
         let (dag, cluster, mut mesh) = scenario(1.0);
         drive(&mut mesh, mbps(50.0));
         let gp = GoodputMonitor::new(); // no measurements
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), &BTreeSet::new());
+        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert!(out.violations.is_empty());
     }
 

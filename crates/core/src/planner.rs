@@ -11,7 +11,7 @@ use crate::placement::crossing_bandwidth;
 use crate::scheduler::{BassScheduler, PlacementPolicy};
 use crate::heuristics::BfsWeighting;
 use bass_appdag::AppDag;
-use bass_cluster::{BaselinePolicy, Cluster};
+use bass_cluster::Cluster;
 use bass_mesh::Mesh;
 use serde::Serialize;
 
@@ -83,8 +83,8 @@ pub fn recommend(dag: &AppDag, cluster: &Cluster, mesh: &Mesh) -> Recommendation
     let policies = [
         PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
         PlacementPolicy::LongestPath,
-        PlacementPolicy::Hybrid { fanout_threshold: 3 },
-        PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+        PlacementPolicy::Hybrid,
+        PlacementPolicy::K3sDefault,
     ];
     let total = dag.total_bandwidth().as_bps();
     let mut ranking: Vec<PolicyScore> = policies
@@ -137,7 +137,7 @@ mod tests {
             let rec = recommend(&dag, &cluster, &mesh);
             assert!(rec.is_feasible());
             assert!(
-                !matches!(rec.best(), PlacementPolicy::K3sDefault(_)),
+                rec.best() != PlacementPolicy::K3sDefault,
                 "{}: the oblivious baseline should never win",
                 dag.name()
             );

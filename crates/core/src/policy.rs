@@ -44,6 +44,9 @@ pub(crate) struct PolicyCtx<'a> {
     pub(crate) pinned: &'a BTreeSet<ComponentId>,
     /// Candidate-selection thresholds (Algorithm 3 knobs).
     pub(crate) migration: MigrationConfig,
+    /// Required headroom as a fraction of link capacity: the
+    /// net-monitor's setting, so probe and triggers agree.
+    pub(crate) headroom_fraction: f64,
 }
 
 /// The policy registry: every migration-decision policy, by name.
@@ -133,6 +136,7 @@ impl PolicyKind {
             ctx.goodput,
             ctx.mesh,
             &ctx.migration,
+            ctx.headroom_fraction,
             ctx.pinned,
         );
         if self == PolicyKind::Metronome {

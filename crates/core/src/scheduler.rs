@@ -3,7 +3,7 @@
 use crate::heuristics::{breadth_first, hybrid, longest_path, BfsWeighting, ComponentOrdering};
 use crate::placement::{pack_ordering, PlacementError};
 use bass_appdag::AppDag;
-use bass_cluster::{BaselinePolicy, BaselineScheduler, Cluster, ClusterError, Placement};
+use bass_cluster::{baseline, Cluster, ClusterError, Placement};
 use bass_mesh::Mesh;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -18,23 +18,25 @@ pub enum PlacementPolicy {
     /// Algorithm 2 — weighted longest path (best for deep pipelines).
     #[default]
     LongestPath,
-    /// The §8 hybrid: per-subgraph choice by fan-out threshold.
-    Hybrid {
-        /// Minimum fan-out for a subgraph to be treated as fan-out-heavy.
-        fanout_threshold: usize,
-    },
+    /// The §8 hybrid: per-subgraph choice by fan-out, at
+    /// [`HYBRID_FANOUT_THRESHOLD`].
+    Hybrid,
     /// The bandwidth-oblivious k3s default scheduler (the baseline BASS
-    /// is evaluated against).
-    K3sDefault(BaselinePolicy),
+    /// is evaluated against): least-allocated, one pod at a time.
+    K3sDefault,
 }
+
+/// Minimum fan-out for [`PlacementPolicy::Hybrid`] to treat a subgraph
+/// as fan-out-heavy (and order it breadth-first).
+pub const HYBRID_FANOUT_THRESHOLD: usize = 3;
 
 impl fmt::Display for PlacementPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlacementPolicy::BreadthFirst(_) => write!(f, "bfs"),
             PlacementPolicy::LongestPath => write!(f, "longest-path"),
-            PlacementPolicy::Hybrid { .. } => write!(f, "hybrid"),
-            PlacementPolicy::K3sDefault(_) => write!(f, "k3s-default"),
+            PlacementPolicy::Hybrid => write!(f, "hybrid"),
+            PlacementPolicy::K3sDefault => write!(f, "k3s-default"),
         }
     }
 }
@@ -138,8 +140,8 @@ impl BassScheduler {
         let ordering = match self.policy {
             PlacementPolicy::BreadthFirst(w) => breadth_first(dag, w)?,
             PlacementPolicy::LongestPath => longest_path(dag)?,
-            PlacementPolicy::Hybrid { fanout_threshold } => hybrid(dag, fanout_threshold)?,
-            PlacementPolicy::K3sDefault(_) => {
+            PlacementPolicy::Hybrid => hybrid(dag, HYBRID_FANOUT_THRESHOLD)?,
+            PlacementPolicy::K3sDefault => {
                 ComponentOrdering::new(vec![dag.component_ids().collect()])
             }
         };
@@ -166,7 +168,7 @@ impl BassScheduler {
     /// Places `ordering`'s components onto the cluster and returns the
     /// cluster's placement — the one placement dispatch. The k3s baseline
     /// binds them one at a time, in ordering order, with
-    /// [`BaselineScheduler::pick_node`] (its ordering is one group in id
+    /// [`baseline::pick_node`] (its ordering is one group in id
     /// order, the order pods arrive in); every other policy packs the
     /// ordering with [`pack_ordering`].
     ///
@@ -181,13 +183,12 @@ impl BassScheduler {
         cluster: &mut Cluster,
         mesh: &Mesh,
     ) -> Result<Placement, ScheduleError> {
-        let PlacementPolicy::K3sDefault(policy) = self.policy else {
+        if self.policy != PlacementPolicy::K3sDefault {
             return Ok(pack_ordering(ordering, dag, cluster, mesh)?);
-        };
-        let mut baseline = BaselineScheduler::new(policy);
+        }
         for &c in ordering.groups().iter().flatten() {
             let component = dag.component(c).ok_or(PlacementError::UnknownComponent(c))?;
-            let node = baseline.pick_node(cluster, component.resources)?;
+            let node = baseline::pick_node(cluster, component.resources)?;
             cluster.place(c, component.resources, node)?;
         }
         Ok(cluster.placement())
@@ -215,8 +216,8 @@ mod tests {
         for policy in [
             PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
             PlacementPolicy::LongestPath,
-            PlacementPolicy::Hybrid { fanout_threshold: 3 },
-            PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+            PlacementPolicy::Hybrid,
+            PlacementPolicy::K3sDefault,
         ] {
             let (mesh, mut cluster) = setup(3, 12);
             let placement = BassScheduler::new(policy)
@@ -235,7 +236,7 @@ mod tests {
             .schedule(&dag, &mut c1, &mesh)
             .unwrap();
         let (_, mut c2) = setup(3, 16);
-        let k3s = BassScheduler::new(PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated))
+        let k3s = BassScheduler::new(PlacementPolicy::K3sDefault)
             .schedule(&dag, &mut c2, &mesh)
             .unwrap();
         let crossing = |p: &bass_cluster::Placement| crate::placement::crossing_bandwidth(&dag, p);
@@ -250,7 +251,7 @@ mod tests {
     #[test]
     fn k3s_ordering_is_id_order() {
         let dag = catalog::fig6_example();
-        let sched = BassScheduler::new(PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated));
+        let sched = BassScheduler::new(PlacementPolicy::K3sDefault);
         let order = sched.ordering(&dag).unwrap();
         let ids: Vec<u32> = order.flatten().iter().map(|c| c.0).collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 7]);
@@ -269,11 +270,11 @@ mod tests {
         );
         assert_eq!(PlacementPolicy::LongestPath.to_string(), "longest-path");
         assert_eq!(
-            PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated).to_string(),
+            PlacementPolicy::K3sDefault.to_string(),
             "k3s-default"
         );
         assert_eq!(
-            PlacementPolicy::Hybrid { fanout_threshold: 2 }.to_string(),
+            PlacementPolicy::Hybrid.to_string(),
             "hybrid"
         );
     }

@@ -632,7 +632,7 @@ fn place_fragment(
 mod tests {
     use super::*;
     use bass_appdag::{catalog, Component, ResourceReq};
-    use bass_cluster::{BaselinePolicy, BaselineScheduler, NodeSpec};
+    use bass_cluster::{baseline, NodeSpec};
     use bass_core::heuristics::BfsWeighting;
     use bass_faults::Fault;
     use bass_mesh::Topology;
@@ -719,37 +719,31 @@ mod tests {
 
     #[test]
     fn k3s_admission_places_like_a_fresh_baseline_and_rolls_back_cleanly() {
-        let k3s_env = |dag: AppDag, nodes: u32, cores: u64, policy: BaselinePolicy| {
+        let k3s_env = |dag: AppDag, nodes: u32, cores: u64| {
             let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(nodes), mbps(100.0)).unwrap();
             let specs = (0..nodes).map(|i| NodeSpec::cores_mb(i, cores, 1024 * cores));
-            let cfg = SimEnvConfig { policy: PlacementPolicy::K3sDefault(policy), ..Default::default() };
+            let cfg = SimEnvConfig { policy: PlacementPolicy::K3sDefault, ..Default::default() };
             let mut env = SimEnv::new(mesh, Cluster::new(specs).unwrap(), dag, cfg);
             env.deploy(&[]).unwrap();
             env
         };
         let app = catalog::camera_pipeline();
-        for policy in [
-            BaselinePolicy::LeastAllocated,
-            BaselinePolicy::MostAllocated,
-            BaselinePolicy::RoundRobin,
-        ] {
-            let mut env = k3s_env(catalog::camera_pipeline(), 3, 24, policy);
-            env.step().unwrap();
-            // A fresh baseline scheduler on a copy of the pre-admission
-            // cluster, fed the app under its deployment ids.
-            let mut shifted = AppDag::new("expected");
-            shifted.absorb(&app, 1000, "").unwrap();
-            let mut cluster = env.cluster().clone();
-            let expected = BaselineScheduler::new(policy).schedule(&shifted, &mut cluster).unwrap();
-            let added = env.admit_app(&app, 1000).unwrap();
-            assert_eq!(added.len(), app.component_count());
-            let placement = env.placement();
-            for c in &added {
-                assert_eq!(placement[c], expected[c], "{policy:?}: component {c}");
-            }
+        let mut env = k3s_env(catalog::camera_pipeline(), 3, 24);
+        env.step().unwrap();
+        // A fresh baseline scheduler on a copy of the pre-admission
+        // cluster, fed the app under its deployment ids.
+        let mut shifted = AppDag::new("expected");
+        shifted.absorb(&app, 1000, "").unwrap();
+        let mut cluster = env.cluster().clone();
+        let expected = baseline::schedule(&shifted, &mut cluster).unwrap();
+        let added = env.admit_app(&app, 1000).unwrap();
+        assert_eq!(added.len(), app.component_count());
+        let placement = env.placement();
+        for c in &added {
+            assert_eq!(placement[c], expected[c], "component {c}");
         }
         // Out of room part-way: the admission leaves nothing behind.
-        let mut env = k3s_env(AppDag::new("city"), 2, 2, BaselinePolicy::LeastAllocated);
+        let mut env = k3s_env(AppDag::new("city"), 2, 2);
         let before = env.cluster().clone();
         let err = env.admit_app(&catalog::social_network(50.0), 5000).unwrap_err();
         assert!(matches!(err, EnvError::Schedule(ScheduleError::Baseline(_))), "{err}");

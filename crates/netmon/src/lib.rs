@@ -17,4 +17,7 @@ pub mod goodput;
 pub mod probe;
 
 pub use goodput::{EdgeUsage, GoodputMonitor};
-pub use probe::{HeadroomReport, NetMonitor, NetMonitorConfig, ProbeOverhead};
+pub use probe::{
+    HeadroomReport, NetMonitor, NetMonitorConfig, ProbeOverhead, HEADROOM_PROBE_RATE,
+    PROBE_DURATION,
+};

@@ -12,23 +12,24 @@ use serde::{Deserialize, Serialize};
 pub struct NetMonitorConfig {
     /// Spare capacity to maintain on every link, as a fraction of the
     /// link's (cached) capacity. The paper uses ~20% (4 Mbps on a
-    /// 25 Mbps link, Fig. 8).
+    /// 25 Mbps link, Fig. 8). The controller hands the same value to
+    /// Algorithm 3's triggers, so this is the one headroom setting.
     pub headroom_fraction: f64,
     /// How often headroom probes run (paper default: 30 s).
     pub probe_interval: SimDuration,
-    /// How long each probe transmission lasts (paper: 1 s).
-    pub probe_duration: SimDuration,
-    /// Fraction of link capacity a headroom probe transmits (paper: 10%).
-    pub headroom_probe_rate: f64,
 }
+
+/// How long each probe transmission lasts (paper §4.2: 1 s).
+pub const PROBE_DURATION: SimDuration = SimDuration::from_secs(1);
+
+/// Fraction of link capacity a headroom probe transmits (paper §4.2: 10 %).
+pub const HEADROOM_PROBE_RATE: f64 = 0.10;
 
 impl Default for NetMonitorConfig {
     fn default() -> Self {
         NetMonitorConfig {
             headroom_fraction: 0.20,
             probe_interval: SimDuration::from_secs(30),
-            probe_duration: SimDuration::from_secs(1),
-            headroom_probe_rate: 0.10,
         }
     }
 }
@@ -184,7 +185,7 @@ impl NetMonitor {
     }
 
     /// Performs a max-capacity probe of every link: floods each link for
-    /// `probe_duration` and caches the measured capacities.
+    /// [`PROBE_DURATION`] and caches the measured capacities.
     ///
     /// Against the simulator the measurement is exact; the cost is the
     /// flood traffic, which is charged to the overhead accounting.
@@ -193,9 +194,9 @@ impl NetMonitor {
         self.fit_links(mesh);
         for (lid, _) in mesh.topology().links() {
             let cap = mesh.link_capacity_by_id(lid);
-            // Flooding the link for probe_duration costs its capacity —
+            // Flooding the link for PROBE_DURATION costs its capacity —
             // even when the resulting sample is lost.
-            let bits = cap.as_bps() * self.cfg.probe_duration.as_secs_f64();
+            let bits = cap.as_bps() * PROBE_DURATION.as_secs_f64();
             self.overhead.full_probe_bytes += DataSize::from_bytes((bits / 8.0) as u64);
             if self.sample_lost() {
                 continue; // measurement dropped: the stale cache entry survives
@@ -224,15 +225,14 @@ impl NetMonitor {
                 Some((c, _)) => c,
                 None => mesh.link_capacity_by_id(lid),
             };
+            // Probe transmission: HEADROOM_PROBE_RATE × capacity for
+            // PROBE_DURATION, sent whether or not the sample is lost.
+            let bits = cached.as_bps() * HEADROOM_PROBE_RATE * PROBE_DURATION.as_secs_f64();
+            self.overhead.headroom_probe_bytes += DataSize::from_bytes((bits / 8.0) as u64);
             if self.sample_lost() {
-                // Measurement dropped: the probe traffic was still sent,
-                // but this link contributes nothing to the report and its
-                // OK/violated edge-detection state is untouched.
-                let bits = cached.as_bps()
-                    * self.cfg.headroom_probe_rate
-                    * self.cfg.probe_duration.as_secs_f64();
-                self.overhead.headroom_probe_bytes +=
-                    DataSize::from_bytes((bits / 8.0) as u64);
+                // Measurement dropped: this link contributes nothing to
+                // the report and its OK/violated edge-detection state is
+                // untouched.
                 continue;
             }
             let required = cached.scale(self.cfg.headroom_fraction);
@@ -249,12 +249,6 @@ impl NetMonitor {
                 available,
                 ok,
             });
-            // Probe transmission: headroom_probe_rate × capacity for
-            // probe_duration.
-            let bits = cached.as_bps()
-                * self.cfg.headroom_probe_rate
-                * self.cfg.probe_duration.as_secs_f64();
-            self.overhead.headroom_probe_bytes += DataSize::from_bytes((bits / 8.0) as u64);
         }
         self.overhead.headroom_probes += 1;
         self.last_headroom_probe = Some(now);

@@ -8,21 +8,19 @@
 //! goodput fraction — the paper's user-experience proxy.
 //!
 //! Determinism contract (the same one the campaign runner carries):
-//! the table's [`to_json`](ArenaTable::to_json) and
-//! [`to_text`](ArenaTable::to_text) bytes are a function of
+//! the table's [`to_json`](ArenaTable::to_json) bytes are a function of
 //! `(corpus, seed, policies)` only — identical for any `--jobs` value.
-//! Wall-clock throughput
-//! (ticks/second) is measured too, but lives in the separate
-//! [`ArenaTiming`] records and the
-//! [`to_text_with_timing`](ArenaTable::to_text_with_timing) /
-//! [`to_json_with_timing`](ArenaTable::to_json_with_timing)
-//! renderings so the deterministic
-//! table bytes never move (the golden snapshot under `tests/golden/`
-//! compares `to_json` only).
+//! Wall-clock throughput (ticks/second) is measured too, but lives in
+//! the separate [`ArenaTiming`] records, which only the
+//! [`to_text`](ArenaTable::to_text) and
+//! [`to_json_with_timing`](ArenaTable::to_json_with_timing) renderings
+//! read, so the deterministic table bytes never move (the golden
+//! snapshot under `tests/golden/` compares `to_json` only).
 
-use crate::campaign::{run_campaign_opts, CampaignError, CampaignOptions};
+use crate::campaign::{run_campaign_opts, splice_last_key, CampaignError, CampaignOptions};
 use crate::spec::ScenarioSpec;
 use bass_core::PolicyKind;
+use bass_obs::ProgressLevel;
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -33,15 +31,16 @@ pub struct ArenaOptions {
     /// The competing policies, in presentation order. Empty means the
     /// full registry ([`PolicyKind::all`]).
     pub policies: Vec<PolicyKind>,
-    /// Campaign execution settings shared by every entry; the
-    /// [`policy`](CampaignOptions::policy) field is overridden per
-    /// entry and ignored here.
-    pub campaign: CampaignOptions,
+    /// Worker threads sharding each campaign's replicas (≥1; clamped up
+    /// from 0); the table bytes are identical at any value.
+    pub jobs: usize,
+    /// Live progress reporting to stderr, per campaign.
+    pub progress: ProgressLevel,
 }
 
 impl Default for ArenaOptions {
     fn default() -> Self {
-        ArenaOptions { policies: PolicyKind::all().to_vec(), campaign: CampaignOptions::default() }
+        ArenaOptions { policies: PolicyKind::all().to_vec(), jobs: 1, progress: ProgressLevel::Off }
     }
 }
 
@@ -129,34 +128,14 @@ impl ArenaTable {
     /// deterministic table stays a byte-exact prefix (the same
     /// contract as `CampaignSummary::to_json_with_profile`).
     pub fn to_json_with_timing(&self, timings: &[ArenaTiming]) -> String {
-        let base = self.to_json();
-        let timing_json = serde_json::to_string_pretty(timings).expect("timings serialize");
-        let indented = timing_json
-            .lines()
-            .enumerate()
-            .map(|(i, line)| if i == 0 { line.to_string() } else { format!("  {line}") })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let body = base
-            .trim_end()
-            .strip_suffix('}')
-            .expect("pretty table ends with a closing brace")
-            .trim_end();
-        format!("{body},\n  \"timing\": {indented}\n}}")
+        splice_last_key(&self.to_json(), "timing", timings)
     }
 
-    /// The ranked comparison table as fixed-width text; deterministic.
-    pub fn to_text(&self) -> String {
-        self.render_text(None)
-    }
-
-    /// [`to_text`](Self::to_text) with a trailing wall-clock ticks/s
-    /// column (non-deterministic; for terminals, not goldens).
-    pub fn to_text_with_timing(&self, timings: &[ArenaTiming]) -> String {
-        self.render_text(Some(timings))
-    }
-
-    fn render_text(&self, timings: Option<&[ArenaTiming]>) -> String {
+    /// The ranked comparison table as fixed-width text, with a trailing
+    /// wall-clock ticks/s column when `timings` is non-empty
+    /// (non-deterministic; for terminals, not goldens).
+    pub fn to_text(&self, timings: &[ArenaTiming]) -> String {
+        let timed = !timings.is_empty();
         let mut out = String::new();
         let _ = writeln!(out, "arena: seed {}", self.seed);
         let _ = writeln!(
@@ -170,11 +149,11 @@ impl ArenaTable {
             "mbps-mean",
             "migrations",
             "unplaceable",
-            if timings.is_some() { format!(" {:>9}", "ticks/s") } else { String::new() },
+            if timed { format!(" {:>9}", "ticks/s") } else { String::new() },
         );
         for (i, r) in self.rows.iter().enumerate() {
             let timing = timings
-                .and_then(|t| t.get(i))
+                .get(i)
                 .map(|t| format!(" {:>9.0}", t.ticks_per_sec))
                 .unwrap_or_default();
             let _ = writeln!(
@@ -244,7 +223,12 @@ pub fn run_arena(
     let mut timings = Vec::with_capacity(rows.capacity());
     for &policy in &policies {
         for spec in corpus {
-            let copts = CampaignOptions { policy, ..opts.campaign };
+            let copts = CampaignOptions {
+                jobs: opts.jobs,
+                profile: false,
+                progress: opts.progress,
+                policy,
+            };
             let started = std::time::Instant::now();
             let run = run_campaign_opts(spec, seed, &copts)?;
             let elapsed = started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);

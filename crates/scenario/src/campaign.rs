@@ -213,23 +213,23 @@ impl CampaignSummary {
     /// keep producing byte-identical JSON to every previous release
     /// (the golden snapshots).
     pub fn to_json_with_profile(&self, profile: &bass_obs::ProfileSummary) -> String {
-        let base = self.to_json();
-        let profile_json =
-            serde_json::to_string_pretty(profile).expect("profile serializes");
-        // Re-indent the profile one level so it nests as a top-level key.
-        let indented = profile_json
-            .lines()
-            .enumerate()
-            .map(|(i, line)| if i == 0 { line.to_string() } else { format!("  {line}") })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let body = base
-            .trim_end()
-            .strip_suffix('}')
-            .expect("pretty summary ends with a closing brace")
-            .trim_end();
-        format!("{body},\n  \"profile\": {indented}\n}}")
+        splice_last_key(&self.to_json(), "profile", profile)
     }
+}
+
+/// Appends `"key": value` as the final top-level key of the pretty JSON
+/// object `base`, `value` re-indented one level, so that `base` up to
+/// its closing brace stays a byte-exact prefix of the result.
+pub(crate) fn splice_last_key(base: &str, key: &str, value: &(impl Serialize + ?Sized)) -> String {
+    let indented = serde_json::to_string_pretty(value)
+        .expect("spliced section serializes")
+        .replace('\n', "\n  ");
+    let body = base
+        .trim_end()
+        .strip_suffix('}')
+        .expect("pretty JSON object ends with a closing brace")
+        .trim_end();
+    format!("{body},\n  \"{key}\": {indented}\n}}")
 }
 
 /// Internal per-replica fold state that cannot go in the serializable
@@ -706,16 +706,27 @@ mod tests {
         let opts = CampaignOptions { profile: true, ..CampaignOptions::default() };
         let run = run_campaign_opts(&spec, 3, &opts).unwrap();
         let profile = run.profiler.as_ref().unwrap().summary();
-        let with_profile = run.summary.to_json_with_profile(&profile);
-        // Still valid JSON, still carrying the original summary fields,
-        // with `profile` as a top-level key.
-        let value: serde_json::Value = serde_json::from_str(&with_profile).unwrap();
-        assert_eq!(value["scenario"].as_str(), Some(spec.name.as_str()));
-        assert!(value["profile"]["spans"]["tick.finalize"]["count"].as_u64().unwrap() > 0);
-        // The splice only appends: the base summary is a strict prefix
-        // up to its closing brace.
-        let base = run.summary.to_json();
-        assert!(with_profile.starts_with(base.trim_end().strip_suffix('}').unwrap().trim_end()));
+        let arena_opts =
+            crate::ArenaOptions { policies: vec![PolicyKind::Bass], ..Default::default() };
+        let arena = crate::run_arena(std::slice::from_ref(&spec), 3, &arena_opts).unwrap();
+        // (spliced, deterministic base): the summary's profile and the
+        // arena table's timing section.
+        let spliced = [
+            (run.summary.to_json_with_profile(&profile), run.summary.to_json()),
+            (arena.table.to_json_with_timing(&arena.timings), arena.table.to_json()),
+        ];
+        for (json, base) in &spliced {
+            // The splice only appends: the base is a strict prefix up to
+            // its closing brace.
+            assert!(json.starts_with(base.trim_end().strip_suffix('}').unwrap().trim_end()));
+        }
+        // Still valid JSON, still carrying the original fields, with the
+        // spliced section as a top-level key.
+        let value = |i: usize| serde_json::from_str::<serde_json::Value>(&spliced[i].0).unwrap();
+        assert_eq!(value(0)["scenario"].as_str(), Some(spec.name.as_str()));
+        assert!(value(0)["profile"]["spans"]["tick.finalize"]["count"].as_u64().unwrap() > 0);
+        assert_eq!(value(1)["seed"].as_u64(), Some(3));
+        assert_eq!(value(1)["timing"][0]["policy"].as_str(), Some("bass"));
     }
 
     #[test]

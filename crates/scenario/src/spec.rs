@@ -423,6 +423,15 @@ impl ScenarioSpec {
         if self.step_ms == 0 {
             return Err(SpecError::new("step must be at least 1 ms"));
         }
+        // The run length, horizon_ticks × step_ms, must fit the
+        // microsecond clock.
+        let horizon_ms = self.horizon_ticks.checked_mul(self.step_ms);
+        if horizon_ms.and_then(|ms| ms.checked_mul(1000)).is_none() {
+            return Err(SpecError::new(format!(
+                "horizon_ticks {} × step_ms {} overflows the microsecond clock",
+                self.horizon_ticks, self.step_ms
+            )));
+        }
         if self.sample_every_ticks == 0 {
             return Err(SpecError::new("sample_every_ticks must be at least 1"));
         }
@@ -506,7 +515,7 @@ mod tests {
         }
         type Edit = fn(&mut ScenarioSpec);
         // (field the error must name, hostile edit)
-        let rows: [(&str, Edit); 10] = [
+        let rows: [(&str, Edit); 11] = [
             // One core over: 1000× it wraps to 384 millicores.
             ("nodes.cores_max", |s| {
                 s.nodes.cores_min = 18446744073709552;
@@ -521,6 +530,11 @@ mod tests {
             ("faults.flap_downtime_s", |s| storm(s).flap_downtime_s = -10.0),
             ("faults.probe_loss_p", |s| storm(s).probe_loss_p = 2.0),
             ("faults.nodes", |s| storm(s).nodes = vec![bass_mesh::NodeId(999)]),
+            // Fits in milliseconds, not in the microsecond clock.
+            ("horizon_ticks", |s| {
+                s.horizon_ticks = u64::MAX / 1000;
+                s.step_ms = 1000;
+            }),
         ];
         for (field, edit) in rows {
             let mut spec = ScenarioSpec::small_reference();

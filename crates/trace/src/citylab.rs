@@ -93,7 +93,6 @@ pub fn citylab_bundle(seed: u64, duration: SimDuration) -> TraceBundle {
             let key = TraceBundle::link_key(link.a, link.b);
             let mut cfg = OuTraceConfig::new(key.clone(), link.mean_mbps)
                 .relative_std(link.relative_std)
-                .relaxation(SimDuration::from_secs(60))
                 .sample_interval(SimDuration::from_secs(1))
                 .floor_mbps(0.25);
             if link.relative_std >= 0.2 {

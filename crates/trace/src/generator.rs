@@ -3,7 +3,7 @@
 //! Wireless link capacity is modeled as a mean-reverting AR(1) process
 //! (the exact discretization of an Ornstein–Uhlenbeck process), which is
 //! the standard fluid model for fading-dominated links: capacity hovers
-//! around a mean, excursions decay with a configurable relaxation time,
+//! around a mean, excursions decay over a relaxation time (60 s),
 //! and the stationary distribution is Gaussian with a configurable
 //! standard deviation. On top of the stationary process the generator can
 //! superimpose *fade events* (temporary multiplicative dips — the paper's
@@ -62,6 +62,10 @@ impl OuProcess {
     }
 }
 
+/// Mean-reversion relaxation time of every generated trace:
+/// fluctuations on the minutes timescale the paper reports.
+const RELAXATION: SimDuration = SimDuration::from_secs(60);
+
 /// Configuration for generating a CityLab-like bandwidth trace.
 ///
 /// # Examples
@@ -82,7 +86,6 @@ pub struct OuTraceConfig {
     name: String,
     mean_mbps: f64,
     relative_std: f64,
-    relaxation: SimDuration,
     sample_interval: SimDuration,
     floor_mbps: f64,
     fade_rate_per_min: f64,
@@ -91,9 +94,9 @@ pub struct OuTraceConfig {
 }
 
 impl OuTraceConfig {
-    /// Creates a config with the paper-calibrated defaults: relaxation of
-    /// 60 s (fluctuations on the minutes timescale), 1 s sampling, a 10%
-    /// relative standard deviation, and no fade events.
+    /// Creates a config with the paper-calibrated defaults: 1 s
+    /// sampling, a 10% relative standard deviation, and no fade events.
+    /// Every trace relaxes over 60 s.
     ///
     /// # Panics
     ///
@@ -104,7 +107,6 @@ impl OuTraceConfig {
             name: name.into(),
             mean_mbps,
             relative_std: 0.10,
-            relaxation: SimDuration::from_secs(60),
             sample_interval: SimDuration::from_secs(1),
             floor_mbps: 0.1,
             fade_rate_per_min: 0.0,
@@ -118,12 +120,6 @@ impl OuTraceConfig {
     pub fn relative_std(mut self, frac: f64) -> Self {
         assert!(frac >= 0.0, "relative std must be non-negative");
         self.relative_std = frac;
-        self
-    }
-
-    /// Sets the mean-reversion relaxation time.
-    pub fn relaxation(mut self, relaxation: SimDuration) -> Self {
-        self.relaxation = relaxation;
         self
     }
 
@@ -163,12 +159,12 @@ impl OuTraceConfig {
         let mut process = OuProcess::new(
             self.mean_mbps,
             self.mean_mbps * self.relative_std,
-            self.relaxation,
+            RELAXATION,
         );
         // Burn in so the first sample is drawn from the stationary
         // distribution rather than pinned at the mean.
         for _ in 0..32 {
-            process.step(self.relaxation, &mut rng);
+            process.step(RELAXATION, &mut rng);
         }
 
         let mut trace = BandwidthTrace::new(self.name.clone());

@@ -6,9 +6,8 @@
 //! ```
 
 use bass::appdag::catalog;
-use bass::apps::camera::{CameraCalibration, CameraWorkload};
+use bass::apps::camera::CameraWorkload;
 use bass::apps::testbeds::lan_testbed;
-use bass::cluster::BaselinePolicy;
 use bass::core::heuristics::BfsWeighting;
 use bass::core::PlacementPolicy;
 use bass::emu::{Recorder, SimEnv, SimEnvConfig};
@@ -22,7 +21,7 @@ fn main() {
     for policy in [
         PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
         PlacementPolicy::LongestPath,
-        PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+        PlacementPolicy::K3sDefault,
     ] {
         let (mesh, cluster) = lan_testbed(3, 12);
         let cfg = SimEnvConfig { policy, ..Default::default() };
@@ -34,7 +33,7 @@ fn main() {
             println!("  {:<16} -> node {}", component.name, placement[&component.id]);
         }
 
-        let workload = CameraWorkload::new(&env.dag().clone(), CameraCalibration::default());
+        let workload = CameraWorkload::new(&env.dag().clone());
         let mut rec = Recorder::new();
         env.run_for(SimDuration::from_secs(60), |e| workload.observe(e, &mut rec))
             .expect("run completes");

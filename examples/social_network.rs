@@ -9,7 +9,6 @@
 use bass::apps::testbeds::citylab_testbed;
 use bass::apps::{ArrivalProcess, SocialNetWorkload};
 use bass::appdag::catalog;
-use bass::cluster::BaselinePolicy;
 use bass::core::PlacementPolicy;
 use bass::emu::{Recorder, SimEnv, SimEnvConfig};
 use bass::util::time::SimDuration;
@@ -46,7 +45,7 @@ fn main() {
         ("longest-path, static", PlacementPolicy::LongestPath, false),
         (
             "k3s default",
-            PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+            PlacementPolicy::K3sDefault,
             false,
         ),
     ] {

@@ -24,7 +24,6 @@ fn evaluate(point: TuningPoint) -> f64 {
     };
     cfg.controller.migration.utilization_threshold = point.threshold;
     cfg.controller.migration.goodput_threshold = point.threshold.min(0.5);
-    cfg.controller.migration.headroom_fraction = point.headroom;
     cfg.netmon.headroom_fraction = point.headroom;
     let mut env = SimEnv::new(mesh, cluster, catalog::social_network(50.0), cfg);
     env.deploy(&[]).expect("deploys");

@@ -4,7 +4,6 @@
 use bass::appdag::catalog;
 use bass::apps::testbeds::{citylab_testbed, lan_testbed};
 use bass::apps::{ArrivalProcess, SocialNetWorkload};
-use bass::cluster::BaselinePolicy;
 use bass::core::heuristics::BfsWeighting;
 use bass::core::PlacementPolicy;
 use bass::emu::{Recorder, Scenario, SimEnv, SimEnvConfig};
@@ -60,7 +59,7 @@ fn full_cycle_deploy_restrict_migrate_recover() {
 #[test]
 fn static_baseline_stays_degraded() {
     let mut env = camera_env(
-        PlacementPolicy::K3sDefault(BaselinePolicy::LeastAllocated),
+        PlacementPolicy::K3sDefault,
         false,
     );
     let dag = env.dag().clone();

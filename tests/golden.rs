@@ -50,14 +50,12 @@ fn run_scenario_in(reference_stepping: bool) -> String {
             migration: MigrationConfig {
                 goodput_threshold: 0.5,
                 utilization_threshold: 0.65,
-                headroom_fraction: 0.2,
             },
             cooldown: SimDuration::from_secs(30),
         },
         netmon: NetMonitorConfig {
             headroom_fraction: 0.2,
             probe_interval: SimDuration::from_secs(30),
-            ..NetMonitorConfig::default()
         },
         ..Default::default()
     };

@@ -158,14 +158,12 @@ fn fig13_snapshot(policy: PolicyKind) -> String {
             migration: MigrationConfig {
                 goodput_threshold: 0.5,
                 utilization_threshold: 0.65,
-                headroom_fraction: 0.2,
             },
             cooldown: SimDuration::from_secs(30),
         },
         netmon: NetMonitorConfig {
             headroom_fraction: 0.2,
             probe_interval: SimDuration::from_secs(30),
-            ..NetMonitorConfig::default()
         },
         ..Default::default()
     };
@@ -386,8 +384,7 @@ fn arena_entry() -> (ScenarioSpec, Vec<PolicyKind>) {
 
 fn arena_table(jobs: usize) -> String {
     let (spec, policies) = arena_entry();
-    let opts =
-        ArenaOptions { policies, campaign: CampaignOptions { jobs, ..CampaignOptions::default() } };
+    let opts = ArenaOptions { policies, jobs, ..ArenaOptions::default() };
     run_arena(&[spec], 20, &opts).expect("arena runs").table.to_json()
 }
 
