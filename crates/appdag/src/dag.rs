@@ -3,7 +3,7 @@
 use crate::component::{Component, ComponentId, ResourceReq};
 use bass_util::units::Bandwidth;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -136,11 +136,6 @@ impl AppDag {
         self.components.len()
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Iterates components in id order.
     pub fn components(&self) -> impl Iterator<Item = &Component> {
         self.components.values()
@@ -178,7 +173,7 @@ impl AppDag {
     }
 
     /// Incoming edges of a component.
-    pub fn in_edges(&self, id: ComponentId) -> impl Iterator<Item = &DagEdge> {
+    fn in_edges(&self, id: ComponentId) -> impl Iterator<Item = &DagEdge> {
         self.edges.iter().filter(move |e| e.to == id)
     }
 
@@ -280,25 +275,6 @@ impl AppDag {
             .collect()
     }
 
-    /// All components reachable from `start` (inclusive) following edge
-    /// direction.
-    pub fn reachable_from(&self, start: ComponentId) -> BTreeSet<ComponentId> {
-        let mut seen = BTreeSet::new();
-        if !self.contains(start) {
-            return seen;
-        }
-        let mut queue = VecDeque::from([start]);
-        seen.insert(start);
-        while let Some(c) = queue.pop_front() {
-            for e in self.out_edges(c) {
-                if seen.insert(e.to) {
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        seen
-    }
-
     /// The maximum out-degree across components — the "fan-out" the
     /// hybrid heuristic (§8) keys on.
     pub fn max_fan_out(&self) -> usize {
@@ -307,32 +283,6 @@ impl AppDag {
             .map(|&c| self.out_edges(c).count())
             .max()
             .unwrap_or(0)
-    }
-
-    /// The weight (summed edge bandwidth, in bps) of the heaviest path
-    /// through the DAG — the quantity Algorithm 2 extracts first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DagError::Cycle`] if the graph is cyclic (unreachable
-    /// for graphs built through [`AppDag::add_edge`]).
-    pub fn critical_path_weight(&self) -> Result<f64, DagError> {
-        let topo = self.topo_sort()?;
-        let mut dist: BTreeMap<ComponentId, f64> =
-            self.components.keys().map(|&c| (c, 0.0)).collect();
-        let mut best: f64 = 0.0;
-        for &v in &topo {
-            let dv = dist[&v];
-            best = best.max(dv);
-            for e in self.out_edges(v) {
-                let cand = dv + e.bandwidth.as_bps();
-                let entry = dist.get_mut(&e.to).expect("validated");
-                if cand > *entry {
-                    *entry = cand;
-                }
-            }
-        }
-        Ok(best)
     }
 
     /// The longest chain length in edges (unweighted depth).
@@ -465,7 +415,7 @@ mod tests {
     fn build_and_query() {
         let dag = diamond();
         assert_eq!(dag.component_count(), 4);
-        assert_eq!(dag.edge_count(), 4);
+        assert_eq!(dag.edges().len(), 4);
         assert_eq!(dag.roots(), vec![ComponentId(1)]);
         assert_eq!(dag.leaves(), vec![ComponentId(4)]);
         assert_eq!(dag.out_edges(ComponentId(1)).count(), 2);
@@ -491,7 +441,7 @@ mod tests {
         let e = dag.add_edge(ComponentId(4), ComponentId(1), mbps(1.0));
         assert_eq!(e, Err(DagError::Cycle));
         // Edge must have been rolled back.
-        assert_eq!(dag.edge_count(), 4);
+        assert_eq!(dag.edges().len(), 4);
         assert!(dag.topo_sort().is_ok());
     }
 
@@ -541,26 +491,13 @@ mod tests {
     }
 
     #[test]
-    fn reachability() {
-        let dag = diamond();
-        let r = dag.reachable_from(ComponentId(2));
-        assert_eq!(r.len(), 2);
-        assert!(r.contains(&ComponentId(4)));
-        assert!(dag.reachable_from(ComponentId(99)).is_empty());
-        assert_eq!(dag.reachable_from(ComponentId(1)).len(), 4);
-    }
-
-    #[test]
     fn shape_analysis() {
         let dag = diamond();
         assert_eq!(dag.max_fan_out(), 2);
         assert_eq!(dag.depth().unwrap(), 2);
-        // Heaviest path 1→2→4 = 5 + 2 Mbps.
-        assert!((dag.critical_path_weight().unwrap() - 7e6).abs() < 1.0);
         let empty = AppDag::new("e");
         assert_eq!(empty.max_fan_out(), 0);
         assert_eq!(empty.depth().unwrap(), 0);
-        assert_eq!(empty.critical_path_weight().unwrap(), 0.0);
     }
 
     #[test]
@@ -585,7 +522,7 @@ mod tests {
             vec![ComponentId(101), ComponentId(102), ComponentId(103), ComponentId(104)]
         );
         assert_eq!(host.component_count(), 8);
-        assert_eq!(host.edge_count(), 8);
+        assert_eq!(host.edges().len(), 8);
         assert!(host.topo_sort().is_ok());
         assert_eq!(host.component(ComponentId(102)).unwrap().name, "app2/c2");
         assert_eq!(
@@ -607,7 +544,7 @@ mod tests {
         assert!(!dag.remove_component(ComponentId(2)));
         assert_eq!(dag.component_count(), 3);
         // Edges 1→2 and 2→4 are gone; 1→3 and 3→4 remain.
-        assert_eq!(dag.edge_count(), 2);
+        assert_eq!(dag.edges().len(), 2);
         assert!(dag.topo_sort().is_ok());
     }
 

@@ -25,7 +25,7 @@ impl ArrivalProcess {
     /// # Panics
     ///
     /// Panics if `rate` or `dt_secs` is negative.
-    pub fn sample_arrivals(self, rate: f64, dt_secs: f64, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample_arrivals(self, rate: f64, dt_secs: f64, rng: &mut SimRng) -> f64 {
         assert!(rate >= 0.0, "rate must be non-negative");
         assert!(dt_secs >= 0.0, "window must be non-negative");
         let mean = rate * dt_secs;

@@ -24,7 +24,6 @@ const LISTENER_MS: u64 = 10; // listener handling
 const FRAME: DataSize = DataSize::from_kilobytes(60); // camera → sampler
 const SAMPLED_FRAME: DataSize = DataSize::from_kilobytes(50); // sampler → detector
 const ANNOTATED: DataSize = DataSize::from_kilobytes(40); // detector → image listener
-const LABELS: DataSize = DataSize::from_kilobytes(1); // detector → label listener
 
 /// The camera workload driver.
 ///
@@ -37,7 +36,6 @@ pub struct CameraWorkload {
     sampler: ComponentId,
     detector: ComponentId,
     image: ComponentId,
-    label: ComponentId,
 }
 
 impl CameraWorkload {
@@ -57,13 +55,12 @@ impl CameraWorkload {
             sampler: id("frame-sampler"),
             detector: id("object-detector"),
             image: id("image-listener"),
-            label: id("label-listener"),
         }
     }
 
     /// End-to-end latency of one frame through the annotated-image path
     /// at the environment's current state.
-    pub fn frame_latency(&self, env: &SimEnv) -> SimDuration {
+    fn frame_latency(&self, env: &SimEnv) -> SimDuration {
         let svc = |c: ComponentId, ms: u64| {
             SimDuration::from_millis(ms).mul_f64(env.slowdown(c))
         };
@@ -74,20 +71,6 @@ impl CameraWorkload {
             + svc(self.detector, DETECTOR_MS)
             + env.edge_delay(self.detector, self.image, ANNOTATED)
             + svc(self.image, LISTENER_MS)
-    }
-
-    /// Latency of the label branch (detector → label listener).
-    pub fn label_latency(&self, env: &SimEnv) -> SimDuration {
-        let svc = |c: ComponentId, ms: u64| {
-            SimDuration::from_millis(ms).mul_f64(env.slowdown(c))
-        };
-        svc(self.camera, CAMERA_MS)
-            + env.edge_delay(self.camera, self.sampler, FRAME)
-            + svc(self.sampler, SAMPLER_MS)
-            + env.edge_delay(self.sampler, self.detector, SAMPLED_FRAME)
-            + svc(self.detector, DETECTOR_MS)
-            + env.edge_delay(self.detector, self.label, LABELS)
-            + svc(self.label, LISTENER_MS)
     }
 
     /// Records one observation: a `latency_ms` sample and an
@@ -181,12 +164,5 @@ mod tests {
             squeezed > healthy * 2,
             "squeezed {squeezed} vs healthy {healthy}"
         );
-    }
-
-    #[test]
-    fn label_branch_is_faster_than_image_branch() {
-        let e = env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
-        let wl = CameraWorkload::new(&e.dag().clone());
-        assert!(wl.label_latency(&e) <= wl.frame_latency(&e));
     }
 }

@@ -123,21 +123,6 @@ impl SocialNetWorkload {
         self.rps
     }
 
-    /// End-to-end latency of one request of the given type at the
-    /// environment's current state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `type_name` is unknown.
-    pub fn request_latency(&self, env: &SimEnv, type_name: &str) -> SimDuration {
-        let path = self
-            .paths
-            .iter()
-            .find(|p| p.name == type_name)
-            .unwrap_or_else(|| panic!("unknown request type '{type_name}'"));
-        self.path_latency(env, path)
-    }
-
     fn path_latency(&self, env: &SimEnv, path: &ResolvedPath) -> SimDuration {
         let dag = env.dag();
         let mut total = SimDuration::ZERO;
@@ -256,9 +241,11 @@ mod tests {
     fn compose_post_is_the_slowest_type() {
         let env = social_env(50.0, PlacementPolicy::LongestPath, true);
         let wl = SocialNetWorkload::new(&env.dag().clone(), 50.0, ArrivalProcess::Constant, 1);
-        let compose = wl.request_latency(&env, "compose-post");
-        let read_home = wl.request_latency(&env, "read-home-timeline");
-        let read_user = wl.request_latency(&env, "read-user-timeline");
+        let path = |name: &str| wl.paths.iter().find(|p| p.name == name).unwrap();
+        let latency = |name: &str| wl.path_latency(&env, path(name));
+        let compose = latency("compose-post");
+        let read_home = latency("read-home-timeline");
+        let read_user = latency("read-user-timeline");
         assert!(compose > read_home, "{compose} vs {read_home}");
         assert!(compose > read_user, "{compose} vs {read_user}");
     }
@@ -375,13 +362,5 @@ mod tests {
         // Shares form a probability distribution.
         let total: f64 = catalog::social_request_paths().iter().map(|p| p.share).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown request type")]
-    fn unknown_type_panics() {
-        let env = social_env(50.0, PlacementPolicy::LongestPath, true);
-        let wl = SocialNetWorkload::new(&env.dag().clone(), 50.0, ArrivalProcess::Constant, 1);
-        let _ = wl.request_latency(&env, "nonsense");
     }
 }

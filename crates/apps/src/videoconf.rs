@@ -53,25 +53,20 @@ impl VideoConfConfig {
     }
 
     /// Total publishers across groups.
-    pub fn total_publishers(&self) -> usize {
+    fn total_publishers(&self) -> usize {
         self.groups.iter().map(|g| g.publishers).sum()
-    }
-
-    /// Total participants.
-    pub fn total_clients(&self) -> usize {
-        self.groups.iter().map(|g| g.clients).sum()
     }
 
     /// Downlink demand of one group: every client subscribes to every
     /// published stream except its own.
-    pub fn group_downlink(&self, g: &ClientGroup) -> Bandwidth {
+    fn group_downlink(&self, g: &ClientGroup) -> Bandwidth {
         let p = self.total_publishers();
         let subs = g.clients * p - g.publishers; // own stream not re-received
         Bandwidth::from_kbps(subs as f64 * self.stream_kbps)
     }
 
     /// Uplink demand of one group (its publishers' streams).
-    pub fn group_uplink(&self, g: &ClientGroup) -> Bandwidth {
+    fn group_uplink(&self, g: &ClientGroup) -> Bandwidth {
         Bandwidth::from_kbps(g.publishers as f64 * self.stream_kbps)
     }
 }
@@ -80,7 +75,7 @@ impl VideoConfConfig {
 pub const SFU_ID: ComponentId = ComponentId(1);
 
 /// The pseudo-component id for the client group at a node.
-pub fn group_id(node: NodeId) -> ComponentId {
+fn group_id(node: NodeId) -> ComponentId {
     ComponentId(100 + node.0)
 }
 
@@ -224,7 +219,6 @@ mod tests {
     fn demand_formulas() {
         let cfg = VideoConfConfig::fig15();
         assert_eq!(cfg.total_publishers(), 12);
-        assert_eq!(cfg.total_clients(), 12);
         let g = cfg.groups[0];
         // 3 clients × 12 streams − 3 own = 33 × 500 Kbps = 16.5 Mbps.
         assert!((cfg.group_downlink(&g).as_mbps() - 16.5).abs() < 1e-9);

@@ -14,7 +14,7 @@ use bass_util::time::SimDuration;
 
 /// Knobs shared by most experiment setups.
 #[derive(Debug, Clone, Copy)]
-pub struct Knobs {
+pub(crate) struct Knobs {
     /// Placement policy.
     pub policy: PlacementPolicy,
     /// Dynamic migration on/off.
@@ -48,7 +48,7 @@ impl Default for Knobs {
 
 impl Knobs {
     /// Builds the environment configuration for these knobs.
-    pub fn env_config(&self) -> SimEnvConfig {
+    fn env_config(&self) -> SimEnvConfig {
         SimEnvConfig {
             policy: self.policy,
             migrations_enabled: self.migrations,
@@ -69,7 +69,7 @@ impl Knobs {
 }
 
 /// Social network on `n` LAN workers with `cores` cores each.
-pub fn social_lan(
+pub(crate) fn social_lan(
     rps: f64,
     n: u32,
     cores: u64,
@@ -86,7 +86,7 @@ pub fn social_lan(
 }
 
 /// Social network on the CityLab emulation.
-pub fn social_citylab(
+pub(crate) fn social_citylab(
     rps: f64,
     knobs: &Knobs,
     arrivals: ArrivalProcess,
@@ -104,7 +104,7 @@ pub fn social_citylab(
 /// Social network on the CityLab topology with *flat* (max-of-trace)
 /// capacities — for experiments that must isolate an effect from
 /// bandwidth variation (e.g. Fig. 14a's restart cost).
-pub fn social_citylab_flat(
+pub(crate) fn social_citylab_flat(
     rps: f64,
     knobs: &Knobs,
     arrivals: ArrivalProcess,
@@ -120,7 +120,7 @@ pub fn social_citylab_flat(
 }
 
 /// Camera pipeline on `n` LAN workers.
-pub fn camera_lan(n: u32, cores: u64, knobs: &Knobs) -> SimEnv {
+pub(crate) fn camera_lan(n: u32, cores: u64, knobs: &Knobs) -> SimEnv {
     let (mesh, cluster) = lan_testbed(n, cores);
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), knobs.env_config());
     env.deploy(&[]).expect("camera pipeline deploys on the LAN");
@@ -128,7 +128,12 @@ pub fn camera_lan(n: u32, cores: u64, knobs: &Knobs) -> SimEnv {
 }
 
 /// Camera pipeline on CityLab (trace-driven or flat).
-pub fn camera_citylab(knobs: &Knobs, seed: u64, trace_len: SimDuration, flat: bool) -> SimEnv {
+pub(crate) fn camera_citylab(
+    knobs: &Knobs,
+    seed: u64,
+    trace_len: SimDuration,
+    flat: bool,
+) -> SimEnv {
     let (mesh, cluster) = if flat {
         citylab_testbed_flat(seed, trace_len)
     } else {
@@ -143,7 +148,7 @@ pub fn camera_citylab(knobs: &Knobs, seed: u64, trace_len: SimDuration, flat: bo
 /// Video conference on a LAN where node 0 hosts the (external) clients
 /// and nodes 1..n are schedulable workers — the Fig. 3 microbenchmark
 /// shape.
-pub fn videoconf_lan(
+pub(crate) fn videoconf_lan(
     cfg: VideoConfConfig,
     workers: u32,
     knobs: &Knobs,
@@ -167,7 +172,7 @@ pub fn videoconf_lan(
 /// deploys the server "on one of the 4 worker nodes" without naming it);
 /// `None` lets the scheduler choose. The SFU remains migratable either
 /// way.
-pub fn videoconf_citylab(
+pub(crate) fn videoconf_citylab(
     knobs: &Knobs,
     seed: u64,
     trace_len: SimDuration,

@@ -25,7 +25,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
 /// narrates the full decision sequence (probes, triggers, target
 /// choices) into the journal. The journal is returned so the caller
 /// can flush or export it.
-pub fn run_observed(
+pub(crate) fn run_observed(
     mode: RunMode,
     mut journal: Option<bass_obs::Journal>,
 ) -> (ExperimentReport, Option<bass_obs::Journal>) {

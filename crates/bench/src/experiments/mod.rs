@@ -3,22 +3,22 @@
 pub mod common;
 
 pub mod ablation;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
+mod fig10;
+mod fig11;
+mod fig12;
 pub mod fig13;
-pub mod fig14a;
-pub mod fig14b;
-pub mod fig14cd;
+mod fig14a;
+mod fig14b;
+mod fig14cd;
 pub mod fig15;
-pub mod fig16;
-pub mod fig2;
-pub mod fig4;
-pub mod fig5;
+mod fig16;
+mod fig2;
+mod fig4;
+mod fig5;
 pub mod fig6;
-pub mod fig8;
-pub mod tab1;
-pub mod tab2;
+mod fig8;
+mod tab1;
+mod tab2;
 pub mod tab3;
 pub mod tab4;
 

@@ -72,12 +72,17 @@ impl ExperimentReport {
     }
 
     /// Appends a row.
-    pub fn push_row(&mut self, row: Row) {
+    pub(crate) fn push_row(&mut self, row: Row) {
         self.rows.push(row);
     }
 
     /// Appends a series, downsampled to at most `max_points` points.
-    pub fn push_series(&mut self, name: impl Into<String>, points: &[(f64, f64)], max_points: usize) {
+    pub(crate) fn push_series(
+        &mut self,
+        name: impl Into<String>,
+        points: &[(f64, f64)],
+        max_points: usize,
+    ) {
         let stride = (points.len() / max_points.max(1)).max(1);
         let sampled: Vec<(f64, f64)> = points.iter().step_by(stride).copied().collect();
         self.series.push((name.into(), sampled));

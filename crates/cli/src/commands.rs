@@ -6,7 +6,7 @@ use bass_core::placement::crossing_bandwidth;
 use bass_core::{BassScheduler, PlacementPolicy};
 use bass_emu::{EnvError, Scenario, SimEnv, SimEnvConfig};
 use bass_mesh::NodeId;
-use bass_util::time::{SimDuration, SimTime};
+use bass_util::time::{SimDuration, SimTime, MAX_SECS};
 use bass_util::units::Bandwidth;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -72,7 +72,7 @@ impl Error for CommandError {
 
 /// The longest `--duration`: `simulate` generates traces 60 s past the
 /// run, and both must fit the microsecond clock.
-const MAX_DURATION_S: u64 = u64::MAX / 1_000_000 - 60;
+const MAX_DURATION_S: u64 = MAX_SECS - 60;
 
 /// `--duration` as a run length. A run that simulates nothing has no
 /// goodput to report, so zero is out of range too.

@@ -3,7 +3,7 @@
 use bass_cluster::{Cluster, ClusterError, NodeSpec};
 use bass_mesh::{Mesh, MeshError, NodeId, Topology, TopologyError};
 use bass_trace::{BandwidthTrace, OuTraceConfig};
-use bass_util::time::SimDuration;
+use bass_util::time::{SimDuration, MAX_SECS};
 use bass_util::units::{Bandwidth, Millicores};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -153,7 +153,8 @@ impl TestbedSpec {
     /// descriptions, for a node with more than [`Millicores::MAX_CORES`]
     /// cores, for a link whose `mbps` or `relative_std` is
     /// negative or non-finite, and for a restriction with such an
-    /// `mbps`, an undeclared `node`, or an empty `from_s..until_s`.
+    /// `mbps`, an undeclared `node`, an empty `from_s..until_s`, or an
+    /// `until_s` past [`MAX_SECS`].
     pub fn build(&self, seed: u64, trace_len: SimDuration) -> Result<(Mesh, Cluster), TestbedError> {
         if self.nodes.is_empty() {
             return Err(TestbedError::Invalid("no nodes".into()));
@@ -187,6 +188,10 @@ impl TestbedSpec {
                 format!("node {} is not declared", r.node)
             } else if r.from_s >= r.until_s {
                 format!("from_s {} must be before until_s {}", r.from_s, r.until_s)
+            } else if r.until_s > MAX_SECS {
+                // from_s < until_s, so this bounds both ends.
+                let until = r.until_s;
+                format!("until_s {until} must be at most {MAX_SECS}, the clock's range in seconds")
             } else {
                 continue;
             };

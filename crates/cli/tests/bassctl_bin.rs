@@ -598,6 +598,7 @@ fn hostile_numbers_and_names_fail_cleanly() {
         ("restriction mbps -5", true, "\"mbps\": 25", "\"mbps\": -5", "restriction 0: mbps"),
         ("restriction node 99", true, "\"node\": 2", "\"node\": 99", "restriction 0: node 99"),
         ("restriction until before from", true, "\"until_s\": 180", "\"until_s\": 10", "restriction 0: from_s 60"),
+        ("restriction until past the clock", true, "\"until_s\": 180", "\"until_s\": 18446744073710", "restriction 0: until_s"),
         ("node cores past the millicore range", true, "\"cores\": 12", "\"cores\": 18446744073709552", "node 1: cores"),
         ("edge bandwidth -12", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": -12", "bandwidth_mbps"),
         ("edge bandwidth 1e999", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": 1e999", "number out of range `1e999`"),

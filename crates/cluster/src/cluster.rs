@@ -2,7 +2,6 @@
 
 use bass_appdag::{ComponentId, ResourceReq};
 use bass_mesh::NodeId;
-use bass_util::units::{MemoryMb, Millicores};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -150,7 +149,7 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns [`ClusterError::UnknownNode`] for unknown ids.
-    pub fn allocated_on(&self, id: NodeId) -> Result<ResourceReq, ClusterError> {
+    fn allocated_on(&self, id: NodeId) -> Result<ResourceReq, ClusterError> {
         self.allocated
             .get(&id)
             .copied()
@@ -311,24 +310,6 @@ impl Cluster {
     }
 }
 
-/// Helper: total free CPU across the cluster.
-pub fn total_free_cpu(cluster: &Cluster) -> Millicores {
-    cluster
-        .node_ids()
-        .into_iter()
-        .map(|n| cluster.free_on(n).expect("known node").cpu)
-        .sum()
-}
-
-/// Helper: total free memory across the cluster.
-pub fn total_free_memory(cluster: &Cluster) -> MemoryMb {
-    cluster
-        .node_ids()
-        .into_iter()
-        .map(|n| cluster.free_on(n).expect("known node").memory)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,15 +413,6 @@ mod tests {
         c.clear_placements();
         assert_eq!(c.placed_count(), 0);
         assert_eq!(c.free_on(NodeId(1)).unwrap(), ResourceReq::cores_mb(4, 4096));
-    }
-
-    #[test]
-    fn totals() {
-        let mut c = two_nodes();
-        c.place(ComponentId(1), ResourceReq::cores_mb(3, 2048), NodeId(2))
-            .unwrap();
-        assert_eq!(total_free_cpu(&c), Millicores::from_cores(9));
-        assert_eq!(total_free_memory(&c), MemoryMb::from_mb(4096 + 6144));
     }
 
     #[test]

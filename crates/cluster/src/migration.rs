@@ -77,11 +77,6 @@ impl RestartModel {
     pub fn is_down(&self, started: SimTime, now: SimTime) -> bool {
         now >= started && now.saturating_since(started) < self.downtime
     }
-
-    /// Time when service is fully restored.
-    pub fn fully_recovered_at(&self, started: SimTime) -> SimTime {
-        started + self.downtime + self.recovery
-    }
 }
 
 /// A record of one performed migration (for Table 1-style reporting).
@@ -120,7 +115,6 @@ mod tests {
         assert!((mid - 5.0).abs() < 1e-9, "{mid}");
         // Fully recovered.
         assert_eq!(m.slowdown_at(start, SimTime::from_secs(115)), 1.0);
-        assert_eq!(m.fully_recovered_at(start), SimTime::from_secs(115));
     }
 
     #[test]

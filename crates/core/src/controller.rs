@@ -63,13 +63,6 @@ pub struct ControllerOutcome {
     pub unplaceable: Vec<ComponentId>,
 }
 
-impl ControllerOutcome {
-    /// True when nothing happened this tick.
-    pub fn is_quiet(&self) -> bool {
-        self.headroom.is_none() && !self.full_probe && self.plans.is_empty()
-    }
-}
-
 /// The BASS bandwidth controller.
 ///
 /// # Examples
@@ -78,7 +71,7 @@ impl ControllerOutcome {
 /// use bass_core::{BassController, ControllerConfig};
 ///
 /// let controller = BassController::new(ControllerConfig::default());
-/// assert!(controller.last_migration_at().is_none());
+/// assert_eq!(controller.config(), ControllerConfig::default());
 /// ```
 #[derive(Debug, Clone)]
 pub struct BassController {
@@ -88,7 +81,6 @@ pub struct BassController {
     /// no other policy draws from it.
     rng: SimRng,
     last_migration: Option<SimTime>,
-    full_probes_triggered: u64,
 }
 
 impl BassController {
@@ -105,7 +97,6 @@ impl BassController {
             policy,
             rng: SimRng::seed_from_u64(RANDOM_POLICY_SEED),
             last_migration: None,
-            full_probes_triggered: 0,
         }
     }
 
@@ -114,33 +105,18 @@ impl BassController {
         self.cfg
     }
 
-    /// The migration policy in use.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy
-    }
-
     /// Resets runtime state as if the controller process restarted: the
-    /// cooldown clock, the escalation counter and the random policy's
-    /// stream are lost (any in-flight migration plans die with the old
-    /// process; fault injection uses this for `ControllerRestart`). The
-    /// configuration and the policy survive — they are redeployed with
-    /// the process, and the stream restarts from its seed.
+    /// cooldown clock and the random policy's stream are lost (any
+    /// in-flight migration plans die with the old process; fault
+    /// injection uses this for `ControllerRestart`). The configuration
+    /// and the policy survive — they are redeployed with the process, and
+    /// the stream restarts from its seed.
     pub fn reset(&mut self) {
         *self = Self::with_policy(self.cfg, self.policy);
     }
 
-    /// When the last migration round was planned, if ever.
-    pub fn last_migration_at(&self) -> Option<SimTime> {
-        self.last_migration
-    }
-
-    /// How many full probes the controller has escalated.
-    pub fn full_probes_triggered(&self) -> u64 {
-        self.full_probes_triggered
-    }
-
     /// True when the cooldown since the last migration has elapsed.
-    pub fn cooldown_elapsed(&self, now: SimTime) -> bool {
+    fn cooldown_elapsed(&self, now: SimTime) -> bool {
         match self.last_migration {
             None => true,
             Some(last) => now.saturating_since(last) >= self.cfg.cooldown,
@@ -193,7 +169,6 @@ impl BassController {
 
         if newly_violated {
             netmon.full_probe_profiled(mesh, journal.as_deref_mut(), profiler.as_deref_mut());
-            self.full_probes_triggered += 1;
             outcome.full_probe = true;
         }
 
@@ -357,7 +332,7 @@ mod tests {
         assert!(o1.headroom.is_some());
         w.mesh.advance(SimDuration::from_secs(1));
         let o2 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
-        assert!(o2.is_quiet());
+        assert_eq!(o2, ControllerOutcome::default());
     }
 
     #[test]
@@ -382,7 +357,6 @@ mod tests {
         measure(&mut w);
         let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert!(o.full_probe, "newly violated headroom must escalate");
-        assert_eq!(ctl.full_probes_triggered(), 1);
         assert_eq!(o.plans.len(), 1);
         let plan = o.plans[0];
         let sampler = w.dag.component_by_name("frame-sampler").unwrap().id;
@@ -392,7 +366,7 @@ mod tests {
         // the 20 Mbps camera→sampler edge that would then become remote,
         // so the healthy idle node n2 is chosen instead.
         assert_eq!(plan.to, NodeId(2));
-        assert_eq!(ctl.last_migration_at(), Some(w.mesh.now()));
+        assert_eq!(ctl.last_migration, Some(w.mesh.now()));
     }
 
     #[test]
@@ -477,7 +451,7 @@ mod tests {
         assert!(o.plans.is_empty());
         assert_eq!(o.unplaceable.len(), 1);
         // No migration was planned → cooldown clock not started.
-        assert!(ctl.last_migration_at().is_none());
+        assert!(ctl.last_migration.is_none());
     }
 
     #[test]
@@ -493,11 +467,9 @@ mod tests {
         measure(&mut w);
         let o1 = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
         assert_eq!(o1.plans.len(), 1);
-        assert!(ctl.last_migration_at().is_some());
-        assert_eq!(ctl.full_probes_triggered(), 1);
+        assert!(ctl.last_migration.is_some());
         ctl.reset();
-        assert!(ctl.last_migration_at().is_none());
-        assert_eq!(ctl.full_probes_triggered(), 0);
+        assert!(ctl.last_migration.is_none());
         assert_eq!(ctl.config(), cfg);
         // With the cooldown clock lost, the restarted controller re-plans
         // immediately instead of waiting out the 300 s window.
@@ -535,7 +507,7 @@ mod tests {
         let mut continued = ctl.clone();
         assert_ne!(degraded_targets(&mut continued, 12), fresh);
         ctl.reset();
-        assert_eq!(ctl.policy_kind(), PolicyKind::Random);
+        assert_eq!(ctl.policy, PolicyKind::Random);
         assert_eq!(degraded_targets(&mut ctl, 12), fresh);
     }
 
@@ -544,7 +516,7 @@ mod tests {
         for kind in PolicyKind::all() {
             let mut w = world();
             let mut ctl = BassController::with_policy(ControllerConfig::default(), kind);
-            assert_eq!(ctl.policy_kind(), kind);
+            assert_eq!(ctl.policy, kind);
             w.mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(2.0))).unwrap();
             w.mesh.advance(SimDuration::from_secs(30));
             measure(&mut w);
@@ -623,7 +595,7 @@ mod tests {
         let before = journal.total_recorded();
         w.mesh.advance(SimDuration::from_secs(1));
         let quiet = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
-        assert!(quiet.is_quiet());
+        assert_eq!(quiet, ControllerOutcome::default());
         assert_eq!(journal.total_recorded(), before);
     }
 

@@ -51,8 +51,8 @@ pub mod rescheduler;
 pub mod scheduler;
 pub mod tuning;
 
-pub use controller::{BassController, ControllerConfig, ControllerOutcome, MigrationPlan};
+pub use controller::{BassController, ControllerConfig, MigrationPlan};
 pub use policy::PolicyKind;
-pub use heuristics::{BfsWeighting, ComponentOrdering, HeuristicError};
+pub use heuristics::{BfsWeighting, ComponentOrdering};
 pub use placement::PlacementError;
 pub use scheduler::{BassScheduler, PlacementPolicy};

@@ -124,7 +124,7 @@ impl MigrationCandidates {
 /// case the consumer is proposed instead (pinned components — e.g. the
 /// pseudo-components that anchor external clients — can never move).
 /// Edges without a goodput measurement are skipped (nothing has flowed).
-pub fn find_candidates(
+pub(crate) fn find_candidates(
     dag: &AppDag,
     cluster: &Cluster,
     goodput: &GoodputMonitor,

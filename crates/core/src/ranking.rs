@@ -118,7 +118,7 @@ pub fn rank_nodes(cluster: &Cluster, mesh: &Mesh) -> Vec<NodeId> {
 /// # Panics
 ///
 /// Panics if the node is unknown to the cluster or the mesh.
-pub fn score_node(cluster: &Cluster, mesh: &Mesh, node: NodeId) -> NodeScore {
+fn score_node(cluster: &Cluster, mesh: &Mesh, node: NodeId) -> NodeScore {
     let free = cluster.free_on(node).expect("cluster node exists");
     let link = mesh
         .node_total_link_capacity(node)

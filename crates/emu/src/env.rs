@@ -75,7 +75,7 @@ impl Default for SimEnvConfig {
 
 /// How one DAG edge is realized on the network right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeState {
+pub(crate) enum EdgeState {
     /// Both endpoints share a node: loopback, no mesh flow.
     Local,
     /// Endpoints on different nodes: carried by this mesh flow.
@@ -228,13 +228,6 @@ impl SimEnv {
         self.scenario = scenario;
     }
 
-    /// Installs (or replaces) the fault-injection schedule. Equivalent to
-    /// setting [`SimEnvConfig::faults`] before construction.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.mutation_epoch += 1;
-        self.cfg.faults = plan;
-    }
-
     /// The fault schedule, including its replay cursor.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.cfg.faults
@@ -371,14 +364,6 @@ impl SimEnv {
             }
             Ok(placement)
         })
-    }
-
-    /// Scales an edge's offered demand relative to its declared
-    /// requirement (1.0 = at requirement). Workload models call this to
-    /// express time-varying load.
-    pub fn set_edge_demand_factor(&mut self, from: ComponentId, to: ComponentId, factor: f64) {
-        self.mutation_epoch += 1;
-        self.bindings.set_factor((from, to), factor);
     }
 
     /// Scales every edge's demand at once (open-loop load scaling).
@@ -558,11 +543,6 @@ impl SimEnv {
         &self.stats
     }
 
-    /// True while a component is hard-down due to a restart.
-    pub fn component_down(&self, c: ComponentId) -> bool {
-        self.bindings.down(c, self.mesh.now())
-    }
-
     /// Residual restart slowdown factor for a component (1.0 = healthy).
     pub fn slowdown(&self, c: ComponentId) -> f64 {
         self.bindings.slowdown(c, self.mesh.now())
@@ -604,7 +584,7 @@ impl SimEnv {
     }
 
     /// How one DAG edge is currently realized.
-    pub fn edge_state(&self, from: ComponentId, to: ComponentId) -> Option<EdgeState> {
+    fn edge_state(&self, from: ComponentId, to: ComponentId) -> Option<EdgeState> {
         self.bindings.state((from, to))
     }
 }
@@ -642,10 +622,15 @@ mod tests {
     }
 
     fn camera_env(policy: PlacementPolicy) -> SimEnv {
+        camera_env_with_faults(policy, FaultPlan::new())
+    }
+
+    fn camera_env_with_faults(policy: PlacementPolicy, faults: FaultPlan) -> SimEnv {
         let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
         let cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 12, 16384))).unwrap();
         let cfg = SimEnvConfig {
             policy,
+            faults,
             ..Default::default()
         };
         SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg)
@@ -984,7 +969,7 @@ mod tests {
         let id = |n: &str| dag.component_by_name(n).unwrap().id;
         env.run_for(SimDuration::from_secs(2), |_| {}).unwrap();
         env.force_restart(id("object-detector"));
-        assert!(env.component_down(id("object-detector")));
+        assert!(env.bindings.down(id("object-detector"), env.now()));
         env.step().unwrap();
         // Demand of edges touching the detector collapses to zero.
         assert!(env
@@ -999,7 +984,7 @@ mod tests {
         assert!(d > SimDuration::from_secs(3), "delay {d}");
         // After the restart model's recovery window everything heals.
         env.run_for(SimDuration::from_secs(20), |_| {}).unwrap();
-        assert!(!env.component_down(id("object-detector")));
+        assert!(!env.bindings.down(id("object-detector"), env.now()));
         assert_eq!(env.slowdown(id("object-detector")), 1.0);
     }
 
@@ -1026,7 +1011,7 @@ mod tests {
         env.deploy(&[]).unwrap();
         let dag = env.dag().clone();
         let id = |n: &str| dag.component_by_name(n).unwrap().id;
-        env.set_edge_demand_factor(id("frame-sampler"), id("object-detector"), 0.5);
+        env.set_global_demand_factor(0.5);
         env.run_for(SimDuration::from_secs(2), |_| {}).unwrap();
         let achieved = env.edge_achieved(id("frame-sampler"), id("object-detector"));
         assert!((achieved.as_mbps() - 3.0).abs() < 1e-6, "{achieved}");
@@ -1058,23 +1043,24 @@ mod tests {
 
     #[test]
     fn node_crash_evicts_and_recovery_replaces() {
-        let mut env = camera_env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
-        env.attach_journal(bass_obs::Journal::new());
-        env.deploy(&[]).unwrap();
-        let dag = env.dag().clone();
+        let policy = PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight);
+        // Placement is deterministic: a fault-free deploy names the node
+        // the detector lands on, which the crash plan then targets.
+        let mut probe = camera_env(policy);
+        let placement = probe.deploy(&[]).unwrap();
+        let dag = probe.dag().clone();
         let id = |n: &str| dag.component_by_name(n).unwrap().id;
-        let placement = env.placement();
         let victim_node = placement[&id("object-detector")];
         let victims: Vec<ComponentId> = placement
             .iter()
             .filter(|&(_, &n)| n == victim_node)
             .map(|(&c, _)| c)
             .collect();
-        env.set_fault_plan(FaultPlan::new().node_crash(
-            victim_node,
-            SimTime::from_secs(10),
-            SimTime::from_secs(40),
-        ));
+        let (crash, recover) = (SimTime::from_secs(10), SimTime::from_secs(40));
+        let plan = FaultPlan::new().node_crash(victim_node, crash, recover);
+        let mut env = camera_env_with_faults(policy, plan);
+        env.attach_journal(bass_obs::Journal::new());
+        assert_eq!(env.deploy(&[]).unwrap(), placement);
         // While the node is down the victims are either displaced or
         // re-placed on surviving nodes — never on the down node.
         env.run_for(SimDuration::from_secs(20), |e| {
@@ -1113,11 +1099,14 @@ mod tests {
     #[test]
     fn empty_fault_plan_is_byte_identical_to_none() {
         let run = |with_empty_plan: bool| {
-            let mut env = camera_env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
+            let faults = if with_empty_plan {
+                FaultPlan::new().with_seed(99)
+            } else {
+                FaultPlan::new()
+            };
+            let policy = PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight);
+            let mut env = camera_env_with_faults(policy, faults);
             env.attach_journal(bass_obs::Journal::new());
-            if with_empty_plan {
-                env.set_fault_plan(FaultPlan::new().with_seed(99));
-            }
             env.deploy(&[]).unwrap();
             env.run_for(SimDuration::from_secs(30), |_| {}).unwrap();
             env.take_journal().unwrap().export_jsonl()
@@ -1127,10 +1116,11 @@ mod tests {
 
     #[test]
     fn controller_restart_loses_the_tick_and_the_cooldown() {
-        let mut env = camera_env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
+        let plan = FaultPlan::new().controller_restart(SimTime::from_secs(10));
+        let policy = PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight);
+        let mut env = camera_env_with_faults(policy, plan);
         env.attach_journal(bass_obs::Journal::new());
         env.deploy(&[]).unwrap();
-        env.set_fault_plan(FaultPlan::new().controller_restart(SimTime::from_secs(10)));
         env.run_for(SimDuration::from_secs(20), |_| {}).unwrap();
         let journal = env.journal().unwrap();
         assert_eq!(journal.count("fault_injected"), 1);
@@ -1271,13 +1261,16 @@ mod tests {
         let placement = env.placement();
         let sampler_node = placement[&id("frame-sampler")];
         let detector_node = placement[&id("object-detector")];
-        env.set_scenario(Scenario::new().restrict_link(
-            sampler_node,
-            detector_node,
-            SimTime::from_secs(60),
-            SimTime::from_secs(120),
-            mbps(1.0),
-        ));
+        let cap_link = |cap| crate::scenario::Action::CapLink {
+            a: sampler_node,
+            b: detector_node,
+            cap,
+        };
+        env.set_scenario(
+            Scenario::new()
+                .at(SimTime::from_secs(60), cap_link(Some(mbps(1.0))))
+                .at(SimTime::from_secs(120), cap_link(None)),
+        );
         let mut hooks = 0u64;
         env.run_for(SimDuration::from_secs(180), |_| hooks += 1).unwrap();
         let rates: Vec<u64> = (0..env.mesh().flow_count())

@@ -32,6 +32,6 @@ pub mod env;
 pub mod metrics;
 pub mod scenario;
 
-pub use env::{EdgeState, EnvError, SimEnv, SimEnvConfig};
+pub use env::{EnvError, SimEnv, SimEnvConfig};
 pub use metrics::Recorder;
 pub use scenario::{Action, Scenario};

@@ -78,51 +78,6 @@ impl Recorder {
         self.samples(name).iter().copied().collect()
     }
 
-    /// All series names, sorted.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
-    }
-
-    /// All sample-batch names, sorted.
-    pub fn sample_names(&self) -> Vec<&str> {
-        self.samples.keys().map(String::as_str).collect()
-    }
-
-    /// Writes one series as `time_s,value` CSV — the plotting-friendly
-    /// form of a timeline figure.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn write_series_csv(
-        &self,
-        name: &str,
-        mut out: impl std::io::Write,
-    ) -> std::io::Result<()> {
-        writeln!(out, "time_s,{name}")?;
-        for (t, v) in self.series(name).iter() {
-            writeln!(out, "{:.6},{v:.6}", t.as_secs_f64())?;
-        }
-        Ok(())
-    }
-
-    /// Writes one sample batch as a single-column CSV.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn write_samples_csv(
-        &self,
-        name: &str,
-        mut out: impl std::io::Write,
-    ) -> std::io::Result<()> {
-        writeln!(out, "{name}")?;
-        for v in self.samples(name) {
-            writeln!(out, "{v:.6}")?;
-        }
-        Ok(())
-    }
-
     /// Folds a `bass-obs` metrics snapshot into this recorder: every
     /// counter and gauge becomes a single `(at, value)` point on the
     /// series of the same name (counters cast to `f64`). Called at the
@@ -189,33 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn names_listing() {
-        let mut r = Recorder::new();
-        r.record_series("b", SimTime::ZERO, 0.0);
-        r.record_series("a", SimTime::ZERO, 0.0);
-        r.record_sample("z", 1.0);
-        assert_eq!(r.series_names(), vec!["a", "b"]);
-        assert_eq!(r.sample_names(), vec!["z"]);
-    }
-
-    #[test]
-    fn csv_exports() {
-        let mut r = Recorder::new();
-        r.record_series("lat", SimTime::from_secs(1), 10.0);
-        r.record_series("lat", SimTime::from_secs(2), 20.0);
-        r.record_sample("p", 1.5);
-        let mut buf = Vec::new();
-        r.write_series_csv("lat", &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("time_s,lat\n"));
-        assert!(text.contains("1.000000,10.000000"));
-        assert!(text.contains("2.000000,20.000000"));
-        let mut buf = Vec::new();
-        r.write_samples_csv("p", &mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), "p\n1.500000\n");
-    }
-
-    #[test]
     fn single_sample_percentiles_collapse_to_that_sample() {
         let mut r = Recorder::new();
         r.record_sample("lat", 7.5);
@@ -265,8 +193,7 @@ mod tests {
     fn absorbing_empty_metrics_records_nothing() {
         let mut r = Recorder::new();
         r.absorb_metrics(&bass_obs::Metrics::new(), SimTime::from_secs(1));
-        assert!(r.series_names().is_empty());
-        assert!(r.sample_names().is_empty());
+        assert_eq!(r, Recorder::new());
     }
 
     #[test]

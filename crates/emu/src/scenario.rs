@@ -82,19 +82,6 @@ impl Scenario {
             .at(until, Action::CapNodeEgress { node, cap: None })
     }
 
-    /// Convenience: restrict then restore a link.
-    pub fn restrict_link(
-        self,
-        a: NodeId,
-        b: NodeId,
-        from: SimTime,
-        until: SimTime,
-        cap: Bandwidth,
-    ) -> Self {
-        self.at(from, Action::CapLink { a, b, cap: Some(cap) })
-            .at(until, Action::CapLink { a, b, cap: None })
-    }
-
     /// Number of actions not yet applied.
     pub fn remaining(&self) -> usize {
         self.actions.len() - self.cursor
@@ -113,7 +100,7 @@ impl Scenario {
     ///
     /// Propagates mesh errors (unknown node/link), leaving the cursor
     /// *after* the failing action so a bad entry cannot wedge the run.
-    pub fn apply_due(&mut self, mesh: &mut Mesh, now: SimTime) -> Result<(), MeshError> {
+    pub(crate) fn apply_due(&mut self, mesh: &mut Mesh, now: SimTime) -> Result<(), MeshError> {
         while self.cursor < self.actions.len() && self.actions[self.cursor].0 <= now {
             let (_, action) = self.actions[self.cursor];
             self.cursor += 1;

@@ -32,7 +32,7 @@ fn over_capacity(used_bps: f64, cap_bps: f64) -> bool {
 /// "Effective" accounts for trace-driven capacity at the current (or
 /// frozen) trace time and for down state: a down link has zero effective
 /// capacity, so any allocation across it is a violation.
-pub fn check_link_capacity(mesh: &Mesh) -> Result<(), Vec<String>> {
+fn check_link_capacity(mesh: &Mesh) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
     for (_, link) in mesh.topology().links() {
         let cap = mesh
@@ -58,7 +58,7 @@ pub fn check_link_capacity(mesh: &Mesh) -> Result<(), Vec<String>> {
 }
 
 /// No component is placed on a node the mesh considers down.
-pub fn check_placement_on_up_nodes(mesh: &Mesh, cluster: &Cluster) -> Result<(), Vec<String>> {
+fn check_placement_on_up_nodes(mesh: &Mesh, cluster: &Cluster) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
     for (component, node) in cluster.placement() {
         if !mesh.node_is_up(node) {
@@ -75,7 +75,7 @@ pub fn check_placement_on_up_nodes(mesh: &Mesh, cluster: &Cluster) -> Result<(),
 /// The cluster's resource accounting is self-consistent: tracked CPU/mem
 /// allocations equal the sum over placed components and fit within every
 /// node's capacity (which also rules out negative free resources).
-pub fn check_cluster_accounting(cluster: &Cluster) -> Result<(), Vec<String>> {
+fn check_cluster_accounting(cluster: &Cluster) -> Result<(), Vec<String>> {
     cluster.check_invariants().map_err(|msg| vec![msg])
 }
 
@@ -85,7 +85,7 @@ pub fn check_cluster_accounting(cluster: &Cluster) -> Result<(), Vec<String>> {
 ///
 /// The controller decides each trigger synchronously, so an unresolved
 /// trigger means a migration plan was silently dropped.
-pub fn check_triggers_resolved(journal: &Journal) -> Result<(), Vec<String>> {
+fn check_triggers_resolved(journal: &Journal) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
     for event in journal.events_of_kind("migration_triggered") {
         let t_s = event.t_s();

@@ -30,7 +30,7 @@ impl CapacitySource {
 
 /// A link's capacity state: base source plus optional `tc`-style cap.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinkCapacity {
+pub(crate) struct LinkCapacity {
     source: CapacitySource,
     /// Optional artificial cap (the `tc` knob); `None` means unshapen.
     cap: Option<Bandwidth>,
@@ -43,12 +43,12 @@ impl LinkCapacity {
     }
 
     /// Applies or clears the artificial cap.
-    pub fn set_cap(&mut self, cap: Option<Bandwidth>) {
+    pub(crate) fn set_cap(&mut self, cap: Option<Bandwidth>) {
         self.cap = cap;
     }
 
     /// Replaces the base source.
-    pub fn set_source(&mut self, source: CapacitySource) {
+    pub(crate) fn set_source(&mut self, source: CapacitySource) {
         self.source = source;
     }
 
@@ -58,7 +58,7 @@ impl LinkCapacity {
     }
 
     /// Effective capacity at time `t`: `min(base, cap)`.
-    pub fn effective_at(&self, t: SimTime) -> Bandwidth {
+    pub(crate) fn effective_at(&self, t: SimTime) -> Bandwidth {
         self.capped(self.source.capacity_at(t))
     }
 

@@ -51,7 +51,7 @@ const EPS: f64 = 1e-6; // bps — far below any meaningful rate
 
 /// Marker for flows that belong to no constraint (loopback traffic):
 /// they are granted their demand outright and live in no component.
-pub const NO_COMPONENT: u32 = u32::MAX;
+pub(crate) const NO_COMPONENT: u32 = u32::MAX;
 
 /// Connected components of the flow ↔ constraint bipartite graph.
 ///
@@ -78,7 +78,7 @@ pub const NO_COMPONENT: u32 = u32::MAX;
 /// re-derives just those — a removal can split a component, an add can
 /// merge several.
 #[derive(Debug, Clone, Default)]
-pub struct ComponentIndex {
+pub(crate) struct ComponentIndex {
     /// Component of each flow; [`NO_COMPONENT`] for unconstrained flows.
     flow_comp: Vec<u32>,
     /// Component of each constraint (memberless constraints form
@@ -311,22 +311,22 @@ impl ComponentIndex {
 
     /// The component a flow belongs to, or [`NO_COMPONENT`] when the
     /// flow crosses no constraint.
-    pub fn flow_component(&self, flow: usize) -> u32 {
+    pub(crate) fn flow_component(&self, flow: usize) -> u32 {
         self.flow_comp[flow]
     }
 
     /// The component a constraint belongs to.
-    pub fn constraint_component(&self, ci: usize) -> u32 {
+    pub(crate) fn constraint_component(&self, ci: usize) -> u32 {
         self.cons_comp[ci]
     }
 
     /// The flow indices of a component, ascending.
-    pub fn flows_of(&self, comp: u32) -> &[usize] {
+    fn flows_of(&self, comp: u32) -> &[usize] {
         &self.comp_flows[self.comp_flows_off[comp as usize]..self.comp_flows_off[comp as usize + 1]]
     }
 
     /// The constraint indices of a component, ascending.
-    pub fn constraints_of(&self, comp: u32) -> &[usize] {
+    fn constraints_of(&self, comp: u32) -> &[usize] {
         &self.comp_cons[self.comp_cons_off[comp as usize]..self.comp_cons_off[comp as usize + 1]]
     }
 }
@@ -340,7 +340,7 @@ impl ComponentIndex {
 /// every simulation tick — [`crate::Mesh`] — performs zero heap
 /// allocations on the steady-state path.
 #[derive(Debug, Clone, Default)]
-pub struct AllocScratch {
+pub(crate) struct AllocScratch {
     frozen: Vec<bool>,
     remaining: Vec<f64>,
     active_count: Vec<usize>,
@@ -522,7 +522,7 @@ fn reserve_scratch(scratch: &mut AllocScratch, n: usize, m: usize) {
 ///
 /// Panics if a constraint references a flow index `>= demands.len()` or
 /// the CSR map is inconsistent with `demands.len()`.
-pub fn max_min_allocate_components(
+pub(crate) fn max_min_allocate_components(
     demands: &[Bandwidth],
     constraints: &[Constraint],
     flow_cons_off: &[usize],
@@ -565,7 +565,7 @@ pub fn max_min_allocate_components(
 /// Panics if `rates`/CSR sizes are inconsistent with `demands.len()` or
 /// a constraint references an out-of-range flow.
 #[allow(clippy::too_many_arguments)]
-pub fn refill_component_into(
+pub(crate) fn refill_component_into(
     comp: u32,
     demands: &[Bandwidth],
     constraints: &[Constraint],
@@ -600,7 +600,7 @@ pub fn refill_component_into(
 /// zero for (near-)zero demands. [`crate::Mesh`] applies this rule
 /// directly when an unconstrained flow's demand moves, without touching
 /// any component.
-pub fn unconstrained_rate(demand: Bandwidth) -> f64 {
+pub(crate) fn unconstrained_rate(demand: Bandwidth) -> f64 {
     let d = demand.as_bps();
     if d > EPS {
         d
@@ -614,7 +614,7 @@ pub fn unconstrained_rate(demand: Bandwidth) -> f64 {
 /// instance.
 /// `off` receives `n + 1` offsets and `cons` the flattened constraint
 /// indices; both are reused without reallocating when possible.
-pub fn build_flow_constraint_map(
+fn build_flow_constraint_map(
     n: usize,
     constraints: &[Constraint],
     off: &mut Vec<usize>,
@@ -657,10 +657,9 @@ pub fn build_flow_constraint_map(
 ///   crosses a saturated constraint on which no other member has a
 ///   larger rate that could be reduced in its favor.
 ///
-/// This is a convenience wrapper over
-/// [`max_min_allocate_components`] for one-shot callers; per-tick
-/// callers should hold an [`AllocScratch`], a persistent CSR map and a
-/// [`ComponentIndex`] instead.
+/// This is the one-shot form of the per-component fill; `Mesh` keeps
+/// the scratch buffers, the flow → constraint map and the component
+/// index alive between ticks instead.
 pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
     let n = demands.len();
     let mut off = Vec::new();

@@ -40,7 +40,7 @@ pub mod routing;
 pub mod topology;
 
 pub use capacity::CapacitySource;
-pub use flow::{FlowId, FlowSpec};
+pub use flow::FlowId;
 pub use mesh::{Mesh, MeshError};
 pub use routing::RoutingTable;
 pub use topology::{LinkId, NodeId, Topology, TopologyError};

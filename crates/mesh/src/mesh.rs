@@ -656,19 +656,10 @@ impl Mesh {
         Ok(Bandwidth::from_bps(self.alloc.link_used_bps()[lid.0]))
     }
 
-    /// Spare capacity on the link between `a` and `b`: the link's own
-    /// headroom, further limited by the spare egress at either capped
-    /// endpoint (what a probe over this link could actually push).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeshError::UnknownLink`] if no such link exists.
-    pub fn link_available(&self, a: NodeId, b: NodeId) -> Result<Bandwidth, MeshError> {
-        Ok(self.link_available_by_id(self.routes.link(a, b)?))
-    }
-
-    /// [`link_available`](Self::link_available) of the link with id
-    /// `lid` — O(1) while the allocator's capacity snapshot is current.
+    /// Spare capacity on the link with id `lid`: the link's own headroom,
+    /// further limited by the spare egress at either capped endpoint (what
+    /// a probe over this link could actually push) — O(1) while the
+    /// allocator's capacity snapshot is current.
     ///
     /// # Panics
     ///
@@ -751,6 +742,11 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Spare capacity on the link between nodes `a` and `b`.
+    fn available(m: &Mesh, a: u32, b: u32) -> Bandwidth {
+        m.link_available_by_id(m.topology().find_link(NodeId(a), NodeId(b)).unwrap())
+    }
     use bass_trace::{BandwidthTrace, StepScript};
 
     fn mbps(x: f64) -> Bandwidth {
@@ -873,7 +869,7 @@ mod tests {
         approx(mesh.flow_rate(f), 10.0);
         approx(mesh.link_usage(NodeId(0), NodeId(1)).unwrap(), 10.0);
         approx(mesh.link_usage(NodeId(1), NodeId(2)).unwrap(), 10.0);
-        approx(mesh.link_available(NodeId(0), NodeId(1)).unwrap(), 0.0);
+        approx(available(&mesh, 0, 1), 0.0);
     }
 
     #[test]
@@ -1303,14 +1299,14 @@ mod tests {
         assert!(production.flow_rate(removed) > Bandwidth::ZERO);
         let reads = |m: &Mesh| {
             [
-                m.link_available(NodeId(2), NodeId(0)).unwrap(),
-                m.link_available(NodeId(1), NodeId(2)).unwrap(),
+                available(m, 2, 0),
+                available(m, 1, 2),
                 m.directed_link_available(NodeId(2), NodeId(1)).unwrap(),
             ]
             .map(bits)
         };
         assert_eq!(reads(&reference), reads(&production));
-        approx(production.link_available(NodeId(2), NodeId(0)).unwrap(), 20.0 - 1.3);
+        approx(available(&production, 2, 0), 20.0 - 1.3);
         for m in [&mut reference, &mut production] {
             m.advance(step);
         }

@@ -77,7 +77,7 @@ impl FlowQueue {
     /// by a single bit. Mirrors `advance`'s arithmetic exactly; growing
     /// backlogs always return `false`, so congested flows are never
     /// skipped over.
-    pub fn advance_is_identity(
+    pub(crate) fn advance_is_identity(
         &self,
         dt: SimDuration,
         offered: Bandwidth,
@@ -145,14 +145,14 @@ impl FlowQueue {
 
 /// Forwarding latency of one wireless hop: 802.11 per-hop forwarding
 /// latency is on the order of a millisecond.
-pub const HOP_LATENCY: SimDuration = SimDuration::from_millis(1);
+const HOP_LATENCY: SimDuration = SimDuration::from_millis(1);
 
 /// Latency between co-located (loopback) components.
 pub const LOOPBACK_LATENCY: SimDuration = SimDuration::from_micros(50);
 
 /// Propagation latency for a path of `hops` wireless hops (0 hops =
 /// loopback).
-pub fn hop_latency(hops: usize) -> SimDuration {
+pub(crate) fn hop_latency(hops: usize) -> SimDuration {
     if hops == 0 {
         LOOPBACK_LATENCY
     } else {

@@ -264,7 +264,7 @@ impl Topology {
     }
 
     /// Links incident to a node, in ascending link-id order.
-    pub fn incident_links(&self, n: NodeId) -> Vec<LinkId> {
+    pub(crate) fn incident_links(&self, n: NodeId) -> Vec<LinkId> {
         let mut out: Vec<LinkId> =
             self.neighbor_links(n).iter().map(|&(_, lid)| lid).collect();
         out.sort_unstable();

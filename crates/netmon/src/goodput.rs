@@ -111,11 +111,6 @@ impl GoodputMonitor {
         self.edges.is_empty()
     }
 
-    /// Drops measurements older than `cutoff` (stale after a redeploy).
-    pub fn expire_before(&mut self, cutoff: SimTime) {
-        self.edges.retain(|_, u| u.measured_at >= cutoff);
-    }
-
     /// Drops every measurement with `component` at either end — a retired
     /// app instance must not leave goodput ghosts behind for the
     /// controller to chase.
@@ -174,16 +169,6 @@ mod tests {
             measured_at: SimTime::ZERO,
         };
         assert!((u.goodput_fraction() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expiry_drops_stale_entries() {
-        let mut m = GoodputMonitor::new();
-        m.record(ComponentId(1), ComponentId(2), mbps(1.0), mbps(1.0), SimTime::from_secs(10));
-        m.record(ComponentId(2), ComponentId(3), mbps(1.0), mbps(1.0), SimTime::from_secs(50));
-        m.expire_before(SimTime::from_secs(30));
-        assert_eq!(m.len(), 1);
-        assert!(m.usage(ComponentId(2), ComponentId(3)).is_some());
     }
 
     #[test]

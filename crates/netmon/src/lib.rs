@@ -16,8 +16,5 @@
 pub mod goodput;
 pub mod probe;
 
-pub use goodput::{EdgeUsage, GoodputMonitor};
-pub use probe::{
-    HeadroomReport, NetMonitor, NetMonitorConfig, ProbeOverhead, HEADROOM_PROBE_RATE,
-    PROBE_DURATION,
-};
+pub use goodput::GoodputMonitor;
+pub use probe::{HeadroomReport, NetMonitor, NetMonitorConfig};

@@ -23,7 +23,7 @@ pub struct NetMonitorConfig {
 pub const PROBE_DURATION: SimDuration = SimDuration::from_secs(1);
 
 /// Fraction of link capacity a headroom probe transmits (paper §4.2: 10 %).
-pub const HEADROOM_PROBE_RATE: f64 = 0.10;
+const HEADROOM_PROBE_RATE: f64 = 0.10;
 
 impl Default for NetMonitorConfig {
     fn default() -> Self {
@@ -51,16 +51,6 @@ impl ProbeOverhead {
     /// Total probe bytes.
     pub fn total_bytes(&self) -> DataSize {
         self.full_probe_bytes + self.headroom_probe_bytes
-    }
-
-    /// Probe traffic as a fraction of `link_seconds_capacity` — the total
-    /// data the probed links could have carried over the experiment.
-    pub fn fraction_of(&self, total_capacity_bytes: DataSize) -> f64 {
-        if total_capacity_bytes == DataSize::ZERO {
-            0.0
-        } else {
-            self.total_bytes().as_bytes() as f64 / total_capacity_bytes.as_bytes() as f64
-        }
     }
 }
 
@@ -123,14 +113,13 @@ impl HeadroomReport {
 #[derive(Debug, Clone, Default)]
 pub struct NetMonitor {
     cfg: NetMonitorConfig,
-    /// Per link, indexed by `LinkId`: the last measured capacity and
-    /// when it was measured; `None` until a full-probe sample lands.
-    capacity_cache: Vec<Option<(Bandwidth, SimTime)>>,
+    /// Per link, indexed by `LinkId`: the last measured capacity;
+    /// `None` until a full-probe sample lands.
+    capacity_cache: Vec<Option<Bandwidth>>,
     /// Per link, indexed by `LinkId`: whether the last sampled
     /// headroom probe found the headroom; `true` until first sampled.
     headroom_ok: Vec<bool>,
     overhead: ProbeOverhead,
-    last_full_probe: Option<SimTime>,
     last_headroom_probe: Option<SimTime>,
     /// When set, each per-link probe sample is independently dropped with
     /// the given probability, drawn from the carried RNG (fault
@@ -147,7 +136,6 @@ impl NetMonitor {
             capacity_cache: Vec::new(),
             headroom_ok: Vec::new(),
             overhead: ProbeOverhead::default(),
-            last_full_probe: None,
             last_headroom_probe: None,
             probe_loss: None,
         }
@@ -190,7 +178,6 @@ impl NetMonitor {
     /// Against the simulator the measurement is exact; the cost is the
     /// flood traffic, which is charged to the overhead accounting.
     pub fn full_probe(&mut self, mesh: &Mesh) {
-        let now = mesh.now();
         self.fit_links(mesh);
         for (lid, _) in mesh.topology().links() {
             let cap = mesh.link_capacity_by_id(lid);
@@ -201,10 +188,9 @@ impl NetMonitor {
             if self.sample_lost() {
                 continue; // measurement dropped: the stale cache entry survives
             }
-            self.capacity_cache[lid.0] = Some((cap, now));
+            self.capacity_cache[lid.0] = Some(cap);
         }
         self.overhead.full_probes += 1;
-        self.last_full_probe = Some(now);
     }
 
     /// Performs one headroom-probing round: checks every link for
@@ -222,7 +208,7 @@ impl NetMonitor {
         };
         for (lid, link) in mesh.topology().links() {
             let cached = match self.capacity_cache[lid.0] {
-                Some((c, _)) => c,
+                Some(c) => c,
                 None => mesh.link_capacity_by_id(lid),
             };
             // Probe transmission: HEADROOM_PROBE_RATE × capacity for
@@ -327,50 +313,16 @@ impl NetMonitor {
         }
     }
 
-    /// The cache entry of the link between `a` and `b` in `mesh`, if
-    /// that link exists and was ever probed.
-    fn cached(&self, mesh: &Mesh, a: NodeId, b: NodeId) -> Option<(Bandwidth, SimTime)> {
-        let lid = mesh.topology().find_link(a, b)?;
-        self.capacity_cache.get(lid.0).copied().flatten()
-    }
-
     /// Cached capacity of the link between `a` and `b` in `mesh`, if it
     /// was ever probed.
     pub fn cached_link_capacity(&self, mesh: &Mesh, a: NodeId, b: NodeId) -> Option<Bandwidth> {
-        self.cached(mesh, a, b).map(|(c, _)| c)
-    }
-
-    /// When the capacity of the link between `a` and `b` in `mesh` was
-    /// last measured.
-    pub fn cached_link_age(&self, mesh: &Mesh, a: NodeId, b: NodeId) -> Option<SimTime> {
-        self.cached(mesh, a, b).map(|(_, t)| t)
-    }
-
-    /// Path capacity estimate from cached link estimates: traceroute the
-    /// pair, then take the bottleneck of the cached per-link capacities
-    /// (§4.2 "Network Resource Monitoring"). Returns `None` if any link
-    /// on the path was never probed or no route exists.
-    pub fn cached_path_capacity(&self, mesh: &Mesh, src: NodeId, dst: NodeId) -> Option<Bandwidth> {
-        if src == dst {
-            return Some(Bandwidth::from_bps(f64::INFINITY));
-        }
-        let path = mesh.path(src, dst).ok()?;
-        let mut bottleneck = Bandwidth::from_bps(f64::INFINITY);
-        for w in path.windows(2) {
-            let cap = self.cached_link_capacity(mesh, w[0], w[1])?;
-            bottleneck = bottleneck.min(cap);
-        }
-        Some(bottleneck)
+        let lid = mesh.topology().find_link(a, b)?;
+        self.capacity_cache.get(lid.0).copied().flatten()
     }
 
     /// Cumulative probe overhead so far.
     pub fn overhead(&self) -> ProbeOverhead {
         self.overhead
-    }
-
-    /// Time of the last full probe, if any.
-    pub fn last_full_probe(&self) -> Option<SimTime> {
-        self.last_full_probe
     }
 
     /// The earliest time at which
@@ -515,33 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_path_capacity_is_bottleneck() {
-        let mut topo = Topology::new();
-        for i in 0..3 {
-            topo.add_node(NodeId(i)).unwrap();
-        }
-        topo.add_link(NodeId(0), NodeId(1)).unwrap();
-        topo.add_link(NodeId(1), NodeId(2)).unwrap();
-        let mut mesh = Mesh::new(topo).unwrap();
-        mesh.set_link_source(NodeId(0), NodeId(1), bass_mesh::CapacitySource::Constant(mbps(20.0)))
-            .unwrap();
-        mesh.set_link_source(NodeId(1), NodeId(2), bass_mesh::CapacitySource::Constant(mbps(5.0)))
-            .unwrap();
-        let mut mon = NetMonitor::new(NetMonitorConfig::default());
-        assert_eq!(mon.cached_path_capacity(&mesh, NodeId(0), NodeId(2)), None);
-        mon.full_probe(&mesh);
-        assert_eq!(
-            mon.cached_path_capacity(&mesh, NodeId(0), NodeId(2)),
-            Some(mbps(5.0))
-        );
-        assert!(mon
-            .cached_path_capacity(&mesh, NodeId(1), NodeId(1))
-            .unwrap()
-            .as_bps()
-            .is_infinite());
-    }
-
-    #[test]
     fn overhead_fraction_matches_paper_ballpark() {
         // Paper: probing 10% of capacity for 1 s every 30 s ≈ 0.3% of
         // link traffic.
@@ -560,22 +485,9 @@ mod tests {
             headroom_probe_bytes: mon.overhead().headroom_probe_bytes,
             ..Default::default()
         };
-        let frac = headroom_only.fraction_of(total_capacity);
+        let frac = headroom_only.total_bytes().as_bytes() as f64 / total_capacity.as_bytes() as f64;
         assert!((frac - 0.00333).abs() < 0.0005, "headroom overhead {frac}");
         assert!(full_cost.as_bytes() > 0);
-    }
-
-    #[test]
-    fn stale_cache_is_visible_through_age() {
-        let mut mesh = mesh();
-        let mut mon = NetMonitor::new(NetMonitorConfig::default());
-        mesh.advance(SimDuration::from_secs(5));
-        mon.full_probe(&mesh);
-        assert_eq!(
-            mon.cached_link_age(&mesh, NodeId(0), NodeId(1)),
-            Some(SimTime::from_secs(5))
-        );
-        assert_eq!(mon.last_full_probe(), Some(SimTime::from_secs(5)));
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl SpanStats {
     }
 
     /// Mean duration, nanoseconds (0 when nothing was recorded).
-    pub fn mean_ns(&self) -> f64 {
+    fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -111,7 +111,7 @@ impl SpanStats {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn approx_quantile_ns(&self, q: f64) -> f64 {
+    fn approx_quantile_ns(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -119,7 +119,7 @@ impl SpanStats {
     }
 
     /// Condenses into the serializable [`SpanSummary`].
-    pub fn summarize(&self) -> SpanSummary {
+    fn summarize(&self) -> SpanSummary {
         SpanSummary {
             count: self.count,
             total_ns: self.total_ns,

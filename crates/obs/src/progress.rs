@@ -96,11 +96,6 @@ impl Progress {
     pub fn completed(&self) -> u64 {
         self.units_done.load(Ordering::Relaxed)
     }
-
-    /// Total work (ticks) completed so far.
-    pub fn work_completed(&self) -> u64 {
-        self.work_done.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +123,7 @@ mod tests {
             }
         });
         assert_eq!(progress.completed(), 8);
-        assert_eq!(progress.work_completed(), 800);
+        assert_eq!(progress.work_done.load(Ordering::Relaxed), 800);
         assert!(!progress.enabled());
     }
 

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 /// Prometheus charset: lowercased, every character outside
 /// `[a-z0-9_:]` replaced with `_`, and a leading underscore added if
 /// the result would start with a digit.
-pub fn sanitize_name(raw: &str) -> String {
+fn sanitize_name(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for c in raw.chars() {
         let c = c.to_ascii_lowercase();
@@ -270,7 +270,7 @@ fn split_sample(line: &str) -> Option<(&str, &str)> {
 
 /// Returns true when `name` matches the Prometheus metric-name charset
 /// `[a-z_:][a-z0-9_:]*` (the lint deliberately rejects uppercase).
-pub fn valid_name(name: &str) -> bool {
+fn valid_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_lowercase() || c == '_' || c == ':' => {}

@@ -153,7 +153,7 @@ impl Event {
     /// the same bytes as `serde_json::to_string(self)`, and what every
     /// journal line and [`Journal::export_jsonl`](crate::Journal::export_jsonl)
     /// entry is made of.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Event::PlacementDecided { t_s, component, node, policy, crossing_mbps } => {
                 Object::open(out, "PlacementDecided")

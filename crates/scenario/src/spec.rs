@@ -8,6 +8,7 @@
 //! campaign never dies halfway through a replica on a bad parameter.
 
 use bass_faults::StormProfile;
+use bass_util::time::MAX_SECS;
 use bass_util::units::Millicores;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -426,7 +427,7 @@ impl ScenarioSpec {
         // The run length, horizon_ticks × step_ms, must fit the
         // microsecond clock.
         let horizon_ms = self.horizon_ticks.checked_mul(self.step_ms);
-        if horizon_ms.and_then(|ms| ms.checked_mul(1000)).is_none() {
+        if horizon_ms.is_none_or(|ms| ms > MAX_SECS * 1000) {
             return Err(SpecError::new(format!(
                 "horizon_ticks {} × step_ms {} overflows the microsecond clock",
                 self.horizon_ticks, self.step_ms

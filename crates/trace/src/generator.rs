@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// `x(t+dt) = mean + phi * (x(t) - mean) + sigma * sqrt(1 - phi^2) * eps`
 /// with `phi = exp(-dt / relaxation)`.
 #[derive(Debug, Clone)]
-pub struct OuProcess {
+struct OuProcess {
     mean_mbps: f64,
     sigma_mbps: f64,
     relaxation: SimDuration,
@@ -53,11 +53,6 @@ impl OuProcess {
         let noise = self.sigma_mbps * (1.0 - phi * phi).sqrt() * rng.standard_normal();
         self.current_mbps = self.mean_mbps + phi * (self.current_mbps - self.mean_mbps) + noise;
         self.current_mbps = self.current_mbps.max(0.0);
-        self.current_mbps
-    }
-
-    /// The current value in Mbps.
-    pub fn current_mbps(&self) -> f64 {
         self.current_mbps
     }
 }
@@ -131,7 +126,7 @@ impl OuTraceConfig {
     }
 
     /// Sets the minimum capacity the trace may report.
-    pub fn floor_mbps(mut self, floor: f64) -> Self {
+    pub(crate) fn floor_mbps(mut self, floor: f64) -> Self {
         self.floor_mbps = floor.max(0.0);
         self
     }
@@ -242,7 +237,7 @@ mod tests {
         // Kick the process away from the mean by hand.
         p.current_mbps = 100.0;
         // With zero noise it must decay monotonically toward 20.
-        let mut prev = p.current_mbps();
+        let mut prev = p.current_mbps;
         for _ in 0..20 {
             let v = p.step(SimDuration::from_secs(5), &mut rng);
             assert!(v < prev);
@@ -303,8 +298,8 @@ mod tests {
         let fady = calm.clone().fades(6.0, 0.3, SimDuration::from_secs(30));
         let calm_trace = calm.generate(9, SimDuration::from_secs(1200));
         let fady_trace = fady.generate(9, SimDuration::from_secs(1200));
-        let calm_min = calm_trace.min_capacity().as_mbps();
-        let fady_min = fady_trace.min_capacity().as_mbps();
+        let calm_min = calm_trace.stats_mbps().min().unwrap();
+        let fady_min = fady_trace.stats_mbps().min().unwrap();
         assert!(
             fady_min < calm_min * 0.6,
             "fades should create deep dips ({fady_min} vs {calm_min})"

@@ -15,7 +15,7 @@
 //!   paper's `tc`-based throttling in the microbenchmarks.
 //! - [`citylab`] — the 5-node CityLab subset of Fig. 15(a) as a reusable
 //!   topology + trace bundle.
-//! - [`io`] — JSON/CSV persistence for traces and bundles.
+//! - [`io`] — CSV export of traces.
 
 pub mod citylab;
 pub mod generator;
@@ -24,6 +24,6 @@ pub mod script;
 pub mod trace;
 
 pub use citylab::{citylab_bundle, citylab_topology_links, CitylabLink};
-pub use generator::{ou_bundle, OuProcess, OuTraceConfig};
+pub use generator::{ou_bundle, OuTraceConfig};
 pub use script::StepScript;
 pub use trace::{BandwidthTrace, TraceBundle};

@@ -47,7 +47,7 @@ impl StepScript {
     }
 
     /// Sets the capacity to `value` from `at` onward (until the next step).
-    pub fn set_at(mut self, at: SimTime, value: Bandwidth) -> Self {
+    fn set_at(mut self, at: SimTime, value: Bandwidth) -> Self {
         self.steps.push((at, value));
         self
     }

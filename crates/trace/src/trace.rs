@@ -156,40 +156,9 @@ impl BandwidthTrace {
         (capacity, s.get(i).map(|&(st, _)| st))
     }
 
-    /// The time of the last sample, or `None` when empty.
-    pub fn end_time(&self) -> Option<SimTime> {
-        self.samples.last().map(|&(t, _)| t)
-    }
-
     /// Summary statistics over the sample values (in Mbps).
     pub fn stats_mbps(&self) -> StreamingStats {
         self.samples.iter().map(|&(_, b)| b.as_mbps()).collect()
-    }
-
-    /// The largest capacity observed across the whole trace.
-    pub fn max_capacity(&self) -> Bandwidth {
-        self.samples
-            .iter()
-            .map(|&(_, b)| b)
-            .fold(Bandwidth::ZERO, Bandwidth::max)
-    }
-
-    /// The smallest capacity observed, or zero when empty.
-    pub fn min_capacity(&self) -> Bandwidth {
-        self.samples
-            .iter()
-            .map(|&(_, b)| b)
-            .reduce(Bandwidth::min)
-            .unwrap_or(Bandwidth::ZERO)
-    }
-
-    /// Converts to a plain [`TimeSeries`] of Mbps values (e.g. for rolling
-    /// means as in Fig. 2).
-    pub fn to_series_mbps(&self) -> TimeSeries {
-        self.samples
-            .iter()
-            .map(|&(t, b)| (t, b.as_mbps()))
-            .collect()
     }
 
     /// Returns a copy with every capacity scaled by `factor` (e.g. to
@@ -205,30 +174,27 @@ impl BandwidthTrace {
         }
     }
 
-    /// Returns a copy clamped so capacities never drop below `floor`.
-    pub fn with_floor(&self, floor: Bandwidth) -> BandwidthTrace {
-        BandwidthTrace {
-            name: self.name.clone(),
-            samples: self
-                .samples
-                .iter()
-                .map(|&(t, b)| (t, b.max(floor)))
-                .collect(),
-        }
-    }
-
     /// Returns a copy where every sample is replaced by the trace's
     /// maximum capacity — the "no bandwidth variation" baseline of
     /// Table 2, which sets each link to the maximum value observed in the
     /// CityLab trace.
     pub fn flattened_to_max(&self) -> BandwidthTrace {
-        let max = self.max_capacity();
+        let max = self
+            .samples
+            .iter()
+            .map(|&(_, b)| b)
+            .fold(Bandwidth::ZERO, Bandwidth::max);
         BandwidthTrace::constant(format!("{}-max", self.name), max)
     }
 
     /// 10-second-style rolling mean of the capacity, in Mbps.
     pub fn rolling_mean_mbps(&self, window: SimDuration) -> TimeSeries {
-        self.to_series_mbps().rolling_mean(window)
+        let series: TimeSeries = self
+            .samples
+            .iter()
+            .map(|&(t, b)| (t, b.as_mbps()))
+            .collect();
+        series.rolling_mean(window)
     }
 }
 
@@ -428,28 +394,20 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_flatten() {
+    fn flatten_keeps_the_max() {
         let mut t = BandwidthTrace::new("l");
         t.push(SimTime::ZERO, mbps(10.0));
         t.push(SimTime::from_secs(1), mbps(30.0));
         t.push(SimTime::from_secs(2), mbps(20.0));
-        assert_eq!(t.max_capacity(), mbps(30.0));
-        assert_eq!(t.min_capacity(), mbps(10.0));
         let flat = t.flattened_to_max();
         assert_eq!(flat.capacity_at(SimTime::ZERO), mbps(30.0));
         assert_eq!(flat.len(), 1);
     }
 
     #[test]
-    fn scaled_and_floored() {
+    fn scaled_multiplies_every_sample() {
         let t = BandwidthTrace::constant("c", mbps(10.0));
         assert_eq!(t.scaled(0.5).capacity_at(SimTime::ZERO), mbps(5.0));
-        let mut low = BandwidthTrace::new("low");
-        low.push(SimTime::ZERO, mbps(0.5));
-        assert_eq!(
-            low.with_floor(mbps(1.0)).capacity_at(SimTime::ZERO),
-            mbps(1.0)
-        );
     }
 
     #[test]

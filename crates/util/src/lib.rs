@@ -25,8 +25,8 @@
 //!
 //! let link = Bandwidth::from_mbps(25.0);
 //! let frame = DataSize::from_kilobytes(64);
-//! let t = frame.transfer_time(link);
-//! assert!(t > SimDuration::ZERO);
+//! let rate = frame.rate_over(SimDuration::from_millis(100));
+//! assert!(rate < link);
 //! ```
 
 pub mod cdf;

@@ -129,16 +129,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// A normal sample with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "standard deviation must be non-negative");
-        mean + std_dev * self.standard_normal()
-    }
-
     /// An exponential sample with the given rate (events per unit time).
     ///
     /// # Panics
@@ -254,17 +244,6 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut r = SimRng::seed_from_u64(5);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
     }
 
     #[test]

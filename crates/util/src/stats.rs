@@ -218,11 +218,6 @@ impl Percentiles {
         self.quantile(0.95)
     }
 
-    /// Lower quartile (p25).
-    pub fn lower_quartile(&self) -> f64 {
-        self.quantile(0.25)
-    }
-
     /// Upper quartile (p75).
     pub fn upper_quartile(&self) -> f64 {
         self.quantile(0.75)
@@ -238,7 +233,7 @@ impl Percentiles {
     }
 
     /// Borrow the sorted samples.
-    pub fn sorted_samples(&self) -> &[f64] {
+    pub(crate) fn sorted_samples(&self) -> &[f64] {
         &self.sorted
     }
 }
@@ -313,7 +308,6 @@ mod tests {
         assert_eq!(p.median(), 25.0);
         assert_eq!(p.quantile(0.0), 10.0);
         assert_eq!(p.quantile(1.0), 40.0);
-        assert!((p.lower_quartile() - 17.5).abs() < 1e-12);
         assert!((p.upper_quartile() - 32.5).abs() < 1e-12);
     }
 

@@ -11,9 +11,13 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of microseconds in one second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+const MICROS_PER_SEC: u64 = 1_000_000;
 /// Number of microseconds in one millisecond.
-pub const MICROS_PER_MILLI: u64 = 1_000;
+const MICROS_PER_MILLI: u64 = 1_000;
+/// The most whole seconds the microsecond clock holds. Times and lengths
+/// read from outside the program in seconds are checked against it
+/// before they become a [`SimTime`] or [`SimDuration`].
+pub const MAX_SECS: u64 = u64::MAX / MICROS_PER_SEC;
 
 /// An instant on the simulation clock, measured in microseconds since the
 /// start of the simulation.

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let mut ts = TimeSeries::new();
 /// ts.push(SimTime::from_secs(0), 1.0);
 /// ts.push(SimTime::from_secs(1), 3.0);
-/// assert_eq!(ts.value_at(SimTime::from_millis(1500)), Some(3.0));
+/// assert_eq!(ts.stats().mean(), 2.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -71,13 +71,6 @@ impl TimeSeries {
         self.points.iter().copied()
     }
 
-    /// The value in effect at time `t` under step-function ("last value
-    /// wins") semantics, or `None` before the first point.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        let idx = self.points.partition_point(|&(pt, _)| pt <= t);
-        idx.checked_sub(1).map(|i| self.points[i].1)
-    }
-
     /// All values whose timestamps fall in `[start, end)`.
     pub fn window(&self, start: SimTime, end: SimTime) -> impl Iterator<Item = f64> + '_ {
         let lo = self.points.partition_point(|&(t, _)| t < start);
@@ -122,56 +115,6 @@ impl TimeSeries {
     pub fn stats_in(&self, start: SimTime, end: SimTime) -> StreamingStats {
         self.window(start, end).collect()
     }
-
-    /// Resamples the series onto a fixed grid with step `step`, carrying
-    /// the last value forward; starts at the first point's time.
-    pub fn resample(&self, step: SimDuration) -> TimeSeries {
-        let mut out = TimeSeries::new();
-        let (Some(&(first, _)), Some(&(last, _))) = (self.points.first(), self.points.last())
-        else {
-            return out;
-        };
-        assert!(!step.is_zero(), "resample step must be positive");
-        let mut t = first;
-        while t <= last {
-            if let Some(v) = self.value_at(t) {
-                out.push(t, v);
-            }
-            t += step;
-        }
-        out
-    }
-
-    /// Time-weighted mean over `[start, end)` under step semantics, or
-    /// `None` if no value is in effect during the interval.
-    pub fn time_weighted_mean(&self, start: SimTime, end: SimTime) -> Option<f64> {
-        if end <= start {
-            return None;
-        }
-        let mut acc = 0.0;
-        let mut weight = 0.0;
-        let mut cursor = start;
-        let mut current = self.value_at(start);
-        let lo = self.points.partition_point(|&(t, _)| t <= start);
-        for &(t, v) in &self.points[lo..] {
-            if t >= end {
-                break;
-            }
-            if let Some(c) = current {
-                let span = (t - cursor).as_secs_f64();
-                acc += c * span;
-                weight += span;
-            }
-            cursor = t;
-            current = Some(v);
-        }
-        if let Some(c) = current {
-            let span = (end - cursor).as_secs_f64();
-            acc += c * span;
-            weight += span;
-        }
-        (weight > 0.0).then(|| acc / weight)
-    }
 }
 
 impl FromIterator<(SimTime, f64)> for TimeSeries {
@@ -193,16 +136,6 @@ mod tests {
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn step_semantics() {
-        let ts: TimeSeries = [(secs(1), 10.0), (secs(3), 20.0)].into_iter().collect();
-        assert_eq!(ts.value_at(secs(0)), None);
-        assert_eq!(ts.value_at(secs(1)), Some(10.0));
-        assert_eq!(ts.value_at(secs(2)), Some(10.0));
-        assert_eq!(ts.value_at(secs(3)), Some(20.0));
-        assert_eq!(ts.value_at(secs(100)), Some(20.0));
     }
 
     #[test]
@@ -252,30 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn resample_carries_forward() {
-        let ts: TimeSeries = [(secs(0), 1.0), (secs(5), 2.0)].into_iter().collect();
-        let r = ts.resample(SimDuration::from_secs(2));
-        assert_eq!(
-            r.points(),
-            &[(secs(0), 1.0), (secs(2), 1.0), (secs(4), 1.0)]
-        );
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_spans() {
-        // value 0 during [0,8), value 10 during [8,10) → mean 2.0
-        let ts: TimeSeries = [(secs(0), 0.0), (secs(8), 10.0)].into_iter().collect();
-        let m = ts.time_weighted_mean(secs(0), secs(10)).unwrap();
-        assert!((m - 2.0).abs() < 1e-9);
-        assert_eq!(ts.time_weighted_mean(secs(5), secs(5)), None);
-    }
-
-    #[test]
     fn empty_series() {
         let ts = TimeSeries::new();
         assert!(ts.is_empty());
-        assert_eq!(ts.value_at(secs(1)), None);
-        assert!(ts.resample(SimDuration::from_secs(1)).is_empty());
-        assert_eq!(ts.time_weighted_mean(secs(0), secs(1)), None);
     }
 }

@@ -162,11 +162,12 @@ impl fmt::Display for Bandwidth {
 /// # Examples
 ///
 /// ```
-/// use bass_util::units::{Bandwidth, DataSize};
+/// use bass_util::time::SimDuration;
+/// use bass_util::units::DataSize;
 ///
-/// // 1 MB over 8 Mbps takes exactly one second.
-/// let t = DataSize::from_megabytes(1).transfer_time(Bandwidth::from_mbps(8.0));
-/// assert_eq!(t.as_secs_f64(), 1.0);
+/// // 1 MB every second is exactly 8 Mbps.
+/// let rate = DataSize::from_megabytes(1).rate_over(SimDuration::from_secs(1));
+/// assert_eq!(rate.as_mbps(), 8.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 #[serde(transparent)]
@@ -199,23 +200,6 @@ impl DataSize {
     /// Size in bits.
     pub const fn as_bits(self) -> u64 {
         self.0 * 8
-    }
-
-    /// Kilobytes as a float.
-    pub fn as_kilobytes(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    /// The time needed to transfer this much data at `rate`.
-    ///
-    /// Returns [`SimDuration::MAX`] when `rate` is zero (the transfer never
-    /// completes), which keeps stalled flows well-defined for callers.
-    pub fn transfer_time(self, rate: Bandwidth) -> SimDuration {
-        if rate.is_zero() {
-            SimDuration::MAX
-        } else {
-            SimDuration::from_secs_f64(self.as_bits() as f64 / rate.as_bps())
-        }
     }
 
     /// The steady rate needed to move this much data every `period`.
@@ -355,11 +339,6 @@ impl MemoryMb {
         MemoryMb(mb)
     }
 
-    /// Creates a quantity from gibibytes.
-    pub const fn from_gb(gb: u64) -> Self {
-        MemoryMb(gb * 1024)
-    }
-
     /// Mebibytes.
     pub const fn as_mb(self) -> u64 {
         self.0
@@ -443,14 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_basic() {
-        let size = DataSize::from_megabytes(1); // 8e6 bits
-        let rate = Bandwidth::from_mbps(8.0);
-        assert_eq!(size.transfer_time(rate), SimDuration::from_secs(1));
-        assert_eq!(size.transfer_time(Bandwidth::ZERO), SimDuration::MAX);
-    }
-
-    #[test]
     fn rate_over_roundtrip() {
         let size = DataSize::from_kilobytes(125); // 1e6 bits
         let rate = size.rate_over(SimDuration::from_secs(1));
@@ -469,7 +440,7 @@ mod tests {
 
     #[test]
     fn memory_accounting() {
-        let cap = MemoryMb::from_gb(8);
+        let cap = MemoryMb::from_mb(8192);
         assert_eq!(cap.as_mb(), 8192);
         assert_eq!(cap.checked_sub(MemoryMb::from_mb(9000)), None);
         assert_eq!(
