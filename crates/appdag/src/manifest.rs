@@ -170,7 +170,7 @@ impl Manifest {
                 .component_by_name(&e.to)
                 .ok_or_else(|| ManifestError::UnknownName(e.to.clone()))?
                 .id;
-            if !(e.bandwidth_mbps.is_finite() && e.bandwidth_mbps >= 0.0) {
+            if !Bandwidth::valid_mbps(e.bandwidth_mbps) {
                 return Err(ManifestError::InvalidBandwidth {
                     from: e.from.clone(),
                     to: e.to.clone(),

@@ -172,8 +172,12 @@ impl TestbedSpec {
             )));
         }
         for l in &self.links {
-            for (field, v) in [("mbps", l.mbps), ("relative_std", l.relative_std)] {
-                if !(v.is_finite() && v >= 0.0) {
+            let std_ok = l.relative_std.is_finite() && l.relative_std >= 0.0;
+            for (field, v, ok) in [
+                ("mbps", l.mbps, Bandwidth::valid_mbps(l.mbps)),
+                ("relative_std", l.relative_std, std_ok),
+            ] {
+                if !ok {
                     return Err(TestbedError::Invalid(format!(
                         "link {}-{}: {field} must be finite and non-negative, got {v}",
                         l.a, l.b
@@ -182,7 +186,7 @@ impl TestbedSpec {
             }
         }
         for (i, r) in self.restrictions.iter().enumerate() {
-            let problem = if !(r.mbps.is_finite() && r.mbps >= 0.0) {
+            let problem = if !Bandwidth::valid_mbps(r.mbps) {
                 format!("mbps must be finite and non-negative, got {}", r.mbps)
             } else if !self.nodes.iter().any(|n| n.id == r.node) {
                 format!("node {} is not declared", r.node)

@@ -595,13 +595,16 @@ fn hostile_numbers_and_names_fail_cleanly() {
         ("traced link mbps -5", true, "\"mbps\": 19.9", "\"mbps\": -5", "link 1-2: mbps"),
         ("constant link mbps -5", true, "\"mbps\": 100", "\"mbps\": -5", "link 0-1: mbps"),
         ("link mbps 1e999", true, "\"mbps\": 19.9", "\"mbps\": 1e999", "number out of range `1e999`"),
+        ("link mbps 1e308", true, "\"mbps\": 19.9", "\"mbps\": 1e308", "link 1-2: mbps"),
         ("restriction mbps -5", true, "\"mbps\": 25", "\"mbps\": -5", "restriction 0: mbps"),
+        ("restriction mbps 1e308", true, "\"mbps\": 25", "\"mbps\": 1e308", "restriction 0: mbps"),
         ("restriction node 99", true, "\"node\": 2", "\"node\": 99", "restriction 0: node 99"),
         ("restriction until before from", true, "\"until_s\": 180", "\"until_s\": 10", "restriction 0: from_s 60"),
         ("restriction until past the clock", true, "\"until_s\": 180", "\"until_s\": 18446744073710", "restriction 0: until_s"),
         ("node cores past the millicore range", true, "\"cores\": 12", "\"cores\": 18446744073709552", "node 1: cores"),
         ("edge bandwidth -12", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": -12", "bandwidth_mbps"),
         ("edge bandwidth 1e999", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": 1e999", "number out of range `1e999`"),
+        ("edge bandwidth 1e308", false, "\"bandwidth_mbps\": 12", "\"bandwidth_mbps\": 1e308", "bandwidth_mbps"),
         (
             "duplicate name",
             false,

@@ -832,7 +832,6 @@ mod tests {
             "tick.migrate",
             "tick.finalize",
             "mesh.queues",
-            "mesh.trace_refresh",
             "mesh.cap_diff",
             "mesh.component_scan",
             "mesh.water_fill",
@@ -846,14 +845,10 @@ mod tests {
             assert!(stats.count > 0, "span {span} never completed");
         }
         assert_eq!(profiler.stats("env.deploy").unwrap().count, 1);
-        // The fill is one span whether it refilled every component (an
-        // index-rebuild allocation, after the full capacity re-read) or
-        // only the dirty ones (after the component scan).
+        // Every allocation, an index rebuild's included, fills after one
+        // component scan.
         let count = |span| profiler.stats(span).unwrap().count;
-        assert_eq!(
-            count("mesh.water_fill"),
-            count("mesh.trace_refresh") + count("mesh.component_scan")
-        );
+        assert_eq!(count("mesh.water_fill"), count("mesh.component_scan"));
         // 5 s at the default step → one instance of each tick phase per tick.
         let ticks = profiler.stats("tick.finalize").unwrap().count;
         assert!(ticks >= 5, "expected at least 5 ticks, saw {ticks}");

@@ -8,9 +8,10 @@
 //! snapshots each tick, and refills only the *dirty* components; every
 //! other component keeps its rates verbatim. Flow add/remove patch the
 //! [`FlowTable`] and the index in place. Route or egress-cap changes, and
-//! tombstones outnumbering live flows, rebuild the index, and a tick
-//! that rebuilt it refills everything. Every tick ends by re-summing the
-//! usage views from the constraints' members.
+//! tombstones outnumbering live flows, rebuild the index; a rebuild
+//! marks every slot and every component dirty and feeds the same
+//! pipeline, so that tick refills everything. Every tick ends by
+//! re-summing the usage views from the constraints' members.
 //!
 //! Invariant: while the index is clean, it describes exactly the live
 //! slots' paths and the egress-cap set, `demands_scratch` holds what the
@@ -25,8 +26,8 @@
 //! mutation sequence replays bit-for-bit on any machine.
 
 use crate::flow::{
-    max_min_allocate_components, max_min_allocate_dense, refill_component_into,
-    unconstrained_rate, AllocScratch, ComponentIndex, Constraint, FlowId, FlowSpec, NO_COMPONENT,
+    max_min_allocate_dense, refill_component_into, unconstrained_rate, AllocScratch,
+    ComponentIndex, Constraint, FlowId, FlowSpec, NO_COMPONENT,
 };
 use crate::links::LinkCaps;
 use crate::mesh::MeshError;
@@ -194,8 +195,8 @@ pub(crate) struct AllocIndex {
     /// Set whenever routing, up/down state or the egress-cap set may
     /// have changed, or tombstones must be compacted; cleared by
     /// `rebuild`. While set, every per-slot dirty set and snapshot is
-    /// stale and the next allocation rebuilds the index, re-reads every
-    /// capacity and demand, and refills every component.
+    /// stale; the next allocation rebuilds the index, resets them with
+    /// every slot and component dirty, and re-reads every capacity.
     pub(crate) dirty: bool,
 }
 
@@ -487,17 +488,16 @@ impl Allocation {
 
     /// Recomputes the allocation at `now` without advancing queues (the
     /// mesh's one reallocation, every tick and after every fault or
-    /// freeze change). Under a stale index: rebuild
-    /// it, re-read every capacity and demand, fill every component
-    /// (spans `mesh.index_rebuild`, `mesh.trace_refresh`,
-    /// `mesh.water_fill`, `mesh.usage_views`). Otherwise: re-derive the
-    /// patched components (`mesh.index_patch`, only after flow add or
-    /// remove), diff capacities against the snapshot (`mesh.cap_diff`:
-    /// every link once the trace clock is due or stale, else the capped
-    /// links) and demands against `demands_scratch` (`mesh.demand_diff`),
-    /// mark the dirty components (`mesh.component_scan`) and refill only
-    /// those (`mesh.water_fill`, `mesh.usage_views`). The test reference
-    /// records one `mesh.dense_realloc`.
+    /// freeze change). A stale index is rebuilt first, with every slot
+    /// and component dirty (`mesh.index_rebuild`); otherwise the patched
+    /// components are re-derived (`mesh.index_patch`, only after flow add
+    /// or remove). Then: diff capacities against the snapshot
+    /// (`mesh.cap_diff`: every link after a rebuild or once the trace
+    /// clock is due or stale, else the capped links) and demands against
+    /// `demands_scratch` (`mesh.demand_diff`), mark the dirty components
+    /// (`mesh.component_scan`) and refill only those (`mesh.water_fill`,
+    /// `mesh.usage_views`). The test reference records one
+    /// `mesh.dense_realloc`.
     pub(crate) fn reallocate(
         &mut self,
         links: &mut LinkCaps,
@@ -514,35 +514,20 @@ impl Allocation {
         }
         let mut clock = PhaseClock::new(profiler.is_some());
         let link_count = routes.topo().link_count();
-        if self.index.dirty {
+        let rebuilt = self.index.dirty;
+        if rebuilt {
             let capped: Vec<u32> =
                 self.egress_caps.keys().filter_map(|&n| routes.rank(n)).collect();
             self.index.rebuild(link_count, &mut self.flows, capped);
+            // Every slot restarts at rate and demand zero, dirty, as does
+            // every component (below). An unconstrained slot whose demand
+            // reads zero is never re-granted, so it keeps this zero rate.
+            let slots = self.flows.states.len();
+            self.rates_bps = vec![0.0; slots];
+            self.demands_scratch = vec![Bandwidth::ZERO; slots];
+            self.flow_dirty = vec![true; slots];
+            self.dirty_flows = (0..slots as u32).collect();
             clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
-            links.refresh(routes, now);
-            self.load_capacities(links.caps_bps(), None);
-            clock.lap(profiler.as_deref_mut(), "mesh.trace_refresh");
-            // Every slot's demand is re-read; nothing is dirty any more.
-            self.demands_scratch.clear();
-            for f in &self.flows.states {
-                self.demands_scratch.push(Self::transmit_demand(f));
-            }
-            self.dirty_flows.clear();
-            self.flow_dirty.clear();
-            self.flow_dirty.resize(self.flows.states.len(), false);
-            max_min_allocate_components(
-                &self.demands_scratch,
-                &self.index.constraints,
-                &self.index.flow_cons_off,
-                &self.index.flow_cons,
-                &self.index.comps,
-                &mut self.scratch,
-                &mut self.rates_bps,
-            );
-            clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
-            self.update_usage_views(link_count);
-            clock.lap(profiler, "mesh.usage_views");
-            return;
         }
 
         let index = &mut self.index;
@@ -550,7 +535,8 @@ impl Allocation {
             index.comps.patch(&index.flow_cons_off, &index.flow_cons, &mut index.repatched);
             clock.lap(profiler.as_deref_mut(), "mesh.index_patch");
         }
-        let full = links.refresh(routes, now);
+        // A rebuilt index has no capacities yet: read them all.
+        let full = links.refresh(routes, now) || rebuilt;
         self.load_capacities(links.caps_bps(), (!full).then_some(links.changed()));
         clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
         self.refresh_demands_dirty();
@@ -560,9 +546,13 @@ impl Allocation {
         // whose capacity moved or a flow whose demand moved dirties its
         // component; unconstrained flows are re-granted directly. Both
         // refreshes left only what moved, so this is O(dirty), not O(F + L).
+        let comp_count = self.index.comps.component_count();
         self.comp_dirty.clear();
-        self.comp_dirty.resize(self.index.comps.component_count(), false);
+        self.comp_dirty.resize(comp_count, rebuilt);
         self.dirty_comps.clear();
+        if rebuilt {
+            self.dirty_comps.extend(0..comp_count as u32);
+        }
         let changed = links.changed().iter().map(|&l| l as usize);
         for ci in self.index.repatched.iter().copied().chain(changed) {
             if !self.index.constraints[ci].members.is_empty() {

@@ -5,6 +5,11 @@
 //! directly with the classic *progressive filling* algorithm, extended
 //! with per-flow demand caps (a flow never receives more than it asks
 //! for).
+//!
+//! One fill kernel runs per connected component of the flow ↔
+//! constraint graph: [`max_min_allocate`] over every component,
+//! [`crate::Mesh`] over those a tick dirtied (all of them after an index
+//! rebuild). The tests compare it against [`max_min_allocate_dense`].
 
 use crate::topology::NodeId;
 use bass_util::units::Bandwidth;
@@ -331,8 +336,7 @@ impl ComponentIndex {
     }
 }
 
-/// Reusable scratch state for [`max_min_allocate_components`] and
-/// [`refill_component_into`].
+/// Reusable scratch state for [`refill_component_into`].
 ///
 /// The component fill's working vectors (per-flow frozen flags,
 /// per-constraint remaining capacity and active-member counts, and the
@@ -491,65 +495,6 @@ fn reserve_scratch(scratch: &mut AllocScratch, n: usize, m: usize) {
     }
 }
 
-/// Incremental progressive-filling max-min allocator over a
-/// caller-maintained [`ComponentIndex`].
-///
-/// Semantically identical to [`max_min_allocate_dense`] (bit-for-bit:
-/// every rate, remaining capacity and increment is the same
-/// floating-point value), but instead of re-counting every constraint's
-/// unfrozen members on every water-filling round — O(Σ members) *three
-/// times per round* — it keeps a per-constraint *active-member count*
-/// and the *remaining capacity* updated in place, and holds the one rate
-/// every unfrozen flow shares as a single water level. Each round then
-/// costs one pass over the active flows plus O(component constraints),
-/// and the membership lists are only walked once in total when flows
-/// freeze (amortized O(Σ memberships) across the whole run).
-///
-/// Fills every connected component of the flow ↔ constraint graph in
-/// canonical component order, plus the unconstrained flows, writing one
-/// rate (in bps) per flow into `out`, reusing its storage. The partition
-/// must have been rebuilt for exactly this CSR map.
-///
-/// `flow_cons_off`/`flow_cons` are a CSR-style reverse map from flow
-/// index to the constraint indices it belongs to (one entry per
-/// membership instance): flow `i`'s constraints are
-/// `flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]]`. [`crate::Mesh`]
-/// maintains this map and the partition persistently and only rebuilds
-/// them when the flow set or routing changes; [`max_min_allocate`]
-/// derives both on the fly.
-///
-/// # Panics
-///
-/// Panics if a constraint references a flow index `>= demands.len()` or
-/// the CSR map is inconsistent with `demands.len()`.
-pub(crate) fn max_min_allocate_components(
-    demands: &[Bandwidth],
-    constraints: &[Constraint],
-    flow_cons_off: &[usize],
-    flow_cons: &[usize],
-    comps: &ComponentIndex,
-    scratch: &mut AllocScratch,
-    out: &mut Vec<f64>,
-) {
-    let n = demands.len();
-    assert_eq!(flow_cons_off.len(), n + 1, "CSR offsets must have len n + 1");
-    out.clear();
-    out.resize(n, 0.0);
-    reserve_scratch(scratch, n, constraints.len());
-    // Grant unconstrained flows (empty CSR row, e.g. loopback) their
-    // full demand; zero-demand flows stay at rate 0.
-    for i in 0..n {
-        if flow_cons_off[i + 1] == flow_cons_off[i] {
-            out[i] = unconstrained_rate(demands[i]);
-        }
-    }
-    for comp in 0..comps.component_count() as u32 {
-        refill_component_into(
-            comp, demands, constraints, flow_cons_off, flow_cons, comps, scratch, out,
-        );
-    }
-}
-
 /// Refills a single component in place: resets and water-fills only
 /// `comp`'s flows and constraints, leaving every other entry of `rates`
 /// untouched. This is [`crate::Mesh`]'s hot path — when a tick changes
@@ -557,8 +502,7 @@ pub(crate) fn max_min_allocate_components(
 /// refilled and the rest of the mesh keeps its previous allocation
 /// verbatim (bit-for-bit what a full refill would have produced).
 ///
-/// `rates` must hold one rate per flow (as produced by
-/// [`max_min_allocate_components`]).
+/// `rates` must hold one rate per flow.
 ///
 /// # Panics
 ///
@@ -610,8 +554,8 @@ pub(crate) fn unconstrained_rate(demand: Bandwidth) -> f64 {
 }
 
 /// Builds the CSR-style flow → constraints reverse map consumed by
-/// [`max_min_allocate_components`], with one entry per membership
-/// instance.
+/// [`refill_component_into`], with one entry per membership instance:
+/// flow `i`'s constraints are `cons[off[i]..off[i + 1]]`.
 /// `off` receives `n + 1` offsets and `cons` the flattened constraint
 /// indices; both are reused without reallocating when possible.
 fn build_flow_constraint_map(
@@ -657,9 +601,11 @@ fn build_flow_constraint_map(
 ///   crosses a saturated constraint on which no other member has a
 ///   larger rate that could be reduced in its favor.
 ///
-/// This is the one-shot form of the per-component fill; `Mesh` keeps
-/// the scratch buffers, the flow → constraint map and the component
-/// index alive between ticks instead.
+/// Bit-identical to [`max_min_allocate_dense`]. This is the one-shot
+/// form of the per-component fill, over every component in canonical
+/// order; `Mesh` keeps the scratch buffers, the flow → constraint map
+/// and the component index alive between ticks and refills only the
+/// dirty components.
 pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
     let n = demands.len();
     let mut off = Vec::new();
@@ -667,17 +613,16 @@ pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Ve
     build_flow_constraint_map(n, constraints, &mut off, &mut cons);
     let mut comps = ComponentIndex::default();
     comps.rebuild(n, constraints, &off, &cons);
-    let mut out = Vec::new();
-    max_min_allocate_components(
-        demands,
-        constraints,
-        &off,
-        &cons,
-        &comps,
-        &mut AllocScratch::default(),
-        &mut out,
-    );
-    out.into_iter().map(Bandwidth::from_bps).collect()
+    // Unconstrained flows (loopback) keep this grant; every other rate
+    // is written by its component's fill.
+    let mut rates: Vec<f64> = demands.iter().map(|&d| unconstrained_rate(d)).collect();
+    let mut scratch = AllocScratch::default();
+    for comp in 0..comps.component_count() as u32 {
+        refill_component_into(
+            comp, demands, constraints, &off, &cons, &comps, &mut scratch, &mut rates,
+        );
+    }
+    rates.into_iter().map(Bandwidth::from_bps).collect()
 }
 
 /// The dense progressive-filling allocator, kept as the correctness
@@ -990,13 +935,14 @@ mod tests {
         let mut comps = ComponentIndex::default();
         let mut off = Vec::new();
         let mut cons = Vec::new();
-        let mut out = Vec::new();
         for n in [5usize, 2, 9, 1] {
             let demands: Vec<Bandwidth> = (0..n).map(|i| mbps(1.0 + i as f64)).collect();
             let constraints = vec![Constraint { capacity: mbps(6.0), members: (0..n).collect() }];
             build_flow_constraint_map(n, &constraints, &mut off, &mut cons);
             comps.rebuild(n, &constraints, &off, &cons);
-            max_min_allocate_components(
+            let mut out = vec![0.0; n];
+            refill_component_into(
+                0,
                 &demands,
                 &constraints,
                 &off,

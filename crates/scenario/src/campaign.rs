@@ -689,14 +689,10 @@ mod tests {
         let profiler = profiled.profiler.expect("profiling was on");
         let ticks = profiler.stats("tick.finalize").expect("tick spans present");
         assert!(ticks.count >= 2 && ticks.count <= profiled.summary.aggregate.ticks);
-        // One fill span per allocation, whether it refilled every
-        // component (index rebuilt) or only the dirty ones.
+        // One fill span per allocation, each after one component scan.
         let count = |span| profiler.stats(span).map_or(0, |s| s.count);
         assert!(count("mesh.water_fill") > 0);
-        assert_eq!(
-            count("mesh.water_fill"),
-            count("mesh.trace_refresh") + count("mesh.component_scan")
-        );
+        assert_eq!(count("mesh.water_fill"), count("mesh.component_scan"));
         assert!(profiler.stats("env.deploy").unwrap().count >= 2, "one deploy per replica");
     }
 

@@ -12,7 +12,7 @@ use crate::spec::{ScenarioSpec, TopologySpec};
 use bass_appdag::{catalog, AppDag};
 use bass_cluster::{Cluster, NodeSpec};
 use bass_faults::FaultPlan;
-use bass_mesh::{CapacitySource, Mesh, MeshError, NodeId, Topology};
+use bass_mesh::{Mesh, MeshError, NodeId, Topology};
 use bass_trace::{ou_bundle, OuTraceConfig, TraceBundle};
 use bass_util::rng::SimRng;
 use bass_util::time::SimDuration;
@@ -142,19 +142,11 @@ impl GeneratedScenario {
     ///
     /// # Errors
     ///
-    /// Propagates mesh construction errors (unreachable for generated
-    /// topologies, which are connected by construction).
+    /// Propagates [`Mesh::from_bundle`]'s errors (unreachable for
+    /// generated scenarios: their topologies are connected by
+    /// construction and every link has a trace config).
     pub fn build_mesh(&self, duration: SimDuration) -> Result<Mesh, MeshError> {
-        let bundle = self.trace_bundle(duration);
-        let mut mesh = Mesh::new(self.topology.clone())?;
-        for (_, link) in self.topology.links() {
-            let trace = bundle
-                .get_link(link.a.0, link.b.0)
-                .expect("every link has a generated trace")
-                .clone();
-            mesh.set_link_source(link.a, link.b, CapacitySource::Trace(trace))?;
-        }
-        Ok(mesh)
+        Mesh::from_bundle(self.topology.clone(), &self.trace_bundle(duration))
     }
 
     /// Builds the workload cluster over the non-gateway nodes.

@@ -9,7 +9,7 @@
 
 use bass_faults::StormProfile;
 use bass_util::time::MAX_SECS;
-use bass_util::units::Millicores;
+use bass_util::units::{Bandwidth, Millicores};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -324,6 +324,7 @@ impl ScenarioSpec {
         }
         if !positive(self.links.mean_mbps_min)
             || self.links.mean_mbps_min > self.links.mean_mbps_max
+            || !Bandwidth::valid_mbps(self.links.mean_mbps_max)
         {
             return Err(SpecError::new("link mean range must satisfy 0 < min <= max"));
         }
@@ -495,6 +496,10 @@ mod tests {
 
         let mut spec = ScenarioSpec::small_reference();
         spec.links.mean_mbps_min = 30.0; // above max
+        assert!(spec.validate().is_err());
+
+        let mut spec = ScenarioSpec::small_reference();
+        spec.links.mean_mbps_max = 1e308; // ∞ once in bps
         assert!(spec.validate().is_err());
 
         let mut spec = ScenarioSpec::small_reference();

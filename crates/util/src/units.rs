@@ -44,6 +44,14 @@ impl Bandwidth {
         Self::from_bps(mbps * 1e6)
     }
 
+    /// Whether `mbps` converts to a finite, non-negative bps value: the
+    /// check for every Mbps number read from an input file. A finite
+    /// Mbps value above `f64::MAX / 1e6` overflows to ∞ bps.
+    pub fn valid_mbps(mbps: f64) -> bool {
+        let bps = mbps * 1e6;
+        bps.is_finite() && bps >= 0.0
+    }
+
     /// Bits per second.
     pub fn as_bps(self) -> f64 {
         self.0
@@ -212,16 +220,19 @@ impl DataSize {
     }
 }
 
+/// Saturates at `u64::MAX` bytes, so a byte counter fed by a huge
+/// (finite) capacity stops growing instead of wrapping.
 impl Add for DataSize {
     type Output = DataSize;
     fn add(self, rhs: DataSize) -> DataSize {
-        DataSize(self.0 + rhs.0)
+        DataSize(self.0.saturating_add(rhs.0))
     }
 }
 
+/// Saturates like [`Add`].
 impl AddAssign for DataSize {
     fn add_assign(&mut self, rhs: DataSize) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 

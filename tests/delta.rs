@@ -362,6 +362,12 @@ proptest! {
                         }
                     }
                 }
+                11 if !ids.is_empty() => {
+                    // An exact-zero demand, which the demand diff after
+                    // an index rebuild reads as unmoved.
+                    let id = ids[rng.below(ids.len() as u64) as usize];
+                    pair.both(|m| m.set_flow_demand(id, Bandwidth::ZERO).unwrap());
+                }
                 _ => {} // quiescent tick
             }
             // Before the advance a mutated snapshot is stale: production
