@@ -333,7 +333,11 @@ fn run(stdout: &mut impl Write) -> Result<(), Failure> {
             Ok(())
         }
         "campaign" => {
-            let path = args.specs.first().ok_or("--spec is required")?;
+            let path = match args.specs.as_slice() {
+                [path] => path,
+                [] => return Err("--spec is required".into()),
+                _ => return Err("campaign takes one --spec; use arena for a corpus".into()),
+            };
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let spec = bass_scenario::ScenarioSpec::from_json(&text)

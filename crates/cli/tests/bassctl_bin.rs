@@ -539,6 +539,25 @@ fn malformed_campaign_spec_fails_cleanly() {
 }
 
 #[test]
+fn campaign_rejects_a_second_spec() {
+    // A second --spec was once dropped silently: exit 0, first spec only.
+    let dir = temp_dir("two_specs");
+    let path = write_campaign_spec(&dir, 10);
+    let out = bassctl()
+        .args(["campaign", "--spec"])
+        .arg(&path)
+        .arg("--spec")
+        .arg(&path)
+        .output()
+        .expect("bassctl runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(out.stdout.is_empty(), "no summary may be printed");
+    assert!(stderr.contains("one --spec") && stderr.contains("arena"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_inputs_fail_cleanly() {
     // No command: the message lists every command there is.
     let out = bassctl().output().expect("runs");

@@ -173,14 +173,6 @@ pub struct SimEnv {
     spans: Option<SpanProfiler>,
     /// Components evicted by a node crash, awaiting re-placement.
     displaced: BTreeSet<ComponentId>,
-    /// Bumped by every public mutator that can invalidate an in-flight
-    /// quiescence proof. The `run_for` loop snapshots it before handing
-    /// control to the per-tick hook and falls back to a full step when
-    /// it moved (see [`SimEnv::skippable_ticks`]).
-    mutation_epoch: u64,
-    /// Set (one way) by [`SimEnv::use_reference_stepping`]:
-    /// `skippable_ticks` vouches for nothing, so every tick executes.
-    reference_stepping: bool,
     /// Probe-loss episodes started so far — each gets its own forked RNG
     /// stream off the fault plan's seed, so episode k draws identically
     /// across replays regardless of what happened in between.
@@ -205,26 +197,12 @@ impl SimEnv {
             journal: None,
             spans: None,
             displaced: BTreeSet::new(),
-            mutation_epoch: 0,
-            reference_stepping: false,
             probe_loss_episodes: 0,
         }
     }
 
-    /// Switches this environment to ticked reference stepping for the
-    /// rest of its life: `skippable_ticks` returns 0, so
-    /// [`run_for`](Self::run_for) executes every tick in full.
-    /// Test support: the stepping battery flags one environment and
-    /// requires the production run to match it byte for byte. There is
-    /// no way back and no configuration that reaches this.
-    #[doc(hidden)]
-    pub fn use_reference_stepping(&mut self) {
-        self.reference_stepping = true;
-    }
-
     /// Installs the network scenario script.
     pub fn set_scenario(&mut self, scenario: Scenario) {
-        self.mutation_epoch += 1;
         self.scenario = scenario;
     }
 
@@ -368,7 +346,6 @@ impl SimEnv {
 
     /// Scales every edge's demand at once (open-loop load scaling).
     pub fn set_global_demand_factor(&mut self, factor: f64) {
-        self.mutation_epoch += 1;
         for e in self.dag.edges() {
             self.bindings.set_factor((e.from, e.to), factor);
         }
@@ -397,7 +374,6 @@ impl SimEnv {
         app: &AppDag,
         id_offset: u32,
     ) -> Result<Vec<ComponentId>, EnvError> {
-        self.mutation_epoch += 1;
         self.with_span("env.admit_app", |env| {
             if !env.deployed {
                 return Err(EnvError::NotDeployed);
@@ -449,7 +425,6 @@ impl SimEnv {
     ///
     /// [`EnvError::NotDeployed`] before [`SimEnv::deploy`].
     pub fn retire_app(&mut self, label: &str, components: &[ComponentId]) -> Result<(), EnvError> {
-        self.mutation_epoch += 1;
         self.with_span("env.retire_app", |env| {
             if !env.deployed {
                 return Err(EnvError::NotDeployed);
@@ -524,7 +499,6 @@ impl SimEnv {
     /// Mutable access to the mesh, for workloads that manage additional
     /// flows (e.g. video-conference client traffic).
     pub fn mesh_mut(&mut self) -> &mut Mesh {
-        self.mutation_epoch += 1;
         &mut self.mesh
     }
 
@@ -551,7 +525,6 @@ impl SimEnv {
     /// Marks a component as restarted now (for restart-cost experiments
     /// like Fig. 14a, independent of any migration).
     pub fn force_restart(&mut self, c: ComponentId) {
-        self.mutation_epoch += 1;
         self.bindings.restart(c, self.mesh.now());
     }
 
@@ -1238,16 +1211,13 @@ mod tests {
     }
 
     /// A camera env with a squeeze/release scenario (migration fires),
-    /// run with per-tick hook counting; returns the journal bytes, final
-    /// flow rates, migration count, hook invocations, and the number of
-    /// ticks that executed in full. `reference` switches the env to
-    /// ticked reference stepping, which the production run must match
-    /// byte for byte.
-    fn squeeze_run(reference: bool) -> (String, Vec<u64>, usize, u64, u64) {
+    /// run for 180 s; returns the journal bytes, final flow rates,
+    /// migration count, the clock at every per-tick observation, and the
+    /// number of ticks that executed in full. `ticked` calls `step()`
+    /// once per tick and reads the clock after each; otherwise
+    /// `run_for`'s hook reads it. The two must match byte for byte.
+    fn squeeze_run(ticked: bool) -> (String, Vec<u64>, usize, Vec<SimTime>, u64) {
         let mut env = camera_env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
-        if reference {
-            env.use_reference_stepping();
-        }
         env.attach_journal(bass_obs::Journal::new());
         env.enable_span_profiling();
         env.deploy(&[]).unwrap();
@@ -1266,8 +1236,17 @@ mod tests {
                 .at(SimTime::from_secs(60), cap_link(Some(mbps(1.0))))
                 .at(SimTime::from_secs(120), cap_link(None)),
         );
-        let mut hooks = 0u64;
-        env.run_for(SimDuration::from_secs(180), |_| hooks += 1).unwrap();
+        let duration = SimDuration::from_secs(180);
+        let mut seen = Vec::new();
+        if ticked {
+            let end = env.now() + duration;
+            while env.now() < end {
+                env.step().unwrap();
+                seen.push(env.now());
+            }
+        } else {
+            env.run_for(duration, |e| seen.push(e.now())).unwrap();
+        }
         let rates: Vec<u64> = (0..env.mesh().flow_count())
             .map(|i| env.mesh().flow_rate(FlowId(i as u64)).as_bps().to_bits())
             .collect();
@@ -1278,20 +1257,22 @@ mod tests {
             .stats("tick.finalize")
             .map_or(0, |s| s.count);
         let journal = env.take_journal().unwrap().export_jsonl();
-        (journal, rates, migrations, hooks, executed)
+        (journal, rates, migrations, seen, executed)
     }
 
     #[test]
     fn run_for_matches_ticked_reference_and_actually_skips() {
-        let (journal_t, rates_t, mig_t, hooks_t, executed_t) = squeeze_run(true);
-        let (journal_p, rates_p, mig_p, hooks_p, executed_p) = squeeze_run(false);
+        let (journal_t, rates_t, mig_t, seen_t, executed_t) = squeeze_run(true);
+        let (journal_p, rates_p, mig_p, seen_p, executed_p) = squeeze_run(false);
         assert_eq!(journal_t, journal_p);
         assert_eq!(rates_t, rates_p);
         assert_eq!(mig_t, mig_p);
         assert!(mig_t > 0, "squeeze should trigger a migration");
-        // The hook fires once per simulated tick either way.
-        assert_eq!(hooks_t, 1800);
-        assert_eq!(hooks_p, 1800);
+        // The hook observes once per simulated tick, skipped or not, on
+        // the post-advance clock: tick k ends at (k + 1) × 100 ms.
+        let expected: Vec<SimTime> = (1..=1800).map(|k| SimTime::from_millis(100 * k)).collect();
+        assert_eq!(seen_t, expected);
+        assert_eq!(seen_p, expected);
         // The reference executes every tick; `run_for` skips the
         // quiescent stretches between scenario actions and 30 s probe
         // epochs.
@@ -1315,32 +1296,6 @@ mod tests {
     }
 
     #[test]
-    fn hook_mutations_demote_skip_windows_not_correctness() {
-        let journal_of = |reference: bool| {
-            let mut env = camera_env(PlacementPolicy::LongestPath);
-            if reference {
-                env.use_reference_stepping();
-            }
-            env.attach_journal(bass_obs::Journal::new());
-            env.deploy(&[]).unwrap();
-            let mut ticks = 0u64;
-            env.run_for(SimDuration::from_secs(60), |e| {
-                ticks += 1;
-                // Mutate mid-window, at a tick no event predicts.
-                if ticks == 137 {
-                    e.set_global_demand_factor(0.25);
-                }
-                if ticks == 411 {
-                    e.set_global_demand_factor(1.0);
-                }
-            })
-            .unwrap();
-            (env.take_journal().unwrap().export_jsonl(), env.now())
-        };
-        assert_eq!(journal_of(true), journal_of(false));
-    }
-
-    #[test]
     fn skippable_ticks_guards_refuse_unprovable_states() {
         let mut env = camera_env(PlacementPolicy::LongestPath);
         // Not deployed yet.
@@ -1360,14 +1315,17 @@ mod tests {
     fn skipped_windows_cross_probe_epochs_identically() {
         // No scenario, no faults: the only events are probe epochs. A
         // long skipping run must land probes on the same ticks.
-        let probes_of = |reference: bool| {
+        let probes_of = |ticked: bool| {
             let mut env = camera_env(PlacementPolicy::LongestPath);
-            if reference {
-                env.use_reference_stepping();
-            }
             env.attach_journal(bass_obs::Journal::new());
             env.deploy(&[]).unwrap();
-            env.run_for(SimDuration::from_secs(300), |_| {}).unwrap();
+            if ticked {
+                for _ in 0..3000 {
+                    env.step().unwrap();
+                }
+            } else {
+                env.run_for(SimDuration::from_secs(300), |_| {}).unwrap();
+            }
             let j = env.take_journal().unwrap();
             (j.count("probe_completed"), j.export_jsonl())
         };

@@ -102,13 +102,14 @@ impl SimEnv {
     /// Runs for `duration`, invoking `hook` after every simulated tick.
     ///
     /// Each full [`step`](Self::step) is followed by as many provably
-    /// quiescent skipped ticks as `skippable_ticks` allows; `hook` still
-    /// runs after every simulated tick, skipped or not, and a hook that
-    /// mutates the environment immediately demotes the rest of its
-    /// window back to full steps. Results, stats, and journal contents
-    /// are byte-identical to executing every tick in full — only
-    /// wall-clock (and span-profiler counts, which track work actually
-    /// performed) differs.
+    /// quiescent skipped ticks as `skippable_ticks` allows. `hook`
+    /// observes the environment after every simulated tick, skipped or
+    /// not, on the post-advance clock: it sees `now()` once per tick,
+    /// at the tick's end. It gets `&SimEnv`, so it cannot invalidate a
+    /// window mid-flight. Results, stats, and journal contents are
+    /// byte-identical to calling [`step`](Self::step) once per tick —
+    /// only wall-clock (and span-profiler counts, which track work
+    /// actually performed) differs.
     ///
     /// # Errors
     ///
@@ -116,7 +117,7 @@ impl SimEnv {
     pub fn run_for(
         &mut self,
         duration: SimDuration,
-        mut hook: impl FnMut(&mut SimEnv),
+        mut hook: impl FnMut(&SimEnv),
     ) -> Result<(), EnvError> {
         let step_us = self.cfg.step.as_micros();
         if step_us == 0 {
@@ -126,7 +127,7 @@ impl SimEnv {
         while self.mesh.now() < end {
             self.step()?;
             hook(self);
-            'skip: while self.mesh.now() < end {
+            loop {
                 let remaining =
                     end.saturating_since(self.mesh.now()).as_micros().div_ceil(step_us);
                 let window = self.skippable_ticks(remaining);
@@ -134,15 +135,8 @@ impl SimEnv {
                     break;
                 }
                 for _ in 0..window {
-                    let epoch = self.mutation_epoch;
                     self.skip_quiescent_tick();
                     hook(self);
-                    if self.mutation_epoch != epoch {
-                        // The hook mutated the environment at this tick
-                        // boundary; the rest of the window is no longer
-                        // proven. Fall back to a full step.
-                        break 'skip;
-                    }
                 }
             }
         }
@@ -169,8 +163,7 @@ impl SimEnv {
     /// execute in full. Pending displaced components and an undeployed
     /// environment disable skipping entirely.
     pub(super) fn skippable_ticks(&self, max_ticks: u64) -> u64 {
-        let unprovable = self.reference_stepping || !self.deployed || !self.displaced.is_empty();
-        if max_ticks == 0 || unprovable {
+        if max_ticks == 0 || !self.deployed || !self.displaced.is_empty() {
             return 0;
         }
         let step = self.cfg.step;

@@ -316,32 +316,6 @@ pub fn run_campaign_opts(
     seed: u64,
     opts: &CampaignOptions,
 ) -> Result<CampaignRun, CampaignError> {
-    run_campaign_stepping(spec, seed, opts, false)
-}
-
-/// [`run_campaign_opts`] with every replica switched to
-/// [`SimEnv::use_reference_stepping`]: each tick executes in full. Test
-/// support — the stepping battery requires the production summary to
-/// match this one byte for byte.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_campaign`].
-#[doc(hidden)]
-pub fn run_campaign_reference(
-    spec: &ScenarioSpec,
-    seed: u64,
-    opts: &CampaignOptions,
-) -> Result<CampaignRun, CampaignError> {
-    run_campaign_stepping(spec, seed, opts, true)
-}
-
-fn run_campaign_stepping(
-    spec: &ScenarioSpec,
-    seed: u64,
-    opts: &CampaignOptions,
-    reference_stepping: bool,
-) -> Result<CampaignRun, CampaignError> {
     spec.validate()?;
     let jobs = opts.jobs.max(1);
     let replica_count = spec.replicas as usize;
@@ -363,8 +337,7 @@ fn run_campaign_stepping(
                 if i >= replica_count {
                     break;
                 }
-                let outcome =
-                    run_replica(spec, i as u32, replica_seeds[i], opts, reference_stepping);
+                let outcome = run_replica(spec, i as u32, replica_seeds[i], opts);
                 let ticks = outcome.as_ref().map(|o| o.summary.ticks).unwrap_or(0);
                 results.lock().expect("results lock")[i] = Some(outcome);
                 progress.unit_done(i as u64, ticks);
@@ -518,14 +491,13 @@ fn sample_live_edges(
 /// a time (up to the next workload arrival/departure or the horizon);
 /// its per-tick hook samples at the same tick indices whether a tick
 /// was executed or skipped, and every sample input is constant across
-/// a quiescent window, so the summary is byte-identical to
-/// `reference_stepping` (test support), which executes every tick.
+/// a quiescent window, so the summary is byte-identical to a replica
+/// that calls [`SimEnv::step`] once per tick.
 fn run_replica(
     spec: &ScenarioSpec,
     replica: u32,
     replica_seed: u64,
     opts: &CampaignOptions,
-    reference_stepping: bool,
 ) -> Result<ReplicaOutcome, CampaignError> {
     let setup_started = std::time::Instant::now();
     let scenario = generate(spec, replica_seed);
@@ -540,9 +512,6 @@ fn run_replica(
         ..SimEnvConfig::default()
     };
     let mut env = SimEnv::new(mesh, cluster, AppDag::new(scenario.name.clone()), cfg);
-    if reference_stepping {
-        env.use_reference_stepping();
-    }
     if opts.profile {
         env.enable_span_profiling();
         // Setup (generation + mesh construction) is a one-time cost;
@@ -726,27 +695,20 @@ mod tests {
     }
 
     #[test]
-    fn replicas_skip_ticks_and_match_the_ticked_reference() {
+    fn replicas_skip_quiescent_ticks() {
         // OU change-points arrive every 5 s on a 1 s step: at least the
         // 4-tick stretches between them must be skipped. Profiler span
         // counts track executed work, so `tick.finalize` falls below the
-        // tick total exactly when windows were skipped.
+        // tick total exactly when windows were skipped. That the summary
+        // still equals a ticked replica's is the root batteries' check
+        // (`tests/support`).
         let spec = tiny_spec();
         let opts = CampaignOptions { profile: true, ..CampaignOptions::default() };
         for seed in [7, 11] {
-            let reference = run_campaign_reference(&spec, seed, &opts).unwrap();
-            let production = run_campaign_opts(&spec, seed, &opts).unwrap();
-            assert_eq!(reference.summary.to_json(), production.summary.to_json());
-            let total = reference.summary.aggregate.ticks;
-            let full = |r: &CampaignRun| {
-                r.profiler.as_ref().unwrap().stats("tick.finalize").map_or(0, |s| s.count)
-            };
-            assert_eq!(full(&reference), total);
-            assert!(
-                full(&production) < total,
-                "seed {seed}: production executed {} of {total} ticks",
-                full(&production)
-            );
+            let run = run_campaign_opts(&spec, seed, &opts).unwrap();
+            let total = run.summary.aggregate.ticks;
+            let executed = run.profiler.unwrap().stats("tick.finalize").map_or(0, |s| s.count);
+            assert!(executed < total, "seed {seed}: executed {executed} of {total} ticks");
         }
     }
 

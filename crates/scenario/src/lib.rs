@@ -58,8 +58,8 @@ pub use arena::{
     run_arena, ArenaOptions, ArenaRow, ArenaRun, ArenaStanding, ArenaTable, ArenaTiming,
 };
 pub use campaign::{
-    run_campaign, run_campaign_opts, run_campaign_reference, AggregateSummary, CampaignError,
-    CampaignOptions, CampaignRun, CampaignSummary, QuantileSummary, ReplicaSummary,
+    run_campaign, run_campaign_opts, AggregateSummary, CampaignError, CampaignOptions,
+    CampaignRun, CampaignSummary, QuantileSummary, ReplicaSummary,
 };
 pub use generate::{
     generate, AppKind, GeneratedNode, GeneratedScenario, WorkloadEvent, INSTANCE_ID_STRIDE,

@@ -455,6 +455,15 @@ impl ScenarioSpec {
             if !enabled {
                 continue;
             }
+            // `social_rps` scales the social network's edges: a finite
+            // rate can still overflow one to ∞ bps, the rule
+            // `Bandwidth::valid_mbps` applies to input numbers.
+            if dag.edges().iter().any(|e| !e.bandwidth.as_bps().is_finite()) {
+                return Err(SpecError::new(format!(
+                    "app '{}' has an edge bandwidth that overflows to ∞ bps",
+                    dag.name()
+                )));
+            }
             let need = dag.total_resources();
             let need_cores = need.cpu.as_cores().ceil() as u64;
             let need_mem = need.memory.as_mb();
@@ -505,6 +514,11 @@ mod tests {
         let mut spec = ScenarioSpec::small_reference();
         spec.sample_every_ticks = 0;
         assert!(spec.validate().is_err());
+
+        // Edge kbps × rps × 8 000 is ∞ bps: every goodput fraction NaN.
+        let mut spec = ScenarioSpec::small_reference();
+        spec.workload.social_rps = 1e308;
+        assert!(spec.validate().expect_err("social_rps 1e308").to_string().contains("∞ bps"));
 
         // A cluster too small in the worst case for the social network.
         let mut spec = ScenarioSpec::small_reference();

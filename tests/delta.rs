@@ -6,13 +6,16 @@
 //! admit/retire lifecycles, ticked and skipping (see
 //! `docs/ARCHITECTURE.md` § The allocator and its reference).
 
-use bass::appdag::{catalog, AppDag};
+mod support;
+
+use bass::appdag::catalog;
 use bass::apps::testbeds::{citylab_testbed, lan_testbed};
-use bass::emu::{EnvError, SimEnv, SimEnvConfig};
+use bass::core::PolicyKind;
+use bass::emu::{SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
 use bass::mesh::{CapacitySource, FlowId, Mesh, NodeId, Topology};
 use bass::obs::{Journal, SpanProfiler};
-use bass::scenario::{generate, GeneratedScenario, ScenarioSpec, WorkloadEvent};
+use bass::scenario::ScenarioSpec;
 use bass::trace::OuTraceConfig;
 use bass::util::rng::SimRng;
 use bass::util::time::SimDuration;
@@ -669,8 +672,9 @@ fn fault_storm_replay_is_delta_engine_independent() {
 
 /// The camera pipeline on the trace-driven CityLab testbed under the
 /// composed storm; returns the journal for byte comparison.
-/// `ticked` switches the env to reference stepping (every tick executes
-/// in full), `reference` switches the mesh to the dense allocator.
+/// `ticked` executes every 100 ms tick in full (`support::ticked`)
+/// instead of `run_for`, `reference` switches the mesh to the dense
+/// allocator.
 fn storm_journal(ticked: bool, reference: bool, seed: u64, secs: u64) -> String {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
@@ -683,13 +687,14 @@ fn storm_journal(ticked: bool, reference: bool, seed: u64, secs: u64) -> String 
         catalog::camera_pipeline(),
         cfg,
     );
-    if ticked {
-        env.use_reference_stepping();
-    }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
-    env.run_for(SimDuration::from_secs(secs), |_| {})
-        .expect("storm run completes");
+    if ticked {
+        support::ticked(&mut env, secs * 10, |_| {});
+    } else {
+        env.run_for(SimDuration::from_secs(secs), |_| {})
+            .expect("storm run completes");
+    }
     env.take_journal().expect("journal attached").export_jsonl()
 }
 
@@ -711,100 +716,37 @@ fn storm_replay_matches_dense_ticked_and_skipping() {
     }
 }
 
-/// One generated scenario driven at the `SimEnv` level the way a
-/// campaign replica drives it — `admit_app` at each arrival,
-/// `retire_app` at each departure, `run_for` in between — returning the
-/// journal and how many instances were admitted and retired. `ticked`
-/// and `reference` as in [`storm_journal`].
-fn lifecycle_journal(ticked: bool, reference: bool) -> (String, u64, u64) {
+// The lifecycle path — flows appearing and vanishing mid-run as whole
+// applications are admitted and retired, under generated traces and
+// faults — must sample and journal the identical bytes on the
+// production allocator and on the reference, ticked and skipping.
+#[test]
+fn generated_lifecycle_journal_matches_dense() {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 240;
     spec.workload.arrival_rate_per_s = 0.05;
     spec.workload.mean_lifetime_s = 60.0;
-    let scenario = generate(&spec, 0x11FE);
-    let ticks_of = |n: u64| SimDuration::from_millis(n * spec.step_ms);
-    let mesh = scenario
-        .build_mesh(ticks_of(spec.horizon_ticks))
-        .expect("mesh builds");
-    let cfg = SimEnvConfig {
-        step: ticks_of(1),
-        faults: scenario.faults.clone(),
-        ..Default::default()
-    };
-    let mut env = SimEnv::new(
-        prepare(mesh, reference),
-        scenario.build_cluster(),
-        AppDag::new(scenario.name.clone()),
-        cfg,
-    );
-    if ticked {
-        env.use_reference_stepping();
-    }
-    env.attach_journal(Journal::new());
-    env.deploy(&[]).expect("deploys");
-    let mut live = BTreeMap::new();
-    let (mut admitted, mut retired) = (0u64, 0u64);
-    let mut tick = 0u64;
-    for event in &scenario.workload {
-        // An event at `at_ms` first applies at tick ⌈at_ms / step_ms⌉.
-        let due = event.at_ms().div_ceil(spec.step_ms);
-        if due >= spec.horizon_ticks {
-            break;
-        }
-        if due > tick {
-            env.run_for(ticks_of(due - tick), |_| {})
-                .expect("run completes");
-            tick = due;
-        }
-        match *event {
-            WorkloadEvent::Arrive { instance, kind, .. } => {
-                let dag = kind.dag(spec.workload.social_rps);
-                match env.admit_app(&dag, GeneratedScenario::instance_offset(instance)) {
-                    Ok(ids) => {
-                        live.insert(
-                            instance,
-                            (GeneratedScenario::instance_label(kind, instance), ids),
-                        );
-                        admitted += 1;
-                    }
-                    Err(EnvError::Schedule(_)) => {}
-                    Err(e) => panic!("admission failed: {e}"),
-                }
-            }
-            WorkloadEvent::Depart { instance, .. } => {
-                if let Some((label, ids)) = live.remove(&instance) {
-                    env.retire_app(&label, &ids).expect("retires");
-                    retired += 1;
-                }
-            }
-        }
-    }
-    env.run_for(ticks_of(spec.horizon_ticks - tick), |_| {})
-        .expect("run completes");
-    (
-        env.take_journal().expect("journal attached").export_jsonl(),
-        admitted,
-        retired,
-    )
-}
-
-// The lifecycle path — flows appearing and vanishing mid-run as whole
-// applications are admitted and retired, under generated traces and
-// faults — must journal the identical bytes on the production allocator
-// and on the reference, ticked and skipping.
-#[test]
-fn generated_lifecycle_journal_matches_dense() {
-    let (reference, admitted, retired) = lifecycle_journal(true, true);
+    let run =
+        |ticked, dense| support::drive_replica(&spec, 0x11FE, PolicyKind::Bass, ticked, dense);
+    let (reference, executed_ticked) = run(true, true);
     assert!(
-        admitted > 3,
-        "arrivals beyond the initial apps must admit ({admitted})"
+        reference.admitted > 3,
+        "arrivals beyond the initial apps must admit ({})",
+        reference.admitted
     );
-    assert!(retired > 0, "the horizon must see departures");
-    for (ticked, on_reference) in [(true, false), (false, false), (false, true)] {
+    assert!(
+        reference.journal.contains("\"AppRetired\""),
+        "the horizon must see departures"
+    );
+    assert_eq!(executed_ticked, spec.horizon_ticks);
+    for (ticked, dense) in [(true, false), (false, false), (false, true)] {
+        let (replica, executed) = run(ticked, dense);
         assert_eq!(
-            (reference.clone(), admitted, retired),
-            lifecycle_journal(ticked, on_reference),
-            "lifecycle diverged at ticked stepping: {ticked}, reference allocator: {on_reference}"
+            reference, replica,
+            "lifecycle diverged at ticked stepping: {ticked}, reference allocator: {dense}"
         );
+        if !ticked {
+            assert!(executed < executed_ticked, "executed {executed} of {executed_ticked} ticks");
+        }
     }
 }

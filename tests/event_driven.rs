@@ -1,9 +1,12 @@
 //! Stepping battery, production vs ticked reference: the one step loop
 //! (`SimEnv::run_for`, the campaign replica loop) skips provably
 //! quiescent tick windows, and must replay every simulation
-//! byte-for-byte — journals and campaign summaries — against a run that
-//! executes every tick in full, across OU trace volatility, workload
-//! churn and composed fault storms (see `docs/ARCHITECTURE.md`).
+//! byte-for-byte — journals and campaign replicas — against a bare
+//! `step()` loop (`tests/support`) that executes every tick in full,
+//! across OU trace volatility, workload churn and composed fault storms
+//! (see `docs/ARCHITECTURE.md`).
+
+mod support;
 
 use bass::appdag::catalog;
 use bass::apps::testbeds::citylab_testbed;
@@ -11,7 +14,8 @@ use bass::emu::{SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
 use bass::mesh::NodeId;
 use bass::obs::Journal;
-use bass::scenario::{run_campaign_opts, run_campaign_reference, CampaignOptions, ScenarioSpec};
+use bass::core::PolicyKind;
+use bass::scenario::ScenarioSpec;
 use bass::util::time::SimDuration;
 use proptest::prelude::*;
 
@@ -39,8 +43,8 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 /// Runs the camera pipeline on the trace-driven CityLab testbed and
 /// returns the full journal plus the number of ticks actually executed
 /// (skipped ticks never reach the `tick.finalize` span). Production
-/// runs go through `SimEnv::run_for`; the ticked `reference` is a bare
-/// `step()` loop that shares no code with `run_for`'s window logic.
+/// runs go through `SimEnv::run_for`; the `reference` is
+/// `support::ticked` over every 100 ms tick.
 fn sim_run(reference: bool, seed: u64, faults: FaultPlan, secs: u64) -> (String, u64) {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig { faults, ..Default::default() };
@@ -48,14 +52,10 @@ fn sim_run(reference: bool, seed: u64, faults: FaultPlan, secs: u64) -> (String,
     env.attach_journal(Journal::new());
     env.enable_span_profiling();
     env.deploy(&[]).expect("deploys");
-    let duration = SimDuration::from_secs(secs);
     if reference {
-        let end = env.now() + duration;
-        while env.now() < end {
-            env.step().expect("step completes");
-        }
+        support::ticked(&mut env, secs * 10, |_| {});
     } else {
-        env.run_for(duration, |_| {}).expect("run completes");
+        env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
     }
     let journal = env.take_journal().expect("journal attached").export_jsonl();
     let executed = env
@@ -100,9 +100,9 @@ proptest! {
         );
     }
 
-    /// The same property one layer up: campaign summaries under churn
-    /// stay byte-identical between the production replica loop and the
-    /// reference that executes every tick.
+    /// The same property one layer up: a campaign replica under churn,
+    /// rebuilt by `support::drive_replica`, samples and journals the
+    /// same bits skipping and ticked.
     #[test]
     fn event_driven_campaign_summaries_are_byte_identical(
         seed in any::<u64>(),
@@ -110,11 +110,14 @@ proptest! {
         max_concurrent in 1u32..6,
     ) {
         let spec = churn_spec(arrival, max_concurrent, 120);
-        let opts = CampaignOptions::default();
-        prop_assert_eq!(
-            run_campaign_reference(&spec, seed, &opts).expect("reference runs").summary.to_json(),
-            run_campaign_opts(&spec, seed, &opts).expect("campaign runs").summary.to_json(),
-            "summaries must not depend on skipped windows"
+        let (ticked, executed_ticked) =
+            support::drive_replica(&spec, seed, PolicyKind::Bass, true, false);
+        let (skipping, executed) =
+            support::drive_replica(&spec, seed, PolicyKind::Bass, false, false);
+        prop_assert_eq!(ticked, skipping, "replicas must not depend on skipped windows");
+        prop_assert!(
+            executed <= executed_ticked,
+            "production may only skip work: {executed} > {executed_ticked}"
         );
     }
 }

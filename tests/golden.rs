@@ -8,14 +8,19 @@
 //! GOLDEN_UPDATE=1 cargo test --test golden
 //! ```
 
+mod snapshot;
+mod support;
+
 use bass::appdag::catalog;
 use bass::apps::testbeds::lan_testbed;
 use bass::apps::{ArrivalProcess, SocialNetWorkload};
 use bass::core::migration::MigrationConfig;
-use bass::core::{ControllerConfig, PlacementPolicy};
+use bass::core::{ControllerConfig, PlacementPolicy, PolicyKind};
 use bass::emu::{Recorder, Scenario, SimEnv, SimEnvConfig};
 use bass::mesh::NodeId;
 use bass::netmon::NetMonitorConfig;
+use bass::scenario::{CampaignOptions, ScenarioSpec};
+use bass::util::rng::SimRng;
 use bass::util::time::{SimDuration, SimTime};
 use bass::util::units::Bandwidth;
 use serde_json::Value;
@@ -26,11 +31,6 @@ const GOLDEN_PATH: &str =
 const GOLDEN_CAMPAIGN_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/campaign_20node.json");
 
-/// Relative tolerance for float comparisons: tight enough to catch real
-/// behaviour drift, loose enough to survive benign reassociation of
-/// float arithmetic in refactors.
-const REL_TOL: f64 = 1e-6;
-
 /// Fig. 13's shape: a social network at 400 RPS on three LAN nodes,
 /// with two of the three nodes' egress throttled to 25 Mbps for 150
 /// seconds. Fixed seed 13; bit-for-bit deterministic.
@@ -38,9 +38,10 @@ fn run_scenario() -> String {
     run_scenario_in(false)
 }
 
-/// `reference_stepping` switches the env to the ticked reference
-/// (`SimEnv::use_reference_stepping`): every tick executes in full.
-fn run_scenario_in(reference_stepping: bool) -> String {
+/// `ticked` drives the workload by hand — `SocialNetWorkload::tick`,
+/// then ten 100 ms ticks of `support::ticked` per second — instead of
+/// `SocialNetWorkload::run`, whose `run_for` skips quiescent ticks.
+fn run_scenario_in(ticked: bool) -> String {
     let (mesh, cluster) = lan_testbed(3, 16);
     // The paper's fig13 knobs: 30 s monitoring interval, 0.5 goodput
     // threshold, utilization trigger on.
@@ -60,9 +61,6 @@ fn run_scenario_in(reference_stepping: bool) -> String {
         ..Default::default()
     };
     let mut env = SimEnv::new(mesh, cluster, catalog::social_network(400.0), cfg);
-    if reference_stepping {
-        env.use_reference_stepping();
-    }
     env.deploy(&[]).expect("deploys");
     let t0 = 10u64;
     let t1 = 160u64;
@@ -75,7 +73,14 @@ fn run_scenario_in(reference_stepping: bool) -> String {
     let dag = env.dag().clone();
     let mut wl = SocialNetWorkload::new(&dag, 400.0, ArrivalProcess::Constant, 13);
     let mut rec = Recorder::new();
-    wl.run(&mut env, SimDuration::from_secs(240), &mut rec).expect("run completes");
+    if ticked {
+        for _ in 0..240 {
+            wl.tick(&mut env, SimDuration::from_secs(1), &mut rec);
+            support::ticked(&mut env, 10, |_| {});
+        }
+    } else {
+        wl.run(&mut env, SimDuration::from_secs(240), &mut rec).expect("run completes");
+    }
 
     // Snapshot: migration count, latency summary, the avg-latency
     // series (downsampled), and each DAG edge's final goodput share.
@@ -113,133 +118,29 @@ fn run_scenario_in(reference_stepping: bool) -> String {
     out
 }
 
-/// Recursively compares two parsed JSON values with a relative
-/// tolerance on numbers, reporting the path of the first mismatch.
-fn compare(path: &str, golden: &Value, got: &Value, diffs: &mut Vec<String>) {
-    match (golden.as_f64(), got.as_f64()) {
-        (Some(a), Some(b)) => {
-            let scale = a.abs().max(b.abs()).max(1e-12);
-            if (a - b).abs() > REL_TOL * scale {
-                diffs.push(format!("{path}: golden {a} vs got {b}"));
-            }
-            return;
-        }
-        (None, None) => {}
-        _ => {
-            diffs.push(format!("{path}: type changed"));
-            return;
-        }
-    }
-    match (golden.as_object(), got.as_object()) {
-        (Some(a), Some(b)) => {
-            if a.len() != b.len() {
-                diffs.push(format!("{path}: {} keys vs {}", a.len(), b.len()));
-                return;
-            }
-            for ((ka, va), (kb, vb)) in a.iter().zip(b.iter()) {
-                if ka != kb {
-                    diffs.push(format!("{path}: key {ka:?} vs {kb:?}"));
-                    return;
-                }
-                compare(&format!("{path}.{ka}"), va, vb, diffs);
-            }
-            return;
-        }
-        (None, None) => {}
-        _ => {
-            diffs.push(format!("{path}: type changed"));
-            return;
-        }
-    }
-    match (golden.as_array(), got.as_array()) {
-        (Some(a), Some(b)) => {
-            if a.len() != b.len() {
-                diffs.push(format!("{path}: {} elements vs {}", a.len(), b.len()));
-                return;
-            }
-            for (i, (va, vb)) in a.iter().zip(b.iter()).enumerate() {
-                compare(&format!("{path}[{i}]"), va, vb, diffs);
-            }
-        }
-        _ => {
-            if golden != got {
-                diffs.push(format!("{path}: golden {golden:?} vs got {got:?}"));
-            }
-        }
-    }
-}
-
 #[test]
 fn fig13_style_trace_matches_golden_snapshot() {
-    let current = run_scenario();
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap())
-            .expect("mkdir tests/golden");
-        std::fs::write(GOLDEN_PATH, &current).expect("write golden snapshot");
-        eprintln!("golden snapshot regenerated at {GOLDEN_PATH}");
-        return;
-    }
-    let golden_text = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
-        panic!("missing golden snapshot {GOLDEN_PATH} ({e}); run GOLDEN_UPDATE=1 cargo test --test golden")
-    });
-    let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
-    let got: Value = serde_json::from_str(&current).expect("snapshot parses");
-    let mut diffs = Vec::new();
-    compare("$", &golden, &got, &mut diffs);
-    assert!(
-        diffs.is_empty(),
-        "trace drifted from golden snapshot (if intentional, regenerate with \
-         GOLDEN_UPDATE=1 cargo test --test golden):\n{}",
-        diffs.join("\n")
-    );
+    snapshot::assert_or_update_golden(GOLDEN_PATH, &run_scenario(), "fig13 trace");
 }
 
 /// The 20-node reference campaign (`ScenarioSpec::small_reference`,
 /// shortened to a test-sized horizon): churn, fades, a mild fault
 /// storm, two replicas. The full summary JSON is the snapshot.
-fn run_campaign_snapshot() -> String {
-    run_campaign_snapshot_in(false)
+fn campaign_spec() -> ScenarioSpec {
+    let mut spec = ScenarioSpec::small_reference();
+    spec.horizon_ticks = 300;
+    spec
 }
 
-fn run_campaign_snapshot_in(reference_stepping: bool) -> String {
-    let mut spec = bass::scenario::ScenarioSpec::small_reference();
-    spec.horizon_ticks = 300;
-    let opts =
-        bass::scenario::CampaignOptions { jobs: 2, ..bass::scenario::CampaignOptions::default() };
-    let run = if reference_stepping {
-        bass::scenario::run_campaign_reference(&spec, 20, &opts)
-    } else {
-        bass::scenario::run_campaign_opts(&spec, 20, &opts)
-    };
+fn run_campaign_snapshot() -> String {
+    let opts = CampaignOptions { jobs: 2, ..CampaignOptions::default() };
+    let run = bass::scenario::run_campaign_opts(&campaign_spec(), 20, &opts);
     run.expect("reference campaign runs").summary.to_json()
 }
 
 #[test]
 fn campaign_20node_matches_golden_snapshot() {
-    let current = run_campaign_snapshot();
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_CAMPAIGN_PATH).parent().unwrap())
-            .expect("mkdir tests/golden");
-        std::fs::write(GOLDEN_CAMPAIGN_PATH, &current).expect("write golden snapshot");
-        eprintln!("golden snapshot regenerated at {GOLDEN_CAMPAIGN_PATH}");
-        return;
-    }
-    let golden_text = std::fs::read_to_string(GOLDEN_CAMPAIGN_PATH).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {GOLDEN_CAMPAIGN_PATH} ({e}); run GOLDEN_UPDATE=1 \
-             cargo test --test golden"
-        )
-    });
-    let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
-    let got: Value = serde_json::from_str(&current).expect("snapshot parses");
-    let mut diffs = Vec::new();
-    compare("$", &golden, &got, &mut diffs);
-    assert!(
-        diffs.is_empty(),
-        "campaign drifted from golden snapshot (if intentional, regenerate with \
-         GOLDEN_UPDATE=1 cargo test --test golden):\n{}",
-        diffs.join("\n")
-    );
+    snapshot::assert_or_update_golden(GOLDEN_CAMPAIGN_PATH, &run_campaign_snapshot(), "campaign");
 }
 
 /// The goldens were recorded under ticked stepping, so they are the
@@ -256,37 +157,47 @@ fn fig13_event_driven_replays_the_same_golden() {
         ticked,
         "the default fig13 run must be byte-identical to the ticked reference"
     );
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        return; // the production arm owns regeneration
+    if std::env::var("GOLDEN_UPDATE").is_err() {
+        // The production arm owns regeneration.
+        snapshot::assert_matches_golden(GOLDEN_PATH, &ticked, "ticked fig13");
     }
-    let golden_text = std::fs::read_to_string(GOLDEN_PATH).expect("golden snapshot present");
-    let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
-    let got: Value = serde_json::from_str(&ticked).expect("snapshot parses");
-    let mut diffs = Vec::new();
-    compare("$", &golden, &got, &mut diffs);
-    assert!(diffs.is_empty(), "ticked fig13 drifted from golden:\n{}", diffs.join("\n"));
 }
 
-/// The same two-sided check for the 20-node campaign snapshot — same
-/// golden file, bit-for-bit.
+/// The same two-sided check for the 20-node campaign snapshot: each
+/// replica, rebuilt by `support::drive_replica`, samples the same bits
+/// ticked and skipping, and the golden replica's counts and mean
+/// achieved bandwidth are its own.
 #[test]
 fn campaign_20node_event_driven_replays_the_same_golden() {
-    let ticked = run_campaign_snapshot_in(true);
-    assert_eq!(
-        run_campaign_snapshot(),
-        ticked,
-        "the default campaign must be byte-identical to the ticked reference"
-    );
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        return; // the production arm owns regeneration
+    let spec = campaign_spec();
+    // Replica seeds are forked the way `run_campaign_opts` forks them.
+    let mut root = SimRng::seed_from_u64(20);
+    for k in 0..spec.replicas as usize {
+        let seed = root.fork(100 + k as u64).next_u64();
+        let (ticked, executed_ticked) =
+            support::drive_replica(&spec, seed, PolicyKind::Bass, true, false);
+        let (skipping, executed) =
+            support::drive_replica(&spec, seed, PolicyKind::Bass, false, false);
+        assert_eq!(ticked, skipping, "replica {k} must not depend on skipped windows");
+        assert!(executed < executed_ticked, "replica {k} executed all {executed} ticks");
+        if std::env::var("GOLDEN_UPDATE").is_ok() {
+            continue; // the production arm owns regeneration
+        }
+        let golden_text =
+            std::fs::read_to_string(GOLDEN_CAMPAIGN_PATH).expect("golden snapshot present");
+        // Exact text: a parsed JSON number holds the 64-bit seed as an f64.
+        assert!(golden_text.contains(&format!("\"seed\": {seed},")), "replica {k} seed");
+        let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
+        let r = &golden["replicas"][k];
+        let achieved = ticked.samples.iter().fold(0.0, |sum, s| sum + f64::from_bits(s.1));
+        let mean_achieved = achieved / ticked.samples.len() as f64;
+        assert_eq!(r["mean_achieved_mbps"].as_f64(), Some(mean_achieved), "replica {k}");
+        let counts = [ticked.admitted, ticked.rejected, ticked.migrations, ticked.unplaceable];
+        let fields = ["apps_admitted", "apps_rejected", "migrations", "unplaceable"];
+        for (field, count) in fields.into_iter().zip(counts) {
+            assert_eq!(r[field].as_u64(), Some(count), "replica {k} {field}");
+        }
     }
-    let golden_text =
-        std::fs::read_to_string(GOLDEN_CAMPAIGN_PATH).expect("golden snapshot present");
-    let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
-    let got: Value = serde_json::from_str(&ticked).expect("snapshot parses");
-    let mut diffs = Vec::new();
-    compare("$", &golden, &got, &mut diffs);
-    assert!(diffs.is_empty(), "ticked campaign drifted from golden:\n{}", diffs.join("\n"));
 }
 
 #[test]

@@ -25,6 +25,9 @@
 //! GOLDEN_UPDATE=1 cargo test --test policy
 //! ```
 
+mod snapshot;
+mod support;
+
 use bass::appdag::catalog;
 use bass::cluster::MigrationRecord;
 use bass::apps::testbeds::{citylab_testbed, lan_testbed};
@@ -36,10 +39,7 @@ use bass::faults::{FaultPlan, StormProfile};
 use bass::mesh::NodeId;
 use bass::netmon::NetMonitorConfig;
 use bass::obs::Journal;
-use bass::scenario::{
-    run_arena, run_campaign_opts, run_campaign_reference, ArenaOptions, CampaignOptions,
-    ScenarioSpec,
-};
+use bass::scenario::{run_arena, run_campaign_opts, ArenaOptions, CampaignOptions, ScenarioSpec};
 use bass::util::time::{SimDuration, SimTime};
 use bass::util::units::Bandwidth;
 use proptest::prelude::*;
@@ -53,93 +53,6 @@ const GOLDEN_ARENA: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/arena_20node.json");
 const GOLDEN_STORM: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/policy_storm_decisions.json");
-
-/// Same tolerance story as `tests/golden.rs`: tight enough to catch
-/// behaviour drift, loose enough for benign float reassociation.
-const REL_TOL: f64 = 1e-6;
-
-/// Recursively compares two parsed JSON values with a relative
-/// tolerance on numbers, reporting the path of the first mismatch
-/// (the `tests/golden.rs` comparator).
-fn compare(path: &str, golden: &Value, got: &Value, diffs: &mut Vec<String>) {
-    match (golden.as_f64(), got.as_f64()) {
-        (Some(a), Some(b)) => {
-            let scale = a.abs().max(b.abs()).max(1e-12);
-            if (a - b).abs() > REL_TOL * scale {
-                diffs.push(format!("{path}: golden {a} vs got {b}"));
-            }
-            return;
-        }
-        (None, None) => {}
-        _ => {
-            diffs.push(format!("{path}: type changed"));
-            return;
-        }
-    }
-    match (golden.as_object(), got.as_object()) {
-        (Some(a), Some(b)) => {
-            if a.len() != b.len() {
-                diffs.push(format!("{path}: {} keys vs {}", a.len(), b.len()));
-                return;
-            }
-            for ((ka, va), (kb, vb)) in a.iter().zip(b.iter()) {
-                if ka != kb {
-                    diffs.push(format!("{path}: key {ka:?} vs {kb:?}"));
-                    return;
-                }
-                compare(&format!("{path}.{ka}"), va, vb, diffs);
-            }
-            return;
-        }
-        (None, None) => {}
-        _ => {
-            diffs.push(format!("{path}: type changed"));
-            return;
-        }
-    }
-    match (golden.as_array(), got.as_array()) {
-        (Some(a), Some(b)) => {
-            if a.len() != b.len() {
-                diffs.push(format!("{path}: {} elements vs {}", a.len(), b.len()));
-                return;
-            }
-            for (i, (va, vb)) in a.iter().zip(b.iter()).enumerate() {
-                compare(&format!("{path}[{i}]"), va, vb, diffs);
-            }
-        }
-        _ => {
-            if golden != got {
-                diffs.push(format!("{path}: golden {golden:?} vs got {got:?}"));
-            }
-        }
-    }
-}
-
-/// Compares `current` against the snapshot at `golden_path`, or — under
-/// `GOLDEN_UPDATE=1` — rewrites the snapshot instead.
-fn assert_or_update_golden(golden_path: &str, current: &str, what: &str) {
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        std::fs::write(golden_path, current).expect("write golden snapshot");
-        eprintln!("golden snapshot regenerated at {golden_path}");
-        return;
-    }
-    assert_matches_golden(golden_path, current, what);
-}
-
-fn assert_matches_golden(golden_path: &str, current: &str, what: &str) {
-    let golden_text = std::fs::read_to_string(golden_path).unwrap_or_else(|e| {
-        panic!("missing golden snapshot {golden_path} ({e}); run GOLDEN_UPDATE=1 cargo test")
-    });
-    let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
-    let got: Value = serde_json::from_str(current).expect("snapshot parses");
-    let mut diffs = Vec::new();
-    compare("$", &golden, &got, &mut diffs);
-    assert!(
-        diffs.is_empty(),
-        "{what} drifted from golden snapshot {golden_path}:\n{}",
-        diffs.join("\n")
-    );
-}
 
 // ---------------------------------------------------------------------
 // 1. Refactor equivalence: the BASS policy replays the goldens written
@@ -219,7 +132,7 @@ fn fig13_trait_policy_replays_the_golden_snapshot() {
     // The snapshot was written before policies were pluggable; the
     // explicit PolicyKind::Bass arm must reproduce it.
     let current = fig13_snapshot(PolicyKind::Bass);
-    assert_matches_golden(GOLDEN_FIG13, &current, "BASS-policy fig13 replay");
+    snapshot::assert_matches_golden(GOLDEN_FIG13, &current, "BASS-policy fig13 replay");
 }
 
 /// The 20-node reference campaign from `tests/golden.rs`, with the
@@ -268,8 +181,8 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 
 /// Camera pipeline on the trace-driven CityLab testbed under `policy`;
 /// returns the journal plus the migration log, asserting cluster
-/// invariants on exit. `ticked` switches the env to reference stepping
-/// (every tick executes in full).
+/// invariants on exit. `ticked` executes every 100 ms tick in full
+/// (`support::ticked`) instead of `run_for`.
 fn storm_run(
     policy: PolicyKind,
     ticked: bool,
@@ -284,12 +197,13 @@ fn storm_run(
         ..Default::default()
     };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
-    if ticked {
-        env.use_reference_stepping();
-    }
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
-    env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
+    if ticked {
+        support::ticked(&mut env, secs * 10, |_| {});
+    } else {
+        env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
+    }
     env.cluster().check_invariants().expect("cluster invariants hold");
     let journal = env.take_journal().expect("journal attached").export_jsonl();
     (journal, env.stats().migrations.clone())
@@ -338,7 +252,7 @@ fn every_policy_storm_decisions_match_golden() {
         ));
     }
     let current = format!("{{\n{}\n}}\n", policies.join(",\n"));
-    assert_or_update_golden(GOLDEN_STORM, &current, "six-policy storm decisions");
+    snapshot::assert_or_update_golden(GOLDEN_STORM, &current, "six-policy storm decisions");
 }
 
 proptest! {
@@ -399,24 +313,37 @@ fn arena_table_bytes_are_jobs_independent() {
 
 /// The arena table is a pure fold of its campaigns' summaries, so the
 /// rows and ranking match the ticked reference iff every `(policy,
-/// scenario)` campaign does — non-BASS policies included.
+/// scenario)` campaign does. For all six policies, each replica,
+/// rebuilt by `support::drive_replica`, samples the same bits ticked and
+/// skipping, and its counts and mean achieved bandwidth are the
+/// campaign's.
 #[test]
 fn arena_campaigns_match_the_ticked_reference() {
-    let (spec, policies) = arena_entry();
-    for policy in policies {
+    let (spec, _) = arena_entry();
+    for policy in PolicyKind::all() {
         let opts = CampaignOptions { jobs: 2, policy, ..CampaignOptions::default() };
-        assert_eq!(
-            run_campaign_reference(&spec, 20, &opts).expect("reference runs").summary.to_json(),
-            run_campaign_opts(&spec, 20, &opts).expect("campaign runs").summary.to_json(),
-            "{} campaign must not depend on skipped windows",
-            policy.name()
-        );
+        let summary = run_campaign_opts(&spec, 20, &opts).expect("campaign runs").summary;
+        for r in &summary.replicas {
+            let (ticked, executed_ticked) = support::drive_replica(&spec, r.seed, policy, true, false);
+            let (skipping, executed) = support::drive_replica(&spec, r.seed, policy, false, false);
+            let name = policy.name();
+            assert_eq!(ticked, skipping, "{name} replica must not depend on skipped windows");
+            assert!(executed < executed_ticked, "{name} executed all {executed} ticks");
+            let achieved = ticked.samples.iter().fold(0.0, |sum, s| sum + f64::from_bits(s.1));
+            assert_eq!(
+                (ticked.admitted, ticked.rejected, ticked.migrations, ticked.unplaceable),
+                (r.apps_admitted, r.apps_rejected, r.migrations, r.unplaceable),
+                "{name} replica {} counts",
+                r.replica
+            );
+            assert_eq!(achieved / ticked.samples.len() as f64, r.mean_achieved_mbps, "{name}");
+        }
     }
 }
 
 #[test]
 fn arena_20node_matches_golden_snapshot() {
-    assert_or_update_golden(GOLDEN_ARENA, &arena_table(2), "arena tournament");
+    snapshot::assert_or_update_golden(GOLDEN_ARENA, &arena_table(2), "arena tournament");
 }
 
 #[test]
