@@ -394,19 +394,25 @@ impl Allocation {
         Ok(())
     }
 
-    /// Tolerantly re-routes every flow over freshly recomputed routes:
-    /// flows whose route vanished are parked as unroutable (zero
-    /// allocation, queues preserved) and restored when a later
-    /// recomputation finds a path again.
+    /// Tolerantly re-routes the flows whose source's routes the last
+    /// up/down call changed ([`Routes::source_changed`]): flows whose
+    /// route vanished are parked as unroutable (zero allocation, queues
+    /// preserved) and restored when a later repair finds a path again.
     pub(crate) fn reroute(&mut self, routes: &Routes) {
+        let mut moved = false;
         for f in &mut self.flows.states {
+            if !routes.source_changed(f.spec.src) {
+                continue;
+            }
             let r = routes.route_flow(f.spec.src, f.spec.dst);
+            moved |= r.as_ref().map(|(l, e)| (l, e)) != f.routable.then_some((&f.links, &f.egress));
             f.routable = r.is_some();
             (f.links, f.egress) = r.unwrap_or_default();
         }
-        // Up/down state feeds effective capacities: the stale index
-        // forces a full capacity re-read.
-        self.index.dirty = true;
+        // A moved path rebuilds the index; moved capacities need not.
+        if moved {
+            self.index.dirty = true;
+        }
     }
 
     /// Applies or clears a cap on a node's egress. A newly capped node's

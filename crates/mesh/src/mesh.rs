@@ -172,7 +172,7 @@ impl Mesh {
 
     /// Marks a node up or down. A down node's links all become unusable:
     /// routes avoid them, its flows lose their allocation, and capacity
-    /// queries report zero. Routes and flow paths are recomputed.
+    /// queries report zero. Routes are repaired, changed flow paths redone.
     ///
     /// # Errors
     ///
@@ -184,7 +184,7 @@ impl Mesh {
     }
 
     /// Marks the link between `a` and `b` up or down, independent of the
-    /// endpoints' node state. Routes and flow paths are recomputed.
+    /// endpoints' node state. Routes are repaired, changed flow paths redone.
     ///
     /// # Errors
     ///
@@ -195,13 +195,16 @@ impl Mesh {
         Ok(())
     }
 
-    /// After an up/down change: re-path every flow and reallocate.
-    fn reroute_if(&mut self, changed: bool) {
-        if changed {
+    /// After an up/down call that changed the fault state (`Some`, with
+    /// whether a link's usability flipped, moving capacities): re-path
+    /// the flows whose routes changed and reallocate.
+    fn reroute_if(&mut self, change: Option<bool>) {
+        let Some(flipped) = change else { return };
+        if flipped {
             self.links.invalidate();
-            self.alloc.reroute(&self.routes);
-            self.alloc.reallocate(&mut self.links, &self.routes, self.now, None);
         }
+        self.alloc.reroute(&self.routes);
+        self.alloc.reallocate(&mut self.links, &self.routes, self.now, None);
     }
 
     /// True when the node exists and is not crashed.
@@ -1174,6 +1177,36 @@ mod tests {
         assert_eq!(p.component_count(), r.component_count());
         for ci in 0..patched.alloc.index.constraints.len() {
             assert_eq!(p.constraint_component(ci), r.constraint_component(ci));
+        }
+    }
+
+    #[test]
+    fn link_toggled_under_a_crashed_endpoint_refills_without_a_rebuild() {
+        let mut mesh = Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(20.0)).unwrap();
+        for i in 0..6u32 {
+            mesh.add_flow(NodeId(i), NodeId(15 - i), mbps(4.0 + f64::from(i))).unwrap();
+        }
+        mesh.set_node_up(NodeId(5), false).unwrap();
+        mesh.advance(SimDuration::from_millis(100));
+        for up in [false, true] {
+            // A rebuild compacts tombstones: one that survives the call
+            // proves the call's reallocation patched the clean index.
+            mesh.remove_flow(live_ids(&mesh)[0]).unwrap();
+            let dead = mesh.alloc.flows.dead;
+            let mut rebuilt = mesh.clone();
+            rebuilt.alloc.index.dirty = true;
+            for m in [&mut mesh, &mut rebuilt] {
+                m.set_link_up(NodeId(5), NodeId(6), up).unwrap();
+            }
+            assert_eq!(mesh.alloc.flows.dead, dead, "no index rebuild (up = {up})");
+            assert_eq!(rebuilt.alloc.flows.dead, 0);
+            for id in live_ids(&mesh) {
+                assert_eq!(bits(mesh.flow_rate(id)), bits(rebuilt.flow_rate(id)));
+            }
+            for (a, b) in mesh.alloc.link_used_bps().iter().zip(rebuilt.alloc.link_used_bps()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            assert_patch_matches_rebuild(&mut mesh, &mut rebuilt);
         }
     }
 

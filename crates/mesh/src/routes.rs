@@ -2,10 +2,10 @@
 //! and links faults have taken down, and the min-hop routes over what
 //! is left.
 //!
-//! Invariant: `table` is always
-//! `RoutingTable::compute_filtered(&topo, |l| usable(l))`. The up/down
-//! setters recompute it themselves before they return, so no caller can
-//! observe a table that disagrees with the fault state.
+//! Invariant: `table` equals `RoutingTable::compute_filtered(&topo, |l|
+//! usable(l))`, computed once in [`Routes::new`]; the up/down setters
+//! repair it in place before they return, over only the links whose
+//! usability really flipped (none under a crashed endpoint).
 
 use crate::mesh::MeshError;
 use crate::routing::RoutingTable;
@@ -14,7 +14,8 @@ use std::collections::BTreeSet;
 
 /// Topology, fault state and routing table.
 ///
-/// Logical: `topo`, `down_nodes`, `down_links`. Derived: `table`.
+/// Logical: `topo`, `down_nodes`, `down_links`. Derived: `table`,
+/// `changed`.
 #[derive(Debug, Clone)]
 pub(crate) struct Routes {
     /// The topology the mesh was built on; never changes.
@@ -26,6 +27,9 @@ pub(crate) struct Routes {
     down_links: BTreeSet<LinkId>,
     /// Min-hop routes over the usable links.
     table: RoutingTable,
+    /// By rank: whether the last setter call that changed the fault
+    /// state changed the source's row, or its loopback.
+    changed: Vec<bool>,
 }
 
 /// Adds `item` to a down set, or with `up` takes it out; true when the
@@ -45,7 +49,8 @@ impl Routes {
             return Err(MeshError::NotConnected);
         }
         let table = RoutingTable::compute(&topo);
-        Ok(Routes { topo, down_nodes: BTreeSet::new(), down_links: BTreeSet::new(), table })
+        let changed = vec![false; topo.node_count()];
+        Ok(Routes { topo, down_nodes: BTreeSet::new(), down_links: BTreeSet::new(), table, changed })
     }
 
     /// The topology.
@@ -68,29 +73,42 @@ impl Routes {
         self.topo.find_link(a, b).ok_or(MeshError::UnknownLink(a, b))
     }
 
-    /// Marks a node up or down and recomputes the table if that changed
-    /// anything; true when it did.
-    pub(crate) fn set_node_up(&mut self, node: NodeId, up: bool) -> Result<bool, MeshError> {
-        if !self.topo.contains_node(node) {
-            return Err(MeshError::UnknownNode(node));
+    /// Marks a node up or down and repairs the table. `None` when that
+    /// restated its state, else whether any link's usability flipped.
+    /// The node's own row always counts as changed: its loopback flows
+    /// live or die with it.
+    pub(crate) fn set_node_up(&mut self, node: NodeId, up: bool) -> Result<Option<bool>, MeshError> {
+        let x = self.table.rank(node).ok_or(MeshError::UnknownNode(node))?;
+        if !mark(&mut self.down_nodes, node, up) {
+            return Ok(None);
         }
-        let changed = mark(&mut self.down_nodes, node, up);
-        Ok(self.recompute_if(changed))
+        self.changed.fill(false);
+        self.changed[x as usize] = true;
+        let flips: Vec<LinkId> = self.topo.neighbor_links(node).iter()
+            .filter(|&&(nb, lid)| !self.down_links.contains(&lid) && !self.down_nodes.contains(&nb))
+            .map(|&(_, lid)| lid)
+            .collect();
+        Ok(Some(self.table.repair(&flips, up, &mut self.changed)))
     }
 
-    /// Marks the link between `a` and `b` up or down and recomputes the
-    /// table if that changed anything; true when it did.
-    pub(crate) fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) -> Result<bool, MeshError> {
+    /// Marks the link between `a` and `b` up or down and repairs the
+    /// table, as [`set_node_up`](Self::set_node_up) does; under a crashed
+    /// endpoint the link stays unusable either way.
+    pub(crate) fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) -> Result<Option<bool>, MeshError> {
         let lid = self.link(a, b)?;
-        let changed = mark(&mut self.down_links, lid, up);
-        Ok(self.recompute_if(changed))
+        if !mark(&mut self.down_links, lid, up) {
+            return Ok(None);
+        }
+        self.changed.fill(false);
+        let link = self.topo.link(lid);
+        let endpoints_up = !self.down_nodes.contains(&link.a) && !self.down_nodes.contains(&link.b);
+        let flips = endpoints_up.then_some(lid);
+        Ok(Some(self.table.repair(flips.as_slice(), up, &mut self.changed)))
     }
 
-    fn recompute_if(&mut self, changed: bool) -> bool {
-        if changed {
-            self.table = RoutingTable::compute_filtered(&self.topo, |lid| self.usable(lid));
-        }
-        changed
+    /// Whether flows from `src` need re-pathing after the last setter call.
+    pub(crate) fn source_changed(&self, src: NodeId) -> bool {
+        self.table.rank(src).is_some_and(|r| self.changed[r as usize])
     }
 
     /// True when the node exists and is not crashed.
@@ -108,16 +126,63 @@ impl Routes {
     }
 
     /// Routes one flow over the current table: the links it crosses and
-    /// the ranks of the nodes whose egress it consumes, or `None` when no
-    /// usable route exists.
+    /// the ranks of the nodes whose egress it consumes, each vector sized
+    /// exactly, or `None` when no usable route exists.
     pub(crate) fn route_flow(&self, src: NodeId, dst: NodeId) -> Option<(Vec<LinkId>, Vec<u32>)> {
         if src == dst {
             // Loopback crosses nothing and dies with its node.
             return (!self.down_nodes.contains(&src)).then(Default::default);
         }
-        let path = self.table.path(src, dst)?;
-        let links: Option<_> = path.windows(2).map(|w| self.topo.find_link(w[0], w[1])).collect();
-        let egress = path[..path.len() - 1].iter().filter_map(|&n| self.table.rank(n)).collect();
+        self.table.route(self.table.rank(src)?, self.table.rank(dst)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bass_util::rng::SimRng;
+
+    /// The derivation `route_flow` replaced: walk the node path, look up
+    /// each hop's link by its endpoints, and rank every node but the last.
+    fn derived(routes: &Routes, src: NodeId, dst: NodeId) -> Option<(Vec<LinkId>, Vec<u32>)> {
+        if src == dst {
+            return routes.node_is_up(src).then(Default::default);
+        }
+        let path = routes.path(src, dst)?;
+        let links: Option<Vec<LinkId>> =
+            path.windows(2).map(|w| routes.topo.find_link(w[0], w[1])).collect();
+        let egress = path[..path.len() - 1].iter().filter_map(|&n| routes.rank(n)).collect();
         Some((links?, egress))
+    }
+
+    /// Every pair's route vectors equal the derivation's and hold no
+    /// spare capacity.
+    fn assert_route_vectors(routes: &Routes) {
+        let nodes: Vec<NodeId> = routes.topo.nodes().collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                let got = routes.route_flow(a, b);
+                assert_eq!(got, derived(routes, a, b), "route {a}->{b}");
+                if let Some((links, egress)) = &got {
+                    assert_eq!(links.capacity(), links.len(), "links {a}->{b}");
+                    assert_eq!(egress.capacity(), egress.len(), "egress {a}->{b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_vectors_match_the_path_derivation_and_are_sized_exactly() {
+        assert_route_vectors(&Routes::new(Topology::grid(7, 5)).unwrap());
+
+        let (topo, _) = Topology::random_geometric(40, 0.25, &mut SimRng::seed_from_u64(9));
+        let ends: Vec<(NodeId, NodeId)> = topo.links().map(|(_, l)| (l.a, l.b)).collect();
+        let mut routes = Routes::new(topo).unwrap();
+        for &(a, b) in ends.iter().step_by(5) {
+            routes.set_link_up(a, b, false).unwrap();
+        }
+        routes.set_node_up(NodeId(3), false).unwrap();
+        assert!(ends.iter().any(|&(a, b)| routes.path(a, b).is_none()), "some pair is cut off");
+        assert_route_vectors(&routes);
     }
 }

@@ -5,11 +5,44 @@
 //! as shortest-path (min hop count) with deterministic tie-breaking by
 //! node id, which is stable across runs — exactly what an observing
 //! orchestrator needs.
+//!
+//! # Repair instead of recomputation
+//!
+//! A row's BFS visits each level in *path order* (by parent's position,
+//! then rank): it records the lexicographically smallest shortest path
+//! to each node, whose parent is its smallest-path neighbour one level
+//! up. So `RoutingTable::repair` is exact. After a removal, a node whose
+//! route avoids it keeps the route (it still exists, nothing got
+//! shorter): only subtrees below removed tree edges are re-settled.
+//! After an addition, only nodes whose new smallest path uses it change.
 
 use crate::topology::{LinkId, NodeId, Topology};
 
 /// Parent-array entry of a destination the source cannot reach.
 const UNREACHABLE: u32 = u32::MAX;
+
+/// Every link of the topology in rank space: a CSR of `(neighbour rank,
+/// link)` per node, ascending by neighbour rank, each link's endpoint
+/// ranks, and which links routes may use.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Adjacency {
+    off: Vec<u32>,
+    nbrs: Vec<(u32, u32)>,
+    ends: Vec<(u32, u32)>,
+    usable: Vec<bool>,
+}
+
+impl Adjacency {
+    /// The node of rank `v`'s `(neighbour, link)` pairs, ascending.
+    fn nbrs(&self, v: u32) -> &[(u32, u32)] {
+        &self.nbrs[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+    }
+
+    /// The usable neighbours of the node of rank `v`, ascending by rank.
+    fn usable_nbrs(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        self.nbrs(v).iter().filter(|&&(_, l)| self.usable[l as usize]).map(|&(u, _)| u)
+    }
+}
 
 /// All-pairs min-hop routes over a [`Topology`], kept as one BFS parent
 /// array per source: a path is walked out of the array when asked for
@@ -39,6 +72,8 @@ const UNREACHABLE: u32 = u32::MAX;
 pub struct RoutingTable {
     /// Node ids in ascending order; a node's index here is its rank.
     ids: Vec<NodeId>,
+    /// The links, and which of them routes may use.
+    graph: Adjacency,
     /// `parent[s * n + d]` = rank of the hop before `d` on the route from
     /// `s` (`s` itself when `d == s`), or [`UNREACHABLE`].
     parent: Vec<u32>,
@@ -57,39 +92,38 @@ impl RoutingTable {
     /// the mesh to route around faulted links and crashed nodes;
     /// destinations that become unreachable simply have no route.
     pub fn compute_filtered(topo: &Topology, mut usable: impl FnMut(LinkId) -> bool) -> Self {
-        let mut pass = vec![false; topo.link_count()];
-        for (lid, _) in topo.links() {
-            pass[lid.0] = usable(lid);
-        }
         let ids: Vec<NodeId> = topo.nodes().collect();
         let n = ids.len();
-        // Usable adjacency in rank space (CSR). `neighbor_links` ascends
-        // by id, hence by rank, so the first-found BFS parent below is
-        // the lowest-id one.
-        let mut adj_off = vec![0];
-        let mut adj: Vec<u32> = Vec::new();
+        let rank = |node: NodeId| ids.binary_search(&node).map_or(UNREACHABLE, |r| r as u32);
+        // `neighbor_links` ascends by id, hence by rank, so the
+        // first-found BFS parent below is the lowest-id one.
+        let mut off = vec![0];
+        let mut nbrs = Vec::with_capacity(2 * topo.link_count());
         for &node in &ids {
-            for &(nb, lid) in topo.neighbor_links(node) {
-                if !pass[lid.0] {
-                    continue;
-                }
-                if let Ok(r) = ids.binary_search(&nb) {
-                    adj.push(r as u32);
-                }
-            }
-            adj_off.push(adj.len());
+            nbrs.extend(topo.neighbor_links(node).iter().map(|&(nb, lid)| (rank(nb), lid.0 as u32)));
+            off.push(nbrs.len() as u32);
         }
-        let mut parent = vec![UNREACHABLE; n * n];
-        let mut queue: Vec<u32> = Vec::with_capacity(n);
-        for s in 0..n {
-            let row = &mut parent[s * n..(s + 1) * n];
+        let graph = Adjacency {
+            off,
+            nbrs,
+            ends: topo.links().map(|(_, l)| (rank(l.a), rank(l.b))).collect(),
+            usable: topo.links().map(|(lid, _)| usable(lid)).collect(),
+        };
+        // A plain CSR of the usable links: a per-entry flag test slows this BFS.
+        let (mut uoff, mut unbrs) = (vec![0], Vec::with_capacity(graph.nbrs.len()));
+        for v in 0..n as u32 {
+            unbrs.extend(graph.usable_nbrs(v));
+            uoff.push(unbrs.len());
+        }
+        let (mut parent, mut queue) = (vec![UNREACHABLE; n * n], Vec::with_capacity(n));
+        for (s, row) in parent.chunks_exact_mut(n.max(1)).enumerate() {
             row[s] = s as u32;
             queue.clear();
             queue.push(s as u32);
             let mut head = 0;
             while let Some(&u) = queue.get(head) {
                 head += 1;
-                for &v in &adj[adj_off[u as usize]..adj_off[u as usize + 1]] {
+                for &v in &unbrs[uoff[u as usize]..uoff[u as usize + 1]] {
                     if row[v as usize] == UNREACHABLE {
                         row[v as usize] = u;
                         queue.push(v);
@@ -97,7 +131,7 @@ impl RoutingTable {
                 }
             }
         }
-        RoutingTable { ids, parent }
+        RoutingTable { ids, graph, parent }
     }
 
     /// The node's rank: its position among the topology's nodes in
@@ -106,24 +140,218 @@ impl RoutingTable {
         self.ids.binary_search(&node).ok().map(|r| r as u32)
     }
 
+    /// The parent row of the source of rank `s`.
+    fn row(&self, s: u32) -> &[u32] {
+        let n = self.ids.len();
+        &self.parent[s as usize * n..(s as usize + 1) * n]
+    }
+
     /// The node sequence from `src` to `dst` (inclusive), or `None` when
     /// unreachable. This is the simulator's "traceroute".
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        let (s, d) = (self.rank(src)? as usize, self.rank(dst)? as usize);
-        let n = self.ids.len();
-        let row = &self.parent[s * n..(s + 1) * n];
-        if row[d] == UNREACHABLE {
+        let (s, d) = (self.rank(src)?, self.rank(dst)?);
+        let row = self.row(s);
+        if row[d as usize] == UNREACHABLE {
             return None;
         }
         let mut path = vec![dst];
         let mut cur = d;
         while cur != s {
-            cur = row[cur] as usize;
-            path.push(self.ids[cur]);
+            cur = row[cur as usize];
+            path.push(self.ids[cur as usize]);
         }
         path.reverse();
         Some(path)
     }
+
+    /// The route from rank `s` to rank `d`, or `None` when `d`'s depth
+    /// is [`UNREACHABLE`]: the links it crosses and the ranks of the nodes
+    /// it leaves (all but `d`), both in path order and sized exactly, the
+    /// hops counted by one walk and filled from the back by a second.
+    pub(crate) fn route(&self, s: u32, d: u32) -> Option<(Vec<LinkId>, Vec<u32>)> {
+        let row = self.row(s);
+        let hops = depth(row, d).checked_add(1)? as usize - 1;
+        let mut links = vec![LinkId(0); hops];
+        let mut egress = vec![0; hops];
+        let mut cur = d;
+        for i in (0..hops).rev() {
+            let prev = row[cur as usize];
+            let hop = self.graph.nbrs(prev);
+            links[i] = LinkId(hop[hop.binary_search_by_key(&cur, |&(u, _)| u).ok()?].1 as usize);
+            egress[i] = prev;
+            cur = prev;
+        }
+        Some((links, egress))
+    }
+
+    /// Sets `links`, whose usability just flipped, to `up` and repairs
+    /// every row in place, marking each changed one in `changed`; false
+    /// when there were none. A removal re-settles each subtree below a
+    /// removed tree edge; an addition grows the subtree that now hangs off
+    /// an endpoint it gives a shorter route, or an equally short one
+    /// smaller in path order. Several links must share an endpoint.
+    pub(crate) fn repair(&mut self, links: &[LinkId], up: bool, changed: &mut [bool]) -> bool {
+        if links.is_empty() {
+            return false;
+        }
+        for lid in links {
+            self.graph.usable[lid.0] = up;
+        }
+        let ends: Vec<(u32, u32)> = links.iter().map(|lid| self.graph.ends[lid.0]).collect();
+        let mut scratch = Scratch::default();
+        for (s, row) in self.parent.chunks_exact_mut(self.ids.len()).enumerate() {
+            scratch.seeds.clear();
+            if up {
+                for (x, y) in ends.iter().flat_map(|&(a, b)| [(a, b), (b, a)]) {
+                    let d = depth(row, x);
+                    if d != UNREACHABLE {
+                        scratch.seeds.push((d + 1, y, x));
+                    }
+                }
+            } else if !clear_subtrees(row, &ends, &self.graph, &mut scratch) {
+                continue;
+            }
+            changed[s] |= settle(row, &self.graph, &mut scratch, !up) || !up;
+        }
+        true
+    }
+}
+
+/// Reusable lists of one repair: `(level, node, parent)` seeds offering a
+/// parent `level - 1` deep, the level just settled (in path order), the next.
+#[derive(Default)]
+struct Scratch {
+    seeds: Vec<(u32, u32, u32)>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+}
+
+/// Hops from the row's source to `v`, or [`UNREACHABLE`].
+fn depth(row: &[u32], mut v: u32) -> u32 {
+    if row[v as usize] == UNREACHABLE {
+        return UNREACHABLE;
+    }
+    let mut d = 0;
+    while row[v as usize] != v {
+        v = row[v as usize];
+        d += 1;
+    }
+    d
+}
+
+/// Compares the routes to `a` and `b`, equally deep, in path order: the
+/// ranks just below their deepest common ancestor decide.
+fn path_cmp(row: &[u32], mut a: u32, mut b: u32) -> std::cmp::Ordering {
+    while row[a as usize] != row[b as usize] {
+        a = row[a as usize];
+        b = row[b as usize];
+    }
+    a.cmp(&b)
+}
+
+/// Whether `p`, `level - 1` deep, beats `v`'s own parent: it gives a
+/// shorter route, or an equally short one smaller in path order.
+fn adopts(row: &[u32], v: u32, p: u32, level: u32) -> bool {
+    let d = depth(row, v);
+    d > level || (d == level && path_cmp(row, p, row[v as usize]).is_lt())
+}
+
+/// Offers `v` the best parent the row has for it as it stands: its
+/// shallowest reached usable neighbour, the smallest in path order
+/// among equals.
+fn seed(row: &[u32], v: u32, graph: &Adjacency, seeds: &mut Vec<(u32, u32, u32)>) {
+    let mut best: Option<(u32, u32, u32)> = None;
+    for u in graph.usable_nbrs(v) {
+        let level = depth(row, u).saturating_add(1);
+        if level != UNREACHABLE
+            && best.is_none_or(|(l, _, p)| level < l || (level == l && path_cmp(row, u, p).is_lt()))
+        {
+            best = Some((level, v, u));
+        }
+    }
+    seeds.extend(best);
+}
+
+/// Clears every subtree below a tree edge between the endpoint ranks in
+/// `ends` and seeds each cleared node; true when any was. A node's
+/// children are its neighbours whose parent it is, over every link: a
+/// tree edge that just became unusable still leads to its child.
+fn clear_subtrees(row: &mut [u32], ends: &[(u32, u32)], graph: &Adjacency, scratch: &mut Scratch) -> bool {
+    let cleared = &mut scratch.next;
+    cleared.clear();
+    for &(a, b) in ends {
+        let child = if row[b as usize] == a {
+            b
+        } else if row[a as usize] == b {
+            a
+        } else {
+            continue;
+        };
+        let mut i = cleared.len();
+        row[child as usize] = UNREACHABLE;
+        cleared.push(child);
+        while let Some(&u) = cleared.get(i) {
+            i += 1;
+            for &(w, _) in graph.nbrs(u) {
+                if row[w as usize] == u {
+                    row[w as usize] = UNREACHABLE;
+                    cleared.push(w);
+                }
+            }
+        }
+    }
+    scratch.seeds.clear();
+    for &v in cleared.iter() {
+        seed(row, v, graph, &mut scratch.seeds);
+    }
+    !cleared.is_empty()
+}
+
+/// Re-settles a row level by level from the scratch's seeds, as a BFS
+/// would: each level's changed nodes are kept in path order, so the
+/// first of them to reach a neighbour is its smallest-path parent among
+/// them. With `cut` only cleared nodes change, at the first reach; else
+/// a reached node takes the reaching one if it [`adopts`] it or it is
+/// already its parent (whose route just moved). Seeds follow the
+/// level's reaches. True when any entry changed.
+fn settle(row: &mut [u32], graph: &Adjacency, scratch: &mut Scratch, cut: bool) -> bool {
+    let Scratch { seeds, frontier, next } = scratch;
+    seeds.sort_unstable();
+    let (mut i, mut level, mut changed) = (0, 0, false);
+    frontier.clear();
+    loop {
+        if frontier.is_empty() {
+            let Some(&(l, _, _)) = seeds.get(i) else { break };
+            level = l;
+        }
+        next.clear();
+        for &u in frontier.iter() {
+            for w in graph.usable_nbrs(u) {
+                let joins = if cut {
+                    row[w as usize] == UNREACHABLE
+                } else {
+                    row[w as usize] == u || adopts(row, w, u, level)
+                };
+                if joins {
+                    row[w as usize] = u;
+                    next.push(w);
+                }
+            }
+        }
+        while let Some(&(_, v, p)) = seeds.get(i).filter(|s| s.0 <= level) {
+            i += 1;
+            if adopts(row, v, p, level) {
+                row[v as usize] = p;
+                next.push(v);
+            }
+        }
+        next.sort_unstable_by(|&a, &b| path_cmp(row, a, b));
+        next.dedup();
+        changed |= !next.is_empty();
+        std::mem::swap(frontier, next);
+        level += 1;
+    }
+    changed
 }
 
 #[cfg(test)]

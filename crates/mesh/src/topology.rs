@@ -97,8 +97,6 @@ impl Error for TopologyError {}
 pub struct Topology {
     nodes: BTreeSet<NodeId>,
     links: Vec<Link>,
-    /// `(lo, hi)` endpoint pair → link id, for O(log E) lookups.
-    link_ids: BTreeMap<(NodeId, NodeId), LinkId>,
     /// Per-node adjacency, each list ascending by neighbor id. Routing
     /// reads these for every table it computes, so they must stay in
     /// sync with `links` (see [`Topology::index_link`]).
@@ -106,8 +104,8 @@ pub struct Topology {
 }
 
 // The wire format carries only `nodes` and `links` (the same shape the
-// struct serialized as before the lookup indices existed); the indices
-// are derived data and are rebuilt on deserialization.
+// struct serialized as before the adjacency existed); the adjacency is
+// derived data and is rebuilt on deserialization.
 impl Serialize for Topology {
     fn serialize(&self) -> serde::Content {
         serde::Content::Map(vec![
@@ -175,13 +173,12 @@ impl Topology {
         Ok(())
     }
 
-    /// Appends a (normalized) link and threads it through both lookup
-    /// indices. Callers validate endpoints and uniqueness first.
+    /// Appends a (normalized) link and threads it through the adjacency.
+    /// Callers validate endpoints and uniqueness first.
     fn index_link(&mut self, a: NodeId, b: NodeId) -> LinkId {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let id = LinkId(self.links.len());
         self.links.push(Link { a: lo, b: hi });
-        self.link_ids.insert((lo, hi), id);
         for (n, other) in [(lo, hi), (hi, lo)] {
             let list = self.adj.entry(n).or_default();
             let at = list.partition_point(|&(nb, _)| nb < other);
@@ -237,8 +234,8 @@ impl Topology {
 
     /// The link between `a` and `b` (order-insensitive), if any.
     pub fn find_link(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        self.link_ids.get(&(lo, hi)).copied()
+        let nbrs = self.neighbor_links(a);
+        nbrs.binary_search_by_key(&b, |&(nb, _)| nb).ok().map(|at| nbrs[at].1)
     }
 
     /// The link with the given id.

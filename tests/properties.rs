@@ -295,6 +295,19 @@ fn ring_with_chords(n: u32, extra: usize, seed: u64) -> Topology {
     topo
 }
 
+/// [`ring_with_chords`] with its node ids spread `stride` apart.
+fn sparse_ring_with_chords(n: u32, extra: usize, seed: u64, stride: u32) -> Topology {
+    let dense = ring_with_chords(n, extra, seed);
+    let mut topo = Topology::new();
+    for v in dense.nodes() {
+        topo.add_node(NodeId(v.0 * stride)).unwrap();
+    }
+    for (_, l) in dense.links() {
+        topo.add_link(NodeId(l.a.0 * stride), NodeId(l.b.0 * stride)).unwrap();
+    }
+    topo
+}
+
 /// The materialising all-pairs BFS that `RoutingTable` used to be —
 /// every min-hop path stored whole, first-found (lowest-id) parent —
 /// kept as the oracle for the parent-array table.
@@ -428,14 +441,7 @@ proptest! {
     ) {
         // The same ring, its node ids spread out: the table must depend
         // on how many nodes there are, never on how large their ids are.
-        let dense = ring_with_chords(n, extra, seed);
-        let mut topo = Topology::new();
-        for v in dense.nodes() {
-            topo.add_node(NodeId(v.0 * stride)).unwrap();
-        }
-        for (_, l) in dense.links() {
-            topo.add_link(NodeId(l.a.0 * stride), NodeId(l.b.0 * stride)).unwrap();
-        }
+        let topo = sparse_ring_with_chords(n, extra, seed, stride);
         let up = |lid: LinkId| down_bits & (1 << (lid.0 % 64)) == 0;
         let table = RoutingTable::compute_filtered(&topo, up);
         let oracle = materialised_paths(&topo, up);
@@ -443,6 +449,60 @@ proptest! {
             for b in topo.nodes() {
                 // Node for node, and `None` exactly where the oracle has no path.
                 prop_assert_eq!(table.path(a, b), oracle.get(&(a, b)).cloned());
+            }
+        }
+    }
+
+    #[test]
+    fn repaired_routes_match_a_fresh_table_after_every_fault(
+        n in 3u32..12,
+        extra in 0usize..14,
+        seed in any::<u64>(),
+        stride in 1u32..400_000_000,
+    ) {
+        // A mesh carrying flows (loopback ones included) takes about 40
+        // random node and link ups and downs, repeats included; after
+        // each, every route it serves must be the one a table computed
+        // from scratch over the links up right now gives.
+        let topo = sparse_ring_with_chords(n, extra, seed, stride);
+        let nodes: Vec<NodeId> = topo.nodes().collect();
+        let links: Vec<_> = topo.links().map(|(_, l)| (l.a, l.b)).collect();
+        let mut mesh = Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(10.0)).unwrap();
+        let mut rng = SimRng::seed_from_u64(seed);
+        for _ in 0..4 {
+            let (src, dst) = (*rng.choose(&nodes).unwrap(), *rng.choose(&nodes).unwrap());
+            mesh.add_flow(src, dst, Bandwidth::from_mbps(3.0)).unwrap();
+        }
+        let mut down_nodes = std::collections::BTreeSet::new();
+        let mut down_links = std::collections::BTreeSet::new();
+        for step in 0..40 {
+            let up = rng.chance(0.5);
+            if rng.chance(0.4) {
+                let node = *rng.choose(&nodes).unwrap();
+                mesh.set_node_up(node, up).unwrap();
+                if up { down_nodes.remove(&node) } else { down_nodes.insert(node) };
+            } else {
+                let (a, b) = *rng.choose(&links).unwrap();
+                mesh.set_link_up(a, b, up).unwrap();
+                let lid = topo.find_link(a, b).unwrap();
+                if up { down_links.remove(&lid) } else { down_links.insert(lid) };
+            }
+            let usable = |lid: LinkId| {
+                let l = topo.link(lid);
+                !down_links.contains(&lid) && !down_nodes.contains(&l.a) && !down_nodes.contains(&l.b)
+            };
+            for (lid, l) in topo.links() {
+                prop_assert_eq!(mesh.link_is_up(l.a, l.b), usable(lid));
+            }
+            let fresh = RoutingTable::compute_filtered(&topo, usable);
+            for &a in &nodes {
+                for &b in &nodes {
+                    prop_assert_eq!(
+                        mesh.path(a, b).ok(),
+                        fresh.path(a, b),
+                        "route {}->{} after step {}", a, b, step
+                    );
+                }
             }
         }
     }
