@@ -301,7 +301,7 @@ pub fn simulate(
     let journal = env.take_journal();
     let profiler = env.take_span_profiler();
     if let Some(path) = &opts.metrics_out {
-        let metrics = journal.as_ref().map(|j| j.metrics().clone()).unwrap_or_default();
+        let metrics = journal.as_ref().map(bass_obs::Journal::metrics).unwrap_or_default();
         let text = bass_obs::prom::render(&metrics, profiler.as_ref());
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;

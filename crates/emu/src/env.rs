@@ -1166,7 +1166,7 @@ mod tests {
         }
         // The registry lands in a Recorder as obs.event.* series.
         let mut rec = crate::Recorder::new();
-        rec.absorb_metrics(journal.metrics(), env.now());
+        rec.absorb_metrics(&journal.metrics(), env.now());
         assert_eq!(
             rec.series("obs.event.migration_target_chosen").len(),
             1

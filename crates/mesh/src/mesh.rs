@@ -471,29 +471,26 @@ impl Mesh {
     /// playback during [`advance_profiled`](Self::advance_profiled),
     /// `"scenario"` when the emulator applies a scripted restriction.
     pub fn emit_capacity_changes(&mut self, journal: &mut bass_obs::Journal, cause: &str) {
-        let caps: Vec<f64> = (0..self.topology().link_count())
-            .map(|i| self.link_capacity_now(LinkId(i)).as_mbps())
-            .collect();
-        match self.obs_cap_snapshot.as_mut() {
-            None => self.obs_cap_snapshot = Some(caps),
-            Some(prev) => {
-                for (lid, link) in self.routes.topo().links() {
-                    let old = prev[lid.0];
-                    let new = caps[lid.0];
-                    if (new - old).abs() / old.abs().max(1e-9) > 0.01 {
-                        journal.record(bass_obs::Event::LinkCapacityChanged {
-                            t_s: self.now.as_secs_f64(),
-                            a: link.a.0,
-                            b: link.b.0,
-                            old_mbps: old,
-                            new_mbps: new,
-                            cause: cause.to_string(),
-                        });
-                    }
-                }
-                *prev = caps;
+        let Some(mut prev) = self.obs_cap_snapshot.take() else {
+            let caps = (0..self.topology().link_count()).map(|i| self.link_capacity_now(LinkId(i)));
+            self.obs_cap_snapshot = Some(caps.map(Bandwidth::as_mbps).collect());
+            return;
+        };
+        for (lid, link) in self.routes.topo().links() {
+            let new = self.link_capacity_now(lid).as_mbps();
+            let old = std::mem::replace(&mut prev[lid.0], new);
+            if (new - old).abs() / old.abs().max(1e-9) > 0.01 {
+                journal.record(bass_obs::Event::LinkCapacityChanged {
+                    t_s: self.now.as_secs_f64(),
+                    a: link.a.0,
+                    b: link.b.0,
+                    old_mbps: old,
+                    new_mbps: new,
+                    cause: cause.to_string(),
+                });
             }
         }
+        self.obs_cap_snapshot = Some(prev);
     }
 
     /// Emits a [`FlowRateRecomputed`](bass_obs::Event::FlowRateRecomputed)

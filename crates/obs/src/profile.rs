@@ -48,6 +48,32 @@ pub fn span_histogram() -> Histogram {
     Histogram::new(1.0, 9.0, 32)
 }
 
+/// For each [`span_histogram`] position `p` below the overflow's (see
+/// [`Histogram::record_at`]), the fewest nanoseconds that
+/// `record(log10(max(ns, 1)))` puts past `p`: a duration's position is
+/// the number of bounds at or below it. No `log10` per span.
+fn span_bounds() -> &'static [u64; 33] {
+    static BOUNDS: std::sync::OnceLock<[u64; 33]> = std::sync::OnceLock::new();
+    let past = |ns: u64, p: usize| {
+        let mut hist = span_histogram();
+        hist.record((ns.max(1) as f64).log10());
+        hist.underflow() + (0..p).map(|i| hist.bucket_count(i)).sum::<u64>() == 0
+    };
+    BOUNDS.get_or_init(|| {
+        std::array::from_fn(|p| {
+            // Start at 10^(1 + p/4), then move to where the formula moves.
+            let mut b = 10f64.powf(1.0 + p as f64 / 4.0).ceil() as u64;
+            while past(b - 1, p) {
+                b -= 1;
+            }
+            while !past(b, p) {
+                b += 1;
+            }
+            b
+        })
+    })
+}
+
 /// Streaming statistics for one span: count, total/min/max
 /// nanoseconds, and the log-scale duration histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +110,7 @@ impl SpanStats {
         self.total_ns += ns;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
-        self.hist.record((ns.max(1) as f64).log10());
+        self.hist.record_at(span_bounds().partition_point(|&b| b <= ns));
     }
 
     /// Folds another span's statistics in (cross-replica roll-up).
@@ -309,6 +335,38 @@ impl PhaseClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `SpanStats::record` as it bucketed with `log10`.
+    fn record_by_log(stats: &mut SpanStats, ns: u64) {
+        stats.count += 1;
+        stats.total_ns += ns;
+        stats.min_ns = stats.min_ns.min(ns);
+        stats.max_ns = stats.max_ns.max(ns);
+        stats.hist.record((ns.max(1) as f64).log10());
+    }
+
+    #[test]
+    fn span_buckets_match_the_log10_formula() {
+        let around = span_bounds().iter().flat_map(|&b| [b - 1, b, b + 1]);
+        let fixed = [0, 1, 9, 10, 999_999_999, 1_000_000_000, u64::MAX];
+        for ns in around.chain(fixed) {
+            let mut by_bounds = SpanStats::default();
+            by_bounds.record(Duration::from_nanos(ns));
+            let mut by_log = SpanStats::default();
+            record_by_log(&mut by_log, ns);
+            assert_eq!(by_bounds, by_log, "{ns} ns");
+        }
+        let durations = [3, 10, 17, 99, 100, 101, 5_623, 56_234, 1_000_000, 7_777_777, 999_999_999, 4_000_000_000];
+        let mut prof = SpanProfiler::new();
+        let mut by_log = SpanStats::default();
+        for &ns in &durations {
+            prof.record("tick.x", Duration::from_nanos(ns));
+            record_by_log(&mut by_log, ns);
+        }
+        let expected = ProfileSummary { spans: [("tick.x".to_string(), by_log.summarize())].into() };
+        assert_eq!(prof.summary(), expected);
+        assert_eq!(prof.stats("tick.x"), Some(&by_log));
+    }
 
     #[test]
     fn record_and_summarize() {

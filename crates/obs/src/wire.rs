@@ -85,12 +85,13 @@ fn write_float(v: f64, out: &mut String) {
     }
     if v.abs() < GRID_LIMIT {
         for (digits, scale) in [(0, 1u64), (1, 10), (2, 100), (3, 1000)] {
-            let k = (v * scale as f64).round();
-            if k / scale as f64 == v {
-                if k.is_sign_negative() {
+            // Rounds half up by a cast, not a `round` call: the two differ
+            // only near half-integers, where the test below fails for both.
+            let k = (v.abs() * scale as f64 + 0.5) as u64;
+            if k as f64 / scale as f64 == v.abs() {
+                if v.is_sign_negative() {
                     out.push('-');
                 }
-                let k = k.abs() as u64;
                 push_digits(k / scale, 1, out);
                 if digits > 0 {
                     out.push('.');
@@ -146,6 +147,38 @@ fn write_escaped(s: &str, out: &mut String) {
     }
     out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// What every `TickCompleted` line starts with, up to its `t_s` value.
+const TICK_HEAD: &str = "{\"TickCompleted\":{\"t_s\":";
+
+/// A file sink's `TickCompleted` lines, which mostly differ only in
+/// `t_s`: a line is [`TICK_HEAD`], the time, and the tail after it that
+/// [`Event::write_json`] rendered for the last key (`step_ms` bits,
+/// `flows`, `migrations_total`).
+#[derive(Debug, Default)]
+pub(crate) struct TickTail {
+    key: Option<(u64, u32, u64)>,
+    tail: String,
+}
+
+impl TickTail {
+    /// Appends `event`'s compact JSON to `out`, as `write_json` does.
+    pub(crate) fn write_line(&mut self, event: &Event, out: &mut String) {
+        let Event::TickCompleted { t_s, step_ms, flows, migrations_total } = *event else {
+            return event.write_json(out);
+        };
+        if self.key != Some((step_ms.to_bits(), flows, migrations_total)) {
+            self.key = Some((step_ms.to_bits(), flows, migrations_total));
+            self.tail.clear();
+            Event::TickCompleted { t_s: 0.0, step_ms, flows, migrations_total }.write_json(&mut self.tail);
+            // Drop the head and the `0` that zero is written as.
+            self.tail.drain(..TICK_HEAD.len() + 1);
+        }
+        out.push_str(TICK_HEAD);
+        write_float(t_s, out);
+        out.push_str(&self.tail);
+    }
 }
 
 impl Event {

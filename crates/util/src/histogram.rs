@@ -61,6 +61,17 @@ impl Histogram {
         }
     }
 
+    /// Records one sample by its layout position, found by the caller: 0
+    /// is the underflow, `i` in `1..=num_buckets()` bucket `i - 1`, above that the overflow.
+    pub fn record_at(&mut self, position: usize) {
+        self.total += 1;
+        match position {
+            0 => self.underflow += 1,
+            i if i <= self.buckets.len() => self.buckets[i - 1] += 1,
+            _ => self.overflow += 1,
+        }
+    }
+
     /// Count in bucket `i`.
     ///
     /// # Panics
