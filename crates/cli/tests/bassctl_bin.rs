@@ -657,19 +657,18 @@ fn hostile_numbers_and_names_fail_cleanly() {
         assert!(!stderr.contains("panicked"), "{case}: {stderr}");
     }
     // `--faults` plans are checked against the testbed at load, before
-    // the first tick: (case, events, cursor, stderr must name).
+    // the first tick: (case, events, stderr must name).
     let crash = |t_s: u64, node: u32| format!("[{t_s}000000, {{\"NodeCrash\": {{\"node\": {node}}}}}]");
     let plan_rows = [
-        ("probe loss p 7", "[5000000, {\"ProbeLossStart\": {\"p\": 7}}]".to_string(), 0, "event 0: probe-loss probability 7"),
-        ("probe loss p -1", "[5000000, {\"ProbeLossStart\": {\"p\": -1}}]".to_string(), 0, "event 0: probe-loss probability -1"),
-        ("cursor past the plan", crash(5, 2), 9, "cursor is 9"),
-        ("events out of time order", format!("{}, {}", crash(6, 2), crash(5, 3)), 0, "event 1: due before event 0"),
-        ("crash of node 99", crash(5, 99), 0, "event 0: unknown node n99"),
-        ("link 0-3 down", "[5000000, {\"LinkDown\": {\"a\": 0, \"b\": 3}}]".to_string(), 0, "event 0: no link between n0 and n3"),
+        ("probe loss p 7", "[5000000, {\"ProbeLossStart\": {\"p\": 7}}]".to_string(), "event 0: probe-loss probability 7"),
+        ("probe loss p -1", "[5000000, {\"ProbeLossStart\": {\"p\": -1}}]".to_string(), "event 0: probe-loss probability -1"),
+        ("events out of time order", format!("{}, {}", crash(6, 2), crash(5, 3)), "event 1: due before event 0"),
+        ("crash of node 99", crash(5, 99), "event 0: unknown node n99"),
+        ("link 0-3 down", "[5000000, {\"LinkDown\": {\"a\": 0, \"b\": 3}}]".to_string(), "event 0: no link between n0 and n3"),
     ];
     let plan_path = dir.join("plan.json");
-    for (case, events, cursor, names) in plan_rows {
-        let plan = format!("{{\"events\": [{events}], \"cursor\": {cursor}, \"seed\": 0}}");
+    for (case, events, names) in plan_rows {
+        let plan = format!("{{\"events\": [{events}], \"seed\": 0}}");
         std::fs::write(&plan_path, plan).expect("write plan");
         let out = simulate(Some(&plan_path));
         assert!(!out.status.success(), "{case} must be rejected");

@@ -6,7 +6,7 @@ mod edges;
 mod faults;
 mod stepping;
 
-use crate::scenario::Scenario;
+use crate::scenario::{Input, Scenario};
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::{Cluster, MigrationRecord, Placement, RestartModel};
 use bass_core::heuristics::ComponentOrdering;
@@ -23,6 +23,7 @@ use edges::Bindings;
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Environment configuration.
 #[derive(Debug, Clone)]
@@ -146,6 +147,25 @@ pub struct EnvStats {
     pub migration_rounds: Vec<(usize, usize)>,
     /// Migrations the controller wanted but could not place.
     pub unplaceable: u64,
+    /// [`Input::Admit`]s that placed their instance.
+    pub apps_admitted: u64,
+    /// [`Input::Admit`]s the cluster could not host.
+    pub apps_rejected: u64,
+    /// Live instances an [`Input::Retire`] retired.
+    pub apps_retired: u64,
+    /// [`Input::Fault`]s taken off the timeline and applied.
+    pub faults_injected: usize,
+}
+
+/// An instance the timeline admitted and has not retired.
+#[derive(Debug, Clone)]
+pub struct LiveApp {
+    /// The label it was admitted under.
+    pub label: String,
+    /// Its application, shared with the `Admit` input.
+    pub app: Arc<AppDag>,
+    /// Its component ids in the deployment.
+    pub components: Vec<ComponentId>,
 }
 
 /// The emulation environment.
@@ -162,7 +182,12 @@ pub struct SimEnv {
     controller: BassController,
     netmon: NetMonitor,
     goodput: GoodputMonitor,
-    scenario: Scenario,
+    /// The configured faults and every scenario's inputs, sorted by
+    /// time, and the index of the first not yet applied.
+    inputs: Vec<(SimTime, Input)>,
+    next_input: usize,
+    /// Admitted instances not yet retired, in admission order.
+    live: Vec<LiveApp>,
     bindings: Bindings,
     deployed: bool,
     stats: EnvStats,
@@ -182,6 +207,8 @@ pub struct SimEnv {
 impl SimEnv {
     /// Creates an environment over a mesh, a cluster, and an application.
     pub fn new(mesh: Mesh, cluster: Cluster, dag: AppDag, cfg: SimEnvConfig) -> Self {
+        let faults = cfg.faults.events().iter().map(|(t, f)| (*t, Input::Fault(f.clone())));
+        let inputs = faults.collect();
         SimEnv {
             controller: BassController::with_policy(cfg.controller, cfg.migration_policy),
             netmon: NetMonitor::new(cfg.netmon),
@@ -191,7 +218,9 @@ impl SimEnv {
             cluster,
             dag,
             goodput: GoodputMonitor::new(),
-            scenario: Scenario::new(),
+            inputs,
+            next_input: 0,
+            live: Vec::new(),
             deployed: false,
             stats: EnvStats::default(),
             journal: None,
@@ -201,14 +230,26 @@ impl SimEnv {
         }
     }
 
-    /// Installs the network scenario script.
+    /// Adds a scenario's inputs to the timeline. Inputs at the same
+    /// instant as ones already scheduled apply after them.
     pub fn set_scenario(&mut self, scenario: Scenario) {
-        self.scenario = scenario;
+        self.inputs.extend(scenario.inputs);
+        self.inputs[self.next_input..].sort_by_key(|&(t, _)| t);
     }
 
-    /// The fault schedule, including its replay cursor.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.cfg.faults
+    /// The faults on the timeline not yet injected, in the order they
+    /// will apply, under the configured seed.
+    pub fn fault_plan(&self) -> FaultPlan {
+        let plan = FaultPlan::new().with_seed(self.cfg.faults.seed());
+        self.inputs[self.next_input..].iter().fold(plan, |plan, (t, input)| match input {
+            Input::Fault(fault) => plan.at(*t, fault.clone()),
+            _ => plan,
+        })
+    }
+
+    /// The [`LiveApp`]s, in admission order.
+    pub fn live_apps(&self) -> &[LiveApp] {
+        &self.live
     }
 
     /// Components currently evicted by a node crash and awaiting
@@ -587,6 +628,7 @@ mod tests {
     use bass_appdag::{catalog, Component, ResourceReq};
     use bass_cluster::{baseline, NodeSpec};
     use bass_core::heuristics::BfsWeighting;
+    use crate::scenario::Action;
     use bass_faults::Fault;
     use bass_mesh::Topology;
 
@@ -599,14 +641,23 @@ mod tests {
     }
 
     fn camera_env_with_faults(policy: PlacementPolicy, faults: FaultPlan) -> SimEnv {
+        mesh3_env(catalog::camera_pipeline(), SimEnvConfig { policy, faults, ..Default::default() })
+    }
+
+    /// `dag` on a full mesh of three 12-core nodes and 100 Mbps links.
+    fn mesh3_env(dag: AppDag, cfg: SimEnvConfig) -> SimEnv {
         let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
         let cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 12, 16384))).unwrap();
-        let cfg = SimEnvConfig {
-            policy,
-            faults,
-            ..Default::default()
-        };
-        SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg)
+        SimEnv::new(mesh, cluster, dag, cfg)
+    }
+
+    /// Caps the camera pipeline's frame sampler → object detector link
+    /// at `cap` from `at_s` on.
+    fn squeeze(env: &SimEnv, at_s: u64, cap: Option<Bandwidth>) -> Scenario {
+        let placement = env.placement();
+        let node = |name| placement[&env.dag().component_by_name(name).unwrap().id];
+        let (a, b) = (node("frame-sampler"), node("object-detector"));
+        Scenario::new().at(SimTime::from_secs(at_s), Action::CapLink { a, b, cap })
     }
 
     #[test]
@@ -673,6 +724,19 @@ mod tests {
         assert_eq!(env.mesh().flow_count(), flows_before);
         // The environment still steps.
         env.run_for(SimDuration::from_secs(1), |_| {}).unwrap();
+        // Off the timeline: the rejection is counted, and retiring the
+        // instance it never admitted does nothing and counts nothing.
+        env.attach_journal(bass_obs::Journal::new());
+        let (app, label) = (Arc::new(catalog::social_network(50.0)), "social-0".to_string());
+        let admit = Input::Admit { label: label.clone(), app, offset: 5000 };
+        let at = SimTime::from_secs;
+        env.set_scenario(Scenario::new().at(at(2), admit).at(at(3), Input::Retire { label }));
+        env.run_for(SimDuration::from_secs(5), |_| {}).unwrap();
+        let stats = env.stats();
+        assert_eq!((stats.apps_admitted, stats.apps_rejected, stats.apps_retired), (0, 1, 0));
+        assert!(env.live_apps().is_empty() && env.dag().component_count() == 0);
+        let journal = env.journal().unwrap();
+        assert_eq!((journal.count("app_admitted"), journal.count("app_retired")), (0, 0));
     }
 
     #[test]
@@ -876,18 +940,8 @@ mod tests {
         env.deploy(&[]).unwrap();
         let dag = env.dag().clone();
         let id = |n: &str| dag.component_by_name(n).unwrap().id;
-        let placement = env.placement();
-        let sampler_node = placement[&id("frame-sampler")];
-        let detector_node = placement[&id("object-detector")];
         // Squeeze the crossing link 60 s in, forever.
-        env.set_scenario(Scenario::new().at(
-            SimTime::from_secs(60),
-            crate::scenario::Action::CapLink {
-                a: sampler_node,
-                b: detector_node,
-                cap: Some(mbps(2.0)),
-            },
-        ));
+        env.set_scenario(squeeze(&env, 60, Some(mbps(2.0))));
         env.run_for(SimDuration::from_secs(300), |_| {}).unwrap();
         assert!(
             !env.stats().migrations.is_empty(),
@@ -903,26 +957,16 @@ mod tests {
 
     #[test]
     fn migrations_can_be_disabled() {
-        let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
-        let cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 12, 16384))).unwrap();
         let cfg = SimEnvConfig {
             policy: PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
             migrations_enabled: false,
             ..Default::default()
         };
-        let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
+        let mut env = mesh3_env(catalog::camera_pipeline(), cfg);
         env.deploy(&[]).unwrap();
         let dag = env.dag().clone();
         let id = |n: &str| dag.component_by_name(n).unwrap().id;
-        let placement = env.placement();
-        env.set_scenario(Scenario::new().at(
-            SimTime::from_secs(10),
-            crate::scenario::Action::CapLink {
-                a: placement[&id("frame-sampler")],
-                b: placement[&id("object-detector")],
-                cap: Some(mbps(2.0)),
-            },
-        ));
+        env.set_scenario(squeeze(&env, 10, Some(mbps(2.0))));
         env.run_for(SimDuration::from_secs(200), |_| {}).unwrap();
         assert!(env.stats().migrations.is_empty());
         let achieved = env.edge_achieved(id("frame-sampler"), id("object-detector"));
@@ -958,8 +1002,6 @@ mod tests {
 
     #[test]
     fn pinned_components_deploy_and_never_migrate() {
-        let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
-        let cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 12, 16384))).unwrap();
         let dag = catalog::camera_pipeline();
         let camera = dag.component_by_name("camera-stream").unwrap().id;
         let cfg = SimEnvConfig {
@@ -967,7 +1009,7 @@ mod tests {
             pinned: [camera].into_iter().collect(),
             ..Default::default()
         };
-        let mut env = SimEnv::new(mesh, cluster, dag, cfg);
+        let mut env = mesh3_env(dag, cfg);
         let placement = env.deploy(&[(camera, NodeId(2))]).unwrap();
         assert_eq!(placement[&camera], NodeId(2));
         assert_eq!(placement.len(), 5);
@@ -989,17 +1031,7 @@ mod tests {
     fn table1_style_round_accounting() {
         let mut env = camera_env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
         env.deploy(&[]).unwrap();
-        let dag = env.dag().clone();
-        let id = |n: &str| dag.component_by_name(n).unwrap().id;
-        let placement = env.placement();
-        env.set_scenario(Scenario::new().at(
-            SimTime::from_secs(30),
-            crate::scenario::Action::CapLink {
-                a: placement[&id("frame-sampler")],
-                b: placement[&id("object-detector")],
-                cap: Some(mbps(2.0)),
-            },
-        ));
+        env.set_scenario(squeeze(&env, 30, Some(mbps(2.0))));
         env.run_for(SimDuration::from_secs(200), |_| {}).unwrap();
         let rounds = &env.stats().migration_rounds;
         assert!(!rounds.is_empty());
@@ -1101,6 +1133,108 @@ mod tests {
         };
     }
 
+    /// An empty `mesh3_env` deployment on 1 s ticks; node 1 crashes at `crash`.
+    fn one_second_env(crash: SimTime) -> SimEnv {
+        let faults = FaultPlan::new().node_crash(NodeId(1), crash, SimTime::from_secs(20));
+        let cfg = SimEnvConfig { step: SimDuration::from_secs(1), faults, ..Default::default() };
+        let mut env = mesh3_env(AppDag::new("city"), cfg);
+        env.attach_journal(bass_obs::Journal::new());
+        env.deploy(&[]).unwrap();
+        env
+    }
+
+    #[test]
+    fn inputs_inside_one_tick_apply_workload_first() {
+        // An arrival at 10.7 s and a crash at 10.3 s both apply on the
+        // tick whose pre-advance clock is 11 s: the admission first, then
+        // the crash (which evicts what it just placed on node 1).
+        let camera = Arc::new(catalog::camera_pipeline());
+        let mut env = one_second_env(SimTime::from_millis(10_300));
+        let admit = Input::Admit { label: "camera-0".into(), app: camera.clone(), offset: 1000 };
+        env.set_scenario(Scenario::new().at(SimTime::from_millis(10_700), admit));
+        let mut seen = Vec::new();
+        env.run_for(SimDuration::from_secs(30), |e| {
+            let left = e.fault_plan();
+            assert_eq!(2 - left.remaining(), e.stats().faults_injected);
+            seen.push((e.live_apps().len(), left.events().first().map(|(t, _)| t.as_millis())));
+        })
+        .unwrap();
+        // Tick k ends at k + 1 s; the plan reports what is still to come.
+        let expected = ((0, Some(10_300)), (1, Some(20_000)), (1, None));
+        assert_eq!((seen[10], seen[11], seen[20]), expected);
+        let timeline = env.take_journal().unwrap().export_jsonl();
+        let at = |event: &str| timeline.find(event).unwrap();
+        assert!(at(r#"{"AppAdmitted":{"t_s":11,"#) < at(r#"{"FaultInjected":{"t_s":11,"#));
+
+        // The hand-driven reference: the crash due on that tick, the
+        // admission made by hand just before it, every tick stepped.
+        let mut env = one_second_env(SimTime::from_secs(11));
+        for tick in 0..30 {
+            if tick == 11 {
+                env.admit_app(&camera, 1000).unwrap();
+            }
+            env.step().unwrap();
+        }
+        assert_eq!(env.take_journal().unwrap().export_jsonl(), timeline);
+    }
+
+    #[test]
+    fn bad_inputs_fail_one_step_without_wedging() {
+        // A bad fault and a bad action, each due with a good one of its
+        // kind: a step fails on one bad input, the next applies the rest.
+        // The good fault comes from the scenario, not the configured plan.
+        let (zero, n) = (SimTime::ZERO, NodeId);
+        let faults = FaultPlan::new().at(zero, Fault::LinkDown { a: n(0), b: n(9) });
+        let mut env = camera_env_with_faults(PlacementPolicy::LongestPath, faults);
+        env.deploy(&[]).unwrap();
+        env.set_scenario(
+            Scenario::new()
+                .at(zero, Input::Fault(Fault::LinkDown { a: n(1), b: n(2) }))
+                .at(zero, Action::CapNodeEgress { node: n(9), cap: None })
+                .at(zero, Action::CapLink { a: n(0), b: n(1), cap: Some(mbps(1.0)) }),
+        );
+        assert_eq!(env.fault_plan().remaining(), 2);
+        assert!(env.step().is_err(), "the bad fault fails the first step");
+        assert_eq!((env.stats().faults_injected, env.fault_plan().remaining()), (1, 1));
+        assert!(env.step().is_err(), "the bad action fails the second");
+        assert!(!env.mesh().link_is_up(n(1), n(2)));
+        assert_eq!(env.mesh().link_capacity(n(0), n(1)).unwrap(), mbps(100.0));
+        env.step().unwrap();
+        assert_eq!(env.mesh().link_capacity(n(0), n(1)).unwrap(), mbps(1.0));
+        assert_eq!((env.stats().faults_injected, env.fault_plan().remaining()), (2, 0));
+    }
+
+    #[test]
+    fn shaping_applies_in_time_order_on_the_pre_advance_clock() {
+        // A link cap and a node-egress window over a 50 Mbps flow, added
+        // out of order: each holds from the tick whose pre-advance clock
+        // reaches it.
+        let mut env = mesh3_env(AppDag::new("empty"), SimEnvConfig::default());
+        env.deploy(&[]).unwrap();
+        let f = env.mesh_mut().add_flow(NodeId(2), NodeId(0), mbps(50.0)).unwrap();
+        let cap_link = |cap| Action::CapLink { a: NodeId(0), b: NodeId(1), cap };
+        let (t10, t20) = (SimTime::from_secs(10), SimTime::from_secs(20));
+        env.set_scenario(
+            Scenario::new()
+                .at(t20, cap_link(None))
+                .restrict_node_egress(NodeId(2), t10, t20, mbps(25.0))
+                .at(t10, cap_link(Some(mbps(5.0)))),
+        );
+        let mut seen = Vec::new();
+        env.run_for(SimDuration::from_secs(60), |e| {
+            let mesh = e.mesh();
+            seen.push((mesh.link_capacity(NodeId(0), NodeId(1)).unwrap(), mesh.flow_rate(f)));
+        })
+        .unwrap();
+        // Tick k runs on pre-advance clock k × 100 ms.
+        assert_eq!(seen[99], (mbps(100.0), mbps(50.0)));
+        assert_eq!((seen[100], seen[199]), ((mbps(5.0), mbps(25.0)), (mbps(5.0), mbps(25.0))));
+        // The backlog built up in the window drains above the demand;
+        // then goodput is back at demand.
+        assert!(seen[200].0 == mbps(100.0) && seen[200].1 > mbps(50.0));
+        assert_eq!(env.mesh().flow_goodput(f), mbps(50.0));
+    }
+
     #[test]
     #[should_panic(expected = "deploy")]
     fn step_before_deploy_panics() {
@@ -1116,17 +1250,7 @@ mod tests {
         // Deploy narrates one initial full probe and every binding.
         assert_eq!(env.journal().unwrap().count("probe_completed"), 1);
         assert_eq!(env.journal().unwrap().count("placement_decided"), 5);
-        let dag = env.dag().clone();
-        let id = |n: &str| dag.component_by_name(n).unwrap().id;
-        let placement = env.placement();
-        env.set_scenario(Scenario::new().at(
-            SimTime::from_secs(60),
-            crate::scenario::Action::CapLink {
-                a: placement[&id("frame-sampler")],
-                b: placement[&id("object-detector")],
-                cap: Some(mbps(2.0)),
-            },
-        ));
+        env.set_scenario(squeeze(&env, 60, Some(mbps(2.0))));
         env.run_for(SimDuration::from_secs(120), |_| {}).unwrap();
         assert!(!env.stats().migrations.is_empty());
         let journal = env.take_journal().unwrap();
@@ -1221,21 +1345,8 @@ mod tests {
         env.attach_journal(bass_obs::Journal::new());
         env.enable_span_profiling();
         env.deploy(&[]).unwrap();
-        let dag = env.dag().clone();
-        let id = |n: &str| dag.component_by_name(n).unwrap().id;
-        let placement = env.placement();
-        let sampler_node = placement[&id("frame-sampler")];
-        let detector_node = placement[&id("object-detector")];
-        let cap_link = |cap| crate::scenario::Action::CapLink {
-            a: sampler_node,
-            b: detector_node,
-            cap,
-        };
-        env.set_scenario(
-            Scenario::new()
-                .at(SimTime::from_secs(60), cap_link(Some(mbps(1.0))))
-                .at(SimTime::from_secs(120), cap_link(None)),
-        );
+        env.set_scenario(squeeze(&env, 60, Some(mbps(1.0))));
+        env.set_scenario(squeeze(&env, 120, None));
         let duration = SimDuration::from_secs(180);
         let mut seen = Vec::new();
         if ticked {

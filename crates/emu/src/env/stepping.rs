@@ -1,7 +1,8 @@
 //! The step loop: one full tick, and the quiescent ticks `run_for`
 //! skips between them.
 
-use super::{EnvError, SimEnv};
+use super::{EnvError, LiveApp, SimEnv};
+use crate::scenario::{Action, Input};
 use bass_core::MigrationPlan;
 use bass_obs::SpanProfiler;
 use bass_util::time::{SimDuration, SimTime};
@@ -17,6 +18,28 @@ impl SimEnv {
     ///
     /// Panics if called before [`SimEnv::deploy`].
     pub fn step(&mut self) -> Result<(), EnvError> {
+        assert!(self.deployed, "call deploy() before step()");
+        // Admissions and retirements due now come first, as `env.*` spans.
+        let workload = |i: &Input| matches!(i, Input::Admit { .. } | Input::Retire { .. });
+        while let Some(input) = self.take_due(workload) {
+            match input {
+                Input::Admit { label, app, offset } => match self.admit_app(&app, offset) {
+                    Ok(components) => {
+                        self.live.push(LiveApp { label, app, components });
+                        self.stats.apps_admitted += 1;
+                    }
+                    Err(EnvError::Schedule(_)) => self.stats.apps_rejected += 1,
+                    Err(e) => return Err(e),
+                },
+                Input::Retire { label } => {
+                    let Some(i) = self.live.iter().position(|a| a.label == label) else { continue };
+                    let app = self.live.remove(i);
+                    self.retire_app(&app.label, &app.components)?;
+                    self.stats.apps_retired += 1;
+                }
+                Input::Fault(_) | Input::Action(_) => unreachable!("not a workload input"),
+            }
+        }
         self.parked(Self::step_inner)
     }
 
@@ -26,22 +49,26 @@ impl SimEnv {
     /// are followed by a [`PhaseClock::reset`](bass_obs::PhaseClock) or
     /// their own enclosing lap.
     fn step_inner(&mut self, mut profiler: Option<&mut SpanProfiler>) -> Result<(), EnvError> {
-        assert!(self.deployed, "call deploy() before step()");
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
         // 0. Injected faults due now, then re-placement of components a
         // crash displaced (possible again once capacity recovers).
-        let now = self.mesh.now();
         let mut controller_restarted = false;
-        for fault in self.cfg.faults.due(now) {
+        while let Some(Input::Fault(fault)) = self.take_due(|i| matches!(i, Input::Fault(_))) {
+            self.stats.faults_injected += 1;
             controller_restarted |= self.apply_fault(fault)?;
         }
         self.replace_displaced()?;
         clock.lap(profiler.as_deref_mut(), "tick.faults");
 
-        // 1. Scenario actions due now.
-        let pending_before = self.scenario.remaining();
-        self.scenario.apply_due(&mut self.mesh, now)?;
-        if pending_before != self.scenario.remaining() {
+        // 1. Shaping actions due now.
+        let shaping_from = self.next_input;
+        while let Some(Input::Action(action)) = self.take_due(|i| matches!(i, Input::Action(_))) {
+            match action {
+                Action::CapLink { a, b, cap } => self.mesh.set_link_cap(a, b, cap)?,
+                Action::CapNodeEgress { node, cap } => self.mesh.set_node_egress_cap(node, cap)?,
+            }
+        }
+        if shaping_from != self.next_input {
             if let Some(j) = self.journal.as_mut() {
                 self.mesh.emit_capacity_changes(j, "scenario");
             }
@@ -99,6 +126,19 @@ impl SimEnv {
         Ok(())
     }
 
+    /// Takes the first input due on the pre-advance clock that `pick`
+    /// accepts, moving it ahead of the due inputs it passes, so each kind
+    /// keeps its schedule order. The cursor passes an input before it is
+    /// applied: a bad input fails one step, the next applies the rest.
+    fn take_due(&mut self, pick: impl Fn(&Input) -> bool) -> Option<Input> {
+        let now = self.mesh.now();
+        let pending = &mut self.inputs[self.next_input..];
+        let i = pending.iter().take_while(|e| e.0 <= now).position(|e| pick(&e.1))?;
+        pending[..=i].rotate_right(1);
+        self.next_input += 1;
+        Some(self.inputs[self.next_input - 1].1.clone())
+    }
+
     /// Runs for `duration`, invoking `hook` after every simulated tick.
     ///
     /// Each full [`step`](Self::step) is followed by as many provably
@@ -150,18 +190,15 @@ impl SimEnv {
     ///
     /// A tick is quiescent when every input to [`step`](Self::step) is
     /// bitwise unchanged and every flow queue is at a bitwise fixed
-    /// point ([`Mesh::queues_quiescent`](bass_mesh::Mesh::queues_quiescent)):
-    /// the fault plan and the scenario script are evaluated against the
-    /// tick's **pre-advance** clock, while trace change-points,
-    /// controller probe epochs, and restart expiries are bounded on the
-    /// **post-advance** clock — so with `t0 = now()`, a pre-advance event
-    /// at `t` caps the window at `⌈(t − t0)/step⌉` ticks (its tick
-    /// *starts* at or after `t`) and a post-advance event at
-    /// `⌈(t − t0)/step⌉ − 1` (its tick *ends* at or after `t`). The controller is a guaranteed no-op
-    /// between headroom-probe epochs, so probe epochs are the only
-    /// controller events that matter; probe ticks themselves always
-    /// execute in full. Pending displaced components and an undeployed
-    /// environment disable skipping entirely.
+    /// point ([`Mesh::queues_quiescent`](bass_mesh::Mesh::queues_quiescent)).
+    /// With `t0 = now()`, the next timed input, applied on the
+    /// **pre-advance** clock, caps the window at `⌈(t − t0)/step⌉` ticks
+    /// (its tick *starts* at or after `t`); trace change-points, probe
+    /// epochs and restart expiries, read on the **post-advance** clock,
+    /// cap it at `⌈(t − t0)/step⌉ − 1` (its tick *ends* at or after `t`).
+    /// The controller is a no-op between headroom-probe epochs, and probe
+    /// ticks always execute in full. Pending displaced components and an
+    /// undeployed environment disable skipping entirely.
     pub(super) fn skippable_ticks(&self, max_ticks: u64) -> u64 {
         if max_ticks == 0 || !self.deployed || !self.displaced.is_empty() {
             return 0;
@@ -170,23 +207,20 @@ impl SimEnv {
         let t0 = self.mesh.now();
         let ticks_to_reach =
             |at: SimTime| at.as_micros().saturating_sub(t0.as_micros()).div_ceil(step.as_micros());
-        // Faults and scenario actions are applied before `Mesh::advance`
-        // moves time.
-        let pre_advance = [self.cfg.faults.next_at(), self.scenario.next_at()];
+        // Timed inputs are applied before `Mesh::advance` moves time.
+        let pre_advance = self.inputs.get(self.next_input).map(|&(t, _)| t);
         // Trace capacities and probe epochs are read after it. Restart
         // expiries take this stricter side even though demands are
         // pushed on the pre-advance clock: samplers (goodput recording,
         // campaign metrics) read edge state on the post-advance clock,
         // and the stricter bound keeps *both* clocks on one side of the
-        // expiry across a skipped window — which is what lets a campaign
-        // cache one sample tuple per window exactly.
+        // expiry across a skipped window.
         let probe = self.cfg.migrations_enabled.then(|| self.netmon.next_headroom_probe_at());
         let post_advance =
             [self.bindings.next_expiry(t0, step), self.mesh.next_trace_change(), probe];
         let bound = pre_advance
-            .into_iter()
-            .flatten()
             .map(ticks_to_reach)
+            .into_iter()
             .chain(post_advance.into_iter().flatten().map(|t| ticks_to_reach(t).saturating_sub(1)))
             .fold(max_ticks, u64::min);
         // The event caps are O(1) (the mesh keeps its trace clock armed

@@ -6,19 +6,19 @@
 //! scheduler, the net-monitor, and the bandwidth controller. Each fixed
 //! time step it:
 //!
-//! 1. applies any injected faults due and re-places what a crash evicted,
-//! 2. applies any scenario actions due (the `tc` script),
-//! 3. pushes the application's current per-edge demands into the mesh,
-//! 4. advances the mesh (capacity refresh, max-min reallocation, queue
+//! 1. applies the timed inputs due: app admissions and retirements,
+//!    injected faults (then re-places what a crash evicted), `tc` shaping,
+//! 2. pushes the application's current per-edge demands into the mesh,
+//! 3. advances the mesh (capacity refresh, max-min reallocation, queue
 //!    integration),
-//! 5. feeds passive goodput measurements to the monitor, and
-//! 6. runs the controller, enacting any planned migrations (cluster
+//! 4. feeds passive goodput measurements to the monitor, and
+//! 5. runs the controller, enacting any planned migrations (cluster
 //!    relocation, flow rebinding, restart downtime).
 //!
 //! Workload models (crate `bass-apps`) drive demands and read delays.
 //!
 //! - [`mod@env`]: the environment facade.
-//! - [`scenario`]: timed network actions (`tc` equivalents).
+//! - [`scenario`]: timed inputs (workload, faults, `tc` shaping).
 //! - [`metrics`]: time-series / percentile recording for experiments.
 //!
 //! Attach a `bass_obs::Journal` via [`env::SimEnv::attach_journal`] and
@@ -32,6 +32,6 @@ pub mod env;
 pub mod metrics;
 pub mod scenario;
 
-pub use env::{EnvError, SimEnv, SimEnvConfig};
+pub use env::{EnvError, LiveApp, SimEnv, SimEnvConfig};
 pub use metrics::Recorder;
-pub use scenario::{Action, Scenario};
+pub use scenario::{Action, Input, Scenario};

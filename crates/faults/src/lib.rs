@@ -17,8 +17,8 @@
 //!   of any run, faulted or not — the reusable harness the workspace
 //!   `tests/faults.rs` suite drives.
 //!
-//! The emulator (`bass-emu`) owns the application of faults: it drains
-//! [`FaultPlan::due`] each step, flips mesh/netmon/controller state, and
+//! The emulator (`bass-emu`) owns the application of faults: it puts
+//! the plan on its timeline, flips mesh/netmon/controller state, and
 //! emits a `bass_obs::Event::FaultInjected` journal event per fault.
 //! See `docs/FAULTS.md` for the full model and determinism guarantees.
 
@@ -125,14 +125,8 @@ impl Fault {
 /// program. `index` counts events from zero in file order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// The stored cursor is not zero: the plan would silently skip its
-    /// first events (or all of them).
-    Consumed {
-        /// The cursor found.
-        cursor: usize,
-    },
-    /// An event is due before its predecessor; `due`, `next_at` and the
-    /// tick-skip bound all rely on time order.
+    /// An event is due before its predecessor; the emulator's timeline
+    /// and its tick-skip bound rely on time order.
     OutOfOrder {
         /// The offending event.
         index: usize,
@@ -165,9 +159,6 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::Consumed { cursor } => {
-                write!(f, "cursor is {cursor}, a stored plan must start at 0")
-            }
             PlanError::OutOfOrder { index } => {
                 let prev = index - 1;
                 write!(f, "event {index}: due before event {prev}, events must be in time order")
@@ -241,11 +232,10 @@ impl Default for StormProfile {
 
 /// A time-ordered, pre-compiled fault schedule.
 ///
-/// Mirrors `bass_emu::Scenario`'s cursor semantics: the cursor advances
-/// *before* each fault is applied, so a fault handler that inspects the
-/// plan never re-observes the event being handled. The whole schedule is
-/// materialized at construction — nothing is drawn at run time — which
-/// is what makes a faulted run replay bit-for-bit.
+/// A plan is only a schedule: the environment that runs it keeps how far
+/// the run has got. The whole schedule is materialized at construction —
+/// nothing is drawn at run time — which is what makes a faulted run
+/// replay bit-for-bit.
 ///
 /// # Examples
 ///
@@ -266,8 +256,6 @@ impl Default for StormProfile {
 pub struct FaultPlan {
     /// `(due time, fault)` pairs; kept sorted by time.
     events: Vec<(SimTime, Fault)>,
-    /// Index of the next fault to apply.
-    cursor: usize,
     /// Seed the applying environment derives runtime randomness from
     /// (currently only probe-loss sampling). Zero by default; explicit
     /// scripts that never start probe loss never touch it.
@@ -412,18 +400,14 @@ impl FaultPlan {
     }
 
     /// Checks a plan that arrived from outside the program (a `--faults`
-    /// file) against the topology it will run on: unconsumed, in time
-    /// order, every probability in `[0, 1]`, every named node and link
-    /// present. Plans assembled through the builders hold the first two
-    /// by construction.
+    /// file) against the topology it will run on: in time order, every
+    /// probability in `[0, 1]`, every named node and link present. Plans
+    /// assembled through the builders hold the first by construction.
     ///
     /// # Errors
     ///
     /// Returns the first [`PlanError`] in file order.
     pub fn validate(&self, topo: &Topology) -> Result<(), PlanError> {
-        if self.cursor != 0 {
-            return Err(PlanError::Consumed { cursor: self.cursor });
-        }
         for (index, (at, fault)) in self.events.iter().enumerate() {
             if index > 0 && *at < self.events[index - 1].0 {
                 return Err(PlanError::OutOfOrder { index });
@@ -453,32 +437,12 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Pops every fault due at or before `now`, in schedule order. The
-    /// cursor advances past each fault before it is returned.
-    pub fn due(&mut self, now: SimTime) -> Vec<Fault> {
-        let mut out = Vec::new();
-        while self.cursor < self.events.len() && self.events[self.cursor].0 <= now {
-            let (_, fault) = self.events[self.cursor].clone();
-            self.cursor += 1;
-            out.push(fault);
-        }
-        out
-    }
-
-    /// Faults not yet applied.
+    /// Faults in the plan (in `SimEnv::fault_plan`'s, those not yet injected).
     pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
+        self.events.len()
     }
 
-    /// Due time of the next unapplied fault, or `None` when the plan is
-    /// exhausted. Never advances the cursor — this is the peek an
-    /// event-driven scheduler uses to bound how far time may skip before
-    /// the plan must be consulted again.
-    pub fn next_at(&self) -> Option<SimTime> {
-        self.events.get(self.cursor).map(|&(t, _)| t)
-    }
-
-    /// The full schedule, applied or not, in order.
+    /// The full schedule, in order.
     pub fn events(&self) -> &[(SimTime, Fault)] {
         &self.events
     }
@@ -505,28 +469,6 @@ mod tests {
         sorted.sort();
         assert_eq!(times, sorted);
         assert_eq!(plan.remaining(), 5);
-    }
-
-    #[test]
-    fn due_is_cursor_before_apply_and_exhaustive() {
-        let mut plan = FaultPlan::new()
-            .node_crash(NodeId(0), SimTime::from_secs(1), SimTime::from_secs(3));
-        assert!(plan.due(SimTime::ZERO).is_empty());
-        assert_eq!(plan.next_at(), Some(SimTime::from_secs(1)));
-        let _ = plan.due(SimTime::from_secs(2));
-        assert_eq!(plan.next_at(), Some(SimTime::from_secs(3)));
-        let _ = plan.due(SimTime::from_secs(100));
-        assert_eq!(plan.next_at(), None);
-        let mut plan = FaultPlan::new()
-            .node_crash(NodeId(0), SimTime::from_secs(1), SimTime::from_secs(3));
-        assert!(plan.due(SimTime::ZERO).is_empty());
-        let first = plan.due(SimTime::from_secs(2));
-        assert_eq!(first, vec![Fault::NodeCrash { node: NodeId(0) }]);
-        assert_eq!(plan.remaining(), 1);
-        let second = plan.due(SimTime::from_secs(100));
-        assert_eq!(second, vec![Fault::NodeRecover { node: NodeId(0) }]);
-        assert!(plan.due(SimTime::from_secs(200)).is_empty());
-        assert_eq!(plan.remaining(), 0);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! threads only claim work and fill their own slot, and aggregation
 //! happens in replica order after the barrier.
 
-use crate::generate::{generate, AppKind, GeneratedScenario, WorkloadEvent};
+use crate::generate::{generate, AppKind};
 use crate::spec::{ScenarioSpec, SpecError};
-use bass_appdag::{AppDag, ComponentId};
+use bass_appdag::AppDag;
 use bass_core::PolicyKind;
 use bass_emu::{EnvError, SimEnv, SimEnvConfig};
 use bass_mesh::MeshError;
@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Goodput-fraction histogram layout: `[0, 1.2)` in 120 buckets (1%
 /// resolution; fractions above 1.2 land in the overflow counter). Fixed
@@ -237,9 +237,7 @@ pub(crate) fn splice_last_key(base: &str, key: &str, value: &(impl Serialize + ?
 /// merging).
 struct ReplicaOutcome {
     summary: ReplicaSummary,
-    goodput_hist: Histogram,
-    goodput_sum: f64,
-    achieved_sum_mbps: BTreeMap<&'static str, f64>,
+    fold: SampleFold,
     profiler: Option<SpanProfiler>,
 }
 
@@ -366,10 +364,10 @@ pub fn run_campaign_opts(
         {
             agg.merge(rep);
         }
-        agg_hist.merge(&outcome.goodput_hist);
-        agg_sum += outcome.goodput_sum;
+        agg_hist.merge(&outcome.fold.hist);
+        agg_sum += outcome.fold.goodput_sum;
         agg_samples += outcome.summary.goodput.samples;
-        for (k, v) in &outcome.achieved_sum_mbps {
+        for (k, v) in &outcome.fold.achieved_sum_mbps {
             *agg_achieved.entry(k).or_insert(0.0) += v;
         }
         ticks += outcome.summary.ticks;
@@ -445,54 +443,39 @@ impl SampleFold {
         }
     }
 
-    fn record(&mut self, required: f64, achieved: f64, per_kind: &BTreeMap<&'static str, f64>) {
-        let fraction = if required > 0.0 { achieved / required } else { 1.0 };
-        self.hist.record(fraction);
-        self.goodput_sum += fraction;
-        self.samples += 1;
-        self.offered_total += required;
-        self.achieved_total += achieved;
-        for (&k, &v) in per_kind {
-            *self.achieved_sum_mbps.entry(k).or_insert(0.0) += v;
-        }
-    }
-}
-
-/// Live instances: arrival index → (label, admitted component ids, kind).
-type LiveApps = BTreeMap<u32, (String, Vec<ComponentId>, AppKind)>;
-
-/// One sample's raw reads: aggregate required and achieved bandwidth
-/// over all live edges, plus each app kind's achieved share.
-fn sample_live_edges(
-    env: &SimEnv,
-    live: &LiveApps,
-) -> (f64, f64, BTreeMap<&'static str, f64>) {
-    let mut required = 0.0;
-    let mut achieved = 0.0;
-    let mut per_kind: BTreeMap<&'static str, f64> = BTreeMap::new();
-    for (_, ids, kind) in live.values() {
-        let label = kind.label();
-        for &c in ids {
-            for e in env.dag().out_edges(c) {
+    /// Samples required and achieved bandwidth over every live edge, and
+    /// achieved per app kind (the kind whose DAG an instance runs).
+    fn record(&mut self, env: &SimEnv, dags: &[Arc<AppDag>; 3]) {
+        let (mut required, mut achieved) = (0.0, 0.0);
+        let mut per_kind: BTreeMap<&'static str, f64> = BTreeMap::new();
+        for live in env.live_apps() {
+            let kind = dags.iter().position(|dag| Arc::ptr_eq(dag, &live.app));
+            let label = AppKind::ALL[kind.expect("every instance runs a kind's DAG")].label();
+            for e in live.components.iter().flat_map(|&c| env.dag().out_edges(c)) {
                 let a = env.edge_achieved(e.from, e.to).as_mbps();
                 required += e.bandwidth.as_mbps();
                 achieved += a;
                 *per_kind.entry(label).or_insert(0.0) += a;
             }
         }
+        let fraction = if required > 0.0 { achieved / required } else { 1.0 };
+        self.hist.record(fraction);
+        self.goodput_sum += fraction;
+        self.samples += 1;
+        self.offered_total += required;
+        self.achieved_total += achieved;
+        for (k, v) in per_kind {
+            *self.achieved_sum_mbps.entry(k).or_insert(0.0) += v;
+        }
     }
-    (required, achieved, per_kind)
 }
 
 /// Executes one replica, streaming per-sample aggregates into the fold
-/// state. Memory is O(nodes + links + live components): no per-tick
-/// history is kept anywhere. Time advances through
-/// [`SimEnv::run_for`] — the one step loop — one inter-event segment at
-/// a time (up to the next workload arrival/departure or the horizon);
-/// its per-tick hook samples at the same tick indices whether a tick
-/// was executed or skipped, and every sample input is constant across
-/// a quiescent window, so the summary is byte-identical to a replica
-/// that calls [`SimEnv::step`] once per tick.
+/// state; no per-tick history is kept. The workload and the storm are
+/// the environment's timeline, so the horizon is one [`SimEnv::run_for`],
+/// whose hook samples on the same ticks whether they executed or were
+/// skipped. Every sample input is constant across a quiescent window, so
+/// the summary is byte-identical to calling [`SimEnv::step`] per tick.
 fn run_replica(
     spec: &ScenarioSpec,
     replica: u32,
@@ -501,17 +484,19 @@ fn run_replica(
 ) -> Result<ReplicaOutcome, CampaignError> {
     let setup_started = std::time::Instant::now();
     let scenario = generate(spec, replica_seed);
-    let ticks_of = |n: u64| SimDuration::from_millis(n * spec.step_ms);
-    let mesh = scenario.build_mesh(ticks_of(spec.horizon_ticks))?;
+    let horizon = SimDuration::from_millis(spec.horizon_ticks * spec.step_ms);
+    let mesh = scenario.build_mesh(horizon)?;
     let cluster = scenario.build_cluster();
     let links = scenario.topology.link_count();
     let cfg = SimEnvConfig {
-        step: ticks_of(1),
+        step: SimDuration::from_millis(spec.step_ms),
         migration_policy: opts.policy,
         faults: scenario.faults.clone(),
         ..SimEnvConfig::default()
     };
     let mut env = SimEnv::new(mesh, cluster, AppDag::new(scenario.name.clone()), cfg);
+    let dags = AppKind::ALL.map(|kind| Arc::new(kind.dag(spec.workload.social_rps)));
+    env.set_scenario(scenario.timeline(&dags));
     if opts.profile {
         env.enable_span_profiling();
         // Setup (generation + mesh construction) is a one-time cost;
@@ -520,90 +505,36 @@ fn run_replica(
     }
     env.deploy(&[])?;
 
-    let faults_total = env.fault_plan().remaining();
     let mut fold = SampleFold::new();
-    let mut admitted = 0u64;
-    let mut rejected = 0u64;
-    let mut retired = 0u64;
-
-    let mut live = LiveApps::new();
     let mut tick = 0u64;
-    // Runs ticks `tick..until`, sampling after every tick whose index is
-    // on the sample cadence.
-    let mut run_until = |env: &mut SimEnv, live: &LiveApps, until: u64| {
-        env.run_for(ticks_of(until.saturating_sub(tick)), |e| {
-            if tick.is_multiple_of(spec.sample_every_ticks) {
-                let (required, achieved, per_kind) = sample_live_edges(e, live);
-                fold.record(required, achieved, &per_kind);
-            }
-            tick += 1;
-        })
-    };
-    for event in &scenario.workload {
-        // An event at `at_ms` first applies at tick ⌈at_ms / step_ms⌉.
-        let due = event.at_ms().div_ceil(spec.step_ms);
-        if due >= spec.horizon_ticks {
-            break;
+    env.run_for(horizon, |e| {
+        if tick.is_multiple_of(spec.sample_every_ticks) {
+            fold.record(e, &dags);
         }
-        run_until(&mut env, &live, due)?;
-        match *event {
-            WorkloadEvent::Arrive { instance, kind, .. } => {
-                let dag = kind.dag(spec.workload.social_rps);
-                let offset = GeneratedScenario::instance_offset(instance);
-                match env.admit_app(&dag, offset) {
-                    Ok(ids) => {
-                        let label = GeneratedScenario::instance_label(kind, instance);
-                        live.insert(instance, (label, ids, kind));
-                        admitted += 1;
-                    }
-                    Err(EnvError::Schedule(_)) => rejected += 1,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            WorkloadEvent::Depart { instance, .. } => {
-                if let Some((label, ids, _)) = live.remove(&instance) {
-                    env.retire_app(&label, &ids)?;
-                    retired += 1;
-                }
-            }
-        }
-    }
-    run_until(&mut env, &live, spec.horizon_ticks)?;
+        tick += 1;
+    })?;
 
     let stats = env.stats();
     let samples = fold.samples;
+    let mean = |total: f64| if samples == 0 { 0.0 } else { total / samples as f64 };
     let summary = ReplicaSummary {
         replica,
         seed: replica_seed,
         ticks: spec.horizon_ticks,
         links,
         arrivals_capped: scenario.rejected_arrivals,
-        apps_admitted: admitted,
-        apps_rejected: rejected,
-        apps_retired: retired,
+        apps_admitted: stats.apps_admitted,
+        apps_rejected: stats.apps_rejected,
+        apps_retired: stats.apps_retired,
         migrations: stats.migrations.len() as u64,
         unplaceable: stats.unplaceable,
-        faults_injected: faults_total - env.fault_plan().remaining(),
+        faults_injected: stats.faults_injected,
         goodput: QuantileSummary::from_parts(&fold.hist, fold.goodput_sum, samples),
-        mean_achieved_mbps: if samples == 0 {
-            0.0
-        } else {
-            fold.achieved_total / samples as f64
-        },
-        mean_offered_mbps: if samples == 0 {
-            0.0
-        } else {
-            fold.offered_total / samples as f64
-        },
+        mean_achieved_mbps: mean(fold.achieved_total),
+        mean_offered_mbps: mean(fold.offered_total),
         bandwidth_share: shares(&fold.achieved_sum_mbps),
     };
-    Ok(ReplicaOutcome {
-        summary,
-        goodput_hist: fold.hist,
-        goodput_sum: fold.goodput_sum,
-        achieved_sum_mbps: fold.achieved_sum_mbps,
-        profiler: env.take_span_profiler(),
-    })
+    Ok(ReplicaOutcome { summary, fold, profiler: env.take_span_profiler() })
 }
 
 #[cfg(test)]

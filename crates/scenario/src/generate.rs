@@ -11,12 +11,15 @@
 use crate::spec::{ScenarioSpec, TopologySpec};
 use bass_appdag::{catalog, AppDag};
 use bass_cluster::{Cluster, NodeSpec};
+use bass_emu::{Input, Scenario};
 use bass_faults::FaultPlan;
 use bass_mesh::{Mesh, MeshError, NodeId, Topology};
 use bass_trace::{ou_bundle, OuTraceConfig, TraceBundle};
 use bass_util::rng::SimRng;
-use bass_util::time::SimDuration;
+use bass_util::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Component-id stride between app instances: instance `k` occupies ids
 /// `(k + 1) * STRIDE ..`. The largest catalog app uses ids below 100, so
@@ -35,6 +38,9 @@ pub enum AppKind {
 }
 
 impl AppKind {
+    /// Every kind, in declaration order: `kind as usize` indexes it.
+    pub const ALL: [AppKind; 3] = [AppKind::Camera, AppKind::VideoConf, AppKind::Social];
+
     /// Stable snake-case label (used in summaries and instance names).
     pub fn label(&self) -> &'static str {
         match self {
@@ -174,6 +180,27 @@ impl GeneratedScenario {
     /// `"social-3"`.
     pub fn instance_label(kind: AppKind, instance: u32) -> String {
         format!("{}-{instance}", kind.label())
+    }
+
+    /// The workload as timed `SimEnv` inputs: an [`Input::Admit`] per
+    /// arrival (every arrival of `kind` shares `dags[kind as usize]`) and
+    /// an [`Input::Retire`] per departure, labelled by instance.
+    pub fn timeline(&self, dags: &[Arc<AppDag>; 3]) -> Scenario {
+        let mut labels = BTreeMap::new();
+        self.workload.iter().fold(Scenario::new(), |scenario, event| {
+            let input = match *event {
+                WorkloadEvent::Arrive { instance, kind, .. } => {
+                    let label = Self::instance_label(kind, instance);
+                    labels.insert(instance, label.clone());
+                    let offset = Self::instance_offset(instance);
+                    Input::Admit { label, app: Arc::clone(&dags[kind as usize]), offset }
+                }
+                WorkloadEvent::Depart { instance, .. } => Input::Retire {
+                    label: labels.remove(&instance).expect("a departure follows its arrival"),
+                },
+            };
+            scenario.at(SimTime::from_millis(event.at_ms()), input)
+        })
     }
 }
 
@@ -342,7 +369,8 @@ fn generate_workload(spec: &ScenarioSpec, rng: &mut SimRng) -> (Vec<WorkloadEven
         let instance = next_instance;
         next_instance += 1;
         events.push(WorkloadEvent::Arrive { at_ms, instance, kind });
-        live.push((at_ms + life_ms.max(1), instance));
+        // A huge finite mean lifetime saturates the draw at `u64::MAX`.
+        live.push((at_ms.saturating_add(life_ms.max(1)), instance));
     }
     // Flush in-horizon departures of still-live instances.
     live.sort_unstable();
@@ -409,26 +437,32 @@ mod tests {
 
     #[test]
     fn workload_respects_cap_and_ordering() {
-        let mut spec = ScenarioSpec::small_reference();
-        spec.workload.arrival_rate_per_s = 0.5; // dense churn
-        spec.workload.max_concurrent = 4;
-        let s = generate(&spec, 11);
-        let mut live = std::collections::BTreeSet::new();
-        let mut last_ms = 0;
-        for ev in &s.workload {
-            assert!(ev.at_ms() >= last_ms, "events out of order");
-            last_ms = ev.at_ms();
-            match *ev {
-                WorkloadEvent::Arrive { instance, .. } => {
-                    assert!(live.insert(instance), "double arrival");
-                    assert!(live.len() <= 4, "cap violated");
-                }
-                WorkloadEvent::Depart { instance, .. } => {
-                    assert!(live.remove(&instance), "departure without arrival");
+        // Dense churn, then lifetimes so long the draw saturates (its
+        // departure time once overflowed: a panic, or in release a
+        // departure before the arrival that freed its slot).
+        for (rate, lifetime_s) in [(0.5, 300.0), (0.05, 1e300)] {
+            let mut spec = ScenarioSpec::small_reference();
+            spec.workload.arrival_rate_per_s = rate;
+            spec.workload.mean_lifetime_s = lifetime_s;
+            spec.workload.max_concurrent = 4;
+            let s = generate(&spec, 11);
+            let mut live = std::collections::BTreeSet::new();
+            let mut last_ms = 0;
+            for ev in &s.workload {
+                assert!(ev.at_ms() >= last_ms, "events out of order");
+                last_ms = ev.at_ms();
+                match *ev {
+                    WorkloadEvent::Arrive { instance, .. } => {
+                        assert!(live.insert(instance), "double arrival");
+                        assert!(live.len() <= 4, "cap violated");
+                    }
+                    WorkloadEvent::Depart { instance, .. } => {
+                        assert!(live.remove(&instance), "departure without arrival");
+                    }
                 }
             }
+            assert!(s.rejected_arrivals > 0, "a full cap should reject some arrivals");
         }
-        assert!(s.rejected_arrivals > 0, "dense churn should reject some arrivals");
     }
 
     #[test]

@@ -719,16 +719,16 @@ fn storm_replay_matches_dense_ticked_and_skipping() {
 // The lifecycle path — flows appearing and vanishing mid-run as whole
 // applications are admitted and retired, under generated traces and
 // faults — must sample and journal the identical bytes on the
-// production allocator and on the reference, ticked and skipping.
+// production allocator and on the reference, driven by hand and ticked
+// or off the timeline and skipping.
 #[test]
 fn generated_lifecycle_journal_matches_dense() {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 240;
     spec.workload.arrival_rate_per_s = 0.05;
     spec.workload.mean_lifetime_s = 60.0;
-    let run =
-        |ticked, dense| support::drive_replica(&spec, 0x11FE, PolicyKind::Bass, ticked, dense);
-    let (reference, executed_ticked) = run(true, true);
+    let (reference, executed_ticked) =
+        support::drive_replica(&spec, 0x11FE, PolicyKind::Bass, true);
     assert!(
         reference.admitted > 3,
         "arrivals beyond the initial apps must admit ({})",
@@ -739,14 +739,11 @@ fn generated_lifecycle_journal_matches_dense() {
         "the horizon must see departures"
     );
     assert_eq!(executed_ticked, spec.horizon_ticks);
-    for (ticked, dense) in [(true, false), (false, false), (false, true)] {
-        let (replica, executed) = run(ticked, dense);
-        assert_eq!(
-            reference, replica,
-            "lifecycle diverged at ticked stepping: {ticked}, reference allocator: {dense}"
-        );
-        if !ticked {
-            assert!(executed < executed_ticked, "executed {executed} of {executed_ticked} ticks");
-        }
+    let (by_hand, _) = support::drive_replica(&spec, 0x11FE, PolicyKind::Bass, false);
+    assert_eq!(reference, by_hand, "lifecycle diverged on the production allocator");
+    for dense in [false, true] {
+        let (replica, executed) = support::timeline_replica(&spec, 0x11FE, PolicyKind::Bass, dense);
+        assert_eq!(reference, replica, "lifecycle diverged off the timeline, dense: {dense}");
+        assert!(executed < executed_ticked, "executed {executed} of {executed_ticked} ticks");
     }
 }

@@ -164,9 +164,9 @@ fn fig13_event_driven_replays_the_same_golden() {
 }
 
 /// The same two-sided check for the 20-node campaign snapshot: each
-/// replica, rebuilt by `support::drive_replica`, samples the same bits
-/// ticked and skipping, and the golden replica's counts and mean
-/// achieved bandwidth are its own.
+/// replica samples the same bits driven by hand and ticked
+/// (`support::drive_replica`) as off the timeline and skipping, and the
+/// golden replica's counts and mean achieved bandwidth are its own.
 #[test]
 fn campaign_20node_event_driven_replays_the_same_golden() {
     let spec = campaign_spec();
@@ -175,9 +175,8 @@ fn campaign_20node_event_driven_replays_the_same_golden() {
     for k in 0..spec.replicas as usize {
         let seed = root.fork(100 + k as u64).next_u64();
         let (ticked, executed_ticked) =
-            support::drive_replica(&spec, seed, PolicyKind::Bass, true, false);
-        let (skipping, executed) =
-            support::drive_replica(&spec, seed, PolicyKind::Bass, false, false);
+            support::drive_replica(&spec, seed, PolicyKind::Bass, false);
+        let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass, false);
         assert_eq!(ticked, skipping, "replica {k} must not depend on skipped windows");
         assert!(executed < executed_ticked, "replica {k} executed all {executed} ticks");
         if std::env::var("GOLDEN_UPDATE").is_ok() {

@@ -313,10 +313,10 @@ fn arena_table_bytes_are_jobs_independent() {
 
 /// The arena table is a pure fold of its campaigns' summaries, so the
 /// rows and ranking match the ticked reference iff every `(policy,
-/// scenario)` campaign does. For all six policies, each replica,
-/// rebuilt by `support::drive_replica`, samples the same bits ticked and
-/// skipping, and its counts and mean achieved bandwidth are the
-/// campaign's.
+/// scenario)` campaign does. For all six policies, each replica samples
+/// the same bits driven by hand and ticked (`support::drive_replica`) as
+/// off the timeline and skipping, and its counts and mean achieved
+/// bandwidth are the campaign's.
 #[test]
 fn arena_campaigns_match_the_ticked_reference() {
     let (spec, _) = arena_entry();
@@ -324,8 +324,8 @@ fn arena_campaigns_match_the_ticked_reference() {
         let opts = CampaignOptions { jobs: 2, policy, ..CampaignOptions::default() };
         let summary = run_campaign_opts(&spec, 20, &opts).expect("campaign runs").summary;
         for r in &summary.replicas {
-            let (ticked, executed_ticked) = support::drive_replica(&spec, r.seed, policy, true, false);
-            let (skipping, executed) = support::drive_replica(&spec, r.seed, policy, false, false);
+            let (ticked, executed_ticked) = support::drive_replica(&spec, r.seed, policy, false);
+            let (skipping, executed) = support::timeline_replica(&spec, r.seed, policy, false);
             let name = policy.name();
             assert_eq!(ticked, skipping, "{name} replica must not depend on skipped windows");
             assert!(executed < executed_ticked, "{name} executed all {executed} ticks");

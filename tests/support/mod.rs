@@ -1,6 +1,7 @@
 //! The ticked references the batteries compare production against:
 //! `SimEnv::step` in a loop, built from public calls only, so they
-//! share no code with the quiescent-window logic of `SimEnv::run_for`.
+//! share no code with the quiescent-window logic of `SimEnv::run_for`
+//! or with the timeline that applies a campaign's workload.
 
 use bass::appdag::{AppDag, ComponentId};
 use bass::core::PolicyKind;
@@ -9,6 +10,7 @@ use bass::obs::Journal;
 use bass::scenario::{generate, AppKind, GeneratedScenario, ScenarioSpec, WorkloadEvent};
 use bass::util::time::SimDuration;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Ticked stepping: `ticks` full `step()` calls, each followed by
 /// `hook(env)` — what `SimEnv::run_for(ticks × step, hook)` must match.
@@ -23,7 +25,7 @@ pub fn ticked(env: &mut SimEnv, ticks: u64, mut hook: impl FnMut(&SimEnv)) {
 /// Mbps summed over every live edge, and each app kind's achieved Mbps.
 pub type Sample = (u64, u64, Vec<(&'static str, u64)>);
 
-/// Everything one driven replica observed.
+/// Everything one replica observed.
 #[derive(Debug, PartialEq)]
 pub struct Replica {
     pub samples: Vec<Sample>,
@@ -34,22 +36,18 @@ pub struct Replica {
     pub unplaceable: u64,
 }
 
-/// Live instances: arrival index → (label, admitted component ids, kind).
-type LiveApps = BTreeMap<u32, (String, Vec<ComponentId>, AppKind)>;
+/// A replica and how many of its ticks executed in full.
+pub type Run = (Replica, u64);
 
-/// A campaign replica rebuilt from public calls: each workload event
-/// applies at tick ⌈at_ms / step_ms⌉, and every live edge is sampled
-/// on the sample cadence. `ticked` steps through [`ticked`] instead of
-/// `run_for`; `dense` puts the mesh on the dense reference allocator.
-/// Returns the replica and how many ticks executed in full.
-pub fn drive_replica(
+/// A replica's scenario and environment, journaled and profiled, not yet
+/// deployed. `dense` puts the mesh on the dense reference allocator.
+fn replica_env(
     spec: &ScenarioSpec,
-    replica_seed: u64,
+    seed: u64,
     policy: PolicyKind,
-    ticked: bool,
     dense: bool,
-) -> (Replica, u64) {
-    let scenario = generate(spec, replica_seed);
+) -> (GeneratedScenario, SimEnv) {
+    let scenario = generate(spec, seed);
     let ticks_of = |n: u64| SimDuration::from_millis(n * spec.step_ms);
     let mut mesh = scenario.build_mesh(ticks_of(spec.horizon_ticks)).expect("mesh builds");
     if dense {
@@ -65,52 +63,11 @@ pub fn drive_replica(
     let mut env = SimEnv::new(mesh, scenario.build_cluster(), dag, cfg);
     env.attach_journal(Journal::new());
     env.enable_span_profiling();
-    env.deploy(&[]).expect("deploys");
+    (scenario, env)
+}
 
-    let mut live = LiveApps::new();
-    let (mut samples, mut tick, mut admitted, mut rejected) = (Vec::new(), 0u64, 0, 0);
-    let mut run_until = |env: &mut SimEnv, live: &LiveApps, until: u64| {
-        let ticks = until.saturating_sub(tick);
-        let hook = |e: &SimEnv| {
-            if tick.is_multiple_of(spec.sample_every_ticks) {
-                samples.push(sample(e, live));
-            }
-            tick += 1;
-        };
-        if ticked {
-            self::ticked(env, ticks, hook);
-        } else {
-            env.run_for(ticks_of(ticks), hook).expect("run completes");
-        }
-    };
-    for event in &scenario.workload {
-        let due = event.at_ms().div_ceil(spec.step_ms);
-        if due >= spec.horizon_ticks {
-            break;
-        }
-        run_until(&mut env, &live, due);
-        match *event {
-            WorkloadEvent::Arrive { instance, kind, .. } => {
-                let dag = kind.dag(spec.workload.social_rps);
-                match env.admit_app(&dag, GeneratedScenario::instance_offset(instance)) {
-                    Ok(ids) => {
-                        let label = GeneratedScenario::instance_label(kind, instance);
-                        live.insert(instance, (label, ids, kind));
-                        admitted += 1;
-                    }
-                    Err(EnvError::Schedule(_)) => rejected += 1,
-                    Err(e) => panic!("admission failed: {e}"),
-                }
-            }
-            WorkloadEvent::Depart { instance, .. } => {
-                if let Some((label, ids, _)) = live.remove(&instance) {
-                    env.retire_app(&label, &ids).expect("retires");
-                }
-            }
-        }
-    }
-    run_until(&mut env, &live, spec.horizon_ticks);
-
+/// The replica's journal, counts, and how many ticks executed in full.
+fn finish(mut env: SimEnv, samples: Vec<Sample>, admitted: u64, rejected: u64) -> Run {
     let profiler = env.take_span_profiler().expect("profiler attached");
     let replica = Replica {
         samples,
@@ -123,16 +80,90 @@ pub fn drive_replica(
     (replica, profiler.stats("tick.finalize").map_or(0, |s| s.count))
 }
 
-/// The campaign sampler's reads over every live edge.
-fn sample(env: &SimEnv, live: &LiveApps) -> Sample {
+/// A campaign replica driven by hand: every tick in full, and each
+/// workload event admitted or retired through `admit_app`/`retire_app`
+/// just before the tick ⌈at_ms / step_ms⌉; every live edge is sampled
+/// on the sample cadence.
+pub fn drive_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, dense: bool) -> Run {
+    let (scenario, mut env) = replica_env(spec, seed, policy, dense);
+    env.deploy(&[]).expect("deploys");
+    // Arrival index → (label, admitted component ids, kind).
+    let mut live: BTreeMap<u32, (String, Vec<ComponentId>, AppKind)> = BTreeMap::new();
+    let (mut samples, mut admitted, mut rejected) = (Vec::new(), 0, 0);
+    let mut events = scenario.workload.iter().peekable();
+    for tick in 0..spec.horizon_ticks {
+        while let Some(event) = events.next_if(|e| e.at_ms() <= tick * spec.step_ms) {
+            match *event {
+                WorkloadEvent::Arrive { instance, kind, .. } => {
+                    let dag = kind.dag(spec.workload.social_rps);
+                    match env.admit_app(&dag, GeneratedScenario::instance_offset(instance)) {
+                        Ok(ids) => {
+                            let label = GeneratedScenario::instance_label(kind, instance);
+                            live.insert(instance, (label, ids, kind));
+                            admitted += 1;
+                        }
+                        Err(EnvError::Schedule(_)) => rejected += 1,
+                        Err(e) => panic!("admission failed: {e}"),
+                    }
+                }
+                WorkloadEvent::Depart { instance, .. } => {
+                    if let Some((label, ids, _)) = live.remove(&instance) {
+                        env.retire_app(&label, &ids).expect("retires");
+                    }
+                }
+            }
+        }
+        env.step().expect("step completes");
+        if tick.is_multiple_of(spec.sample_every_ticks) {
+            let apps = live.values().map(|(_, ids, kind)| (ids.as_slice(), kind.label()));
+            samples.push(sample(&env, apps));
+        }
+    }
+    finish(env, samples, admitted, rejected)
+}
+
+/// The same replica as production runs it: the workload on the
+/// environment's timeline and the horizon in one `run_for`, sampled
+/// through the live-app view.
+pub fn timeline_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, dense: bool) -> Run {
+    let (scenario, mut env) = replica_env(spec, seed, policy, dense);
+    let dags = AppKind::ALL.map(|kind| Arc::new(kind.dag(spec.workload.social_rps)));
+    env.set_scenario(scenario.timeline(&dags));
+    env.deploy(&[]).expect("deploys");
+    let faults_total = env.fault_plan().remaining();
+    let (mut samples, mut tick) = (Vec::new(), 0u64);
+    let horizon = SimDuration::from_millis(spec.horizon_ticks * spec.step_ms);
+    env.run_for(horizon, |e| {
+        // The benchmark mirror's fault-count check, after every tick.
+        assert_eq!(faults_total - e.fault_plan().remaining(), e.stats().faults_injected);
+        if tick.is_multiple_of(spec.sample_every_ticks) {
+            let apps = e.live_apps().iter().map(|app| {
+                let kind = AppKind::ALL.into_iter().find(|k| app.label.starts_with(k.label()));
+                (app.components.as_slice(), kind.expect("labelled by kind").label())
+            });
+            samples.push(sample(e, apps));
+        }
+        tick += 1;
+    })
+    .expect("run completes");
+    let (admitted, rejected) = (env.stats().apps_admitted, env.stats().apps_rejected);
+    finish(env, samples, admitted, rejected)
+}
+
+/// The campaign sampler's reads over every live edge of `apps`
+/// (component ids and kind label per instance, in admission order).
+fn sample<'a>(
+    env: &SimEnv,
+    apps: impl Iterator<Item = (&'a [ComponentId], &'static str)>,
+) -> Sample {
     let (mut required, mut achieved) = (0.0f64, 0.0f64);
     let mut per_kind: BTreeMap<&'static str, f64> = BTreeMap::new();
-    for (_, ids, kind) in live.values() {
+    for (ids, kind) in apps {
         for e in ids.iter().flat_map(|&c| env.dag().out_edges(c)) {
             let a = env.edge_achieved(e.from, e.to).as_mbps();
             required += e.bandwidth.as_mbps();
             achieved += a;
-            *per_kind.entry(kind.label()).or_insert(0.0) += a;
+            *per_kind.entry(kind).or_insert(0.0) += a;
         }
     }
     let per_kind = per_kind.into_iter().map(|(k, v)| (k, v.to_bits())).collect();
