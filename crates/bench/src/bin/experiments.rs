@@ -20,9 +20,9 @@
 
 use bass_bench::experiments::{run_with_journal, ALL_IDS};
 use bass_bench::RunMode;
+use bass_util::pool::ordered_map;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// What one worker produced for one requested experiment id.
@@ -77,14 +77,12 @@ fn main() -> ExitCode {
     if ids.is_empty() {
         ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
     }
-    let jobs = jobs
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .min(ids.len())
-        .max(1);
+    // `ordered_map` caps the workers at the experiment count.
+    let jobs = jobs.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
 
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("cannot create {}: {e}", out_dir.display());
@@ -109,43 +107,29 @@ fn main() -> ExitCode {
     let journal_idx = ids.iter().position(|id| id == "fig13");
     let journal_slot = Mutex::new(journal);
 
-    // Work queue: workers claim indices from a shared counter and park
-    // results in order-preserving slots; emission happens afterwards in
-    // request order so all outputs match a sequential run byte-for-byte.
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Outcome>>> =
-        Mutex::new((0..ids.len()).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= ids.len() {
-                    break;
+    // Results come back in request order, so emission afterwards
+    // matches a sequential run byte-for-byte.
+    let results = ordered_map(jobs, ids.len(), |i| {
+        let journal = if journal_idx == Some(i) {
+            journal_slot.lock().expect("journal lock").take()
+        } else {
+            None
+        };
+        let started = std::time::Instant::now();
+        match run_with_journal(&ids[i], mode, journal) {
+            Some((report, returned)) => {
+                if let Some(j) = returned {
+                    *journal_slot.lock().expect("journal lock") = Some(j);
                 }
-                let journal = if journal_idx == Some(i) {
-                    journal_slot.lock().expect("journal lock").take()
-                } else {
-                    None
-                };
-                let started = std::time::Instant::now();
-                let outcome = match run_with_journal(&ids[i], mode, journal) {
-                    Some((report, returned)) => {
-                        if let Some(j) = returned {
-                            *journal_slot.lock().expect("journal lock") = Some(j);
-                        }
-                        Outcome::Done(report, started.elapsed().as_secs_f64())
-                    }
-                    None => Outcome::Unknown,
-                };
-                results.lock().expect("results lock")[i] = Some(outcome);
-            });
+                Outcome::Done(report, started.elapsed().as_secs_f64())
+            }
+            None => Outcome::Unknown,
         }
     });
 
     let mut failed = false;
-    let results = results.into_inner().expect("results lock");
-    for (id, slot) in ids.iter().zip(results) {
-        match slot.expect("every index was claimed") {
+    for (id, outcome) in ids.iter().zip(results) {
+        match outcome {
             Outcome::Done(report, secs) => {
                 println!("{report}");
                 println!("({id} completed in {secs:.1}s)\n");

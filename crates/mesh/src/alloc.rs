@@ -17,17 +17,18 @@
 //! slots' paths and the egress-cap set, `demands_scratch` holds what the
 //! last fill filled with, and `dirty_flows` lists every slot whose
 //! transmit demand can have moved since — so filling only the dirty
-//! components equals filling all of them, bit for bit. The judge is
-//! `reallocate_dense`, the pre-index implementation kept verbatim as the
-//! *test reference* (fresh buffers, per-tick membership scans,
-//! [`crate::flow::max_min_allocate_dense`]), which tests switch on with
-//! the hidden one-way `Mesh::use_reference_allocator`. Component order is
-//! canonical and slots stay in ascending flow-id order, so the same
-//! mutation sequence replays bit-for-bit on any machine.
+//! components equals filling all of them, bit for bit. The judge is the
+//! same pipeline from scratch: [`Mesh::rebuilt`](crate::Mesh::rebuilt)
+//! re-routes every flow and stales the index, so the next allocation
+//! rebuilds it and refills every component, and the test batteries
+//! require production to match such a rebuilt twin tick after tick.
+//! Component order is canonical and slots stay in ascending flow-id
+//! order, so the same mutation sequence replays bit-for-bit on any
+//! machine.
 
 use crate::flow::{
-    max_min_allocate_dense, refill_component_into, unconstrained_rate, AllocScratch,
-    ComponentIndex, Constraint, FlowId, FlowSpec, NO_COMPONENT,
+    refill_component_into, unconstrained_rate, AllocScratch, ComponentIndex, Constraint, FlowId,
+    FlowSpec, NO_COMPONENT,
 };
 use crate::links::LinkCaps;
 use crate::mesh::MeshError;
@@ -46,8 +47,7 @@ use std::collections::BTreeMap;
 /// holds); a removed flow's slot is tombstoned, keeping its id — its
 /// rate stays readable until the next allocation — and its path, which
 /// seeds the egress usage of a node capped before then. Compaction drops
-/// the tombstones: at every index rebuild, and before each dense
-/// reference allocation.
+/// the tombstones at every index rebuild.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlowTable {
     /// Flow id of every slot, ascending; a tombstoned slot keeps its id,
@@ -177,9 +177,8 @@ pub(crate) struct AllocIndex {
     /// `link_count + k` caps node `egress_ranks[k]`.
     egress_ranks: Vec<u32>,
     /// Link constraints first (one per link, in `LinkId` order), then one
-    /// per egress-capped node (in `NodeId` order) — the same layout the
-    /// reference path rebuilds per tick. Capacities are refreshed in place
-    /// each allocation; member lists persist.
+    /// per egress-capped node (in `NodeId` order). Capacities are
+    /// refreshed in place each allocation; member lists persist.
     pub(crate) constraints: Vec<Constraint>,
     /// CSR offsets of the slot → constraints reverse map.
     flow_cons_off: Vec<usize>,
@@ -203,8 +202,7 @@ pub(crate) struct AllocIndex {
 impl AllocIndex {
     /// Compacts the flow table, then one pass over every flow's path
     /// (O(Σ path lengths)) rebuilds the member lists and the CSR reverse
-    /// map — replacing the per-tick all-flows scan per link the reference
-    /// path performs.
+    /// map.
     fn rebuild(&mut self, link_count: usize, flows: &mut FlowTable, egress_ranks: Vec<u32>) {
         flows.compact();
         self.constraints.clear();
@@ -276,8 +274,8 @@ impl AllocIndex {
 /// Logical: `flows` (specs and queues; paths are derived from the
 /// routes), `next_flow`, the egress caps' values, `rates_bps` (a fill is
 /// followed by a queue pass that moves the demands it was computed
-/// from, so the rates are not a function of the other fields),
-/// `allocated` and the one-way `reference` switch. Derived: `index`,
+/// from, so the rates are not a function of the other fields) and
+/// `allocated`. Derived: `index`,
 /// `scratch`, `demands_scratch`, the dirty component and flow sets,
 /// `link_used_bps` and the egress caps' usage — an index rebuild
 /// re-derives all of them.
@@ -295,9 +293,6 @@ pub(crate) struct Allocation {
     /// False from a flow add or remove until the next allocation: the
     /// rates do not yet cover the registered flow set.
     allocated: bool,
-    /// Set (one way) by [`Allocation::use_reference`]: every allocation
-    /// runs the dense test reference.
-    reference: bool,
     /// Persistent membership index.
     pub(crate) index: AllocIndex,
     /// Reusable working state of the component fill.
@@ -329,14 +324,6 @@ impl Allocation {
             link_used_bps: vec![0.0; link_count],
             ..Allocation::default()
         }
-    }
-
-    /// Switches to the dense test reference for good. The reference
-    /// maintains none of the index's dirty sets, so the index goes stale
-    /// and is never patched again.
-    pub(crate) fn use_reference(&mut self) {
-        self.reference = true;
-        self.index.dirty = true;
     }
 
     /// Registers a flow routed as `routed` (`None`: parked unroutable).
@@ -502,8 +489,7 @@ impl Allocation {
     /// clock is due or stale, else the capped links) and demands against
     /// `demands_scratch` (`mesh.demand_diff`), mark the dirty components
     /// (`mesh.component_scan`) and refill only those (`mesh.water_fill`,
-    /// `mesh.usage_views`). The test reference records one
-    /// `mesh.dense_realloc`.
+    /// `mesh.usage_views`).
     pub(crate) fn reallocate(
         &mut self,
         links: &mut LinkCaps,
@@ -512,12 +498,6 @@ impl Allocation {
         mut profiler: Option<&mut SpanProfiler>,
     ) {
         self.allocated = true;
-        if self.reference {
-            let _span = SpanProfiler::span(profiler, "mesh.dense_realloc");
-            let caps = links.read_dense(routes, now);
-            self.reallocate_dense(&caps, routes);
-            return;
-        }
         let mut clock = PhaseClock::new(profiler.is_some());
         let link_count = routes.topo().link_count();
         let rebuilt = self.index.dirty;
@@ -646,9 +626,8 @@ impl Allocation {
 
     /// Recomputes the link usage view and every capped node's egress
     /// usage from `rates_bps`, each as its constraint's member sum.
-    /// Members are live slots in ascending flow order, so the float
-    /// accumulation order matches the reference path's flow-major loop
-    /// exactly.
+    /// Members are live slots in ascending flow order, so each sum
+    /// accumulates in flow order.
     fn update_usage_views(&mut self, link_count: usize) {
         let (link_cons, egress_cons) = self.index.constraints.split_at(link_count);
         self.link_used_bps.resize(link_count, 0.0);
@@ -660,74 +639,13 @@ impl Allocation {
         }
     }
 
-    /// The test reference, kept verbatim from before the persistent
-    /// index existed (fresh buffers, per-tick membership scans, the dense
-    /// water-fill) so the equivalence batteries can replay any schedule
-    /// through both paths. `caps` holds every link's effective capacity.
-    fn reallocate_dense(&mut self, caps: &[Bandwidth], routes: &Routes) {
-        self.flows.compact();
-        let flows = &self.flows.states;
-        let demands: Vec<Bandwidth> = flows
-            .iter()
-            .map(|f| {
-                if !f.routable {
-                    // No route: the flow transmits nothing at all.
-                    return Bandwidth::ZERO;
-                }
-                let drain = f.queue.backlog().rate_over(SimDuration::from_secs(1));
-                f.spec.demand + drain
-            })
-            .collect();
-
-        let mut constraints = Vec::new();
-        // One constraint per link.
-        for (l, &capacity) in caps.iter().enumerate() {
-            let lid = LinkId(l);
-            let members: Vec<usize> = flows
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.links.contains(&lid))
-                .map(|(i, _)| i)
-                .collect();
-            constraints.push(Constraint { capacity, members });
-        }
-        // One constraint per node egress cap.
-        for (&node, e) in &self.egress_caps {
-            let rank = routes.rank(node);
-            let members: Vec<usize> = flows
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| rank.is_some_and(|r| f.egress.contains(&r)))
-                .map(|(i, _)| i)
-                .collect();
-            constraints.push(Constraint { capacity: e.cap, members });
-        }
-
-        let rates = max_min_allocate_dense(&demands, &constraints);
-        self.rates_bps.clear();
-        self.rates_bps.extend(rates.iter().map(|r| r.as_bps()));
-
-        // Per-link and capped-node egress usage for monitoring.
-        self.link_used_bps = vec![0.0; caps.len()];
-        for (i, f) in flows.iter().enumerate() {
-            for lid in &f.links {
-                self.link_used_bps[lid.0] += self.rates_bps[i];
-            }
-        }
-        let egress_cons = &constraints[caps.len()..];
-        for (e, c) in self.egress_caps.values_mut().zip(egress_cons) {
-            e.used_bps = member_sum(c, &self.rates_bps);
-        }
-    }
-
     /// The queue pass: advances every live flow's queue against its rate
     /// and its path's bottleneck utilization (`util`, per link), and
     /// feeds each backlog that moved into the dirty-flow set of the next
     /// demand diff.
     pub(crate) fn advance_queues(&mut self, dt: SimDuration, util: &[f64]) {
         // Backlog movements feed the demand dirty set whenever the index
-        // is clean; under a stale index (or on the reference) the next
-        // refresh is full anyway.
+        // is clean; under a stale index the next refresh is full anyway.
         let track = !self.index.dirty;
         debug_assert!(self.allocated);
         let FlowTable { live, states, .. } = &mut self.flows;

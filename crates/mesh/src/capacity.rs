@@ -84,8 +84,7 @@ impl LinkCapacity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bass_trace::StepScript;
-    use bass_util::time::SimDuration;
+    use bass_trace::BandwidthTrace;
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::from_mbps(x)
@@ -100,9 +99,10 @@ mod tests {
 
     #[test]
     fn trace_source() {
-        let trace = StepScript::new("t", mbps(50.0))
-            .restrict(SimTime::from_secs(10), SimDuration::from_secs(5), mbps(5.0))
-            .compile(SimDuration::from_secs(60));
+        let mut trace = BandwidthTrace::new("t");
+        trace.push(SimTime::ZERO, mbps(50.0));
+        trace.push(SimTime::from_secs(10), mbps(5.0));
+        trace.push(SimTime::from_secs(15), mbps(50.0));
         let lc = LinkCapacity::new(CapacitySource::Trace(trace));
         assert_eq!(lc.effective_at(SimTime::from_secs(0)), mbps(50.0));
         assert_eq!(lc.effective_at(SimTime::from_secs(12)), mbps(5.0));

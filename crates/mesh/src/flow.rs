@@ -9,7 +9,9 @@
 //! One fill kernel runs per connected component of the flow ↔
 //! constraint graph: [`max_min_allocate`] over every component,
 //! [`crate::Mesh`] over those a tick dirtied (all of them after an index
-//! rebuild). The tests compare it against [`max_min_allocate_dense`].
+//! rebuild). `tests/properties.rs` holds its oracles: a dense
+//! progressive-filling implementation it must match bit for bit, and a
+//! max-min fairness certificate.
 
 use crate::topology::NodeId;
 use bass_util::units::Bandwidth;
@@ -63,12 +65,12 @@ pub(crate) const NO_COMPONENT: u32 = u32::MAX;
 /// Two constraints are in the same component when some flow crosses
 /// both; a flow belongs to the component of its constraints. Max-min
 /// fairness decomposes exactly over these components — no flow in one
-/// component can affect any rate in another — so both allocators in
-/// this crate fill components independently, one at a time, in the
-/// *canonical component order* (ascending order of each component's
-/// smallest constraint index). That shared order is what makes the
-/// production fill and the dense reference bit-identical, and it is
-/// what [`crate::Mesh`] exploits: when a perturbation touches only one
+/// component can affect any rate in another — so the fill handles
+/// components independently, one at a time, in the *canonical component
+/// order* (ascending order of each component's smallest constraint
+/// index). That order is what makes a patched index's fills
+/// bit-identical to a rebuilt one's (and to the dense oracle in
+/// `tests/properties.rs`), and it is what [`crate::Mesh`] exploits: when a perturbation touches only one
 /// component, every other component's rates are provably unchanged and
 /// are kept verbatim.
 ///
@@ -357,9 +359,10 @@ pub(crate) struct AllocScratch {
 /// `remaining`, `active_count`), then runs the incremental water-filling
 /// rounds restricted to the component's flows and constraints, writing
 /// each flow's entry of `rates` once, when it freezes. This is *the*
-/// canonical fill: the dense reference reaches the same floating-point
-/// values by re-scanning membership lists and adding to every rate, and
-/// [`crate::Mesh`] calls this directly for each dirty component. State
+/// canonical fill: the dense oracle in `tests/properties.rs` reaches the
+/// same floating-point values by re-scanning membership lists and adding
+/// to every rate, and [`crate::Mesh`] calls this directly for each dirty
+/// component. State
 /// arrays are global-sized; only the component's entries are read or
 /// written, so disjoint components can be filled in any order with
 /// bit-identical results.
@@ -601,11 +604,10 @@ fn build_flow_constraint_map(
 ///   crosses a saturated constraint on which no other member has a
 ///   larger rate that could be reduced in its favor.
 ///
-/// Bit-identical to [`max_min_allocate_dense`]. This is the one-shot
-/// form of the per-component fill, over every component in canonical
-/// order; `Mesh` keeps the scratch buffers, the flow → constraint map
-/// and the component index alive between ticks and refills only the
-/// dirty components.
+/// This is the one-shot form of the per-component fill, over every
+/// component in canonical order; `Mesh` keeps the scratch buffers, the
+/// flow → constraint map and the component index alive between ticks
+/// and refills only the dirty components.
 pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
     let n = demands.len();
     let mut off = Vec::new();
@@ -622,146 +624,6 @@ pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Ve
             comp, demands, constraints, &off, &cons, &comps, &mut scratch, &mut rates,
         );
     }
-    rates.into_iter().map(Bandwidth::from_bps).collect()
-}
-
-/// The dense progressive-filling allocator, kept as the correctness
-/// *reference* for the incremental fill (property tests assert
-/// bit-identical outputs). Every water-filling round re-scans the
-/// component's full membership lists, so each round costs
-/// O(constraints × members); prefer [`max_min_allocate`] everywhere
-/// else.
-///
-/// Like the production fill, it fills the connected components of the flow ↔
-/// constraint graph one at a time in canonical order (ascending
-/// smallest-constraint-index); the partition is re-derived here with an
-/// independent union-find so the reference shares no code with the
-/// incremental path beyond this module's constants.
-pub fn max_min_allocate_dense(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
-    let n = demands.len();
-    let m = constraints.len();
-    let mut rates = vec![0.0f64; n];
-    let mut frozen = vec![false; n];
-    let mut remaining: Vec<f64> = constraints.iter().map(|c| c.capacity.as_bps()).collect();
-
-    // Pre-freeze zero-demand flows at rate 0; grant unconstrained flows
-    // their demand.
-    let mut constrained = vec![false; n];
-    for c in constraints {
-        for &m in &c.members {
-            assert!(m < n, "constraint references unknown flow index {m}");
-            constrained[m] = true;
-        }
-    }
-    for i in 0..n {
-        if demands[i].as_bps() <= EPS {
-            frozen[i] = true;
-        } else if !constrained[i] {
-            rates[i] = demands[i].as_bps();
-            frozen[i] = true;
-        }
-    }
-
-    // Independent component derivation: a plain union-find over
-    // constraints, joined through each flow's membership list.
-    let mut parent: Vec<usize> = (0..m).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let mut first_cons: Vec<Option<usize>> = vec![None; n];
-    for (ci, c) in constraints.iter().enumerate() {
-        for &fm in &c.members {
-            match first_cons[fm] {
-                None => first_cons[fm] = Some(ci),
-                Some(f) => {
-                    let (a, b) = (find(&mut parent, f), find(&mut parent, ci));
-                    if a != b {
-                        parent[b] = a;
-                    }
-                }
-            }
-        }
-    }
-    // Canonical order: components sorted by their smallest constraint.
-    let mut comp_of_root: Vec<Option<usize>> = vec![None; m];
-    let mut comp_cons: Vec<Vec<usize>> = Vec::new();
-    for ci in 0..m {
-        let root = find(&mut parent, ci);
-        let comp = *comp_of_root[root].get_or_insert_with(|| {
-            comp_cons.push(Vec::new());
-            comp_cons.len() - 1
-        });
-        comp_cons[comp].push(ci);
-    }
-    let mut comp_flows: Vec<Vec<usize>> = vec![Vec::new(); comp_cons.len()];
-    for (i, fc) in first_cons.iter().enumerate() {
-        if let Some(f) = fc {
-            let root = find(&mut parent, *f);
-            comp_flows[comp_of_root[root].expect("root numbered")].push(i);
-        }
-    }
-
-    for (cons, flows) in comp_cons.iter().zip(&comp_flows) {
-        loop {
-            let active: Vec<usize> = flows.iter().copied().filter(|&i| !frozen[i]).collect();
-            if active.is_empty() {
-                break;
-            }
-
-            // Smallest per-flow increment until some flow hits its
-            // demand …
-            let mut delta = f64::INFINITY;
-            for &i in &active {
-                delta = delta.min(demands[i].as_bps() - rates[i]);
-            }
-            // … or some constraint saturates.
-            for &ci in cons {
-                let k = constraints[ci].members.iter().filter(|&&fm| !frozen[fm]).count();
-                if k > 0 {
-                    delta = delta.min(remaining[ci] / k as f64);
-                }
-            }
-            let delta = delta.max(0.0);
-
-            for &i in &active {
-                rates[i] += delta;
-            }
-            for &ci in cons {
-                let k = constraints[ci].members.iter().filter(|&&fm| !frozen[fm]).count();
-                remaining[ci] -= delta * k as f64;
-            }
-
-            // Freeze demand-satisfied flows and members of saturated
-            // constraints. At least one flow freezes per round (delta
-            // picked the binding resource), so the loop terminates.
-            let mut any_frozen = false;
-            for &i in &active {
-                if demands[i].as_bps() - rates[i] <= EPS {
-                    frozen[i] = true;
-                    any_frozen = true;
-                }
-            }
-            for &ci in cons {
-                if remaining[ci] <= EPS {
-                    for &fm in &constraints[ci].members {
-                        if !frozen[fm] {
-                            frozen[fm] = true;
-                            any_frozen = true;
-                        }
-                    }
-                }
-            }
-            if !any_frozen {
-                // Defensive: numerical corner where nothing moved.
-                break;
-            }
-        }
-    }
-
     rates.into_iter().map(Bandwidth::from_bps).collect()
 }
 
@@ -873,62 +735,6 @@ mod tests {
         }
     }
 
-    /// The incremental fill must reproduce the dense reference exactly —
-    /// same floating-point operations in the same order, so the rates
-    /// are bit-identical, not merely close.
-    fn assert_fills_bit_identical(demands: &[Bandwidth], constraints: &[Constraint]) {
-        let dense = max_min_allocate_dense(demands, constraints);
-        let inc = max_min_allocate(demands, constraints);
-        assert_eq!(dense.len(), inc.len());
-        for (i, (d, n)) in dense.iter().zip(&inc).enumerate() {
-            assert!(
-                d.as_bps().to_bits() == n.as_bps().to_bits(),
-                "flow {i}: dense {} vs incremental {}",
-                d.as_bps(),
-                n.as_bps()
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_matches_dense_oracle_on_known_shapes() {
-        let demands = vec![mbps(100.0), mbps(100.0), mbps(100.0)];
-        let constraints = vec![
-            Constraint { capacity: mbps(10.0), members: vec![0, 1] },
-            Constraint { capacity: mbps(4.0), members: vec![1, 2] },
-        ];
-        assert_fills_bit_identical(&demands, &constraints);
-        // Zero capacity, zero demand, unconstrained flows.
-        let demands = vec![Bandwidth::ZERO, mbps(5.0), mbps(42.0)];
-        let constraints = vec![
-            Constraint { capacity: Bandwidth::ZERO, members: vec![0, 1] },
-            Constraint { capacity: mbps(10.0), members: vec![1] },
-        ];
-        assert_fills_bit_identical(&demands, &constraints);
-        // No constraints at all.
-        assert_fills_bit_identical(&[mbps(7.0)], &[]);
-    }
-
-    #[test]
-    fn incremental_matches_dense_oracle_on_random_sets() {
-        let mut rng = bass_util::rng::SimRng::seed_from_u64(0xA110C);
-        for trial in 0..200 {
-            let n = 1 + (rng.below(24) as usize);
-            let demands: Vec<Bandwidth> =
-                (0..n).map(|_| Bandwidth::from_mbps(rng.uniform(0.0, 50.0))).collect();
-            let ncons = rng.below(8) as usize;
-            let constraints: Vec<Constraint> = (0..ncons)
-                .map(|_| Constraint {
-                    capacity: Bandwidth::from_mbps(rng.uniform(0.0, 60.0)),
-                    members: (0..n).filter(|_| rng.chance(0.4)).collect(),
-                })
-                .collect();
-            let dense = max_min_allocate_dense(&demands, &constraints);
-            let inc = max_min_allocate(&demands, &constraints);
-            assert_eq!(dense, inc, "trial {trial} diverged");
-        }
-    }
-
     #[test]
     fn scratch_reuse_across_differently_sized_problems() {
         let mut scratch = AllocScratch::default();
@@ -951,10 +757,10 @@ mod tests {
                 &mut scratch,
                 &mut out,
             );
-            let expected = max_min_allocate_dense(&demands, &constraints);
+            let expected = max_min_allocate(&demands, &constraints);
             assert_eq!(out.len(), n);
             for (got, want) in out.iter().zip(&expected) {
-                assert!((got - want.as_bps()).abs() < 1e-9);
+                assert_eq!(got.to_bits(), want.as_bps().to_bits());
             }
         }
     }

@@ -4,9 +4,9 @@
 //!
 //! Invariant: while [`LinkCaps::current`] holds, `link_cap_bps[l]`
 //! equals [`LinkCaps::effective`] for every link `l`. Each capacity input
-//! here stales the trace clock or queues its link; an up/down change and
-//! the switch to the dense reference, which never arms the clock, stale
-//! it through [`LinkCaps::invalidate`].
+//! here stales the trace clock or queues its link; an up/down change
+//! stales it through [`LinkCaps::invalidate`], and `Mesh::rebuilt`
+//! through [`LinkCaps::rewind`].
 
 use crate::capacity::{CapacitySource, LinkCapacity};
 use crate::routes::Routes;
@@ -30,7 +30,7 @@ pub(crate) struct LinkCaps {
     /// The earliest change-point of any unfrozen traced link after the
     /// last full read (inner `None`: no trace changes again). The outer
     /// `None` marks it stale: never read, a source swapped, a link
-    /// (un)frozen. The dense reference never arms it.
+    /// (un)frozen.
     trace_clock: Option<Option<SimTime>>,
     /// Per-link sample cursors of the full capacity re-read
     /// ([`BandwidthTrace::read_forward`](bass_trace::BandwidthTrace::read_forward)),
@@ -83,10 +83,18 @@ impl LinkCaps {
     }
 
     /// Stales the trace clock, so the snapshot is not current until the
-    /// next full re-read: something outside this part (the up/down state,
-    /// the allocator) moved what a capacity read returns.
+    /// next full re-read: something outside this part (the up/down
+    /// state) moved what a capacity read returns.
     pub(crate) fn invalidate(&mut self) {
         self.trace_clock = None;
+    }
+
+    /// Stales the trace clock and rewinds every sample cursor, so the
+    /// next refresh reads each link from its source's first sample, as
+    /// on a freshly built mesh.
+    pub(crate) fn rewind(&mut self) {
+        self.trace_clock = None;
+        self.trace_cursor.fill(0);
     }
 
     /// Freezes a link's trace feed at `at` (kept if already frozen), or
@@ -222,17 +230,5 @@ impl LinkCaps {
         }
         self.dirty_links.clear();
         full
-    }
-
-    /// The dense reference's capacity read: every link's effective
-    /// capacity at `now`, through no cursor or clock, also kept in
-    /// `link_cap_bps` for the queue pass.
-    pub(crate) fn read_dense(&mut self, routes: &Routes, now: SimTime) -> Vec<Bandwidth> {
-        let caps: Vec<Bandwidth> =
-            (0..self.link_caps.len()).map(|i| self.effective(LinkId(i), routes, now)).collect();
-        for (bps, cap) in self.link_cap_bps.iter_mut().zip(&caps) {
-            *bps = cap.as_bps();
-        }
-        caps
     }
 }

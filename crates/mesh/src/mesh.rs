@@ -116,18 +116,6 @@ impl Mesh {
         })
     }
 
-    /// Switches this mesh to the dense reference allocator for the rest
-    /// of its life. Test support: the equivalence batteries flag one
-    /// mesh before handing it to the code under test and require the
-    /// production run to match it bit for bit. The reference maintains
-    /// none of the production path's dirty-set state, so there is no way
-    /// back.
-    #[doc(hidden)]
-    pub fn use_reference_allocator(&mut self) {
-        self.alloc.use_reference();
-        self.links.invalidate();
-    }
-
     /// Creates a mesh where every link has the same constant capacity
     /// (the microbenchmark LAN shape).
     ///
@@ -156,6 +144,30 @@ impl Mesh {
             mesh.links.set_source(lid, CapacitySource::Trace(trace.clone()));
         }
         Ok(mesh)
+    }
+
+    /// A copy that keeps this mesh's logical state and rebuilds
+    /// everything derived from it: the routing table is computed afresh
+    /// over the usable links, every flow is re-routed, the allocation
+    /// index is marked stale and every trace cursor rewound. Logical
+    /// state — the clock, the flows with their demands, queues and last
+    /// rates, the capacity sources, `tc` and egress caps, trace freezes,
+    /// the fault state and the journal-diff snapshots — is copied
+    /// unchanged, and so are the last allocation's usage views, so every
+    /// query answers as on `self`. The next [`advance`](Self::advance)
+    /// compacts and re-indexes the flows, re-reads every capacity and
+    /// refills every component from scratch.
+    ///
+    /// A correct mesh and its rebuilt copy advance in lockstep bit for
+    /// bit; the equivalence batteries check production against a twin
+    /// replaced by `rebuilt()` before every tick.
+    pub fn rebuilt(&self) -> Mesh {
+        let mut mesh = self.clone();
+        mesh.routes.recompute();
+        mesh.alloc.reroute(&mesh.routes);
+        mesh.alloc.index.dirty = true;
+        mesh.links.rewind();
+        mesh
     }
 
     /// The current simulation time.
@@ -747,10 +759,20 @@ mod tests {
     fn available(m: &Mesh, a: u32, b: u32) -> Bandwidth {
         m.link_available_by_id(m.topology().find_link(NodeId(a), NodeId(b)).unwrap())
     }
-    use bass_trace::{BandwidthTrace, StepScript};
+    use bass_trace::BandwidthTrace;
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::from_mbps(x)
+    }
+
+    /// A link trace at 50 Mbps, restricted to 5 Mbps from 10 s until
+    /// `until_s`.
+    fn restricted_trace(until_s: u64) -> BandwidthTrace {
+        let mut trace = BandwidthTrace::new("l");
+        trace.push(SimTime::ZERO, mbps(50.0));
+        trace.push(SimTime::from_secs(10), mbps(5.0));
+        trace.push(SimTime::from_secs(until_s), mbps(50.0));
+        trace
     }
 
     fn approx(a: Bandwidth, b: f64) {
@@ -838,9 +860,7 @@ mod tests {
         topo.add_node(NodeId(0)).unwrap();
         topo.add_node(NodeId(1)).unwrap();
         topo.add_link(NodeId(0), NodeId(1)).unwrap();
-        let trace: BandwidthTrace = StepScript::new("l", mbps(50.0))
-            .restrict(SimTime::from_secs(10), SimDuration::from_secs(10), mbps(5.0))
-            .compile(SimDuration::from_secs(60));
+        let trace = restricted_trace(20);
         let mut mesh = Mesh::new(topo).unwrap();
         mesh.set_link_source(NodeId(0), NodeId(1), CapacitySource::Trace(trace))
             .unwrap();
@@ -1023,9 +1043,7 @@ mod tests {
         topo.add_node(NodeId(0)).unwrap();
         topo.add_node(NodeId(1)).unwrap();
         topo.add_link(NodeId(0), NodeId(1)).unwrap();
-        let trace: BandwidthTrace = StepScript::new("l", mbps(50.0))
-            .restrict(SimTime::from_secs(10), SimDuration::from_secs(20), mbps(5.0))
-            .compile(SimDuration::from_secs(60));
+        let trace = restricted_trace(30);
         let mut mesh = Mesh::new(topo).unwrap();
         mesh.set_link_source(NodeId(0), NodeId(1), CapacitySource::Trace(trace)).unwrap();
         mesh.advance(SimDuration::from_secs(5)); // now=5s, cap 50
@@ -1092,13 +1110,11 @@ mod tests {
 
     /// A 4×4 grid mesh with flows spread over several links, some of
     /// them loopback (unconstrained), driven through a fixed sparse
-    /// schedule on the production allocator or on the dense reference.
+    /// schedule on production or on the rebuilt reference (the mesh
+    /// replaced by [`Mesh::rebuilt`] before every tick).
     fn run_schedule(reference: bool) -> Vec<(u64, f64)> {
         let mut mesh =
             Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(60.0)).unwrap();
-        if reference {
-            mesh.use_reference_allocator();
-        }
         for i in 0..12u64 {
             let src = NodeId((i % 16) as u32);
             let dst = NodeId(((i * 5 + 3) % 16) as u32);
@@ -1120,6 +1136,9 @@ mod tests {
             if tick == 17 {
                 mesh.remove_flow(FlowId(2)).unwrap();
             }
+            if reference {
+                mesh = mesh.rebuilt();
+            }
             mesh.advance(SimDuration::from_millis(100));
         }
         (0..12u64)
@@ -1140,17 +1159,16 @@ mod tests {
         mesh.alloc.flows.live_slots().map(|s| mesh.alloc.flows.ids[s]).collect()
     }
 
-    /// A ticked 4×4 grid carrying six flows, plus a clone of it whose
-    /// index is forced stale — the next allocation rebuilds it from
-    /// scratch instead of patching.
+    /// A ticked 4×4 grid carrying six flows, plus its
+    /// [rebuilt](Mesh::rebuilt) copy — the next allocation rebuilds the
+    /// index from scratch instead of patching.
     fn patched_and_rebuilt() -> (Mesh, Mesh) {
         let mut mesh = Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(20.0)).unwrap();
         for i in 0..6u32 {
             mesh.add_flow(NodeId(i), NodeId(15 - i), mbps(4.0 + f64::from(i))).unwrap();
         }
         mesh.advance(SimDuration::from_millis(100));
-        let mut rebuilt = mesh.clone();
-        rebuilt.alloc.index.dirty = true;
+        let rebuilt = mesh.rebuilt();
         (mesh, rebuilt)
     }
 
@@ -1190,8 +1208,7 @@ mod tests {
             // proves the call's reallocation patched the clean index.
             mesh.remove_flow(live_ids(&mesh)[0]).unwrap();
             let dead = mesh.alloc.flows.dead;
-            let mut rebuilt = mesh.clone();
-            rebuilt.alloc.index.dirty = true;
+            let mut rebuilt = mesh.rebuilt();
             for m in [&mut mesh, &mut rebuilt] {
                 m.set_link_up(NodeId(5), NodeId(6), up).unwrap();
             }
@@ -1234,7 +1251,7 @@ mod tests {
         for m in [&mut patched, &mut rebuilt] {
             m.set_flow_demand(FlowId(6), mbps(1.0)).unwrap();
         }
-        rebuilt.alloc.index.dirty = true;
+        rebuilt = rebuilt.rebuilt();
         assert_patch_matches_rebuild(&mut patched, &mut rebuilt);
     }
 
@@ -1313,12 +1330,12 @@ mod tests {
     fn capping_a_node_after_removing_its_flow_reads_the_last_allocation() {
         let step = SimDuration::from_millis(100);
         let (mut reference, mut production) = (three_node_lan(), three_node_lan());
-        reference.use_reference_allocator();
         let removed = FlowId(2);
         for m in [&mut reference, &mut production] {
             for (dst, demand) in [(0, 0.1), (1, 0.2), (0, 0.3), (1, 0.7)] {
                 m.add_flow(NodeId(2), NodeId(dst), mbps(demand)).unwrap();
             }
+            // A fresh mesh's first tick already builds from scratch.
             m.advance(step);
             m.remove_flow(removed).unwrap();
             m.add_flow(NodeId(2), NodeId(0), mbps(5.0)).unwrap();
@@ -1337,6 +1354,7 @@ mod tests {
         };
         assert_eq!(reads(&reference), reads(&production));
         approx(available(&production, 2, 0), 20.0 - 1.3);
+        reference = reference.rebuilt();
         for m in [&mut reference, &mut production] {
             m.advance(step);
         }
@@ -1350,9 +1368,7 @@ mod tests {
         topo.add_node(NodeId(0)).unwrap();
         topo.add_node(NodeId(1)).unwrap();
         topo.add_link(NodeId(0), NodeId(1)).unwrap();
-        let trace: BandwidthTrace = StepScript::new("l", mbps(50.0))
-            .restrict(SimTime::from_secs(10), SimDuration::from_secs(10), mbps(5.0))
-            .compile(SimDuration::from_secs(60));
+        let trace = restricted_trace(20);
         let mut mesh = Mesh::new(topo).unwrap();
         mesh.set_link_source(NodeId(0), NodeId(1), CapacitySource::Trace(trace))
             .unwrap();

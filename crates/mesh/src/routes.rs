@@ -6,6 +6,7 @@
 //! usable(l))`, computed once in [`Routes::new`]; the up/down setters
 //! repair it in place before they return, over only the links whose
 //! usability really flipped (none under a crashed endpoint).
+//! [`Routes::recompute`] is the from-scratch form `Mesh::rebuilt` uses.
 
 use crate::mesh::MeshError;
 use crate::routing::RoutingTable;
@@ -104,6 +105,13 @@ impl Routes {
         let endpoints_up = !self.down_nodes.contains(&link.a) && !self.down_nodes.contains(&link.b);
         let flips = endpoints_up.then_some(lid);
         Ok(Some(self.table.repair(flips.as_slice(), up, &mut self.changed)))
+    }
+
+    /// Recomputes the table from scratch over the usable links and marks
+    /// every row changed, so the next re-route re-paths every flow.
+    pub(crate) fn recompute(&mut self) {
+        self.table = RoutingTable::compute_filtered(&self.topo, |l| self.usable(l));
+        self.changed.fill(true);
     }
 
     /// Whether flows from `src` need re-pathing after the last setter call.

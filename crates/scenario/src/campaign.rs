@@ -5,9 +5,10 @@
 //! campaign seed — and folds per-tick results into streaming aggregates
 //! (fixed-bucket histograms and running sums), so a 100k-tick horizon
 //! costs the same memory as a 100-tick one. Replicas shard across
-//! worker threads exactly like the experiments runner's `--jobs`: a
-//! shared claim counter plus order-preserving result slots, so the
-//! summary is byte-identical whatever the thread count.
+//! worker threads exactly like the experiments runner's `--jobs`, both
+//! through [`bass_util::pool::ordered_map`] (a shared claim counter plus
+//! order-preserving result slots), so the summary is byte-identical
+//! whatever the thread count.
 //!
 //! Each replica's tick runs the seven profiled phases described in
 //! `docs/ARCHITECTURE.md` — `tick.faults`, `tick.scenario`,
@@ -25,14 +26,14 @@ use bass_emu::{EnvError, SimEnv, SimEnvConfig};
 use bass_mesh::MeshError;
 use bass_obs::{Progress, ProgressLevel, SpanProfiler};
 use bass_util::histogram::Histogram;
+use bass_util::pool::ordered_map;
 use bass_util::rng::SimRng;
 use bass_util::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Goodput-fraction histogram layout: `[0, 1.2)` in 120 buckets (1%
 /// resolution; fractions above 1.2 land in the overflow counter). Fixed
@@ -315,7 +316,6 @@ pub fn run_campaign_opts(
     opts: &CampaignOptions,
 ) -> Result<CampaignRun, CampaignError> {
     spec.validate()?;
-    let jobs = opts.jobs.max(1);
     let replica_count = spec.replicas as usize;
 
     // Fork one seed per replica up front: replica k's scenario never
@@ -325,25 +325,13 @@ pub fn run_campaign_opts(
         (0..replica_count).map(|k| root.fork(100 + k as u64).next_u64()).collect();
 
     let progress = Progress::new(opts.progress, "replica", replica_count as u64);
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<ReplicaOutcome, CampaignError>>>> =
-        Mutex::new((0..replica_count).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(replica_count) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= replica_count {
-                    break;
-                }
-                let outcome = run_replica(spec, i as u32, replica_seeds[i], opts);
-                let ticks = outcome.as_ref().map(|o| o.summary.ticks).unwrap_or(0);
-                results.lock().expect("results lock")[i] = Some(outcome);
-                progress.unit_done(i as u64, ticks);
-            });
-        }
+    let outcomes = ordered_map(opts.jobs, replica_count, |i| {
+        let outcome = run_replica(spec, i as u32, replica_seeds[i], opts);
+        let ticks = outcome.as_ref().map(|o| o.summary.ticks).unwrap_or(0);
+        progress.unit_done(i as u64, ticks);
+        outcome
     });
 
-    let outcomes = results.into_inner().expect("results lock");
     let mut campaign_profiler = opts.profile.then(SpanProfiler::new);
     let mut replicas = Vec::with_capacity(replica_count);
     let mut agg_hist = goodput_histogram();
@@ -358,8 +346,8 @@ pub fn run_campaign_opts(
     let mut unplaceable = 0u64;
     let mut faults = 0usize;
     let mut achieved_mean_sum = 0.0;
-    for slot in outcomes {
-        let outcome = slot.expect("every replica index was claimed")?;
+    for outcome in outcomes {
+        let outcome = outcome?;
         if let (Some(agg), Some(rep)) = (campaign_profiler.as_mut(), outcome.profiler.as_ref())
         {
             agg.merge(rep);

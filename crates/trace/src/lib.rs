@@ -1,4 +1,4 @@
-//! Bandwidth traces: recording, generation, scripting, and replay.
+//! Bandwidth traces: recording, generation, and replay.
 //!
 //! The BASS paper drives its emulated mesh with bandwidth traces recorded
 //! on the CityLab outdoor 802.11n testbed. The trace archive is not
@@ -11,8 +11,6 @@
 //!   with step ("last value wins") replay semantics.
 //! - [`generator`] — a mean-reverting AR(1)/Ornstein–Uhlenbeck process
 //!   plus fade and step events, for CityLab-like variation.
-//! - [`script`] — deterministic step scripts, the equivalent of the
-//!   paper's `tc`-based throttling in the microbenchmarks.
 //! - [`citylab`] — the 5-node CityLab subset of Fig. 15(a) as a reusable
 //!   topology + trace bundle.
 //! - [`io`] — CSV export of traces.
@@ -20,10 +18,8 @@
 pub mod citylab;
 pub mod generator;
 pub mod io;
-pub mod script;
 pub mod trace;
 
 pub use citylab::{citylab_bundle, citylab_topology_links, CitylabLink};
 pub use generator::{ou_bundle, OuTraceConfig};
-pub use script::StepScript;
 pub use trace::{BandwidthTrace, TraceBundle};

@@ -13,6 +13,7 @@
 //! - [`cdf`]: empirical cumulative distribution functions.
 //! - [`timeseries`]: time-stamped series with rolling-window smoothing.
 //! - [`histogram`]: fixed-width bucket histograms.
+//! - [`pool`]: an order-preserving worker pool for independent jobs.
 //! - [`rng`]: a small, self-contained deterministic PRNG
 //!   (SplitMix64-seeded xoshiro256**) with normal/exponential sampling,
 //!   so simulations are bit-for-bit reproducible regardless of external
@@ -31,6 +32,7 @@
 
 pub mod cdf;
 pub mod histogram;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;

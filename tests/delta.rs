@@ -1,9 +1,11 @@
 //! Fast-path-vs-reference battery: the production allocator — cached
 //! component index, bit-compare snapshots, delta refill of the dirty
-//! components only — must be bit-identical to the dense reference
-//! (`Mesh::use_reference_allocator`) under OU-trace perturbation, flow
-//! churn, random schedules, composed fault storms and generated
-//! admit/retire lifecycles, ticked and skipping (see
+//! components only — must be bit-identical to the rebuilt reference, a
+//! twin that gets the same mutations and is replaced by
+//! `Mesh::rebuilt()` before every tick, so routes, index and capacity
+//! reads are derived from scratch each time. Checked under OU-trace
+//! perturbation, flow churn, random schedules, composed fault storms and
+//! generated admit/retire lifecycles, ticked and skipping (see
 //! `docs/ARCHITECTURE.md` § The allocator and its reference).
 
 mod support;
@@ -43,16 +45,7 @@ fn ring_with_chords(n: u32, extra: usize, seed: u64) -> Topology {
     topo
 }
 
-/// Flags `mesh` for one side of a comparison: the dense reference, or
-/// production as built.
-fn prepare(mut mesh: Mesh, reference: bool) -> Mesh {
-    if reference {
-        mesh.use_reference_allocator();
-    }
-    mesh
-}
-
-/// A not-yet-ticked mesh and its twin on the dense reference allocator.
+/// A not-yet-ticked mesh and its twin, the rebuilt reference.
 struct Pair {
     reference: Mesh,
     production: Mesh,
@@ -61,9 +54,16 @@ struct Pair {
 impl Pair {
     fn new(mesh: Mesh) -> Self {
         Pair {
-            reference: prepare(mesh.clone(), true),
-            production: prepare(mesh, false),
+            reference: mesh.clone(),
+            production: mesh,
         }
+    }
+
+    /// One reference tick: the twin is rebuilt from its logical state,
+    /// then advanced.
+    fn advance_reference(&mut self, step: SimDuration) {
+        self.reference = self.reference.rebuilt();
+        self.reference.advance(step);
     }
 
     /// Applies the same mutation to both meshes; returns the production
@@ -74,14 +74,15 @@ impl Pair {
     }
 
     /// Every public capacity read must match bit-for-bit on every link,
-    /// undirected and in both directions. The reference never trusts its
-    /// capacity snapshot and always reads the sources; production serves
-    /// from its snapshot whenever it judges it current, so a stale
-    /// snapshot it trusts shows up here. The available reads fold in
-    /// every capped endpoint's egress usage, so they check production's
-    /// egress view against the reference's too.
+    /// undirected and in both directions. The reads come from a rebuilt
+    /// copy of the reference, whose stale trace clock makes it read the
+    /// sources; production serves from its snapshot whenever it judges
+    /// it current, so a stale snapshot it trusts shows up here. The
+    /// available reads fold in every capped endpoint's egress usage, so
+    /// they check production's egress view against the reference's too.
     fn assert_capacities_agree(&self, when: &str) {
-        for (lid, link) in self.reference.topology().links() {
+        let reference = self.reference.rebuilt();
+        for (lid, link) in reference.topology().links() {
             let (a, b) = (link.a, link.b);
             let reads = |m: &Mesh| {
                 [
@@ -94,7 +95,7 @@ impl Pair {
                     ("available b→a", m.directed_link_available(b, a).unwrap()),
                 ]
             };
-            let pairs = reads(&self.reference).into_iter().zip(reads(&self.production));
+            let pairs = reads(&reference).into_iter().zip(reads(&self.production));
             for ((what, a), (_, b)) in pairs {
                 assert_eq!(
                     a.as_bps().to_bits(),
@@ -107,10 +108,10 @@ impl Pair {
 
     /// Flow rates, backlogs, link usages and capacity reads must match
     /// bit-for-bit, and production's maintained trace clock must name
-    /// the change-point the reference finds by scanning every link.
+    /// the change-point a rebuilt reference finds by scanning every link.
     fn assert_agree(&self, ids: &[FlowId], when: &str) {
         assert_eq!(
-            self.reference.next_trace_change(),
+            self.reference.rebuilt().next_trace_change(),
             self.production.next_trace_change(),
             "{when}: next trace change-point diverged"
         );
@@ -141,7 +142,8 @@ impl Pair {
     }
 
     fn advance_and_check(&mut self, step: SimDuration, ids: &[FlowId], when: &str) {
-        self.both(|m| m.advance(step));
+        self.advance_reference(step);
+        self.production.advance(step);
         self.assert_agree(ids, when);
     }
 }
@@ -164,8 +166,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // OU traces move every link capacity every tick; the dirty-component
-    // scan must still reproduce the dense reference exactly, tick after
-    // tick.
+    // scan must still reproduce the rebuilt reference exactly, tick
+    // after tick.
     #[test]
     fn delta_matches_dense_under_ou_traces(
         n in 3u32..8,
@@ -193,7 +195,7 @@ proptest! {
 
     // Flow churn, demand rewrites, egress caps, and link squeezes all
     // land on the snapshot/dirty paths; state must stay bit-identical to
-    // the dense reference after every mutation.
+    // the rebuilt reference after every mutation.
     #[test]
     fn delta_matches_dense_through_churn(
         n in 3u32..9,
@@ -236,7 +238,7 @@ proptest! {
     // A random schedule mixing quiescent stretches, link-cap churn,
     // demand rewrites, flow add/remove, egress caps, up/down storms,
     // mid-run trace source swaps and trace freezes over OU-trace links:
-    // the dirty-set pipeline must stay bit-identical to the dense
+    // the dirty-set pipeline must stay bit-identical to the rebuilt
     // reference, tick after tick. A swap followed by a tick that crosses
     // another link's change-point must still read that link, every
     // capacity read between a mutation and the next tick must see it,
@@ -406,7 +408,7 @@ fn one_dirty_district_then_every_link_matches_dense() {
     let mut profiler = SpanProfiler::new();
     let mut ticks = 0u64;
     let mut tick = |pair: &mut Pair, when: &str| {
-        pair.reference.advance(step);
+        pair.advance_reference(step);
         pair.production
             .advance_profiled(step, None, Some(&mut profiler));
         pair.assert_agree(&ids, when);
@@ -448,7 +450,7 @@ fn one_dirty_district_then_every_link_matches_dense() {
 /// bit-for-bit comparison.
 fn profiled_tick(pair: &mut Pair, profiler: &mut SpanProfiler, ids: &[FlowId], when: &str) {
     let step = SimDuration::from_millis(100);
-    pair.reference.advance(step);
+    pair.advance_reference(step);
     pair.production.advance_profiled(step, None, Some(profiler));
     pair.assert_agree(ids, when);
 }
@@ -464,7 +466,7 @@ fn span_count(profiler: &SpanProfiler, span: &str) -> u64 {
 // squeeze in one half leaves the other half's rates untouched —
 // re-adding it merges them again, and swapping flows until dead slots
 // outnumber live ones compacts the index with the one further rebuild.
-// Every tick must match the dense reference bit for bit.
+// Every tick must match the rebuilt reference bit for bit.
 #[test]
 fn bridge_split_merge_and_compaction_match_dense() {
     const W: u32 = 4;
@@ -620,9 +622,34 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
     FaultPlan::poisson(seed, SimDuration::from_secs(horizon_s), &profile)
 }
 
+/// How a storm run steps: production's skipping `run_for`, or the
+/// ticked reference loop (`support::ticked`), on production's mesh or on
+/// the rebuilt reference.
+#[derive(Debug, Clone, Copy)]
+enum Stepping {
+    Skipping,
+    Ticked,
+    TickedRebuilt,
+}
+
+/// Runs `env` for `secs` simulated seconds of 100 ms ticks, stepped as
+/// `stepping` says, and returns the journal's JSONL export.
+fn run_storm(mut env: SimEnv, stepping: Stepping, secs: u64) -> String {
+    env.attach_journal(Journal::new());
+    env.deploy(&[]).expect("deploys");
+    match stepping {
+        Stepping::Skipping => env
+            .run_for(SimDuration::from_secs(secs), |_| {})
+            .expect("storm run completes"),
+        Stepping::Ticked => support::ticked(&mut env, secs * 10, false, |_| {}),
+        Stepping::TickedRebuilt => support::ticked(&mut env, secs * 10, true, |_| {}),
+    }
+    env.take_journal().expect("journal attached").export_jsonl()
+}
+
 /// The composed fault storm of `tests/faults.rs` on the 3-node LAN
 /// testbed; returns the journal's JSONL export.
-fn lan_storm_jsonl(reference: bool) -> String {
+fn lan_storm_jsonl(stepping: Stepping) -> String {
     let profile = StormProfile {
         node_crash_rate: 1.0 / 40.0,
         crash_downtime_s: 25.0,
@@ -644,83 +671,56 @@ fn lan_storm_jsonl(reference: bool) -> String {
         faults,
         ..Default::default()
     };
-    let mut env = SimEnv::new(
-        prepare(mesh, reference),
-        cluster,
-        catalog::camera_pipeline(),
-        cfg,
-    );
-    env.attach_journal(Journal::new());
-    env.deploy(&[]).expect("deploys");
-    env.run_for(SimDuration::from_secs(300), |_| {})
-        .expect("storm run completes");
-    env.take_journal().expect("journal attached").export_jsonl()
+    let env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
+    run_storm(env, stepping, 300)
 }
 
 // The Poisson fault storm — crashes, flaps, probe loss — must replay
-// byte-identically through the delta fill and the dense reference.
+// byte-identically through the delta fill and the rebuilt reference.
 #[test]
 fn fault_storm_replay_is_delta_engine_independent() {
-    let dense = lan_storm_jsonl(true);
-    assert!(!dense.is_empty());
+    let reference = lan_storm_jsonl(Stepping::TickedRebuilt);
+    assert!(!reference.is_empty());
     assert_eq!(
-        dense,
-        lan_storm_jsonl(false),
-        "the delta fill must replay the storm byte-identically to the dense path"
+        reference,
+        lan_storm_jsonl(Stepping::Skipping),
+        "the delta fill must replay the storm byte-identically to the rebuilt reference"
     );
 }
 
 /// The camera pipeline on the trace-driven CityLab testbed under the
-/// composed storm; returns the journal for byte comparison.
-/// `ticked` executes every 100 ms tick in full (`support::ticked`)
-/// instead of `run_for`, `reference` switches the mesh to the dense
-/// allocator.
-fn storm_journal(ticked: bool, reference: bool, seed: u64, secs: u64) -> String {
+/// composed storm, stepped as `stepping` says; returns the journal for
+/// byte comparison.
+fn storm_journal(stepping: Stepping, seed: u64, secs: u64) -> String {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: storm_plan(seed, secs),
         ..Default::default()
     };
-    let mut env = SimEnv::new(
-        prepare(mesh, reference),
-        cluster,
-        catalog::camera_pipeline(),
-        cfg,
-    );
-    env.attach_journal(Journal::new());
-    env.deploy(&[]).expect("deploys");
-    if ticked {
-        support::ticked(&mut env, secs * 10, |_| {});
-    } else {
-        env.run_for(SimDuration::from_secs(secs), |_| {})
-            .expect("storm run completes");
-    }
-    env.take_journal().expect("journal attached").export_jsonl()
+    let env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
+    run_storm(env, stepping, secs)
 }
 
-// Ticked reference vs skipping production loop, dense reference vs
-// production allocator: all four replays of the same storm must export
-// byte-identical journals. This is the end-to-end closure of the
-// mesh-level proptests above — the dirty paths may not change a single
-// observable byte whether or not quiescent windows are skipped.
+// The rebuilt reference, ticked, vs production ticked and skipping: all
+// three replays of the same storm must export byte-identical journals.
+// This is the end-to-end closure of the mesh-level proptests above —
+// the dirty paths may not change a single observable byte whether or
+// not quiescent windows are skipped.
 #[test]
 fn storm_replay_matches_dense_ticked_and_skipping() {
-    let reference = storm_journal(true, true, 0xD187, 240);
+    let reference = storm_journal(Stepping::TickedRebuilt, 0xD187, 240);
     assert!(!reference.is_empty());
-    for (ticked, on_reference) in [(true, false), (false, false), (false, true)] {
-        let journal = storm_journal(ticked, on_reference, 0xD187, 240);
-        assert_eq!(
-            reference, journal,
-            "journal diverged at ticked stepping: {ticked}, reference allocator: {on_reference}"
-        );
+    for stepping in [Stepping::Ticked, Stepping::Skipping] {
+        let journal = storm_journal(stepping, 0xD187, 240);
+        assert_eq!(reference, journal, "journal diverged, {stepping:?}");
     }
 }
 
 // The lifecycle path — flows appearing and vanishing mid-run as whole
 // applications are admitted and retired, under generated traces and
-// faults — must sample and journal the identical bytes on the
-// production allocator and on the reference, driven by hand and ticked
-// or off the timeline and skipping.
+// faults — must sample and journal the identical bytes on the rebuilt
+// reference, driven by hand and ticked, and on production, driven by
+// hand and ticked or off the timeline and skipping.
 #[test]
 fn generated_lifecycle_journal_matches_dense() {
     let mut spec = ScenarioSpec::small_reference();
@@ -741,9 +741,7 @@ fn generated_lifecycle_journal_matches_dense() {
     assert_eq!(executed_ticked, spec.horizon_ticks);
     let (by_hand, _) = support::drive_replica(&spec, 0x11FE, PolicyKind::Bass, false);
     assert_eq!(reference, by_hand, "lifecycle diverged on the production allocator");
-    for dense in [false, true] {
-        let (replica, executed) = support::timeline_replica(&spec, 0x11FE, PolicyKind::Bass, dense);
-        assert_eq!(reference, replica, "lifecycle diverged off the timeline, dense: {dense}");
-        assert!(executed < executed_ticked, "executed {executed} of {executed_ticked} ticks");
-    }
+    let (replica, executed) = support::timeline_replica(&spec, 0x11FE, PolicyKind::Bass);
+    assert_eq!(reference, replica, "lifecycle diverged off the timeline");
+    assert!(executed < executed_ticked, "executed {executed} of {executed_ticked} ticks");
 }

@@ -53,7 +53,7 @@ fn sim_run(reference: bool, seed: u64, faults: FaultPlan, secs: u64) -> (String,
     env.enable_span_profiling();
     env.deploy(&[]).expect("deploys");
     if reference {
-        support::ticked(&mut env, secs * 10, |_| {});
+        support::ticked(&mut env, secs * 10, false, |_| {});
     } else {
         env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
     }
@@ -112,7 +112,7 @@ proptest! {
         let spec = churn_spec(arrival, max_concurrent, 120);
         let (ticked, executed_ticked) =
             support::drive_replica(&spec, seed, PolicyKind::Bass, false);
-        let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass, false);
+        let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass);
         prop_assert_eq!(ticked, skipping, "replicas must not depend on skipped windows");
         prop_assert!(
             executed <= executed_ticked,

@@ -4,7 +4,6 @@
 
 use bass::appdag::catalog;
 use bass::apps::testbeds::lan_testbed;
-use bass::cluster::Cluster;
 use bass::emu::{SimEnv, SimEnvConfig};
 use bass::faults::{invariants, FaultPlan, StormProfile};
 use bass::mesh::routing::RoutingTable;
@@ -16,23 +15,35 @@ use bass::util::time::{SimDuration, SimTime};
 /// seconds under `plan`, and asserts *every* invariant after *every*
 /// tick. Returns the journal for schedule-specific assertions.
 fn checked_run(plan: FaultPlan, secs: u64) -> Journal {
-    checked_run_on(lan_testbed(3, 12), plan, secs)
+    checked_run_with(plan, secs, false)
 }
 
-/// [`checked_run`] over a caller-prepared testbed, so a schedule can
-/// also be replayed through the dense reference allocator.
-fn checked_run_on((mesh, cluster): (Mesh, Cluster), plan: FaultPlan, secs: u64) -> Journal {
+/// [`checked_run`], or with `rebuilt` the same schedule on the rebuilt
+/// reference: every 100 ms tick stepped in full on a mesh replaced by
+/// `Mesh::rebuilt()` just before, so routes, the allocation index and
+/// every capacity read are derived from scratch.
+fn checked_run_with(plan: FaultPlan, secs: u64, rebuilt: bool) -> Journal {
+    let (mesh, cluster) = lan_testbed(3, 12);
     let cfg = SimEnvConfig { faults: plan, ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
-    env.run_for(SimDuration::from_secs(secs), |e| {
+    let check = |e: &SimEnv| {
         if let Err(violations) = invariants::check_all(e.mesh(), e.cluster(), e.journal()) {
             panic!("invariant violations at t={}: {violations:#?}", e.mesh().now());
         }
         assert_routes_track_faults(e.mesh());
-    })
-    .expect("run completes under faults");
+    };
+    if rebuilt {
+        for _ in 0..secs * 10 {
+            let mesh = env.mesh().rebuilt();
+            *env.mesh_mut() = mesh;
+            env.step().expect("step completes under faults");
+            check(&env);
+        }
+    } else {
+        env.run_for(SimDuration::from_secs(secs), check).expect("run completes under faults");
+    }
     env.take_journal().expect("journal attached")
 }
 
@@ -175,14 +186,12 @@ fn same_seed_replays_bit_for_bit() {
 
 // Allocator regression: the composed fault storm replayed through the
 // production allocator is byte-identical — every journaled event — to
-// the dense reference path (the seed behaviour). The storm exercises
-// crashes, flaps, probe loss, and controller restarts, so this pins the
-// whole control loop, not just the allocator.
+// the rebuilt reference. The storm exercises crashes, flaps, probe
+// loss, and controller restarts, so this pins the whole control loop,
+// not just the allocator.
 #[test]
 fn storm_replay_is_engine_independent() {
-    let (mut mesh, cluster) = lan_testbed(3, 12);
-    mesh.use_reference_allocator();
-    let reference = checked_run_on((mesh, cluster), storm_plan(), 300).export_jsonl();
+    let reference = checked_run_with(storm_plan(), 300, true).export_jsonl();
     let production = checked_run(storm_plan(), 300).export_jsonl();
     assert!(!reference.is_empty());
     assert_eq!(

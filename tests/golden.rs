@@ -76,7 +76,7 @@ fn run_scenario_in(ticked: bool) -> String {
     if ticked {
         for _ in 0..240 {
             wl.tick(&mut env, SimDuration::from_secs(1), &mut rec);
-            support::ticked(&mut env, 10, |_| {});
+            support::ticked(&mut env, 10, false, |_| {});
         }
     } else {
         wl.run(&mut env, SimDuration::from_secs(240), &mut rec).expect("run completes");
@@ -176,7 +176,7 @@ fn campaign_20node_event_driven_replays_the_same_golden() {
         let seed = root.fork(100 + k as u64).next_u64();
         let (ticked, executed_ticked) =
             support::drive_replica(&spec, seed, PolicyKind::Bass, false);
-        let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass, false);
+        let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass);
         assert_eq!(ticked, skipping, "replica {k} must not depend on skipped windows");
         assert!(executed < executed_ticked, "replica {k} executed all {executed} ticks");
         if std::env::var("GOLDEN_UPDATE").is_ok() {

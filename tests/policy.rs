@@ -200,7 +200,7 @@ fn storm_run(
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
     if ticked {
-        support::ticked(&mut env, secs * 10, |_| {});
+        support::ticked(&mut env, secs * 10, false, |_| {});
     } else {
         env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
     }
@@ -325,7 +325,7 @@ fn arena_campaigns_match_the_ticked_reference() {
         let summary = run_campaign_opts(&spec, 20, &opts).expect("campaign runs").summary;
         for r in &summary.replicas {
             let (ticked, executed_ticked) = support::drive_replica(&spec, r.seed, policy, false);
-            let (skipping, executed) = support::timeline_replica(&spec, r.seed, policy, false);
+            let (skipping, executed) = support::timeline_replica(&spec, r.seed, policy);
             let name = policy.name();
             assert_eq!(ticked, skipping, "{name} replica must not depend on skipped windows");
             assert!(executed < executed_ticked, "{name} executed all {executed} ticks");

@@ -5,7 +5,7 @@ use bass::cluster::{Cluster, NodeSpec, Placement};
 use bass::core::heuristics::{breadth_first, hybrid, longest_path, BfsWeighting, ComponentOrdering};
 use bass::core::placement::{pack_ordering, PlacementError};
 use bass::core::ranking::{rank_nodes, NodeRanking};
-use bass::mesh::flow::{max_min_allocate, max_min_allocate_dense, Constraint};
+use bass::mesh::flow::{max_min_allocate, Constraint};
 use bass::mesh::queueing::{FlowQueue, MAX_DELAY};
 use bass::mesh::routing::RoutingTable;
 use bass::mesh::{CapacitySource, LinkId, Mesh, NodeId, Topology};
@@ -21,6 +21,262 @@ fn arb_dag() -> impl Strategy<Value = AppDag> {
     (2u32..12, any::<u64>())
         .prop_map(|(n, seed)| bass::appdag::catalog::random_dag(seed, n, 0.35))
 }
+
+// ----- the fill kernel's oracles -------------------------------------------
+
+/// The production fill's freeze threshold (bps), `flow.rs`'s `EPS`.
+const EPS: f64 = 1e-6;
+
+/// The dense progressive-filling allocator: the fill kernel's
+/// independent, bit-level oracle (`max_min_allocate` must match it bit
+/// for bit). Every water-filling round re-scans the component's full
+/// membership lists, so each round costs O(constraints × members).
+///
+/// Like the production fill, it fills the connected components of the flow ↔
+/// constraint graph one at a time in canonical order (ascending
+/// smallest-constraint-index); the partition is re-derived here with an
+/// independent union-find so the oracle shares no code with the
+/// production path, only its freeze threshold [`EPS`].
+fn max_min_allocate_dense(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
+    let n = demands.len();
+    let m = constraints.len();
+    let mut rates = vec![0.0f64; n];
+    let mut frozen = vec![false; n];
+    let mut remaining: Vec<f64> = constraints.iter().map(|c| c.capacity.as_bps()).collect();
+
+    // Pre-freeze zero-demand flows at rate 0; grant unconstrained flows
+    // their demand.
+    let mut constrained = vec![false; n];
+    for c in constraints {
+        for &m in &c.members {
+            assert!(m < n, "constraint references unknown flow index {m}");
+            constrained[m] = true;
+        }
+    }
+    for i in 0..n {
+        if demands[i].as_bps() <= EPS {
+            frozen[i] = true;
+        } else if !constrained[i] {
+            rates[i] = demands[i].as_bps();
+            frozen[i] = true;
+        }
+    }
+
+    // Independent component derivation: a plain union-find over
+    // constraints, joined through each flow's membership list.
+    let mut parent: Vec<usize> = (0..m).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let mut first_cons: Vec<Option<usize>> = vec![None; n];
+    for (ci, c) in constraints.iter().enumerate() {
+        for &fm in &c.members {
+            match first_cons[fm] {
+                None => first_cons[fm] = Some(ci),
+                Some(f) => {
+                    let (a, b) = (find(&mut parent, f), find(&mut parent, ci));
+                    if a != b {
+                        parent[b] = a;
+                    }
+                }
+            }
+        }
+    }
+    // Canonical order: components sorted by their smallest constraint.
+    let mut comp_of_root: Vec<Option<usize>> = vec![None; m];
+    let mut comp_cons: Vec<Vec<usize>> = Vec::new();
+    for ci in 0..m {
+        let root = find(&mut parent, ci);
+        let comp = *comp_of_root[root].get_or_insert_with(|| {
+            comp_cons.push(Vec::new());
+            comp_cons.len() - 1
+        });
+        comp_cons[comp].push(ci);
+    }
+    let mut comp_flows: Vec<Vec<usize>> = vec![Vec::new(); comp_cons.len()];
+    for (i, fc) in first_cons.iter().enumerate() {
+        if let Some(f) = fc {
+            let root = find(&mut parent, *f);
+            comp_flows[comp_of_root[root].expect("root numbered")].push(i);
+        }
+    }
+
+    for (cons, flows) in comp_cons.iter().zip(&comp_flows) {
+        loop {
+            let active: Vec<usize> = flows.iter().copied().filter(|&i| !frozen[i]).collect();
+            if active.is_empty() {
+                break;
+            }
+
+            // Smallest per-flow increment until some flow hits its
+            // demand …
+            let mut delta = f64::INFINITY;
+            for &i in &active {
+                delta = delta.min(demands[i].as_bps() - rates[i]);
+            }
+            // … or some constraint saturates.
+            for &ci in cons {
+                let k = constraints[ci].members.iter().filter(|&&fm| !frozen[fm]).count();
+                if k > 0 {
+                    delta = delta.min(remaining[ci] / k as f64);
+                }
+            }
+            let delta = delta.max(0.0);
+
+            for &i in &active {
+                rates[i] += delta;
+            }
+            for &ci in cons {
+                let k = constraints[ci].members.iter().filter(|&&fm| !frozen[fm]).count();
+                remaining[ci] -= delta * k as f64;
+            }
+
+            // Freeze demand-satisfied flows and members of saturated
+            // constraints. At least one flow freezes per round (delta
+            // picked the binding resource), so the loop terminates.
+            let mut any_frozen = false;
+            for &i in &active {
+                if demands[i].as_bps() - rates[i] <= EPS {
+                    frozen[i] = true;
+                    any_frozen = true;
+                }
+            }
+            for &ci in cons {
+                if remaining[ci] <= EPS {
+                    for &fm in &constraints[ci].members {
+                        if !frozen[fm] {
+                            frozen[fm] = true;
+                            any_frozen = true;
+                        }
+                    }
+                }
+            }
+            if !any_frozen {
+                // Defensive: numerical corner where nothing moved.
+                break;
+            }
+        }
+    }
+
+    rates.into_iter().map(Bandwidth::from_bps).collect()
+}
+
+/// The certificate's tolerance for a quantity of magnitude `x` (bps):
+/// one micro-bps plus one part per billion.
+fn tol(x: f64) -> f64 {
+    1e-6 + 1e-9 * x.abs()
+}
+
+/// Checks that `rates` is the demand-capped max-min fair allocation of
+/// `demands` under `constraints`, knowing nothing of how it was
+/// computed: every rate lies in `[0, demand]`, no constraint carries
+/// more than its capacity, and every flow short of its demand crosses a
+/// saturated constraint on which no member has a larger rate — raising
+/// that flow would take bandwidth from a flow that has no more than it.
+/// The error names the first violation.
+fn max_min_certificate(
+    demands: &[Bandwidth],
+    constraints: &[Constraint],
+    rates: &[Bandwidth],
+) -> Result<(), String> {
+    let r: Vec<f64> = rates.iter().map(|r| r.as_bps()).collect();
+    let d: Vec<f64> = demands.iter().map(|d| d.as_bps()).collect();
+    if r.len() != d.len() {
+        return Err(format!("{} rates for {} flows", r.len(), d.len()));
+    }
+    for i in 0..r.len() {
+        if !(r[i] >= 0.0 && r[i] <= d[i] + tol(d[i])) {
+            return Err(format!("flow {i}: rate {} outside [0, demand {}]", r[i], d[i]));
+        }
+    }
+    let sums: Vec<f64> = constraints.iter().map(|c| c.members.iter().map(|&m| r[m]).sum()).collect();
+    for (ci, (c, &sum)) in constraints.iter().zip(&sums).enumerate() {
+        let cap = c.capacity.as_bps();
+        if sum > cap + tol(cap) {
+            return Err(format!("constraint {ci}: members carry {sum} over capacity {cap}"));
+        }
+    }
+    for i in (0..r.len()).filter(|&i| r[i] < d[i] - tol(d[i])) {
+        let bottleneck = constraints.iter().zip(&sums).any(|(c, &sum)| {
+            let cap = c.capacity.as_bps();
+            c.members.contains(&i)
+                && sum >= cap - tol(cap)
+                && c.members.iter().all(|&m| r[m] <= r[i] + tol(r[i]))
+        });
+        if !bottleneck {
+            return Err(format!(
+                "flow {i}: rate {} below demand {} with no saturated constraint it tops",
+                r[i], d[i]
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn mbps(x: f64) -> Bandwidth {
+    Bandwidth::from_mbps(x)
+}
+
+/// The incremental fill must reproduce the dense reference exactly —
+/// same floating-point operations in the same order, so the rates
+/// are bit-identical, not merely close.
+fn assert_fills_bit_identical(demands: &[Bandwidth], constraints: &[Constraint]) {
+    let dense = max_min_allocate_dense(demands, constraints);
+    let inc = max_min_allocate(demands, constraints);
+    assert_eq!(dense.len(), inc.len());
+    for (i, (d, n)) in dense.iter().zip(&inc).enumerate() {
+        assert!(
+            d.as_bps().to_bits() == n.as_bps().to_bits(),
+            "flow {i}: dense {} vs incremental {}",
+            d.as_bps(),
+            n.as_bps()
+        );
+    }
+}
+
+#[test]
+fn incremental_matches_dense_oracle_on_known_shapes() {
+    let demands = vec![mbps(100.0), mbps(100.0), mbps(100.0)];
+    let constraints = vec![
+        Constraint { capacity: mbps(10.0), members: vec![0, 1] },
+        Constraint { capacity: mbps(4.0), members: vec![1, 2] },
+    ];
+    assert_fills_bit_identical(&demands, &constraints);
+    // Zero capacity, zero demand, unconstrained flows.
+    let demands = vec![Bandwidth::ZERO, mbps(5.0), mbps(42.0)];
+    let constraints = vec![
+        Constraint { capacity: Bandwidth::ZERO, members: vec![0, 1] },
+        Constraint { capacity: mbps(10.0), members: vec![1] },
+    ];
+    assert_fills_bit_identical(&demands, &constraints);
+    // No constraints at all.
+    assert_fills_bit_identical(&[mbps(7.0)], &[]);
+}
+
+#[test]
+fn incremental_matches_dense_oracle_on_random_sets() {
+    let mut rng = SimRng::seed_from_u64(0xA110C);
+    for trial in 0..200 {
+        let n = 1 + (rng.below(24) as usize);
+        let demands: Vec<Bandwidth> =
+            (0..n).map(|_| Bandwidth::from_mbps(rng.uniform(0.0, 50.0))).collect();
+        let ncons = rng.below(8) as usize;
+        let constraints: Vec<Constraint> = (0..ncons)
+            .map(|_| Constraint {
+                capacity: Bandwidth::from_mbps(rng.uniform(0.0, 60.0)),
+                members: (0..n).filter(|_| rng.chance(0.4)).collect(),
+            })
+            .collect();
+        let dense = max_min_allocate_dense(&demands, &constraints);
+        let inc = max_min_allocate(&demands, &constraints);
+        assert_eq!(dense, inc, "trial {trial} diverged");
+    }
+}
+
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -125,15 +381,34 @@ proptest! {
                 "flow {}: dense {} vs incremental {}", i, o, inc
             );
         }
-        // Demand-bounded and non-negative.
-        for (r, d) in incremental.iter().zip(&demands) {
-            prop_assert!(r.as_bps() <= d.as_bps() + 1.0, "rate {} demand {}", r, d);
-            prop_assert!(r.as_bps() >= 0.0);
+        // The fill is max-min fair by the certificate, which shares no
+        // code with either implementation.
+        if let Err(e) = max_min_certificate(&demands, &constraints, &incremental) {
+            prop_assert!(false, "certificate rejected the fill: {}", e);
         }
-        // Capacity-feasible.
-        for c in &constraints {
-            let used: f64 = c.members.iter().map(|&m| incremental[m].as_bps()).sum();
-            prop_assert!(used <= c.capacity.as_bps() + 10.0, "used {} cap {}", used, c.capacity);
+        // … and the certificate is not vacuous: 1 % off the largest rate
+        // leaves that flow short with no saturated constraint.
+        let (top, &rate) = incremental.iter().enumerate()
+            .max_by(|a, b| a.1.as_bps().total_cmp(&b.1.as_bps())).unwrap();
+        if rate.as_bps() > 1.0 {
+            let mut shaved = incremental.clone();
+            shaved[top] = Bandwidth::from_bps(rate.as_bps() * 0.99);
+            prop_assert!(max_min_certificate(&demands, &constraints, &shaved).is_err());
+        }
+        // Metamorphic: doubling every demand and capacity is exact in
+        // IEEE 754, so it must double every rate bit for bit.
+        let doubled: Vec<Constraint> = constraints.iter()
+            .map(|c| Constraint { capacity: c.capacity.scale(2.0), members: c.members.clone() })
+            .collect();
+        let scaled = max_min_allocate(
+            &demands.iter().map(|d| d.scale(2.0)).collect::<Vec<_>>(),
+            &doubled,
+        );
+        for (i, (r, s)) in incremental.iter().zip(&scaled).enumerate() {
+            prop_assert_eq!(
+                (r.as_bps() * 2.0).to_bits(), s.as_bps().to_bits(),
+                "flow {}: rate {} doubled is not {}", i, r, s
+            );
         }
     }
 
@@ -144,18 +419,17 @@ proptest! {
         n_flows in 2usize..10,
         seed in any::<u64>(),
     ) {
-        // Drive two identical meshes — the dense reference and the
-        // production allocator — through flow churn, an egress cap, and
-        // a link-capacity change, and require identical per-flow rates
-        // at every step. This exercises the persistent index's
-        // dirty-flag invalidation paths end to end.
+        // Drive two identical meshes — production, and a reference
+        // replaced by its rebuilt copy before every tick (routes,
+        // index and capacity reads from scratch) — through flow churn,
+        // an egress cap, and a link-capacity change, and require
+        // identical per-flow rates at every step. This exercises the
+        // persistent index's dirty-flag invalidation paths end to end.
         let topo = ring_with_chords(n, extra, seed);
         let mk = || {
             Mesh::with_uniform_capacity(topo.clone(), Bandwidth::from_mbps(20.0)).unwrap()
         };
-        let mut a = mk();
-        a.use_reference_allocator();
-        let mut b = mk();
+        let (mut a, mut b) = (mk(), mk());
         let mut flow_rng = bass::util::rng::SimRng::seed_from_u64(seed ^ 0xF10);
         let mut ids = Vec::new();
         let step = SimDuration::from_millis(100);
@@ -174,6 +448,7 @@ proptest! {
             let fb = b.add_flow(src, dst, demand).unwrap();
             prop_assert_eq!(fa, fb);
             ids.push(fa);
+            a = a.rebuilt();
             a.advance(step);
             b.advance(step);
             assert_agree(&a, &b, &ids, "after add");
@@ -182,6 +457,7 @@ proptest! {
         let capped = NodeId(flow_rng.below(n as u64) as u32);
         a.set_node_egress_cap(capped, Some(Bandwidth::from_mbps(5.0))).unwrap();
         b.set_node_egress_cap(capped, Some(Bandwidth::from_mbps(5.0))).unwrap();
+        a = a.rebuilt();
         a.advance(step);
         b.advance(step);
         assert_agree(&a, &b, &ids, "after egress cap");
@@ -189,6 +465,7 @@ proptest! {
         let peer = NodeId((squeezed.0 + 1) % n);
         a.set_link_cap(squeezed, peer, Some(Bandwidth::from_mbps(1.0))).unwrap();
         b.set_link_cap(squeezed, peer, Some(Bandwidth::from_mbps(1.0))).unwrap();
+        a = a.rebuilt();
         a.advance(step);
         b.advance(step);
         assert_agree(&a, &b, &ids, "after link squeeze");
@@ -196,6 +473,7 @@ proptest! {
         for id in ids.drain(..ids.len() / 2 + 1).collect::<Vec<_>>() {
             a.remove_flow(id).unwrap();
             b.remove_flow(id).unwrap();
+            a = a.rebuilt();
             a.advance(step);
             b.advance(step);
             assert_agree(&a, &b, &ids, "after remove");

@@ -1,7 +1,10 @@
 //! The ticked references the batteries compare production against:
 //! `SimEnv::step` in a loop, built from public calls only, so they
 //! share no code with the quiescent-window logic of `SimEnv::run_for`
-//! or with the timeline that applies a campaign's workload.
+//! or with the timeline that applies a campaign's workload. With
+//! `rebuilt`, each loop is also the allocator's reference: the mesh is
+//! replaced by `Mesh::rebuilt()` before every tick, so routes, the
+//! allocation index and every capacity read are derived from scratch.
 
 use bass::appdag::{AppDag, ComponentId};
 use bass::core::PolicyKind;
@@ -12,11 +15,21 @@ use bass::util::time::SimDuration;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Ticked stepping: `ticks` full `step()` calls, each followed by
-/// `hook(env)` — what `SimEnv::run_for(ticks × step, hook)` must match.
-pub fn ticked(env: &mut SimEnv, ticks: u64, mut hook: impl FnMut(&SimEnv)) {
+/// One full `step()`; with `rebuilt`, on a mesh rebuilt just before.
+fn step(env: &mut SimEnv, rebuilt: bool) {
+    if rebuilt {
+        let mesh = env.mesh().rebuilt();
+        *env.mesh_mut() = mesh;
+    }
+    env.step().expect("step completes");
+}
+
+/// Ticked stepping: `ticks` full `step()` calls (each on a rebuilt mesh
+/// with `rebuilt`), each followed by `hook(env)` — what
+/// `SimEnv::run_for(ticks × step, hook)` must match.
+pub fn ticked(env: &mut SimEnv, ticks: u64, rebuilt: bool, mut hook: impl FnMut(&SimEnv)) {
     for _ in 0..ticks {
-        env.step().expect("step completes");
+        step(env, rebuilt);
         hook(env);
     }
 }
@@ -40,19 +53,11 @@ pub struct Replica {
 pub type Run = (Replica, u64);
 
 /// A replica's scenario and environment, journaled and profiled, not yet
-/// deployed. `dense` puts the mesh on the dense reference allocator.
-fn replica_env(
-    spec: &ScenarioSpec,
-    seed: u64,
-    policy: PolicyKind,
-    dense: bool,
-) -> (GeneratedScenario, SimEnv) {
+/// deployed.
+fn replica_env(spec: &ScenarioSpec, seed: u64, policy: PolicyKind) -> (GeneratedScenario, SimEnv) {
     let scenario = generate(spec, seed);
     let ticks_of = |n: u64| SimDuration::from_millis(n * spec.step_ms);
-    let mut mesh = scenario.build_mesh(ticks_of(spec.horizon_ticks)).expect("mesh builds");
-    if dense {
-        mesh.use_reference_allocator();
-    }
+    let mesh = scenario.build_mesh(ticks_of(spec.horizon_ticks)).expect("mesh builds");
     let cfg = SimEnvConfig {
         step: ticks_of(1),
         migration_policy: policy,
@@ -83,9 +88,10 @@ fn finish(mut env: SimEnv, samples: Vec<Sample>, admitted: u64, rejected: u64) -
 /// A campaign replica driven by hand: every tick in full, and each
 /// workload event admitted or retired through `admit_app`/`retire_app`
 /// just before the tick ⌈at_ms / step_ms⌉; every live edge is sampled
-/// on the sample cadence.
-pub fn drive_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, dense: bool) -> Run {
-    let (scenario, mut env) = replica_env(spec, seed, policy, dense);
+/// on the sample cadence. With `rebuilt`, every tick runs on a rebuilt
+/// mesh.
+pub fn drive_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, rebuilt: bool) -> Run {
+    let (scenario, mut env) = replica_env(spec, seed, policy);
     env.deploy(&[]).expect("deploys");
     // Arrival index → (label, admitted component ids, kind).
     let mut live: BTreeMap<u32, (String, Vec<ComponentId>, AppKind)> = BTreeMap::new();
@@ -113,7 +119,7 @@ pub fn drive_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, dense: 
                 }
             }
         }
-        env.step().expect("step completes");
+        step(&mut env, rebuilt);
         if tick.is_multiple_of(spec.sample_every_ticks) {
             let apps = live.values().map(|(_, ids, kind)| (ids.as_slice(), kind.label()));
             samples.push(sample(&env, apps));
@@ -125,8 +131,8 @@ pub fn drive_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, dense: 
 /// The same replica as production runs it: the workload on the
 /// environment's timeline and the horizon in one `run_for`, sampled
 /// through the live-app view.
-pub fn timeline_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, dense: bool) -> Run {
-    let (scenario, mut env) = replica_env(spec, seed, policy, dense);
+pub fn timeline_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind) -> Run {
+    let (scenario, mut env) = replica_env(spec, seed, policy);
     let dags = AppKind::ALL.map(|kind| Arc::new(kind.dag(spec.workload.social_rps)));
     env.set_scenario(scenario.timeline(&dags));
     env.deploy(&[]).expect("deploys");
