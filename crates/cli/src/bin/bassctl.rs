@@ -342,14 +342,16 @@ fn run(stdout: &mut impl Write) -> Result<(), Failure> {
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let spec = bass_scenario::ScenarioSpec::from_json(&text)
                 .map_err(|e| format!("cannot parse {path}: {e}"))?;
-            let opts = bass_cli::CampaignCommandOptions {
+            let opts = bass_scenario::CampaignOptions {
                 jobs: args.jobs,
-                journal: args.journal.clone().map(std::path::PathBuf::from),
-                metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
-                profile: args.profile,
+                profile: args.profile || args.metrics_out.is_some(),
                 progress: args.progress,
+                policy: bass_core::PolicyKind::Bass,
             };
-            let run = bass_cli::campaign(&spec, args.seed, &opts).map_err(|e| e.to_string())?;
+            let journal = args.journal.as_deref().map(std::path::Path::new);
+            let metrics_out = args.metrics_out.as_deref().map(std::path::Path::new);
+            let run = bass_cli::campaign(&spec, args.seed, &opts, journal, metrics_out)
+                .map_err(|e| e.to_string())?;
             let summary = &run.summary;
             // The profile section is spliced after the base summary so the
             // plain summary stays a byte-exact prefix (see docs/OBSERVABILITY.md).
@@ -404,13 +406,14 @@ fn run(stdout: &mut impl Write) -> Result<(), Failure> {
                         .map_err(|e| format!("cannot parse {path}: {e}"))?,
                 );
             }
-            let opts = bass_cli::ArenaCommandOptions {
+            let opts = bass_scenario::ArenaOptions {
                 policies: args.arena_policies.clone(),
                 jobs: args.jobs,
-                metrics_out: args.metrics_out.clone().map(std::path::PathBuf::from),
                 progress: args.progress,
             };
-            let run = bass_cli::arena(&corpus, args.seed, &opts).map_err(|e| e.to_string())?;
+            let metrics_out = args.metrics_out.as_deref().map(std::path::Path::new);
+            let run = bass_cli::arena(&corpus, args.seed, &opts, metrics_out)
+                .map_err(|e| e.to_string())?;
             if let Some(out) = &args.out {
                 // The deterministic table only — wall-clock timing never
                 // reaches the file, so bytes match at any --jobs.

@@ -379,44 +379,14 @@ pub fn traces(
         .collect())
 }
 
-/// Options for `bassctl campaign` beyond the spec and seed.
-#[derive(Debug, Clone)]
-pub struct CampaignCommandOptions {
-    /// Worker threads for replica execution (`--jobs`).
-    pub jobs: usize,
-    /// When set, write one `campaign_replica_completed` event per
-    /// replica to this JSONL path after the run.
-    pub journal: Option<std::path::PathBuf>,
-    /// When set, write a Prometheus text-format exposition of the
-    /// campaign aggregate plus per-phase span aggregates to this path.
-    /// Implies span profiling.
-    pub metrics_out: Option<std::path::PathBuf>,
-    /// Collect span profiles and splice a `profile` section into the
-    /// summary JSON (`--profile`). Never alters the base summary bytes.
-    pub profile: bool,
-    /// Progress reporting level on stderr (`--progress`); excluded from
-    /// all deterministic outputs.
-    pub progress: bass_obs::ProgressLevel,
-}
-
-impl Default for CampaignCommandOptions {
-    fn default() -> Self {
-        CampaignCommandOptions {
-            jobs: 1,
-            journal: None,
-            metrics_out: None,
-            profile: false,
-            progress: bass_obs::ProgressLevel::Off,
-        }
-    }
-}
-
 /// `bassctl campaign`: run every replica of a seeded scenario spec (see
 /// `docs/SCENARIOS.md`) and return the streaming campaign summary plus
-/// any merged span profile. With a journal path, one
+/// any merged span profile. With a `journal` path, one
 /// `campaign_replica_completed` event per replica is written after the
 /// run — campaigns never attach journals inside their tick loops, which
-/// would grow memory with the horizon.
+/// would grow memory with the horizon. With `metrics_out`, a Prometheus
+/// text-format exposition of the aggregate and of the span profile, if
+/// `opts.profile` collected one, is written there.
 ///
 /// # Errors
 ///
@@ -425,17 +395,12 @@ impl Default for CampaignCommandOptions {
 pub fn campaign(
     spec: &bass_scenario::ScenarioSpec,
     seed: u64,
-    opts: &CampaignCommandOptions,
+    opts: &bass_scenario::CampaignOptions,
+    journal: Option<&std::path::Path>,
+    metrics_out: Option<&std::path::Path>,
 ) -> Result<bass_scenario::CampaignRun, CommandError> {
-    let scn_opts = bass_scenario::CampaignOptions {
-        jobs: opts.jobs,
-        profile: opts.profile || opts.metrics_out.is_some(),
-        progress: opts.progress,
-        policy: bass_core::PolicyKind::Bass,
-    };
-    let run =
-        bass_scenario::run_campaign_opts(spec, seed, &scn_opts).map_err(CommandError::Campaign)?;
-    if let Some(path) = &opts.journal {
+    let run = bass_scenario::run_campaign(spec, seed, opts).map_err(CommandError::Campaign)?;
+    if let Some(path) = journal {
         let mut j = bass_obs::Journal::with_file(path).map_err(CommandError::Journal)?;
         let horizon_s = (spec.horizon_ticks * spec.step_ms) as f64 / 1000.0;
         for r in &run.summary.replicas {
@@ -449,7 +414,7 @@ pub fn campaign(
         }
         j.flush().map_err(CommandError::Journal)?;
     }
-    if let Some(path) = &opts.metrics_out {
+    if let Some(path) = metrics_out {
         let text = bass_obs::prom::render(&campaign_metrics(&run.summary), run.profiler.as_ref());
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;
@@ -478,40 +443,12 @@ fn campaign_metrics(summary: &bass_scenario::CampaignSummary) -> bass_obs::Metri
     m
 }
 
-/// How to run `bassctl arena`: which policies compete and how each
-/// underlying campaign executes.
-#[derive(Debug, Clone)]
-pub struct ArenaCommandOptions {
-    /// Competing policies in presentation order (`--policy`, repeatable
-    /// or comma-separated). Empty means the full registry.
-    pub policies: Vec<bass_core::PolicyKind>,
-    /// Worker threads for replica execution (`--jobs`); table bytes are
-    /// identical at any value.
-    pub jobs: usize,
-    /// When set, write a Prometheus exposition with one
-    /// `policy="…"`-labelled block per competitor to this path.
-    pub metrics_out: Option<std::path::PathBuf>,
-    /// Progress reporting level on stderr; excluded from all
-    /// deterministic outputs.
-    pub progress: bass_obs::ProgressLevel,
-}
-
-impl Default for ArenaCommandOptions {
-    fn default() -> Self {
-        ArenaCommandOptions {
-            policies: Vec::new(),
-            jobs: 1,
-            metrics_out: None,
-            progress: bass_obs::ProgressLevel::Off,
-        }
-    }
-}
-
 /// `bassctl arena`: race every requested scheduler policy over a
 /// scenario corpus and return the ranked tournament (see
 /// `docs/POLICIES.md`). The table bytes are byte-identical for any
 /// `--jobs` value; wall-clock ticks/s lives only in the separate timing
-/// records.
+/// records. With `metrics_out`, a Prometheus exposition with one
+/// `policy="…"`-labelled block per competitor is written there.
 ///
 /// # Errors
 ///
@@ -520,16 +457,11 @@ impl Default for ArenaCommandOptions {
 pub fn arena(
     corpus: &[bass_scenario::ScenarioSpec],
     seed: u64,
-    opts: &ArenaCommandOptions,
+    opts: &bass_scenario::ArenaOptions,
+    metrics_out: Option<&std::path::Path>,
 ) -> Result<bass_scenario::ArenaRun, CommandError> {
-    let scn_opts = bass_scenario::ArenaOptions {
-        policies: opts.policies.clone(),
-        jobs: opts.jobs,
-        progress: opts.progress,
-    };
-    let run =
-        bass_scenario::run_arena(corpus, seed, &scn_opts).map_err(CommandError::Campaign)?;
-    if let Some(path) = &opts.metrics_out {
+    let run = bass_scenario::run_arena(corpus, seed, opts).map_err(CommandError::Campaign)?;
+    if let Some(path) = metrics_out {
         let text = arena_metrics_exposition(&run.table);
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;

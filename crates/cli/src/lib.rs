@@ -16,7 +16,7 @@ pub mod commands;
 pub mod testbed;
 
 pub use commands::{
-    arena, campaign, metrics_report, order, place, simulate, ArenaCommandOptions,
-    CampaignCommandOptions, PlaceOutcome, SimulateOptions, SimulateOutcome,
+    arena, campaign, metrics_report, order, place, simulate, PlaceOutcome, SimulateOptions,
+    SimulateOutcome,
 };
 pub use testbed::{LinkSpec, NodeSpecJson, RestrictionSpec, TestbedSpec};

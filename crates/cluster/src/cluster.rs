@@ -283,26 +283,29 @@ impl Cluster {
         }
     }
 
-    /// Invariant check: per-node allocations equal the sum of placements
-    /// and never exceed capacity. Used by tests and debug assertions.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        let mut sums: BTreeMap<NodeId, ResourceReq> = self
-            .nodes
-            .keys()
-            .map(|&n| (n, ResourceReq::default()))
-            .collect();
-        for (&c, &(n, req)) in &self.placements {
-            let entry = sums
-                .get_mut(&n)
-                .ok_or_else(|| format!("component {c} placed on unknown node {n}"))?;
-            *entry = entry.plus(req);
+    /// A copy with its derived state, the per-node `allocated` sums,
+    /// re-summed from its logical state, the nodes and the placements.
+    pub fn rebuilt(&self) -> Cluster {
+        let mut allocated: BTreeMap<NodeId, ResourceReq> =
+            self.nodes.keys().map(|&n| (n, ResourceReq::default())).collect();
+        for &(n, req) in self.placements.values() {
+            let sum = allocated.entry(n).or_default();
+            *sum = sum.plus(req);
         }
-        for (&n, &sum) in &sums {
-            let tracked = self.allocated[&n];
+        Cluster { nodes: self.nodes.clone(), allocated, placements: self.placements.clone() }
+    }
+
+    /// Invariant check: per-node allocations equal the sums
+    /// [`rebuilt`](Self::rebuilt) re-derives and never exceed capacity.
+    /// Used by tests and debug assertions.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (&n, &sum) in &self.rebuilt().allocated {
+            let spec = self.nodes.get(&n).ok_or_else(|| format!("placement on unknown node {n}"))?;
+            let tracked = self.allocated.get(&n).copied().unwrap_or_default();
             if tracked != sum {
                 return Err(format!("node {n}: tracked {tracked} != sum {sum}"));
             }
-            if !sum.fits_within(self.nodes[&n].capacity) {
+            if !sum.fits_within(spec.capacity) {
                 return Err(format!("node {n} oversubscribed: {sum}"));
             }
         }
@@ -413,6 +416,31 @@ mod tests {
         c.clear_placements();
         assert_eq!(c.placed_count(), 0);
         assert_eq!(c.free_on(NodeId(1)).unwrap(), ResourceReq::cores_mb(4, 4096));
+    }
+
+    #[test]
+    fn tracked_sums_match_a_rebuild_through_every_mutation() {
+        let mut rng = bass_util::rng::SimRng::seed_from_u64(0xC1A5);
+        let mut c = Cluster::new((0..4).map(|i| NodeSpec::cores_mb(i, 8, 8192))).unwrap();
+        for step in 0..2000 {
+            let component = ComponentId(rng.below(12) as u32);
+            let node = NodeId(rng.below(5) as u32); // node 4 is unknown
+            let req = ResourceReq::cores_mb(1 + rng.below(4), 256 * (1 + rng.below(8)));
+            // Failures (unknown node, no room, not placed) must leave
+            // the sums as consistent as successes.
+            let _ = match rng.below(20) {
+                0 => {
+                    c.clear_placements();
+                    Ok(node)
+                }
+                1..=7 => c.place(component, req, node).map(|()| node),
+                8..=13 => c.evict(component),
+                _ => c.relocate(component, node),
+            };
+            assert_eq!(c.rebuilt(), c, "after step {step}");
+            c.check_invariants().unwrap();
+        }
+        assert!(c.placed_count() > 0);
     }
 
     #[test]

@@ -258,6 +258,24 @@ impl SimEnv {
         &self.displaced
     }
 
+    /// Rebuilds every derived part from the logical state, in place: the
+    /// mesh by [`Mesh::rebuilt`], the cluster by [`Cluster::rebuilt`],
+    /// and the edge bindings from the DAG and the placement (a binding
+    /// keeps its flow id, which is logical, while that flow joins its
+    /// edge's nodes). The journal and the span profiler are not
+    /// simulation state and stay attached. Production never calls it: it
+    /// is the reference the batteries step against.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a binding's flow cannot be added or removed.
+    pub fn rebuild(&mut self) -> Result<(), EnvError> {
+        self.cluster = self.cluster.rebuilt();
+        self.bindings.rebuild(&mut self.mesh, &self.cluster, &self.dag)?;
+        self.mesh = self.mesh.rebuilt();
+        Ok(())
+    }
+
     /// Attaches a structured-event journal: from now on, every probe,
     /// capacity change, trigger, target choice, placement, and tick is
     /// recorded into it (see the `bass-obs` crate and
@@ -775,8 +793,22 @@ mod tests {
         env.run_for(SimDuration::from_secs(1), |_| {}).unwrap();
     }
 
-    fn assert_edges_current(env: &SimEnv, after: &str) {
-        env.bindings.assert_current(&env.cluster, &env.dag, after);
+    /// Rebuilds `env` and asserts that nothing observable moved: the
+    /// placement, every DAG edge's achieved bandwidth, delay and loss,
+    /// and the flow count.
+    fn assert_rebuild_is_invisible(env: &mut SimEnv, after: &str) {
+        let observe = |env: &SimEnv| {
+            let edge = |(a, b)| {
+                let achieved = env.edge_achieved(a, b).as_bps().to_bits();
+                let delay = env.edge_delay(a, b, DataSize::from_bytes(64_000));
+                (achieved, delay, env.edge_loss(a, b).to_bits())
+            };
+            let edges: Vec<_> = env.dag.edges().iter().map(|e| edge((e.from, e.to))).collect();
+            (env.placement(), edges, env.mesh.flow_count())
+        };
+        let before = observe(env);
+        env.rebuild().unwrap();
+        assert_eq!(observe(env), before, "a rebuild after {after} moved an observable");
     }
 
     #[test]
@@ -786,10 +818,10 @@ mod tests {
         let mut env = SimEnv::new(mesh, cluster, AppDag::new("city"), SimEnvConfig::default());
         env.deploy(&[]).unwrap();
         let first = env.admit_app(&catalog::camera_pipeline(), 1000).unwrap();
-        assert_edges_current(&env, "an admission");
+        assert_rebuild_is_invisible(&mut env, "an admission");
         let second = env.admit_app(&catalog::camera_pipeline(), 2000).unwrap();
         env.run_for(SimDuration::from_secs(2), |_| {}).unwrap();
-        assert_edges_current(&env, "a second admission and two seconds");
+        assert_rebuild_is_invisible(&mut env, "a second admission and two seconds");
 
         // An instance one of whose components fits no node: the
         // admission fails after absorbing it and rolls back.
@@ -800,7 +832,7 @@ mod tests {
             .unwrap();
         hog.add_edge(ComponentId(1), ComponentId(2), mbps(5.0)).unwrap();
         assert!(matches!(env.admit_app(&hog, 3000), Err(EnvError::Schedule(_))));
-        assert_edges_current(&env, "a rolled-back admission");
+        assert_rebuild_is_invisible(&mut env, "a rolled-back admission");
 
         let moved = second[0];
         let from = env.cluster.node_of(moved).unwrap();
@@ -811,26 +843,26 @@ mod tests {
             .unwrap();
         env.apply_migration(MigrationPlan { component: moved, from, to }).unwrap();
         assert_eq!(env.cluster.node_of(moved), Some(to));
-        assert_edges_current(&env, "a migration");
+        assert_rebuild_is_invisible(&mut env, "a migration");
 
         // A crash evicts and unbinds; the next tick re-places and rebinds.
         let crashed = env.cluster.node_of(second[1]).unwrap();
         env.apply_fault(Fault::NodeCrash { node: crashed }).unwrap();
         assert!(env.displaced.contains(&second[1]));
-        assert_edges_current(&env, "a node crash");
+        assert_rebuild_is_invisible(&mut env, "a node crash");
         env.step().unwrap();
         assert!(env.displaced.is_empty());
-        assert_edges_current(&env, "a re-placement after a crash");
+        assert_rebuild_is_invisible(&mut env, "a re-placement after a crash");
 
         env.retire_app("camera-0", &first).unwrap();
-        assert_edges_current(&env, "a retirement");
+        assert_rebuild_is_invisible(&mut env, "a retirement");
         // The retired instance's ids come back with the next admission.
         env.admit_app(&catalog::camera_pipeline(), 1000).unwrap();
-        assert_edges_current(&env, "an admission reusing retired ids");
+        assert_rebuild_is_invisible(&mut env, "an admission reusing retired ids");
 
         env.bindings.bind_all(&mut env.mesh, &env.cluster, &env.dag).unwrap();
         env.run_for(SimDuration::from_secs(2), |_| {}).unwrap();
-        assert_edges_current(&env, "a full rebind and two seconds");
+        assert_rebuild_is_invisible(&mut env, "a full rebind and two seconds");
     }
 
     #[test]

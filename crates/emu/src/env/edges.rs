@@ -30,8 +30,9 @@ struct BoundEdge {
 /// cannot add an edge between bound components.
 ///
 /// Logical: `restarts`, `demand_factor` and each binding's flow id.
-/// Derived: which edges are bound and their requirements (the placement
-/// and the DAG), and `restart` (the environment's configuration).
+/// Derived: which edges are bound, local or remote, and their
+/// requirements (the placement and the DAG; [`rebuild`](Self::rebuild)
+/// re-derives them), and `restart` (the environment's configuration).
 #[derive(Debug, Default)]
 pub(super) struct Bindings {
     edges: BTreeMap<Key, BoundEdge>,
@@ -81,6 +82,39 @@ impl Bindings {
     ) -> Result<(), MeshError> {
         let mut touching = dag.edges().iter().filter(|e| e.from == c || e.to == c);
         touching.try_for_each(|e| self.bind((e.from, e.to), mesh, cluster, dag))
+    }
+
+    /// Re-derives every binding from the DAG and the placement, with
+    /// each requirement read afresh, without [`bind`](Self::bind). A
+    /// remote binding keeps its flow (flow ids are logical) while the
+    /// flow joins its edge's nodes; every other flow is removed, and an
+    /// edge that needs one gets a new one.
+    pub(super) fn rebuild(
+        &mut self, mesh: &mut Mesh, cluster: &Cluster, dag: &AppDag,
+    ) -> Result<(), MeshError> {
+        let mut old = std::mem::take(&mut self.edges);
+        for e in dag.edges() {
+            let key = (e.from, e.to);
+            let Some((a, b)) = cluster.node_of(e.from).zip(cluster.node_of(e.to)) else { continue };
+            let required = dag.bandwidth_between(e.from, e.to);
+            let joins = |f| mesh.flow_spec(f).is_ok_and(|s| (s.src, s.dst) == (a, b));
+            let state = match old.get(&key).map(|edge| edge.state) {
+                Some(EdgeState::Remote(f)) if joins(f) => {
+                    old.remove(&key);
+                    EdgeState::Remote(f)
+                }
+                _ if a == b => EdgeState::Local,
+                _ => EdgeState::Remote(mesh.add_flow(a, b, self.demand(key, required, mesh.now()))?),
+            };
+            self.edges.insert(key, BoundEdge { state, required });
+        }
+        // The flows of edges the DAG lost, left unplaced, or whose flow went stale.
+        for edge in old.into_values() {
+            if let EdgeState::Remote(f) = edge.state {
+                mesh.remove_flow(f)?;
+            }
+        }
+        Ok(())
     }
 
     /// Pushes every remote edge's current demand into its flow.
@@ -179,32 +213,5 @@ impl Bindings {
             .map(|&start| start + self.restart.downtime)
             .filter(|expiry| expiry.as_micros() + step.as_micros() > t0.as_micros())
             .min()
-    }
-}
-
-#[cfg(test)]
-impl Bindings {
-    /// Panics unless the invariant holds for this cluster and DAG.
-    pub(super) fn assert_current(&self, cluster: &Cluster, dag: &AppDag, after: &str) {
-        for (&(from, to), edge) in &self.edges {
-            assert_eq!(
-                edge.required.as_bps().to_bits(),
-                dag.bandwidth_between(from, to).as_bps().to_bits(),
-                "after {after}: stored requirement of {from}→{to}"
-            );
-        }
-        let mut placed = 0;
-        for e in dag.edges() {
-            let both = cluster.node_of(e.from).is_some() && cluster.node_of(e.to).is_some();
-            placed += usize::from(both);
-            assert_eq!(
-                self.edges.contains_key(&(e.from, e.to)),
-                both,
-                "after {after}: binding of {}→{}",
-                e.from,
-                e.to
-            );
-        }
-        assert_eq!(self.edges.len(), placed, "after {after}: bindings outside the DAG");
     }
 }

@@ -17,7 +17,7 @@
 //! read, so the deterministic table bytes never move (the golden
 //! snapshot under `tests/golden/` compares `to_json` only).
 
-use crate::campaign::{run_campaign_opts, splice_last_key, CampaignError, CampaignOptions};
+use crate::campaign::{run_campaign, splice_last_key, CampaignError, CampaignOptions};
 use crate::spec::ScenarioSpec;
 use bass_core::PolicyKind;
 use bass_obs::ProgressLevel;
@@ -40,7 +40,7 @@ pub struct ArenaOptions {
 
 impl Default for ArenaOptions {
     fn default() -> Self {
-        ArenaOptions { policies: PolicyKind::all().to_vec(), jobs: 1, progress: ProgressLevel::Off }
+        ArenaOptions { policies: Vec::new(), jobs: 1, progress: ProgressLevel::Off }
     }
 }
 
@@ -230,7 +230,7 @@ pub fn run_arena(
                 policy,
             };
             let started = std::time::Instant::now();
-            let run = run_campaign_opts(spec, seed, &copts)?;
+            let run = run_campaign(spec, seed, &copts)?;
             let elapsed = started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
             let agg = &run.summary.aggregate;
             rows.push(ArenaRow {

@@ -285,32 +285,17 @@ pub struct CampaignRun {
 }
 
 /// Runs a full campaign: `spec.replicas` independent replicas sharded
-/// over `jobs` worker threads, summary merged in replica order. The
-/// output is byte-identical for any `jobs ≥ 1` and reproducible from
-/// `(spec, seed)`.
+/// over `opts.jobs` worker threads, summary merged in replica order. The
+/// summary is byte-identical for any `jobs ≥ 1` and reproducible from
+/// `(spec, seed, opts.policy)`. Span profiling (merged across replicas)
+/// and progress reporting never change it: the wall clock is read only
+/// into the profiler, and progress writes only to stderr.
 ///
 /// # Errors
 ///
 /// Fails on an invalid spec or on a replica that cannot be built or
 /// stepped; admission rejections are counted, not fatal.
 pub fn run_campaign(
-    spec: &ScenarioSpec,
-    seed: u64,
-    jobs: usize,
-) -> Result<CampaignSummary, CampaignError> {
-    let opts = CampaignOptions { jobs, ..CampaignOptions::default() };
-    Ok(run_campaign_opts(spec, seed, &opts)?.summary)
-}
-
-/// [`run_campaign`] with the full option set: span profiling (merged
-/// across replicas) and live progress reporting. Profiling and progress
-/// never change the summary — the wall clock is read only into the
-/// profiler, and progress writes only to stderr.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_campaign`].
-pub fn run_campaign_opts(
     spec: &ScenarioSpec,
     seed: u64,
     opts: &CampaignOptions,
@@ -536,10 +521,15 @@ mod tests {
         spec
     }
 
+    fn summary(spec: &ScenarioSpec, seed: u64, jobs: usize) -> CampaignSummary {
+        let opts = CampaignOptions { jobs, ..CampaignOptions::default() };
+        run_campaign(spec, seed, &opts).unwrap().summary
+    }
+
     #[test]
     fn campaign_runs_and_summarizes() {
         let spec = tiny_spec();
-        let summary = run_campaign(&spec, 1, 1).unwrap();
+        let summary = summary(&spec, 1, 1);
         assert_eq!(summary.replicas.len(), 2);
         assert_eq!(summary.aggregate.ticks, 120);
         assert!(summary.aggregate.apps_admitted >= 2, "initial apps admit");
@@ -555,21 +545,21 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_summary() {
         let spec = tiny_spec();
-        let a = run_campaign(&spec, 9, 1).unwrap();
-        let b = run_campaign(&spec, 9, 4).unwrap();
+        let a = summary(&spec, 9, 1);
+        let b = summary(&spec, 9, 4);
         assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
     fn profiling_does_not_change_summary_bytes() {
         let spec = tiny_spec();
-        let plain = run_campaign(&spec, 9, 2).unwrap();
+        let plain = summary(&spec, 9, 2);
         let opts = CampaignOptions {
             jobs: 3,
             profile: true,
             ..CampaignOptions::default()
         };
-        let profiled = run_campaign_opts(&spec, 9, &opts).unwrap();
+        let profiled = run_campaign(&spec, 9, &opts).unwrap();
         assert_eq!(plain.to_json(), profiled.summary.to_json());
 
         // Every replica contributed: tick.finalize fires once per
@@ -588,7 +578,7 @@ mod tests {
     fn profile_section_splices_into_summary_json() {
         let spec = tiny_spec();
         let opts = CampaignOptions { profile: true, ..CampaignOptions::default() };
-        let run = run_campaign_opts(&spec, 3, &opts).unwrap();
+        let run = run_campaign(&spec, 3, &opts).unwrap();
         let profile = run.profiler.as_ref().unwrap().summary();
         let arena_opts =
             crate::ArenaOptions { policies: vec![PolicyKind::Bass], ..Default::default() };
@@ -624,7 +614,7 @@ mod tests {
         let spec = tiny_spec();
         let opts = CampaignOptions { profile: true, ..CampaignOptions::default() };
         for seed in [7, 11] {
-            let run = run_campaign_opts(&spec, seed, &opts).unwrap();
+            let run = run_campaign(&spec, seed, &opts).unwrap();
             let total = run.summary.aggregate.ticks;
             let executed = run.profiler.unwrap().stats("tick.finalize").map_or(0, |s| s.count);
             assert!(executed < total, "seed {seed}: executed {executed} of {total} ticks");
@@ -634,10 +624,10 @@ mod tests {
     #[test]
     fn same_seed_reproduces_different_seed_differs() {
         let spec = tiny_spec();
-        let a = run_campaign(&spec, 5, 2).unwrap();
-        let b = run_campaign(&spec, 5, 2).unwrap();
+        let a = summary(&spec, 5, 2);
+        let b = summary(&spec, 5, 2);
         assert_eq!(a.to_json(), b.to_json());
-        let c = run_campaign(&spec, 6, 2).unwrap();
+        let c = summary(&spec, 6, 2);
         assert_ne!(a.to_json(), c.to_json());
     }
 }

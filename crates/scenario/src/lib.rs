@@ -37,12 +37,13 @@
 //! ## Example
 //!
 //! ```
-//! use bass_scenario::{run_campaign, ScenarioSpec};
+//! use bass_scenario::{run_campaign, CampaignOptions, ScenarioSpec};
 //!
 //! let mut spec = ScenarioSpec::small_reference();
 //! spec.horizon_ticks = 50;
 //! spec.replicas = 1;
-//! let summary = run_campaign(&spec, 7, 2).unwrap();
+//! let opts = CampaignOptions { jobs: 2, ..CampaignOptions::default() };
+//! let summary = run_campaign(&spec, 7, &opts).unwrap().summary;
 //! assert_eq!(summary.replicas.len(), 1);
 //! assert!(summary.to_json().contains("\"goodput\""));
 //! ```
@@ -58,7 +59,7 @@ pub use arena::{
     run_arena, ArenaOptions, ArenaRow, ArenaRun, ArenaStanding, ArenaTable, ArenaTiming,
 };
 pub use campaign::{
-    run_campaign, run_campaign_opts, AggregateSummary, CampaignError, CampaignOptions,
+    run_campaign, AggregateSummary, CampaignError, CampaignOptions,
     CampaignRun, CampaignSummary, QuantileSummary, ReplicaSummary,
 };
 pub use generate::{

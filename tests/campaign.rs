@@ -1,7 +1,7 @@
 //! Campaign-runner determinism battery: thread-count independence,
 //! same-seed replay, and summary sanity.
 
-use bass::scenario::{run_campaign, CampaignSummary, ScenarioSpec};
+use bass::scenario::{run_campaign, CampaignOptions, CampaignSummary, ScenarioSpec};
 use serde_json::Value;
 
 /// A reference campaign small enough for test time but exercising churn,
@@ -13,11 +13,17 @@ fn test_spec() -> ScenarioSpec {
     spec
 }
 
+/// The summary of `spec`'s campaign at `seed` over `jobs` threads.
+fn summary(spec: &ScenarioSpec, seed: u64, jobs: usize) -> CampaignSummary {
+    let opts = CampaignOptions { jobs, ..CampaignOptions::default() };
+    run_campaign(spec, seed, &opts).unwrap().summary
+}
+
 #[test]
 fn sequential_and_parallel_summaries_are_byte_identical() {
     let spec = test_spec();
-    let sequential = run_campaign(&spec, 42, 1).unwrap();
-    let parallel = run_campaign(&spec, 42, 4).unwrap();
+    let sequential = summary(&spec, 42, 1);
+    let parallel = summary(&spec, 42, 4);
     assert_eq!(
         sequential.to_json(),
         parallel.to_json(),
@@ -28,17 +34,17 @@ fn sequential_and_parallel_summaries_are_byte_identical() {
 #[test]
 fn same_seed_replays_bit_for_bit_and_seeds_differ() {
     let spec = test_spec();
-    let a = run_campaign(&spec, 7, 2).unwrap();
-    let b = run_campaign(&spec, 7, 2).unwrap();
+    let a = summary(&spec, 7, 2);
+    let b = summary(&spec, 7, 2);
     assert_eq!(a.to_json(), b.to_json(), "same seed must replay bit-for-bit");
-    let c = run_campaign(&spec, 8, 2).unwrap();
+    let c = summary(&spec, 8, 2);
     assert_ne!(a.to_json(), c.to_json(), "different seeds must differ");
 }
 
 #[test]
 fn summary_json_is_well_formed_and_consistent() {
     let spec = test_spec();
-    let summary = run_campaign(&spec, 3, 2).unwrap();
+    let summary = summary(&spec, 3, 2);
     // Counters fold correctly across replicas.
     assert_eq!(summary.replicas.len(), spec.replicas as usize);
     assert_eq!(
@@ -71,9 +77,9 @@ fn replica_seeds_are_order_independent() {
     // results identical — the guarantee that makes sharding safe.
     let mut spec = test_spec();
     spec.replicas = 3;
-    let three = run_campaign(&spec, 21, 2).unwrap();
+    let three = summary(&spec, 21, 2);
     spec.replicas = 2;
-    let two = run_campaign(&spec, 21, 2).unwrap();
+    let two = summary(&spec, 21, 2);
     assert_eq!(
         serde_json::to_string(&three.replicas[..2]).unwrap(),
         serde_json::to_string(&two.replicas[..]).unwrap()

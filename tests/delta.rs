@@ -4,8 +4,10 @@
 //! twin that gets the same mutations and is replaced by
 //! `Mesh::rebuilt()` before every tick, so routes, index and capacity
 //! reads are derived from scratch each time. Checked under OU-trace
-//! perturbation, flow churn, random schedules, composed fault storms and
-//! generated admit/retire lifecycles, ticked and skipping (see
+//! perturbation, flow churn and random schedules; composed fault storms
+//! and generated admit/retire lifecycles run production's skipping
+//! `run_for` against the environment-level reference (`tests/support`),
+//! which `SimEnv::rebuild`s before every tick (see
 //! `docs/ARCHITECTURE.md` § The allocator and its reference).
 
 mod support;
@@ -169,7 +171,7 @@ proptest! {
     // scan must still reproduce the rebuilt reference exactly, tick
     // after tick.
     #[test]
-    fn delta_matches_dense_under_ou_traces(
+    fn delta_matches_the_rebuilt_reference_under_ou_traces(
         n in 3u32..8,
         extra in 0usize..6,
         n_flows in 2usize..8,
@@ -197,7 +199,7 @@ proptest! {
     // land on the snapshot/dirty paths; state must stay bit-identical to
     // the rebuilt reference after every mutation.
     #[test]
-    fn delta_matches_dense_through_churn(
+    fn delta_matches_the_rebuilt_reference_through_churn(
         n in 3u32..9,
         extra in 0usize..8,
         n_flows in 2usize..10,
@@ -245,7 +247,7 @@ proptest! {
     // and a swapped-in trace on a sub-tick grid or one that already
     // ended must read the same through its sample cursor.
     #[test]
-    fn delta_matches_dense_under_random_schedules(
+    fn delta_matches_the_rebuilt_reference_under_random_schedules(
         n in 3u32..8,
         extra in 0usize..6,
         n_flows in 2usize..8,
@@ -393,7 +395,7 @@ proptest! {
 // drain. Every tick refills only what moved, takes the one tail, and
 // must leave the state the reference computes.
 #[test]
-fn one_dirty_district_then_every_link_matches_dense() {
+fn one_dirty_district_then_every_link_matches_the_rebuilt_reference() {
     const N: u32 = 16;
     let topo = ring_with_chords(N, 0, 0);
     let mut pair =
@@ -468,7 +470,7 @@ fn span_count(profiler: &SpanProfiler, span: &str) -> u64 {
 // outnumber live ones compacts the index with the one further rebuild.
 // Every tick must match the rebuilt reference bit for bit.
 #[test]
-fn bridge_split_merge_and_compaction_match_dense() {
+fn bridge_split_merge_and_compaction_match_the_rebuilt_reference() {
     const W: u32 = 4;
     const HALF: u32 = 3 * W; // nodes per district
     let topo = Topology::grid(W, 6);
@@ -622,34 +624,24 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
     FaultPlan::poisson(seed, SimDuration::from_secs(horizon_s), &profile)
 }
 
-/// How a storm run steps: production's skipping `run_for`, or the
-/// ticked reference loop (`support::ticked`), on production's mesh or on
-/// the rebuilt reference.
-#[derive(Debug, Clone, Copy)]
-enum Stepping {
-    Skipping,
-    Ticked,
-    TickedRebuilt,
-}
-
-/// Runs `env` for `secs` simulated seconds of 100 ms ticks, stepped as
-/// `stepping` says, and returns the journal's JSONL export.
-fn run_storm(mut env: SimEnv, stepping: Stepping, secs: u64) -> String {
+/// Runs `env` for `secs` simulated seconds of 100 ms ticks, through
+/// production's skipping `run_for` or, with `reference`, on the rebuilt
+/// reference (`support::ticked`), and returns the journal's JSONL export.
+fn run_storm(mut env: SimEnv, reference: bool, secs: u64) -> String {
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
-    match stepping {
-        Stepping::Skipping => env
-            .run_for(SimDuration::from_secs(secs), |_| {})
-            .expect("storm run completes"),
-        Stepping::Ticked => support::ticked(&mut env, secs * 10, false, |_| {}),
-        Stepping::TickedRebuilt => support::ticked(&mut env, secs * 10, true, |_| {}),
+    if reference {
+        support::ticked(&mut env, secs * 10, |_| {});
+    } else {
+        env.run_for(SimDuration::from_secs(secs), |_| {}).expect("storm run completes");
     }
     env.take_journal().expect("journal attached").export_jsonl()
 }
 
 /// The composed fault storm of `tests/faults.rs` on the 3-node LAN
-/// testbed; returns the journal's JSONL export.
-fn lan_storm_jsonl(stepping: Stepping) -> String {
+/// testbed, stepped as [`run_storm`] says; returns the journal's JSONL
+/// export.
+fn lan_storm_jsonl(reference: bool) -> String {
     let profile = StormProfile {
         node_crash_rate: 1.0 / 40.0,
         crash_downtime_s: 25.0,
@@ -672,63 +664,60 @@ fn lan_storm_jsonl(stepping: Stepping) -> String {
         ..Default::default()
     };
     let env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
-    run_storm(env, stepping, 300)
+    run_storm(env, reference, 300)
 }
 
 // The Poisson fault storm — crashes, flaps, probe loss — must replay
 // byte-identically through the delta fill and the rebuilt reference.
 #[test]
-fn fault_storm_replay_is_delta_engine_independent() {
-    let reference = lan_storm_jsonl(Stepping::TickedRebuilt);
+fn fault_storm_replay_matches_the_rebuilt_reference() {
+    let reference = lan_storm_jsonl(true);
     assert!(!reference.is_empty());
     assert_eq!(
         reference,
-        lan_storm_jsonl(Stepping::Skipping),
+        lan_storm_jsonl(false),
         "the delta fill must replay the storm byte-identically to the rebuilt reference"
     );
 }
 
 /// The camera pipeline on the trace-driven CityLab testbed under the
-/// composed storm, stepped as `stepping` says; returns the journal for
-/// byte comparison.
-fn storm_journal(stepping: Stepping, seed: u64, secs: u64) -> String {
+/// composed storm, stepped as [`run_storm`] says; returns the journal
+/// for byte comparison.
+fn storm_journal(reference: bool, seed: u64, secs: u64) -> String {
     let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: storm_plan(seed, secs),
         ..Default::default()
     };
     let env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
-    run_storm(env, stepping, secs)
+    run_storm(env, reference, secs)
 }
 
-// The rebuilt reference, ticked, vs production ticked and skipping: all
-// three replays of the same storm must export byte-identical journals.
+// The rebuilt reference vs production, which skips quiescent windows:
+// both replays of the same storm must export byte-identical journals.
 // This is the end-to-end closure of the mesh-level proptests above —
-// the dirty paths may not change a single observable byte whether or
-// not quiescent windows are skipped.
+// neither the dirty paths nor any other derived state may change a
+// single observable byte.
 #[test]
-fn storm_replay_matches_dense_ticked_and_skipping() {
-    let reference = storm_journal(Stepping::TickedRebuilt, 0xD187, 240);
+fn storm_replay_skipping_matches_the_rebuilt_reference() {
+    let reference = storm_journal(true, 0xD187, 240);
     assert!(!reference.is_empty());
-    for stepping in [Stepping::Ticked, Stepping::Skipping] {
-        let journal = storm_journal(stepping, 0xD187, 240);
-        assert_eq!(reference, journal, "journal diverged, {stepping:?}");
-    }
+    let journal = storm_journal(false, 0xD187, 240);
+    assert_eq!(reference, journal, "journal diverged from the rebuilt reference");
 }
 
 // The lifecycle path — flows appearing and vanishing mid-run as whole
 // applications are admitted and retired, under generated traces and
 // faults — must sample and journal the identical bytes on the rebuilt
-// reference, driven by hand and ticked, and on production, driven by
-// hand and ticked or off the timeline and skipping.
+// reference, driven by hand, and on production, off the timeline and
+// skipping.
 #[test]
-fn generated_lifecycle_journal_matches_dense() {
+fn generated_lifecycle_journal_matches_the_rebuilt_reference() {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 240;
     spec.workload.arrival_rate_per_s = 0.05;
     spec.workload.mean_lifetime_s = 60.0;
-    let (reference, executed_ticked) =
-        support::drive_replica(&spec, 0x11FE, PolicyKind::Bass, true);
+    let (reference, executed_ticked) = support::drive_replica(&spec, 0x11FE, PolicyKind::Bass);
     assert!(
         reference.admitted > 3,
         "arrivals beyond the initial apps must admit ({})",
@@ -739,8 +728,6 @@ fn generated_lifecycle_journal_matches_dense() {
         "the horizon must see departures"
     );
     assert_eq!(executed_ticked, spec.horizon_ticks);
-    let (by_hand, _) = support::drive_replica(&spec, 0x11FE, PolicyKind::Bass, false);
-    assert_eq!(reference, by_hand, "lifecycle diverged on the production allocator");
     let (replica, executed) = support::timeline_replica(&spec, 0x11FE, PolicyKind::Bass);
     assert_eq!(reference, replica, "lifecycle diverged off the timeline");
     assert!(executed < executed_ticked, "executed {executed} of {executed_ticked} ticks");

@@ -1,10 +1,11 @@
-//! Stepping battery, production vs ticked reference: the one step loop
+//! Stepping battery, production vs rebuilt reference: the one step loop
 //! (`SimEnv::run_for`, the campaign replica loop) skips provably
 //! quiescent tick windows, and must replay every simulation
-//! byte-for-byte — journals and campaign replicas — against a bare
-//! `step()` loop (`tests/support`) that executes every tick in full,
-//! across OU trace volatility, workload churn and composed fault storms
-//! (see `docs/ARCHITECTURE.md`).
+//! byte-for-byte — journals and campaign replicas — against the
+//! reference in `tests/support`, a `step()` loop that executes every
+//! tick in full on an environment `SimEnv::rebuild` re-derived just
+//! before, across OU trace volatility, workload churn and composed
+//! fault storms (see `docs/ARCHITECTURE.md`).
 
 mod support;
 
@@ -53,7 +54,7 @@ fn sim_run(reference: bool, seed: u64, faults: FaultPlan, secs: u64) -> (String,
     env.enable_span_profiling();
     env.deploy(&[]).expect("deploys");
     if reference {
-        support::ticked(&mut env, secs * 10, false, |_| {});
+        support::ticked(&mut env, secs * 10, |_| {});
     } else {
         env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
     }
@@ -102,7 +103,7 @@ proptest! {
 
     /// The same property one layer up: a campaign replica under churn
     /// samples and journals the same bits off the timeline, skipping,
-    /// as driven by hand and ticked (`support::drive_replica`).
+    /// as driven by hand on the rebuilt reference (`support::drive_replica`).
     #[test]
     fn event_driven_campaign_summaries_are_byte_identical(
         seed in any::<u64>(),
@@ -111,7 +112,7 @@ proptest! {
     ) {
         let spec = churn_spec(arrival, max_concurrent, 120);
         let (ticked, executed_ticked) =
-            support::drive_replica(&spec, seed, PolicyKind::Bass, false);
+            support::drive_replica(&spec, seed, PolicyKind::Bass);
         let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass);
         prop_assert_eq!(ticked, skipping, "replicas must not depend on skipped windows");
         prop_assert!(

@@ -2,6 +2,9 @@
 //! every tick, under every fault schedule, and the same seed must
 //! replay the same run bit-for-bit (see `docs/FAULTS.md`).
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use bass::appdag::catalog;
 use bass::apps::testbeds::lan_testbed;
 use bass::emu::{SimEnv, SimEnvConfig};
@@ -18,11 +21,10 @@ fn checked_run(plan: FaultPlan, secs: u64) -> Journal {
     checked_run_with(plan, secs, false)
 }
 
-/// [`checked_run`], or with `rebuilt` the same schedule on the rebuilt
-/// reference: every 100 ms tick stepped in full on a mesh replaced by
-/// `Mesh::rebuilt()` just before, so routes, the allocation index and
-/// every capacity read are derived from scratch.
-fn checked_run_with(plan: FaultPlan, secs: u64, rebuilt: bool) -> Journal {
+/// [`checked_run`], or with `ticked` the same schedule on the rebuilt
+/// reference (`reference::ticked`): every 100 ms tick stepped in full on
+/// an environment whose derived parts were rebuilt just before.
+fn checked_run_with(plan: FaultPlan, secs: u64, ticked: bool) -> Journal {
     let (mesh, cluster) = lan_testbed(3, 12);
     let cfg = SimEnvConfig { faults: plan, ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
@@ -34,13 +36,8 @@ fn checked_run_with(plan: FaultPlan, secs: u64, rebuilt: bool) -> Journal {
         }
         assert_routes_track_faults(e.mesh());
     };
-    if rebuilt {
-        for _ in 0..secs * 10 {
-            let mesh = env.mesh().rebuilt();
-            *env.mesh_mut() = mesh;
-            env.step().expect("step completes under faults");
-            check(&env);
-        }
+    if ticked {
+        reference::ticked(&mut env, secs * 10, check);
     } else {
         env.run_for(SimDuration::from_secs(secs), check).expect("run completes under faults");
     }
@@ -184,19 +181,19 @@ fn same_seed_replays_bit_for_bit() {
     assert_eq!(a, b, "same fault plan must replay identically");
 }
 
-// Allocator regression: the composed fault storm replayed through the
-// production allocator is byte-identical — every journaled event — to
-// the rebuilt reference. The storm exercises crashes, flaps, probe
-// loss, and controller restarts, so this pins the whole control loop,
-// not just the allocator.
+// The composed fault storm replayed by production is byte-identical —
+// every journaled event — to the rebuilt reference, which re-derives the
+// mesh, the cluster's sums and the edge bindings before every tick. The
+// storm exercises crashes, flaps, probe loss, and controller restarts,
+// so this pins the whole control loop, not just the allocator.
 #[test]
-fn storm_replay_is_engine_independent() {
+fn storm_replay_matches_the_rebuilt_reference() {
     let reference = checked_run_with(storm_plan(), 300, true).export_jsonl();
     let production = checked_run(storm_plan(), 300).export_jsonl();
     assert!(!reference.is_empty());
     assert_eq!(
         reference, production,
-        "the production allocator must replay the storm byte-identically to the reference"
+        "production must replay the storm byte-identically to the rebuilt reference"
     );
 }
 

@@ -39,8 +39,9 @@ fn run_scenario() -> String {
 }
 
 /// `ticked` drives the workload by hand — `SocialNetWorkload::tick`,
-/// then ten 100 ms ticks of `support::ticked` per second — instead of
-/// `SocialNetWorkload::run`, whose `run_for` skips quiescent ticks.
+/// then ten 100 ms ticks of the rebuilt reference (`support::ticked`)
+/// per second — instead of `SocialNetWorkload::run`, whose `run_for`
+/// skips quiescent ticks.
 fn run_scenario_in(ticked: bool) -> String {
     let (mesh, cluster) = lan_testbed(3, 16);
     // The paper's fig13 knobs: 30 s monitoring interval, 0.5 goodput
@@ -76,7 +77,7 @@ fn run_scenario_in(ticked: bool) -> String {
     if ticked {
         for _ in 0..240 {
             wl.tick(&mut env, SimDuration::from_secs(1), &mut rec);
-            support::ticked(&mut env, 10, false, |_| {});
+            support::ticked(&mut env, 10, |_| {});
         }
     } else {
         wl.run(&mut env, SimDuration::from_secs(240), &mut rec).expect("run completes");
@@ -134,7 +135,7 @@ fn campaign_spec() -> ScenarioSpec {
 
 fn run_campaign_snapshot() -> String {
     let opts = CampaignOptions { jobs: 2, ..CampaignOptions::default() };
-    let run = bass::scenario::run_campaign_opts(&campaign_spec(), 20, &opts);
+    let run = bass::scenario::run_campaign(&campaign_spec(), 20, &opts);
     run.expect("reference campaign runs").summary.to_json()
 }
 
@@ -164,18 +165,18 @@ fn fig13_event_driven_replays_the_same_golden() {
 }
 
 /// The same two-sided check for the 20-node campaign snapshot: each
-/// replica samples the same bits driven by hand and ticked
+/// replica samples the same bits driven by hand on the rebuilt reference
 /// (`support::drive_replica`) as off the timeline and skipping, and the
 /// golden replica's counts and mean achieved bandwidth are its own.
 #[test]
 fn campaign_20node_event_driven_replays_the_same_golden() {
     let spec = campaign_spec();
-    // Replica seeds are forked the way `run_campaign_opts` forks them.
+    // Replica seeds are forked the way `run_campaign` forks them.
     let mut root = SimRng::seed_from_u64(20);
     for k in 0..spec.replicas as usize {
         let seed = root.fork(100 + k as u64).next_u64();
         let (ticked, executed_ticked) =
-            support::drive_replica(&spec, seed, PolicyKind::Bass, false);
+            support::drive_replica(&spec, seed, PolicyKind::Bass);
         let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass);
         assert_eq!(ticked, skipping, "replica {k} must not depend on skipped windows");
         assert!(executed < executed_ticked, "replica {k} executed all {executed} ticks");

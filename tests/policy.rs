@@ -15,7 +15,7 @@
 //!    `tests/golden/policy_storm_decisions.json`.
 //! 3. **Arena determinism** — `run_arena` tables are byte-identical
 //!    for any `--jobs` value, every campaign underneath them matches
-//!    the ticked stepping reference, and the table is snapshotted under
+//!    the ticked rebuilt reference, and the table is snapshotted under
 //!    `tests/golden/`.
 //!
 //! Regenerate the arena and storm-decision snapshots after an
@@ -39,7 +39,7 @@ use bass::faults::{FaultPlan, StormProfile};
 use bass::mesh::NodeId;
 use bass::netmon::NetMonitorConfig;
 use bass::obs::Journal;
-use bass::scenario::{run_arena, run_campaign_opts, ArenaOptions, CampaignOptions, ScenarioSpec};
+use bass::scenario::{run_arena, run_campaign, ArenaOptions, CampaignOptions, ScenarioSpec};
 use bass::util::time::{SimDuration, SimTime};
 use bass::util::units::Bandwidth;
 use proptest::prelude::*;
@@ -141,7 +141,7 @@ fn campaign_snapshot(policy: PolicyKind) -> String {
     let mut spec = ScenarioSpec::small_reference();
     spec.horizon_ticks = 300;
     let opts = CampaignOptions { jobs: 2, policy, ..CampaignOptions::default() };
-    run_campaign_opts(&spec, 20, &opts).expect("reference campaign runs").summary.to_json()
+    run_campaign(&spec, 20, &opts).expect("reference campaign runs").summary.to_json()
 }
 
 #[test]
@@ -181,8 +181,8 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 
 /// Camera pipeline on the trace-driven CityLab testbed under `policy`;
 /// returns the journal plus the migration log, asserting cluster
-/// invariants on exit. `ticked` executes every 100 ms tick in full
-/// (`support::ticked`) instead of `run_for`.
+/// invariants on exit. `ticked` executes every 100 ms tick in full on
+/// the rebuilt reference (`support::ticked`) instead of `run_for`.
 fn storm_run(
     policy: PolicyKind,
     ticked: bool,
@@ -200,7 +200,7 @@ fn storm_run(
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
     if ticked {
-        support::ticked(&mut env, secs * 10, false, |_| {});
+        support::ticked(&mut env, secs * 10, |_| {});
     } else {
         env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
     }
@@ -314,17 +314,17 @@ fn arena_table_bytes_are_jobs_independent() {
 /// The arena table is a pure fold of its campaigns' summaries, so the
 /// rows and ranking match the ticked reference iff every `(policy,
 /// scenario)` campaign does. For all six policies, each replica samples
-/// the same bits driven by hand and ticked (`support::drive_replica`) as
-/// off the timeline and skipping, and its counts and mean achieved
-/// bandwidth are the campaign's.
+/// the same bits driven by hand on the rebuilt reference
+/// (`support::drive_replica`) as off the timeline and skipping, and its
+/// counts and mean achieved bandwidth are the campaign's.
 #[test]
 fn arena_campaigns_match_the_ticked_reference() {
     let (spec, _) = arena_entry();
     for policy in PolicyKind::all() {
         let opts = CampaignOptions { jobs: 2, policy, ..CampaignOptions::default() };
-        let summary = run_campaign_opts(&spec, 20, &opts).expect("campaign runs").summary;
+        let summary = run_campaign(&spec, 20, &opts).expect("campaign runs").summary;
         for r in &summary.replicas {
-            let (ticked, executed_ticked) = support::drive_replica(&spec, r.seed, policy, false);
+            let (ticked, executed_ticked) = support::drive_replica(&spec, r.seed, policy);
             let (skipping, executed) = support::timeline_replica(&spec, r.seed, policy);
             let name = policy.name();
             assert_eq!(ticked, skipping, "{name} replica must not depend on skipped windows");

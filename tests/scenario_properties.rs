@@ -2,7 +2,9 @@
 //! lock down generation's byte-for-byte reproducibility and its
 //! structural invariants across random specs and seeds.
 
-use bass::scenario::{generate, run_campaign, ScenarioSpec, TopologySpec, WorkloadEvent};
+use bass::scenario::{
+    generate, run_campaign, CampaignOptions, ScenarioSpec, TopologySpec, WorkloadEvent,
+};
 use proptest::prelude::*;
 
 /// Random-but-valid specs spanning all three topology families, varying
@@ -137,8 +139,9 @@ proptest! {
         let mut spec = ScenarioSpec::small_reference();
         spec.horizon_ticks = 40;
         spec.replicas = 1;
-        let a = run_campaign(&spec, seed, 1).unwrap();
-        let b = run_campaign(&spec, seed, 1).unwrap();
+        let opts = CampaignOptions::default();
+        let a = run_campaign(&spec, seed, &opts).unwrap().summary;
+        let b = run_campaign(&spec, seed, &opts).unwrap().summary;
         prop_assert_eq!(a.to_json(), b.to_json());
     }
 }

@@ -1,10 +1,9 @@
-//! The ticked references the batteries compare production against:
-//! `SimEnv::step` in a loop, built from public calls only, so they
-//! share no code with the quiescent-window logic of `SimEnv::run_for`
-//! or with the timeline that applies a campaign's workload. With
-//! `rebuilt`, each loop is also the allocator's reference: the mesh is
-//! replaced by `Mesh::rebuilt()` before every tick, so routes, the
-//! allocation index and every capacity read are derived from scratch.
+//! The batteries' shared harness: the rebuilt reference (`reference`)
+//! and campaign replicas driven through it or as production runs them.
+//! Built from public calls only, so it shares no code with the timeline
+//! that applies a campaign's workload.
+
+mod reference;
 
 use bass::appdag::{AppDag, ComponentId};
 use bass::core::PolicyKind;
@@ -12,27 +11,9 @@ use bass::emu::{EnvError, SimEnv, SimEnvConfig};
 use bass::obs::Journal;
 use bass::scenario::{generate, AppKind, GeneratedScenario, ScenarioSpec, WorkloadEvent};
 use bass::util::time::SimDuration;
+pub use reference::ticked;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// One full `step()`; with `rebuilt`, on a mesh rebuilt just before.
-fn step(env: &mut SimEnv, rebuilt: bool) {
-    if rebuilt {
-        let mesh = env.mesh().rebuilt();
-        *env.mesh_mut() = mesh;
-    }
-    env.step().expect("step completes");
-}
-
-/// Ticked stepping: `ticks` full `step()` calls (each on a rebuilt mesh
-/// with `rebuilt`), each followed by `hook(env)` — what
-/// `SimEnv::run_for(ticks × step, hook)` must match.
-pub fn ticked(env: &mut SimEnv, ticks: u64, rebuilt: bool, mut hook: impl FnMut(&SimEnv)) {
-    for _ in 0..ticks {
-        step(env, rebuilt);
-        hook(env);
-    }
-}
 
 /// One campaign sample's reads, as `f64` bits: required and achieved
 /// Mbps summed over every live edge, and each app kind's achieved Mbps.
@@ -85,12 +66,11 @@ fn finish(mut env: SimEnv, samples: Vec<Sample>, admitted: u64, rejected: u64) -
     (replica, profiler.stats("tick.finalize").map_or(0, |s| s.count))
 }
 
-/// A campaign replica driven by hand: every tick in full, and each
+/// A campaign replica driven by hand on the rebuilt reference: each
 /// workload event admitted or retired through `admit_app`/`retire_app`
-/// just before the tick ⌈at_ms / step_ms⌉; every live edge is sampled
-/// on the sample cadence. With `rebuilt`, every tick runs on a rebuilt
-/// mesh.
-pub fn drive_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, rebuilt: bool) -> Run {
+/// just before the tick ⌈at_ms / step_ms⌉, every tick a reference tick,
+/// and every live edge sampled on the sample cadence.
+pub fn drive_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind) -> Run {
     let (scenario, mut env) = replica_env(spec, seed, policy);
     env.deploy(&[]).expect("deploys");
     // Arrival index → (label, admitted component ids, kind).
@@ -119,7 +99,7 @@ pub fn drive_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind, rebuilt
                 }
             }
         }
-        step(&mut env, rebuilt);
+        reference::step(&mut env);
         if tick.is_multiple_of(spec.sample_every_ticks) {
             let apps = live.values().map(|(_, ids, kind)| (ids.as_slice(), kind.label()));
             samples.push(sample(&env, apps));
