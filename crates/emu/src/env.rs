@@ -1444,9 +1444,11 @@ mod tests {
         // Not deployed yet.
         assert_eq!(env.skippable_ticks(100), 0);
         env.deploy(&[]).unwrap();
-        // No allocation computed before the first step.
-        assert_eq!(env.skippable_ticks(100), 0);
+        // No allocation computed before the first step: the mesh
+        // refuses every tick.
+        assert!(!env.mesh().refill_free());
         env.step().unwrap();
+        assert!(env.mesh().refill_free());
         let window = env.skippable_ticks(10_000);
         // Quiescent until the first 30 s probe epoch: the probe tick
         // (post-advance clock) must execute, everything before may skip.

@@ -1,5 +1,5 @@
-//! The step loop: one full tick, and the quiescent ticks `run_for`
-//! skips between them.
+//! The step loop: one full tick, and the ticks `run_for` skips between
+//! them, which run only the queue pass.
 
 use super::{EnvError, LiveApp, SimEnv};
 use crate::scenario::{Action, Input};
@@ -141,15 +141,19 @@ impl SimEnv {
 
     /// Runs for `duration`, invoking `hook` after every simulated tick.
     ///
-    /// Each full [`step`](Self::step) is followed by as many provably
-    /// quiescent skipped ticks as `skippable_ticks` allows. `hook`
-    /// observes the environment after every simulated tick, skipped or
-    /// not, on the post-advance clock: it sees `now()` once per tick,
-    /// at the tick's end. It gets `&SimEnv`, so it cannot invalidate a
-    /// window mid-flight. Results, stats, and journal contents are
-    /// byte-identical to calling [`step`](Self::step) once per tick —
-    /// only wall-clock (and span-profiler counts, which track work
-    /// actually performed) differs.
+    /// Each full [`step`](Self::step) is followed by as many skipped
+    /// ticks as `skippable_ticks` allows and the mesh proves refill-free
+    /// ([`Mesh::refill_free`](bass_mesh::Mesh::refill_free)): each runs
+    /// only [`Mesh::advance_skipped`](bass_mesh::Mesh::advance_skipped)
+    /// (the queue pass, until a pass moves no queue; then only the clock)
+    /// and journals its `TickCompleted`. `hook` observes the environment
+    /// after every simulated tick, skipped or not, on the post-advance
+    /// clock: it sees `now()` once per tick, at the tick's end. It gets
+    /// `&SimEnv`, so it cannot invalidate a window mid-flight. Results,
+    /// stats, and journal contents are byte-identical to calling
+    /// [`step`](Self::step) once per tick — only wall-clock (and
+    /// span-profiler counts, which track work actually performed)
+    /// differs.
     ///
     /// # Errors
     ///
@@ -167,7 +171,8 @@ impl SimEnv {
         while self.mesh.now() < end {
             self.step()?;
             hook(self);
-            loop {
+            let mut settled = false;
+            'window: loop {
                 let remaining =
                     end.saturating_since(self.mesh.now()).as_micros().div_ceil(step_us);
                 let window = self.skippable_ticks(remaining);
@@ -175,7 +180,11 @@ impl SimEnv {
                     break;
                 }
                 for _ in 0..window {
-                    self.skip_quiescent_tick();
+                    if !settled && !self.mesh.refill_free() {
+                        break 'window;
+                    }
+                    settled = self.mesh.advance_skipped(self.cfg.step, settled);
+                    self.record_tick_completed();
                     hook(self);
                 }
             }
@@ -183,14 +192,14 @@ impl SimEnv {
         Ok(())
     }
 
-    /// Upper bound on how many consecutive ticks, starting now, are
-    /// provably quiescent — i.e. executing them in full would change
-    /// nothing but the clock. Returns at most `max_ticks`, and 0
-    /// whenever quiescence cannot be proven.
+    /// Upper bound on how many consecutive ticks, starting now, move no
+    /// input of [`step`](Self::step): no workload, fault or `tc` input,
+    /// no trace capacity, restart expiry or probe epoch — so a full step
+    /// would push the same demands, record the same goodput and find the
+    /// controller idle. Whether the mesh would refill anything is checked
+    /// tick by tick in `run_for`. Returns at most `max_ticks`, and 0
+    /// whenever this cannot be proven.
     ///
-    /// A tick is quiescent when every input to [`step`](Self::step) is
-    /// bitwise unchanged and every flow queue is at a bitwise fixed
-    /// point ([`Mesh::queues_quiescent`](bass_mesh::Mesh::queues_quiescent)).
     /// With `t0 = now()`, the next timed input, applied on the
     /// **pre-advance** clock, caps the window at `⌈(t − t0)/step⌉` ticks
     /// (its tick *starts* at or after `t`); trace change-points, probe
@@ -218,33 +227,17 @@ impl SimEnv {
         let probe = self.cfg.migrations_enabled.then(|| self.netmon.next_headroom_probe_at());
         let post_advance =
             [self.bindings.next_expiry(t0, step), self.mesh.next_trace_change(), probe];
-        let bound = pre_advance
+        pre_advance
             .map(ticks_to_reach)
             .into_iter()
             .chain(post_advance.into_iter().flatten().map(|t| ticks_to_reach(t).saturating_sub(1)))
-            .fold(max_ticks, u64::min);
-        // The event caps are O(1) (the mesh keeps its trace clock armed
-        // across ticks); the queue scan is O(flows), so it runs last and
-        // only for a window no due event has already zeroed.
-        if bound == 0 || !self.mesh.queues_quiescent(step) {
-            return 0;
-        }
-        bound
-    }
-
-    /// Advances one quiescent tick: moves the clock and stamps the
-    /// tick's `TickCompleted` journal event at its true time, nothing
-    /// else. Only sound for a tick [`skippable_ticks`](Self::skippable_ticks)
-    /// vouched for — a quiescent tick's full execution emits exactly the
-    /// `TickCompleted` event (every capacity/flow-rate diff is empty and
-    /// the controller never wakes), so the journal stays byte-identical.
-    fn skip_quiescent_tick(&mut self) {
-        self.mesh.advance_quiescent(self.cfg.step);
-        self.record_tick_completed();
+            .fold(max_ticks, u64::min)
     }
 
     /// Journals the `TickCompleted` event of the tick ending at the mesh
-    /// clock — one writer for executed and skipped ticks alike.
+    /// clock — one writer for executed and skipped ticks alike. A skipped
+    /// tick's full execution journals exactly this event: no capacity,
+    /// rate, flow count or total demand moves, and the controller idles.
     fn record_tick_completed(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             j.record(bass_obs::Event::TickCompleted {

@@ -14,10 +14,14 @@
 //! re-summing the usage views from the constraints' members.
 //!
 //! Invariant: while the index is clean, it describes exactly the live
-//! slots' paths and the egress-cap set, `demands_scratch` holds what the
-//! last fill filled with, and `dirty_flows` lists every slot whose
-//! transmit demand can have moved since — so filling only the dirty
-//! components equals filling all of them, bit for bit. The judge is the
+//! slots' paths and the egress-cap set; the rates and `floor_bps` are
+//! what one fill over `demands_scratch` leaves; and `dirty_flows` lists
+//! every slot whose transmit demand can have moved since. The demand
+//! diff writes every moved demand into `demands_scratch` but keeps a
+//! slot dirty only when its new demand is not above its floor — a move
+//! above the floor leaves that fill bit-identical (`fill_component`'s
+//! lemma) — so filling only the dirty components equals filling all of
+//! them, bit for bit. The judge is the
 //! same pipeline from scratch: [`Mesh::rebuilt`](crate::Mesh::rebuilt)
 //! re-routes every flow and stales the index, so the next allocation
 //! rebuilds it and refills every component, and the test batteries
@@ -276,9 +280,9 @@ impl AllocIndex {
 /// followed by a queue pass that moves the demands it was computed
 /// from, so the rates are not a function of the other fields) and
 /// `allocated`. Derived: `index`,
-/// `scratch`, `demands_scratch`, the dirty component and flow sets,
-/// `link_used_bps` and the egress caps' usage — an index rebuild
-/// re-derives all of them.
+/// `scratch`, `demands_scratch`, `floor_bps`, the dirty component and
+/// flow sets, `link_used_bps` and the egress caps' usage — an index
+/// rebuild re-derives all of them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Allocation {
     pub(crate) flows: FlowTable,
@@ -290,6 +294,9 @@ pub(crate) struct Allocation {
     /// (zero for a flow added since). A slot tombstoned since the last
     /// allocation keeps its rate until the next one, which zeroes it.
     rates_bps: Vec<f64>,
+    /// Per-slot demand floors of the last fill (+∞ for a slot added or
+    /// rebuilt since): a demand move strictly above it refills nothing.
+    floor_bps: Vec<f64>,
     /// False from a flow add or remove until the next allocation: the
     /// rates do not yet cover the registered flow set.
     allocated: bool,
@@ -344,6 +351,7 @@ impl Allocation {
         }
         self.flows.push(id, flow);
         self.rates_bps.push(0.0);
+        self.floor_bps.push(f64::INFINITY);
         self.allocated = false;
         id
     }
@@ -510,6 +518,7 @@ impl Allocation {
             // reads zero is never re-granted, so it keeps this zero rate.
             let slots = self.flows.states.len();
             self.rates_bps = vec![0.0; slots];
+            self.floor_bps = vec![f64::INFINITY; slots];
             self.demands_scratch = vec![Bandwidth::ZERO; slots];
             self.flow_dirty = vec![true; slots];
             self.dirty_flows = (0..slots as u32).collect();
@@ -573,6 +582,7 @@ impl Allocation {
                 &self.index.comps,
                 &mut self.scratch,
                 &mut self.rates_bps,
+                &mut self.floor_bps,
             );
         }
         clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
@@ -601,11 +611,11 @@ impl Allocation {
     }
 
     /// O(dirty) demand refresh: bit-compares each slot in `dirty_flows`
-    /// against `demands_scratch` and leaves in `dirty_flows` only the
-    /// slots whose transmit demand moved. A slot tombstoned since the
-    /// last allocation keeps the zero demand `remove` wrote, and its rate
-    /// is zeroed here.
-    fn refresh_demands_dirty(&mut self) {
+    /// against `demands_scratch`, writes every moved demand there, and
+    /// leaves in `dirty_flows` only the slots whose demand moved to or
+    /// below their floor. A slot tombstoned since the last allocation
+    /// keeps the zero demand `remove` wrote, and its rate is zeroed here.
+    pub(crate) fn refresh_demands_dirty(&mut self) {
         let mut moved = 0;
         for k in 0..self.dirty_flows.len() {
             let slot = self.dirty_flows[k] as usize;
@@ -617,11 +627,27 @@ impl Allocation {
             let demand = Self::transmit_demand(&self.flows.states[slot]);
             if demand.as_bps().to_bits() != self.demands_scratch[slot].as_bps().to_bits() {
                 self.demands_scratch[slot] = demand;
-                self.dirty_flows[moved] = slot as u32;
-                moved += 1;
+                if demand.as_bps() <= self.floor_bps[slot] {
+                    self.dirty_flows[moved] = slot as u32;
+                    moved += 1;
+                }
             }
         }
         self.dirty_flows.truncate(moved);
+    }
+
+    /// Whether the next allocation would refill nothing: the rates cover
+    /// the flow set (so no patch is pending and every dirty slot is live),
+    /// the index is clean, and every dirty slot's transmit demand is
+    /// unchanged or above its floor. O(dirty).
+    pub(crate) fn refill_free(&self) -> bool {
+        self.allocated
+            && !self.index.dirty
+            && self.dirty_flows.iter().all(|&s| {
+                let d = Self::transmit_demand(&self.flows.states[s as usize]).as_bps();
+                d.to_bits() == self.demands_scratch[s as usize].as_bps().to_bits()
+                    || d > self.floor_bps[s as usize]
+            })
     }
 
     /// Recomputes the link usage view and every capped node's egress
@@ -642,43 +668,30 @@ impl Allocation {
     /// The queue pass: advances every live flow's queue against its rate
     /// and its path's bottleneck utilization (`util`, per link), and
     /// feeds each backlog that moved into the dirty-flow set of the next
-    /// demand diff.
-    pub(crate) fn advance_queues(&mut self, dt: SimDuration, util: &[f64]) {
+    /// demand diff. True when no queue moved.
+    pub(crate) fn advance_queues(&mut self, dt: SimDuration, util: &[f64]) -> bool {
         // Backlog movements feed the demand dirty set whenever the index
         // is clean; under a stale index the next refresh is full anyway.
         let track = !self.index.dirty;
         debug_assert!(self.allocated);
+        let mut still = true;
         let FlowTable { live, states, .. } = &mut self.flows;
         for (s, flow) in states.iter_mut().enumerate() {
             if !live[s] {
                 continue;
             }
-            let before = flow.queue.backlog().as_bytes();
+            let before = flow.queue;
             let allocated = Bandwidth::from_bps(self.rates_bps[s]);
             flow.queue.advance(dt, flow.spec.demand, allocated);
             let rho = flow.links.iter().map(|l| util[l.0]).fold(0.0f64, f64::max);
             flow.queue.set_path_utilization(rho);
-            if track && flow.queue.backlog().as_bytes() != before && !self.flow_dirty[s] {
+            still &= flow.queue == before;
+            if track && flow.queue.backlog() != before.backlog() && !self.flow_dirty[s] {
                 self.flow_dirty[s] = true;
                 self.dirty_flows.push(s as u32);
             }
         }
-    }
-
-    /// Whether one `dt`-long queue pass would leave every flow queue
-    /// bitwise unchanged.
-    pub(crate) fn queues_quiescent(&self, dt: SimDuration) -> bool {
-        if !self.allocated {
-            // Flows were added or removed since the last allocation
-            // (before the first tick included), so some rate is stale —
-            // a full step would change state, so nothing is skippable.
-            return false;
-        }
-        self.flows.live_slots().all(|s| {
-            let f = &self.flows.states[s];
-            let allocated = Bandwidth::from_bps(self.rates_bps[s]);
-            f.queue.advance_is_identity(dt, f.spec.demand, allocated)
-        })
+        still
     }
 
     /// (flows, total demand Mbps, total allocated Mbps) over the

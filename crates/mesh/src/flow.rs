@@ -56,6 +56,18 @@ pub struct Constraint {
 /// increments below this many bps are treated as "done".
 const EPS: f64 = 1e-6; // bps — far below any meaningful rate
 
+/// Relative freeze tolerance: a few ulps of the level or capacity a freeze
+/// test compares against, so a level or a fill that rounding left one ulp
+/// short still freezes. It only exceeds [`EPS`] above ≈ 1.1 Gbps.
+const ULPS: f64 = 4.0 * f64::EPSILON;
+
+/// The remaining capacity at or below which a constraint of `capacity`
+/// is saturated: [`EPS`], or a few ulps of a larger capacity (an
+/// infinite one, whose remainder stays infinite, never saturates).
+fn saturated_below(capacity: Bandwidth) -> f64 {
+    EPS.max(ULPS * capacity.as_bps().min(f64::MAX))
+}
+
 /// Marker for flows that belong to no constraint (loopback traffic):
 /// they are granted their demand outright and live in no component.
 pub(crate) const NO_COMPONENT: u32 = u32::MAX;
@@ -366,6 +378,16 @@ pub(crate) struct AllocScratch {
 /// arrays are global-sized; only the component's entries are read or
 /// written, so disjoint components can be filled in any order with
 /// bit-identical results.
+///
+/// It also writes each flow's demand *floor*: a flow frozen by a
+/// saturated constraint in a round whose `min_demand` lies strictly
+/// below its demand gets that `min_demand`; every other flow gets +∞.
+/// Any set of demand changes that keeps each changed flow strictly above
+/// its floor repeats every round bit for bit — `min_demand` never falls
+/// from round to round, so a changed flow is never a round's minimum and
+/// always passes the `d − level` test that minimum passed (its bound
+/// depends on the level alone), and saturation freezes read no demand —
+/// so it moves no rate and no floor.
 #[allow(clippy::too_many_arguments)]
 fn fill_component(
     demands: &[Bandwidth],
@@ -375,6 +397,7 @@ fn fill_component(
     comp_flows: &[usize],
     comp_cons: &[usize],
     rates: &mut [f64],
+    floors: &mut [f64],
     frozen: &mut [bool],
     remaining: &mut [f64],
     active_count: &mut [usize],
@@ -388,6 +411,7 @@ fn fill_component(
     let mut min_demand = f64::INFINITY;
     for &i in comp_flows {
         let d = demands[i].as_bps();
+        floors[i] = f64::INFINITY;
         if d <= EPS {
             rates[i] = 0.0;
             frozen[i] = true;
@@ -440,11 +464,14 @@ fn fill_component(
         // resource), so the loop terminates.
         let before = active.len();
         for &ci in comp_cons {
-            if remaining[ci] <= EPS && active_count[ci] > 0 {
+            if active_count[ci] > 0 && remaining[ci] <= saturated_below(constraints[ci].capacity) {
                 for &m in &constraints[ci].members {
                     if !frozen[m] {
                         frozen[m] = true;
                         rates[m] = level;
+                        if demands[m].as_bps() > min_demand {
+                            floors[m] = min_demand;
+                        }
                         for &cj in &flow_cons[flow_cons_off[m]..flow_cons_off[m + 1]] {
                             active_count[cj] -= 1;
                         }
@@ -453,6 +480,7 @@ fn fill_component(
             }
         }
         min_demand = f64::INFINITY;
+        let reached = EPS.max(ULPS * level);
         let mut kept = 0;
         for k in 0..active.len() {
             let i = active[k];
@@ -460,7 +488,7 @@ fn fill_component(
                 continue;
             }
             let d = demands[i].as_bps();
-            if d - level <= EPS {
+            if d - level <= reached {
                 frozen[i] = true;
                 rates[i] = level;
                 for &ci in &flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]] {
@@ -505,12 +533,12 @@ fn reserve_scratch(scratch: &mut AllocScratch, n: usize, m: usize) {
 /// refilled and the rest of the mesh keeps its previous allocation
 /// verbatim (bit-for-bit what a full refill would have produced).
 ///
-/// `rates` must hold one rate per flow.
+/// `rates` and `floors` must hold one entry per flow.
 ///
 /// # Panics
 ///
-/// Panics if `rates`/CSR sizes are inconsistent with `demands.len()` or
-/// a constraint references an out-of-range flow.
+/// Panics if `rates`/`floors`/CSR sizes are inconsistent with
+/// `demands.len()` or a constraint references an out-of-range flow.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refill_component_into(
     comp: u32,
@@ -521,10 +549,12 @@ pub(crate) fn refill_component_into(
     comps: &ComponentIndex,
     scratch: &mut AllocScratch,
     rates: &mut [f64],
+    floors: &mut [f64],
 ) {
     let n = demands.len();
     assert_eq!(flow_cons_off.len(), n + 1, "CSR offsets must have len n + 1");
     assert_eq!(rates.len(), n, "rates must hold one slot per flow");
+    assert_eq!(floors.len(), n, "floors must hold one slot per flow");
     reserve_scratch(scratch, n, constraints.len());
     let AllocScratch { frozen, remaining, active_count, active } = scratch;
     fill_component(
@@ -535,6 +565,7 @@ pub(crate) fn refill_component_into(
         comps.flows_of(comp),
         comps.constraints_of(comp),
         rates,
+        floors,
         frozen,
         remaining,
         active_count,
@@ -618,10 +649,11 @@ pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Ve
     // Unconstrained flows (loopback) keep this grant; every other rate
     // is written by its component's fill.
     let mut rates: Vec<f64> = demands.iter().map(|&d| unconstrained_rate(d)).collect();
+    let mut floors = vec![f64::INFINITY; n];
     let mut scratch = AllocScratch::default();
     for comp in 0..comps.component_count() as u32 {
         refill_component_into(
-            comp, demands, constraints, &off, &cons, &comps, &mut scratch, &mut rates,
+            comp, demands, constraints, &off, &cons, &comps, &mut scratch, &mut rates, &mut floors,
         );
     }
     rates.into_iter().map(Bandwidth::from_bps).collect()
@@ -756,6 +788,7 @@ mod tests {
                 &comps,
                 &mut scratch,
                 &mut out,
+                &mut vec![0.0; n],
             );
             let expected = max_min_allocate(&demands, &constraints);
             assert_eq!(out.len(), n);

@@ -429,8 +429,8 @@ impl Mesh {
     /// The queue pass: derive every link's utilization from the
     /// capacities and usage the allocation just left (same instant, so no
     /// capacity source is queried twice per tick), then advance every
-    /// flow queue.
-    fn advance_queues(&mut self, dt: SimDuration) {
+    /// flow queue. True when no queue moved.
+    fn advance_queues(&mut self, dt: SimDuration) -> bool {
         let link_count = self.topology().link_count();
         self.util_scratch.resize(link_count, 0.0);
         let (caps, used) = (self.links.caps_bps(), self.alloc.link_used_bps());
@@ -442,17 +442,16 @@ impl Mesh {
                 (false, _) => (used / cap).clamp(0.0, 1.0),
             };
         }
-        self.alloc.advance_queues(dt, &self.util_scratch);
+        self.alloc.advance_queues(dt, &self.util_scratch)
     }
 
-    /// Whether one `dt`-long [`advance`](Self::advance) would leave
-    /// every flow queue bitwise unchanged, assuming no step input moves
-    /// (`SimEnv::skippable_ticks` separately proves that). When true —
-    /// and it stays true, since nothing else changed — a whole window of
-    /// ticks reduces to moving the clock, which is exactly what
-    /// [`advance_quiescent`](Self::advance_quiescent) does.
-    pub fn queues_quiescent(&self, dt: SimDuration) -> bool {
-        self.alloc.queues_quiescent(dt)
+    /// Whether the next [`advance`](Self::advance) would refill nothing,
+    /// provided no trace capacity moves by its end (the caller's proof):
+    /// the flows are allocated, the index clean, no `tc` cap pending, and
+    /// every demand moved since the last fill is back where it was or
+    /// strictly above its floor. O(moved demands).
+    pub fn refill_free(&self) -> bool {
+        self.links.current(self.now) && self.alloc.refill_free()
     }
 
     /// Earliest change-point strictly after `now` across every unfrozen
@@ -464,13 +463,19 @@ impl Mesh {
         self.links.next_change(self.now)
     }
 
-    /// Advances the clock by `dt` without touching capacities,
-    /// allocations, or queues. Only sound for a tick the caller has
-    /// proven quiescent — every step input bitwise unchanged and
-    /// [`queues_quiescent`](Self::queues_quiescent) — in which case a
-    /// full [`advance`](Self::advance) would recompute the identity.
-    pub fn advance_quiescent(&mut self, dt: SimDuration) {
+    /// [`advance`](Self::advance) without the fill, for a tick after
+    /// [`refill_free`](Self::refill_free) in which no input moves: moves
+    /// the clock, absorbs the moved demands and runs the queue pass
+    /// against the unchanged rates and usage, leaving what `advance`
+    /// would, bit for bit. With `settled` (the last pass moved no queue)
+    /// only the clock moves. True when no queue moved.
+    pub fn advance_skipped(&mut self, dt: SimDuration, settled: bool) -> bool {
+        debug_assert!(settled || self.refill_free());
         self.now += dt;
+        settled || {
+            self.alloc.refresh_demands_dirty();
+            self.advance_queues(dt)
+        }
     }
 
     /// Diffs the current effective link capacities against the last
@@ -1281,49 +1286,101 @@ mod tests {
         assert_eq!(before.to_bits(), mesh.flow_rate(f).as_bps().to_bits());
     }
 
-    #[test]
-    fn queues_quiescent_tracks_backlog_fixed_points() {
-        let step = SimDuration::from_millis(100);
+    /// A 10 Mbps link carrying a demand-bound flow (5 Mbps, exactly its
+    /// share) and a saturation-bound one (offered 100 Mbps, floor 5 Mbps).
+    fn squeezed_pair() -> (Mesh, FlowId, FlowId) {
         let mut mesh = three_node_lan();
-        let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
-        // Before the first allocation nothing is provable.
-        assert!(!mesh.queues_quiescent(step));
-        mesh.advance(step);
-        // Satisfied demand, empty queue: a tick is the identity.
-        assert!(mesh.queues_quiescent(step));
-        // Over-subscribe: the backlog grows every tick.
         mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(10.0))).unwrap();
-        mesh.advance(step);
-        assert!(!mesh.queues_quiescent(step));
-        // Drop the offered load to zero and drain. The drain targets a
-        // one-second horizon, so the backlog decays geometrically and
-        // only reaches the 0.0 fixed point once it underflows — finite,
-        // but many ticks out.
-        mesh.set_flow_demand(f, Bandwidth::ZERO).unwrap();
-        let mut drained = 0u32;
-        while !mesh.queues_quiescent(step) {
-            mesh.advance(step);
-            drained += 1;
-            assert!(drained < 50_000, "backlog never reached a fixed point");
-        }
+        let bound = mesh.add_flow(NodeId(0), NodeId(1), mbps(5.0)).unwrap();
+        let squeezed = mesh.add_flow(NodeId(0), NodeId(1), mbps(100.0)).unwrap();
+        (mesh, bound, squeezed)
     }
 
     #[test]
-    fn queues_quiescent_is_false_after_a_same_size_flow_swap() {
+    fn refill_free_tracks_allocation_and_floors() {
+        let step = SimDuration::from_millis(100);
+        let (mut mesh, bound, squeezed) = squeezed_pair();
+        // Frozen by its own demand on an unsaturated link: floor +∞.
+        let lone = mesh.add_flow(NodeId(0), NodeId(2), mbps(2.0)).unwrap();
+        // Before the first allocation nothing is provable.
+        assert!(!mesh.refill_free());
+        mesh.advance(step);
+        mesh.set_flow_demand(lone, mbps(3.0)).unwrap();
+        assert!(!mesh.refill_free(), "a demand-frozen flow's rise refills");
+        mesh.set_flow_demand(lone, mbps(2.0)).unwrap();
+        // The squeezed backlog grew, but its demand stays above its floor.
+        assert!(mesh.flow_backlog(squeezed).unwrap().as_bytes() > 0);
+        assert!(mesh.refill_free());
+        mesh.set_flow_demand(squeezed, mbps(6.0)).unwrap();
+        assert!(mesh.refill_free(), "a fall that stays above the floor refills nothing");
+        // The flow whose demand was the saturating round's minimum: +∞.
+        mesh.set_flow_demand(bound, mbps(5.5)).unwrap();
+        assert!(!mesh.refill_free());
+        mesh.set_flow_demand(bound, mbps(5.0)).unwrap();
+        assert!(mesh.refill_free(), "a demand moved back where it was refills nothing");
+        // A `tc` cap pending for the next refresh refills.
+        mesh.set_link_cap(NodeId(0), NodeId(2), Some(mbps(50.0))).unwrap();
+        assert!(!mesh.refill_free());
+    }
+
+    #[test]
+    fn refill_free_is_false_after_a_same_size_flow_swap() {
         let step = SimDuration::from_millis(100);
         let mut mesh = three_node_lan();
         mesh.set_link_cap(NodeId(0), NodeId(2), Some(mbps(10.0))).unwrap();
         let a = mesh.add_flow(NodeId(0), NodeId(1), mbps(50.0)).unwrap();
         mesh.advance(step);
-        assert!(mesh.queues_quiescent(step));
+        assert!(mesh.refill_free());
         // One flow out, one in, no tick between: the flow count is
         // unchanged, but B has no rate yet — A's 50 Mbps is not B's.
         mesh.remove_flow(a).unwrap();
         let b = mesh.add_flow(NodeId(0), NodeId(2), mbps(40.0)).unwrap();
         assert_eq!(mesh.flow_count(), 1);
-        assert!(!mesh.queues_quiescent(step));
+        assert!(!mesh.refill_free());
         mesh.advance(step);
         assert!(mesh.flow_backlog(b).unwrap().as_bytes() > 0, "B outgrows its 10 Mbps link");
+    }
+
+    #[test]
+    fn advance_skipped_matches_a_full_tick_bit_for_bit() {
+        let step = SimDuration::from_millis(100);
+        let (mut ticked, bound, squeezed) = squeezed_pair();
+        ticked.advance(step);
+        let mut skipped = ticked.clone();
+        let (mut skips, mut refills, mut settled) = (0, 0, false);
+        // 10 ticks of a growing backlog, then the offered load falls to
+        // 1 Mbps and the backlog drains until the demand reaches its
+        // floor, the link is refilled, and the rest drains and settles.
+        for tick in 0..600 {
+            if tick == 10 {
+                for m in [&mut ticked, &mut skipped] {
+                    m.set_flow_demand(squeezed, mbps(1.0)).unwrap();
+                }
+                settled = false;
+            }
+            ticked.advance(step);
+            if settled || skipped.refill_free() {
+                settled = skipped.advance_skipped(step, settled);
+                skips += 1;
+            } else {
+                skipped.advance(step);
+                refills += 1;
+            }
+            assert_eq!(ticked.now(), skipped.now());
+            for f in [bound, squeezed] {
+                assert_eq!(bits(ticked.flow_rate(f)), bits(skipped.flow_rate(f)), "tick {tick}");
+                assert_eq!(bits(ticked.flow_goodput(f)), bits(skipped.flow_goodput(f)));
+                assert_eq!(ticked.flow_backlog(f), skipped.flow_backlog(f), "tick {tick}");
+                let size = DataSize::from_bytes(1500);
+                assert_eq!(
+                    ticked.flow_message_delay(f, size).unwrap(),
+                    skipped.flow_message_delay(f, size).unwrap()
+                );
+            }
+        }
+        assert!(skips > 200 && refills > 0, "{skips} skipped, {refills} refilled");
+        assert_eq!(skipped.flow_backlog(squeezed).unwrap().as_bytes(), 0);
+        assert!(settled, "the drained queues settle");
     }
 
     #[test]
@@ -1381,35 +1438,5 @@ mod tests {
         assert_eq!(mesh.next_trace_change(), Some(first));
         // Constant-capacity meshes never schedule a trace change.
         assert_eq!(three_node_lan().next_trace_change(), None);
-    }
-
-    #[test]
-    fn advance_quiescent_matches_a_full_tick_bit_for_bit() {
-        let step = SimDuration::from_millis(100);
-        let mut ticked = three_node_lan();
-        let f = ticked.add_flow(NodeId(0), NodeId(1), mbps(30.0)).unwrap();
-        ticked.advance(step);
-        let mut skipped = ticked.clone();
-        assert!(ticked.queues_quiescent(step));
-        for _ in 0..10 {
-            ticked.advance(step);
-            skipped.advance_quiescent(step);
-        }
-        assert_eq!(ticked.now(), skipped.now());
-        assert_eq!(
-            ticked.flow_rate(f).as_bps().to_bits(),
-            skipped.flow_rate(f).as_bps().to_bits()
-        );
-        assert_eq!(
-            ticked.flow_goodput(f).as_bps().to_bits(),
-            skipped.flow_goodput(f).as_bps().to_bits()
-        );
-        // And a subsequent full tick continues identically from both.
-        ticked.advance(step);
-        skipped.advance(step);
-        assert_eq!(
-            ticked.flow_rate(f).as_bps().to_bits(),
-            skipped.flow_rate(f).as_bps().to_bits()
-        );
     }
 }

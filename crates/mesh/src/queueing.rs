@@ -66,28 +66,6 @@ impl FlowQueue {
         self.backlog_bits = self.backlog_bits.max(0.0);
     }
 
-    /// True when one more [`advance`](Self::advance) with these exact
-    /// rates would leave the backlog **bitwise** unchanged — the queue
-    /// sits at a fixed point of the integration (drained and staying
-    /// drained, or filling and draining at exactly equal rates).
-    ///
-    /// This is the per-flow half of the step loop's quiescence
-    /// test: when every queue is at a fixed point and no input changes,
-    /// a whole window of ticks can be skipped without any float drifting
-    /// by a single bit. Mirrors `advance`'s arithmetic exactly; growing
-    /// backlogs always return `false`, so congested flows are never
-    /// skipped over.
-    pub(crate) fn advance_is_identity(
-        &self,
-        dt: SimDuration,
-        offered: Bandwidth,
-        allocated: Bandwidth,
-    ) -> bool {
-        let secs = dt.as_secs_f64();
-        let next = (self.backlog_bits + (offered.as_bps() - allocated.as_bps()) * secs).max(0.0);
-        next.to_bits() == self.backlog_bits.to_bits()
-    }
-
     /// Updates the utilization of the flow's bottleneck link (total
     /// traffic over capacity, from the allocator's per-link accounting).
     /// Clamped to `[0, 1]`.
@@ -190,32 +168,6 @@ mod tests {
         // Draining: allocation above offer shrinks the backlog.
         q.advance(SimDuration::from_secs(10), Bandwidth::ZERO, mbps(5.0));
         assert_eq!(q.backlog(), DataSize::ZERO);
-    }
-
-    #[test]
-    fn advance_identity_matches_a_real_advance_bit_for_bit() {
-        let dt = SimDuration::from_millis(100);
-        let cases = [
-            (mbps(0.0), mbps(0.0)),   // idle flow
-            (mbps(5.0), mbps(5.0)),   // balanced
-            (mbps(5.0), mbps(10.0)),  // over-allocated, backlog pinned at 0
-            (mbps(10.0), mbps(5.0)),  // congested, backlog grows
-            (mbps(0.1), mbps(0.3)),   // non-representable rates
-        ];
-        for (offered, allocated) in cases {
-            let mut q = FlowQueue::new();
-            // Build up some state first so non-zero backlogs are covered.
-            q.advance(SimDuration::from_secs(3), mbps(10.0), mbps(5.0));
-            q.advance(SimDuration::from_secs(30), mbps(0.0), allocated);
-            let predicted = q.advance_is_identity(dt, offered, allocated);
-            let before = q;
-            q.advance(dt, offered, allocated);
-            assert_eq!(
-                predicted,
-                q == before,
-                "offered {offered} allocated {allocated}: predicted {predicted}"
-            );
-        }
     }
 
     #[test]

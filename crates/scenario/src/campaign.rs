@@ -392,7 +392,7 @@ fn shares(achieved: &BTreeMap<&'static str, f64>) -> BTreeMap<String, f64> {
 
 /// The streaming per-sample fold state of one replica. Accumulation
 /// order is fixed — one [`record`](SampleFold::record) call per sampled
-/// tick, in tick order — so a run that skips quiescent windows and one
+/// tick, in tick order — so a run that skips ticks and one
 /// that executes every tick feed the same values and produce
 /// bitwise-identical sums.
 struct SampleFold {
@@ -447,8 +447,9 @@ impl SampleFold {
 /// state; no per-tick history is kept. The workload and the storm are
 /// the environment's timeline, so the horizon is one [`SimEnv::run_for`],
 /// whose hook samples on the same ticks whether they executed or were
-/// skipped. Every sample input is constant across a quiescent window, so
-/// the summary is byte-identical to calling [`SimEnv::step`] per tick.
+/// skipped. A skipped tick leaves every sample input (queues included)
+/// as its full execution would, so the summary is byte-identical to
+/// calling [`SimEnv::step`] per tick.
 fn run_replica(
     spec: &ScenarioSpec,
     replica: u32,
@@ -604,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn replicas_skip_quiescent_ticks() {
+    fn replicas_skip_ticks_between_change_points() {
         // OU change-points arrive every 5 s on a 1 s step: at least the
         // 4-tick stretches between them must be skipped. Profiler span
         // counts track executed work, so `tick.finalize` falls below the

@@ -633,7 +633,8 @@ fn run_storm(mut env: SimEnv, reference: bool, secs: u64) -> String {
     if reference {
         support::ticked(&mut env, secs * 10, |_| {});
     } else {
-        env.run_for(SimDuration::from_secs(secs), |_| {}).expect("storm run completes");
+        env.run_for(SimDuration::from_secs(secs), support::check)
+            .expect("storm run completes");
     }
     env.take_journal().expect("journal attached").export_jsonl()
 }

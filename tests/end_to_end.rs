@@ -43,7 +43,10 @@ fn full_cycle_deploy_restrict_migrate_recover() {
         SimTime::from_secs(45),
         bass::emu::Action::CapLink { a, b, cap: Some(Bandwidth::from_mbps(1.5)) },
     ));
-    env.run_for(SimDuration::from_secs(240), |_| {}).unwrap();
+    env.run_for(SimDuration::from_secs(240), |e| {
+        e.cluster().check_invariants().unwrap()
+    })
+    .unwrap();
 
     // The controller migrated something and goodput recovered.
     assert!(!env.stats().migrations.is_empty());
@@ -73,7 +76,10 @@ fn static_baseline_stays_degraded() {
         SimTime::from_secs(10),
         bass::emu::Action::CapLink { a, b, cap: Some(Bandwidth::from_mbps(1.5)) },
     ));
-    env.run_for(SimDuration::from_secs(120), |_| {}).unwrap();
+    env.run_for(SimDuration::from_secs(120), |e| {
+        e.cluster().check_invariants().unwrap()
+    })
+    .unwrap();
     assert!(env.stats().migrations.is_empty());
     let achieved = env.edge_achieved(id("frame-sampler"), id("object-detector"));
     assert!(achieved.as_mbps() < 1.6, "stuck at the cap: {achieved}");
@@ -115,7 +121,8 @@ fn probe_overhead_stays_small() {
     let cfg = SimEnvConfig::default();
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.deploy(&[]).expect("deploys");
-    env.run_for(duration, |_| {}).unwrap();
+    env.run_for(duration, |e| e.cluster().check_invariants().unwrap())
+        .unwrap();
     let overhead = env.netmon().overhead();
     // §6.3.4: headroom probing ≈0.3% of link traffic. Links total
     // ≈182 Mbps × 300 s. Allow generous slack for full probes.
@@ -152,7 +159,10 @@ fn migrations_disabled_is_really_static() {
             .set_node_egress_cap(n, Some(Bandwidth::from_mbps(0.5)))
             .unwrap();
     }
-    env.run_for(SimDuration::from_secs(120), |_| {}).unwrap();
+    env.run_for(SimDuration::from_secs(120), |e| {
+        e.cluster().check_invariants().unwrap()
+    })
+    .unwrap();
     assert_eq!(env.placement(), before);
     assert!(env.stats().migrations.is_empty());
 }

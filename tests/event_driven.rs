@@ -56,7 +56,8 @@ fn sim_run(reference: bool, seed: u64, faults: FaultPlan, secs: u64) -> (String,
     if reference {
         support::ticked(&mut env, secs * 10, |_| {});
     } else {
-        env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
+        env.run_for(SimDuration::from_secs(secs), support::check)
+            .expect("run completes");
     }
     let journal = env.take_journal().expect("journal attached").export_jsonl();
     let executed = env

@@ -202,7 +202,7 @@ fn storm_run(
     if ticked {
         support::ticked(&mut env, secs * 10, |_| {});
     } else {
-        env.run_for(SimDuration::from_secs(secs), |_| {}).expect("run completes");
+        env.run_for(SimDuration::from_secs(secs), support::check).expect("run completes");
     }
     env.cluster().check_invariants().expect("cluster invariants hold");
     let journal = env.take_journal().expect("journal attached").export_jsonl();
@@ -220,7 +220,7 @@ fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
     env.deploy(&[]).expect("deploys");
-    env.run_for(SimDuration::from_secs(120), |_| {}).expect("run completes");
+    env.run_for(SimDuration::from_secs(120), support::check).expect("run completes");
     let default_built = env.take_journal().expect("journal attached").export_jsonl();
     assert_eq!(explicit, default_built, "explicit Bass must equal the default construction");
 
@@ -339,6 +339,19 @@ fn arena_campaigns_match_the_ticked_reference() {
             assert_eq!(achieved / ticked.samples.len() as f64, r.mean_achieved_mbps, "{name}");
         }
     }
+}
+
+/// A migration whose target filled up before it was applied is refused
+/// (`relocate failed`) and must leave the cluster's per-node sums as
+/// they were. The arena corpus's first spread replica (campaign seed
+/// 20) refuses eight; its production run checks the cluster's
+/// invariants after every tick (`support::check`).
+#[test]
+fn refused_relocations_keep_the_cluster_sums() {
+    let (spec, _) = arena_entry();
+    let (replica, _) = support::timeline_replica(&spec, 8706079024333892246, PolicyKind::Spread);
+    let refused = replica.journal.matches("relocate failed").count();
+    assert!(refused > 0, "the replica must refuse a relocation to test its restore");
 }
 
 #[test]

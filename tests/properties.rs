@@ -24,8 +24,10 @@ fn arb_dag() -> impl Strategy<Value = AppDag> {
 
 // ----- the fill kernel's oracles -------------------------------------------
 
-/// The production fill's freeze threshold (bps), `flow.rs`'s `EPS`.
+/// The production fill's absolute freeze threshold (bps), `flow.rs`'s
+/// `EPS`, and its relative one, `ULPS`.
 const EPS: f64 = 1e-6;
+const ULPS: f64 = 4.0 * f64::EPSILON;
 
 /// The dense progressive-filling allocator: the fill kernel's
 /// independent, bit-level oracle (`max_min_allocate` must match it bit
@@ -36,10 +38,21 @@ const EPS: f64 = 1e-6;
 /// constraint graph one at a time in canonical order (ascending
 /// smallest-constraint-index); the partition is re-derived here with an
 /// independent union-find so the oracle shares no code with the
-/// production path, only its freeze threshold [`EPS`].
+/// production path, only its freeze thresholds [`EPS`] and [`ULPS`].
 fn max_min_allocate_dense(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
+    dense_fill(demands, constraints).0
+}
+
+/// [`max_min_allocate_dense`] with each flow's demand floor, read off
+/// the dense rounds: a flow active at the start of a round in which it
+/// sits in a saturated constraint gets that round's smallest active
+/// demand, if its own demand lies strictly above it; every other flow
+/// gets +∞. The bottleneck lemma: moving any set of demands, each to a
+/// value strictly above its floor, moves no rate.
+fn dense_fill(demands: &[Bandwidth], constraints: &[Constraint]) -> (Vec<Bandwidth>, Vec<f64>) {
     let n = demands.len();
     let m = constraints.len();
+    let mut floors = vec![f64::INFINITY; n];
     let mut rates = vec![0.0f64; n];
     let mut frozen = vec![false; n];
     let mut remaining: Vec<f64> = constraints.iter().map(|c| c.capacity.as_bps()).collect();
@@ -115,8 +128,10 @@ fn max_min_allocate_dense(demands: &[Bandwidth], constraints: &[Constraint]) -> 
             // Smallest per-flow increment until some flow hits its
             // demand …
             let mut delta = f64::INFINITY;
+            let mut min_demand = f64::INFINITY;
             for &i in &active {
                 delta = delta.min(demands[i].as_bps() - rates[i]);
+                min_demand = min_demand.min(demands[i].as_bps());
             }
             // … or some constraint saturates.
             for &ci in cons {
@@ -140,14 +155,18 @@ fn max_min_allocate_dense(demands: &[Bandwidth], constraints: &[Constraint]) -> 
             // picked the binding resource), so the loop terminates.
             let mut any_frozen = false;
             for &i in &active {
-                if demands[i].as_bps() - rates[i] <= EPS {
+                if demands[i].as_bps() - rates[i] <= EPS.max(ULPS * rates[i]) {
                     frozen[i] = true;
                     any_frozen = true;
                 }
             }
             for &ci in cons {
-                if remaining[ci] <= EPS {
+                let cap = constraints[ci].capacity.as_bps().min(f64::MAX);
+                if remaining[ci] <= EPS.max(ULPS * cap) {
                     for &fm in &constraints[ci].members {
+                        if active.contains(&fm) && demands[fm].as_bps() > min_demand {
+                            floors[fm] = min_demand;
+                        }
                         if !frozen[fm] {
                             frozen[fm] = true;
                             any_frozen = true;
@@ -162,7 +181,7 @@ fn max_min_allocate_dense(demands: &[Bandwidth], constraints: &[Constraint]) -> 
         }
     }
 
-    rates.into_iter().map(Bandwidth::from_bps).collect()
+    (rates.into_iter().map(Bandwidth::from_bps).collect(), floors)
 }
 
 /// The certificate's tolerance for a quantity of magnitude `x` (bps):
@@ -255,6 +274,74 @@ fn incremental_matches_dense_oracle_on_known_shapes() {
     assert_fills_bit_identical(&demands, &constraints);
     // No constraints at all.
     assert_fills_bit_identical(&[mbps(7.0)], &[]);
+}
+
+/// One bottleneck-lemma case: a random problem at magnitude `10^exp`
+/// bps (half the demands and capacities drawn from a four-value pool,
+/// so they tie; one capacity in eight zero), its dense floors, and a
+/// copy in which a random subset of the flows with a finite floor moved
+/// — a rise, a fall, to one ulp above the floor or far above it, always
+/// strictly above it. Panics unless the moved problem fills to the
+/// original rates bit for bit and passes the certificate; returns how
+/// many flows moved.
+fn lemma_case(n: usize, n_constraints: usize, exp: i32, seed: u64) -> usize {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let scale = 10f64.powi(exp);
+    let pool: Vec<f64> = (0..4).map(|_| scale * rng.uniform(0.5, 10.0)).collect();
+    let draw = |rng: &mut SimRng| {
+        if rng.chance(0.5) { pool[rng.below(4) as usize] } else { scale * rng.uniform(0.0, 10.0) }
+    };
+    let demands: Vec<Bandwidth> = (0..n).map(|_| Bandwidth::from_bps(draw(&mut rng))).collect();
+    let constraints: Vec<Constraint> = (0..n_constraints)
+        .map(|_| Constraint {
+            capacity: if rng.chance(0.125) {
+                Bandwidth::ZERO
+            } else {
+                Bandwidth::from_bps(draw(&mut rng) * rng.uniform(0.5, 3.0))
+            },
+            members: (0..n).filter(|_| rng.chance(0.5)).collect(),
+        })
+        .collect();
+    let (rates, floors) = dense_fill(&demands, &constraints);
+    let mut moved = demands.clone();
+    let mut count = 0;
+    for (i, &floor) in floors.iter().enumerate() {
+        if !floor.is_finite() || !rng.chance(0.6) {
+            continue;
+        }
+        let d = demands[i].as_bps();
+        let to = match rng.below(4) {
+            0 => floor.next_up(),
+            1 => floor + (d - floor) * rng.next_f64(),
+            2 => d * rng.uniform(1.0, 4.0),
+            _ => 1e12 * rng.uniform(1.0, 10.0),
+        };
+        moved[i] = Bandwidth::from_bps(if to > floor { to } else { floor.next_up() });
+        count += 1;
+    }
+    let after = max_min_allocate(&moved, &constraints);
+    for (i, (r, a)) in rates.iter().zip(&after).enumerate() {
+        assert_eq!(
+            r.as_bps().to_bits(),
+            a.as_bps().to_bits(),
+            "flow {i}: demand {} -> {} (floor {}) moved its rate {r} -> {a}",
+            demands[i].as_bps(),
+            moved[i].as_bps(),
+            floors[i]
+        );
+    }
+    if let Err(e) = max_min_certificate(&moved, &constraints, &after) {
+        panic!("certificate rejected the moved problem: {e}");
+    }
+    count
+}
+
+/// The lemma's cases are not vacuous: across a few hundred problems at
+/// every magnitude, hundreds of flows have a finite floor and move.
+#[test]
+fn lemma_cases_move_many_flows() {
+    let moved: usize = (0..260u64).map(|k| lemma_case(12, 4, (k % 13) as i32, k)).sum();
+    assert!(moved > 300, "only {moved} flows moved above their floors");
 }
 
 #[test]
@@ -410,6 +497,19 @@ proptest! {
                 "flow {}: rate {} doubled is not {}", i, r, s
             );
         }
+    }
+
+    /// The bottleneck lemma (`fill_component`'s floors): any demand
+    /// moves that keep each moved flow strictly above its floor leave
+    /// every rate bit-identical, from 1 bps to 1e12 bps.
+    #[test]
+    fn demand_moves_above_the_floors_keep_every_rate(
+        n in 1usize..16,
+        n_constraints in 1usize..8,
+        exp in 0i32..13,
+        seed in any::<u64>(),
+    ) {
+        lemma_case(n, n_constraints, exp, seed);
     }
 
     #[test]

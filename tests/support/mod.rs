@@ -11,7 +11,7 @@ use bass::emu::{EnvError, SimEnv, SimEnvConfig};
 use bass::obs::Journal;
 use bass::scenario::{generate, AppKind, GeneratedScenario, ScenarioSpec, WorkloadEvent};
 use bass::util::time::SimDuration;
-pub use reference::ticked;
+pub use reference::{check, ticked};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -120,6 +120,7 @@ pub fn timeline_replica(spec: &ScenarioSpec, seed: u64, policy: PolicyKind) -> R
     let (mut samples, mut tick) = (Vec::new(), 0u64);
     let horizon = SimDuration::from_millis(spec.horizon_ticks * spec.step_ms);
     env.run_for(horizon, |e| {
+        check(e);
         // The benchmark mirror's fault-count check, after every tick.
         assert_eq!(faults_total - e.fault_plan().remaining(), e.stats().faults_injected);
         if tick.is_multiple_of(spec.sample_every_ticks) {

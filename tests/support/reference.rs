@@ -5,10 +5,22 @@
 
 use bass::emu::SimEnv;
 
-/// One reference tick: rebuild, then one full `step()`.
+/// One reference tick: rebuild, then one full `step()`, then [`check`].
+/// The rebuild re-sums the cluster, so only a check after the step sees
+/// a tick that broke its sums.
 pub fn step(env: &mut SimEnv) {
     env.rebuild().expect("rebuild completes");
     env.step().expect("step completes");
+    check(env);
+}
+
+/// What every battery asserts after every tick, on the reference and in
+/// production `run_for` hooks alike: the cluster's per-node sums match
+/// its placements (a failed `relocate` must restore both).
+pub fn check(env: &SimEnv) {
+    env.cluster()
+        .check_invariants()
+        .expect("cluster invariants hold after every tick");
 }
 
 /// `ticks` reference ticks, each followed by `hook(env)`: what
