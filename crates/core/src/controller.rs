@@ -209,20 +209,22 @@ impl BassController {
                 });
             }
         }
-        // One availability ranking per round that has someone to
-        // migrate; every target selection below reads it.
+        // One availability ranking and one scorer per round that has
+        // someone to migrate; every target selection below reads them.
         let ranked = if candidates.to_migrate.is_empty() {
             Vec::new()
         } else {
             crate::ranking::rank_nodes(cluster, mesh)
         };
+        let mut scorer = crate::rescheduler::Scorer::default();
         for &component in &candidates.to_migrate {
             let Some(from) = cluster.node_of(component) else {
                 continue;
             };
             let observed = candidates.worst_goodput_fraction(component);
             let degraded = observed < self.cfg.migration.goodput_threshold;
-            match self.policy.select_target(component, observed, degraded, &ctx, &ranked, &mut self.rng) {
+            let (scorer, rng) = (&mut scorer, &mut self.rng);
+            match self.policy.select_target(component, observed, degraded, &ctx, &ranked, scorer, rng) {
                 Ok(to) => {
                     if let Some(j) = journal.as_deref_mut() {
                         j.record(bass_obs::Event::MigrationTargetChosen {

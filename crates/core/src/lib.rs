@@ -34,9 +34,10 @@
 //! `bass_obs::Journal` when handed one (see `docs/OBSERVABILITY.md`).
 //! The migration decision itself has one path: each round that has
 //! someone to migrate, the controller ranks the nodes once and hands
-//! that slice to the policy, whose [`rescheduler::select_target`] call
-//! (or direct scoring) computes every score from the round's world —
-//! nothing is carried across rounds.
+//! that slice and one [`rescheduler::Scorer`] scratch to the policy,
+//! whose [`rescheduler::select_target`] call (or direct scoring)
+//! computes every score from the round's world — nothing is carried
+//! across rounds.
 
 #![warn(missing_docs)]
 

@@ -20,7 +20,7 @@ use bass_mesh::Mesh;
 use bass_netmon::GoodputMonitor;
 use bass_util::units::Bandwidth;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs for candidate selection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -145,10 +145,7 @@ pub(crate) fn find_candidates(
         let Some(usage) = goodput.usage(e.from, e.to) else {
             continue;
         };
-        let capacity = mesh
-            .path_bottleneck_capacity(cn, dn)
-            .unwrap_or(Bandwidth::ZERO);
-        let available = mesh.path_available(cn, dn).unwrap_or(Bandwidth::ZERO);
+        let (capacity, available) = mesh.path_narrowest(cn, dn).unwrap_or_default();
         let headroom_req = capacity.scale(headroom_fraction);
 
         let goodput_fraction = usage.goodput_fraction();
@@ -192,31 +189,39 @@ pub(crate) fn find_candidates(
 /// Algorithm 3 lines 10–15: sort candidates by bandwidth (descending)
 /// and drop any candidate that communicates with an already-accepted
 /// one, so only one endpoint of a pair moves per round.
+///
+/// One pass over the DAG's edges sums each pair of candidates' edges (in
+/// edge order, as [`AppDag::bandwidth_between`] does); candidates are
+/// then accepted in weight order, each refused when a nonzero sum ties
+/// it to an earlier accepted one.
 fn dedup_candidates(dag: &AppDag, violations: &[Violation]) -> Vec<ComponentId> {
     // Aggregate each candidate's heaviest violating edge.
-    let mut weight: Vec<(ComponentId, Bandwidth)> = Vec::new();
+    let mut weight: BTreeMap<ComponentId, Bandwidth> = BTreeMap::new();
     for v in violations {
-        match weight.iter_mut().find(|(c, _)| *c == v.component) {
-            Some((_, w)) => *w = w.max(v.required),
-            None => weight.push((v.component, v.required)),
+        let w = weight.entry(v.component).or_insert(v.required);
+        *w = w.max(v.required);
+    }
+    let mut order: Vec<(ComponentId, Bandwidth)> = weight.into_iter().collect();
+    order.sort_by(|a, b| b.1.as_bps().total_cmp(&a.1.as_bps()).then(a.0.cmp(&b.0)));
+    let rank: BTreeMap<ComponentId, usize> =
+        order.iter().enumerate().map(|(i, &(c, _))| (c, i)).collect();
+    // Edges between two candidates, keyed by (later, earlier) rank; the
+    // stable sort keeps one pair's edges in edge order.
+    let mut pairs: Vec<((usize, usize), Bandwidth)> = dag
+        .edges()
+        .iter()
+        .filter_map(|e| Some(((rank.get(&e.from)?, rank.get(&e.to)?), e.bandwidth)))
+        .map(|((&a, &b), bw)| ((a.max(b), a.min(b)), bw))
+        .collect();
+    pairs.sort_by_key(|p| p.0);
+    let mut accepted = vec![true; order.len()];
+    for pair in pairs.chunk_by(|a, b| a.0 == b.0) {
+        let ((later, earlier), sum) = (pair[0].0, pair.iter().map(|p| p.1).sum::<Bandwidth>());
+        if earlier < later && accepted[earlier] && !sum.is_zero() {
+            accepted[later] = false;
         }
     }
-    weight.sort_by(|a, b| {
-        b.1.as_bps()
-            .total_cmp(&a.1.as_bps())
-            .then(a.0.cmp(&b.0))
-    });
-
-    let mut accepted: Vec<ComponentId> = Vec::new();
-    for (candidate, _) in weight {
-        let talks_to_accepted = accepted
-            .iter()
-            .any(|&a| !dag.bandwidth_between(candidate, a).is_zero());
-        if !talks_to_accepted {
-            accepted.push(candidate);
-        }
-    }
-    accepted
+    order.into_iter().zip(accepted).filter(|&(_, a)| a).map(|((c, _), _)| c).collect()
 }
 
 #[cfg(test)]
@@ -420,6 +425,92 @@ mod tests {
             to_migrate: vec![],
         };
         assert_eq!(out.violating_component_count(), 2);
+    }
+
+    /// The dedup before the one-pass rewrite, verbatim: each candidate
+    /// against every accepted one through `bandwidth_between`.
+    fn dedup_pairwise(dag: &AppDag, violations: &[Violation]) -> Vec<ComponentId> {
+        let mut weight: Vec<(ComponentId, Bandwidth)> = Vec::new();
+        for v in violations {
+            match weight.iter_mut().find(|(c, _)| *c == v.component) {
+                Some((_, w)) => *w = w.max(v.required),
+                None => weight.push((v.component, v.required)),
+            }
+        }
+        weight.sort_by(|a, b| b.1.as_bps().total_cmp(&a.1.as_bps()).then(a.0.cmp(&b.0)));
+        let mut accepted: Vec<ComponentId> = Vec::new();
+        for (candidate, _) in weight {
+            if !accepted.iter().any(|&a| !dag.bandwidth_between(candidate, a).is_zero()) {
+                accepted.push(candidate);
+            }
+        }
+        accepted
+    }
+
+    #[test]
+    fn one_pass_dedup_matches_the_pairwise_definition() {
+        use bass_appdag::dag::DagEdge;
+        use bass_util::rng::SimRng;
+        use serde::{Content, Deserialize, Serialize};
+        // Edge weights: zero; a tiny one that `is_zero` accepts alone but
+        // not summed with a second (a pair joined both ways); and real
+        // ones that tie often.
+        let tiny = Bandwidth::from_bps(1.5e-16);
+        let weights = [Bandwidth::ZERO, tiny, mbps(1.0), mbps(2.0), mbps(2.0)];
+        let mut zero_ties = 0;
+        for seed in 0..400 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let k = 2 + rng.below(9) as u32;
+            let mut dag = AppDag::new("random");
+            for c in 1..=k {
+                let component = Component::new(ComponentId(c), format!("c{c}"), ResourceReq::default());
+                dag.add_component(component).unwrap();
+            }
+            let mut reversed = Vec::new();
+            for a in 1..=k {
+                for b in a + 1..=k {
+                    if rng.chance(0.4) {
+                        let bw = weights[rng.below(5) as usize];
+                        dag.add_edge(ComponentId(a), ComponentId(b), bw).unwrap();
+                        if rng.chance(0.3) {
+                            let bw = weights[rng.below(2) as usize];
+                            let (from, to) = (ComponentId(b), ComponentId(a));
+                            reversed.push(DagEdge { from, to, bandwidth: bw });
+                        }
+                    }
+                }
+            }
+            // Edges both ways between one pair are a cycle `add_edge`
+            // refuses; a deserialised DAG can still carry them.
+            let edges = dag.edges().len() + reversed.len();
+            let Content::Map(mut fields) = dag.serialize() else { panic!("a DAG serialises to a map") };
+            for (name, value) in &mut fields {
+                if let (true, Content::Seq(edges)) = (name == "edges", value) {
+                    edges.extend(reversed.iter().map(DagEdge::serialize));
+                }
+            }
+            let dag = AppDag::deserialize(&Content::Map(fields)).unwrap();
+            assert_eq!(dag.edges().len(), edges);
+            let violations: Vec<Violation> = (0..rng.below(12))
+                .map(|_| Violation {
+                    component: ComponentId(1 + rng.below(u64::from(k)) as u32),
+                    dependency: ComponentId(0),
+                    required: [mbps(1.0), mbps(2.0), mbps(3.0)][rng.below(3) as usize],
+                    goodput_fraction: 0.3,
+                    trigger: TriggerKind::Degradation,
+                })
+                .collect();
+            let want = dedup_pairwise(&dag, &violations);
+            assert_eq!(dedup_candidates(&dag, &violations), want, "seed {seed}");
+            // Accepted pairs joined by an edge whose sum is zero: what
+            // blocking on any edge would get wrong.
+            zero_ties += dag
+                .edges()
+                .iter()
+                .filter(|e| want.contains(&e.from) && want.contains(&e.to))
+                .count();
+        }
+        assert!(zero_ties > 50, "only {zero_ties} accepted pairs share a zero-bandwidth edge");
     }
 
     use bass_appdag::AppDag;

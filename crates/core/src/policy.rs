@@ -18,7 +18,7 @@
 //! journals byte-for-byte.
 
 use crate::migration::{MigrationCandidates, MigrationConfig};
-use crate::rescheduler::{bandwidth_score, locate, score_cmp, RescheduleError};
+use crate::rescheduler::{locate, score_cmp, RescheduleError, Scorer};
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::Cluster;
 use bass_mesh::{Mesh, NodeId};
@@ -151,9 +151,10 @@ impl PolicyKind {
     /// Where `component` should move. `observed` is the worst goodput
     /// fraction among its violations; `degraded` is whether it fell
     /// below the goodput threshold; `ranked` is this round's
-    /// availability ranking, computed once by the controller; `rng` is
-    /// the controller's stream, drawn from by `random` alone. `Err`
-    /// marks the component unplaceable this round.
+    /// availability ranking and `scorer` its one scoring scratch, both
+    /// made once by the controller; `rng` is the controller's stream,
+    /// drawn from by `random` alone. `Err` marks the component
+    /// unplaceable this round.
     ///
     /// - `bass`: [`select_target`](crate::rescheduler::select_target)
     ///   over the ranking — the paper's behaviour, held bit-identical by
@@ -176,6 +177,7 @@ impl PolicyKind {
     ///   the best link state every round: strong when the network
     ///   genuinely moved, churn-prone when the trigger was transient
     ///   (the contrast the arena is built to show).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn select_target(
         self,
         component: ComponentId,
@@ -183,9 +185,10 @@ impl PolicyKind {
         degraded: bool,
         ctx: &PolicyCtx<'_>,
         ranked: &[NodeId],
+        scorer: &mut Scorer,
         rng: &mut SimRng,
     ) -> Result<NodeId, RescheduleError> {
-        let bass = |degraded| {
+        let mut bass = |degraded| {
             crate::rescheduler::select_target(
                 component,
                 ctx.dag,
@@ -194,6 +197,7 @@ impl PolicyKind {
                 observed,
                 degraded,
                 ranked,
+                scorer,
             )
         };
         let none = RescheduleError::NoFeasibleNode(component);
@@ -239,10 +243,10 @@ impl PolicyKind {
             PolicyKind::NetworkAwareGreedy => {
                 let (current, nodes) = feasible_targets(component, ctx)?;
                 let deps = ctx.dag.neighbors(component);
-                let current_score = bandwidth_score(current, &deps, ctx.cluster, ctx.mesh);
+                let current_score = scorer.bandwidth_score(current, &deps, ctx.cluster, ctx.mesh);
                 nodes
                     .into_iter()
-                    .map(|n| (n, bandwidth_score(n, &deps, ctx.cluster, ctx.mesh)))
+                    .map(|n| (n, scorer.bandwidth_score(n, &deps, ctx.cluster, ctx.mesh)))
                     .filter(|&(_, s)| s > current_score)
                     .max_by(|a, b| score_cmp(a.1, b.1))
                     .map(|(n, _)| n)

@@ -6,7 +6,8 @@
 
 use bass_appdag::{AppDag, Component, ComponentId};
 use bass_cluster::Cluster;
-use bass_mesh::{Mesh, NodeId};
+use bass_mesh::flow::{Constraint, FillScratch};
+use bass_mesh::{LinkId, Mesh, NodeId};
 use bass_util::units::Bandwidth;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -49,8 +50,9 @@ pub(crate) fn locate<'a>(
     Ok((comp, current))
 }
 
-/// Strict target selection for `component`; `ranked` is this round's
-/// availability ranking ([`rank_nodes`](crate::ranking::rank_nodes)).
+/// Strict target selection for `comp`, now on `current`, with
+/// dependencies `deps`; `ranked` is this round's availability ranking
+/// ([`rank_nodes`](crate::ranking::rank_nodes)).
 ///
 /// Candidate order: nodes hosting the most of the component's
 /// dependencies first (then overall availability rank); the current node
@@ -58,14 +60,13 @@ pub(crate) fn locate<'a>(
 /// fit and, for every dependency that would remain remote, the path to
 /// its node has at least the edge's bandwidth available.
 fn pick_target(
-    component: ComponentId,
-    dag: &AppDag,
+    comp: &Component,
+    current: NodeId,
+    deps: &[(ComponentId, Bandwidth)],
     cluster: &Cluster,
     mesh: &Mesh,
     ranked: &[NodeId],
-) -> Result<NodeId, RescheduleError> {
-    let (comp, current) = locate(component, dag, cluster)?;
-    let deps = dag.neighbors(component);
+) -> Option<NodeId> {
     // Count dependencies per node.
     let mut dep_count: BTreeMap<NodeId, usize> = BTreeMap::new();
     for n in deps.iter().filter_map(|(dep, _)| cluster.node_of(*dep)) {
@@ -82,13 +83,9 @@ fn pick_target(
         .filter(|&n| n != current && mesh.node_is_up(n))
         .collect();
     candidates.sort_by_key(|n| std::cmp::Reverse(dep_count.get(n).copied().unwrap_or(0)));
-    candidates
-        .into_iter()
-        .find(|&n| {
-            cluster.fits(n, comp.resources).unwrap_or(false)
-                && bandwidth_feasible(n, &deps, cluster, mesh)
-        })
-        .ok_or(RescheduleError::NoFeasibleNode(component))
+    candidates.into_iter().find(|&n| {
+        cluster.fits(n, comp.resources).unwrap_or(false) && bandwidth_feasible(n, deps, cluster, mesh)
+    })
 }
 
 /// The controller's target selection with an **improvement gate**: a
@@ -127,12 +124,15 @@ fn pick_target(
 /// if no node is perfect, but only when that beats staying put by the
 /// 20% hysteresis margin, so it does not ping-pong.
 ///
+/// Every score goes through `scorer`, the round's one scratch.
+///
 /// # Errors
 ///
 /// Returns [`RescheduleError::NoFeasibleNode`] when nothing clearly
 /// improves on staying put, [`RescheduleError::UnknownComponent`] or
 /// [`RescheduleError::NotPlaced`] for a component the DAG or cluster
 /// does not hold.
+#[allow(clippy::too_many_arguments)]
 pub fn select_target(
     component: ComponentId,
     dag: &AppDag,
@@ -141,23 +141,24 @@ pub fn select_target(
     observed_fraction: f64,
     degraded: bool,
     ranked: &[NodeId],
+    scorer: &mut Scorer,
 ) -> Result<NodeId, RescheduleError> {
     let (comp, current) = locate(component, dag, cluster)?;
     let deps = dag.neighbors(component);
 
-    let hypothetical = bandwidth_score(current, &deps, cluster, mesh);
+    let hypothetical = scorer.bandwidth_score(current, &deps, cluster, mesh);
     let current_score = (hypothetical.0.min(observed_fraction.clamp(0.0, 1.0)), hypothetical.1);
     if !degraded && !clearly_better(score_ceiling(&deps, cluster), current_score) {
         return Err(RescheduleError::NoFeasibleNode(component));
     }
 
-    if let Ok(target) = pick_target(component, dag, cluster, mesh, ranked) {
+    if let Some(target) = pick_target(comp, current, &deps, cluster, mesh, ranked) {
         // A *degraded* component (goodput collapsed) moves to any
         // strictly feasible node — the paper's §3.2.2 behaviour. A
         // merely utilization-flagged component additionally needs the
         // move to be a clear improvement, else transient dips churn.
         if degraded
-            || clearly_better(bandwidth_score(target, &deps, cluster, mesh), current_score)
+            || clearly_better(scorer.bandwidth_score(target, &deps, cluster, mesh), current_score)
         {
             return Ok(target);
         }
@@ -171,77 +172,91 @@ pub fn select_target(
         .filter(|&&n| {
             n != current && mesh.node_is_up(n) && cluster.fits(n, comp.resources).unwrap_or(false)
         })
-        .map(|&n| (n, bandwidth_score(n, &deps, cluster, mesh)))
+        .map(|&n| (n, scorer.bandwidth_score(n, &deps, cluster, mesh)))
         .max_by(|a, b| score_cmp(a.1, b.1))
         .filter(|&(_, s)| clearly_better(s, current_score))
         .map(|(node, _)| node)
         .ok_or(RescheduleError::NoFeasibleNode(component))
 }
 
-/// `(worst satisfied fraction, total achieved bps)` of a hypothetical
-/// max-min allocation of the component's dependency edges when hosted at
-/// `node`, over the current link capacities with path sharing taken
-/// into account (two dependencies reached over the same link split it).
-/// Existing traffic is ignored — optimistic, but self-consistent: the
-/// component's own current flows would otherwise pollute the estimate.
-/// A dependency `node` has no route to is served at rate 0.
-///
-/// A pure function of the round's world, recomputed on every call:
-/// nothing is carried across rounds (see `docs/ARCHITECTURE.md` § The
-/// scorer for the measurements behind that).
-pub(crate) fn bandwidth_score(
-    node: NodeId,
-    deps: &[(ComponentId, Bandwidth)],
-    cluster: &Cluster,
-    mesh: &Mesh,
-) -> (f64, f64) {
-    use bass_mesh::flow::{max_min_allocate, Constraint};
+/// The target scorer: the demands, one `(link key, link, flow)` entry
+/// per hop of every remote dependency's route, the constraints with their
+/// member lists and the fill's scratch, all reused from score to score.
+/// The controller makes one per round; nothing is carried across rounds
+/// (see `docs/ARCHITECTURE.md` § The scorer).
+#[derive(Debug, Default)]
+pub struct Scorer {
+    demands: Vec<Bandwidth>,
+    hops: Vec<((NodeId, NodeId), LinkId, usize)>,
+    constraints: Vec<Constraint>,
+    fill: FillScratch,
+}
 
-    let mut demands: Vec<Bandwidth> = Vec::new();
-    // Constraint membership: canonical link key → flow indices.
-    let mut link_members: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
-    let mut unreachable: Vec<usize> = Vec::new();
-    for (dep, required) in deps {
-        let Some(dep_node) = cluster.node_of(*dep) else { continue };
-        let idx = demands.len();
-        demands.push(*required);
-        if dep_node == node {
-            continue; // co-located: crosses no link, trivially met
+impl Scorer {
+    /// `(worst satisfied fraction, total achieved bps)` of a hypothetical
+    /// max-min allocation of the component's dependency edges when hosted
+    /// at `node`, over the current link capacities with path sharing taken
+    /// into account (two dependencies reached over the same link split
+    /// it). Existing traffic is ignored — optimistic, but self-consistent:
+    /// the component's own current flows would otherwise pollute the
+    /// estimate. A dependency `node` has no route to is served at rate 0.
+    /// A pure function of the round's world: no call reads what another
+    /// left in the buffers.
+    pub fn bandwidth_score(
+        &mut self,
+        node: NodeId,
+        deps: &[(ComponentId, Bandwidth)],
+        cluster: &Cluster,
+        mesh: &Mesh,
+    ) -> (f64, f64) {
+        let Scorer { demands, hops, constraints, fill } = self;
+        demands.clear();
+        hops.clear();
+        let mut starved = false;
+        for (dep, required) in deps {
+            let Some(dep_node) = cluster.node_of(*dep) else { continue };
+            let idx = demands.len();
+            demands.push(*required);
+            if dep_node == node {
+                continue; // co-located: crosses no link, trivially met
+            }
+            match mesh.route_hops(node, dep_node) {
+                Ok(walk) => hops.extend(walk.map(|(a, b, lid)| ((a.min(b), a.max(b)), lid, idx))),
+                // Unreachable: served at 0. As a zero demand on no link it
+                // gets rate 0 and moves no other flow's rate.
+                Err(_) => {
+                    starved |= !required.is_zero();
+                    demands[idx] = Bandwidth::ZERO;
+                }
+            }
         }
-        let Ok(path) = mesh.path(node, dep_node) else {
-            unreachable.push(idx);
-            continue;
-        };
-        for w in path.windows(2) {
-            let key = if w[0] <= w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
-            link_members.entry(key).or_default().push(idx);
+        if demands.is_empty() {
+            return (1.0, 0.0);
         }
-    }
-    if demands.is_empty() {
-        return (1.0, 0.0);
-    }
-    let constraints: Vec<Constraint> = link_members
-        .into_iter()
-        .map(|((a, b), members)| Constraint {
-            capacity: mesh.link_capacity(a, b).unwrap_or(Bandwidth::ZERO),
-            members,
-        })
-        .collect();
-    let mut rates = max_min_allocate(&demands, &constraints);
-    // An unreachable flow crosses no constraint, so the fill granted it
-    // its demand without touching any other flow's rate.
-    for i in unreachable {
-        rates[i] = Bandwidth::ZERO;
-    }
-    let mut worst_fraction = 1.0f64;
-    let mut total = 0.0f64;
-    for (i, rate) in rates.iter().enumerate() {
-        total += rate.as_bps();
-        if !demands[i].is_zero() {
-            worst_fraction = worst_fraction.min(rate.as_bps() / demands[i].as_bps());
+        // One constraint per link in canonical key order, its members in
+        // flow order: the sort is stable and a route crosses a link once.
+        hops.sort_by_key(|h| h.0);
+        let mut used = 0;
+        for link in hops.chunk_by(|a, b| a.0 == b.0) {
+            if used == constraints.len() {
+                constraints.push(Constraint { capacity: Bandwidth::ZERO, members: Vec::new() });
+            }
+            constraints[used].capacity = mesh.link_capacity_by_id(link[0].1);
+            constraints[used].members.clear();
+            constraints[used].members.extend(link.iter().map(|h| h.2));
+            used += 1;
         }
+        let rates = fill.allocate(demands, &constraints[..used]);
+        let mut worst_fraction = if starved { 0.0 } else { 1.0f64 };
+        let mut total = 0.0f64;
+        for (&rate, demand) in rates.iter().zip(demands.iter()) {
+            total += rate;
+            if !demand.is_zero() {
+                worst_fraction = worst_fraction.min(rate / demand.as_bps());
+            }
+        }
+        (worst_fraction, total)
     }
-    (worst_fraction, total)
 }
 
 /// Relative slack on [`score_ceiling`]. The fill kernel's `rates[i] +=
@@ -253,7 +268,7 @@ const CEILING_SLACK: f64 = 1e-9;
 /// The best score any node can get for a component with dependencies
 /// `deps`: every placed dependency served at its full demand, `(1, D)`
 /// with `D` the sum of those demands, each term widened by
-/// [`CEILING_SLACK`]. Every [`bandwidth_score`] of the same `deps` and
+/// [`CEILING_SLACK`]. Every [`Scorer::bandwidth_score`] of the same `deps` and
 /// placement is ≤ it in both terms.
 fn score_ceiling(deps: &[(ComponentId, Bandwidth)], cluster: &Cluster) -> (f64, f64) {
     let placed: f64 = deps
@@ -301,7 +316,7 @@ fn bandwidth_feasible(
     !deps.iter().any(|(dep, required)| {
         cluster.node_of(*dep).is_some_and(|dep_node| {
             dep_node != target
-                && mesh.path_available(target, dep_node).unwrap_or(Bandwidth::ZERO) < *required
+                && mesh.path_narrowest(target, dep_node).unwrap_or_default().1 < *required
         })
     })
 }
@@ -325,7 +340,30 @@ mod tests {
 
     /// `pick_target` over a fresh ranking of this world.
     fn pick(c: ComponentId, dag: &AppDag, cl: &Cluster, mesh: &Mesh) -> Result<NodeId, RescheduleError> {
-        pick_target(c, dag, cl, mesh, &rank_nodes(cl, mesh))
+        pick_ranked(c, dag, cl, mesh, &rank_nodes(cl, mesh))
+    }
+
+    /// `pick_target` for `c` as `select_target` calls it.
+    fn pick_ranked(
+        c: ComponentId,
+        dag: &AppDag,
+        cl: &Cluster,
+        mesh: &Mesh,
+        ranked: &[NodeId],
+    ) -> Result<NodeId, RescheduleError> {
+        let (comp, current) = locate(c, dag, cl)?;
+        pick_target(comp, current, &dag.neighbors(c), cl, mesh, ranked)
+            .ok_or(RescheduleError::NoFeasibleNode(c))
+    }
+
+    /// One score on a fresh scorer.
+    fn bandwidth_score(
+        node: NodeId,
+        deps: &[(ComponentId, Bandwidth)],
+        cl: &Cluster,
+        mesh: &Mesh,
+    ) -> (f64, f64) {
+        Scorer::default().bandwidth_score(node, deps, cl, mesh)
     }
 
     /// `select_target` over a fresh ranking of this world.
@@ -337,7 +375,7 @@ mod tests {
         observed: f64,
         degraded: bool,
     ) -> Result<NodeId, RescheduleError> {
-        select_target(c, dag, cl, mesh, observed, degraded, &rank_nodes(cl, mesh))
+        select_target(c, dag, cl, mesh, observed, degraded, &rank_nodes(cl, mesh), &mut Scorer::default())
     }
 
     /// Nodes `0..cores.len()` with the given core counts and 4 GB each.
@@ -431,7 +469,7 @@ mod tests {
         put(&mut cl, 3, 0, 2);
         let ranked = rank_nodes(&cl, &mesh);
         assert_eq!(ranked, [NodeId(2), NodeId(1), NodeId(0)]);
-        assert_eq!(pick_target(HUB, &dag, &cl, &mesh, &ranked), Ok(NodeId(2)));
+        assert_eq!(pick_ranked(HUB, &dag, &cl, &mesh, &ranked), Ok(NodeId(2)));
 
         // The whole candidate order, on a tie pattern long enough that
         // an unstable sort would shuffle it: hub on n0, a leaf on every
@@ -447,7 +485,7 @@ mod tests {
         }
         let ranked: Vec<NodeId> = (0..40).rev().map(NodeId).collect();
         let mut order = Vec::new();
-        while let Ok(node) = pick_target(HUB, &dag, &cl, &mesh, &ranked) {
+        while let Ok(node) = pick_ranked(HUB, &dag, &cl, &mesh, &ranked) {
             order.push(node.0);
             put(&mut cl, 100 + node.0, 4, node.0);
         }
@@ -698,7 +736,7 @@ mod tests {
         let deps = dag.neighbors(component);
         let hypothetical = bandwidth_score(current, &deps, cluster, mesh);
         let current_score = (hypothetical.0.min(observed_fraction.clamp(0.0, 1.0)), hypothetical.1);
-        if let Ok(target) = pick_target(component, dag, cluster, mesh, ranked) {
+        if let Ok(target) = pick_ranked(component, dag, cluster, mesh, ranked) {
             if degraded
                 || clearly_better(bandwidth_score(target, &deps, cluster, mesh), current_score)
             {
@@ -774,6 +812,7 @@ mod tests {
     #[test]
     fn gate_first_exit_matches_the_ungated_selection() {
         let (mut gated, mut moved) = (0, 0);
+        let mut scorer = Scorer::default();
         for seed in 0..300 {
             let mut rng = SimRng::seed_from_u64(seed);
             let (dag, cl, mesh, n) = random_world(&mut rng);
@@ -797,7 +836,8 @@ mod tests {
                         gated += 1;
                     }
                     for degraded in [false, true] {
-                        let got = select_target(c, &dag, &cl, &mesh, observed, degraded, &ranked);
+                        let got =
+                            select_target(c, &dag, &cl, &mesh, observed, degraded, &ranked, &mut scorer);
                         let want = select_ungated(c, &dag, &cl, &mesh, observed, degraded, &ranked);
                         assert_eq!(got, want, "seed {seed}: {c} observed {observed} degraded {degraded}");
                         moved += usize::from(got.is_ok());

@@ -511,7 +511,7 @@ impl Allocation {
         let rebuilt = self.index.dirty;
         if rebuilt {
             let capped: Vec<u32> =
-                self.egress_caps.keys().filter_map(|&n| routes.rank(n)).collect();
+                self.egress_caps.keys().filter_map(|&n| routes.table().rank(n)).collect();
             self.index.rebuild(link_count, &mut self.flows, capped);
             // Every slot restarts at rate and demand zero, dirty, as does
             // every component (below). An unconstrained slot whose demand

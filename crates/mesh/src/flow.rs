@@ -272,44 +272,9 @@ impl ComponentIndex {
                 *c = self.remap[*c as usize];
             }
         }
-        // Two-pass CSR builds (counts, prefix sums, fill) for both side
-        // maps; ascending iteration keeps payloads sorted.
-        let m = self.cons_comp.len();
         let nc = count as usize;
-        self.comp_flows_off.clear();
-        self.comp_flows_off.resize(nc + 1, 0);
-        for &c in &self.flow_comp {
-            if c != NO_COMPONENT {
-                self.comp_flows_off[c as usize + 1] += 1;
-            }
-        }
-        for k in 0..nc {
-            self.comp_flows_off[k + 1] += self.comp_flows_off[k];
-        }
-        self.comp_flows.clear();
-        self.comp_flows.resize(self.comp_flows_off[nc], 0);
-        let mut cursor: Vec<usize> = self.comp_flows_off[..nc].to_vec();
-        for (i, &c) in self.flow_comp.iter().enumerate() {
-            if c != NO_COMPONENT {
-                self.comp_flows[cursor[c as usize]] = i;
-                cursor[c as usize] += 1;
-            }
-        }
-        self.comp_cons_off.clear();
-        self.comp_cons_off.resize(nc + 1, 0);
-        for &c in &self.cons_comp {
-            self.comp_cons_off[c as usize + 1] += 1;
-        }
-        for k in 0..nc {
-            self.comp_cons_off[k + 1] += self.comp_cons_off[k];
-        }
-        self.comp_cons.clear();
-        self.comp_cons.resize(m, 0);
-        let mut cursor: Vec<usize> = self.comp_cons_off[..nc].to_vec();
-        for (ci, &c) in self.cons_comp.iter().enumerate() {
-            self.comp_cons[cursor[c as usize]] = ci;
-            cursor[c as usize] += 1;
-        }
+        group_by_row(&self.flow_comp, nc, &mut self.comp_flows_off, &mut self.comp_flows);
+        group_by_row(&self.cons_comp, nc, &mut self.comp_cons_off, &mut self.comp_cons);
     }
 
     fn find(&mut self, mut x: u32) -> u32 {
@@ -350,6 +315,35 @@ impl ComponentIndex {
     }
 }
 
+/// Lays out the CSR map row → items of `n_rows` rows from each item's
+/// row (`rows[i]`, [`NO_COMPONENT`] for none) in two passes (counts,
+/// fill); ascending iteration keeps each row's items sorted.
+fn group_by_row(rows: &[u32], n_rows: usize, off: &mut Vec<usize>, items: &mut Vec<usize>) {
+    off.clear();
+    off.resize(n_rows + 1, 0);
+    for &r in rows.iter().filter(|&&r| r != NO_COMPONENT) {
+        off[r as usize + 1] += 1;
+    }
+    items.clear();
+    items.resize(shift_counts(off), 0);
+    for (i, &r) in rows.iter().enumerate().filter(|&(_, &r)| r != NO_COMPONENT) {
+        items[off[r as usize + 1]] = i;
+        off[r as usize + 1] += 1;
+    }
+}
+
+/// Turns the row counts in `off[1..]` into row starts shifted one slot
+/// up (`off[r + 1]` = where row `r` starts) and returns their total.
+/// Filling each row at `off[r + 1]`, post-incremented, then leaves `off`
+/// the CSR row offsets — no cursor array needed.
+fn shift_counts(off: &mut [usize]) -> usize {
+    let mut start = 0;
+    for slot in &mut off[1..] {
+        start += std::mem::replace(slot, start);
+    }
+    start
+}
+
 /// Reusable scratch state for [`refill_component_into`].
 ///
 /// The component fill's working vectors (per-flow frozen flags,
@@ -365,19 +359,21 @@ pub(crate) struct AllocScratch {
     active: Vec<usize>,
 }
 
-/// Progressive-filling water-fill of one constraint component, in place.
+/// Progressive-filling water-fill of component `comp`, in place.
 ///
 /// Resets the component's slice of the working state (`frozen`,
 /// `remaining`, `active_count`), then runs the incremental water-filling
 /// rounds restricted to the component's flows and constraints, writing
-/// each flow's entry of `rates` once, when it freezes. This is *the*
-/// canonical fill: the dense oracle in `tests/properties.rs` reaches the
-/// same floating-point values by re-scanning membership lists and adding
-/// to every rate, and [`crate::Mesh`] calls this directly for each dirty
-/// component. State
-/// arrays are global-sized; only the component's entries are read or
-/// written, so disjoint components can be filled in any order with
-/// bit-identical results.
+/// each flow's entry of `rates` once, when it freezes; every other entry
+/// of `rates` is left untouched. This is *the* canonical fill: the dense
+/// oracle in `tests/properties.rs` reaches the same floating-point values
+/// by re-scanning membership lists and adding to every rate, and
+/// [`crate::Mesh`] calls this for each dirty component — when a tick
+/// changes one link's capacity, only that link's component is refilled
+/// and the rest keeps its previous allocation verbatim. State arrays are
+/// global-sized; only the component's entries are read or written, so
+/// disjoint components can be filled in any order with bit-identical
+/// results.
 ///
 /// It also writes each flow's demand *floor*: a flow frozen by a
 /// saturated constraint in a round whose `min_demand` lies strictly
@@ -388,22 +384,34 @@ pub(crate) struct AllocScratch {
 /// always passes the `d − level` test that minimum passed (its bound
 /// depends on the level alone), and saturation freezes read no demand —
 /// so it moves no rate and no floor.
+///
+/// # Panics
+///
+/// Panics if `rates`/`floors`/CSR sizes are inconsistent with
+/// `demands.len()` or a constraint references an out-of-range flow.
 #[allow(clippy::too_many_arguments)]
-fn fill_component(
+pub(crate) fn refill_component_into(
+    comp: u32,
     demands: &[Bandwidth],
     constraints: &[Constraint],
     flow_cons_off: &[usize],
     flow_cons: &[usize],
-    comp_flows: &[usize],
-    comp_cons: &[usize],
+    comps: &ComponentIndex,
+    scratch: &mut AllocScratch,
     rates: &mut [f64],
     floors: &mut [f64],
-    frozen: &mut [bool],
-    remaining: &mut [f64],
-    active_count: &mut [usize],
-    active: &mut Vec<usize>,
 ) {
     let n = demands.len();
+    assert_eq!(flow_cons_off.len(), n + 1, "CSR offsets must have len n + 1");
+    assert_eq!(rates.len(), n, "rates must hold one slot per flow");
+    assert_eq!(floors.len(), n, "floors must hold one slot per flow");
+    // Cover every flow and constraint without clearing existing entries:
+    // the reset below touches exactly the component's.
+    let AllocScratch { frozen, remaining, active_count, active } = scratch;
+    frozen.resize(frozen.len().max(n), false);
+    remaining.resize(remaining.len().max(constraints.len()), 0.0);
+    active_count.resize(active_count.len().max(constraints.len()), 0);
+    let (comp_flows, comp_cons) = (comps.flows_of(comp), comps.constraints_of(comp));
     // Reset the component's state: zero-demand flows pre-freeze at rate
     // 0 (mirroring the historical global pre-pass), everything else
     // starts unfrozen at rate 0.
@@ -511,68 +519,6 @@ fn fill_component(
     }
 }
 
-/// Ensures the scratch working arrays cover `n` flows and
-/// `constraints.len()` constraints without clearing existing entries
-/// ([`fill_component`] resets exactly what it touches).
-fn reserve_scratch(scratch: &mut AllocScratch, n: usize, m: usize) {
-    if scratch.frozen.len() < n {
-        scratch.frozen.resize(n, false);
-    }
-    if scratch.remaining.len() < m {
-        scratch.remaining.resize(m, 0.0);
-    }
-    if scratch.active_count.len() < m {
-        scratch.active_count.resize(m, 0);
-    }
-}
-
-/// Refills a single component in place: resets and water-fills only
-/// `comp`'s flows and constraints, leaving every other entry of `rates`
-/// untouched. This is [`crate::Mesh`]'s hot path — when a tick changes
-/// one link's capacity, only that link's component is
-/// refilled and the rest of the mesh keeps its previous allocation
-/// verbatim (bit-for-bit what a full refill would have produced).
-///
-/// `rates` and `floors` must hold one entry per flow.
-///
-/// # Panics
-///
-/// Panics if `rates`/`floors`/CSR sizes are inconsistent with
-/// `demands.len()` or a constraint references an out-of-range flow.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refill_component_into(
-    comp: u32,
-    demands: &[Bandwidth],
-    constraints: &[Constraint],
-    flow_cons_off: &[usize],
-    flow_cons: &[usize],
-    comps: &ComponentIndex,
-    scratch: &mut AllocScratch,
-    rates: &mut [f64],
-    floors: &mut [f64],
-) {
-    let n = demands.len();
-    assert_eq!(flow_cons_off.len(), n + 1, "CSR offsets must have len n + 1");
-    assert_eq!(rates.len(), n, "rates must hold one slot per flow");
-    assert_eq!(floors.len(), n, "floors must hold one slot per flow");
-    reserve_scratch(scratch, n, constraints.len());
-    let AllocScratch { frozen, remaining, active_count, active } = scratch;
-    fill_component(
-        demands,
-        constraints,
-        flow_cons_off,
-        flow_cons,
-        comps.flows_of(comp),
-        comps.constraints_of(comp),
-        rates,
-        floors,
-        frozen,
-        remaining,
-        active_count,
-        active,
-    );
-}
-
 /// The rate the canonical fill grants a flow that crosses no constraint
 /// (an empty CSR row — loopback traffic): its full demand in bps, or
 /// zero for (near-)zero demands. [`crate::Mesh`] applies this rule
@@ -606,17 +552,52 @@ fn build_flow_constraint_map(
             off[m + 1] += 1;
         }
     }
-    for i in 0..n {
-        off[i + 1] += off[i];
-    }
     cons.clear();
-    cons.resize(off[n], 0);
-    let mut cursor: Vec<usize> = off[..n].to_vec();
+    cons.resize(shift_counts(off), 0);
     for (ci, c) in constraints.iter().enumerate() {
         for &m in &c.members {
-            cons[cursor[m]] = ci;
-            cursor[m] += 1;
+            cons[off[m + 1]] = ci;
+            off[m + 1] += 1;
         }
+    }
+}
+
+/// Reusable state of the one-shot fill: the flow → constraint map, the
+/// component index, the fill's working arrays, rates and floors. A caller
+/// that fills many small problems in a row — the controller's target
+/// scorer — keeps one and allocates nothing once it has grown to the
+/// largest problem.
+#[derive(Debug, Clone, Default)]
+pub struct FillScratch {
+    off: Vec<usize>,
+    cons: Vec<usize>,
+    comps: ComponentIndex,
+    alloc: AllocScratch,
+    rates: Vec<f64>,
+    floors: Vec<f64>,
+}
+
+impl FillScratch {
+    /// [`max_min_allocate`] over this scratch: one rate per flow, in bps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a constraint references a flow index `>= demands.len()`.
+    pub fn allocate(&mut self, demands: &[Bandwidth], constraints: &[Constraint]) -> &[f64] {
+        let FillScratch { off, cons, comps, alloc, rates, floors } = self;
+        let n = demands.len();
+        build_flow_constraint_map(n, constraints, off, cons);
+        comps.rebuild(n, constraints, off, cons);
+        // Unconstrained flows (loopback) keep this grant; every other rate
+        // is written by its component's fill.
+        rates.clear();
+        rates.extend(demands.iter().map(|&d| unconstrained_rate(d)));
+        floors.clear();
+        floors.resize(n, f64::INFINITY);
+        for comp in 0..comps.component_count() as u32 {
+            refill_component_into(comp, demands, constraints, off, cons, comps, alloc, rates, floors);
+        }
+        rates
     }
 }
 
@@ -636,27 +617,12 @@ fn build_flow_constraint_map(
 ///   larger rate that could be reduced in its favor.
 ///
 /// This is the one-shot form of the per-component fill, over every
-/// component in canonical order; `Mesh` keeps the scratch buffers, the
-/// flow → constraint map and the component index alive between ticks
-/// and refills only the dirty components.
+/// component in canonical order, on a fresh [`FillScratch`]; `Mesh` keeps
+/// the scratch buffers, the flow → constraint map and the component index
+/// alive between ticks and refills only the dirty components.
 pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Vec<Bandwidth> {
-    let n = demands.len();
-    let mut off = Vec::new();
-    let mut cons = Vec::new();
-    build_flow_constraint_map(n, constraints, &mut off, &mut cons);
-    let mut comps = ComponentIndex::default();
-    comps.rebuild(n, constraints, &off, &cons);
-    // Unconstrained flows (loopback) keep this grant; every other rate
-    // is written by its component's fill.
-    let mut rates: Vec<f64> = demands.iter().map(|&d| unconstrained_rate(d)).collect();
-    let mut floors = vec![f64::INFINITY; n];
-    let mut scratch = AllocScratch::default();
-    for comp in 0..comps.component_count() as u32 {
-        refill_component_into(
-            comp, demands, constraints, &off, &cons, &comps, &mut scratch, &mut rates, &mut floors,
-        );
-    }
-    rates.into_iter().map(Bandwidth::from_bps).collect()
+    let mut fill = FillScratch::default();
+    fill.allocate(demands, constraints).iter().map(|&r| Bandwidth::from_bps(r)).collect()
 }
 
 #[cfg(test)]

@@ -328,7 +328,7 @@ impl Mesh {
         if !self.topology().contains_node(node) {
             return Err(MeshError::UnknownNode(node));
         }
-        self.alloc.set_egress_cap(node, self.routes.rank(node), cap);
+        self.alloc.set_egress_cap(node, self.routes.table().rank(node), cap);
         Ok(())
     }
 
@@ -622,24 +622,6 @@ impl Mesh {
         avail
     }
 
-    /// The narrowest `hop` along the routed path from `src` to `dst`
-    /// (infinite for `src == dst`), each hop shaped by its transmitting
-    /// side only.
-    fn path_narrowest(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        hop: fn(&Self, LinkId, &[NodeId]) -> Bandwidth,
-    ) -> Result<Bandwidth, MeshError> {
-        let mut narrowest = Bandwidth::from_bps(f64::INFINITY);
-        if src != dst {
-            for w in self.path(src, dst)?.windows(2) {
-                narrowest = narrowest.min(hop(self, self.routes.link(w[0], w[1])?, &w[..1]));
-            }
-        }
-        Ok(narrowest)
-    }
-
     /// Current capacity of the link between `a` and `b`, as a probe
     /// would observe it: the link's own capacity further limited by any
     /// egress cap at either endpoint (an interface-level `tc` limit
@@ -694,7 +676,21 @@ impl Mesh {
     ///
     /// Returns [`MeshError::Unreachable`] when no route exists.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>, MeshError> {
-        self.routes.path(src, dst).ok_or(MeshError::Unreachable(src, dst))
+        self.routes.table().path(src, dst).ok_or(MeshError::Unreachable(src, dst))
+    }
+
+    /// The hops of the routed path from `src` to `dst` as `(sender,
+    /// receiver, link)`, walked in place from `dst` back to `src`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MeshError::Unreachable`] when no route exists.
+    pub fn route_hops(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<impl Iterator<Item = (NodeId, NodeId, LinkId)> + '_, MeshError> {
+        self.routes.table().hops(src, dst).ok_or(MeshError::Unreachable(src, dst))
     }
 
     /// Capacity for traffic sent from `u` across the link to `v`: the
@@ -718,26 +714,25 @@ impl Mesh {
         Ok(self.hop_available(self.routes.link(u, v)?, &[u]))
     }
 
-    /// Bottleneck *capacity* along the routed path from `src` to `dst` —
-    /// what a max-capacity probe of the path reports. Directional: only
-    /// each hop's transmitting side's egress cap applies.
+    /// The bottleneck `(capacity, available)` along the routed path from
+    /// `src` to `dst`, from one walk of its hops: what a max-capacity
+    /// probe and a headroom probe of the path report (∞ for `src ==
+    /// dst`). Directional: only each hop's transmitting side's egress cap
+    /// applies.
     ///
     /// # Errors
     ///
     /// Returns [`MeshError::Unreachable`] when no route exists.
-    pub fn path_bottleneck_capacity(&self, src: NodeId, dst: NodeId) -> Result<Bandwidth, MeshError> {
-        self.path_narrowest(src, dst, Self::hop_capacity)
-    }
-
-    /// Bottleneck *available* (unused) bandwidth along the routed path —
-    /// what a headroom probe observes. Directional, like
-    /// [`Mesh::path_bottleneck_capacity`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeshError::Unreachable`] when no route exists.
-    pub fn path_available(&self, src: NodeId, dst: NodeId) -> Result<Bandwidth, MeshError> {
-        self.path_narrowest(src, dst, Self::hop_available)
+    pub fn path_narrowest(&self, src: NodeId, dst: NodeId) -> Result<(Bandwidth, Bandwidth), MeshError> {
+        let inf = Bandwidth::from_bps(f64::INFINITY);
+        let mut narrowest = (inf, inf);
+        if src != dst {
+            for (u, _, lid) in self.route_hops(src, dst)? {
+                let (cap, avail) = (self.hop_capacity(lid, &[u]), self.hop_available(lid, &[u]));
+                narrowest = (narrowest.0.min(cap), narrowest.1.min(avail));
+            }
+        }
+        Ok(narrowest)
     }
 
     /// Sum of current capacities of all links incident to `node` — the
@@ -902,14 +897,12 @@ mod tests {
         let mut mesh = three_node_lan();
         let _f = mesh.add_flow(NodeId(0), NodeId(1), mbps(40.0)).unwrap();
         mesh.advance(SimDuration::from_millis(100));
-        approx(mesh.path_bottleneck_capacity(NodeId(0), NodeId(1)).unwrap(), 100.0);
-        approx(mesh.path_available(NodeId(0), NodeId(1)).unwrap(), 60.0);
+        let (capacity, available) = mesh.path_narrowest(NodeId(0), NodeId(1)).unwrap();
+        approx(capacity, 100.0);
+        approx(available, 60.0);
         assert_eq!(mesh.path(NodeId(0), NodeId(1)).unwrap(), &[NodeId(0), NodeId(1)]);
-        assert!(mesh
-            .path_available(NodeId(0), NodeId(0))
-            .unwrap()
-            .as_bps()
-            .is_infinite());
+        let (capacity, available) = mesh.path_narrowest(NodeId(0), NodeId(0)).unwrap();
+        assert!(capacity.as_bps().is_infinite() && available.as_bps().is_infinite());
     }
 
     #[test]

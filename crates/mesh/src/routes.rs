@@ -59,14 +59,9 @@ impl Routes {
         &self.topo
     }
 
-    /// The node's [`RoutingTable::rank`].
-    pub(crate) fn rank(&self, node: NodeId) -> Option<u32> {
-        self.table.rank(node)
-    }
-
-    /// The routed node path from `src` to `dst`, if any.
-    pub(crate) fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.table.path(src, dst)
+    /// The min-hop routes over the usable links.
+    pub(crate) fn table(&self) -> &RoutingTable {
+        &self.table
     }
 
     /// The link between `a` and `b`.
@@ -156,10 +151,10 @@ mod tests {
         if src == dst {
             return routes.node_is_up(src).then(Default::default);
         }
-        let path = routes.path(src, dst)?;
+        let path = routes.table.path(src, dst)?;
         let links: Option<Vec<LinkId>> =
             path.windows(2).map(|w| routes.topo.find_link(w[0], w[1])).collect();
-        let egress = path[..path.len() - 1].iter().filter_map(|&n| routes.rank(n)).collect();
+        let egress = path[..path.len() - 1].iter().filter_map(|&n| routes.table.rank(n)).collect();
         Some((links?, egress))
     }
 
@@ -190,7 +185,7 @@ mod tests {
             routes.set_link_up(a, b, false).unwrap();
         }
         routes.set_node_up(NodeId(3), false).unwrap();
-        assert!(ends.iter().any(|&(a, b)| routes.path(a, b).is_none()), "some pair is cut off");
+        assert!(ends.iter().any(|&(a, b)| routes.table.path(a, b).is_none()), "some pair is cut off");
         assert_route_vectors(&routes);
     }
 }

@@ -147,40 +147,58 @@ impl RoutingTable {
     }
 
     /// The node sequence from `src` to `dst` (inclusive), or `None` when
-    /// unreachable. This is the simulator's "traceroute".
+    /// unreachable: the hop walk, collected and reversed. This is the
+    /// simulator's "traceroute".
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        let (s, d) = (self.rank(src)?, self.rank(dst)?);
-        let row = self.row(s);
-        if row[d as usize] == UNREACHABLE {
-            return None;
-        }
-        let mut path = vec![dst];
-        let mut cur = d;
-        while cur != s {
-            cur = row[cur as usize];
-            path.push(self.ids[cur as usize]);
-        }
+        let mut path: Vec<NodeId> = self.hops(src, dst)?.map(|(_, v, _)| v).collect();
+        path.push(src);
         path.reverse();
         Some(path)
     }
 
-    /// The route from rank `s` to rank `d`, or `None` when `d`'s depth
-    /// is [`UNREACHABLE`]: the links it crosses and the ranks of the nodes
-    /// it leaves (all but `d`), both in path order and sized exactly, the
-    /// hops counted by one walk and filled from the back by a second.
-    pub(crate) fn route(&self, s: u32, d: u32) -> Option<(Vec<LinkId>, Vec<u32>)> {
+    /// The hops of the route from `src` to `dst` as `(sender, receiver,
+    /// link)`, walked in place from `dst` back to `src` (none when `src
+    /// == dst`), or `None` when unreachable.
+    pub(crate) fn hops(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<impl Iterator<Item = (NodeId, NodeId, LinkId)> + '_> {
+        let (s, d) = (self.rank(src)?, self.rank(dst)?);
+        let ids = &self.ids;
+        Some(self.walk(s, d)?.map(|(u, v, lid)| (ids[u as usize], ids[v as usize], lid)))
+    }
+
+    /// [`hops`](Self::hops) from rank `s` to rank `d`, in rank space.
+    fn walk(&self, s: u32, d: u32) -> Option<impl Iterator<Item = (u32, u32, LinkId)> + '_> {
         let row = self.row(s);
-        let hops = depth(row, d).checked_add(1)? as usize - 1;
-        let mut links = vec![LinkId(0); hops];
-        let mut egress = vec![0; hops];
-        let mut cur = d;
-        for i in (0..hops).rev() {
-            let prev = row[cur as usize];
-            let hop = self.graph.nbrs(prev);
-            links[i] = LinkId(hop[hop.binary_search_by_key(&cur, |&(u, _)| u).ok()?].1 as usize);
-            egress[i] = prev;
-            cur = prev;
+        if row[d as usize] == UNREACHABLE {
+            return None;
         }
+        let mut v = d;
+        Some(std::iter::from_fn(move || {
+            if v == s {
+                return None;
+            }
+            let u = row[v as usize];
+            let hop = self.graph.nbrs(u);
+            let link = LinkId(hop[hop.partition_point(|&(w, _)| w < v)].1 as usize);
+            Some((u, std::mem::replace(&mut v, u), link))
+        }))
+    }
+
+    /// The route from rank `s` to rank `d`, or `None` when unreachable:
+    /// the links it crosses and the ranks of the nodes it leaves (all but
+    /// `d`), both in path order and sized exactly.
+    pub(crate) fn route(&self, s: u32, d: u32) -> Option<(Vec<LinkId>, Vec<u32>)> {
+        let hops = depth(self.row(s), d).checked_add(1)? as usize - 1;
+        let (mut links, mut egress) = (Vec::with_capacity(hops), Vec::with_capacity(hops));
+        for (u, _, link) in self.walk(s, d)? {
+            links.push(link);
+            egress.push(u);
+        }
+        links.reverse();
+        egress.reverse();
         Some((links, egress))
     }
 

@@ -9,15 +9,17 @@
 
 mod support;
 
-use bass::appdag::catalog;
+use bass::appdag::{catalog, AppDag, Component, ComponentId, ResourceReq};
 use bass::apps::testbeds::citylab_testbed;
+use bass::cluster::{Cluster, NodeSpec};
 use bass::emu::{SimEnv, SimEnvConfig};
 use bass::faults::{FaultPlan, StormProfile};
-use bass::mesh::NodeId;
+use bass::mesh::{Mesh, NodeId, Topology};
 use bass::obs::Journal;
 use bass::core::PolicyKind;
 use bass::scenario::ScenarioSpec;
 use bass::util::time::SimDuration;
+use bass::util::units::{Bandwidth, DataSize};
 use proptest::prelude::*;
 
 /// A seeded Poisson storm over the CityLab workers and its volatile
@@ -136,4 +138,61 @@ fn event_driven_mode_actually_skips_ticks() {
         executed_event < executed_ticked / 2,
         "expected most ticks skipped, executed {executed_event} of {executed_ticked}"
     );
+}
+
+/// A saturated-then-draining flow whose backlog moves a fraction of a
+/// byte per tick: 2 bps over a 1 Mbps link, then 4 bps under it. Skipped
+/// windows must keep advancing that backlog bit for bit; a window that
+/// settled once its *bytes* repeated would freeze it. No journaled figure
+/// shows the drift for minutes, so every tick samples the edge's message
+/// delay, which reads the backlog in bits (1 µs per bit at 1 Mbps).
+#[test]
+fn sub_byte_backlog_drift_replays_bit_for_bit() {
+    fn run(reference: bool) -> (Vec<SimDuration>, String, u64) {
+        let mut topo = Topology::new();
+        topo.add_node(NodeId(0)).unwrap();
+        topo.add_node(NodeId(1)).unwrap();
+        topo.add_link(NodeId(0), NodeId(1)).unwrap();
+        let mesh = Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(1.0)).unwrap();
+        let cluster = Cluster::new((0..2).map(|i| NodeSpec::cores_mb(i, 4, 4096))).unwrap();
+        let mut dag = AppDag::new("pair");
+        for c in [1, 2] {
+            let req = ResourceReq::cores_mb(1, 128);
+            dag.add_component(Component::new(ComponentId(c), format!("c{c}"), req)).unwrap();
+        }
+        let required = Bandwidth::from_bps(1e6 + 2.0);
+        dag.add_edge(ComponentId(1), ComponentId(2), required).unwrap();
+        let mut env = SimEnv::new(mesh, cluster, dag, SimEnvConfig::default());
+        env.attach_journal(Journal::new());
+        env.enable_span_profiling();
+        // Pinned apart: the controller can move neither endpoint.
+        env.deploy(&[(ComponentId(1), NodeId(0)), (ComponentId(2), NodeId(1))]).expect("deploys");
+        let mut delays = Vec::new();
+        let probe = DataSize::from_bytes(100);
+        let mut sample = |e: &SimEnv| delays.push(e.edge_delay(ComponentId(1), ComponentId(2), probe));
+        for (factor, secs) in [(1.0, 60), ((1e6 - 4.0) / required.as_bps(), 60)] {
+            env.set_global_demand_factor(factor);
+            if reference {
+                support::ticked(&mut env, secs * 10, &mut sample);
+            } else {
+                env.run_for(SimDuration::from_secs(secs), |e| {
+                    support::check(e);
+                    sample(e);
+                })
+                .expect("run completes");
+            }
+        }
+        let journal = env.take_journal().expect("journal attached").export_jsonl();
+        let profiler = env.take_span_profiler().expect("profiler attached");
+        (delays, journal, profiler.stats("tick.finalize").map_or(0, |s| s.count))
+    }
+    let (ticked, ticked_journal, executed_ticked) = run(true);
+    let (skipping, journal, executed) = run(false);
+    assert_eq!(ticked.len(), 1200);
+    assert_eq!(ticked, skipping, "skipped windows must move the backlog as full ticks do");
+    assert_eq!(ticked_journal, journal);
+    // Not vacuous: most ticks skipped, and the backlog rose and drained.
+    assert!(executed < executed_ticked / 2, "executed {executed} of {executed_ticked}");
+    let peak = ticked.iter().max().unwrap();
+    assert!(*peak > ticked[0] + SimDuration::from_micros(100) && ticked[1199] < *peak, "{peak:?}");
 }

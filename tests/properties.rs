@@ -5,10 +5,11 @@ use bass::cluster::{Cluster, NodeSpec, Placement};
 use bass::core::heuristics::{breadth_first, hybrid, longest_path, BfsWeighting, ComponentOrdering};
 use bass::core::placement::{pack_ordering, PlacementError};
 use bass::core::ranking::{rank_nodes, NodeRanking};
+use bass::core::rescheduler::Scorer;
 use bass::mesh::flow::{max_min_allocate, Constraint};
 use bass::mesh::queueing::{FlowQueue, MAX_DELAY};
 use bass::mesh::routing::RoutingTable;
-use bass::mesh::{CapacitySource, LinkId, Mesh, NodeId, Topology};
+use bass::mesh::{CapacitySource, LinkId, Mesh, MeshError, NodeId, Topology};
 use bass::trace::OuTraceConfig;
 use bass::util::rng::SimRng;
 use bass::util::time::SimDuration;
@@ -997,5 +998,158 @@ proptest! {
         // same partial placement left behind.
         prop_assert_eq!(got, want);
         prop_assert_eq!(cluster, reference);
+    }
+}
+
+/// `Scorer::bandwidth_score` before the scorer kept its buffers: a
+/// `BTreeMap` of link members over `mesh.path`, one `max_min_allocate`
+/// per call — the oracle the reused scorer must match bit for bit.
+fn bandwidth_score_btree(
+    node: NodeId,
+    deps: &[(ComponentId, Bandwidth)],
+    cluster: &Cluster,
+    mesh: &Mesh,
+) -> (f64, f64) {
+    let mut demands: Vec<Bandwidth> = Vec::new();
+    let mut link_members: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
+    let mut unreachable: Vec<usize> = Vec::new();
+    for (dep, required) in deps {
+        let Some(dep_node) = cluster.node_of(*dep) else { continue };
+        let idx = demands.len();
+        demands.push(*required);
+        if dep_node == node {
+            continue;
+        }
+        let Ok(path) = mesh.path(node, dep_node) else {
+            unreachable.push(idx);
+            continue;
+        };
+        for w in path.windows(2) {
+            let key = if w[0] <= w[1] { (w[0], w[1]) } else { (w[1], w[0]) };
+            link_members.entry(key).or_default().push(idx);
+        }
+    }
+    if demands.is_empty() {
+        return (1.0, 0.0);
+    }
+    let constraints: Vec<Constraint> = link_members
+        .into_iter()
+        .map(|((a, b), members)| Constraint {
+            capacity: mesh.link_capacity(a, b).unwrap_or(Bandwidth::ZERO),
+            members,
+        })
+        .collect();
+    let mut rates = max_min_allocate(&demands, &constraints);
+    for i in unreachable {
+        rates[i] = Bandwidth::ZERO;
+    }
+    let mut worst_fraction = 1.0f64;
+    let mut total = 0.0f64;
+    for (i, rate) in rates.iter().enumerate() {
+        total += rate.as_bps();
+        if !demands[i].is_zero() {
+            worst_fraction = worst_fraction.min(rate.as_bps() / demands[i].as_bps());
+        }
+    }
+    (worst_fraction, total)
+}
+
+/// A ring with chords whose link capacities vary, carrying a few flows
+/// under an egress cap, with some links and maybe a node down: capacity
+/// and headroom differ hop by hop, and some pairs are cut off.
+fn faulted_world(n: u32, extra: usize, seed: u64) -> (Mesh, Vec<NodeId>) {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let topo = ring_with_chords(n, extra, seed);
+    let nodes: Vec<NodeId> = topo.nodes().collect();
+    let links: Vec<_> = topo.links().map(|(_, l)| (l.a, l.b)).collect();
+    let mut mesh = Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(10.0)).unwrap();
+    for &(a, b) in &links {
+        let mbps = [5.0, 10.0, 40.0][rng.below(3) as usize];
+        mesh.set_link_source(a, b, CapacitySource::Constant(Bandwidth::from_mbps(mbps))).unwrap();
+    }
+    mesh.set_node_egress_cap(*rng.choose(&nodes).unwrap(), Some(Bandwidth::from_mbps(7.0))).unwrap();
+    for _ in 0..3 {
+        let (src, dst) = (*rng.choose(&nodes).unwrap(), *rng.choose(&nodes).unwrap());
+        mesh.add_flow(src, dst, Bandwidth::from_mbps(rng.uniform(1.0, 20.0))).unwrap();
+    }
+    for &(a, b) in &links {
+        if rng.chance(0.25) {
+            mesh.set_link_up(a, b, false).unwrap();
+        }
+    }
+    if rng.chance(0.5) {
+        mesh.set_node_up(*rng.choose(&nodes).unwrap(), false).unwrap();
+    }
+    mesh.advance(SimDuration::from_millis(100));
+    (mesh, nodes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn path_narrowest_matches_a_fold_over_the_path(
+        n in 2u32..12,
+        extra in 0usize..12,
+        seed in any::<u64>(),
+    ) {
+        let (mesh, nodes) = faulted_world(n, extra, seed);
+        for &a in &nodes {
+            for &b in &nodes {
+                let got = mesh.path_narrowest(a, b);
+                let Ok(path) = mesh.path(a, b) else {
+                    prop_assert_eq!(got, Err(MeshError::Unreachable(a, b)));
+                    continue;
+                };
+                let (mut cap, mut avail) = (f64::INFINITY, f64::INFINITY);
+                for w in path.windows(2) {
+                    cap = cap.min(mesh.directed_link_capacity(w[0], w[1]).unwrap().as_bps());
+                    avail = avail.min(mesh.directed_link_available(w[0], w[1]).unwrap().as_bps());
+                }
+                prop_assert!(a != b || cap.is_infinite() && avail.is_infinite());
+                let (got_cap, got_avail) = got.unwrap();
+                prop_assert_eq!(got_cap.as_bps().to_bits(), cap.to_bits(), "capacity {}->{}", a, b);
+                prop_assert_eq!(got_avail.as_bps().to_bits(), avail.to_bits(), "available {}->{}", a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_scorer_matches_a_fresh_one_and_the_btree_scorer(
+        n in 2u32..10,
+        extra in 0usize..10,
+        seed in any::<u64>(),
+    ) {
+        let (mesh, nodes) = faulted_world(n, extra, seed);
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x5c0e);
+        // Eight components, one in eight unplaced, on one roomy node each.
+        let mut cluster = Cluster::new(nodes.iter().map(|v| NodeSpec::cores_mb(v.0, 64, 65_536))).unwrap();
+        for c in 0..8 {
+            if !rng.chance(0.125) {
+                let node = *rng.choose(&nodes).unwrap();
+                cluster.place(ComponentId(c), ResourceReq::cores_mb(1, 64), node).unwrap();
+            }
+        }
+        // Three dependency lists (zero and repeated demands included),
+        // each scored at every node, in shuffled order.
+        let mut calls = Vec::new();
+        for _ in 0..3 {
+            let mut deps: Vec<(ComponentId, Bandwidth)> = Vec::new();
+            for c in 0..8 {
+                let mbps = [0.0, 2.0, 6.0, 6.0, 30.0][rng.below(5) as usize];
+                if rng.chance(0.5) {
+                    deps.push((ComponentId(c), Bandwidth::from_mbps(mbps)));
+                }
+            }
+            calls.extend(nodes.iter().map(|&v| (v, deps.clone())));
+        }
+        rng.shuffle(&mut calls);
+        let bits = |s: (f64, f64)| (s.0.to_bits(), s.1.to_bits());
+        let mut reused = Scorer::default();
+        for (node, deps) in &calls {
+            let got = bits(reused.bandwidth_score(*node, deps, &cluster, &mesh));
+            prop_assert_eq!(got, bits(Scorer::default().bandwidth_score(*node, deps, &cluster, &mesh)));
+            prop_assert_eq!(got, bits(bandwidth_score_btree(*node, deps, &cluster, &mesh)));
+        }
     }
 }
