@@ -32,6 +32,19 @@ pub fn lan_testbed(n: u32, cores: u64) -> (Mesh, Cluster) {
 /// contains all five nodes so control traffic paths exist.
 pub fn citylab_testbed(seed: u64, duration: SimDuration) -> (Mesh, Cluster, TraceBundle) {
     let bundle = citylab_bundle(seed, duration);
+    let (mesh, cluster) = citylab_over(&bundle);
+    (mesh, cluster, bundle)
+}
+
+/// The CityLab testbed with *flat* (maximum-of-trace) link capacities —
+/// Table 2's "no bandwidth variation" control.
+pub fn citylab_testbed_flat(seed: u64, duration: SimDuration) -> (Mesh, Cluster) {
+    citylab_over(&citylab_bundle(seed, duration).flattened_to_max())
+}
+
+/// The CityLab topology with its links replaying `bundle`, and the
+/// four-worker cluster: what both CityLab testbeds share.
+fn citylab_over(bundle: &TraceBundle) -> (Mesh, Cluster) {
     let mut topo = Topology::new();
     for n in 0..=4u32 {
         topo.add_node(NodeId(n)).expect("fresh node");
@@ -39,7 +52,7 @@ pub fn citylab_testbed(seed: u64, duration: SimDuration) -> (Mesh, Cluster, Trac
     for link in citylab_topology_links() {
         topo.add_link(NodeId(link.a), NodeId(link.b)).expect("fresh link");
     }
-    let mesh = Mesh::from_bundle(topo, &bundle).expect("bundle covers all links");
+    let mesh = Mesh::from_bundle(topo, bundle).expect("bundle covers all links");
     let cluster = Cluster::new([
         NodeSpec::cores_mb(1, 8, 8_192),
         NodeSpec::cores_mb(2, 12, 8_192),
@@ -47,15 +60,6 @@ pub fn citylab_testbed(seed: u64, duration: SimDuration) -> (Mesh, Cluster, Trac
         NodeSpec::cores_mb(4, 8, 8_192),
     ])
     .expect("unique node ids");
-    (mesh, cluster, bundle)
-}
-
-/// The CityLab testbed with *flat* (maximum-of-trace) link capacities —
-/// Table 2's "no bandwidth variation" control.
-pub fn citylab_testbed_flat(seed: u64, duration: SimDuration) -> (Mesh, Cluster) {
-    let (mesh0, cluster, bundle) = citylab_testbed(seed, duration);
-    let flat = bundle.flattened_to_max();
-    let mesh = Mesh::from_bundle(mesh0.topology().clone(), &flat).expect("bundle covers links");
     (mesh, cluster)
 }
 

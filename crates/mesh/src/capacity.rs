@@ -52,11 +52,6 @@ impl LinkCapacity {
         self.source = source;
     }
 
-    /// Borrow the base source.
-    pub fn source(&self) -> &CapacitySource {
-        &self.source
-    }
-
     /// Effective capacity at time `t`: `min(base, cap)`.
     pub(crate) fn effective_at(&self, t: SimTime) -> Bandwidth {
         self.capped(self.source.capacity_at(t))
@@ -130,6 +125,6 @@ mod tests {
         let mut lc = LinkCapacity::new(CapacitySource::Constant(mbps(10.0)));
         lc.set_source(CapacitySource::Constant(mbps(20.0)));
         assert_eq!(lc.effective_at(SimTime::ZERO), mbps(20.0));
-        assert!(matches!(lc.source(), CapacitySource::Constant(_)));
+        assert!(matches!(lc.source, CapacitySource::Constant(_)));
     }
 }

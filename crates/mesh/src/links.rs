@@ -162,16 +162,17 @@ impl LinkCaps {
     }
 
     /// The stale-clock fallback of [`next_change`](Self::next_change):
-    /// one binary search per unfrozen traced link. The full re-read arms
-    /// the clock with the same answer from its cursors.
+    /// one binary search per unfrozen traced link (a read from a cursor
+    /// past the end). The full re-read arms the clock with the same
+    /// answer from its cursors.
     fn scan_change(&self, now: SimTime) -> Option<SimTime> {
         self.link_caps
             .iter()
             .enumerate()
             .filter(|&(i, _)| !self.trace_freeze.contains_key(&LinkId(i)))
-            .filter_map(|(_, lc)| match lc.source() {
-                CapacitySource::Trace(trace) => trace.next_change_after(now),
-                _ => None,
+            .filter_map(|(_, lc)| {
+                let mut past_end = u32::MAX;
+                lc.read_forward(now, &mut past_end).1
             })
             .min()
     }

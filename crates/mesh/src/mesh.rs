@@ -21,7 +21,7 @@ use crate::links::LinkCaps;
 use crate::queueing::{hop_latency, FlowQueue};
 use crate::routes::Routes;
 use crate::topology::{LinkId, NodeId, Topology};
-use bass_trace::TraceBundle;
+use bass_trace::{BandwidthTrace, TraceBundle};
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
 use std::error::Error;
@@ -42,6 +42,8 @@ pub enum MeshError {
     NotConnected,
     /// A trace bundle is missing a trace for a link.
     MissingTrace(String),
+    /// Not one trace per link: `(links, traces given)`.
+    TraceCount(usize, usize),
 }
 
 impl fmt::Display for MeshError {
@@ -53,6 +55,7 @@ impl fmt::Display for MeshError {
             MeshError::UnknownFlow(id) => write!(f, "unknown flow {id}"),
             MeshError::NotConnected => write!(f, "topology is not connected"),
             MeshError::MissingTrace(k) => write!(f, "trace bundle has no trace for link {k}"),
+            MeshError::TraceCount(links, n) => write!(f, "{n} traces for {links} links"),
         }
     }
 }
@@ -130,20 +133,41 @@ impl Mesh {
         Ok(mesh)
     }
 
-    /// Creates a mesh whose link capacities replay a [`TraceBundle`];
-    /// every link must have a trace under [`TraceBundle::link_key`].
+    /// Creates a mesh whose link capacities replay `traces` in link
+    /// order: trace `i` drives `LinkId(i)`, moved in, not copied.
     ///
     /// # Errors
     ///
-    /// Returns [`MeshError::NotConnected`] or [`MeshError::MissingTrace`].
-    pub fn from_bundle(topo: Topology, bundle: &TraceBundle) -> Result<Self, MeshError> {
+    /// Returns [`MeshError::NotConnected`], or [`MeshError::TraceCount`]
+    /// unless there is exactly one trace per link.
+    pub fn from_traces(
+        topo: Topology,
+        traces: impl IntoIterator<Item = BandwidthTrace>,
+    ) -> Result<Self, MeshError> {
         let mut mesh = Mesh::new(topo)?;
-        for (lid, link) in mesh.topology().links().collect::<Vec<_>>() {
-            let key = TraceBundle::link_key(link.a.0, link.b.0);
-            let trace = bundle.get(&key).ok_or_else(|| MeshError::MissingTrace(key.clone()))?;
-            mesh.links.set_source(lid, CapacitySource::Trace(trace.clone()));
+        let (links, mut traces) = (mesh.topology().link_count(), traces.into_iter());
+        for l in 0..links {
+            let trace = traces.next().ok_or(MeshError::TraceCount(links, l))?;
+            mesh.links.set_source(LinkId(l), CapacitySource::Trace(trace));
         }
-        Ok(mesh)
+        match traces.count() {
+            0 => Ok(mesh),
+            extra => Err(MeshError::TraceCount(links, links + extra)),
+        }
+    }
+
+    /// Creates a mesh whose link capacities replay a [`TraceBundle`]: a
+    /// copy of each link's trace under [`TraceBundle::link_key`], in
+    /// link order, goes to [`from_traces`](Self::from_traces).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MeshError::MissingTrace`] or [`MeshError::NotConnected`].
+    pub fn from_bundle(topo: Topology, bundle: &TraceBundle) -> Result<Self, MeshError> {
+        let keys = topo.links().map(|(_, link)| TraceBundle::link_key(link.a.0, link.b.0));
+        let traces = keys.map(|key| bundle.get(&key).cloned().ok_or(MeshError::MissingTrace(key)));
+        let traces = traces.collect::<Result<Vec<_>, _>>()?;
+        Mesh::from_traces(topo, traces)
     }
 
     /// A copy that keeps this mesh's logical state and rebuilds
@@ -789,6 +813,20 @@ mod tests {
         topo.add_node(NodeId(0)).unwrap();
         topo.add_node(NodeId(1)).unwrap();
         assert_eq!(Mesh::new(topo).unwrap_err(), MeshError::NotConnected);
+    }
+
+    #[test]
+    fn from_traces_drives_link_i_with_trace_i_and_rejects_a_count_mismatch() {
+        let traces = |n| (0..n).map(|i| BandwidthTrace::constant("t", mbps(10.0 + i as f64)));
+        let topo = Topology::full_mesh(3);
+        let mesh = Mesh::from_traces(topo.clone(), traces(3)).unwrap();
+        for (lid, link) in topo.links() {
+            assert_eq!(mesh.link_capacity(link.a, link.b).unwrap(), mbps(10.0 + lid.0 as f64));
+        }
+        let err = |n| Mesh::from_traces(topo.clone(), traces(n)).unwrap_err();
+        assert_eq!(err(2), MeshError::TraceCount(3, 2));
+        assert_eq!(err(5), MeshError::TraceCount(3, 5));
+        assert_eq!(err(5).to_string(), "5 traces for 3 links");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use bass_cluster::{Cluster, NodeSpec};
 use bass_emu::{Input, Scenario};
 use bass_faults::FaultPlan;
 use bass_mesh::{Mesh, MeshError, NodeId, Topology};
-use bass_trace::{ou_bundle, OuTraceConfig, TraceBundle};
+use bass_trace::{ou_bundle, ou_traces, OuTraceConfig, TraceBundle};
 use bass_util::rng::SimRng;
 use bass_util::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -122,7 +122,7 @@ pub struct GeneratedScenario {
     pub positions: Option<Vec<(f64, f64)>>,
     /// Per-node resources and gateway flags, ascending by id.
     pub nodes: Vec<GeneratedNode>,
-    /// One OU config per link, named with [`TraceBundle::link_key`].
+    /// One OU config per link in link order, named with [`TraceBundle::link_key`].
     pub trace_configs: Vec<OuTraceConfig>,
     /// Seed for materializing the trace bundle from `trace_configs`.
     pub trace_seed: u64,
@@ -136,23 +136,25 @@ pub struct GeneratedScenario {
 
 impl GeneratedScenario {
     /// Materializes the per-link trace bundle for `duration` of play
-    /// time. Kept out of the struct so generation (and generation
-    /// comparisons) stay cheap; the campaign calls this once per
-    /// replica.
+    /// time, keyed by link: the same traces [`build_mesh`](Self::build_mesh)
+    /// generates into the mesh. Kept out of the struct so generation
+    /// (and generation comparisons) stay cheap.
     pub fn trace_bundle(&self, duration: SimDuration) -> TraceBundle {
         ou_bundle(&self.trace_configs, self.trace_seed, duration)
     }
 
     /// Builds the mesh: the synthesized topology with each link driven
-    /// by its generated trace, covering `duration` of play time.
+    /// by its generated trace (straight into the link: no bundle, no
+    /// copy), covering `duration` of play time.
     ///
     /// # Errors
     ///
-    /// Propagates [`Mesh::from_bundle`]'s errors (unreachable for
+    /// Propagates [`Mesh::from_traces`]'s errors (unreachable for
     /// generated scenarios: their topologies are connected by
-    /// construction and every link has a trace config).
+    /// construction and there is one trace config per link).
     pub fn build_mesh(&self, duration: SimDuration) -> Result<Mesh, MeshError> {
-        Mesh::from_bundle(self.topology.clone(), &self.trace_bundle(duration))
+        let traces = ou_traces(&self.trace_configs, self.trace_seed, duration);
+        Mesh::from_traces(self.topology.clone(), traces)
     }
 
     /// Builds the workload cluster over the non-gateway nodes.

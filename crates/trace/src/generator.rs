@@ -46,11 +46,17 @@ impl OuProcess {
         }
     }
 
-    /// Advances the process by `dt` and returns the new value in Mbps
-    /// (clamped at zero).
-    pub fn step(&mut self, dt: SimDuration, rng: &mut SimRng) -> f64 {
+    /// One step's coefficients `(phi, sigma * sqrt(1 - phi^2))` for `dt`:
+    /// constant for a fixed `dt`, so a trace computes them once, not per sample.
+    pub fn coefficients(&self, dt: SimDuration) -> (f64, f64) {
         let phi = (-dt.as_secs_f64() / self.relaxation.as_secs_f64()).exp();
-        let noise = self.sigma_mbps * (1.0 - phi * phi).sqrt() * rng.standard_normal();
+        (phi, self.sigma_mbps * (1.0 - phi * phi).sqrt())
+    }
+
+    /// Advances the process by one step of the given
+    /// [`coefficients`](Self::coefficients); returns the new Mbps (clamped at zero).
+    pub fn step(&mut self, (phi, k): (f64, f64), rng: &mut SimRng) -> f64 {
+        let noise = k * rng.standard_normal();
         self.current_mbps = self.mean_mbps + phi * (self.current_mbps - self.mean_mbps) + noise;
         self.current_mbps = self.current_mbps.max(0.0);
         self.current_mbps
@@ -158,18 +164,21 @@ impl OuTraceConfig {
         );
         // Burn in so the first sample is drawn from the stationary
         // distribution rather than pinned at the mean.
+        let burn_in = process.coefficients(RELAXATION);
         for _ in 0..32 {
-            process.step(RELAXATION, &mut rng);
+            process.step(burn_in, &mut rng);
         }
 
-        let mut trace = BandwidthTrace::new(self.name.clone());
+        let per_sample = process.coefficients(self.sample_interval);
+        let count = duration.as_micros() / self.sample_interval.as_micros() + 1;
+        let mut trace = BandwidthTrace::with_capacity(self.name.clone(), count as usize);
         let mut fade_until = SimTime::ZERO;
         let mut t = SimTime::ZERO;
         let end = SimTime::ZERO + duration;
         let fade_prob_per_sample =
             self.fade_rate_per_min / 60.0 * self.sample_interval.as_secs_f64();
         while t <= end {
-            let mut mbps = process.step(self.sample_interval, &mut rng);
+            let mut mbps = process.step(per_sample, &mut rng);
             if self.fade_rate_per_min > 0.0 && t >= fade_until && rng.chance(fade_prob_per_sample)
             {
                 fade_until = t + self.fade_duration;
@@ -184,24 +193,29 @@ impl OuTraceConfig {
     }
 }
 
-/// Generates one trace per config into a [`TraceBundle`](crate::trace::TraceBundle),
-/// keyed by each config's name, with per-trace seeds forked
-/// deterministically from `seed` in config order. The scenario generator
-/// names its configs with
-/// [`TraceBundle::link_key`](crate::trace::TraceBundle::link_key) so the
-/// bundle maps straight onto a mesh.
+/// Generates one trace per config, in config order, each seeded by a
+/// fork of `seed` at the config's index. Each trace is made as the
+/// iterator reaches it, so a caller that moves it on never holds a copy.
+pub fn ou_traces(
+    configs: &[OuTraceConfig],
+    seed: u64,
+    duration: SimDuration,
+) -> impl Iterator<Item = BandwidthTrace> + '_ {
+    let mut root = SimRng::seed_from_u64(seed);
+    let seeds = (0..).map(move |i| root.fork(i).next_u64());
+    configs.iter().zip(seeds).map(move |(cfg, s)| cfg.generate(s, duration))
+}
+
+/// [`ou_traces`] collected into a [`TraceBundle`](crate::trace::TraceBundle)
+/// keyed by config name. The scenario generator names its configs with
+/// [`TraceBundle::link_key`](crate::trace::TraceBundle::link_key).
 pub fn ou_bundle(
     configs: &[OuTraceConfig],
     seed: u64,
     duration: SimDuration,
 ) -> crate::trace::TraceBundle {
-    let mut root = SimRng::seed_from_u64(seed);
-    let mut bundle = crate::trace::TraceBundle::new();
-    for (i, cfg) in configs.iter().enumerate() {
-        let trace_seed = root.fork(i as u64).next_u64();
-        bundle.insert(cfg.name.clone(), cfg.generate(trace_seed, duration));
-    }
-    bundle
+    let names = configs.iter().map(|cfg| cfg.name.clone());
+    names.zip(ou_traces(configs, seed, duration)).collect()
 }
 
 #[cfg(test)]
@@ -230,6 +244,76 @@ mod tests {
         );
     }
 
+    /// The generator as it was before its step coefficients were hoisted:
+    /// `exp` and `sqrt` recomputed on every step, samples pushed into a
+    /// growing buffer. `generate` must reproduce it bit for bit.
+    fn per_step_oracle(
+        cfg: &OuTraceConfig,
+        seed: u64,
+        duration: SimDuration,
+    ) -> Vec<(SimTime, Bandwidth)> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let (mean, sigma) = (cfg.mean_mbps, cfg.mean_mbps * cfg.relative_std);
+        let mut x = mean;
+        let mut step = |dt: SimDuration, rng: &mut SimRng| {
+            let phi = (-dt.as_secs_f64() / RELAXATION.as_secs_f64()).exp();
+            let noise = sigma * (1.0 - phi * phi).sqrt() * rng.standard_normal();
+            x = (mean + phi * (x - mean) + noise).max(0.0);
+            x
+        };
+        for _ in 0..32 {
+            step(RELAXATION, &mut rng);
+        }
+        let mut samples = Vec::new();
+        let (mut fade_until, mut t, end) = (SimTime::ZERO, SimTime::ZERO, SimTime::ZERO + duration);
+        let fade_prob = cfg.fade_rate_per_min / 60.0 * cfg.sample_interval.as_secs_f64();
+        while t <= end {
+            let mut mbps = step(cfg.sample_interval, &mut rng);
+            if cfg.fade_rate_per_min > 0.0 && t >= fade_until && rng.chance(fade_prob) {
+                fade_until = t + cfg.fade_duration;
+            }
+            if t < fade_until {
+                mbps *= cfg.fade_depth;
+            }
+            samples.push((t, Bandwidth::from_mbps(mbps.max(cfg.floor_mbps))));
+            t += cfg.sample_interval;
+        }
+        samples
+    }
+
+    #[test]
+    fn hoisted_coefficients_match_the_per_step_formula_bit_for_bit() {
+        let intervals = [500, 1_000, 5_000, 60_000].map(SimDuration::from_millis);
+        // Zero, a multiple of every interval, and one of none of them.
+        let durations = [0, 1_200_000, 1_234_567].map(SimDuration::from_millis);
+        for interval in intervals {
+            for (mean, rel_std) in [(7.62, 0.27), (19.9, 0.0), (0.0, 0.3)] {
+                for fades in [false, true] {
+                    let mut cfg = OuTraceConfig::new("g", mean)
+                        .relative_std(rel_std)
+                        .sample_interval(interval);
+                    if fades {
+                        cfg = cfg.fades(3.0, 0.4, SimDuration::from_secs(20));
+                    }
+                    for (seed, duration) in [11, 12, 13].into_iter().zip(durations) {
+                        let trace = cfg.generate(seed, duration);
+                        let oracle = per_step_oracle(&cfg, seed, duration);
+                        let at = format!("{interval:?} {mean}/{rel_std} fade {fades} {duration:?}");
+                        let count = duration.as_micros() / interval.as_micros() + 1;
+                        assert_eq!(trace.len() as u64, count, "{at}");
+                        assert_eq!(trace.sample_capacity(), trace.len(), "regrown: {at}");
+                        assert_eq!(trace.len(), oracle.len(), "{at}");
+                        for (&(t, b), &(ot, ob)) in trace.samples().iter().zip(&oracle) {
+                            assert_eq!(t, ot, "{at}");
+                            let (bits, oracle_bits) = (b.as_bps().to_bits(), ob.as_bps().to_bits());
+                            assert_eq!(bits, oracle_bits, "{at} at {t:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn ou_process_reverts_to_mean() {
         let mut rng = SimRng::seed_from_u64(1);
@@ -238,8 +322,9 @@ mod tests {
         p.current_mbps = 100.0;
         // With zero noise it must decay monotonically toward 20.
         let mut prev = p.current_mbps;
+        let coefficients = p.coefficients(SimDuration::from_secs(5));
         for _ in 0..20 {
-            let v = p.step(SimDuration::from_secs(5), &mut rng);
+            let v = p.step(coefficients, &mut rng);
             assert!(v < prev);
             assert!(v >= 20.0);
             prev = v;

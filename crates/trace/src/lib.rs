@@ -21,5 +21,5 @@ pub mod io;
 pub mod trace;
 
 pub use citylab::{citylab_bundle, citylab_topology_links, CitylabLink};
-pub use generator::{ou_bundle, OuTraceConfig};
+pub use generator::{ou_bundle, ou_traces, OuTraceConfig};
 pub use trace::{BandwidthTrace, TraceBundle};

@@ -41,6 +41,11 @@ impl BandwidthTrace {
         }
     }
 
+    /// Creates an empty trace with room for `samples` samples.
+    pub(crate) fn with_capacity(name: impl Into<String>, samples: usize) -> Self {
+        BandwidthTrace { name: name.into(), samples: Vec::with_capacity(samples) }
+    }
+
     /// Creates a trace holding a single constant capacity from time zero.
     pub fn constant(name: impl Into<String>, capacity: Bandwidth) -> Self {
         let mut t = BandwidthTrace::new(name);
@@ -89,35 +94,12 @@ impl BandwidthTrace {
             .unwrap_or(Bandwidth::ZERO)
     }
 
-    /// The time of the first sample strictly after `t` — the trace's
-    /// next change-point, or `None` when the trace never changes again.
-    ///
-    /// Under step-replay semantics the capacity reported by
-    /// [`capacity_at`](Self::capacity_at) is constant on
-    /// `[t, next_change_after(t))`, which is what lets an event-driven
-    /// simulation skip directly to the next change.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bass_trace::BandwidthTrace;
-    /// use bass_util::prelude::*;
-    ///
-    /// let mut trace = BandwidthTrace::new("uplink");
-    /// trace.push(SimTime::ZERO, Bandwidth::from_mbps(25.0));
-    /// trace.push(SimTime::from_secs(60), Bandwidth::from_mbps(7.0));
-    /// assert_eq!(trace.next_change_after(SimTime::from_secs(30)),
-    ///            Some(SimTime::from_secs(60)));
-    /// assert_eq!(trace.next_change_after(SimTime::from_secs(60)), None);
-    /// ```
-    pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
-        let idx = self.samples.partition_point(|&(st, _)| st <= t);
-        self.samples.get(idx).map(|&(st, _)| st)
-    }
-
-    /// [`capacity_at`](Self::capacity_at) and
-    /// [`next_change_after`](Self::next_change_after) at `t` in one
-    /// forward read from a caller-held sample cursor.
+    /// [`capacity_at`](Self::capacity_at) at `t` and the time of the
+    /// first sample strictly after `t` — the trace's next change-point,
+    /// or `None` when it never changes again — in one forward read from
+    /// a caller-held sample cursor. Under step replay the capacity is
+    /// constant from `t` to that change-point, which is what lets an
+    /// event-driven simulation skip straight to it.
     ///
     /// `cursor` counts the samples at or before the last instant read
     /// through it. A read at or after that instant walks forward from
@@ -159,19 +141,6 @@ impl BandwidthTrace {
     /// Summary statistics over the sample values (in Mbps).
     pub fn stats_mbps(&self) -> StreamingStats {
         self.samples.iter().map(|&(_, b)| b.as_mbps()).collect()
-    }
-
-    /// Returns a copy with every capacity scaled by `factor` (e.g. to
-    /// derive a degraded variant of a measured trace).
-    pub fn scaled(&self, factor: f64) -> BandwidthTrace {
-        BandwidthTrace {
-            name: format!("{}*{factor}", self.name),
-            samples: self
-                .samples
-                .iter()
-                .map(|&(t, b)| (t, b.scale(factor)))
-                .collect(),
-        }
     }
 
     /// Returns a copy where every sample is replaced by the trace's
@@ -222,24 +191,10 @@ pub struct TraceBundle {
 }
 
 impl TraceBundle {
-    /// Creates an empty bundle.
-    pub fn new() -> Self {
-        TraceBundle::default()
-    }
-
     /// Canonical key for an undirected link between node indices.
     pub fn link_key(a: u32, b: u32) -> String {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         format!("n{lo}-n{hi}")
-    }
-
-    /// Inserts a trace under a key, returning any previous trace.
-    pub fn insert(
-        &mut self,
-        key: impl Into<String>,
-        trace: BandwidthTrace,
-    ) -> Option<BandwidthTrace> {
-        self.traces.insert(key.into(), trace)
     }
 
     /// Looks up the trace for a key.
@@ -307,28 +262,37 @@ mod tests {
         assert_eq!(t.capacity_at(SimTime::from_secs(25)), mbps(2.0));
     }
 
+    impl BandwidthTrace {
+        /// The sample buffer's allocated capacity, for the exact-size
+        /// checks of the generator's tests.
+        pub(crate) fn sample_capacity(&self) -> usize {
+            self.samples.capacity()
+        }
+    }
+
+    /// The time of the first sample strictly after `at`, by binary
+    /// search: the change-point half of `read_forward`'s oracle.
+    fn next_change_after(t: &BandwidthTrace, at: SimTime) -> Option<SimTime> {
+        let idx = t.samples.partition_point(|&(st, _)| st <= at);
+        t.samples.get(idx).map(|&(st, _)| st)
+    }
+
     #[test]
     fn next_change_after_walks_the_sample_times() {
         let mut t = BandwidthTrace::new("l");
         t.push(SimTime::from_secs(10), mbps(5.0));
         t.push(SimTime::from_secs(10), mbps(6.0));
         t.push(SimTime::from_secs(20), mbps(2.0));
-        assert_eq!(t.next_change_after(SimTime::ZERO), Some(SimTime::from_secs(10)));
-        assert_eq!(
-            t.next_change_after(SimTime::from_secs(10)),
-            Some(SimTime::from_secs(20))
-        );
-        assert_eq!(
-            t.next_change_after(SimTime::from_secs(15)),
-            Some(SimTime::from_secs(20))
-        );
-        assert_eq!(t.next_change_after(SimTime::from_secs(20)), None);
-        assert_eq!(BandwidthTrace::new("e").next_change_after(SimTime::ZERO), None);
+        assert_eq!(next_change_after(&t, SimTime::ZERO), Some(SimTime::from_secs(10)));
+        assert_eq!(next_change_after(&t, SimTime::from_secs(10)), Some(SimTime::from_secs(20)));
+        assert_eq!(next_change_after(&t, SimTime::from_secs(15)), Some(SimTime::from_secs(20)));
+        assert_eq!(next_change_after(&t, SimTime::from_secs(20)), None);
+        assert_eq!(next_change_after(&BandwidthTrace::new("e"), SimTime::ZERO), None);
     }
 
     /// What `read_forward` must equal: the two binary searches.
     fn searched(t: &BandwidthTrace, at: SimTime) -> (Bandwidth, Option<SimTime>) {
-        (t.capacity_at(at), t.next_change_after(at))
+        (t.capacity_at(at), next_change_after(t, at))
     }
 
     #[test]
@@ -405,12 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_multiplies_every_sample() {
-        let t = BandwidthTrace::constant("c", mbps(10.0));
-        assert_eq!(t.scaled(0.5).capacity_at(SimTime::ZERO), mbps(5.0));
-    }
-
-    #[test]
     fn stats_and_display() {
         let mut t = BandwidthTrace::new("l");
         t.push(SimTime::ZERO, mbps(10.0));
@@ -420,15 +378,15 @@ mod tests {
         assert!(t.to_string().contains("mean=15.00"));
     }
 
+    fn bundle(key: impl Into<String>, trace: BandwidthTrace) -> TraceBundle {
+        [(key.into(), trace)].into_iter().collect()
+    }
+
     #[test]
     fn bundle_link_key_is_symmetric() {
         assert_eq!(TraceBundle::link_key(3, 1), "n1-n3");
         assert_eq!(TraceBundle::link_key(1, 3), "n1-n3");
-        let mut b = TraceBundle::new();
-        b.insert(
-            TraceBundle::link_key(2, 1),
-            BandwidthTrace::constant("t", mbps(1.0)),
-        );
+        let b = bundle(TraceBundle::link_key(2, 1), BandwidthTrace::constant("t", mbps(1.0)));
         assert!(b.get_link(1, 2).is_some());
         assert!(b.get_link(2, 1).is_some());
         assert!(b.get_link(1, 4).is_none());
@@ -439,9 +397,7 @@ mod tests {
         let mut t = BandwidthTrace::new("l");
         t.push(SimTime::ZERO, mbps(5.0));
         t.push(SimTime::from_secs(1), mbps(25.0));
-        let mut b = TraceBundle::new();
-        b.insert("k", t);
-        let flat = b.flattened_to_max();
+        let flat = bundle("k", t).flattened_to_max();
         assert_eq!(
             flat.get("k").unwrap().capacity_at(SimTime::ZERO),
             mbps(25.0)
@@ -450,8 +406,7 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let mut b = TraceBundle::new();
-        b.insert("k", BandwidthTrace::constant("t", mbps(7.5)));
+        let b = bundle("k", BandwidthTrace::constant("t", mbps(7.5)));
         let json = serde_json::to_string(&b).unwrap();
         let back: TraceBundle = serde_json::from_str(&json).unwrap();
         assert_eq!(back, b);

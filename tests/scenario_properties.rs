@@ -2,6 +2,8 @@
 //! lock down generation's byte-for-byte reproducibility and its
 //! structural invariants across random specs and seeds.
 
+use bass::mesh::Mesh;
+use bass::prelude::*;
 use bass::scenario::{
     generate, run_campaign, CampaignOptions, ScenarioSpec, TopologySpec, WorkloadEvent,
 };
@@ -143,5 +145,71 @@ proptest! {
         let a = run_campaign(&spec, seed, &opts).unwrap().summary;
         let b = run_campaign(&spec, seed, &opts).unwrap().summary;
         prop_assert_eq!(a.to_json(), b.to_json());
+    }
+}
+
+/// `build_mesh` generates each trace straight into the mesh by link
+/// index. It must replay exactly what the keyed bundle names for each
+/// link: at every sample instant of the horizon, every link's capacity
+/// equals its `link_key` trace's (bit for bit), as does the mesh built
+/// from the bundle, and both meshes report the bundle's next change-point.
+fn assert_build_mesh_follows_the_link_keys(spec: &ScenarioSpec, seed: u64) {
+    let s = generate(spec, seed);
+    let horizon = SimDuration::from_millis(spec.horizon_ticks * spec.step_ms);
+    let bundle = s.trace_bundle(horizon);
+    let mut built = s.build_mesh(horizon).expect("generated meshes build");
+    let mut keyed = Mesh::from_bundle(s.topology.clone(), &bundle).expect("one trace per link");
+    let links: Vec<_> = s
+        .topology
+        .links()
+        .map(|(lid, l)| (lid, bundle.get_link(l.a.0, l.b.0).expect("every link has a trace")))
+        .collect();
+    let mut instants: Vec<SimTime> =
+        bundle.iter().flat_map(|(_, t)| t.samples().iter().map(|&(at, _)| at)).collect();
+    instants.sort();
+    instants.dedup();
+    for at in instants {
+        let dt = at.saturating_since(built.now());
+        if !dt.is_zero() {
+            built.advance(dt);
+            keyed.advance(dt);
+        }
+        for &(lid, trace) in &links {
+            let want = trace.capacity_at(at).as_bps().to_bits();
+            let where_ = format!("{} seed {seed}: link {lid:?} at {at:?}", s.name);
+            assert_eq!(built.link_capacity_by_id(lid).as_bps().to_bits(), want, "built {where_}");
+            assert_eq!(keyed.link_capacity_by_id(lid).as_bps().to_bits(), want, "keyed {where_}");
+        }
+        let next = links
+            .iter()
+            .filter_map(|(_, t)| {
+                let samples = t.samples();
+                samples.get(samples.partition_point(|&(st, _)| st <= at)).map(|&(st, _)| st)
+            })
+            .min();
+        assert_eq!(built.next_trace_change(), next, "{} seed {seed} at {at:?}", s.name);
+        assert_eq!(keyed.next_trace_change(), next, "{} seed {seed} at {at:?}", s.name);
+    }
+}
+
+/// The three benchmark city specs, at their full horizons.
+#[test]
+fn built_meshes_follow_the_link_keys_on_the_benchmark_cities() {
+    for city in ["city100-churn", "city200-storm", "city500-quiet"] {
+        let path = format!("{}/benchmark/workloads/{city}/spec.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("benchmark city spec");
+        let spec: ScenarioSpec = serde_json::from_str(&text).expect("spec parses");
+        spec.validate().expect("benchmark specs validate");
+        assert_build_mesh_follows_the_link_keys(&spec, 42);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn built_meshes_follow_the_link_keys(spec in arb_spec(), seed in any::<u64>()) {
+        prop_assume!(spec.validate().is_ok());
+        assert_build_mesh_follows_the_link_keys(&spec, seed);
     }
 }
