@@ -2,7 +2,7 @@
 
 use bass_cluster::{Cluster, NodeSpec};
 use bass_mesh::{Mesh, NodeId, Topology};
-use bass_trace::{citylab_bundle, citylab_topology_links, TraceBundle};
+use bass_trace::{citylab_topology_links, citylab_traces, BandwidthTrace};
 use bass_util::time::SimDuration;
 use bass_util::units::Bandwidth;
 
@@ -30,21 +30,19 @@ pub fn lan_testbed(n: u32, cores: u64) -> (Mesh, Cluster) {
 ///
 /// The returned cluster contains only the four workers; the mesh
 /// contains all five nodes so control traffic paths exist.
-pub fn citylab_testbed(seed: u64, duration: SimDuration) -> (Mesh, Cluster, TraceBundle) {
-    let bundle = citylab_bundle(seed, duration);
-    let (mesh, cluster) = citylab_over(&bundle);
-    (mesh, cluster, bundle)
+pub fn citylab_testbed(seed: u64, duration: SimDuration) -> (Mesh, Cluster) {
+    citylab_over(citylab_traces(seed, duration))
 }
 
 /// The CityLab testbed with *flat* (maximum-of-trace) link capacities —
 /// Table 2's "no bandwidth variation" control.
 pub fn citylab_testbed_flat(seed: u64, duration: SimDuration) -> (Mesh, Cluster) {
-    citylab_over(&citylab_bundle(seed, duration).flattened_to_max())
+    citylab_over(citylab_traces(seed, duration).iter().map(BandwidthTrace::flattened_to_max))
 }
 
-/// The CityLab topology with its links replaying `bundle`, and the
+/// The CityLab topology with link `i` replaying trace `i`, and the
 /// four-worker cluster: what both CityLab testbeds share.
-fn citylab_over(bundle: &TraceBundle) -> (Mesh, Cluster) {
+fn citylab_over(traces: impl IntoIterator<Item = BandwidthTrace>) -> (Mesh, Cluster) {
     let mut topo = Topology::new();
     for n in 0..=4u32 {
         topo.add_node(NodeId(n)).expect("fresh node");
@@ -52,7 +50,7 @@ fn citylab_over(bundle: &TraceBundle) -> (Mesh, Cluster) {
     for link in citylab_topology_links() {
         topo.add_link(NodeId(link.a), NodeId(link.b)).expect("fresh link");
     }
-    let mesh = Mesh::from_bundle(topo, bundle).expect("bundle covers all links");
+    let mesh = Mesh::from_traces(topo, traces).expect("one trace per link");
     let cluster = Cluster::new([
         NodeSpec::cores_mb(1, 8, 8_192),
         NodeSpec::cores_mb(2, 12, 8_192),
@@ -80,10 +78,10 @@ mod tests {
 
     #[test]
     fn citylab_shape() {
-        let (mesh, cluster, bundle) = citylab_testbed(42, SimDuration::from_secs(60));
+        let (mesh, cluster) = citylab_testbed(42, SimDuration::from_secs(60));
         assert_eq!(mesh.topology().node_count(), 5);
+        assert_eq!(mesh.topology().link_count(), 6);
         assert_eq!(cluster.node_count(), 4, "control node hosts no work");
-        assert_eq!(bundle.len(), 6);
         // Heterogeneous workers.
         assert_eq!(cluster.node_spec(NodeId(2)).unwrap().capacity.cpu.as_cores(), 12.0);
         assert_eq!(cluster.node_spec(NodeId(4)).unwrap().capacity.cpu.as_cores(), 8.0);
@@ -96,7 +94,7 @@ mod tests {
         mesh.advance(SimDuration::from_secs(60));
         let c1 = mesh.link_capacity(NodeId(3), NodeId(4)).unwrap();
         assert_eq!(c0, c1);
-        let (mut varying, _, _) = citylab_testbed(42, SimDuration::from_secs(120));
+        let (mut varying, _) = citylab_testbed(42, SimDuration::from_secs(120));
         let v0 = varying.link_capacity(NodeId(3), NodeId(4)).unwrap();
         varying.advance(SimDuration::from_secs(60));
         let v1 = varying.link_capacity(NodeId(3), NodeId(4)).unwrap();

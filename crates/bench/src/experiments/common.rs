@@ -93,7 +93,7 @@ pub(crate) fn social_citylab(
     seed: u64,
     trace_len: SimDuration,
 ) -> (SimEnv, SocialNetWorkload) {
-    let (mesh, cluster, _) = citylab_testbed(seed, trace_len);
+    let (mesh, cluster) = citylab_testbed(seed, trace_len);
     let dag = catalog::social_network(rps);
     let mut env = SimEnv::new(mesh, cluster, dag, knobs.env_config());
     env.deploy(&[]).expect("social network deploys on CityLab");
@@ -137,8 +137,7 @@ pub(crate) fn camera_citylab(
     let (mesh, cluster) = if flat {
         citylab_testbed_flat(seed, trace_len)
     } else {
-        let (m, c, _) = citylab_testbed(seed, trace_len);
-        (m, c)
+        citylab_testbed(seed, trace_len)
     };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), knobs.env_config());
     env.deploy(&[]).expect("camera pipeline deploys on CityLab");
@@ -179,7 +178,7 @@ pub(crate) fn videoconf_citylab(
     sfu_start: Option<NodeId>,
 ) -> (VideoConfWorkload, SimEnv) {
     let (wl, dag, mut pins, pinned) = VideoConfWorkload::new(VideoConfConfig::fig15());
-    let (mesh, cluster, _) = citylab_testbed(seed, trace_len);
+    let (mesh, cluster) = citylab_testbed(seed, trace_len);
     let mut env_cfg = knobs.env_config();
     env_cfg.pinned = pinned;
     env_cfg.restart = bass_cluster::RestartModel::webrtc();

@@ -275,8 +275,8 @@ fn campaign_metrics_exposition_is_lint_clean_with_tick_phase_spans() {
         "tick.faults",
         "tick.scenario",
         "tick.demand",
-        "tick.goodput",
         "tick.controller",
+        "tick.migrate",
         "tick.finalize",
     ] {
         let label = format!("span=\"{phase}\"");

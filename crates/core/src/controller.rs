@@ -12,7 +12,7 @@ use crate::policy::{PolicyCtx, PolicyKind, RANDOM_POLICY_SEED};
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::Cluster;
 use bass_mesh::{Mesh, NodeId};
-use bass_netmon::{GoodputMonitor, HeadroomReport, NetMonitor};
+use bass_netmon::{GoodputView, HeadroomReport, NetMonitor};
 use bass_util::rng::SimRng;
 use bass_util::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -149,7 +149,7 @@ impl BassController {
         &mut self,
         mesh: &Mesh,
         netmon: &mut NetMonitor,
-        goodput: &GoodputMonitor,
+        goodput: &dyn GoodputView,
         dag: &AppDag,
         cluster: &Cluster,
         pinned: &std::collections::BTreeSet<ComponentId>,
@@ -266,7 +266,8 @@ mod tests {
     use bass_cluster::NodeSpec;
     use bass_mesh::Topology;
     use crate::migration::{TriggerKind, Violation};
-    use bass_netmon::NetMonitorConfig;
+    use bass_netmon::{EdgeUsage, NetMonitorConfig};
+    use std::collections::BTreeMap;
     use bass_util::units::Bandwidth;
 
     fn mbps(x: f64) -> Bandwidth {
@@ -280,7 +281,7 @@ mod tests {
         mesh: Mesh,
         cluster: Cluster,
         netmon: NetMonitor,
-        goodput: GoodputMonitor,
+        goodput: BTreeMap<(ComponentId, ComponentId), EdgeUsage>,
         flow: bass_mesh::FlowId,
     }
 
@@ -306,7 +307,7 @@ mod tests {
             mesh,
             cluster,
             netmon,
-            goodput: GoodputMonitor::new(),
+            goodput: BTreeMap::new(),
             flow,
         }
     }
@@ -314,13 +315,8 @@ mod tests {
     fn measure(w: &mut World) {
         let sampler = w.dag.component_by_name("frame-sampler").unwrap().id;
         let detector = w.dag.component_by_name("object-detector").unwrap().id;
-        w.goodput.record(
-            sampler,
-            detector,
-            mbps(6.0),
-            w.mesh.flow_goodput(w.flow),
-            w.mesh.now(),
-        );
+        let usage = EdgeUsage { required: mbps(6.0), achieved: w.mesh.flow_goodput(w.flow) };
+        w.goodput.insert((sampler, detector), usage);
     }
 
     #[test]
@@ -396,7 +392,7 @@ mod tests {
             let id = |name: &str| w.dag.component_by_name(name).unwrap().id;
             let achieved = w.mesh.flow_goodput(w.flow);
             let (sampler, detector) = (id("frame-sampler"), id("object-detector"));
-            w.goodput.record(sampler, detector, mbps(d), achieved, w.mesh.now());
+            w.goodput.insert((sampler, detector), EdgeUsage { required: mbps(d), achieved });
             let mut ctl = BassController::new(ControllerConfig::default());
             let o = ctl.tick(&w.mesh, &mut w.netmon, &w.goodput, &w.dag, &w.cluster, &Default::default(), None, None);
             let link = *o.headroom.as_ref().unwrap().link(NodeId(0), NodeId(1)).unwrap();

@@ -17,7 +17,7 @@
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::Cluster;
 use bass_mesh::Mesh;
-use bass_netmon::GoodputMonitor;
+use bass_netmon::GoodputView;
 use bass_util::units::Bandwidth;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -104,7 +104,7 @@ impl MigrationCandidates {
 /// Runs Algorithm 3 over the cluster's current placement.
 ///
 /// For every DAG edge whose endpoints sit on *different* nodes, the
-/// goodput monitor supplies the achieved bandwidth and the mesh supplies
+/// goodput view supplies the achieved bandwidth and the mesh supplies
 /// the path's spare bandwidth; two triggers decide whether a component
 /// becomes a candidate:
 ///
@@ -123,11 +123,11 @@ impl MigrationCandidates {
 /// The candidate is the edge's producer unless it is `pinned`, in which
 /// case the consumer is proposed instead (pinned components — e.g. the
 /// pseudo-components that anchor external clients — can never move).
-/// Edges without a goodput measurement are skipped (nothing has flowed).
+/// Edges the view does not measure (an unbound edge) are skipped.
 pub(crate) fn find_candidates(
     dag: &AppDag,
     cluster: &Cluster,
-    goodput: &GoodputMonitor,
+    goodput: &dyn GoodputView,
     mesh: &Mesh,
     cfg: &MigrationConfig,
     headroom_fraction: f64,
@@ -230,7 +230,8 @@ mod tests {
     use bass_appdag::{catalog, Component, ResourceReq};
     use bass_cluster::NodeSpec;
     use bass_mesh::{NodeId, Topology};
-    use bass_util::time::{SimDuration, SimTime};
+    use bass_netmon::EdgeUsage;
+    use bass_util::time::SimDuration;
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::from_mbps(x)
@@ -257,6 +258,13 @@ mod tests {
         (dag, cluster, mesh)
     }
 
+    type Measured = BTreeMap<(ComponentId, ComponentId), EdgeUsage>;
+
+    /// A view holding one measured edge `from → to`.
+    fn measured(from: u32, to: u32, required: Bandwidth, achieved: Bandwidth) -> Measured {
+        Measured::from([((ComponentId(from), ComponentId(to)), EdgeUsage { required, achieved })])
+    }
+
     fn drive(mesh: &mut Mesh, demand: Bandwidth) -> bass_mesh::FlowId {
         let f = mesh.add_flow(NodeId(0), NodeId(1), demand).unwrap();
         mesh.advance(SimDuration::from_secs(1));
@@ -267,14 +275,7 @@ mod tests {
     fn healthy_link_yields_no_candidates() {
         let (dag, cluster, mut mesh) = scenario(100.0);
         let f = drive(&mut mesh, mbps(6.0));
-        let mut gp = GoodputMonitor::new();
-        gp.record(
-            ComponentId(2),
-            ComponentId(3),
-            mbps(6.0),
-            mesh.flow_goodput(f),
-            SimTime::ZERO,
-        );
+        let gp = measured(2, 3, mbps(6.0), mesh.flow_goodput(f));
         let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert!(out.violations.is_empty());
         assert!(out.to_migrate.is_empty());
@@ -286,14 +287,7 @@ mod tests {
         // goodput 0.33 < 0.5 and headroom (0.4 Mbps) is gone.
         let (dag, cluster, mut mesh) = scenario(2.0);
         let f = drive(&mut mesh, mbps(6.0));
-        let mut gp = GoodputMonitor::new();
-        gp.record(
-            ComponentId(2),
-            ComponentId(3),
-            mbps(6.0),
-            mesh.flow_goodput(f),
-            SimTime::ZERO,
-        );
+        let gp = measured(2, 3, mbps(6.0), mesh.flow_goodput(f));
         let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert_eq!(out.to_migrate, vec![ComponentId(2)]);
         assert_eq!(out.violations[0].trigger, TriggerKind::Degradation);
@@ -306,14 +300,7 @@ mod tests {
         // leaves less than the 20% headroom.
         let (dag, cluster, mut mesh) = scenario(7.0);
         let f = drive(&mut mesh, mbps(6.0));
-        let mut gp = GoodputMonitor::new();
-        gp.record(
-            ComponentId(2),
-            ComponentId(3),
-            mbps(6.0),
-            mesh.flow_goodput(f),
-            SimTime::ZERO,
-        );
+        let gp = measured(2, 3, mbps(6.0), mesh.flow_goodput(f));
         let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert_eq!(out.to_migrate, vec![ComponentId(2)]);
         assert_eq!(out.violations[0].trigger, TriggerKind::Utilization);
@@ -327,8 +314,7 @@ mod tests {
             cluster.relocate(c, NodeId(0)).unwrap();
         }
         drive(&mut mesh, mbps(50.0)); // saturate the link with unrelated load
-        let mut gp = GoodputMonitor::new();
-        gp.record(ComponentId(2), ComponentId(3), mbps(6.0), mbps(6.0), SimTime::ZERO);
+        let gp = measured(2, 3, mbps(6.0), mbps(6.0));
         let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert!(out.violations.is_empty());
     }
@@ -337,9 +323,33 @@ mod tests {
     fn unmeasured_edges_are_skipped() {
         let (dag, cluster, mut mesh) = scenario(1.0);
         drive(&mut mesh, mbps(50.0));
-        let gp = GoodputMonitor::new(); // no measurements
+        let gp = Measured::new(); // no measurements
         let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
         assert!(out.violations.is_empty());
+    }
+
+    #[test]
+    fn a_displaced_endpoint_unbinds_its_edge_and_never_violates() {
+        // The 2 Mbps link degrades the sampler→detector edge (goodput
+        // 0.33). With the detector displaced the edge is unbound: the live
+        // view reads None for it, and even a leftover measurement of the
+        // degraded edge is never read.
+        let (dag, mut cluster, mut mesh) = scenario(2.0);
+        let f = drive(&mut mesh, mbps(6.0));
+        let degraded = measured(2, 3, mbps(6.0), mesh.flow_goodput(f));
+        let cfg = MigrationConfig::default();
+        let run = |cluster: &Cluster, gp: &Measured| {
+            find_candidates(&dag, cluster, gp, &mesh, &cfg, 0.2, &BTreeSet::new())
+        };
+        assert_eq!(run(&cluster, &degraded).to_migrate, vec![ComponentId(2)]);
+
+        cluster.evict(ComponentId(3)).unwrap();
+        let unbound = Measured::new();
+        assert_eq!(unbound.usage(ComponentId(2), ComponentId(3)), None);
+        for gp in [&unbound, &degraded] {
+            let out = run(&cluster, gp);
+            assert!(out.violations.is_empty() && out.to_migrate.is_empty(), "{out:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::rescheduler::{locate, score_cmp, RescheduleError, Scorer};
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::Cluster;
 use bass_mesh::{Mesh, NodeId};
-use bass_netmon::GoodputMonitor;
+use bass_netmon::GoodputView;
 use bass_util::rng::SimRng;
 use bass_util::units::Bandwidth;
 use std::collections::BTreeSet;
@@ -30,7 +30,6 @@ use std::collections::BTreeSet;
 /// Read-only world snapshot for one decision round: everything a
 /// policy may consult. The controller owns the probe cadence and the
 /// cooldown clock.
-#[derive(Debug)]
 pub(crate) struct PolicyCtx<'a> {
     /// The mesh (capacities, routes, up/down state).
     pub(crate) mesh: &'a Mesh,
@@ -38,8 +37,8 @@ pub(crate) struct PolicyCtx<'a> {
     pub(crate) dag: &'a AppDag,
     /// The cluster (node resources and current placements).
     pub(crate) cluster: &'a Cluster,
-    /// Per-edge goodput measurements.
-    pub(crate) goodput: &'a GoodputMonitor,
+    /// Per-edge goodput, read when a policy asks.
+    pub(crate) goodput: &'a dyn GoodputView,
     /// Components that must never migrate.
     pub(crate) pinned: &'a BTreeSet<ComponentId>,
     /// Candidate-selection thresholds (Algorithm 3 knobs).

@@ -15,7 +15,7 @@ use bass_core::{BassController, ControllerConfig, MigrationPlan, PolicyKind};
 use bass_faults::FaultPlan;
 use bass_mesh::queueing::{LOOPBACK_LATENCY, MAX_DELAY};
 use bass_mesh::{FlowId, Mesh, MeshError, NodeId};
-use bass_netmon::{GoodputMonitor, NetMonitor, NetMonitorConfig};
+use bass_netmon::{NetMonitor, NetMonitorConfig};
 use bass_obs::SpanProfiler;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
@@ -181,7 +181,6 @@ pub struct SimEnv {
     dag: AppDag,
     controller: BassController,
     netmon: NetMonitor,
-    goodput: GoodputMonitor,
     /// The configured faults and every scenario's inputs, sorted by
     /// time, and the index of the first not yet applied.
     inputs: Vec<(SimTime, Input)>,
@@ -217,7 +216,6 @@ impl SimEnv {
             mesh,
             cluster,
             dag,
-            goodput: GoodputMonitor::new(),
             inputs,
             next_input: 0,
             live: Vec::new(),
@@ -474,7 +472,7 @@ impl SimEnv {
     /// evicts its components from the cluster, deletes them (and their
     /// edges) from the deployment DAG, and clears every per-component
     /// trace the environment keeps (restart clocks, demand factors,
-    /// displaced markers, goodput measurements). `label` is the instance
+    /// displaced markers). `label` is the instance
     /// name recorded in the journal.
     ///
     /// Unknown ids are skipped silently so a scenario can retire an
@@ -497,7 +495,6 @@ impl SimEnv {
                 }
                 env.bindings.forget(c);
                 env.displaced.remove(&c);
-                env.goodput.forget_touching(c);
             }
             if let Some(j) = env.journal.as_mut() {
                 j.record(bass_obs::Event::AppRetired {
@@ -896,7 +893,6 @@ mod tests {
             "tick.faults",
             "tick.scenario",
             "tick.demand",
-            "tick.goodput",
             "tick.controller",
             "tick.migrate",
             "tick.finalize",
@@ -1126,6 +1122,32 @@ mod tests {
         assert!(journal
             .events_of_kind("placement_decided")
             .any(|e| matches!(e, bass_obs::Event::PlacementDecided { policy, .. } if policy == "fault-recovery")));
+    }
+
+    #[test]
+    fn the_goodput_view_reads_bound_edges_live_and_unbound_ones_as_none() {
+        use bass_netmon::GoodputView;
+        let mut env = camera_env(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight));
+        env.deploy(&[]).unwrap();
+        env.set_global_demand_factor(0.5);
+        env.run_for(SimDuration::from_secs(5), |_| {}).unwrap();
+        let dag = env.dag().clone();
+        let view = env.bindings.goodput(&env.mesh);
+        for e in dag.edges() {
+            let usage = view.usage(e.from, e.to).expect("every placed edge is bound");
+            assert_eq!(usage.required, dag.bandwidth_between(e.from, e.to).scale(0.5));
+            assert_eq!(usage.achieved, env.edge_achieved(e.from, e.to));
+        }
+        // Evict the detector as a node crash does: its edges unbind and
+        // read as no measurement, whatever they achieved before.
+        let detector = dag.component_by_name("object-detector").unwrap().id;
+        env.cluster.evict(detector).unwrap();
+        env.bindings.rebind_touching(detector, &mut env.mesh, &env.cluster, &env.dag).unwrap();
+        let view = env.bindings.goodput(&env.mesh);
+        for e in dag.edges() {
+            let touches = e.from == detector || e.to == detector;
+            assert_eq!(view.usage(e.from, e.to).is_none(), touches, "{} → {}", e.from, e.to);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use super::EdgeState;
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::{Cluster, RestartModel};
 use bass_mesh::{Mesh, MeshError};
-use bass_netmon::GoodputMonitor;
+use bass_netmon::{EdgeUsage, GoodputView};
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::Bandwidth;
 use std::collections::BTreeMap;
@@ -32,7 +32,9 @@ struct BoundEdge {
 /// Logical: `restarts`, `demand_factor` and each binding's flow id.
 /// Derived: which edges are bound, local or remote, and their
 /// requirements (the placement and the DAG; [`rebuild`](Self::rebuild)
-/// re-derives them), and `restart` (the environment's configuration).
+/// re-derives them), `restart` (the environment's configuration), and
+/// when the next push is needed (`demands_stale`, `expiry_after_push`;
+/// a rebuild stales the demands).
 #[derive(Debug, Default)]
 pub(super) struct Bindings {
     edges: BTreeMap<Key, BoundEdge>,
@@ -40,6 +42,12 @@ pub(super) struct Bindings {
     /// When each restarting component began its restart.
     restarts: BTreeMap<ComponentId, SimTime>,
     restart: RestartModel,
+    /// Set by everything but the clock that can move a demand: a bind,
+    /// a rebuild, a factor, a restart or a forgotten component.
+    demands_stale: bool,
+    /// The earliest downtime expiry among the restarts down at the last
+    /// push's clock: once the clock reaches it, a demand moves.
+    expiry_after_push: Option<SimTime>,
 }
 
 impl Bindings {
@@ -52,6 +60,7 @@ impl Bindings {
     pub(super) fn bind(
         &mut self, (from, to): Key, mesh: &mut Mesh, cluster: &Cluster, dag: &AppDag,
     ) -> Result<(), MeshError> {
+        self.demands_stale = true;
         let old = self.edges.remove(&(from, to));
         if let Some(BoundEdge { state: EdgeState::Remote(f), .. }) = old {
             let _ = mesh.remove_flow(f);
@@ -92,6 +101,7 @@ impl Bindings {
     pub(super) fn rebuild(
         &mut self, mesh: &mut Mesh, cluster: &Cluster, dag: &AppDag,
     ) -> Result<(), MeshError> {
+        self.demands_stale = true;
         let mut old = std::mem::take(&mut self.edges);
         for e in dag.edges() {
             let key = (e.from, e.to);
@@ -117,24 +127,38 @@ impl Bindings {
         Ok(())
     }
 
-    /// Pushes every remote edge's current demand into its flow.
-    pub(super) fn push_demands(&self, mesh: &mut Mesh) -> Result<(), MeshError> {
+    /// Pushes every remote edge's current demand into its flow, when one
+    /// can have moved since the last push: the bindings went stale, or
+    /// the clock reached a downtime expiry that was pending then.
+    pub(super) fn push_demands(&mut self, mesh: &mut Mesh) -> Result<(), MeshError> {
         let now = mesh.now();
+        if self.demands_stale || self.expiry_after_push.is_some_and(|at| at <= now) {
+            for (&key, edge) in &self.edges {
+                if let EdgeState::Remote(f) = edge.state {
+                    mesh.set_flow_demand(f, self.demand(key, edge.required, now))?;
+                }
+            }
+            self.demands_stale = false;
+            self.expiry_after_push = self
+                .restarts
+                .values()
+                .filter(|&&start| self.restart.is_down(start, now))
+                .map(|&start| start + self.restart.downtime)
+                .min();
+        }
+        #[cfg(debug_assertions)]
         for (&key, edge) in &self.edges {
             if let EdgeState::Remote(f) = edge.state {
-                mesh.set_flow_demand(f, self.demand(key, edge.required, now))?;
+                let (held, full) = (mesh.flow_spec(f)?.demand, self.demand(key, edge.required, now));
+                assert_eq!(held.as_bps().to_bits(), full.as_bps().to_bits(), "edge {key:?} at {now}");
             }
         }
         Ok(())
     }
 
-    /// Feeds every bound edge's achieved bandwidth, against its
-    /// requirement × factor, to the goodput monitor.
-    pub(super) fn record_goodput(&self, mesh: &Mesh, goodput: &mut GoodputMonitor) {
-        for (&key, &edge) in &self.edges {
-            let required = edge.required.scale(self.factor(key));
-            goodput.record(key.0, key.1, required, self.achieved_by(key, edge, mesh), mesh.now());
-        }
+    /// The controller's view of per-edge goodput over `mesh`.
+    pub(super) fn goodput<'a>(&'a self, mesh: &'a Mesh) -> LiveGoodput<'a> {
+        LiveGoodput { bindings: self, mesh }
     }
 
     /// What an edge achieves: its full demand when co-located, its
@@ -169,16 +193,19 @@ impl Bindings {
     }
 
     pub(super) fn set_factor(&mut self, key: Key, factor: f64) {
+        self.demands_stale = true;
         self.demand_factor.insert(key, factor.max(0.0));
     }
 
     /// Starts `c`'s restart clock at `now`.
     pub(super) fn restart(&mut self, c: ComponentId, now: SimTime) {
+        self.demands_stale = true;
         self.restarts.insert(c, now);
     }
 
     /// Drops a retired component's restart clock and demand factors.
     pub(super) fn forget(&mut self, c: ComponentId) {
+        self.demands_stale = true;
         self.restarts.remove(&c);
         self.demand_factor.retain(|&(a, b), _| a != c && b != c);
     }
@@ -213,5 +240,21 @@ impl Bindings {
             .map(|&start| start + self.restart.downtime)
             .filter(|expiry| expiry.as_micros() + step.as_micros() > t0.as_micros())
             .min()
+    }
+}
+
+/// Each bound edge's requirement × factor and what it achieves, read on
+/// the mesh's clock when asked; an unbound edge reads `None`.
+pub(super) struct LiveGoodput<'a> {
+    bindings: &'a Bindings,
+    mesh: &'a Mesh,
+}
+
+impl GoodputView for LiveGoodput<'_> {
+    fn usage(&self, from: ComponentId, to: ComponentId) -> Option<EdgeUsage> {
+        let (b, key) = (self.bindings, (from, to));
+        let edge = *b.edges.get(&key)?;
+        let required = edge.required.scale(b.factor(key));
+        Some(EdgeUsage { required, achieved: b.achieved_by(key, edge, self.mesh) })
     }
 }

@@ -75,7 +75,8 @@ impl SimEnv {
         }
         clock.lap(profiler.as_deref_mut(), "tick.scenario");
 
-        // 2. Push demands from each remote edge's stored requirement.
+        // 2. Push demands from each remote edge's stored requirement,
+        // when one can have moved since the last push.
         self.bindings.push_demands(&mut self.mesh)?;
         clock.lap(profiler.as_deref_mut(), "tick.demand");
 
@@ -85,18 +86,15 @@ impl SimEnv {
         self.mesh.advance_profiled(self.cfg.step, self.journal.as_mut(), profiler.as_deref_mut());
         clock.reset();
 
-        // 4. Passive goodput measurement against each edge's stored
-        // requirement × factor.
-        self.bindings.record_goodput(&self.mesh, &mut self.goodput);
-        clock.lap(profiler.as_deref_mut(), "tick.goodput");
-
-        // 5. Controller. A restart injected this tick loses the tick: the
-        // new controller process comes up after the decision window.
+        // 4. Controller, reading each edge's goodput — requirement ×
+        // factor against what it achieves — on the post-advance clock. A
+        // restart injected this tick loses the tick: the new controller
+        // process comes up after the decision window.
         if self.cfg.migrations_enabled && !controller_restarted {
             let outcome = self.controller.tick(
                 &self.mesh,
                 &mut self.netmon,
-                &self.goodput,
+                &self.bindings.goodput(&self.mesh),
                 &self.dag,
                 &self.cluster,
                 &self.cfg.pinned,
@@ -120,7 +118,7 @@ impl SimEnv {
             clock.reset();
         }
 
-        // 6. Close the tick span.
+        // 5. Close the tick span.
         self.record_tick_completed();
         clock.lap(profiler, "tick.finalize");
         Ok(())
@@ -195,10 +193,10 @@ impl SimEnv {
     /// Upper bound on how many consecutive ticks, starting now, move no
     /// input of [`step`](Self::step): no workload, fault or `tc` input,
     /// no trace capacity, restart expiry or probe epoch — so a full step
-    /// would push the same demands, record the same goodput and find the
-    /// controller idle. Whether the mesh would refill anything is checked
-    /// tick by tick in `run_for`. Returns at most `max_ticks`, and 0
-    /// whenever this cannot be proven.
+    /// would push no demand and find the controller idle (it reads
+    /// goodput only on a probe epoch). Whether the mesh would refill
+    /// anything is checked tick by tick in `run_for`. Returns at most
+    /// `max_ticks`, and 0 whenever this cannot be proven.
     ///
     /// With `t0 = now()`, the next timed input, applied on the
     /// **pre-advance** clock, caps the window at `⌈(t − t0)/step⌉` ticks
@@ -220,10 +218,10 @@ impl SimEnv {
         let pre_advance = self.inputs.get(self.next_input).map(|&(t, _)| t);
         // Trace capacities and probe epochs are read after it. Restart
         // expiries take this stricter side even though demands are
-        // pushed on the pre-advance clock: samplers (goodput recording,
-        // campaign metrics) read edge state on the post-advance clock,
-        // and the stricter bound keeps *both* clocks on one side of the
-        // expiry across a skipped window.
+        // pushed on the pre-advance clock: readers (the controller's
+        // goodput view, campaign metrics) see edge state on the
+        // post-advance clock, and the stricter bound keeps *both* clocks
+        // on one side of the expiry across a skipped window.
         let probe = self.cfg.migrations_enabled.then(|| self.netmon.next_headroom_probe_at());
         let post_advance =
             [self.bindings.next_expiry(t0, step), self.mesh.next_trace_change(), probe];

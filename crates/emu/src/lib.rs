@@ -8,12 +8,13 @@
 //!
 //! 1. applies the timed inputs due: app admissions and retirements,
 //!    injected faults (then re-places what a crash evicted), `tc` shaping,
-//! 2. pushes the application's current per-edge demands into the mesh,
+//! 2. pushes the application's per-edge demands into the mesh when one
+//!    can have moved,
 //! 3. advances the mesh (capacity refresh, max-min reallocation, queue
-//!    integration),
-//! 4. feeds passive goodput measurements to the monitor, and
-//! 5. runs the controller, enacting any planned migrations (cluster
-//!    relocation, flow rebinding, restart downtime).
+//!    integration), and
+//! 4. runs the controller, which reads per-edge goodput through a view
+//!    of the bindings and the mesh, enacting any planned migrations
+//!    (cluster relocation, flow rebinding, restart downtime).
 //!
 //! Workload models (crate `bass-apps`) drive demands and read delays.
 //!

@@ -1,26 +1,23 @@
 //! Passive per-edge goodput measurement.
 //!
 //! The paper measures TX/RX bytes between application components with a
-//! BPF program and Istio sidecars (§5). Against the simulated mesh, the
-//! emulation layer reports, for every DAG edge, the bandwidth the edge
-//! *required* and what it actually *achieved*; the monitor turns that
-//! into the goodput fraction Algorithm 3 consumes.
+//! BPF program and Istio sidecars (§5), and the controller pulls those
+//! counters when it decides. Against the simulated mesh, the emulation
+//! layer answers the same question at the moment it is asked: for a
+//! bound DAG edge, the bandwidth the edge *required* and what it
+//! actually *achieved*. Nothing is stored between reads.
 
 use bass_appdag::ComponentId;
-use bass_util::time::SimTime;
 use bass_util::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// One edge's most recent measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One edge's measurement.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeUsage {
     /// The edge's declared bandwidth requirement.
     pub required: Bandwidth,
     /// The bandwidth the edge actually achieved.
     pub achieved: Bandwidth,
-    /// When the measurement was taken.
-    pub measured_at: SimTime,
 }
 
 impl EdgeUsage {
@@ -36,87 +33,35 @@ impl EdgeUsage {
     }
 }
 
-/// Passive monitor of per-edge goodput.
+/// Per-edge goodput as the controller reads it (Algorithm 3's input).
 ///
 /// # Examples
 ///
 /// ```
 /// use bass_appdag::ComponentId;
-/// use bass_netmon::GoodputMonitor;
+/// use bass_netmon::{EdgeUsage, GoodputView};
 /// use bass_util::prelude::*;
+/// use std::collections::BTreeMap;
 ///
-/// let mut monitor = GoodputMonitor::new();
-/// monitor.record(
-///     ComponentId(1),
-///     ComponentId(2),
-///     Bandwidth::from_mbps(8.0),
-///     Bandwidth::from_mbps(2.0),
-///     SimTime::from_secs(30),
-/// );
-/// let frac = monitor.goodput_fraction(ComponentId(1), ComponentId(2)).unwrap();
-/// assert_eq!(frac, 0.25);
+/// let usage = EdgeUsage {
+///     required: Bandwidth::from_mbps(8.0),
+///     achieved: Bandwidth::from_mbps(2.0),
+/// };
+/// let table = BTreeMap::from([((ComponentId(1), ComponentId(2)), usage)]);
+/// let view: &dyn GoodputView = &table;
+/// assert_eq!(view.usage(ComponentId(1), ComponentId(2)).unwrap().goodput_fraction(), 0.25);
+/// assert_eq!(view.usage(ComponentId(2), ComponentId(1)), None);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct GoodputMonitor {
-    edges: BTreeMap<(ComponentId, ComponentId), EdgeUsage>,
+pub trait GoodputView {
+    /// The directed edge `from → to`'s usage now; `None` when the edge
+    /// carries nothing to measure (it is not bound).
+    fn usage(&self, from: ComponentId, to: ComponentId) -> Option<EdgeUsage>;
 }
 
-impl GoodputMonitor {
-    /// Creates an empty monitor.
-    pub fn new() -> Self {
-        GoodputMonitor::default()
-    }
-
-    /// Records the latest measurement for the directed edge `from → to`.
-    pub fn record(
-        &mut self,
-        from: ComponentId,
-        to: ComponentId,
-        required: Bandwidth,
-        achieved: Bandwidth,
-        now: SimTime,
-    ) {
-        self.edges.insert(
-            (from, to),
-            EdgeUsage {
-                required,
-                achieved,
-                measured_at: now,
-            },
-        );
-    }
-
-    /// The latest measurement for an edge.
-    pub fn usage(&self, from: ComponentId, to: ComponentId) -> Option<EdgeUsage> {
-        self.edges.get(&(from, to)).copied()
-    }
-
-    /// The latest goodput fraction for an edge.
-    pub fn goodput_fraction(&self, from: ComponentId, to: ComponentId) -> Option<f64> {
-        self.usage(from, to).map(|u| u.goodput_fraction())
-    }
-
-    /// Iterates all measured edges.
-    pub fn iter(&self) -> impl Iterator<Item = (ComponentId, ComponentId, EdgeUsage)> + '_ {
-        self.edges.iter().map(|(&(f, t), &u)| (f, t, u))
-    }
-
-    /// Number of measured edges.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True when nothing was measured yet.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Drops every measurement with `component` at either end — a retired
-    /// app instance must not leave goodput ghosts behind for the
-    /// controller to chase.
-    pub fn forget_touching(&mut self, component: ComponentId) {
-        self.edges
-            .retain(|&(f, t), _| f != component && t != component);
+/// A fixed table of measurements.
+impl GoodputView for BTreeMap<(ComponentId, ComponentId), EdgeUsage> {
+    fn usage(&self, from: ComponentId, to: ComponentId) -> Option<EdgeUsage> {
+        self.get(&(from, to)).copied()
     }
 }
 
@@ -129,65 +74,14 @@ mod tests {
     }
 
     #[test]
-    fn record_and_query() {
-        let mut m = GoodputMonitor::new();
-        assert!(m.is_empty());
-        m.record(ComponentId(1), ComponentId(2), mbps(10.0), mbps(5.0), SimTime::ZERO);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.goodput_fraction(ComponentId(1), ComponentId(2)), Some(0.5));
-        // Directed: the reverse edge is distinct.
-        assert_eq!(m.usage(ComponentId(2), ComponentId(1)), None);
-    }
-
-    #[test]
-    fn latest_measurement_wins() {
-        let mut m = GoodputMonitor::new();
-        m.record(ComponentId(1), ComponentId(2), mbps(10.0), mbps(1.0), SimTime::ZERO);
-        m.record(ComponentId(1), ComponentId(2), mbps(10.0), mbps(9.0), SimTime::from_secs(30));
-        assert_eq!(m.goodput_fraction(ComponentId(1), ComponentId(2)), Some(0.9));
-        assert_eq!(
-            m.usage(ComponentId(1), ComponentId(2)).unwrap().measured_at,
-            SimTime::from_secs(30)
-        );
-    }
-
-    #[test]
     fn zero_requirement_is_satisfied() {
-        let u = EdgeUsage {
-            required: Bandwidth::ZERO,
-            achieved: Bandwidth::ZERO,
-            measured_at: SimTime::ZERO,
-        };
+        let u = EdgeUsage { required: Bandwidth::ZERO, achieved: Bandwidth::ZERO };
         assert_eq!(u.goodput_fraction(), 1.0);
     }
 
     #[test]
     fn overachieving_edge_exceeds_one() {
-        let u = EdgeUsage {
-            required: mbps(4.0),
-            achieved: mbps(6.0),
-            measured_at: SimTime::ZERO,
-        };
+        let u = EdgeUsage { required: mbps(4.0), achieved: mbps(6.0) };
         assert!((u.goodput_fraction() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forget_touching_drops_both_directions() {
-        let mut m = GoodputMonitor::new();
-        m.record(ComponentId(1), ComponentId(2), mbps(1.0), mbps(1.0), SimTime::ZERO);
-        m.record(ComponentId(2), ComponentId(3), mbps(1.0), mbps(1.0), SimTime::ZERO);
-        m.record(ComponentId(3), ComponentId(4), mbps(1.0), mbps(1.0), SimTime::ZERO);
-        m.forget_touching(ComponentId(2));
-        assert_eq!(m.len(), 1);
-        assert!(m.usage(ComponentId(3), ComponentId(4)).is_some());
-    }
-
-    #[test]
-    fn iteration_order_is_deterministic() {
-        let mut m = GoodputMonitor::new();
-        m.record(ComponentId(3), ComponentId(1), mbps(1.0), mbps(1.0), SimTime::ZERO);
-        m.record(ComponentId(1), ComponentId(2), mbps(1.0), mbps(1.0), SimTime::ZERO);
-        let keys: Vec<(ComponentId, ComponentId)> = m.iter().map(|(f, t, _)| (f, t)).collect();
-        assert_eq!(keys, vec![(ComponentId(1), ComponentId(2)), (ComponentId(3), ComponentId(1))]);
     }
 }

@@ -10,11 +10,11 @@
 //!   (send a small fraction of the link capacity to check that spare
 //!   headroom exists; cheap, used every cycle), both with overhead
 //!   accounting so §6.3.4's probe-cost numbers can be reproduced.
-//! - [`goodput`]: passive per-edge measurement of what each component
-//!   pair actually pushed versus what it required.
+//! - [`goodput`]: the controller's view of what each component pair
+//!   actually pushed versus what it required, read when it decides.
 
 pub mod goodput;
 pub mod probe;
 
-pub use goodput::GoodputMonitor;
+pub use goodput::{EdgeUsage, GoodputView};
 pub use probe::{HeadroomReport, NetMonitor, NetMonitorConfig};

@@ -10,10 +10,9 @@
 //! order-preserving result slots), so the summary is byte-identical
 //! whatever the thread count.
 //!
-//! Each replica's tick runs the seven profiled phases described in
+//! Each replica's tick runs the six profiled phases described in
 //! `docs/ARCHITECTURE.md` — `tick.faults`, `tick.scenario`,
-//! `tick.demand`, `tick.goodput`, `tick.controller`, `tick.migrate`,
-//! `tick.finalize`. Determinism follows the repo-wide rules: per-replica
+//! `tick.demand`, `tick.controller`, `tick.migrate`, `tick.finalize`. Determinism follows the repo-wide rules: per-replica
 //! seeds are forked from the campaign seed (never shared), worker
 //! threads only claim work and fill their own slot, and aggregation
 //! happens in replica order after the barrier.

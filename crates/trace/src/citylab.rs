@@ -19,7 +19,7 @@
 //! (and therefore bottleneck-path estimation) exercise real routing.
 
 use crate::generator::OuTraceConfig;
-use crate::trace::TraceBundle;
+use crate::trace::{BandwidthTrace, TraceBundle};
 use bass_util::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -62,8 +62,9 @@ pub fn citylab_topology_links() -> Vec<CitylabLink> {
     ]
 }
 
-/// Generates the CityLab trace bundle: one trace per link, `duration`
-/// long, deterministic in `seed`.
+/// Generates the CityLab traces: one per link of
+/// [`citylab_topology_links`], in that order, each `duration` long,
+/// named by its [`TraceBundle::link_key`] and deterministic in `seed`.
 ///
 /// Every wireless link experiences occasional, *minutes-long* fade
 /// events (the paper's "reflections from a truck or attenuation from
@@ -74,6 +75,27 @@ pub fn citylab_topology_links() -> Vec<CitylabLink> {
 /// control-plane attachment (σ < 0.05) never fades. The rates match the
 /// paper's observation that full probes were triggered only a handful
 /// of times in 20 minutes.
+pub fn citylab_traces(seed: u64, duration: SimDuration) -> Vec<BandwidthTrace> {
+    citylab_topology_links()
+        .into_iter()
+        .enumerate()
+        .map(|(i, link)| {
+            let key = TraceBundle::link_key(link.a, link.b);
+            let mut cfg = OuTraceConfig::new(key, link.mean_mbps)
+                .relative_std(link.relative_std)
+                .sample_interval(SimDuration::from_secs(1))
+                .floor_mbps(0.25);
+            if link.relative_std >= 0.2 {
+                cfg = cfg.fades(0.06, 0.55, SimDuration::from_secs(120));
+            } else if link.relative_std >= 0.05 {
+                cfg = cfg.fades(0.08, 0.6, SimDuration::from_secs(120));
+            }
+            cfg.generate(seed.wrapping_add(i as u64 * 0x9E37), duration)
+        })
+        .collect()
+}
+
+/// The [`citylab_traces`] keyed by link.
 ///
 /// # Examples
 ///
@@ -86,24 +108,7 @@ pub fn citylab_topology_links() -> Vec<CitylabLink> {
 /// assert!(bundle.get_link(3, 4).is_some());
 /// ```
 pub fn citylab_bundle(seed: u64, duration: SimDuration) -> TraceBundle {
-    citylab_topology_links()
-        .into_iter()
-        .enumerate()
-        .map(|(i, link)| {
-            let key = TraceBundle::link_key(link.a, link.b);
-            let mut cfg = OuTraceConfig::new(key.clone(), link.mean_mbps)
-                .relative_std(link.relative_std)
-                .sample_interval(SimDuration::from_secs(1))
-                .floor_mbps(0.25);
-            if link.relative_std >= 0.2 {
-                cfg = cfg.fades(0.06, 0.55, SimDuration::from_secs(120));
-            } else if link.relative_std >= 0.05 {
-                cfg = cfg.fades(0.08, 0.6, SimDuration::from_secs(120));
-            }
-            let trace = cfg.generate(seed.wrapping_add(i as u64 * 0x9E37), duration);
-            (key, trace)
-        })
-        .collect()
+    citylab_traces(seed, duration).into_iter().map(|t| (t.name().to_string(), t)).collect()
 }
 
 #[cfg(test)]

@@ -20,6 +20,6 @@ pub mod generator;
 pub mod io;
 pub mod trace;
 
-pub use citylab::{citylab_bundle, citylab_topology_links, CitylabLink};
+pub use citylab::{citylab_bundle, citylab_topology_links, citylab_traces, CitylabLink};
 pub use generator::{ou_bundle, ou_traces, OuTraceConfig};
 pub use trace::{BandwidthTrace, TraceBundle};

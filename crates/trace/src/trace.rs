@@ -221,18 +221,6 @@ impl TraceBundle {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &BandwidthTrace)> {
         self.traces.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Returns a bundle where every trace is flattened to its maximum —
-    /// the Table 2 "no bandwidth variation" control.
-    pub fn flattened_to_max(&self) -> TraceBundle {
-        TraceBundle {
-            traces: self
-                .traces
-                .iter()
-                .map(|(k, v)| (k.clone(), v.flattened_to_max()))
-                .collect(),
-        }
-    }
 }
 
 impl FromIterator<(String, BandwidthTrace)> for TraceBundle {
@@ -390,18 +378,6 @@ mod tests {
         assert!(b.get_link(1, 2).is_some());
         assert!(b.get_link(2, 1).is_some());
         assert!(b.get_link(1, 4).is_none());
-    }
-
-    #[test]
-    fn bundle_flatten() {
-        let mut t = BandwidthTrace::new("l");
-        t.push(SimTime::ZERO, mbps(5.0));
-        t.push(SimTime::from_secs(1), mbps(25.0));
-        let flat = bundle("k", t).flattened_to_max();
-        assert_eq!(
-            flat.get("k").unwrap().capacity_at(SimTime::ZERO),
-            mbps(25.0)
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use bass::util::time::SimDuration;
 
 fn run(policy: PlacementPolicy, migrations: bool) -> (f64, f64, usize) {
     let duration = SimDuration::from_secs(600);
-    let (mesh, cluster, _) = citylab_testbed(7, duration + SimDuration::from_secs(60));
+    let (mesh, cluster) = citylab_testbed(7, duration + SimDuration::from_secs(60));
     let cfg = SimEnvConfig {
         policy,
         migrations_enabled: migrations,

@@ -17,7 +17,7 @@ use bass::util::time::SimDuration;
 
 fn evaluate(point: TuningPoint) -> f64 {
     let duration = SimDuration::from_secs(600);
-    let (mesh, cluster, _) = citylab_testbed(1450, duration + SimDuration::from_secs(60));
+    let (mesh, cluster) = citylab_testbed(1450, duration + SimDuration::from_secs(60));
     let mut cfg = SimEnvConfig {
         policy: PlacementPolicy::LongestPath,
         ..Default::default()

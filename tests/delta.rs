@@ -685,7 +685,7 @@ fn fault_storm_replay_matches_the_rebuilt_reference() {
 /// composed storm, stepped as [`run_storm`] says; returns the journal
 /// for byte comparison.
 fn storm_journal(reference: bool, seed: u64, secs: u64) -> String {
-    let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
+    let (mesh, cluster) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: storm_plan(seed, secs),
         ..Default::default()

@@ -89,7 +89,7 @@ fn static_baseline_stays_degraded() {
 fn social_network_runs_on_citylab_deterministically() {
     let run = || {
         let duration = SimDuration::from_secs(120);
-        let (mesh, cluster, _) = citylab_testbed(5, duration + SimDuration::from_secs(30));
+        let (mesh, cluster) = citylab_testbed(5, duration + SimDuration::from_secs(30));
         let cfg = SimEnvConfig {
             policy: PlacementPolicy::LongestPath,
             ..Default::default()
@@ -117,7 +117,7 @@ fn social_network_runs_on_citylab_deterministically() {
 #[test]
 fn probe_overhead_stays_small() {
     let duration = SimDuration::from_secs(300);
-    let (mesh, cluster, _) = citylab_testbed(9, duration + SimDuration::from_secs(30));
+    let (mesh, cluster) = citylab_testbed(9, duration + SimDuration::from_secs(30));
     let cfg = SimEnvConfig::default();
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.deploy(&[]).expect("deploys");

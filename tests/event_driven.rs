@@ -49,7 +49,7 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 /// runs go through `SimEnv::run_for`; the `reference` is
 /// `support::ticked` over every 100 ms tick.
 fn sim_run(reference: bool, seed: u64, faults: FaultPlan, secs: u64) -> (String, u64) {
-    let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
+    let (mesh, cluster) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig { faults, ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
@@ -195,4 +195,74 @@ fn sub_byte_backlog_drift_replays_bit_for_bit() {
     assert!(executed < executed_ticked / 2, "executed {executed} of {executed_ticked}");
     let peak = ticked.iter().max().unwrap();
     assert!(*peak > ticked[0] + SimDuration::from_micros(100) && ticked[1199] < *peak, "{peak:?}");
+}
+
+/// A migration's restart whose 5.05 s downtime ends inside a tick, in the
+/// quiet stretch between probe epochs, with skip windows on either side.
+/// Demands are pushed only when one can have moved, so the first tick
+/// that starts after the expiry must push the restored demands although
+/// no input, bind or factor changed. The hook reads every
+/// flow's demand and every DAG edge's achieved bandwidth on every tick;
+/// production must see what the rebuilt reference sees, and journal the
+/// same bytes, while skipping most ticks.
+#[test]
+fn a_restart_expiring_mid_tick_restores_its_demands() {
+    use bass::cluster::RestartModel;
+    use bass::core::{scheduler::PlacementPolicy, BfsWeighting};
+    use bass::emu::{Action, Scenario};
+    use bass::mesh::FlowId;
+    use bass::util::time::SimTime;
+
+    type Seen = Vec<Vec<Option<u64>>>;
+    fn run(reference: bool) -> (Seen, String, u64, usize) {
+        let mbps = Bandwidth::from_mbps;
+        let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
+        let cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 12, 16384))).unwrap();
+        let restart = RestartModel { downtime: SimDuration::from_millis(5050), ..Default::default() };
+        let policy = PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight);
+        let cfg = SimEnvConfig { restart, policy, ..Default::default() };
+        let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
+        env.attach_journal(Journal::new());
+        env.enable_span_profiling();
+        env.deploy(&[]).expect("deploys");
+        // Squeeze the sampler → detector link 20 s in: the next probe
+        // epoch migrates one of them.
+        let node = |name| env.placement()[&env.dag().component_by_name(name).unwrap().id];
+        let (a, b) = (node("frame-sampler"), node("object-detector"));
+        let cap = Some(mbps(1.0));
+        env.set_scenario(Scenario::new().at(SimTime::from_secs(20), Action::CapLink { a, b, cap }));
+        let edges: Vec<_> = env.dag().edges().iter().map(|e| (e.from, e.to)).collect();
+        let mut seen = Vec::new();
+        let mut sample = |e: &SimEnv| {
+            let demands = (0..16).map(|i| e.mesh().flow_spec(FlowId(i)).ok());
+            let demands = demands.map(|s| s.map(|s| s.demand.as_bps().to_bits()));
+            let achieved = edges.iter().map(|&(f, t)| Some(e.edge_achieved(f, t).as_bps().to_bits()));
+            seen.push(demands.chain(achieved).collect());
+        };
+        if reference {
+            support::ticked(&mut env, 900, &mut sample);
+        } else {
+            env.run_for(SimDuration::from_secs(90), |e| {
+                support::check(e);
+                sample(e);
+            })
+            .expect("run completes");
+        }
+        let migrations = env.stats().migrations.len();
+        let journal = env.take_journal().expect("journal attached").export_jsonl();
+        let profiler = env.take_span_profiler().expect("profiler attached");
+        (seen, journal, profiler.stats("tick.finalize").map_or(0, |s| s.count), migrations)
+    }
+    let (ticked, ticked_journal, executed_ticked, migrations) = run(true);
+    let (skipping, journal, executed, _) = run(false);
+    assert_eq!(ticked.len(), 900);
+    assert_eq!(ticked, skipping, "the hook must see every demand a full tick pushes");
+    assert_eq!(ticked_journal, journal);
+    // Not vacuous: a migration restarted a component, its demands went to
+    // zero and came back, and most ticks were skipped.
+    assert!(migrations > 0, "the squeeze must migrate");
+    let zeros = |tick: &Vec<Option<u64>>| tick.iter().filter(|d| **d == Some(0)).count();
+    let (first, most) = (zeros(&ticked[0]), ticked.iter().map(zeros).max().unwrap());
+    assert!(most > first && zeros(&ticked[899]) == first, "{first} {most}");
+    assert!(executed < executed_ticked / 2, "executed {executed} of {executed_ticked}");
 }

@@ -190,7 +190,7 @@ fn storm_run(
     stormy: bool,
     secs: u64,
 ) -> (String, Vec<MigrationRecord>) {
-    let (mesh, cluster, _) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
+    let (mesh, cluster) = citylab_testbed(seed, SimDuration::from_secs(secs + 60));
     let cfg = SimEnvConfig {
         faults: if stormy { storm_plan(seed, secs) } else { FaultPlan::new() },
         migration_policy: policy,
@@ -215,7 +215,7 @@ fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     // paper's configuration; the explicit Bass arm, ticked and
     // skipping, must journal identical bytes.
     let explicit = storm_run(PolicyKind::Bass, true, 0xF16, true, 120).0;
-    let (mesh, cluster, _) = citylab_testbed(0xF16, SimDuration::from_secs(180));
+    let (mesh, cluster) = citylab_testbed(0xF16, SimDuration::from_secs(180));
     let cfg = SimEnvConfig { faults: storm_plan(0xF16, 120), ..Default::default() };
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
     env.attach_journal(Journal::new());
