@@ -10,8 +10,8 @@
 //! [`FlowTable`] and the index in place. Route or egress-cap changes, and
 //! tombstones outnumbering live flows, rebuild the index; a rebuild
 //! marks every slot and every component dirty and feeds the same
-//! pipeline, so that tick refills everything. Every tick ends by
-//! re-summing the usage views from the constraints' members.
+//! pipeline, so that tick refills everything. Every allocation ends by
+//! re-summing the usage views of what it refilled from their members.
 //!
 //! Invariant: while the index is clean, it describes exactly the live
 //! slots' paths and the egress-cap set; the rates and `floor_bps` are
@@ -19,7 +19,7 @@
 //! every slot whose transmit demand can have moved since. The demand
 //! diff writes every moved demand into `demands_scratch` but keeps a
 //! slot dirty only when its new demand is not above its floor — a move
-//! above the floor leaves that fill bit-identical (`fill_component`'s
+//! above the floor leaves that fill bit-identical (`refill_component_into`'s
 //! lemma) — so filling only the dirty components equals filling all of
 //! them, bit for bit. The judge is the
 //! same pipeline from scratch: [`Mesh::rebuilt`](crate::Mesh::rebuilt)
@@ -556,6 +556,9 @@ impl Allocation {
                     self.comp_dirty[comp as usize] = true;
                     self.dirty_comps.push(comp);
                 }
+            } else if ci < link_count {
+                // A link whose last member left: its usage view is zero.
+                self.link_used_bps[ci] = 0.0;
             }
         }
         self.index.repatched.clear();
@@ -650,18 +653,30 @@ impl Allocation {
             })
     }
 
-    /// Recomputes the link usage view and every capped node's egress
-    /// usage from `rates_bps`, each as its constraint's member sum.
-    /// Members are live slots in ascending flow order, so each sum
-    /// accumulates in flow order.
+    /// Re-sums, each as its constraint's member sum over `rates_bps`, the
+    /// link usage of every constraint in a refilled component (every link
+    /// after a rebuild) and every capped node's egress usage; no other
+    /// link's members or rates moved. Members are live slots in ascending
+    /// flow order, so each sum accumulates in flow order, as a full one's.
     fn update_usage_views(&mut self, link_count: usize) {
-        let (link_cons, egress_cons) = self.index.constraints.split_at(link_count);
-        self.link_used_bps.resize(link_count, 0.0);
-        for (used, c) in self.link_used_bps.iter_mut().zip(link_cons) {
-            *used = member_sum(c, &self.rates_bps);
+        let (constraints, comps) = (&self.index.constraints, &self.index.comps);
+        for &comp in &self.dirty_comps {
+            for &ci in comps.constraints_of(comp).iter().filter(|&&ci| ci < link_count) {
+                self.link_used_bps[ci] = member_sum(&constraints[ci], &self.rates_bps);
+            }
         }
-        for (e, c) in self.egress_caps.values_mut().zip(egress_cons) {
+        for (e, c) in self.egress_caps.values_mut().zip(&constraints[link_count..]) {
             e.used_bps = member_sum(c, &self.rates_bps);
+        }
+        // Every view equals a full re-sum, bit for bit, in debug builds.
+        #[cfg(debug_assertions)]
+        {
+            let egress = self.egress_caps.values().map(|e| &e.used_bps);
+            let views = self.link_used_bps.iter().chain(egress);
+            for (ci, (c, view)) in constraints.iter().zip(views).enumerate() {
+                let sum = member_sum(c, &self.rates_bps);
+                assert_eq!(view.to_bits(), sum.to_bits(), "usage view of constraint {ci}");
+            }
         }
     }
 

@@ -310,7 +310,7 @@ impl ComponentIndex {
     }
 
     /// The constraint indices of a component, ascending.
-    fn constraints_of(&self, comp: u32) -> &[usize] {
+    pub(crate) fn constraints_of(&self, comp: u32) -> &[usize] {
         &self.comp_cons[self.comp_cons_off[comp as usize]..self.comp_cons_off[comp as usize + 1]]
     }
 }
@@ -346,34 +346,38 @@ fn shift_counts(off: &mut [usize]) -> usize {
 
 /// Reusable scratch state for [`refill_component_into`].
 ///
-/// The component fill's working vectors (per-flow frozen flags,
-/// per-constraint remaining capacity and active-member counts, and the
-/// compact active-flow list) are kept here so a caller that allocates
-/// every simulation tick — [`crate::Mesh`] — performs zero heap
-/// allocations on the steady-state path.
+/// The component fill's working vectors (frozen flags, active-member
+/// counts, the active flows, the live constraints as `(constraint,
+/// remaining, saturation bound)` and a round's saturated ones) are kept
+/// here so a caller that allocates every simulation tick —
+/// [`crate::Mesh`] — performs zero heap allocations on the steady state.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AllocScratch {
     frozen: Vec<bool>,
-    remaining: Vec<f64>,
     active_count: Vec<usize>,
     active: Vec<usize>,
+    live: Vec<(usize, f64, f64)>,
+    saturated: Vec<usize>,
 }
 
 /// Progressive-filling water-fill of component `comp`, in place.
 ///
 /// Resets the component's slice of the working state (`frozen`,
-/// `remaining`, `active_count`), then runs the incremental water-filling
-/// rounds restricted to the component's flows and constraints, writing
-/// each flow's entry of `rates` once, when it freezes; every other entry
-/// of `rates` is left untouched. This is *the* canonical fill: the dense
-/// oracle in `tests/properties.rs` reaches the same floating-point values
-/// by re-scanning membership lists and adding to every rate, and
-/// [`crate::Mesh`] calls this for each dirty component — when a tick
-/// changes one link's capacity, only that link's component is refilled
-/// and the rest keeps its previous allocation verbatim. State arrays are
-/// global-sized; only the component's entries are read or written, so
-/// disjoint components can be filled in any order with bit-identical
-/// results.
+/// `active_count`, the live constraints), then runs the incremental
+/// water-filling rounds restricted to the component's flows and
+/// constraints, writing each flow's entry of `rates` once, when it
+/// freezes; every other entry of `rates` is left untouched. This is *the*
+/// canonical fill: the dense oracle in `tests/properties.rs` reaches the
+/// same floating-point values by re-scanning membership lists and adding
+/// to every rate, and [`crate::Mesh`] calls this for each dirty component
+/// — when a tick changes one link's capacity, only that link's component
+/// is refilled and the rest keeps its previous allocation verbatim. State
+/// arrays are global-sized; only the component's entries are read or
+/// written, so disjoint components can be filled in any order with
+/// bit-identical results. A round walks only the *live* constraints, those
+/// with an active member: a dead one can neither bind nor saturate, each
+/// live one sees the oracle's subtractions in order, and a minimum over a
+/// set is exact, so dropping the dead moves no bit.
 ///
 /// It also writes each flow's demand *floor*: a flow frozen by a
 /// saturated constraint in a round whose `min_demand` lies strictly
@@ -388,7 +392,8 @@ pub(crate) struct AllocScratch {
 /// # Panics
 ///
 /// Panics if `rates`/`floors`/CSR sizes are inconsistent with
-/// `demands.len()` or a constraint references an out-of-range flow.
+/// `demands.len()`. Members are not range-checked here: the public
+/// [`max_min_allocate`] rejects an out-of-range one while building the CSR.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refill_component_into(
     comp: u32,
@@ -407,14 +412,20 @@ pub(crate) fn refill_component_into(
     assert_eq!(floors.len(), n, "floors must hold one slot per flow");
     // Cover every flow and constraint without clearing existing entries:
     // the reset below touches exactly the component's.
-    let AllocScratch { frozen, remaining, active_count, active } = scratch;
+    let AllocScratch { frozen, active_count, active, live, saturated } = scratch;
     frozen.resize(frozen.len().max(n), false);
-    remaining.resize(remaining.len().max(constraints.len()), 0.0);
     active_count.resize(active_count.len().max(constraints.len()), 0);
     let (comp_flows, comp_cons) = (comps.flows_of(comp), comps.constraints_of(comp));
-    // Reset the component's state: zero-demand flows pre-freeze at rate
-    // 0 (mirroring the historical global pre-pass), everything else
-    // starts unfrozen at rate 0.
+    // Reset the component's state: every constraint starts live with all
+    // its members active; zero-demand flows pre-freeze at rate 0
+    // (mirroring the historical global pre-pass) and leave their
+    // constraints' counts; everything else starts unfrozen at rate 0.
+    live.clear();
+    for &ci in comp_cons {
+        let c = &constraints[ci];
+        active_count[ci] = c.members.len();
+        live.push((ci, c.capacity.as_bps(), saturated_below(c.capacity)));
+    }
     active.clear();
     let mut min_demand = f64::INFINITY;
     for &i in comp_flows {
@@ -423,22 +434,14 @@ pub(crate) fn refill_component_into(
         if d <= EPS {
             rates[i] = 0.0;
             frozen[i] = true;
+            for &ci in &flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]] {
+                active_count[ci] -= 1;
+            }
         } else {
             frozen[i] = false;
             active.push(i);
             min_demand = min_demand.min(d);
         }
-    }
-    for &ci in comp_cons {
-        remaining[ci] = constraints[ci].capacity.as_bps();
-        let mut k = 0;
-        for &m in &constraints[ci].members {
-            assert!(m < n, "constraint references unknown flow index {m}");
-            if !frozen[m] {
-                k += 1;
-            }
-        }
-        active_count[ci] = k;
     }
 
     // Every active flow has received the same additions from 0.0, so
@@ -446,43 +449,55 @@ pub(crate) fn refill_component_into(
     // written once, as the level, when it freezes.
     let mut level = 0.0f64;
     while !active.is_empty() {
-        // Smallest per-flow increment until some flow hits its demand —
-        // `min(demand − level)` is `min(demand) − level`, subtraction
-        // being monotone in the minuend — …
-        let mut delta = min_demand - level;
-        // … or some constraint saturates.
-        for &ci in comp_cons {
+        // Drop the constraints left with no active member; the smallest
+        // per-flow increment until a live one saturates, …
+        let mut bind = f64::INFINITY;
+        live.retain(|&(ci, remaining, _)| {
             let k = active_count[ci];
             if k > 0 {
-                delta = delta.min(remaining[ci] / k as f64);
+                bind = bind.min(remaining / k as f64);
             }
-        }
-        let delta = delta.max(0.0);
+            k > 0
+        });
+        debug_assert!(live.iter().all(|&(ci, ..)| active_count[ci] > 0), "a dead constraint kept");
+        debug_assert_eq!(live.len(), comp_cons.iter().filter(|&&ci| active_count[ci] > 0).count());
+        // … or until some flow hits its demand: `min(demand − level)` is
+        // `min(demand) − level`, subtraction being monotone in the minuend.
+        let delta = (min_demand - level).min(bind).max(0.0);
         level += delta;
-        for &ci in comp_cons {
-            remaining[ci] -= delta * active_count[ci] as f64;
+        // Charge each live constraint at the round's starting counts and
+        // collect the saturated ones. Freezing here would decrement the
+        // counts of constraints later in the list before their charge.
+        saturated.clear();
+        for (ci, remaining, bound) in live.iter_mut() {
+            *remaining -= delta * active_count[*ci] as f64;
+            if *remaining <= *bound {
+                saturated.push(*ci);
+            }
         }
 
         // Freeze members of saturated constraints and demand-satisfied
         // flows, decrementing the counts of every constraint a freezing
         // flow belongs to. The frozen set does not depend on the order
-        // of the two passes, so saturation goes first and the demand pass
-        // also compacts the active list and finds the next minimum. At
-        // least one flow freezes per round (delta picked the binding
-        // resource), so the loop terminates.
+        // of the two passes, so saturation goes first (skipping a
+        // constraint an earlier freeze emptied) and the demand pass also
+        // compacts the active list and finds the next minimum. At least
+        // one flow freezes per round (delta picked the binding resource),
+        // so the loop terminates.
         let before = active.len();
-        for &ci in comp_cons {
-            if active_count[ci] > 0 && remaining[ci] <= saturated_below(constraints[ci].capacity) {
-                for &m in &constraints[ci].members {
-                    if !frozen[m] {
-                        frozen[m] = true;
-                        rates[m] = level;
-                        if demands[m].as_bps() > min_demand {
-                            floors[m] = min_demand;
-                        }
-                        for &cj in &flow_cons[flow_cons_off[m]..flow_cons_off[m + 1]] {
-                            active_count[cj] -= 1;
-                        }
+        for &ci in saturated.iter() {
+            if active_count[ci] == 0 {
+                continue;
+            }
+            for &m in &constraints[ci].members {
+                if !frozen[m] {
+                    frozen[m] = true;
+                    rates[m] = level;
+                    if demands[m].as_bps() > min_demand {
+                        floors[m] = min_demand;
+                    }
+                    for &cj in &flow_cons[flow_cons_off[m]..flow_cons_off[m + 1]] {
+                        active_count[cj] -= 1;
                     }
                 }
             }
@@ -598,6 +613,11 @@ impl FillScratch {
             refill_component_into(comp, demands, constraints, off, cons, comps, alloc, rates, floors);
         }
         rates
+    }
+
+    /// The last [`allocate`](Self::allocate)'s demand floors, one per flow.
+    pub fn floors(&self) -> &[f64] {
+        &self.floors
     }
 }
 

@@ -6,7 +6,7 @@ use bass::core::heuristics::{breadth_first, hybrid, longest_path, BfsWeighting, 
 use bass::core::placement::{pack_ordering, PlacementError};
 use bass::core::ranking::{rank_nodes, NodeRanking};
 use bass::core::rescheduler::Scorer;
-use bass::mesh::flow::{max_min_allocate, Constraint};
+use bass::mesh::flow::{max_min_allocate, Constraint, FillScratch};
 use bass::mesh::queueing::{FlowQueue, MAX_DELAY};
 use bass::mesh::routing::RoutingTable;
 use bass::mesh::{CapacitySource, LinkId, Mesh, MeshError, NodeId, Topology};
@@ -363,6 +363,100 @@ fn incremental_matches_dense_oracle_on_random_sets() {
         let inc = max_min_allocate(&demands, &constraints);
         assert_eq!(dense, inc, "trial {trial} diverged");
     }
+}
+
+/// One problem from the corners the kernel's live-constraint bookkeeping
+/// must get right, which `uniform(0, 50)` Mbps demands never reach:
+/// demands exactly zero (one in four) or nonzero but at most [`EPS`],
+/// most of the rest tied from a three-value pool; capacities zero,
+/// infinite, or small multiples of the same pool (so several constraints
+/// saturate in one round while others die by demand freezes); and
+/// constraints that have no members or only zero-demand ones.
+fn edge_case_problem(rng: &mut SimRng) -> (Vec<Bandwidth>, Vec<Constraint>) {
+    let n = 1 + rng.below(16) as usize;
+    let pool: Vec<f64> = (0..3).map(|_| 1e6 * rng.uniform(0.5, 20.0)).collect();
+    let demands: Vec<Bandwidth> = (0..n)
+        .map(|_| match rng.below(8) {
+            0 | 1 => 0.0,
+            2 => EPS * rng.next_f64(),
+            3..=5 => pool[rng.below(3) as usize],
+            _ => 1e6 * rng.uniform(0.0, 20.0),
+        })
+        .map(Bandwidth::from_bps)
+        .collect();
+    let idle: Vec<usize> = (0..n).filter(|&i| demands[i].as_bps() <= EPS).collect();
+    let constraints = (0..rng.below(10))
+        .map(|_| Constraint {
+            capacity: Bandwidth::from_bps(match rng.below(8) {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                2..=5 => pool[rng.below(3) as usize] * (1 + rng.below(3)) as f64,
+                _ => 1e6 * rng.uniform(0.0, 60.0),
+            }),
+            members: match rng.below(8) {
+                0 => Vec::new(),
+                1 => idle.iter().copied().filter(|_| rng.chance(0.7)).collect(),
+                _ => (0..n).filter(|_| rng.chance(0.5)).collect(),
+            },
+        })
+        .collect();
+    (demands, constraints)
+}
+
+/// The kernel's corner cases, bit for bit against the dense oracle:
+/// rates through `max_min_allocate` and through one reused
+/// `FillScratch`, demand floors through that scratch, each compared by
+/// `to_bits`, and every fill passes the certificate. The battery counts
+/// the corners it reached, so it cannot quietly stop reaching them.
+#[test]
+fn kernel_corner_cases_match_the_dense_oracle_bit_for_bit() {
+    let mut rng = SimRng::seed_from_u64(0xC0_4E25);
+    let mut fill = FillScratch::default();
+    let (mut idle_only, mut memberless, mut infinite, mut tied, mut floored) = (0, 0, 0, 0, 0);
+    for trial in 0..4000 {
+        let (demands, constraints) = edge_case_problem(&mut rng);
+        let (want, want_floors) = dense_fill(&demands, &constraints);
+        let one_shot = max_min_allocate(&demands, &constraints);
+        let rates = fill.allocate(&demands, &constraints).to_vec();
+        for i in 0..demands.len() {
+            let (w, o, r) = (want[i].as_bps(), one_shot[i].as_bps(), rates[i]);
+            assert_eq!(w.to_bits(), o.to_bits(), "trial {trial} flow {i}: dense {w} vs {o}");
+            assert_eq!(w.to_bits(), r.to_bits(), "trial {trial} flow {i}: dense {w} vs reused {r}");
+            let (wf, f) = (want_floors[i], fill.floors()[i]);
+            assert_eq!(wf.to_bits(), f.to_bits(), "trial {trial} flow {i}: floor {wf} vs {f}");
+        }
+        if let Err(e) = max_min_certificate(&demands, &constraints, &one_shot) {
+            panic!("trial {trial}: certificate rejected the fill: {e}");
+        }
+        let idle = |m: &usize| demands[*m].as_bps() <= EPS;
+        idle_only += constraints
+            .iter()
+            .any(|c| !c.members.is_empty() && c.members.iter().all(idle)) as u32;
+        memberless += constraints.iter().any(|c| c.members.is_empty()) as u32;
+        infinite += constraints
+            .iter()
+            .any(|c| c.capacity.as_bps().is_infinite() && !c.members.iter().all(idle)) as u32;
+        // Two saturated constraints topped by the same rate saturated in
+        // the same round.
+        let mut tops: Vec<u64> = constraints
+            .iter()
+            .filter(|c| {
+                let sum: f64 = c.members.iter().map(|&m| one_shot[m].as_bps()).sum();
+                !c.members.is_empty() && sum >= c.capacity.as_bps() - tol(c.capacity.as_bps())
+            })
+            .map(|c| c.members.iter().map(|&m| one_shot[m].as_bps()).fold(0.0, f64::max).to_bits())
+            .collect();
+        let saturated = tops.len();
+        tops.sort_unstable();
+        tops.dedup();
+        tied += (tops.len() < saturated) as u32;
+        floored += want_floors.iter().filter(|f| f.is_finite()).count();
+    }
+    assert!(
+        idle_only > 800 && memberless > 1000 && infinite > 500 && tied > 200 && floored > 3000,
+        "corners reached: {idle_only} zero-demand-only, {memberless} memberless, {infinite} \
+         infinite, {tied} tied saturations, {floored} finite floors"
+    );
 }
 
 
