@@ -23,8 +23,8 @@ pub fn lan_testbed(n: u32, cores: u64) -> (Mesh, Cluster) {
 
 /// The CityLab emulation (§6.3): node 0 runs the control plane (no
 /// workloads), workers 1–4 are heterogeneous (8, 12, 12, 8 cores, 8 GB
-/// RAM — the paper's mix of 12- and 8-core VMs), and the wireless links
-/// replay the CityLab-like trace bundle. The two big workers sit on
+/// RAM — the paper's mix of 12- and 8-core VMs), and each link replays
+/// its CityLab-like trace from [`citylab_traces`]. The two big workers sit on
 /// either side of the volatile n2–n3 link, so bandwidth-aware packing
 /// still has to reckon with variation.
 ///
@@ -40,9 +40,9 @@ pub fn citylab_testbed_flat(seed: u64, duration: SimDuration) -> (Mesh, Cluster)
     citylab_over(citylab_traces(seed, duration).iter().map(BandwidthTrace::flattened_to_max))
 }
 
-/// The CityLab topology with link `i` replaying trace `i`, and the
-/// four-worker cluster: what both CityLab testbeds share.
-fn citylab_over(traces: impl IntoIterator<Item = BandwidthTrace>) -> (Mesh, Cluster) {
+/// The 5-node CityLab topology of Fig. 15(a): nodes 0–4, and the links
+/// of [`citylab_topology_links`] in that order, so `LinkId(i)` is link `i`.
+pub fn citylab_topology() -> Topology {
     let mut topo = Topology::new();
     for n in 0..=4u32 {
         topo.add_node(NodeId(n)).expect("fresh node");
@@ -50,7 +50,13 @@ fn citylab_over(traces: impl IntoIterator<Item = BandwidthTrace>) -> (Mesh, Clus
     for link in citylab_topology_links() {
         topo.add_link(NodeId(link.a), NodeId(link.b)).expect("fresh link");
     }
-    let mesh = Mesh::from_traces(topo, traces).expect("one trace per link");
+    topo
+}
+
+/// The CityLab topology with link `i` replaying trace `i`, and the
+/// four-worker cluster: what both CityLab testbeds share.
+fn citylab_over(traces: impl IntoIterator<Item = BandwidthTrace>) -> (Mesh, Cluster) {
+    let mesh = Mesh::from_traces(citylab_topology(), traces).expect("one trace per link");
     let cluster = Cluster::new([
         NodeSpec::cores_mb(1, 8, 8_192),
         NodeSpec::cores_mb(2, 12, 8_192),
@@ -81,6 +87,10 @@ mod tests {
         let (mesh, cluster) = citylab_testbed(42, SimDuration::from_secs(60));
         assert_eq!(mesh.topology().node_count(), 5);
         assert_eq!(mesh.topology().link_count(), 6);
+        // `LinkId(i)` is link `i` of the CityLab link list.
+        for ((_, link), l) in mesh.topology().links().zip(citylab_topology_links()) {
+            assert_eq!(bass_trace::link_name(link.a.0, link.b.0), bass_trace::link_name(l.a, l.b));
+        }
         assert_eq!(cluster.node_count(), 4, "control node hosts no work");
         // Heterogeneous workers.
         assert_eq!(cluster.node_spec(NodeId(2)).unwrap().capacity.cpu.as_cores(), 12.0);

@@ -14,7 +14,8 @@ use bass_cluster::{Cluster, NodeSpec};
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use bass_emu::{Recorder, Scenario, SimEnv, SimEnvConfig};
-use bass_mesh::{Mesh, NodeId, Topology};
+use bass_apps::testbeds::citylab_topology;
+use bass_mesh::{Mesh, NodeId};
 use bass_trace::citylab_topology_links;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::Bandwidth;
@@ -51,14 +52,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
     let t_degrade2 = 1119 / scale;
     let total = SimDuration::from_secs(1500 / scale);
 
-    let mut topo = Topology::new();
-    for n in 0..=4u32 {
-        topo.add_node(NodeId(n)).expect("fresh");
-    }
-    for l in citylab_topology_links() {
-        topo.add_link(NodeId(l.a), NodeId(l.b)).expect("fresh");
-    }
-    let mut mesh = Mesh::new(topo).expect("connected");
+    let mut mesh = Mesh::new(citylab_topology()).expect("connected");
     for l in citylab_topology_links() {
         // Constant base capacities (this is the controlled experiment).
         // The n2–n3 link sits below the pair's 8 Mbps requirement so the

@@ -6,9 +6,9 @@
 //! bassctl simulate --manifest app.json --testbed mesh.json [--policy …] [--duration SECS]
 //!                  [--no-migrations] [--seed N] [--json] [--journal events.jsonl]
 //!                  [--faults plan.json] [--metrics-out metrics.prom]
-//! bassctl recommend --manifest app.json --testbed mesh.json [--json]
+//! bassctl recommend --manifest app.json --testbed mesh.json [--seed N] [--json]
 //! bassctl traces   --testbed mesh.json [--duration SECS] [--seed N]
-//! bassctl campaign --spec scenario.json [--seed N] [--jobs N] [--out summary.json]
+//! bassctl campaign --spec scenario.json [--seed N] [--jobs N] [--out summary.json] [--json]
 //!                  [--journal events.jsonl] [--metrics-out metrics.prom]
 //!                  [--profile] [--progress[=off|info|debug]]
 //! bassctl arena    --spec scenario.json [--spec more.json …] [--policy bass,random,…]
@@ -40,6 +40,21 @@ use std::process::ExitCode;
 
 /// Every command `bassctl` dispatches on, as shown in usage errors.
 const COMMANDS: &str = "order|place|simulate|recommend|traces|campaign|arena|metrics|schema";
+
+/// The flags `run` reads for each command (`--progress` also stands for
+/// `--progress=LEVEL`). The parser refuses every other flag and command.
+const FLAGS: &[(&str, &str)] = &[
+    ("order", "--manifest --policy"),
+    ("place", "--manifest --testbed --policy --seed --json"),
+    ("simulate", "--manifest --testbed --policy --duration --no-migrations --seed --json \
+        --journal --faults --metrics-out"),
+    ("recommend", "--manifest --testbed --seed --json"),
+    ("traces", "--testbed --seed --duration"),
+    ("campaign", "--spec --seed --jobs --out --json --journal --metrics-out --profile --progress"),
+    ("arena", "--spec --policy --seed --jobs --out --json --metrics-out --progress"),
+    ("metrics", "--in --diff --lint"),
+    ("schema", ""), ("help", ""), ("--help", ""), ("-h", ""),
+];
 
 struct Args {
     manifest: Option<String>,
@@ -77,6 +92,10 @@ fn parse_policy(name: &str) -> Result<PlacementPolicy, String> {
 
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), String> {
     let command = argv.next().ok_or_else(|| format!("missing command ({COMMANDS})"))?;
+    let (_, accepted) = FLAGS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .ok_or_else(|| format!("unknown command '{command}'"))?;
     let mut args = Args {
         manifest: None,
         testbed: None,
@@ -99,6 +118,10 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         lint: false,
     };
     while let Some(flag) = argv.next() {
+        let name = flag.split_once('=').map_or(flag.as_str(), |(name, _)| name);
+        if !accepted.split_whitespace().any(|f| f == name) {
+            return Err(format!("unknown flag '{flag}' for {command}; it takes [{accepted}]"));
+        }
         let mut value = |name: &str| argv.next().ok_or(format!("{name} requires a value"));
         match flag.as_str() {
             "--manifest" => args.manifest = Some(value("--manifest")?),
@@ -216,10 +239,10 @@ fn run(stdout: &mut impl Write) -> Result<(), Failure> {
             let out_dir = std::path::Path::new("traces");
             std::fs::create_dir_all(out_dir)
                 .map_err(|e| format!("cannot create traces/: {e}"))?;
-            let bundles =
+            let files =
                 traces(&testbed, args.seed, args.duration_s).map_err(|e| e.to_string())?;
-            for (key, csv) in bundles {
-                let path = out_dir.join(format!("{key}.csv"));
+            for (name, csv) in files {
+                let path = out_dir.join(format!("{name}.csv"));
                 std::fs::write(&path, csv)
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
                 writeln!(stdout, "wrote {}", path.display())?;
@@ -444,11 +467,11 @@ fn run(stdout: &mut impl Write) -> Result<(), Failure> {
             write!(stdout, "{report}")?;
             Ok(())
         }
-        "--help" | "-h" | "help" => {
+        // `parse_args` has already refused any other command.
+        _ => {
             writeln!(stdout, "bassctl {COMMANDS} — see crate docs")?;
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'").into()),
     }
 }
 

@@ -354,7 +354,7 @@ pub fn recommend(
 }
 
 /// `bassctl traces`: generate each variable link's trace from a testbed
-/// description and return `(link key, csv text)` pairs — plotting fodder
+/// description and return `(link name, csv text)` pairs — plotting fodder
 /// and a way to eyeball what the simulator will replay.
 ///
 /// # Errors

@@ -2,7 +2,7 @@
 
 use bass_cluster::{Cluster, ClusterError, NodeSpec};
 use bass_mesh::{Mesh, MeshError, NodeId, Topology, TopologyError};
-use bass_trace::{BandwidthTrace, OuTraceConfig};
+use bass_trace::{link_name, BandwidthTrace, OuTraceConfig};
 use bass_util::time::{SimDuration, MAX_SECS};
 use bass_util::units::{Bandwidth, Millicores};
 use serde::{Deserialize, Serialize};
@@ -236,7 +236,7 @@ impl TestbedSpec {
     ) -> Option<BandwidthTrace> {
         let l = &self.links[i];
         (l.relative_std > 0.0).then(|| {
-            OuTraceConfig::new(format!("n{}-n{}", l.a.min(l.b), l.a.max(l.b)), l.mbps)
+            OuTraceConfig::new(link_name(l.a, l.b), l.mbps)
                 .relative_std(l.relative_std)
                 .generate(seed.wrapping_add(i as u64 * 0x9E37), len)
         })

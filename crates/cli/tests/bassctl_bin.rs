@@ -480,6 +480,56 @@ fn removed_allocator_flags_fail_cleanly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Each command takes only the flags it reads. A flag it would ignore
+/// (`traces --out`, `order --journal`, `recommend --policy`, …) fails
+/// the run in the parser, naming the flag and the command, before any
+/// file is read or written: the working directory keeps exactly the
+/// inputs it started with.
+#[test]
+fn flags_outside_the_command_fail_cleanly() {
+    let dir = temp_dir("foreign_flags");
+    write_schema_files(&dir);
+    write_campaign_spec(&dir, 10);
+    let inputs = |dir: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = inputs(&dir);
+    // (command, arguments, the first flag the command does not take)
+    let rows: &[(&str, &[&str], &str)] = &[
+        ("traces", &["--testbed", "mesh.json", "--out", "mydir"], "--out"),
+        (
+            "order",
+            &["--manifest", "app.json", "--journal", "j.jsonl", "--faults", "missing.json"],
+            "--journal",
+        ),
+        ("recommend", &["--testbed", "mesh.json", "--policy", "bfs"], "--policy"),
+        ("place", &["--testbed", "mesh.json", "--journal", "j.jsonl"], "--journal"),
+        ("simulate", &["--testbed", "mesh.json", "--out", "o.json"], "--out"),
+        ("simulate", &["--testbed", "mesh.json", "--progress=debug"], "--progress=debug"),
+        ("campaign", &["--spec", "spec.json", "--out", "o.json", "--policy", "bass"], "--policy"),
+        ("campaign", &["--journal", "j.jsonl", "--no-migrations"], "--no-migrations"),
+        ("arena", &["--spec", "spec.json", "--out", "o.json", "--journal", "j.jsonl"], "--journal"),
+        ("arena", &["--spec", "spec.json", "--out", "o.json", "--profile"], "--profile"),
+        ("metrics", &["--in", "app.json", "--metrics-out", "m.prom"], "--metrics-out"),
+        ("schema", &["--json"], "--json"),
+    ];
+    for &(command, args, rejected) in rows {
+        let out = bassctl().current_dir(&dir).arg(command).args(args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command} {args:?} printed output");
+        let named = format!("unknown flag '{rejected}' for {command}");
+        assert!(stderr.contains(&named), "{command} {args:?}: {stderr}");
+        assert_eq!(inputs(&dir), before, "{command} {args:?} wrote a file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn faults_plan_on_nonexistent_node_fails_cleanly() {
     let dir = temp_dir("ghost_node");

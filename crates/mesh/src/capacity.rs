@@ -3,14 +3,13 @@
 use bass_trace::BandwidthTrace;
 use bass_util::time::SimTime;
 use bass_util::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// Where a link's capacity comes from at any instant.
 ///
 /// Overrides layer on top of the base source (constant or trace) exactly
 /// like a `tc` rate limit layers on top of the physical link: the
 /// effective capacity is `min(base, override)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CapacitySource {
     /// Fixed capacity (wired links, microbenchmark LANs).
     Constant(Bandwidth),
@@ -29,7 +28,7 @@ impl CapacitySource {
 }
 
 /// A link's capacity state: base source plus optional `tc`-style cap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LinkCapacity {
     source: CapacitySource,
     /// Optional artificial cap (the `tc` knob); `None` means unshapen.

@@ -21,7 +21,7 @@ use crate::links::LinkCaps;
 use crate::queueing::{hop_latency, FlowQueue};
 use crate::routes::Routes;
 use crate::topology::{LinkId, NodeId, Topology};
-use bass_trace::{BandwidthTrace, TraceBundle};
+use bass_trace::BandwidthTrace;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
 use std::error::Error;
@@ -40,8 +40,6 @@ pub enum MeshError {
     UnknownFlow(FlowId),
     /// The topology is not connected (BASS assumes no partitions).
     NotConnected,
-    /// A trace bundle is missing a trace for a link.
-    MissingTrace(String),
     /// Not one trace per link: `(links, traces given)`.
     TraceCount(usize, usize),
 }
@@ -54,7 +52,6 @@ impl fmt::Display for MeshError {
             MeshError::Unreachable(a, b) => write!(f, "no route from {a} to {b}"),
             MeshError::UnknownFlow(id) => write!(f, "unknown flow {id}"),
             MeshError::NotConnected => write!(f, "topology is not connected"),
-            MeshError::MissingTrace(k) => write!(f, "trace bundle has no trace for link {k}"),
             MeshError::TraceCount(links, n) => write!(f, "{n} traces for {links} links"),
         }
     }
@@ -154,20 +151,6 @@ impl Mesh {
             0 => Ok(mesh),
             extra => Err(MeshError::TraceCount(links, links + extra)),
         }
-    }
-
-    /// Creates a mesh whose link capacities replay a [`TraceBundle`]: a
-    /// copy of each link's trace under [`TraceBundle::link_key`], in
-    /// link order, goes to [`from_traces`](Self::from_traces).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeshError::MissingTrace`] or [`MeshError::NotConnected`].
-    pub fn from_bundle(topo: Topology, bundle: &TraceBundle) -> Result<Self, MeshError> {
-        let keys = topo.links().map(|(_, link)| TraceBundle::link_key(link.a.0, link.b.0));
-        let traces = keys.map(|key| bundle.get(&key).cloned().ok_or(MeshError::MissingTrace(key)));
-        let traces = traces.collect::<Result<Vec<_>, _>>()?;
-        Mesh::from_traces(topo, traces)
     }
 
     /// A copy that keeps this mesh's logical state and rebuilds

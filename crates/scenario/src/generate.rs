@@ -13,8 +13,8 @@ use bass_appdag::{catalog, AppDag};
 use bass_cluster::{Cluster, NodeSpec};
 use bass_emu::{Input, Scenario};
 use bass_faults::FaultPlan;
-use bass_mesh::{Mesh, MeshError, NodeId, Topology};
-use bass_trace::{ou_bundle, ou_traces, OuTraceConfig, TraceBundle};
+use bass_mesh::{LinkId, Mesh, MeshError, NodeId, Topology};
+use bass_trace::{link_name, ou_traces, BandwidthTrace, OuTraceConfig};
 use bass_util::rng::SimRng;
 use bass_util::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -122,9 +122,9 @@ pub struct GeneratedScenario {
     pub positions: Option<Vec<(f64, f64)>>,
     /// Per-node resources and gateway flags, ascending by id.
     pub nodes: Vec<GeneratedNode>,
-    /// One OU config per link in link order, named with [`TraceBundle::link_key`].
+    /// One OU config per link in link order, each named by its link's [`link_name`].
     pub trace_configs: Vec<OuTraceConfig>,
-    /// Seed for materializing the trace bundle from `trace_configs`.
+    /// Seed for generating the link traces from `trace_configs` ([`ou_traces`]).
     pub trace_seed: u64,
     /// Pre-compiled fault schedule (empty when the spec has no storm).
     pub faults: FaultPlan,
@@ -135,17 +135,16 @@ pub struct GeneratedScenario {
 }
 
 impl GeneratedScenario {
-    /// Materializes the per-link trace bundle for `duration` of play
-    /// time, keyed by link: the same traces [`build_mesh`](Self::build_mesh)
-    /// generates into the mesh. Kept out of the struct so generation
-    /// (and generation comparisons) stay cheap.
-    pub fn trace_bundle(&self, duration: SimDuration) -> TraceBundle {
-        ou_bundle(&self.trace_configs, self.trace_seed, duration)
+    /// Generates each link's trace for `duration` of play time, beside its
+    /// link, in link order: the traces [`build_mesh`](Self::build_mesh) moves
+    /// into the mesh. Kept out of the struct so generation stays cheap.
+    pub fn trace_bundle(&self, duration: SimDuration) -> Vec<(LinkId, BandwidthTrace)> {
+        let traces = ou_traces(&self.trace_configs, self.trace_seed, duration);
+        traces.enumerate().map(|(i, trace)| (LinkId(i), trace)).collect()
     }
 
     /// Builds the mesh: the synthesized topology with each link driven
-    /// by its generated trace (straight into the link: no bundle, no
-    /// copy), covering `duration` of play time.
+    /// by its generated trace, moved in, covering `duration` of play time.
     ///
     /// # Errors
     ///
@@ -267,7 +266,7 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> GeneratedScenario {
             let mean = link_rng.uniform(spec.links.mean_mbps_min, spec.links.mean_mbps_max);
             let std = link_rng
                 .uniform(spec.links.relative_std_min, spec.links.relative_std_max);
-            let mut cfg = OuTraceConfig::new(TraceBundle::link_key(link.a.0, link.b.0), mean)
+            let mut cfg = OuTraceConfig::new(link_name(link.a.0, link.b.0), mean)
                 .relative_std(std)
                 .sample_interval(SimDuration::from_millis(
                     (spec.links.sample_interval_s * 1000.0) as u64,

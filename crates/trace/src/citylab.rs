@@ -1,11 +1,11 @@
 //! The 5-node CityLab subset used by the paper's emulated-mesh
-//! evaluations (Fig. 15a), as a reusable topology + trace bundle.
+//! evaluations (Fig. 15a): its links, and one trace per link.
 //!
 //! The paper emulates a 5-node subset of the CityLab testbed: one control
 //! node plus four workers connected by wireless links whose measured
 //! half-hour average bandwidths are shown in Fig. 15(a). The figure's
 //! exact numbers are not recoverable from the text, so we calibrate the
-//! bundle from every quantitative statement the paper does make:
+//! traces from every quantitative statement the paper does make:
 //!
 //! - Fig. 2: one relatively stable link (mean 19.9 Mbps, σ = 10% of the
 //!   mean) and one volatile link (mean 7.62 Mbps, σ = 27%).
@@ -19,12 +19,11 @@
 //! (and therefore bottleneck-path estimation) exercise real routing.
 
 use crate::generator::OuTraceConfig;
-use crate::trace::{BandwidthTrace, TraceBundle};
+use crate::trace::{link_name, BandwidthTrace};
 use bass_util::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Static description of one CityLab link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CitylabLink {
     /// First endpoint (worker node index, 1-based as in the paper).
     pub a: u32,
@@ -64,7 +63,7 @@ pub fn citylab_topology_links() -> Vec<CitylabLink> {
 
 /// Generates the CityLab traces: one per link of
 /// [`citylab_topology_links`], in that order, each `duration` long,
-/// named by its [`TraceBundle::link_key`] and deterministic in `seed`.
+/// named by its [`link_name`] and deterministic in `seed`.
 ///
 /// Every wireless link experiences occasional, *minutes-long* fade
 /// events (the paper's "reflections from a truck or attenuation from
@@ -75,13 +74,23 @@ pub fn citylab_topology_links() -> Vec<CitylabLink> {
 /// control-plane attachment (σ < 0.05) never fades. The rates match the
 /// paper's observation that full probes were triggered only a handful
 /// of times in 20 minutes.
+///
+/// # Examples
+///
+/// ```
+/// use bass_trace::citylab_traces;
+/// use bass_util::prelude::*;
+///
+/// let traces = citylab_traces(42, SimDuration::from_secs(1200));
+/// assert_eq!(traces.len(), 6);
+/// assert_eq!(traces[3].name(), "n3-n4");
+/// ```
 pub fn citylab_traces(seed: u64, duration: SimDuration) -> Vec<BandwidthTrace> {
     citylab_topology_links()
         .into_iter()
         .enumerate()
         .map(|(i, link)| {
-            let key = TraceBundle::link_key(link.a, link.b);
-            let mut cfg = OuTraceConfig::new(key, link.mean_mbps)
+            let mut cfg = OuTraceConfig::new(link_name(link.a, link.b), link.mean_mbps)
                 .relative_std(link.relative_std)
                 .sample_interval(SimDuration::from_secs(1))
                 .floor_mbps(0.25);
@@ -93,22 +102,6 @@ pub fn citylab_traces(seed: u64, duration: SimDuration) -> Vec<BandwidthTrace> {
             cfg.generate(seed.wrapping_add(i as u64 * 0x9E37), duration)
         })
         .collect()
-}
-
-/// The [`citylab_traces`] keyed by link.
-///
-/// # Examples
-///
-/// ```
-/// use bass_trace::citylab_bundle;
-/// use bass_util::prelude::*;
-///
-/// let bundle = citylab_bundle(42, SimDuration::from_secs(1200));
-/// assert_eq!(bundle.len(), 6);
-/// assert!(bundle.get_link(3, 4).is_some());
-/// ```
-pub fn citylab_bundle(seed: u64, duration: SimDuration) -> TraceBundle {
-    citylab_traces(seed, duration).into_iter().map(|t| (t.name().to_string(), t)).collect()
 }
 
 #[cfg(test)]
@@ -127,43 +120,38 @@ mod tests {
         assert_eq!(nodes, vec![0, 1, 2, 3, 4]);
         // No self loops, no duplicate links.
         assert!(links.iter().all(|l| l.a != l.b));
-        let mut keys: Vec<String> = links
-            .iter()
-            .map(|l| TraceBundle::link_key(l.a, l.b))
-            .collect();
-        keys.sort();
-        let before = keys.len();
-        keys.dedup();
-        assert_eq!(keys.len(), before);
+        let mut names: Vec<String> = links.iter().map(|l| link_name(l.a, l.b)).collect();
+        names.sort();
+        let before = names.len();
+        names.dedup();
+        assert_eq!(names.len(), before);
     }
 
     #[test]
-    fn bundle_covers_every_link() {
-        let bundle = citylab_bundle(1, SimDuration::from_secs(60));
-        for link in citylab_topology_links() {
-            let trace = bundle.get_link(link.a, link.b).expect("trace exists");
-            assert!(!trace.is_empty());
+    fn traces_cover_every_link_in_order() {
+        let traces = citylab_traces(1, SimDuration::from_secs(60));
+        assert_eq!(traces.len(), citylab_topology_links().len());
+        for (link, trace) in citylab_topology_links().iter().zip(&traces) {
+            assert_eq!(trace.name(), link_name(link.a, link.b));
             assert!(trace.capacity_at(SimTime::from_secs(30)).as_mbps() > 0.0);
         }
     }
 
     #[test]
-    fn bundle_statistics_match_calibration() {
-        let bundle = citylab_bundle(42, SimDuration::from_secs(1800));
-        let a = bundle.get_link(1, 2).unwrap().stats_mbps();
+    fn trace_statistics_match_calibration() {
+        let traces = citylab_traces(42, SimDuration::from_secs(1800));
+        let a = traces[1].stats_mbps();
         assert!((a.mean() - 19.9).abs() < 1.5, "link A mean {}", a.mean());
-        let b = bundle.get_link(2, 3).unwrap().stats_mbps();
+        let b = traces[2].stats_mbps();
         assert!((b.mean() - 12.0).abs() < 2.0, "volatile link mean {}", b.mean());
         assert!(b.cv() > a.cv(), "link B must be more volatile than A");
     }
 
     #[test]
-    fn bundle_is_deterministic() {
-        let a = citylab_bundle(7, SimDuration::from_secs(120));
-        let b = citylab_bundle(7, SimDuration::from_secs(120));
-        assert_eq!(a, b);
-        let c = citylab_bundle(8, SimDuration::from_secs(120));
-        assert_ne!(a, c);
+    fn traces_are_deterministic() {
+        let a = citylab_traces(7, SimDuration::from_secs(120));
+        assert_eq!(a, citylab_traces(7, SimDuration::from_secs(120)));
+        assert_ne!(a, citylab_traces(8, SimDuration::from_secs(120)));
     }
 
     #[test]

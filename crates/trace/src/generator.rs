@@ -14,7 +14,7 @@ use crate::trace::BandwidthTrace;
 use bass_util::rng::SimRng;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::Bandwidth;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Stateful mean-reverting capacity process (exact OU discretization).
 ///
@@ -82,7 +82,7 @@ const RELAXATION: SimDuration = SimDuration::from_secs(60);
 /// let stats = trace.stats_mbps();
 /// assert!((stats.mean() - 7.62).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OuTraceConfig {
     name: String,
     mean_mbps: f64,
@@ -206,42 +206,31 @@ pub fn ou_traces(
     configs.iter().zip(seeds).map(move |(cfg, s)| cfg.generate(s, duration))
 }
 
-/// [`ou_traces`] collected into a [`TraceBundle`](crate::trace::TraceBundle)
-/// keyed by config name. The scenario generator names its configs with
-/// [`TraceBundle::link_key`](crate::trace::TraceBundle::link_key).
-pub fn ou_bundle(
-    configs: &[OuTraceConfig],
-    seed: u64,
-    duration: SimDuration,
-) -> crate::trace::TraceBundle {
-    let names = configs.iter().map(|cfg| cfg.name.clone());
-    names.zip(ou_traces(configs, seed, duration)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceBundle;
+    use crate::trace::link_name;
 
     #[test]
-    fn ou_bundle_is_keyed_and_deterministic() {
+    fn ou_traces_follow_config_order_and_are_deterministic() {
         let configs = vec![
-            OuTraceConfig::new(TraceBundle::link_key(0, 1), 20.0),
-            OuTraceConfig::new(TraceBundle::link_key(1, 2), 7.62).relative_std(0.27),
+            OuTraceConfig::new(link_name(1, 0), 20.0),
+            OuTraceConfig::new(link_name(2, 1), 7.62).relative_std(0.27),
         ];
-        let a = ou_bundle(&configs, 9, SimDuration::from_secs(120));
-        let b = ou_bundle(&configs, 9, SimDuration::from_secs(120));
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.get_link(1, 0).unwrap(), b.get_link(0, 1).unwrap());
-        assert_eq!(
-            a.get_link(2, 1).unwrap().samples().len(),
-            b.get_link(1, 2).unwrap().samples().len()
-        );
+        let duration = SimDuration::from_secs(120);
+        let a: Vec<_> = ou_traces(&configs, 9, duration).collect();
+        let b: Vec<_> = ou_traces(&configs, 9, duration).collect();
+        assert_eq!(a, b);
+        let names: Vec<&str> = a.iter().map(BandwidthTrace::name).collect();
+        assert_eq!(names, ["n0-n1", "n1-n2"]);
+        // Trace `i` is config `i` generated from the `i`-th fork of the seed.
+        let mut root = SimRng::seed_from_u64(9);
+        for (i, (cfg, trace)) in configs.iter().zip(&a).enumerate() {
+            assert_eq!(trace, &cfg.generate(root.fork(i as u64).next_u64(), duration));
+        }
         // Different streams: the two links must not share a sample path.
-        assert_ne!(
-            a.get_link(0, 1).unwrap().samples()[0].1,
-            a.get_link(1, 2).unwrap().samples()[0].1
-        );
+        assert_ne!(a[0].samples()[0].1, a[1].samples()[0].1);
+        assert_ne!(a, ou_traces(&configs, 10, duration).collect::<Vec<_>>());
     }
 
     /// The generator as it was before its step coefficients were hoisted:

@@ -8,11 +8,11 @@
 //! this crate synthesizes statistically equivalent traces:
 //!
 //! - [`trace::BandwidthTrace`] — a time-ordered series of capacity samples
-//!   with step ("last value wins") replay semantics.
+//!   with step ("last value wins") replay semantics, and [`link_name`].
 //! - [`generator`] — a mean-reverting AR(1)/Ornstein–Uhlenbeck process
 //!   plus fade and step events, for CityLab-like variation.
-//! - [`citylab`] — the 5-node CityLab subset of Fig. 15(a) as a reusable
-//!   topology + trace bundle.
+//! - [`citylab`] — the links of the 5-node CityLab subset of Fig. 15(a)
+//!   and their traces, one per link in link order.
 //! - [`io`] — CSV export of traces.
 
 pub mod citylab;
@@ -20,6 +20,6 @@ pub mod generator;
 pub mod io;
 pub mod trace;
 
-pub use citylab::{citylab_bundle, citylab_topology_links, citylab_traces, CitylabLink};
-pub use generator::{ou_bundle, ou_traces, OuTraceConfig};
-pub use trace::{BandwidthTrace, TraceBundle};
+pub use citylab::{citylab_topology_links, citylab_traces, CitylabLink};
+pub use generator::{ou_traces, OuTraceConfig};
+pub use trace::{link_name, BandwidthTrace};

@@ -1,11 +1,9 @@
-//! Core bandwidth-trace container and bundles of per-link traces.
+//! Core bandwidth-trace container and the canonical link name.
 
 use bass_util::stats::StreamingStats;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::timeseries::TimeSeries;
 use bass_util::units::Bandwidth;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A time-ordered series of link-capacity samples.
@@ -26,7 +24,7 @@ use std::fmt;
 /// assert_eq!(trace.capacity_at(SimTime::from_secs(30)).as_mbps(), 25.0);
 /// assert_eq!(trace.capacity_at(SimTime::from_secs(90)).as_mbps(), 7.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthTrace {
     name: String,
     samples: Vec<(SimTime, Bandwidth)>,
@@ -181,54 +179,10 @@ impl fmt::Display for BandwidthTrace {
     }
 }
 
-/// A collection of traces keyed by link name (e.g. `"n1-n2"`).
-///
-/// Link keys are canonicalized by [`TraceBundle::link_key`] so that
-/// `(a, b)` and `(b, a)` address the same undirected link.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct TraceBundle {
-    traces: BTreeMap<String, BandwidthTrace>,
-}
-
-impl TraceBundle {
-    /// Canonical key for an undirected link between node indices.
-    pub fn link_key(a: u32, b: u32) -> String {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        format!("n{lo}-n{hi}")
-    }
-
-    /// Looks up the trace for a key.
-    pub fn get(&self, key: &str) -> Option<&BandwidthTrace> {
-        self.traces.get(key)
-    }
-
-    /// Looks up by node pair, in either order.
-    pub fn get_link(&self, a: u32, b: u32) -> Option<&BandwidthTrace> {
-        self.traces.get(&Self::link_key(a, b))
-    }
-
-    /// Number of traces in the bundle.
-    pub fn len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// True when the bundle is empty.
-    pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
-    }
-
-    /// Iterates over `(key, trace)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &BandwidthTrace)> {
-        self.traces.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
-impl FromIterator<(String, BandwidthTrace)> for TraceBundle {
-    fn from_iter<T: IntoIterator<Item = (String, BandwidthTrace)>>(iter: T) -> Self {
-        TraceBundle {
-            traces: iter.into_iter().collect(),
-        }
-    }
+/// The one name of the undirected link between nodes `a` and `b`, in
+/// either order (`"n1-n3"` for `(1, 3)` and `(3, 1)`): a link's trace carries it.
+pub fn link_name(a: u32, b: u32) -> String {
+    format!("n{}-n{}", a.min(b), a.max(b))
 }
 
 #[cfg(test)]
@@ -366,25 +320,11 @@ mod tests {
         assert!(t.to_string().contains("mean=15.00"));
     }
 
-    fn bundle(key: impl Into<String>, trace: BandwidthTrace) -> TraceBundle {
-        [(key.into(), trace)].into_iter().collect()
-    }
-
     #[test]
-    fn bundle_link_key_is_symmetric() {
-        assert_eq!(TraceBundle::link_key(3, 1), "n1-n3");
-        assert_eq!(TraceBundle::link_key(1, 3), "n1-n3");
-        let b = bundle(TraceBundle::link_key(2, 1), BandwidthTrace::constant("t", mbps(1.0)));
-        assert!(b.get_link(1, 2).is_some());
-        assert!(b.get_link(2, 1).is_some());
-        assert!(b.get_link(1, 4).is_none());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let b = bundle("k", BandwidthTrace::constant("t", mbps(7.5)));
-        let json = serde_json::to_string(&b).unwrap();
-        let back: TraceBundle = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, b);
+    fn link_name_is_symmetric() {
+        assert_eq!(link_name(3, 1), "n1-n3");
+        assert_eq!(link_name(1, 3), "n1-n3");
+        assert_eq!(link_name(2, 2), "n2-n2");
+        assert_eq!(link_name(10, 9), "n9-n10");
     }
 }

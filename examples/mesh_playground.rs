@@ -1,27 +1,19 @@
-//! Poke at the mesh substrate directly: build the CityLab topology,
+//! Poke at the mesh substrate directly: take the CityLab testbed's mesh,
 //! register flows, inject a fault, and watch the probing layer see it.
 //!
 //! ```text
 //! cargo run --example mesh_playground
 //! ```
 
-use bass::mesh::{Mesh, NodeId, Topology};
+use bass::apps::testbeds::citylab_testbed;
+use bass::mesh::NodeId;
 use bass::netmon::{NetMonitor, NetMonitorConfig};
-use bass::trace::{citylab_bundle, citylab_topology_links};
 use bass::util::time::SimDuration;
 use bass::util::units::{Bandwidth, DataSize};
 
 fn main() {
     // Build the 5-node CityLab mesh with trace-driven links.
-    let bundle = citylab_bundle(99, SimDuration::from_secs(600));
-    let mut topo = Topology::new();
-    for n in 0..=4u32 {
-        topo.add_node(NodeId(n)).expect("fresh node");
-    }
-    for l in citylab_topology_links() {
-        topo.add_link(NodeId(l.a), NodeId(l.b)).expect("fresh link");
-    }
-    let mut mesh = Mesh::from_bundle(topo, &bundle).expect("bundle covers links");
+    let (mut mesh, _) = citylab_testbed(99, SimDuration::from_secs(600));
 
     println!("routes (traceroute view):");
     for (src, dst) in [(0u32, 3u32), (2, 4), (4, 2)] {

@@ -2,11 +2,12 @@
 //! lock down generation's byte-for-byte reproducibility and its
 //! structural invariants across random specs and seeds.
 
-use bass::mesh::Mesh;
+use bass::mesh::LinkId;
 use bass::prelude::*;
 use bass::scenario::{
     generate, run_campaign, CampaignOptions, ScenarioSpec, TopologySpec, WorkloadEvent,
 };
+use bass::trace::link_name;
 use proptest::prelude::*;
 
 /// Random-but-valid specs spanning all three topology families, varying
@@ -148,22 +149,23 @@ proptest! {
     }
 }
 
-/// `build_mesh` generates each trace straight into the mesh by link
-/// index. It must replay exactly what the keyed bundle names for each
-/// link: at every sample instant of the horizon, every link's capacity
-/// equals its `link_key` trace's (bit for bit), as does the mesh built
-/// from the bundle, and both meshes report the bundle's next change-point.
+/// The per-link oracle for `build_mesh`, which generates each trace
+/// straight into the mesh by link index. `trace_bundle` generates the
+/// same traces beside their links: entry `k` must be `LinkId(k)` with a
+/// trace named by the `link_name` of topology link `k`'s endpoints. At
+/// every sample instant of the horizon, every built link's capacity
+/// equals its trace's (bit for bit), and the mesh reports the traces'
+/// next change-point.
 fn assert_build_mesh_follows_the_link_keys(spec: &ScenarioSpec, seed: u64) {
     let s = generate(spec, seed);
     let horizon = SimDuration::from_millis(spec.horizon_ticks * spec.step_ms);
     let bundle = s.trace_bundle(horizon);
+    assert_eq!(bundle.len(), s.topology.link_count(), "{} seed {seed}", s.name);
+    for ((k, (lid, trace)), (topo_lid, link)) in bundle.iter().enumerate().zip(s.topology.links()) {
+        assert_eq!((*lid, topo_lid), (LinkId(k), LinkId(k)), "{} seed {seed}", s.name);
+        assert_eq!(trace.name(), link_name(link.a.0, link.b.0), "{} seed {seed}: {lid:?}", s.name);
+    }
     let mut built = s.build_mesh(horizon).expect("generated meshes build");
-    let mut keyed = Mesh::from_bundle(s.topology.clone(), &bundle).expect("one trace per link");
-    let links: Vec<_> = s
-        .topology
-        .links()
-        .map(|(lid, l)| (lid, bundle.get_link(l.a.0, l.b.0).expect("every link has a trace")))
-        .collect();
     let mut instants: Vec<SimTime> =
         bundle.iter().flat_map(|(_, t)| t.samples().iter().map(|&(at, _)| at)).collect();
     instants.sort();
@@ -172,15 +174,13 @@ fn assert_build_mesh_follows_the_link_keys(spec: &ScenarioSpec, seed: u64) {
         let dt = at.saturating_since(built.now());
         if !dt.is_zero() {
             built.advance(dt);
-            keyed.advance(dt);
         }
-        for &(lid, trace) in &links {
+        for (lid, trace) in &bundle {
             let want = trace.capacity_at(at).as_bps().to_bits();
             let where_ = format!("{} seed {seed}: link {lid:?} at {at:?}", s.name);
-            assert_eq!(built.link_capacity_by_id(lid).as_bps().to_bits(), want, "built {where_}");
-            assert_eq!(keyed.link_capacity_by_id(lid).as_bps().to_bits(), want, "keyed {where_}");
+            assert_eq!(built.link_capacity_by_id(*lid).as_bps().to_bits(), want, "{where_}");
         }
-        let next = links
+        let next = bundle
             .iter()
             .filter_map(|(_, t)| {
                 let samples = t.samples();
@@ -188,7 +188,6 @@ fn assert_build_mesh_follows_the_link_keys(spec: &ScenarioSpec, seed: u64) {
             })
             .min();
         assert_eq!(built.next_trace_change(), next, "{} seed {seed} at {at:?}", s.name);
-        assert_eq!(keyed.next_trace_change(), next, "{} seed {seed} at {at:?}", s.name);
     }
 }
 
