@@ -1,8 +1,9 @@
 //! Shared experiment setup: parameterized environments for the three
-//! applications on the LAN and CityLab testbeds.
+//! applications on a testbed the caller builds (LAN, CityLab, or CityLab
+//! with flat capacities).
 
 use bass_appdag::catalog;
-use bass_apps::testbeds::{citylab_testbed, citylab_testbed_flat, lan_testbed};
+use bass_apps::testbeds::{citylab_testbed, lan_testbed};
 use bass_apps::{ArrivalProcess, SocialNetWorkload, VideoConfConfig, VideoConfWorkload};
 use bass_cluster::{Cluster, NodeSpec};
 use bass_core::migration::MigrationConfig;
@@ -68,79 +69,24 @@ impl Knobs {
     }
 }
 
-/// Social network on `n` LAN workers with `cores` cores each.
-pub(crate) fn social_lan(
-    rps: f64,
-    n: u32,
-    cores: u64,
-    knobs: &Knobs,
-    arrivals: ArrivalProcess,
-    seed: u64,
-) -> (SimEnv, SocialNetWorkload) {
-    let (mesh, cluster) = lan_testbed(n, cores);
-    let dag = catalog::social_network(rps);
-    let mut env = SimEnv::new(mesh, cluster, dag, knobs.env_config());
-    env.deploy(&[]).expect("social network deploys on the LAN");
-    let wl = SocialNetWorkload::new(&env.dag().clone(), rps, arrivals, seed);
-    (env, wl)
-}
-
-/// Social network on the CityLab emulation.
-pub(crate) fn social_citylab(
+/// Social network at `rps` deployed on `testbed`, with its workload.
+pub(crate) fn social(
+    (mesh, cluster): (Mesh, Cluster),
     rps: f64,
     knobs: &Knobs,
     arrivals: ArrivalProcess,
     seed: u64,
-    trace_len: SimDuration,
 ) -> (SimEnv, SocialNetWorkload) {
-    let (mesh, cluster) = citylab_testbed(seed, trace_len);
-    let dag = catalog::social_network(rps);
-    let mut env = SimEnv::new(mesh, cluster, dag, knobs.env_config());
-    env.deploy(&[]).expect("social network deploys on CityLab");
+    let mut env = SimEnv::new(mesh, cluster, catalog::social_network(rps), knobs.env_config());
+    env.deploy(&[]).expect("social network deploys");
     let wl = SocialNetWorkload::new(&env.dag().clone(), rps, arrivals, seed);
     (env, wl)
 }
 
-/// Social network on the CityLab topology with *flat* (max-of-trace)
-/// capacities — for experiments that must isolate an effect from
-/// bandwidth variation (e.g. Fig. 14a's restart cost).
-pub(crate) fn social_citylab_flat(
-    rps: f64,
-    knobs: &Knobs,
-    arrivals: ArrivalProcess,
-    seed: u64,
-    trace_len: SimDuration,
-) -> (SimEnv, SocialNetWorkload) {
-    let (mesh, cluster) = citylab_testbed_flat(seed, trace_len);
-    let dag = catalog::social_network(rps);
-    let mut env = SimEnv::new(mesh, cluster, dag, knobs.env_config());
-    env.deploy(&[]).expect("social network deploys on CityLab");
-    let wl = SocialNetWorkload::new(&env.dag().clone(), rps, arrivals, seed);
-    (env, wl)
-}
-
-/// Camera pipeline on `n` LAN workers.
-pub(crate) fn camera_lan(n: u32, cores: u64, knobs: &Knobs) -> SimEnv {
-    let (mesh, cluster) = lan_testbed(n, cores);
+/// Camera pipeline deployed on `testbed`.
+pub(crate) fn camera((mesh, cluster): (Mesh, Cluster), knobs: &Knobs) -> SimEnv {
     let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), knobs.env_config());
-    env.deploy(&[]).expect("camera pipeline deploys on the LAN");
-    env
-}
-
-/// Camera pipeline on CityLab (trace-driven or flat).
-pub(crate) fn camera_citylab(
-    knobs: &Knobs,
-    seed: u64,
-    trace_len: SimDuration,
-    flat: bool,
-) -> SimEnv {
-    let (mesh, cluster) = if flat {
-        citylab_testbed_flat(seed, trace_len)
-    } else {
-        citylab_testbed(seed, trace_len)
-    };
-    let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), knobs.env_config());
-    env.deploy(&[]).expect("camera pipeline deploys on CityLab");
+    env.deploy(&[]).expect("camera pipeline deploys");
     env
 }
 

@@ -5,9 +5,10 @@
 //! Paper: mean latency BFS 410 ms < longest-path 428 ms < k3s 433 ms;
 //! BFS co-locates camera+sampler, k3s spreads obliviously.
 
-use crate::experiments::common::{camera_lan, Knobs};
+use crate::experiments::common::{camera, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
 use bass_apps::camera::CameraWorkload;
+use bass_apps::testbeds::lan_testbed;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
@@ -28,7 +29,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
         ("k3s-default", PlacementPolicy::K3sDefault),
     ] {
         let knobs = Knobs { policy, ..Knobs::default() };
-        let mut env = camera_lan(3, 12, &knobs);
+        let mut env = camera(lan_testbed(3, 12), &knobs);
         let wl = CameraWorkload::new(&env.dag().clone());
         let mut rec = Recorder::new();
         env.run_for(duration, |e| wl.observe(e, &mut rec))

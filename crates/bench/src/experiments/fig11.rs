@@ -5,8 +5,9 @@
 //! Paper: unconstrained, longest-path ≈ k3s; with the restriction the
 //! gap grows to about two orders of magnitude at 200–300 RPS.
 
-use crate::experiments::common::{social_lan, Knobs};
+use crate::experiments::common::{social, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
+use bass_apps::testbeds::lan_testbed;
 use bass_apps::ArrivalProcess;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
@@ -43,10 +44,9 @@ pub fn run(mode: RunMode) -> ExperimentReport {
                         migrations: false,
                         ..Knobs::default()
                     };
-                    let (mut env, mut wl) = social_lan(
+                    let (mut env, mut wl) = social(
+                        lan_testbed(4, 4),
                         rps,
-                        4,
-                        4,
                         &knobs,
                         ArrivalProcess::Constant,
                         100 + trial,

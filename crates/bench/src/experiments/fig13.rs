@@ -5,8 +5,9 @@
 //! Not migrating costs up to 50% higher latency; the 30 s interval has
 //! the best effect on tail latency.
 
-use crate::experiments::common::{social_lan, Knobs};
+use crate::experiments::common::{social, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
+use bass_apps::testbeds::lan_testbed;
 use bass_apps::ArrivalProcess;
 use bass_core::PlacementPolicy;
 use bass_emu::{Recorder, Scenario};
@@ -53,7 +54,7 @@ pub(crate) fn run_observed(
             ..Knobs::default()
         };
         let (mut env, mut wl) =
-            social_lan(400.0, 3, 16, &knobs, ArrivalProcess::Constant, 13);
+            social(lan_testbed(3, 16), 400.0, &knobs, ArrivalProcess::Constant, 13);
         // Throttle the two traffic-bearing workers (the paper throttles
         // the outgoing interfaces of two of its three nodes).
         let scenario = Scenario::new()

@@ -4,8 +4,9 @@
 //! end-to-end latency from 552 ms to ≈4.9 s while connections
 //! re-establish.
 
-use crate::experiments::common::{social_citylab_flat, Knobs};
+use crate::experiments::common::{social, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
+use bass_apps::testbeds::citylab_testbed_flat;
 use bass_apps::ArrivalProcess;
 use bass_emu::Recorder;
 use bass_util::time::{SimDuration, SimTime};
@@ -24,8 +25,8 @@ pub fn run(mode: RunMode) -> ExperimentReport {
     // Flat capacities: Fig. 14a isolates the restart cost itself, so
     // trace fades must not pollute the measurement window.
     let knobs = Knobs::default();
-    let (mut env, mut wl) =
-        social_citylab_flat(50.0, &knobs, ArrivalProcess::Constant, 14, total * 2);
+    let testbed = citylab_testbed_flat(14, total * 2);
+    let (mut env, mut wl) = social(testbed, 50.0, &knobs, ArrivalProcess::Constant, 14);
     let victim = env
         .dag()
         .component_by_name("post-storage-service")

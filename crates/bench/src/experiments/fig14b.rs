@@ -5,8 +5,9 @@
 //! better than k3s; right-timed migrations provide the real gains. p99:
 //! longest-path with migration 28 s vs k3s 66 s.
 
-use crate::experiments::common::{social_citylab, Knobs};
+use crate::experiments::common::{social, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
+use bass_apps::testbeds::citylab_testbed;
 use bass_apps::ArrivalProcess;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
@@ -47,13 +48,8 @@ pub fn run(mode: RunMode) -> ExperimentReport {
             migrations,
             ..Knobs::default()
         };
-        let (mut env, mut wl) = social_citylab(
-            50.0,
-            &knobs,
-            ArrivalProcess::Constant,
-            1414,
-            duration + SimDuration::from_secs(120),
-        );
+        let testbed = citylab_testbed(1414, duration + SimDuration::from_secs(120));
+        let (mut env, mut wl) = social(testbed, 50.0, &knobs, ArrivalProcess::Constant, 1414);
         let mut rec = Recorder::new();
         wl.run(&mut env, duration, &mut rec).expect("run completes");
         let p = rec.percentiles("latency_ms");

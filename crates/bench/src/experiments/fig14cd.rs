@@ -5,8 +5,9 @@
 //! Paper: 25% migrates too eagerly (migration cost dominates); 75–95%
 //! waits too long (prolonged degradation); 50–65% balances the two.
 
-use crate::experiments::common::{social_citylab, Knobs};
+use crate::experiments::common::{social, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
+use bass_apps::testbeds::citylab_testbed;
 use bass_apps::ArrivalProcess;
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
@@ -40,13 +41,8 @@ pub fn run(mode: RunMode) -> ExperimentReport {
                     headroom,
                     ..Knobs::default()
                 };
-                let (mut env, mut wl) = social_citylab(
-                    50.0,
-                    &knobs,
-                    ArrivalProcess::Constant,
-                    1450,
-                    duration + SimDuration::from_secs(120),
-                );
+                let testbed = citylab_testbed(1450, duration + SimDuration::from_secs(120));
+                let (mut env, mut wl) = social(testbed, 50.0, &knobs, ArrivalProcess::Constant, 1450);
                 let mut rec = Recorder::new();
                 wl.run(&mut env, duration, &mut rec).expect("run completes");
                 let p = rec.percentiles("latency_ms");

@@ -6,8 +6,9 @@
 //! migration does not inflate latency as much because most components'
 //! rates are low most of the time.
 
-use crate::experiments::common::{social_citylab, Knobs};
+use crate::experiments::common::{social, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
+use bass_apps::testbeds::citylab_testbed;
 use bass_apps::ArrivalProcess;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
@@ -29,13 +30,8 @@ pub fn run(mode: RunMode) -> ExperimentReport {
             goodput_threshold: threshold.min(0.5),
             ..Knobs::default()
         };
-        let (mut env, mut wl) = social_citylab(
-            50.0,
-            &knobs,
-            ArrivalProcess::Exponential,
-            1616,
-            duration + SimDuration::from_secs(120),
-        );
+        let testbed = citylab_testbed(1616, duration + SimDuration::from_secs(120));
+        let (mut env, mut wl) = social(testbed, 50.0, &knobs, ArrivalProcess::Exponential, 1616);
         let mut rec = Recorder::new();
         wl.run(&mut env, duration, &mut rec).expect("run completes");
         let p = rec.percentiles("latency_ms");

@@ -5,8 +5,9 @@
 //! Paper: latency increases by an order of magnitude during the
 //! bandwidth-restricted period.
 
-use crate::experiments::common::{node_of, social_lan, Knobs};
+use crate::experiments::common::{node_of, social, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
+use bass_apps::testbeds::lan_testbed;
 use bass_apps::ArrivalProcess;
 use bass_core::PlacementPolicy;
 use bass_emu::{Recorder, Scenario};
@@ -29,7 +30,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
         migrations: false,
         ..Knobs::default()
     };
-    let (mut env, mut wl) = social_lan(400.0, 3, 16, &knobs, ArrivalProcess::Constant, 5);
+    let (mut env, mut wl) = social(lan_testbed(3, 16), 400.0, &knobs, ArrivalProcess::Constant, 5);
     let frontend_node = node_of(&env, "nginx-frontend");
     env.set_scenario(Scenario::new().restrict_node_egress(
         frontend_node,

@@ -5,8 +5,9 @@
 //! quota but only 2 migrate (dependency de-duplication); iterations 2–3
 //! each migrate 1 of 1.
 
-use crate::experiments::common::{social_lan, Knobs};
+use crate::experiments::common::{social, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
+use bass_apps::testbeds::lan_testbed;
 use bass_apps::ArrivalProcess;
 use bass_core::PlacementPolicy;
 use bass_emu::{Recorder, Scenario};
@@ -27,7 +28,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
         cooldown_s: 30,
         ..Knobs::default()
     };
-    let (mut env, mut wl) = social_lan(400.0, 3, 16, &knobs, ArrivalProcess::Constant, 17);
+    let (mut env, mut wl) = social(lan_testbed(3, 16), 400.0, &knobs, ArrivalProcess::Constant, 17);
     // Restrict the node carrying the frontend chain (the paper
     // throttles one worker's interface; the chain-bearing node is the
     // one whose squeeze produces Table 1's violation counts).

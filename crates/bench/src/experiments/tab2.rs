@@ -6,9 +6,10 @@
 //! insensitive to the variation while k3s inflates ≈20%; no migrations
 //! occur for this workload.
 
-use crate::experiments::common::{camera_citylab, Knobs};
+use crate::experiments::common::{camera, Knobs};
 use crate::{ExperimentReport, Row, RunMode};
 use bass_apps::camera::CameraWorkload;
+use bass_apps::testbeds::{citylab_testbed, citylab_testbed_flat};
 use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
@@ -40,7 +41,13 @@ pub fn run(mode: RunMode) -> ExperimentReport {
                 migrations: policy != PlacementPolicy::K3sDefault,
                 ..Knobs::default()
             };
-            let mut env = camera_citylab(&knobs, 42, duration + SimDuration::from_secs(60), flat);
+            let trace_len = duration + SimDuration::from_secs(60);
+            let testbed = if flat {
+                citylab_testbed_flat(42, trace_len)
+            } else {
+                citylab_testbed(42, trace_len)
+            };
+            let mut env = camera(testbed, &knobs);
             let wl = CameraWorkload::new(&env.dag().clone());
             let mut rec = Recorder::new();
             env.run_for(duration, |e| {

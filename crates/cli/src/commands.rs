@@ -264,9 +264,9 @@ pub fn simulate(
     if opts.metrics_out.is_some() {
         env.enable_span_profiling();
         if opts.journal.is_none() {
-            // Metrics counters live in the journal registry; attach an
-            // in-memory sink so they accumulate without a file.
-            env.attach_journal(bass_obs::Journal::new());
+            // Metrics counters live in the journal registry; attach a
+            // counting journal so they accumulate without a file.
+            env.attach_journal(bass_obs::Journal::counting());
         }
     }
     let initial_placement = env.deploy(&[])?;
@@ -307,7 +307,7 @@ pub fn simulate(
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;
     }
     // `journal_events` reports only an explicitly requested journal; the
-    // in-memory sink attached for `--metrics-out` stays invisible.
+    // counting journal attached for `--metrics-out` stays invisible.
     let journal_events = match journal {
         Some(mut j) if opts.journal.is_some() => {
             j.flush().map_err(CommandError::Journal)?;

@@ -382,7 +382,7 @@ fn simulate_metrics_out_writes_exposition_without_journal() {
         .expect("bassctl runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let parsed: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
-    // The in-memory sink behind --metrics-out is not a requested journal.
+    // The counting journal behind --metrics-out is not a requested journal.
     assert!(parsed["journal_events"].is_null());
     let text = std::fs::read_to_string(&metrics).expect("metrics file written");
     assert!(text.contains("# TYPE bass_span_duration_seconds histogram"));
@@ -399,6 +399,52 @@ fn simulate_metrics_out_writes_exposition_without_journal() {
         .output()
         .expect("bassctl runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run of more than 70 000 events, past the 65 536 a journal once
+/// held in memory: `--metrics-out` alone (a counting journal) and with
+/// `--journal` (a file journal) count the same events, neither reports
+/// an eviction, and `journal_events` is the file's line count.
+#[test]
+fn simulate_counts_every_event_whatever_the_destination() {
+    let dir = temp_dir("destinations");
+    let (app, mesh) = write_schema_files(&dir);
+    let journal = dir.join("ev.jsonl");
+    let run = |metrics: &std::path::Path, journal: Option<&std::path::Path>| {
+        let mut cmd = bassctl();
+        cmd.args(["simulate", "--manifest"])
+            .arg(&app)
+            .arg("--testbed")
+            .arg(&mesh)
+            .args(["--duration", "7000", "--json", "--metrics-out"])
+            .arg(metrics);
+        if let Some(path) = journal {
+            cmd.arg("--journal").arg(path);
+        }
+        let out = cmd.output().expect("bassctl runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let parsed: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+        let text = std::fs::read_to_string(metrics).expect("metrics written");
+        let samples = bass_obs::prom::parse(&text).expect("exposition parses").samples;
+        let journal: Vec<_> = samples.into_iter().filter(|s| s.name.starts_with("bass_obs_")).collect();
+        // Per-kind event counters are the journal's only series: nothing
+        // counts evictions.
+        let others: Vec<&str> =
+            journal.iter().map(|s| s.name.as_str()).filter(|n| !n.starts_with("bass_obs_event_")).collect();
+        assert!(others.is_empty(), "journal series beyond the per-kind counts: {others:?}");
+        let events: Vec<(String, f64)> = journal.into_iter().map(|s| (s.series, s.value)).collect();
+        (parsed["journal_events"].as_u64(), events)
+    };
+    let (counted_events, counted) = run(&dir.join("counting.prom"), None);
+    let (file_events, filed) = run(&dir.join("file.prom"), Some(&journal));
+    assert_eq!(counted_events, None, "a counting journal is not a requested journal");
+    assert_eq!(counted, filed);
+    let total: f64 = counted.iter().map(|(_, v)| v).sum();
+    assert!(total > 70_000.0, "{total} events: not past 65 536");
+    let lines = std::fs::read_to_string(&journal).expect("journal written").lines().count() as u64;
+    assert_eq!(file_events, Some(lines));
+    assert_eq!(total, lines as f64);
     std::fs::remove_dir_all(&dir).ok();
 }
 

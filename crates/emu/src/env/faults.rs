@@ -110,9 +110,9 @@ impl SimEnv {
         if placed_any {
             if let Some(j) = self.journal.as_mut() {
                 // Recompute the crossing bandwidth of the repaired
-                // placement into the last event's metric registry.
+                // placement into the journal's metric registry.
                 let crossing = crossing_bandwidth(&self.dag, &self.cluster.placement());
-                j.metrics_mut().set_gauge("fault_recovery.crossing_mbps", crossing.as_mbps());
+                j.set_gauge("fault_recovery.crossing_mbps", crossing.as_mbps());
             }
         }
         Ok(())
