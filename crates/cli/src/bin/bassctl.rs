@@ -420,14 +420,15 @@ fn run(stdout: &mut impl Write) -> Result<(), Failure> {
             if args.specs.is_empty() {
                 return Err("--spec is required (repeat for a multi-scenario corpus)".into());
             }
+            // Check every spec, by path, before the first replica runs.
             let mut corpus = Vec::with_capacity(args.specs.len());
             for path in &args.specs {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
-                corpus.push(
-                    bass_scenario::ScenarioSpec::from_json(&text)
-                        .map_err(|e| format!("cannot parse {path}: {e}"))?,
-                );
+                let spec = bass_scenario::ScenarioSpec::from_json(&text)
+                    .map_err(|e| format!("cannot parse {path}: {e}"))?;
+                spec.validate().map_err(|e| format!("{path}: {e}"))?;
+                corpus.push(spec);
             }
             let opts = bass_scenario::ArenaOptions {
                 policies: args.arena_policies.clone(),

@@ -856,6 +856,33 @@ fn arena_runs_a_tournament_with_lint_clean_labelled_metrics() {
 }
 
 #[test]
+fn arena_checks_every_spec_before_running_any() {
+    // A spec with no replicas after a good one once ran the good one's
+    // whole campaign first, then failed without saying which file.
+    let dir = temp_dir("arena_bad_spec");
+    let good = write_campaign_spec(&dir, 120);
+    let mut spec = bass_scenario::ScenarioSpec::small_reference();
+    spec.replicas = 0;
+    let bad = dir.join("bad.json");
+    std::fs::write(&bad, spec.to_json()).expect("write spec");
+    let out = bassctl()
+        .args(["arena", "--spec"])
+        .arg(&good)
+        .arg("--spec")
+        .arg(&bad)
+        .arg("--progress")
+        .output()
+        .expect("bassctl runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "no table may be printed");
+    assert!(!stderr.contains("[bass]"), "a replica ran before the check: {stderr}");
+    assert!(stderr.contains(&*bad.to_string_lossy()), "bad path missing: {stderr}");
+    assert!(stderr.contains("at least one replica"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn arena_rejects_unknown_policy_names_cleanly() {
     // The negative path: a bogus policy name fails with the registry
     // listing, before any spec is even loaded, and never panics.

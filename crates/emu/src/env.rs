@@ -35,9 +35,7 @@ pub struct SimEnvConfig {
     /// Placement policy.
     pub policy: PlacementPolicy,
     /// Migration-decision policy the controller runs (the arena's
-    /// registry; the default [`PolicyKind::Bass`] is the paper's
-    /// behaviour, byte-identical to the controller before policies were
-    /// pluggable).
+    /// registry; the default [`PolicyKind::Bass`] is the paper's).
     pub migration_policy: PolicyKind,
     /// Controller configuration (thresholds, cooldown).
     pub controller: ControllerConfig,

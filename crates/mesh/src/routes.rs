@@ -178,7 +178,7 @@ mod tests {
     fn route_vectors_match_the_path_derivation_and_are_sized_exactly() {
         assert_route_vectors(&Routes::new(Topology::grid(7, 5)).unwrap());
 
-        let (topo, _) = Topology::random_geometric(40, 0.25, &mut SimRng::seed_from_u64(9));
+        let topo = Topology::random_geometric(40, 0.25, &mut SimRng::seed_from_u64(9));
         let ends: Vec<(NodeId, NodeId)> = topo.links().map(|(_, l)| (l.a, l.b)).collect();
         let mut routes = Routes::new(topo).unwrap();
         for &(a, b) in ends.iter().step_by(5) {

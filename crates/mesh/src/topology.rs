@@ -333,10 +333,6 @@ impl Topology {
     /// each partition boundary is bridged (a directional antenna link)
     /// so the result is always connected.
     ///
-    /// Returns the topology together with each node's `(x, y)` position
-    /// (indexed by node id), which callers can reuse for distance-based
-    /// capacity assignment.
-    ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `radius` is not positive.
@@ -344,7 +340,7 @@ impl Topology {
         n: u32,
         radius: f64,
         rng: &mut bass_util::rng::SimRng,
-    ) -> (Self, Vec<(f64, f64)>) {
+    ) -> Self {
         assert!(n > 0, "need at least one node");
         assert!(radius > 0.0, "radius must be positive");
         let mut topo = Topology::new();
@@ -398,7 +394,7 @@ impl Topology {
             let (_, a, b) = best.expect("disconnected graph has a crossing pair");
             topo.add_link(a, b).expect("crossing pair is unlinked");
         }
-        (topo, pos)
+        topo
     }
 
     /// True when every node can reach every other node. An empty topology
@@ -467,15 +463,13 @@ mod tests {
     #[test]
     fn random_geometric_connected_and_deterministic() {
         let mut rng = bass_util::rng::SimRng::seed_from_u64(7);
-        let (topo, pos) = Topology::random_geometric(60, 0.08, &mut rng);
+        let topo = Topology::random_geometric(60, 0.08, &mut rng);
         assert_eq!(topo.node_count(), 60);
-        assert_eq!(pos.len(), 60);
         // Radius 0.08 on 60 nodes leaves partitions; bridging must fix them.
         assert!(topo.is_connected());
         let mut rng2 = bass_util::rng::SimRng::seed_from_u64(7);
-        let (topo2, pos2) = Topology::random_geometric(60, 0.08, &mut rng2);
+        let topo2 = Topology::random_geometric(60, 0.08, &mut rng2);
         assert_eq!(topo, topo2);
-        assert_eq!(pos, pos2);
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Progress {
         }
         eprintln!("{line}");
     }
-
-    /// Units completed so far.
-    pub fn completed(&self) -> u64 {
-        self.units_done.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +117,7 @@ mod tests {
                 scope.spawn(move || p.unit_done(k, 100));
             }
         });
-        assert_eq!(progress.completed(), 8);
+        assert_eq!(progress.units_done.load(Ordering::Relaxed), 8);
         assert_eq!(progress.work_done.load(Ordering::Relaxed), 800);
         assert!(!progress.enabled());
     }
@@ -132,6 +127,6 @@ mod tests {
         let progress = Progress::new(ProgressLevel::Info, "replica", 2);
         assert!(progress.enabled());
         progress.unit_done(0, 10); // prints to stderr; nothing to assert beyond not panicking
-        assert_eq!(progress.completed(), 1);
+        assert_eq!(progress.units_done.load(Ordering::Relaxed), 1);
     }
 }

@@ -1,11 +1,13 @@
 //! The scheduler arena: every registered migration policy, head to
 //! head over a scenario corpus.
 //!
-//! [`run_arena`] runs one campaign per `(policy, scenario)` pair
-//! through the constant-memory campaign runner and folds the results
-//! into an [`ArenaTable`]: one row per pair (user-experience
-//! aggregates, migration counts) plus a cross-scenario ranking by mean
-//! goodput fraction — the paper's user-experience proxy.
+//! [`run_arena`] runs every policy over each scenario through the
+//! constant-memory campaign runner and folds the results into an
+//! [`ArenaTable`]: one row per `(policy, scenario)` pair
+//! (user-experience aggregates, migration counts) plus a cross-scenario
+//! ranking by mean goodput fraction — the paper's user-experience proxy.
+//! Each `(scenario, replica)` world is built once and every policy runs
+//! on its own clone, so a row is the campaign that policy runs alone.
 //!
 //! Determinism contract (the same one the campaign runner carries):
 //! the table's [`to_json`](ArenaTable::to_json) bytes are a function of
@@ -17,8 +19,8 @@
 //! read, so the deterministic table bytes never move (the golden
 //! snapshot under `tests/golden/` compares `to_json` only).
 
-use crate::campaign::{run_campaign, splice_last_key, CampaignError, CampaignOptions};
-use crate::spec::ScenarioSpec;
+use crate::campaign::{run_entrants, splice_last_key, CampaignError};
+use crate::spec::{ScenarioSpec, SpecError};
 use bass_core::PolicyKind;
 use bass_obs::ProgressLevel;
 use serde::Serialize;
@@ -31,10 +33,10 @@ pub struct ArenaOptions {
     /// The competing policies, in presentation order. Empty means the
     /// full registry ([`PolicyKind::all`]).
     pub policies: Vec<PolicyKind>,
-    /// Worker threads sharding each campaign's replicas (≥1; clamped up
+    /// Worker threads sharding each scenario's replicas (≥1; clamped up
     /// from 0); the table bytes are identical at any value.
     pub jobs: usize,
-    /// Live progress reporting to stderr, per campaign.
+    /// Live progress reporting to stderr, one line per replica world.
     pub progress: ProgressLevel,
 }
 
@@ -95,15 +97,18 @@ pub struct ArenaTable {
     pub ranking: Vec<ArenaStanding>,
 }
 
-/// Wall-clock throughput of one `(policy, scenario)` campaign. Never
-/// part of the deterministic table bytes.
+/// Wall-clock throughput of one `(policy, scenario)` campaign, never
+/// part of the deterministic table bytes. It times the policy's own
+/// runs (environment, deploy, stepping) summed over replicas, without
+/// the world build every policy shares or its clone; `--jobs` does not
+/// shrink the sum.
 #[derive(Debug, Clone, Serialize)]
 pub struct ArenaTiming {
     /// Policy registry name.
     pub policy: String,
     /// Scenario name.
     pub scenario: String,
-    /// Simulated ticks per wall-clock second over the whole campaign.
+    /// Simulated ticks per second of the policy's own runs.
     pub ticks_per_sec: f64,
 }
 
@@ -131,16 +136,15 @@ impl ArenaTable {
         splice_last_key(&self.to_json(), "timing", timings)
     }
 
-    /// The ranked comparison table as fixed-width text, with a trailing
-    /// wall-clock ticks/s column when `timings` is non-empty
+    /// The ranked comparison table as fixed-width text, each row ending
+    /// in its wall-clock ticks/s from `timings`, parallel to the rows
     /// (non-deterministic; for terminals, not goldens).
     pub fn to_text(&self, timings: &[ArenaTiming]) -> String {
-        let timed = !timings.is_empty();
         let mut out = String::new();
         let _ = writeln!(out, "arena: seed {}", self.seed);
         let _ = writeln!(
             out,
-            "{:<22} {:<18} {:>9} {:>9} {:>9} {:>10} {:>11} {:>12}{}",
+            "{:<22} {:<18} {:>9} {:>9} {:>9} {:>10} {:>11} {:>12} {:>9}",
             "policy",
             "scenario",
             "gp-mean",
@@ -149,16 +153,12 @@ impl ArenaTable {
             "mbps-mean",
             "migrations",
             "unplaceable",
-            if timed { format!(" {:>9}", "ticks/s") } else { String::new() },
+            "ticks/s",
         );
-        for (i, r) in self.rows.iter().enumerate() {
-            let timing = timings
-                .get(i)
-                .map(|t| format!(" {:>9.0}", t.ticks_per_sec))
-                .unwrap_or_default();
+        for (r, timing) in self.rows.iter().zip(timings) {
             let _ = writeln!(
                 out,
-                "{:<22} {:<18} {:>9.4} {:>9.4} {:>9.4} {:>10.2} {:>11} {:>12}{}",
+                "{:<22} {:<18} {:>9.4} {:>9.4} {:>9.4} {:>10.2} {:>11} {:>12} {:>9.0}",
                 r.policy,
                 r.scenario,
                 r.mean_goodput,
@@ -167,7 +167,7 @@ impl ArenaTable {
                 r.mean_achieved_mbps,
                 r.migrations,
                 r.unplaceable,
-                timing,
+                timing.ticks_per_sec,
             );
         }
         let _ = writeln!(out);
@@ -185,57 +185,52 @@ impl ArenaTable {
         }
         out
     }
-
-    /// The standing of `policy`, if it competed.
-    pub fn standing(&self, policy: &str) -> Option<&ArenaStanding> {
-        self.ranking.iter().find(|s| s.policy == policy)
-    }
 }
 
 /// Runs the tournament: every policy in `opts.policies` over every
-/// spec in `corpus`, each entry a full campaign at `seed`. Policies
-/// run in presentation order and scenarios in corpus order, so the
+/// spec in `corpus`, each entry a full campaign at `seed`. Rows list
+/// policies in presentation order and scenarios in corpus order, so the
 /// table layout — like its bytes — is reproducible.
 ///
 /// # Errors
 ///
-/// Fails on an empty corpus, an invalid spec, or any campaign failure
-/// ([`CampaignError`]).
+/// Fails on an empty corpus, on an invalid spec (naming its position
+/// and name; the whole corpus is checked before anything runs), or on
+/// any campaign failure ([`CampaignError`]).
 pub fn run_arena(
     corpus: &[ScenarioSpec],
     seed: u64,
     opts: &ArenaOptions,
 ) -> Result<ArenaRun, CampaignError> {
     if corpus.is_empty() {
-        return Err(CampaignError::Spec(crate::spec::SpecError::new("arena corpus is empty")));
+        return Err(CampaignError::Spec(SpecError::new("arena corpus is empty")));
+    }
+    for (i, spec) in corpus.iter().enumerate() {
+        spec.validate()
+            .map_err(|e| SpecError::new(format!("corpus[{i}] '{}': {}", spec.name, e.0)))?;
     }
     // Duplicates would double-count the ranking; first mention wins.
-    let mut policies: Vec<PolicyKind> =
-        if opts.policies.is_empty() { PolicyKind::all().to_vec() } else { opts.policies.clone() };
-    let mut seen = Vec::new();
-    policies.retain(|p| {
-        let fresh = !seen.contains(&p.name());
-        seen.push(p.name());
-        fresh
-    });
+    let requested = if opts.policies.is_empty() { &PolicyKind::all()[..] } else { &opts.policies };
+    let mut policies: Vec<PolicyKind> = Vec::with_capacity(requested.len());
+    for &policy in requested {
+        if !policies.contains(&policy) {
+            policies.push(policy);
+        }
+    }
 
+    let per_spec = corpus
+        .iter()
+        .map(|spec| run_entrants(spec, seed, &policies, opts.jobs, false, opts.progress))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut rows = Vec::with_capacity(policies.len() * corpus.len());
-    let mut timings = Vec::with_capacity(rows.capacity());
-    for &policy in &policies {
-        for spec in corpus {
-            let copts = CampaignOptions {
-                jobs: opts.jobs,
-                profile: false,
-                progress: opts.progress,
-                policy,
-            };
-            let started = std::time::Instant::now();
-            let run = run_campaign(spec, seed, &copts)?;
-            let elapsed = started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-            let agg = &run.summary.aggregate;
+    let (mut timings, mut ranking) = (Vec::with_capacity(rows.capacity()), Vec::new());
+    for (p, policy) in policies.iter().enumerate() {
+        for (run, busy) in per_spec.iter().map(|runs| &runs[p]) {
+            let summary = &run.summary;
+            let agg = &summary.aggregate;
             rows.push(ArenaRow {
                 policy: policy.name().to_string(),
-                scenario: run.summary.scenario.clone(),
+                scenario: summary.scenario.clone(),
                 mean_goodput: agg.goodput.mean,
                 p50_goodput: agg.goodput.p50,
                 p95_goodput: agg.goodput.p95,
@@ -246,28 +241,21 @@ pub fn run_arena(
             });
             timings.push(ArenaTiming {
                 policy: policy.name().to_string(),
-                scenario: run.summary.scenario.clone(),
-                ticks_per_sec: agg.ticks as f64 / elapsed,
+                scenario: summary.scenario.clone(),
+                ticks_per_sec: agg.ticks as f64 / busy.as_secs_f64().max(f64::MIN_POSITIVE),
             });
         }
+        // Cross-scenario standing: the unweighted mean of the policy's
+        // per-scenario mean goodputs.
+        let mine = &rows[rows.len() - corpus.len()..];
+        ranking.push(ArenaStanding {
+            rank: 0,
+            policy: policy.name().to_string(),
+            mean_goodput: mine.iter().map(|r| r.mean_goodput).sum::<f64>() / mine.len() as f64,
+            migrations: mine.iter().map(|r| r.migrations).sum(),
+        });
     }
-
-    // Cross-scenario standing: unweighted mean of per-scenario mean
-    // goodputs, descending; name as the deterministic tie-break.
-    let mut ranking: Vec<ArenaStanding> = policies
-        .iter()
-        .map(|p| {
-            let mine: Vec<&ArenaRow> =
-                rows.iter().filter(|r| r.policy == p.name()).collect();
-            let mean = mine.iter().map(|r| r.mean_goodput).sum::<f64>() / mine.len() as f64;
-            ArenaStanding {
-                rank: 0,
-                policy: p.name().to_string(),
-                mean_goodput: mean,
-                migrations: mine.iter().map(|r| r.migrations).sum(),
-            }
-        })
-        .collect();
+    // Best mean goodput first; name as the deterministic tie-break.
     ranking.sort_by(|a, b| {
         b.mean_goodput
             .total_cmp(&a.mean_goodput)

@@ -1,21 +1,21 @@
 //! The streaming long-horizon campaign runner.
 //!
-//! A *campaign* executes every replica of a [`ScenarioSpec`] — each
-//! replica re-generates the scenario from its own seed forked off the
-//! campaign seed — and folds per-tick results into streaming aggregates
-//! (fixed-bucket histograms and running sums), so a 100k-tick horizon
-//! costs the same memory as a 100-tick one. Replicas shard across
-//! worker threads exactly like the experiments runner's `--jobs`, both
-//! through [`bass_util::pool::ordered_map`] (a shared claim counter plus
-//! order-preserving result slots), so the summary is byte-identical
+//! A *campaign* executes every replica of a [`ScenarioSpec`]: each
+//! replica's world is generated from its own seed, forked off the
+//! campaign seed, and built once for every policy run on it (the arena's
+//! entrants run on clones). Per-tick results fold into streaming
+//! aggregates (fixed-bucket histograms and running sums), so a 100k-tick
+//! horizon costs the same memory as a 100-tick one. Replicas shard across
+//! worker threads through [`bass_util::pool::ordered_map`], as the
+//! experiments runner's `--jobs` does, so the summary is byte-identical
 //! whatever the thread count.
 //!
-//! Each replica's tick runs the six profiled phases described in
-//! `docs/ARCHITECTURE.md` — `tick.faults`, `tick.scenario`,
-//! `tick.demand`, `tick.controller`, `tick.migrate`, `tick.finalize`. Determinism follows the repo-wide rules: per-replica
-//! seeds are forked from the campaign seed (never shared), worker
-//! threads only claim work and fill their own slot, and aggregation
-//! happens in replica order after the barrier.
+//! Each replica's tick runs the six profiled phases of
+//! `docs/ARCHITECTURE.md` (`tick.faults`, `tick.scenario`, `tick.demand`,
+//! `tick.controller`, `tick.migrate`, `tick.finalize`). Per-replica seeds
+//! are forked from the campaign seed (never shared), worker threads only
+//! claim work and fill their own slot, and aggregation happens in replica
+//! order after the barrier.
 
 use crate::generate::{generate, AppKind};
 use crate::spec::{ScenarioSpec, SpecError};
@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Goodput-fraction histogram layout: `[0, 1.2)` in 120 buckets (1%
 /// resolution; fractions above 1.2 land in the overflow counter). Fixed
@@ -239,6 +240,8 @@ struct ReplicaOutcome {
     summary: ReplicaSummary,
     fold: SampleFold,
     profiler: Option<SpanProfiler>,
+    /// Wall time of the entrant's own run, its copy of the world excluded.
+    busy: Duration,
 }
 
 /// How to run a campaign beyond the deterministic `(spec, seed)` pair:
@@ -255,8 +258,8 @@ pub struct CampaignOptions {
     pub progress: ProgressLevel,
     /// Migration-decision policy every replica's controller runs. This
     /// one DOES change the summary bytes — it is the arena's
-    /// independent variable; the default [`PolicyKind::Bass`] keeps
-    /// summaries byte-identical to the pre-arena runner.
+    /// independent variable; the default is the paper's controller,
+    /// [`PolicyKind::Bass`].
     pub policy: PolicyKind,
 }
 
@@ -300,6 +303,23 @@ pub fn run_campaign(
     opts: &CampaignOptions,
 ) -> Result<CampaignRun, CampaignError> {
     spec.validate()?;
+    let (jobs, profile, progress) = (opts.jobs, opts.profile, opts.progress);
+    let mut runs = run_entrants(spec, seed, &[opts.policy], jobs, profile, progress)?;
+    Ok(runs.pop().expect("one entrant, one run").0)
+}
+
+/// Runs every entrant of `policies` over the replicas of a validated
+/// `spec` ([`run_replica`]), sharded over `jobs` worker threads. Returns,
+/// per entrant in order, the campaign [`run_campaign`] gives for that
+/// policy alone and its own runs' wall time summed over replicas.
+pub(crate) fn run_entrants(
+    spec: &ScenarioSpec,
+    seed: u64,
+    policies: &[PolicyKind],
+    jobs: usize,
+    profile: bool,
+    progress: ProgressLevel,
+) -> Result<Vec<(CampaignRun, Duration)>, CampaignError> {
     let replica_count = spec.replicas as usize;
 
     // Fork one seed per replica up front: replica k's scenario never
@@ -308,77 +328,69 @@ pub fn run_campaign(
     let replica_seeds: Vec<u64> =
         (0..replica_count).map(|k| root.fork(100 + k as u64).next_u64()).collect();
 
-    let progress = Progress::new(opts.progress, "replica", replica_count as u64);
-    let outcomes = ordered_map(opts.jobs, replica_count, |i| {
-        let outcome = run_replica(spec, i as u32, replica_seeds[i], opts);
-        let ticks = outcome.as_ref().map(|o| o.summary.ticks).unwrap_or(0);
+    let progress = Progress::new(progress, "replica", replica_count as u64);
+    let replicas = ordered_map(jobs, replica_count, |i| {
+        let outcomes = run_replica(spec, i as u32, replica_seeds[i], policies, profile);
+        let ticks = outcomes.as_ref().map_or(0, |o| o.iter().map(|o| o.summary.ticks).sum());
         progress.unit_done(i as u64, ticks);
-        outcome
+        outcomes
     });
+    let mut entrants: Vec<Vec<ReplicaOutcome>> = policies.iter().map(|_| Vec::new()).collect();
+    for outcomes in replicas {
+        for (entrant, outcome) in entrants.iter_mut().zip(outcomes?) {
+            entrant.push(outcome);
+        }
+    }
+    Ok(entrants.into_iter().map(|outcomes| fold_campaign(spec, seed, outcomes)).collect())
+}
 
-    let mut campaign_profiler = opts.profile.then(SpanProfiler::new);
-    let mut replicas = Vec::with_capacity(replica_count);
-    let mut agg_hist = goodput_histogram();
-    let mut agg_sum = 0.0;
-    let mut agg_samples = 0u64;
-    let mut agg_achieved: BTreeMap<&'static str, f64> = BTreeMap::new();
-    let mut ticks = 0u64;
-    let mut admitted = 0u64;
-    let mut rejected = 0u64;
-    let mut retired = 0u64;
-    let mut migrations = 0u64;
-    let mut unplaceable = 0u64;
-    let mut faults = 0usize;
-    let mut achieved_mean_sum = 0.0;
+/// Folds one entrant's replica outcomes, in replica order, into its
+/// campaign (profiled iff its replicas were) and its runs' summed wall time.
+fn fold_campaign(
+    spec: &ScenarioSpec,
+    seed: u64,
+    outcomes: Vec<ReplicaOutcome>,
+) -> (CampaignRun, Duration) {
+    let mut profiler: Option<SpanProfiler> = None;
+    let (mut hist, mut goodput_sum, mut busy) = (goodput_histogram(), 0.0, Duration::ZERO);
+    let mut achieved: BTreeMap<&'static str, f64> = BTreeMap::new();
+    let mut replicas = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
-        let outcome = outcome?;
-        if let (Some(agg), Some(rep)) = (campaign_profiler.as_mut(), outcome.profiler.as_ref())
-        {
-            agg.merge(rep);
+        if let Some(rep) = &outcome.profiler {
+            profiler.get_or_insert_with(SpanProfiler::new).merge(rep);
         }
-        agg_hist.merge(&outcome.fold.hist);
-        agg_sum += outcome.fold.goodput_sum;
-        agg_samples += outcome.summary.goodput.samples;
+        hist.merge(&outcome.fold.hist);
+        goodput_sum += outcome.fold.goodput_sum;
         for (k, v) in &outcome.fold.achieved_sum_mbps {
-            *agg_achieved.entry(k).or_insert(0.0) += v;
+            *achieved.entry(k).or_insert(0.0) += v;
         }
-        ticks += outcome.summary.ticks;
-        admitted += outcome.summary.apps_admitted;
-        rejected += outcome.summary.apps_rejected;
-        retired += outcome.summary.apps_retired;
-        migrations += outcome.summary.migrations;
-        unplaceable += outcome.summary.unplaceable;
-        faults += outcome.summary.faults_injected;
-        achieved_mean_sum += outcome.summary.mean_achieved_mbps;
+        busy += outcome.busy;
         replicas.push(outcome.summary);
     }
+    let total = |count: fn(&ReplicaSummary) -> u64| replicas.iter().map(count).sum();
+    // A validated spec runs at least one replica.
+    let achieved_mean_sum = replicas.iter().fold(0.0, |sum, r| sum + r.mean_achieved_mbps);
     let aggregate = AggregateSummary {
-        ticks,
-        apps_admitted: admitted,
-        apps_rejected: rejected,
-        apps_retired: retired,
-        migrations,
-        unplaceable,
-        faults_injected: faults,
-        goodput: QuantileSummary::from_parts(&agg_hist, agg_sum, agg_samples),
-        mean_achieved_mbps: if replicas.is_empty() {
-            0.0
-        } else {
-            achieved_mean_sum / replicas.len() as f64
-        },
-        bandwidth_share: shares(&agg_achieved),
+        ticks: total(|r| r.ticks),
+        apps_admitted: total(|r| r.apps_admitted),
+        apps_rejected: total(|r| r.apps_rejected),
+        apps_retired: total(|r| r.apps_retired),
+        migrations: total(|r| r.migrations),
+        unplaceable: total(|r| r.unplaceable),
+        faults_injected: replicas.iter().map(|r| r.faults_injected).sum(),
+        goodput: QuantileSummary::from_parts(&hist, goodput_sum, total(|r| r.goodput.samples)),
+        mean_achieved_mbps: achieved_mean_sum / replicas.len() as f64,
+        bandwidth_share: shares(&achieved),
     };
-    Ok(CampaignRun {
-        summary: CampaignSummary {
-            scenario: spec.name.clone(),
-            seed,
-            horizon_ticks: spec.horizon_ticks,
-            step_ms: spec.step_ms,
-            replicas,
-            aggregate,
-        },
-        profiler: campaign_profiler,
-    })
+    let summary = CampaignSummary {
+        scenario: spec.name.clone(),
+        seed,
+        horizon_ticks: spec.horizon_ticks,
+        step_ms: spec.step_ms,
+        replicas,
+        aggregate,
+    };
+    (CampaignRun { summary, profiler }, busy)
 }
 
 fn shares(achieved: &BTreeMap<&'static str, f64>) -> BTreeMap<String, f64> {
@@ -442,72 +454,83 @@ impl SampleFold {
     }
 }
 
-/// Executes one replica, streaming per-sample aggregates into the fold
-/// state; no per-tick history is kept. The workload and the storm are
-/// the environment's timeline, so the horizon is one [`SimEnv::run_for`],
-/// whose hook samples on the same ticks whether they executed or were
-/// skipped. A skipped tick leaves every sample input (queues included)
-/// as its full execution would, so the summary is byte-identical to
-/// calling [`SimEnv::step`] per tick.
+/// Executes one replica for every entrant of `policies`, each streaming
+/// per-sample aggregates into its own fold state (no per-tick history).
+/// The world (scenario, mesh, cluster, timeline) is built once, timed as
+/// `campaign.setup` for the first entrant; each entrant runs on a clone,
+/// the last on the world itself. The horizon is one [`SimEnv::run_for`],
+/// whose hook samples the same ticks executed or skipped: a skipped tick
+/// leaves every sample input as its execution would, so the summary is
+/// byte-identical to stepping each tick with [`SimEnv::step`].
 fn run_replica(
     spec: &ScenarioSpec,
     replica: u32,
     replica_seed: u64,
-    opts: &CampaignOptions,
-) -> Result<ReplicaOutcome, CampaignError> {
-    let setup_started = std::time::Instant::now();
+    policies: &[PolicyKind],
+    profile: bool,
+) -> Result<Vec<ReplicaOutcome>, CampaignError> {
+    let setup_started = Instant::now();
     let scenario = generate(spec, replica_seed);
     let horizon = SimDuration::from_millis(spec.horizon_ticks * spec.step_ms);
-    let mesh = scenario.build_mesh(horizon)?;
-    let cluster = scenario.build_cluster();
-    let links = scenario.topology.link_count();
-    let cfg = SimEnvConfig {
-        step: SimDuration::from_millis(spec.step_ms),
-        migration_policy: opts.policy,
-        faults: scenario.faults.clone(),
-        ..SimEnvConfig::default()
-    };
-    let mut env = SimEnv::new(mesh, cluster, AppDag::new(scenario.name.clone()), cfg);
     let dags = AppKind::ALL.map(|kind| Arc::new(kind.dag(spec.workload.social_rps)));
-    env.set_scenario(scenario.timeline(&dags));
-    if opts.profile {
-        env.enable_span_profiling();
-        // Setup (generation + mesh construction) is a one-time cost;
-        // benches subtract it to report pure stepping throughput.
-        env.record_span("campaign.setup", setup_started.elapsed());
-    }
-    env.deploy(&[])?;
-
-    let mut fold = SampleFold::new();
-    let mut tick = 0u64;
-    env.run_for(horizon, |e| {
-        if tick.is_multiple_of(spec.sample_every_ticks) {
-            fold.record(e, &dags);
+    let built = (scenario.build_mesh(horizon)?, scenario.build_cluster(), scenario.timeline(&dags));
+    let (mut world, mut setup) = (Some(built), Some(setup_started.elapsed()));
+    let mut outcomes = Vec::with_capacity(policies.len());
+    for (k, &policy) in policies.iter().enumerate() {
+        let world = if k + 1 == policies.len() { world.take() } else { world.clone() };
+        let (mesh, cluster, timeline) = world.expect("only the last entrant takes the world");
+        let started = Instant::now();
+        let cfg = SimEnvConfig {
+            step: SimDuration::from_millis(spec.step_ms),
+            migration_policy: policy,
+            faults: scenario.faults.clone(),
+            ..SimEnvConfig::default()
+        };
+        let mut env = SimEnv::new(mesh, cluster, AppDag::new(scenario.name.clone()), cfg);
+        env.set_scenario(timeline);
+        if profile {
+            env.enable_span_profiling();
+            // Set-up is a one-time cost per world; benches subtract it
+            // to report pure stepping throughput.
+            if let Some(setup) = setup.take() {
+                env.record_span("campaign.setup", setup);
+            }
         }
-        tick += 1;
-    })?;
+        env.deploy(&[])?;
 
-    let stats = env.stats();
-    let samples = fold.samples;
-    let mean = |total: f64| if samples == 0 { 0.0 } else { total / samples as f64 };
-    let summary = ReplicaSummary {
-        replica,
-        seed: replica_seed,
-        ticks: spec.horizon_ticks,
-        links,
-        arrivals_capped: scenario.rejected_arrivals,
-        apps_admitted: stats.apps_admitted,
-        apps_rejected: stats.apps_rejected,
-        apps_retired: stats.apps_retired,
-        migrations: stats.migrations.len() as u64,
-        unplaceable: stats.unplaceable,
-        faults_injected: stats.faults_injected,
-        goodput: QuantileSummary::from_parts(&fold.hist, fold.goodput_sum, samples),
-        mean_achieved_mbps: mean(fold.achieved_total),
-        mean_offered_mbps: mean(fold.offered_total),
-        bandwidth_share: shares(&fold.achieved_sum_mbps),
-    };
-    Ok(ReplicaOutcome { summary, fold, profiler: env.take_span_profiler() })
+        let mut fold = SampleFold::new();
+        let mut tick = 0u64;
+        env.run_for(horizon, |e| {
+            if tick.is_multiple_of(spec.sample_every_ticks) {
+                fold.record(e, &dags);
+            }
+            tick += 1;
+        })?;
+
+        let stats = env.stats();
+        let samples = fold.samples;
+        let mean = |total: f64| if samples == 0 { 0.0 } else { total / samples as f64 };
+        let summary = ReplicaSummary {
+            replica,
+            seed: replica_seed,
+            ticks: spec.horizon_ticks,
+            links: scenario.topology.link_count(),
+            arrivals_capped: scenario.rejected_arrivals,
+            apps_admitted: stats.apps_admitted,
+            apps_rejected: stats.apps_rejected,
+            apps_retired: stats.apps_retired,
+            migrations: stats.migrations.len() as u64,
+            unplaceable: stats.unplaceable,
+            faults_injected: stats.faults_injected,
+            goodput: QuantileSummary::from_parts(&fold.hist, fold.goodput_sum, samples),
+            mean_achieved_mbps: mean(fold.achieved_total),
+            mean_offered_mbps: mean(fold.offered_total),
+            bandwidth_share: shares(&fold.achieved_sum_mbps),
+        };
+        let profiler = env.take_span_profiler();
+        outcomes.push(ReplicaOutcome { summary, fold, profiler, busy: started.elapsed() });
+    }
+    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -619,6 +642,32 @@ mod tests {
             let executed = run.profiler.unwrap().stats("tick.finalize").map_or(0, |s| s.count);
             assert!(executed < total, "seed {seed}: executed {executed} of {total} ticks");
         }
+    }
+
+    #[test]
+    fn each_world_is_built_once_for_all_entrants() {
+        let spec = tiny_spec();
+        assert_eq!(spec.replicas, 2);
+        let policies = [PolicyKind::Bass, PolicyKind::Random, PolicyKind::Spread];
+        let runs = run_entrants(&spec, 4, &policies, 2, true, ProgressLevel::Off).unwrap();
+        let count = |span| -> u64 {
+            let spans = runs.iter().filter_map(|(run, _)| run.profiler.as_ref()?.stats(span));
+            spans.map(|s| s.count).sum()
+        };
+        assert_eq!(count("campaign.setup"), 2, "one world per replica");
+        assert_eq!(count("env.deploy"), 2 * 3, "one deploy per replica and entrant");
+    }
+
+    #[test]
+    fn arena_names_an_invalid_spec_by_position_and_name() {
+        let good = tiny_spec();
+        let mut bad = tiny_spec();
+        bad.name = "no-replicas".into();
+        bad.replicas = 0;
+        let opts = crate::ArenaOptions { policies: vec![PolicyKind::Bass], ..Default::default() };
+        let err = crate::run_arena(&[good, bad], 1, &opts).unwrap_err().to_string();
+        assert!(err.contains("corpus[1] 'no-replicas'"), "{err}");
+        assert!(err.contains("at least one replica"), "{err}");
     }
 
     #[test]

@@ -118,8 +118,6 @@ pub struct GeneratedScenario {
     pub seed: u64,
     /// The synthesized mesh shape.
     pub topology: Topology,
-    /// Unit-square node positions (random-geometric only).
-    pub positions: Option<Vec<(f64, f64)>>,
     /// Per-node resources and gateway flags, ascending by id.
     pub nodes: Vec<GeneratedNode>,
     /// One OU config per link in link order, each named by its link's [`link_name`].
@@ -226,14 +224,13 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> GeneratedScenario {
     let mut workload_rng = root.fork(6);
     let fault_seed = root.fork(7).next_u64();
 
-    let (topology, positions) = match spec.topology {
+    let topology = match spec.topology {
         TopologySpec::RandomGeometric { nodes, radius } => {
-            let (t, pos) = Topology::random_geometric(nodes, radius, &mut topo_rng);
-            (t, Some(pos))
+            Topology::random_geometric(nodes, radius, &mut topo_rng)
         }
-        TopologySpec::Grid { width, height } => (Topology::grid(width, height), None),
+        TopologySpec::Grid { width, height } => Topology::grid(width, height),
         TopologySpec::HubAndSpoke { hubs, leaves_per_hub } => {
-            (Topology::hub_and_spoke(hubs, leaves_per_hub), None)
+            Topology::hub_and_spoke(hubs, leaves_per_hub)
         }
     };
 
@@ -297,7 +294,6 @@ pub fn generate(spec: &ScenarioSpec, seed: u64) -> GeneratedScenario {
         name: spec.name.clone(),
         seed,
         topology,
-        positions,
         nodes,
         trace_configs,
         trace_seed,

@@ -25,10 +25,10 @@
 //!
 //! On top of the campaign runner sits the **scheduler arena**
 //! ([`arena`]): [`run_arena`] races every registered migration policy
-//! (`bass_core::PolicyKind`) over a scenario corpus and emits a ranked
-//! comparison table with the campaign runner's byte-identical
-//! guarantees — `bassctl arena` is its CLI face and
-//! `docs/POLICIES.md` its contract.
+//! (`bass_core::PolicyKind`) over a scenario corpus, building each
+//! `(scenario, replica)` world once for all of them, and emits a ranked
+//! table with the campaign runner's byte-identical guarantees —
+//! `bassctl arena` is its CLI face and `docs/POLICIES.md` its contract.
 //!
 //! The determinism battery lives in `tests/scenario_properties.rs`,
 //! `tests/campaign.rs`, and `tests/policy.rs`; `docs/SCENARIOS.md`

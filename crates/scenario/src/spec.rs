@@ -216,7 +216,7 @@ pub struct ScenarioSpec {
 /// A structural problem in a [`ScenarioSpec`], found by
 /// [`ScenarioSpec::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError(String);
+pub struct SpecError(pub(crate) String);
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -341,6 +341,39 @@ fn arena_campaigns_match_the_ticked_reference() {
     }
 }
 
+/// Entrants share each `(spec, replica)` world but never see each
+/// other's runs: over two specs with two replicas each, every arena row
+/// equals, bit for bit, the campaign its policy runs alone on that spec.
+#[test]
+fn arena_rows_equal_each_policys_own_campaign() {
+    let (first, _) = arena_entry();
+    let mut second = ScenarioSpec::small_reference();
+    second.name = "grid-reference".into();
+    second.topology = bass::scenario::TopologySpec::Grid { width: 5, height: 4 };
+    second.horizon_ticks = 200;
+    let corpus = [first, second];
+    let policies = vec![PolicyKind::Bass, PolicyKind::K3sDefault, PolicyKind::Metronome];
+    let opts = ArenaOptions { policies: policies.clone(), jobs: 2, ..ArenaOptions::default() };
+    let table = run_arena(&corpus, 20, &opts).expect("arena runs").table;
+    assert_eq!(table.rows.len(), 6);
+    let pairs = policies.iter().flat_map(|&p| corpus.iter().map(move |spec| (p, spec)));
+    for ((policy, spec), row) in pairs.zip(&table.rows) {
+        assert_eq!(spec.replicas, 2);
+        let opts = CampaignOptions { policy, ..CampaignOptions::default() };
+        let agg = run_campaign(spec, 20, &opts).expect("campaign runs").summary.aggregate;
+        assert_eq!((row.policy.as_str(), row.scenario.as_str()), (policy.name(), &*spec.name));
+        let got = [row.mean_goodput, row.p50_goodput, row.p95_goodput, row.mean_achieved_mbps];
+        let want = [agg.goodput.mean, agg.goodput.p50, agg.goodput.p95, agg.mean_achieved_mbps];
+        let name = format!("{} on {}", row.policy, row.scenario);
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{name}");
+        assert_eq!(
+            (row.migrations, row.unplaceable, row.ticks),
+            (agg.migrations, agg.unplaceable, agg.ticks),
+            "{name}"
+        );
+    }
+}
+
 /// A migration whose target filled up before it was applied is refused
 /// (`relocate failed`) and must leave the cluster's per-node sums as
 /// they were. The arena corpus's first spread replica (campaign seed
