@@ -11,7 +11,10 @@
 //! tombstones outnumbering live flows, rebuild the index; a rebuild
 //! marks every slot and every component dirty and feeds the same
 //! pipeline, so that tick refills everything. Every allocation ends by
-//! re-summing the usage views of what it refilled from their members.
+//! re-summing from their members the usage views whose members or member
+//! rates moved: the links crossed by a slot added or removed since the
+//! last allocation or by a flow whose rate bits the fill changed (every
+//! link after a rebuild), and every egress cap.
 //!
 //! Invariant: while the index is clean, it describes exactly the live
 //! slots' paths and the egress-cap set; the rates and `floor_bps` are
@@ -173,8 +176,9 @@ fn member_sum(c: &Constraint, rates: &[f64]) -> f64 {
 /// constraint per link (and per egress-capped node) with its member list
 /// of slots, and a CSR slot → constraints reverse map. A patched-in slot
 /// joins its member lists (which stay sorted, slots being appended in id
-/// order); a tombstoned slot leaves them and its component, its row left
-/// unread. The touched components are re-derived at the next allocation.
+/// order); a tombstoned slot leaves them and its component, its row kept
+/// for the next allocation's usage views. The touched components are
+/// patched at the next allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AllocIndex {
     /// Ranks of the egress-capped nodes, ascending: egress constraint
@@ -185,10 +189,11 @@ pub(crate) struct AllocIndex {
     /// refreshed in place each allocation; member lists persist.
     pub(crate) constraints: Vec<Constraint>,
     /// CSR offsets of the slot → constraints reverse map.
-    flow_cons_off: Vec<usize>,
+    pub(crate) flow_cons_off: Vec<usize>,
     /// CSR payload of the slot → constraints reverse map (a row in path
-    /// order; a dead slot's row is never read).
-    flow_cons: Vec<usize>,
+    /// order; a dead slot's row is read only by the usage views of the
+    /// allocation after its removal).
+    pub(crate) flow_cons: Vec<usize>,
     /// Connected components of the flow ↔ constraint graph (the district
     /// map of a gateway-partitioned city mesh), patched with the slots.
     pub(crate) comps: ComponentIndex,
@@ -251,6 +256,11 @@ impl AllocIndex {
         slot
     }
 
+    /// The CSR row of `slot`.
+    pub(crate) fn row(&self, slot: usize) -> &[usize] {
+        &self.flow_cons[self.flow_cons_off[slot]..self.flow_cons_off[slot + 1]]
+    }
+
     /// Patches a newly registered flow's slot in (clean index only); its
     /// components are merged by the next [`ComponentIndex::patch`].
     fn add(&mut self, f: &FlowState) -> usize {
@@ -262,14 +272,15 @@ impl AllocIndex {
     /// Takes a tombstoned slot out of every member list and out of its
     /// component (clean index only).
     fn remove(&mut self, slot: usize) {
-        for &ci in &self.flow_cons[self.flow_cons_off[slot]..self.flow_cons_off[slot + 1]] {
+        let row = &self.flow_cons[self.flow_cons_off[slot]..self.flow_cons_off[slot + 1]];
+        for &ci in row {
             let members = &mut self.constraints[ci].members;
             let at = members
                 .binary_search(&slot)
                 .expect("a live slot sits in each of its constraints");
             members.remove(at);
         }
-        self.comps.detach_flow(slot);
+        self.comps.detach_flow(slot, row);
     }
 }
 
@@ -320,6 +331,11 @@ pub(crate) struct Allocation {
     /// moved — the component scan's input, as `cap_changed` is for links.
     dirty_flows: Vec<u32>,
     flow_dirty: Vec<bool>,
+    /// Slots added or removed since the last allocation, then those whose
+    /// rate bits its fill changed: the rows whose links' usage views it
+    /// re-sums. Per-link flags mark a link already re-summed (scratch).
+    moved_slots: Vec<u32>,
+    link_resummed: Vec<bool>,
 }
 
 impl Allocation {
@@ -329,6 +345,7 @@ impl Allocation {
             allocated: true,
             index: AllocIndex { dirty: true, ..AllocIndex::default() },
             link_used_bps: vec![0.0; link_count],
+            link_resummed: vec![false; link_count],
             ..Allocation::default()
         }
     }
@@ -348,6 +365,7 @@ impl Allocation {
             self.demands_scratch.push(Bandwidth::ZERO);
             self.flow_dirty.push(false);
             self.mark_slot_demand_dirty(slot);
+            self.moved_slots.push(slot as u32);
         }
         self.flows.push(id, flow);
         self.rates_bps.push(0.0);
@@ -380,6 +398,7 @@ impl Allocation {
             self.index.remove(slot);
             self.demands_scratch[slot] = Bandwidth::ZERO;
             self.mark_slot_demand_dirty(slot);
+            self.moved_slots.push(slot as u32);
             // Compact once dead slots outnumber live ones (a fixed
             // growth rule, like `Vec` doubling).
             if self.flows.dead > self.flows.len() {
@@ -527,7 +546,8 @@ impl Allocation {
 
         let index = &mut self.index;
         if index.comps.patch_pending() {
-            index.comps.patch(&index.flow_cons_off, &index.flow_cons, &mut index.repatched);
+            let (off, cons) = (&index.flow_cons_off, &index.flow_cons);
+            index.comps.patch(&index.constraints, off, cons, &mut index.repatched);
             clock.lap(profiler.as_deref_mut(), "mesh.index_patch");
         }
         // A rebuilt index has no capacities yet: read them all.
@@ -550,15 +570,13 @@ impl Allocation {
         }
         let changed = links.changed().iter().map(|&l| l as usize);
         for ci in self.index.repatched.iter().copied().chain(changed) {
+            // A memberless constraint's component holds no flow to refill.
             if !self.index.constraints[ci].members.is_empty() {
                 let comp = self.index.comps.constraint_component(ci);
                 if !self.comp_dirty[comp as usize] {
                     self.comp_dirty[comp as usize] = true;
                     self.dirty_comps.push(comp);
                 }
-            } else if ci < link_count {
-                // A link whose last member left: its usage view is zero.
-                self.link_used_bps[ci] = 0.0;
             }
         }
         self.index.repatched.clear();
@@ -586,11 +604,13 @@ impl Allocation {
                 &mut self.scratch,
                 &mut self.rates_bps,
                 &mut self.floor_bps,
+                // After a rebuild every view is re-summed: record nothing.
+                &mut |slot| self.moved_slots.extend((!rebuilt).then_some(slot as u32)),
             );
         }
         clock.lap(profiler.as_deref_mut(), "mesh.water_fill");
 
-        self.update_usage_views(link_count);
+        self.update_usage_views(link_count, rebuilt);
         clock.lap(profiler, "mesh.usage_views");
     }
 
@@ -654,17 +674,32 @@ impl Allocation {
     }
 
     /// Re-sums, each as its constraint's member sum over `rates_bps`, the
-    /// link usage of every constraint in a refilled component (every link
-    /// after a rebuild) and every capped node's egress usage; no other
-    /// link's members or rates moved. Members are live slots in ascending
-    /// flow order, so each sum accumulates in flow order, as a full one's.
-    fn update_usage_views(&mut self, link_count: usize) {
-        let (constraints, comps) = (&self.index.constraints, &self.index.comps);
-        for &comp in &self.dirty_comps {
-            for &ci in comps.constraints_of(comp).iter().filter(|&&ci| ci < link_count) {
-                self.link_used_bps[ci] = member_sum(&constraints[ci], &self.rates_bps);
+    /// usage of every link on the row of a slot in `moved_slots` (every
+    /// link after a rebuild, whose slots are renumbered) and every capped
+    /// node's egress usage. A member sum is a function of the member list
+    /// and the members' rate bits, and no other link's moved. Members are
+    /// live slots in ascending flow order, so each sum accumulates in flow
+    /// order, as a full one's.
+    fn update_usage_views(&mut self, link_count: usize, rebuilt: bool) {
+        let index = &self.index;
+        let constraints = &index.constraints;
+        if rebuilt {
+            for (used, c) in self.link_used_bps.iter_mut().zip(constraints) {
+                *used = member_sum(c, &self.rates_bps);
+            }
+        } else {
+            // Re-sum each link on its first visit, then clear the marks.
+            let links = || self.moved_slots.iter().flat_map(|&s| index.row(s as usize));
+            for ci in links().filter(|&&ci| ci < link_count) {
+                if !std::mem::replace(&mut self.link_resummed[*ci], true) {
+                    self.link_used_bps[*ci] = member_sum(&constraints[*ci], &self.rates_bps);
+                }
+            }
+            for ci in links().filter(|&&ci| ci < link_count) {
+                self.link_resummed[*ci] = false;
             }
         }
+        self.moved_slots.clear();
         for (e, c) in self.egress_caps.values_mut().zip(&constraints[link_count..]) {
             e.used_bps = member_sum(c, &self.rates_bps);
         }
@@ -698,7 +733,12 @@ impl Allocation {
             let before = flow.queue;
             let allocated = Bandwidth::from_bps(self.rates_bps[s]);
             flow.queue.advance(dt, flow.spec.demand, allocated);
-            let rho = flow.links.iter().map(|l| util[l.0]).fold(0.0f64, f64::max);
+            // A compare-select fold, not `f64::max`'s NaN-aware call: the
+            // same bits, since `util` is clamped and never NaN (for a NaN
+            // `f64::max` also returns the other operand) and no −0.0
+            // reaches it (usage sums start at +0.0 over rates ≥ +0.0).
+            let rho =
+                flow.links.iter().map(|l| util[l.0]).fold(0.0, |m, u| if u > m { u } else { m });
             flow.queue.set_path_utilization(rho);
             still &= flow.queue == before;
             if track && flow.queue.backlog() != before.backlog() && !self.flow_dirty[s] {

@@ -94,8 +94,8 @@ pub(crate) const NO_COMPONENT: u32 = u32::MAX;
 /// (O(memberships · α)); all storage is reused across rebuilds. Between
 /// rebuilds [`crate::Mesh`] *patches* it: appending or retiring a flow
 /// records the components it joined or left, and the next allocation
-/// re-derives just those — a removal can split a component, an add can
-/// merge several.
+/// patches just those — re-deriving them and relabelling every component
+/// only when a removal can split one or an add merge several.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ComponentIndex {
     /// Component of each flow; [`NO_COMPONENT`] for unconstrained flows.
@@ -119,6 +119,10 @@ pub(crate) struct ComponentIndex {
     /// Constrained flows pushed since the last rebuild or patch; they
     /// sit in no component's flow list yet.
     added: Vec<usize>,
+    /// Consecutive constraint pairs of the rows of the flows detached
+    /// since the last rebuild or patch: while each pair shares a live
+    /// member, no component split.
+    detached_pairs: Vec<(usize, usize)>,
     /// Temporary → canonical component id map (scratch, reused).
     remap: Vec<u32>,
     /// Flows re-derived by the current patch (scratch, reused).
@@ -160,6 +164,7 @@ impl ComponentIndex {
         }
         self.touched.clear();
         self.added.clear();
+        self.detached_pairs.clear();
         self.relabel(m);
     }
 
@@ -175,14 +180,18 @@ impl ComponentIndex {
         }
     }
 
-    /// Takes a retiring flow out of its component for good: the slot
-    /// becomes unconstrained and its former component is re-derived by
-    /// the next [`patch`](Self::patch). The caller removes the slot from
-    /// its constraints' member lists.
-    pub(crate) fn detach_flow(&mut self, flow: usize) {
+    /// Takes a retiring flow crossing the constraints in `row` (its CSR
+    /// row) out of its component for good: the slot becomes unconstrained
+    /// and its former component is patched by the next
+    /// [`patch`](Self::patch). The caller removes the slot from its
+    /// constraints' member lists.
+    pub(crate) fn detach_flow(&mut self, flow: usize, row: &[usize]) {
         match std::mem::replace(&mut self.flow_comp[flow], NO_COMPONENT) {
             NO_COMPONENT => self.added.retain(|&a| a != flow),
-            comp => self.touched.push(comp),
+            comp => {
+                self.touched.push(comp);
+                self.detached_pairs.extend(row.windows(2).map(|w| (w[0], w[1])));
+            }
         }
     }
 
@@ -192,25 +201,105 @@ impl ComponentIndex {
         !self.touched.is_empty()
     }
 
-    /// Re-derives the partition of the touched components only: resets
-    /// their constraints to singletons, unions them through their
-    /// remaining and newly pushed flows, then relabels every component
-    /// canonically and re-lays both CSR maps (one O(flows + constraints)
-    /// pass). The re-derived constraints are written to `repatched`:
-    /// their (possibly split or merged) components are exactly the ones
-    /// whose rates may have moved.
+    /// Patches the touched components and writes their constraints to
+    /// `repatched`: their (possibly split or merged) components are
+    /// exactly the ones whose rates may have moved. Returns whether the
+    /// partition was re-derived. It is not when every detached flow's
+    /// consecutive constraint pairs still share a live member in
+    /// `constraints` (a path through the flow reroutes there, so nothing
+    /// split; a one-constraint row is on no such path) and every added
+    /// flow's constraints lie in one component (nothing merged): then
+    /// only the added flows are assigned and the touched flow rows re-laid.
     pub(crate) fn patch(
+        &mut self,
+        constraints: &[Constraint],
+        flow_cons_off: &[usize],
+        flow_cons: &[usize],
+        repatched: &mut Vec<usize>,
+    ) -> bool {
+        debug_assert_eq!(flow_cons_off.len(), self.flow_comp.len() + 1);
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        repatched.clear();
+        // Member lists are ascending: stop at the first common slot.
+        let shares = |&(a, b): &(usize, usize)| {
+            constraints[a].members.iter().any(|m| constraints[b].members.binary_search(m).is_ok())
+        };
+        let one_component = |&f: &usize| {
+            let row = &flow_cons[flow_cons_off[f]..flow_cons_off[f + 1]];
+            row.iter().all(|&ci| self.cons_comp[ci] == self.cons_comp[row[0]])
+        };
+        let relabel =
+            !(self.detached_pairs.iter().all(shares) && self.added.iter().all(one_component));
+        self.detached_pairs.clear();
+        if relabel {
+            self.rederive(flow_cons_off, flow_cons, repatched);
+            return true;
+        }
+        // Every no-relabel patch equals the re-derivation, in debug builds.
+        #[cfg(debug_assertions)]
+        let rederived = {
+            let mut twin = self.clone();
+            let mut repatched = Vec::new();
+            twin.rederive(flow_cons_off, flow_cons, &mut repatched);
+            (twin, repatched)
+        };
+        for &t in &self.touched {
+            repatched.extend_from_slice(self.constraints_of(t));
+        }
+        for &f in &self.added {
+            self.flow_comp[f] = self.cons_comp[flow_cons[flow_cons_off[f]]];
+        }
+        // Edit the touched components' flow rows in place: detached flows
+        // leave first, then each added flow joins its row's end (it is above
+        // every older slot), so the map never outgrows its final length.
+        for &t in self.touched.iter().rev() {
+            let (lo, hi) = (self.comp_flows_off[t as usize], self.comp_flows_off[t as usize + 1]);
+            let mut kept = lo;
+            for k in lo..hi {
+                let f = self.comp_flows[k];
+                if self.flow_comp[f] == t {
+                    self.comp_flows[kept] = f;
+                    kept += 1;
+                }
+            }
+            self.comp_flows.drain(kept..hi);
+            self.comp_flows_off[t as usize + 1..].iter_mut().for_each(|off| *off -= hi - kept);
+        }
+        for &f in &self.added {
+            let end = self.flow_comp[f] as usize + 1;
+            self.comp_flows.insert(self.comp_flows_off[end], f);
+            self.comp_flows_off[end..].iter_mut().for_each(|off| *off += 1);
+        }
+        self.added.clear();
+        self.touched.clear();
+        #[cfg(debug_assertions)]
+        {
+            let (twin, twin_repatched) = rederived;
+            let comps = |c: &Self| (c.flow_comp.clone(), c.cons_comp.clone());
+            let csr = |c: &Self| {
+                [&c.comp_flows_off, &c.comp_flows, &c.comp_cons_off, &c.comp_cons].map(Vec::clone)
+            };
+            assert_eq!(
+                (comps(self), csr(self), &*repatched),
+                (comps(&twin), csr(&twin), &twin_repatched)
+            );
+        }
+        false
+    }
+
+    /// Re-derives the partition of the touched components: resets their
+    /// constraints to singletons, unions them through their remaining and
+    /// newly pushed flows, then relabels every component canonically and
+    /// re-lays both CSR maps (one O(flows + constraints) pass).
+    fn rederive(
         &mut self,
         flow_cons_off: &[usize],
         flow_cons: &[usize],
         repatched: &mut Vec<usize>,
     ) {
-        debug_assert_eq!(flow_cons_off.len(), self.flow_comp.len() + 1);
         let m = self.cons_comp.len();
         let base = self.component_count() as u32;
-        self.touched.sort_unstable();
-        self.touched.dedup();
-        repatched.clear();
         let mut flows = std::mem::take(&mut self.patch_flows);
         flows.clear();
         for &t in &self.touched {
@@ -305,7 +394,7 @@ impl ComponentIndex {
     }
 
     /// The flow indices of a component, ascending.
-    fn flows_of(&self, comp: u32) -> &[usize] {
+    pub(crate) fn flows_of(&self, comp: u32) -> &[usize] {
         &self.comp_flows[self.comp_flows_off[comp as usize]..self.comp_flows_off[comp as usize + 1]]
     }
 
@@ -379,6 +468,10 @@ pub(crate) struct AllocScratch {
 /// live one sees the oracle's subtractions in order, and a minimum over a
 /// set is exact, so dropping the dead moves no bit.
 ///
+/// Each flow whose rate bits the fill changes is passed to `moved` (the
+/// mesh re-sums only the usage views those flows cross; the one-shot fill
+/// passes a no-op, which compiles away).
+///
 /// It also writes each flow's demand *floor*: a flow frozen by a
 /// saturated constraint in a round whose `min_demand` lies strictly
 /// below its demand gets that `min_demand`; every other flow gets +∞.
@@ -405,6 +498,7 @@ pub(crate) fn refill_component_into(
     scratch: &mut AllocScratch,
     rates: &mut [f64],
     floors: &mut [f64],
+    moved: &mut impl FnMut(usize),
 ) {
     let n = demands.len();
     assert_eq!(flow_cons_off.len(), n + 1, "CSR offsets must have len n + 1");
@@ -413,6 +507,12 @@ pub(crate) fn refill_component_into(
     // Cover every flow and constraint without clearing existing entries:
     // the reset below touches exactly the component's.
     let AllocScratch { frozen, active_count, active, live, saturated } = scratch;
+    let mut write = |i: usize, rate: f64| {
+        if rates[i].to_bits() != rate.to_bits() {
+            moved(i);
+        }
+        rates[i] = rate;
+    };
     frozen.resize(frozen.len().max(n), false);
     active_count.resize(active_count.len().max(constraints.len()), 0);
     let (comp_flows, comp_cons) = (comps.flows_of(comp), comps.constraints_of(comp));
@@ -432,7 +532,7 @@ pub(crate) fn refill_component_into(
         let d = demands[i].as_bps();
         floors[i] = f64::INFINITY;
         if d <= EPS {
-            rates[i] = 0.0;
+            write(i, 0.0);
             frozen[i] = true;
             for &ci in &flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]] {
                 active_count[ci] -= 1;
@@ -492,7 +592,7 @@ pub(crate) fn refill_component_into(
             for &m in &constraints[ci].members {
                 if !frozen[m] {
                     frozen[m] = true;
-                    rates[m] = level;
+                    write(m, level);
                     if demands[m].as_bps() > min_demand {
                         floors[m] = min_demand;
                     }
@@ -513,7 +613,7 @@ pub(crate) fn refill_component_into(
             let d = demands[i].as_bps();
             if d - level <= reached {
                 frozen[i] = true;
-                rates[i] = level;
+                write(i, level);
                 for &ci in &flow_cons[flow_cons_off[i]..flow_cons_off[i + 1]] {
                     active_count[ci] -= 1;
                 }
@@ -530,7 +630,7 @@ pub(crate) fn refill_component_into(
         active.truncate(kept);
     }
     for &i in active.iter() {
-        rates[i] = level;
+        write(i, level);
     }
 }
 
@@ -609,8 +709,21 @@ impl FillScratch {
         rates.extend(demands.iter().map(|&d| unconstrained_rate(d)));
         floors.clear();
         floors.resize(n, f64::INFINITY);
+        // Nothing reads which rates moved: the no-op record costs nothing.
+        let moved = &mut |_| {};
         for comp in 0..comps.component_count() as u32 {
-            refill_component_into(comp, demands, constraints, off, cons, comps, alloc, rates, floors);
+            refill_component_into(
+                comp,
+                demands,
+                constraints,
+                off,
+                cons,
+                comps,
+                alloc,
+                rates,
+                floors,
+                moved,
+            );
         }
         rates
     }
@@ -775,6 +888,7 @@ mod tests {
                 &mut scratch,
                 &mut out,
                 &mut vec![0.0; n],
+                &mut |_| {},
             );
             let expected = max_min_allocate(&demands, &constraints);
             assert_eq!(out.len(), n);
@@ -785,61 +899,76 @@ mod tests {
     }
 
     /// Patching a partition after flows leave and join must land on the
-    /// partition a rebuild of the same rows derives, numbering included.
+    /// partition a rebuild of the same rows derives, numbering included,
+    /// whether or not the patch re-derived it.
     #[test]
     fn component_patch_splits_and_merges_like_a_rebuild() {
         // Constraints 0-1-2 chained by flows 0 (0,1) and 1 (1,2); 3 and
         // 4 joined by flow 2; flow 3 alone on 5.
         let mut rows: Vec<Vec<usize>> = vec![vec![0, 1], vec![1, 2], vec![3, 4], vec![5]];
+        // The CSR map and member lists of the live rows (a dead row is empty).
         let csr = |rows: &[Vec<usize>], live: &[bool]| {
             let mut off = vec![0];
             let mut cons = Vec::new();
-            for (row, &l) in rows.iter().zip(live) {
+            let mut constraints: Vec<Constraint> =
+                (0..6).map(|_| Constraint { capacity: mbps(1.0), members: Vec::new() }).collect();
+            for (f, (row, &l)) in rows.iter().zip(live).enumerate() {
                 if l {
                     cons.extend(row);
+                    row.iter().for_each(|&ci| constraints[ci].members.push(f));
                 }
                 off.push(cons.len());
             }
-            (off, cons)
+            (off, cons, constraints)
         };
-        let constraints: Vec<Constraint> = (0..6)
-            .map(|_| Constraint { capacity: mbps(1.0), members: Vec::new() })
-            .collect();
         let mut live = vec![true; 4];
-        let (off, cons) = csr(&rows, &live);
+        let (off, cons, constraints) = csr(&rows, &live);
         let mut patched = ComponentIndex::default();
         patched.rebuild(4, &constraints, &off, &cons);
         assert_eq!(patched.component_count(), 3);
         let check = |patched: &mut ComponentIndex, rows: &[Vec<usize>], live: &[bool]| {
-            let (off, cons) = csr(rows, live);
+            let (off, cons, constraints) = csr(rows, live);
             let mut repatched = Vec::new();
-            patched.patch(&off, &cons, &mut repatched);
+            let relabelled = patched.patch(&constraints, &off, &cons, &mut repatched);
             let mut fresh = ComponentIndex::default();
             fresh.rebuild(rows.len(), &constraints, &off, &cons);
             assert_eq!(patched.flow_comp, fresh.flow_comp);
             assert_eq!(patched.cons_comp, fresh.cons_comp);
+            assert_eq!(patched.comp_flows_off, fresh.comp_flows_off);
             assert_eq!(patched.comp_flows, fresh.comp_flows);
             assert_eq!(patched.comp_cons_off, fresh.comp_cons_off);
             assert!(!patched.patch_pending());
-            repatched
+            (repatched, relabelled)
         };
         // Removing the bridge (flow 1) splits {0,1,2} into {0,1} and {2}.
-        patched.detach_flow(1);
+        patched.detach_flow(1, &rows[1]);
         live[1] = false;
-        assert_eq!(check(&mut patched, &rows, &live), [0, 1, 2]);
+        assert_eq!(check(&mut patched, &rows, &live), (vec![0, 1, 2], true));
         assert_eq!(patched.component_count(), 4);
         // A flow over 2 and 3 merges {2} with {3,4}.
         rows.push(vec![2, 3]);
         live.push(true);
         patched.push_flow(&rows[4]);
-        assert_eq!(check(&mut patched, &rows, &live), [2, 3, 4]);
+        assert_eq!(check(&mut patched, &rows, &live), (vec![2, 3, 4], true));
         assert_eq!(patched.component_count(), 3);
         // Pushed and detached before any patch: nothing left to merge.
         rows.push(vec![0, 5]);
         live.push(false);
         patched.push_flow(&rows[5]);
-        patched.detach_flow(5);
-        assert_eq!(check(&mut patched, &rows, &live), [0, 1, 5]);
+        patched.detach_flow(5, &rows[5]);
+        assert_eq!(check(&mut patched, &rows, &live), (vec![0, 1, 5], false));
+        assert_eq!(patched.component_count(), 3);
+        // A flow parallel to flow 0 replaces it: {0,1} stays one component.
+        rows.push(vec![0, 1]);
+        live.push(true);
+        patched.push_flow(&rows[6]);
+        patched.detach_flow(0, &rows[0]);
+        live[0] = false;
+        assert_eq!(check(&mut patched, &rows, &live), (vec![0, 1], false));
+        // Flow 3 leaves 5 memberless: the singleton it was.
+        patched.detach_flow(3, &rows[3]);
+        live[3] = false;
+        assert_eq!(check(&mut patched, &rows, &live), (vec![5], false));
         assert_eq!(patched.component_count(), 3);
     }
 

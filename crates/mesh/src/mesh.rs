@@ -761,6 +761,7 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::ComponentIndex;
 
     /// Spare capacity on the link between nodes `a` and `b`.
     fn available(m: &Mesh, a: u32, b: u32) -> Bandwidth {
@@ -1193,7 +1194,7 @@ mod tests {
 
     /// Advances both meshes one tick; rates, backlogs and link usages
     /// must agree bit for bit, and the patched partition must number its
-    /// components exactly as a rebuild does.
+    /// components exactly as a rebuild does, each holding the same flows.
     fn assert_patch_matches_rebuild(patched: &mut Mesh, rebuilt: &mut Mesh) {
         let mut profiler = bass_obs::SpanProfiler::new();
         patched.advance_profiled(SimDuration::from_millis(100), None, Some(&mut profiler));
@@ -1212,6 +1213,67 @@ mod tests {
         for ci in 0..patched.alloc.index.constraints.len() {
             assert_eq!(p.constraint_component(ci), r.constraint_component(ci));
         }
+        for comp in 0..p.component_count() as u32 {
+            let ids = |m: &Mesh, c: &ComponentIndex| -> Vec<FlowId> {
+                c.flows_of(comp).iter().map(|&s| m.alloc.flows.ids[s]).collect()
+            };
+            assert_eq!(ids(patched, p), ids(rebuilt, r), "flows of component {comp}");
+        }
+    }
+
+    /// Whether the pending patch of `mesh`'s index would re-derive the
+    /// partition (asked of a copy, so the mesh still patches it).
+    fn patch_relabels(mesh: &Mesh) -> bool {
+        let index = &mesh.alloc.index;
+        let (off, cons) = (&index.flow_cons_off, &index.flow_cons);
+        index.comps.clone().patch(&index.constraints, off, cons, &mut Vec::new())
+    }
+
+    /// Random flow swaps on a 4×4 grid — one-hop flows, flows parallel to
+    /// a live one, zero demands, bridges, a link's last member leaving —
+    /// patch the partition exactly as a rebuild derives it, through the
+    /// no-relabel path and through the re-derivation.
+    #[test]
+    fn random_swaps_patch_the_partition_like_a_rebuild() {
+        let mut rng = bass_util::rng::SimRng::seed_from_u64(60);
+        let mut mesh = Mesh::with_uniform_capacity(Topology::grid(4, 4), mbps(20.0)).unwrap();
+        let mut live: Vec<(FlowId, NodeId, NodeId)> = Vec::new();
+        let (mut kept, mut relabelled, mut emptied) = (0, 0, 0);
+        for _ in 0..400 {
+            for _ in 0..rng.below(3).min(live.len() as u64) {
+                let (id, ..) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                let slot = mesh.alloc.flows.live_slot(id).unwrap();
+                let ix = &mesh.alloc.index;
+                emptied +=
+                    ix.row(slot).iter().any(|&ci| ix.constraints[ci].members == [slot]) as u32;
+                mesh.remove_flow(id).unwrap();
+            }
+            for _ in 0..rng.below(3) {
+                let src = NodeId(rng.below(16) as u32);
+                let (src, dst) = match rng.below(3) {
+                    0 if !live.is_empty() => {
+                        let (_, a, b) = live[rng.below(live.len() as u64) as usize];
+                        (a, b)
+                    }
+                    // One hop right, or down on the grid's last column.
+                    1 => (src, NodeId(if src.0 % 4 < 3 { src.0 + 1 } else { (src.0 + 4) % 16 })),
+                    _ => (src, NodeId(rng.below(16) as u32)),
+                };
+                let demand = mbps([0.0, 3.0, 8.0, 30.0][rng.below(4) as usize]);
+                live.push((mesh.add_flow(src, dst, demand).unwrap(), src, dst));
+            }
+            if mesh.alloc.index.dirty {
+                // Dead slots outnumber live ones: this tick compacts.
+                mesh.advance(SimDuration::from_millis(100));
+                continue;
+            }
+            if mesh.alloc.index.comps.patch_pending() {
+                *if patch_relabels(&mesh) { &mut relabelled } else { &mut kept } += 1;
+            }
+            let mut rebuilt = mesh.rebuilt();
+            assert_patch_matches_rebuild(&mut mesh, &mut rebuilt);
+        }
+        assert!(kept > 20 && relabelled > 20 && emptied > 20, "{kept} {relabelled} {emptied}");
     }
 
     #[test]

@@ -470,10 +470,17 @@ fn run_replica(
     profile: bool,
 ) -> Result<Vec<ReplicaOutcome>, CampaignError> {
     let setup_started = Instant::now();
-    let scenario = generate(spec, replica_seed);
     let horizon = SimDuration::from_millis(spec.horizon_ticks * spec.step_ms);
     let dags = AppKind::ALL.map(|kind| Arc::new(kind.dag(spec.workload.social_rps)));
-    let built = (scenario.build_mesh(horizon)?, scenario.build_cluster(), scenario.timeline(&dags));
+    // Only these outlive the build: the scenario's topology copy, nodes,
+    // trace configs and workload are dropped before any entrant steps.
+    let (built, links, name, faults, arrivals_capped) = {
+        let scenario = generate(spec, replica_seed);
+        let built =
+            (scenario.build_mesh(horizon)?, scenario.build_cluster(), scenario.timeline(&dags));
+        let links = scenario.topology.link_count();
+        (built, links, scenario.name, scenario.faults, scenario.rejected_arrivals)
+    };
     let (mut world, mut setup) = (Some(built), Some(setup_started.elapsed()));
     let mut outcomes = Vec::with_capacity(policies.len());
     for (k, &policy) in policies.iter().enumerate() {
@@ -483,10 +490,10 @@ fn run_replica(
         let cfg = SimEnvConfig {
             step: SimDuration::from_millis(spec.step_ms),
             migration_policy: policy,
-            faults: scenario.faults.clone(),
+            faults: faults.clone(),
             ..SimEnvConfig::default()
         };
-        let mut env = SimEnv::new(mesh, cluster, AppDag::new(scenario.name.clone()), cfg);
+        let mut env = SimEnv::new(mesh, cluster, AppDag::new(name.clone()), cfg);
         env.set_scenario(timeline);
         if profile {
             env.enable_span_profiling();
@@ -514,8 +521,8 @@ fn run_replica(
             replica,
             seed: replica_seed,
             ticks: spec.horizon_ticks,
-            links: scenario.topology.link_count(),
-            arrivals_capped: scenario.rejected_arrivals,
+            links,
+            arrivals_capped,
             apps_admitted: stats.apps_admitted,
             apps_rejected: stats.apps_rejected,
             apps_retired: stats.apps_retired,
