@@ -89,7 +89,7 @@ pub fn pack_ordering(
     // never moves back, so each appears once).
     let mut touched = Vec::new();
     for group in ordering.groups() {
-        ranking.refresh(cluster, &touched);
+        ranking.refresh(cluster, mesh, &touched);
         touched.clear();
         let mut cursor = 0usize;
         for &cid in group {

@@ -91,7 +91,7 @@ impl SimEnv {
             self.cluster
                 .place(c, resources, node)
                 .map_err(|e| EnvError::Schedule(ScheduleError::Baseline(e)))?;
-            ranking.refresh(&self.cluster, &[node]);
+            ranking.refresh(&self.cluster, &self.mesh, &[node]);
             self.displaced.remove(&c);
             // The component restarts on its new node.
             self.bindings.restart(c, self.mesh.now());

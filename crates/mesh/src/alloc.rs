@@ -165,11 +165,21 @@ impl EgressCap {
 
 /// The sum of `rates` over a constraint's members, in member order.
 fn member_sum(c: &Constraint, rates: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for &m in &c.members {
-        sum += rates[m];
+    member_sums(&c.members, &[], rates).0
+}
+
+/// The sums of `rates` over two member lists, each in member order, bit
+/// for bit, their adds interleaved: two independent add chains hide each
+/// other's latency.
+fn member_sums(a: &[usize], b: &[usize], rates: &[f64]) -> (f64, f64) {
+    let (mut sa, mut sb) = (0.0, 0.0);
+    for (&x, &y) in a.iter().zip(b) {
+        sa += rates[x];
+        sb += rates[y];
     }
-    sum
+    let k = a.len().min(b.len());
+    let rest = |list: &[usize], sum: f64| list[k..].iter().fold(sum, |sum, &m| sum + rates[m]);
+    (rest(a, sa), rest(b, sb))
 }
 
 /// Persistent inverted index over the [`FlowTable`]'s slots: one
@@ -688,12 +698,20 @@ impl Allocation {
                 *used = member_sum(c, &self.rates_bps);
             }
         } else {
-            // Re-sum each link on its first visit, then clear the marks.
+            // Re-sum each link on its first visit, two at a time, then
+            // clear the marks.
             let links = || self.moved_slots.iter().flat_map(|&s| index.row(s as usize));
-            for ci in links().filter(|&&ci| ci < link_count) {
-                if !std::mem::replace(&mut self.link_resummed[*ci], true) {
-                    self.link_used_bps[*ci] = member_sum(&constraints[*ci], &self.rates_bps);
+            let (mut held, rates) = (None, &self.rates_bps);
+            for &ci in links().filter(|&&ci| ci < link_count) {
+                if !std::mem::replace(&mut self.link_resummed[ci], true) {
+                    count_resum();
+                    let Some(a) = held.take() else { held = Some(ci); continue };
+                    let (sa, sb) = member_sums(&constraints[a].members, &constraints[ci].members, rates);
+                    (self.link_used_bps[a], self.link_used_bps[ci]) = (sa, sb);
                 }
+            }
+            if let Some(a) = held {
+                self.link_used_bps[a] = member_sum(&constraints[a], rates);
             }
             for ci in links().filter(|&&ci| ci < link_count) {
                 self.link_resummed[*ci] = false;
@@ -757,5 +775,64 @@ impl Allocation {
         let allocated_mbps: f64 =
             self.flows.live_slots().map(|s| Bandwidth::from_bps(self.rates_bps[s]).as_mbps()).sum();
         (self.flows.len() as u32, demand_mbps, allocated_mbps)
+    }
+}
+
+/// Counts the link usage views a partial refill re-sums: in unit tests
+/// only, a no-op otherwise.
+#[cfg(not(test))]
+fn count_resum() {}
+
+#[cfg(test)]
+use tests::count_resum;
+
+#[cfg(test)]
+mod tests {
+    use crate::topology::{NodeId, Topology};
+    use crate::Mesh;
+    use bass_util::time::SimDuration;
+    use bass_util::units::Bandwidth;
+    use std::cell::Cell;
+
+    thread_local! {
+        static RESUMS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_resum() {
+        RESUMS.with(|n| n.set(n.get() + 1));
+    }
+
+    #[test]
+    fn one_moved_rate_re_sums_only_the_links_its_flow_crosses() {
+        // A 12-node line: one flow end to end ties every link into one
+        // component, and one light flow per link keeps every link busy.
+        let mut topo = Topology::new();
+        for i in 0..12 {
+            topo.add_node(NodeId(i)).unwrap();
+        }
+        for i in 0..11 {
+            topo.add_link(NodeId(i), NodeId(i + 1)).unwrap();
+        }
+        let mut mesh = Mesh::with_uniform_capacity(topo, Bandwidth::from_mbps(100.0)).unwrap();
+        mesh.add_flow(NodeId(0), NodeId(11), Bandwidth::from_mbps(1.0)).unwrap();
+        let hops: Vec<_> = (0..11)
+            .map(|i| mesh.add_flow(NodeId(i), NodeId(i + 1), Bandwidth::from_mbps(1.0)).unwrap())
+            .collect();
+        let two_hop = mesh.add_flow(NodeId(4), NodeId(6), Bandwidth::from_mbps(1.0)).unwrap();
+        let dt = SimDuration::from_millis(100);
+        mesh.advance(dt);
+        mesh.advance(dt);
+        let resums = |mesh: &mut Mesh| {
+            RESUMS.with(|n| n.set(0));
+            mesh.advance(dt);
+            RESUMS.with(Cell::get)
+        };
+        // Uncongested: only the moved flow's rate moves, so only the
+        // links it crosses are re-summed, not the component's eleven.
+        mesh.set_flow_demand(hops[3], Bandwidth::from_mbps(2.0)).unwrap();
+        assert_eq!(resums(&mut mesh), 1);
+        mesh.set_flow_demand(two_hop, Bandwidth::from_mbps(3.0)).unwrap();
+        assert_eq!(resums(&mut mesh), 2);
+        assert_eq!(mesh.flow_rate(two_hop), Bandwidth::from_mbps(3.0));
     }
 }

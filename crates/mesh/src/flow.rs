@@ -570,6 +570,7 @@ pub(crate) fn refill_component_into(
         // counts of constraints later in the list before their charge.
         saturated.clear();
         for (ci, remaining, bound) in live.iter_mut() {
+            count_charge();
             *remaining -= delta * active_count[*ci] as f64;
             if *remaining <= *bound {
                 saturated.push(*ci);
@@ -758,9 +759,43 @@ pub fn max_min_allocate(demands: &[Bandwidth], constraints: &[Constraint]) -> Ve
     fill.allocate(demands, constraints).iter().map(|&r| Bandwidth::from_bps(r)).collect()
 }
 
+/// Counts the constraint charges of the fill's rounds: in unit tests
+/// only, a no-op otherwise.
+#[cfg(not(test))]
+fn count_charge() {}
+
+#[cfg(test)]
+use tests::count_charge;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static CHARGES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_charge() {
+        CHARGES.with(|n| n.set(n.get() + 1));
+    }
+
+    #[test]
+    fn a_round_charges_only_the_live_constraints() {
+        // Flow 0 (demand 1) alone crosses four 100 Mbps links; flow 1
+        // (demand 50) crosses a 10 Mbps link with it and one of its own.
+        // Round one charges all six constraints and freezes flow 0 at its
+        // demand, which leaves its four own links with no active member;
+        // round two charges only the two flow 1 still crosses.
+        let own = |members: Vec<usize>, cap: f64| Constraint { capacity: mbps(cap), members };
+        let mut constraints = vec![own(vec![0, 1], 10.0), own(vec![1], 100.0)];
+        constraints.extend((0..4).map(|_| own(vec![0], 100.0)));
+        CHARGES.with(|n| n.set(0));
+        let rates = max_min_allocate(&[mbps(1.0), mbps(50.0)], &constraints);
+        assert_mbps(rates[0], 1.0);
+        assert_mbps(rates[1], 9.0);
+        assert_eq!(CHARGES.with(Cell::get), 6 + 2, "a dead constraint was charged");
+    }
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::from_mbps(x)

@@ -81,7 +81,7 @@ impl Error for MeshError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mesh {
-    routes: Routes,
+    pub(crate) routes: Routes,
     links: LinkCaps,
     alloc: Allocation,
     /// The simulation clock (logical).
@@ -154,14 +154,14 @@ impl Mesh {
     }
 
     /// A copy that keeps this mesh's logical state and rebuilds
-    /// everything derived from it: the routing table is computed afresh
-    /// over the usable links, every flow is re-routed, the allocation
-    /// index is marked stale and every trace cursor rewound. Logical
-    /// state — the clock, the flows with their demands, queues and last
-    /// rates, the capacity sources, `tc` and egress caps, trace freezes,
-    /// the fault state and the journal-diff snapshots — is copied
-    /// unchanged, and so are the last allocation's usage views, so every
-    /// query answers as on `self`. The next [`advance`](Self::advance)
+    /// everything derived from it: the routing table drops every row,
+    /// every flow is re-routed (building its source's row), the
+    /// allocation index is marked stale and every trace cursor rewound.
+    /// Logical state — the clock, the flows with their demands, queues
+    /// and last rates, the capacity sources, `tc` and egress caps, trace
+    /// freezes, the fault state and the journal-diff snapshots — is
+    /// copied unchanged, and so are the last allocation's usage views, so
+    /// every query answers as on `self`. The next [`advance`](Self::advance)
     /// compacts and re-indexes the flows, re-reads every capacity and
     /// refills every component from scratch.
     ///

@@ -2,10 +2,12 @@
 //! and links faults have taken down, and the min-hop routes over what
 //! is left.
 //!
-//! Invariant: `table` equals `RoutingTable::compute_filtered(&topo, |l|
-//! usable(l))`, computed once in [`Routes::new`]; the up/down setters
-//! repair it in place before they return, over only the links whose
-//! usability really flipped (none under a crashed endpoint).
+//! Invariant: every row `table` has built equals the row of
+//! `RoutingTable::compute_filtered(&topo, |l| usable(l))`; a row is built
+//! on its first read, and routing a flow reads its source's, so every
+//! source with flows has one. The up/down setters repair the built rows
+//! in place before they return, over only the links whose usability
+//! really flipped (none under a crashed endpoint).
 //! [`Routes::recompute`] is the from-scratch form `Mesh::rebuilt` uses.
 
 use crate::mesh::MeshError;
@@ -102,14 +104,16 @@ impl Routes {
         Ok(Some(self.table.repair(flips.as_slice(), up, &mut self.changed)))
     }
 
-    /// Recomputes the table from scratch over the usable links and marks
-    /// every row changed, so the next re-route re-paths every flow.
+    /// Recomputes the table from scratch over the usable links, dropping
+    /// every row, and marks every row changed, so the next re-route
+    /// re-paths every flow (and builds its source's row).
     pub(crate) fn recompute(&mut self) {
         self.table = RoutingTable::compute_filtered(&self.topo, |l| self.usable(l));
         self.changed.fill(true);
     }
 
-    /// Whether flows from `src` need re-pathing after the last setter call.
+    /// Whether flows from `src` need re-pathing after the last setter
+    /// call: a source with no built row has no flow across a link.
     pub(crate) fn source_changed(&self, src: NodeId) -> bool {
         self.table.rank(src).is_some_and(|r| self.changed[r as usize])
     }

@@ -6,6 +6,11 @@
 //! node id, which is stable across runs — exactly what an observing
 //! orchestrator needs.
 //!
+//! BASS reads only the routes from nodes that host components, so a
+//! source's row is one BFS run on its first read. The table is a pure
+//! function of the usable-link set: a row built late equals the row a
+//! repair would have left.
+//!
 //! # Repair instead of recomputation
 //!
 //! A row's BFS visits each level in *path order* (by parent's position,
@@ -15,11 +20,16 @@
 //! route avoids it keeps the route (it still exists, nothing got
 //! shorter): only subtrees below removed tree edges are re-settled.
 //! After an addition, only nodes whose new smallest path uses it change.
+//! Rows not built yet are left for their first read.
 
 use crate::topology::{LinkId, NodeId, Topology};
+use std::sync::{Mutex, OnceLock};
 
 /// Parent-array entry of a destination the source cannot reach.
 const UNREACHABLE: u32 = u32::MAX;
+
+/// How many row buffers a table allocates at a time.
+const ROW_BATCH: usize = 64;
 
 /// Every link of the topology in rank space: a CSR of `(neighbour rank,
 /// link)` per node, ascending by neighbour rank, each link's endpoint
@@ -30,6 +40,11 @@ struct Adjacency {
     nbrs: Vec<(u32, u32)>,
     ends: Vec<(u32, u32)>,
     usable: Vec<bool>,
+    /// Per node, in its `off` segment, the neighbour ranks, usable ones
+    /// first (`up_span` bounds them), each part ascending: a per-entry
+    /// flag test slows the BFS.
+    up: Vec<u32>,
+    up_span: Vec<[u32; 2]>,
 }
 
 impl Adjacency {
@@ -39,16 +54,51 @@ impl Adjacency {
     }
 
     /// The usable neighbours of the node of rank `v`, ascending by rank.
-    fn usable_nbrs(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
-        self.nbrs(v).iter().filter(|&&(_, l)| self.usable[l as usize]).map(|&(u, _)| u)
+    fn usable_nbrs(&self, v: u32) -> &[u32] {
+        let [at, end] = self.up_span[v as usize];
+        &self.up[at as usize..end as usize]
+    }
+
+    /// Re-lays the node of rank `v`'s segment of `up` from the flags.
+    fn relay(&mut self, v: u32) {
+        let (at, end) = (self.off[v as usize] as usize, self.off[v as usize + 1] as usize);
+        let Adjacency { nbrs, usable, up, up_span, .. } = self;
+        let (seg, usable) = (&nbrs[at..end], &*usable);
+        let takes = |want: bool| seg.iter().filter(move |&&(_, l)| usable[l as usize] == want);
+        for (slot, &(u, _)) in up[at..end].iter_mut().zip(takes(true).chain(takes(false))) {
+            *slot = u;
+        }
+        up_span[v as usize] = [at as u32, (at + takes(true).count()) as u32];
+    }
+
+    /// Writes the parent row of the source of rank `s`: one BFS over the
+    /// usable links, first-found (lowest-rank) parent, with `queue` as
+    /// its scratch.
+    fn bfs(&self, s: u32, row: &mut [u32], queue: &mut Vec<u32>) {
+        row.fill(UNREACHABLE);
+        queue.clear();
+        row[s as usize] = s;
+        queue.push(s);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &v in self.usable_nbrs(u) {
+                if row[v as usize] == UNREACHABLE {
+                    row[v as usize] = u;
+                    queue.push(v);
+                }
+            }
+        }
     }
 }
 
 /// All-pairs min-hop routes over a [`Topology`], kept as one BFS parent
-/// array per source: a path is walked out of the array when asked for
-/// and never stored. Arrays are indexed by a node's *rank* (its position
-/// in ascending id order), so the table's size depends on how many
-/// nodes there are, not on how large their ids are.
+/// array per source, built on its first read: a path is walked out of
+/// the array when asked for and never stored. Arrays are indexed by a
+/// node's *rank* (its position in ascending id order), so the table's
+/// size depends on how many nodes there are, not on how large their
+/// ids are. Two tables are equal when they route alike, whichever rows
+/// each has built.
 ///
 /// # Examples
 ///
@@ -68,21 +118,51 @@ impl Adjacency {
 ///     [NodeId(0), NodeId(1), NodeId(2)]
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct RoutingTable {
     /// Node ids in ascending order; a node's index here is its rank.
     ids: Vec<NodeId>,
     /// The links, and which of them routes may use.
     graph: Adjacency,
-    /// `parent[s * n + d]` = rank of the hop before `d` on the route from
-    /// `s` (`s` itself when `d == s`), or [`UNREACHABLE`].
-    parent: Vec<u32>,
+    /// By source rank, once read: `row[d]` = rank of the hop before `d`
+    /// on the route from the source (the source itself when `d` is it),
+    /// or [`UNREACHABLE`].
+    rows: Vec<OnceLock<Box<[u32]>>>,
+    /// Row buffers allocated back to back, [`ROW_BATCH`] at a time, for
+    /// the next rows built, and the BFS queue. A buffer allocated per row
+    /// lands between the path vectors of the flows routed over it,
+    /// scattering them: on mesh1000-churn that slowed the queue pass
+    /// over them by 14–37 %.
+    spare: Mutex<Spare>,
 }
 
+/// A table's row buffers not yet handed out, and its BFS queue.
+#[derive(Debug, Default)]
+struct Spare {
+    rows: Vec<Box<[u32]>>,
+    queue: Vec<u32>,
+}
+
+impl Clone for RoutingTable {
+    fn clone(&self) -> Self {
+        let (ids, graph, rows) = (self.ids.clone(), self.graph.clone(), self.rows.clone());
+        RoutingTable { ids, graph, rows, spare: Mutex::default() }
+    }
+}
+
+impl PartialEq for RoutingTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.ids == other.ids
+            && self.graph == other.graph
+            && (0..self.ids.len() as u32).all(|s| self.row(s) == other.row(s))
+    }
+}
+
+impl Eq for RoutingTable {}
+
 impl RoutingTable {
-    /// Runs BFS from every node and records each reached node's parent.
-    /// Ties are broken toward lower node ids, so the table is
-    /// deterministic.
+    /// The routes over every link. Ties are broken toward lower node
+    /// ids, so the table is deterministic.
     pub fn compute(topo: &Topology) -> Self {
         Self::compute_filtered(topo, |_| true)
     }
@@ -90,48 +170,33 @@ impl RoutingTable {
     /// [`compute`](Self::compute) restricted to links for which `usable`
     /// returns true — routes never traverse a filtered-out link. Used by
     /// the mesh to route around faulted links and crashed nodes;
-    /// destinations that become unreachable simply have no route.
+    /// destinations that become unreachable simply have no route. Builds
+    /// the adjacency only: each row is built on its first read.
     pub fn compute_filtered(topo: &Topology, mut usable: impl FnMut(LinkId) -> bool) -> Self {
         let ids: Vec<NodeId> = topo.nodes().collect();
         let n = ids.len();
         let rank = |node: NodeId| ids.binary_search(&node).map_or(UNREACHABLE, |r| r as u32);
         // `neighbor_links` ascends by id, hence by rank, so the
-        // first-found BFS parent below is the lowest-id one.
+        // first-found BFS parent is the lowest-id one.
         let mut off = vec![0];
         let mut nbrs = Vec::with_capacity(2 * topo.link_count());
         for &node in &ids {
             nbrs.extend(topo.neighbor_links(node).iter().map(|&(nb, lid)| (rank(nb), lid.0 as u32)));
             off.push(nbrs.len() as u32);
         }
-        let graph = Adjacency {
-            off,
-            nbrs,
+        let mut graph = Adjacency {
             ends: topo.links().map(|(_, l)| (rank(l.a), rank(l.b))).collect(),
             usable: topo.links().map(|(lid, _)| usable(lid)).collect(),
+            up: vec![0; nbrs.len()],
+            up_span: vec![[0; 2]; n],
+            off,
+            nbrs,
         };
-        // A plain CSR of the usable links: a per-entry flag test slows this BFS.
-        let (mut uoff, mut unbrs) = (vec![0], Vec::with_capacity(graph.nbrs.len()));
         for v in 0..n as u32 {
-            unbrs.extend(graph.usable_nbrs(v));
-            uoff.push(unbrs.len());
+            graph.relay(v);
         }
-        let (mut parent, mut queue) = (vec![UNREACHABLE; n * n], Vec::with_capacity(n));
-        for (s, row) in parent.chunks_exact_mut(n.max(1)).enumerate() {
-            row[s] = s as u32;
-            queue.clear();
-            queue.push(s as u32);
-            let mut head = 0;
-            while let Some(&u) = queue.get(head) {
-                head += 1;
-                for &v in &unbrs[uoff[u as usize]..uoff[u as usize + 1]] {
-                    if row[v as usize] == UNREACHABLE {
-                        row[v as usize] = u;
-                        queue.push(v);
-                    }
-                }
-            }
-        }
-        RoutingTable { ids, graph, parent }
+        let rows = (0..n).map(|_| OnceLock::new()).collect();
+        RoutingTable { ids, graph, rows, spare: Mutex::default() }
     }
 
     /// The node's rank: its position among the topology's nodes in
@@ -140,10 +205,21 @@ impl RoutingTable {
         self.ids.binary_search(&node).ok().map(|r| r as u32)
     }
 
-    /// The parent row of the source of rank `s`.
+    /// The parent row of the source of rank `s`, built on first read.
     fn row(&self, s: u32) -> &[u32] {
-        let n = self.ids.len();
-        &self.parent[s as usize * n..(s as usize + 1) * n]
+        self.rows[s as usize].get_or_init(|| {
+            let n = self.ids.len();
+            let mut spare = self.spare.lock().expect("no row build panicked");
+            let Spare { rows, queue } = &mut *spare;
+            if rows.is_empty() {
+                // Zeroed, so not written until each row is built: a
+                // buffer filled at batch time is cold by then.
+                rows.extend((0..ROW_BATCH.min(n)).map(|_| vec![0; n].into_boxed_slice()));
+            }
+            let mut row = rows.pop().expect("just refilled");
+            self.graph.bfs(s, &mut row, queue);
+            row
+        })
     }
 
     /// The node sequence from `src` to `dst` (inclusive), or `None` when
@@ -203,11 +279,12 @@ impl RoutingTable {
     }
 
     /// Sets `links`, whose usability just flipped, to `up` and repairs
-    /// every row in place, marking each changed one in `changed`; false
-    /// when there were none. A removal re-settles each subtree below a
-    /// removed tree edge; an addition grows the subtree that now hangs off
-    /// an endpoint it gives a shorter route, or an equally short one
-    /// smaller in path order. Several links must share an endpoint.
+    /// every built row in place, marking each changed one in `changed`;
+    /// false when there were none. A removal re-settles each subtree
+    /// below a removed tree edge; an addition grows the subtree that now
+    /// hangs off an endpoint it gives a shorter route, or an equally
+    /// short one smaller in path order. Several links must share an
+    /// endpoint.
     pub(crate) fn repair(&mut self, links: &[LinkId], up: bool, changed: &mut [bool]) -> bool {
         if links.is_empty() {
             return false;
@@ -216,8 +293,13 @@ impl RoutingTable {
             self.graph.usable[lid.0] = up;
         }
         let ends: Vec<(u32, u32)> = links.iter().map(|lid| self.graph.ends[lid.0]).collect();
+        for &(a, b) in &ends {
+            self.graph.relay(a);
+            self.graph.relay(b);
+        }
         let mut scratch = Scratch::default();
-        for (s, row) in self.parent.chunks_exact_mut(self.ids.len()).enumerate() {
+        for (s, row) in self.rows.iter_mut().enumerate() {
+            let Some(row) = row.get_mut() else { continue };
             scratch.seeds.clear();
             if up {
                 for (x, y) in ends.iter().flat_map(|&(a, b)| [(a, b), (b, a)]) {
@@ -279,7 +361,7 @@ fn adopts(row: &[u32], v: u32, p: u32, level: u32) -> bool {
 /// among equals.
 fn seed(row: &[u32], v: u32, graph: &Adjacency, seeds: &mut Vec<(u32, u32, u32)>) {
     let mut best: Option<(u32, u32, u32)> = None;
-    for u in graph.usable_nbrs(v) {
+    for &u in graph.usable_nbrs(v) {
         let level = depth(row, u).saturating_add(1);
         if level != UNREACHABLE
             && best.is_none_or(|(l, _, p)| level < l || (level == l && path_cmp(row, u, p).is_lt()))
@@ -344,7 +426,7 @@ fn settle(row: &mut [u32], graph: &Adjacency, scratch: &mut Scratch, cut: bool) 
         }
         next.clear();
         for &u in frontier.iter() {
-            for w in graph.usable_nbrs(u) {
+            for &w in graph.usable_nbrs(u) {
                 let joins = if cut {
                     row[w as usize] == UNREACHABLE
                 } else {
@@ -375,6 +457,110 @@ fn settle(row: &mut [u32], graph: &Adjacency, scratch: &mut Scratch, cut: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routes::Routes;
+    use crate::Mesh;
+    use bass_util::rng::SimRng;
+    use bass_util::units::Bandwidth;
+
+    impl RoutingTable {
+        /// How many rows have been built.
+        fn built(&self) -> usize {
+            self.rows.iter().filter(|row| row.get().is_some()).count()
+        }
+    }
+
+    /// The eager table `compute_filtered` built before rows were built on
+    /// first read: one BFS per source over the usable links, all at once,
+    /// `parent[s * n + d]` as a row's `row[d]`.
+    fn eager_rows(topo: &Topology, usable: impl Fn(LinkId) -> bool) -> Vec<u32> {
+        let ids: Vec<NodeId> = topo.nodes().collect();
+        let n = ids.len();
+        let rank = |node: NodeId| ids.binary_search(&node).unwrap() as u32;
+        let (mut parent, mut queue) = (vec![UNREACHABLE; n * n], Vec::with_capacity(n));
+        for (s, row) in parent.chunks_exact_mut(n).enumerate() {
+            row[s] = s as u32;
+            queue.clear();
+            queue.push(ids[s]);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &(v, lid) in topo.neighbor_links(u) {
+                    if usable(lid) && row[rank(v) as usize] == UNREACHABLE {
+                        row[rank(v) as usize] = rank(u);
+                        queue.push(v);
+                    }
+                }
+            }
+        }
+        parent
+    }
+
+    /// Every row of `routes`'s table, built or forced on a copy, equals
+    /// the eager oracle's over the links usable now.
+    fn assert_rows_match_the_oracle(routes: &Routes, step: usize) {
+        let topo = routes.topo();
+        let oracle = eager_rows(topo, |l| routes.usable(l));
+        let n = topo.node_count();
+        let forced = routes.table().clone();
+        for s in 0..n {
+            let want = &oracle[s * n..(s + 1) * n];
+            assert_eq!(forced.row(s as u32), want, "row {s} after step {step}");
+        }
+        assert_eq!(forced.built(), n);
+        assert_eq!(&forced, routes.table(), "equality reads rows, not which are built");
+    }
+
+    #[test]
+    fn rows_built_in_any_order_through_flips_match_the_eager_oracle() {
+        for seed in 0..24 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let n = 8 + rng.below(24) as u32;
+            let topo = Topology::random_geometric(n, 0.3, &mut rng);
+            let nodes: Vec<NodeId> = topo.nodes().collect();
+            let ends: Vec<(NodeId, NodeId)> = topo.links().map(|(_, l)| (l.a, l.b)).collect();
+            let mut routes = Routes::new(topo).unwrap();
+            for step in 0..60 {
+                match rng.below(3) {
+                    0 => {
+                        // Read a random row or two.
+                        for _ in 0..1 + rng.below(2) {
+                            routes.table().row(rng.below(u64::from(n)) as u32);
+                        }
+                    }
+                    1 => {
+                        let node = *rng.choose(&nodes).unwrap();
+                        routes.set_node_up(node, rng.chance(0.6)).unwrap();
+                    }
+                    _ => {
+                        let (a, b) = *rng.choose(&ends).unwrap();
+                        routes.set_link_up(a, b, rng.chance(0.5)).unwrap();
+                    }
+                }
+                assert_rows_match_the_oracle(&routes, step);
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_rows_flows_read_are_built() {
+        let mut mesh = Mesh::with_uniform_capacity(Topology::grid(6, 5), Bandwidth::from_mbps(10.0)).unwrap();
+        assert_eq!(mesh.routes.table().built(), 0, "no row before a read");
+        for (src, dst) in [(0, 29), (0, 7), (12, 3), (12, 12), (17, 5), (17, 0)] {
+            mesh.add_flow(NodeId(src), NodeId(dst), Bandwidth::from_mbps(1.0)).unwrap();
+        }
+        // Three sources; the 12 -> 12 loopback reads no row.
+        assert_eq!(mesh.routes.table().built(), 3);
+        mesh.advance(bass_util::time::SimDuration::from_millis(100));
+        mesh.set_link_up(NodeId(0), NodeId(1), false).unwrap();
+        mesh.set_node_up(NodeId(8), false).unwrap();
+        mesh.set_link_up(NodeId(0), NodeId(1), true).unwrap();
+        assert_eq!(mesh.routes.table().built(), 3, "a fault builds no unread row");
+        mesh.path(NodeId(29), NodeId(0)).unwrap();
+        assert_eq!(mesh.routes.table().built(), 4);
+        let rebuilt = mesh.rebuilt();
+        assert_eq!(rebuilt.routes.table().built(), 3, "rebuilt drops every row, re-routing builds the sources'");
+        assert_eq!(rebuilt.routes.table(), mesh.routes.table());
+    }
 
     fn hops(rt: &RoutingTable, a: u32, b: u32) -> Option<usize> {
         rt.path(NodeId(a), NodeId(b)).map(|p| p.len() - 1)

@@ -1030,6 +1030,37 @@ fn pack_one_rank_per_group(
     Ok(cluster.placement())
 }
 
+/// `NodeRanking::new` as it was before link capacity was read only for
+/// CPU-and-memory ties: every node's free CPU, free memory and combined
+/// link capacity read, one sort by the whole order.
+fn full_read_ranking(cluster: &Cluster, mesh: &Mesh) -> Vec<(NodeId, u64, u64, f64)> {
+    let mut scores: Vec<_> = cluster
+        .node_ids()
+        .into_iter()
+        .map(|n| {
+            let free = cluster.free_on(n).unwrap();
+            let link = mesh.node_total_link_capacity(n).unwrap().as_bps();
+            (n, free.cpu.as_millis(), free.memory.as_mb(), link)
+        })
+        .collect();
+    scores.sort_by(|a, b| b.1.cmp(&a.1).then(b.2.cmp(&a.2)).then(b.3.total_cmp(&a.3)).then(a.0.cmp(&b.0)));
+    scores
+}
+
+/// The ranking's scores equal the full-read oracle's, node for node,
+/// with the link capacity present (bit for bit) exactly on the nodes
+/// that tie another on free CPU and memory.
+fn assert_matches_full_read(ranking: &NodeRanking, cluster: &Cluster, mesh: &Mesh) {
+    let oracle = full_read_ranking(cluster, mesh);
+    let got = ranking.scores();
+    assert_eq!(got.len(), oracle.len());
+    for (i, (score, &(node, cpu, mem, link))) in got.iter().zip(&oracle).enumerate() {
+        assert_eq!((score.node, score.free_cpu_millis, score.free_memory_mb), (node, cpu, mem));
+        let tied = oracle.iter().enumerate().any(|(j, o)| j != i && (o.1, o.2) == (cpu, mem));
+        assert_eq!(score.link_capacity_bps.map(f64::to_bits), tied.then_some(link.to_bits()), "rank {}", i);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1057,10 +1088,47 @@ proptest! {
                 }
             }
             if rng.chance(0.4) {
-                ranking.refresh(&cluster, &touched);
+                ranking.refresh(&cluster, &mesh, &touched);
                 touched.clear();
                 prop_assert_eq!(ranking.scores(), NodeRanking::new(&cluster, &mesh).scores());
                 prop_assert_eq!(ranking.nodes().collect::<Vec<_>>(), rank_nodes(&cluster, &mesh));
+            }
+        }
+    }
+
+    #[test]
+    fn node_ranking_matches_the_full_read_oracle_on_large_tie_groups(
+        n in 2u32..24,
+        ops in 1usize..60,
+        seed in any::<u64>(),
+    ) {
+        // Two core counts and one memory size: most nodes tie on free
+        // CPU and memory, so link capacity (three values, repeating)
+        // and then the id decide most of the order.
+        let (_, mesh) = ranking_world(n, seed);
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x7135);
+        let specs = (0..n).map(|i| NodeSpec::cores_mb(i, [2, 4][rng.below(2) as usize], 1024));
+        let mut cluster = Cluster::new(specs).unwrap();
+        let mut ranking = NodeRanking::new(&cluster, &mesh);
+        assert_matches_full_read(&ranking, &cluster, &mesh);
+        let mut touched = Vec::new();
+        for _ in 0..ops {
+            let c = ComponentId(rng.below(12) as u32);
+            if cluster.node_of(c).is_some() {
+                touched.push(cluster.evict(c).unwrap());
+            } else {
+                let node = NodeId(rng.below(u64::from(n)) as u32);
+                if cluster.place(c, ResourceReq::cores_mb(1, 256 * rng.below(2)), node).is_ok() {
+                    touched.push(node);
+                }
+            }
+            if rng.chance(0.5) {
+                ranking.refresh(&cluster, &mesh, &touched);
+                touched.clear();
+                assert_matches_full_read(&ranking, &cluster, &mesh);
+                let fresh = NodeRanking::new(&cluster, &mesh);
+                assert_matches_full_read(&fresh, &cluster, &mesh);
+                prop_assert_eq!(ranking.scores(), fresh.scores());
             }
         }
     }
