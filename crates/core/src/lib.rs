@@ -23,9 +23,9 @@
 //!   — the paper's controller among spread/random/greedy/k3s/Metronome
 //!   baselines, candidate filtering and target selection each one
 //!   `match` over the kind (see `docs/POLICIES.md`).
-//! - [`controller`]: the bandwidth controller (§4.3) — headroom
-//!   monitoring, full-probe escalation, cooldowns, and migration
-//!   planning, delegating the decisions themselves to its policy.
+//! - [`controller`]: the bandwidth controller (§4.3) — cooldowns and
+//!   migration planning, delegating the decisions themselves to its
+//!   policy; the caller runs the net-monitor's probes before each round.
 //! - [`planner`]: what-if evaluation of every policy on a scratch
 //!   cluster, automating §3.2.1's "developer picks the heuristic".
 //! - [`tuning`]: the §8 auto-tuning extension for (threshold, headroom).

@@ -28,8 +28,8 @@ use bass_util::units::Bandwidth;
 use std::collections::BTreeSet;
 
 /// Read-only world snapshot for one decision round: everything a
-/// policy may consult. The controller owns the probe cadence and the
-/// cooldown clock.
+/// policy may consult. The environment's step owns the probe cadence
+/// and the controller the cooldown clock.
 pub(crate) struct PolicyCtx<'a> {
     /// The mesh (capacities, routes, up/down state).
     pub(crate) mesh: &'a Mesh,

@@ -1028,17 +1028,37 @@ mod tests {
 
     #[test]
     fn pinned_components_deploy_and_never_migrate() {
+        // The camera on n2 streams 20 Mbps to the sampler on n0 until
+        // their link is squeezed to 2 Mbps: the camera is the edge's
+        // producer, so only its pin keeps it from being the candidate.
         let dag = catalog::camera_pipeline();
-        let camera = dag.component_by_name("camera-stream").unwrap().id;
-        let cfg = SimEnvConfig {
-            policy: PlacementPolicy::LongestPath,
-            pinned: [camera].into_iter().collect(),
-            ..Default::default()
+        let id = |name| dag.component_by_name(name).unwrap().id;
+        let (camera, sampler) = (id("camera-stream"), id("frame-sampler"));
+        let migrations = |migration_policy, pinned: &[ComponentId]| {
+            let cfg = SimEnvConfig {
+                policy: PlacementPolicy::LongestPath,
+                migration_policy,
+                pinned: pinned.iter().copied().collect(),
+                ..Default::default()
+            };
+            let mut env = mesh3_env(dag.clone(), cfg);
+            let placement = env.deploy(&[(camera, NodeId(2)), (sampler, NodeId(0))]).unwrap();
+            assert_eq!((placement[&camera], placement[&sampler]), (NodeId(2), NodeId(0)));
+            assert_eq!(placement.len(), 5);
+            let cap = Some(mbps(2.0));
+            let squeeze = Action::CapLink { a: NodeId(2), b: NodeId(0), cap };
+            env.set_scenario(Scenario::new().at(SimTime::from_secs(10), squeeze));
+            env.run_for(SimDuration::from_secs(100), |_| {}).unwrap();
+            env.stats().migrations.clone()
         };
-        let mut env = mesh3_env(dag, cfg);
-        let placement = env.deploy(&[(camera, NodeId(2))]).unwrap();
-        assert_eq!(placement[&camera], NodeId(2));
-        assert_eq!(placement.len(), 5);
+        for kind in PolicyKind::all() {
+            let moved = |records: &[MigrationRecord]| records.iter().any(|m| m.component == camera);
+            // Control: unpinned, the same squeeze moves the camera.
+            assert!(moved(&migrations(kind, &[])), "{kind}: the squeeze must move the camera");
+            let pinned = migrations(kind, &[camera]);
+            assert!(!moved(&pinned), "{kind} migrated the pinned camera: {pinned:?}");
+            assert!(!pinned.is_empty(), "{kind}: the consumer must move instead");
+        }
     }
 
     #[test]
@@ -1168,12 +1188,18 @@ mod tests {
 
     #[test]
     fn controller_restart_loses_the_tick_and_the_cooldown() {
-        let plan = FaultPlan::new().controller_restart(SimTime::from_secs(10));
+        // The restart applies on the tick that ends at the 30.1 s probe
+        // epoch: that tick neither probes nor decides, the next one
+        // does, and the epochs count on from it.
+        let plan = FaultPlan::new().controller_restart(SimTime::from_secs(30));
         let policy = PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight);
         let mut env = camera_env_with_faults(policy, plan);
         env.attach_journal(bass_obs::Journal::new());
         env.deploy(&[]).unwrap();
-        env.run_for(SimDuration::from_secs(20), |_| {}).unwrap();
+        env.run_for(SimDuration::from_secs(70), |_| {}).unwrap();
+        let headroom: Vec<u64> =
+            probe_log(&env).into_iter().filter(|p| !p.1).map(|p| p.0).collect();
+        assert_eq!(headroom, [1, 302, 602]);
         let journal = env.journal().unwrap();
         assert_eq!(journal.count("fault_injected"), 1);
         match journal.events_of_kind("fault_injected").next().unwrap() {
@@ -1499,5 +1525,91 @@ mod tests {
         assert_eq!(probes_t, probes_p);
         assert_eq!(journal_t, journal_p);
         assert!(probes_t >= 10, "expected ≥10 probe epochs, saw {probes_t}");
+    }
+
+    /// Each `ProbeCompleted` in `env`'s journal, in order, as (clock in
+    /// 100 ms steps, whether it was a full probe, links violated).
+    fn probe_log(env: &SimEnv) -> Vec<(u64, bool, u32)> {
+        let probe = |e: &bass_obs::Event| match *e {
+            bass_obs::Event::ProbeCompleted { t_s, kind, violated, .. } => {
+                ((t_s * 10.0).round() as u64, kind == bass_obs::ProbeKind::Full, violated)
+            }
+            _ => unreachable!(),
+        };
+        env.journal().unwrap().events_of_kind("probe_completed").map(probe).collect()
+    }
+
+    #[test]
+    fn the_step_probes_each_epoch_and_escalates_on_a_new_violation() {
+        // The squeeze at 45 s leaves the crossing link no headroom. The
+        // 60.1 s epoch finds it newly violated, escalates to a full
+        // probe and migrates; the 300 s cooldown this starts does not
+        // move a single probe, and between epochs nothing probes.
+        let cooldown = SimDuration::from_secs(300);
+        let cfg = SimEnvConfig {
+            policy: PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
+            controller: ControllerConfig { cooldown, ..Default::default() },
+            ..Default::default()
+        };
+        let mut env = mesh3_env(catalog::camera_pipeline(), cfg);
+        env.attach_journal(bass_obs::Journal::new());
+        env.deploy(&[]).unwrap();
+        env.set_scenario(squeeze(&env, 45, Some(mbps(2.0))));
+        for _ in 0..1300 {
+            env.step().unwrap();
+        }
+        let (full, headroom) = (true, false);
+        let expected = [
+            (0, full, 0), // deploy's startup probe
+            (1, headroom, 0),
+            (301, headroom, 0),
+            (601, headroom, 1),
+            (601, full, 0),
+            (901, headroom, 0),
+            (1201, headroom, 0),
+        ];
+        assert_eq!(probe_log(&env), expected);
+        let at: Vec<u64> = env.stats().migrations.iter().map(|m| m.at.as_millis()).collect();
+        assert_eq!(at, [60_100]);
+        assert_eq!(env.netmon().overhead().headroom_probes, 5);
+    }
+
+    #[test]
+    fn one_headroom_fraction_reaches_the_probe_and_the_triggers() {
+        // With headroom h, the probe flags the n0–n1 link once its spare
+        // capacity falls below h·C, and Algorithm 3's utilization trigger
+        // fires once spare < achieved + h·C. On the C = 100 Mbps link
+        // carrying one d Mbps edge alone, that is d > (1 − h)·C and
+        // d > (1 − h)·C / 2. At the 0.2 default the second and fourth
+        // cases would come out the other way.
+        let h = 0.35;
+        let (probe_at, trigger_at) = ((1.0 - h) * 100.0, (1.0 - h) * 100.0 / 2.0);
+        for (d, violated, triggered) in [
+            (trigger_at - 2.0, 0, false),
+            (trigger_at + 2.0, 0, true),
+            (probe_at - 2.0, 0, true),
+            (probe_at + 2.0, 1, true),
+        ] {
+            let mut dag = AppDag::new("pair");
+            for i in [1, 2] {
+                let c = Component::new(ComponentId(i), "c", ResourceReq::cores_mb(1, 128));
+                dag.add_component(c).unwrap();
+            }
+            dag.add_edge(ComponentId(1), ComponentId(2), mbps(d)).unwrap();
+            let netmon = NetMonitorConfig { headroom_fraction: h, ..Default::default() };
+            let mut env = mesh3_env(dag, SimEnvConfig { netmon, ..Default::default() });
+            env.attach_journal(bass_obs::Journal::new());
+            env.deploy(&[(ComponentId(1), NodeId(0)), (ComponentId(2), NodeId(1))]).unwrap();
+            // The first tick is a probe epoch.
+            env.step().unwrap();
+            assert_eq!(probe_log(&env)[1], (1, false, violated), "d = {d}");
+            let journal = env.journal().unwrap();
+            let utilization = |e: &bass_obs::Event| match e {
+                bass_obs::Event::MigrationTriggered { trigger, .. } => trigger == "Utilization",
+                _ => false,
+            };
+            let fired = journal.events_of_kind("migration_triggered").any(utilization);
+            assert_eq!(fired, triggered, "d = {d}");
+        }
     }
 }

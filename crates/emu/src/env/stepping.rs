@@ -3,7 +3,6 @@
 
 use super::{EnvError, LiveApp, SimEnv};
 use crate::scenario::{Action, Input};
-use bass_core::MigrationPlan;
 use bass_obs::SpanProfiler;
 use bass_util::time::{SimDuration, SimTime};
 
@@ -45,9 +44,10 @@ impl SimEnv {
 
     /// One tick with per-phase span profiling (the `tick.*` spans; see
     /// `docs/OBSERVABILITY.md`). Phases that profile their own interior
-    /// — the mesh advance and the controller — receive the profiler and
-    /// are followed by a [`PhaseClock::reset`](bass_obs::PhaseClock) or
-    /// their own enclosing lap.
+    /// — the mesh advance, the probes and the controller — receive the
+    /// profiler and are followed by a
+    /// [`PhaseClock::reset`](bass_obs::PhaseClock) or their own enclosing
+    /// lap.
     fn step_inner(&mut self, mut profiler: Option<&mut SpanProfiler>) -> Result<(), EnvError> {
         let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
         // 0. Injected faults due now, then re-placement of components a
@@ -86,30 +86,40 @@ impl SimEnv {
         self.mesh.advance_profiled(self.cfg.step, self.journal.as_mut(), profiler.as_deref_mut());
         clock.reset();
 
-        // 4. Controller, reading each edge's goodput — requirement ×
-        // factor against what it achieves — on the post-advance clock. A
+        // 4. Probes, then the controller, on the post-advance clock. On
+        // each probe epoch the headroom probe runs, a link newly short
+        // of headroom escalates to a full probe (refreshing the capacity
+        // estimates), and the controller decides, reading each edge's
+        // goodput — requirement × factor against what it achieves. A
         // restart injected this tick loses the tick: the new controller
         // process comes up after the decision window.
         if self.cfg.migrations_enabled && !controller_restarted {
-            let outcome = self.controller.tick(
-                &self.mesh,
-                &mut self.netmon,
-                &self.bindings.goodput(&self.mesh),
-                &self.dag,
-                &self.cluster,
-                &self.cfg.pinned,
-                self.journal.as_mut(),
-                profiler.as_deref_mut(),
-            );
-            clock.lap(profiler.as_deref_mut(), "tick.controller");
-            let pinned = &self.cfg.pinned;
-            let plans: Vec<MigrationPlan> =
-                outcome.plans.iter().copied().filter(|p| !pinned.contains(&p.component)).collect();
-            if !plans.is_empty() || !outcome.candidates.violations.is_empty() {
-                let violating = outcome.candidates.violating_component_count();
-                self.stats.migration_rounds.push((violating, plans.len()));
+            let mut plans = Vec::new();
+            if self.mesh.now() >= self.netmon.next_headroom_probe_at() {
+                let (mesh, netmon, journal) = (&self.mesh, &mut self.netmon, &mut self.journal);
+                let report =
+                    netmon.headroom_probe_profiled(mesh, journal.as_mut(), profiler.as_deref_mut());
+                if report.newly_violated > 0 {
+                    netmon.full_probe_profiled(mesh, journal.as_mut(), profiler.as_deref_mut());
+                }
+                let outcome = self.controller.tick(
+                    mesh,
+                    &self.bindings.goodput(mesh),
+                    &self.dag,
+                    &self.cluster,
+                    &self.cfg.pinned,
+                    netmon.config().headroom_fraction,
+                    journal.as_mut(),
+                    profiler.as_deref_mut(),
+                );
+                if !outcome.plans.is_empty() || !outcome.candidates.violations.is_empty() {
+                    let violating = outcome.candidates.violating_component_count();
+                    self.stats.migration_rounds.push((violating, outcome.plans.len()));
+                }
+                self.stats.unplaceable += outcome.unplaceable.len() as u64;
+                plans = outcome.plans;
             }
-            self.stats.unplaceable += outcome.unplaceable.len() as u64;
+            clock.lap(profiler.as_deref_mut(), "tick.controller");
             for plan in plans {
                 self.apply_migration(plan)?;
             }
@@ -193,8 +203,8 @@ impl SimEnv {
     /// Upper bound on how many consecutive ticks, starting now, move no
     /// input of [`step`](Self::step): no workload, fault or `tc` input,
     /// no trace capacity, restart expiry or probe epoch — so a full step
-    /// would push no demand and find the controller idle (it reads
-    /// goodput only on a probe epoch). Whether the mesh would refill
+    /// would push no demand and neither probe nor decide (the controller
+    /// reads goodput only on a probe epoch). Whether the mesh would refill
     /// anything is checked tick by tick in `run_for`. Returns at most
     /// `max_ticks`, and 0 whenever this cannot be proven.
     ///
@@ -203,9 +213,10 @@ impl SimEnv {
     /// (its tick *starts* at or after `t`); trace change-points, probe
     /// epochs and restart expiries, read on the **post-advance** clock,
     /// cap it at `⌈(t − t0)/step⌉ − 1` (its tick *ends* at or after `t`).
-    /// The controller is a no-op between headroom-probe epochs, and probe
-    /// ticks always execute in full. Pending displaced components and an
-    /// undeployed environment disable skipping entirely.
+    /// A step runs no probe and no decision between headroom-probe
+    /// epochs, and probe ticks always execute in full. Pending displaced
+    /// components and an undeployed environment disable skipping
+    /// entirely.
     pub(super) fn skippable_ticks(&self, max_ticks: u64) -> u64 {
         if max_ticks == 0 || !self.deployed || !self.displaced.is_empty() {
             return 0;
@@ -235,7 +246,8 @@ impl SimEnv {
     /// Journals the `TickCompleted` event of the tick ending at the mesh
     /// clock — one writer for executed and skipped ticks alike. A skipped
     /// tick's full execution journals exactly this event: no capacity,
-    /// rate, flow count or total demand moves, and the controller idles.
+    /// rate, flow count or total demand moves, and nothing probes or
+    /// decides.
     fn record_tick_completed(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             j.record(bass_obs::Event::TickCompleted {

@@ -12,7 +12,9 @@
 //!    can have moved,
 //! 3. advances the mesh (capacity refresh, max-min reallocation, queue
 //!    integration), and
-//! 4. runs the controller, which reads per-edge goodput through a view
+//! 4. on each probe epoch, runs the net-monitor's headroom probe
+//!    (escalating to a full probe when a link newly lacks headroom),
+//!    then the controller, which reads per-edge goodput through a view
 //!    of the bindings and the mesh, enacting any planned migrations
 //!    (cluster relocation, flow rebinding, restart downtime).
 //!

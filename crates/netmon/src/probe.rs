@@ -54,42 +54,18 @@ impl ProbeOverhead {
     }
 }
 
-/// One link's state in a headroom report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkHeadroom {
-    /// Link endpoints (canonical order).
-    pub a: NodeId,
-    /// Link endpoints (canonical order).
-    pub b: NodeId,
-    /// Required headroom (fraction × cached capacity).
-    pub required: Bandwidth,
-    /// Spare capacity observed by the probe.
-    pub available: Bandwidth,
-    /// True when `available >= required`.
-    pub ok: bool,
-}
-
-/// The result of one headroom probing round.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// The result of one headroom probing round: how many links it
+/// measured and how many of those lacked their headroom.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HeadroomReport {
-    /// Per-link headroom status.
-    pub links: Vec<LinkHeadroom>,
-    /// Links that newly transitioned from OK to violated since the last
-    /// round — the signal that makes the controller request a full probe
+    /// Links whose sample landed (a lost sample measures nothing).
+    pub measured: u32,
+    /// Measured links found below their required headroom.
+    pub violated: u32,
+    /// Measured links that newly transitioned from OK to violated since
+    /// their last sample — the signal that escalates to a full probe
     /// (Fig. 8).
-    pub newly_violated: Vec<(NodeId, NodeId)>,
-}
-
-impl HeadroomReport {
-    /// True when every link has its required headroom.
-    pub fn all_ok(&self) -> bool {
-        self.links.iter().all(|l| l.ok)
-    }
-
-    /// The headroom entry for a link, order-insensitive.
-    pub fn link(&self, a: NodeId, b: NodeId) -> Option<&LinkHeadroom> {
-        self.links.iter().find(|l| (l.a, l.b) == (a.min(b), a.max(b)))
-    }
+    pub newly_violated: u32,
 }
 
 /// The net-monitor: cached link-capacity estimates plus probing.
@@ -202,11 +178,8 @@ impl NetMonitor {
     pub fn headroom_probe(&mut self, mesh: &Mesh) -> HeadroomReport {
         let now = mesh.now();
         self.fit_links(mesh);
-        let mut report = HeadroomReport {
-            links: Vec::with_capacity(mesh.topology().link_count()),
-            newly_violated: Vec::new(),
-        };
-        for (lid, link) in mesh.topology().links() {
+        let mut report = HeadroomReport::default();
+        for (lid, _) in mesh.topology().links() {
             let cached = match self.capacity_cache[lid.0] {
                 Some(c) => c,
                 None => mesh.link_capacity_by_id(lid),
@@ -225,16 +198,9 @@ impl NetMonitor {
             let available = mesh.link_available_by_id(lid);
             let ok = available + Bandwidth::from_bps(1.0) >= required;
             let was_ok = std::mem::replace(&mut self.headroom_ok[lid.0], ok);
-            if was_ok && !ok {
-                report.newly_violated.push((link.a, link.b));
-            }
-            report.links.push(LinkHeadroom {
-                a: link.a,
-                b: link.b,
-                required,
-                available,
-                ok,
-            });
+            report.measured += 1;
+            report.violated += u32::from(!ok);
+            report.newly_violated += u32::from(was_ok && !ok);
         }
         self.overhead.headroom_probes += 1;
         self.last_headroom_probe = Some(now);
@@ -285,22 +251,14 @@ impl NetMonitor {
             j.record(Event::ProbeCompleted {
                 t_s: mesh.now().as_secs_f64(),
                 kind: ProbeKind::Headroom,
-                links: report.links.len() as u32,
-                violated: report.links.iter().filter(|l| !l.ok).count() as u32,
+                links: report.measured,
+                violated: report.violated,
                 probe_bytes: self.overhead.headroom_probe_bytes.as_bytes()
                     - before.headroom_probe_bytes.as_bytes(),
                 overhead_bytes_total: self.overhead.total_bytes().as_bytes(),
             });
         }
         report
-    }
-
-    /// Whether the next headroom probe is due at `now`.
-    pub fn headroom_probe_due(&self, now: SimTime) -> bool {
-        match self.last_headroom_probe {
-            None => true,
-            Some(last) => now.saturating_since(last) >= self.cfg.probe_interval,
-        }
     }
 
     /// Grows the per-link state to `mesh`'s link count; a link never
@@ -325,12 +283,10 @@ impl NetMonitor {
         self.overhead
     }
 
-    /// The earliest time at which
-    /// [`headroom_probe_due`](Self::headroom_probe_due) becomes (or
-    /// already is) `true`:
-    /// one probe interval after the last headroom probe, or time zero
-    /// when no probe ever ran. An event-driven scheduler treats this as
-    /// the next probe-epoch event and never skips across it.
+    /// When the next headroom probe is due: one probe interval after the
+    /// last headroom probe, or time zero when no probe ever ran. The
+    /// step probes on the first tick whose clock reaches it, and an
+    /// event-driven scheduler never skips across it.
     pub fn next_headroom_probe_at(&self) -> SimTime {
         match self.last_headroom_probe {
             None => SimTime::ZERO,
@@ -380,24 +336,20 @@ mod tests {
         let mut mon = NetMonitor::new(NetMonitorConfig::default());
         mon.full_probe(&mesh);
         // No traffic: all OK.
-        let r1 = mon.headroom_probe(&mesh);
-        assert!(r1.all_ok());
-        assert!(r1.newly_violated.is_empty());
-        // Saturate link 0-1: 50 Mbps demand on 50 Mbps link leaves no
-        // headroom (requirement is 20% of 50 = 10 Mbps).
-        mesh.add_flow(NodeId(0), NodeId(1), mbps(100.0)).unwrap();
+        let counts = |r: HeadroomReport| (r.measured, r.violated, r.newly_violated);
+        assert_eq!(counts(mon.headroom_probe(&mesh)), (3, 0, 0));
+        // The requirement is 20% of 50 = 10 Mbps: 11 Mbps spare is OK.
+        let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(39.0)).unwrap();
         mesh.advance(SimDuration::from_secs(1));
-        let r2 = mon.headroom_probe(&mesh);
-        assert!(!r2.all_ok());
-        assert_eq!(r2.newly_violated, vec![(NodeId(0), NodeId(1))]);
-        let entry = r2.link(NodeId(1), NodeId(0)).unwrap();
-        assert!(!entry.ok);
-        assert_eq!(entry.required, mbps(10.0));
+        assert_eq!(counts(mon.headroom_probe(&mesh)), (3, 0, 0));
+        // Saturate link 0-1: 50 Mbps demand on 50 Mbps link leaves no
+        // headroom.
+        mesh.set_flow_demand(f, mbps(100.0)).unwrap();
+        mesh.advance(SimDuration::from_secs(1));
+        assert_eq!(counts(mon.headroom_probe(&mesh)), (3, 1, 1));
         // Third round: still violated but not *newly*.
         mesh.advance(SimDuration::from_secs(1));
-        let r3 = mon.headroom_probe(&mesh);
-        assert!(r3.newly_violated.is_empty());
-        assert!(!r3.all_ok());
+        assert_eq!(counts(mon.headroom_probe(&mesh)), (3, 1, 0));
     }
 
     #[test]
@@ -408,62 +360,69 @@ mod tests {
         let f = mesh.add_flow(NodeId(0), NodeId(1), mbps(100.0)).unwrap();
         mesh.advance(SimDuration::from_secs(1));
         let r1 = mon.headroom_probe(&mesh);
-        assert_eq!(r1.newly_violated.len(), 1);
+        assert_eq!(r1.newly_violated, 1);
         // Load removed: the link recovers; recovery must not re-trigger.
         mesh.set_flow_demand(f, Bandwidth::ZERO).unwrap();
         mesh.advance(SimDuration::from_secs(30)); // backlog drains here
         mesh.advance(SimDuration::from_secs(1)); // idle step: usage is 0
         let r2 = mon.headroom_probe(&mesh);
-        assert!(r2.all_ok());
-        assert!(r2.newly_violated.is_empty());
+        assert_eq!((r2.violated, r2.newly_violated), (0, 0));
         // A second squeeze triggers *newly* again.
         mesh.set_flow_demand(f, mbps(100.0)).unwrap();
         mesh.advance(SimDuration::from_secs(1));
         let r3 = mon.headroom_probe(&mesh);
-        assert_eq!(r3.newly_violated.len(), 1);
+        assert_eq!(r3.newly_violated, 1);
     }
 
     #[test]
     fn probes_see_mutations_before_the_next_advance() {
         let mut mesh = mesh();
-        let mut mon = NetMonitor::new(NetMonitorConfig::default());
+        // Half of the cached 50 Mbps must stay spare: an idle link
+        // capped to 20 Mbps lacks its 25 Mbps headroom.
+        let cfg = NetMonitorConfig { headroom_fraction: 0.5, ..Default::default() };
+        let mut mon = NetMonitor::new(cfg);
+        mon.full_probe(&mesh);
         // One tick: the allocator's capacity snapshot now serves reads.
         mesh.advance(SimDuration::from_secs(1));
         let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
-        let available = |mon: &mut NetMonitor, mesh: &Mesh| {
-            mon.headroom_probe(mesh).link(n0, n1).unwrap().available
-        };
-        assert_eq!(available(&mut mon, &mesh), mbps(50.0));
+        let violated = |mon: &mut NetMonitor, mesh: &Mesh| mon.headroom_probe(mesh).violated;
+        assert_eq!(violated(&mut mon, &mesh), 0);
         // A `tc` cap with no advance: the probe reads the new cap.
         mesh.set_link_cap(n0, n1, Some(mbps(20.0))).unwrap();
-        assert_eq!(available(&mut mon, &mesh), mbps(20.0));
+        assert_eq!(violated(&mut mon, &mesh), 1);
         mesh.advance(SimDuration::from_secs(1));
-        assert_eq!(available(&mut mon, &mesh), mbps(20.0));
+        assert_eq!(violated(&mut mon, &mesh), 1);
         // A swapped source with no advance (and no cap queued beside
-        // it): the full probe caches the new value.
-        let constant = CapacitySource::Constant(mbps(30.0));
+        // it): a full probe caches the new value.
+        let constant = CapacitySource::Constant(mbps(20.0));
         mesh.set_link_source(n1, n2, constant).unwrap();
-        mon.full_probe(&mesh);
-        assert_eq!(mon.cached_link_capacity(&mesh, n1, n2), Some(mbps(30.0)));
-        // After one advance both are served from the refreshed snapshot.
+        let mut other = NetMonitor::new(cfg);
+        other.full_probe(&mesh);
+        assert_eq!(other.cached_link_capacity(&mesh, n1, n2), Some(mbps(20.0)));
+        // After one advance both are served from the refreshed snapshot:
+        // against their cached 50 Mbps both links lack headroom, and
+        // once re-cached at 20 Mbps neither does.
         mesh.advance(SimDuration::from_secs(1));
-        assert_eq!(available(&mut mon, &mesh), mbps(20.0));
+        assert_eq!(violated(&mut mon, &mesh), 2);
         mon.full_probe(&mesh);
-        assert_eq!(mon.cached_link_capacity(&mesh, n1, n2), Some(mbps(30.0)));
+        assert_eq!(mon.cached_link_capacity(&mesh, n1, n2), Some(mbps(20.0)));
         assert_eq!(mon.cached_link_capacity(&mesh, n0, n1), Some(mbps(20.0)));
+        assert_eq!(violated(&mut mon, &mesh), 0);
     }
 
     #[test]
-    fn headroom_probe_due_schedule() {
+    fn next_headroom_probe_schedule() {
         let mut mesh = mesh();
         let mut mon = NetMonitor::new(NetMonitorConfig::default());
-        assert!(mon.headroom_probe_due(SimTime::ZERO));
+        assert_eq!(mon.next_headroom_probe_at(), SimTime::ZERO);
         mon.headroom_probe(&mesh);
-        assert!(!mon.headroom_probe_due(SimTime::from_secs(29)));
-        assert!(mon.headroom_probe_due(SimTime::from_secs(30)));
-        mesh.advance(SimDuration::from_secs(30));
+        assert_eq!(mon.next_headroom_probe_at(), SimTime::from_secs(30));
+        // A probe before the epoch (nothing stops a caller) restarts the
+        // interval from its own clock; a full probe never moves it.
+        mesh.advance(SimDuration::from_secs(20));
         mon.headroom_probe(&mesh);
-        assert!(!mon.headroom_probe_due(SimTime::from_secs(59)));
+        mon.full_probe(&mesh);
+        assert_eq!(mon.next_headroom_probe_at(), SimTime::from_secs(50));
     }
 
     #[test]
@@ -503,9 +462,7 @@ mod tests {
             mon.overhead().full_probe_bytes,
             DataSize::from_bytes(3 * 50_000_000 / 8)
         );
-        let report = mon.headroom_probe(&mesh);
-        assert!(report.links.is_empty());
-        assert!(report.newly_violated.is_empty());
+        assert_eq!(mon.headroom_probe(&mesh), HeadroomReport::default());
         assert!(mon.overhead().headroom_probe_bytes > DataSize::ZERO);
         // Loss cleared: probing works again.
         mon.clear_probe_loss();

@@ -59,7 +59,7 @@ fn main() {
             mesh.flow_rate(f1).as_mbps(),
             mesh.flow_rate(f2).as_mbps(),
             delay,
-            if report.all_ok() { "" } else { "<- headroom violated" },
+            if report.violated == 0 { "" } else { "<- headroom violated" },
         );
     }
     println!(

@@ -228,16 +228,32 @@ fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     assert_eq!(explicit, skipping, "storm journal must not depend on skipped windows");
 }
 
+/// The `t_s` of every headroom `ProbeCompleted` in a JSONL journal.
+fn headroom_probe_times(journal: &str) -> Vec<f64> {
+    let probe = |line: &str| {
+        let event: Value = serde_json::from_str(line).expect("journal lines are JSON");
+        let probe = event.get("ProbeCompleted")?;
+        (probe["kind"].as_str() == Some("Headroom"))
+            .then(|| probe["t_s"].as_f64().expect("t_s is a number"))
+    };
+    journal.lines().filter_map(probe).collect()
+}
+
 /// The six policies' decisions, pinned (docs/ARCHITECTURE.md § The
 /// scorer): for every registered policy, the storm run's migration
 /// sequence `[t_s, component, from, to]` and journal size replay the
-/// snapshot; every entrant must migrate at least once.
+/// snapshot; every entrant must migrate at least once. No decision
+/// moves a headroom probe: all six probe at the same instants (full
+/// probes escalate from what each placement's links show, so those
+/// may differ).
 #[test]
 fn every_policy_storm_decisions_match_golden() {
     let mut policies = Vec::new();
+    let mut probe_times = Vec::new();
     for policy in PolicyKind::all() {
         let (journal, moves) = storm_run(policy, false, 0xF16, true, 240);
         assert!(!moves.is_empty(), "the storm must make {} choose a target", policy.name());
+        probe_times.push((policy, headroom_probe_times(&journal)));
         let moves: Vec<String> = moves
             .iter()
             .map(|m| {
@@ -253,6 +269,11 @@ fn every_policy_storm_decisions_match_golden() {
     }
     let current = format!("{{\n{}\n}}\n", policies.join(",\n"));
     snapshot::assert_or_update_golden(GOLDEN_STORM, &current, "six-policy storm decisions");
+    let (_, bass) = &probe_times[0];
+    assert!(bass.len() >= 8, "240 s holds at least eight 30 s epochs: {bass:?}");
+    for (policy, times) in &probe_times[1..] {
+        assert_eq!(times, bass, "{} probes at other instants than bass", policy.name());
+    }
 }
 
 proptest! {
