@@ -50,7 +50,7 @@ pub struct MigrationPlan {
 }
 
 /// What one controller tick decided.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControllerOutcome {
     /// The raw candidate-selection result (empty when selection did not
     /// run, e.g. during cooldown).

@@ -55,7 +55,7 @@ pub enum TriggerKind {
 }
 
 /// One violating edge observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Violation {
     /// The component proposed for migration (the edge's producer, per
     /// Algorithm 3).
@@ -74,7 +74,7 @@ pub struct Violation {
 /// violated, and the de-duplicated migration list (Table 1 reports both:
 /// "components exceeding link utilization quota" vs "components
 /// migrated").
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MigrationCandidates {
     /// All violations observed this round.
     pub violations: Vec<Violation>,

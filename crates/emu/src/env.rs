@@ -871,8 +871,8 @@ mod tests {
                 env.enable_span_profiling();
             }
             env.deploy(&[]).unwrap();
-            // Full steps only: `run_for` would skip the steady-state
-            // ticks whose spans are asserted below.
+            // Full steps only: `run_for` would time no phase of the
+            // quiet ticks whose spans are asserted below.
             for _ in 0..50 {
                 env.step().unwrap();
             }
@@ -912,10 +912,13 @@ mod tests {
         // component scan.
         let count = |span| profiler.stats(span).unwrap().count;
         assert_eq!(count("mesh.water_fill"), count("mesh.component_scan"));
-        // 5 s at the default step → one instance of each tick phase per tick.
-        let ticks = profiler.stats("tick.finalize").unwrap().count;
-        assert!(ticks >= 5, "expected at least 5 ticks, saw {ticks}");
-        assert_eq!(profiler.stats("tick.faults").unwrap().count, ticks);
+        // 5 s at the default step → one instance of each tick phase per
+        // tick; the controller and migrations only on probed ticks.
+        assert_eq!(count("tick.finalize"), 50);
+        assert_eq!(count("tick.faults"), 50);
+        let probes = count("netmon.headroom_probe");
+        assert_eq!(count("tick.controller"), probes);
+        assert_eq!(count("tick.migrate"), probes);
     }
 
     #[test]
@@ -1457,14 +1460,14 @@ mod tests {
         assert_eq!(rates_t, rates_p);
         assert_eq!(mig_t, mig_p);
         assert!(mig_t > 0, "squeeze should trigger a migration");
-        // The hook observes once per simulated tick, skipped or not, on
+        // The hook observes once per simulated tick, quiet or not, on
         // the post-advance clock: tick k ends at (k + 1) × 100 ms.
         let expected: Vec<SimTime> = (1..=1800).map(|k| SimTime::from_millis(100 * k)).collect();
         assert_eq!(seen_t, expected);
         assert_eq!(seen_p, expected);
-        // The reference executes every tick; `run_for` skips the
-        // quiescent stretches between scenario actions and 30 s probe
-        // epochs.
+        // The reference runs every tick in full; `run_for` runs the quiet
+        // stretches between scenario actions and 30 s probe epochs
+        // without timing a phase.
         assert_eq!(executed_t, 1800);
         assert!(
             executed_p < executed_t / 2,
@@ -1485,27 +1488,43 @@ mod tests {
     }
 
     #[test]
-    fn skippable_ticks_guards_refuse_unprovable_states() {
+    fn the_quiet_guard_refuses_due_inputs_displacements_and_probe_epochs() {
         let mut env = camera_env(PlacementPolicy::LongestPath);
-        // Not deployed yet.
-        assert_eq!(env.skippable_ticks(100), 0);
         env.deploy(&[]).unwrap();
-        // No allocation computed before the first step: the mesh
-        // refuses every tick.
-        assert!(!env.mesh().refill_free());
+        // The first tick ends on a probe epoch.
+        assert!(!env.quiet());
         env.step().unwrap();
-        assert!(env.mesh().refill_free());
-        let window = env.skippable_ticks(10_000);
-        // Quiescent until the first 30 s probe epoch: the probe tick
-        // (post-advance clock) must execute, everything before may skip.
-        assert_eq!(window, 299);
-        assert_eq!(env.skippable_ticks(50), 50);
+        // Quiet until the 30 s epoch: the tick ending on it is not.
+        let mut quiet = 0;
+        while env.quiet() {
+            env.step().unwrap();
+            quiet += 1;
+        }
+        assert_eq!((quiet, env.now()), (299, SimTime::from_millis(30_000)));
+        env.step().unwrap();
+        assert!(env.quiet());
+        // An input due on the pre-advance clock.
+        env.set_scenario(squeeze(&env, 30, Some(mbps(50.0))));
+        assert!(!env.quiet());
+        env.step().unwrap();
+        assert!(env.quiet());
+        // A component waiting for re-placement.
+        let c = env.dag().components().next().unwrap().id;
+        env.displaced.insert(c);
+        assert!(!env.quiet());
+        env.displaced.clear();
+        // Without migrations no probe epoch wakes a tick.
+        env.cfg.migrations_enabled = false;
+        for _ in 0..600 {
+            assert!(env.quiet());
+            env.step().unwrap();
+        }
     }
 
     #[test]
-    fn skipped_windows_cross_probe_epochs_identically() {
+    fn quiet_stretches_cross_probe_epochs_identically() {
         // No scenario, no faults: the only events are probe epochs. A
-        // long skipping run must land probes on the same ticks.
+        // long `run_for` must land probes on the same ticks.
         let probes_of = |ticked: bool| {
             let mut env = camera_env(PlacementPolicy::LongestPath);
             env.attach_journal(bass_obs::Journal::new());

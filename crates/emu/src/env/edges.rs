@@ -228,19 +228,6 @@ impl Bindings {
     pub(super) fn slowdown(&self, c: ComponentId, now: SimTime) -> f64 {
         self.restarts.get(&c).map_or(1.0, |&start| self.restart.slowdown_at(start, now))
     }
-
-    /// The earliest downtime expiry that can still change a tick starting
-    /// at `t0`. An expiry both clocks passed by the last executed tick
-    /// (pre-advance `t0 − step`, post-advance `t0`) never can; keeping it
-    /// would pin the skip window at 0. One in `(t0 − step, t0]` still
-    /// flips the next tick's pre-advance demand push.
-    pub(super) fn next_expiry(&self, t0: SimTime, step: SimDuration) -> Option<SimTime> {
-        self.restarts
-            .values()
-            .map(|&start| start + self.restart.downtime)
-            .filter(|expiry| expiry.as_micros() + step.as_micros() > t0.as_micros())
-            .min()
-    }
 }
 
 /// Each bound edge's requirement × factor and what it achieves, read on

@@ -24,7 +24,10 @@
 //! slot dirty only when its new demand is not above its floor — a move
 //! above the floor leaves that fill bit-identical (`refill_component_into`'s
 //! lemma) — so filling only the dirty components equals filling all of
-//! them, bit for bit. The judge is the
+//! them, bit for bit. By the same lemma an allocation that finds the
+//! flows allocated, the link snapshot current and no slot left dirty
+//! after the demand diff stops there: a fill would leave every rate and
+//! usage view as it is. The judge is the
 //! same pipeline from scratch: [`Mesh::rebuilt`](crate::Mesh::rebuilt)
 //! re-routes every flow and stales the index, so the next allocation
 //! rebuilds it and refills every component, and the test batteries
@@ -303,7 +306,8 @@ impl AllocIndex {
 /// `allocated`. Derived: `index`,
 /// `scratch`, `demands_scratch`, `floor_bps`, the dirty component and
 /// flow sets, `link_used_bps` and the egress caps' usage — an index
-/// rebuild re-derives all of them.
+/// rebuild re-derives all of them — and `settled` and `unreported`,
+/// which every reallocation resets.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Allocation {
     pub(crate) flows: FlowTable,
@@ -321,6 +325,13 @@ pub(crate) struct Allocation {
     /// False from a flow add or remove until the next allocation: the
     /// rates do not yet cover the registered flow set.
     allocated: bool,
+    /// The step of the last queue pass, when it moved no queue and no
+    /// queue input (a flow, a demand, a rate, a capacity) moved since: a
+    /// pass over the same step would move none either.
+    pub(crate) settled: Option<SimDuration>,
+    /// Set when a demand, rate or capacity may have moved since the
+    /// journal emits last read them; the mesh clears it when it emits.
+    pub(crate) unreported: bool,
     /// Persistent membership index.
     pub(crate) index: AllocIndex,
     /// Reusable working state of the component fill.
@@ -353,6 +364,7 @@ impl Allocation {
     pub(crate) fn new(link_count: usize) -> Self {
         Allocation {
             allocated: true,
+            unreported: true,
             index: AllocIndex { dirty: true, ..AllocIndex::default() },
             link_used_bps: vec![0.0; link_count],
             link_resummed: vec![false; link_count],
@@ -381,6 +393,7 @@ impl Allocation {
         self.rates_bps.push(0.0);
         self.floor_bps.push(f64::INFINITY);
         self.allocated = false;
+        self.unsettle();
         id
     }
 
@@ -394,6 +407,7 @@ impl Allocation {
         flow.spec.demand = demand;
         if changed {
             self.mark_slot_demand_dirty(slot);
+            self.unsettle();
         }
         Ok(())
     }
@@ -403,6 +417,7 @@ impl Allocation {
         let slot = self.flows.live_slot(id).ok_or(MeshError::UnknownFlow(id))?;
         self.flows.tombstone(slot);
         self.allocated = false;
+        self.unsettle();
         if !self.index.dirty {
             // Out of the index; the demand diff zeroes the slot's rate.
             self.index.remove(slot);
@@ -516,15 +531,24 @@ impl Allocation {
         }
     }
 
+    /// Marks that a queue input or a journaled figure may have moved.
+    pub(crate) fn unsettle(&mut self) {
+        self.settled = None;
+        self.unreported = true;
+    }
+
     /// Recomputes the allocation at `now` without advancing queues (the
     /// mesh's one reallocation, every tick and after every fault or
-    /// freeze change). A stale index is rebuilt first, with every slot
-    /// and component dirty (`mesh.index_rebuild`); otherwise the patched
-    /// components are re-derived (`mesh.index_patch`, only after flow add
-    /// or remove). Then: diff capacities against the snapshot
-    /// (`mesh.cap_diff`: every link after a rebuild or once the trace
-    /// clock is due or stale, else the capped links) and demands against
-    /// `demands_scratch` (`mesh.demand_diff`), mark the dirty components
+    /// freeze change). On a clean index the demand diff runs first, since
+    /// it reads no index: when the flows are allocated, the links read
+    /// nothing new and no demand moved to or below its floor, the last
+    /// fill stands and nothing else runs, and no span is recorded.
+    /// Otherwise a stale index is rebuilt, with every slot and component
+    /// dirty (`mesh.index_rebuild`), or the patched components are
+    /// re-derived (`mesh.index_patch`, only after flow add or remove).
+    /// Then: diff capacities against the snapshot (`mesh.cap_diff`: every
+    /// link after a rebuild or once the trace clock is due or stale, else
+    /// the capped links), mark the dirty components
     /// (`mesh.component_scan`) and refill only those (`mesh.water_fill`,
     /// `mesh.usage_views`).
     pub(crate) fn reallocate(
@@ -534,10 +558,17 @@ impl Allocation {
         now: SimTime,
         mut profiler: Option<&mut SpanProfiler>,
     ) {
+        let rebuilt = self.index.dirty;
+        if !rebuilt {
+            self.refresh_demands_dirty();
+            if self.allocated && self.dirty_flows.is_empty() && links.current(now) {
+                return;
+            }
+        }
         self.allocated = true;
+        self.unsettle();
         let mut clock = PhaseClock::new(profiler.is_some());
         let link_count = routes.topo().link_count();
-        let rebuilt = self.index.dirty;
         if rebuilt {
             let capped: Vec<u32> =
                 self.egress_caps.keys().filter_map(|&n| routes.table().rank(n)).collect();
@@ -551,6 +582,7 @@ impl Allocation {
             self.demands_scratch = vec![Bandwidth::ZERO; slots];
             self.flow_dirty = vec![true; slots];
             self.dirty_flows = (0..slots as u32).collect();
+            self.refresh_demands_dirty();
             clock.lap(profiler.as_deref_mut(), "mesh.index_rebuild");
         }
 
@@ -564,8 +596,6 @@ impl Allocation {
         let full = links.refresh(routes, now) || rebuilt;
         self.load_capacities(links.caps_bps(), (!full).then_some(links.changed()));
         clock.lap(profiler.as_deref_mut(), "mesh.cap_diff");
-        self.refresh_demands_dirty();
-        clock.lap(profiler.as_deref_mut(), "mesh.demand_diff");
 
         // Dirty-component scan: a re-derived component, a constraint
         // whose capacity moved or a flow whose demand moved dirties its
@@ -643,12 +673,13 @@ impl Allocation {
         }
     }
 
-    /// O(dirty) demand refresh: bit-compares each slot in `dirty_flows`
-    /// against `demands_scratch`, writes every moved demand there, and
-    /// leaves in `dirty_flows` only the slots whose demand moved to or
-    /// below their floor. A slot tombstoned since the last allocation
-    /// keeps the zero demand `remove` wrote, and its rate is zeroed here.
-    pub(crate) fn refresh_demands_dirty(&mut self) {
+    /// O(dirty) demand refresh (clean index only): bit-compares each slot
+    /// in `dirty_flows` against `demands_scratch`, writes every moved
+    /// demand there, and leaves in `dirty_flows` only the slots whose
+    /// demand moved to or below their floor. A slot tombstoned since the
+    /// last allocation keeps the zero demand `remove` wrote, and its rate
+    /// is zeroed here.
+    fn refresh_demands_dirty(&mut self) {
         let mut moved = 0;
         for k in 0..self.dirty_flows.len() {
             let slot = self.dirty_flows[k] as usize;
@@ -667,20 +698,6 @@ impl Allocation {
             }
         }
         self.dirty_flows.truncate(moved);
-    }
-
-    /// Whether the next allocation would refill nothing: the rates cover
-    /// the flow set (so no patch is pending and every dirty slot is live),
-    /// the index is clean, and every dirty slot's transmit demand is
-    /// unchanged or above its floor. O(dirty).
-    pub(crate) fn refill_free(&self) -> bool {
-        self.allocated
-            && !self.index.dirty
-            && self.dirty_flows.iter().all(|&s| {
-                let d = Self::transmit_demand(&self.flows.states[s as usize]).as_bps();
-                d.to_bits() == self.demands_scratch[s as usize].as_bps().to_bits()
-                    || d > self.floor_bps[s as usize]
-            })
     }
 
     /// Re-sums, each as its constraint's member sum over `rates_bps`, the
@@ -734,10 +751,10 @@ impl Allocation {
     }
 
     /// The queue pass: advances every live flow's queue against its rate
-    /// and its path's bottleneck utilization (`util`, per link), and
-    /// feeds each backlog that moved into the dirty-flow set of the next
-    /// demand diff. True when no queue moved.
-    pub(crate) fn advance_queues(&mut self, dt: SimDuration, util: &[f64]) -> bool {
+    /// and its path's bottleneck utilization (`util`, per link), feeds
+    /// each backlog that moved into the dirty-flow set of the next demand
+    /// diff, and records the pass as `settled` when no queue moved.
+    pub(crate) fn advance_queues(&mut self, dt: SimDuration, util: &[f64]) {
         // Backlog movements feed the demand dirty set whenever the index
         // is clean; under a stale index the next refresh is full anyway.
         let track = !self.index.dirty;
@@ -764,7 +781,7 @@ impl Allocation {
                 self.dirty_flows.push(s as u32);
             }
         }
-        still
+        self.settled = still.then_some(dt);
     }
 
     /// (flows, total demand Mbps, total allocated Mbps) over the

@@ -132,6 +132,7 @@ impl LinkCaps {
         if self.current(now) {
             Bandwidth::from_bps(self.link_cap_bps[lid.0])
         } else {
+            count_source_read();
             self.effective(lid, routes, now)
         }
     }
@@ -153,18 +154,9 @@ impl LinkCaps {
     }
 
     /// Earliest change-point strictly after `now` across every unfrozen
-    /// traced link. O(1) while the clock is armed: no change-point lies
-    /// between the last full read and a clock still ahead of `now`, so
-    /// the clock is also the earliest one after `now`. Otherwise every
-    /// link is scanned.
-    pub(crate) fn next_change(&self, now: SimTime) -> Option<SimTime> {
-        self.armed_clock(now).unwrap_or_else(|| self.scan_change(now))
-    }
-
-    /// The stale-clock fallback of [`next_change`](Self::next_change):
-    /// one binary search per unfrozen traced link (a read from a cursor
-    /// past the end). The full re-read arms the clock with the same
-    /// answer from its cursors.
+    /// traced link: one binary search per link (a read from a cursor past
+    /// the end). The debug oracle of the full re-read, which arms the
+    /// clock with the same answer from its cursors.
     fn scan_change(&self, now: SimTime) -> Option<SimTime> {
         self.link_caps
             .iter()
@@ -231,5 +223,76 @@ impl LinkCaps {
         }
         self.dirty_links.clear();
         full
+    }
+}
+
+/// Counts the capacity reads a source answers instead of the snapshot:
+/// in unit tests only, a no-op otherwise.
+#[cfg(not(test))]
+fn count_source_read() {}
+
+#[cfg(test)]
+use tests::count_source_read;
+
+#[cfg(test)]
+mod tests {
+    use crate::capacity::CapacitySource;
+    use crate::topology::{LinkId, NodeId, Topology};
+    use crate::Mesh;
+    use bass_trace::BandwidthTrace;
+    use bass_util::time::{SimDuration, SimTime};
+    use bass_util::units::Bandwidth;
+    use std::cell::Cell;
+
+    thread_local! {
+        static SOURCE_READS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_source_read() {
+        SOURCE_READS.with(|n| n.set(n.get() + 1));
+    }
+
+    #[test]
+    fn capacity_reads_between_change_points_read_no_source() {
+        // A traced line of three nodes (50 Mbps, 5 Mbps from 10 s on)
+        // with one flow across both links.
+        let mut topo = Topology::new();
+        for i in 0..3 {
+            topo.add_node(NodeId(i)).unwrap();
+        }
+        for i in 0..2 {
+            topo.add_link(NodeId(i), NodeId(i + 1)).unwrap();
+        }
+        let mut mesh = Mesh::new(topo).unwrap();
+        for i in 0..2 {
+            let mut trace = BandwidthTrace::new("l");
+            trace.push(SimTime::ZERO, Bandwidth::from_mbps(50.0));
+            trace.push(SimTime::from_secs(10), Bandwidth::from_mbps(5.0));
+            mesh.set_link_source(NodeId(i), NodeId(i + 1), CapacitySource::Trace(trace)).unwrap();
+        }
+        mesh.add_flow(NodeId(0), NodeId(2), Bandwidth::from_mbps(20.0)).unwrap();
+        // What the headroom probe reads of every link, and how many of
+        // those reads a source answered.
+        let reads = |mesh: &Mesh| {
+            SOURCE_READS.with(|n| n.set(0));
+            for l in 0..2 {
+                std::hint::black_box(mesh.link_capacity_by_id(LinkId(l)));
+                std::hint::black_box(mesh.link_available_by_id(LinkId(l)));
+            }
+            SOURCE_READS.with(Cell::get)
+        };
+        // Before the first advance no snapshot is current.
+        assert_eq!(reads(&mesh), 4);
+        // Every advance, the 10 s change-point's included, leaves a
+        // current snapshot: the reads between are snapshot reads.
+        for tick in 0..150 {
+            mesh.advance(SimDuration::from_millis(100));
+            assert_eq!(reads(&mesh), 0, "tick {tick}");
+        }
+        // A pending `tc` cap stales it until the next advance.
+        mesh.set_link_cap(NodeId(0), NodeId(1), Some(Bandwidth::from_mbps(1.0))).unwrap();
+        assert_eq!(reads(&mesh), 4);
+        mesh.advance(SimDuration::from_millis(100));
+        assert_eq!(reads(&mesh), 0);
     }
 }

@@ -156,14 +156,16 @@ impl Mesh {
     /// A copy that keeps this mesh's logical state and rebuilds
     /// everything derived from it: the routing table drops every row,
     /// every flow is re-routed (building its source's row), the
-    /// allocation index is marked stale and every trace cursor rewound.
+    /// allocation index is marked stale, the queues unsettled and every
+    /// trace cursor rewound.
     /// Logical state — the clock, the flows with their demands, queues
     /// and last rates, the capacity sources, `tc` and egress caps, trace
     /// freezes, the fault state and the journal-diff snapshots — is
     /// copied unchanged, and so are the last allocation's usage views, so
     /// every query answers as on `self`. The next [`advance`](Self::advance)
     /// compacts and re-indexes the flows, re-reads every capacity and
-    /// refills every component from scratch.
+    /// refills every component from scratch, runs the queue pass and
+    /// diffs the journal figures.
     ///
     /// A correct mesh and its rebuilt copy advance in lockstep bit for
     /// bit; the equivalence batteries check production against a twin
@@ -173,6 +175,7 @@ impl Mesh {
         mesh.routes.recompute();
         mesh.alloc.reroute(&mesh.routes);
         mesh.alloc.index.dirty = true;
+        mesh.alloc.unsettle();
         mesh.links.rewind();
         mesh
     }
@@ -403,7 +406,10 @@ impl Mesh {
     // ----- stepping ---------------------------------------------------------
 
     /// Advances simulation time by `dt`: refresh capacities, recompute
-    /// the fair allocation, and integrate queues.
+    /// the fair allocation, and integrate queues. Each part guards its
+    /// own work: the allocation stands when nothing it reads moved, and
+    /// the queue pass is skipped while the last pass over the same step
+    /// moved no queue and none of its inputs moved since.
     pub fn advance(&mut self, dt: SimDuration) {
         self.advance_profiled(dt, None, None);
     }
@@ -412,8 +418,10 @@ impl Mesh {
     /// profiling. With both `None` this *is* `advance` — the profiler is
     /// threaded as `Option` so the hot path pays one branch per phase
     /// and never reads a clock when profiling is off. Spans recorded
-    /// (see `docs/OBSERVABILITY.md`): the allocation phases (see
-    /// `alloc.rs`), then `mesh.queues` and, with a journal, `mesh.obs_emit`.
+    /// (see `docs/OBSERVABILITY.md`), each only when its work runs: the
+    /// allocation phases (see `alloc.rs`), then `mesh.queues` and, with
+    /// a journal and once a demand, rate or capacity may have moved since
+    /// the last emission, `mesh.obs_emit`.
     pub fn advance_profiled(
         &mut self,
         dt: SimDuration,
@@ -423,10 +431,16 @@ impl Mesh {
         self.now += dt;
         let profile = profiler.as_deref_mut();
         self.alloc.reallocate(&mut self.links, &self.routes, self.now, profile);
-        let mut clock = bass_obs::PhaseClock::new(profiler.is_some());
-        self.advance_queues(dt);
-        clock.lap(profiler.as_deref_mut(), "mesh.queues");
+        let queues = self.alloc.settled != Some(dt);
+        let journal = journal.filter(|_| self.alloc.unreported);
+        let mut clock =
+            bass_obs::PhaseClock::new(profiler.is_some() && (queues || journal.is_some()));
+        if queues {
+            self.advance_queues(dt);
+            clock.lap(profiler.as_deref_mut(), "mesh.queues");
+        }
         if let Some(j) = journal {
+            self.alloc.unreported = false;
             self.emit_capacity_changes(j, "trace");
             self.emit_flow_rate_recompute(j);
             clock.lap(profiler, "mesh.obs_emit");
@@ -436,8 +450,8 @@ impl Mesh {
     /// The queue pass: derive every link's utilization from the
     /// capacities and usage the allocation just left (same instant, so no
     /// capacity source is queried twice per tick), then advance every
-    /// flow queue. True when no queue moved.
-    fn advance_queues(&mut self, dt: SimDuration) -> bool {
+    /// flow queue.
+    fn advance_queues(&mut self, dt: SimDuration) {
         let link_count = self.topology().link_count();
         self.util_scratch.resize(link_count, 0.0);
         let (caps, used) = (self.links.caps_bps(), self.alloc.link_used_bps());
@@ -449,40 +463,7 @@ impl Mesh {
                 (false, _) => (used / cap).clamp(0.0, 1.0),
             };
         }
-        self.alloc.advance_queues(dt, &self.util_scratch)
-    }
-
-    /// Whether the next [`advance`](Self::advance) would refill nothing,
-    /// provided no trace capacity moves by its end (the caller's proof):
-    /// the flows are allocated, the index clean, no `tc` cap pending, and
-    /// every demand moved since the last fill is back where it was or
-    /// strictly above its floor. O(moved demands).
-    pub fn refill_free(&self) -> bool {
-        self.links.current(self.now) && self.alloc.refill_free()
-    }
-
-    /// Earliest change-point strictly after `now` across every unfrozen
-    /// traced link, or `None` when all capacities are constant from `now`
-    /// on. Frozen links read their capacity at the freeze time, so their
-    /// traces cannot change anything until unfrozen. O(1) while the trace
-    /// clock is armed and ahead of `now`, else one scan of every link.
-    pub fn next_trace_change(&self) -> Option<SimTime> {
-        self.links.next_change(self.now)
-    }
-
-    /// [`advance`](Self::advance) without the fill, for a tick after
-    /// [`refill_free`](Self::refill_free) in which no input moves: moves
-    /// the clock, absorbs the moved demands and runs the queue pass
-    /// against the unchanged rates and usage, leaving what `advance`
-    /// would, bit for bit. With `settled` (the last pass moved no queue)
-    /// only the clock moves. True when no queue moved.
-    pub fn advance_skipped(&mut self, dt: SimDuration, settled: bool) -> bool {
-        debug_assert!(settled || self.refill_free());
-        self.now += dt;
-        settled || {
-            self.alloc.refresh_demands_dirty();
-            self.advance_queues(dt)
-        }
+        self.alloc.advance_queues(dt, &self.util_scratch);
     }
 
     /// Diffs the current effective link capacities against the last
@@ -1372,91 +1353,125 @@ mod tests {
         (mesh, bound, squeezed)
     }
 
+    /// Whether the next 100 ms advance of `mesh` reallocates (read off a
+    /// copy's `mesh.cap_diff` span).
+    fn reallocates(mesh: &Mesh) -> bool {
+        let mut profiler = bass_obs::SpanProfiler::new();
+        mesh.clone().advance_profiled(SimDuration::from_millis(100), None, Some(&mut profiler));
+        profiler.stats("mesh.cap_diff").is_some()
+    }
+
     #[test]
-    fn refill_free_tracks_allocation_and_floors() {
+    fn an_advance_reallocates_only_when_a_demand_reaches_its_floor() {
         let step = SimDuration::from_millis(100);
         let (mut mesh, bound, squeezed) = squeezed_pair();
         // Frozen by its own demand on an unsaturated link: floor +∞.
         let lone = mesh.add_flow(NodeId(0), NodeId(2), mbps(2.0)).unwrap();
-        // Before the first allocation nothing is provable.
-        assert!(!mesh.refill_free());
+        // Before the first allocation nothing stands.
+        assert!(reallocates(&mesh));
         mesh.advance(step);
         mesh.set_flow_demand(lone, mbps(3.0)).unwrap();
-        assert!(!mesh.refill_free(), "a demand-frozen flow's rise refills");
+        assert!(reallocates(&mesh), "a demand-frozen flow's rise refills");
         mesh.set_flow_demand(lone, mbps(2.0)).unwrap();
         // The squeezed backlog grew, but its demand stays above its floor.
         assert!(mesh.flow_backlog(squeezed).unwrap().as_bytes() > 0);
-        assert!(mesh.refill_free());
+        assert!(!reallocates(&mesh));
         mesh.set_flow_demand(squeezed, mbps(6.0)).unwrap();
-        assert!(mesh.refill_free(), "a fall that stays above the floor refills nothing");
+        assert!(!reallocates(&mesh), "a fall that stays above the floor refills nothing");
         // The flow whose demand was the saturating round's minimum: +∞.
         mesh.set_flow_demand(bound, mbps(5.5)).unwrap();
-        assert!(!mesh.refill_free());
+        assert!(reallocates(&mesh));
         mesh.set_flow_demand(bound, mbps(5.0)).unwrap();
-        assert!(mesh.refill_free(), "a demand moved back where it was refills nothing");
+        assert!(!reallocates(&mesh), "a demand moved back where it was refills nothing");
         // A `tc` cap pending for the next refresh refills.
         mesh.set_link_cap(NodeId(0), NodeId(2), Some(mbps(50.0))).unwrap();
-        assert!(!mesh.refill_free());
+        assert!(reallocates(&mesh));
     }
 
     #[test]
-    fn refill_free_is_false_after_a_same_size_flow_swap() {
+    fn a_demand_move_above_its_floor_is_journaled_without_a_refill() {
+        let step = SimDuration::from_millis(100);
+        let (mut mesh, _, squeezed) = squeezed_pair();
+        let mut journal = bass_obs::Journal::new();
+        mesh.advance_profiled(step, Some(&mut journal), None);
+        let reported = journal.count("flow_rate_recomputed");
+        mesh.set_flow_demand(squeezed, mbps(60.0)).unwrap();
+        let mut profiler = bass_obs::SpanProfiler::new();
+        mesh.advance_profiled(step, Some(&mut journal), Some(&mut profiler));
+        assert!(profiler.stats("mesh.water_fill").is_none(), "no refill above the floor");
+        assert_eq!(journal.count("flow_rate_recomputed"), reported + 1, "the total demand moved");
+    }
+
+    #[test]
+    fn a_same_size_flow_swap_reallocates() {
         let step = SimDuration::from_millis(100);
         let mut mesh = three_node_lan();
         mesh.set_link_cap(NodeId(0), NodeId(2), Some(mbps(10.0))).unwrap();
         let a = mesh.add_flow(NodeId(0), NodeId(1), mbps(50.0)).unwrap();
         mesh.advance(step);
-        assert!(mesh.refill_free());
+        assert!(!reallocates(&mesh));
         // One flow out, one in, no tick between: the flow count is
         // unchanged, but B has no rate yet — A's 50 Mbps is not B's.
         mesh.remove_flow(a).unwrap();
         let b = mesh.add_flow(NodeId(0), NodeId(2), mbps(40.0)).unwrap();
         assert_eq!(mesh.flow_count(), 1);
-        assert!(!mesh.refill_free());
+        assert!(reallocates(&mesh));
         mesh.advance(step);
         assert!(mesh.flow_backlog(b).unwrap().as_bytes() > 0, "B outgrows its 10 Mbps link");
     }
 
     #[test]
-    fn advance_skipped_matches_a_full_tick_bit_for_bit() {
+    fn quiet_advances_match_a_rebuilt_mesh_bit_for_bit() {
         let step = SimDuration::from_millis(100);
-        let (mut ticked, bound, squeezed) = squeezed_pair();
-        ticked.advance(step);
-        let mut skipped = ticked.clone();
-        let (mut skips, mut refills, mut settled) = (0, 0, false);
-        // 10 ticks of a growing backlog, then the offered load falls to
-        // 1 Mbps and the backlog drains until the demand reaches its
-        // floor, the link is refilled, and the rest drains and settles.
+        let (mut mesh, bound, squeezed) = squeezed_pair();
+        let mut reference = mesh.clone();
+        let (mut quiet, mut queues_only, mut reallocating) = (0, 0, 0);
+        // A backlog grows for 10 ticks (at tick 5 the offered load falls
+        // but stays above its floor), then the offered load falls to
+        // 1 Mbps: the backlog drains until the demand reaches its floor,
+        // the link is refilled, and the rest drains and settles. From
+        // tick 400 to 420 the flows' link is down: the out-of-advance
+        // reallocations re-path both flows through node 2 and back.
         for tick in 0..600 {
-            if tick == 10 {
-                for m in [&mut ticked, &mut skipped] {
-                    m.set_flow_demand(squeezed, mbps(1.0)).unwrap();
+            for m in [&mut mesh, &mut reference] {
+                match tick {
+                    5 => m.set_flow_demand(squeezed, mbps(50.0)).unwrap(),
+                    10 => m.set_flow_demand(squeezed, mbps(1.0)).unwrap(),
+                    400 | 420 => m.set_link_up(NodeId(0), NodeId(1), tick == 420).unwrap(),
+                    _ => {}
                 }
-                settled = false;
             }
-            ticked.advance(step);
-            if settled || skipped.refill_free() {
-                settled = skipped.advance_skipped(step, settled);
-                skips += 1;
-            } else {
-                skipped.advance(step);
-                refills += 1;
+            reference = reference.rebuilt();
+            reference.advance(step);
+            let mut profiler = bass_obs::SpanProfiler::new();
+            mesh.advance_profiled(step, None, Some(&mut profiler));
+            match (profiler.stats("mesh.cap_diff"), profiler.stats("mesh.queues")) {
+                (Some(_), _) => reallocating += 1,
+                (None, Some(_)) => queues_only += 1,
+                (None, None) => quiet += 1,
             }
-            assert_eq!(ticked.now(), skipped.now());
+            assert_eq!(reference.now(), mesh.now());
             for f in [bound, squeezed] {
-                assert_eq!(bits(ticked.flow_rate(f)), bits(skipped.flow_rate(f)), "tick {tick}");
-                assert_eq!(bits(ticked.flow_goodput(f)), bits(skipped.flow_goodput(f)));
-                assert_eq!(ticked.flow_backlog(f), skipped.flow_backlog(f), "tick {tick}");
+                assert_eq!(bits(reference.flow_rate(f)), bits(mesh.flow_rate(f)), "tick {tick}");
+                assert_eq!(bits(reference.flow_goodput(f)), bits(mesh.flow_goodput(f)));
+                assert_eq!(reference.flow_backlog(f), mesh.flow_backlog(f), "tick {tick}");
                 let size = DataSize::from_bytes(1500);
                 assert_eq!(
-                    ticked.flow_message_delay(f, size).unwrap(),
-                    skipped.flow_message_delay(f, size).unwrap()
+                    reference.flow_message_delay(f, size).unwrap(),
+                    mesh.flow_message_delay(f, size).unwrap(),
+                    "tick {tick}"
                 );
             }
+            for (_, link) in reference.topology().links() {
+                let usage = |m: &Mesh| bits(m.link_usage(link.a, link.b).unwrap());
+                assert_eq!(usage(&reference), usage(&mesh), "tick {tick}");
+            }
         }
-        assert!(skips > 200 && refills > 0, "{skips} skipped, {refills} refilled");
-        assert_eq!(skipped.flow_backlog(squeezed).unwrap().as_bytes(), 0);
-        assert!(settled, "the drained queues settle");
+        assert!(
+            quiet > 250 && queues_only > 150 && reallocating > 100,
+            "{quiet} quiet, {queues_only} queue passes only, {reallocating} reallocating"
+        );
+        assert_eq!(mesh.flow_backlog(squeezed).unwrap().as_bytes(), 0);
     }
 
     #[test]
@@ -1496,23 +1511,34 @@ mod tests {
     }
 
     #[test]
-    fn next_trace_change_skips_frozen_links() {
+    fn a_frozen_trace_wakes_no_reallocation() {
         let mut topo = Topology::new();
         topo.add_node(NodeId(0)).unwrap();
         topo.add_node(NodeId(1)).unwrap();
         topo.add_link(NodeId(0), NodeId(1)).unwrap();
-        let trace = restricted_trace(20);
         let mut mesh = Mesh::new(topo).unwrap();
-        mesh.set_link_source(NodeId(0), NodeId(1), CapacitySource::Trace(trace))
-            .unwrap();
-        let first = mesh.next_trace_change().unwrap();
-        assert!(first > SimTime::ZERO && first <= SimTime::from_secs(10));
-        // A frozen link's trace can no longer change any capacity read.
+        let trace = CapacitySource::Trace(restricted_trace(60));
+        mesh.set_link_source(NodeId(0), NodeId(1), trace).unwrap();
+        // Reallocating advances over `secs` seconds of 100 ms ticks.
+        let reallocations = |mesh: &mut Mesh, secs: u64| {
+            let mut profiler = bass_obs::SpanProfiler::new();
+            for _ in 0..secs * 10 {
+                mesh.advance_profiled(SimDuration::from_millis(100), None, Some(&mut profiler));
+            }
+            profiler.stats("mesh.cap_diff").map_or(0, |s| s.count)
+        };
+        assert_eq!(reallocations(&mut mesh, 1), 1, "the first advance reads every link");
+        // A frozen link's trace can no longer change any capacity read,
+        // so its 10 s change-point wakes nothing.
         mesh.freeze_link_trace(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(mesh.next_trace_change(), None);
+        assert_eq!(reallocations(&mut mesh, 29), 0);
+        approx(mesh.link_effective_capacity(NodeId(0), NodeId(1)).unwrap(), 50.0);
         mesh.unfreeze_link_trace(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(mesh.next_trace_change(), Some(first));
-        // Constant-capacity meshes never schedule a trace change.
-        assert_eq!(three_node_lan().next_trace_change(), None);
+        approx(mesh.link_effective_capacity(NodeId(0), NodeId(1)).unwrap(), 5.0);
+        // Unfrozen, the 60 s change-point wakes exactly one re-read.
+        assert_eq!(reallocations(&mut mesh, 40), 1);
+        approx(mesh.link_effective_capacity(NodeId(0), NodeId(1)).unwrap(), 50.0);
+        // Constant capacities never wake one after the first.
+        assert_eq!(reallocations(&mut three_node_lan(), 10), 1);
     }
 }

@@ -403,9 +403,9 @@ fn shares(achieved: &BTreeMap<&'static str, f64>) -> BTreeMap<String, f64> {
 
 /// The streaming per-sample fold state of one replica. Accumulation
 /// order is fixed — one [`record`](SampleFold::record) call per sampled
-/// tick, in tick order — so a run that skips ticks and one
-/// that executes every tick feed the same values and produce
-/// bitwise-identical sums.
+/// tick, in tick order — so a run of quiet ticks and one that runs
+/// every tick in full feed the same values and produce bitwise-identical
+/// sums.
 struct SampleFold {
     hist: Histogram,
     goodput_sum: f64,
@@ -459,8 +459,8 @@ impl SampleFold {
 /// The world (scenario, mesh, cluster, timeline) is built once, timed as
 /// `campaign.setup` for the first entrant; each entrant runs on a clone,
 /// the last on the world itself. The horizon is one [`SimEnv::run_for`],
-/// whose hook samples the same ticks executed or skipped: a skipped tick
-/// leaves every sample input as its execution would, so the summary is
+/// whose hook samples every tick, quiet or full: a quiet tick leaves
+/// every sample input as a full one would, so the summary is
 /// byte-identical to stepping each tick with [`SimEnv::step`].
 fn run_replica(
     spec: &ScenarioSpec,
@@ -592,8 +592,8 @@ mod tests {
         let profiled = run_campaign(&spec, 9, &opts).unwrap();
         assert_eq!(plain.to_json(), profiled.summary.to_json());
 
-        // Every replica contributed: tick.finalize fires once per
-        // executed tick, and each replica executes at least its first.
+        // Every replica contributed: tick.finalize fires once per full
+        // tick, and each replica's first tick (a probe epoch) is full.
         let profiler = profiled.profiler.expect("profiling was on");
         let ticks = profiler.stats("tick.finalize").expect("tick spans present");
         assert!(ticks.count >= 2 && ticks.count <= profiled.summary.aggregate.ticks);
@@ -634,13 +634,12 @@ mod tests {
     }
 
     #[test]
-    fn replicas_skip_ticks_between_change_points() {
-        // OU change-points arrive every 5 s on a 1 s step: at least the
-        // 4-tick stretches between them must be skipped. Profiler span
-        // counts track executed work, so `tick.finalize` falls below the
-        // tick total exactly when windows were skipped. That the summary
-        // still equals a ticked replica's is the root batteries' check
-        // (`tests/support`).
+    fn replicas_run_quiet_ticks_between_epochs_and_inputs() {
+        // Probe epochs and workload or fault inputs wake only some ticks
+        // of a 1 s step: the rest are quiet. `tick.finalize` counts full
+        // ticks, so it falls below the tick total exactly when ticks were
+        // quiet. That the summary still equals a ticked replica's is the
+        // root batteries' check (`tests/support`).
         let spec = tiny_spec();
         let opts = CampaignOptions { profile: true, ..CampaignOptions::default() };
         for seed in [7, 11] {

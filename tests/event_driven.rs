@@ -1,6 +1,8 @@
 //! Stepping battery, production vs rebuilt reference: the one step loop
-//! (`SimEnv::run_for`, the campaign replica loop) skips provably
-//! quiescent tick windows, and must replay every simulation
+//! (`SimEnv::run_for`, the campaign replica loop) runs a quiet tick —
+//! no input due, nothing displaced, no probe epoch — as only its demand
+//! push, mesh advance and `TickCompleted` line, and the mesh skips the
+//! work whose inputs did not move. It must replay every simulation
 //! byte-for-byte — journals and campaign replicas — against the
 //! reference in `tests/support`, a `step()` loop that executes every
 //! tick in full on an environment `SimEnv::rebuild` re-derived just
@@ -44,8 +46,8 @@ fn storm_plan(seed: u64, horizon_s: u64) -> FaultPlan {
 }
 
 /// Runs the camera pipeline on the trace-driven CityLab testbed and
-/// returns the full journal plus the number of ticks actually executed
-/// (skipped ticks never reach the `tick.finalize` span). Production
+/// returns the full journal plus the number of ticks run in full (a
+/// quiet tick times no `tick.finalize` span). Production
 /// runs go through `SimEnv::run_for`; the `reference` is
 /// `support::ticked` over every 100 ms tick.
 fn sim_run(reference: bool, seed: u64, faults: FaultPlan, secs: u64) -> (String, u64) {
@@ -86,7 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The tentpole property at the environment level: under OU traces
-    /// and (optionally) a composed fault storm, the skipping loop
+    /// and (optionally) a composed fault storm, the production loop
     /// journals the identical bytes.
     #[test]
     fn event_driven_journals_are_byte_identical(
@@ -97,7 +99,7 @@ proptest! {
         let (ticked, executed_ticked) = sim_run(true, seed, plan(seed), 120);
         let (event, executed_event) = sim_run(false, seed, plan(seed), 120);
         prop_assert!(!ticked.is_empty());
-        prop_assert_eq!(ticked, event, "journals must not depend on skipped windows");
+        prop_assert_eq!(ticked, event, "journals must not depend on quiet ticks");
         prop_assert!(
             executed_event <= executed_ticked,
             "production may only skip work: {executed_event} > {executed_ticked}"
@@ -105,8 +107,8 @@ proptest! {
     }
 
     /// The same property one layer up: a campaign replica under churn
-    /// samples and journals the same bits off the timeline, skipping,
-    /// as driven by hand on the rebuilt reference (`support::drive_replica`).
+    /// samples and journals the same bits off the timeline as driven by
+    /// hand on the rebuilt reference (`support::drive_replica`).
     #[test]
     fn event_driven_campaign_summaries_are_byte_identical(
         seed in any::<u64>(),
@@ -117,7 +119,7 @@ proptest! {
         let (ticked, executed_ticked) =
             support::drive_replica(&spec, seed, PolicyKind::Bass);
         let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass);
-        prop_assert_eq!(ticked, skipping, "replicas must not depend on skipped windows");
+        prop_assert_eq!(ticked, skipping, "replicas must not depend on quiet ticks");
         prop_assert!(
             executed <= executed_ticked,
             "production may only skip work: {executed} > {executed_ticked}"
@@ -125,9 +127,9 @@ proptest! {
     }
 }
 
-/// Deterministic anchor for the battery: on the quiet CityLab run the
-/// production loop must actually skip a substantial share of ticks —
-/// otherwise the properties above would pass vacuously.
+/// Deterministic anchor for the battery: on the quiet CityLab run most
+/// production ticks must be quiet — otherwise the properties above
+/// would pass vacuously.
 #[test]
 fn event_driven_mode_actually_skips_ticks() {
     let (ticked, executed_ticked) = sim_run(true, 0xBA55, FaultPlan::new(), 120);
@@ -141,9 +143,9 @@ fn event_driven_mode_actually_skips_ticks() {
 }
 
 /// A saturated-then-draining flow whose backlog moves a fraction of a
-/// byte per tick: 2 bps over a 1 Mbps link, then 4 bps under it. Skipped
-/// windows must keep advancing that backlog bit for bit; a window that
-/// settled once its *bytes* repeated would freeze it. No journaled figure
+/// byte per tick: 2 bps over a 1 Mbps link, then 4 bps under it. Quiet
+/// ticks must keep advancing that backlog bit for bit; a queue pass
+/// that settled once its *bytes* repeated would freeze it. No journaled figure
 /// shows the drift for minutes, so every tick samples the edge's message
 /// delay, which reads the backlog in bits (1 µs per bit at 1 Mbps).
 #[test]
@@ -189,22 +191,22 @@ fn sub_byte_backlog_drift_replays_bit_for_bit() {
     let (ticked, ticked_journal, executed_ticked) = run(true);
     let (skipping, journal, executed) = run(false);
     assert_eq!(ticked.len(), 1200);
-    assert_eq!(ticked, skipping, "skipped windows must move the backlog as full ticks do");
+    assert_eq!(ticked, skipping, "quiet ticks must move the backlog as full ticks do");
     assert_eq!(ticked_journal, journal);
-    // Not vacuous: most ticks skipped, and the backlog rose and drained.
+    // Not vacuous: most ticks quiet, and the backlog rose and drained.
     assert!(executed < executed_ticked / 2, "executed {executed} of {executed_ticked}");
     let peak = ticked.iter().max().unwrap();
     assert!(*peak > ticked[0] + SimDuration::from_micros(100) && ticked[1199] < *peak, "{peak:?}");
 }
 
 /// A migration's restart whose 5.05 s downtime ends inside a tick, in the
-/// quiet stretch between probe epochs, with skip windows on either side.
+/// quiet stretch between probe epochs.
 /// Demands are pushed only when one can have moved, so the first tick
 /// that starts after the expiry must push the restored demands although
 /// no input, bind or factor changed. The hook reads every
 /// flow's demand and every DAG edge's achieved bandwidth on every tick;
 /// production must see what the rebuilt reference sees, and journal the
-/// same bytes, while skipping most ticks.
+/// same bytes, while most ticks are quiet.
 #[test]
 fn a_restart_expiring_mid_tick_restores_its_demands() {
     use bass::cluster::RestartModel;
@@ -259,10 +261,115 @@ fn a_restart_expiring_mid_tick_restores_its_demands() {
     assert_eq!(ticked, skipping, "the hook must see every demand a full tick pushes");
     assert_eq!(ticked_journal, journal);
     // Not vacuous: a migration restarted a component, its demands went to
-    // zero and came back, and most ticks were skipped.
+    // zero and came back, and most ticks were quiet.
     assert!(migrations > 0, "the squeeze must migrate");
     let zeros = |tick: &Vec<Option<u64>>| tick.iter().filter(|d| **d == Some(0)).count();
     let (first, most) = (zeros(&ticked[0]), ticked.iter().map(zeros).max().unwrap());
     assert!(most > first && zeros(&ticked[899]) == first, "{first} {most}");
     assert!(executed < executed_ticked / 2, "executed {executed} of {executed_ticked}");
+}
+
+/// `make()`'s environment run for `secs` seconds through `run_for` and,
+/// on a second copy, through the rebuilt reference: each run's journal,
+/// the ticks it timed in full (`tick.finalize`) and the mesh
+/// reallocations it timed (`mesh.cap_diff`).
+fn both_ways(make: impl Fn() -> SimEnv, secs: u64) -> [(String, u64, u64); 2] {
+    [true, false].map(|reference| {
+        let mut env = make();
+        env.attach_journal(Journal::new());
+        env.enable_span_profiling();
+        env.deploy(&[]).expect("deploys");
+        if reference {
+            support::ticked(&mut env, secs * 10, |_| {});
+        } else {
+            env.run_for(SimDuration::from_secs(secs), support::check).expect("run completes");
+        }
+        let journal = env.take_journal().expect("journal attached").export_jsonl();
+        let profiler = env.take_span_profiler().expect("profiler attached");
+        let count = |span| profiler.stats(span).map_or(0, |s| s.count);
+        (journal, count("tick.finalize"), count("mesh.cap_diff"))
+    })
+}
+
+/// A probe-only window: constant capacities, no input, so only the probe
+/// epochs wake the environment. `run_for` runs exactly those ticks in
+/// full and journals what the reference journals.
+#[test]
+fn a_probe_only_window_matches_the_rebuilt_reference() {
+    let make = || {
+        let mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), Bandwidth::from_mbps(100.0));
+        let cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 12, 16384))).unwrap();
+        SimEnv::new(mesh.unwrap(), cluster, catalog::camera_pipeline(), SimEnvConfig::default())
+    };
+    let [(reference, ticked, _), (journal, full, reallocations)] = both_ways(make, 300);
+    assert_eq!(reference, journal);
+    assert_eq!(ticked, 3000);
+    // One headroom probe per 30 s epoch, from the first tick on.
+    let probes = journal.lines().filter(|l| l.contains("\"kind\":\"Headroom\"")).count();
+    assert_eq!((full, probes), (10, 10));
+    // The deploy's flows are allocated once; nothing moves after.
+    assert_eq!(reallocations, 1);
+}
+
+/// A trace-only window: the OU-traced CityLab testbed with migrations
+/// off, so no probe epoch and no input wakes the environment and only
+/// trace change-points wake the mesh. No tick runs in full, and the
+/// journal — every capacity change included — is the reference's.
+#[test]
+fn a_trace_only_window_matches_the_rebuilt_reference() {
+    let secs = 300;
+    let make = || {
+        let (mesh, cluster) = citylab_testbed(0x7ACE, SimDuration::from_secs(secs + 60));
+        let cfg = SimEnvConfig { migrations_enabled: false, ..Default::default() };
+        SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg)
+    };
+    let [(reference, _, ticked), (journal, full, reallocations)] = both_ways(make, secs);
+    assert_eq!(reference, journal);
+    assert!(journal.contains("LinkCapacityChanged"), "the traces must move capacities");
+    assert_eq!(full, 0);
+    assert_eq!(ticked, secs * 10, "the reference reallocates every tick");
+    assert!(
+        reallocations > 0 && reallocations < ticked / 4,
+        "{reallocations} of {ticked} ticks reallocated"
+    );
+}
+
+/// The full-tick count is exact: under a fault storm, `tick.finalize`
+/// times exactly the ticks that start with a fault due, start with a
+/// component displaced, or end on a probe epoch — read off the plan
+/// and, before every tick, off the environment.
+#[test]
+fn full_ticks_are_exactly_those_with_an_input_a_displacement_or_a_probe_epoch() {
+    let secs = 300;
+    let plan = storm_plan(7, secs);
+    let mut inputs: Vec<_> = plan.events().iter().map(|&(at, _)| at).collect();
+    inputs.sort();
+    let (mesh, cluster) = citylab_testbed(7, SimDuration::from_secs(secs + 60));
+    let cfg = SimEnvConfig { faults: plan, ..Default::default() };
+    let step = cfg.step;
+    let mut env = SimEnv::new(mesh, cluster, catalog::camera_pipeline(), cfg);
+    env.enable_span_profiling();
+    env.deploy(&[]).expect("deploys");
+    // Whether the tick starting at `e.now()` runs in full; `due` counts
+    // the inputs already consumed.
+    let full_next = |e: &SimEnv, due: &mut usize| {
+        let now = e.now();
+        let fresh = inputs[*due..].iter().take_while(|&&at| at <= now).count();
+        *due += fresh;
+        fresh > 0 || !e.displaced().is_empty() || e.netmon().next_headroom_probe_at() <= now + step
+    };
+    let mut due = 0;
+    let mut expected = u64::from(full_next(&env, &mut due));
+    let mut ticks = 0;
+    env.run_for(SimDuration::from_secs(secs), |e| {
+        ticks += 1;
+        if ticks < secs * 10 {
+            expected += u64::from(full_next(e, &mut due));
+        }
+    })
+    .expect("run completes");
+    let full = env.take_span_profiler().unwrap().stats("tick.finalize").map_or(0, |s| s.count);
+    assert_eq!(full, expected);
+    // Not vacuous: the storm injected faults, and most ticks were quiet.
+    assert!(env.stats().faults_injected > 5 && full < ticks / 4, "{full} of {ticks}");
 }

@@ -178,7 +178,7 @@ fn campaign_20node_event_driven_replays_the_same_golden() {
         let (ticked, executed_ticked) =
             support::drive_replica(&spec, seed, PolicyKind::Bass);
         let (skipping, executed) = support::timeline_replica(&spec, seed, PolicyKind::Bass);
-        assert_eq!(ticked, skipping, "replica {k} must not depend on skipped windows");
+        assert_eq!(ticked, skipping, "replica {k} must not depend on quiet ticks");
         assert!(executed < executed_ticked, "replica {k} executed all {executed} ticks");
         if std::env::var("GOLDEN_UPDATE").is_ok() {
             continue; // the production arm owns regeneration

@@ -225,7 +225,7 @@ fn bass_policy_storm_journal_matches_the_default_and_the_ticked_reference() {
     assert_eq!(explicit, default_built, "explicit Bass must equal the default construction");
 
     let skipping = storm_run(PolicyKind::Bass, false, 0xF16, true, 120).0;
-    assert_eq!(explicit, skipping, "storm journal must not depend on skipped windows");
+    assert_eq!(explicit, skipping, "storm journal must not depend on quiet ticks");
 }
 
 /// The `t_s` of every headroom `ProbeCompleted` in a JSONL journal.
@@ -348,7 +348,7 @@ fn arena_campaigns_match_the_ticked_reference() {
             let (ticked, executed_ticked) = support::drive_replica(&spec, r.seed, policy);
             let (skipping, executed) = support::timeline_replica(&spec, r.seed, policy);
             let name = policy.name();
-            assert_eq!(ticked, skipping, "{name} replica must not depend on skipped windows");
+            assert_eq!(ticked, skipping, "{name} replica must not depend on quiet ticks");
             assert!(executed < executed_ticked, "{name} executed all {executed} ticks");
             let achieved = ticked.samples.iter().fold(0.0, |sum, s| sum + f64::from_bits(s.1));
             assert_eq!(
