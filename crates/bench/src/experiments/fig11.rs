@@ -12,7 +12,7 @@ use bass_apps::ArrivalProcess;
 use bass_core::PlacementPolicy;
 use bass_emu::Recorder;
 use bass_util::stats::StreamingStats;
-use bass_util::time::{SimDuration, SimTime};
+use bass_util::time::SimDuration;
 use bass_util::units::Bandwidth;
 
 /// Runs the experiment.
@@ -69,12 +69,6 @@ pub fn run(mode: RunMode) -> ExperimentReport {
                     let mut rec = Recorder::new();
                     wl.run(&mut env, SimDuration::from_secs(run_secs), &mut rec)
                         .expect("run completes");
-                    // Skip the first 20 s warm-up when computing p99.
-                    let warm: Vec<f64> = rec
-                        .series("avg_latency_ms")
-                        .window(SimTime::from_secs(20), SimTime::from_secs(run_secs))
-                        .collect();
-                    let _ = warm;
                     p99s.record(rec.percentiles("latency_ms").p99());
                 }
                 let label = format!(

@@ -42,7 +42,8 @@ use std::process::ExitCode;
 const COMMANDS: &str = "order|place|simulate|recommend|traces|campaign|arena|metrics|schema";
 
 /// The flags `run` reads for each command (`--progress` also stands for
-/// `--progress=LEVEL`). The parser refuses every other flag and command.
+/// `--progress=LEVEL`). The parser refuses every other flag and command,
+/// except `--help`/`-h`, which every command takes.
 const FLAGS: &[(&str, &str)] = &[
     ("order", "--manifest --policy"),
     ("place", "--manifest --testbed --policy --seed --json"),
@@ -76,6 +77,7 @@ struct Args {
     input: Option<String>,
     diff: Option<String>,
     lint: bool,
+    help: bool,
 }
 
 fn parse_policy(name: &str) -> Result<PlacementPolicy, String> {
@@ -116,8 +118,13 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         input: None,
         diff: None,
         lint: false,
+        help: matches!(command.as_str(), "help" | "--help" | "-h"),
     };
     while let Some(flag) = argv.next() {
+        if flag == "--help" || flag == "-h" {
+            args.help = true;
+            continue;
+        }
         let name = flag.split_once('=').map_or(flag.as_str(), |(name, _)| name);
         if !accepted.split_whitespace().any(|f| f == name) {
             return Err(format!("unknown flag '{flag}' for {command}; it takes [{accepted}]"));
@@ -221,6 +228,15 @@ impl From<io::Error> for Failure {
 /// Runs one command, writing everything it reports to `stdout`.
 fn run(stdout: &mut impl Write) -> Result<(), Failure> {
     let (command, args) = parse_args(std::env::args().skip(1))?;
+    if args.help {
+        // `command`'s entry of `FLAGS`, or every command's for `help`.
+        let real = COMMANDS.split('|').any(|c| c == command);
+        for name in if real { command.as_str() } else { COMMANDS }.split('|') {
+            let (_, flags) = FLAGS.iter().find(|(n, _)| *n == name).expect("a command has flags");
+            writeln!(stdout, "{}", format!("bassctl {name:<9} {flags}").trim_end())?;
+        }
+        return Ok(());
+    }
     match command.as_str() {
         "schema" => {
             let manifest = Manifest::from_dag(&bass_appdag::catalog::camera_pipeline());
@@ -468,11 +484,8 @@ fn run(stdout: &mut impl Write) -> Result<(), Failure> {
             write!(stdout, "{report}")?;
             Ok(())
         }
-        // `parse_args` has already refused any other command.
-        _ => {
-            writeln!(stdout, "bassctl {COMMANDS} — see crate docs")?;
-            Ok(())
-        }
+        // `parse_args` refused any other command, and help returned above.
+        _ => unreachable!("unknown command '{command}'"),
     }
 }
 

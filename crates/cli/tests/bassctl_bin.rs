@@ -576,6 +576,32 @@ fn flags_outside_the_command_fail_cleanly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `<command> --help` (or `-h`) prints that command's flags and exits 0;
+/// `help` lists every command with its flags.
+#[test]
+fn help_names_each_commands_flags() {
+    let help = |args: &[&str]| {
+        let out = bassctl().args(args).output().expect("runs");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(out.stderr.is_empty(), "{args:?} wrote to stderr");
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    let arena = help(&["arena", "--help"]);
+    assert_eq!(arena.lines().count(), 1, "{arena}");
+    assert!(arena.starts_with("bassctl arena") && arena.contains("--spec --policy"), "{arena}");
+    let simulate = help(&["simulate", "-h"]);
+    assert!(simulate.contains("--no-migrations") && simulate.contains("--faults"), "{simulate}");
+    assert!(!simulate.contains("--spec"), "{simulate}");
+    let all = help(&["help"]);
+    for command in
+        ["order", "place", "simulate", "recommend", "traces", "campaign", "arena", "metrics", "schema"]
+    {
+        let listed = all.lines().any(|l| l.split_whitespace().nth(1) == Some(command));
+        assert!(listed, "{command} missing: {all}");
+    }
+    assert!(all.contains(arena.trim_end()) && all.contains(simulate.trim_end()), "{all}");
+}
+
 #[test]
 fn faults_plan_on_nonexistent_node_fails_cleanly() {
     let dir = temp_dir("ghost_node");

@@ -203,10 +203,9 @@ impl BassController {
                 continue;
             };
             let observed = candidates.worst_goodput_fraction(component);
-            let degraded = observed < self.cfg.migration.goodput_threshold;
-            let (scorer, rng) = (&mut scorer, &mut self.rng);
-            match self.policy.select_target(component, observed, degraded, &ctx, &ranked, scorer, rng) {
-                Ok(to) => {
+            let rng = &mut self.rng;
+            match self.policy.select_target(component, observed, &ctx, &ranked, &mut scorer, rng) {
+                Some(to) => {
                     if let Some(j) = journal.as_deref_mut() {
                         j.record(bass_obs::Event::MigrationTargetChosen {
                             t_s: now.as_secs_f64(),
@@ -214,12 +213,12 @@ impl BassController {
                             from: from.0,
                             to: to.0,
                             observed_goodput_fraction: observed,
-                            degraded,
+                            degraded: self.cfg.migration.degraded(observed),
                         });
                     }
                     outcome.plans.push(MigrationPlan { component, from, to });
                 }
-                Err(_) => {
+                None => {
                     if let Some(j) = journal.as_deref_mut() {
                         j.record(bass_obs::Event::PlacementRejected {
                             t_s: now.as_secs_f64(),

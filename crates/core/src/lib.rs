@@ -32,12 +32,13 @@
 //!
 //! The controller's `tick` narrates its decisions into a
 //! `bass_obs::Journal` when handed one (see `docs/OBSERVABILITY.md`).
-//! The migration decision itself has one path: each round that has
-//! someone to migrate, the controller ranks the nodes once and hands
-//! that slice and one [`rescheduler::Scorer`] scratch to the policy,
-//! whose [`rescheduler::select_target`] call (or direct scoring)
-//! computes every score from the round's world — nothing is carried
-//! across rounds.
+//! The migration decision itself has one path: the controller builds
+//! the round's world once, and Algorithm 3 and target selection both
+//! read it. Each round that has someone to migrate, the controller
+//! ranks the nodes once and hands that slice and one
+//! [`rescheduler::Scorer`] scratch to the policy, whose call into the
+//! rescheduler's `select_target` (or direct scoring) computes every
+//! score from the round's world — nothing is carried across rounds.
 
 #![warn(missing_docs)]
 

@@ -14,10 +14,8 @@
 //! round ("by migrating only one component of the dependency pair, we
 //! avoid cascading effects").
 
+use crate::policy::PolicyCtx;
 use bass_appdag::{AppDag, ComponentId};
-use bass_cluster::Cluster;
-use bass_mesh::Mesh;
-use bass_netmon::GoodputView;
 use bass_util::units::Bandwidth;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,6 +31,14 @@ pub struct MigrationConfig {
     /// edge consumes *more* than this fraction of its path's capacity
     /// (Fig. 15b evaluates 0.65 and 0.85).
     pub utilization_threshold: f64,
+}
+
+impl MigrationConfig {
+    /// Whether an observed goodput fraction counts as degraded: below
+    /// [`goodput_threshold`](Self::goodput_threshold).
+    pub(crate) fn degraded(&self, observed: f64) -> bool {
+        observed < self.goodput_threshold
+    }
 }
 
 impl Default for MigrationConfig {
@@ -101,7 +107,7 @@ impl MigrationCandidates {
     }
 }
 
-/// Runs Algorithm 3 over the cluster's current placement.
+/// Runs Algorithm 3 over the round's placement.
 ///
 /// For every DAG edge whose endpoints sit on *different* nodes, the
 /// goodput view supplies the achieved bandwidth and the mesh supplies
@@ -116,23 +122,16 @@ impl MigrationCandidates {
 /// - **Degradation** (§4.3): goodput collapsed below the threshold and
 ///   the headroom requirement is violated — the link itself degraded.
 ///
-/// The required headroom is `headroom_fraction` × the path's bottleneck
-/// capacity; the controller passes its net-monitor's setting, so the
-/// headroom probe and both triggers read one value.
+/// The required headroom is the round's `headroom_fraction` × the path's
+/// bottleneck capacity: the net-monitor's setting, so the headroom probe
+/// and both triggers read one value.
 ///
-/// The candidate is the edge's producer unless it is `pinned`, in which
+/// The candidate is the edge's producer unless it is pinned, in which
 /// case the consumer is proposed instead (pinned components — e.g. the
 /// pseudo-components that anchor external clients — can never move).
 /// Edges the view does not measure (an unbound edge) are skipped.
-pub(crate) fn find_candidates(
-    dag: &AppDag,
-    cluster: &Cluster,
-    goodput: &dyn GoodputView,
-    mesh: &Mesh,
-    cfg: &MigrationConfig,
-    headroom_fraction: f64,
-    pinned: &BTreeSet<ComponentId>,
-) -> MigrationCandidates {
+pub(crate) fn find_candidates(ctx: &PolicyCtx<'_>) -> MigrationCandidates {
+    let PolicyCtx { mesh, dag, cluster, goodput, pinned, migration: cfg, headroom_fraction } = *ctx;
     let mut violations = Vec::new();
 
     for e in dag.edges() {
@@ -227,10 +226,11 @@ fn dedup_candidates(dag: &AppDag, violations: &[Violation]) -> Vec<ComponentId> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::tests::ctx;
     use bass_appdag::{catalog, Component, ResourceReq};
-    use bass_cluster::NodeSpec;
-    use bass_mesh::{NodeId, Topology};
-    use bass_netmon::EdgeUsage;
+    use bass_cluster::{Cluster, NodeSpec};
+    use bass_mesh::{Mesh, NodeId, Topology};
+    use bass_netmon::{EdgeUsage, GoodputView};
     use bass_util::time::SimDuration;
 
     fn mbps(x: f64) -> Bandwidth {
@@ -265,6 +265,11 @@ mod tests {
         Measured::from([((ComponentId(from), ComponentId(to)), EdgeUsage { required, achieved })])
     }
 
+    /// Algorithm 3 over one world as the controller's round sees it.
+    fn candidates(dag: &AppDag, cl: &Cluster, mesh: &Mesh, gp: &Measured) -> MigrationCandidates {
+        find_candidates(&PolicyCtx { goodput: gp, ..ctx(dag, cl, mesh) })
+    }
+
     fn drive(mesh: &mut Mesh, demand: Bandwidth) -> bass_mesh::FlowId {
         let f = mesh.add_flow(NodeId(0), NodeId(1), demand).unwrap();
         mesh.advance(SimDuration::from_secs(1));
@@ -276,7 +281,7 @@ mod tests {
         let (dag, cluster, mut mesh) = scenario(100.0);
         let f = drive(&mut mesh, mbps(6.0));
         let gp = measured(2, 3, mbps(6.0), mesh.flow_goodput(f));
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
+        let out = candidates(&dag, &cluster, &mesh, &gp);
         assert!(out.violations.is_empty());
         assert!(out.to_migrate.is_empty());
     }
@@ -288,7 +293,7 @@ mod tests {
         let (dag, cluster, mut mesh) = scenario(2.0);
         let f = drive(&mut mesh, mbps(6.0));
         let gp = measured(2, 3, mbps(6.0), mesh.flow_goodput(f));
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
+        let out = candidates(&dag, &cluster, &mesh, &gp);
         assert_eq!(out.to_migrate, vec![ComponentId(2)]);
         assert_eq!(out.violations[0].trigger, TriggerKind::Degradation);
     }
@@ -301,7 +306,7 @@ mod tests {
         let (dag, cluster, mut mesh) = scenario(7.0);
         let f = drive(&mut mesh, mbps(6.0));
         let gp = measured(2, 3, mbps(6.0), mesh.flow_goodput(f));
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
+        let out = candidates(&dag, &cluster, &mesh, &gp);
         assert_eq!(out.to_migrate, vec![ComponentId(2)]);
         assert_eq!(out.violations[0].trigger, TriggerKind::Utilization);
     }
@@ -315,7 +320,7 @@ mod tests {
         }
         drive(&mut mesh, mbps(50.0)); // saturate the link with unrelated load
         let gp = measured(2, 3, mbps(6.0), mbps(6.0));
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
+        let out = candidates(&dag, &cluster, &mesh, &gp);
         assert!(out.violations.is_empty());
     }
 
@@ -324,7 +329,7 @@ mod tests {
         let (dag, cluster, mut mesh) = scenario(1.0);
         drive(&mut mesh, mbps(50.0));
         let gp = Measured::new(); // no measurements
-        let out = find_candidates(&dag, &cluster, &gp, &mesh, &MigrationConfig::default(), 0.2, &BTreeSet::new());
+        let out = candidates(&dag, &cluster, &mesh, &gp);
         assert!(out.violations.is_empty());
     }
 
@@ -337,10 +342,7 @@ mod tests {
         let (dag, mut cluster, mut mesh) = scenario(2.0);
         let f = drive(&mut mesh, mbps(6.0));
         let degraded = measured(2, 3, mbps(6.0), mesh.flow_goodput(f));
-        let cfg = MigrationConfig::default();
-        let run = |cluster: &Cluster, gp: &Measured| {
-            find_candidates(&dag, cluster, gp, &mesh, &cfg, 0.2, &BTreeSet::new())
-        };
+        let run = |cluster: &Cluster, gp: &Measured| candidates(&dag, cluster, &mesh, gp);
         assert_eq!(run(&cluster, &degraded).to_migrate, vec![ComponentId(2)]);
 
         cluster.evict(ComponentId(3)).unwrap();

@@ -18,7 +18,7 @@
 //! journals byte-for-byte.
 
 use crate::migration::{MigrationCandidates, MigrationConfig};
-use crate::rescheduler::{locate, score_cmp, RescheduleError, Scorer};
+use crate::rescheduler::{score_cmp, select_target, Scorer};
 use bass_appdag::{AppDag, ComponentId};
 use bass_cluster::Cluster;
 use bass_mesh::{Mesh, NodeId};
@@ -30,6 +30,7 @@ use std::collections::BTreeSet;
 /// Read-only world snapshot for one decision round: everything a
 /// policy may consult. The environment's step owns the probe cadence
 /// and the controller the cooldown clock.
+#[derive(Clone, Copy)]
 pub(crate) struct PolicyCtx<'a> {
     /// The mesh (capacities, routes, up/down state).
     pub(crate) mesh: &'a Mesh,
@@ -129,15 +130,7 @@ impl PolicyKind {
     /// re-ranks the list priority-first: heaviest adjacent edge
     /// descending, component id as the final deterministic tie-break.
     pub(crate) fn find_candidates(self, ctx: &PolicyCtx<'_>) -> MigrationCandidates {
-        let mut out = crate::migration::find_candidates(
-            ctx.dag,
-            ctx.cluster,
-            ctx.goodput,
-            ctx.mesh,
-            &ctx.migration,
-            ctx.headroom_fraction,
-            ctx.pinned,
-        );
+        let mut out = crate::migration::find_candidates(ctx);
         if self == PolicyKind::Metronome {
             out.to_migrate.sort_by(|&a, &b| {
                 let (pa, pb) = (priority(a, ctx.dag), priority(b, ctx.dag));
@@ -147,13 +140,13 @@ impl PolicyKind {
         out
     }
 
-    /// Where `component` should move. `observed` is the worst goodput
-    /// fraction among its violations; `degraded` is whether it fell
-    /// below the goodput threshold; `ranked` is this round's
-    /// availability ranking and `scorer` its one scoring scratch, both
-    /// made once by the controller; `rng` is the controller's stream,
-    /// drawn from by `random` alone. `Err` marks the component
-    /// unplaceable this round.
+    /// Where `component` should move: `None` keeps it put this round, as
+    /// for a component the DAG or the cluster does not hold. `observed`
+    /// is the worst goodput fraction among its violations, degraded below
+    /// the goodput threshold ([`MigrationConfig::degraded`]); `ranked` is
+    /// this round's availability ranking and `scorer` its one scoring
+    /// scratch, both made once by the controller; `rng` is the
+    /// controller's stream, drawn from by `random` alone.
     ///
     /// - `bass`: [`select_target`](crate::rescheduler::select_target)
     ///   over the ranking — the paper's behaviour, held bit-identical by
@@ -176,36 +169,22 @@ impl PolicyKind {
     ///   the best link state every round: strong when the network
     ///   genuinely moved, churn-prone when the trigger was transient
     ///   (the contrast the arena is built to show).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn select_target(
         self,
         component: ComponentId,
         observed: f64,
-        degraded: bool,
         ctx: &PolicyCtx<'_>,
         ranked: &[NodeId],
         scorer: &mut Scorer,
         rng: &mut SimRng,
-    ) -> Result<NodeId, RescheduleError> {
-        let mut bass = |degraded| {
-            crate::rescheduler::select_target(
-                component,
-                ctx.dag,
-                ctx.cluster,
-                ctx.mesh,
-                observed,
-                degraded,
-                ranked,
-                scorer,
-            )
-        };
-        let none = RescheduleError::NoFeasibleNode(component);
+    ) -> Option<NodeId> {
+        let degraded = ctx.migration.degraded(observed);
         match self {
-            PolicyKind::Bass => bass(degraded),
+            PolicyKind::Bass => select_target(component, observed, degraded, ctx, ranked, scorer),
             PolicyKind::Metronome => {
                 let eager =
                     priority(component, ctx.dag) >= Bandwidth::from_mbps(METRONOME_PRIORITY_MBPS);
-                bass(degraded || eager)
+                select_target(component, observed, degraded || eager, ctx, ranked, scorer)
             }
             PolicyKind::K3sDefault => {
                 let (_, nodes) = feasible_targets(component, ctx)?;
@@ -217,7 +196,6 @@ impl PolicyKind {
                     })
                     .min()
                     .map(|(_, _, n)| n)
-                    .ok_or(none)
             }
             PolicyKind::Spread => {
                 let (_, nodes) = feasible_targets(component, ctx)?;
@@ -230,14 +208,13 @@ impl PolicyKind {
                     })
                     .min()
                     .map(|(_, _, n)| n)
-                    .ok_or(none)
             }
             PolicyKind::Random => {
                 let (_, nodes) = feasible_targets(component, ctx)?;
                 if nodes.is_empty() {
-                    return Err(none);
+                    return None;
                 }
-                Ok(nodes[rng.below(nodes.len() as u64) as usize])
+                Some(nodes[rng.below(nodes.len() as u64) as usize])
             }
             PolicyKind::NetworkAwareGreedy => {
                 let (current, nodes) = feasible_targets(component, ctx)?;
@@ -249,7 +226,6 @@ impl PolicyKind {
                     .filter(|&(_, s)| s > current_score)
                     .max_by(|a, b| score_cmp(a.1, b.1))
                     .map(|(n, _)| n)
-                    .ok_or(none)
             }
         }
     }
@@ -263,11 +239,9 @@ impl std::fmt::Display for PolicyKind {
 
 /// The feasible targets for `component`: up nodes other than its
 /// current one where its CPU/memory fit, in ascending `NodeId` order.
-fn feasible_targets(
-    component: ComponentId,
-    ctx: &PolicyCtx<'_>,
-) -> Result<(NodeId, Vec<NodeId>), RescheduleError> {
-    let (comp, current) = locate(component, ctx.dag, ctx.cluster)?;
+fn feasible_targets(component: ComponentId, ctx: &PolicyCtx<'_>) -> Option<(NodeId, Vec<NodeId>)> {
+    let comp = ctx.dag.component(component)?;
+    let current = ctx.cluster.node_of(component)?;
     let nodes = ctx
         .cluster
         .node_ids()
@@ -275,7 +249,7 @@ fn feasible_targets(
         .filter(|&n| n != current && ctx.mesh.node_is_up(n))
         .filter(|&n| ctx.cluster.fits(n, comp.resources).unwrap_or(false))
         .collect();
-    Ok((current, nodes))
+    Some((current, nodes))
 }
 
 /// `metronome`'s priority of `component`: its heaviest adjacent edge.
@@ -287,8 +261,61 @@ fn priority(component: ComponentId, dag: &AppDag) -> Bandwidth {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::ranking::rank_nodes;
+    use bass_appdag::catalog;
+    use bass_cluster::NodeSpec;
+    use bass_mesh::Topology;
+    use bass_netmon::EdgeUsage;
+    use std::collections::BTreeMap;
+
+    /// One round's world over `dag`, `cluster` and `mesh`: nothing
+    /// measured, nothing pinned, the default thresholds and the
+    /// net-monitor's default headroom.
+    pub(crate) fn ctx<'a>(dag: &'a AppDag, cluster: &'a Cluster, mesh: &'a Mesh) -> PolicyCtx<'a> {
+        static NOTHING_MEASURED: BTreeMap<(ComponentId, ComponentId), EdgeUsage> = BTreeMap::new();
+        static NOTHING_PINNED: BTreeSet<ComponentId> = BTreeSet::new();
+        PolicyCtx {
+            mesh,
+            dag,
+            cluster,
+            goodput: &NOTHING_MEASURED,
+            pinned: &NOTHING_PINNED,
+            migration: MigrationConfig::default(),
+            headroom_fraction: 0.2,
+        }
+    }
+
+    #[test]
+    fn no_policy_targets_an_unknown_or_unplaced_component() {
+        // The camera pipeline on three roomy nodes, the sampler (n0) cut
+        // off from the detector (n1) by a 1 Mbps link and the camera
+        // evicted: a degraded round where every policy moves the sampler.
+        let dag = catalog::camera_pipeline();
+        let mbps = Bandwidth::from_mbps;
+        let mut mesh = Mesh::with_uniform_capacity(Topology::full_mesh(3), mbps(100.0)).unwrap();
+        mesh.set_link_cap(NodeId(0), NodeId(1), Some(mbps(1.0))).unwrap();
+        mesh.advance(bass_util::time::SimDuration::from_millis(100));
+        let mut cluster = Cluster::new((0..3).map(|i| NodeSpec::cores_mb(i, 32, 32_768))).unwrap();
+        for (c, n) in dag.component_ids().zip([0, 0, 1, 1, 2]) {
+            cluster.place(c, dag.component(c).unwrap().resources, NodeId(n)).unwrap();
+        }
+        let camera = dag.component_by_name("camera-stream").unwrap().id;
+        let sampler = dag.component_by_name("frame-sampler").unwrap().id;
+        cluster.evict(camera).unwrap();
+        let ctx = ctx(&dag, &cluster, &mesh);
+        let ranked = rank_nodes(&cluster, &mesh);
+        for kind in PolicyKind::all() {
+            let select = |c| {
+                let rng = &mut SimRng::seed_from_u64(RANDOM_POLICY_SEED);
+                kind.select_target(c, 0.1, &ctx, &ranked, &mut Scorer::default(), rng)
+            };
+            assert!(select(sampler).is_some(), "{kind}: a placed component has a target");
+            assert_eq!(select(ComponentId(77)), None, "{kind}: unknown component");
+            assert_eq!(select(camera), None, "{kind}: unplaced component");
+        }
+    }
 
     #[test]
     fn registry_names_round_trip() {
