@@ -18,7 +18,7 @@
 //! `--jobs 1` sequential run. (`tab3`/`tab4` report wall-clock latency
 //! they measure on the host, which varies run to run at any job count.)
 
-use bass_bench::experiments::{run_with_journal, ALL_IDS};
+use bass_bench::experiments::{self, ALL_IDS};
 use bass_bench::RunMode;
 use bass_util::pool::ordered_map;
 use std::path::PathBuf;
@@ -100,7 +100,7 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    // Only `fig13` consumes the journal (`run_with_journal` hands it back
+    // Only `fig13` consumes the journal (`experiments::run` hands it back
     // untouched for every other id), so handing it to the worker that
     // draws the first `fig13` — and to no one else — appends exactly the
     // events a sequential run would.
@@ -116,7 +116,7 @@ fn main() -> ExitCode {
             None
         };
         let started = std::time::Instant::now();
-        match run_with_journal(&ids[i], mode, journal) {
+        match experiments::run(&ids[i], mode, journal) {
             Some((report, returned)) => {
                 if let Some(j) = returned {
                     *journal_slot.lock().expect("journal lock") = Some(j);

@@ -15,18 +15,13 @@ use bass_mesh::NodeId;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::Bandwidth;
 
-/// Runs the experiment.
-pub fn run(mode: RunMode) -> ExperimentReport {
-    run_observed(mode, None).0
-}
-
 /// Runs the experiment, attaching `journal` to the 30 s-interval run.
 ///
 /// The 30 s configuration is the paper's headline setting, so its run
 /// narrates the full decision sequence (probes, triggers, target
 /// choices) into the journal. The journal is returned so the caller
 /// can flush or export it.
-pub(crate) fn run_observed(
+pub fn run(
     mode: RunMode,
     mut journal: Option<bass_obs::Journal>,
 ) -> (ExperimentReport, Option<bass_obs::Journal>) {
@@ -108,7 +103,7 @@ mod tests {
 
     #[test]
     fn migrating_beats_not_migrating() {
-        let rep = run(RunMode::Quick);
+        let (rep, _) = run(RunMode::Quick, None);
         let with = rep.row("30s interval").unwrap();
         let without = rep.row("no migration").unwrap();
         assert!(with.value("migrations").unwrap() >= 1.0, "must migrate");
@@ -122,7 +117,7 @@ mod tests {
 
     #[test]
     fn observed_run_narrates_the_migration_decision() {
-        let (_, journal) = run_observed(RunMode::Quick, Some(bass_obs::Journal::new()));
+        let (_, journal) = run(RunMode::Quick, Some(bass_obs::Journal::new()));
         let journal = journal.expect("journal handed back");
         for kind in [
             "probe_completed",
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn thirty_second_interval_is_best_or_close() {
-        let rep = run(RunMode::Quick);
+        let (rep, _) = run(RunMode::Quick, None);
         let p99 = |label: &str| rep.row(label).unwrap().value("p99_ms").unwrap();
         // 30 s must beat 90 s (faster detection); allow noise vs 60 s.
         assert!(

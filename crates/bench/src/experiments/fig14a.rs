@@ -62,8 +62,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
             .with("restart_ms", during)
             .with("inflation_x", during / before.max(1e-9)),
     );
-    let cdf = rec.cdf("latency_ms");
-    report.push_series("latency_cdf", &cdf.points(100), 100);
+    report.push_series("latency_cdf", &rec.percentiles("latency_ms").points(100), 100);
     report
 }
 

@@ -59,7 +59,7 @@ pub fn run(mode: RunMode) -> ExperimentReport {
                 .with("p99_ms", p.p99())
                 .with("migrations", env.stats().migrations.len() as f64),
         );
-        report.push_series(format!("cdf:{label}"), &rec.cdf("latency_ms").points(80), 80);
+        report.push_series(format!("cdf:{label}"), &p.points(80), 80);
     }
     report
 }

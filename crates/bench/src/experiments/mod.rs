@@ -32,26 +32,19 @@ pub const ALL_IDS: &[&str] = &[
     "ablation",
 ];
 
-/// Runs one experiment by id.
-///
-/// Returns `None` for unknown ids.
-pub fn run(id: &str, mode: RunMode) -> Option<ExperimentReport> {
-    run_with_journal(id, mode, None).map(|(report, _)| report)
-}
-
 /// Runs one experiment by id, offering it an event journal.
 ///
 /// Only experiments that replay a full control-loop scenario narrate
 /// into the journal (currently `fig13`, whose 30 s-interval run is the
 /// paper's headline migration timeline); the rest return the journal
 /// untouched. Returns `None` for unknown ids.
-pub fn run_with_journal(
+pub fn run(
     id: &str,
     mode: RunMode,
     journal: Option<bass_obs::Journal>,
 ) -> Option<(ExperimentReport, Option<bass_obs::Journal>)> {
     if id == "fig13" {
-        return Some(fig13::run_observed(mode, journal));
+        return Some(fig13::run(mode, journal));
     }
     let report = match id {
         "fig2" => fig2::run(mode),

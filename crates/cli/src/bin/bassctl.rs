@@ -1,7 +1,7 @@
 //! `bassctl` — plan and simulate BASS deployments.
 //!
 //! ```text
-//! bassctl order    --manifest app.json [--policy bfs|longest-path|hybrid|k3s]
+//! bassctl order    --manifest app.json [--policy bfs|longest-path|hybrid|k3s-default]
 //! bassctl place    --manifest app.json --testbed mesh.json [--policy …] [--seed N] [--json]
 //! bassctl simulate --manifest app.json --testbed mesh.json [--policy …] [--duration SECS]
 //!                  [--no-migrations] [--seed N] [--json] [--journal events.jsonl]
@@ -33,7 +33,6 @@
 
 use bass_appdag::Manifest;
 use bass_cli::{commands::recommend, commands::traces, order, place, simulate, SimulateOptions, TestbedSpec};
-use bass_core::heuristics::BfsWeighting;
 use bass_core::PlacementPolicy;
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -78,18 +77,6 @@ struct Args {
     diff: Option<String>,
     lint: bool,
     help: bool,
-}
-
-fn parse_policy(name: &str) -> Result<PlacementPolicy, String> {
-    match name {
-        "bfs" => Ok(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight)),
-        "longest-path" | "lp" => Ok(PlacementPolicy::LongestPath),
-        "hybrid" => Ok(PlacementPolicy::Hybrid),
-        "k3s" => Ok(PlacementPolicy::K3sDefault),
-        other => Err(format!(
-            "unknown policy '{other}' (expected bfs, longest-path, hybrid, or k3s)"
-        )),
-    }
 }
 
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), String> {
@@ -153,7 +140,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
                         args.arena_policies.push(bass_core::PolicyKind::parse(name.trim())?);
                     }
                 } else {
-                    args.policy = parse_policy(&v)?;
+                    args.policy = PlacementPolicy::parse(&v)?;
                 }
             }
             "--duration" => {

@@ -302,7 +302,7 @@ pub fn simulate(
     let profiler = env.take_span_profiler();
     if let Some(path) = &opts.metrics_out {
         let metrics = journal.as_ref().map(bass_obs::Journal::metrics).unwrap_or_default();
-        let text = bass_obs::prom::render(&metrics, profiler.as_ref());
+        let text = bass_obs::prom::render(&metrics, profiler.as_ref(), &[]);
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;
     }
@@ -415,7 +415,8 @@ pub fn campaign(
         j.flush().map_err(CommandError::Journal)?;
     }
     if let Some(path) = metrics_out {
-        let text = bass_obs::prom::render(&campaign_metrics(&run.summary), run.profiler.as_ref());
+        let metrics = campaign_metrics(&run.summary);
+        let text = bass_obs::prom::render(&metrics, run.profiler.as_ref(), &[]);
         std::fs::write(path, text)
             .map_err(|e| CommandError::Metrics(format!("{}: {e}", path.display())))?;
     }
@@ -480,11 +481,7 @@ fn arena_metrics_exposition(table: &bass_scenario::ArenaTable) -> String {
         m.set_gauge("arena.rank", s.rank as f64);
         m.set_gauge("arena.goodput.mean", s.mean_goodput);
         m.add("arena.migrations", s.migrations);
-        out.push_str(&bass_obs::prom::render_with_labels(
-            &m,
-            None,
-            &[("policy", s.policy.as_str())],
-        ));
+        out.push_str(&bass_obs::prom::render(&m, None, &[("policy", s.policy.as_str())]));
     }
     for r in &table.rows {
         let mut m = bass_obs::Metrics::new();
@@ -495,7 +492,7 @@ fn arena_metrics_exposition(table: &bass_scenario::ArenaTable) -> String {
         m.add("arena.scenario.migrations", r.migrations);
         m.add("arena.scenario.unplaceable", r.unplaceable);
         m.add("arena.scenario.ticks", r.ticks);
-        out.push_str(&bass_obs::prom::render_with_labels(
+        out.push_str(&bass_obs::prom::render(
             &m,
             None,
             &[("policy", r.policy.as_str()), ("scenario", r.scenario.as_str())],

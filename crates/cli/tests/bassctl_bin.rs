@@ -52,6 +52,28 @@ fn schema_output_is_consumable_by_place() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `k3s-default`, the name `recommend` prints and `PlacementDecided`
+/// journals, reads back like its alias `k3s`.
+#[test]
+fn place_accepts_the_displayed_k3s_default_name() {
+    let dir = temp_dir("k3s_default");
+    let (app, mesh) = write_schema_files(&dir);
+    let place = |policy: &str| {
+        let out = bassctl()
+            .args(["place", "--manifest"])
+            .arg(&app)
+            .arg("--testbed")
+            .arg(&mesh)
+            .args(["--policy", policy])
+            .output()
+            .expect("bassctl runs");
+        assert!(out.status.success(), "{policy}: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    assert_eq!(place("k3s-default"), place("k3s"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn order_prints_groups_for_each_policy() {
     let dir = temp_dir("order");

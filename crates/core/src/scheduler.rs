@@ -26,6 +26,26 @@ pub enum PlacementPolicy {
     K3sDefault,
 }
 
+impl PlacementPolicy {
+    /// Parses a name [`Display`](fmt::Display) prints (`bfs` reads as
+    /// edge-weighted breadth-first), or the alias `lp` or `k3s`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message listing the valid names for anything else.
+    pub fn parse(name: &str) -> Result<PlacementPolicy, String> {
+        match name {
+            "bfs" => Ok(PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight)),
+            "longest-path" | "lp" => Ok(PlacementPolicy::LongestPath),
+            "hybrid" => Ok(PlacementPolicy::Hybrid),
+            "k3s-default" | "k3s" => Ok(PlacementPolicy::K3sDefault),
+            other => Err(format!(
+                "unknown policy '{other}' (expected bfs, longest-path, hybrid, or k3s-default)"
+            )),
+        }
+    }
+}
+
 /// Minimum fan-out for [`PlacementPolicy::Hybrid`] to treat a subgraph
 /// as fan-out-heavy (and order it breadth-first).
 pub const HYBRID_FANOUT_THRESHOLD: usize = 3;
@@ -226,6 +246,21 @@ mod tests {
             assert_eq!(placement.len(), 5, "{policy}");
             cluster.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn parse_reads_back_every_displayed_name() {
+        for policy in [
+            PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
+            PlacementPolicy::LongestPath,
+            PlacementPolicy::Hybrid,
+            PlacementPolicy::K3sDefault,
+        ] {
+            assert_eq!(PlacementPolicy::parse(&policy.to_string()), Ok(policy));
+        }
+        assert_eq!(PlacementPolicy::parse("lp"), Ok(PlacementPolicy::LongestPath));
+        assert_eq!(PlacementPolicy::parse("k3s"), Ok(PlacementPolicy::K3sDefault));
+        assert!(PlacementPolicy::parse("first-fit").unwrap_err().contains("unknown policy"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use bass_faults::FaultPlan;
 use bass_mesh::queueing::{LOOPBACK_LATENCY, MAX_DELAY};
 use bass_mesh::{FlowId, Mesh, MeshError, NodeId};
 use bass_netmon::{NetMonitor, NetMonitorConfig};
-use bass_obs::SpanProfiler;
+use bass_obs::{ProbeKind, SpanProfiler};
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
 use edges::Bindings;
@@ -355,7 +355,7 @@ impl SimEnv {
             return Err(EnvError::ZeroStep);
         }
         self.with_span("env.deploy", |env| {
-            env.netmon.full_probe_profiled(&env.mesh, env.journal.as_mut(), None);
+            env.probe(ProbeKind::Full, None);
             for &(cid, node) in pins {
                 let comp = env.dag.component(cid).ok_or(EnvError::UnknownComponent(cid))?;
                 env.cluster
@@ -1369,13 +1369,8 @@ mod tests {
             }
             other => panic!("expected TickCompleted, got {other:?}"),
         }
-        // The registry lands in a Recorder as obs.event.* series.
-        let mut rec = crate::Recorder::new();
-        rec.absorb_metrics(&journal.metrics(), env.now());
-        assert_eq!(
-            rec.series("obs.event.migration_target_chosen").len(),
-            1
-        );
+        // The registry counts the target choice once.
+        assert_eq!(journal.metrics().counter("obs.event.migration_target_chosen"), 1);
     }
 
     /// Contract: `SimEnv` never resets an attached journal. Counters
@@ -1558,12 +1553,9 @@ mod tests {
         env.journal().unwrap().events_of_kind("probe_completed").map(probe).collect()
     }
 
-    #[test]
-    fn the_step_probes_each_epoch_and_escalates_on_a_new_violation() {
-        // The squeeze at 45 s leaves the crossing link no headroom. The
-        // 60.1 s epoch finds it newly violated, escalates to a full
-        // probe and migrates; the 300 s cooldown this starts does not
-        // move a single probe, and between epochs nothing probes.
+    /// The camera pipeline on `mesh3_env` with a journal, its crossing
+    /// link capped to 2 Mbps at 45 s, stepped to 130 s.
+    fn squeezed_probe_run(profiled: bool) -> SimEnv {
         let cooldown = SimDuration::from_secs(300);
         let cfg = SimEnvConfig {
             policy: PlacementPolicy::BreadthFirst(BfsWeighting::EdgeWeight),
@@ -1572,11 +1564,24 @@ mod tests {
         };
         let mut env = mesh3_env(catalog::camera_pipeline(), cfg);
         env.attach_journal(bass_obs::Journal::new());
+        if profiled {
+            env.enable_span_profiling();
+        }
         env.deploy(&[]).unwrap();
         env.set_scenario(squeeze(&env, 45, Some(mbps(2.0))));
         for _ in 0..1300 {
             env.step().unwrap();
         }
+        env
+    }
+
+    #[test]
+    fn the_step_probes_each_epoch_and_escalates_on_a_new_violation() {
+        // The squeeze at 45 s leaves the crossing link no headroom. The
+        // 60.1 s epoch finds it newly violated, escalates to a full
+        // probe and migrates; the 300 s cooldown this starts does not
+        // move a single probe, and between epochs nothing probes.
+        let env = squeezed_probe_run(false);
         let (full, headroom) = (true, false);
         let expected = [
             (0, full, 0), // deploy's startup probe
@@ -1591,6 +1596,41 @@ mod tests {
         let at: Vec<u64> = env.stats().migrations.iter().map(|m| m.at.as_millis()).collect();
         assert_eq!(at, [60_100]);
         assert_eq!(env.netmon().overhead().headroom_probes, 5);
+    }
+
+    #[test]
+    fn the_step_journals_and_times_each_probe_pass() {
+        let mut env = squeezed_probe_run(true);
+        let links = env.mesh().topology().link_count() as u32;
+        // A full pass floods each link at its capacity for 1 s: deploy's
+        // on three 100 Mbps links, the 60.1 s escalation on the squeezed
+        // link's 2 Mbps and two 100 Mbps links.
+        let mut floods = [3 * 100_000_000 / 8, (2_000_000 + 2 * 100_000_000) / 8].into_iter();
+        let mut total = 0;
+        for e in env.journal().unwrap().events_of_kind("probe_completed") {
+            let bass_obs::Event::ProbeCompleted {
+                kind, links: measured, violated, probe_bytes, overhead_bytes_total, ..
+            } = *e
+            else {
+                unreachable!()
+            };
+            total += probe_bytes;
+            assert_eq!(overhead_bytes_total, total);
+            assert_eq!(measured, links, "no sample is lost");
+            if kind == bass_obs::ProbeKind::Full {
+                assert_eq!((violated, Some(probe_bytes)), (0, floods.next()));
+            }
+        }
+        assert_eq!(floods.next(), None);
+        let overhead = env.netmon().overhead();
+        assert_eq!(total, overhead.total_bytes().as_bytes());
+        // Every pass the step runs is one span nested in
+        // `tick.controller`; deploy's startup probe is untimed.
+        let prof = env.take_span_profiler().unwrap();
+        let stats = |span| prof.stats(span).map_or((0, 0), |s| (s.count, s.total_ns));
+        let (full, headroom) = (stats("netmon.full_probe"), stats("netmon.headroom_probe"));
+        assert_eq!((full.0, headroom.0), (overhead.full_probes - 1, overhead.headroom_probes));
+        assert!(full.1 + headroom.1 <= stats("tick.controller").1);
     }
 
     #[test]

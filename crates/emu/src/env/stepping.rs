@@ -3,7 +3,8 @@
 
 use super::{EnvError, LiveApp, SimEnv};
 use crate::scenario::{Action, Input};
-use bass_obs::SpanProfiler;
+use bass_netmon::HeadroomReport;
+use bass_obs::{Event, PhaseClock, ProbeKind, SpanProfiler};
 use bass_util::time::{SimDuration, SimTime};
 
 impl SimEnv {
@@ -72,12 +73,12 @@ impl SimEnv {
     /// see `docs/OBSERVABILITY.md`) on `full` ticks. Phases that profile
     /// their own interior — the mesh advance, the probes and the
     /// controller — receive the profiler and are followed by a
-    /// [`PhaseClock::reset`](bass_obs::PhaseClock) or their own enclosing
-    /// lap. Each phase guards its own work, so on a quiet tick only the
-    /// demand push, the mesh advance and the `TickCompleted` line find
-    /// any, and no clock is read for the phases.
+    /// [`PhaseClock::reset`] or their own enclosing lap. Each phase
+    /// guards its own work, so on a quiet tick only the demand push, the
+    /// mesh advance and the `TickCompleted` line find any, and no clock
+    /// is read for the phases.
     fn step_inner(&mut self, full: bool, mut profiler: Option<&mut SpanProfiler>) -> Result<(), EnvError> {
-        let mut clock = bass_obs::PhaseClock::new(full && profiler.is_some());
+        let mut clock = PhaseClock::new(full && profiler.is_some());
         // 0. Injected faults due now, then re-placement of components a
         // crash displaced (possible again once capacity recovers).
         let mut controller_restarted = false;
@@ -122,20 +123,18 @@ impl SimEnv {
         // restart injected this tick loses the tick: the new controller
         // process comes up after the decision window.
         if !controller_restarted && self.probe_due(self.mesh.now()) {
-            let (mesh, netmon, journal) = (&self.mesh, &mut self.netmon, &mut self.journal);
-            let report =
-                netmon.headroom_probe_profiled(mesh, journal.as_mut(), profiler.as_deref_mut());
+            let report = self.probe(ProbeKind::Headroom, profiler.as_deref_mut());
             if report.newly_violated > 0 {
-                netmon.full_probe_profiled(mesh, journal.as_mut(), profiler.as_deref_mut());
+                self.probe(ProbeKind::Full, profiler.as_deref_mut());
             }
             let outcome = self.controller.tick(
-                mesh,
-                &self.bindings.goodput(mesh),
+                &self.mesh,
+                &self.bindings.goodput(&self.mesh),
                 &self.dag,
                 &self.cluster,
                 &self.cfg.pinned,
-                netmon.config().headroom_fraction,
-                journal.as_mut(),
+                self.netmon.config().headroom_fraction,
+                self.journal.as_mut(),
                 profiler.as_deref_mut(),
             );
             if !outcome.plans.is_empty() || !outcome.candidates.violations.is_empty() {
@@ -152,7 +151,7 @@ impl SimEnv {
 
         // 5. Close the tick span.
         if let Some(j) = self.journal.as_mut() {
-            j.record(bass_obs::Event::TickCompleted {
+            j.record(Event::TickCompleted {
                 t_s: self.mesh.now().as_secs_f64(),
                 step_ms: self.cfg.step.as_secs_f64() * 1e3,
                 flows: self.mesh.flow_count() as u32,
@@ -161,6 +160,44 @@ impl SimEnv {
         }
         clock.lap(profiler, "tick.finalize");
         Ok(())
+    }
+
+    /// Runs one probe pass of `kind` on the mesh as it stands and
+    /// journals its `ProbeCompleted` line: the pass's traffic and the
+    /// running total (§6.3.4's overhead accounting). With a profiler the
+    /// pass, journal line included, is one `netmon.full_probe` or
+    /// `netmon.headroom_probe` span. A full pass reports no headroom.
+    pub(super) fn probe(
+        &mut self,
+        kind: ProbeKind,
+        profiler: Option<&mut SpanProfiler>,
+    ) -> HeadroomReport {
+        let mut clock = PhaseClock::new(profiler.is_some());
+        let before = self.netmon.overhead().total_bytes().as_bytes();
+        let (report, links, span) = match kind {
+            ProbeKind::Full => {
+                self.netmon.full_probe(&self.mesh);
+                let links = self.mesh.topology().link_count() as u32;
+                (HeadroomReport::default(), links, "netmon.full_probe")
+            }
+            ProbeKind::Headroom => {
+                let report = self.netmon.headroom_probe(&self.mesh);
+                (report, report.measured, "netmon.headroom_probe")
+            }
+        };
+        if let Some(j) = self.journal.as_mut() {
+            let total = self.netmon.overhead().total_bytes().as_bytes();
+            j.record(Event::ProbeCompleted {
+                t_s: self.mesh.now().as_secs_f64(),
+                kind,
+                links,
+                violated: report.violated,
+                probe_bytes: total - before,
+                overhead_bytes_total: total,
+            });
+        }
+        clock.lap(profiler, span);
+        report
     }
 
     /// Takes the first input due on the pre-advance clock that `pick`

@@ -1,6 +1,5 @@
 //! Experiment metric recording: named time series and sample batches.
 
-use bass_util::cdf::Cdf;
 use bass_util::stats::{Percentiles, StreamingStats};
 use bass_util::time::SimTime;
 use bass_util::timeseries::TimeSeries;
@@ -68,28 +67,9 @@ impl Recorder {
         Percentiles::from_samples(self.samples(name))
     }
 
-    /// CDF of a sample batch.
-    pub fn cdf(&self, name: &str) -> Cdf {
-        Cdf::from_samples(self.samples(name))
-    }
-
     /// Streaming statistics of a sample batch.
     pub fn stats(&self, name: &str) -> StreamingStats {
         self.samples(name).iter().copied().collect()
-    }
-
-    /// Folds a `bass-obs` metrics snapshot into this recorder: every
-    /// counter and gauge becomes a single `(at, value)` point on the
-    /// series of the same name (counters cast to `f64`). Called at the
-    /// end of a run, this lands the observability registry (e.g. the
-    /// per-kind `obs.event.*` counters) next to the experiment series.
-    pub fn absorb_metrics(&mut self, metrics: &bass_obs::Metrics, at: SimTime) {
-        for (name, v) in metrics.counters() {
-            self.record_series(name, at, v as f64);
-        }
-        for (name, v) in metrics.gauges() {
-            self.record_series(name, at, v);
-        }
     }
 
     /// Merges another recorder's content into this one (series must not
@@ -133,13 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_and_cdf() {
+    fn percentiles_and_stats() {
         let mut r = Recorder::new();
         for v in [1.0, 2.0, 3.0, 4.0] {
             r.record_sample("lat", v);
         }
         assert_eq!(r.percentiles("lat").median(), 2.5);
-        assert_eq!(r.cdf("lat").fraction_at_or_below(2.0), 0.5);
         assert_eq!(r.stats("lat").mean(), 2.5);
     }
 
@@ -155,7 +134,6 @@ mod tests {
         assert_eq!(p.quantile(0.0), 7.5);
         assert_eq!(p.quantile(1.0), 7.5);
         assert_eq!(r.stats("lat").mean(), 7.5);
-        assert_eq!(r.cdf("lat").fraction_at_or_below(7.5), 1.0);
     }
 
     #[test]
@@ -164,7 +142,6 @@ mod tests {
         let p = r.percentiles("lat");
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
-        assert!(r.cdf("lat").is_empty());
         assert_eq!(r.stats("lat").min(), None);
     }
 
@@ -187,13 +164,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.series("ts").len(), 1);
         assert_eq!(a.series("other").len(), 1);
-    }
-
-    #[test]
-    fn absorbing_empty_metrics_records_nothing() {
-        let mut r = Recorder::new();
-        r.absorb_metrics(&bass_obs::Metrics::new(), SimTime::from_secs(1));
-        assert_eq!(r, Recorder::new());
     }
 
     #[test]

@@ -401,8 +401,8 @@ impl Allocation {
     pub(crate) fn set_demand(&mut self, id: FlowId, demand: Bandwidth) -> Result<(), MeshError> {
         let slot = self.flows.live_slot(id).ok_or(MeshError::UnknownFlow(id))?;
         let flow = &mut self.flows.states[slot];
-        // The emulator re-pushes every demand every tick; only a bitwise
-        // change dirties the slot (the common tick marks nothing).
+        // The emulator re-pushes every demand whenever one can have
+        // moved; only a bitwise change dirties the slot.
         let changed = flow.spec.demand.as_bps().to_bits() != demand.as_bps().to_bits();
         flow.spec.demand = demand;
         if changed {

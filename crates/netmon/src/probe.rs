@@ -1,7 +1,6 @@
 //! Max-capacity and headroom probing with overhead accounting.
 
 use bass_mesh::{Mesh, NodeId};
-use bass_obs::{Event, Journal, ProbeKind};
 use bass_util::rng::SimRng;
 use bass_util::time::{SimDuration, SimTime};
 use bass_util::units::{Bandwidth, DataSize};
@@ -204,60 +203,6 @@ impl NetMonitor {
         }
         self.overhead.headroom_probes += 1;
         self.last_headroom_probe = Some(now);
-        report
-    }
-
-    /// [`full_probe`](Self::full_probe) that also emits a
-    /// [`ProbeCompleted`](Event::ProbeCompleted) event carrying the
-    /// probe-traffic cost of this pass (§6.3.4 overhead accounting),
-    /// and records a `netmon.full_probe` span when a profiler is
-    /// supplied.
-    pub fn full_probe_profiled(
-        &mut self,
-        mesh: &Mesh,
-        journal: Option<&mut Journal>,
-        profiler: Option<&mut bass_obs::SpanProfiler>,
-    ) {
-        let _span = bass_obs::SpanProfiler::span(profiler, "netmon.full_probe");
-        let before = self.overhead;
-        self.full_probe(mesh);
-        if let Some(j) = journal {
-            j.record(Event::ProbeCompleted {
-                t_s: mesh.now().as_secs_f64(),
-                kind: ProbeKind::Full,
-                links: mesh.topology().links().count() as u32,
-                violated: 0,
-                probe_bytes: self.overhead.full_probe_bytes.as_bytes()
-                    - before.full_probe_bytes.as_bytes(),
-                overhead_bytes_total: self.overhead.total_bytes().as_bytes(),
-            });
-        }
-    }
-
-    /// [`headroom_probe`](Self::headroom_probe) that also emits a
-    /// [`ProbeCompleted`](Event::ProbeCompleted) event with the number of
-    /// links found below their required headroom, and records a
-    /// `netmon.headroom_probe` span when a profiler is supplied.
-    pub fn headroom_probe_profiled(
-        &mut self,
-        mesh: &Mesh,
-        journal: Option<&mut Journal>,
-        profiler: Option<&mut bass_obs::SpanProfiler>,
-    ) -> HeadroomReport {
-        let _span = bass_obs::SpanProfiler::span(profiler, "netmon.headroom_probe");
-        let before = self.overhead;
-        let report = self.headroom_probe(mesh);
-        if let Some(j) = journal {
-            j.record(Event::ProbeCompleted {
-                t_s: mesh.now().as_secs_f64(),
-                kind: ProbeKind::Headroom,
-                links: report.measured,
-                violated: report.violated,
-                probe_bytes: self.overhead.headroom_probe_bytes.as_bytes()
-                    - before.headroom_probe_bytes.as_bytes(),
-                overhead_bytes_total: self.overhead.total_bytes().as_bytes(),
-            });
-        }
         report
     }
 
@@ -487,37 +432,5 @@ mod tests {
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(42), run(42), "same seed ⇒ same drop pattern");
-    }
-
-    #[test]
-    fn observed_probes_emit_events_with_overhead_deltas() {
-        let mesh = mesh();
-        let mut mon = NetMonitor::new(NetMonitorConfig::default());
-        let mut journal = Journal::new();
-        mon.full_probe_profiled(&mesh, Some(&mut journal), None);
-        mon.headroom_probe_profiled(&mesh, Some(&mut journal), None);
-        assert_eq!(journal.count("probe_completed"), 2);
-        let events: Vec<&Event> = journal.events().collect();
-        match events[0] {
-            Event::ProbeCompleted { kind, links, probe_bytes, .. } => {
-                assert_eq!(*kind, ProbeKind::Full);
-                assert_eq!(*links, 3);
-                // 3 links × 50 Mbit flood = 18.75 MB.
-                assert_eq!(*probe_bytes, 3 * 50_000_000 / 8);
-            }
-            other => panic!("expected full ProbeCompleted, got {other:?}"),
-        }
-        match events[1] {
-            Event::ProbeCompleted { kind, violated, overhead_bytes_total, .. } => {
-                assert_eq!(*kind, ProbeKind::Headroom);
-                assert_eq!(*violated, 0);
-                assert_eq!(*overhead_bytes_total, mon.overhead().total_bytes().as_bytes());
-            }
-            other => panic!("expected headroom ProbeCompleted, got {other:?}"),
-        }
-        // The no-op sink records nothing and still performs the probe.
-        mon.full_probe_profiled(&mesh, None, None);
-        assert_eq!(journal.count("probe_completed"), 2);
-        assert_eq!(mon.overhead().full_probes, 2);
     }
 }

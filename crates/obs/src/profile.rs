@@ -268,30 +268,6 @@ impl SpanProfiler {
             spans: self.spans().map(|(name, stats)| (name.to_string(), stats.summarize())).collect(),
         }
     }
-
-    /// Opens a scoped [`SpanGuard`] that records into `profiler` on
-    /// drop. With `None`, the guard is inert and reads no clock.
-    pub fn span<'a>(
-        profiler: Option<&'a mut SpanProfiler>,
-        name: &'static str,
-    ) -> SpanGuard<'a> {
-        SpanGuard { inner: profiler.map(|p| (p, name, Instant::now())) }
-    }
-}
-
-/// RAII span: created by [`SpanProfiler::span`], records the elapsed
-/// time into its profiler when dropped.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    inner: Option<(&'a mut SpanProfiler, &'static str, Instant)>,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some((profiler, name, started)) = self.inner.take() {
-            profiler.record(name, started.elapsed());
-        }
-    }
 }
 
 /// Sequential phase timer for straight-line code like the emulator's
@@ -449,7 +425,7 @@ mod tests {
         let render = |a: &SpanProfiler, b: &SpanProfiler| {
             let mut merged = a.clone();
             merged.merge(b);
-            crate::prom::render(&crate::Metrics::new(), Some(&merged))
+            crate::prom::render(&crate::Metrics::new(), Some(&merged), &[])
         };
         let name_order = render(&profile(&[2, 1, 0, 3]), &profile(&[2, 1, 3, 0]));
         let seen_order = render(&profile(&[0, 3, 1, 2]), &profile(&[3, 2, 0, 1]));
@@ -462,23 +438,10 @@ mod tests {
         let mut clock = PhaseClock::new(false);
         clock.lap(None, "never");
         clock.reset();
-        {
-            let _guard = SpanProfiler::span(None, "never");
-        }
         let mut prof = SpanProfiler::new();
         let mut clock = PhaseClock::new(false); // enabled=false, profiler present
         clock.lap(Some(&mut prof), "never");
         assert!(prof.is_empty());
-    }
-
-    #[test]
-    fn guard_records_on_drop() {
-        let mut prof = SpanProfiler::new();
-        {
-            let _guard = SpanProfiler::span(Some(&mut prof), "scoped");
-            std::hint::black_box(1 + 1);
-        }
-        assert_eq!(prof.stats("scoped").unwrap().count, 1);
     }
 
     #[test]

@@ -64,24 +64,14 @@ fn escape_label(raw: &str) -> String {
 /// `bass_<name>` gauge families, and each profiled span contributes to
 /// the `bass_span_duration_seconds` histogram family (labelled
 /// `span="<name>"`) along with `_min`/`_max` gauges.
-pub fn render(metrics: &Metrics, spans: Option<&SpanProfiler>) -> String {
-    render_with_labels(metrics, spans, &[])
-}
-
-/// [`render`] with a constant label set attached to every sample —
-/// `labels` like `&[("policy", "bass")]` yield series such as
-/// `bass_campaign_goodput_p50{policy="bass"}` and merge into span
-/// label blocks (`{span="...",policy="bass",le="..."}`).
 ///
+/// `labels` (`&[]` for none) attach to every sample: `&[("policy",
+/// "bass")]` yields series such as `bass_campaign_goodput_p50{policy="bass"}`
+/// and merges into span label blocks (`{span="...",policy="bass",le="..."}`).
 /// Blocks rendered with different label values stay distinct series,
 /// so concatenated per-policy expositions (what `bassctl arena
-/// --metrics-out` writes) pass [`lint`] cleanly. With empty `labels`
-/// the output is byte-identical to [`render`].
-pub fn render_with_labels(
-    metrics: &Metrics,
-    spans: Option<&SpanProfiler>,
-    labels: &[(&str, &str)],
-) -> String {
+/// --metrics-out` writes) pass [`lint`] cleanly.
+pub fn render(metrics: &Metrics, spans: Option<&SpanProfiler>, labels: &[(&str, &str)]) -> String {
     let extra: Vec<String> = labels
         .iter()
         .map(|(k, v)| format!("{}=\"{}\"", sanitize_name(k), escape_label(v)))
@@ -385,7 +375,7 @@ mod tests {
         prof.record("tick.alloc", Duration::from_micros(40));
         prof.record("tick.alloc", Duration::from_millis(2));
         prof.record("tick.faults", Duration::from_nanos(900));
-        let text = render(&sample_metrics(), Some(&prof));
+        let text = render(&sample_metrics(), Some(&prof), &[]);
         assert!(text.contains("bass_mesh_capacity_changes_total 7"));
         assert!(text.contains("bass_probe_full_total 1"));
         assert!(text.contains("bass_campaign_goodput_p50 0.75"));
@@ -399,8 +389,8 @@ mod tests {
     fn labelled_render_is_lint_clean_and_concatenable() {
         let mut prof = SpanProfiler::new();
         prof.record("tick.alloc", Duration::from_micros(40));
-        let a = render_with_labels(&sample_metrics(), Some(&prof), &[("policy", "bass")]);
-        let b = render_with_labels(&sample_metrics(), Some(&prof), &[("policy", "random")]);
+        let a = render(&sample_metrics(), Some(&prof), &[("policy", "bass")]);
+        let b = render(&sample_metrics(), Some(&prof), &[("policy", "random")]);
         assert!(a.contains("bass_campaign_goodput_p50{policy=\"bass\"} 0.75"), "{a}");
         assert!(
             a.contains("bass_span_duration_seconds_count{span=\"tick.alloc\",policy=\"bass\"} 1"),
@@ -411,13 +401,11 @@ mod tests {
         let both = format!("{a}{b}");
         let findings = lint(&both);
         assert!(findings.is_empty(), "lint findings: {findings:?}");
-        // Empty labels reproduce render() byte-for-byte.
-        assert_eq!(render_with_labels(&sample_metrics(), Some(&prof), &[]), render(&sample_metrics(), Some(&prof)));
     }
 
     #[test]
     fn render_without_spans_is_lint_clean() {
-        let text = render(&sample_metrics(), None);
+        let text = render(&sample_metrics(), None, &[]);
         assert!(!text.contains("bass_span_duration_seconds"));
         assert!(lint(&text).is_empty());
     }
@@ -427,7 +415,7 @@ mod tests {
         let mut prof = SpanProfiler::new();
         prof.record("x", Duration::from_nanos(100));
         prof.record("x", Duration::from_micros(100));
-        let text = render(&Metrics::new(), Some(&prof));
+        let text = render(&Metrics::new(), Some(&prof), &[]);
         let exp = parse(&text).unwrap();
         let buckets: Vec<f64> = exp
             .samples

@@ -9,8 +9,8 @@
 //! - [`units`]: physical quantities — [`units::Bandwidth`],
 //!   [`units::DataSize`], [`units::Millicores`], [`units::MemoryMb`] —
 //!   as newtypes to prevent unit mix-ups.
-//! - [`stats`]: streaming statistics (Welford), percentile summaries.
-//! - [`cdf`]: empirical cumulative distribution functions.
+//! - [`stats`]: streaming statistics (Welford) and sorted-sample
+//!   summaries: percentiles and the empirical CDF's points.
 //! - [`timeseries`]: time-stamped series with rolling-window smoothing.
 //! - [`histogram`]: fixed-width bucket histograms.
 //! - [`pool`]: an order-preserving worker pool for independent jobs.
@@ -30,7 +30,6 @@
 //! assert!(rate < link);
 //! ```
 
-pub mod cdf;
 pub mod histogram;
 pub mod pool;
 pub mod rng;
@@ -41,7 +40,6 @@ pub mod units;
 
 /// Convenient glob import of the most common types.
 pub mod prelude {
-    pub use crate::cdf::Cdf;
     pub use crate::histogram::Histogram;
     pub use crate::rng::SimRng;
     pub use crate::stats::{Percentiles, StreamingStats};

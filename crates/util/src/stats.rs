@@ -232,9 +232,19 @@ impl Percentiles {
         }
     }
 
-    /// Borrow the sorted samples.
-    pub(crate) fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
+    /// Down-samples the empirical CDF into `n` evenly spaced
+    /// `(value, fraction)` points, as the paper's CDF plots (Fig. 14a/b)
+    /// print them. Empty when `n == 0` or there are no samples.
+    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
+        if n == 0 || self.is_empty() {
+            return Vec::new();
+        }
+        (0..n)
+            .map(|i| {
+                let q = if n == 1 { 1.0 } else { i as f64 / (n - 1) as f64 };
+                (self.quantile(q), q)
+            })
+            .collect()
     }
 }
 
@@ -324,6 +334,25 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.median(), 0.0);
         assert_eq!(p.mean(), 0.0);
+    }
+
+    #[test]
+    fn points_shape() {
+        let p: Percentiles = (1..=100).map(|i| i as f64).collect();
+        let pts = p.points(5);
+        assert_eq!(pts.len(), 5);
+        assert_eq!(pts[0].1, 0.0);
+        assert_eq!(pts[4].1, 1.0);
+        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    #[test]
+    fn points_edge_cases() {
+        let empty = Percentiles::from_samples(&[]);
+        assert!(empty.points(10).is_empty());
+        let single = Percentiles::from_samples(&[7.0]);
+        assert_eq!(single.points(1), vec![(7.0, 1.0)]);
+        assert!(single.points(0).is_empty());
     }
 
     #[test]
